@@ -8,7 +8,7 @@ GO ?= go
 # the runner-level replication sweep, and the daemon's serve path.
 BENCH_GATE := BenchmarkSimulatorThroughput|BenchmarkReplicationSweep|BenchmarkServeThroughput
 
-.PHONY: verify build test race bench-smoke bench bench-compare bench-baseline fuzz lint profile-largen
+.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen
 
 verify: build test race bench-smoke
 
@@ -34,6 +34,11 @@ race:
 
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x .
+
+# Self-test of the repository benchmark (BENCHMARK.json, bench/). It is a
+# module of its own, so `go test ./...` at the root never reaches it.
+bench-selftest:
+	cd bench && $(GO) test ./...
 
 # Coverage-guided fuzzing: the wire codec, the DES differential queue
 # oracle and the radio-path differential oracle (go test allows one -fuzz

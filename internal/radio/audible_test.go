@@ -52,12 +52,19 @@ func diffBed(tier mediumTier) (*des.Sim, *Medium, []*Radio, []*recorder) {
 
 // runOps replays ops on a diffBed medium of the given tier and returns
 // the medium and all listener logs (base radios plus any attached extras,
-// in attach order).
-func runOps(tier mediumTier, ops []mediumOp) (*Medium, []*recorder) {
+// in attach order). Every op is an event boundary with frames in flight,
+// so the coherence audit runs before each one; once the queue drains every
+// frame has finished, and each receiver must be back at exactly zero — the
+// end state the arrival counter's clamp exists to guarantee.
+func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder) {
+	t.Helper()
 	sim, m, radios, recs := diffBed(tier)
 	for i, op := range ops {
 		op := op
 		sim.At(des.Time(i+1)*opStride, func() {
+			if err := m.AuditCoherence(); err != nil {
+				t.Fatalf("tier %d before op %d: %v", tier, i, err)
+			}
 			n := m.NumRadios()
 			if op.kind == 4 {
 				// Attach a newcomer mid-run at a spot derived from arg.
@@ -94,6 +101,14 @@ func runOps(tier mediumTier, ops []mediumOp) (*Medium, []*recorder) {
 		})
 	}
 	sim.Run()
+	if err := m.AuditCoherence(); err != nil {
+		t.Fatalf("tier %d after drain: %v", tier, err)
+	}
+	for rx := range m.rx {
+		if s := &m.rx[rx]; s.nlive != 0 || s.energy != 0 || s.busy || s.txing || s.cur.t != nil {
+			t.Fatalf("tier %d receiver %d not quiescent after drain: %+v", tier, rx, *s)
+		}
+	}
 	return m, recs
 }
 
@@ -101,9 +116,9 @@ func runOps(tier mediumTier, ops []mediumOp) (*Medium, []*recorder) {
 // every listener log and validation counter is bit-identical.
 func compareTiers(t *testing.T, ops []mediumOp) (memo *Medium) {
 	t.Helper()
-	memo, memoRecs := runOps(tierMemo, ops)
-	legacy, legacyRecs := runOps(tierLegacy, ops)
-	ref, refRecs := runOps(tierReference, ops)
+	memo, memoRecs := runOps(t, tierMemo, ops)
+	legacy, legacyRecs := runOps(t, tierLegacy, ops)
+	ref, refRecs := runOps(t, tierReference, ops)
 	for name, got := range map[string][]*recorder{"legacy": legacyRecs, "reference": refRecs} {
 		if len(got) != len(memoRecs) {
 			t.Fatalf("%s tier attached %d radios, memo %d", name, len(got), len(memoRecs))
@@ -132,7 +147,9 @@ func compareTiers(t *testing.T, ops []mediumOp) (memo *Medium) {
 // motion, retunes, crash/recover, mid-run attach — with overlapping
 // rated transmissions from all over the deployment and requires the
 // memoised, legacy and reference paths to observe bit-identical event
-// logs and counters.
+// logs and counters, a clean coherence audit at every op, and every
+// receiver back at nlive == 0, energy == 0, !busy once the air is clear
+// (all three checked per tier by runOps).
 func TestMobilityInvalidationTorture(t *testing.T) {
 	var ops []mediumOp
 	for round := 0; round < 30; round++ {

@@ -9,20 +9,24 @@ import (
 // leg of the runtime auditor (Scenario.Audit). It verifies:
 //
 //   - every per-radio dense slice has one entry per attached radio;
-//   - txing[id] agrees with txOf[id], and the in-flight count matches;
-//   - each in-flight transmission's back-indices are intact: touched,
-//     rxPower and liveAt are parallel, and liveAt[i] points at the
-//     matching liveArrival in lives[touched[i]];
-//   - each liveArrival points back at a transmission that is still in
-//     flight at its source, at the slot that points here;
-//   - the locked-on arrival (current) references an in-flight frame;
-//   - energy[rx] equals the sum of live arrival powers (to float
-//     tolerance — the incremental add/subtract bookkeeping drifts by
-//     ulps, never by a term);
+//   - txing agrees with txOf[id], and the in-flight count matches;
+//   - each in-flight transmission names itself as its source's, with
+//     parallel touched/rxPower and in-range receivers;
+//   - per receiver, nlive equals the number of in-flight transmissions
+//     that touched it and energy equals the sum of their powers there, to
+//     float tolerance: the incremental add/subtract bookkeeping drifts by
+//     ulps of the strongest arrival that passed through it (a co-located
+//     transmitter leaves ~3e-17 W behind), never by a term, and no term
+//     is smaller than minTrackW;
+//   - the carrier state is current: busy == (energy >= CsThreshW), and
+//     the record's threshold copy matches rfp;
+//   - the locked-on arrival (cur) references an in-flight frame;
 //   - every audible set at the current epoch is ID-sorted, self-free,
 //     in range, and has parallel member slices.
 //
-// Read-only; returns the first violation found, or nil.
+// Holds at event boundaries (not inside a listener callback). Read-only
+// apart from the auditLive/auditSum scratch, so a tick allocates nothing;
+// returns the first violation found, or nil.
 func (m *Medium) AuditCoherence() error {
 	n := len(m.radios)
 	for _, l := range []struct {
@@ -30,8 +34,7 @@ func (m *Medium) AuditCoherence() error {
 		len  int
 	}{
 		{"rfp", len(m.rfp)}, {"chans", len(m.chans)}, {"downs", len(m.downs)},
-		{"txing", len(m.txing)}, {"busys", len(m.busys)}, {"energy", len(m.energy)},
-		{"current", len(m.current)}, {"lives", len(m.lives)}, {"txOf", len(m.txOf)},
+		{"rx", len(m.rx)}, {"txOf", len(m.txOf)},
 		{"listeners", len(m.listeners)}, {"aud", len(m.aud)},
 	} {
 		if l.len != n {
@@ -39,11 +42,17 @@ func (m *Medium) AuditCoherence() error {
 		}
 	}
 
+	if cap(m.auditLive) < n {
+		m.auditLive, m.auditSum = make([]int32, n), make([]float64, n)
+	}
+	live, sum := m.auditLive[:n], m.auditSum[:n]
+	clear(live)
+	clear(sum)
 	inFlight := 0
 	for id := 0; id < n; id++ {
 		t := m.txOf[id]
-		if m.txing[id] != (t != nil) {
-			return fmt.Errorf("radio: audit: radio %d txing=%v but txOf nil=%v", id, m.txing[id], t == nil)
+		if m.rx[id].txing != (t != nil) {
+			return fmt.Errorf("radio: audit: radio %d txing=%v but txOf nil=%v", id, m.rx[id].txing, t == nil)
 		}
 		if t == nil {
 			continue
@@ -52,23 +61,16 @@ func (m *Medium) AuditCoherence() error {
 		if int(t.src) != id {
 			return fmt.Errorf("radio: audit: radio %d in-flight transmission claims src %d", id, t.src)
 		}
-		if len(t.touched) != len(t.rxPower) || len(t.touched) != len(t.liveAt) {
-			return fmt.Errorf("radio: audit: radio %d transmission slices not parallel (%d/%d/%d)",
-				id, len(t.touched), len(t.rxPower), len(t.liveAt))
+		if len(t.touched) != len(t.rxPower) {
+			return fmt.Errorf("radio: audit: radio %d transmission slices not parallel (%d/%d)",
+				id, len(t.touched), len(t.rxPower))
 		}
 		for i, rx := range t.touched {
 			if rx < 0 || int(rx) >= n {
 				return fmt.Errorf("radio: audit: radio %d touches out-of-range receiver %d", id, rx)
 			}
-			k := t.liveAt[i]
-			if k < 0 || int(k) >= len(m.lives[rx]) {
-				return fmt.Errorf("radio: audit: radio %d liveAt[%d]=%d outside lives[%d] (len %d)",
-					id, i, k, rx, len(m.lives[rx]))
-			}
-			la := m.lives[rx][k]
-			if la.t != t || la.ti != int32(i) || la.p != t.rxPower[i] {
-				return fmt.Errorf("radio: audit: radio %d back-index broken at receiver %d slot %d", id, rx, k)
-			}
+			live[rx]++
+			sum[rx] += t.rxPower[i]
 		}
 	}
 	if inFlight != m.txInFlight {
@@ -76,24 +78,20 @@ func (m *Medium) AuditCoherence() error {
 	}
 
 	for rx := 0; rx < n; rx++ {
-		sum := 0.0
-		for k, la := range m.lives[rx] {
-			if la.t == nil {
-				return fmt.Errorf("radio: audit: receiver %d live arrival %d has nil transmission", rx, k)
-			}
-			src := int(la.t.src)
-			if src < 0 || src >= n || m.txOf[src] != la.t {
-				return fmt.Errorf("radio: audit: receiver %d hears a transmission not in flight at source %d", rx, src)
-			}
-			if int(la.ti) >= len(la.t.touched) || la.t.touched[la.ti] != int32(rx) || la.t.liveAt[la.ti] != int32(k) {
-				return fmt.Errorf("radio: audit: receiver %d live arrival %d reverse back-index broken", rx, k)
-			}
-			sum += la.p
+		s := &m.rx[rx]
+		if s.nlive != live[rx] {
+			return fmt.Errorf("radio: audit: receiver %d nlive=%d but %d in-flight transmissions touch it", rx, s.nlive, live[rx])
 		}
-		if diff := math.Abs(m.energy[rx] - sum); diff > 1e-6*sum+1e-18 {
-			return fmt.Errorf("radio: audit: receiver %d energy %g but live arrivals sum to %g", rx, m.energy[rx], sum)
+		if diff := math.Abs(s.energy - sum[rx]); diff > 1e-6*sum[rx]+0.1*m.minTrackW {
+			return fmt.Errorf("radio: audit: receiver %d energy %g but live arrivals sum to %g", rx, s.energy, sum[rx])
 		}
-		if cur := m.current[rx].t; cur != nil {
+		if s.csThresh != m.rfp[rx].CsThreshW {
+			return fmt.Errorf("radio: audit: receiver %d csThresh %g but rfp says %g", rx, s.csThresh, m.rfp[rx].CsThreshW)
+		}
+		if s.busy != (s.energy >= s.csThresh) {
+			return fmt.Errorf("radio: audit: receiver %d busy=%v but energy %g vs threshold %g", rx, s.busy, s.energy, s.csThresh)
+		}
+		if cur := s.cur.t; cur != nil {
 			src := int(cur.src)
 			if src < 0 || src >= n || m.txOf[src] != cur {
 				return fmt.Errorf("radio: audit: receiver %d locked onto a transmission not in flight", rx)

@@ -72,11 +72,6 @@ type transmission struct {
 	// entry of touched (parallel slices; small, so slices beat maps).
 	touched []int32
 	rxPower []float64
-	// liveAt[i] is the current index of this transmission in
-	// lives[touched[i]], kept in sync by arrivalEnd's swap-delete so
-	// removal is O(1) instead of a scan (receivers in a flood can hold
-	// dozens of concurrent arrivals).
-	liveAt []int32
 }
 
 // opTxFinish is the Medium's only typed-event op: end of airtime for the
@@ -96,13 +91,20 @@ type arrival struct {
 	corrupted bool
 }
 
-// liveArrival is one ongoing foreign transmission audible at a radio.
-type liveArrival struct {
-	t *transmission
-	p float64
-	// ti is this radio's index in t.touched, so a swap-delete that moves
-	// this entry can update t.liveAt[ti] in O(1).
-	ti int32
+// rxState is the receiver-side record every arrival reads and writes,
+// packed so an arrival costs one bounds check and one cache line. A
+// pointer into Medium.rx must be re-taken after any listener callback (a
+// callback may Attach, which can move the slice).
+type rxState struct {
+	energy   float64 // aggregate power of ongoing foreign arrivals
+	csThresh float64 // rfp[id].CsThreshW, copied at Attach
+	cur      arrival // frame being received; cur.t == nil if none
+	// nlive counts the ongoing foreign arrivals behind energy; its only
+	// consumer is arrivalEnd's clamp of energy to exactly 0 when the last
+	// one leaves.
+	nlive int32
+	txing bool // own transmission in flight
+	busy  bool // last carrier state notified
 }
 
 // audibleSet is one transmitter's memoised receiver list: every radio that
@@ -124,9 +126,9 @@ type audibleSet struct {
 }
 
 // Radio is a node's attachment to the Medium. It is a thin handle: all
-// dynamic state (channel, down, transmitting, energy, reception progress)
-// lives in the Medium's dense per-ID slices so the receiver hot path walks
-// contiguous arrays instead of pointer-chasing per-radio objects.
+// dynamic state (channel, down, and the rxState record) lives in the
+// Medium's dense per-ID slices so the receiver hot path walks contiguous
+// arrays instead of pointer-chasing per-radio objects.
 type Radio struct {
 	m    *Medium
 	id   int
@@ -172,7 +174,7 @@ func (r *Radio) Channel() int { return int(r.m.chans[r.id]) }
 // a retune invalidates them via the epoch.)
 func (r *Radio) SetChannel(ch int) {
 	m := r.m
-	if m.txing[r.id] {
+	if m.rx[r.id].txing {
 		panic(fmt.Sprintf("radio %d: SetChannel while transmitting", r.id))
 	}
 	if m.chans[r.id] == int32(ch) {
@@ -191,9 +193,9 @@ func (r *Radio) SetChannel(ch int) {
 // contiguous slices with no spatial query, no gain-cache probes and no
 // per-receiver propagation calls. Audible sets are invalidated by an
 // epoch counter bumped on any position change, retune, attach or reset.
-// Hot per-radio dynamic state (channel, down, transmitting, energy,
-// carrier, reception in progress) lives in dense per-ID slices on the
-// Medium, so the arrival loop never dereferences a *Radio.
+// Hot per-radio dynamic state lives in dense per-ID slices on the Medium
+// — everything an arrival touches in the one rxState record — so the
+// arrival loop never dereferences a *Radio.
 //
 // Two slower tiers are retained for validation and same-process A/B
 // benchmarking, all bit-identical by construction and by test:
@@ -215,16 +217,11 @@ type Medium struct {
 	gain   []float64 // gainN×gainN cached rx powers; NaN = not yet computed
 	gainN  int
 
-	// Dense per-radio state, indexed by radio ID (struct-of-arrays so the
-	// arrival hot loop touches contiguous memory only).
-	rfp       []Params  // immutable RF parameters, copied at Attach
-	chans     []int32   // current frequency channel
-	downs     []bool    // crashed (see SetDown)
-	txing     []bool    // own transmission in flight
-	busys     []bool    // last carrier state notified
-	energy    []float64 // aggregate power of ongoing foreign arrivals
-	current   []arrival // frame being received; current[i].t == nil if none
-	lives     [][]liveArrival
+	// Dense per-radio state, indexed by radio ID.
+	rfp       []Params        // immutable RF parameters, copied at Attach
+	chans     []int32         // current frequency channel
+	downs     []bool          // crashed (see SetDown)
+	rx        []rxState       // receiver record (see rxState)
 	txOf      []*transmission // own transmission in flight (nil otherwise)
 	listeners []Listener
 	aud       []audibleSet
@@ -242,6 +239,11 @@ type Medium struct {
 	gridDecided bool
 	grid        *cellGrid
 	candidates  []*Radio // reusable spatial-query buffer
+
+	// AuditCoherence scratch (per-receiver expected arrival count and
+	// energy), kept so an audit tick allocates nothing.
+	auditLive []int32
+	auditSum  []float64
 
 	txPool      []*transmission
 	txPoolCap   int
@@ -349,16 +351,8 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 		r.pos = positions[i]
 		m.chans[i] = 0
 		m.downs[i] = false
-		m.txing[i] = false
-		m.busys[i] = false
-		m.energy[i] = 0
-		m.current[i] = arrival{}
+		m.rx[i] = rxState{csThresh: m.rfp[i].CsThreshW}
 		m.txOf[i] = nil
-		live := m.lives[i]
-		for j := range live {
-			live[j] = liveArrival{}
-		}
-		m.lives[i] = live[:0]
 	}
 }
 
@@ -375,11 +369,7 @@ func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
 	m.rfp = append(m.rfp, params)
 	m.chans = append(m.chans, 0)
 	m.downs = append(m.downs, false)
-	m.txing = append(m.txing, false)
-	m.busys = append(m.busys, false)
-	m.energy = append(m.energy, 0)
-	m.current = append(m.current, arrival{})
-	m.lives = append(m.lives, nil)
+	m.rx = append(m.rx, rxState{csThresh: params.CsThreshW})
 	m.txOf = append(m.txOf, nil)
 	m.listeners = append(m.listeners, nil)
 	m.aud = append(m.aud, audibleSet{})
@@ -559,7 +549,6 @@ func (m *Medium) releaseTransmission(t *transmission) {
 	t.payload = nil
 	t.touched = t.touched[:0]
 	t.rxPower = t.rxPower[:0]
-	t.liveAt = t.liveAt[:0]
 	if len(m.txPool) < m.txPoolCap {
 		m.txPool = append(m.txPool, t)
 	} else {
@@ -618,7 +607,7 @@ func (m *Medium) InRange(from, to int) bool {
 }
 
 // Transmitting reports whether the radio is currently sending.
-func (r *Radio) Transmitting() bool { return r.m.txing[r.id] }
+func (r *Radio) Transmitting() bool { return r.m.rx[r.id].txing }
 
 // Down reports whether the radio is crashed (see SetDown).
 func (r *Radio) Down() bool { return r.m.downs[r.id] }
@@ -644,10 +633,10 @@ func (r *Radio) SetDown(down bool) {
 	}
 	m.downs[id] = down
 	if down {
-		m.current[id] = arrival{}
+		m.rx[id].cur = arrival{}
 		if t := m.txOf[id]; t != nil {
 			for _, rx := range t.touched {
-				cur := &m.current[rx]
+				cur := &m.rx[rx].cur
 				if cur.t == t && !cur.corrupted {
 					cur.corrupted = true
 					m.Corruptions++
@@ -656,13 +645,16 @@ func (r *Radio) SetDown(down bool) {
 		}
 		return
 	}
-	if m.busys[id] && m.listeners[id] != nil {
+	if m.rx[id].busy && m.listeners[id] != nil {
 		m.listeners[id].RadioCarrier(true)
 	}
 }
 
 // CarrierBusy reports the current carrier-sense state (excluding own tx).
-func (r *Radio) CarrierBusy() bool { return r.m.energy[r.id] >= r.m.rfp[r.id].CsThreshW }
+func (r *Radio) CarrierBusy() bool {
+	s := &r.m.rx[r.id]
+	return s.energy >= s.csThresh
+}
 
 // Transmit puts a frame of the given size on the air for duration at the
 // radio's reference modulation. The caller (MAC) is responsible for
@@ -680,7 +672,7 @@ func (r *Radio) Transmit(payload any, bytes int, duration des.Time) {
 func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScale float64) {
 	m := r.m
 	id := r.id
-	if m.txing[id] {
+	if m.rx[id].txing {
 		panic(fmt.Sprintf("radio %d: Transmit while already transmitting", id))
 	}
 	if duration <= 0 {
@@ -693,10 +685,11 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 		panic(fmt.Sprintf("radio %d: Transmit while down", id))
 	}
 	m.Transmissions++
-	m.txing[id] = true
+	self := &m.rx[id]
+	self.txing = true
 	// Transmitting corrupts any reception in progress (half-duplex).
-	if m.current[id].t != nil {
-		m.current[id].corrupted = true
+	if self.cur.t != nil {
+		self.cur.corrupted = true
 	}
 
 	t := m.newTransmission()
@@ -719,8 +712,7 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 			p := pows[i]
 			t.touched = append(t.touched, rid)
 			t.rxPower = append(t.rxPower, p)
-			t.liveAt = append(t.liveAt, int32(len(m.lives[rid])))
-			m.arrivalStart(int(rid), t, p, int32(len(t.touched)-1), refOK[i])
+			m.arrivalStart(int(rid), t, p, refOK[i])
 		}
 	} else {
 		// Indexed scan (memo off or fading channel) and exhaustive
@@ -744,8 +736,7 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 			}
 			t.touched = append(t.touched, int32(rid))
 			t.rxPower = append(t.rxPower, p)
-			t.liveAt = append(t.liveAt, int32(len(m.lives[rid])))
-			m.arrivalStart(rid, t, p, int32(len(t.touched)-1), p >= m.rfp[rid].RxThreshW)
+			m.arrivalStart(rid, t, p, p >= m.rfp[rid].RxThreshW)
 		}
 		if !m.reference && m.grid != nil {
 			m.candidates = candidates // hand the query buffer back for reuse
@@ -759,36 +750,36 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 }
 
 // finish ends transmission t: concludes reception at every touched radio,
-// releases the sender and recycles t.
+// releases the sender and recycles t. The sender's carrier state needs no
+// refresh here: arrivals keep busy in step with energy during own
+// transmissions too.
 func (m *Medium) finish(t *transmission) {
 	for i, rx := range t.touched {
-		m.arrivalEnd(int(rx), t, t.rxPower[i], t.liveAt[i])
+		m.arrivalEnd(int(rx), t, t.rxPower[i])
 	}
 	src := int(t.src)
 	payload := t.payload
 	m.releaseTransmission(t)
 	m.txInFlight--
-	m.txing[src] = false
+	m.rx[src].txing = false
 	m.txOf[src] = nil
 	m.listeners[src].RadioTxDone(payload)
-	// The channel may have become busy underneath the transmission.
-	m.updateCarrier(src)
 }
 
 // arrivalStart registers an incoming frame at receiver rx and decides
-// whether to lock onto it or treat it as interference. ti is rx's index
-// in t.touched (the caller just appended it). refOK is the precomputed
-// reference-rate decode test p >= RxThreshW — consulted only when
-// snrScale == 1, where it is bit-equal to the live comparison.
-func (m *Medium) arrivalStart(rx int, t *transmission, p float64, ti int32, refOK bool) {
-	m.lives[rx] = append(m.lives[rx], liveArrival{t, p, ti})
-	e := m.energy[rx] + p
-	m.energy[rx] = e
+// whether to lock onto it or treat it as interference. refOK is the
+// precomputed reference-rate decode test p >= RxThreshW — consulted only
+// when snrScale == 1, where it is bit-equal to the live comparison.
+func (m *Medium) arrivalStart(rx int, t *transmission, p float64, refOK bool) {
+	s := &m.rx[rx]
+	s.nlive++
+	e := s.energy + p
+	s.energy = e
 
 	switch {
-	case m.txing[rx]:
+	case s.txing:
 		// Half-duplex: everything arriving during own tx is just energy.
-	case m.current[rx].t == nil:
+	case s.cur.t == nil:
 		// Idle receiver: lock on if decodable with adequate SINR against
 		// the interference present at the preamble. Higher-rate frames
 		// (snrScale > 1) need proportionally more signal.
@@ -800,14 +791,14 @@ func (m *Medium) arrivalStart(rx int, t *transmission, p float64, ti int32, refO
 		if ok {
 			interf := e - p
 			if p >= prm.CaptureRatio*t.snrScale*(prm.NoiseW+interf) {
-				m.current[rx] = arrival{t: t, power: p}
+				s.cur = arrival{t: t, power: p}
 			}
 		}
 	default:
 		// Mid-reception: the new frame is interference; if it destroys
 		// the SINR of the frame in progress, that frame is lost (latched
 		// — a momentary collision corrupts the whole frame).
-		cur := &m.current[rx]
+		cur := &s.cur
 		prm := &m.rfp[rx]
 		interf := e - cur.power
 		if cur.power < prm.CaptureRatio*cur.t.snrScale*(prm.NoiseW+interf) {
@@ -815,35 +806,28 @@ func (m *Medium) arrivalStart(rx int, t *transmission, p float64, ti int32, refO
 			m.Corruptions++
 		}
 	}
-	m.updateCarrier(rx)
+	if b := e >= s.csThresh; b != s.busy {
+		m.carrierFlip(rx, b)
+	}
 }
 
 // arrivalEnd removes the frame's energy at receiver rx and, if it was the
-// locked frame, delivers it upward. pos is the frame's index in lives[rx]
-// (tracked by the transmission's liveAt, so no scan is needed).
-func (m *Medium) arrivalEnd(rx int, t *transmission, p float64, pos int32) {
-	live := m.lives[rx]
-	last := len(live) - 1
-	if int(pos) != last {
-		moved := live[last]
-		live[pos] = moved
-		moved.t.liveAt[moved.ti] = pos
-	}
-	live[last] = liveArrival{}
-	m.lives[rx] = live[:last]
-	if last == 0 {
-		m.energy[rx] = 0 // clamp accumulated floating-point drift
-	} else {
-		e := m.energy[rx] - p
+// locked frame, delivers it upward.
+func (m *Medium) arrivalEnd(rx int, t *transmission, p float64) {
+	s := &m.rx[rx]
+	s.nlive--
+	e := 0.0 // last arrival gone: clamp accumulated floating-point drift
+	if s.nlive != 0 {
+		e = s.energy - p
 		if e < 0 {
 			e = 0
 		}
-		m.energy[rx] = e
 	}
+	s.energy = e
 
-	if m.current[rx].t == t {
-		ok := !m.current[rx].corrupted && !m.txing[rx]
-		m.current[rx] = arrival{}
+	if s.cur.t == t {
+		ok := !s.cur.corrupted && !s.txing
+		s.cur = arrival{}
 		if ok && m.impair != nil && !m.impair.Deliver(int(t.src), rx, m.sim.Now()) {
 			ok = false
 			m.ImpairDrops++
@@ -852,22 +836,19 @@ func (m *Medium) arrivalEnd(rx int, t *transmission, p float64, pos int32) {
 			m.Deliveries++
 		}
 		m.listeners[rx].RadioReceive(t.payload, t.bytes, ok)
+		s = &m.rx[rx] // the callback may have moved m.rx or changed energy
+		e = s.energy
 	}
-	m.updateCarrier(rx)
-}
-
-// updateCarrier pushes carrier-sense transitions to the listener. The
-// no-transition case is the overwhelmingly common one and must inline into
-// the arrival paths; the flip itself is outlined.
-func (m *Medium) updateCarrier(rx int) {
-	b := m.energy[rx] >= m.rfp[rx].CsThreshW
-	if b != m.busys[rx] {
+	if b := e >= s.csThresh; b != s.busy {
 		m.carrierFlip(rx, b)
 	}
 }
 
+// carrierFlip records a carrier-sense transition and pushes it to the
+// listener. The no-transition test is fused into the arrival paths on the
+// energy they already hold; only the flip is outlined.
 func (m *Medium) carrierFlip(rx int, b bool) {
-	m.busys[rx] = b
+	m.rx[rx].busy = b
 	if l := m.listeners[rx]; l != nil && !m.downs[rx] {
 		l.RadioCarrier(b)
 	}

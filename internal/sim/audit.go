@@ -26,7 +26,8 @@ const auditInterval = 100 * des.Millisecond
 //
 //   - des/past-schedule: no event is ever scheduled before the clock;
 //   - des/queue: calendar-queue accounting and heap order (Sim.AuditQueue);
-//   - radio/coherence: dense-state back-index integrity (AuditCoherence);
+//   - radio/coherence: receiver records vs in-flight frames — arrival
+//     counts, energy sums, carrier state (AuditCoherence);
 //   - pkt/double-free: no pool Release of a packet that is not live;
 //   - pkt/conservation: per node, packets borrowed from the pool equal
 //     packets held by the MAC queue and routing layer (leak detection) —
