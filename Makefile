@@ -54,16 +54,20 @@ fuzz:
 
 # CPU + heap profiles of the radio-bound 225-node regime (the
 # BenchmarkSimulatorThroughputLargeN scenario) via cmd/meshsim and
-# internal/prof. Inspect with `go tool pprof <binary-less profile>`.
+# internal/prof — 20 replications on one worker, a few seconds of samples
+# — then the top of the CPU profile, so a CI log shows the radio/MAC/DES
+# split without the artifact. Inspect further with
+# `go tool pprof <binary-less profile>`.
 PROFILE_DIR ?= profiles
 
 profile-largen:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) run ./cmd/meshsim -rows 15 -cols 15 -area 2142.857 -flows 20 \
-		-warmup 10s -measure 10s -session 10s \
+		-warmup 10s -measure 10s -session 10s -reps 20 -workers 1 \
 		-cpuprofile $(PROFILE_DIR)/largen-cpu.pprof \
 		-memprofile $(PROFILE_DIR)/largen-mem.pprof
 	@ls -l $(PROFILE_DIR)
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/largen-cpu.pprof
 
 # Full throughput numbers (compare against BENCH_PR1.json / BENCH_PR2.json).
 bench:

@@ -700,11 +700,13 @@ func (m *Mac) RadioTxDone(payload any) {
 	if !ok {
 		panic(fmt.Sprintf("mac %v: foreign payload %T on radio", m.id, payload))
 	}
+	m.noteRadioState()
 	if m.down {
-		return // airtime of a frame truncated by our crash just ended
+		// Airtime of a frame truncated by our crash just ended: only the
+		// energy meter, left in stateTx by Crash, had anything to settle.
+		return
 	}
 	m.le.setOccupied(m.carrierBusy)
-	m.noteRadioState()
 	switch f.Type {
 	case AckFrame, CTSFrame:
 		// Our control response is done (and off the air, so the frame can

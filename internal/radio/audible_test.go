@@ -22,9 +22,33 @@ const (
 // skipped at execution time based on live radio state; because every tier
 // is bit-identical, the guards resolve identically on each medium.
 type mediumOp struct {
-	kind  int // 0 transmit, 1 SetPos, 2 SetChannel, 3 SetDown, 4 Attach
+	kind  int // 0 transmit, 1 SetPos, 2 SetChannel, 3 SetDown, 4 Attach, 5 arm a reaction
 	radio int
 	arg   int
+}
+
+// reactor is a recorder that can be armed (op kind 5) with a one-shot
+// reaction run from inside its next RadioCarrier or RadioReceive callback
+// — that is, from the middle of some other radio's arrival loop.
+type reactor struct {
+	*recorder
+	onCarrier, onReceive func()
+}
+
+func (r *reactor) RadioCarrier(busy bool) {
+	r.recorder.RadioCarrier(busy)
+	if f := r.onCarrier; f != nil {
+		r.onCarrier = nil
+		f()
+	}
+}
+
+func (r *reactor) RadioReceive(p any, bytes int, ok bool) {
+	r.recorder.RadioReceive(p, bytes, ok)
+	if f := r.onReceive; f != nil {
+		r.onReceive = nil
+		f()
+	}
 }
 
 // opStride spaces scheduled ops so 1 ms transmissions overlap each other
@@ -59,6 +83,11 @@ func diffBed(tier mediumTier) (*des.Sim, *Medium, []*Radio, []*recorder) {
 func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder) {
 	t.Helper()
 	sim, m, radios, recs := diffBed(tier)
+	reactors := make([]*reactor, len(radios))
+	for i, r := range radios {
+		reactors[i] = &reactor{recorder: recs[i]}
+		r.SetListener(reactors[i])
+	}
 	for i, op := range ops {
 		op := op
 		sim.At(des.Time(i+1)*opStride, func() {
@@ -70,21 +99,25 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 				// Attach a newcomer mid-run at a spot derived from arg.
 				p := geom.Point{X: float64(op.arg%5) * 170, Y: 430 + float64(op.arg%3)*90}
 				r := m.Attach(p, DefaultParams())
-				rec := &recorder{}
+				rec := &reactor{recorder: &recorder{}}
 				r.SetListener(rec)
 				radios = append(radios, r)
-				recs = append(recs, rec)
+				recs = append(recs, rec.recorder)
+				reactors = append(reactors, rec)
 				return
 			}
 			r := radios[op.radio%n]
-			switch op.kind {
-			case 0:
+			transmit := func() {
 				if r.Transmitting() || r.Down() {
 					return
 				}
 				dur := des.Millisecond + des.Time(op.arg%7)*100*des.Microsecond
 				scale := 1 + float64(op.arg%3)
 				r.TransmitRated(r.ID()*1000+i, 256, dur, scale)
+			}
+			switch op.kind {
+			case 0:
+				transmit()
 			case 1:
 				r.SetPos(geom.Point{
 					X: float64((op.arg * 73) % 900),
@@ -97,6 +130,21 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 				r.SetChannel(op.arg % 2)
 			case 3:
 				r.SetDown(op.arg%2 == 0)
+			case 5:
+				// From inside r's next carrier (even arg) or receive (odd
+				// arg) callback, r itself transmits — or, every third
+				// arg, crashes radio arg/6, which may be the sender whose
+				// arrival loop is making the callback.
+				react := transmit
+				if op.arg%3 == 2 {
+					victim := radios[op.arg/6%n]
+					react = func() { victim.SetDown(true) }
+				}
+				if op.arg%2 == 0 {
+					reactors[r.ID()].onCarrier = react
+				} else {
+					reactors[r.ID()].onReceive = react
+				}
 			}
 		})
 	}
@@ -180,6 +228,45 @@ func TestMobilityInvalidationTorture(t *testing.T) {
 	}
 }
 
+// TestReentrantTransmitFromCallbacks has a different radio transmit from
+// inside the carrier callback of radio 0's arrival loop (radio 5) and from
+// inside the receive callback of its finish loop (radio 1). On the legacy
+// and reference tiers the per-radio audible set doubles as the scan
+// buffer, so a nested transmission rebuilds one set while another is being
+// walked; all three tiers must still agree bit for bit.
+func TestReentrantTransmitFromCallbacks(t *testing.T) {
+	memo := compareTiers(t, []mediumOp{
+		{kind: 5, radio: 5, arg: 0},
+		{kind: 5, radio: 1, arg: 1},
+		{kind: 0, radio: 0, arg: 0},
+	})
+	if memo.Transmissions != 3 {
+		t.Fatalf("%d transmissions, want 3: the armed radios did not transmit from their callbacks", memo.Transmissions)
+	}
+}
+
+// TestSenderCrashedFromCallback pins the rule that a frame's touched list
+// is published before every callback of its arrival loop: radio 5's
+// carrier callback crashes the sender, radio 0, mid-loop, and SetDown
+// must find the receivers already locked onto the frame (1 and 4, visited
+// before 5) to corrupt it there.
+func TestSenderCrashedFromCallback(t *testing.T) {
+	ops := []mediumOp{{kind: 5, radio: 5, arg: 2}, {kind: 0, radio: 0, arg: 0}}
+	compareTiers(t, ops)
+	for tier := tierMemo; tier <= tierReference; tier++ {
+		m, recs := runOps(t, tier, ops)
+		if !m.radios[0].Down() || m.Corruptions != 2 || m.Deliveries != 0 {
+			t.Fatalf("tier %d: sender down=%v, %d corruptions, %d deliveries; want down, 2, 0",
+				tier, m.radios[0].Down(), m.Corruptions, m.Deliveries)
+		}
+		for _, rx := range []int{1, 4} {
+			if got := recs[rx].received; len(got) != 1 || got[0].ok {
+				t.Fatalf("tier %d: receiver %d got %+v, want the one truncated frame, corrupted", tier, rx, got)
+			}
+		}
+	}
+}
+
 // TestAudibleSetsMemoise pins the memoisation effectiveness contract:
 // a steady-state schedule builds each transmitter's set exactly once,
 // crash/recover does not invalidate, and any epoch bump (SetPos,
@@ -248,16 +335,15 @@ func TestAudibleSetExcludesWrongChannelAndWeak(t *testing.T) {
 	if a.epoch != m.audEpoch {
 		t.Fatal("audible set not built by transmit")
 	}
-	want := []int32{1, 2}
-	if !reflect.DeepEqual(a.rxID, want) {
-		t.Fatalf("audible set %v, want %v", a.rxID, want)
+	if len(a.heard) != 2 || a.heard[0].rx != 1 || a.heard[1].rx != 2 {
+		t.Fatalf("audible set %+v, want receivers 1 and 2", a.heard)
 	}
-	for i, rid := range a.rxID {
-		if p := m.RxPowerBetween(0, int(rid)); p != a.power[i] {
-			t.Fatalf("memoised power for rx %d is %g, direct %g", rid, a.power[i], p)
+	for _, h := range a.heard {
+		if p := m.RxPowerBetween(0, int(h.rx)); p != h.power {
+			t.Fatalf("memoised power for rx %d is %g, direct %g", h.rx, h.power, p)
 		}
-		if ok := a.power[i] >= DefaultParams().RxThreshW; ok != a.refOK[i] {
-			t.Fatalf("refOK[%d]=%v inconsistent with power %g", i, a.refOK[i], a.power[i])
+		if ok := h.power >= DefaultParams().RxThreshW; ok != h.refOK {
+			t.Fatalf("refOK=%v for rx %d inconsistent with power %g", h.refOK, h.rx, h.power)
 		}
 	}
 }

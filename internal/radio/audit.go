@@ -10,8 +10,8 @@ import (
 //
 //   - every per-radio dense slice has one entry per attached radio;
 //   - txing agrees with txOf[id], and the in-flight count matches;
-//   - each in-flight transmission names itself as its source's, with
-//     parallel touched/rxPower and in-range receivers;
+//   - each in-flight transmission names itself as its source's, and its
+//     touched list is strictly ID-sorted, self-free and in range;
 //   - per receiver, nlive equals the number of in-flight transmissions
 //     that touched it and energy equals the sum of their powers there, to
 //     float tolerance: the incremental add/subtract bookkeeping drifts by
@@ -21,8 +21,8 @@ import (
 //   - the carrier state is current: busy == (energy >= CsThreshW), and
 //     the record's threshold copy matches rfp;
 //   - the locked-on arrival (cur) references an in-flight frame;
-//   - every audible set at the current epoch is ID-sorted, self-free,
-//     in range, and has parallel member slices.
+//   - every audible set at the current epoch is strictly ID-sorted,
+//     self-free and in range.
 //
 // Holds at event boundaries (not inside a listener callback). Read-only
 // apart from the auditLive/auditSum scratch, so a tick allocates nothing;
@@ -33,8 +33,7 @@ func (m *Medium) AuditCoherence() error {
 		name string
 		len  int
 	}{
-		{"rfp", len(m.rfp)}, {"chans", len(m.chans)}, {"downs", len(m.downs)},
-		{"rx", len(m.rx)}, {"txOf", len(m.txOf)},
+		{"rfp", len(m.rfp)}, {"chans", len(m.chans)}, {"rx", len(m.rx)}, {"txOf", len(m.txOf)},
 		{"listeners", len(m.listeners)}, {"aud", len(m.aud)},
 	} {
 		if l.len != n {
@@ -61,16 +60,12 @@ func (m *Medium) AuditCoherence() error {
 		if int(t.src) != id {
 			return fmt.Errorf("radio: audit: radio %d in-flight transmission claims src %d", id, t.src)
 		}
-		if len(t.touched) != len(t.rxPower) {
-			return fmt.Errorf("radio: audit: radio %d transmission slices not parallel (%d/%d)",
-				id, len(t.touched), len(t.rxPower))
+		if err := auditHeard(id, "touched list", t.touched, n); err != nil {
+			return err
 		}
-		for i, rx := range t.touched {
-			if rx < 0 || int(rx) >= n {
-				return fmt.Errorf("radio: audit: radio %d touches out-of-range receiver %d", id, rx)
-			}
-			live[rx]++
-			sum[rx] += t.rxPower[i]
+		for _, h := range t.touched {
+			live[h.rx]++
+			sum[h.rx] += h.power
 		}
 	}
 	if inFlight != m.txInFlight {
@@ -104,23 +99,27 @@ func (m *Medium) AuditCoherence() error {
 		if a.epoch != m.audEpoch {
 			continue // stale or never built: rebuilt lazily, contents unused
 		}
-		if len(a.rxID) != len(a.power) || len(a.rxID) != len(a.refOK) {
-			return fmt.Errorf("radio: audit: radio %d audible set slices not parallel (%d/%d/%d)",
-				id, len(a.rxID), len(a.power), len(a.refOK))
+		if err := auditHeard(id, "audible set", a.heard, n); err != nil {
+			return err
 		}
-		prev := int32(-1)
-		for _, rid := range a.rxID {
-			if rid < 0 || int(rid) >= n {
-				return fmt.Errorf("radio: audit: radio %d audible set member %d out of range", id, rid)
-			}
-			if int(rid) == id {
-				return fmt.Errorf("radio: audit: radio %d audible set contains itself", id)
-			}
-			if rid <= prev {
-				return fmt.Errorf("radio: audit: radio %d audible set not strictly ID-sorted at %d", id, rid)
-			}
-			prev = rid
+	}
+	return nil
+}
+
+// auditHeard checks that one of radio id's receiver lists (what names it)
+// is strictly ID-sorted, in range for n radios and free of id itself.
+func auditHeard(id int, what string, hs []heard, n int) error {
+	prev := int32(-1)
+	for _, h := range hs {
+		switch {
+		case h.rx < 0 || int(h.rx) >= n:
+			return fmt.Errorf("radio: audit: radio %d %s member %d out of range", id, what, h.rx)
+		case int(h.rx) == id:
+			return fmt.Errorf("radio: audit: radio %d %s contains itself", id, what)
+		case h.rx <= prev:
+			return fmt.Errorf("radio: audit: radio %d %s not strictly ID-sorted at %d", id, what, h.rx)
 		}
+		prev = h.rx
 	}
 	return nil
 }

@@ -9,18 +9,23 @@ import (
 )
 
 // TestAuditCatchesReceiverMutations seeds one corruption of a receiver
-// record at a time into a medium stopped with two frames on the air, and
-// expects AuditCoherence to name exactly the field that was damaged.
+// record — or of an in-flight frame's touched list — at a time into a
+// medium stopped with two frames on the air, and expects AuditCoherence
+// to name exactly what was damaged.
 func TestAuditCatchesReceiverMutations(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		mutate func(s *rxState)
+		mutate func(m *Medium)
 		want   string
 	}{
-		{"corrupted nlive", func(s *rxState) { s.nlive++ }, "nlive="},
-		{"skewed energy", func(s *rxState) { s.energy *= 1.001 }, "energy "},
-		{"stale busy", func(s *rxState) { s.busy = !s.busy }, "busy="},
-		{"drifted threshold copy", func(s *rxState) { s.csThresh *= 2 }, "csThresh"},
+		{"corrupted nlive", func(m *Medium) { m.rx[5].nlive++ }, "receiver 5 nlive="},
+		{"skewed energy", func(m *Medium) { m.rx[5].energy *= 1.001 }, "receiver 5 energy "},
+		{"stale busy", func(m *Medium) { m.rx[5].busy = !m.rx[5].busy }, "receiver 5 busy="},
+		{"drifted threshold copy", func(m *Medium) { m.rx[5].csThresh *= 2 }, "receiver 5 csThresh"},
+		{"unsorted touched", func(m *Medium) {
+			hs := m.txOf[11].touched
+			hs[0], hs[1] = hs[1], hs[0]
+		}, "radio 11 touched list not strictly ID-sorted"},
 	} {
 		sim, m, radios, _ := diffBed(tierMemo)
 		sim.At(0, func() { radios[0].Transmit("a", 100, des.Millisecond) })
@@ -29,14 +34,13 @@ func TestAuditCatchesReceiverMutations(t *testing.T) {
 		if err := m.AuditCoherence(); err != nil {
 			t.Fatalf("%s: clean mid-flight medium fails the audit: %v", tc.name, err)
 		}
-		s := &m.rx[5]
-		if s.nlive != 2 || s.energy == 0 {
+		if s := &m.rx[5]; s.nlive != 2 || s.energy == 0 {
 			t.Fatalf("%s: receiver 5 should hear both frames, has %+v", tc.name, *s)
 		}
-		tc.mutate(s)
+		tc.mutate(m)
 		err := m.AuditCoherence()
-		if err == nil || !strings.Contains(err.Error(), "receiver 5 "+tc.want) {
-			t.Errorf("%s: audit returned %v, want a receiver 5 %q violation", tc.name, err, tc.want)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: audit returned %v, want a %q violation", tc.name, err, tc.want)
 		}
 	}
 }
@@ -49,42 +53,61 @@ func (idleListener) RadioCarrier(bool)           {}
 func (idleListener) RadioTxDone(any)             {}
 
 // TestTransmitSteadyStateZeroAllocs pins the arrival path's allocation
-// contract on the memo tier at grid225's geometry (every radio hears every
-// other): once the audible set, the pooled transmission and the event
-// free list are warm, a broadcast and its drain allocate nothing. The
-// audit, run mid-flight with its scratch warm, allocates nothing either.
+// contract on every tier at grid225's geometry (every radio hears every
+// other): once the audible set's storage, the pooled transmission and the
+// event free list are warm, a broadcast and its drain allocate nothing —
+// the legacy and reference tiers rebuild the set, but into retained
+// storage. The audit, run mid-flight with its scratch warm, allocates
+// nothing either. Only the memo tier counts its builds.
 func TestTransmitSteadyStateZeroAllocs(t *testing.T) {
-	sim := des.NewSim()
-	m := NewMedium(sim, NewTwoRay(914e6, 1.5, 1.5))
-	var centre *Radio
-	for i, p := range geom.GridPlacement(geom.Square(2142.857), 15, 15) {
-		r := m.Attach(p, DefaultParams())
-		r.SetListener(idleListener{})
-		if i == 112 {
-			centre = r
+	for _, tc := range []struct {
+		name         string
+		prop         Propagation
+		tier         mediumTier
+		wantRebuilds uint64
+	}{
+		{"memo", NewTwoRay(914e6, 1.5, 1.5), tierMemo, 1},
+		{"legacy", NewTwoRay(914e6, 1.5, 1.5), tierLegacy, 0},
+		{"reference", NewTwoRay(914e6, 1.5, 1.5), tierReference, 0},
+		{"nakagami", NewNakagami(NewTwoRay(914e6, 1.5, 1.5), 3, 10*des.Millisecond, 7), tierMemo, 0},
+	} {
+		sim := des.NewSim()
+		m := NewMedium(sim, tc.prop)
+		m.SetAudibleMemo(tc.tier != tierLegacy)
+		m.SetReference(tc.tier == tierReference)
+		var centre *Radio
+		for i, p := range geom.GridPlacement(geom.Square(2142.857), 15, 15) {
+			r := m.Attach(p, DefaultParams())
+			r.SetListener(idleListener{})
+			if i == 112 {
+				centre = r
+			}
 		}
-	}
-	broadcast := func() {
+		broadcast := func() {
+			centre.Transmit(nil, 512, 2*des.Millisecond)
+			sim.Run()
+		}
+		broadcast() // warm-up
+		if got := len(m.aud[centre.id].heard); got != 224 {
+			t.Fatalf("%s: centre radio reaches %d receivers, want all 224", tc.name, got)
+		}
+		if allocs := testing.AllocsPerRun(50, broadcast); allocs != 0 {
+			t.Errorf("%s: steady-state transmit+drain allocates %v times per run, want 0", tc.name, allocs)
+		}
+		if got := m.AudibleRebuilds(); got != tc.wantRebuilds {
+			t.Errorf("%s: %d audible rebuilds after 52 broadcasts from one radio, want %d", tc.name, got, tc.wantRebuilds)
+		}
+
 		centre.Transmit(nil, 512, 2*des.Millisecond)
+		audit := func() {
+			if err := m.AuditCoherence(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		audit() // sizes the scratch
+		if allocs := testing.AllocsPerRun(50, audit); allocs != 0 {
+			t.Errorf("%s: mid-flight audit allocates %v times per tick, want 0", tc.name, allocs)
+		}
 		sim.Run()
 	}
-	broadcast() // warm-up
-	if got := len(m.aud[centre.id].rxID); got != 224 {
-		t.Fatalf("centre radio reaches %d receivers, want all 224", got)
-	}
-	if allocs := testing.AllocsPerRun(50, broadcast); allocs != 0 {
-		t.Errorf("steady-state transmit+drain allocates %v times per run, want 0", allocs)
-	}
-
-	centre.Transmit(nil, 512, 2*des.Millisecond)
-	audit := func() {
-		if err := m.AuditCoherence(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	audit() // sizes the scratch
-	if allocs := testing.AllocsPerRun(50, audit); allocs != 0 {
-		t.Errorf("mid-flight audit allocates %v times per tick, want 0", allocs)
-	}
-	sim.Run()
 }

@@ -11,7 +11,7 @@ func decodeOps(data []byte) []mediumOp {
 	var ops []mediumOp
 	attached := 0
 	for i := 0; i+2 < len(data) && len(ops) < maxOps; i += 3 {
-		kind := int(data[i]) % 5
+		kind := int(data[i]) % 6
 		if kind == 4 {
 			if attached >= maxAttach {
 				kind = 0
@@ -30,8 +30,8 @@ func decodeOps(data []byte) []mediumOp {
 
 // FuzzMediumDifferential drives the memoised, legacy-indexed and
 // exhaustive-reference transmit paths through an arbitrary interleaving
-// of transmissions, motion, retunes, crash/recover and mid-run attaches,
-// and requires bit-identical listener logs and counters from all three
+// of transmissions, motion, retunes, crash/recover, mid-run attaches and
+// reactions armed to fire from inside listener callbacks, and requires bit-identical listener logs and counters from all three
 // (compareTiers), with the coherence audit and the quiescent end state
 // checked on each.
 // It is the adversarial extension of TestMobilityInvalidationTorture:
@@ -60,7 +60,21 @@ func FuzzMediumDifferential(f *testing.F) {
 	// Two newcomers attached at the same spot: a 0.28 W arrival passes
 	// through an accumulator holding 2e-11 W, and the residue it leaves
 	// must stay inside the audit's energy tolerance.
-	f.Add([]byte("1011081001001001081111000000000000000"))
+	f.Add([]byte{
+		4, 48, 49, 4, 48, 56, 4, 48, 48, 4, 48, 48, 4, 48, 48, 4, 48, 56,
+		4, 49, 49, 4, 48, 48, 3, 48, 48, 3, 48, 48, 3, 48, 48, 3, 48, 48,
+	})
+	// Re-entrancy (see TestReentrantTransmitFromCallbacks and
+	// TestSenderCrashedFromCallback): radio 5 transmits from inside the
+	// carrier callback radio 0's arrival loop makes and radio 1 from inside
+	// the receive callback its finish makes; once the air has cleared
+	// (four no-op recovers), radio 5's carrier callback crashes radio 0
+	// (victim 2/6) in the middle of radio 0's own loop.
+	f.Add([]byte{
+		5, 5, 0, 5, 1, 1, 0, 0, 0,
+		3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1,
+		5, 5, 2, 0, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ops := decodeOps(data); len(ops) > 0 {
 			compareTiers(t, ops)

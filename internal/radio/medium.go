@@ -68,10 +68,11 @@ type transmission struct {
 	// for this frame: higher-rate modulations (snrScale > 1) need
 	// proportionally more signal to decode, shrinking their range.
 	snrScale float64
-	// rxPower[i] is the power this transmission contributes at the i-th
-	// entry of touched (parallel slices; small, so slices beat maps).
-	touched []int32
-	rxPower []float64
+	// touched is every receiver this frame's energy was added to (the
+	// sender's audible set minus the radios down at its start), ID-sorted,
+	// with the power it contributes there; finish walks it to take the
+	// energy off again.
+	touched []heard
 }
 
 // opTxFinish is the Medium's only typed-event op: end of airtime for the
@@ -91,42 +92,49 @@ type arrival struct {
 	corrupted bool
 }
 
-// rxState is the receiver-side record every arrival reads and writes,
-// packed so an arrival costs one bounds check and one cache line. A
-// pointer into Medium.rx must be re-taken after any listener callback (a
-// callback may Attach, which can move the slice).
+// rxState is the receiver-side record every arrival reads and writes
+// (crash flag included), packed so an arrival costs one bounds check and
+// one cache line. A pointer into Medium.rx must be re-taken after any
+// listener callback (a callback may Attach, which can move the slice).
 type rxState struct {
 	energy   float64 // aggregate power of ongoing foreign arrivals
 	csThresh float64 // rfp[id].CsThreshW, copied at Attach
 	cur      arrival // frame being received; cur.t == nil if none
 	// nlive counts the ongoing foreign arrivals behind energy; its only
-	// consumer is arrivalEnd's clamp of energy to exactly 0 when the last
-	// one leaves.
+	// consumer is finish's clamp of energy to exactly 0 when the last one
+	// leaves.
 	nlive int32
 	txing bool // own transmission in flight
 	busy  bool // last carrier state notified
+	down  bool // crashed (see SetDown)
 }
 
-// audibleSet is one transmitter's memoised receiver list: every radio that
-// can hear it above the tracking floor on its channel, as flat parallel
-// slices sorted by receiver ID (the order deterministic replay requires).
-// refOK[i] precomputes the reference-rate decode test power[i] >=
-// RxThreshW of the receiver — bit-equal to the live comparison whenever
-// snrScale == 1, because multiplying the threshold by exactly 1.0 is the
-// identity on float64. Sets are built lazily on first transmit and
-// invalidated wholesale by bumping Medium.audEpoch (SetPos, SetChannel,
-// Attach, Reset); crash state is deliberately NOT baked in — down radios
-// stay members and are skipped via the dense downs slice, so churn never
-// forces an O(N²) rebuild storm.
+// heard is one receiver of one transmitter: the power it receives and
+// refOK, the precomputed reference-rate decode test power >= RxThreshW of
+// that receiver — bit-equal to the live comparison whenever snrScale == 1,
+// because multiplying the threshold by exactly 1.0 is the identity on
+// float64. 16 bytes, so the arrival loop reads one stream.
+type heard struct {
+	power float64
+	rx    int32
+	refOK bool
+}
+
+// audibleSet is one transmitter's receiver list: every radio that can hear
+// it above the tracking floor on its channel, sorted by receiver ID (the
+// order deterministic replay requires). The memo tier builds it lazily on
+// first transmit and reuses it until Medium.audEpoch moves on (SetPos,
+// SetChannel, Attach, Reset); the other tiers rebuild it into the same
+// storage on every transmission. Crash state is deliberately NOT baked in
+// — down radios stay members and are skipped live via rxState.down, so
+// churn never forces an O(N²) rebuild storm.
 type audibleSet struct {
 	epoch uint64 // Medium.audEpoch the set was built at; 0 = never built
-	rxID  []int32
-	power []float64
-	refOK []bool
+	heard []heard
 }
 
 // Radio is a node's attachment to the Medium. It is a thin handle: all
-// dynamic state (channel, down, and the rxState record) lives in the
+// dynamic state (channel and the rxState record) lives in the
 // Medium's dense per-ID slices so the receiver hot path walks contiguous
 // arrays instead of pointer-chasing per-radio objects.
 type Radio struct {
@@ -186,22 +194,24 @@ func (r *Radio) SetChannel(ch int) {
 
 // Medium is the shared channel connecting all radios in one simulation.
 //
-// The transmit hot path is memoised and laid out struct-of-arrays: each
-// transmitter lazily precomputes its audible set — the flat, ID-sorted,
-// channel-partitioned list of (receiver, power, reference-rate decode
-// flag) above the tracking floor — so TransmitRated is a tight loop over
-// contiguous slices with no spatial query, no gain-cache probes and no
-// per-receiver propagation calls. Audible sets are invalidated by an
-// epoch counter bumped on any position change, retune, attach or reset.
-// Hot per-radio dynamic state lives in dense per-ID slices on the Medium
-// — everything an arrival touches in the one rxState record — so the
-// arrival loop never dereferences a *Radio.
+// The transmit hot path is memoised: each transmitter lazily precomputes
+// its audible set — the flat, ID-sorted, channel-partitioned list of
+// (receiver, power, reference-rate decode flag) above the tracking floor
+// — so TransmitRated is one tight loop over contiguous 16-byte records
+// with no spatial query, no gain-cache probes and no per-receiver
+// propagation calls. Audible sets are invalidated by an epoch counter
+// bumped on any position change, retune, attach or reset. Hot per-radio
+// dynamic state lives in dense per-ID slices on the Medium — everything
+// an arrival touches in the one rxState record — so the arrival loop
+// never dereferences a *Radio.
 //
 // Two slower tiers are retained for validation and same-process A/B
-// benchmarking, all bit-identical by construction and by test:
-// SetAudibleMemo(false) keeps the PR 1 spatial index + link-gain cache
-// but rescans per transmission; SetReference(true) restores the exhaustive
-// recompute-everything scan.
+// benchmarking, all bit-identical by construction and by test. They
+// differ only in how the audible set is obtained, never in the arrival
+// loop that walks it: SetAudibleMemo(false) rebuilds it on every
+// transmission through the PR 1 spatial index + link-gain cache;
+// SetReference(true) rebuilds it from an exhaustive scan of every radio
+// with every power recomputed.
 type Medium struct {
 	sim    *des.Sim
 	prop   Propagation
@@ -220,7 +230,6 @@ type Medium struct {
 	// Dense per-radio state, indexed by radio ID.
 	rfp       []Params        // immutable RF parameters, copied at Attach
 	chans     []int32         // current frequency channel
-	downs     []bool          // crashed (see SetDown)
 	rx        []rxState       // receiver record (see rxState)
 	txOf      []*transmission // own transmission in flight (nil otherwise)
 	listeners []Listener
@@ -229,11 +238,11 @@ type Medium struct {
 	// audEpoch invalidates every memoised audible set at once: a set is
 	// valid iff its epoch matches. Bumped by SetPos, SetChannel, Attach
 	// and Reset. Crash/recover does not bump it — down filtering is done
-	// live against the dense downs slice.
+	// live against rxState.down.
 	audEpoch uint64
-	// audRebuilds counts audible-set (re)builds — a diagnostic for tests
-	// and profiling, never folded into golden-compared outputs (the
-	// reference path performs none).
+	// audRebuilds counts the memo tier's audible-set (re)builds — a
+	// diagnostic for tests and profiling, never folded into
+	// golden-compared outputs (the other tiers count none).
 	audRebuilds uint64
 
 	gridDecided bool
@@ -281,23 +290,23 @@ func NewMedium(sim *des.Sim, prop Propagation) *Medium {
 }
 
 // SetReference toggles the exhaustive reference transmit path (full O(N)
-// receiver scan, no gain cache, no spatial index, no audible sets). It
-// exists so tests can prove the fast paths reproduce reference results
+// receiver scan on every transmission, no gain cache, no spatial index).
+// It exists so tests can prove the fast paths reproduce reference results
 // bit-for-bit; it is not meant for production runs.
 func (m *Medium) SetReference(on bool) { m.reference = on }
 
 // SetAudibleMemo toggles per-transmitter audible-set memoisation (on by
-// default). Off, the medium falls back to the per-transmission indexed
-// scan (spatial grid + link-gain cache) — the intermediate tier retained
-// for same-process A/B benchmarking and differential tests. Results are
-// bit-identical either way. Memoisation only ever engages for
-// time-invariant propagation models; fading models always rescan.
+// default). Off, the medium rebuilds the transmitter's audible set on
+// every transmission (spatial grid + link-gain cache) — the intermediate
+// tier retained for same-process A/B benchmarking and differential tests.
+// Results are bit-identical either way. Memoisation only ever engages for
+// time-invariant propagation models; fading models always rebuild.
 func (m *Medium) SetAudibleMemo(on bool) { m.memo = on }
 
-// AudibleRebuilds returns how many audible sets have been (re)built — a
-// memoisation-effectiveness diagnostic (steady-state static runs build
-// each transmitter's set once; every SetPos/SetChannel/Attach/Reset
-// invalidates all of them).
+// AudibleRebuilds returns how many audible sets the memo tier has
+// (re)built — a memoisation-effectiveness diagnostic (steady-state static
+// runs build each transmitter's set once; every SetPos/SetChannel/Attach/
+// Reset invalidates all of them).
 func (m *Medium) AudibleRebuilds() uint64 { return m.audRebuilds }
 
 // SetImpairment installs (or, when p is disabled, removes) the per-link
@@ -350,7 +359,6 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	for i, r := range m.radios {
 		r.pos = positions[i]
 		m.chans[i] = 0
-		m.downs[i] = false
 		m.rx[i] = rxState{csThresh: m.rfp[i].CsThreshW}
 		m.txOf[i] = nil
 	}
@@ -368,7 +376,6 @@ func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
 	m.radios = append(m.radios, r)
 	m.rfp = append(m.rfp, params)
 	m.chans = append(m.chans, 0)
-	m.downs = append(m.downs, false)
 	m.rx = append(m.rx, rxState{csThresh: params.CsThreshW})
 	m.txOf = append(m.txOf, nil)
 	m.listeners = append(m.listeners, nil)
@@ -470,12 +477,16 @@ func (m *Medium) decideGrid() {
 }
 
 // receivers returns the candidate receiver set for a transmission from r,
-// in ascending ID order (required for deterministic replay). With a grid
-// this is the 3×3 cell neighbourhood; otherwise every radio. A grid query
-// takes ownership of the reusable buffer (m.candidates is cleared) so a
-// re-entrant transmission from a listener callback cannot clobber a scan
-// in progress; callers hand the buffer back when their loop is done.
+// in ascending ID order (required for deterministic replay): every radio
+// on the reference tier or without a grid, otherwise the 3×3 cell
+// neighbourhood. A grid query takes ownership of the reusable buffer
+// (m.candidates is cleared) so a transmission from inside a listener
+// callback can never find it in use; buildAudible hands it back when its
+// scan — which makes no callbacks — is done.
 func (m *Medium) receivers(r *Radio) []*Radio {
+	if m.reference {
+		return m.radios
+	}
 	if !m.gridDecided {
 		m.decideGrid()
 	}
@@ -487,28 +498,17 @@ func (m *Medium) receivers(r *Radio) []*Radio {
 	return m.grid.query(r, buf[:0])
 }
 
-// audible returns r's memoised audible set, rebuilding it if any epoch
-// bump (position change, retune, attach, reset) has invalidated it.
-func (m *Medium) audible(r *Radio) *audibleSet {
-	a := &m.aud[r.id]
-	if a.epoch != m.audEpoch {
-		m.buildAudible(r, a)
-	}
-	return a
-}
-
 // buildAudible recomputes one transmitter's audible set: every other
 // radio on its channel receiving at or above the tracking floor, in
-// ascending ID order. Membership goes through the same spatial index and
-// gain cache as the per-transmission scan, so the powers are bit-exact
-// with what the scan would compute. Down radios are included — crash
-// state is filtered live at transmit time — so churn does not invalidate
-// sets.
+// ascending ID order. It is the only receiver scan of every tier: the
+// memo tier calls it when an epoch bump has invalidated the set, the
+// legacy tier on every transmission (same spatial index and gain cache,
+// so the powers are bit-exact), the reference tier on every transmission
+// over all radios with the gain cache bypassed (see rxPower). Down radios
+// are included — crash state is filtered live by the arrival loop — so
+// churn does not invalidate sets.
 func (m *Medium) buildAudible(r *Radio, a *audibleSet) {
-	m.audRebuilds++
-	a.rxID = a.rxID[:0]
-	a.power = a.power[:0]
-	a.refOK = a.refOK[:0]
+	hs := a.heard[:0]
 	candidates := m.receivers(r)
 	ch := m.chans[r.id]
 	for _, rx := range candidates {
@@ -520,13 +520,12 @@ func (m *Medium) buildAudible(r *Radio, a *audibleSet) {
 		if p < m.minTrackW {
 			continue
 		}
-		a.rxID = append(a.rxID, int32(rid))
-		a.power = append(a.power, p)
-		a.refOK = append(a.refOK, p >= m.rfp[rid].RxThreshW)
+		hs = append(hs, heard{power: p, rx: int32(rid), refOK: p >= m.rfp[rid].RxThreshW})
 	}
-	if m.grid != nil {
+	if !m.reference && m.grid != nil {
 		m.candidates = candidates // hand the query buffer back for reuse
 	}
+	a.heard = hs
 	a.epoch = m.audEpoch
 }
 
@@ -548,7 +547,6 @@ func (m *Medium) newTransmission() *transmission {
 func (m *Medium) releaseTransmission(t *transmission) {
 	t.payload = nil
 	t.touched = t.touched[:0]
-	t.rxPower = t.rxPower[:0]
 	if len(m.txPool) < m.txPoolCap {
 		m.txPool = append(m.txPool, t)
 	} else {
@@ -610,7 +608,7 @@ func (m *Medium) InRange(from, to int) bool {
 func (r *Radio) Transmitting() bool { return r.m.rx[r.id].txing }
 
 // Down reports whether the radio is crashed (see SetDown).
-func (r *Radio) Down() bool { return r.m.downs[r.id] }
+func (r *Radio) Down() bool { return r.m.rx[r.id].down }
 
 // SetDown crashes (true) or recovers (false) the radio.
 //
@@ -620,7 +618,7 @@ func (r *Radio) Down() bool { return r.m.downs[r.id] }
 // sense and interference are unaffected, exactly what a dying transmitter
 // radiates). While down the radio is skipped by every new transmission
 // and surfaces no listener callbacks. Crash state is consulted live from
-// the dense downs slice, so SetDown never invalidates audible sets.
+// the receiver record, so SetDown never invalidates audible sets.
 //
 // Recovering re-admits the radio and pushes the current carrier state to
 // the listener, which the caller must have reset first (a power-cycled
@@ -628,15 +626,15 @@ func (r *Radio) Down() bool { return r.m.downs[r.id] }
 func (r *Radio) SetDown(down bool) {
 	m := r.m
 	id := r.id
-	if m.downs[id] == down {
+	if m.rx[id].down == down {
 		return
 	}
-	m.downs[id] = down
+	m.rx[id].down = down
 	if down {
 		m.rx[id].cur = arrival{}
 		if t := m.txOf[id]; t != nil {
-			for _, rx := range t.touched {
-				cur := &m.rx[rx].cur
+			for _, h := range t.touched {
+				cur := &m.rx[h.rx].cur
 				if cur.t == t && !cur.corrupted {
 					cur.corrupted = true
 					m.Corruptions++
@@ -681,11 +679,11 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 	if snrScale < 1 {
 		snrScale = 1
 	}
-	if m.downs[id] {
+	self := &m.rx[id]
+	if self.down {
 		panic(fmt.Sprintf("radio %d: Transmit while down", id))
 	}
 	m.Transmissions++
-	self := &m.rx[id]
 	self.txing = true
 	// Transmitting corrupts any reception in progress (half-duplex).
 	if self.cur.t != nil {
@@ -699,49 +697,50 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 	t.snrScale = snrScale
 	m.txOf[id] = t
 
-	if m.memo && m.static && !m.reference {
-		// Memoised hot path: one contiguous pass over the precomputed
-		// audible set; only the crash flag is consulted live.
-		a := m.audible(r)
-		rxIDs, pows, refOK := a.rxID, a.power, a.refOK
-		downs := m.downs
-		for i, rid := range rxIDs {
-			if downs[rid] {
-				continue
-			}
-			p := pows[i]
-			t.touched = append(t.touched, rid)
-			t.rxPower = append(t.rxPower, p)
-			m.arrivalStart(int(rid), t, p, refOK[i])
+	// The memo tier reuses the sender's audible set while its epoch holds;
+	// every other tier rebuilds it for this transmission. A callback below
+	// may Attach or bump the epoch: hs keeps the set as of this frame's
+	// start, and no callback can rebuild it (this radio cannot transmit
+	// again before finish).
+	a := &m.aud[id]
+	if !m.memo || !m.static || m.reference {
+		m.buildAudible(r, a)
+	} else if a.epoch != m.audEpoch {
+		m.audRebuilds++
+		m.buildAudible(r, a)
+	}
+	hs := a.heard
+	touched := t.touched
+	if cap(touched) < len(hs) {
+		touched = make([]heard, len(hs))
+	}
+	touched = touched[:len(hs)]
+	k := 0
+	rx := m.rx
+	for _, h := range hs {
+		s := &rx[h.rx]
+		if s.down {
+			continue
 		}
-	} else {
-		// Indexed scan (memo off or fading channel) and exhaustive
-		// reference path: identical visit order and arithmetic, receiver
-		// powers computed per transmission.
-		var candidates []*Radio
-		if m.reference {
-			candidates = m.radios
-		} else {
-			candidates = m.receivers(r)
+		touched[k] = h
+		k++
+		s.nlive++
+		e := s.energy + h.power
+		s.energy = e
+		// Over 96 % of arrivals on a dense grid stop here: energy for the
+		// carrier test only. An idle receiver can lock on only if refOK
+		// (snrScale >= 1, so p < RxThreshW implies p < RxThreshW*snrScale),
+		// and everything arriving during own tx is just energy.
+		if (h.refOK || s.cur.t != nil) && !s.txing {
+			m.contend(s, &m.rfp[h.rx], t, h.power, e)
 		}
-		ch := m.chans[id]
-		for _, rx := range candidates {
-			rid := rx.id
-			if rid == id || m.downs[rid] || m.chans[rid] != ch {
-				continue
-			}
-			p := m.rxPower(r, rx)
-			if p < m.minTrackW {
-				continue
-			}
-			t.touched = append(t.touched, int32(rid))
-			t.rxPower = append(t.rxPower, p)
-			m.arrivalStart(rid, t, p, p >= m.rfp[rid].RxThreshW)
-		}
-		if !m.reference && m.grid != nil {
-			m.candidates = candidates // hand the query buffer back for reuse
+		if b := e >= s.csThresh; b != s.busy {
+			t.touched = touched[:k] // SetDown on the sender from a callback reads it
+			m.carrierFlip(int(h.rx), b)
+			rx = m.rx // the callback may have moved it
 		}
 	}
+	t.touched = touched[:k]
 	m.txInFlight++
 	if m.txInFlight > m.txInFlightHW {
 		m.txInFlightHW = m.txInFlight
@@ -749,13 +748,61 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 	m.sim.ScheduleCall(duration, m, opTxFinish, uint32(id))
 }
 
-// finish ends transmission t: concludes reception at every touched radio,
-// releases the sender and recycles t. The sender's carrier state needs no
-// refresh here: arrivals keep busy in step with energy during own
-// transmissions too.
+// contend is the outlined decision half of an arrival of power p from t at
+// a receiver that is not transmitting and is either mid-reception or idle
+// within reference-rate decode range; e is its energy including p. It
+// makes no listener callback.
+func (m *Medium) contend(s *rxState, prm *Params, t *transmission, p, e float64) {
+	cur := &s.cur
+	if cur.t == nil {
+		// Idle receiver: lock on if decodable with adequate SINR against
+		// the interference present at the preamble. Higher-rate frames
+		// (snrScale > 1) need proportionally more signal.
+		if t.snrScale == 1 || p >= prm.RxThreshW*t.snrScale {
+			interf := e - p
+			if p >= prm.CaptureRatio*t.snrScale*(prm.NoiseW+interf) {
+				*cur = arrival{t: t, power: p}
+			}
+		}
+		return
+	}
+	// Mid-reception: the new frame is interference; if it destroys the
+	// SINR of the frame in progress, that frame is lost (latched — a
+	// momentary collision corrupts the whole frame).
+	interf := e - cur.power
+	if cur.power < prm.CaptureRatio*cur.t.snrScale*(prm.NoiseW+interf) {
+		cur.corrupted = true
+		m.Corruptions++
+	}
+}
+
+// finish ends transmission t: takes its energy off every touched radio,
+// hands the frame up where it was the locked one, releases the sender and
+// recycles t. The sender's carrier state needs no refresh here: arrivals
+// keep busy in step with energy during own transmissions too.
 func (m *Medium) finish(t *transmission) {
-	for i, rx := range t.touched {
-		m.arrivalEnd(int(rx), t, t.rxPower[i])
+	rx := m.rx
+	for _, h := range t.touched {
+		s := &rx[h.rx]
+		s.nlive--
+		e := 0.0 // last arrival gone: clamp accumulated floating-point drift
+		if s.nlive != 0 {
+			e = s.energy - h.power
+			if e < 0 {
+				e = 0
+			}
+		}
+		s.energy = e
+		if s.cur.t == t {
+			m.deliver(int(h.rx), t)
+			rx = m.rx // the callback may have moved it or changed energy
+			s = &rx[h.rx]
+			e = s.energy
+		}
+		if b := e >= s.csThresh; b != s.busy {
+			m.carrierFlip(int(h.rx), b)
+			rx = m.rx
+		}
 	}
 	src := int(t.src)
 	payload := t.payload
@@ -766,90 +813,30 @@ func (m *Medium) finish(t *transmission) {
 	m.listeners[src].RadioTxDone(payload)
 }
 
-// arrivalStart registers an incoming frame at receiver rx and decides
-// whether to lock onto it or treat it as interference. refOK is the
-// precomputed reference-rate decode test p >= RxThreshW — consulted only
-// when snrScale == 1, where it is bit-equal to the live comparison.
-func (m *Medium) arrivalStart(rx int, t *transmission, p float64, refOK bool) {
+// deliver hands the frame receiver rx was locked onto up to its listener
+// at end of airtime: intact unless corrupted, overlapped by own
+// transmission or dropped by the link impairment.
+func (m *Medium) deliver(rx int, t *transmission) {
 	s := &m.rx[rx]
-	s.nlive++
-	e := s.energy + p
-	s.energy = e
-
-	switch {
-	case s.txing:
-		// Half-duplex: everything arriving during own tx is just energy.
-	case s.cur.t == nil:
-		// Idle receiver: lock on if decodable with adequate SINR against
-		// the interference present at the preamble. Higher-rate frames
-		// (snrScale > 1) need proportionally more signal.
-		prm := &m.rfp[rx]
-		ok := refOK
-		if t.snrScale != 1 {
-			ok = p >= prm.RxThreshW*t.snrScale
-		}
-		if ok {
-			interf := e - p
-			if p >= prm.CaptureRatio*t.snrScale*(prm.NoiseW+interf) {
-				s.cur = arrival{t: t, power: p}
-			}
-		}
-	default:
-		// Mid-reception: the new frame is interference; if it destroys
-		// the SINR of the frame in progress, that frame is lost (latched
-		// — a momentary collision corrupts the whole frame).
-		cur := &s.cur
-		prm := &m.rfp[rx]
-		interf := e - cur.power
-		if cur.power < prm.CaptureRatio*cur.t.snrScale*(prm.NoiseW+interf) {
-			cur.corrupted = true
-			m.Corruptions++
-		}
+	ok := !s.cur.corrupted && !s.txing
+	s.cur = arrival{}
+	if ok && m.impair != nil && !m.impair.Deliver(int(t.src), rx, m.sim.Now()) {
+		ok = false
+		m.ImpairDrops++
 	}
-	if b := e >= s.csThresh; b != s.busy {
-		m.carrierFlip(rx, b)
+	if ok {
+		m.Deliveries++
 	}
-}
-
-// arrivalEnd removes the frame's energy at receiver rx and, if it was the
-// locked frame, delivers it upward.
-func (m *Medium) arrivalEnd(rx int, t *transmission, p float64) {
-	s := &m.rx[rx]
-	s.nlive--
-	e := 0.0 // last arrival gone: clamp accumulated floating-point drift
-	if s.nlive != 0 {
-		e = s.energy - p
-		if e < 0 {
-			e = 0
-		}
-	}
-	s.energy = e
-
-	if s.cur.t == t {
-		ok := !s.cur.corrupted && !s.txing
-		s.cur = arrival{}
-		if ok && m.impair != nil && !m.impair.Deliver(int(t.src), rx, m.sim.Now()) {
-			ok = false
-			m.ImpairDrops++
-		}
-		if ok {
-			m.Deliveries++
-		}
-		m.listeners[rx].RadioReceive(t.payload, t.bytes, ok)
-		s = &m.rx[rx] // the callback may have moved m.rx or changed energy
-		e = s.energy
-	}
-	if b := e >= s.csThresh; b != s.busy {
-		m.carrierFlip(rx, b)
-	}
+	m.listeners[rx].RadioReceive(t.payload, t.bytes, ok)
 }
 
 // carrierFlip records a carrier-sense transition and pushes it to the
-// listener. The no-transition test is fused into the arrival paths on the
+// listener. The no-transition test is fused into the arrival loops on the
 // energy they already hold; only the flip is outlined.
 func (m *Medium) carrierFlip(rx int, b bool) {
-	m.rx[rx].busy = b
-	if l := m.listeners[rx]; l != nil && !m.downs[rx] {
+	s := &m.rx[rx]
+	s.busy = b
+	if l := m.listeners[rx]; l != nil && !s.down {
 		l.RadioCarrier(b)
 	}
 }
