@@ -8,7 +8,7 @@ GO ?= go
 # the runner-level replication sweep, and the daemon's serve path.
 BENCH_GATE := BenchmarkSimulatorThroughput|BenchmarkReplicationSweep|BenchmarkServeThroughput
 
-.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen
+.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen report-identity
 
 verify: build test race bench-smoke
 
@@ -16,9 +16,14 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Static analysis beyond vet. staticcheck is optional locally (skipped with
-# a note when absent); CI installs it, so findings still gate merges.
+# Formatting and static analysis beyond vet: any file gofmt would rewrite
+# (root module or bench/) fails the target. staticcheck is optional locally
+# (skipped with a note when absent); CI installs it, so findings still gate
+# merges.
 lint:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt would rewrite:"; echo "$$out"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -39,6 +44,15 @@ bench-smoke:
 # module of its own, so `go test ./...` at the root never reaches it.
 bench-selftest:
 	cd bench && $(GO) test ./...
+
+# "Same bytes as the parent": build cmd/meshsim at PARENT and here, run a
+# fixed list of scenarios on both and cmp the canonical reports (the repo
+# has no recorded goldens). A PR that means to move results will fail it —
+# by design; one that claims it moved none must pass.
+PARENT ?= HEAD~1
+
+report-identity:
+	bash scripts/report_identity.sh $(PARENT)
 
 # Coverage-guided fuzzing: the wire codec, the DES differential queue
 # oracle and the radio-path differential oracle (go test allows one -fuzz

@@ -22,15 +22,15 @@ func driveTwoHop(t *testing.T, r *Recorder) *Journey {
 	t.Helper()
 	p := dataPkt(7, 3, 0, 0, 2)
 	r.OnOriginate(100, 0, p)
-	r.OnMacEnqueue(150, 0, p, 1)  // routing 50
-	r.OnMacService(180, 0, p)     // queue 30
-	r.OnMacTxStart(200, 0, p)     // access 20, attempt 1
-	r.OnMacTxStart(300, 0, p)     // retry 100, attempt 2
-	r.OnArrive(350, 1, p)         // air 50; new hop at node 1
-	r.OnMacEnqueue(360, 1, p, 2)  // routing 10
-	r.OnMacService(360, 1, p)     // queue 0
-	r.OnMacTxStart(400, 1, p)     // access 40
-	r.OnDeliver(440, 2, p)        // air 40
+	r.OnMacEnqueue(150, 0, p, 1) // routing 50
+	r.OnMacService(180, 0, p)    // queue 30
+	r.OnMacTxStart(200, 0, p)    // access 20, attempt 1
+	r.OnMacTxStart(300, 0, p)    // retry 100, attempt 2
+	r.OnArrive(350, 1, p)        // air 50; new hop at node 1
+	r.OnMacEnqueue(360, 1, p, 2) // routing 10
+	r.OnMacService(360, 1, p)    // queue 0
+	r.OnMacTxStart(400, 1, p)    // access 40
+	r.OnDeliver(440, 2, p)       // air 40
 	js := r.Journeys()
 	if len(js) != 1 {
 		t.Fatalf("closed %d journeys, want 1", len(js))
@@ -77,9 +77,9 @@ func TestRecorderIgnoresForeignHooks(t *testing.T) {
 	r.OnMacEnqueue(10, 0, p, 1)
 
 	// Hooks from the wrong node, wrong phase or wrong next hop are no-ops.
-	r.OnMacService(20, 5, p)  // wrong node
-	r.OnArrive(30, 2, p)      // not the intended next hop
-	r.OnDeliver(30, 2, p)     // not the intended next hop
+	r.OnMacService(20, 5, p)    // wrong node
+	r.OnArrive(30, 2, p)        // not the intended next hop
+	r.OnDeliver(30, 2, p)       // not the intended next hop
 	r.OnMacEnqueue(30, 0, p, 2) // wrong phase (already queued)
 	r.OnDrop(40, 5, p, DropTTL) // neither holder nor next
 

@@ -1,0 +1,223 @@
+package mac
+
+// Tests of the pull-model carrier contract: the radio keeps the busy and
+// transmit clocks, the MAC reads them, and RadioCarrier reaches a MAC only
+// while one of its frames is waiting, deferring or backing off.
+
+import (
+	"math"
+	"testing"
+
+	"clnlr/internal/des"
+	"clnlr/internal/geom"
+	"clnlr/internal/pkt"
+	"clnlr/internal/radio"
+)
+
+// tapEvent is one callback a listenerTap forwarded: which, when, and the
+// MAC's access state once it returned.
+type tapEvent struct {
+	kind  string // "carrier+", "carrier-", "receive", "txdone"
+	at    des.Time
+	state accessState
+}
+
+// listenerTap sits between a radio and its MAC and logs every callback.
+type listenerTap struct {
+	mac *Mac
+	log []tapEvent
+}
+
+func tap(m *Mac) *listenerTap {
+	t := &listenerTap{mac: m}
+	m.radio.SetListener(t)
+	return t
+}
+
+func (t *listenerTap) note(kind string) {
+	t.log = append(t.log, tapEvent{kind, t.mac.sim.Now(), t.mac.state})
+}
+
+func (t *listenerTap) RadioReceive(p any, bytes int, ok bool) {
+	t.mac.RadioReceive(p, bytes, ok)
+	t.note("receive")
+}
+
+func (t *listenerTap) RadioCarrier(busy bool) {
+	t.mac.RadioCarrier(busy)
+	if busy {
+		t.note("carrier+")
+	} else {
+		t.note("carrier-")
+	}
+}
+
+func (t *listenerTap) RadioTxDone(p any) {
+	t.mac.RadioTxDone(p)
+	t.note("txdone")
+}
+
+// count returns how many logged callbacks are of one of the kinds.
+func (t *listenerTap) count(kinds ...string) int {
+	n := 0
+	for _, e := range t.log {
+		for _, k := range kinds {
+			if e.kind == k {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+var _ radio.Listener = (*listenerTap)(nil)
+
+// whenTransmitting polls (every 100 µs) until m's radio is on the air and
+// then runs f once.
+func whenTransmitting(sim *des.Sim, m *Mac, f func()) {
+	var poll func()
+	poll = func() {
+		if !m.radio.Transmitting() {
+			sim.Schedule(100*des.Microsecond, poll)
+			return
+		}
+		f()
+	}
+	sim.Schedule(0, poll)
+}
+
+// TestIdleBystanderGetsNoCarrierCallbacks: a node in carrier range of a
+// busy link, with nothing to send, is never called about the carrier — and
+// its energy and busy-fraction figures are exactly what the airtime says
+// they must be. The moment it has a frame of its own it hears the edges
+// again, and freezes its deferral when the ACK it overhears starts.
+func TestIdleBystanderGetsNoCarrierCallbacks(t *testing.T) {
+	cfg := DefaultConfig()
+	sim, macs, uppers := macTestbed(t, cfg,
+		geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: 400})
+	rxTap, byTap := tap(macs[1]), tap(macs[2])
+
+	// Phase 1: 20 exchanges 0→1, two per load-sampling window, none across
+	// a window boundary.
+	const exchanges = 20
+	sent := 0
+	var feeder *des.Ticker
+	feeder = des.NewTicker(sim, 50*des.Millisecond, func() {
+		macs[0].Send(dataPkt(0, 1, 512), 1)
+		if sent++; sent == exchanges {
+			feeder.Stop()
+		}
+	})
+	feeder.Start(0)
+	const phase1 = 1005 * des.Millisecond
+	sim.RunUntil(phase1)
+
+	if n := byTap.count("carrier+", "carrier-"); n != 0 {
+		t.Fatalf("idle bystander's MAC got %d RadioCarrier calls, want 0", n)
+	}
+	if n := byTap.count("receive"); n != exchanges {
+		t.Fatalf("bystander overheard %d frames, want the %d ACKs", n, exchanges)
+	}
+	frame := 512 + pkt.IPHeaderBytes + pkt.UDPHeaderBytes + cfg.DataHeaderBytes
+	air := cfg.TxDuration(frame, cfg.DataRateBps) + cfg.AckDuration() // SIFS between them is silence
+	e := macs[2].Energy()
+	if e.RxTime != exchanges*air || e.TxTime != 0 || e.IdleTime != phase1-exchanges*air {
+		t.Fatalf("bystander idle/rx/tx = %v/%v/%v, want %v/%v/0",
+			e.IdleTime, e.RxTime, e.TxTime, phase1-exchanges*air, exchanges*air)
+	}
+	p := DefaultEnergyParams()
+	if want := p.IdleW*e.IdleTime.Seconds() + p.RxW*e.RxTime.Seconds(); math.Abs(e.Joules-want) > 1e-12 {
+		t.Fatalf("bystander energy %v J, want %v", e.Joules, want)
+	}
+	// Ten full windows, each busy for exactly two exchanges.
+	want := 0.0
+	for w := 0; w < 10; w++ {
+		want = cfg.LoadEWMAAlpha*(float64(2*air)/float64(cfg.LoadSampleInterval)) + (1-cfg.LoadEWMAAlpha)*want
+	}
+	if got := macs[2].LoadStats().BusyFrac; got != want {
+		t.Fatalf("bystander busy fraction %v, want %v", got, want)
+	}
+
+	// Phase 2: the bystander gets a frame of its own while 0 is on the air.
+	rxTap.log, byTap.log = nil, nil
+	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 512), 1) })
+	whenTransmitting(sim, macs[0], func() { macs[2].Send(dataPkt(2, 1, 512), 1) })
+	sim.RunUntil(phase1 + 100*des.Millisecond)
+
+	if len(rxTap.log) < 2 || rxTap.log[0].kind != "receive" || rxTap.log[1].kind != "txdone" {
+		t.Fatalf("receiver saw %+v, want 0's data then its own ACK's end first", rxTap.log)
+	}
+	dataEnd, ackEnd := rxTap.log[0].at, rxTap.log[1].at
+	wantLog := []tapEvent{
+		{"carrier-", dataEnd, accDefer},               // waited for the data frame to end, starts DIFS
+		{"carrier+", dataEnd + cfg.SIFS, accWaitIdle}, // the ACK freezes it 10 µs in
+		{"receive", ackEnd, accWaitIdle},              // overhears the ACK (delivered before the edge)
+		{"carrier-", ackEnd, accDefer},                // and goes again
+		{"txdone", 0, accWaitAck},                     // its own frame; no edges asked for since
+		{"receive", 0, accIdle},                       // its ACK
+	}
+	if len(byTap.log) != len(wantLog) {
+		t.Fatalf("contending bystander saw %+v, want %+v", byTap.log, wantLog)
+	}
+	for i, w := range wantLog {
+		g := byTap.log[i]
+		if g.kind != w.kind || g.state != w.state || (w.at != 0 && g.at != w.at) {
+			t.Fatalf("contending bystander callback %d is %+v, want %+v (0 = any time)", i, g, w)
+		}
+	}
+	if last := uppers[1].received[len(uppers[1].received)-1]; last.from != 2 {
+		t.Fatalf("last delivery at the receiver is from %v, want the bystander's frame", last.from)
+	}
+}
+
+// TestCrashMidFrameClocks crashes a sender while its broadcast is on the
+// air — once for good, once power-cycled back up 100 µs later, before the
+// truncated frame has ended. Either way the radio's transmit clock bills
+// the whole frame (it stays on the air), the load estimator counts the
+// channel as occupied only up to the crash, and the books balance.
+func TestCrashMidFrameClocks(t *testing.T) {
+	for _, recoverAfter := range []des.Time{0, 100 * des.Microsecond} {
+		cfg := DefaultConfig()
+		sim, macs, _ := macTestbed(t, cfg, geom.Point{X: 0}, geom.Point{X: 200})
+		own := tap(macs[0])
+		var crashAt des.Time
+		sim.Schedule(0, func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) })
+		whenTransmitting(sim, macs[0], func() {
+			crashAt = sim.Now()
+			macs[0].radio.SetDown(true)
+			macs[0].Crash()
+			if recoverAfter > 0 {
+				sim.Schedule(recoverAfter, func() {
+					macs[0].Recover()
+					macs[0].radio.SetDown(false)
+				})
+			}
+		})
+		const runFor = 150 * des.Millisecond
+		sim.RunUntil(runFor)
+
+		if own.count("txdone") != 1 {
+			t.Fatalf("recover after %v: sender saw %+v, want one RadioTxDone", recoverAfter, own.log)
+		}
+		frame := cfg.TxDuration(512+pkt.IPHeaderBytes+pkt.UDPHeaderBytes+cfg.DataHeaderBytes, cfg.BasicRateBps)
+		txStart := own.log[len(own.log)-1].at - frame
+		if crashAt <= txStart || crashAt+recoverAfter >= txStart+frame {
+			t.Fatalf("recover after %v: crash at %v, recovery not inside the frame [%v, %v]",
+				recoverAfter, crashAt, txStart, txStart+frame)
+		}
+		e := macs[0].Energy()
+		if e.TxTime != frame || e.RxTime != 0 || e.IdleTime != runFor-frame {
+			t.Fatalf("recover after %v: idle/rx/tx = %v/%v/%v, want %v/0/%v",
+				recoverAfter, e.IdleTime, e.RxTime, e.TxTime, runFor-frame, frame)
+		}
+		if got := macs[0].le.occupiedTime(); got != crashAt-txStart {
+			t.Fatalf("recover after %v: estimator counts %v occupied, want the %v before the crash",
+				recoverAfter, got, crashAt-txStart)
+		}
+		// One full window has been sampled; it holds all of that.
+		want := cfg.LoadEWMAAlpha * (float64(crashAt-txStart) / float64(cfg.LoadSampleInterval))
+		if got := macs[0].LoadStats().BusyFrac; got != want {
+			t.Fatalf("recover after %v: busy fraction %v, want %v", recoverAfter, got, want)
+		}
+	}
+}

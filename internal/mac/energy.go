@@ -18,63 +18,21 @@ func DefaultEnergyParams() EnergyParams {
 	return EnergyParams{TxW: 1.65, RxW: 1.4, IdleW: 1.15}
 }
 
-// radioState classifies what the radio is doing for energy purposes, in
-// priority order (transmitting dominates receiving dominates idle).
-type radioState uint8
-
-const (
-	stateIdle radioState = iota
-	stateRx
-	stateTx
-)
-
-// energyMeter integrates power draw over the radio-state timeline.
-type energyMeter struct {
-	params EnergyParams
-	cur    radioState
-	since  des.Time
-	accum  [3]des.Time // time spent per state
-}
-
-// update records a state transition at time now.
-func (e *energyMeter) update(s radioState, now des.Time) {
-	if s == e.cur {
-		return
-	}
-	e.accum[e.cur] += now - e.since
-	e.cur = s
-	e.since = now
-}
-
-// joules returns the total energy consumed up to now.
-func (e *energyMeter) joules(now des.Time) float64 {
-	t := e.accum
-	t[e.cur] += now - e.since
-	return e.params.IdleW*t[stateIdle].Seconds() +
-		e.params.RxW*t[stateRx].Seconds() +
-		e.params.TxW*t[stateTx].Seconds()
-}
-
-// stateTimes returns the cumulative time per state up to now.
-func (e *energyMeter) stateTimes(now des.Time) (idle, rx, tx des.Time) {
-	t := e.accum
-	t[e.cur] += now - e.since
-	return t[stateIdle], t[stateRx], t[stateTx]
-}
-
 // EnergyStats is the externally visible energy accounting of one node.
 type EnergyStats struct {
 	Joules                   float64
 	IdleTime, RxTime, TxTime des.Time
 }
 
-// Energy returns the node's cumulative energy consumption. The meter uses
-// DefaultEnergyParams unless SetEnergyParams was called before Start.
+// Energy returns the node's cumulative energy consumption: the radio's
+// own state clock (radio.Radio.StateTimes — transmitting dominates
+// receiving dominates idle) priced with DefaultEnergyParams unless
+// SetEnergyParams was called.
 func (m *Mac) Energy() EnergyStats {
-	now := m.sim.Now()
-	idle, rx, tx := m.energy.stateTimes(now)
+	idle, rx, tx := m.radio.StateTimes()
+	p := m.energyParams
 	return EnergyStats{
-		Joules:   m.energy.joules(now),
+		Joules:   p.IdleW*idle.Seconds() + p.RxW*rx.Seconds() + p.TxW*tx.Seconds(),
 		IdleTime: idle,
 		RxTime:   rx,
 		TxTime:   tx,
@@ -83,17 +41,4 @@ func (m *Mac) Energy() EnergyStats {
 
 // SetEnergyParams replaces the power profile (call before traffic starts;
 // already-integrated time is re-priced retroactively by Energy()).
-func (m *Mac) SetEnergyParams(p EnergyParams) { m.energy.params = p }
-
-// noteRadioState re-derives the energy state from MAC status; call sites
-// are every transition touchpoint (carrier, tx start/end).
-func (m *Mac) noteRadioState() {
-	s := stateIdle
-	switch {
-	case m.radio.Transmitting():
-		s = stateTx
-	case m.carrierBusy:
-		s = stateRx
-	}
-	m.energy.update(s, m.sim.Now())
-}
+func (m *Mac) SetEnergyParams(p EnergyParams) { m.energyParams = p }

@@ -90,26 +90,20 @@ func TestEnergyOverhearingCosts(t *testing.T) {
 	}
 }
 
-// TestCrashMidTxStopsTxEnergy pins the meter against a crash while the
-// node's own frame is on the air: the truncated frame's airtime still ends
-// (RadioTxDone fires on the down MAC), and from then on the dead node
-// draws idle power, not transmit power for the whole outage.
+// TestCrashMidTxStopsTxEnergy pins the transmit clock against a crash while
+// the node's own frame is on the air: the truncated frame's airtime still
+// ends, and from then on the dead node draws idle power, not transmit power
+// for the whole outage.
 func TestCrashMidTxStopsTxEnergy(t *testing.T) {
 	cfg := DefaultConfig()
 	sim, macs, _ := macTestbed(t, cfg, geom.Point{X: 0}, geom.Point{X: 200})
 	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) })
 	crashed := false
-	var poll func()
-	poll = func() {
-		if !macs[0].radio.Transmitting() {
-			sim.Schedule(100*des.Microsecond, poll)
-			return
-		}
+	whenTransmitting(sim, macs[0], func() {
 		crashed = true
 		macs[0].radio.SetDown(true)
 		macs[0].Crash()
-	}
-	sim.Schedule(0, poll)
+	})
 	sim.RunUntil(5 * des.Second)
 	if !crashed {
 		t.Fatal("the broadcast never went on the air")

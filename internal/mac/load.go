@@ -2,6 +2,7 @@ package mac
 
 import (
 	"clnlr/internal/des"
+	"clnlr/internal/radio"
 	"clnlr/internal/stats"
 )
 
@@ -21,18 +22,25 @@ type LoadStats struct {
 }
 
 // loadEstimator samples queue occupancy and channel busy time each window
-// and maintains their EWMAs.
+// and maintains their EWMAs. Busy time is the growth over the window of the
+// radio's own state clock (carrier busy or transmitting).
 type loadEstimator struct {
-	cfg *Config
-	sim *des.Sim
+	cfg   *Config
+	sim   *des.Sim
+	radio *radio.Radio
 
 	queueTW stats.TimeWeighted // queue length, time-weighted within window
 	qCap    float64
 
-	occupied      bool
-	occupiedSince des.Time
-	busyAccum     des.Time
-	windowStart   des.Time
+	windowStart des.Time
+	busyAtStart des.Time // occupiedTime() at windowStart
+	// A crashed node's channel counts as unoccupied, but a frame the crash
+	// truncates stays on the air, and on the radio's transmit clock, to its
+	// end: truncatedAt is when such a crash struck (if truncated), cut the
+	// airtime radiated after crashes so far.
+	truncated   bool
+	truncatedAt des.Time
+	cut         des.Time
 
 	ewmaQueue float64
 	ewmaBusy  float64
@@ -41,10 +49,11 @@ type loadEstimator struct {
 // init (re-)initialises the estimator in place; cfg must outlive the
 // estimator (the Mac passes a pointer to its own config field so a config
 // swap on Reset is picked up automatically).
-func (le *loadEstimator) init(cfg *Config, sim *des.Sim) {
-	*le = loadEstimator{cfg: cfg, sim: sim, qCap: float64(cfg.QueueCap)}
+func (le *loadEstimator) init(cfg *Config, sim *des.Sim, r *radio.Radio) {
+	*le = loadEstimator{cfg: cfg, sim: sim, radio: r, qCap: float64(cfg.QueueCap)}
 	le.queueTW.Reset(int64(sim.Now()), 0)
 	le.windowStart = sim.Now()
+	le.busyAtStart = le.occupiedTime()
 }
 
 // start begins periodic sampling (called once the node stack is wired).
@@ -57,19 +66,30 @@ func (le *loadEstimator) setQueueLen(n int) {
 	le.queueTW.Set(int64(le.sim.Now()), float64(n))
 }
 
-// setOccupied records channel-occupancy transitions (carrier busy or own
-// transmission in progress).
-func (le *loadEstimator) setOccupied(b bool) {
-	now := le.sim.Now()
-	if b == le.occupied {
-		return
+// occupiedTime returns how long the channel has been occupied (carrier
+// busy or own transmission in progress) while the node was up.
+func (le *loadEstimator) occupiedTime() des.Time {
+	_, rx, tx := le.radio.StateTimes()
+	t := rx + tx - le.cut
+	if le.truncated {
+		t -= le.sim.Now() - le.truncatedAt
 	}
-	if le.occupied {
-		le.busyAccum += now - le.occupiedSince
-	} else {
-		le.occupiedSince = now
+	return t
+}
+
+// truncate notes a crash; it matters only if an own frame is on the air.
+func (le *loadEstimator) truncate() {
+	if le.radio.Transmitting() && !le.truncated {
+		le.truncated, le.truncatedAt = true, le.sim.Now()
 	}
-	le.occupied = b
+}
+
+// settle closes the books on a truncated frame when its airtime ends.
+func (le *loadEstimator) settle() {
+	if le.truncated {
+		le.truncated = false
+		le.cut += le.sim.Now() - le.truncatedAt
+	}
 }
 
 // sample closes the current window and folds it into the EWMAs.
@@ -79,12 +99,8 @@ func (le *loadEstimator) sample() {
 	if window <= 0 {
 		return
 	}
-	busy := le.busyAccum
-	if le.occupied {
-		busy += now - le.occupiedSince
-		le.occupiedSince = now
-	}
-	busyFrac := float64(busy) / float64(window)
+	occupied := le.occupiedTime()
+	busyFrac := float64(occupied-le.busyAtStart) / float64(window)
 	if busyFrac > 1 {
 		busyFrac = 1
 	}
@@ -97,7 +113,7 @@ func (le *loadEstimator) sample() {
 	le.ewmaBusy = a*busyFrac + (1-a)*le.ewmaBusy
 	le.ewmaQueue = a*qOcc + (1-a)*le.ewmaQueue
 
-	le.busyAccum = 0
+	le.busyAtStart = occupied
 	le.windowStart = now
 	le.queueTW.Reset(int64(now), le.queueTW.Value())
 }

@@ -145,7 +145,6 @@ type Mac struct {
 	ackEv        des.Event
 	ctsEv        des.Event
 
-	carrierBusy  bool
 	useEIFS      bool
 	pendingAckTx bool
 
@@ -187,8 +186,8 @@ type Mac struct {
 	lastSeq []int32
 	arf     []arfState
 
-	le     loadEstimator
-	energy energyMeter
+	le           loadEstimator
+	energyParams EnergyParams
 
 	// down marks a crashed node: Send drops, radio callbacks and
 	// SIFS-deferred responses are ignored (see Crash/Recover).
@@ -226,7 +225,7 @@ func (m *Mac) Reset(cfg Config, src *rng.Source) {
 	m.queue = m.queue[:0]
 	m.cur = nil
 	m.curBuf = outgoing{}
-	m.state = accIdle
+	m.setState(accIdle)
 	m.cw = cfg.CWMin
 	m.backoffSlots = 0
 	m.backoffStart = 0
@@ -234,7 +233,6 @@ func (m *Mac) Reset(cfg Config, src *rng.Source) {
 	m.deferEv = des.Event{}
 	m.ackEv = des.Event{}
 	m.ctsEv = des.Event{}
-	m.carrierBusy = false
 	m.useEIFS = false
 	m.pendingAckTx = false
 	m.navUntil = 0
@@ -249,8 +247,8 @@ func (m *Mac) Reset(cfg Config, src *rng.Source) {
 	}
 	m.down = false
 	m.journey = nil
-	m.le.init(&m.cfg, m.sim)
-	m.energy = energyMeter{params: DefaultEnergyParams()}
+	m.le.init(&m.cfg, m.sim, m.radio)
+	m.energyParams = DefaultEnergyParams()
 	m.Ctr = Counters{}
 }
 
@@ -284,7 +282,7 @@ func (m *Mac) Crash() {
 	m.queue = m.queue[:0]
 	m.cur = nil
 	m.curBuf = outgoing{}
-	m.state = accIdle
+	m.setState(accIdle)
 	m.cw = m.cfg.CWMin
 	m.backoffSlots = 0
 	m.backoffEv.Cancel()
@@ -292,7 +290,6 @@ func (m *Mac) Crash() {
 	m.ackEv.Cancel()
 	m.ctsEv.Cancel()
 	m.navEv.Cancel()
-	m.carrierBusy = false
 	m.useEIFS = false
 	m.pendingAckTx = false
 	m.navUntil = 0
@@ -303,17 +300,13 @@ func (m *Mac) Crash() {
 		m.arf[i] = arfState{}
 	}
 	m.le.setQueueLen(0)
-	m.le.setOccupied(false)
-	m.noteRadioState()
+	m.le.truncate()
 }
 
-// Recover brings a crashed MAC back up, idle on an apparently clear
-// channel. Call before recovering the radio: its SetDown(false) replays
-// the current carrier state into the fresh MAC.
-func (m *Mac) Recover() {
-	m.down = false
-	m.noteRadioState()
-}
+// Recover brings a crashed MAC back up, idle with nothing contending. Call
+// before recovering the radio, which then senses the carrier again (the
+// MAC reads it from there when a frame next contends).
+func (m *Mac) Recover() { m.down = false }
 
 // SetUpper installs the network layer (two-phase: the routing agent needs
 // the MAC reference too).
@@ -425,9 +418,18 @@ func (m *Mac) drawBackoff() {
 	m.backoffSlots = m.src.Intn(m.cw + 1)
 }
 
-// channelBusy combines physical carrier sense with the NAV reservation.
+// channelBusy combines physical carrier sense — the radio's recorded
+// carrier flag, see radio.Radio.CarrierBusy — with the NAV reservation.
 func (m *Mac) channelBusy() bool {
-	return m.carrierBusy || m.sim.Now() < m.navUntil
+	return m.radio.CarrierBusy() || m.sim.Now() < m.navUntil
+}
+
+// setState moves the DCF state machine and asks the radio for carrier
+// edges exactly while RadioCarrier would act on one: with a frame waiting
+// for the channel, deferring or backing off.
+func (m *Mac) setState(s accessState) {
+	m.state = s
+	m.radio.WantCarrier(s == accWaitIdle || s == accDefer || s == accBackoff)
 }
 
 // setNAV extends the virtual-carrier reservation to now+dur and arranges
@@ -462,7 +464,7 @@ func (m *Mac) freezeContention() {
 	switch m.state {
 	case accDefer:
 		m.deferEv.Cancel()
-		m.state = accWaitIdle
+		m.setState(accWaitIdle)
 	case accBackoff:
 		m.backoffEv.Cancel()
 		elapsed := int((m.sim.Now() - m.backoffStart) / m.cfg.SlotTime)
@@ -470,25 +472,25 @@ func (m *Mac) freezeContention() {
 		if m.backoffSlots < 0 {
 			m.backoffSlots = 0
 		}
-		m.state = accWaitIdle
+		m.setState(accWaitIdle)
 	}
 }
 
 // startAccess (re)enters the channel-access sequence for m.cur.
 func (m *Mac) startAccess() {
 	if m.pendingAckTx || m.radio.Transmitting() {
-		m.state = accPostponed
+		m.setState(accPostponed)
 		return
 	}
 	if m.channelBusy() {
-		m.state = accWaitIdle
+		m.setState(accWaitIdle)
 		return
 	}
 	m.beginDefer()
 }
 
 func (m *Mac) beginDefer() {
-	m.state = accDefer
+	m.setState(accDefer)
 	d := m.cfg.DIFS()
 	if m.useEIFS {
 		d = m.cfg.EIFS()
@@ -498,7 +500,7 @@ func (m *Mac) beginDefer() {
 
 func (m *Mac) onDeferDone() {
 	m.useEIFS = false
-	m.state = accBackoff
+	m.setState(accBackoff)
 	m.backoffStart = m.sim.Now()
 	m.backoffEv = m.sim.ScheduleCall(des.Time(m.backoffSlots)*m.cfg.SlotTime, m, opBackoffDone, 0)
 }
@@ -510,7 +512,7 @@ func (m *Mac) onBackoffDone() {
 
 func (m *Mac) transmitCur() {
 	if m.pendingAckTx || m.radio.Transmitting() {
-		m.state = accPostponed
+		m.setState(accPostponed)
 		return
 	}
 	f := m.cur.frame
@@ -521,21 +523,18 @@ func (m *Mac) transmitCur() {
 	if m.journey != nil && f.Payload.Kind == pkt.Data {
 		m.journey.OnMacTxStart(m.sim.Now(), m.id, f.Payload)
 	}
-	m.state = accTx
-	m.le.setOccupied(true)
+	m.setState(accTx)
 	var dur des.Time
 	if f.Dst == pkt.Broadcast {
 		m.Ctr.TxBroadcast++
 		dur = m.cfg.TxDuration(f.Bytes, m.cfg.BasicRateBps)
 		m.radio.Transmit(f, f.Bytes, dur)
-		m.noteRadioState()
 		return
 	}
 	m.Ctr.TxData++
 	rate := m.unicastRate(f.Dst)
 	dur = m.cfg.TxDuration(f.Bytes, rate)
 	m.radio.TransmitRated(f, f.Bytes, dur, m.snrScale(rate))
-	m.noteRadioState()
 }
 
 // transmitRTS opens the virtual-carrier handshake for the frame in
@@ -548,11 +547,9 @@ func (m *Mac) transmitRTS() {
 		m.cfg.SIFS + m.cfg.AckDuration()
 	rts := m.newFrame()
 	rts.Type, rts.Src, rts.Dst, rts.Bytes, rts.Dur = RTSFrame, m.id, f.Dst, m.cfg.RTSBytes, nav
-	m.state = accTxRts
-	m.le.setOccupied(true)
+	m.setState(accTxRts)
 	m.Ctr.TxRTS++
 	m.radio.Transmit(rts, rts.Bytes, m.cfg.RTSDuration())
-	m.noteRadioState()
 }
 
 // sendCurData fires SIFS after the CTS: the protected data transmission.
@@ -571,10 +568,8 @@ func (m *Mac) sendCurData() {
 		m.journey.OnMacTxStart(m.sim.Now(), m.id, f.Payload)
 	}
 	m.Ctr.TxData++
-	m.le.setOccupied(true)
 	rate := m.unicastRate(f.Dst)
 	m.radio.TransmitRated(f, f.Bytes, m.cfg.TxDuration(f.Bytes, rate), m.snrScale(rate))
-	m.noteRadioState()
 }
 
 // finishCur concludes the frame in service and reports its fate upward.
@@ -586,7 +581,7 @@ func (m *Mac) finishCur(ok bool) {
 	m.releaseFrame(f)
 	m.cur = nil
 	m.cw = m.cfg.CWMin
-	m.state = accIdle
+	m.setState(accIdle)
 	m.le.setQueueLen(m.QueueLen())
 	if m.upper != nil {
 		m.upper.MacTxDone(payload, dst, ok)
@@ -637,9 +632,7 @@ func (m *Mac) sendAck(dst pkt.NodeID) {
 	ack := m.newFrame()
 	ack.Type, ack.Src, ack.Dst, ack.Bytes = AckFrame, m.id, dst, m.cfg.AckBytes
 	m.Ctr.TxAck++
-	m.le.setOccupied(true)
 	m.radio.Transmit(ack, ack.Bytes, m.cfg.AckDuration())
-	m.noteRadioState()
 }
 
 // Preallocate sizes the dense per-peer state for a network of n nodes, so
@@ -682,9 +675,6 @@ func (m *Mac) RadioCarrier(busy bool) {
 	if m.down {
 		return
 	}
-	m.carrierBusy = busy
-	m.le.setOccupied(busy || m.radio.Transmitting())
-	m.noteRadioState()
 	if busy {
 		m.freezeContention()
 		return
@@ -700,13 +690,10 @@ func (m *Mac) RadioTxDone(payload any) {
 	if !ok {
 		panic(fmt.Sprintf("mac %v: foreign payload %T on radio", m.id, payload))
 	}
-	m.noteRadioState()
+	m.le.settle() // in case a crash truncated this frame
 	if m.down {
-		// Airtime of a frame truncated by our crash just ended: only the
-		// energy meter, left in stateTx by Crash, had anything to settle.
 		return
 	}
-	m.le.setOccupied(m.carrierBusy)
 	switch f.Type {
 	case AckFrame, CTSFrame:
 		// Our control response is done (and off the air, so the frame can
@@ -723,7 +710,7 @@ func (m *Mac) RadioTxDone(payload any) {
 		if m.cur == nil {
 			return // completion of a frame orphaned by a crash/recover cycle
 		}
-		m.state = accWaitCts
+		m.setState(accWaitCts)
 		m.ctsEv = m.sim.ScheduleCall(m.cfg.CTSTimeout(), m, opCtsTimeout, 0)
 		return
 	}
@@ -737,7 +724,7 @@ func (m *Mac) RadioTxDone(payload any) {
 		m.finishCur(true)
 		return
 	}
-	m.state = accWaitAck
+	m.setState(accWaitAck)
 	m.ackEv = m.sim.ScheduleCall(m.cfg.AckTimeout(), m, opAckTimeout, 0)
 }
 
@@ -774,9 +761,7 @@ func (m *Mac) sendCts(dst pkt.NodeID, nav des.Time) {
 	cts := m.newFrame()
 	cts.Type, cts.Src, cts.Dst, cts.Bytes, cts.Dur = CTSFrame, m.id, dst, m.cfg.CTSBytes, nav
 	m.Ctr.TxCTS++
-	m.le.setOccupied(true)
 	m.radio.Transmit(cts, cts.Bytes, m.cfg.CTSDuration())
-	m.noteRadioState()
 }
 
 // RadioReceive implements radio.Listener.
@@ -819,7 +804,7 @@ func (m *Mac) RadioReceive(payload any, bytes int, ok bool) {
 		}
 		if m.state == accWaitCts && m.cur != nil && f.Src == m.cur.frame.Dst {
 			m.ctsEv.Cancel()
-			m.state = accTxData
+			m.setState(accTxData)
 			m.sim.ScheduleCall(m.cfg.SIFS, m, opSendData, 0)
 		}
 	case DataFrame:

@@ -40,8 +40,9 @@ type Sample struct {
 	QueueOcc float64
 	BusyFrac float64
 	Load     float64
-	// Routes is the routing-table occupancy; DupCache the RREQ
-	// duplicate-cache occupancy.
+	// Routes is the routing-table occupancy; DupCache the number of live
+	// entries in the RREQ duplicate cache (floods a lookup would still
+	// report as seen).
 	Routes   int
 	DupCache int
 	// Up is false while the node is crashed.

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -22,21 +23,109 @@ const (
 // skipped at execution time based on live radio state; because every tier
 // is bit-identical, the guards resolve identically on each medium.
 type mediumOp struct {
-	kind  int // 0 transmit, 1 SetPos, 2 SetChannel, 3 SetDown, 4 Attach, 5 arm a reaction
+	kind  int // 0 transmit, 1 SetPos, 2 SetChannel, 3 SetDown, 4 Attach, 5 arm a reaction, 6 WantCarrier
 	radio int
 	arg   int
 }
 
+// pushOracle is the push-model state clock internal/mac kept until the
+// radio took it over — its energy meter and the load estimator's occupancy
+// flag, the same logic verbatim: told of every carrier edge, of its radio's
+// own tx start and end, and of crash and recovery, it integrates the time
+// per state by itself. Radio.StateTimes must agree to the nanosecond.
+type pushOracle struct {
+	r           *Radio
+	carrierBusy bool // what the edges delivered so far add up to
+	cur         int  // 0 idle, 1 rx, 2 tx
+	since       des.Time
+	accum       [3]des.Time
+}
+
+// note re-derives the state, as Mac.noteRadioState did at every touchpoint.
+func (o *pushOracle) note() {
+	s := 0
+	switch {
+	case o.r.Transmitting():
+		s = 2
+	case o.carrierBusy:
+		s = 1
+	}
+	if now := o.r.m.sim.Now(); s != o.cur {
+		o.accum[o.cur] += now - o.since
+		o.cur, o.since = s, now
+	}
+}
+
+func (o *pushOracle) times() (idle, rx, tx des.Time) {
+	t := o.accum
+	t[o.cur] += o.r.m.sim.Now() - o.since
+	return t[0], t[1], t[2]
+}
+
 // reactor is a recorder that can be armed (op kind 5) with a one-shot
 // reaction run from inside its next RadioCarrier or RadioReceive callback
-// — that is, from the middle of some other radio's arrival loop.
+// — that is, from the middle of some other radio's arrival loop. It also
+// runs the push-model oracle for its radio, and can opt out of carrier
+// edges and back in (op kind 6) the way a MAC does.
 type reactor struct {
 	*recorder
 	onCarrier, onReceive func()
+	oracle               pushOracle
+	everQuiet            bool // opted out at some point: the oracle missed edges, its integrals are void
+	stray                int  // RadioCarrier calls received while quiet
+}
+
+// quiet reports whether the radio's listener has opted out of edges.
+func (r *reactor) quiet() bool { return r.oracle.r.m.rx[r.oracle.r.id].quiet }
+
+func newReactor(r *Radio, rec *recorder) *reactor {
+	re := &reactor{recorder: rec, oracle: pushOracle{r: r}}
+	r.SetListener(re)
+	return re
+}
+
+// transmit puts a frame on the air unless the radio cannot send.
+func (r *reactor) transmit(payload any, dur des.Time, scale float64) {
+	if rd := r.oracle.r; !rd.Transmitting() && !rd.Down() {
+		rd.TransmitRated(payload, 256, dur, scale)
+		r.oracle.note()
+	}
+}
+
+// setDown crashes or recovers the radio the way node.Node does: the
+// listener is reset to an idle channel and learns of a busy one from the
+// recovery's replay.
+func (r *reactor) setDown(down bool) {
+	r.oracle.r.SetDown(down)
+	if down {
+		r.oracle.carrierBusy = false
+		r.oracle.note()
+	}
+}
+
+// wantCarrier opts in or out. Opting back in reads the carrier flag, as a
+// MAC does when a frame starts to contend.
+func (r *reactor) wantCarrier(want bool) {
+	r.oracle.r.WantCarrier(want)
+	if !want {
+		r.everQuiet = true
+	} else if !r.oracle.r.Down() {
+		r.oracle.carrierBusy = r.oracle.r.CarrierBusy()
+	}
+}
+
+func (r *reactor) RadioTxDone(p any) {
+	r.recorder.RadioTxDone(p)
+	r.oracle.note()
 }
 
 func (r *reactor) RadioCarrier(busy bool) {
 	r.recorder.RadioCarrier(busy)
+	if r.quiet() {
+		r.stray++
+	}
+	r.oracle.carrierBusy = busy
+	r.oracle.note()
 	if f := r.onCarrier; f != nil {
 		r.onCarrier = nil
 		f()
@@ -77,43 +166,65 @@ func diffBed(tier mediumTier) (*des.Sim, *Medium, []*Radio, []*recorder) {
 // runOps replays ops on a diffBed medium of the given tier and returns
 // the medium and all listener logs (base radios plus any attached extras,
 // in attach order). Every op is an event boundary with frames in flight,
-// so the coherence audit runs before each one; once the queue drains every
-// frame has finished, and each receiver must be back at exactly zero — the
-// end state the arrival counter's clamp exists to guarantee.
+// so the coherence audit and the state-clock checks (checkClocks) run
+// before each one; once the queue drains every frame has finished, and
+// each receiver must be back at exactly zero — the end state the arrival
+// counter's clamp exists to guarantee.
 func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder) {
 	t.Helper()
 	sim, m, radios, recs := diffBed(tier)
 	reactors := make([]*reactor, len(radios))
 	for i, r := range radios {
-		reactors[i] = &reactor{recorder: recs[i]}
-		r.SetListener(reactors[i])
+		reactors[i] = newReactor(r, recs[i])
+	}
+	// checkClocks holds every radio's StateTimes to the conservation law
+	// and to the push-model oracle (for a listener that never opted out),
+	// and every listener that currently wants edges to having seen exactly
+	// the ones CarrierBusy() went through.
+	checkClocks := func(when string) {
+		t.Helper()
+		if err := m.AuditCoherence(); err != nil {
+			t.Fatalf("tier %d %s: %v", tier, when, err)
+		}
+		for id, re := range reactors {
+			idle, rx, tx := radios[id].StateTimes()
+			if idle < 0 || idle+rx+tx != sim.Now()-m.start {
+				t.Fatalf("tier %d %s: radio %d state times %v+%v+%v do not add up to %v",
+					tier, when, id, idle, rx, tx, sim.Now()-m.start)
+			}
+			if oi, or, ot := re.oracle.times(); !re.everQuiet && (idle != oi || rx != or || tx != ot) {
+				t.Fatalf("tier %d %s: radio %d StateTimes idle %v rx %v tx %v, push-model oracle %v %v %v",
+					tier, when, id, idle, rx, tx, oi, or, ot)
+			}
+			if re.stray != 0 {
+				t.Fatalf("tier %d %s: radio %d got %d carrier edges after opting out", tier, when, id, re.stray)
+			}
+			if !re.quiet() && !radios[id].Down() && re.oracle.carrierBusy != radios[id].CarrierBusy() {
+				t.Fatalf("tier %d %s: radio %d edges add up to busy=%v, CarrierBusy()=%v",
+					tier, when, id, re.oracle.carrierBusy, radios[id].CarrierBusy())
+			}
+		}
 	}
 	for i, op := range ops {
 		op := op
 		sim.At(des.Time(i+1)*opStride, func() {
-			if err := m.AuditCoherence(); err != nil {
-				t.Fatalf("tier %d before op %d: %v", tier, i, err)
-			}
+			checkClocks(fmt.Sprintf("before op %d", i))
 			n := m.NumRadios()
 			if op.kind == 4 {
 				// Attach a newcomer mid-run at a spot derived from arg.
 				p := geom.Point{X: float64(op.arg%5) * 170, Y: 430 + float64(op.arg%3)*90}
 				r := m.Attach(p, DefaultParams())
-				rec := &reactor{recorder: &recorder{}}
-				r.SetListener(rec)
+				rec := newReactor(r, &recorder{})
 				radios = append(radios, r)
 				recs = append(recs, rec.recorder)
 				reactors = append(reactors, rec)
 				return
 			}
 			r := radios[op.radio%n]
+			re := reactors[r.ID()]
 			transmit := func() {
-				if r.Transmitting() || r.Down() {
-					return
-				}
 				dur := des.Millisecond + des.Time(op.arg%7)*100*des.Microsecond
-				scale := 1 + float64(op.arg%3)
-				r.TransmitRated(r.ID()*1000+i, 256, dur, scale)
+				re.transmit(r.ID()*1000+i, dur, 1+float64(op.arg%3))
 			}
 			switch op.kind {
 			case 0:
@@ -129,7 +240,9 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 				}
 				r.SetChannel(op.arg % 2)
 			case 3:
-				r.SetDown(op.arg%2 == 0)
+				re.setDown(op.arg%2 == 0)
+			case 6:
+				re.wantCarrier(op.arg%2 == 0)
 			case 5:
 				// From inside r's next carrier (even arg) or receive (odd
 				// arg) callback, r itself transmits — or, every third
@@ -137,21 +250,19 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 				// arrival loop is making the callback.
 				react := transmit
 				if op.arg%3 == 2 {
-					victim := radios[op.arg/6%n]
-					react = func() { victim.SetDown(true) }
+					victim := reactors[op.arg/6%n]
+					react = func() { victim.setDown(true) }
 				}
 				if op.arg%2 == 0 {
-					reactors[r.ID()].onCarrier = react
+					re.onCarrier = react
 				} else {
-					reactors[r.ID()].onReceive = react
+					re.onReceive = react
 				}
 			}
 		})
 	}
 	sim.Run()
-	if err := m.AuditCoherence(); err != nil {
-		t.Fatalf("tier %d after drain: %v", tier, err)
-	}
+	checkClocks("after drain")
 	for rx := range m.rx {
 		if s := &m.rx[rx]; s.nlive != 0 || s.energy != 0 || s.busy || s.txing || s.cur.t != nil {
 			t.Fatalf("tier %d receiver %d not quiescent after drain: %+v", tier, rx, *s)
@@ -233,7 +344,8 @@ func TestMobilityInvalidationTorture(t *testing.T) {
 // inside the receive callback of its finish loop (radio 1). On the legacy
 // and reference tiers the per-radio audible set doubles as the scan
 // buffer, so a nested transmission rebuilds one set while another is being
-// walked; all three tiers must still agree bit for bit.
+// walked (and on every tier the frame in flight walks that set in place,
+// not a copy); all three tiers must still agree bit for bit.
 func TestReentrantTransmitFromCallbacks(t *testing.T) {
 	memo := compareTiers(t, []mediumOp{
 		{kind: 5, radio: 5, arg: 0},
@@ -246,10 +358,11 @@ func TestReentrantTransmitFromCallbacks(t *testing.T) {
 }
 
 // TestSenderCrashedFromCallback pins the rule that a frame's touched list
-// is published before every callback of its arrival loop: radio 5's
+// is in place before the first callback of its arrival loop: radio 5's
 // carrier callback crashes the sender, radio 0, mid-loop, and SetDown
 // must find the receivers already locked onto the frame (1 and 4, visited
-// before 5) to corrupt it there.
+// before 5) to corrupt it there — and no others, though the list (the
+// whole audible set) already names the receivers the loop has yet to visit.
 func TestSenderCrashedFromCallback(t *testing.T) {
 	ops := []mediumOp{{kind: 5, radio: 5, arg: 2}, {kind: 0, radio: 0, arg: 0}}
 	compareTiers(t, ops)

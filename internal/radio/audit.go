@@ -10,16 +10,22 @@ import (
 //
 //   - every per-radio dense slice has one entry per attached radio;
 //   - txing agrees with txOf[id], and the in-flight count matches;
-//   - each in-flight transmission names itself as its source's, and its
-//     touched list is strictly ID-sorted, self-free and in range;
-//   - per receiver, nlive equals the number of in-flight transmissions
-//     that touched it and energy equals the sum of their powers there, to
-//     float tolerance: the incremental add/subtract bookkeeping drifts by
+//   - each in-flight transmission names itself as its source's; its touched
+//     list is its source's audible-set storage (same first element and
+//     length), strictly ID-sorted, self-free and in range; its skipped
+//     list is strictly ID-sorted and a subset of touched;
+//   - per receiver, nlive equals the number of in-flight transmissions that
+//     touched and did not skip it (so skipping a counted radio shows here)
+//     and energy equals the sum of their powers there, to float tolerance: the incremental add/subtract bookkeeping drifts by
 //     ulps of the strongest arrival that passed through it (a co-located
 //     transmitter leaves ~3e-17 W behind), never by a term, and no term
 //     is smaller than minTrackW;
 //   - the carrier state is current: busy == (energy >= CsThreshW), and
 //     the record's threshold copy matches rfp;
+//   - the state clock is sane: the open interval (its kind is derived
+//     from txing/busy/down, never stored, so cannot disagree with them)
+//     began no later than now, and busy-carrier + transmit time, closed
+//     and open, fit in the time since the clocks started;
 //   - the locked-on arrival (cur) references an in-flight frame;
 //   - every audible set at the current epoch is strictly ID-sorted,
 //     self-free and in range.
@@ -33,7 +39,7 @@ func (m *Medium) AuditCoherence() error {
 		name string
 		len  int
 	}{
-		{"rfp", len(m.rfp)}, {"chans", len(m.chans)}, {"rx", len(m.rx)}, {"txOf", len(m.txOf)},
+		{"rfp", len(m.rfp)}, {"chans", len(m.chans)}, {"rx", len(m.rx)}, {"txAcc", len(m.txAcc)}, {"txOf", len(m.txOf)},
 		{"listeners", len(m.listeners)}, {"aud", len(m.aud)},
 	} {
 		if l.len != n {
@@ -48,6 +54,7 @@ func (m *Medium) AuditCoherence() error {
 	clear(live)
 	clear(sum)
 	inFlight := 0
+	now := m.sim.Now()
 	for id := 0; id < n; id++ {
 		t := m.txOf[id]
 		if m.rx[id].txing != (t != nil) {
@@ -60,12 +67,23 @@ func (m *Medium) AuditCoherence() error {
 		if int(t.src) != id {
 			return fmt.Errorf("radio: audit: radio %d in-flight transmission claims src %d", id, t.src)
 		}
+		if hs := m.aud[id].heard; len(t.touched) != len(hs) || (len(hs) > 0 && &t.touched[0] != &hs[0]) {
+			return fmt.Errorf("radio: audit: radio %d touched list is not its audible set's storage", id)
+		}
 		if err := auditHeard(id, "touched list", t.touched, n); err != nil {
 			return err
 		}
+		skipped := t.skipped
 		for _, h := range t.touched {
+			if len(skipped) > 0 && skipped[0] == h.rx {
+				skipped = skipped[1:]
+				continue
+			}
 			live[h.rx]++
 			sum[h.rx] += h.power
+		}
+		if len(skipped) > 0 { // the merge consumes any sorted subset of touched
+			return fmt.Errorf("radio: audit: radio %d skipped list entry %d unsorted or not in touched", id, skipped[0])
 		}
 	}
 	if inFlight != m.txInFlight {
@@ -85,6 +103,12 @@ func (m *Medium) AuditCoherence() error {
 		}
 		if s.busy != (s.energy >= s.csThresh) {
 			return fmt.Errorf("radio: audit: receiver %d busy=%v but energy %g vs threshold %g", rx, s.busy, s.energy, s.csThresh)
+		}
+		if open := s.txing || (s.busy && !s.down); open && s.since > now {
+			return fmt.Errorf("radio: audit: receiver %d open clock interval begins at %v, after now %v", rx, s.since, now)
+		}
+		if idle, busy, tx := m.radios[rx].StateTimes(); idle < 0 || busy < 0 || tx < 0 {
+			return fmt.Errorf("radio: audit: receiver %d clock reads idle %v, busy %v, transmit %v", rx, idle, busy, tx)
 		}
 		if cur := s.cur.t; cur != nil {
 			src := int(cur.src)

@@ -9,23 +9,38 @@ import (
 )
 
 // TestAuditCatchesReceiverMutations seeds one corruption of a receiver
-// record — or of an in-flight frame's touched list — at a time into a
-// medium stopped with two frames on the air, and expects AuditCoherence
-// to name exactly what was damaged.
+// record — or of an in-flight frame's touched and skipped lists — at a
+// time into a medium stopped with two frames on the air, and expects
+// AuditCoherence to name exactly what was damaged. The touched list is the
+// sender's audible set itself, so the mutation that reorders it is undone
+// (it is its own inverse) and the medium must then audit clean and drain.
 func TestAuditCatchesReceiverMutations(t *testing.T) {
+	swapTouched := func(m *Medium) {
+		hs := m.txOf[11].touched
+		hs[0], hs[1] = hs[1], hs[0]
+	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(m *Medium)
 		want   string
+		undo   func(m *Medium)
 	}{
-		{"corrupted nlive", func(m *Medium) { m.rx[5].nlive++ }, "receiver 5 nlive="},
-		{"skewed energy", func(m *Medium) { m.rx[5].energy *= 1.001 }, "receiver 5 energy "},
-		{"stale busy", func(m *Medium) { m.rx[5].busy = !m.rx[5].busy }, "receiver 5 busy="},
-		{"drifted threshold copy", func(m *Medium) { m.rx[5].csThresh *= 2 }, "receiver 5 csThresh"},
-		{"unsorted touched", func(m *Medium) {
-			hs := m.txOf[11].touched
-			hs[0], hs[1] = hs[1], hs[0]
-		}, "radio 11 touched list not strictly ID-sorted"},
+		{"corrupted nlive", func(m *Medium) { m.rx[5].nlive++ }, "receiver 5 nlive=", nil},
+		{"skewed energy", func(m *Medium) { m.rx[5].energy *= 1.001 }, "receiver 5 energy ", nil},
+		{"stale busy", func(m *Medium) { m.rx[5].busy = !m.rx[5].busy }, "receiver 5 busy=", nil},
+		{"drifted threshold copy", func(m *Medium) { m.rx[5].csThresh *= 2 }, "receiver 5 csThresh", nil},
+		{"unsorted touched", swapTouched, "radio 11 touched list not strictly ID-sorted", swapTouched},
+		{"copied touched", func(m *Medium) {
+			m.txOf[11].touched = append([]heard(nil), m.txOf[11].touched...)
+		}, "radio 11 touched list is not its audible set's storage", nil},
+		{"skewed rxAcc", func(m *Medium) { m.rx[5].rxAcc += des.Millisecond }, "receiver 5 clock reads", nil},
+		{"since in the future", func(m *Medium) { m.rx[5].since = m.sim.Now() + 1 }, "receiver 5 open clock interval", nil},
+		{"skipped entry not in touched", func(m *Medium) {
+			m.txOf[11].skipped = append(m.txOf[11].skipped, 11)
+		}, "radio 11 skipped list entry 11", nil},
+		{"skipped entry that was counted", func(m *Medium) {
+			m.txOf[11].skipped = append(m.txOf[11].skipped, 5)
+		}, "receiver 5 nlive=", nil},
 	} {
 		sim, m, radios, _ := diffBed(tierMemo)
 		sim.At(0, func() { radios[0].Transmit("a", 100, des.Millisecond) })
@@ -41,6 +56,13 @@ func TestAuditCatchesReceiverMutations(t *testing.T) {
 		err := m.AuditCoherence()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: audit returned %v, want a %q violation", tc.name, err, tc.want)
+		}
+		if tc.undo != nil {
+			tc.undo(m)
+			sim.Run()
+			if err := m.AuditCoherence(); err != nil || m.rx[5].nlive != 0 {
+				t.Errorf("%s: after undoing it the medium does not drain clean: %v", tc.name, err)
+			}
 		}
 	}
 }

@@ -11,7 +11,7 @@ func decodeOps(data []byte) []mediumOp {
 	var ops []mediumOp
 	attached := 0
 	for i := 0; i+2 < len(data) && len(ops) < maxOps; i += 3 {
-		kind := int(data[i]) % 6
+		kind := int(data[i]) % 7
 		if kind == 4 {
 			if attached >= maxAttach {
 				kind = 0
@@ -30,10 +30,13 @@ func decodeOps(data []byte) []mediumOp {
 
 // FuzzMediumDifferential drives the memoised, legacy-indexed and
 // exhaustive-reference transmit paths through an arbitrary interleaving
-// of transmissions, motion, retunes, crash/recover, mid-run attaches and
-// reactions armed to fire from inside listener callbacks, and requires bit-identical listener logs and counters from all three
-// (compareTiers), with the coherence audit and the quiescent end state
-// checked on each.
+// of transmissions, motion, retunes, crash/recover, mid-run attaches,
+// reactions armed to fire from inside listener callbacks and listeners
+// opting out of carrier edges and back in, and requires bit-identical
+// listener logs and counters from all three (compareTiers), with the
+// coherence audit, the state clocks (against the push-model oracle and the
+// edges each listener saw — runOps' checkClocks) and the quiescent end
+// state checked on each.
 // It is the adversarial extension of TestMobilityInvalidationTorture:
 // anything that desynchronises an audible set from ground truth shows up
 // as a log divergence here.
@@ -74,6 +77,15 @@ func FuzzMediumDifferential(f *testing.F) {
 		5, 5, 0, 5, 1, 1, 0, 0, 0,
 		3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1, 3, 0, 1,
 		5, 5, 2, 0, 0, 0,
+	})
+	// Opting out of carrier edges: radio 1 goes quiet under radio 0's frame,
+	// sleeps through its end and the start of radio 2's, opts back in
+	// mid-frame (reading the flag), is crashed and recovered while quiet
+	// (no replay) and while listening (replay); radio 5 stays quiet while it
+	// transmits itself. StateTimes must add up on all of them throughout.
+	f.Add([]byte{
+		0, 0, 0, 6, 1, 1, 6, 5, 1, 0, 0, 0, 0, 0, 0, 0, 2, 3, 6, 1, 0,
+		6, 1, 1, 3, 1, 0, 0, 0, 0, 3, 1, 1, 6, 1, 0, 3, 1, 0, 3, 1, 1, 0, 5, 0,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ops := decodeOps(data); len(ops) > 0 {

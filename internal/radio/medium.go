@@ -47,9 +47,10 @@ type Listener interface {
 	// MAC (EIFS behaviour) even though their contents are unusable.
 	RadioReceive(payload any, bytes int, ok bool)
 	// RadioCarrier reports carrier-sense transitions (busy=true when
-	// aggregate sensed energy crosses the CS threshold upward). The
-	// node's own transmissions are not included — the MAC already knows
-	// when it transmits.
+	// aggregate sensed energy crosses the CS threshold upward) to a
+	// listener that has asked for them — every listener by default, see
+	// Radio.WantCarrier. The node's own transmissions are not included —
+	// the MAC already knows when it transmits.
 	RadioCarrier(busy bool)
 	// RadioTxDone fires when the node's own transmission ends.
 	RadioTxDone(payload any)
@@ -68,11 +69,13 @@ type transmission struct {
 	// for this frame: higher-rate modulations (snrScale > 1) need
 	// proportionally more signal to decode, shrinking their range.
 	snrScale float64
-	// touched is every receiver this frame's energy was added to (the
-	// sender's audible set minus the radios down at its start), ID-sorted,
-	// with the power it contributes there; finish walks it to take the
-	// energy off again.
+	// touched is the sender's audible set at the frame's start, aliased, not
+	// copied: only the sender's next TransmitRated rewrites that storage,
+	// and it cannot run before finish. skipped names the members down at the
+	// start (ID-sorted, normally empty), which never got this frame's
+	// energy; finish walks touched minus skipped to take the energy off.
 	touched []heard
+	skipped []int32
 }
 
 // opTxFinish is the Medium's only typed-event op: end of airtime for the
@@ -93,20 +96,26 @@ type arrival struct {
 }
 
 // rxState is the receiver-side record every arrival reads and writes
-// (crash flag included), packed so an arrival costs one bounds check and
-// one cache line. A pointer into Medium.rx must be re-taken after any
-// listener callback (a callback may Attach, which can move the slice).
+// (crash flag and carrier clock included), packed into one 64-byte cache
+// line so an arrival costs one bounds check and one line. A pointer into
+// Medium.rx must be re-taken after any listener callback (a callback may
+// Attach, which can move the slice).
 type rxState struct {
 	energy   float64 // aggregate power of ongoing foreign arrivals
 	csThresh float64 // rfp[id].CsThreshW, copied at Attach
 	cur      arrival // frame being received; cur.t == nil if none
+	// State clock (see StateTimes): at most one interval is open, begun at
+	// since — transmit while txing, else busy-carrier while busy && !down.
+	// rxAcc is the closed busy-carrier time, Medium.txAcc the closed transmit.
+	since, rxAcc des.Time
 	// nlive counts the ongoing foreign arrivals behind energy; its only
 	// consumer is finish's clamp of energy to exactly 0 when the last one
 	// leaves.
 	nlive int32
 	txing bool // own transmission in flight
-	busy  bool // last carrier state notified
+	busy  bool // recorded carrier state (see CarrierBusy)
 	down  bool // crashed (see SetDown)
+	quiet bool // listener has opted out of RadioCarrier (see WantCarrier)
 }
 
 // heard is one receiver of one transmitter: the power it receives and
@@ -231,6 +240,7 @@ type Medium struct {
 	rfp       []Params        // immutable RF parameters, copied at Attach
 	chans     []int32         // current frequency channel
 	rx        []rxState       // receiver record (see rxState)
+	txAcc     []des.Time      // closed transmit time (see rxState.since)
 	txOf      []*transmission // own transmission in flight (nil otherwise)
 	listeners []Listener
 	aud       []audibleSet
@@ -244,6 +254,8 @@ type Medium struct {
 	// diagnostic for tests and profiling, never folded into
 	// golden-compared outputs (the other tiers count none).
 	audRebuilds uint64
+	// start is when the state clocks began: creation or the last Reset.
+	start des.Time
 
 	gridDecided bool
 	grid        *cellGrid
@@ -281,6 +293,7 @@ func NewMedium(sim *des.Sim, prop Propagation) *Medium {
 	return &Medium{
 		sim:       sim,
 		prop:      prop,
+		start:     sim.Now(),
 		minTrackW: 1e-14,
 		static:    ok && ti.TimeInvariant(),
 		memo:      true,
@@ -329,11 +342,11 @@ func (m *Medium) SetImpairment(p fault.LinkParams, seed uint64) {
 // propagation model while keeping the attached radios, the transmission
 // pool, the gain-cache backing array and the audible-set storage
 // allocated. positions re-places the radios and must cover exactly the
-// attached set; listeners, parameters and dense IDs survive. After Reset
-// the medium behaves bit-identically to a freshly built one: the gain
-// cache and every audible set are fully invalidated, the spatial index is
-// re-decided on the next transmission, and the validation counters
-// (including the pool-drop counter) restart from zero.
+// attached set; listeners (and their carrier opt-outs), parameters and
+// dense IDs survive. After Reset the medium behaves bit-identically to a
+// freshly built one: the gain cache and every audible set are fully
+// invalidated, the spatial index is re-decided on the next transmission,
+// and the state clocks and validation counters (pool drops too) restart.
 func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	if len(positions) != len(m.radios) {
 		panic(fmt.Sprintf("radio: Reset with %d positions for %d radios",
@@ -356,10 +369,12 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	m.txInFlight, m.txInFlightHW = 0, 0
 	m.txPoolDrops = 0
 	m.audRebuilds = 0
+	m.start = m.sim.Now()
 	for i, r := range m.radios {
 		r.pos = positions[i]
 		m.chans[i] = 0
-		m.rx[i] = rxState{csThresh: m.rfp[i].CsThreshW}
+		m.rx[i] = rxState{csThresh: m.rfp[i].CsThreshW, quiet: m.rx[i].quiet}
+		m.txAcc[i] = 0
 		m.txOf[i] = nil
 	}
 }
@@ -377,6 +392,7 @@ func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
 	m.rfp = append(m.rfp, params)
 	m.chans = append(m.chans, 0)
 	m.rx = append(m.rx, rxState{csThresh: params.CsThreshW})
+	m.txAcc = append(m.txAcc, 0)
 	m.txOf = append(m.txOf, nil)
 	m.listeners = append(m.listeners, nil)
 	m.aud = append(m.aud, audibleSet{})
@@ -546,7 +562,8 @@ func (m *Medium) newTransmission() *transmission {
 // still references it (finish clears every arrival first).
 func (m *Medium) releaseTransmission(t *transmission) {
 	t.payload = nil
-	t.touched = t.touched[:0]
+	t.touched = nil
+	t.skipped = t.skipped[:0]
 	if len(m.txPool) < m.txPoolCap {
 		m.txPool = append(m.txPool, t)
 	} else {
@@ -620,19 +637,30 @@ func (r *Radio) Down() bool { return r.m.rx[r.id].down }
 // and surfaces no listener callbacks. Crash state is consulted live from
 // the receiver record, so SetDown never invalidates audible sets.
 //
-// Recovering re-admits the radio and pushes the current carrier state to
-// the listener, which the caller must have reset first (a power-cycled
+// Recovering re-admits the radio and pushes a busy carrier to a listener
+// that wants edges, which the caller must have reset first (a power-cycled
 // MAC starts from idle and must learn that the channel is busy).
 func (r *Radio) SetDown(down bool) {
 	m := r.m
 	id := r.id
-	if m.rx[id].down == down {
+	s := &m.rx[id]
+	if s.down == down {
 		return
 	}
-	m.rx[id].down = down
+	s.down = down
+	if s.busy && !s.txing {
+		// The busy-carrier interval closes or reopens. (An own truncated
+		// frame still on the air keeps its transmit interval instead.)
+		if now := m.sim.Now(); down {
+			s.rxAcc += now - s.since
+		} else {
+			s.since = now
+		}
+	}
 	if down {
-		m.rx[id].cur = arrival{}
+		s.cur = arrival{}
 		if t := m.txOf[id]; t != nil {
+			// t.skipped needs no merge: those radios never locked onto t.
 			for _, h := range t.touched {
 				cur := &m.rx[h.rx].cur
 				if cur.t == t && !cur.corrupted {
@@ -643,15 +671,42 @@ func (r *Radio) SetDown(down bool) {
 		}
 		return
 	}
-	if m.rx[id].busy && m.listeners[id] != nil {
+	if s.busy && !s.quiet && m.listeners[id] != nil {
 		m.listeners[id].RadioCarrier(true)
 	}
 }
 
-// CarrierBusy reports the current carrier-sense state (excluding own tx).
+// CarrierBusy reports the recorded carrier-sense state (excluding own tx;
+// a down radio senses nothing): what the last RadioCarrier edge said or
+// would have said — not energy >= threshold, because finish delivers a
+// frame before it re-tests the carrier, so inside RadioReceive the frame
+// that just ended still counts, as it does for a listener tracking edges.
 func (r *Radio) CarrierBusy() bool {
 	s := &r.m.rx[r.id]
-	return s.energy >= s.csThresh
+	return s.busy && !s.down
+}
+
+// WantCarrier opts the radio's listener out of (false) or back into (true,
+// the default) RadioCarrier callbacks; CarrierBusy and StateTimes stay
+// exact either way. The choice survives SetListener and Medium.Reset.
+func (r *Radio) WantCarrier(want bool) { r.m.rx[r.id].quiet = !want }
+
+// StateTimes returns how long the radio has spent transmitting, sensing a
+// busy carrier while up and not transmitting (rx — overhearing included)
+// and otherwise (idle — downtime included) since the medium was created
+// or last Reset: exact nanoseconds, kept where the edges happen.
+func (r *Radio) StateTimes() (idle, rx, tx des.Time) {
+	m := r.m
+	s := &m.rx[r.id]
+	now := m.sim.Now()
+	rx, tx = s.rxAcc, m.txAcc[r.id]
+	switch {
+	case s.txing:
+		tx += now - s.since
+	case s.busy && !s.down:
+		rx += now - s.since
+	}
+	return now - m.start - rx - tx, rx, tx
 }
 
 // Transmit puts a frame of the given size on the air for duration at the
@@ -684,6 +739,11 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 		panic(fmt.Sprintf("radio %d: Transmit while down", id))
 	}
 	m.Transmissions++
+	now := m.sim.Now()
+	if self.busy {
+		self.rxAcc += now - self.since
+	}
+	self.since = now // the transmit interval opens
 	self.txing = true
 	// Transmitting corrupts any reception in progress (half-duplex).
 	if self.cur.t != nil {
@@ -699,9 +759,9 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 
 	// The memo tier reuses the sender's audible set while its epoch holds;
 	// every other tier rebuilds it for this transmission. A callback below
-	// may Attach or bump the epoch: hs keeps the set as of this frame's
-	// start, and no callback can rebuild it (this radio cannot transmit
-	// again before finish).
+	// may Attach or bump the epoch: hs — which t.touched aliases until
+	// finish — keeps the set as of this frame's start, and no callback can
+	// rebuild it (this radio cannot transmit again before finish).
 	a := &m.aud[id]
 	if !m.memo || !m.static || m.reference {
 		m.buildAudible(r, a)
@@ -710,20 +770,14 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 		m.buildAudible(r, a)
 	}
 	hs := a.heard
-	touched := t.touched
-	if cap(touched) < len(hs) {
-		touched = make([]heard, len(hs))
-	}
-	touched = touched[:len(hs)]
-	k := 0
+	t.touched = hs
 	rx := m.rx
 	for _, h := range hs {
 		s := &rx[h.rx]
 		if s.down {
+			t.skipped = append(t.skipped, h.rx)
 			continue
 		}
-		touched[k] = h
-		k++
 		s.nlive++
 		e := s.energy + h.power
 		s.energy = e
@@ -735,12 +789,13 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 			m.contend(s, &m.rfp[h.rx], t, h.power, e)
 		}
 		if b := e >= s.csThresh; b != s.busy {
-			t.touched = touched[:k] // SetDown on the sender from a callback reads it
-			m.carrierFlip(int(h.rx), b)
-			rx = m.rx // the callback may have moved it
+			s.flip(b, now)
+			if !s.quiet {
+				m.carrierFlip(int(h.rx), b)
+				rx = m.rx // the callback may have moved it
+			}
 		}
 	}
-	t.touched = touched[:k]
 	m.txInFlight++
 	if m.txInFlight > m.txInFlightHW {
 		m.txInFlightHW = m.txInFlight
@@ -781,8 +836,14 @@ func (m *Medium) contend(s *rxState, prm *Params, t *transmission, p, e float64)
 // recycles t. The sender's carrier state needs no refresh here: arrivals
 // keep busy in step with energy during own transmissions too.
 func (m *Medium) finish(t *transmission) {
+	now := m.sim.Now()
+	skipped := t.skipped
 	rx := m.rx
 	for _, h := range t.touched {
+		if len(skipped) > 0 && skipped[0] == h.rx {
+			skipped = skipped[1:]
+			continue
+		}
 		s := &rx[h.rx]
 		s.nlive--
 		e := 0.0 // last arrival gone: clamp accumulated floating-point drift
@@ -800,15 +861,21 @@ func (m *Medium) finish(t *transmission) {
 			e = s.energy
 		}
 		if b := e >= s.csThresh; b != s.busy {
-			m.carrierFlip(int(h.rx), b)
-			rx = m.rx
+			s.flip(b, now)
+			if !s.quiet {
+				m.carrierFlip(int(h.rx), b)
+				rx = m.rx
+			}
 		}
 	}
 	src := int(t.src)
 	payload := t.payload
 	m.releaseTransmission(t)
 	m.txInFlight--
-	m.rx[src].txing = false
+	s := &m.rx[src]
+	m.txAcc[src] += now - s.since
+	s.txing = false
+	s.since = now // a busy-carrier interval the frame suspended reopens
 	m.txOf[src] = nil
 	m.listeners[src].RadioTxDone(payload)
 }
@@ -830,13 +897,24 @@ func (m *Medium) deliver(rx int, t *transmission) {
 	m.listeners[rx].RadioReceive(t.payload, t.bytes, ok)
 }
 
-// carrierFlip records a carrier-sense transition and pushes it to the
-// listener. The no-transition test is fused into the arrival loops on the
-// energy they already hold; only the flip is outlined.
-func (m *Medium) carrierFlip(rx int, b bool) {
-	s := &m.rx[rx]
+// flip records a carrier-sense transition, opening or closing the clock's
+// busy-carrier interval unless an own frame or a crash has suspended it.
+func (s *rxState) flip(b bool, now des.Time) {
 	s.busy = b
-	if l := m.listeners[rx]; l != nil && !s.down {
+	if s.txing || s.down {
+		return
+	}
+	if b {
+		s.since = now
+	} else {
+		s.rxAcc += now - s.since
+	}
+}
+
+// carrierFlip is the "somebody is listening" half of a carrier-sense
+// transition, reached only for a listener that wants edges.
+func (m *Medium) carrierFlip(rx int, b bool) {
+	if l := m.listeners[rx]; l != nil && !m.rx[rx].down {
 		l.RadioCarrier(b)
 	}
 }

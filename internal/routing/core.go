@@ -264,8 +264,8 @@ func (c *Core) Recover() {
 // sampler.
 func (c *Core) TableSize() int { return c.table.Len() }
 
-// DupCacheLen returns the RREQ duplicate-cache occupancy — a read-only
-// probe for the metrics sampler.
+// DupCacheLen returns the RREQ duplicate cache's live-entry count — a
+// read-only probe for the metrics sampler.
 func (c *Core) DupCacheLen() int { return c.dup.Len() }
 
 // Preallocate sizes every dense per-node structure (routing-table slots,

@@ -36,14 +36,12 @@ type dupRing struct {
 // small fixed-size rings indexed by origin — no map traffic on the
 // flood-processing hot path. An entry inserted at time t is a duplicate
 // for lookups while exp = t+horizon is strictly in the future (exp > now);
-// at exactly t+horizon it has expired. Expired slots are reclaimed on
-// insertion and by a periodic opportunistic sweep.
+// at exactly t+horizon it has expired. Expired slots are never swept:
+// every reader treats them as free, and insertion reuses the first one.
 type DupCache struct {
 	sim     *des.Sim
 	horizon des.Time
 	rings   []dupRing
-	// reapAt is the next time a full sweep is worthwhile.
-	reapAt des.Time
 }
 
 // NewDupCache creates a cache whose entries live for horizon.
@@ -54,14 +52,12 @@ func NewDupCache(sim *des.Sim, horizon des.Time) *DupCache {
 }
 
 // Reset empties the cache in place and rebinds the horizon, keeping the
-// grown ring storage for warm replication reuse. The first sweep is due
-// one horizon after the construction-time (or reset-time) clock.
+// grown ring storage for warm replication reuse.
 func (d *DupCache) Reset(horizon des.Time) {
 	d.horizon = horizon
 	for i := range d.rings {
 		d.rings[i] = dupRing{}
 	}
-	d.reapAt = d.sim.Now() + horizon
 }
 
 // Seen records the flood and reports whether it had already been seen
@@ -71,10 +67,6 @@ func (d *DupCache) Seen(origin pkt.NodeID, id uint32) bool {
 		return false
 	}
 	now := d.sim.Now()
-	if now >= d.reapAt {
-		d.sweep(now)
-		d.reapAt = now + d.horizon
-	}
 	o := int(origin)
 	if o >= len(d.rings) {
 		d.grow(o)
@@ -106,27 +98,14 @@ func (d *DupCache) grow(o int) {
 	}
 }
 
-// sweep clears every slot whose entry has expired (exp <= now) — the
-// exact complement of the liveness rule in Seen, so the sweep can never
-// evict an entry a concurrent lookup would still report as seen.
-func (d *DupCache) sweep(now des.Time) {
-	for i := range d.rings {
-		r := &d.rings[i]
-		for j := range r.ent {
-			if r.ent[j].exp <= now {
-				r.ent[j] = dupEntry{}
-			}
-		}
-	}
-}
-
-// Len returns the number of occupied slots (including not-yet-reaped
-// expired ones); exposed for tests.
+// Len returns the number of live entries — the floods a lookup would
+// still report as seen (exp > now).
 func (d *DupCache) Len() int {
+	now := d.sim.Now()
 	n := 0
 	for i := range d.rings {
 		for _, e := range d.rings[i].ent {
-			if e.exp != 0 {
+			if e.exp > now {
 				n++
 			}
 		}

@@ -59,7 +59,7 @@ func TestTableLookupExpiresBoundary(t *testing.T) {
 
 // TestDupCacheHorizonBoundary pins the duplicate-suppression boundary: a
 // flood recorded at t is a duplicate strictly before t+horizon and forgotten
-// at exactly t+horizon (exp <= now), mirroring the reaper's eviction rule.
+// at exactly t+horizon (exp <= now), when its slot counts as free.
 func TestDupCacheHorizonBoundary(t *testing.T) {
 	sim := des.NewSim()
 	d := NewDupCache(sim, 2*des.Second)
@@ -80,31 +80,36 @@ func TestDupCacheHorizonBoundary(t *testing.T) {
 	sim.Run()
 }
 
-// TestDupCacheReapClock verifies the sweep schedule is anchored at the
-// construction-time (or reset-time) clock, not at time zero: a cache built
-// at t0 must not sweep before t0+horizon, and must sweep once past it.
-func TestDupCacheReapClock(t *testing.T) {
+// TestDupCacheLenCountsLiveEntries pins Len() to the lookup rule at the
+// expiry boundary, on a cache built mid-run: an entry whose exp is now+1 is
+// live and counted, one whose exp is exactly now is dead and not — with no
+// sweep in between to make it so.
+func TestDupCacheLenCountsLiveEntries(t *testing.T) {
 	sim := des.NewSim()
 	const horizon = 2 * des.Second
 	var d *DupCache
-	sim.Schedule(10*des.Second, func() { d = NewDupCache(sim, horizon) })
-	// Fill a ring, then let its entries expire. Lookups on a different
-	// origin touch only the sweep logic, never origin 1's ring.
-	sim.Schedule(10*des.Second, func() { d.Seen(1, 42) })
+	sim.Schedule(10*des.Second, func() {
+		d = NewDupCache(sim, horizon)
+		d.Seen(1, 42) // exp = 12 s
+	})
 	sim.Schedule(12*des.Second-1, func() {
+		if d.Len() != 1 {
+			t.Errorf("len=%d one tick before expiry (exp == now+1), want 1", d.Len())
+		}
 		d.Seen(2, 0)
 		if d.Len() != 2 {
-			t.Errorf("swept before construction clock + horizon: len=%d", d.Len())
+			t.Errorf("len=%d after a second origin's flood, want 2", d.Len())
 		}
 	})
 	sim.Schedule(12*des.Second, func() {
-		d.Seen(2, 1)
-		// Origin 1's expired entry is reaped; origin 2's two live ones stay.
-		if d.Len() != 2 {
-			t.Errorf("sweep at construction clock + horizon: len=%d, want 2 live", d.Len())
+		if d.Len() != 1 {
+			t.Errorf("len=%d at exactly the horizon (exp == now), want origin 2's entry only", d.Len())
 		}
 		if d.Seen(1, 42) {
-			t.Error("reaped flood still reported as duplicate")
+			t.Error("expired flood still reported as duplicate")
+		}
+		if d.Len() != 2 {
+			t.Errorf("len=%d after re-recording the expired flood, want 2", d.Len())
 		}
 	})
 	sim.Run()

@@ -231,17 +231,33 @@ func TestDupCacheExpiry(t *testing.T) {
 	sim.Run()
 }
 
-func TestDupCacheReaping(t *testing.T) {
+// TestDupCacheReusesExpiredSlot: an origin's ring is overwritten round-robin
+// only when all eight slots are live. Once they have expired, new floods go
+// into the expired slots in order and the round-robin victim pointer does
+// not move — nothing sweeps them first, and nothing needs to.
+func TestDupCacheReusesExpiredSlot(t *testing.T) {
 	sim := des.NewSim()
 	d := NewDupCache(sim, des.Second)
 	for i := uint32(0); i < 100; i++ {
 		d.Seen(1, i)
 	}
+	if d.Len() != dupRingSize {
+		t.Fatalf("one origin holds %d live floods, want its %d slots", d.Len(), dupRingSize)
+	}
+	next := d.rings[1].next
 	sim.Schedule(3*des.Second, func() {
-		// Trigger a sweep by inserting after the horizon.
-		d.Seen(2, 0)
-		if d.Len() > 2 {
-			t.Errorf("cache holds %d entries after reap window", d.Len())
+		if d.Len() != 0 {
+			t.Errorf("%d entries still live two horizons on", d.Len())
+		}
+		d.Seen(1, 200)
+		d.Seen(1, 201)
+		r := &d.rings[1]
+		if r.ent[0].id != 200 || r.ent[1].id != 201 || r.next != next {
+			t.Errorf("slots 0,1 hold %d,%d and next moved %d→%d; want 200,201 and no move",
+				r.ent[0].id, r.ent[1].id, next, r.next)
+		}
+		if d.Len() != 2 || !d.Seen(1, 200) || !d.Seen(1, 201) {
+			t.Errorf("len=%d, want the two fresh floods live and remembered", d.Len())
 		}
 	})
 	sim.Run()

@@ -27,13 +27,12 @@ const auditInterval = 100 * des.Millisecond
 //   - des/past-schedule: no event is ever scheduled before the clock;
 //   - des/queue: calendar-queue accounting and heap order (Sim.AuditQueue);
 //   - radio/coherence: receiver records vs in-flight frames — arrival
-//     counts, energy sums, carrier state (AuditCoherence);
+//     counts, energy sums, carrier state and clocks (AuditCoherence);
 //   - pkt/double-free: no pool Release of a packet that is not live;
 //   - pkt/conservation: per node, packets borrowed from the pool equal
 //     packets held by the MAC queue and routing layer (leak detection) —
 //     skipped for nodes the fault schedule ever crashes, whose crash
-//     paths deliberately leak (a packet may still be on the air;
-//
+//     paths deliberately leak (a packet may still be on the air);
 //   - routing/seq-monotone: a node's own AODV sequence number never
 //     decreases (RFC 3561 §6.1; Fehnker et al.'s monotonicity invariant);
 //   - routing/next-hop: every valid route's next hop is a real, distinct

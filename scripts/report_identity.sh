@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# report_identity.sh PARENT — prove "same bytes as the parent": build
+# cmd/meshsim at the git revision PARENT (from a `git archive` snapshot in
+# a temporary directory) and at the working tree, run the scenario lines
+# below on both with -report … -canonical-report, and cmp(1) the reports.
+# Exits non-zero, printing the first differing report line, on any
+# mismatch. The repo keeps no recorded goldens (every golden test is
+# tier-vs-tier or warm-vs-cold), so this is the check a PR that claims
+# "no Result moved" runs: `make report-identity PARENT=<rev>`.
+set -euo pipefail
+
+parent=${1:?usage: report_identity.sh PARENT-REV}
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir "$tmp/src"
+git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
+(cd "$tmp/src" && go build -o "$tmp/parent" ./cmd/meshsim)
+(cd "$root" && go build -o "$tmp/change" ./cmd/meshsim)
+
+# One scenario per line; the five schemes at the default 7×7 grid come first.
+scenarios=(
+	"-scheme clnlr"
+	"-scheme flood"
+	"-scheme gossip"
+	"-scheme counter"
+	"-scheme gossip-adaptive"
+	"-gateway -flows 20 -rate 8"
+	"-rows 15 -cols 15 -area 2142.857 -flows 20"
+	"-mttf 30s -mttr 3s -link-good 2s -link-bad 200ms -loss-bad 0.8"
+	"-mttf 5s -mttr 100ms -rate 20"
+	"-audit -mttf 5s -mttr 1s -measure 20s"
+)
+
+status=0
+for i in "${!scenarios[@]}"; do
+	args=${scenarios[$i]}
+	for side in parent change; do
+		# shellcheck disable=SC2086 # args is a flag list, split on purpose
+		"$tmp/$side" $args -report "$tmp/$side.$i.json" -canonical-report >/dev/null
+	done
+	if cmp -s "$tmp/parent.$i.json" "$tmp/change.$i.json"; then
+		echo "identical  meshsim $args"
+	else
+		echo "DIFFERENT  meshsim $args"
+		diff "$tmp/parent.$i.json" "$tmp/change.$i.json" | head -n 4 || true
+		status=1
+	fi
+done
+exit $status
