@@ -8,7 +8,7 @@ GO ?= go
 # the runner-level replication sweep, and the daemon's serve path.
 BENCH_GATE := BenchmarkSimulatorThroughput|BenchmarkReplicationSweep|BenchmarkServeThroughput
 
-.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen report-identity
+.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen report-identity instrument-cost
 
 verify: build test race bench-smoke
 
@@ -54,8 +54,15 @@ PARENT ?= HEAD~1
 report-identity:
 	bash scripts/report_identity.sh $(PARENT)
 
+# What turning each instrument on costs: the Metrics/Audit/Journey off/on
+# benchmark pairs, COUNT rounds (default 5), on/off ratio per pair with
+# its min–max. ROADMAP budgets each at ≤ 1.15×; reported, not gated.
+instrument-cost:
+	bash scripts/instrument_cost.sh
+
 # Coverage-guided fuzzing: the wire codec, the DES differential queue
-# oracle and the radio-path differential oracle (go test allows one -fuzz
+# oracle, the radio-path differential oracle and the duplicate cache's
+# kept count against its exhaustive scan (go test allows one -fuzz
 # pattern per invocation, hence one run per target). FUZZTIME=5m for a
 # deep run.
 FUZZTIME ?= 10s
@@ -65,6 +72,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/pkt
 	$(GO) test -run NONE -fuzz FuzzQueueDifferential -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run NONE -fuzz FuzzMediumDifferential -fuzztime $(FUZZTIME) ./internal/radio
+	$(GO) test -run NONE -fuzz FuzzDupCacheLen -fuzztime $(FUZZTIME) ./internal/routing
 
 # CPU + heap profiles of the radio-bound 225-node regime (the
 # BenchmarkSimulatorThroughputLargeN scenario) via cmd/meshsim and

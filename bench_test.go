@@ -203,11 +203,19 @@ func BenchmarkFigR11Resilience(b *testing.B) {
 // per wall-second.
 func benchThroughput(b *testing.B, sc sim.Scenario) {
 	b.Helper()
+	benchInstrumented(b, sc, nil, nil)
+}
+
+// benchInstrumented is benchThroughput with an optional metrics collector
+// and journey recorder, each reused warm across iterations as the sweep
+// workers hold them; with both nil it is exactly Engine.Run.
+func benchInstrumented(b *testing.B, sc sim.Scenario, col *metrics.Collector, rec *journey.Recorder) {
+	b.Helper()
 	b.ReportAllocs()
 	eng := sim.NewEngine()
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(i + 1)
-		if _, err := eng.Run(sc); err != nil {
+		if _, err := eng.RunJourney(sc, nil, col, rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,26 +232,22 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	benchThroughput(b, sc)
 }
 
-// BenchmarkSimulatorThroughputMetrics is BenchmarkSimulatorThroughput with
-// the flight recorder on at its default 100 ms sampling interval — the
-// overhead of metrics collection is the delta between the two. The
-// collector is reused warm across iterations, matching how the sweep
-// runners hold one per worker.
+// BenchmarkSimulatorThroughputMetrics is the same-process A/B for the
+// flight recorder (internal/metrics) at its default 100 ms sampling
+// interval: the plain run against the same scenario with every node's
+// cross-layer state sampled each tick. Like the Audit and Journey pairs
+// below, on/off is the instrument's true overhead, immune to machine-speed
+// drift between separate runs (`make instrument-cost` prints all three).
 func BenchmarkSimulatorThroughputMetrics(b *testing.B) {
 	sc := sim.DefaultScenario()
 	sc.Measure = 30 * des.Second
 	sc.SessionTime = 10 * des.Second
-	b.ReportAllocs()
-	eng := sim.NewEngine()
-	col := metrics.NewCollector(100 * des.Millisecond)
-	for i := 0; i < b.N; i++ {
-		sc.Seed = uint64(i + 1)
-		if _, err := eng.RunObserved(sc, nil, col); err != nil {
-			b.Fatal(err)
-		}
-	}
-	simSeconds := (sc.Warmup + sc.Measure).Seconds() * float64(b.N)
-	b.ReportMetric(simSeconds/b.Elapsed().Seconds(), "sim-s/wall-s")
+	b.Run("off", func(b *testing.B) {
+		benchThroughput(b, sc)
+	})
+	b.Run("on", func(b *testing.B) {
+		benchInstrumented(b, sc, metrics.NewCollector(100*des.Millisecond), nil)
+	})
 }
 
 // BenchmarkSimulatorThroughputReferenceQueue is BenchmarkSimulatorThroughput
@@ -351,24 +355,11 @@ func BenchmarkSimulatorThroughputJourney(b *testing.B) {
 	sc := sim.DefaultScenario()
 	sc.Measure = 30 * des.Second
 	sc.SessionTime = 10 * des.Second
-	run := func(b *testing.B, rec *journey.Recorder) {
-		b.Helper()
-		b.ReportAllocs()
-		eng := sim.NewEngine()
-		for i := 0; i < b.N; i++ {
-			sc.Seed = uint64(i + 1)
-			if _, err := eng.RunJourney(sc, nil, nil, rec); err != nil {
-				b.Fatal(err)
-			}
-		}
-		simSeconds := (sc.Warmup + sc.Measure).Seconds() * float64(b.N)
-		b.ReportMetric(simSeconds/b.Elapsed().Seconds(), "sim-s/wall-s")
-	}
 	b.Run("off", func(b *testing.B) {
-		run(b, nil)
+		benchThroughput(b, sc)
 	})
 	b.Run("on", func(b *testing.B) {
-		run(b, journey.NewRecorder(1, true))
+		benchInstrumented(b, sc, nil, journey.NewRecorder(1, true))
 	})
 }
 

@@ -21,10 +21,7 @@ import "fmt"
 // Read-only; returns the first violation found, or nil.
 func (s *Sim) AuditQueue() error {
 	if s.reference {
-		if err := auditHeap("reference heap", s.heap, s.now); err != nil {
-			return err
-		}
-		return nil
+		return auditHeap("reference heap", -1, s.heap, s.now)
 	}
 	return s.auditCalendar()
 }
@@ -49,7 +46,7 @@ func (s *Sim) auditCalendar() error {
 				return fmt.Errorf("des: audit: event at t=%v filed in bucket %d, indexes to %d", n.at, i, idx)
 			}
 		}
-		if err := auditHeap(fmt.Sprintf("bucket %d", i), b, s.now); err != nil {
+		if err := auditHeap("bucket", i, b, s.now); err != nil {
 			return err
 		}
 	}
@@ -58,7 +55,7 @@ func (s *Sim) auditCalendar() error {
 			return fmt.Errorf("des: audit: overflow event at t=%v indexes to bucket %d inside the window", n.at, idx)
 		}
 	}
-	if err := auditHeap("overflow", q.overflow, s.now); err != nil {
+	if err := auditHeap("overflow", -1, q.overflow, s.now); err != nil {
 		return err
 	}
 	if filed != q.count {
@@ -68,19 +65,28 @@ func (s *Sim) auditCalendar() error {
 }
 
 // auditHeap checks the heap property under eventLess and that no event
-// precedes the clock.
-func auditHeap(where string, h []*eventNode, now Time) error {
+// precedes the clock. The heap is named "where", or "where idx" when
+// idx >= 0 — formatted only on the error returns, so a clean audit of
+// every calendar bucket allocates nothing.
+func auditHeap(where string, idx int, h []*eventNode, now Time) error {
 	for i, n := range h {
 		if n.at < now {
-			return fmt.Errorf("des: audit: %s event at t=%v precedes clock t=%v", where, n.at, now)
+			return fmt.Errorf("des: audit: %s event at t=%v precedes clock t=%v", heapLabel(where, idx), n.at, now)
 		}
 		if i > 0 {
 			parent := h[(i-1)/2]
 			if eventLess(n, parent) {
 				return fmt.Errorf("des: audit: %s heap order violated at index %d (t=%v seq=%d under t=%v seq=%d)",
-					where, i, n.at, n.seq, parent.at, parent.seq)
+					heapLabel(where, idx), i, n.at, n.seq, parent.at, parent.seq)
 			}
 		}
 	}
 	return nil
+}
+
+func heapLabel(where string, idx int) string {
+	if idx < 0 {
+		return where
+	}
+	return fmt.Sprintf("%s %d", where, idx)
 }

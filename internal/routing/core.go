@@ -264,8 +264,9 @@ func (c *Core) Recover() {
 // sampler.
 func (c *Core) TableSize() int { return c.table.Len() }
 
-// DupCacheLen returns the RREQ duplicate cache's live-entry count — a
-// read-only probe for the metrics sampler.
+// DupCacheLen returns the RREQ duplicate cache's live-entry count for the
+// metrics sampler. It settles the cache's expiry bookkeeping but never
+// ring contents, so calling it does not change any later Seen verdict.
 func (c *Core) DupCacheLen() int { return c.dup.Len() }
 
 // Preallocate sizes every dense per-node structure (routing-table slots,

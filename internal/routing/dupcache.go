@@ -19,11 +19,27 @@ type rreqKey struct {
 const dupRingSize = 8
 
 // dupEntry is one remembered flood; the zero value (exp == 0) is an
-// empty slot, since an entry is live only while exp > now.
+// empty slot, since an entry is live only while exp > now. seq ties the
+// entry to its dupRecord and sits in what was padding: still 16 bytes.
 type dupEntry struct {
 	id  uint32
+	seq uint32
 	exp des.Time
 }
+
+// dupRecord is the expiry-log line of one insertion: ring slot
+// origin·dupRingSize+index received stamp seq. It is current while the
+// slot still carries seq — the entry there then holds its expiry time —
+// and stale once the slot has been overwritten.
+type dupRecord struct {
+	slot uint32
+	seq  uint32
+}
+
+// dupLogSlack is by how many the log's dead records (popped or stale)
+// may outnumber its live ones before it is compacted, so a near-empty
+// cache does not compact on every expiry.
+const dupLogSlack = 32
 
 // dupRing is the fixed-size ring of recent floods from one origin.
 type dupRing struct {
@@ -38,10 +54,23 @@ type dupRing struct {
 // for lookups while exp = t+horizon is strictly in the future (exp > now);
 // at exactly t+horizon it has expired. Expired slots are never swept:
 // every reader treats them as free, and insertion reuses the first one.
+//
+// The live count is kept, not scanned for. The horizon is fixed between
+// Resets and the clock is monotone, so insertion order is expiry order:
+// log records every insertion in that order, and expire pops the records
+// whose entry has expired, taking one off live for each, and those whose
+// slot was overwritten in the meantime. The bookkeeping never touches
+// ring contents, so lookups behave the same whether or not anyone calls
+// Len.
 type DupCache struct {
 	sim     *des.Sim
 	horizon des.Time
 	rings   []dupRing
+
+	live int         // entries with exp > the clock at the last expire
+	seq  uint32      // stamp of the latest insertion
+	log  []dupRecord // insertions in expiry order; log[:head] already popped
+	head int
 }
 
 // NewDupCache creates a cache whose entries live for horizon.
@@ -58,6 +87,7 @@ func (d *DupCache) Reset(horizon des.Time) {
 	for i := range d.rings {
 		d.rings[i] = dupRing{}
 	}
+	d.live, d.seq, d.log, d.head = 0, 0, d.log[:0], 0
 }
 
 // Seen records the flood and reports whether it had already been seen
@@ -83,12 +113,60 @@ func (d *DupCache) Seen(origin pkt.NodeID, id uint32) bool {
 			slot = i
 		}
 	}
-	if slot < 0 {
+	// Expire before claiming a free slot: its previous entry must have
+	// left the count before the new one joins it.
+	d.expire(now)
+	if slot >= 0 {
+		d.live++
+	} else {
+		// All eight are live: the victim's count passes to the newcomer,
+		// and the victim's record goes stale by seq mismatch.
 		slot = int(r.next)
 		r.next = (r.next + 1) % dupRingSize
 	}
-	r.ent[slot] = dupEntry{id: id, exp: now + d.horizon}
+	d.seq++
+	r.ent[slot] = dupEntry{id: id, seq: d.seq, exp: now + d.horizon}
+	d.log = append(d.log, dupRecord{slot: uint32(o*dupRingSize + slot), seq: d.seq})
 	return false
+}
+
+// expire pops records off the front of the log until it meets a current
+// one whose entry is still live (exp > now): stale records go uncounted,
+// current ones take their expired entry off the live count. Dead records
+// — popped, or stale behind a live one — are compacted away once they
+// outnumber the live ones by dupLogSlack, which keeps the log O(live
+// entries) even on a frozen clock where every insertion overwrites a
+// live slot.
+func (d *DupCache) expire(now des.Time) {
+	h := d.head
+	for ; h < len(d.log); h++ {
+		if e := d.entry(d.log[h]); e != nil {
+			if e.exp > now {
+				break
+			}
+			d.live--
+		}
+	}
+	d.head = h
+	if len(d.log) > 2*d.live+dupLogSlack {
+		keep := d.log[:0]
+		for _, rec := range d.log[h:] {
+			if d.entry(rec) != nil {
+				keep = append(keep, rec)
+			}
+		}
+		d.log, d.head = keep, 0
+	}
+}
+
+// entry returns the ring entry rec logged, or nil if its slot has been
+// overwritten since.
+func (d *DupCache) entry(rec dupRecord) *dupEntry {
+	e := &d.rings[rec.slot/dupRingSize].ent[rec.slot%dupRingSize]
+	if e.seq != rec.seq {
+		return nil
+	}
+	return e
 }
 
 // grow extends the ring array to cover origin index o.
@@ -99,16 +177,9 @@ func (d *DupCache) grow(o int) {
 }
 
 // Len returns the number of live entries — the floods a lookup would
-// still report as seen (exp > now).
+// still report as seen (exp > now). Amortised O(1): it settles the
+// expiry log up to now and returns the kept count.
 func (d *DupCache) Len() int {
-	now := d.sim.Now()
-	n := 0
-	for i := range d.rings {
-		for _, e := range d.rings[i].ent {
-			if e.exp > now {
-				n++
-			}
-		}
-	}
-	return n
+	d.expire(d.sim.Now())
+	return d.live
 }

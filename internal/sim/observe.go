@@ -30,9 +30,10 @@ import (
 //     MAC, routing) plus fault schedule counts, folded in at run end;
 //   - the run envelope (simulated time, DES events executed, wall clock).
 //
-// Determinism: sampler handlers only read protocol state and never touch
-// an RNG, so an instrumented run produces a bit-identical Result to an
-// uninstrumented one, and the collected series/counters are themselves
+// Determinism: sampler handlers only read protocol state (the dup-cache
+// count settles its own expiry log, which no lookup consults) and never
+// touch an RNG, so an instrumented run produces a bit-identical Result to
+// an uninstrumented one, and the collected series/counters are themselves
 // bit-identical across the radio fast/reference paths and warm/cold
 // engines (proven by the golden tests in observe_test.go).
 func (e *Engine) RunObserved(sc Scenario, sink trace.Sink, col *metrics.Collector) (Result, error) {

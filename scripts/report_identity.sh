@@ -3,10 +3,13 @@
 # cmd/meshsim at the git revision PARENT (from a `git archive` snapshot in
 # a temporary directory) and at the working tree, run the scenario lines
 # below on both with -report … -canonical-report, and cmp(1) the reports.
-# Exits non-zero, printing the first differing report line, on any
-# mismatch. The repo keeps no recorded goldens (every golden test is
-# tier-vs-tier or warm-vs-cold), so this is the check a PR that claims
-# "no Result moved" runs: `make report-identity PARENT=<rev>`.
+# A line with -metrics also writes the flight recorder's heatmap CSV and
+# series NDJSON, which are compared too: the canonical report does not
+# carry the sampled per-node columns (queue, load, routes, dup_cache).
+# Exits non-zero, printing the first differing lines, on any mismatch.
+# The repo keeps no recorded goldens (every golden test is tier-vs-tier or
+# warm-vs-cold), so this is the check a PR that claims "no Result moved"
+# runs: `make report-identity PARENT=<rev>`.
 set -euo pipefail
 
 parent=${1:?usage: report_identity.sh PARENT-REV}
@@ -31,21 +34,31 @@ scenarios=(
 	"-mttf 30s -mttr 3s -link-good 2s -link-bad 200ms -loss-bad 0.8"
 	"-mttf 5s -mttr 100ms -rate 20"
 	"-audit -mttf 5s -mttr 1s -measure 20s"
+	"-metrics -scheme clnlr"
+	"-metrics -scheme flood -rows 15 -cols 15 -area 2142.857 -mttf 20s -mttr 2s -measure 10s"
 )
 
 status=0
 for i in "${!scenarios[@]}"; do
 	args=${scenarios[$i]}
-	for side in parent change; do
-		# shellcheck disable=SC2086 # args is a flag list, split on purpose
-		"$tmp/$side" $args -report "$tmp/$side.$i.json" -canonical-report >/dev/null
-	done
-	if cmp -s "$tmp/parent.$i.json" "$tmp/change.$i.json"; then
-		echo "identical  meshsim $args"
-	else
-		echo "DIFFERENT  meshsim $args"
-		diff "$tmp/parent.$i.json" "$tmp/change.$i.json" | head -n 4 || true
-		status=1
+	outputs=(.json)
+	if [[ $args == *-metrics* ]]; then
+		outputs+=(-heatmap.csv -series.ndjson)
 	fi
+	for side in parent change; do
+		# -metrics-out only names the files a -metrics line writes.
+		# shellcheck disable=SC2086 # args is a flag list, split on purpose
+		"$tmp/$side" $args -metrics-out "$tmp/$side.$i" -report "$tmp/$side.$i.json" -canonical-report >/dev/null
+	done
+	verdict=identical
+	for out in "${outputs[@]}"; do
+		if ! cmp -s "$tmp/parent.$i$out" "$tmp/change.$i$out"; then
+			verdict=DIFFERENT
+			status=1
+			echo "  $out differs:"
+			diff "$tmp/parent.$i$out" "$tmp/change.$i$out" | head -n 4 || true
+		fi
+	done
+	echo "$verdict  meshsim $args"
 done
 exit $status
