@@ -8,7 +8,7 @@ GO ?= go
 # the runner-level replication sweep, and the daemon's serve path.
 BENCH_GATE := BenchmarkSimulatorThroughput|BenchmarkReplicationSweep|BenchmarkServeThroughput
 
-.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen report-identity instrument-cost
+.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen report-identity instrument-cost loc
 
 verify: build test race bench-smoke
 
@@ -53,6 +53,12 @@ PARENT ?= HEAD~1
 
 report-identity:
 	bash scripts/report_identity.sh $(PARENT)
+
+# Non-test Go lines per internal/* package, cmd/ and in total (bench/ is
+# its own module and is left out) — the number ROADMAP's "non-test LOC
+# strictly down" acceptance compares between two commits.
+loc:
+	@bash scripts/loc.sh
 
 # What turning each instrument on costs: the Metrics/Audit/Journey off/on
 # benchmark pairs, COUNT rounds (default 5), on/off ratio per pair with

@@ -265,7 +265,7 @@ func BenchmarkSimulatorThroughputReferenceQueue(b *testing.B) {
 
 // BenchmarkSimulatorThroughputLargeN scales the deployment to a 15×15 grid
 // (225 nodes) at Table R-1 node spacing, the regime where the O(N) portions
-// of the hot path (receiver scans, gain cache) dominate.
+// of the hot path (the arrival loops over every receiver) dominate.
 func BenchmarkSimulatorThroughputLargeN(b *testing.B) {
 	sc := sim.DefaultScenario()
 	sc.Rows, sc.Cols = 15, 15
@@ -277,11 +277,11 @@ func BenchmarkSimulatorThroughputLargeN(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughputAudibleSets is the same-process A/B for the
-// radio hot path: the memoised audible-set default against the legacy
-// per-transmission indexed scan and the exhaustive reference scan, on both
-// the default 49-node scenario and the radio-bound 225-node grid. All
-// tiers run inside one benchmark process, so their ratios are immune to
-// the up-to-2× wall-clock drift between separate runs on this machine.
+// radio hot path: the memoised audible-set default against the exhaustive
+// per-transmission reference scan, on both the default 49-node scenario
+// and the radio-bound 225-node grid. Both tiers run inside one benchmark
+// process, so their ratios are immune to the up-to-2× wall-clock drift
+// between separate runs on this machine.
 // The acceptance ratio for PR 7 is largen/memo vs largen/reference.
 func BenchmarkSimulatorThroughputAudibleSets(b *testing.B) {
 	scenarios := []struct {
@@ -307,11 +307,6 @@ func BenchmarkSimulatorThroughputAudibleSets(b *testing.B) {
 	for _, s := range scenarios {
 		b.Run(s.name+"/memo", func(b *testing.B) {
 			benchThroughput(b, s.sc)
-		})
-		b.Run(s.name+"/legacy", func(b *testing.B) {
-			sc := s.sc
-			sc.LegacyRadio = true
-			benchThroughput(b, sc)
 		})
 		b.Run(s.name+"/reference", func(b *testing.B) {
 			sc := s.sc

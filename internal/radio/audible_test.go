@@ -14,14 +14,13 @@ type mediumTier int
 
 const (
 	tierMemo      mediumTier = iota // audible-set memoisation (default)
-	tierLegacy                      // per-transmission indexed scan
 	tierReference                   // exhaustive reference
 )
 
 // mediumOp is one step of a differential schedule. Illegal combinations
 // (transmit while transmitting or down, retune while transmitting) are
-// skipped at execution time based on live radio state; because every tier
-// is bit-identical, the guards resolve identically on each medium.
+// skipped at execution time based on live radio state; because the tiers
+// are bit-identical, the guards resolve identically on each medium.
 type mediumOp struct {
 	kind  int // 0 transmit, 1 SetPos, 2 SetChannel, 3 SetDown, 4 Attach, 5 arm a reaction, 6 WantCarrier
 	radio int
@@ -154,12 +153,7 @@ func diffBed(tier mediumTier) (*des.Sim, *Medium, []*Radio, []*recorder) {
 		}
 	}
 	sim, m, radios, recs := testbed(DefaultParams(), positions...)
-	switch tier {
-	case tierLegacy:
-		m.SetAudibleMemo(false)
-	case tierReference:
-		m.SetReference(true)
-	}
+	m.SetReference(tier == tierReference)
 	return sim, m, radios, recs
 }
 
@@ -271,33 +265,34 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 	return m, recs
 }
 
-// compareTiers replays ops on all three tiers and fails the test unless
-// every listener log and validation counter is bit-identical.
+// compareLogs fails the test unless the memo and reference tiers' listener
+// logs are bit-identical, radio by radio.
+func compareLogs(t *testing.T, memo, ref []*recorder) {
+	t.Helper()
+	if len(ref) != len(memo) {
+		t.Fatalf("reference tier attached %d radios, memo %d", len(ref), len(memo))
+	}
+	for i := range memo {
+		if !reflect.DeepEqual(memo[i], ref[i]) {
+			t.Fatalf("radio %d logs diverge:\n  memo      %+v\n  reference %+v", i, memo[i], ref[i])
+		}
+	}
+}
+
+// compareTiers replays ops on both tiers and fails the test unless every
+// listener log and validation counter is bit-identical.
 func compareTiers(t *testing.T, ops []mediumOp) (memo *Medium) {
 	t.Helper()
 	memo, memoRecs := runOps(t, tierMemo, ops)
-	legacy, legacyRecs := runOps(t, tierLegacy, ops)
 	ref, refRecs := runOps(t, tierReference, ops)
-	for name, got := range map[string][]*recorder{"legacy": legacyRecs, "reference": refRecs} {
-		if len(got) != len(memoRecs) {
-			t.Fatalf("%s tier attached %d radios, memo %d", name, len(got), len(memoRecs))
-		}
-		for i := range memoRecs {
-			if !reflect.DeepEqual(memoRecs[i], got[i]) {
-				t.Fatalf("radio %d logs diverge (memo vs %s):\n  memo %+v\n  %s  %+v",
-					i, name, memoRecs[i], name, got[i])
-			}
-		}
-	}
-	for name, other := range map[string]*Medium{"legacy": legacy, "reference": ref} {
-		if memo.Transmissions != other.Transmissions ||
-			memo.Deliveries != other.Deliveries ||
-			memo.Corruptions != other.Corruptions ||
-			memo.TxInFlightHW() != other.TxInFlightHW() {
-			t.Fatalf("counters diverge (memo vs %s): memo tx=%d del=%d cor=%d hw=%d; %s tx=%d del=%d cor=%d hw=%d",
-				name, memo.Transmissions, memo.Deliveries, memo.Corruptions, memo.TxInFlightHW(),
-				name, other.Transmissions, other.Deliveries, other.Corruptions, other.TxInFlightHW())
-		}
+	compareLogs(t, memoRecs, refRecs)
+	if memo.Transmissions != ref.Transmissions ||
+		memo.Deliveries != ref.Deliveries ||
+		memo.Corruptions != ref.Corruptions ||
+		memo.TxInFlightHW() != ref.TxInFlightHW() {
+		t.Fatalf("counters diverge: memo tx=%d del=%d cor=%d hw=%d; reference tx=%d del=%d cor=%d hw=%d",
+			memo.Transmissions, memo.Deliveries, memo.Corruptions, memo.TxInFlightHW(),
+			ref.Transmissions, ref.Deliveries, ref.Corruptions, ref.TxInFlightHW())
 	}
 	return memo
 }
@@ -305,10 +300,10 @@ func compareTiers(t *testing.T, ops []mediumOp) (memo *Medium) {
 // TestMobilityInvalidationTorture interleaves every invalidation source —
 // motion, retunes, crash/recover, mid-run attach — with overlapping
 // rated transmissions from all over the deployment and requires the
-// memoised, legacy and reference paths to observe bit-identical event
-// logs and counters, a clean coherence audit at every op, and every
-// receiver back at nlive == 0, energy == 0, !busy once the air is clear
-// (all three checked per tier by runOps).
+// memoised and reference paths to observe bit-identical event logs and
+// counters, a clean coherence audit at every op, and every receiver back
+// at nlive == 0, energy == 0, !busy once the air is clear (all three
+// checked per tier by runOps).
 func TestMobilityInvalidationTorture(t *testing.T) {
 	var ops []mediumOp
 	for round := 0; round < 30; round++ {
@@ -341,11 +336,11 @@ func TestMobilityInvalidationTorture(t *testing.T) {
 
 // TestReentrantTransmitFromCallbacks has a different radio transmit from
 // inside the carrier callback of radio 0's arrival loop (radio 5) and from
-// inside the receive callback of its finish loop (radio 1). On the legacy
-// and reference tiers the per-radio audible set doubles as the scan
-// buffer, so a nested transmission rebuilds one set while another is being
-// walked (and on every tier the frame in flight walks that set in place,
-// not a copy); all three tiers must still agree bit for bit.
+// inside the receive callback of its finish loop (radio 1). On the
+// reference tier the per-radio audible set doubles as the scan buffer, so
+// a nested transmission rebuilds one set while another is being walked
+// (and on both tiers the frame in flight walks that set in place, not a
+// copy); the tiers must still agree bit for bit.
 func TestReentrantTransmitFromCallbacks(t *testing.T) {
 	memo := compareTiers(t, []mediumOp{
 		{kind: 5, radio: 5, arg: 0},
@@ -457,6 +452,81 @@ func TestAudibleSetExcludesWrongChannelAndWeak(t *testing.T) {
 		}
 		if ok := h.power >= DefaultParams().RxThreshW; ok != h.refOK {
 			t.Fatalf("refOK=%v for rx %d inconsistent with power %g", h.refOK, h.rx, h.power)
+		}
+	}
+}
+
+// lineMedium builds n radios spaced along the x axis under log-distance
+// exp-3 propagation (~80.7 m receive, ~2680 m trackable at default power).
+func lineMedium(n int, spacing float64) (*des.Sim, *Medium, []*Radio, []*recorder) {
+	sim := des.NewSim()
+	m := NewMedium(sim, NewLogDistance(914e6, 3.0, 1.0, 0, 1))
+	radios := make([]*Radio, n)
+	recs := make([]*recorder, n)
+	for i := 0; i < n; i++ {
+		radios[i] = m.Attach(geom.Point{X: float64(i) * spacing}, DefaultParams())
+		recs[i] = &recorder{}
+		radios[i].SetListener(recs[i])
+	}
+	return sim, m, radios, recs
+}
+
+// wideDelivery runs two rounds of a staggered, overlapping all-nodes
+// transmission schedule over a 9.73 km line (140 × 70 m: neighbours
+// decode, three each side sense carrier, 38 each side are tracked, the
+// rest are below the floor), with optional mid-run motion: ten radios hop
+// a few hundred metres and the far-end radio jumps across the whole field,
+// so members leave and join audible sets between frames. It returns every
+// listener's log.
+func wideDelivery(reference, mobile bool) (*Medium, []*recorder) {
+	sim, m, radios, recs := lineMedium(140, 70)
+	m.SetReference(reference)
+	for round := 0; round < 2; round++ {
+		for i := range radios {
+			// Overlapping senders are three radios apart: the receiver
+			// between them loses the frame, the one outside keeps it.
+			r := radios[i*3%len(radios)]
+			sim.At(des.Time(round*len(radios)+i)*des.Millisecond/2, func() {
+				r.Transmit(r.ID(), 512, des.Millisecond)
+			})
+		}
+	}
+	if mobile {
+		for k := 0; k < 10; k++ {
+			r := radios[k*13]
+			dx := float64(k+1) * 300
+			sim.At(des.Time(3*k+1)*des.Millisecond, func() {
+				r.SetPos(geom.Point{X: r.pos.X + dx, Y: 5})
+			})
+		}
+		sim.At(40*des.Millisecond, func() { radios[139].SetPos(geom.Point{X: 0, Y: 10}) })
+	}
+	sim.Run()
+	return m, recs
+}
+
+// TestReferenceMatchesMemoOnWideDeployment replays the same transmission
+// schedule on the memoised path and the exhaustive reference path over a
+// deployment far wider than the trackable range — static and with mid-run
+// motion — and requires every listener to observe the identical event log.
+func TestReferenceMatchesMemoOnWideDeployment(t *testing.T) {
+	for _, mobile := range []bool{false, true} {
+		memo, memoRecs := wideDelivery(false, mobile)
+		_, refRecs := wideDelivery(true, mobile)
+		compareLogs(t, memoRecs, refRecs)
+		// The tracking floor must be cutting sets down, frames must get
+		// through, and the cross-field mover must end up in radio 0's set.
+		if n := len(memo.aud[70].heard); n < 70 || n > 90 {
+			t.Fatalf("mobile=%v: radio 70 hears %d of %d radios; want the 76 or so within 2680 m",
+				mobile, n, len(memo.radios)-1)
+		}
+		if memo.Deliveries == 0 || memo.Corruptions == 0 {
+			t.Fatalf("mobile=%v: %d deliveries, %d corruptions — schedule too tame",
+				mobile, memo.Deliveries, memo.Corruptions)
+		}
+		hs := memo.aud[0].heard
+		if got := hs[len(hs)-1].rx == 139; got != mobile {
+			t.Fatalf("mobile=%v: radio 139 in radio 0's audible set: %v", mobile, got)
 		}
 	}
 }

@@ -75,10 +75,10 @@ func (idleListener) RadioCarrier(bool)           {}
 func (idleListener) RadioTxDone(any)             {}
 
 // TestTransmitSteadyStateZeroAllocs pins the arrival path's allocation
-// contract on every tier at grid225's geometry (every radio hears every
+// contract on both tiers at grid225's geometry (every radio hears every
 // other): once the audible set's storage, the pooled transmission and the
 // event free list are warm, a broadcast and its drain allocate nothing —
-// the legacy and reference tiers rebuild the set, but into retained
+// the reference tier and a fading model rebuild the set, but into retained
 // storage. The audit, run mid-flight with its scratch warm, allocates
 // nothing either. Only the memo tier counts its builds.
 func TestTransmitSteadyStateZeroAllocs(t *testing.T) {
@@ -89,13 +89,11 @@ func TestTransmitSteadyStateZeroAllocs(t *testing.T) {
 		wantRebuilds uint64
 	}{
 		{"memo", NewTwoRay(914e6, 1.5, 1.5), tierMemo, 1},
-		{"legacy", NewTwoRay(914e6, 1.5, 1.5), tierLegacy, 0},
 		{"reference", NewTwoRay(914e6, 1.5, 1.5), tierReference, 0},
 		{"nakagami", NewNakagami(NewTwoRay(914e6, 1.5, 1.5), 3, 10*des.Millisecond, 7), tierMemo, 0},
 	} {
 		sim := des.NewSim()
 		m := NewMedium(sim, tc.prop)
-		m.SetAudibleMemo(tc.tier != tierLegacy)
 		m.SetReference(tc.tier == tierReference)
 		var centre *Radio
 		for i, p := range geom.GridPlacement(geom.Square(2142.857), 15, 15) {

@@ -28,12 +28,12 @@ func decodeOps(data []byte) []mediumOp {
 	return ops
 }
 
-// FuzzMediumDifferential drives the memoised, legacy-indexed and
-// exhaustive-reference transmit paths through an arbitrary interleaving
-// of transmissions, motion, retunes, crash/recover, mid-run attaches,
-// reactions armed to fire from inside listener callbacks and listeners
-// opting out of carrier edges and back in, and requires bit-identical
-// listener logs and counters from all three (compareTiers), with the
+// FuzzMediumDifferential drives the memoised and exhaustive-reference
+// transmit paths through an arbitrary interleaving of transmissions,
+// motion, retunes, crash/recover, mid-run attaches, reactions armed to
+// fire from inside listener callbacks and listeners opting out of carrier
+// edges and back in, and requires bit-identical listener logs and
+// counters from the two (compareTiers), with the
 // coherence audit, the state clocks (against the push-model oracle and the
 // edges each listener saw — runOps' checkClocks) and the quiescent end
 // state checked on each.

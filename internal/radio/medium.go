@@ -2,7 +2,6 @@ package radio
 
 import (
 	"fmt"
-	"math"
 
 	"clnlr/internal/des"
 	"clnlr/internal/fault"
@@ -133,10 +132,10 @@ type heard struct {
 // it above the tracking floor on its channel, sorted by receiver ID (the
 // order deterministic replay requires). The memo tier builds it lazily on
 // first transmit and reuses it until Medium.audEpoch moves on (SetPos,
-// SetChannel, Attach, Reset); the other tiers rebuild it into the same
-// storage on every transmission. Crash state is deliberately NOT baked in
-// — down radios stay members and are skipped live via rxState.down, so
-// churn never forces an O(N²) rebuild storm.
+// SetChannel, Attach, Reset); fading models and the reference tier rebuild
+// it into the same storage on every transmission. Crash state is
+// deliberately NOT baked in — down radios stay members and are skipped
+// live via rxState.down, so churn never forces an O(N²) rebuild storm.
 type audibleSet struct {
 	epoch uint64 // Medium.audEpoch the set was built at; 0 = never built
 	heard []heard
@@ -147,10 +146,9 @@ type audibleSet struct {
 // Medium's dense per-ID slices so the receiver hot path walks contiguous
 // arrays instead of pointer-chasing per-radio objects.
 type Radio struct {
-	m    *Medium
-	id   int
-	pos  geom.Point
-	cell gridKey // spatial-index bucket (meaningful iff m.grid != nil)
+	m   *Medium
+	id  int
+	pos geom.Point
 }
 
 // ID returns the radio's dense index within its medium.
@@ -163,19 +161,14 @@ func (r *Radio) Pos() geom.Point { return r.pos }
 // subsequent transmissions; frames already in flight keep the powers
 // computed at their start — the standard packet-level approximation, exact
 // for any realistic speed (a frame lasts ~2 ms; at 20 m/s that is 4 cm of
-// motion). Moving invalidates the radio's cached link gains and every
-// memoised audible set (the mover may appear in any of them), and
-// re-buckets it in the spatial index.
+// motion). Moving invalidates every memoised audible set (the mover may
+// appear in any of them); RxPowerBetween and InRange see it at once.
 func (r *Radio) SetPos(p geom.Point) {
 	if p == r.pos {
 		return
 	}
 	r.pos = p
-	r.m.invalidateGains(r)
 	r.m.audEpoch++
-	if r.m.grid != nil {
-		r.m.grid.update(r)
-	}
 }
 
 // Channel returns the radio's frequency channel (0 by default). Radios on
@@ -186,9 +179,8 @@ func (r *Radio) Channel() int { return int(r.m.chans[r.id]) }
 // SetChannel retunes the radio. It takes effect for subsequent
 // transmissions and arrivals; frames already in flight complete under the
 // channel they started on. Retuning while transmitting is a programming
-// error. (Link gains are frequency-independent in these models, so the
-// gain cache survives a retune; audible sets are channel-partitioned, so
-// a retune invalidates them via the epoch.)
+// error. (Audible sets are channel-partitioned, so a retune invalidates
+// them via the epoch.)
 func (r *Radio) SetChannel(ch int) {
 	m := r.m
 	if m.rx[r.id].txing {
@@ -207,20 +199,16 @@ func (r *Radio) SetChannel(ch int) {
 // its audible set — the flat, ID-sorted, channel-partitioned list of
 // (receiver, power, reference-rate decode flag) above the tracking floor
 // — so TransmitRated is one tight loop over contiguous 16-byte records
-// with no spatial query, no gain-cache probes and no per-receiver
-// propagation calls. Audible sets are invalidated by an epoch counter
-// bumped on any position change, retune, attach or reset. Hot per-radio
-// dynamic state lives in dense per-ID slices on the Medium — everything
-// an arrival touches in the one rxState record — so the arrival loop
-// never dereferences a *Radio.
+// with no per-receiver propagation calls. Audible sets are invalidated by
+// an epoch counter bumped on any position change, retune, attach or reset.
+// Hot per-radio dynamic state lives in dense per-ID slices on the Medium —
+// everything an arrival touches in the one rxState record — so the arrival
+// loop never dereferences a *Radio.
 //
-// Two slower tiers are retained for validation and same-process A/B
-// benchmarking, all bit-identical by construction and by test. They
-// differ only in how the audible set is obtained, never in the arrival
-// loop that walks it: SetAudibleMemo(false) rebuilds it on every
-// transmission through the PR 1 spatial index + link-gain cache;
-// SetReference(true) rebuilds it from an exhaustive scan of every radio
-// with every power recomputed.
+// One slower tier is retained as the validation oracle, bit-identical by
+// construction and by test: SetReference(true) rebuilds the audible set
+// from the same scan of every radio on every transmission. It differs only
+// in when the set is obtained, never in the arrival loop that walks it.
 type Medium struct {
 	sim    *des.Sim
 	prop   Propagation
@@ -230,11 +218,7 @@ type Medium struct {
 	minTrackW float64
 
 	reference bool // exhaustive slow path for validation
-	memo      bool // audible-set memoisation (default on; needs static prop)
-
-	static bool      // prop is time-invariant → gains/audible sets cacheable
-	gain   []float64 // gainN×gainN cached rx powers; NaN = not yet computed
-	gainN  int
+	static    bool // prop is time-invariant → audible sets memoisable
 
 	// Dense per-radio state, indexed by radio ID.
 	rfp       []Params        // immutable RF parameters, copied at Attach
@@ -252,14 +236,10 @@ type Medium struct {
 	audEpoch uint64
 	// audRebuilds counts the memo tier's audible-set (re)builds — a
 	// diagnostic for tests and profiling, never folded into
-	// golden-compared outputs (the other tiers count none).
+	// golden-compared outputs (per-transmission rebuilds count none).
 	audRebuilds uint64
 	// start is when the state clocks began: creation or the last Reset.
 	start des.Time
-
-	gridDecided bool
-	grid        *cellGrid
-	candidates  []*Radio // reusable spatial-query buffer
 
 	// AuditCoherence scratch (per-receiver expected arrival count and
 	// energy), kept so an audit tick allocates nothing.
@@ -277,7 +257,7 @@ type Medium struct {
 
 	// impair, when non-nil, is the per-link burst-loss process applied to
 	// otherwise-successful deliveries (fault injection). It is evaluated
-	// identically on the memoised, indexed and reference paths.
+	// identically on the memoised and reference paths.
 	impair *fault.LinkModel
 
 	// Counters for validation and benchmarks.
@@ -296,25 +276,18 @@ func NewMedium(sim *des.Sim, prop Propagation) *Medium {
 		start:     sim.Now(),
 		minTrackW: 1e-14,
 		static:    ok && ti.TimeInvariant(),
-		memo:      true,
 		audEpoch:  1, // so a zero-valued audibleSet is never valid
 		txPoolCap: defaultTxPoolCap,
 	}
 }
 
 // SetReference toggles the exhaustive reference transmit path (full O(N)
-// receiver scan on every transmission, no gain cache, no spatial index).
-// It exists so tests can prove the fast paths reproduce reference results
-// bit-for-bit; it is not meant for production runs.
+// receiver scan on every transmission, nothing memoised). It exists so
+// tests can prove the memoised path reproduces reference results
+// bit-for-bit; it is not meant for production runs. Memoisation only ever
+// engages for time-invariant propagation models; fading models always
+// rebuild.
 func (m *Medium) SetReference(on bool) { m.reference = on }
-
-// SetAudibleMemo toggles per-transmitter audible-set memoisation (on by
-// default). Off, the medium rebuilds the transmitter's audible set on
-// every transmission (spatial grid + link-gain cache) — the intermediate
-// tier retained for same-process A/B benchmarking and differential tests.
-// Results are bit-identical either way. Memoisation only ever engages for
-// time-invariant propagation models; fading models always rebuild.
-func (m *Medium) SetAudibleMemo(on bool) { m.memo = on }
 
 // AudibleRebuilds returns how many audible sets the memo tier has
 // (re)built — a memoisation-effectiveness diagnostic (steady-state static
@@ -340,13 +313,12 @@ func (m *Medium) SetImpairment(p fault.LinkParams, seed uint64) {
 
 // Reset prepares the medium for a fresh run under a (possibly different)
 // propagation model while keeping the attached radios, the transmission
-// pool, the gain-cache backing array and the audible-set storage
-// allocated. positions re-places the radios and must cover exactly the
-// attached set; listeners (and their carrier opt-outs), parameters and
-// dense IDs survive. After Reset the medium behaves bit-identically to a
-// freshly built one: the gain cache and every audible set are fully
-// invalidated, the spatial index is re-decided on the next transmission,
-// and the state clocks and validation counters (pool drops too) restart.
+// pool and the audible-set storage allocated. positions re-places the
+// radios and must cover exactly the attached set; listeners (and their
+// carrier opt-outs), parameters and dense IDs survive. After Reset the
+// medium behaves bit-identically to a freshly built one: every audible set
+// is invalidated and the state clocks and validation counters (pool drops
+// too) restart.
 func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	if len(positions) != len(m.radios) {
 		panic(fmt.Sprintf("radio: Reset with %d positions for %d radios",
@@ -355,15 +327,7 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	m.prop = prop
 	ti, ok := prop.(TimeInvariant)
 	m.static = ok && ti.TimeInvariant()
-	if m.gainN > 0 {
-		nan := math.NaN()
-		for i := range m.gain {
-			m.gain[i] = nan
-		}
-	}
 	m.audEpoch++
-	m.gridDecided = false
-	m.grid = nil
 	m.impair = nil // reinstalled per run via SetImpairment
 	m.Transmissions, m.Deliveries, m.Corruptions, m.ImpairDrops = 0, 0, 0, 0
 	m.txInFlight, m.txInFlightHW = 0, 0
@@ -397,9 +361,6 @@ func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
 	m.listeners = append(m.listeners, nil)
 	m.aud = append(m.aud, audibleSet{})
 	m.audEpoch++ // existing sets predate the newcomer
-	if m.grid != nil {
-		m.grid.insert(r)
-	}
 	return r
 }
 
@@ -409,125 +370,23 @@ func (r *Radio) SetListener(l Listener) { r.m.listeners[r.id] = l }
 // NumRadios returns the number of attached radios.
 func (m *Medium) NumRadios() int { return len(m.radios) }
 
-// rxPower returns the received power at rx for a transmission from tx,
-// through the per-pair gain cache when the propagation model is
-// time-invariant. Cached values are the bit-exact results of the same
-// model call the uncached path would make.
+// rxPower returns the received power at rx for a transmission from tx
+// starting now.
 func (m *Medium) rxPower(tx, rx *Radio) float64 {
-	if !m.static || m.reference {
-		return m.prop.RxPower(m.rfp[tx.id].TxPowerW, tx.pos, rx.pos, m.sim.Now())
-	}
-	n := len(m.radios)
-	if m.gainN != n {
-		m.gain = make([]float64, n*n)
-		for i := range m.gain {
-			m.gain[i] = math.NaN()
-		}
-		m.gainN = n
-	}
-	idx := tx.id*n + rx.id
-	p := m.gain[idx]
-	if p != p { // NaN: not yet computed for this pair
-		p = m.prop.RxPower(m.rfp[tx.id].TxPowerW, tx.pos, rx.pos, m.sim.Now())
-		m.gain[idx] = p
-	}
-	return p
-}
-
-// invalidateGains drops every cached gain involving r (called on SetPos).
-func (m *Medium) invalidateGains(r *Radio) {
-	if m.gainN == 0 {
-		return
-	}
-	if r.id >= m.gainN {
-		m.gainN = 0 // radio attached after cache build; force rebuild
-		m.gain = nil
-		return
-	}
-	n := m.gainN
-	nan := math.NaN()
-	row := m.gain[r.id*n : (r.id+1)*n]
-	for j := range row {
-		row[j] = nan
-	}
-	for j := 0; j < n; j++ {
-		m.gain[j*n+r.id] = nan
-	}
-}
-
-// decideGrid builds the spatial index on the first transmission, once the
-// radio set is known: cell side = the propagation model's conservative
-// maximum trackable range at the strongest attached transmit power. The
-// grid is skipped when the model cannot bound its range or when the
-// deployment is too small for a 3×3 cell query to exclude anyone.
-func (m *Medium) decideGrid() {
-	m.gridDecided = true
-	rg, ok := m.prop.(Ranger)
-	if !ok || len(m.radios) == 0 {
-		return
-	}
-	maxTx := 0.0
-	for i := range m.rfp {
-		if m.rfp[i].TxPowerW > maxTx {
-			maxTx = m.rfp[i].TxPowerW
-		}
-	}
-	rng := rg.MaxRange(maxTx, m.minTrackW)
-	if rng <= 0 || math.IsInf(rng, 1) || math.IsNaN(rng) {
-		return
-	}
-	min, max := m.radios[0].pos, m.radios[0].pos
-	for _, r := range m.radios {
-		min.X = math.Min(min.X, r.pos.X)
-		min.Y = math.Min(min.Y, r.pos.Y)
-		max.X = math.Max(max.X, r.pos.X)
-		max.Y = math.Max(max.Y, r.pos.Y)
-	}
-	if max.X-min.X < 3*rng && max.Y-min.Y < 3*rng {
-		return // everyone is in everyone's 3×3 neighbourhood anyway
-	}
-	m.grid = newCellGrid(rng)
-	for _, r := range m.radios {
-		m.grid.insert(r)
-	}
-}
-
-// receivers returns the candidate receiver set for a transmission from r,
-// in ascending ID order (required for deterministic replay): every radio
-// on the reference tier or without a grid, otherwise the 3×3 cell
-// neighbourhood. A grid query takes ownership of the reusable buffer
-// (m.candidates is cleared) so a transmission from inside a listener
-// callback can never find it in use; buildAudible hands it back when its
-// scan — which makes no callbacks — is done.
-func (m *Medium) receivers(r *Radio) []*Radio {
-	if m.reference {
-		return m.radios
-	}
-	if !m.gridDecided {
-		m.decideGrid()
-	}
-	if m.grid == nil {
-		return m.radios
-	}
-	buf := m.candidates
-	m.candidates = nil
-	return m.grid.query(r, buf[:0])
+	return m.prop.RxPower(m.rfp[tx.id].TxPowerW, tx.pos, rx.pos, m.sim.Now())
 }
 
 // buildAudible recomputes one transmitter's audible set: every other
 // radio on its channel receiving at or above the tracking floor, in
-// ascending ID order. It is the only receiver scan of every tier: the
-// memo tier calls it when an epoch bump has invalidated the set, the
-// legacy tier on every transmission (same spatial index and gain cache,
-// so the powers are bit-exact), the reference tier on every transmission
-// over all radios with the gain cache bypassed (see rxPower). Down radios
-// are included — crash state is filtered live by the arrival loop — so
-// churn does not invalidate sets.
+// ascending ID order. It is the only receiver scan of both tiers: the
+// memo tier calls it when an epoch bump has invalidated the set, fading
+// models and the reference tier on every transmission. Down radios are
+// included — crash state is filtered live by the arrival loop — so churn
+// does not invalidate sets.
 func (m *Medium) buildAudible(r *Radio, a *audibleSet) {
 	hs := a.heard[:0]
-	candidates := m.receivers(r)
 	ch := m.chans[r.id]
-	for _, rx := range candidates {
+	for _, rx := range m.radios {
 		rid := rx.id
 		if rid == r.id || m.chans[rid] != ch {
 			continue
@@ -537,9 +396,6 @@ func (m *Medium) buildAudible(r *Radio, a *audibleSet) {
 			continue
 		}
 		hs = append(hs, heard{power: p, rx: int32(rid), refOK: p >= m.rfp[rid].RxThreshW})
-	}
-	if !m.reference && m.grid != nil {
-		m.candidates = candidates // hand the query buffer back for reuse
 	}
 	a.heard = hs
 	a.epoch = m.audEpoch
@@ -758,12 +614,13 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 	m.txOf[id] = t
 
 	// The memo tier reuses the sender's audible set while its epoch holds;
-	// every other tier rebuilds it for this transmission. A callback below
-	// may Attach or bump the epoch: hs — which t.touched aliases until
-	// finish — keeps the set as of this frame's start, and no callback can
-	// rebuild it (this radio cannot transmit again before finish).
+	// a fading model or the reference tier rebuilds it for this
+	// transmission. A callback below may Attach or bump the epoch: hs —
+	// which t.touched aliases until finish — keeps the set as of this
+	// frame's start, and no callback can rebuild it (this radio cannot
+	// transmit again before finish).
 	a := &m.aud[id]
-	if !m.memo || !m.static || m.reference {
+	if !m.static || m.reference {
 		m.buildAudible(r, a)
 	} else if a.epoch != m.audEpoch {
 		m.audRebuilds++

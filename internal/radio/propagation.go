@@ -32,20 +32,10 @@ type Propagation interface {
 
 // TimeInvariant is an optional Propagation capability: models whose
 // RxPower ignores the time argument report true, which lets the Medium
-// cache per-pair link gains between transmissions. Models that omit the
-// method (or return false) are treated as time-varying.
+// memoise each transmitter's audible set between transmissions. Models
+// that omit the method (or return false) are treated as time-varying.
 type TimeInvariant interface {
 	TimeInvariant() bool
-}
-
-// Ranger is an optional Propagation capability: MaxRange returns a
-// conservative upper bound on the distance at which a transmission of
-// txPowerW can still deliver at least minPowerW under the model (over all
-// times and shadowing/fading draws). The Medium uses it to size its
-// spatial index; returning +Inf disables spatial pruning. The bound must
-// never be an underestimate — radios beyond it are skipped entirely.
-type Ranger interface {
-	MaxRange(txPowerW, minPowerW float64) float64
 }
 
 // FreeSpace is the Friis free-space model:
@@ -79,15 +69,6 @@ func (f FreeSpace) RxPower(txPowerW float64, from, to geom.Point, _ des.Time) fl
 // TimeInvariant implements the cacheability capability.
 func (FreeSpace) TimeInvariant() bool { return true }
 
-// MaxRange implements Ranger: the distance where Friis decays to
-// minPowerW.
-func (f FreeSpace) MaxRange(txPowerW, minPowerW float64) float64 {
-	if minPowerW <= 0 {
-		return math.Inf(1)
-	}
-	return f.WavelengthM / (4 * math.Pi) * math.Sqrt(txPowerW*f.Gt*f.Gr/(f.L*minPowerW))
-}
-
 // TwoRay is the two-ray ground-reflection model used by the classic ns-2
 // 802.11 stack: Friis below the crossover distance, Pt·Gt·Gr·ht²·hr²/d⁴
 // beyond it. With the default WaveLAN parameters it yields the canonical
@@ -116,18 +97,6 @@ func (t TwoRay) RxPower(txPowerW float64, from, to geom.Point, at des.Time) floa
 		return t.FreeSpace.RxPower(txPowerW, from, to, at)
 	}
 	return txPowerW * t.Gt * t.Gr * t.Ht * t.Ht * t.Hr * t.Hr / (d * d * d * d * t.L)
-}
-
-// MaxRange implements Ranger: the larger of the two branch solutions (a
-// conservative bound — each branch only applies on its side of the
-// crossover, so the true range can only be smaller).
-func (t TwoRay) MaxRange(txPowerW, minPowerW float64) float64 {
-	if minPowerW <= 0 {
-		return math.Inf(1)
-	}
-	dFS := t.FreeSpace.MaxRange(txPowerW, minPowerW)
-	dTR := math.Pow(txPowerW*t.Gt*t.Gr*t.Ht*t.Ht*t.Hr*t.Hr/(t.L*minPowerW), 0.25)
-	return math.Max(dFS, dTR)
 }
 
 // LogDistance is the log-distance path-loss model with optional log-normal
@@ -175,22 +144,6 @@ func (l LogDistance) RxPower(txPowerW float64, from, to geom.Point, at des.Time)
 		lossDB -= l.SigmaDB * l.pairGaussian(from, to)
 	}
 	return pr0 * math.Pow(10, -lossDB/10)
-}
-
-// MaxRange implements Ranger. The shadowing draw is bounded (Box–Muller
-// over a uniform clamped to ≥1e-16 yields |z| ≤ ~8.6), so even with
-// shadowing the range bound stays finite: the log-distance solution plus
-// 9·SigmaDB dB of headroom.
-func (l LogDistance) MaxRange(txPowerW, minPowerW float64) float64 {
-	if minPowerW <= 0 {
-		return math.Inf(1)
-	}
-	pr0 := l.FreeSpace.RxPower(txPowerW, geom.Point{}, geom.Point{X: l.RefDistM}, 0)
-	if pr0 <= minPowerW {
-		return l.RefDistM
-	}
-	lossDB := 10*math.Log10(pr0/minPowerW) + 9*l.SigmaDB
-	return l.RefDistM * math.Pow(10, lossDB/(10*l.Exp))
 }
 
 // pairGaussian returns a deterministic standard-normal draw for the
@@ -249,17 +202,6 @@ func NewNakagami(base Propagation, m int, coherence des.Time, seed uint64) Nakag
 func (n Nakagami) RxPower(txPowerW float64, from, to geom.Point, at des.Time) float64 {
 	base := n.Base.RxPower(txPowerW, from, to, at)
 	return base * n.fade(from, to, at)
-}
-
-// MaxRange implements Ranger. Each fading draw is a mean of unit
-// exponentials -ln(u) with u ≥ 0.5/2⁵³, so the multiplier never exceeds
-// ~37.4; delegate to the base model with the threshold derated by 38.
-func (n Nakagami) MaxRange(txPowerW, minPowerW float64) float64 {
-	rg, ok := n.Base.(Ranger)
-	if !ok || minPowerW <= 0 {
-		return math.Inf(1)
-	}
-	return rg.MaxRange(txPowerW, minPowerW/38)
 }
 
 // fade returns the unit-mean Gamma(m,1/m) multiplier for the link's

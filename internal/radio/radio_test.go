@@ -516,3 +516,35 @@ func TestSetChannelWhileTransmittingPanics(t *testing.T) {
 	})
 	sim.Run()
 }
+
+// TestSetPosVisibleToLinkQueries moves the far-end radio of a 9.73 km line
+// next to radio 0 and back: RxPowerBetween and InRange must answer from the
+// positions of the moment, in both directions, whatever audible sets
+// earlier transmissions memoised.
+func TestSetPosVisibleToLinkQueries(t *testing.T) {
+	sim, m, radios, _ := lineMedium(140, 70)
+	prop, txW := m.prop, DefaultParams().TxPowerW
+	check := func(when string, inRange bool) {
+		t.Helper()
+		a, b := radios[0].Pos(), radios[139].Pos()
+		if got, want := m.RxPowerBetween(0, 139), prop.RxPower(txW, a, b, 0); got != want {
+			t.Fatalf("%s: power 0→139 is %g, the model says %g", when, got, want)
+		}
+		if got, want := m.RxPowerBetween(139, 0), prop.RxPower(txW, b, a, 0); got != want {
+			t.Fatalf("%s: power 139→0 is %g, the model says %g", when, got, want)
+		}
+		if m.InRange(0, 139) != inRange || m.InRange(139, 0) != inRange {
+			t.Fatalf("%s: InRange 0→139 %v, 139→0 %v, want both %v",
+				when, m.InRange(0, 139), m.InRange(139, 0), inRange)
+		}
+	}
+	home := radios[139].Pos()
+	radios[0].Transmit("x", 100, des.Millisecond)
+	radios[139].Transmit("y", 100, des.Millisecond)
+	sim.Run()
+	check("at the far end", false)
+	radios[139].SetPos(geom.Point{X: 30, Y: 40})
+	check("moved next to radio 0", true)
+	radios[139].SetPos(home)
+	check("moved back", false)
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -160,6 +161,48 @@ func TestJourneyDivisorChangesKey(t *testing.T) {
 	}
 	if want := directRunBytes(t, sc, 1); !bytes.Equal(bodyJ, want) {
 		t.Fatal("journey-traced served report differs from direct run")
+	}
+}
+
+// TestScenarioIgnoresRetiredFields pins that a config written by an older
+// build keeps loading through both overlay decoders, sim.LoadScenario and
+// /v1/run: testdata/retired_fields.json is testScenario(13) as an overlay
+// that also sets the radio-tier switch removed in PR 20 (`meshsim
+// -dump-config` used to emit it). It must mean the scenario without the
+// field: same Result, same Fingerprint, same cache slot.
+func TestScenarioIgnoresRetiredFields(t *testing.T) {
+	const path = "testdata/retired_fields.json"
+	sc := testScenario(13)
+
+	loaded, err := sim.LoadScenario(path)
+	if err != nil {
+		t.Fatalf("LoadScenario on a config with a retired field: %v", err)
+	}
+	if got, want := loaded.Fingerprint(), sc.Fingerprint(); got != want {
+		t.Fatalf("retired field moved the fingerprint: %s, want %s", got, want)
+	}
+	want, err := sim.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sim.Run(loaded); err != nil || got != want {
+		t.Fatalf("loaded scenario ran to %+v (%v), want %+v", got, err, want)
+	}
+
+	retired, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	resp, body := post(t, ts, "/v1/run", RunRequest{Scenario: retired})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/run with a retired field: %d %s", resp.StatusCode, body)
+	}
+	if !bytes.Equal(body, directRunBytes(t, sc, 0)) {
+		t.Fatal("served report for the config with a retired field differs from the direct run without it")
+	}
+	if resp, _ := post(t, ts, "/v1/run", RunRequest{Scenario: scenarioJSON(t, sc)}); resp.Header.Get("X-Cache") != "hit" {
+		t.Fatal("the config without the retired field missed the cache slot of the one with it")
 	}
 }
 

@@ -8,17 +8,18 @@ import (
 	"clnlr/internal/des"
 )
 
-// goldenConfigs enumerates scenario shapes chosen to exercise every radio
+// goldenConfigs enumerates scenario shapes chosen to exercise the radio
 // fast path against the retained reference implementation:
 //
-//   - two-ray static: link-gain cache on (paper deployments are smaller
-//     than the models' trackable ranges, so the spatial grid stays off —
-//     grid-active bit-exactness is proven at the medium layer in
-//     internal/radio's TestReferenceMatchesIndexedDelivery)
+//   - two-ray static: audible sets built once and reused (paper
+//     deployments are smaller than the models' trackable ranges, so every
+//     set holds every radio — the tracking floor cutting sets down is
+//     proven at the medium layer in internal/radio's
+//     TestReferenceMatchesMemoOnWideDeployment)
 //   - log-distance wide: a denser 11×11 deployment under a different
-//     static model, stressing the N×N gain cache
-//   - mobility variants: SetPos must invalidate cached gains mid-run
-//   - nakagami: time-varying fading, cache disabled entirely
+//     static model
+//   - mobility variants: SetPos must invalidate the memoised sets mid-run
+//   - nakagami: time-varying fading, nothing memoised
 func goldenConfigs() map[string]func(*Scenario) {
 	return map[string]func(*Scenario){
 		"two-ray-static": func(sc *Scenario) {},
@@ -66,13 +67,13 @@ func goldenConfigs() map[string]func(*Scenario) {
 }
 
 // TestGoldenIndexedMatchesReference is the determinism contract of the
-// radio hot path: the memoised audible sets, the spatial index, the
-// link-gain cache and the pooled transmission/event machinery must not
-// change a single bit of any run's outcome. Every scheme runs each golden
-// scenario twice on the memoised default path, once on the legacy indexed
-// scan and once on the exhaustive reference path; all four Results must
-// be identical structs. A warm engine then flips between the three tiers
-// across resets, proving tier changes leave no residue in reused state.
+// radio hot path: the memoised audible sets and the pooled
+// transmission/event machinery must not change a single bit of any run's
+// outcome. Every scheme runs each golden scenario twice on the memoised
+// default path and once on the exhaustive reference path; all three
+// Results must be identical structs. A warm engine then flips between the
+// two tiers across resets, proving tier changes leave no residue in
+// reused state.
 func TestGoldenIndexedMatchesReference(t *testing.T) {
 	for name, mut := range goldenConfigs() {
 		for _, scheme := range AllSchemes() {
@@ -90,12 +91,6 @@ func TestGoldenIndexedMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				legacy := sc
-				legacy.LegacyRadio = true
-				leg, err := Run(legacy)
-				if err != nil {
-					t.Fatal(err)
-				}
 				ref := sc
 				ref.ReferenceRadio = true
 				slow, err := Run(ref)
@@ -105,24 +100,21 @@ func TestGoldenIndexedMatchesReference(t *testing.T) {
 				if fast1 != fast2 {
 					t.Errorf("fast path not reproducible:\n  run1 %+v\n  run2 %+v", fast1, fast2)
 				}
-				if fast1 != leg {
-					t.Errorf("memoised path diverges from legacy indexed scan:\n  memo   %+v\n  legacy %+v", fast1, leg)
-				}
 				if fast1 != slow {
-					t.Errorf("indexed path diverges from reference:\n  fast %+v\n  ref  %+v", fast1, slow)
+					t.Errorf("memoised path diverges from reference:\n  fast %+v\n  ref  %+v", fast1, slow)
 				}
 
-				// Warm engine flip-flop: memo → legacy → reference → memo on
-				// one reused engine must keep reproducing the cold result.
+				// Warm engine flip-flop: memo → reference → memo on one
+				// reused engine must keep reproducing the cold result.
 				eng := NewEngine()
-				for i, s := range []Scenario{sc, legacy, ref, sc} {
+				for i, s := range []Scenario{sc, ref, sc} {
 					r, err := eng.Run(s)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if r != fast1 {
-						t.Errorf("warm run %d (legacy=%v ref=%v) diverged:\n  got  %+v\n  want %+v",
-							i, s.LegacyRadio, s.ReferenceRadio, r, fast1)
+						t.Errorf("warm run %d (ref=%v) diverged:\n  got  %+v\n  want %+v",
+							i, s.ReferenceRadio, r, fast1)
 					}
 				}
 			})

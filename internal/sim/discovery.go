@@ -68,7 +68,7 @@ func (e *Engine) RunDiscovery(sc Scenario, rounds int, gap des.Time) (DiscoveryR
 		return DiscoveryResult{}, err
 	}
 	simk, nodes := e.simk, e.nodes
-	// Pool-ledger arming mirrors RunObserved (see the comment there).
+	// Pool-ledger arming mirrors RunJourney (see the comment there).
 	if sc.Audit || e.auditArmed {
 		for _, n := range nodes {
 			n.Agent.Env.Pool.SetAudit(sc.Audit)

@@ -8,7 +8,6 @@ import (
 	"clnlr/internal/rng"
 	"clnlr/internal/routing"
 	"clnlr/internal/topo"
-	"clnlr/internal/trace"
 )
 
 // Engine is a reusable simulation instance: one fully allocated network
@@ -23,7 +22,7 @@ import (
 // (rng.Derive mixes the creation seed, never mutable stream state), the
 // des.Sim restarts at (time 0, sequence 0), and every stateful component
 // has a Reset that restores its construction state while keeping grown
-// storage. Run and RunTraced build on exactly this path — a cold run is
+// storage. Run and RunJourney build on exactly this path — a cold run is
 // just a warm run on a fresh Engine — so cold and warm cannot drift
 // apart. The network is rebuilt from scratch only when the node count or
 // radio parameters change; everything else resets in place.
@@ -152,7 +151,6 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 		e.simk.SetWatch(e.watch)
 		e.medium = radio.NewMedium(e.simk, sc.propagation())
 		e.medium.SetReference(sc.ReferenceRadio)
-		e.medium.SetAudibleMemo(!sc.LegacyRadio)
 		e.nodes = node.BuildNetwork(e.simk, e.medium, positions, sc.Radio, sc.Mac,
 			master.Derive(1000), func(env routing.Env) *routing.Core {
 				return routing.New(env, spec.Cfg, spec.Policy())
@@ -166,22 +164,14 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 	e.simk.SetReference(sc.ReferenceQueue)
 	e.medium.Reset(sc.propagation(), positions)
 	e.medium.SetReference(sc.ReferenceRadio)
-	e.medium.SetAudibleMemo(!sc.LegacyRadio)
 	e.medium.SetImpairment(sc.Faults.Link, sc.Seed)
 	node.ResetNetwork(e.nodes, positions, sc.Mac, master.Derive(1000), spec)
 	return tp, nil
 }
 
 // Run executes one simulation of the scenario on this engine, reusing the
-// warm network when compatible, and returns its metrics.
+// warm network when compatible, and returns its metrics. The run body
+// lives in RunJourney (observe.go), which also takes the instruments.
 func (e *Engine) Run(sc Scenario) (Result, error) {
-	return e.RunTraced(sc, nil)
-}
-
-// RunTraced is Run with an optional trace sink attached to every node's
-// routing agent (nil behaves exactly like Run). The full run body lives
-// in RunObserved (observe.go), which additionally accepts a metrics
-// collector.
-func (e *Engine) RunTraced(sc Scenario, sink trace.Sink) (Result, error) {
-	return e.RunObserved(sc, sink, nil)
+	return e.RunJourney(sc, nil, nil, nil)
 }

@@ -24,7 +24,7 @@ func TestInstrumentTicksAllocateNothing(t *testing.T) {
 	sc := instrumentedScenario()
 	e := NewEngine()
 	col := metrics.NewCollector(100 * des.Millisecond)
-	if _, err := e.RunObserved(sc, nil, col); err != nil { // warm engine and collector
+	if _, err := e.RunJourney(sc, nil, col, nil); err != nil { // warm engine and collector
 		t.Fatal(err)
 	}
 
@@ -45,7 +45,7 @@ func TestInstrumentTicksAllocateNothing(t *testing.T) {
 		})
 	}
 	defer func() { TestHookPrepared = nil }()
-	if _, err := e.RunObserved(sc, nil, col); err != nil {
+	if _, err := e.RunJourney(sc, nil, col, nil); err != nil {
 		t.Fatal(err)
 	}
 	if auditErr != nil {
@@ -71,7 +71,7 @@ func TestInstrumentedRunAllocBudget(t *testing.T) {
 	col := metrics.NewCollector(100 * des.Millisecond)
 	run := func(sc Scenario, col *metrics.Collector) func() {
 		return func() {
-			if _, err := e.RunObserved(sc, nil, col); err != nil {
+			if _, err := e.RunJourney(sc, nil, col, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

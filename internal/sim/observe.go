@@ -18,9 +18,12 @@ import (
 	"clnlr/internal/traffic"
 )
 
-// RunObserved is the fully instrumented run entry point: RunTraced plus
-// an optional metrics collector. Both hooks are nil-checked — a run with
-// (nil, nil) is exactly Run. The collector, when non-nil, receives
+// RunJourney is the fully instrumented run entry point: Run plus an
+// optional trace sink, metrics collector and journey recorder. Every hook
+// is nil-checked — a run with (nil, nil, nil) is exactly Run. The sink,
+// when non-nil, is attached to every node's routing agent (tracing a full
+// run is heavy; prefer it for debugging single scenarios, not sweeps).
+// The collector, when non-nil, receives
 //
 //   - a per-node time-series: every SampleInterval of simulated time a
 //     pre-scheduled DES event snapshots each node's cross-layer state
@@ -36,15 +39,11 @@ import (
 // an uninstrumented one, and the collected series/counters are themselves
 // bit-identical across the radio fast/reference paths and warm/cold
 // engines (proven by the golden tests in observe_test.go).
-func (e *Engine) RunObserved(sc Scenario, sink trace.Sink, col *metrics.Collector) (Result, error) {
-	return e.RunJourney(sc, sink, col, nil)
-}
-
-// RunJourney is RunObserved plus an optional journey recorder: when rec is
-// non-nil it is armed with the warm-up boundary and the dedicated
-// journey-sampling stream (rng label 8000 — a pure function of the
-// scenario seed, so warm/cold engines and resumed sweeps sample the same
-// flows) and installed on every node's routing core and MAC. Journey
+//
+// The recorder, when non-nil, is armed with the warm-up boundary and the
+// dedicated journey-sampling stream (rng label 8000 — a pure function of
+// the scenario seed, so warm/cold engines and resumed sweeps sample the
+// same flows) and installed on every node's routing core and MAC. Journey
 // hooks only observe — the run's Result stays bit-identical to a rec=nil
 // run (pinned by the golden suite in journey_test.go).
 func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector, rec *journey.Recorder) (Result, error) {
@@ -140,14 +139,8 @@ func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector
 	return r, nil
 }
 
-// RunObserved is Run with optional trace and metrics hooks on a fresh
-// engine (both nil behaves exactly like Run).
-func RunObserved(sc Scenario, sink trace.Sink, col *metrics.Collector) (Result, error) {
-	return NewEngine().RunObserved(sc, sink, col)
-}
-
-// RunJourney is RunObserved plus an optional journey recorder on a fresh
-// engine.
+// RunJourney is Run with the optional trace, metrics and journey hooks on
+// a fresh engine (all nil behaves exactly like Run).
 func RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector, rec *journey.Recorder) (Result, error) {
 	return NewEngine().RunJourney(sc, sink, col, rec)
 }

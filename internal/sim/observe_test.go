@@ -22,7 +22,7 @@ type observedArtifacts struct {
 func runObservedArtifacts(t *testing.T, e *Engine, sc Scenario, interval des.Time) observedArtifacts {
 	t.Helper()
 	col := metrics.NewCollector(interval)
-	r, err := e.RunObserved(sc, nil, col)
+	r, err := e.RunJourney(sc, nil, col, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMetricsDoNotPerturbRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			col := metrics.NewCollector(100 * des.Millisecond)
-			observed, err := RunObserved(sc, nil, col)
+			observed, err := RunJourney(sc, nil, col, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestObservedCountersPlausible(t *testing.T) {
 	sc.Faults.MeanUpTime = 4 * des.Second
 	sc.Faults.MeanDownTime = 2 * des.Second
 	col := metrics.NewCollector(100 * des.Millisecond)
-	r, err := RunObserved(sc, nil, col)
+	r, err := RunJourney(sc, nil, col, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestObservedCountersPlausible(t *testing.T) {
 func TestBuildReport(t *testing.T) {
 	sc := quickScenario()
 	col := metrics.NewCollector(200 * des.Millisecond)
-	r, err := RunObserved(sc, nil, col)
+	r, err := RunJourney(sc, nil, col, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSamplerCoversRun(t *testing.T) {
 	sc.Measure = 8 * des.Second
 	interval := 500 * des.Millisecond
 	col := metrics.NewCollector(interval)
-	if _, err := RunObserved(sc, nil, col); err != nil {
+	if _, err := RunJourney(sc, nil, col, nil); err != nil {
 		t.Fatal(err)
 	}
 	end := sc.Warmup + sc.Measure

@@ -15,7 +15,6 @@ import (
 	"clnlr/internal/routing"
 	"clnlr/internal/stats"
 	"clnlr/internal/topo"
-	"clnlr/internal/trace"
 	"clnlr/internal/traffic"
 )
 
@@ -89,13 +88,6 @@ func takeSnapshot(nodes []*node.Node) snapshot {
 // share one code path and cannot diverge.
 func Run(sc Scenario) (Result, error) {
 	return NewEngine().Run(sc)
-}
-
-// RunTraced is Run with an optional trace sink attached to every node's
-// routing agent (nil behaves exactly like Run). Tracing a full run is
-// heavy; prefer it for debugging single scenarios, not sweeps.
-func RunTraced(sc Scenario, sink trace.Sink) (Result, error) {
-	return NewEngine().RunTraced(sc, sink)
 }
 
 // attachMobility starts a random-waypoint model over the nodes when the

@@ -129,19 +129,12 @@ type Scenario struct {
 	Warmup       des.Time
 	Measure      des.Time
 
-	// ReferenceRadio forces the Medium's exhaustive O(N) receiver scan
-	// and disables its link-gain cache — the retained slow reference path
-	// the determinism tests compare the indexed fast path against.
-	// Results are bit-identical either way; this only trades speed for
-	// simplicity.
+	// ReferenceRadio forces the Medium's exhaustive O(N) receiver scan on
+	// every transmission instead of the memoised audible sets — the
+	// retained slow reference path the determinism tests compare the
+	// default against. Results are bit-identical either way; this only
+	// trades speed for simplicity.
 	ReferenceRadio bool
-
-	// LegacyRadio disables the Medium's audible-set memoisation and falls
-	// back to the per-transmission indexed scan (spatial grid + link-gain
-	// cache) — the intermediate tier between the memoised default and
-	// ReferenceRadio, retained for same-process A/B benchmarking and
-	// differential tests. Results are bit-identical either way.
-	LegacyRadio bool
 
 	// ReferenceQueue forces the DES kernel's retained binary-heap event
 	// list instead of the production calendar queue — the same

@@ -389,10 +389,12 @@ func TestMobilityDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunTraced(t *testing.T) {
+// TestRunJourneyTraceSink is the trace-sink case of RunJourney: a sink
+// alone captures routing records, and no hooks at all is exactly Run.
+func TestRunJourneyTraceSink(t *testing.T) {
 	sc := quickScenario()
 	buf := trace.NewBuffer(8192)
-	r, err := RunTraced(sc, buf)
+	r, err := RunJourney(sc, buf, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +408,7 @@ func TestRunTraced(t *testing.T) {
 		t.Fatal("no delivery records traced")
 	}
 	// A nil sink must behave exactly like Run.
-	a, err := RunTraced(sc, nil)
+	a, err := RunJourney(sc, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +417,7 @@ func TestRunTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatal("RunTraced(nil) differs from Run")
+		t.Fatal("RunJourney with no hooks differs from Run")
 	}
 }
 

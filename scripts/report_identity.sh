@@ -6,6 +6,11 @@
 # A line with -metrics also writes the flight recorder's heatmap CSV and
 # series NDJSON, which are compared too: the canonical report does not
 # carry the sampled per-node columns (queue, load, routes, dup_cache).
+# Reports are compared without their "fingerprint" line, which is printed
+# as `fingerprint: same|moved` for information: it hashes the Scenario
+# struct's JSON, so it is a function of that struct's shape (guarded by
+# TestFingerprintCoversEveryScenarioField) and moves whenever a field is
+# added or removed, not of anything a run computes.
 # Exits non-zero, printing the first differing lines, on any mismatch.
 # The repo keeps no recorded goldens (every golden test is tier-vs-tier or
 # warm-vs-cold), so this is the check a PR that claims "no Result moved"
@@ -22,7 +27,11 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
 (cd "$tmp/src" && go build -o "$tmp/parent" ./cmd/meshsim)
 (cd "$root" && go build -o "$tmp/change" ./cmd/meshsim)
 
-# One scenario per line; the five schemes at the default 7×7 grid come first.
+# One scenario per line; the five schemes at the default 7×7 grid come
+# first. The two -config overlays (read from the working tree on both
+# sides, hence the cd) cover what flags cannot reach: waypoint mobility, where every step
+# invalidates the audible sets, and Nakagami fading, where every
+# transmission rebuilds its set.
 scenarios=(
 	"-scheme clnlr"
 	"-scheme flood"
@@ -36,7 +45,10 @@ scenarios=(
 	"-audit -mttf 5s -mttr 1s -measure 20s"
 	"-metrics -scheme clnlr"
 	"-metrics -scheme flood -rows 15 -cols 15 -area 2142.857 -mttf 20s -mttr 2s -measure 10s"
+	"-config scripts/identity_mobile.json -audit"
+	"-config scripts/identity_nakagami.json -metrics"
 )
+cd "$root"
 
 status=0
 for i in "${!scenarios[@]}"; do
@@ -48,8 +60,13 @@ for i in "${!scenarios[@]}"; do
 	for side in parent change; do
 		# -metrics-out only names the files a -metrics line writes.
 		# shellcheck disable=SC2086 # args is a flag list, split on purpose
-		"$tmp/$side" $args -metrics-out "$tmp/$side.$i" -report "$tmp/$side.$i.json" -canonical-report >/dev/null
+		"$tmp/$side" $args -metrics-out "$tmp/$side.$i" -report "$tmp/$side.$i.full" -canonical-report >/dev/null
+		grep -v '^ *"fingerprint":' "$tmp/$side.$i.full" >"$tmp/$side.$i.json"
 	done
+	fingerprint=same
+	if [[ $(grep '"fingerprint":' "$tmp/parent.$i.full") != $(grep '"fingerprint":' "$tmp/change.$i.full") ]]; then
+		fingerprint=moved
+	fi
 	verdict=identical
 	for out in "${outputs[@]}"; do
 		if ! cmp -s "$tmp/parent.$i$out" "$tmp/change.$i$out"; then
@@ -59,6 +76,6 @@ for i in "${!scenarios[@]}"; do
 			diff "$tmp/parent.$i$out" "$tmp/change.$i$out" | head -n 4 || true
 		fi
 	done
-	echo "$verdict  meshsim $args"
+	echo "$verdict  fingerprint: $fingerprint  meshsim $args"
 done
 exit $status
