@@ -8,7 +8,7 @@ GO ?= go
 # the runner-level replication sweep, and the daemon's serve path.
 BENCH_GATE := BenchmarkSimulatorThroughput|BenchmarkReplicationSweep|BenchmarkServeThroughput
 
-.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen report-identity instrument-cost loc
+.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen profile-mobile report-identity instrument-cost loc
 
 verify: build test race bench-smoke
 
@@ -96,6 +96,21 @@ profile-largen:
 		-memprofile $(PROFILE_DIR)/largen-mem.pprof
 	@ls -l $(PROFILE_DIR)
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/largen-cpu.pprof
+
+# The same for the memo's write side: the benchmark's mobile100 shape (100
+# nodes on a perturbed grid, 5 m/s waypoints, churn and burst loss), where
+# half the transmissions rebuild an audible set and every delivery advances
+# a link's Gilbert–Elliott chain: radio.buildAudible (cumulative, the
+# propagation row kernel under it) and fault.LinkModel.Deliver are the
+# lines to read.
+profile-mobile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) run ./cmd/meshsim -config scripts/identity_mobile.json \
+		-mttf 60s -mttr 5s -link-good 2s -link-bad 200ms -loss-bad 0.8 \
+		-reps 10 -workers 1 \
+		-cpuprofile $(PROFILE_DIR)/mobile-cpu.pprof
+	@ls -l $(PROFILE_DIR)
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/mobile-cpu.pprof
 
 # Full throughput numbers (compare against BENCH_PR1.json / BENCH_PR2.json).
 bench:

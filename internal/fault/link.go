@@ -12,13 +12,19 @@ import (
 // indexed and the reference radio path, and a warm and a cold engine, see
 // byte-for-byte the same channel.
 //
+// The hash absorbs its words in that order, one splitmix64 round each, so
+// (seed, link) is a prefix: Reset absorbs the seed, Deliver the link once,
+// and every slot the chain advances costs one round.
+//
 // Per-link state is only a memo (the last evaluated slot and the chain
-// state there), advanced monotonically as simulation time does.
+// state there), advanced monotonically as simulation time does. The zero
+// LinkModel is ready for Reset.
 type LinkModel struct {
-	p    LinkParams
-	seed uint64
-	n    int
-	slot des.Time
+	p LinkParams
+	// seeded is the hash accumulator after the run seed.
+	seeded uint64
+	n      int
+	slot   des.Time
 	// Per-slot transition probabilities good→bad and bad→good, chosen so
 	// the mean sojourn times match MeanGood/MeanBad.
 	pGB, pBG float64
@@ -43,7 +49,7 @@ func NewLinkModel(p LinkParams, seed uint64, n int) *LinkModel {
 // reuse), keeping the memo backing array when the network size allows.
 func (lm *LinkModel) Reset(p LinkParams, seed uint64, n int) {
 	lm.p = p
-	lm.seed = seed
+	lm.seeded, _ = absorb(golden, seed)
 	lm.n = n
 	lm.slot = p.Slot
 	if lm.slot <= 0 {
@@ -69,54 +75,55 @@ func (lm *LinkModel) Reset(p LinkParams, seed uint64, n int) {
 	}
 }
 
-// mix hashes the tuple into 64 well-mixed bits (splitmix64 over a running
-// accumulator, one round per word).
-func mix(words ...uint64) uint64 {
-	x := uint64(0x9e3779b97f4a7c15)
-	var h uint64
-	for _, w := range words {
-		x ^= w
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		h = z ^ (z >> 31)
-		x ^= h
-	}
-	return h
+// golden is the splitmix64 increment and the hash's initial accumulator.
+const golden = 0x9e3779b97f4a7c15
+
+// absorb is one round of the tuple hash (splitmix64 over a running
+// accumulator): it folds word w into accumulator x and returns the new
+// accumulator and the 64 well-mixed bits of the tuple ending at w.
+func absorb(x, w uint64) (next, h uint64) {
+	x ^= w
+	x += golden
+	z := x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	h = z ^ (z >> 31)
+	return x ^ h, h
 }
 
-// hash01 maps the tuple to a float64 in [0, 1).
-func hash01(words ...uint64) float64 {
-	return float64(mix(words...)>>11) / (1 << 53)
-}
+// unit maps 64 hash bits to a float64 in [0, 1).
+func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // Deliver reports whether a frame crossing the directed link src→dst at
 // time now survives the impairment process. now must be non-decreasing
 // per link (simulation time is), so the memoised chain only ever advances.
 func (lm *LinkModel) Deliver(src, dst int, now des.Time) bool {
 	cur := int64(now / lm.slot)
-	key := uint64(src)<<32 | uint64(uint32(dst))
+	link, _ := absorb(lm.seeded, uint64(src)<<32|uint64(uint32(dst)))
 	memo := &lm.links[src*lm.n+dst]
 	if memo.lastSlot < 0 {
 		// Start the chain in its stationary distribution at slot 0.
 		piBad := lm.pGB / (lm.pGB + lm.pBG)
-		memo.bad = hash01(lm.seed, key, ^uint64(0)) < piBad
+		_, h := absorb(link, ^uint64(0))
+		memo.bad = unit(h) < piBad
 		memo.lastSlot = 0
 	}
+	bad := memo.bad
 	for s := memo.lastSlot + 1; s <= cur; s++ {
-		draw := hash01(lm.seed, key, uint64(s))
-		if memo.bad {
-			memo.bad = draw >= lm.pBG
+		_, h := absorb(link, uint64(s))
+		draw := unit(h)
+		if bad {
+			bad = draw >= lm.pBG
 		} else {
-			memo.bad = draw < lm.pGB
+			bad = draw < lm.pGB
 		}
 	}
+	memo.bad = bad
 	if cur > memo.lastSlot {
 		memo.lastSlot = cur
 	}
 	loss := lm.p.LossGood
-	if memo.bad {
+	if bad {
 		loss = lm.p.LossBad
 	}
 	if loss <= 0 {
@@ -126,5 +133,7 @@ func (lm *LinkModel) Deliver(src, dst int, now des.Time) bool {
 	// same slot. One draw per (link, slot, frame-ordinal) would need
 	// mutable per-frame state; per (link, slot) is the standard slotted
 	// approximation and keeps the draw a pure function.
-	return hash01(lm.seed, key, uint64(cur), 0x10ad) >= loss
+	slotted, _ := absorb(link, uint64(cur))
+	_, h := absorb(slotted, 0x10ad)
+	return unit(h) >= loss
 }

@@ -363,9 +363,9 @@ func TestSenderCrashedFromCallback(t *testing.T) {
 	compareTiers(t, ops)
 	for tier := tierMemo; tier <= tierReference; tier++ {
 		m, recs := runOps(t, tier, ops)
-		if !m.radios[0].Down() || m.Corruptions != 2 || m.Deliveries != 0 {
+		if !m.rx[0].down || m.Corruptions != 2 || m.Deliveries != 0 {
 			t.Fatalf("tier %d: sender down=%v, %d corruptions, %d deliveries; want down, 2, 0",
-				tier, m.radios[0].Down(), m.Corruptions, m.Deliveries)
+				tier, m.rx[0].down, m.Corruptions, m.Deliveries)
 		}
 		for _, rx := range []int{1, 4} {
 			if got := recs[rx].received; len(got) != 1 || got[0].ok {
@@ -496,7 +496,7 @@ func wideDelivery(reference, mobile bool) (*Medium, []*recorder) {
 			r := radios[k*13]
 			dx := float64(k+1) * 300
 			sim.At(des.Time(3*k+1)*des.Millisecond, func() {
-				r.SetPos(geom.Point{X: r.pos.X + dx, Y: 5})
+				r.SetPos(geom.Point{X: r.Pos().X + dx, Y: 5})
 			})
 		}
 		sim.At(40*des.Millisecond, func() { radios[139].SetPos(geom.Point{X: 0, Y: 10}) })
@@ -518,7 +518,7 @@ func TestReferenceMatchesMemoOnWideDeployment(t *testing.T) {
 		// through, and the cross-field mover must end up in radio 0's set.
 		if n := len(memo.aud[70].heard); n < 70 || n > 90 {
 			t.Fatalf("mobile=%v: radio 70 hears %d of %d radios; want the 76 or so within 2680 m",
-				mobile, n, len(memo.radios)-1)
+				mobile, n, memo.NumRadios()-1)
 		}
 		if memo.Deliveries == 0 || memo.Corruptions == 0 {
 			t.Fatalf("mobile=%v: %d deliveries, %d corruptions — schedule too tame",

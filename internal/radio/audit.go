@@ -34,7 +34,7 @@ import (
 // apart from the auditLive/auditSum scratch, so a tick allocates nothing;
 // returns the first violation found, or nil.
 func (m *Medium) AuditCoherence() error {
-	n := len(m.radios)
+	n := len(m.pos)
 	for _, l := range []struct {
 		name string
 		len  int
@@ -107,7 +107,7 @@ func (m *Medium) AuditCoherence() error {
 		if open := s.txing || (s.busy && !s.down); open && s.since > now {
 			return fmt.Errorf("radio: audit: receiver %d open clock interval begins at %v, after now %v", rx, s.since, now)
 		}
-		if idle, busy, tx := m.radios[rx].StateTimes(); idle < 0 || busy < 0 || tx < 0 {
+		if idle, busy, tx := m.stateTimes(rx); idle < 0 || busy < 0 || tx < 0 {
 			return fmt.Errorf("radio: audit: receiver %d clock reads idle %v, busy %v, transmit %v", rx, idle, busy, tx)
 		}
 		if cur := s.cur.t; cur != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"clnlr/internal/des"
+	"clnlr/internal/fault"
 	"clnlr/internal/geom"
 )
 
@@ -92,17 +93,9 @@ func TestTransmitSteadyStateZeroAllocs(t *testing.T) {
 		{"reference", NewTwoRay(914e6, 1.5, 1.5), tierReference, 0},
 		{"nakagami", NewNakagami(NewTwoRay(914e6, 1.5, 1.5), 3, 10*des.Millisecond, 7), tierMemo, 0},
 	} {
-		sim := des.NewSim()
-		m := NewMedium(sim, tc.prop)
+		sim, m, radios := idleGrid(tc.prop, 2142.857, 15)
 		m.SetReference(tc.tier == tierReference)
-		var centre *Radio
-		for i, p := range geom.GridPlacement(geom.Square(2142.857), 15, 15) {
-			r := m.Attach(p, DefaultParams())
-			r.SetListener(idleListener{})
-			if i == 112 {
-				centre = r
-			}
-		}
+		centre := radios[112]
 		broadcast := func() {
 			centre.Transmit(nil, 512, 2*des.Millisecond)
 			sim.Run()
@@ -129,5 +122,126 @@ func TestTransmitSteadyStateZeroAllocs(t *testing.T) {
 			t.Errorf("%s: mid-flight audit allocates %v times per tick, want 0", tc.name, allocs)
 		}
 		sim.Run()
+	}
+}
+
+// TestRebuildSteadyStateZeroAllocs is the write side of
+// TestTransmitSteadyStateZeroAllocs: on a warm medium a move (every audible
+// set invalidated) followed by the mover's broadcast — one propagation row
+// into the scratch row, the set rebuilt into its retained storage — and
+// the drain allocate nothing, under each model.
+func TestRebuildSteadyStateZeroAllocs(t *testing.T) {
+	for _, tc := range rebuildModels() {
+		name, prop := tc.name, tc.prop
+		sim, m, radios := idleGrid(prop, 1428.57, 10)
+		centre := radios[55]
+		home := centre.Pos()
+		step := 0
+		moveAndBroadcast := func() {
+			step++
+			centre.SetPos(geom.Point{X: home.X + 0.01*float64(step%2), Y: home.Y})
+			centre.Transmit(nil, 512, 2*des.Millisecond)
+			sim.Run()
+		}
+		moveAndBroadcast() // warm-up
+		before := m.AudibleRebuilds()
+		if allocs := testing.AllocsPerRun(50, moveAndBroadcast); allocs != 0 {
+			t.Errorf("%s: steady-state move+transmit+drain allocates %v times per run, want 0", name, allocs)
+		}
+		if _, static := prop.(TimeInvariant); static && m.AudibleRebuilds()-before != 51 {
+			t.Errorf("%s: %d memo rebuilds over 51 moves, want one each", name, m.AudibleRebuilds()-before)
+		}
+	}
+}
+
+// TestWarmImpairmentReuseAllocatesNothing: Reset disarms the link model but
+// keeps its N² memo, so the Reset + SetImpairment cycle of a warm engine
+// allocates nothing, and the re-armed model decides every probe as a cold
+// model with the same seed does — whatever an earlier run left in the memo.
+func TestWarmImpairmentReuseAllocatesNothing(t *testing.T) {
+	var prop Propagation = NewTwoRay(914e6, 1.5, 1.5) // boxed once, not per Reset
+	pts := geom.GridPlacement(geom.Square(1000), 7, 7)
+	m := NewMedium(des.NewSim(), prop)
+	for _, p := range pts {
+		m.Attach(p, DefaultParams()).SetListener(idleListener{})
+	}
+	link := fault.LinkParams{MeanGood: 200 * des.Millisecond, MeanBad: 100 * des.Millisecond, LossBad: 0.8, LossGood: 0.05}
+	m.SetImpairment(link, 1)
+	for i := 0; i < len(pts); i++ { // a first run leaves chains mid-way
+		m.impair.Deliver(i, (i+1)%len(pts), des.Time(i)*des.Second)
+	}
+	m.Reset(prop, pts)
+	if m.impaired {
+		t.Fatal("Reset left the link impairment armed")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		m.Reset(prop, pts)
+		m.SetImpairment(link, 2)
+	}); allocs != 0 {
+		t.Errorf("warm Reset + SetImpairment allocates %v times, want 0", allocs)
+	}
+	cold := fault.NewLinkModel(link, 2, len(pts))
+	for k := 0; k < 4000; k++ {
+		src, dst, now := k%len(pts), (k*7+3)%len(pts), des.Time(k)*3*des.Millisecond
+		if got, want := m.impair.Deliver(src, dst, now), cold.Deliver(src, dst, now); got != want {
+			t.Fatalf("probe %d (%d->%d at %v): warm model delivers %v, cold model %v", k, src, dst, now, got, want)
+		}
+	}
+	m.SetImpairment(fault.LinkParams{}, 3)
+	if m.impaired {
+		t.Fatal("disabled parameters left the link impairment armed")
+	}
+}
+
+// idleGrid attaches n×n radios with idle listeners on a grid over a square
+// of side areaM: 15×15 over 2142.857 m is grid225's field, 10×10 over
+// 1428.57 m mobile100's.
+func idleGrid(prop Propagation, areaM float64, n int) (*des.Sim, *Medium, []*Radio) {
+	sim := des.NewSim()
+	m := NewMedium(sim, prop)
+	var radios []*Radio
+	for _, p := range geom.GridPlacement(geom.Square(areaM), n, n) {
+		r := m.Attach(p, DefaultParams())
+		r.SetListener(idleListener{})
+		radios = append(radios, r)
+	}
+	return sim, m, radios
+}
+
+// rebuildModels are the propagation models the rebuild test and benchmark
+// cover: the memoised default, per-link shadowing (memoised too) and
+// fading, which rebuilds on every transmission anyway.
+func rebuildModels() []struct {
+	name string
+	prop Propagation
+} {
+	tworay := NewTwoRay(914e6, 1.5, 1.5)
+	return []struct {
+		name string
+		prop Propagation
+	}{
+		{"tworay", tworay},
+		{"logdistance", NewLogDistance(914e6, 2.7, 1, 4, 7)},
+		{"nakagami", NewNakagami(tworay, 3, 10*des.Millisecond, 7)},
+	}
+}
+
+// BenchmarkAudibleRebuild is the in-module twin of the repository
+// benchmark's radio.rebuild_ns: move one transmitter 1 cm, transmit, drain
+// — one buildAudible over mobile100's 100 radios per iteration.
+func BenchmarkAudibleRebuild(b *testing.B) {
+	for _, tc := range rebuildModels() {
+		b.Run(tc.name, func(b *testing.B) {
+			sim, _, radios := idleGrid(tc.prop, 1428.57, 10)
+			centre := radios[55]
+			home := centre.Pos()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				centre.SetPos(geom.Point{X: home.X + 0.01*float64(i%2), Y: home.Y})
+				centre.Transmit(nil, 512, 2*des.Millisecond)
+				sim.Run()
+			}
+		})
 	}
 }

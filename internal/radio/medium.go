@@ -142,20 +142,19 @@ type audibleSet struct {
 }
 
 // Radio is a node's attachment to the Medium. It is a thin handle: all
-// dynamic state (channel and the rxState record) lives in the
-// Medium's dense per-ID slices so the receiver hot path walks contiguous
-// arrays instead of pointer-chasing per-radio objects.
+// dynamic state (position, channel and the rxState record) lives in the
+// Medium's dense per-ID slices so the receiver scan and the arrival loop
+// walk contiguous arrays instead of pointer-chasing per-radio objects.
 type Radio struct {
-	m   *Medium
-	id  int
-	pos geom.Point
+	m  *Medium
+	id int
 }
 
 // ID returns the radio's dense index within its medium.
 func (r *Radio) ID() int { return r.id }
 
 // Pos returns the radio's position.
-func (r *Radio) Pos() geom.Point { return r.pos }
+func (r *Radio) Pos() geom.Point { return r.m.pos[r.id] }
 
 // SetPos moves the radio (mobility support). The new position applies to
 // subsequent transmissions; frames already in flight keep the powers
@@ -164,11 +163,12 @@ func (r *Radio) Pos() geom.Point { return r.pos }
 // motion). Moving invalidates every memoised audible set (the mover may
 // appear in any of them); RxPowerBetween and InRange see it at once.
 func (r *Radio) SetPos(p geom.Point) {
-	if p == r.pos {
+	m := r.m
+	if p == m.pos[r.id] {
 		return
 	}
-	r.pos = p
-	r.m.audEpoch++
+	m.pos[r.id] = p
+	m.audEpoch++
 }
 
 // Channel returns the radio's frequency channel (0 by default). Radios on
@@ -210,9 +210,8 @@ func (r *Radio) SetChannel(ch int) {
 // from the same scan of every radio on every transmission. It differs only
 // in when the set is obtained, never in the arrival loop that walks it.
 type Medium struct {
-	sim    *des.Sim
-	prop   Propagation
-	radios []*Radio
+	sim  *des.Sim
+	prop Propagation
 	// minTrackW: arrivals weaker than this are ignored entirely (they are
 	// far below both noise and CS thresholds).
 	minTrackW float64
@@ -220,7 +219,10 @@ type Medium struct {
 	reference bool // exhaustive slow path for validation
 	static    bool // prop is time-invariant → audible sets memoisable
 
-	// Dense per-radio state, indexed by radio ID.
+	// Dense per-radio state, indexed by radio ID; one entry per attached
+	// radio (a Radio is only the handle {medium, ID}, which the Medium does
+	// not keep).
+	pos       []geom.Point    // current position: the row Propagation reads
 	rfp       []Params        // immutable RF parameters, copied at Attach
 	chans     []int32         // current frequency channel
 	rx        []rxState       // receiver record (see rxState)
@@ -241,6 +243,9 @@ type Medium struct {
 	// start is when the state clocks began: creation or the last Reset.
 	start des.Time
 
+	// row is powerRow's scratch, kept so a rebuild allocates nothing.
+	row []float64
+
 	// AuditCoherence scratch (per-receiver expected arrival count and
 	// energy), kept so an audit tick allocates nothing.
 	auditLive []int32
@@ -255,10 +260,12 @@ type Medium struct {
 	// to fold into golden metrics.
 	txInFlightHW int
 
-	// impair, when non-nil, is the per-link burst-loss process applied to
-	// otherwise-successful deliveries (fault injection). It is evaluated
-	// identically on the memoised and reference paths.
-	impair *fault.LinkModel
+	// impair is the per-link burst-loss process applied, while impaired,
+	// to otherwise-successful deliveries (fault injection). It is evaluated
+	// identically on the memoised and reference paths. The model's per-link
+	// storage outlives Reset and unimpaired runs.
+	impair   fault.LinkModel
+	impaired bool
 
 	// Counters for validation and benchmarks.
 	Transmissions uint64
@@ -295,20 +302,15 @@ func (m *Medium) SetReference(on bool) { m.reference = on }
 // Reset invalidates all of them).
 func (m *Medium) AudibleRebuilds() uint64 { return m.audRebuilds }
 
-// SetImpairment installs (or, when p is disabled, removes) the per-link
+// SetImpairment arms (or, when p is disabled, disarms) the per-link
 // Gilbert–Elliott burst-loss process, keyed by the run seed. Call after
-// every radio is attached and after each Reset; an existing model is
-// re-parameterised in place so warm engine reuse does not allocate.
+// every radio is attached and after each Reset, which disarms it; the model
+// is re-parameterised in place, so warm engine reuse does not allocate.
 func (m *Medium) SetImpairment(p fault.LinkParams, seed uint64) {
-	if !p.Enabled() {
-		m.impair = nil
-		return
+	m.impaired = p.Enabled()
+	if m.impaired {
+		m.impair.Reset(p, seed, len(m.pos))
 	}
-	if m.impair == nil {
-		m.impair = fault.NewLinkModel(p, seed, len(m.radios))
-		return
-	}
-	m.impair.Reset(p, seed, len(m.radios))
 }
 
 // Reset prepares the medium for a fresh run under a (possibly different)
@@ -320,22 +322,22 @@ func (m *Medium) SetImpairment(p fault.LinkParams, seed uint64) {
 // is invalidated and the state clocks and validation counters (pool drops
 // too) restart.
 func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
-	if len(positions) != len(m.radios) {
+	if len(positions) != len(m.pos) {
 		panic(fmt.Sprintf("radio: Reset with %d positions for %d radios",
-			len(positions), len(m.radios)))
+			len(positions), len(m.pos)))
 	}
 	m.prop = prop
 	ti, ok := prop.(TimeInvariant)
 	m.static = ok && ti.TimeInvariant()
 	m.audEpoch++
-	m.impair = nil // reinstalled per run via SetImpairment
+	m.impaired = false // re-armed per run via SetImpairment
 	m.Transmissions, m.Deliveries, m.Corruptions, m.ImpairDrops = 0, 0, 0, 0
 	m.txInFlight, m.txInFlightHW = 0, 0
 	m.txPoolDrops = 0
 	m.audRebuilds = 0
 	m.start = m.sim.Now()
-	for i, r := range m.radios {
-		r.pos = positions[i]
+	copy(m.pos, positions)
+	for i := range m.pos {
 		m.chans[i] = 0
 		m.rx[i] = rxState{csThresh: m.rfp[i].CsThreshW, quiet: m.rx[i].quiet}
 		m.txAcc[i] = 0
@@ -347,12 +349,8 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 // before the first transmission via SetListener (two-phase because the MAC
 // needs the radio and vice versa).
 func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
-	r := &Radio{
-		m:   m,
-		id:  len(m.radios),
-		pos: pos,
-	}
-	m.radios = append(m.radios, r)
+	r := &Radio{m: m, id: len(m.pos)}
+	m.pos = append(m.pos, pos)
 	m.rfp = append(m.rfp, params)
 	m.chans = append(m.chans, 0)
 	m.rx = append(m.rx, rxState{csThresh: params.CsThreshW})
@@ -368,12 +366,19 @@ func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
 func (r *Radio) SetListener(l Listener) { r.m.listeners[r.id] = l }
 
 // NumRadios returns the number of attached radios.
-func (m *Medium) NumRadios() int { return len(m.radios) }
+func (m *Medium) NumRadios() int { return len(m.pos) }
 
-// rxPower returns the received power at rx for a transmission from tx
-// starting now.
-func (m *Medium) rxPower(tx, rx *Radio) float64 {
-	return m.prop.RxPower(m.rfp[tx.id].TxPowerW, tx.pos, rx.pos, m.sim.Now())
+// powerRow returns the power every radio (tx itself included) receives
+// from a transmission by radio tx starting now, indexed by radio ID: one
+// Propagation call over the dense positions into the Medium's scratch row,
+// which the next call overwrites.
+func (m *Medium) powerRow(tx int) []float64 {
+	if cap(m.row) < len(m.pos) {
+		m.row = make([]float64, len(m.pos))
+	}
+	row := m.row[:len(m.pos)]
+	m.prop.RxPowers(m.rfp[tx].TxPowerW, m.pos[tx], m.pos, m.sim.Now(), row)
+	return row
 }
 
 // buildAudible recomputes one transmitter's audible set: every other
@@ -383,16 +388,11 @@ func (m *Medium) rxPower(tx, rx *Radio) float64 {
 // models and the reference tier on every transmission. Down radios are
 // included — crash state is filtered live by the arrival loop — so churn
 // does not invalidate sets.
-func (m *Medium) buildAudible(r *Radio, a *audibleSet) {
+func (m *Medium) buildAudible(id int, a *audibleSet) {
 	hs := a.heard[:0]
-	ch := m.chans[r.id]
-	for _, rx := range m.radios {
-		rid := rx.id
-		if rid == r.id || m.chans[rid] != ch {
-			continue
-		}
-		p := m.rxPower(r, rx)
-		if p < m.minTrackW {
+	ch := m.chans[id]
+	for rid, p := range m.powerRow(id) {
+		if rid == id || m.chans[rid] != ch || p < m.minTrackW {
 			continue
 		}
 		hs = append(hs, heard{power: p, rx: int32(rid), refOK: p >= m.rfp[rid].RxThreshW})
@@ -465,7 +465,7 @@ func (m *Medium) HandleEvent(op int32, arg uint32) {
 // RxPowerBetween exposes the propagation computation for topology
 // construction (connectivity graphs use the same model as the channel).
 func (m *Medium) RxPowerBetween(from, to int) float64 {
-	return m.rxPower(m.radios[from], m.radios[to])
+	return RxPower(m.prop, m.rfp[from].TxPowerW, m.pos[from], m.pos[to], m.sim.Now())
 }
 
 // InRange reports whether a frame from `from` is decodable at `to` in the
@@ -475,6 +475,16 @@ func (m *Medium) InRange(from, to int) bool {
 		return false
 	}
 	return m.RxPowerBetween(from, to) >= m.rfp[to].RxThreshW
+}
+
+// InRangeRow sets out[to] to InRange(from, to) for every radio, from one
+// propagation row: what a connectivity graph over all N² pairs asks for.
+// len(out) must be NumRadios().
+func (m *Medium) InRangeRow(from int, out []bool) {
+	ch := m.chans[from]
+	for to, p := range m.powerRow(from) {
+		out[to] = m.chans[to] == ch && p >= m.rfp[to].RxThreshW
+	}
 }
 
 // Transmitting reports whether the radio is currently sending.
@@ -551,11 +561,13 @@ func (r *Radio) WantCarrier(want bool) { r.m.rx[r.id].quiet = !want }
 // busy carrier while up and not transmitting (rx — overhearing included)
 // and otherwise (idle — downtime included) since the medium was created
 // or last Reset: exact nanoseconds, kept where the edges happen.
-func (r *Radio) StateTimes() (idle, rx, tx des.Time) {
-	m := r.m
-	s := &m.rx[r.id]
+func (r *Radio) StateTimes() (idle, rx, tx des.Time) { return r.m.stateTimes(r.id) }
+
+// stateTimes is StateTimes by radio ID (the audit holds no handles).
+func (m *Medium) stateTimes(id int) (idle, rx, tx des.Time) {
+	s := &m.rx[id]
 	now := m.sim.Now()
-	rx, tx = s.rxAcc, m.txAcc[r.id]
+	rx, tx = s.rxAcc, m.txAcc[id]
 	switch {
 	case s.txing:
 		tx += now - s.since
@@ -621,10 +633,10 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 	// transmit again before finish).
 	a := &m.aud[id]
 	if !m.static || m.reference {
-		m.buildAudible(r, a)
+		m.buildAudible(id, a)
 	} else if a.epoch != m.audEpoch {
 		m.audRebuilds++
-		m.buildAudible(r, a)
+		m.buildAudible(id, a)
 	}
 	hs := a.heard
 	t.touched = hs
@@ -744,7 +756,7 @@ func (m *Medium) deliver(rx int, t *transmission) {
 	s := &m.rx[rx]
 	ok := !s.cur.corrupted && !s.txing
 	s.cur = arrival{}
-	if ok && m.impair != nil && !m.impair.Deliver(int(t.src), rx, m.sim.Now()) {
+	if ok && m.impaired && !m.impair.Deliver(int(t.src), rx, m.sim.Now()) {
 		ok = false
 		m.ImpairDrops++
 	}

@@ -18,20 +18,36 @@ import (
 // SpeedOfLight in metres per second.
 const SpeedOfLight = 299_792_458.0
 
-// Propagation computes received signal power for a transmitter/receiver
-// pair. Implementations must be deterministic functions of their inputs
-// (shadowing variants derive their randomness from the endpoint
+// Propagation computes received signal power from one transmitter to a row
+// of receivers. Implementations must be deterministic functions of their
+// inputs (shadowing variants derive their randomness from the endpoint
 // coordinates) so that runs are reproducible.
+//
+// The method works on a row because the Medium asks for a transmitter's
+// powers at every radio at once (buildAudible): one interface call, and
+// whatever does not depend on the receiver — the transmit-side product, the
+// two-ray crossover, the log-distance reference power — is computed once
+// per row. Each model hoists such a term as the same left-to-right
+// sub-expression the per-pair formula starts with, never a regrouped one:
+// float64 multiplication is not associative, and every power must stay
+// bit-equal to the per-pair formulas oracle_test.go keeps.
 type Propagation interface {
-	// RxPower returns the received power in watts at `to` for a
+	// RxPowers sets out[i] to the received power in watts at to[i] for a
 	// transmission of txPowerW watts from `from` starting at time `at`
 	// (static models ignore `at`; fading models hash it into their
-	// deterministic channel draw).
-	RxPower(txPowerW float64, from, to geom.Point, at des.Time) float64
+	// deterministic channel draw). len(out) must be at least len(to).
+	RxPowers(txPowerW float64, from geom.Point, to []geom.Point, at des.Time, out []float64)
+}
+
+// RxPower is the one-element row: the power p delivers at `to`.
+func RxPower(p Propagation, txPowerW float64, from, to geom.Point, at des.Time) float64 {
+	pts, out := [1]geom.Point{to}, [1]float64{}
+	p.RxPowers(txPowerW, from, pts[:], at, out[:])
+	return out[0]
 }
 
 // TimeInvariant is an optional Propagation capability: models whose
-// RxPower ignores the time argument report true, which lets the Medium
+// RxPowers ignores the time argument report true, which lets the Medium
 // memoise each transmitter's audible set between transmissions. Models
 // that omit the method (or return false) are treated as time-varying.
 type TimeInvariant interface {
@@ -56,14 +72,27 @@ func NewFreeSpace(freqHz float64) FreeSpace {
 	return FreeSpace{WavelengthM: SpeedOfLight / freqHz, Gt: 1, Gr: 1, L: 1}
 }
 
-// RxPower implements Propagation.
-func (f FreeSpace) RxPower(txPowerW float64, from, to geom.Point, _ des.Time) float64 {
-	d := from.Dist(to)
+// RxPowers implements Propagation.
+func (f FreeSpace) RxPowers(txPowerW float64, from geom.Point, to []geom.Point, _ des.Time, out []float64) {
+	num := f.friisNumerator(txPowerW)
+	for i, p := range to {
+		out[i] = f.friis(txPowerW, num, from.Dist(p))
+	}
+}
+
+// friisNumerator is the receiver-independent Pt·Gt·Gr·λ² of a row.
+func (f FreeSpace) friisNumerator(txPowerW float64) float64 {
+	return txPowerW * f.Gt * f.Gr * f.WavelengthM * f.WavelengthM
+}
+
+// friis is the free-space power at distance d, num being
+// friisNumerator(txPowerW).
+func (f FreeSpace) friis(txPowerW, num, d float64) float64 {
 	if d < 1e-9 {
 		return txPowerW // co-located: no path loss
 	}
 	den := 4 * math.Pi * d
-	return txPowerW * f.Gt * f.Gr * f.WavelengthM * f.WavelengthM / (den * den * f.L)
+	return num / (den * den * f.L)
 }
 
 // TimeInvariant implements the cacheability capability.
@@ -90,13 +119,19 @@ func (t TwoRay) Crossover() float64 {
 	return 4 * math.Pi * t.Ht * t.Hr / t.WavelengthM
 }
 
-// RxPower implements Propagation.
-func (t TwoRay) RxPower(txPowerW float64, from, to geom.Point, at des.Time) float64 {
-	d := from.Dist(to)
-	if d < t.Crossover() {
-		return t.FreeSpace.RxPower(txPowerW, from, to, at)
+// RxPowers implements Propagation.
+func (t TwoRay) RxPowers(txPowerW float64, from geom.Point, to []geom.Point, _ des.Time, out []float64) {
+	cross := t.Crossover()
+	near := t.friisNumerator(txPowerW)
+	far := txPowerW * t.Gt * t.Gr * t.Ht * t.Ht * t.Hr * t.Hr
+	for i, p := range to {
+		d := from.Dist(p)
+		if d < cross {
+			out[i] = t.friis(txPowerW, near, d)
+		} else {
+			out[i] = far / (d * d * d * d * t.L)
+		}
 	}
-	return txPowerW * t.Gt * t.Gr * t.Ht * t.Ht * t.Hr * t.Hr / (d * d * d * d * t.L)
 }
 
 // LogDistance is the log-distance path-loss model with optional log-normal
@@ -132,18 +167,23 @@ func NewLogDistance(freqHz, exp, refDist, sigmaDB float64, seed uint64) LogDista
 	}
 }
 
-// RxPower implements Propagation.
-func (l LogDistance) RxPower(txPowerW float64, from, to geom.Point, at des.Time) float64 {
-	d := from.Dist(to)
-	if d < l.RefDistM {
-		d = l.RefDistM
+// RxPowers implements Propagation.
+func (l LogDistance) RxPowers(txPowerW float64, from geom.Point, to []geom.Point, _ des.Time, out []float64) {
+	// The reference power is Friis between two points RefDistM apart, the
+	// distance measured as the per-pair formula measured it.
+	ref := geom.Point{}.Dist(geom.Point{X: l.RefDistM})
+	pr0 := l.friis(txPowerW, l.friisNumerator(txPowerW), ref)
+	for i, p := range to {
+		d := from.Dist(p)
+		if d < l.RefDistM {
+			d = l.RefDistM
+		}
+		lossDB := 10 * l.Exp * math.Log10(d/l.RefDistM)
+		if l.SigmaDB > 0 {
+			lossDB -= l.SigmaDB * l.pairGaussian(from, p)
+		}
+		out[i] = pr0 * math.Pow(10, -lossDB/10)
 	}
-	pr0 := l.FreeSpace.RxPower(txPowerW, geom.Point{}, geom.Point{X: l.RefDistM}, at)
-	lossDB := 10 * l.Exp * math.Log10(d/l.RefDistM)
-	if l.SigmaDB > 0 {
-		lossDB -= l.SigmaDB * l.pairGaussian(from, to)
-	}
-	return pr0 * math.Pow(10, -lossDB/10)
 }
 
 // pairGaussian returns a deterministic standard-normal draw for the
@@ -198,10 +238,13 @@ func NewNakagami(base Propagation, m int, coherence des.Time, seed uint64) Nakag
 	return Nakagami{Base: base, M: m, CoherenceTime: coherence, Seed: seed}
 }
 
-// RxPower implements Propagation.
-func (n Nakagami) RxPower(txPowerW float64, from, to geom.Point, at des.Time) float64 {
-	base := n.Base.RxPower(txPowerW, from, to, at)
-	return base * n.fade(from, to, at)
+// RxPowers implements Propagation: the base model's row, then each
+// link's fade.
+func (n Nakagami) RxPowers(txPowerW float64, from geom.Point, to []geom.Point, at des.Time, out []float64) {
+	n.Base.RxPowers(txPowerW, from, to, at, out)
+	for i, p := range to {
+		out[i] *= n.fade(from, p, at)
+	}
 }
 
 // fade returns the unit-mean Gamma(m,1/m) multiplier for the link's

@@ -46,7 +46,7 @@ func TestTwoRayCanonicalRanges(t *testing.T) {
 	prop := NewTwoRay(914e6, 1.5, 1.5)
 	p := DefaultParams()
 	at := func(d float64) float64 {
-		return prop.RxPower(p.TxPowerW, geom.Point{}, geom.Point{X: d}, 0)
+		return RxPower(prop, p.TxPowerW, geom.Point{}, geom.Point{X: d}, 0)
 	}
 	if at(250) < p.RxThreshW {
 		t.Fatalf("250 m power %.4g below RX threshold %.4g", at(250), p.RxThreshW)
@@ -64,12 +64,12 @@ func TestTwoRayCanonicalRanges(t *testing.T) {
 
 func TestFreeSpaceInverseSquare(t *testing.T) {
 	f := NewFreeSpace(2.4e9)
-	p1 := f.RxPower(1, geom.Point{}, geom.Point{X: 100}, 0)
-	p2 := f.RxPower(1, geom.Point{}, geom.Point{X: 200}, 0)
+	p1 := RxPower(f, 1, geom.Point{}, geom.Point{X: 100}, 0)
+	p2 := RxPower(f, 1, geom.Point{}, geom.Point{X: 200}, 0)
 	if math.Abs(p1/p2-4) > 1e-9 {
 		t.Fatalf("free space not inverse-square: ratio %v", p1/p2)
 	}
-	if co := f.RxPower(1, geom.Point{}, geom.Point{}, 0); co != 1 {
+	if co := RxPower(f, 1, geom.Point{}, geom.Point{}, 0); co != 1 {
 		t.Fatalf("co-located power %v", co)
 	}
 }
@@ -79,8 +79,8 @@ func TestTwoRayContinuousEnough(t *testing.T) {
 	// small factor (the classic model has a small step; verify it's small).
 	tr := NewTwoRay(914e6, 1.5, 1.5)
 	d := tr.Crossover()
-	near := tr.FreeSpace.RxPower(1, geom.Point{}, geom.Point{X: d * 0.999}, 0)
-	far := tr.RxPower(1, geom.Point{}, geom.Point{X: d * 1.001}, 0)
+	near := RxPower(tr.FreeSpace, 1, geom.Point{}, geom.Point{X: d * 0.999}, 0)
+	far := RxPower(tr, 1, geom.Point{}, geom.Point{X: d * 1.001}, 0)
 	ratio := near / far
 	if ratio < 0.5 || ratio > 2 {
 		t.Fatalf("two-ray branch discontinuity ratio %v at crossover %v m", ratio, d)
@@ -91,7 +91,7 @@ func TestTwoRayMonotoneDecreasing(t *testing.T) {
 	tr := NewTwoRay(914e6, 1.5, 1.5)
 	prev := math.Inf(1)
 	for d := 10.0; d < 1000; d += 10 {
-		p := tr.RxPower(1, geom.Point{}, geom.Point{X: d}, 0)
+		p := RxPower(tr, 1, geom.Point{}, geom.Point{X: d}, 0)
 		if p > prev {
 			t.Fatalf("power increased with distance at %v m", d)
 		}
@@ -103,24 +103,24 @@ func TestLogDistanceShadowingSymmetricDeterministic(t *testing.T) {
 	l := NewLogDistance(2.4e9, 3.0, 1.0, 6.0, 42)
 	a := geom.Point{X: 10, Y: 20}
 	b := geom.Point{X: 300, Y: 40}
-	p1 := l.RxPower(0.1, a, b, 0)
-	p2 := l.RxPower(0.1, b, a, 0)
+	p1 := RxPower(l, 0.1, a, b, 0)
+	p2 := RxPower(l, 0.1, b, a, 0)
 	if p1 != p2 {
 		t.Fatalf("shadowed link asymmetric: %v vs %v", p1, p2)
 	}
-	if p1 != l.RxPower(0.1, a, b, 0) {
+	if p1 != RxPower(l, 0.1, a, b, 0) {
 		t.Fatal("shadowed link not deterministic")
 	}
 	l2 := NewLogDistance(2.4e9, 3.0, 1.0, 6.0, 43)
-	if l2.RxPower(0.1, a, b, 0) == p1 {
+	if RxPower(l2, 0.1, a, b, 0) == p1 {
 		t.Fatal("different seeds gave identical shadowing")
 	}
 }
 
 func TestLogDistanceNoShadowingExponent(t *testing.T) {
 	l := NewLogDistance(2.4e9, 4.0, 1.0, 0, 0)
-	p1 := l.RxPower(1, geom.Point{}, geom.Point{X: 10}, 0)
-	p2 := l.RxPower(1, geom.Point{}, geom.Point{X: 100}, 0)
+	p1 := RxPower(l, 1, geom.Point{}, geom.Point{X: 10}, 0)
+	p2 := RxPower(l, 1, geom.Point{}, geom.Point{X: 100}, 0)
 	// 10x distance at exponent 4 → 40 dB → factor 1e4.
 	if math.Abs(p1/p2-1e4) > 1 {
 		t.Fatalf("log-distance exponent wrong: ratio %v", p1/p2)
@@ -352,8 +352,8 @@ func TestQuickPropagationMonotone(t *testing.T) {
 			a, b = b, a
 		}
 		for _, m := range models {
-			pa := m.RxPower(1, geom.Point{}, geom.Point{X: a}, 0)
-			pb := m.RxPower(1, geom.Point{}, geom.Point{X: b}, 0)
+			pa := RxPower(m, 1, geom.Point{}, geom.Point{X: a}, 0)
+			pb := RxPower(m, 1, geom.Point{}, geom.Point{X: b}, 0)
 			if pb > pa*(1+1e-12) {
 				return false
 			}
@@ -389,11 +389,11 @@ func TestNakagamiUnitMean(t *testing.T) {
 	base := NewTwoRay(914e6, 1.5, 1.5)
 	nak := NewNakagami(base, 3, des.Millisecond, 7)
 	a, b := geom.Point{X: 0}, geom.Point{X: 150}
-	want := base.RxPower(1, a, b, 0)
+	want := RxPower(base, 1, a, b, 0)
 	sum := 0.0
 	const slots = 20000
 	for i := 0; i < slots; i++ {
-		sum += nak.RxPower(1, a, b, des.Time(i)*des.Millisecond)
+		sum += RxPower(nak, 1, a, b, des.Time(i)*des.Millisecond)
 	}
 	mean := sum / slots
 	if mean < 0.95*want || mean > 1.05*want {
@@ -405,20 +405,20 @@ func TestNakagamiDeterministicAndSymmetric(t *testing.T) {
 	nak := NewNakagami(NewTwoRay(914e6, 1.5, 1.5), 1, des.Millisecond, 42)
 	a, b := geom.Point{X: 10, Y: 5}, geom.Point{X: 180, Y: 40}
 	at := 123 * des.Millisecond
-	p1 := nak.RxPower(0.1, a, b, at)
-	if p1 != nak.RxPower(0.1, a, b, at) {
+	p1 := RxPower(nak, 0.1, a, b, at)
+	if p1 != RxPower(nak, 0.1, a, b, at) {
 		t.Fatal("fading not deterministic")
 	}
-	if p1 != nak.RxPower(0.1, b, a, at) {
+	if p1 != RxPower(nak, 0.1, b, a, at) {
 		t.Fatal("fading not symmetric")
 	}
 	// Different coherence slots must (almost surely) differ.
-	if p1 == nak.RxPower(0.1, a, b, at+des.Second) {
+	if p1 == RxPower(nak, 0.1, a, b, at+des.Second) {
 		t.Fatal("fading constant across slots")
 	}
 	// Different seeds must differ.
 	nak2 := NewNakagami(NewTwoRay(914e6, 1.5, 1.5), 1, des.Millisecond, 43)
-	if p1 == nak2.RxPower(0.1, a, b, at) {
+	if p1 == RxPower(nak2, 0.1, a, b, at) {
 		t.Fatal("fading identical across seeds")
 	}
 }
@@ -428,11 +428,11 @@ func TestNakagamiShapeControlsVariance(t *testing.T) {
 	variance := func(m int) float64 {
 		nak := NewNakagami(NewTwoRay(914e6, 1.5, 1.5), m, des.Millisecond, 9)
 		a, b := geom.Point{X: 0}, geom.Point{X: 150}
-		base := nak.Base.RxPower(1, a, b, 0)
+		base := RxPower(nak.Base, 1, a, b, 0)
 		var sum, sumSq float64
 		const slots = 5000
 		for i := 0; i < slots; i++ {
-			x := nak.RxPower(1, a, b, des.Time(i)*des.Millisecond) / base
+			x := RxPower(nak, 1, a, b, des.Time(i)*des.Millisecond) / base
 			sum += x
 			sumSq += x * x
 		}
@@ -527,10 +527,10 @@ func TestSetPosVisibleToLinkQueries(t *testing.T) {
 	check := func(when string, inRange bool) {
 		t.Helper()
 		a, b := radios[0].Pos(), radios[139].Pos()
-		if got, want := m.RxPowerBetween(0, 139), prop.RxPower(txW, a, b, 0); got != want {
+		if got, want := m.RxPowerBetween(0, 139), RxPower(prop, txW, a, b, 0); got != want {
 			t.Fatalf("%s: power 0→139 is %g, the model says %g", when, got, want)
 		}
-		if got, want := m.RxPowerBetween(139, 0), prop.RxPower(txW, b, a, 0); got != want {
+		if got, want := m.RxPowerBetween(139, 0), RxPower(prop, txW, b, a, 0); got != want {
 			t.Fatalf("%s: power 139→0 is %g, the model says %g", when, got, want)
 		}
 		if m.InRange(0, 139) != inRange || m.InRange(139, 0) != inRange {

@@ -26,9 +26,11 @@ func FromMedium(m *radio.Medium, positions []geom.Point) *Topology {
 		Positions: positions,
 		Neighbors: make([][]pkt.NodeID, n),
 	}
+	hears := make([]bool, n) // who decodes i: one propagation row per node
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && m.InRange(i, j) {
+		m.InRangeRow(i, hears)
+		for j, ok := range hears {
+			if ok && i != j {
 				t.Neighbors[j] = append(t.Neighbors[j], pkt.NodeID(i))
 			}
 		}

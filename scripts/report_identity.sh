@@ -28,10 +28,12 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
 (cd "$root" && go build -o "$tmp/change" ./cmd/meshsim)
 
 # One scenario per line; the five schemes at the default 7×7 grid come
-# first. The two -config overlays (read from the working tree on both
-# sides, hence the cd) cover what flags cannot reach: waypoint mobility, where every step
-# invalidates the audible sets, and Nakagami fading, where every
-# transmission rebuilds its set.
+# first. The -config overlays (read from the working tree on both sides,
+# hence the cd) cover what flags cannot reach: waypoint mobility, where
+# every step invalidates the audible sets — alone, and with churn and burst
+# loss on top, the shape of the benchmark's mobile100 workload; Nakagami
+# fading, where every transmission rebuilds its set; and log-distance path
+# loss with per-link shadowing, kept moving so that model rebuilds too.
 scenarios=(
 	"-scheme clnlr"
 	"-scheme flood"
@@ -47,6 +49,8 @@ scenarios=(
 	"-metrics -scheme flood -rows 15 -cols 15 -area 2142.857 -mttf 20s -mttr 2s -measure 10s"
 	"-config scripts/identity_mobile.json -audit"
 	"-config scripts/identity_nakagami.json -metrics"
+	"-config scripts/identity_mobile.json -mttf 60s -mttr 5s -link-good 2s -link-bad 200ms -loss-bad 0.8"
+	"-config scripts/identity_logdistance.json -metrics"
 )
 cd "$root"
 
