@@ -7,22 +7,183 @@ import (
 	"clnlr/internal/rng"
 )
 
+// oracleSim is the event list this kernel ran on before the indexed heap,
+// kept as the differential oracle: a binary min-heap of node pointers
+// under (time, sequence) with lazy cancellation — Cancel only marks the
+// node, and the run loop discards it when it surfaces. live is the count
+// the indexed heap's Pending() must equal; deadPops counts the discarded
+// surfacings the indexed heap no longer has.
+type oracleSim struct {
+	now      Time
+	seq      uint64
+	heap     []*oracleNode
+	live     int
+	executed uint64
+	deadPops int
+}
+
+type oracleNode struct {
+	at       Time
+	seq      uint64
+	fn       func()
+	canceled bool
+	queued   bool
+}
+
+func (a *oracleNode) less(b *oracleNode) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (o *oracleSim) schedule(delay Time, fn func()) *oracleNode {
+	n := &oracleNode{at: o.now + delay, seq: o.seq, fn: fn, queued: true}
+	o.seq++
+	o.live++
+	h := append(o.heap, n)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].less(h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	o.heap = h
+	return n
+}
+
+func (o *oracleSim) cancel(n *oracleNode) {
+	if n.queued && !n.canceled {
+		n.canceled = true
+		o.live--
+	}
+}
+
+func (o *oracleSim) pop() *oracleNode {
+	h := o.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j := l
+		if r := l + 1; r < n && h[r].less(h[l]) {
+			j = r
+		}
+		if !h[j].less(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	o.heap = h
+	top.queued = false
+	return top
+}
+
+// runUntil mirrors Sim.run: clamp says whether the clock moves on to the
+// horizon once every event at or before it has fired.
+func (o *oracleSim) runUntil(horizon Time, clamp bool) {
+	for len(o.heap) > 0 {
+		if o.heap[0].at > horizon {
+			o.now = horizon
+			return
+		}
+		n := o.pop()
+		if n.canceled {
+			o.deadPops++
+			continue
+		}
+		o.live--
+		o.now = n.at
+		n.fn()
+		o.executed++
+	}
+	if clamp && o.now < horizon {
+		o.now = horizon
+	}
+}
+
+func (o *oracleSim) reset() {
+	for _, n := range o.heap {
+		n.queued = false
+	}
+	*o = oracleSim{heap: o.heap[:0], deadPops: o.deadPops}
+}
+
+// scriptTarget is what queueScript drives: the kernel or the oracle.
+type scriptTarget struct {
+	schedule func(delay Time, typed bool, fn func()) (cancel func())
+	runUntil func(horizon Time)
+	run      func()
+	reset    func()
+	state    func() (now Time, pending int, executed uint64)
+}
+
+func simTarget(t *testing.T, s *Sim) scriptTarget {
+	audit := func(op string) {
+		if err := s.AuditQueue(); err != nil {
+			t.Fatalf("after %s: %v", op, err)
+		}
+	}
+	return scriptTarget{
+		schedule: func(delay Time, typed bool, fn func()) func() {
+			var ev Event
+			if typed {
+				ev = s.ScheduleCall(delay, &funcHandler{fn: fn}, 0, 0)
+			} else {
+				ev = s.Schedule(delay, fn)
+			}
+			audit("schedule")
+			return func() { ev.Cancel(); audit("cancel") }
+		},
+		runUntil: func(h Time) { s.RunUntil(h); audit("RunUntil") },
+		run:      func() { s.Run(); audit("Run") },
+		reset:    func() { s.Reset(); audit("Reset") },
+		state:    func() (Time, int, uint64) { return s.Now(), s.Pending(), s.Executed() },
+	}
+}
+
+func oracleTarget(o *oracleSim) scriptTarget {
+	return scriptTarget{
+		schedule: func(delay Time, _ bool, fn func()) func() {
+			n := o.schedule(delay, fn)
+			return func() { o.cancel(n) }
+		},
+		runUntil: func(h Time) { o.runUntil(h, true) },
+		run:      func() { o.runUntil(maxTime, false) },
+		reset:    o.reset,
+		state:    func() (Time, int, uint64) { return o.now, o.live, o.executed },
+	}
+}
+
 // queueScript interprets a byte string as a schedule/cancel/run/reset
-// program and executes it against one Sim, returning the exact firing log
-// ("<event-serial>@<time>" per firing). Running the same script against
-// the calendar queue and the reference heap must produce identical logs —
-// the executable form of the determinism contract.
-func queueScript(data []byte, ref bool) []string {
-	s := NewSim()
-	s.SetReference(ref)
+// program and executes it against one target, returning the exact log:
+// "<event-serial>@<time>" per firing and the (clock, pending, executed)
+// triple after every cancel, run and reset. The same script against the
+// kernel and the oracle must produce identical logs — the executable form
+// of the determinism contract, and of "Pending counts live events only".
+func queueScript(data []byte, tg scriptTarget) []string {
 	var (
-		log    []string
-		events []Event
-		serial int
+		log     []string
+		cancels []func()
+		serial  int
 	)
-	h := &funcHandler{}
+	state := func(tag string) {
+		now, pending, executed := tg.state()
+		log = append(log, fmt.Sprintf("%s t=%d pending=%d exec=%d", tag, int64(now), pending, executed))
+	}
 	fire := func(id int) func() {
-		return func() { log = append(log, fmt.Sprintf("%d@%d", id, int64(s.Now()))) }
+		return func() {
+			now, _, _ := tg.state()
+			log = append(log, fmt.Sprintf("%d@%d", id, int64(now)))
+		}
 	}
 	i := 0
 	next := func() int {
@@ -38,54 +199,68 @@ func queueScript(data []byte, ref bool) []string {
 		if op < 0 {
 			break
 		}
-		switch op % 6 {
-		case 0, 1: // closure event; delay spans bucket, window and overflow scales
+		switch op % 7 {
+		case 0, 1: // closure event; delays from 2 µs to minutes
 			d := Time(next()+1) * Time(1<<(uint(next()+1)%20)) * Microsecond
-			events = append(events, s.Schedule(d, fire(serial)))
+			cancels = append(cancels, tg.schedule(d, false, fire(serial)))
 			serial++
-		case 2: // typed event (shares the closure log via funcHandler)
+		case 2: // typed event
 			d := Time(next()+1) * Millisecond
-			id := serial
+			cancels = append(cancels, tg.schedule(d, true, fire(serial)))
 			serial++
-			h2 := &funcHandler{fn: fire(id)}
-			events = append(events, s.ScheduleCall(d, h2, int32(id), 0))
-		case 3: // cancel an arbitrary outstanding handle (stale ones no-op)
-			if v, n := next(), len(events); v >= 0 && n > 0 {
-				events[v%n].Cancel()
+		case 3: // cancel an arbitrary handle: pending, fired, cancelled or its own
+			if v, n := next(), len(cancels); v >= 0 && n > 0 {
+				cancels[v%n]()
+				state("cancel")
 			}
 		case 4: // run forward a bounded slice of time
-			s.RunUntil(s.Now() + Time(next()+1)*Millisecond)
-			log = append(log, fmt.Sprintf("t=%d", int64(s.Now())))
-		case 5: // occasionally reset the world
+			now, _, _ := tg.state()
+			tg.runUntil(now + Time(next()+1)*Millisecond)
+			state("run")
+		case 5: // occasionally reset the world; old handles stay in play
 			if next()%8 == 0 {
-				s.Reset()
-				events = events[:0]
-				log = append(log, "reset")
+				tg.reset()
+				state("reset")
 			}
+		case 6: // an event whose handler cancels another (or itself) as it fires
+			d := Time(next()+1) * 100 * Microsecond
+			v, id := next(), serial
+			serial++
+			fired := fire(id)
+			cancels = append(cancels, tg.schedule(d, v%2 == 0, func() {
+				fired()
+				if v >= 0 {
+					cancels[v%len(cancels)]()
+				}
+			}))
 		}
 	}
-	s.Run()
-	log = append(log, fmt.Sprintf("end=%d pending=%d exec=%d", int64(s.Now()), s.Pending(), s.Executed()))
-	_ = h
+	tg.run()
+	state("end")
 	return log
 }
 
-func diffLogs(t *testing.T, data []byte) {
+// diffLogs runs one script against both and returns the oracle, so a
+// caller can see how much lazy-cancel residue the script produced.
+func diffLogs(t *testing.T, data []byte) *oracleSim {
 	t.Helper()
-	cal := queueScript(data, false)
-	heap := queueScript(data, true)
-	if len(cal) != len(heap) {
-		t.Fatalf("log lengths diverged: calendar %d vs heap %d\ncal:  %v\nheap: %v", len(cal), len(heap), cal, heap)
+	o := &oracleSim{}
+	got := queueScript(data, simTarget(t, NewSim()))
+	want := queueScript(data, oracleTarget(o))
+	if len(got) != len(want) {
+		t.Fatalf("log lengths diverged: kernel %d vs oracle %d\nkernel: %v\noracle: %v", len(got), len(want), got, want)
 	}
-	for i := range cal {
-		if cal[i] != heap[i] {
-			t.Fatalf("firing order diverged at %d: calendar %q vs heap %q", i, cal[i], heap[i])
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("diverged at %d: kernel %q vs oracle %q", i, got[i], want[i])
 		}
 	}
+	return o
 }
 
-// FuzzQueueDifferential feeds random op scripts to both event-list
-// implementations and requires bit-identical firing logs.
+// FuzzQueueDifferential feeds random op scripts to the indexed heap and
+// the lazy-cancel oracle and requires identical logs, with the kernel's
+// own AuditQueue clean after every operation.
 func FuzzQueueDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 3, 1, 200, 15, 4, 50})
@@ -96,6 +271,12 @@ func FuzzQueueDifferential(f *testing.F) {
 		long[i] = byte(src.Intn(256))
 	}
 	f.Add(long)
+	// Cancel the root, the last entry and a middle one of a six-event heap,
+	// then one handle twice and one after it fired.
+	f.Add([]byte{2, 0, 2, 1, 2, 2, 2, 3, 2, 4, 2, 5, 3, 0, 3, 5, 3, 2, 3, 2, 4, 1, 3, 1, 4, 9})
+	// An event that cancels itself as it fires, one that cancels a later
+	// one, and a cancel across a reset.
+	f.Add([]byte{6, 0, 0, 6, 1, 3, 2, 9, 2, 9, 4, 0, 5, 0, 2, 3, 3, 2, 3, 4, 4, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -106,15 +287,20 @@ func FuzzQueueDifferential(f *testing.F) {
 
 // TestQueueDifferentialProperty is the always-on slice of the fuzz target:
 // seeded random scripts, so `go test` exercises the differential contract
-// without the fuzzing engine.
+// without the fuzzing engine. The scripts must leave the oracle popping
+// cancelled events — the work the indexed heap is checked not to need.
 func TestQueueDifferentialProperty(t *testing.T) {
 	src := rng.New(7)
+	deadPops := 0
 	for round := 0; round < 200; round++ {
 		n := src.Intn(300)
 		data := make([]byte, n)
 		for i := range data {
 			data[i] = byte(src.Intn(256))
 		}
-		diffLogs(t, data)
+		deadPops += diffLogs(t, data).deadPops
+	}
+	if deadPops < 100 {
+		t.Fatalf("the scripts made the oracle pop only %d cancelled events; the cancel path is barely exercised", deadPops)
 	}
 }

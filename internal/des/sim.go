@@ -1,17 +1,15 @@
 // Package des implements the discrete-event simulation kernel that drives
 // every experiment in this repository.
 //
-// The kernel is an event-list design with two interchangeable orderings:
-// the production calendar queue (calqueue.go) — time-sliced buckets with an
-// overflow tier, O(1) amortised in the hold model — and a retained binary
-// min-heap reference path (SetReference), kept for differential validation
-// exactly like the radio medium's reference scan. Both order events by
-// (time, insertion sequence): the sequence number makes simultaneous events
-// execute in FIFO order of scheduling, which — together with the
-// deterministic RNG streams in internal/rng — makes whole runs
-// bit-reproducible. The total order is defined by the comparator alone, so
-// the two queues are bit-identical by construction and the fuzz harness
-// (fuzz_test.go) proves it over arbitrary operation interleavings.
+// The kernel is an event-list design over one indexed 4-ary min-heap
+// (heap.go) ordered by (time, insertion sequence): the sequence number
+// makes simultaneous events execute in FIFO order of scheduling, which —
+// together with the deterministic RNG streams in internal/rng — makes whole
+// runs bit-reproducible. Every queued node records its heap position, so
+// Cancel takes the event out of the list at once: the list holds live
+// events only and the run loop never pops a dead one. The fuzz harness
+// (fuzz_test.go) checks the heap against a pointer binary heap with lazy
+// cancellation over arbitrary operation interleavings.
 //
 // Events come in two flavours. The closure form (Schedule/At) takes a
 // func() and is right for cold call sites; a closure that captures state
@@ -20,8 +18,8 @@
 // event node, so the per-packet hot paths — radio airtime completions, MAC
 // timers, routing RREQ jitter — schedule without allocating at all.
 //
-// Event storage is pooled: the node backing a fired (or cancelled and
-// reaped) event returns to a per-Sim free list and is reused by later
+// Event storage is pooled: the node backing a fired or cancelled event
+// returns to a per-Sim free list and is reused by later
 // schedule calls, so the steady-state event churn of a long run does not
 // allocate. The free list is capped (SetFreeListCap) so a bursty discovery
 // storm cannot pin its peak pool for the rest of a warm sweep; nodes
@@ -49,66 +47,56 @@ type Handler interface {
 }
 
 // eventNode is the pooled storage behind an Event handle. gen increments
-// each time the node is recycled, invalidating outstanding handles. A node
+// each time the node is recycled, invalidating outstanding handles; a node
+// whose gen still matches a handle is queued at heap position idx. A node
 // carries either a closure (fn != nil) or a typed event (h != nil), never
-// both.
+// both, and belongs to one Sim for life.
 type eventNode struct {
-	at       Time
-	seq      uint64
-	gen      uint64
-	fn       func()
-	h        Handler
-	op       int32
-	arg      uint32
-	canceled bool
-	fired    bool
+	at  Time
+	seq uint64
+	gen uint64
+	fn  func()
+	h   Handler
+	op  int32
+	arg uint32
+	idx int32
+	sim *Sim
 }
 
 // Event is a scheduled callback handle. It is a small value: copy it
 // freely, store it in structs, compare it to the zero Event. The zero
 // Event refers to no event; all its methods are safe no-ops. Handles may
-// be retained after the event completes; once the event has fired (or its
-// cancellation has been reaped) the handle is stale — Cancel is a no-op,
-// Fired reports true and Canceled reports false.
+// be retained after the event completes; once the event has fired or been
+// cancelled the handle is stale — Cancel is a no-op and Fired reports
+// true.
 type Event struct {
 	n   *eventNode
 	gen uint64
 	at  Time
 }
 
-// Valid reports whether the handle refers to an event (fired, pending or
-// cancelled) as opposed to the zero Event.
+// Valid reports whether the handle refers to an event (pending or
+// completed) as opposed to the zero Event.
 func (e Event) Valid() bool { return e.n != nil }
 
 // Time returns the instant the event is (or was) scheduled for.
 func (e Event) Time() Time { return e.at }
 
-// live reports whether the handle still addresses its original node.
-func (e Event) live() bool { return e.n != nil && e.n.gen == e.gen }
-
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled — or the zero Event — is a no-op.
+// Cancel prevents the event from firing: it leaves the event list and its
+// node is recycled at once. Cancelling an event that has already fired or
+// been cancelled — or the zero Event — is a no-op (a node is recycled
+// before its handler runs, so an event cancelling itself is one too).
 // Cancel must only be called from the simulation goroutine.
 func (e Event) Cancel() {
-	if e.live() && !e.n.fired {
-		e.n.canceled = true
+	if n := e.n; n != nil && n.gen == e.gen {
+		n.sim.remove(int(n.idx))
+		n.sim.recycle(n)
 	}
 }
 
-// Canceled reports whether the event is cancelled and not yet reaped.
-func (e Event) Canceled() bool { return e.live() && e.n.canceled }
-
-// Fired reports whether the event's handler has run (conservatively true
-// once the handle is stale, i.e. the event completed either way).
-func (e Event) Fired() bool {
-	if e.n == nil {
-		return false
-	}
-	if e.n.gen != e.gen {
-		return true
-	}
-	return e.n.fired
-}
+// Fired reports whether the event is no longer pending: its handler has
+// run or it was cancelled (a stale handle cannot tell the two apart).
+func (e Event) Fired() bool { return e.n != nil && e.n.gen != e.gen }
 
 const maxTime = Time(int64(^uint64(0) >> 1))
 
@@ -130,15 +118,11 @@ type Sim struct {
 	stopped  bool
 	executed uint64
 
-	// reference selects the retained binary-heap event list; the calendar
-	// queue is the production path.
-	reference bool
-	heap      []*eventNode // reference binary min-heap on (at, seq)
-	cal       calQueue     // production calendar queue
+	heap []entry // the event list: 4-ary min-heap on (at, seq), heap.go
 
 	free      []*eventNode // recycled nodes, capped at freeCap
 	freeCap   int
-	freeDrops uint64 // nodes dropped to GC because the free list was full
+	freeDrops uint64 // nodes dropped to GC since construction/Reset
 	pendingHW int    // peak Pending() since construction/Reset
 
 	// pastSchedules counts At/AtCall targets that preceded the clock and
@@ -151,41 +135,17 @@ type Sim struct {
 	watch *Watch
 }
 
-// NewSim returns an empty simulation positioned at time zero, using the
-// calendar-queue event list.
+// NewSim returns an empty simulation positioned at time zero.
 func NewSim() *Sim {
 	return &Sim{freeCap: DefaultFreeListCap}
 }
 
-// SetReference toggles the retained binary-heap event list (true) against
-// the production calendar queue (false). Both produce bit-identical
-// execution orders — the heap exists as the validation baseline for
-// differential tests, mirroring radio.Medium.SetReference. Switching is
-// only allowed while the queue is empty.
-func (s *Sim) SetReference(on bool) {
-	if on == s.reference {
-		return
-	}
-	if s.Pending() != 0 {
-		panic("des: SetReference with pending events")
-	}
-	s.reference = on
-}
-
-// Reference reports whether the reference heap event list is active.
-func (s *Sim) Reference() bool { return s.reference }
-
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// Pending returns the number of events still queued (including events that
-// were cancelled but not yet reaped).
-func (s *Sim) Pending() int {
-	if s.reference {
-		return len(s.heap)
-	}
-	return s.cal.count
-}
+// Pending returns the number of events still queued. All of them are
+// live: a cancelled event left the list when it was cancelled.
+func (s *Sim) Pending() int { return len(s.heap) }
 
 // Executed returns the total number of events that have fired.
 func (s *Sim) Executed() uint64 { return s.executed }
@@ -205,7 +165,8 @@ func (s *Sim) PastSchedules() uint64 { return s.pastSchedules }
 func (s *Sim) FreeListLen() int { return len(s.free) }
 
 // FreeListDrops returns how many recycled nodes were dropped to the
-// garbage collector because the free list was at capacity.
+// garbage collector because the free list was at capacity, since
+// construction or the last Reset.
 func (s *Sim) FreeListDrops() uint64 { return s.freeDrops }
 
 // SetFreeListCap bounds the event-node free list to n recycled nodes
@@ -243,7 +204,7 @@ func (s *Sim) At(t Time, fn func()) Event {
 	}
 	n, t := s.alloc(t)
 	n.fn = fn
-	s.qpush(n)
+	s.push(n)
 	return Event{n: n, gen: n.gen, at: t}
 }
 
@@ -267,7 +228,7 @@ func (s *Sim) AtCall(t Time, h Handler, op int32, arg uint32) Event {
 	}
 	n, t := s.alloc(t)
 	n.h, n.op, n.arg = h, op, arg
-	s.qpush(n)
+	s.push(n)
 	return Event{n: n, gen: n.gen, at: t}
 }
 
@@ -284,7 +245,7 @@ func (s *Sim) alloc(t Time) (*eventNode, Time) {
 		s.free[k-1] = nil
 		s.free = s.free[:k-1]
 	} else {
-		n = &eventNode{}
+		n = &eventNode{sim: s}
 	}
 	n.at, n.seq = t, s.seq
 	s.seq++
@@ -297,8 +258,6 @@ func (s *Sim) recycle(n *eventNode) {
 	n.gen++
 	n.fn = nil
 	n.h = nil
-	n.canceled = false
-	n.fired = false
 	if len(s.free) < s.freeCap {
 		s.free = append(s.free, n)
 	} else {
@@ -311,30 +270,24 @@ func (s *Sim) Stop() { s.stopped = true }
 
 // Reset returns the simulation to time zero with an empty event queue,
 // keeping the pooled event storage and queue capacity warm. Every pending
-// event is discarded and every outstanding Event handle — fired, pending
-// or cancelled — goes stale, so state machines holding handles across a
-// Reset observe only safe no-ops. Reset is the foundation of warm
-// replication reuse: a reset Sim schedules events with the same
-// (time, sequence) ordering a fresh NewSim would, so reruns are
-// bit-identical to cold runs (the calendar queue's learned bucket layout
-// survives, but layout never affects the execution order — only the
-// (time, sequence) comparator does).
+// event is discarded and every outstanding Event handle goes stale, so
+// state machines holding handles across a Reset observe only safe no-ops.
+// Reset is the foundation of warm replication reuse: a reset Sim schedules
+// events with the same (time, sequence) ordering a fresh NewSim would, so
+// reruns are bit-identical to cold runs.
 func (s *Sim) Reset() {
-	if s.reference {
-		for i, n := range s.heap {
-			s.recycle(n)
-			s.heap[i] = nil
-		}
-		s.heap = s.heap[:0]
-	} else {
-		s.cal.drain(s.recycle)
+	for i := range s.heap {
+		s.recycle(s.heap[i].n)
+		s.heap[i].n = nil
 	}
+	s.heap = s.heap[:0]
 	s.now = 0
 	s.seq = 0
 	s.stopped = false
 	s.executed = 0
 	s.pendingHW = 0
 	s.pastSchedules = 0
+	s.freeDrops = 0
 }
 
 // Run executes events in order until the queue is empty or Stop is called.
@@ -352,23 +305,16 @@ func (s *Sim) RunUntil(horizon Time) { s.run(horizon, true) }
 
 func (s *Sim) run(horizon Time, clamp bool) {
 	s.stopped = false
-	for !s.stopped {
-		next := s.qpeek()
-		if next == nil {
-			break
-		}
-		if next.at > horizon {
+	for !s.stopped && len(s.heap) > 0 {
+		at := s.heap[0].at
+		if at > horizon {
 			s.now = horizon
 			return
 		}
-		s.qpop()
-		if next.canceled {
-			s.recycle(next)
-			continue
-		}
-		s.now = next.at
+		next := s.heap[0].n
+		s.remove(0)
+		s.now = at
 		fn, h, op, arg := next.fn, next.h, next.op, next.arg
-		next.fired = true
 		s.recycle(next)
 		if fn != nil {
 			fn()
@@ -386,98 +332,4 @@ func (s *Sim) run(horizon Time, clamp bool) {
 	if clamp && !s.stopped && s.now < horizon {
 		s.now = horizon
 	}
-}
-
-// --- event-list dispatch (reference heap vs calendar queue) ---
-
-func (s *Sim) qpush(n *eventNode) {
-	if s.reference {
-		heapPush(&s.heap, n)
-		if len(s.heap) > s.pendingHW {
-			s.pendingHW = len(s.heap)
-		}
-		return
-	}
-	s.cal.push(n)
-	if s.cal.count > s.pendingHW {
-		s.pendingHW = s.cal.count
-	}
-}
-
-// qpeek returns the next event without removing it (nil when empty).
-func (s *Sim) qpeek() *eventNode {
-	if s.reference {
-		if len(s.heap) == 0 {
-			return nil
-		}
-		return s.heap[0]
-	}
-	return s.cal.peek()
-}
-
-// qpop removes the event qpeek returned.
-func (s *Sim) qpop() {
-	if s.reference {
-		heapPop(&s.heap)
-		return
-	}
-	s.cal.pop()
-}
-
-// --- shared (time, sequence) min-heap primitives ---
-//
-// Both the reference event list and the calendar queue's bucket/overflow
-// tiers are binary min-heaps over these helpers, so the comparator — and
-// with it the execution order — is defined in exactly one place.
-
-// eventLess orders events by (time, insertion sequence).
-func eventLess(a, b *eventNode) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// heapPush inserts n into the heap.
-func heapPush(hp *[]*eventNode, n *eventNode) {
-	h := append(*hp, n)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	*hp = h
-}
-
-// heapPop removes and returns the minimum (h[0]); the heap must be
-// non-empty.
-func heapPop(hp *[]*eventNode) *eventNode {
-	h := *hp
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		j := l
-		if r := l + 1; r < n && eventLess(h[r], h[l]) {
-			j = r
-		}
-		if !eventLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	*hp = h
-	return top
 }

@@ -72,8 +72,8 @@ func TestCancel(t *testing.T) {
 	fired := false
 	ev := s.Schedule(Second, func() { fired = true })
 	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("Canceled() is false after Cancel")
+	if !ev.Fired() || s.Pending() != 0 {
+		t.Fatalf("after Cancel: Fired()=%v Pending()=%d, want a stale handle and an empty list", ev.Fired(), s.Pending())
 	}
 	s.Run()
 	if fired {
@@ -97,12 +97,15 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	s := NewSim()
 	ev := s.Schedule(Second, func() {})
 	s.Run()
-	ev.Cancel() // must not mark a fired event cancelled
-	if ev.Canceled() {
-		t.Fatal("Cancel after firing marked event cancelled")
-	}
 	if !ev.Fired() {
 		t.Fatal("Fired() false after run")
+	}
+	// The fired event's node now backs another; the stale Cancel must not
+	// take that one out of the list.
+	s.Schedule(Second, func() {})
+	ev.Cancel()
+	if s.Pending() != 1 {
+		t.Fatalf("Cancel after firing left %d events pending, want 1", s.Pending())
 	}
 }
 
@@ -313,6 +316,29 @@ func TestTickerJitter(t *testing.T) {
 		gap := ticks[i] - ticks[i-1]
 		if gap < Second || gap > Second+100*Millisecond {
 			t.Fatalf("tick gap %v outside [1s, 1.1s]", gap)
+		}
+	}
+}
+
+// TestTickerRestartReplacesPendingTick: Start on a running ticker moves
+// its one train; it does not add a second.
+func TestTickerRestartReplacesPendingTick(t *testing.T) {
+	s := NewSim()
+	var ticks []Time
+	tk := NewTicker(s, Second, func() { ticks = append(ticks, s.Now()) })
+	tk.Start(Second)
+	tk.Start(300 * Millisecond)
+	if s.Pending() != 1 {
+		t.Fatalf("%d events pending after a second Start, want 1", s.Pending())
+	}
+	s.RunUntil(3 * Second)
+	want := []Time{300 * Millisecond, 1300 * Millisecond, 2300 * Millisecond}
+	if len(ticks) != len(want) {
+		t.Fatalf("ticks %v, want %v", ticks, want)
+	}
+	for i := range want {
+		if ticks[i] != want[i] {
+			t.Fatalf("ticks %v, want %v", ticks, want)
 		}
 	}
 }

@@ -32,9 +32,12 @@ func (t *Ticker) WithJitter(j func() Time) *Ticker {
 	return t
 }
 
-// Start schedules the first tick after the given initial delay.
+// Start schedules the first tick after the given initial delay, replacing
+// a tick still pending from an earlier Start: a ticker never runs two
+// trains.
 func (t *Ticker) Start(initial Time) {
 	t.stopped = false
+	t.ev.Cancel()
 	t.schedule(initial)
 }
 

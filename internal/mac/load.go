@@ -56,11 +56,6 @@ func (le *loadEstimator) init(cfg *Config, sim *des.Sim, r *radio.Radio) {
 	le.busyAtStart = le.occupiedTime()
 }
 
-// start begins periodic sampling (called once the node stack is wired).
-func (le *loadEstimator) start() {
-	des.NewTicker(le.sim, le.cfg.LoadSampleInterval, le.sample).Start(le.cfg.LoadSampleInterval)
-}
-
 // setQueueLen records an interface-queue length change.
 func (le *loadEstimator) setQueueLen(n int) {
 	le.queueTW.Set(int64(le.sim.Now()), float64(n))
@@ -92,7 +87,10 @@ func (le *loadEstimator) settle() {
 	}
 }
 
-// sample closes the current window and folds it into the EWMAs.
+// sample closes the current window and folds it into the EWMAs. It reads
+// only this node's state clock and queue integral and schedules nothing,
+// so the order in which a network's estimators are sampled at one instant
+// cannot show in any of them.
 func (le *loadEstimator) sample() {
 	now := le.sim.Now()
 	window := now - le.windowStart

@@ -256,8 +256,9 @@ func (m *Mac) Reset(cfg Config, src *rng.Source) {
 // service are discarded, every pending DCF timer is cancelled, and all
 // volatile link state (duplicate filters, rate adaptation) is cleared —
 // a power-cycled interface renegotiates those from scratch. Counters and
-// the load-estimator ticker survive (the estimator decays to zero while
-// the node is silent). The caller crashes the radio separately.
+// the load estimator survive (the sampling clock keeps calling, so the
+// estimate decays to zero while the node is silent). The caller crashes
+// the radio separately.
 func (m *Mac) Crash() {
 	m.down = true
 	if m.journey != nil {
@@ -320,8 +321,12 @@ func (m *Mac) SetPool(p *pkt.Pool) { m.pool = p }
 // pool it does NOT survive Reset; the harness reinstalls it per run.
 func (m *Mac) SetJourney(r *journey.Recorder) { m.journey = r }
 
-// Start launches the periodic load estimator.
-func (m *Mac) Start() { m.le.start() }
+// SampleLoad closes the load estimator's current window. The network's
+// one sampling clock (node.StartAll) calls it every LoadSampleInterval.
+func (m *Mac) SampleLoad() { m.le.sample() }
+
+// LoadSampleInterval returns the configured load-window length.
+func (m *Mac) LoadSampleInterval() des.Time { return m.cfg.LoadSampleInterval }
 
 // ID returns the MAC's node identity.
 func (m *Mac) ID() pkt.NodeID { return m.id }

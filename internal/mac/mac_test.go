@@ -38,6 +38,13 @@ func (u *upperRec) MacTxDone(p *pkt.Packet, dst pkt.NodeID, ok bool) {
 	}{p, dst, ok})
 }
 
+// startSampling gives one MAC a load-sampling ticker of its own — the
+// arrangement the network-wide clock in node.StartAll replaced, and all a
+// bare-MAC testbed needs.
+func startSampling(sim *des.Sim, m *Mac) {
+	des.NewTicker(sim, m.LoadSampleInterval(), m.SampleLoad).Start(m.LoadSampleInterval())
+}
+
 // macTestbed builds a line of nodes with full MAC stacks.
 func macTestbed(t *testing.T, cfg Config, positions ...geom.Point) (*des.Sim, []*Mac, []*upperRec) {
 	t.Helper()
@@ -51,7 +58,7 @@ func macTestbed(t *testing.T, cfg Config, positions ...geom.Point) (*des.Sim, []
 		macs[i] = New(cfg, sim, r, pkt.NodeID(i), master.Derive(uint64(i)))
 		uppers[i] = &upperRec{}
 		macs[i].SetUpper(uppers[i])
-		macs[i].Start()
+		startSampling(sim, macs[i])
 	}
 	return sim, macs, uppers
 }
@@ -215,7 +222,7 @@ func TestHiddenTerminalRecoveredByRetries(t *testing.T) {
 		macs[i] = New(cfg, sim, r, pkt.NodeID(i), master.Derive(uint64(i)))
 		uppers[i] = &upperRec{}
 		macs[i].SetUpper(uppers[i])
-		macs[i].Start()
+		startSampling(sim, macs[i])
 	}
 	const n = 10
 	sim.Schedule(0, func() {
@@ -333,7 +340,7 @@ func BenchmarkSaturatedLink(b *testing.B) {
 		r := medium.Attach(p, radio.DefaultParams())
 		m := New(cfg, sim, r, pkt.NodeID(i), master.Derive(uint64(i)))
 		m.SetUpper(&upperRec{})
-		m.Start()
+		startSampling(sim, m)
 		macs = append(macs, m)
 	}
 	b.ReportAllocs()

@@ -29,7 +29,7 @@ func rtsTestbed(t *testing.T, threshold int, positions ...geom.Point) (*des.Sim,
 		macs[i] = New(cfg, sim, r, pkt.NodeID(i), master.Derive(uint64(i)))
 		uppers[i] = &upperRec{}
 		macs[i].SetUpper(uppers[i])
-		macs[i].Start()
+		startSampling(sim, macs[i])
 	}
 	return sim, macs, uppers
 }

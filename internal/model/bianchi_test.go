@@ -150,14 +150,12 @@ func simSaturation(t *testing.T, n int) float64 {
 	sinkMac := mac.New(cfg, sim, sinkRadio, 0, master.Derive(0))
 	rec := &sinkRec{}
 	sinkMac.SetUpper(rec)
-	sinkMac.Start()
 	for i := 1; i <= n; i++ {
 		ang := 2 * math.Pi * float64(i) / float64(n)
 		r := medium.Attach(geom.Point{X: 50 * math.Cos(ang), Y: 50 * math.Sin(ang)},
 			radio.DefaultParams())
 		m := mac.New(cfg, sim, r, pkt.NodeID(i), master.Derive(uint64(i)))
 		m.SetUpper(nopUpper{})
-		m.Start()
 		src := pkt.NodeID(i)
 		des.NewTicker(sim, des.Millisecond, func() {
 			for m.QueueLen() < 5 {

@@ -126,9 +126,26 @@ func ResetNetwork(
 	}
 }
 
-// StartAll starts every node's periodic machinery (load estimators, HELLO
-// beacons). Call once before running the simulation.
+// StartAll starts the network's periodic machinery: one load-sampling
+// clock for all nodes, then every agent's HELLO beacon. Call once before
+// running the simulation.
+//
+// The clock is one self-rescheduling event per LoadSampleInterval whose
+// handler closes every MAC's load window in ID order. It is scheduled
+// before any agent starts — a node's window closes before its own beacon
+// reads the estimate should the two ever share an instant — and StartAll
+// runs before anything else a run schedules, so the clock keeps its place
+// against every other periodic event at equal timestamps.
 func StartAll(nodes []*Node) {
+	if len(nodes) == 0 {
+		return
+	}
+	interval := nodes[0].Mac.LoadSampleInterval()
+	des.NewTicker(nodes[0].Agent.Env.Sim, interval, func() {
+		for _, n := range nodes {
+			n.Mac.SampleLoad()
+		}
+	}).Start(interval)
 	for _, n := range nodes {
 		n.Agent.Start()
 	}

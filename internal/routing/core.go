@@ -253,6 +253,9 @@ func (c *Core) Crash() {
 // persistent sequence number, restarting the HELLO beacon with a fresh
 // randomised phase.
 func (c *Core) Recover() {
+	if !c.down {
+		return
+	}
 	c.down = false
 	if c.hello != nil {
 		c.hello.Start(des.Time(c.Env.Rng.Intn(int(c.Cfg.HelloInterval))))
@@ -310,7 +313,6 @@ func (c *Core) clearPending(dst pkt.NodeID) {
 
 // Start launches periodic activity (HELLO beacons when enabled).
 func (c *Core) Start() {
-	c.Env.Mac.Start()
 	if c.Cfg.HelloEnabled {
 		c.hello = des.NewTicker(c.Env.Sim, c.Cfg.HelloInterval, c.sendHello).
 			WithJitter(func() des.Time {

@@ -489,6 +489,44 @@ func TestCrashedNodeRecoversAndServesAgain(t *testing.T) {
 	}
 }
 
+// TestRecoverIsIdempotent: node.Recover documents "idempotent for a node
+// that is already up". A second Recover — or one on a node that never
+// crashed — must not start a second HELLO train nor draw a beacon phase
+// from the node's RNG: every node ends with the same HelloSent and the same
+// RNG position as in a run that recovered once.
+func TestRecoverIsIdempotent(t *testing.T) {
+	run := func(extra bool) (hellos []uint64, rngNext []uint64) {
+		sim, nodes := buildNet(53, geom.ChainPlacement(geom.Point{}, 3, 200), schemes()["clnlr"])
+		sim.Schedule(2*des.Second, func() { nodes[1].Crash() })
+		sim.Schedule(4*des.Second, func() {
+			nodes[1].Recover()
+			if extra {
+				nodes[1].Recover()
+				nodes[0].Recover()
+			}
+		})
+		sim.RunUntil(20 * des.Second)
+		for _, n := range nodes {
+			hellos = append(hellos, n.Agent.Ctr.HelloSent)
+			rngNext = append(rngNext, n.Agent.Env.Rng.Uint64())
+		}
+		return hellos, rngNext
+	}
+	onceHellos, onceRng := run(false)
+	twiceHellos, twiceRng := run(true)
+	for i := range onceHellos {
+		if onceHellos[i] == 0 {
+			t.Fatalf("node %d sent no HELLO; the scheme under test must beacon", i)
+		}
+		if twiceHellos[i] != onceHellos[i] {
+			t.Errorf("node %d sent %d HELLOs with redundant Recovers, %d without", i, twiceHellos[i], onceHellos[i])
+		}
+		if twiceRng[i] != onceRng[i] {
+			t.Errorf("node %d: redundant Recovers moved its RNG", i)
+		}
+	}
+}
+
 func TestIntermediateDropAndRERRWithoutRoute(t *testing.T) {
 	// A relay that loses its route mid-stream (expiry) sends a RERR for
 	// in-flight data instead of silently dropping. Build the situation by

@@ -25,7 +25,7 @@ const auditInterval = 100 * des.Millisecond
 // Checked invariants:
 //
 //   - des/past-schedule: no event is ever scheduled before the clock;
-//   - des/queue: calendar-queue accounting and heap order (Sim.AuditQueue);
+//   - des/queue: heap order, inline keys and recorded positions (Sim.AuditQueue);
 //   - radio/coherence: receiver records vs in-flight frames — arrival
 //     counts, energy sums, carrier state and clocks (AuditCoherence);
 //   - pkt/double-free: no pool Release of a packet that is not live;

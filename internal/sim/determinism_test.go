@@ -122,11 +122,15 @@ func TestGoldenIndexedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGoldenCalendarMatchesReferenceQueue is the determinism contract of
-// the DES kernel overhaul: the calendar-queue event list must not change
-// a single bit of any run's outcome relative to the retained binary-heap
-// reference, including on a warm engine that alternates between the two
-// orderings across resets.
+// TestGoldenCalendarMatchesReferenceQueue keeps the name (and the forty
+// subtest identities) it had while the kernel carried two event lists; with
+// one list left, what it pins over the same scenarios is the other half of
+// that change: the network's single load-sampling clock must not move a bit
+// of any Result relative to the per-MAC tickers it replaced (perMacSampling,
+// loadclock_test.go), it must account for exactly the events it saves, and
+// a warm engine alternating between the two arrangements must keep
+// reproducing the cold run — the indexed heap, its node pool and the
+// cancel-removes path carry no residue across resets.
 func TestGoldenCalendarMatchesReferenceQueue(t *testing.T) {
 	for name, mut := range goldenConfigs() {
 		for _, scheme := range AllSchemes() {
@@ -135,31 +139,20 @@ func TestGoldenCalendarMatchesReferenceQueue(t *testing.T) {
 				sc.Warmup = 2 * des.Second
 				sc.Measure = 8 * des.Second
 				mut(&sc)
-				ref := sc
-				ref.ReferenceQueue = true
 
-				cal, err := Run(sc)
-				if err != nil {
-					t.Fatal(err)
+				clock, clockEvents := runCounted(t, NewEngine(), sc, false)
+				perMac, perMacEvents := runCounted(t, NewEngine(), sc, true)
+				if clock != perMac {
+					t.Errorf("one clock diverges from per-MAC tickers:\n  clock   %+v\n  per-MAC %+v", clock, perMac)
 				}
-				heap, err := Run(ref)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cal != heap {
-					t.Errorf("calendar queue diverges from reference heap:\n  cal  %+v\n  heap %+v", cal, heap)
+				if got, want := perMacEvents-clockEvents, sc.NodeCount()*loadWindows(sc); got != uint64(want) {
+					t.Errorf("per-MAC tickers cost %d events more than the clock, want N·windows = %d", got, want)
 				}
 
-				// Warm engine flip-flopping between orderings: each reset
-				// must leave no trace of the previous run's event list.
 				eng := NewEngine()
-				for i, s := range []Scenario{sc, ref, sc} {
-					r, err := eng.Run(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r != cal {
-						t.Errorf("warm run %d (refQueue=%v) diverged:\n  got  %+v\n  want %+v", i, s.ReferenceQueue, r, cal)
+				for i, oracle := range []bool{false, true, false} {
+					if r, _ := runCounted(t, eng, sc, oracle); r != clock {
+						t.Errorf("warm run %d (perMac=%v) diverged:\n  got  %+v\n  want %+v", i, oracle, r, clock)
 					}
 				}
 			})

@@ -147,7 +147,6 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 	spec := sc.agentSpec()
 	if !e.built || len(e.nodes) != len(positions) || e.radioParams != sc.Radio {
 		e.simk = des.NewSim()
-		e.simk.SetReference(sc.ReferenceQueue)
 		e.simk.SetWatch(e.watch)
 		e.medium = radio.NewMedium(e.simk, sc.propagation())
 		e.medium.SetReference(sc.ReferenceRadio)
@@ -161,7 +160,6 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 		return tp, nil
 	}
 	e.simk.Reset()
-	e.simk.SetReference(sc.ReferenceQueue)
 	e.medium.Reset(sc.propagation(), positions)
 	e.medium.SetReference(sc.ReferenceRadio)
 	e.medium.SetImpairment(sc.Faults.Link, sc.Seed)

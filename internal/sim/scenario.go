@@ -136,13 +136,6 @@ type Scenario struct {
 	// trades speed for simplicity.
 	ReferenceRadio bool
 
-	// ReferenceQueue forces the DES kernel's retained binary-heap event
-	// list instead of the production calendar queue — the same
-	// trade-speed-for-simplicity reference switch as ReferenceRadio.
-	// Results are bit-identical either way: both orderings implement the
-	// identical (time, insertion-sequence) total order.
-	ReferenceQueue bool
-
 	// Audit enables the runtime invariant auditor: at every audit point a
 	// read-only checker cross-checks the packet-conservation ledger, DES
 	// event-list sanity, radio dense-state coherence and the AODV

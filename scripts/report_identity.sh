@@ -10,7 +10,11 @@
 # as `fingerprint: same|moved` for information: it hashes the Scenario
 # struct's JSON, so it is a function of that struct's shape (guarded by
 # TestFingerprintCoversEveryScenarioField) and moves whenever a field is
-# added or removed, not of anything a run computes.
+# added or removed, not of anything a run computes. The same goes for the
+# two lines that count the event list's own work and not the protocol's —
+# "events_executed" and "des/pending-hw", which move when bookkeeping
+# events are merged or cancelled timers stop being queued; each is printed
+# as `name: same` or `name: parent → change`.
 # Exits non-zero, printing the first differing lines, on any mismatch.
 # The repo keeps no recorded goldens (every golden test is tier-vs-tier or
 # warm-vs-cold), so this is the check a PR that claims "no Result moved"
@@ -54,6 +58,15 @@ scenarios=(
 )
 cd "$root"
 
+# moved KEY I — "same", or "parent → change", for the numeric report line
+# KEY of scenario I.
+moved() {
+	local a b
+	a=$(grep "\"$1\":" "$tmp/parent.$2.full" | tr -dc 0-9 || true)
+	b=$(grep "\"$1\":" "$tmp/change.$2.full" | tr -dc 0-9 || true)
+	if [[ $a == "$b" ]]; then echo same; else echo "$a → $b"; fi
+}
+
 status=0
 for i in "${!scenarios[@]}"; do
 	args=${scenarios[$i]}
@@ -65,12 +78,14 @@ for i in "${!scenarios[@]}"; do
 		# -metrics-out only names the files a -metrics line writes.
 		# shellcheck disable=SC2086 # args is a flag list, split on purpose
 		"$tmp/$side" $args -metrics-out "$tmp/$side.$i" -report "$tmp/$side.$i.full" -canonical-report >/dev/null
-		grep -v '^ *"fingerprint":' "$tmp/$side.$i.full" >"$tmp/$side.$i.json"
+		grep -Ev '^ *"(fingerprint|events_executed|des/pending-hw)":' "$tmp/$side.$i.full" >"$tmp/$side.$i.json"
 	done
 	fingerprint=same
 	if [[ $(grep '"fingerprint":' "$tmp/parent.$i.full") != $(grep '"fingerprint":' "$tmp/change.$i.full") ]]; then
 		fingerprint=moved
 	fi
+	events=$(moved events_executed "$i")
+	pending=$(moved des/pending-hw "$i")
 	verdict=identical
 	for out in "${outputs[@]}"; do
 		if ! cmp -s "$tmp/parent.$i$out" "$tmp/change.$i$out"; then
@@ -80,6 +95,6 @@ for i in "${!scenarios[@]}"; do
 			diff "$tmp/parent.$i$out" "$tmp/change.$i$out" | head -n 4 || true
 		fi
 	done
-	echo "$verdict  fingerprint: $fingerprint  meshsim $args"
+	echo "$verdict  fingerprint: $fingerprint  events_executed: $events  pending-hw: $pending  meshsim $args"
 done
 exit $status
