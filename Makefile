@@ -67,10 +67,10 @@ instrument-cost:
 	bash scripts/instrument_cost.sh
 
 # Coverage-guided fuzzing: the wire codec, the DES differential queue
-# oracle, the radio-path differential oracle and the duplicate cache's
-# kept count against its exhaustive scan (go test allows one -fuzz
-# pattern per invocation, hence one run per target). FUZZTIME=5m for a
-# deep run.
+# oracle, the radio-path differential oracle, the duplicate cache's kept
+# count against its exhaustive scan and the routing table against its
+# dense oracle (go test allows one -fuzz pattern per invocation, hence one
+# run per target). FUZZTIME=5m for a deep run.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -79,23 +79,31 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzQueueDifferential -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run NONE -fuzz FuzzMediumDifferential -fuzztime $(FUZZTIME) ./internal/radio
 	$(GO) test -run NONE -fuzz FuzzDupCacheLen -fuzztime $(FUZZTIME) ./internal/routing
+	$(GO) test -run NONE -fuzz FuzzTableDifferential -fuzztime $(FUZZTIME) ./internal/routing
 
-# CPU + heap profiles of the radio-bound 225-node regime (the
+# CPU profile of the radio-bound 225-node regime (the
 # BenchmarkSimulatorThroughputLargeN scenario) via cmd/meshsim and
 # internal/prof — 20 replications on one worker, a few seconds of samples
 # — then the top of the CPU profile, so a CI log shows the radio/MAC/DES
 # split without the artifact. Inspect further with
-# `go tool pprof <binary-less profile>`.
+# `go tool pprof <binary-less profile>`. Memory is measured where it is
+# still alive: TestEngineHeapScalesWithNeighbourhood prints HeapAlloc of a
+# warm 49-, 225- and 900-node engine after its last replication, engine
+# still referenced (a -memprofile written at exit sees only garbage), and
+# with -liveheap writes the 900-node engine's heap profile, whose top
+# follows.
 PROFILE_DIR ?= profiles
 
 profile-largen:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) run ./cmd/meshsim -rows 15 -cols 15 -area 2142.857 -flows 20 \
 		-warmup 10s -measure 10s -session 10s -reps 20 -workers 1 \
-		-cpuprofile $(PROFILE_DIR)/largen-cpu.pprof \
-		-memprofile $(PROFILE_DIR)/largen-mem.pprof
-	@ls -l $(PROFILE_DIR)
+		-cpuprofile $(PROFILE_DIR)/largen-cpu.pprof
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/largen-cpu.pprof
+	$(GO) test -count=1 -run TestEngineHeapScalesWithNeighbourhood -v ./internal/sim \
+		-args -liveheap $(abspath $(PROFILE_DIR))/largen-live-heap.pprof | grep HeapAlloc
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=10 $(PROFILE_DIR)/largen-live-heap.pprof
+	@ls -l $(PROFILE_DIR)
 
 # The same for the memo's write side: the benchmark's mobile100 shape (100
 # nodes on a perturbed grid, 5 m/s waypoints, churn and burst loss), where

@@ -18,7 +18,7 @@ type arfState struct {
 func (m *Mac) arfFor(dst pkt.NodeID) *arfState {
 	i := int(dst)
 	if i >= len(m.arf) {
-		m.growPeers(i)
+		m.arf = append(m.arf, make([]arfState, i+1-len(m.arf))...)
 	}
 	st := &m.arf[i]
 	if !st.used {

@@ -181,7 +181,8 @@ type Mac struct {
 
 	// Per-peer state, dense by NodeID (node IDs are 0..N-1): lastSeq[i]
 	// is the last unicast sequence number heard from peer i (-1 = none),
-	// arf[i] its link-adaptation state. Both grow on first contact.
+	// arf[i] its link-adaptation state. Both grow on first contact, arf
+	// only from arfFor, that is only under Config.AutoRate.
 	seq     uint16
 	lastSeq []int32
 	arf     []arfState
@@ -242,9 +243,7 @@ func (m *Mac) Reset(cfg Config, src *rng.Source) {
 	for i := range m.lastSeq {
 		m.lastSeq[i] = -1
 	}
-	for i := range m.arf {
-		m.arf[i] = arfState{}
-	}
+	clear(m.arf)
 	m.down = false
 	m.journey = nil
 	m.le.init(&m.cfg, m.sim, m.radio)
@@ -297,9 +296,7 @@ func (m *Mac) Crash() {
 	for i := range m.lastSeq {
 		m.lastSeq[i] = -1
 	}
-	for i := range m.arf {
-		m.arf[i] = arfState{}
-	}
+	clear(m.arf)
 	m.le.setQueueLen(0)
 	m.le.truncate()
 }
@@ -640,21 +637,14 @@ func (m *Mac) sendAck(dst pkt.NodeID) {
 	m.radio.Transmit(ack, ack.Bytes, m.cfg.AckDuration())
 }
 
-// Preallocate sizes the dense per-peer state for a network of n nodes, so
-// the hot path never grows it incrementally.
-func (m *Mac) Preallocate(n int) {
-	if n > 0 {
-		m.growPeers(n - 1)
-	}
-}
+// Preallocate sizes the duplicate filter for a network of n nodes, so the
+// hot path never grows it incrementally.
+func (m *Mac) Preallocate(n int) { m.growPeers(n - 1) }
 
-// growPeers extends the dense per-peer slices (lastSeq, arf) to cover id.
+// growPeers extends the duplicate filter to cover id.
 func (m *Mac) growPeers(id int) {
 	for len(m.lastSeq) <= id {
 		m.lastSeq = append(m.lastSeq, -1)
-	}
-	for len(m.arf) <= id {
-		m.arf = append(m.arf, arfState{})
 	}
 }
 

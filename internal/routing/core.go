@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"clnlr/internal/des"
@@ -123,12 +124,11 @@ type Core struct {
 	nbrs   *NeighborTable
 	seq    uint32
 	rreqID uint32
-	// pending holds in-progress discoveries, dense by destination ID
-	// (nil = none); pendingCount tracks occupancy.
-	pending      []*discovery
-	pendingCount int
-	replyWaits   map[rreqKey]*replyWait
-	hello        *des.Ticker
+	// pending holds the in-progress discoveries in ascending destination
+	// order (the order Crash drops their buffers in).
+	pending    []*discovery
+	replyWaits map[rreqKey]*replyWait
+	hello      *des.Ticker
 
 	// deferred parks packets awaiting a jittered broadcast (RREQ
 	// de-synchronisation); the typed event carries the slot index, so the
@@ -159,7 +159,8 @@ func New(env Env, cfg Config, policy RREQPolicy) *Core {
 }
 
 // Reset rebinds the core for a fresh run without reallocating its grown
-// state (routing table slots, duplicate-cache rings, neighbour storage).
+// state (ID indices, routing table slab, duplicate-cache rings, neighbour
+// lists).
 // The environment must reference the same simulation the core was built
 // on — warm replication reuse resets the des.Sim in place, so every
 // component keeps its kernel pointer. Deliver/Trace sinks come in with
@@ -176,10 +177,8 @@ func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	c.nbrs.Reset(cfg.HelloInterval * des.Time(cfg.HelloLossAllowance+1))
 	c.seq = 0
 	c.rreqID = 0
-	for i := range c.pending {
-		c.pending[i] = nil
-	}
-	c.pendingCount = 0
+	clear(c.pending)
+	c.pending = c.pending[:0]
 	clear(c.replyWaits)
 	c.hello = nil
 	// Slots referenced by now-discarded events (the shared Sim was just
@@ -229,10 +228,7 @@ func (c *Core) Crash() {
 	c.table.Reset()
 	c.dup.Reset(c.Cfg.DupHorizon)
 	c.nbrs.Reset(c.Cfg.HelloInterval * des.Time(c.Cfg.HelloLossAllowance+1))
-	for i, d := range c.pending {
-		if d == nil {
-			continue
-		}
+	for _, d := range c.pending {
 		d.timer.Cancel()
 		c.Ctr.DropCrashed += uint64(len(d.buffer))
 		if j := c.Env.Journey; j != nil {
@@ -240,9 +236,9 @@ func (c *Core) Crash() {
 				j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropCrashed)
 			}
 		}
-		c.pending[i] = nil
 	}
-	c.pendingCount = 0
+	clear(c.pending)
+	c.pending = c.pending[:0]
 	clear(c.replyWaits)
 	if c.hello != nil {
 		c.hello.Stop()
@@ -272,42 +268,43 @@ func (c *Core) TableSize() int { return c.table.Len() }
 // ring contents, so calling it does not change any later Seen verdict.
 func (c *Core) DupCacheLen() int { return c.dup.Len() }
 
-// Preallocate sizes every dense per-node structure (routing-table slots,
-// duplicate-cache rings, neighbour storage) for a network of n nodes, so
-// the hot path never grows them incrementally. Growth stays lazy for
-// callers that skip it.
+// Preallocate sizes the per-node ID indices (routing table, duplicate
+// cache, neighbour table: 4 bytes per node each) for a network of n nodes,
+// so the hot path never grows them. What they index grows with the
+// destinations, origins and neighbours this node meets; index growth
+// stays lazy for callers that skip this.
 func (c *Core) Preallocate(n int) {
-	if n <= 0 {
-		return
-	}
-	c.table.grow(n - 1)
-	c.dup.grow(n - 1)
-	c.nbrs.grow(n - 1)
+	c.table.idx = growIndex(c.table.idx, n-1)
+	c.dup.idx = growIndex(c.dup.idx, n-1)
+	c.nbrs.pos = growIndex(c.nbrs.pos, n-1)
+}
+
+// findPending returns where the discovery for dst is, or would go, in
+// c.pending, and whether it is there.
+func (c *Core) findPending(dst pkt.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(c.pending, dst, func(d *discovery, dst pkt.NodeID) int {
+		return int(d.dst) - int(dst)
+	})
 }
 
 // pendingFor returns the in-progress discovery for dst, or nil.
 func (c *Core) pendingFor(dst pkt.NodeID) *discovery {
-	if dst < 0 || int(dst) >= len(c.pending) {
-		return nil
+	if i, ok := c.findPending(dst); ok {
+		return c.pending[i]
 	}
-	return c.pending[dst]
+	return nil
 }
 
-// setPending installs d as the discovery for dst, growing the dense
-// slice on first use of that destination.
-func (c *Core) setPending(dst pkt.NodeID, d *discovery) {
-	for len(c.pending) <= int(dst) {
-		c.pending = append(c.pending, nil)
-	}
-	c.pending[dst] = d
-	c.pendingCount++
+// setPending installs d as the discovery for d.dst, which has none.
+func (c *Core) setPending(d *discovery) {
+	i, _ := c.findPending(d.dst)
+	c.pending = slices.Insert(c.pending, i, d)
 }
 
 // clearPending removes the discovery for dst.
 func (c *Core) clearPending(dst pkt.NodeID) {
-	if dst >= 0 && int(dst) < len(c.pending) && c.pending[dst] != nil {
-		c.pending[dst] = nil
-		c.pendingCount--
+	if i, ok := c.findPending(dst); ok {
+		c.pending = slices.Delete(c.pending, i, i+1)
 	}
 }
 
@@ -342,9 +339,7 @@ func (c *Core) TestSetSeq(v uint32) { c.seq = v }
 func (c *Core) HeldPackets() int {
 	n := 0
 	for _, d := range c.pending {
-		if d != nil {
-			n += len(d.buffer)
-		}
+		n += len(d.buffer)
 	}
 	for _, p := range c.deferred {
 		if p != nil {
@@ -357,12 +352,11 @@ func (c *Core) HeldPackets() int {
 	return n
 }
 
-// tracef emits a structured routing event when tracing is enabled. The
-// detail string is only formatted when a sink is installed.
+// tracef emits a structured routing event. Callers check c.Env.Trace !=
+// nil first: a variadic call boxes its arguments before the callee runs,
+// so a check in here would leave the untraced hot path (rreq-forward,
+// data-deliver) allocating per packet.
 func (c *Core) tracef(event, format string, args ...any) {
-	if c.Env.Trace == nil {
-		return
-	}
 	c.Env.Trace.Record(trace.Record{
 		T:      c.Env.Sim.Now(),
 		Node:   c.Env.ID,
@@ -417,7 +411,7 @@ func (c *Core) bufferAndDiscover(p *pkt.Packet) {
 	d := c.pendingFor(p.Dst)
 	if d == nil {
 		d = &discovery{dst: p.Dst}
-		c.setPending(p.Dst, d)
+		c.setPending(d)
 		c.Ctr.DiscoveriesStarted++
 		c.originateRREQ(d)
 	}
@@ -481,7 +475,9 @@ func (c *Core) originateRREQ(d *discovery) {
 	// Remember our own flood so echoed copies are ignored cheaply.
 	c.dup.Seen(c.Env.ID, c.rreqID)
 	c.Ctr.RREQOriginated++
-	c.tracef("rreq-originate", "target=%v id=%d attempt=%d", d.dst, c.rreqID, d.attempts)
+	if c.Env.Trace != nil {
+		c.tracef("rreq-originate", "target=%v id=%d attempt=%d", d.dst, c.rreqID, d.attempts)
+	}
 	c.Env.Mac.Send(p, pkt.Broadcast)
 	d.timer = c.Env.Sim.ScheduleCall(c.Cfg.DiscoveryTimeout, c, copDiscoveryTimeout, uint32(d.dst))
 }
@@ -489,7 +485,7 @@ func (c *Core) originateRREQ(d *discovery) {
 // discoveryTimeout fires when a flood's answer window lapses. A live
 // timeout always belongs to the current discovery for dst: every path that
 // retires a discovery (routeReady, Crash) cancels its timer first, so the
-// dense lookup is equivalent to the old captured-pointer identity check.
+// lookup by destination is equivalent to a captured-pointer identity check.
 func (c *Core) discoveryTimeout(dst pkt.NodeID) {
 	d := c.pendingFor(dst)
 	if d == nil {
@@ -505,7 +501,9 @@ func (c *Core) discoveryTimeout(dst pkt.NodeID) {
 			c.Env.Pool.Release(p)
 		}
 		c.clearPending(d.dst)
-		c.tracef("discovery-fail", "target=%v buffered=%d", d.dst, len(d.buffer))
+		if c.Env.Trace != nil {
+			c.tracef("discovery-fail", "target=%v buffered=%d", d.dst, len(d.buffer))
+		}
 		return
 	}
 	c.originateRREQ(d)
@@ -524,7 +522,9 @@ func (c *Core) routeReady(dst pkt.NodeID) {
 	d.timer.Cancel()
 	c.clearPending(dst)
 	c.Ctr.DiscoveriesSucceeded++
-	c.tracef("discovery-ok", "target=%v via=%v cost=%.2f flushed=%d", dst, r.NextHop, r.Cost, len(d.buffer))
+	if c.Env.Trace != nil {
+		c.tracef("discovery-ok", "target=%v via=%v cost=%.2f flushed=%d", dst, r.NextHop, r.Cost, len(d.buffer))
+	}
 	for _, p := range d.buffer {
 		c.forwardData(p, r)
 	}
@@ -548,7 +548,9 @@ func (c *Core) ForwardRREQ(p *pkt.Packet, extraDelay des.Time) {
 		delay += des.Time(c.Env.Rng.Intn(int(c.Cfg.MaxJitter)))
 	}
 	c.Ctr.RREQForwarded++
-	c.tracef("rreq-forward", "origin=%v id=%d hops=%d cost=%.2f", q.RREQ.Origin, q.RREQ.ID, q.RREQ.HopCount, q.RREQ.Cost)
+	if c.Env.Trace != nil {
+		c.tracef("rreq-forward", "origin=%v id=%d hops=%d cost=%.2f", q.RREQ.Origin, q.RREQ.ID, q.RREQ.HopCount, q.RREQ.Cost)
+	}
 	var slot int32
 	if k := len(c.deferredFree); k > 0 {
 		slot = c.deferredFree[k-1]
@@ -564,7 +566,9 @@ func (c *Core) ForwardRREQ(p *pkt.Packet, extraDelay des.Time) {
 // SuppressRREQ records that the policy declined to forward a copy.
 func (c *Core) SuppressRREQ() {
 	c.Ctr.RREQSuppressed++
-	c.tracef("rreq-suppress", "")
+	if c.Env.Trace != nil {
+		c.tracef("rreq-suppress", "")
+	}
 }
 
 // --- inbound dispatch (mac.Upper) ---
@@ -687,7 +691,9 @@ func (c *Core) sendRREPAsTarget(origin, via pkt.NodeID, hops int, cost float64) 
 	}
 	p := c.Env.Pool.RREP(c.Env.ID, body, c.Env.Sim.Now(), c.Cfg.TTL)
 	c.Ctr.RREPSent++
-	c.tracef("rrep-send", "origin=%v via=%v cost=%.2f", origin, via, cost)
+	if c.Env.Trace != nil {
+		c.tracef("rrep-send", "origin=%v via=%v cost=%.2f", origin, via, cost)
+	}
 	c.Env.Mac.Send(p, via)
 	_ = hops
 }
@@ -785,7 +791,9 @@ func (c *Core) handleData(p *pkt.Packet, from pkt.NodeID) {
 	// to the MAC queue (reclaimed at MacTxDone).
 	if p.Dst == c.Env.ID {
 		c.Ctr.DataDelivered++
-		c.tracef("data-deliver", "src=%v flow=%d seq=%d delay=%v", p.Src, p.FlowID, p.Seq, c.Env.Sim.Now()-p.CreatedAt)
+		if c.Env.Trace != nil {
+			c.tracef("data-deliver", "src=%v flow=%d seq=%d delay=%v", p.Src, p.FlowID, p.Seq, c.Env.Sim.Now()-p.CreatedAt)
+		}
 		if j := c.Env.Journey; j != nil {
 			j.OnDeliver(c.Env.Sim.Now(), c.Env.ID, p)
 		}
@@ -806,7 +814,9 @@ func (c *Core) handleData(p *pkt.Packet, from pkt.NodeID) {
 	r := c.table.Lookup(p.Dst)
 	if r == nil {
 		c.Ctr.DropNoRoute++
-		c.tracef("data-drop", "no route to %v (flow=%d seq=%d)", p.Dst, p.FlowID, p.Seq)
+		if c.Env.Trace != nil {
+			c.tracef("data-drop", "no route to %v (flow=%d seq=%d)", p.Dst, p.FlowID, p.Seq)
+		}
 		if j := c.Env.Journey; j != nil {
 			j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropNoRoute)
 		}
@@ -847,7 +857,9 @@ func (c *Core) MacTxDone(p *pkt.Packet, dst pkt.NodeID, ok bool) {
 	// The link to dst is dead: purge routes through it and tell upstream.
 	lost := c.table.InvalidateVia(dst)
 	c.nbrs.Remove(dst)
-	c.tracef("link-fail", "neighbour=%v routesLost=%d kind=%v", dst, len(lost), p.Kind)
+	if c.Env.Trace != nil {
+		c.tracef("link-fail", "neighbour=%v routesLost=%d kind=%v", dst, len(lost), p.Kind)
+	}
 
 	if p.Kind == pkt.Data && p.Src == c.Env.ID {
 		// We originated it: try to re-discover rather than lose it.

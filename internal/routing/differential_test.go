@@ -1,0 +1,307 @@
+package routing
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"clnlr/internal/des"
+	"clnlr/internal/pkt"
+	"clnlr/internal/rng"
+)
+
+// Differential tests of the index + slab structures against the dense
+// ones they replaced (oracle_test.go). Each script interprets its bytes as
+// a program, four bytes a step, runs it on both and compares every return
+// value and, after every step, the whole visible state. With move set the
+// slab under test is moved to a fresh, exactly full array before every
+// step and the old array is poisoned: every insert then reallocates too
+// (append finds no spare capacity), so code that kept a slab pointer
+// across an insert reads poison or writes into a dead array, and the
+// comparison fails.
+
+// randomProgram returns n seeded random bytes.
+func randomProgram(seed uint64, n int) []byte {
+	r := rng.New(seed)
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(r.Intn(256))
+	}
+	return data
+}
+
+// scriptID maps a byte to a node ID: mostly a small dense range so that
+// entries collide, now and then one far beyond it (index growth) or the
+// broadcast ID (rejected by every structure).
+func scriptID(b byte) pkt.NodeID {
+	switch {
+	case b >= 250:
+		return pkt.Broadcast
+	case b >= 240:
+		return pkt.NodeID(40 + int(b)%7)
+	}
+	return pkt.NodeID(b % 12)
+}
+
+func moveTableSlab(t *Table) {
+	old := t.entries
+	t.entries = append(make([]Route, 0, len(old)), old...)
+	for i := range old {
+		old[i] = Route{Dst: -7, NextHop: -7, HopCount: -7, Seq: 0xdead, SeqValid: true, Expires: math.MaxInt64, Valid: true}
+	}
+}
+
+func routesOf(each func(func(*Route))) []Route {
+	var out []Route
+	each(func(r *Route) { out = append(out, *r) })
+	return out
+}
+
+func sameRoute(a, b *Route) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
+// tableScript drives Update, Lookup, Get, Refresh, Invalidate,
+// InvalidateVia, Each, Len, Reset and the clock.
+func tableScript(t *testing.T, data []byte, move bool) {
+	sim := des.NewSim()
+	got, want := NewTable(sim), newDenseTable(sim)
+	for i := 0; i+3 < len(data); i += 4 {
+		op, a, b, c := data[i], data[i+1], data[i+2], data[i+3]
+		if move {
+			moveTableSlab(got)
+		}
+		dst := scriptID(a)
+		step := i / 4
+		switch {
+		case op < 110:
+			cand := Route{
+				Dst:      dst,
+				NextHop:  pkt.NodeID(b % 5),
+				HopCount: int(c%4) + 1,
+				Cost:     float64(c>>2%7) / 2,
+				Seq:      uint32(b >> 3 % 6),
+				SeqValid: c&0x80 == 0,
+				Expires:  sim.Now() + des.Time(b>>5)*300*des.Millisecond,
+				Valid:    c&0x60 != 0,
+			}
+			if g, w := got.Update(cand), want.Update(cand); g != w {
+				t.Fatalf("step %d: Update(%+v) = %v, dense table says %v", step, cand, g, w)
+			}
+		case op < 140:
+			if g, w := got.Lookup(dst), want.Lookup(dst); !sameRoute(g, w) {
+				t.Fatalf("step %d: Lookup(%d) = %+v, dense table says %+v", step, dst, g, w)
+			}
+		case op < 160:
+			if g, w := got.Get(dst), want.Get(dst); !sameRoute(g, w) {
+				t.Fatalf("step %d: Get(%d) = %+v, dense table says %+v", step, dst, g, w)
+			}
+		case op < 180:
+			life := des.Time(b%8) * 200 * des.Millisecond
+			got.Refresh(dst, life)
+			want.Refresh(dst, life)
+		case op < 195:
+			if g, w := got.Invalidate(dst), want.Invalidate(dst); !sameRoute(g, w) {
+				t.Fatalf("step %d: Invalidate(%d) = %+v, dense table says %+v", step, dst, g, w)
+			}
+		case op < 215:
+			via := pkt.NodeID(b % 5)
+			if g, w := got.InvalidateVia(via), want.InvalidateVia(via); !slices.Equal(g, w) {
+				t.Fatalf("step %d: InvalidateVia(%d) = %v, dense table says %v", step, via, g, w)
+			}
+		case op < 250:
+			sim.RunUntil(sim.Now() + des.Time(b%8)*100*des.Millisecond)
+		default:
+			got.Reset()
+			want.Reset()
+		}
+		// Each in destination order, with Len, is the whole visible state.
+		if g, w := routesOf(got.Each), routesOf(want.Each); !slices.Equal(g, w) || got.Len() != want.Len() {
+			t.Fatalf("step %d (op %d): tables differ\n got %d %+v\nwant %d %+v", step, op, got.Len(), g, want.Len(), w)
+		}
+	}
+}
+
+func TestTableMatchesDenseOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		data := randomProgram(seed, 4000)
+		tableScript(t, data, false)
+		tableScript(t, data, true)
+	}
+}
+
+func FuzzTableDifferential(f *testing.F) {
+	// Install, better copy, expire, invalidate via, far ID, reset, reinstall.
+	f.Add([]byte{0, 3, 41, 1, 0, 3, 49, 0, 230, 0, 7, 0, 120, 3, 0, 0, 200, 0, 1, 0,
+		0, 245, 2, 2, 255, 0, 0, 0, 0, 3, 9, 1, 150, 3, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tableScript(t, data, false)
+		tableScript(t, data, true)
+	})
+}
+
+func moveDupSlab(d *DupCache) {
+	old := d.rings
+	d.rings = append(make([]dupRing, 0, len(old)), old...)
+	for i := range old {
+		for j := range old[i].ent {
+			old[i].ent[j] = dupEntry{id: 0xdead, seq: 0xdead, exp: math.MaxInt64}
+		}
+		old[i].origin = -7
+	}
+}
+
+// dupDifferentialScript drives Seen, Len, Reset and the clock over few
+// enough IDs per origin that rings overflow; a clock step of 0 keeps the
+// clock frozen, where every insertion past the eighth overwrites a live
+// slot.
+func dupDifferentialScript(t *testing.T, data []byte, move bool) {
+	sim := des.NewSim()
+	horizon := des.Second
+	got, want := NewDupCache(sim, horizon), newDenseDupCache(sim, horizon)
+	for i := 0; i+3 < len(data); i += 4 {
+		op, a, b := data[i], data[i+1], data[i+2]
+		if move {
+			moveDupSlab(got)
+		}
+		step := i / 4
+		switch {
+		case op < 170:
+			origin, id := scriptID(a), uint32(b%40)
+			if g, w := got.Seen(origin, id), want.Seen(origin, id); g != w {
+				t.Fatalf("step %d: Seen(%d,%d) = %v, dense cache says %v", step, origin, id, g, w)
+			}
+			if op&1 != 0 {
+				continue // no Len: the next Seen settles the log itself
+			}
+		case op < 235:
+			sim.RunUntil(sim.Now() + horizon*des.Time(b%7)/10)
+		case op < 250:
+			// the Len below is the step
+		default:
+			horizon = des.Time(b%4+1) * des.Second / 2
+			got.Reset(horizon)
+			want.Reset(horizon)
+		}
+		if g, w := got.Len(), want.Len(); g != w || g != scanLen(got) {
+			t.Fatalf("step %d: Len() = %d, dense cache says %d, a scan of the rings %d", step, g, w, scanLen(got))
+		}
+	}
+}
+
+func TestDupCacheMatchesDenseOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		data := randomProgram(seed, 8000)
+		dupDifferentialScript(t, data, false)
+		dupDifferentialScript(t, data, true)
+	}
+}
+
+func moveNeighborSlab(nt *NeighborTable) {
+	oldIDs, oldInfo := nt.ids, nt.info
+	nt.ids = append(make([]pkt.NodeID, 0, len(oldIDs)), oldIDs...)
+	nt.info = append(make([]neighborInfo, 0, len(oldInfo)), oldInfo...)
+	for i := range oldInfo {
+		oldIDs[i] = -7
+		oldInfo[i] = neighborInfo{load: 1e9, lastHeard: math.MaxInt64 / 2}
+	}
+}
+
+// neighborScript drives Update (with nil, empty and filled two-hop
+// payloads), Remove, Count, Loads, NeighborhoodLoad, Reset and the clock.
+func neighborScript(t *testing.T, data []byte, move bool) {
+	sim := des.NewSim()
+	maxAge := des.Second
+	got, want := NewNeighborTable(sim, maxAge), newDenseNeighborTable(sim, maxAge)
+	for i := 0; i+3 < len(data); i += 4 {
+		op, a, b, c := data[i], data[i+1], data[i+2], data[i+3]
+		if move {
+			moveNeighborSlab(got)
+		}
+		id := scriptID(a)
+		step := i / 4
+		switch {
+		case op < 120:
+			var twoHop []pkt.NeighborLoad
+			if c&3 != 0 { // 0: nil payload keeps what is stored; 1: empty clears it
+				twoHop = make([]pkt.NeighborLoad, 0, 3)
+				for k := byte(0); k < c&3-1; k++ {
+					twoHop = append(twoHop, pkt.NeighborLoad{ID: pkt.NodeID((c>>2 + k) % 12), Load: float64(c>>4+k) / 20})
+				}
+			}
+			load := float64(b) / 255
+			got.Update(id, load, twoHop)
+			want.Update(id, load, twoHop)
+		case op < 160:
+			got.Remove(id)
+			want.Remove(id)
+		case op < 180:
+			if g, w := got.Loads(), want.Loads(); !slices.Equal(g, w) {
+				t.Fatalf("step %d: Loads() = %v, dense table says %v", step, g, w)
+			}
+		case op < 235:
+			sim.RunUntil(sim.Now() + maxAge*des.Time(b%7)/5)
+		default:
+			maxAge = des.Time(b%4+1) * des.Second / 2
+			got.Reset(maxAge)
+			want.Reset(maxAge)
+		}
+		if g, w := got.Count(), want.Count(); g != w {
+			t.Fatalf("step %d: Count() = %d, dense table says %d", step, g, w)
+		}
+		self, own := pkt.NodeID(c%12), float64(c)/255
+		for _, twoHop := range []bool{false, true} {
+			g, w := got.NeighborhoodLoad(self, own, twoHop), want.NeighborhoodLoad(self, own, twoHop)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("step %d: NeighborhoodLoad(%d,%v,%v) = %v, dense table says %v", step, self, own, twoHop, g, w)
+			}
+		}
+	}
+}
+
+func TestNeighborTableMatchesDenseOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		data := randomProgram(seed, 4000)
+		neighborScript(t, data, false)
+		neighborScript(t, data, true)
+	}
+}
+
+// TestResetTouchesOnlyWhatWasUsed: Reset walks the slab, not the index, so
+// an untouched structure resets without per-ID work however large the
+// network it was sized for — and a used one leaves the index all zero.
+func TestResetTouchesOnlyWhatWasUsed(t *testing.T) {
+	sim := des.NewSim()
+	c := bareCore(sim, 0)
+	c.Preallocate(1 << 20)
+	if n := testing.AllocsPerRun(10, func() {
+		c.table.Reset()
+		c.dup.Reset(des.Second)
+		c.nbrs.Reset(des.Second)
+	}); n != 0 {
+		t.Errorf("Reset of untouched structures allocates %v times", n)
+	}
+	if len(c.table.entries)+len(c.dup.rings)+len(c.nbrs.info) != 0 ||
+		cap(c.table.entries)+cap(c.dup.rings)+cap(c.nbrs.info) != 0 {
+		t.Error("Preallocate sized a slab; it must size the indices only")
+	}
+	for _, id := range []pkt.NodeID{5, 900000, 17} {
+		c.table.Update(Route{Dst: id, NextHop: 1, Valid: true, Expires: des.Second})
+		c.dup.Seen(id, 1)
+		c.nbrs.Update(id, 0.5, nil)
+	}
+	c.table.Reset()
+	c.dup.Reset(des.Second)
+	c.nbrs.Reset(des.Second)
+	for name, idx := range map[string][]int32{"table": c.table.idx, "dup": c.dup.idx, "nbrs": c.nbrs.pos} {
+		if slices.ContainsFunc(idx, func(s int32) bool { return s != 0 }) {
+			t.Errorf("%s: Reset left an index entry behind", name)
+		}
+	}
+	if c.table.Len() != 0 || c.dup.Len() != 0 || c.nbrs.Count() != 0 {
+		t.Error("Reset left entries behind")
+	}
+}

@@ -27,10 +27,10 @@ type dupEntry struct {
 	exp des.Time
 }
 
-// dupRecord is the expiry-log line of one insertion: ring slot
-// origin·dupRingSize+index received stamp seq. It is current while the
-// slot still carries seq — the entry there then holds its expiry time —
-// and stale once the slot has been overwritten.
+// dupRecord is the expiry-log line of one insertion: entry
+// slot%dupRingSize of ring slot/dupRingSize received stamp seq. It is
+// current while the slot still carries seq — the entry there then holds
+// its expiry time — and stale once the slot has been overwritten.
 type dupRecord struct {
 	slot uint32
 	seq  uint32
@@ -43,17 +43,20 @@ const dupLogSlack = 32
 
 // dupRing is the fixed-size ring of recent floods from one origin.
 type dupRing struct {
-	ent  [dupRingSize]dupEntry
-	next uint8 // round-robin victim when no expired slot is free
+	ent    [dupRingSize]dupEntry
+	next   uint8      // round-robin victim when no expired slot is free
+	origin pkt.NodeID // in what was padding: still 136 bytes
 }
 
 // DupCache remembers recently seen RREQ floods so each node processes a
-// flood once. Origins are dense node IDs, so the cache is a slice of
-// small fixed-size rings indexed by origin — no map traffic on the
-// flood-processing hot path. An entry inserted at time t is a duplicate
-// for lookups while exp = t+horizon is strictly in the future (exp > now);
-// at exactly t+horizon it has expired. Expired slots are never swept:
-// every reader treats them as free, and insertion reuses the first one.
+// flood once. Origins are dense node IDs, so idx, a 4-byte index by
+// origin, finds the origin's small fixed-size ring with no map traffic on
+// the flood-processing hot path; rings holds one ring per origin this node
+// has heard a flood from, created by the first. An entry inserted at time
+// t is a duplicate for lookups while exp = t+horizon is strictly in the
+// future (exp > now); at exactly t+horizon it has expired. Expired slots
+// are never swept: every reader treats them as free, and insertion reuses
+// the first one.
 //
 // The live count is kept, not scanned for. The horizon is fixed between
 // Resets and the clock is monotone, so insertion order is expiry order:
@@ -65,6 +68,7 @@ type dupRing struct {
 type DupCache struct {
 	sim     *des.Sim
 	horizon des.Time
+	idx     []int32 // idx[origin] = position in rings + 1; 0 = no flood heard yet
 	rings   []dupRing
 
 	live int         // entries with exp > the clock at the last expire
@@ -81,12 +85,14 @@ func NewDupCache(sim *des.Sim, horizon des.Time) *DupCache {
 }
 
 // Reset empties the cache in place and rebinds the horizon, keeping the
-// grown ring storage for warm replication reuse.
+// index and the ring storage for warm replication reuse. It touches only
+// the origins that were heard.
 func (d *DupCache) Reset(horizon des.Time) {
 	d.horizon = horizon
 	for i := range d.rings {
-		d.rings[i] = dupRing{}
+		d.idx[d.rings[i].origin] = 0
 	}
+	d.rings = d.rings[:0]
 	d.live, d.seq, d.log, d.head = 0, 0, d.log[:0], 0
 }
 
@@ -97,9 +103,16 @@ func (d *DupCache) Seen(origin pkt.NodeID, id uint32) bool {
 		return false
 	}
 	now := d.sim.Now()
-	o := int(origin)
-	if o >= len(d.rings) {
-		d.grow(o)
+	o := -1 // position in rings
+	if int(origin) < len(d.idx) {
+		o = int(d.idx[origin]) - 1
+	}
+	if o < 0 {
+		// First flood from this origin: it gets a ring.
+		o = len(d.rings)
+		d.rings = append(d.rings, dupRing{origin: origin})
+		d.idx = growIndex(d.idx, int(origin))
+		d.idx[origin] = int32(o + 1)
 	}
 	r := &d.rings[o]
 	slot := -1
@@ -167,13 +180,6 @@ func (d *DupCache) entry(rec dupRecord) *dupEntry {
 		return nil
 	}
 	return e
-}
-
-// grow extends the ring array to cover origin index o.
-func (d *DupCache) grow(o int) {
-	for len(d.rings) <= o {
-		d.rings = append(d.rings, dupRing{})
-	}
 }
 
 // Len returns the number of live entries — the floods a lookup would

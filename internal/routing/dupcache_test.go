@@ -24,6 +24,15 @@ func scanLen(d *DupCache) int {
 	return n
 }
 
+// ringOf returns origin's ring through the index, or nil before the first
+// flood from there.
+func ringOf(d *DupCache, origin pkt.NodeID) *dupRing {
+	if int(origin) >= len(d.idx) || d.idx[origin] == 0 {
+		return nil
+	}
+	return &d.rings[d.idx[origin]-1]
+}
+
 // checkDupCache compares the kept count with the oracle and bounds the
 // expiry log by the live count.
 func checkDupCache(t *testing.T, d *DupCache, step int) {
@@ -52,8 +61,8 @@ func dupCacheScript(t *testing.T, data []byte) {
 		case op < 160:
 			origin, id := pkt.NodeID(arg%3), uint32(arg/3%40)
 			live := false
-			if int(origin) < len(d.rings) {
-				for _, e := range d.rings[origin].ent {
+			if r := ringOf(d, origin); r != nil {
+				for _, e := range r.ent {
 					live = live || e.exp > sim.Now() && e.id == id
 				}
 			}
@@ -126,5 +135,10 @@ func TestDupEntrySize(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(dupRecord{}); s != 8 {
 		t.Fatalf("dupRecord is %d bytes, want 8", s)
+	}
+	// The ring's origin (Reset's way back to the index) rides in the
+	// padding after next.
+	if s := unsafe.Sizeof(dupRing{}); s != dupRingSize*16+8 {
+		t.Fatalf("dupRing is %d bytes, want %d", s, dupRingSize*16+8)
 	}
 }

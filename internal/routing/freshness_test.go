@@ -4,7 +4,11 @@ import (
 	"testing"
 
 	"clnlr/internal/des"
+	"clnlr/internal/geom"
+	"clnlr/internal/mac"
 	"clnlr/internal/pkt"
+	"clnlr/internal/radio"
+	"clnlr/internal/rng"
 )
 
 // TestTableUpdateSeqWraparound pins AODV freshness across 32-bit sequence
@@ -187,5 +191,39 @@ func TestRREPForOwnTargetDropped(t *testing.T) {
 	r := c.table.Lookup(9)
 	if r == nil || r.NextHop != 5 || r.HopCount != 3 {
 		t.Fatalf("ordinary RREP not installed: %+v", r)
+	}
+}
+
+// TestUntracedHotPathAllocatesNothing: with no trace sink, delivering a
+// data packet and forwarding an RREQ — the two per-packet paths that carry
+// a trace point — allocate nothing once pools are warm. The packets carry
+// values too large for the runtime's small-integer boxing cache, so a
+// trace call that formats (or merely boxes) its arguments before checking
+// for a sink shows up.
+func TestUntracedHotPathAllocatesNothing(t *testing.T) {
+	sim := des.NewSim()
+	medium := radio.NewMedium(sim, radio.NewTwoRay(914e6, 1.5, 1.5))
+	m := mac.New(mac.DefaultConfig(), sim, medium.Attach(geom.Point{}, radio.DefaultParams()), 0, rng.New(1))
+	pool := pkt.NewPool()
+	m.SetPool(pool)
+	c := New(Env{Sim: sim, Mac: m, ID: 0, Rng: rng.New(2), Pool: pool}, DefaultConfig(), nopPolicy{})
+
+	sim.RunUntil(des.Second) // delay = now − CreatedAt is then a boxed des.Time
+	if n := testing.AllocsPerRun(100, func() {
+		c.handleData(pool.Data(700, 0, 512, 1000, 100000, 0, 30), 700)
+	}); n != 0 {
+		t.Errorf("handleData (deliver) with a nil trace sink: %v allocs/op, want 0", n)
+	}
+
+	rreq := pool.RREQ(pkt.RREQBody{ID: 70000, Origin: 700, OriginSeq: 9, Target: 800, HopCount: 300, Cost: 2.5}, sim.Now(), 30)
+	if n := testing.AllocsPerRun(100, func() {
+		c.ForwardRREQ(rreq, 0)
+		sim.Run() // jittered send, broadcast, MacTxDone: the clone is back in the pool
+	}); n != 0 {
+		t.Errorf("ForwardRREQ with a nil trace sink: %v allocs/op, want 0", n)
+	}
+	if c.Ctr.DataDelivered == 0 || c.Ctr.RREQForwarded == 0 || m.Ctr.TxBroadcast == 0 {
+		t.Fatalf("paths not exercised: delivered %d, forwarded %d, broadcast %d",
+			c.Ctr.DataDelivered, c.Ctr.RREQForwarded, m.Ctr.TxBroadcast)
 	}
 }

@@ -20,18 +20,19 @@ type neighborInfo struct {
 // and how loaded their surroundings are. Entries go stale when beacons
 // stop arriving.
 //
-// Node IDs are dense, so per-neighbour state lives in a slice indexed by
-// NodeID, with a sorted side list of present IDs: freshIDs then iterates
-// only the O(#neighbours) members in ascending order with no per-call
-// sort, which keeps floating-point accumulation (and therefore whole
-// runs) deterministic despite lazily discovered neighbours.
+// Node IDs are dense, so pos, a 4-byte index by NodeID, finds a
+// neighbour in ids, the sorted list of present IDs, and info[k] is what
+// ids[k] last told us: storage is O(#neighbours), and walking it visits
+// them in ascending ID order with no per-call sort, which keeps
+// floating-point accumulation (and therefore whole runs) deterministic
+// despite lazily discovered neighbours. A *neighborInfo is only valid
+// until the next Update or Remove (both shift the lists).
 type NeighborTable struct {
-	sim     *des.Sim
-	maxAge  des.Time
-	info    []neighborInfo // dense by neighbour NodeID
-	pos     []int32        // pos[id] = index+1 into ids; 0 = absent
-	ids     []pkt.NodeID   // present neighbour IDs, ascending
-	scratch []pkt.NodeID   // reused by freshIDs; valid until the next call
+	sim    *des.Sim
+	maxAge des.Time
+	pos    []int32        // pos[id] = index+1 into ids and info; 0 = absent
+	ids    []pkt.NodeID   // present neighbour IDs, ascending
+	info   []neighborInfo // parallel to ids
 }
 
 // NewNeighborTable creates a table whose entries expire after maxAge.
@@ -40,36 +41,36 @@ func NewNeighborTable(sim *des.Sim, maxAge des.Time) *NeighborTable {
 }
 
 // Reset empties the table in place and rebinds the staleness horizon,
-// keeping the grown per-ID storage for warm replication reuse.
+// keeping the index and the lists' storage (two-hop buffers included) for
+// warm replication reuse.
 func (nt *NeighborTable) Reset(maxAge des.Time) {
 	nt.maxAge = maxAge
-	for _, id := range nt.ids {
+	for k, id := range nt.ids {
 		nt.pos[id] = 0
-		e := &nt.info[id]
-		e.load = 0
-		e.lastHeard = 0
-		e.twoHop = e.twoHop[:0]
+		nt.info[k].twoHop = nt.info[k].twoHop[:0]
 	}
 	nt.ids = nt.ids[:0]
+	nt.info = nt.info[:0]
 }
 
-// grow extends the dense arrays to cover neighbour index i.
-func (nt *NeighborTable) grow(i int) {
-	for len(nt.pos) <= i {
-		nt.pos = append(nt.pos, 0)
-		nt.info = append(nt.info, neighborInfo{})
-	}
-}
-
-// insert adds id to the sorted present list and indexes it.
-func (nt *NeighborTable) insert(id pkt.NodeID) {
+// insert adds id to the sorted present list, indexes it and returns its
+// cleared info slot. The slot's two-hop buffer is the one parked past the
+// end of info by the last Remove or Reset, if any.
+func (nt *NeighborTable) insert(id pkt.NodeID) *neighborInfo {
 	j, _ := slices.BinarySearch(nt.ids, id)
 	nt.ids = append(nt.ids, 0)
 	copy(nt.ids[j+1:], nt.ids[j:])
 	nt.ids[j] = id
+	n := len(nt.info)
+	nt.info = slices.Grow(nt.info, 1)[:n+1] // not append: info[n] may hold a parked buffer
+	spare := nt.info[n].twoHop[:0]
+	copy(nt.info[j+1:], nt.info[j:n])
+	nt.info[j] = neighborInfo{twoHop: spare}
+	nt.pos = growIndex(nt.pos, int(id))
 	for k := j; k < len(nt.ids); k++ {
 		nt.pos[nt.ids[k]] = int32(k + 1)
 	}
+	return &nt.info[j]
 }
 
 // Update records a received HELLO.
@@ -77,14 +78,12 @@ func (nt *NeighborTable) Update(from pkt.NodeID, load float64, twoHop []pkt.Neig
 	if from < 0 {
 		return
 	}
-	i := int(from)
-	if i >= len(nt.pos) {
-		nt.grow(i)
+	var e *neighborInfo
+	if int(from) < len(nt.pos) && nt.pos[from] != 0 {
+		e = &nt.info[nt.pos[from]-1]
+	} else {
+		e = nt.insert(from)
 	}
-	if nt.pos[i] == 0 {
-		nt.insert(from)
-	}
-	e := &nt.info[i]
 	e.load = load
 	e.lastHeard = nt.sim.Now()
 	if twoHop != nil {
@@ -98,19 +97,20 @@ func (nt *NeighborTable) Remove(id pkt.NodeID) {
 		return
 	}
 	j := int(nt.pos[id]) - 1
+	n := len(nt.ids) - 1
+	// The vacated slot leaves with the neighbour (map-delete semantics: a
+	// later re-insert must not observe this incarnation's piggybacked
+	// table, which an Update carrying no two-hop payload would otherwise
+	// leave visible); only its buffer is parked past the end for insert.
+	spare := nt.info[j].twoHop[:0]
 	copy(nt.ids[j:], nt.ids[j+1:])
-	nt.ids = nt.ids[:len(nt.ids)-1]
-	for k := j; k < len(nt.ids); k++ {
+	copy(nt.info[j:], nt.info[j+1:])
+	nt.info[n] = neighborInfo{twoHop: spare}
+	nt.ids, nt.info = nt.ids[:n], nt.info[:n]
+	for k := j; k < n; k++ {
 		nt.pos[nt.ids[k]] = int32(k + 1)
 	}
 	nt.pos[id] = 0
-	// Clear the vacated slot (map-delete semantics): a later re-insert
-	// must not observe this incarnation's piggybacked table, which an
-	// Update carrying no two-hop payload would otherwise leave visible.
-	e := &nt.info[id]
-	e.load = 0
-	e.lastHeard = 0
-	e.twoHop = e.twoHop[:0]
 }
 
 func (nt *NeighborTable) fresh(e *neighborInfo) bool {
@@ -121,35 +121,22 @@ func (nt *NeighborTable) fresh(e *neighborInfo) bool {
 // CLNLR's forwarding probability adapts to.
 func (nt *NeighborTable) Count() int {
 	n := 0
-	for _, id := range nt.ids {
-		if nt.fresh(&nt.info[id]) {
+	for k := range nt.info {
+		if nt.fresh(&nt.info[k]) {
 			n++
 		}
 	}
 	return n
 }
 
-// freshIDs returns the fresh neighbour IDs in ascending order. The
-// returned slice is a reused scratch buffer, only valid until the next
-// call.
-func (nt *NeighborTable) freshIDs() []pkt.NodeID {
-	out := nt.scratch[:0]
-	for _, id := range nt.ids {
-		if nt.fresh(&nt.info[id]) {
-			out = append(out, id)
-		}
-	}
-	nt.scratch = out
-	return out
-}
-
 // Loads returns the fresh neighbours and their loads in ascending ID order
 // (for piggybacking into outgoing two-hop HELLOs).
 func (nt *NeighborTable) Loads() []pkt.NeighborLoad {
-	ids := nt.freshIDs()
-	out := make([]pkt.NeighborLoad, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, pkt.NeighborLoad{ID: id, Load: nt.info[id].load})
+	out := make([]pkt.NeighborLoad, 0, nt.Count())
+	for k := range nt.info {
+		if e := &nt.info[k]; nt.fresh(e) {
+			out = append(out, pkt.NeighborLoad{ID: nt.ids[k], Load: e.load})
+		}
 	}
 	return out
 }
@@ -161,15 +148,18 @@ func (nt *NeighborTable) Loads() []pkt.NeighborLoad {
 func (nt *NeighborTable) NeighborhoodLoad(self pkt.NodeID, ownLoad float64, twoHop bool) float64 {
 	sum := ownLoad
 	n := 1.0
-	for _, id := range nt.freshIDs() {
-		e := &nt.info[id]
+	for k := range nt.info {
+		e := &nt.info[k]
+		if !nt.fresh(e) {
+			continue
+		}
 		sum += e.load
 		n++
 		if !twoHop {
 			continue
 		}
 		for _, nl := range e.twoHop {
-			if nl.ID == self || nl.ID == id {
+			if nl.ID == self || nl.ID == nt.ids[k] {
 				continue
 			}
 			// Second-ring information is older and indirect: weight it

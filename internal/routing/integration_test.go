@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"slices"
 	"testing"
 
 	"clnlr/internal/core"
@@ -566,5 +567,94 @@ func TestCoreAccessors(t *testing.T) {
 	}
 	if load := a.OwnLoad(); load != 0 {
 		t.Fatalf("idle own load %v", load)
+	}
+}
+
+// slabRun runs 8 s of five flows over a 5×5 grid with the centre node
+// crashing at 3 s and recovering at 5 s, advancing the clock in 200 µs
+// steps — shorter than any frame, so a node handles at most one reception
+// per step — and calling between (nodes) after each. It returns everything
+// the run left behind: traffic totals, per-node counters and tables, and
+// the event count.
+func slabRun(factory node.AgentFactory, between func([]*node.Node)) (traffic.FlowStats, []routing.Counters, [][]routing.Route, uint64, []*node.Node) {
+	positions := geom.GridPlacement(geom.Square(1000), 5, 5)
+	sim, nodes := buildNet(31, positions, factory)
+	mgr := traffic.NewManager(sim, nodes, 30, des.Second)
+	src := rng.New(77)
+	for i := 0; i < 5; i++ {
+		mgr.AddFlow(traffic.Flow{
+			ID: i, Src: pkt.NodeID(i), Dst: pkt.NodeID(24 - i),
+			Payload: 512, Interval: 100 * des.Millisecond, Start: des.Second,
+		}, src.Derive(uint64(i)))
+	}
+	sim.At(3*des.Second, nodes[12].Crash)
+	sim.At(5*des.Second, nodes[12].Recover)
+	for t := des.Time(0); t <= 8*des.Second; t += 200 * des.Microsecond {
+		sim.RunUntil(t)
+		between(nodes)
+	}
+	ctrs := make([]routing.Counters, len(nodes))
+	tables := make([][]routing.Route, len(nodes))
+	for i, n := range nodes {
+		ctrs[i] = n.Agent.Ctr
+		n.Agent.Table().Each(func(r *routing.Route) { tables[i] = append(tables[i], *r) })
+	}
+	return mgr.Totals(), ctrs, tables, sim.Executed(), nodes
+}
+
+// TestSlabMovesMidRunChangeNothing: a run in which every per-node slab is
+// moved to an exactly full array (the old one poisoned) between any two
+// receptions — so that every insert reallocates — must leave exactly what
+// the undisturbed run leaves. A *Route or *neighborInfo held across an
+// insert anywhere in the core or a policy then points into a dead array:
+// a write through it is lost and a read misses whatever the insert's
+// caller changed since, either of which moves a counter or a table. The
+// undisturbed run also pins what the slabs hold: only the IDs a node met.
+func TestSlabMovesMidRunChangeNothing(t *testing.T) {
+	all := schemes()
+	for _, name := range []string{"flood", "counter", "clnlr-2hop"} {
+		t.Run(name, func(t *testing.T) {
+			tot, ctrs, tables, events, nodes := slabRun(all[name], func([]*node.Node) {})
+			mTot, mCtrs, mTables, mEvents, _ := slabRun(all[name], func(nodes []*node.Node) {
+				for _, n := range nodes {
+					n.Agent.MoveSlabs()
+				}
+			})
+			var rerrs uint64
+			for _, c := range ctrs {
+				rerrs += c.RERRSent
+			}
+			if tot.Delivered == 0 || rerrs == 0 {
+				t.Fatalf("run too quiet to prove anything: %d delivered, %d RERRs", tot.Delivered, rerrs)
+			}
+			if tot.Sent != mTot.Sent || tot.Delivered != mTot.Delivered || tot.Delay.Mean() != mTot.Delay.Mean() || events != mEvents {
+				t.Errorf("totals moved: %d/%d delivered, %d events; with slab moves %d/%d, %d",
+					tot.Delivered, tot.Sent, events, mTot.Delivered, mTot.Sent, mEvents)
+			}
+			originators := 0
+			for _, c := range ctrs {
+				if c.RREQOriginated > 0 {
+					originators++
+				}
+			}
+			for i := range nodes {
+				if ctrs[i] != mCtrs[i] {
+					t.Errorf("node %d counters moved:\n got %+v\nwant %+v", i, mCtrs[i], ctrs[i])
+				}
+				if !slices.Equal(tables[i], mTables[i]) {
+					t.Errorf("node %d table moved:\n got %+v\nwant %+v", i, mTables[i], tables[i])
+				}
+				routes, rings, nbrs := nodes[i].Agent.SlabSizes()
+				if routes[0] != nodes[i].Agent.Table().Len() || rings[0] > originators || nbrs[0] > 8 {
+					t.Errorf("node %d holds %d routes (Len %d), %d rings for %d originators, %d neighbours of at most 8",
+						i, routes[0], nodes[i].Agent.Table().Len(), rings[0], originators, nbrs[0])
+				}
+				for _, s := range [][2]int{routes, rings, nbrs} {
+					if s[1] > 2*s[0]+8 {
+						t.Errorf("node %d: slab of %d entries has capacity %d — sized by something other than the IDs met", i, s[0], s[1])
+					}
+				}
+			}
+		})
 	}
 }

@@ -21,21 +21,17 @@ type Route struct {
 	Valid    bool
 }
 
-// tableEntry is one slot of the dense destination-indexed table.
-type tableEntry struct {
-	r       Route
-	present bool
-}
-
 // Table is a per-node routing table with AODV freshness semantics. Node
-// IDs are dense (0..N-1), so entries live in a slice indexed by
-// destination ID rather than a map; slots grow lazily on first write.
-// Pointers returned by Lookup/Get alias the slice and are only valid
-// until the next Update (growth may move the backing array).
+// IDs are dense (0..N-1), so lookup is one load from idx, a 4-byte index
+// by destination ID; what it indexes is a slab holding only the
+// destinations this node has installed, in order of first installation.
+// Iteration in destination order comes from walking idx. Pointers
+// returned by Lookup/Get alias the slab and are only valid until the
+// next Update (an insert may move the backing array).
 type Table struct {
 	sim     *des.Sim
-	entries []tableEntry
-	count   int
+	idx     []int32 // idx[dst] = position in entries + 1; 0 = never installed
+	entries []Route
 }
 
 // NewTable returns an empty table bound to the simulation clock.
@@ -43,33 +39,34 @@ func NewTable(sim *des.Sim) *Table {
 	return &Table{sim: sim}
 }
 
-// Reset empties the table in place, keeping the grown slot storage for
-// warm replication reuse.
+// Reset empties the table in place, keeping the index and the slab's
+// storage for warm replication reuse. It touches only the destinations
+// that were installed.
 func (t *Table) Reset() {
 	for i := range t.entries {
-		t.entries[i] = tableEntry{}
+		t.idx[t.entries[i].Dst] = 0
 	}
-	t.count = 0
+	t.entries = t.entries[:0]
 }
 
-// grow extends the slot array to cover destination index i.
-func (t *Table) grow(i int) {
-	for len(t.entries) <= i {
-		t.entries = append(t.entries, tableEntry{})
+// growIndex returns a dense ID index extended with zeros ("absent") to
+// cover ID i. Table, DupCache and NeighborTable share the idiom: the index
+// costs 4 bytes per node of the network, the slab behind it only holds the
+// IDs this node has met.
+func growIndex(idx []int32, i int) []int32 {
+	if i < len(idx) {
+		return idx
 	}
+	return append(idx, make([]int32, i+1-len(idx))...)
 }
 
 // slot returns the entry for dst, or nil when dst was never installed
 // (or is not a unicast ID).
-func (t *Table) slot(dst pkt.NodeID) *tableEntry {
-	if dst < 0 || int(dst) >= len(t.entries) {
+func (t *Table) slot(dst pkt.NodeID) *Route {
+	if dst < 0 || int(dst) >= len(t.idx) || t.idx[dst] == 0 {
 		return nil
 	}
-	e := &t.entries[dst]
-	if !e.present {
-		return nil
-	}
-	return e
+	return &t.entries[t.idx[dst]-1]
 }
 
 // expire lazily finalises an entry whose lifetime has passed: the route
@@ -87,25 +84,20 @@ func (t *Table) expire(r *Route) {
 
 // Lookup returns the valid, unexpired route to dst, or nil.
 func (t *Table) Lookup(dst pkt.NodeID) *Route {
-	e := t.slot(dst)
-	if e == nil {
+	r := t.slot(dst)
+	if r == nil {
 		return nil
 	}
-	t.expire(&e.r)
-	if !e.r.Valid {
+	t.expire(r)
+	if !r.Valid {
 		return nil
 	}
-	return &e.r
+	return r
 }
 
 // Get returns the entry for dst even if invalid or expired (for sequence
 // number bookkeeping), or nil if none was ever installed.
-func (t *Table) Get(dst pkt.NodeID) *Route {
-	if e := t.slot(dst); e != nil {
-		return &e.r
-	}
-	return nil
-}
+func (t *Table) Get(dst pkt.NodeID) *Route { return t.slot(dst) }
 
 // Update installs cand if it is fresher or better than the current entry,
 // per AODV rules: a newer destination sequence number always wins; an
@@ -116,18 +108,13 @@ func (t *Table) Update(cand Route) bool {
 	if cand.Dst < 0 {
 		return false
 	}
-	i := int(cand.Dst)
-	if i >= len(t.entries) {
-		t.grow(i)
-	}
-	e := &t.entries[i]
-	if !e.present {
-		e.r = cand
-		e.present = true
-		t.count++
+	cur := t.slot(cand.Dst)
+	if cur == nil {
+		t.idx = growIndex(t.idx, int(cand.Dst))
+		t.entries = append(t.entries, cand)
+		t.idx[cand.Dst] = int32(len(t.entries))
 		return true
 	}
-	cur := &e.r
 	t.expire(cur)
 	if t.better(cand, cur) {
 		// Preserve the highest sequence number ever seen.
@@ -208,44 +195,46 @@ func (t *Table) Refresh(dst pkt.NodeID, lifetime des.Time) {
 // was no valid route). The sequence number is bumped so stale copies of
 // the dead route cannot be re-installed.
 func (t *Table) Invalidate(dst pkt.NodeID) *Route {
-	e := t.slot(dst)
-	if e == nil || !e.r.Valid {
+	r := t.slot(dst)
+	if r == nil || !r.Valid {
 		return nil
 	}
-	e.r.Valid = false
-	if e.r.SeqValid {
-		e.r.Seq++
+	r.Valid = false
+	if r.SeqValid {
+		r.Seq++
 	}
-	return &e.r
+	return r
 }
 
 // InvalidateVia invalidates every valid route whose next hop is via and
 // returns the affected destinations with their (bumped) sequence numbers.
 func (t *Table) InvalidateVia(via pkt.NodeID) []pkt.UnreachableDest {
 	var lost []pkt.UnreachableDest
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.present && e.r.Valid && e.r.NextHop == via {
-			e.r.Valid = false
-			if e.r.SeqValid {
-				e.r.Seq++
+	for _, s := range t.idx {
+		if s == 0 {
+			continue
+		}
+		if r := &t.entries[s-1]; r.Valid && r.NextHop == via {
+			r.Valid = false
+			if r.SeqValid {
+				r.Seq++
 			}
-			lost = append(lost, pkt.UnreachableDest{Node: e.r.Dst, Seq: e.r.Seq})
+			lost = append(lost, pkt.UnreachableDest{Node: r.Dst, Seq: r.Seq})
 		}
 	}
 	return lost
 }
 
 // Len returns the number of entries (valid or not).
-func (t *Table) Len() int { return t.count }
+func (t *Table) Len() int { return len(t.entries) }
 
 // Each calls fn for every installed entry (valid or not) in destination
 // order. The pointers alias table storage exactly like Lookup/Get — the
 // auditor uses this for read-only iteration; fn must not call Update.
 func (t *Table) Each(fn func(*Route)) {
-	for i := range t.entries {
-		if t.entries[i].present {
-			fn(&t.entries[i].r)
+	for _, s := range t.idx {
+		if s != 0 {
+			fn(&t.entries[s-1])
 		}
 	}
 }

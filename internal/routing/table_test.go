@@ -244,14 +244,14 @@ func TestDupCacheReusesExpiredSlot(t *testing.T) {
 	if d.Len() != dupRingSize {
 		t.Fatalf("one origin holds %d live floods, want its %d slots", d.Len(), dupRingSize)
 	}
-	next := d.rings[1].next
+	next := ringOf(d, 1).next
 	sim.Schedule(3*des.Second, func() {
 		if d.Len() != 0 {
 			t.Errorf("%d entries still live two horizons on", d.Len())
 		}
 		d.Seen(1, 200)
 		d.Seen(1, 201)
-		r := &d.rings[1]
+		r := ringOf(d, 1)
 		if r.ent[0].id != 200 || r.ent[1].id != 201 || r.next != next {
 			t.Errorf("slots 0,1 hold %d,%d and next moved %d→%d; want 200,201 and no move",
 				r.ent[0].id, r.ent[1].id, next, r.next)

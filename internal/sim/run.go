@@ -201,7 +201,7 @@ func pickEndpoints(sc Scenario, tp *topo.Topology, src *rng.Source, gateway pkt.
 		if s == d {
 			continue
 		}
-		if tp.HopDist(s)[d] < sc.MinHopDist {
+		if tp.Hops(s, d) < sc.MinHopDist {
 			continue
 		}
 		return s, d, nil

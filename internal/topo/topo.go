@@ -16,6 +16,10 @@ type Topology struct {
 	// Neighbors[i] lists the nodes whose transmissions node i can decode
 	// (interference-free). Symmetric for symmetric propagation models.
 	Neighbors [][]pkt.NodeID
+
+	// Scratch of Hops, which therefore is not safe for concurrent use.
+	dist  []int
+	queue []pkt.NodeID
 }
 
 // FromMedium builds the graph using the medium's own propagation model and
@@ -80,14 +84,36 @@ func (t *Topology) AvgDegree() float64 {
 // get -1.
 func (t *Topology) HopDist(from pkt.NodeID) []int {
 	dist := make([]int, t.N())
+	t.bfs(from, -1, dist, nil)
+	return dist
+}
+
+// Hops returns the hop distance from one node to another, -1 if there is
+// no path: HopDist(from)[to] without the allocations, stopping as soon as
+// the answer is known.
+func (t *Topology) Hops(from, to pkt.NodeID) int {
+	if len(t.dist) != t.N() {
+		t.dist = make([]int, t.N())
+	}
+	t.queue = t.bfs(from, to, t.dist, t.queue)
+	return t.dist[to]
+}
+
+// bfs labels dist with hop distances from the given node (-1 for nodes it
+// did not reach), stopping early once until is labelled (-1: never). A BFS
+// label is final when assigned, so dist[until] is exact either way. It
+// returns the queue for reuse.
+func (t *Topology) bfs(from, until pkt.NodeID, dist []int, queue []pkt.NodeID) []pkt.NodeID {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[from] = 0
-	queue := []pkt.NodeID{from}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], from)
+	for head := 0; head < len(queue); head++ {
+		if until >= 0 && dist[until] >= 0 {
+			break
+		}
+		u := queue[head]
 		for _, v := range t.Neighbors[u] {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
@@ -95,7 +121,7 @@ func (t *Topology) HopDist(from pkt.NodeID) []int {
 			}
 		}
 	}
-	return dist
+	return queue
 }
 
 // Connected reports whether every node is reachable from node 0.

@@ -38,6 +38,8 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
 # loss on top, the shape of the benchmark's mobile100 workload; Nakagami
 # fading, where every transmission rebuilds its set; and log-distance path
 # loss with per-link shadowing, kept moving so that model rebuilds too.
+# Last comes ROADMAP item 1's 900-node field, one cold run: there every
+# node's per-peer slabs (routes, duplicate rings, neighbours) grow mid-run.
 scenarios=(
 	"-scheme clnlr"
 	"-scheme flood"
@@ -55,6 +57,7 @@ scenarios=(
 	"-config scripts/identity_nakagami.json -metrics"
 	"-config scripts/identity_mobile.json -mttf 60s -mttr 5s -link-good 2s -link-bad 200ms -loss-bad 0.8"
 	"-config scripts/identity_logdistance.json -metrics"
+	"-rows 30 -cols 30 -area 4437 -flows 40 -rate 2 -warmup 10s -measure 20s -session 10s"
 )
 cd "$root"
 
