@@ -68,8 +68,9 @@ instrument-cost:
 
 # Coverage-guided fuzzing: the wire codec, the DES differential queue
 # oracle, the radio-path differential oracle, the duplicate cache's kept
-# count against its exhaustive scan and the routing table against its
-# dense oracle (go test allows one -fuzz pattern per invocation, hence one
+# count against its exhaustive scan, the routing table against its dense
+# oracle and meshsimd's request decoders with the digest memo against the
+# decode path (go test allows one -fuzz pattern per invocation, hence one
 # run per target). FUZZTIME=5m for a deep run.
 FUZZTIME ?= 10s
 
@@ -80,6 +81,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzMediumDifferential -fuzztime $(FUZZTIME) ./internal/radio
 	$(GO) test -run NONE -fuzz FuzzDupCacheLen -fuzztime $(FUZZTIME) ./internal/routing
 	$(GO) test -run NONE -fuzz FuzzTableDifferential -fuzztime $(FUZZTIME) ./internal/routing
+	$(GO) test -run NONE -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/serve
 
 # CPU profile of the radio-bound 225-node regime (the
 # BenchmarkSimulatorThroughputLargeN scenario) via cmd/meshsim and

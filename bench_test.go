@@ -447,7 +447,12 @@ func BenchmarkReplicationSweep(b *testing.B) {
 // simulation plus the service overhead — the delta against
 // BenchmarkSimulatorThroughputMetrics is what serving costs. "hit" submits
 // the same scenario every iteration, so after the first request everything
-// is a cache hit: the price of a memoised result.
+// is a cache hit answered from the request digest: the price of a memoised
+// result. "hit-distinct-bytes" pads that scenario's body with a different
+// amount of insignificant whitespace each iteration (4096 paddings, four
+// times what the digest memo holds), so every request is unknown to the
+// memo, is decoded and normalised, and hits the result cache: the price of
+// the path behind the memo, which must not drift up.
 func BenchmarkServeThroughput(b *testing.B) {
 	scenario := func(seed uint64) []byte {
 		sc := sim.DefaultScenario()
@@ -498,6 +503,32 @@ func BenchmarkServeThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			submit(b, h, body, "hit")
+		}
+	})
+	b.Run("hit-distinct-bytes", func(b *testing.B) {
+		srv, err := serve.New(serve.Config{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := srv.Handler()
+		body := scenario(1)
+		submit(b, h, body, "miss") // prime the cache
+		inner := body[1 : len(body)-1]
+		spaces := bytes.Repeat([]byte(" "), 65)
+		var padded []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			padded = append(padded[:0], '{')
+			padded = append(padded, spaces[:1+i%64]...)
+			padded = append(padded, inner...)
+			padded = append(padded, spaces[:i/64%64]...)
+			padded = append(padded, '}')
+			submit(b, h, padded, "hit")
+		}
+		b.StopTimer()
+		if n := srv.Stats().DigestHits; n != 0 {
+			b.Fatalf("%d of %d padded requests were answered from the digest memo", n, b.N)
 		}
 	})
 }

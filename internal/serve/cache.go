@@ -38,7 +38,16 @@ type Cache struct {
 
 	dir string // "" = memory-only
 
+	// diskMu orders the disk tier's publishes, removals and prunes, so
+	// diskCount — the number of .entry files this cache believes the
+	// directory holds — only needs a directory scan to correct it when it
+	// passes the cap.
+	diskMu    sync.Mutex
+	diskCount int
+	diskScans int // directory scans made; tests pin that puts under the cap make none
+
 	evictions   atomic.Uint64
+	diskHits    atomic.Uint64
 	diskRejects atomic.Uint64
 }
 
@@ -50,7 +59,7 @@ type cacheEntry struct {
 // NewCache returns a cache bounded by maxBytes and maxEntries (both must
 // be positive) with an optional disk tier rooted at dir (created if
 // missing; "" disables it). The same caps bound the disk tier's entry
-// count.
+// count: a directory left over cap by an earlier process is pruned here.
 func NewCache(dir string, maxBytes int64, maxEntries int) (*Cache, error) {
 	if maxBytes <= 0 || maxEntries <= 0 {
 		return nil, fmt.Errorf("serve: cache caps must be positive (bytes=%d entries=%d)", maxBytes, maxEntries)
@@ -60,13 +69,17 @@ func NewCache(dir string, maxBytes int64, maxEntries int) (*Cache, error) {
 			return nil, fmt.Errorf("serve: cache dir: %w", err)
 		}
 	}
-	return &Cache{
+	c := &Cache{
 		maxBytes:   maxBytes,
 		maxEntries: maxEntries,
 		ll:         list.New(),
 		items:      make(map[string]*list.Element),
 		dir:        dir,
-	}, nil
+	}
+	if dir != "" {
+		c.diskPruneLocked() // nothing else holds c yet
+	}
+	return c, nil
 }
 
 // Get returns the cached bytes for key. A memory miss consults the disk
@@ -84,6 +97,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
+	c.diskHits.Add(1)
 	c.put(key, data, false) // promote without rewriting the file
 	return data, true
 }
@@ -163,6 +177,9 @@ func (c *Cache) Bytes() int64 {
 // Evictions returns how many in-memory entries the caps pushed out.
 func (c *Cache) Evictions() uint64 { return c.evictions.Load() }
 
+// DiskHits returns how many Gets were answered by the disk tier.
+func (c *Cache) DiskHits() uint64 { return c.diskHits.Load() }
+
 // DiskRejects returns how many on-disk entries failed validation and were
 // discarded.
 func (c *Cache) DiskRejects() uint64 { return c.diskRejects.Load() }
@@ -209,11 +226,20 @@ func (c *Cache) diskPut(key string, data []byte) {
 	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
 		return
 	}
+	c.diskMu.Lock()
+	defer c.diskMu.Unlock()
+	_, err := os.Lstat(c.diskPath(key))
+	replaces := err == nil
 	if os.Rename(tmp, c.diskPath(key)) != nil {
 		os.Remove(tmp)
 		return
 	}
-	c.diskPrune()
+	if !replaces {
+		c.diskCount++
+	}
+	if c.diskCount > c.maxEntries {
+		c.diskPruneLocked()
+	}
 }
 
 func (c *Cache) diskGet(key string) ([]byte, bool) {
@@ -227,7 +253,11 @@ func (c *Cache) diskGet(key string) ([]byte, bool) {
 	data, ok := decodeDiskEntry(raw)
 	if !ok {
 		c.diskRejects.Add(1)
-		os.Remove(c.diskPath(key))
+		c.diskMu.Lock()
+		if os.Remove(c.diskPath(key)) == nil {
+			c.diskCount--
+		}
+		c.diskMu.Unlock()
 		return nil, false
 	}
 	// Touch the entry so diskPrune's mtime ordering is true LRU — without
@@ -269,34 +299,48 @@ func decodeDiskEntry(raw []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// diskPrune drops the oldest disk entries beyond the entry cap (by
-// modification time). Puts are rare — one per never-seen scenario — so the
-// directory scan is cheap relative to the simulation that preceded it.
-func (c *Cache) diskPrune() {
+// diskPruneLocked scans the cache directory, drops the oldest entries
+// beyond the entry cap (by modification time) and resets diskCount to what
+// it found. diskPut calls it only when diskCount has passed the cap, so a
+// put costs a directory scan once the tier is full and never before; files
+// are stat'ed only when some must go. Another process writing the same
+// directory makes diskCount an undercount until this cache's own puts
+// carry it over the cap and the scan corrects it.
+func (c *Cache) diskPruneLocked() {
+	c.diskScans++
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
+		return
+	}
+	n := 0
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".entry") {
+			entries[n] = e
+			n++
+		}
+	}
+	entries = entries[:n]
+	c.diskCount = n
+	if n <= c.maxEntries {
 		return
 	}
 	type aged struct {
 		name string
 		mod  int64
 	}
-	var files []aged
+	files := make([]aged, 0, n)
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".entry") {
-			continue
-		}
 		info, err := e.Info()
 		if err != nil {
+			c.diskCount-- // gone since ReadDir
 			continue
 		}
 		files = append(files, aged{e.Name(), info.ModTime().UnixNano()})
 	}
-	if len(files) <= c.maxEntries {
-		return
-	}
 	sort.Slice(files, func(i, j int) bool { return files[i].mod < files[j].mod })
-	for _, f := range files[:len(files)-c.maxEntries] {
-		os.Remove(filepath.Join(c.dir, f.name))
+	for _, f := range files[:max(0, len(files)-c.maxEntries)] {
+		if os.Remove(filepath.Join(c.dir, f.name)) == nil {
+			c.diskCount--
+		}
 	}
 }

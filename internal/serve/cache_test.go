@@ -220,6 +220,98 @@ func TestCacheDiskPruneEvictsLeastRecentlyRead(t *testing.T) {
 	}
 }
 
+func countDiskEntries(t *testing.T, dir string) int {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.entry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(names)
+}
+
+// TestCacheDiskPutsBelowCapScanNothing pins the cost of a put: while the
+// disk tier is under its cap — counting what an earlier process left
+// there — a put reads no directory; the first put over the cap scans once
+// and leaves the tier at the cap.
+func TestCacheDiskPutsBelowCapScanNothing(t *testing.T) {
+	dir := t.TempDir()
+	earlier, err := NewCache(dir, 1<<20, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		earlier.Put(testKey(i), []byte{byte(i)})
+	}
+
+	c, err := NewCache(dir, 1<<20, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.diskCount != 3 {
+		t.Fatalf("opened over 3 entries, counted %d", c.diskCount)
+	}
+	opened := c.diskScans
+	for i := 3; i < 8; i++ {
+		c.Put(testKey(i), []byte{byte(i)})
+	}
+	c.Put(testKey(0), []byte{0}) // rewrites a file the earlier process left: no new entry
+	if c.diskScans != opened {
+		t.Fatalf("%d directory scans for puts at or under the cap, want 0", c.diskScans-opened)
+	}
+	if c.diskCount != 8 || countDiskEntries(t, dir) != 8 {
+		t.Fatalf("count %d, directory %d, want 8 and 8", c.diskCount, countDiskEntries(t, dir))
+	}
+	c.Put(testKey(8), []byte{8})
+	if c.diskScans != opened+1 {
+		t.Fatalf("%d scans for the put that passed the cap, want 1", c.diskScans-opened)
+	}
+	if c.diskCount != 8 || countDiskEntries(t, dir) != 8 {
+		t.Fatalf("after the prune: count %d, directory %d, want 8 and 8", c.diskCount, countDiskEntries(t, dir))
+	}
+}
+
+// TestCacheDiskBoundsInheritedDirectory opens a cache over a directory an
+// earlier process (with a larger cap) left over this one's cap: it is cut
+// to the cap at open and stays there, and a rejected entry leaves the
+// count exact.
+func TestCacheDiskBoundsInheritedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	earlier, err := NewCache(dir, 1<<20, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		earlier.Put(testKey(i), []byte{byte(i)})
+	}
+	c, err := NewCache(dir, 1<<20, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countDiskEntries(t, dir); n != 4 || c.diskCount != 4 {
+		t.Fatalf("opened over 10 entries with cap 4: directory %d, count %d", n, c.diskCount)
+	}
+	for i := 10; i < 14; i++ {
+		c.Put(testKey(i), []byte{byte(i)})
+		if n := countDiskEntries(t, dir); n > 4 {
+			t.Fatalf("directory holds %d entries, cap is 4", n)
+		}
+	}
+
+	fresh, err := NewCache(dir, 1<<20, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, testKey(13)+".entry"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fresh.Get(testKey(13)); ok {
+		t.Fatal("torn entry was served")
+	}
+	if n := countDiskEntries(t, dir); n != 3 || fresh.diskCount != 3 {
+		t.Fatalf("after a reject: directory %d, count %d, want 3 and 3", n, fresh.diskCount)
+	}
+}
+
 func TestCacheRejectsUnsafeKeys(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCache(dir, 1<<20, 10)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -64,6 +65,35 @@ type sweepJob struct {
 	schemes  []sim.Scheme
 	reps     int
 	journeyN int
+}
+
+// decodeRequest parses the first JSON value of a request body into v,
+// refusing unknown fields. Bytes after that value are not examined.
+func decodeRequest(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
+// decodeRun is the whole /v1/run body → runJob chain.
+func decodeRun(body []byte) (runJob, error) {
+	var req RunRequest
+	if err := decodeRequest(body, &req); err != nil {
+		return runJob{}, err
+	}
+	return normalizeRun(req)
+}
+
+// decodeSweep is the whole /v1/sweep body → sweepJob chain.
+func decodeSweep(body []byte) (sweepJob, error) {
+	var req SweepRequest
+	if err := decodeRequest(body, &req); err != nil {
+		return sweepJob{}, err
+	}
+	return normalizeSweep(req)
 }
 
 // decodeScenario applies the overlay semantics shared with

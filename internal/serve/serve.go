@@ -13,7 +13,10 @@
 //   - N concurrent identical submissions collapse onto one execution
 //     (singleflight via the job table) and all receive the same bytes;
 //   - a sweep interrupted by shutdown resumes bit-identically from its
-//     per-cell checkpoints when resubmitted (the PR 8 machinery).
+//     per-cell checkpoints when resubmitted (the PR 8 machinery);
+//   - request bytes → key is pure too, so a byte-identical repeat is
+//     recognised by the digest of its body and answered before anything
+//     is parsed (digestMemo).
 //
 // Admission control is load shedding, not queueing-forever: when the
 // bounded queue is full a new submission is refused with 429 and a
@@ -22,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -141,6 +145,7 @@ type job struct {
 type Server struct {
 	cfg   Config
 	cache *Cache
+	memo  *digestMemo
 	mux   *http.ServeMux
 
 	mu     sync.Mutex
@@ -153,6 +158,7 @@ type Server struct {
 
 	engineRuns atomic.Uint64
 	cacheHits  atomic.Uint64
+	digestHits atomic.Uint64
 	cacheMiss  atomic.Uint64
 	shed       atomic.Uint64
 	jobsDone   atomic.Uint64
@@ -174,6 +180,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		cache: cache,
+		memo:  newDigestMemo(cfg.CacheMaxEntries),
 		jobs:  make(map[string]*job),
 		queue: make(chan *job, cfg.QueueDepth),
 	}
@@ -351,17 +358,41 @@ func (s *Server) admit(kind, key string, prog *metrics.Progress, exec func(*job)
 	}
 }
 
-// decodeBody parses the JSON request body into v (4 MiB cap), answering
-// 400 itself on failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, 4<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return false
+// maxBodyBytes caps a submission body.
+const maxBodyBytes = 4 << 20
+
+// intake is the front of both submission endpoints: it reads the whole
+// body (answering 413 over the cap, 400 when it cannot be read) and, when
+// the memo knows the body's digest and the cache still holds that key's
+// result, answers from those two lookups alone. ok reports that the
+// request is still unanswered — a new body, a forgotten digest or an
+// evicted result — and the caller takes the decode path, recording d once
+// the body has normalised.
+func (s *Server) intake(w http.ResponseWriter, r *http.Request, kind string) (body []byte, d digest, ok bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // a declared length costs one allocation
 	}
-	return true
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		}
+		return nil, digest{}, false
+	}
+	body = buf.Bytes()
+	d = digestOf(kind, body)
+	if key, known := s.memo.get(d); known {
+		if data, cached := s.cache.Get(key); cached {
+			s.cacheHits.Add(1)
+			s.digestHits.Add(1)
+			writeResult(w, key, data, "hit")
+			return nil, d, false
+		}
+	}
+	return body, d, true
 }
 
 func writeResult(w http.ResponseWriter, key string, data []byte, cache string) {
@@ -424,31 +455,34 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !decodeBody(w, r, &req) {
+	body, d, ok := s.intake(w, r, "run")
+	if !ok {
 		return
 	}
-	rj, err := normalizeRun(req)
+	rj, err := decodeRun(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.submit(w, r, "run", rj.key(), nil, func(*job) ([]byte, error) {
+	key := rj.key()
+	s.memo.put(d, key)
+	s.submit(w, r, "run", key, nil, func(*job) ([]byte, error) {
 		return executeRun(rj)
 	})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !decodeBody(w, r, &req) {
+	body, d, ok := s.intake(w, r, "sweep")
+	if !ok {
 		return
 	}
-	sj, err := normalizeSweep(req)
+	sj, err := decodeSweep(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	key := sj.key()
+	s.memo.put(d, key)
 	s.submit(w, r, "sweep", key, metrics.NewProgress(), func(j *job) ([]byte, error) {
 		return s.executeSweep(sj, key, j.prog)
 	})
@@ -464,6 +498,12 @@ type Stats struct {
 	Shed        uint64 `json:"shed"`
 	JobsDone    uint64 `json:"jobs_done"`
 	JobsFailed  uint64 `json:"jobs_failed"`
+
+	// DigestHits is the part of CacheHits answered from the request digest
+	// without decoding the body; CacheDiskHits counts results read back
+	// from the disk tier and promoted to memory.
+	DigestHits    uint64 `json:"digest_hits"`
+	CacheDiskHits uint64 `json:"cache_disk_hits"`
 
 	JobsInFlight int  `json:"jobs_in_flight"`
 	QueueLen     int  `json:"queue_len"`
@@ -485,6 +525,8 @@ func (s *Server) Stats() Stats {
 		EngineRuns:     s.engineRuns.Load(),
 		CacheHits:      s.cacheHits.Load(),
 		CacheMisses:    s.cacheMiss.Load(),
+		DigestHits:     s.digestHits.Load(),
+		CacheDiskHits:  s.cache.DiskHits(),
 		Shed:           s.shed.Load(),
 		JobsDone:       s.jobsDone.Load(),
 		JobsFailed:     s.jobsFailed.Load(),

@@ -44,7 +44,7 @@ func scenarioJSON(t *testing.T, sc sim.Scenario) json.RawMessage {
 	return raw
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
@@ -663,32 +663,71 @@ func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte
 	return resp, buf.Bytes()
 }
 
-// TestBadRequests covers request validation: malformed JSON, invalid
-// scenarios and non-positive reps are 400s, not executions.
+// requestCase is one raw body for one endpoint and the status it must
+// answer.
+type requestCase struct {
+	name, path string
+	body       []byte
+	status     int
+}
+
+// badRequestCases is the 4xx table: every way a submission is refused
+// before it becomes a job, on each endpoint it applies to. The memo tests
+// and the fuzzer's seed corpus reuse it.
+func badRequestCases() []requestCase {
+	oversize := append([]byte(`{"scenario":{}}`), bytes.Repeat([]byte(" "), maxBodyBytes)...)
+	var cases []requestCase
+	both := func(name string, status int, run, sweep string) {
+		cases = append(cases,
+			requestCase{name, "/v1/run", []byte(run), status},
+			requestCase{name, "/v1/sweep", []byte(sweep), status})
+	}
+	both("oversize", http.StatusRequestEntityTooLarge, string(oversize), string(oversize))
+	both("malformed JSON", http.StatusBadRequest, `not json`, `{"reps": 2`)
+	both("unknown field", http.StatusBadRequest, `{"unknown_field": 1}`, `{"reps": 2, "sample_interval": 5}`)
+	both("negative journey_every_n", http.StatusBadRequest, `{"journey_every_n": -1}`, `{"reps": 2, "journey_every_n": -1}`)
+	both("invalid scenario", http.StatusBadRequest, `{"scenario": {"Rows": -3}}`, `{"reps": 2, "scenario": {"Rows": -3}}`)
+	both("mistyped scenario field", http.StatusBadRequest, `{"scenario": {"Rows": "three"}}`, `{"reps": 2, "scenario": {"Rows": "three"}}`)
+	return append(cases,
+		requestCase{"negative sample_interval", "/v1/run", []byte(`{"sample_interval": -1}`), http.StatusBadRequest},
+		requestCase{"reps zero", "/v1/sweep", []byte(`{"reps": 0}`), http.StatusBadRequest},
+		requestCase{"reps absent", "/v1/sweep", []byte(`{}`), http.StatusBadRequest},
+		requestCase{"reps negative", "/v1/sweep", []byte(`{"reps": -2}`), http.StatusBadRequest},
+		requestCase{"unknown scheme", "/v1/sweep", []byte(`{"reps": 2, "schemes": ["ospf"]}`), http.StatusBadRequest},
+	)
+}
+
+// serveRaw posts raw bytes to the handler in-process (no socket: a 4 MiB
+// refusal cannot race the client's write).
+func serveRaw(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rw := httptest.NewRecorder()
+	h.ServeHTTP(rw, req)
+	return rw
+}
+
+// TestBadRequests covers request validation: a body over the cap is 413,
+// malformed JSON, unknown fields, out-of-range run parameters and invalid
+// scenarios are 400s — never executions, and never remembered: the second
+// answer to the same bytes is the first one again and the digest memo
+// stays empty.
 func TestBadRequests(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	cases := []struct {
-		path string
-		body string
-	}{
-		{"/v1/run", `{"scenario": {"Rows": -3}}`},
-		{"/v1/run", `not json`},
-		{"/v1/run", `{"unknown_field": 1}`},
-		{"/v1/run", `{"journey_every_n": -1}`},
-		{"/v1/sweep", `{"reps": 0}`},
-		{"/v1/sweep", `{"reps": 2, "schemes": ["ospf"]}`},
-	}
-	for _, c := range cases {
-		resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader([]byte(c.body)))
-		if err != nil {
-			t.Fatal(err)
+	srv, _ := newTestServer(t, Config{})
+	for _, c := range badRequestCases() {
+		first := serveRaw(srv.Handler(), c.path, c.body)
+		if first.Code != c.status {
+			t.Errorf("POST %s %s answered %d (%s), want %d", c.path, c.name, first.Code, first.Body, c.status)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s %q answered %d, want 400", c.path, c.body, resp.StatusCode)
+		second := serveRaw(srv.Handler(), c.path, c.body)
+		if second.Code != first.Code || !bytes.Equal(second.Body.Bytes(), first.Body.Bytes()) {
+			t.Errorf("POST %s %s answered %d %q, then %d %q", c.path, c.name, first.Code, first.Body, second.Code, second.Body)
+		}
+		if n := srv.memo.len(); n != 0 {
+			t.Fatalf("POST %s %s left %d digests in the memo, want none for a refused body", c.path, c.name, n)
 		}
 	}
-	if runs := srv.Stats().EngineRuns; runs != 0 {
-		t.Fatalf("bad requests triggered %d engine runs", runs)
+	if st := srv.Stats(); st.EngineRuns != 0 || st.CacheMisses != 0 {
+		t.Fatalf("bad requests reached admission: %+v", st)
 	}
 }
