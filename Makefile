@@ -8,7 +8,7 @@ GO ?= go
 # the runner-level replication sweep, and the daemon's serve path.
 BENCH_GATE := BenchmarkSimulatorThroughput|BenchmarkReplicationSweep|BenchmarkServeThroughput
 
-.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen profile-mobile report-identity instrument-cost loc
+.PHONY: verify build test race bench-smoke bench-selftest bench bench-compare bench-baseline fuzz lint profile-largen profile-mobile profile-serve report-identity instrument-cost loc
 
 verify: build test race bench-smoke
 
@@ -121,6 +121,19 @@ profile-mobile:
 		-cpuprofile $(PROFILE_DIR)/mobile-cpu.pprof
 	@ls -l $(PROFILE_DIR)
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/mobile-cpu.pprof
+
+# The daemon's miss path: BenchmarkServeThroughput/cold pushes never-seen
+# /v1/run requests through one in-process server (decode, admission, the
+# pooled engine and flight recorder, report encoding, cache): 200 misses
+# of the 49-node paper scenario, about 5 s of samples. Read the des, radio
+# and mac share against serve, encoding/json and runtime.gcBgMarkWorker: a
+# miss should cost one warm run.
+profile-serve:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run NONE -bench 'BenchmarkServeThroughput/cold' -benchtime 200x \
+		-o $(PROFILE_DIR)/serve.test -cpuprofile $(PROFILE_DIR)/serve-cpu.pprof .
+	@ls -l $(PROFILE_DIR)
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/serve-cpu.pprof
 
 # Full throughput numbers (compare against BENCH_PR1.json / BENCH_PR2.json).
 bench:

@@ -444,8 +444,11 @@ func BenchmarkReplicationSweep(b *testing.B) {
 // BenchmarkServeThroughput measures the meshsimd request path in-process
 // (handler → admission → worker → cache, no network). "cold" submits a
 // never-seen scenario per iteration, so each request pays one full
-// simulation plus the service overhead — the delta against
-// BenchmarkSimulatorThroughputMetrics is what serving costs. "hit" submits
+// simulation plus the service overhead. The result is never cached, but
+// the engine is: after the first miss each one runs on the engine and
+// flight recorder the previous miss returned to the server's pool, so the
+// delta against BenchmarkSimulatorThroughputMetrics (also a warm engine)
+// is what serving costs. `make profile-serve` profiles it. "hit" submits
 // the same scenario every iteration, so after the first request everything
 // is a cache hit answered from the request digest: the price of a memoised
 // result. "hit-distinct-bytes" pads that scenario's body with a different

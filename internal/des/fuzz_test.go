@@ -10,9 +10,11 @@ import (
 // oracleSim is the event list this kernel ran on before the indexed heap,
 // kept as the differential oracle: a binary min-heap of node pointers
 // under (time, sequence) with lazy cancellation — Cancel only marks the
-// node, and the run loop discards it when it surfaces. live is the count
-// the indexed heap's Pending() must equal; deadPops counts the discarded
-// surfacings the indexed heap no longer has.
+// node, and the run loop discards it when it surfaces. A train is eager
+// here: n separate events scheduled back to back, as the sampler's train
+// was before the kernel had one. live counts every live event; pending()
+// is what the indexed heap's Pending() must equal, one per live train.
+// deadPops counts the discarded surfacings the indexed heap no longer has.
 type oracleSim struct {
 	now      Time
 	seq      uint64
@@ -20,6 +22,7 @@ type oracleSim struct {
 	live     int
 	executed uint64
 	deadPops int
+	trains   [][]*oracleNode
 }
 
 type oracleNode struct {
@@ -29,6 +32,8 @@ type oracleNode struct {
 	canceled bool
 	queued   bool
 }
+
+func (n *oracleNode) pending() bool { return n.queued && !n.canceled }
 
 func (a *oracleNode) less(b *oracleNode) bool {
 	if a.at != b.at {
@@ -59,6 +64,33 @@ func (o *oracleSim) cancel(n *oracleNode) {
 		n.canceled = true
 		o.live--
 	}
+}
+
+// train schedules n events period apart, the first delay from now.
+func (o *oracleSim) train(delay, period Time, n int, fn func()) []*oracleNode {
+	ticks := make([]*oracleNode, n)
+	for k := range ticks {
+		ticks[k] = o.schedule(delay+Time(k)*period, fn)
+	}
+	o.trains = append(o.trains, ticks)
+	return ticks
+}
+
+// pending is live with each train's unfired ticks counted once.
+func (o *oracleSim) pending() int {
+	p := o.live
+	for _, ticks := range o.trains {
+		left := 0
+		for _, n := range ticks {
+			if n.pending() {
+				left++
+			}
+		}
+		if left > 1 {
+			p -= left - 1
+		}
+	}
+	return p
 }
 
 func (o *oracleSim) pop() *oracleNode {
@@ -120,6 +152,7 @@ func (o *oracleSim) reset() {
 // scriptTarget is what queueScript drives: the kernel or the oracle.
 type scriptTarget struct {
 	schedule func(delay Time, typed bool, fn func()) (cancel func())
+	train    func(delay, period Time, n int, fn func()) (cancel func())
 	runUntil func(horizon Time)
 	run      func()
 	reset    func()
@@ -143,6 +176,11 @@ func simTarget(t *testing.T, s *Sim) scriptTarget {
 			audit("schedule")
 			return func() { ev.Cancel(); audit("cancel") }
 		},
+		train: func(delay, period Time, n int, fn func()) func() {
+			ev := s.AtTrain(s.Now()+delay, period, n, &funcHandler{fn: fn}, 0, 0)
+			audit("train")
+			return func() { ev.Cancel(); audit("cancel") }
+		},
 		runUntil: func(h Time) { s.RunUntil(h); audit("RunUntil") },
 		run:      func() { s.Run(); audit("Run") },
 		reset:    func() { s.Reset(); audit("Reset") },
@@ -156,14 +194,22 @@ func oracleTarget(o *oracleSim) scriptTarget {
 			n := o.schedule(delay, fn)
 			return func() { o.cancel(n) }
 		},
+		train: func(delay, period Time, n int, fn func()) func() {
+			ticks := o.train(delay, period, n, fn)
+			return func() {
+				for _, n := range ticks {
+					o.cancel(n)
+				}
+			}
+		},
 		runUntil: func(h Time) { o.runUntil(h, true) },
 		run:      func() { o.runUntil(maxTime, false) },
 		reset:    o.reset,
-		state:    func() (Time, int, uint64) { return o.now, o.live, o.executed },
+		state:    func() (Time, int, uint64) { return o.now, o.pending(), o.executed },
 	}
 }
 
-// queueScript interprets a byte string as a schedule/cancel/run/reset
+// queueScript interprets a byte string as a schedule/train/cancel/run/reset
 // program and executes it against one target, returning the exact log:
 // "<event-serial>@<time>" per firing and the (clock, pending, executed)
 // triple after every cancel, run and reset. The same script against the
@@ -199,7 +245,7 @@ func queueScript(data []byte, tg scriptTarget) []string {
 		if op < 0 {
 			break
 		}
-		switch op % 7 {
+		switch op % 8 {
 		case 0, 1: // closure event; delays from 2 µs to minutes
 			d := Time(next()+1) * Time(1<<(uint(next()+1)%20)) * Microsecond
 			cancels = append(cancels, tg.schedule(d, false, fire(serial)))
@@ -230,6 +276,19 @@ func queueScript(data []byte, tg scriptTarget) []string {
 			cancels = append(cancels, tg.schedule(d, v%2 == 0, func() {
 				fired()
 				if v >= 0 {
+					cancels[v%len(cancels)]()
+				}
+			}))
+		case 7: // a train of up to 7 ticks, period 0 to 1.5 ms; on odd v every
+			// tick also cancels a handle, which may be its own train's
+			d := Time(next()+1) * 100 * Microsecond
+			period := Time(max(next(), 0)%4) * 500 * Microsecond
+			n, v, id := max(next(), 0)%8, next(), serial
+			serial++
+			fired := fire(id)
+			cancels = append(cancels, tg.train(d, period, n, func() {
+				fired()
+				if v >= 0 && v%2 == 1 {
 					cancels[v%len(cancels)]()
 				}
 			}))
@@ -277,6 +336,10 @@ func FuzzQueueDifferential(f *testing.F) {
 	// An event that cancels itself as it fires, one that cancels a later
 	// one, and a cancel across a reset.
 	f.Add([]byte{6, 0, 0, 6, 1, 3, 2, 9, 2, 9, 4, 0, 5, 0, 2, 3, 3, 2, 3, 4, 4, 20})
+	// Two trains interleaved with typed events at shared instants, run in
+	// slices; one cancelled from outside, then a train whose tick cancels
+	// its own train, and a reset with a train queued.
+	f.Add([]byte{7, 4, 2, 5, 0, 2, 0, 7, 4, 2, 7, 0, 2, 2, 4, 1, 3, 1, 4, 3, 7, 0, 1, 6, 3, 4, 9, 7, 0, 1, 6, 0, 5, 0, 4, 50})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"clnlr/internal/rng"
@@ -294,5 +296,45 @@ func TestPendingHighWater(t *testing.T) {
 	s.Reset()
 	if s.PendingHighWater() != 0 {
 		t.Fatalf("high-water %d after Reset", s.PendingHighWater())
+	}
+}
+
+// --- trains ---
+
+// TestTrainHoldsOneSlot: a train fires its ticks at t, t+p, … in the order
+// separate AtCalls made at the same point would — after an event queued
+// earlier for a shared instant, before one queued later — while Pending
+// and PendingHighWater count it once; Reset drops it with its handle.
+func TestTrainHoldsOneSlot(t *testing.T) {
+	s := NewSim()
+	var got []string
+	h := &funcHandler{fn: func() { got = append(got, fmt.Sprintf("train@%d", s.Now()/Millisecond)) }}
+	s.At(2*Millisecond, func() { got = append(got, "before@2") })
+	s.AtTrain(Millisecond, Millisecond, 4, h, 0, 0)
+	s.At(2*Millisecond, func() { got = append(got, "after@2") })
+	if s.Pending() != 3 {
+		t.Fatalf("Pending = %d with a 4-tick train and two events, want 3", s.Pending())
+	}
+	s.Run()
+	want := []string{"train@1", "before@2", "train@2", "after@2", "train@3", "train@4"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if s.PendingHighWater() != 3 || s.Executed() != 6 {
+		t.Fatalf("high-water %d, executed %d; want 3 and 6", s.PendingHighWater(), s.Executed())
+	}
+
+	ev := s.AtTrain(s.Now(), Millisecond, 10, h, 0, 0)
+	s.Reset()
+	if s.Pending() != 0 || !ev.Fired() {
+		t.Fatalf("after Reset: Pending %d, handle fired %v; want 0 and true", s.Pending(), ev.Fired())
+	}
+	got = got[:0]
+	s.Run()
+	if len(got) != 0 {
+		t.Fatalf("a reset train still fired %v", got)
+	}
+	if ev := s.AtTrain(0, Millisecond, 0, h, 0, 0); ev.Valid() || s.Pending() != 0 {
+		t.Fatal("a zero-tick train was queued")
 	}
 }

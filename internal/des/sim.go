@@ -18,6 +18,14 @@
 // event node, so the per-packet hot paths — radio airtime completions, MAC
 // timers, routing RREQ jitter — schedule without allocating at all.
 //
+// A train (AtTrain) is n typed events at a fixed period that occupies one
+// slot of the event list. Its n sequence numbers are taken when it is
+// scheduled, and the node that fires tick k is re-keyed in place to tick
+// k+1's (time, sequence) before the handler runs, so the train interleaves
+// with every other event exactly as n separate AtCalls would; only
+// Pending and PendingHighWater see one event instead of the remaining
+// ticks.
+//
 // Event storage is pooled: the node backing a fired or cancelled event
 // returns to a per-Sim free list and is reused by later
 // schedule calls, so the steady-state event churn of a long run does not
@@ -50,17 +58,20 @@ type Handler interface {
 // each time the node is recycled, invalidating outstanding handles; a node
 // whose gen still matches a handle is queued at heap position idx. A node
 // carries either a closure (fn != nil) or a typed event (h != nil), never
-// both, and belongs to one Sim for life.
+// both, and belongs to one Sim for life. left counts a train's ticks after
+// the queued one, each period later; it is 0 for every other event.
 type eventNode struct {
-	at  Time
-	seq uint64
-	gen uint64
-	fn  func()
-	h   Handler
-	op  int32
-	arg uint32
-	idx int32
-	sim *Sim
+	at     Time
+	seq    uint64
+	gen    uint64
+	fn     func()
+	h      Handler
+	op     int32
+	arg    uint32
+	idx    int32
+	left   uint32
+	period Time
+	sim    *Sim
 }
 
 // Event is a scheduled callback handle. It is a small value: copy it
@@ -85,7 +96,8 @@ func (e Event) Time() Time { return e.at }
 // Cancel prevents the event from firing: it leaves the event list and its
 // node is recycled at once. Cancelling an event that has already fired or
 // been cancelled — or the zero Event — is a no-op (a node is recycled
-// before its handler runs, so an event cancelling itself is one too).
+// before its handler runs, so an event cancelling itself is one too). A
+// train's handle cancels every tick not yet fired.
 // Cancel must only be called from the simulation goroutine.
 func (e Event) Cancel() {
 	if n := e.n; n != nil && n.gen == e.gen {
@@ -144,7 +156,8 @@ func NewSim() *Sim {
 func (s *Sim) Now() Time { return s.now }
 
 // Pending returns the number of events still queued. All of them are
-// live: a cancelled event left the list when it was cancelled.
+// live: a cancelled event left the list when it was cancelled. A train
+// counts once, however many ticks it has left.
 func (s *Sim) Pending() int { return len(s.heap) }
 
 // Executed returns the total number of events that have fired.
@@ -232,6 +245,43 @@ func (s *Sim) AtCall(t Time, h Handler, op int32, arg uint32) Event {
 	return Event{n: n, gen: n.gen, at: t}
 }
 
+// AtTrain queues a train of n typed events for h at t, t+period, …,
+// t+(n−1)·period, each passing op and arg through like AtCall. The train
+// takes all n sequence numbers now, so it fires in exactly the order n
+// AtCalls made here would, but it holds one slot of the event list: only
+// its next tick is queued. The handle stays pending until the last tick
+// fires; cancelling it drops every tick not yet fired, including from a
+// tick's own handler. n ≤ 0 schedules nothing and returns the zero Event.
+// A train may not start before the clock, and n must fit in a uint32.
+func (s *Sim) AtTrain(t, period Time, n int, h Handler, op int32, arg uint32) Event {
+	switch {
+	case n <= 0:
+		return Event{}
+	case h == nil:
+		panic("des: AtTrain called with nil handler")
+	case t < s.now:
+		panic("des: AtTrain starts before the clock")
+	case period < 0:
+		panic("des: AtTrain with negative period")
+	case uint64(n) > 1<<32-1:
+		panic("des: AtTrain with more than 2^32-1 ticks")
+	}
+	ev := s.AtCall(t, h, op, arg)
+	ev.n.left, ev.n.period = uint32(n-1), period
+	s.seq += uint64(n - 1)
+	return ev
+}
+
+// advance re-keys the train at the top of the heap to its next tick — the
+// time and sequence number an AtCall for that tick would have carried —
+// and lets it settle.
+func (s *Sim) advance(n *eventNode) {
+	n.left--
+	n.at += n.period
+	n.seq++
+	s.siftDown(0, entry{n.at, n.seq, n})
+}
+
 // alloc takes a pooled node (or allocates one), stamps it with the clamped
 // time and the next sequence number, and returns both.
 func (s *Sim) alloc(t Time) (*eventNode, Time) {
@@ -258,6 +308,7 @@ func (s *Sim) recycle(n *eventNode) {
 	n.gen++
 	n.fn = nil
 	n.h = nil
+	n.left = 0
 	if len(s.free) < s.freeCap {
 		s.free = append(s.free, n)
 	} else {
@@ -312,10 +363,14 @@ func (s *Sim) run(horizon Time, clamp bool) {
 			return
 		}
 		next := s.heap[0].n
-		s.remove(0)
 		s.now = at
 		fn, h, op, arg := next.fn, next.h, next.op, next.arg
-		s.recycle(next)
+		if next.left == 0 {
+			s.remove(0)
+			s.recycle(next)
+		} else {
+			s.advance(next)
+		}
 		if fn != nil {
 			fn()
 		} else {

@@ -20,6 +20,7 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -112,9 +113,9 @@ func (r *Registry) Reset() {
 }
 
 // Collector accumulates one run's time-series samples and counters. The
-// per-node series live in two flat preallocated slices (times, and
-// len(times)×nodes samples), so steady-state sampling appends without
-// per-tick allocation once capacity has grown.
+// per-node series live in two flat slices (times, and len(times)×nodes
+// samples) that Begin sizes for the whole run, so sampling never grows
+// them, and a collector reused across runs allocates its series once.
 type Collector struct {
 	interval des.Time
 	nodes    int
@@ -148,12 +149,18 @@ func NewCollector(interval des.Time) *Collector {
 // SampleInterval returns the configured sampling interval.
 func (c *Collector) SampleInterval() des.Time { return c.interval }
 
-// Begin prepares the collector for a run over n nodes, clearing any
-// previous run's series and counters while keeping grown storage.
-func (c *Collector) Begin(n int) {
+// SetSampleInterval changes the sampling interval for the runs that follow
+// (≤ 0: counters only), so one collector can serve runs that ask for
+// different intervals.
+func (c *Collector) SetSampleInterval(interval des.Time) { c.interval = interval }
+
+// Begin prepares the collector for a run over n nodes that will take up to
+// ticks samples, clearing any previous run's series and counters. The
+// series storage grows once to ticks×n and is kept for later runs.
+func (c *Collector) Begin(n, ticks int) {
 	c.nodes = n
-	c.times = c.times[:0]
-	c.samples = c.samples[:0]
+	c.times = slices.Grow(c.times[:0], ticks)
+	c.samples = slices.Grow(c.samples[:0], ticks*n)
 	c.reg.Reset()
 	c.diag.Reset()
 	c.simTime = 0
@@ -165,9 +172,9 @@ func (c *Collector) Begin(n int) {
 // then fills every node's slot with Set.
 func (c *Collector) BeginTick(t des.Time) {
 	c.times = append(c.times, t)
-	for i := 0; i < c.nodes; i++ {
-		c.samples = append(c.samples, Sample{})
-	}
+	k := len(c.samples)
+	c.samples = slices.Grow(c.samples, c.nodes)[:k+c.nodes]
+	clear(c.samples[k:])
 }
 
 // Set stores node i's sample for the tick opened by the last BeginTick.

@@ -50,7 +50,7 @@ func TestRegistry(t *testing.T) {
 
 // fill records two ticks over three nodes with distinguishable values.
 func fill(c *Collector) {
-	c.Begin(3)
+	c.Begin(3, 2)
 	c.BeginTick(0)
 	for n := 0; n < 3; n++ {
 		c.Set(n, Sample{Queue: n, Load: float64(n) * 0.25, Routes: n + 1, Up: true})
@@ -103,12 +103,38 @@ func TestCollectorWarmReuse(t *testing.T) {
 	}
 
 	// Shrinking the node count must not read stale tail samples.
-	c.Begin(2)
+	c.Begin(2, 1)
 	c.BeginTick(0)
 	c.Set(0, Sample{Queue: 99})
 	c.Set(1, Sample{Queue: 98})
 	if c.At(0, 1).Queue != 98 {
 		t.Errorf("after shrink At(0,1) = %+v", c.At(0, 1))
+	}
+}
+
+// TestCollectorSizedOnce: Begin sizes the series for the whole run, so no
+// tick allocates, and a reused collector allocates nothing for a run no
+// larger than one it has already held — in either dimension.
+func TestCollectorSizedOnce(t *testing.T) {
+	c := NewCollector(des.Second)
+	run := func(nodes, ticks int) {
+		c.Begin(nodes, ticks)
+		for k := 0; k < ticks; k++ {
+			c.BeginTick(des.Time(k) * des.Second)
+			for n := 0; n < nodes; n++ {
+				c.Set(n, Sample{Queue: k + n})
+			}
+		}
+	}
+	c.Begin(49, 301)
+	if allocs := testing.AllocsPerRun(5, func() { c.BeginTick(0) }); allocs != 0 {
+		t.Fatalf("a tick after Begin allocates %v times", allocs)
+	}
+	run(49, 301)
+	for _, size := range [][2]int{{49, 301}, {16, 51}, {100, 147}} {
+		if allocs := testing.AllocsPerRun(3, func() { run(size[0], size[1]) }); allocs != 0 {
+			t.Errorf("a %d-node, %d-tick run on a collector that held 49×301 allocates %v times", size[0], size[1], allocs)
+		}
 	}
 }
 
@@ -190,7 +216,7 @@ func TestRunReportJSON(t *testing.T) {
 
 func TestCountersOnlyCollector(t *testing.T) {
 	c := NewCollector(0)
-	c.Begin(5)
+	c.Begin(5, 0)
 	c.Add("routing/rreq-originated", 3)
 	if c.Ticks() != 0 {
 		t.Errorf("counters-only collector recorded %d ticks", c.Ticks())

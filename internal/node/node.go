@@ -104,6 +104,8 @@ func BuildNetwork(
 // agents are reset in place, deriving per-node RNG streams on exactly the
 // schedule BuildNetwork uses — (i,1) for the MAC, (i,2) for the agent —
 // so a warm rerun is bit-identical to a cold build from the same master.
+// Each packet pool keeps its free lists but restarts its drop count, so
+// the pool-drop diagnostic of a warm run counts that run alone.
 // The caller must have reset the des.Sim and the radio.Medium first.
 func ResetNetwork(
 	nodes []*Node,
@@ -115,6 +117,7 @@ func ResetNetwork(
 	for i, n := range nodes {
 		n.Pos = positions[i]
 		n.Mac.Reset(macCfg, master.Derive(uint64(i), 1))
+		n.Agent.Env.Pool.ResetDrops()
 		env := routing.Env{
 			Sim:  n.Agent.Env.Sim,
 			Mac:  n.Mac,

@@ -54,6 +54,14 @@ func (pl *Pool) Drops() uint64 {
 	return pl.drops
 }
 
+// ResetDrops zeroes the drop counter, so that Drops reports one run's
+// drops on a pool kept warm across runs.
+func (pl *Pool) ResetDrops() {
+	if pl != nil {
+		pl.drops = 0
+	}
+}
+
 // SetAudit enables or disables the live-borrow ledger. Enabling starts a
 // fresh ledger (and zeroes the double-free counter), so it must be called
 // before the run hands out any packets; disabling drops the ledger.

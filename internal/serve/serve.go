@@ -153,17 +153,23 @@ type Server struct {
 	queue  chan *job
 	closed bool
 
+	// runners pools the engines /v1/run misses execute on (exec.go). The
+	// garbage collector empties a sync.Pool within two cycles, so no engine
+	// outlives a burst by long.
+	runners sync.Pool
+
 	draining atomic.Bool
 	wg       sync.WaitGroup
 
-	engineRuns atomic.Uint64
-	cacheHits  atomic.Uint64
-	digestHits atomic.Uint64
-	cacheMiss  atomic.Uint64
-	shed       atomic.Uint64
-	jobsDone   atomic.Uint64
-	jobsFailed atomic.Uint64
-	ewmaJobNs  atomic.Int64
+	engineRuns     atomic.Uint64
+	engineWarmRuns atomic.Uint64
+	cacheHits      atomic.Uint64
+	digestHits     atomic.Uint64
+	cacheMiss      atomic.Uint64
+	shed           atomic.Uint64
+	jobsDone       atomic.Uint64
+	jobsFailed     atomic.Uint64
+	ewmaJobNs      atomic.Int64
 
 	// runHook, when non-nil, replaces job execution — the test seam for
 	// admission/drain tests that need controllable job durations.
@@ -467,7 +473,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	key := rj.key()
 	s.memo.put(d, key)
 	s.submit(w, r, "run", key, nil, func(*job) ([]byte, error) {
-		return executeRun(rj)
+		return s.executeRun(rj)
 	})
 }
 
@@ -490,14 +496,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // Stats is the daemon's counter snapshot, served at /v1/stats and
 // published to expvar. EngineRuns counts actual simulations executed —
-// the counter the cache-hit assertions in CI ride on.
+// the counter the cache-hit assertions in CI ride on. EngineWarmRuns is
+// the part of the /v1/run misses that ran on a pooled engine that had run
+// before, rather than on a freshly built one.
 type Stats struct {
-	EngineRuns  uint64 `json:"engine_runs"`
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-	Shed        uint64 `json:"shed"`
-	JobsDone    uint64 `json:"jobs_done"`
-	JobsFailed  uint64 `json:"jobs_failed"`
+	EngineRuns     uint64 `json:"engine_runs"`
+	EngineWarmRuns uint64 `json:"engine_warm_runs"`
+	CacheHits      uint64 `json:"cache_hits"`
+	CacheMisses    uint64 `json:"cache_misses"`
+	Shed           uint64 `json:"shed"`
+	JobsDone       uint64 `json:"jobs_done"`
+	JobsFailed     uint64 `json:"jobs_failed"`
 
 	// DigestHits is the part of CacheHits answered from the request digest
 	// without decoding the body; CacheDiskHits counts results read back
@@ -523,6 +532,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	return Stats{
 		EngineRuns:     s.engineRuns.Load(),
+		EngineWarmRuns: s.engineWarmRuns.Load(),
 		CacheHits:      s.cacheHits.Load(),
 		CacheMisses:    s.cacheMiss.Load(),
 		DigestHits:     s.digestHits.Load(),

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -78,20 +79,37 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Respo
 	return resp, buf.Bytes()
 }
 
-// directRunBytes reproduces the meshsim -report -canonical-report output
-// for sc — the reference the daemon must match byte for byte.
-func directRunBytes(t *testing.T, sc sim.Scenario, journeyN int) []byte {
+// runCase is one /v1/run job: a scenario and the two run parameters that
+// live outside it.
+type runCase struct {
+	name     string
+	sc       sim.Scenario
+	interval des.Time // 0: the 100 ms default
+	journeyN int
+}
+
+func (c runCase) request(t *testing.T) RunRequest {
+	return RunRequest{Scenario: scenarioJSON(t, c.sc), SampleInterval: c.interval, JourneyEveryN: c.journeyN}
+}
+
+// want reproduces the meshsim -report -canonical-report output for the job
+// on a fresh engine — the reference the daemon must match byte for byte.
+func (c runCase) want(t *testing.T) []byte {
 	t.Helper()
-	col := metrics.NewCollector(des.Time(100 * time.Millisecond))
+	interval := c.interval
+	if interval == 0 {
+		interval = des.Time(100 * time.Millisecond)
+	}
+	col := metrics.NewCollector(interval)
 	var rec *journey.Recorder
-	if journeyN > 0 {
-		rec = journey.NewRecorder(journeyN, true)
+	if c.journeyN > 0 {
+		rec = journey.NewRecorder(c.journeyN, true)
 	}
-	r, err := sim.RunJourney(sc, nil, col, rec)
+	r, err := sim.RunJourney(c.sc, nil, col, rec)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", c.name, err)
 	}
-	rep := sim.BuildReport(sc, r, col)
+	rep := sim.BuildReport(c.sc, r, col)
 	if rec != nil {
 		agg := journey.NewAgg(rec.EveryN())
 		rec.Aggregate(agg)
@@ -102,6 +120,84 @@ func directRunBytes(t *testing.T, sc sim.Scenario, journeyN int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+func directRunBytes(t *testing.T, sc sim.Scenario, journeyN int) []byte {
+	t.Helper()
+	return runCase{sc: sc, journeyN: journeyN}.want(t)
+}
+
+// warmSequence is a run of distinct jobs for one pooled engine: the node
+// count moves up and down between them, every scheme appears, and so do
+// the gateway hotspot, churn with burst loss, waypoint mobility, Nakagami
+// fading, log-distance shadowing, the auditor, a non-default sampling
+// interval and journey tracing — everything a warm reset must put back.
+func warmSequence() []runCase {
+	grid := func(seed uint64, side int, scheme sim.Scheme) sim.Scenario {
+		sc := testScenario(seed).WithScheme(scheme)
+		sc.Rows, sc.Cols = side, side
+		sc.AreaM = float64(side) * 1000.0 / 7
+		return sc
+	}
+	churn := grid(105, 6, sim.SchemeCLNLR)
+	churn.Faults.MeanUpTime = 2 * des.Second
+	churn.Faults.MeanDownTime = des.Second
+	churn.Faults.Link.MeanGood = des.Second
+	churn.Faults.Link.MeanBad = 200 * des.Millisecond
+	churn.Faults.Link.LossBad = 0.8
+	audited := grid(102, 5, sim.SchemeGossip)
+	audited.Audit = true
+	hotspot := grid(103, 5, sim.SchemeCounter)
+	hotspot.Gateway, hotspot.Flows, hotspot.PacketRate = true, 4, 8
+	mobile := grid(104, 4, sim.SchemeCLNLR2)
+	mobile.Topology, mobile.MobilitySpeed = sim.TopoPerturbedGrid, 10
+	nakagami := grid(106, 5, sim.SchemeGossipAdaptive)
+	nakagami.PropModel, nakagami.NakagamiM = sim.PropNakagami, 3
+	logDistance := grid(107, 4, sim.SchemeCLNLR)
+	logDistance.AreaM = 300
+	logDistance.PropModel, logDistance.PathLossExp, logDistance.ShadowSigmaDB = sim.PropLogDistance, 3, 4
+	everything := grid(110, 4, sim.SchemeFlood)
+	everything.Audit = true
+	everything.Faults = churn.Faults
+	everything.MobilitySpeed = 5
+	return []runCase{
+		{name: "flood 4x4", sc: grid(101, 4, sim.SchemeFlood)},
+		{name: "gossip 5x5 audited", sc: audited},
+		{name: "counter 5x5 gateway", sc: hotspot},
+		{name: "clnlr 6x6 churn and burst loss", sc: churn},
+		{name: "clnlr-2hop 4x4 waypoint mobility", sc: mobile},
+		{name: "gossip-adaptive 5x5 nakagami", sc: nakagami},
+		{name: "clnlr 4x4 log-distance", sc: logDistance},
+		{name: "clnlr 5x5 250 ms samples", sc: grid(108, 5, sim.SchemeCLNLR), interval: 250 * des.Millisecond},
+		{name: "clnlr 3x3 journeys", sc: grid(109, 3, sim.SchemeCLNLR), journeyN: 1},
+		{name: "flood 4x4 everything", sc: everything, interval: 50 * des.Millisecond, journeyN: 2},
+	}
+}
+
+// wantAll is every case's fresh-engine bytes, computed before any request
+// so that no direct run allocates between two served ones.
+func wantAll(t *testing.T, cases []runCase) [][]byte {
+	want := make([][]byte, len(cases))
+	for i, c := range cases {
+		want[i] = c.want(t)
+	}
+	return want
+}
+
+// serveSequence posts each case to ts in turn, calling before(i) ahead of
+// case i, and requires a miss carrying the case's fresh-engine bytes.
+func serveSequence(t *testing.T, ts *httptest.Server, cases []runCase, want [][]byte, before func(i int)) {
+	t.Helper()
+	for i, c := range cases {
+		before(i)
+		resp, got := post(t, ts, "/v1/run", c.request(t))
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("%s: status %d, X-Cache %q: %s", c.name, resp.StatusCode, resp.Header.Get("X-Cache"), got)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("%s: served report differs from the fresh-engine run (%d vs %d bytes)", c.name, len(got), len(want[i]))
+		}
+	}
 }
 
 // TestServedRunMatchesDirectBytes is the service's core guarantee: a
@@ -134,6 +230,94 @@ func TestServedRunMatchesDirectBytes(t *testing.T) {
 	st := srv.Stats()
 	if st.EngineRuns != 1 || st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("stats = %+v, want 1 engine run, 1 hit, 1 miss", st)
+	}
+
+	// A warm daemon serves cold bytes: one worker answers a sequence of
+	// distinct jobs, so the pooled engine that ran each miss serves the
+	// next one, and every body is the fresh-engine body of its job.
+	cases := warmSequence()
+	wantSeq := wantAll(t, cases)
+	warmSrv, warmTS := newTestServer(t, Config{Workers: 1})
+	serveSequence(t, warmTS, cases, wantSeq, func(int) {})
+	st = warmSrv.Stats()
+	if st.EngineRuns != uint64(len(cases)) || st.EngineWarmRuns == 0 || st.EngineWarmRuns >= st.EngineRuns {
+		t.Fatalf("stats = %+v, want %d engine runs, all but the first warm (the pool may lose one to a GC)", st, len(cases))
+	}
+}
+
+// TestServedRunAfterPoolReclaim: two forced GC cycles between requests
+// empty the engine pool, so each miss runs on a freshly built engine —
+// none counts as warm — and serves the same bytes a warm one did.
+func TestServedRunAfterPoolReclaim(t *testing.T) {
+	cases := warmSequence()
+	want := wantAll(t, cases)
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	serveSequence(t, ts, cases, want, func(int) {
+		runtime.GC()
+		runtime.GC()
+	})
+	if st := srv.Stats(); st.EngineRuns != uint64(len(cases)) || st.EngineWarmRuns != 0 {
+		t.Fatalf("stats = %+v, want %d engine runs and no warm one after forced GCs", st, len(cases))
+	}
+}
+
+// TestServedRunConcurrentMisses: two workers answer distinct misses at
+// once, each on its own pooled engine (make race runs this under the race
+// detector), and every body is the fresh-engine body of its job.
+func TestServedRunConcurrentMisses(t *testing.T) {
+	cases := warmSequence()
+	want := wantAll(t, cases)
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	var wg sync.WaitGroup
+	for client := 0; client < 2; client++ {
+		wg.Add(1)
+		go func(client int) {
+			defer wg.Done()
+			for i := client; i < len(cases); i += 2 {
+				resp, got := post(t, ts, "/v1/run", cases[i].request(t))
+				if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want[i]) {
+					t.Errorf("%s: status %d, served bytes equal the fresh-engine run: %v", cases[i].name, resp.StatusCode, bytes.Equal(got, want[i]))
+				}
+			}
+		}(client)
+	}
+	wg.Wait()
+	if st := srv.Stats(); st.EngineRuns != uint64(len(cases)) {
+		t.Fatalf("stats = %+v, want %d engine runs", st, len(cases))
+	}
+}
+
+// TestEngineWarmRunsCountsPooledEngines: /v1/stats counts a miss as warm
+// only when a pooled engine ran it — never the first miss, and never the
+// first after the server has idled through two GC cycles.
+func TestEngineWarmRunsCountsPooledEngines(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	miss := func(seed uint64) Stats {
+		t.Helper()
+		resp, body := post(t, ts, "/v1/run", RunRequest{Scenario: scenarioJSON(t, testScenario(seed))})
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("seed %d: status %d, X-Cache %q: %s", seed, resp.StatusCode, resp.Header.Get("X-Cache"), body)
+		}
+		var st Stats
+		if _, body := get(t, ts, "/v1/stats"); json.Unmarshal(body, &st) != nil {
+			t.Fatalf("/v1/stats answered %s", body)
+		}
+		return st
+	}
+	if st := miss(201); st.EngineRuns != 1 || st.EngineWarmRuns != 0 {
+		t.Fatalf("first miss: %+v, want 1 engine run, none warm", st)
+	}
+	// The second miss normally runs on the first one's engine; the race
+	// detector makes sync.Pool drop a quarter of its puts, so it is not
+	// required to.
+	warm := miss(202).EngineWarmRuns
+	if warm > 1 {
+		t.Fatalf("two misses left engine_warm_runs at %d", warm)
+	}
+	runtime.GC()
+	runtime.GC()
+	if st := miss(203); st.EngineRuns != 3 || st.EngineWarmRuns != warm {
+		t.Fatalf("the miss after two GC cycles: %+v, want 3 engine runs, %d warm", st, warm)
 	}
 }
 

@@ -25,10 +25,10 @@ import (
 // run is heavy; prefer it for debugging single scenarios, not sweeps).
 // The collector, when non-nil, receives
 //
-//   - a per-node time-series: every SampleInterval of simulated time a
-//     pre-scheduled DES event snapshots each node's cross-layer state
-//     (MAC queue/busy/load, routing-table and dup-cache occupancy,
-//     liveness) into preallocated series;
+//   - a per-node time-series: every SampleInterval of simulated time one
+//     tick of a DES train snapshots each node's cross-layer state (MAC
+//     queue/busy/load, routing-table and dup-cache occupancy, liveness)
+//     into series sized for the whole run;
 //   - per-layer monotonic counters over the measurement window (radio,
 //     MAC, routing) plus fault schedule counts, folded in at run end;
 //   - the run envelope (simulated time, DES events executed, wall clock).
@@ -98,8 +98,7 @@ func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector
 		aud = e.startAudit(end, everCrashed)
 	}
 	if col != nil {
-		col.Begin(len(e.nodes))
-		e.scheduleSampler(col, end)
+		e.startSampler(col, end)
 	}
 
 	mgr := traffic.NewManager(e.simk, e.nodes, sc.Routing.TTL, sc.Warmup)
@@ -147,8 +146,8 @@ func RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector, rec *journ
 
 // sampler is the flight recorder's typed-event handler: one read-only
 // snapshot of every node's cross-layer state per tick. A struct (rather
-// than a closure) so the pre-scheduled event train rides the kernel's
-// zero-allocation typed path.
+// than a closure) so the sampling train rides the kernel's zero-allocation
+// typed path.
 type sampler struct {
 	e   *Engine
 	col *metrics.Collector
@@ -172,20 +171,30 @@ func (s *sampler) HandleEvent(int32, uint32) {
 	}
 }
 
-// scheduleSampler pre-schedules one read-only sampling event per
-// SampleInterval over [0, end] (end inclusive: RunUntil executes events
-// at exactly the horizon). Scheduling the whole train up front keeps the
-// event sequence a pure function of the scenario — no handler-dependent
-// rescheduling — matching how fault schedules are materialised.
-func (e *Engine) scheduleSampler(col *metrics.Collector, end des.Time) {
+// startSampler opens the collector for the run, its series sized for
+// every tick, and schedules one read-only sampling tick per SampleInterval
+// over [0, end] (end inclusive: RunUntil executes events at exactly the
+// horizon). The ticks are one des train, scheduled here in full: the
+// event sequence stays a pure function of the scenario — no
+// handler-dependent rescheduling — matching how fault schedules are
+// materialised, while the event list holds one sampler event at a time.
+func (e *Engine) startSampler(col *metrics.Collector, end des.Time) {
 	interval := col.SampleInterval()
-	if interval <= 0 {
-		return
+	ticks := 0
+	if interval > 0 {
+		ticks = int(end/interval) + 1
 	}
-	s := &sampler{e: e, col: col}
-	for t := des.Time(0); t <= end; t += interval {
-		e.simk.AtCall(t, s, 0, 0)
-	}
+	col.Begin(len(e.nodes), ticks)
+	scheduleTicks(e.simk, &sampler{e: e, col: col}, interval, ticks)
+}
+
+// scheduleTicks queues the sampler's n ticks, one per interval from t = 0.
+// It is a variable so the test suite can put the eager reference — n
+// separate AtCalls — in its place and compare the recorded bytes.
+var scheduleTicks = trainTicks
+
+func trainTicks(simk *des.Sim, s *sampler, interval des.Time, n int) {
+	simk.AtTrain(0, interval, n, s, 0, 0)
 }
 
 // radioCounters snapshots the medium's validation counters (used to
@@ -262,10 +271,11 @@ func (e *Engine) foldCounters(col *metrics.Collector, warm snapshot, warmRadio r
 	col.Add("fault/recover-events", recoverEvents)
 
 	// Pool high-water marks. Only the deterministic peaks are folded:
-	// pending events and concurrent transmissions are pure functions of
-	// the event sequence (bit-identical across fast/reference paths and
-	// warm/cold engines), whereas free-list lengths depend on what a warm
-	// pool carried over and would break the golden counter contract.
+	// pending events (the sampling train counts as one) and concurrent
+	// transmissions are pure functions of the event sequence
+	// (bit-identical across fast/reference paths and warm/cold engines),
+	// whereas free-list lengths depend on what a warm pool carried over
+	// and would break the golden counter contract.
 	col.Add("des/pending-hw", uint64(e.simk.PendingHighWater()))
 	col.Add("radio/tx-inflight-hw", uint64(e.medium.TxInFlightHW()))
 

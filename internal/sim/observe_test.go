@@ -226,3 +226,58 @@ func TestSamplerCoversRun(t *testing.T) {
 		t.Errorf("tick range [%v, %v], want [0, %v]", col.TimeAt(0), col.TimeAt(col.Ticks()-1), end)
 	}
 }
+
+// eagerTicks is the sampling schedule the des train replaced, kept as the
+// reference: n separate AtCalls at t = 0, interval, …, all queued when the
+// sampler starts.
+func eagerTicks(simk *des.Sim, s *sampler, interval des.Time, n int) {
+	for k := 0; k < n; k++ {
+		simk.AtCall(des.Time(k)*interval, s, 0, 0)
+	}
+}
+
+// TestSamplerTrainMatchesEagerTicks: the sampler's train records the same
+// heatmap and series bytes as the eager reference, and the run the same
+// Result, event count and counters but one — des/pending-hw, which no
+// longer counts the recorder's own future ticks. The scenario has churn,
+// burst loss and waypoint mobility, and the 100 ms interval shares every
+// instant with the load clock, so ticks interleave with mobility steps,
+// faults and protocol timers at equal times.
+func TestSamplerTrainMatchesEagerTicks(t *testing.T) {
+	sc := DefaultScenario()
+	sc.Warmup, sc.Measure, sc.SessionTime = 2*des.Second, 10*des.Second, 5*des.Second
+	sc.MobilitySpeed = 10
+	sc.Faults.MeanUpTime = 6 * des.Second
+	sc.Faults.MeanDownTime = 2 * des.Second
+	sc.Faults.Link.MeanGood = 2 * des.Second
+	sc.Faults.Link.MeanBad = 200 * des.Millisecond
+	sc.Faults.Link.LossBad = 0.8
+
+	t.Cleanup(func() { scheduleTicks = trainTicks })
+	for _, interval := range []des.Time{100 * des.Millisecond, 250 * des.Millisecond} {
+		eng := NewEngine()
+		train := runObservedArtifacts(t, eng, sc, interval)
+		trainHW := train.counters["des/pending-hw"]
+		scheduleTicks = eagerTicks
+		eager := runObservedArtifacts(t, eng, sc, interval)
+		scheduleTicks = trainTicks
+		eagerHW := eager.counters["des/pending-hw"]
+
+		if train.result != eager.result || train.events != eager.events {
+			t.Errorf("interval %v: the train moved the run: events %d vs %d\n  train %+v\n  eager %+v",
+				interval, train.events, eager.events, train.result, eager.result)
+		}
+		if train.heatmap != eager.heatmap || train.series != eager.series {
+			t.Errorf("interval %v: heatmap or series bytes differ between the train and eager ticks", interval)
+		}
+		delete(train.counters, "des/pending-hw")
+		delete(eager.counters, "des/pending-hw")
+		if !reflect.DeepEqual(train.counters, eager.counters) {
+			t.Errorf("interval %v: counters diverged:\n  train %v\n  eager %v", interval, train.counters, eager.counters)
+		}
+		if ticks := int((sc.Warmup+sc.Measure)/interval) + 1; trainHW >= eagerHW || eagerHW-trainHW >= uint64(ticks) {
+			t.Errorf("interval %v: pending high-water %d under the train, %d eager; want lower by fewer than %d ticks",
+				interval, trainHW, eagerHW, ticks)
+		}
+	}
+}
