@@ -17,6 +17,7 @@ import (
 
 	"clnlr/internal/buildinfo"
 	"clnlr/internal/des"
+	"clnlr/internal/experiments"
 	"clnlr/internal/journey"
 	"clnlr/internal/metrics"
 	"clnlr/internal/prof"
@@ -147,6 +148,9 @@ func main() {
 	if (*journeyOut != "" || *decisions != "") && *journeyN <= 0 {
 		log.Fatal("-journey-out and -decisions require -journey N (the flow sampling divisor)")
 	}
+	if *metricsOn && *metricsInt <= 0 {
+		log.Fatalf("-metrics needs a positive -metrics-interval, got %v", *metricsInt)
+	}
 	vsc := sc
 	if *discover > 0 && vsc.Flows == 0 {
 		vsc.Flows = 1 // discovery probes are valid without background load
@@ -255,11 +259,7 @@ func main() {
 		rs = []sim.Result{r}
 		*reps = 1
 	} else {
-		var err error
-		rs, err = sim.RunReplications(sc, *reps, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
+		rs = runCell(sc, 0, *reps, *workers).Results
 	}
 	fmt.Printf("scheme=%s nodes=%d flows=%d rate=%g pkt/s payload=%dB reps=%d\n",
 		sc.Scheme, rs[0].Nodes, sc.Flows, sc.PacketRate, sc.PayloadBytes, *reps)
@@ -283,11 +283,20 @@ func main() {
 	}
 }
 
-func runDiscovery(sc sim.Scenario, rounds, reps, workers int) {
-	rs, err := sim.RunDiscoveryReplications(sc, rounds, 4*des.Second, reps, workers)
+// runCell runs reps replications of sc — discovery rounds when rounds > 0 —
+// through the experiments planner. The planner sets every replication's
+// Audit from Config, so the -audit flag rides in Config.Audit.
+func runCell(sc sim.Scenario, rounds, reps, workers int) experiments.CellReport {
+	cfg := experiments.Config{Reps: reps, Workers: workers, Seed: sc.Seed, Audit: sc.Audit}
+	cells, err := experiments.RunCells(cfg, []experiments.CellSpec{{Label: "meshsim", Scenario: sc, Rounds: rounds}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	return cells[0]
+}
+
+func runDiscovery(sc sim.Scenario, rounds, reps, workers int) {
+	rs := runCell(sc, rounds, reps, workers).Discovery
 	fmt.Printf("discovery experiment: scheme=%s nodes=%d rounds=%d reps=%d\n",
 		sc.Scheme, rs[0].Nodes, rounds, reps)
 	p := func(name string, m sim.DiscoveryMetric) {

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"clnlr/internal/des"
+	"clnlr/internal/experiments"
 	"clnlr/internal/sim"
 )
 
@@ -28,26 +29,23 @@ func main() {
 	fmt.Printf("%-12s %8s %10s %10s %10s %12s\n",
 		"scheme", "PDR", "delay(ms)", "fwd-std", "max/mean", "RREQ tx")
 
-	type row struct {
-		scheme sim.Scheme
-		r      []sim.Result
+	schemes := []sim.Scheme{sim.SchemeFlood, sim.SchemeGossip, sim.SchemeCLNLR, sim.SchemeCLNLR2}
+	specs := make([]experiments.CellSpec, len(schemes))
+	for i, scheme := range schemes {
+		specs[i] = experiments.CellSpec{Label: string(scheme), Scenario: base.WithScheme(scheme)}
 	}
-	var rows []row
-	for _, scheme := range []sim.Scheme{sim.SchemeFlood, sim.SchemeGossip, sim.SchemeCLNLR, sim.SchemeCLNLR2} {
-		rs, err := sim.RunReplications(base.WithScheme(scheme), 5, 0)
-		if err != nil {
-			panic(err)
-		}
-		rows = append(rows, row{scheme, rs})
+	cells, err := experiments.RunCells(experiments.Config{Reps: 5}, specs)
+	if err != nil {
+		panic(err)
 	}
-	for _, rw := range rows {
-		pdr := sim.Summarize(rw.r, sim.MetricPDR)
-		dly := sim.Summarize(rw.r, sim.MetricDelayMs)
-		std := sim.Summarize(rw.r, sim.MetricForwardStd)
-		mx := sim.Summarize(rw.r, sim.MetricForwardMax)
-		rq := sim.Summarize(rw.r, sim.MetricRREQTx)
+	for i, c := range cells {
+		pdr := sim.Summarize(c.Results, sim.MetricPDR)
+		dly := sim.Summarize(c.Results, sim.MetricDelayMs)
+		std := sim.Summarize(c.Results, sim.MetricForwardStd)
+		mx := sim.Summarize(c.Results, sim.MetricForwardMax)
+		rq := sim.Summarize(c.Results, sim.MetricRREQTx)
 		fmt.Printf("%-12s %8.3f %10.1f %10.1f %10.2f %12.0f\n",
-			rw.scheme, pdr.Mean, dly.Mean, std.Mean, mx.Mean, rq.Mean)
+			schemes[i], pdr.Mean, dly.Mean, std.Mean, mx.Mean, rq.Mean)
 	}
 
 	fmt.Println()
@@ -56,16 +54,16 @@ func main() {
 
 	// Sorted per-replication max/mean for the two headline schemes, to
 	// show the distribution rather than just the mean.
-	for _, rw := range rows {
-		if rw.scheme != sim.SchemeFlood && rw.scheme != sim.SchemeCLNLR {
+	for i, c := range cells {
+		if schemes[i] != sim.SchemeFlood && schemes[i] != sim.SchemeCLNLR {
 			continue
 		}
-		vals := make([]float64, len(rw.r))
-		for i, r := range rw.r {
-			vals[i] = r.ForwardMaxRatio
+		vals := make([]float64, len(c.Results))
+		for j, r := range c.Results {
+			vals[j] = r.ForwardMaxRatio
 		}
 		sort.Float64s(vals)
-		fmt.Printf("  %-8s per-replication max/mean: %v\n", rw.scheme, fmtSlice(vals))
+		fmt.Printf("  %-8s per-replication max/mean: %v\n", schemes[i], fmtSlice(vals))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"clnlr/internal/des"
+	"clnlr/internal/experiments"
 	"clnlr/internal/sim"
 )
 
@@ -23,22 +24,27 @@ func main() {
 	fmt.Printf("%8s %-8s %8s %10s %10s %12s %10s\n",
 		"max m/s", "scheme", "PDR", "delay(ms)", "RREQ tx", "energy(J)", "fairness")
 
+	var specs []experiments.CellSpec
 	for _, speed := range []float64{0, 5, 10, 20} {
 		for _, scheme := range []sim.Scheme{sim.SchemeFlood, sim.SchemeCLNLR} {
 			sc := base.WithScheme(scheme)
 			sc.MobilitySpeed = speed
-			rs, err := sim.RunReplications(sc, 3, 0)
-			if err != nil {
-				panic(err)
-			}
-			pdr := sim.Summarize(rs, sim.MetricPDR)
-			dly := sim.Summarize(rs, sim.MetricDelayMs)
-			rreq := sim.Summarize(rs, sim.MetricRREQTx)
-			en := sim.Summarize(rs, sim.MetricEnergyMean)
-			fair := sim.Summarize(rs, sim.MetricFairness)
-			fmt.Printf("%8.0f %-8s %8.3f %10.1f %10.0f %12.1f %10.3f\n",
-				speed, scheme, pdr.Mean, dly.Mean, rreq.Mean, en.Mean, fair.Mean)
+			specs = append(specs, experiments.CellSpec{Label: fmt.Sprintf("%g m/s %s", speed, scheme), Scenario: sc})
 		}
+	}
+	cells, err := experiments.RunCells(experiments.Config{Reps: 3}, specs)
+	if err != nil {
+		panic(err)
+	}
+	for i, c := range cells {
+		sc := specs[i].Scenario
+		pdr := sim.Summarize(c.Results, sim.MetricPDR)
+		dly := sim.Summarize(c.Results, sim.MetricDelayMs)
+		rreq := sim.Summarize(c.Results, sim.MetricRREQTx)
+		en := sim.Summarize(c.Results, sim.MetricEnergyMean)
+		fair := sim.Summarize(c.Results, sim.MetricFairness)
+		fmt.Printf("%8.0f %-8s %8.3f %10.1f %10.0f %12.1f %10.3f\n",
+			sc.MobilitySpeed, sc.Scheme, pdr.Mean, dly.Mean, rreq.Mean, en.Mean, fair.Mean)
 	}
 
 	fmt.Println()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"clnlr/internal/des"
+	"clnlr/internal/experiments"
 	"clnlr/internal/sim"
 )
 
@@ -23,11 +24,23 @@ func main() {
 	fmt.Printf("%-12s %16s %16s %16s %16s\n",
 		"scheme", "PDR", "delay (ms)", "RREQ tx", "ctl/delivered")
 
-	for _, scheme := range sim.AllSchemes() {
-		rs, err := sim.RunReplications(sc.WithScheme(scheme), 5, 0)
-		if err != nil {
-			panic(err)
-		}
+	// One planner run covers both tables: a data-plane cell and a
+	// 15-round discovery cell (no background flows) per scheme.
+	schemes := sim.AllSchemes()
+	dsc := sc
+	dsc.Flows = 0
+	specs := make([]experiments.CellSpec, 2*len(schemes))
+	for i, scheme := range schemes {
+		specs[i] = experiments.CellSpec{Label: string(scheme), Scenario: sc.WithScheme(scheme)}
+		specs[len(schemes)+i] = experiments.CellSpec{Label: string(scheme) + " discovery", Scenario: dsc.WithScheme(scheme), Rounds: 15}
+	}
+	cells, err := experiments.RunCells(experiments.Config{Reps: 5}, specs)
+	if err != nil {
+		panic(err)
+	}
+
+	for i, scheme := range schemes {
+		rs := cells[i].Results
 		pdr := sim.Summarize(rs, sim.MetricPDR)
 		dly := sim.Summarize(rs, sim.MetricDelayMs)
 		rreq := sim.Summarize(rs, sim.MetricRREQTx)
@@ -40,13 +53,8 @@ func main() {
 	fmt.Println()
 	fmt.Println("Also compare pure discovery behaviour (no data traffic):")
 	fmt.Printf("%-12s %18s %12s %14s\n", "scheme", "RREQ/discovery", "success", "latency (ms)")
-	dsc := sc
-	dsc.Flows = 0
-	for _, scheme := range sim.AllSchemes() {
-		rs, err := sim.RunDiscoveryReplications(dsc.WithScheme(scheme), 15, 4*des.Second, 5, 0)
-		if err != nil {
-			panic(err)
-		}
+	for i, scheme := range schemes {
+		rs := cells[len(schemes)+i].Discovery
 		rq := sim.SummarizeDiscovery(rs, sim.DMetricRREQ)
 		su := sim.SummarizeDiscovery(rs, sim.DMetricSuccess)
 		la := sim.SummarizeDiscovery(rs, sim.DMetricLatency)

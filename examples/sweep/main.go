@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"clnlr/internal/des"
+	"clnlr/internal/experiments"
 	"clnlr/internal/sim"
 )
 
@@ -22,19 +23,24 @@ func main() {
 	fmt.Println("CLNLR Gamma sweep at 10 flows x 12 pkt/s (5 replications per point)")
 	fmt.Printf("%6s %16s %16s %16s %14s\n", "gamma", "PDR", "RREQ tx", "delay (ms)", "discovery")
 
-	for _, gamma := range []float64{0, 0.5, 1, 1.5, 2, 3} {
+	gammas := []float64{0, 0.5, 1, 1.5, 2, 3}
+	specs := make([]experiments.CellSpec, len(gammas))
+	for i, gamma := range gammas {
 		sc := base
 		sc.CLNLR.Gamma = gamma
-		rs, err := sim.RunReplications(sc, 5, 0)
-		if err != nil {
-			panic(err)
-		}
-		pdr := sim.Summarize(rs, sim.MetricPDR)
-		rreq := sim.Summarize(rs, sim.MetricRREQTx)
-		dly := sim.Summarize(rs, sim.MetricDelayMs)
-		dr := sim.Summarize(rs, sim.MetricDiscovery)
+		specs[i] = experiments.CellSpec{Label: fmt.Sprintf("gamma=%g", gamma), Scenario: sc}
+	}
+	cells, err := experiments.RunCells(experiments.Config{Reps: 5}, specs)
+	if err != nil {
+		panic(err)
+	}
+	for i, c := range cells {
+		pdr := sim.Summarize(c.Results, sim.MetricPDR)
+		rreq := sim.Summarize(c.Results, sim.MetricRREQTx)
+		dly := sim.Summarize(c.Results, sim.MetricDelayMs)
+		dr := sim.Summarize(c.Results, sim.MetricDiscovery)
 		fmt.Printf("%6.1f %8.3f ±%5.3f %9.0f ±%5.0f %9.1f ±%5.1f %7.2f ±%4.2f\n",
-			gamma, pdr.Mean, pdr.CI95, rreq.Mean, rreq.CI95, dly.Mean, dly.CI95, dr.Mean, dr.CI95)
+			gammas[i], pdr.Mean, pdr.CI95, rreq.Mean, rreq.CI95, dly.Mean, dly.CI95, dr.Mean, dr.CI95)
 	}
 
 	fmt.Println()

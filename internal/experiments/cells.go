@@ -9,10 +9,13 @@ import (
 // CellSpec names one ad-hoc sweep cell for RunCells: a label (the cell's
 // checkpoint identity inside Config.ReportDir) and the scenario it runs.
 // Replication r uses Scenario.Seed+r, exactly the figure builders' seed
-// schedule.
+// schedule. Rounds > 0 makes it a discovery cell: each replication is
+// sim.RunDiscovery with that many probe rounds (4 s apart, as in F-R1/F-R2)
+// and the report carries Discovery instead of Results.
 type CellSpec struct {
 	Label    string
 	Scenario sim.Scenario
+	Rounds   int
 }
 
 // RunCells is the service-facing job execution entry point: it runs an
@@ -43,7 +46,7 @@ func RunCells(cfg Config, specs []CellSpec) ([]CellReport, error) {
 	out := make([]CellReport, len(specs))
 	for i, spec := range specs {
 		i := i
-		p.add(spec.Label, spec.Scenario, func(c *cell) {
+		finalize := func(c *cell) {
 			if c.loaded {
 				// The checkpoint file carries the counters/journey sections
 				// loadCellReport does not install on the cell; re-reading it
@@ -54,7 +57,12 @@ func RunCells(cfg Config, specs []CellSpec) ([]CellReport, error) {
 				}
 			}
 			out[i] = buildCellReport(c)
-		})
+		}
+		if spec.Rounds > 0 {
+			p.addDiscovery(spec.Label, spec.Scenario, spec.Rounds, finalize)
+		} else {
+			p.add(spec.Label, spec.Scenario, finalize)
+		}
 	}
 	err := p.run()
 	return out, err

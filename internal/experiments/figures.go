@@ -61,7 +61,7 @@ func planR1R2(p *planner) (r1, r2 *Figure) {
 			sc.Flows = 0 // unloaded discovery
 			x := float64(dim[0] * dim[1])
 			label := fmt.Sprintf("F-R1/2 %dx%d %s", dim[0], dim[1], scheme)
-			p.addDiscovery(label, sc, discoveryRounds(p.cfg), 4*des.Second, func(c *cell) {
+			p.addDiscovery(label, sc, discoveryRounds(p.cfg), func(c *cell) {
 				r1.Points = append(r1.Points, Point{X: x, Scheme: string(scheme), Values: map[string]stats.Summary{
 					"rreq/discovery": sim.SummarizeDiscovery(c.dres, sim.DMetricRREQ),
 				}})

@@ -179,7 +179,7 @@ func loadCellReport(dir string, c *cell, reps int) bool {
 		return false
 	}
 	if c.discovery {
-		if len(rep.Discovery) != reps {
+		if len(rep.Discovery) != reps || rep.Discovery[0].Rounds != c.rounds {
 			return false
 		}
 		c.dres = rep.Discovery

@@ -53,13 +53,12 @@ func (e *PartialError) Error() string {
 // boundaries: the tail of a figure with few remaining cells no longer
 // leaves workers idle while the next figure waits to start.
 //
-// Determinism: replication r of a cell runs with seed sc.Seed+r, exactly
-// the seed schedule sim.RunReplications uses, and cells are finalized in
-// registration order, so a planner run produces bit-identical Figures to
-// the sequential per-figure loops it replaces — regardless of worker count
-// or job interleaving. The same purity is what makes checkpoint/resume
-// sound: a cell loaded from a fingerprint-matched report is bit-identical
-// to one re-run from scratch.
+// Determinism: replication r of a cell runs with seed sc.Seed+r, and cells
+// are finalized in registration order, so a planner run produces
+// bit-identical Figures to running each (cell, seed) alone on a fresh
+// engine — regardless of worker count or job interleaving. The same
+// purity is what makes checkpoint/resume sound: a cell loaded from a
+// fingerprint-matched report is bit-identical to one re-run from scratch.
 type planner struct {
 	cfg   Config
 	cells []*cell
@@ -71,11 +70,11 @@ type cell struct {
 	label string // error context, e.g. "F-R5 flows=10 clnlr"
 	sc    sim.Scenario
 
-	// Discovery cells probe route discovery on an unloaded network via
-	// sim.RunDiscovery instead of the data-plane sim.Run.
+	// Discovery cells probe route discovery via sim.RunDiscovery
+	// (rounds probes, discoveryGap apart) instead of the data-plane
+	// sim.Run.
 	discovery bool
 	rounds    int
-	gap       des.Time
 
 	results []sim.Result
 	dres    []sim.DiscoveryResult
@@ -108,12 +107,17 @@ func (p *planner) add(label string, sc sim.Scenario, finalize func(c *cell)) {
 	p.cells = append(p.cells, &cell{label: label, sc: sc, finalize: finalize})
 }
 
+// discoveryGap separates consecutive discovery probes. sim.RunDiscovery
+// rejects a gap that does not exceed the worst-case discovery time (RREQ
+// attempts × DiscoveryTimeout), so rounds never overlap.
+const discoveryGap = 4 * des.Second
+
 // addDiscovery registers a discovery-probe cell (c.dres holds the
 // replications in seed order).
-func (p *planner) addDiscovery(label string, sc sim.Scenario, rounds int, gap des.Time, finalize func(c *cell)) {
+func (p *planner) addDiscovery(label string, sc sim.Scenario, rounds int, finalize func(c *cell)) {
 	sc.Audit = p.cfg.Audit
 	p.cells = append(p.cells, &cell{
-		label: label, sc: sc, discovery: true, rounds: rounds, gap: gap,
+		label: label, sc: sc, discovery: true, rounds: rounds,
 		finalize: finalize,
 	})
 }
@@ -132,7 +136,7 @@ func (p *planner) runJob(c *cell, rep int, eng *sim.Engine, col *metrics.Collect
 	sc.Seed += uint64(rep)
 	if c.discovery {
 		var err error
-		c.dres[rep], err = eng.RunDiscovery(sc, c.rounds, c.gap)
+		c.dres[rep], err = eng.RunDiscovery(sc, c.rounds, discoveryGap)
 		return err
 	}
 	if col != nil || rec != nil {
@@ -364,7 +368,7 @@ func (p *planner) run() error {
 		}
 		// Leave the slot empty until the run returns: an engine that
 		// panicked mid-run holds arbitrary partial state and must not be
-		// reused warm by this worker's next job (see sim.RunReplications).
+		// reused warm by this worker's next job.
 		engines[worker] = nil
 		j := jobs[i]
 		var col *metrics.Collector

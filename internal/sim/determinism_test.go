@@ -181,36 +181,28 @@ func TestGoldenDiscoveryMatchesReference(t *testing.T) {
 }
 
 // TestParallelForDrainsAllIndices exercises the counter-draining worker
-// pool shape directly (run under -race by the verify target).
+// pool shape directly (run under -race by the verify target): every index
+// runs once, on a worker index inside the resolved pool.
 func TestParallelForDrainsAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		const n = 257
 		var hits [n]atomic.Int32
-		ParallelFor(n, workers, func(i int) { hits[i].Add(1) })
+		var outside atomic.Int32
+		pool := ResolveWorkers(n, workers)
+		ParallelForWorkers(n, workers, func(w, i int) {
+			if w < 0 || w >= pool {
+				outside.Add(1)
+			}
+			hits[i].Add(1)
+		})
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d index %d ran %d times", workers, i, got)
 			}
 		}
-	}
-	ParallelFor(0, 4, func(int) { t.Fatal("fn called for n=0") })
-}
-
-// TestReplicationRace runs a replication fan-out with more workers than
-// cores so the race detector can observe the scheduler's sharing pattern.
-func TestReplicationRace(t *testing.T) {
-	sc := quickScenario()
-	sc.Measure = 5 * des.Second
-	rs, err := RunReplications(sc, 6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 6 {
-		t.Fatalf("got %d results, want 6", len(rs))
-	}
-	for i, r := range rs {
-		if r.Seed != sc.Seed+uint64(i) {
-			t.Fatalf("result %d has seed %d, want %d (seed order broken)", i, r.Seed, sc.Seed+uint64(i))
+		if outside.Load() != 0 {
+			t.Fatalf("workers=%d: %d jobs ran on a worker index outside [0, %d)", workers, outside.Load(), pool)
 		}
 	}
+	ParallelForWorkers(0, 4, func(int, int) { t.Fatal("fn called for n=0") })
 }

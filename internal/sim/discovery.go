@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"clnlr/internal/des"
-	"clnlr/internal/node"
-	"clnlr/internal/rng"
 	"clnlr/internal/stats"
 	"clnlr/internal/traffic"
 )
@@ -37,7 +35,8 @@ type DiscoveryResult struct {
 // discovery. If sc.Flows > 0, that many background CBR flows load the
 // network first (the "discovery under load" variants). gap must exceed
 // the worst-case discovery time (attempts × DiscoveryTimeout) so rounds
-// do not overlap.
+// do not overlap. Mobility, churn, link impairment, the auditor and the
+// test hooks apply exactly as in Run: both start from Engine.begin.
 func RunDiscovery(sc Scenario, rounds int, gap des.Time) (DiscoveryResult, error) {
 	return NewEngine().RunDiscovery(sc, rounds, gap)
 }
@@ -61,38 +60,23 @@ func (e *Engine) RunDiscovery(sc Scenario, rounds int, gap des.Time) (DiscoveryR
 	if gap <= minGap {
 		return DiscoveryResult{}, fmt.Errorf("sim: gap %v must exceed worst-case discovery time %v", gap, minGap)
 	}
-	master := rng.New(sc.Seed)
-
-	tp, err := e.prepare(sc, master)
+	horizon := sc.Warmup + des.Time(rounds)*gap
+	run, err := e.begin(sc, horizon, nil, nil)
 	if err != nil {
 		return DiscoveryResult{}, err
 	}
 	simk, nodes := e.simk, e.nodes
-	// Pool-ledger arming mirrors RunJourney (see the comment there).
-	if sc.Audit || e.auditArmed {
-		for _, n := range nodes {
-			n.Agent.Env.Pool.SetAudit(sc.Audit)
-		}
-		e.auditArmed = sc.Audit
-	}
-	node.StartAll(nodes)
-	horizon := sc.Warmup + des.Time(rounds)*gap
-	_, _, everCrashed := attachFaults(sc, simk, nodes, master, horizon)
-	var aud *auditor
-	if sc.Audit {
-		aud = e.startAudit(horizon, everCrashed)
-	}
 
 	mgr := traffic.NewManager(simk, nodes, sc.Routing.TTL, 0)
 
 	// Optional background load.
 	nBackground := 0
 	if sc.Flows > 0 {
-		flows, err := pickFlows(sc, tp, master.Derive(2000))
+		flows, err := pickFlows(sc, run.tp, run.master.Derive(2000))
 		if err != nil {
 			return DiscoveryResult{}, err
 		}
-		flowRng := master.Derive(3000)
+		flowRng := run.master.Derive(3000)
 		for _, f := range flows {
 			mgr.AddFlow(f, flowRng.Derive(uint64(f.ID)))
 			if f.ID >= nBackground {
@@ -102,8 +86,8 @@ func (e *Engine) RunDiscovery(sc Scenario, rounds int, gap des.Time) (DiscoveryR
 	}
 
 	// Schedule the probe rounds and counter snapshots around each.
-	pairRng := master.Derive(4000)
-	var gateway = centreNode(tp)
+	pairRng := run.master.Derive(4000)
+	var gateway = centreNode(run.tp)
 	rreqAt := make([]uint64, rounds+1)
 	countRREQ := func() uint64 {
 		var total uint64
@@ -116,15 +100,14 @@ func (e *Engine) RunDiscovery(sc Scenario, rounds int, gap des.Time) (DiscoveryR
 		i := i
 		at := sc.Warmup + des.Time(i)*gap
 		simk.At(at, func() { rreqAt[i] = countRREQ() })
-		s, d, err := pickEndpoints(sc, tp, pairRng, gateway)
+		s, d, err := pickEndpoints(sc, run.tp, pairRng, gateway)
 		if err != nil {
 			return DiscoveryResult{}, err
 		}
 		mgr.AddProbe(nBackground+i, s, d, sc.PayloadBytes, at)
 	}
-	end := horizon
-	simk.At(end, func() { rreqAt[rounds] = countRREQ() })
-	simk.RunUntil(end + des.Millisecond)
+	simk.At(horizon, func() { rreqAt[rounds] = countRREQ() })
+	simk.RunUntil(horizon + des.Millisecond)
 
 	// Aggregate.
 	res := DiscoveryResult{Scheme: sc.Scheme, Seed: sc.Seed, Nodes: len(nodes), Rounds: rounds}
@@ -142,45 +125,7 @@ func (e *Engine) RunDiscovery(sc Scenario, rounds int, gap des.Time) (DiscoveryR
 	res.RREQPerRound = rreq.Mean()
 	res.SuccessRate = float64(success) / float64(rounds)
 	res.MeanLatencySec = lat.Mean()
-	if aud != nil {
-		if aerr := aud.Err(); aerr != nil {
-			return res, aerr
-		}
-	}
-	return res, nil
-}
-
-// RunDiscoveryReplications fans RunDiscovery out across seeds, mirroring
-// RunReplications.
-func RunDiscoveryReplications(sc Scenario, rounds int, gap des.Time, reps, workers int) ([]DiscoveryResult, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("sim: non-positive replication count %d", reps)
-	}
-	results := make([]DiscoveryResult, reps)
-	errs := make([]error, reps)
-	engines := make([]*Engine, ResolveWorkers(reps, workers))
-	panics := ParallelForWorkers(reps, workers, func(worker, i int) {
-		eng := engines[worker]
-		if eng == nil {
-			eng = NewEngine()
-		}
-		engines[worker] = nil // see RunReplications: no warm reuse after a panic
-		s := sc
-		s.Seed = sc.Seed + uint64(i)
-		results[i], errs[i] = eng.RunDiscovery(s, rounds, gap)
-		engines[worker] = eng
-	})
-	for i, err := range panics {
-		if err != nil {
-			errs[i] = err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return res, run.auditErr()
 }
 
 // DiscoveryMetric extracts one scalar from a DiscoveryResult.

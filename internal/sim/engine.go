@@ -3,11 +3,13 @@ package sim
 import (
 	"clnlr/internal/des"
 	"clnlr/internal/geom"
+	"clnlr/internal/journey"
 	"clnlr/internal/node"
 	"clnlr/internal/radio"
 	"clnlr/internal/rng"
 	"clnlr/internal/routing"
 	"clnlr/internal/topo"
+	"clnlr/internal/trace"
 )
 
 // Engine is a reusable simulation instance: one fully allocated network
@@ -22,10 +24,11 @@ import (
 // (rng.Derive mixes the creation seed, never mutable stream state), the
 // des.Sim restarts at (time 0, sequence 0), and every stateful component
 // has a Reset that restores its construction state while keeping grown
-// storage. Run and RunJourney build on exactly this path — a cold run is
-// just a warm run on a fresh Engine — so cold and warm cannot drift
-// apart. The network is rebuilt from scratch only when the node count or
-// radio parameters change; everything else resets in place.
+// storage. Run, RunJourney and RunDiscovery all start from one prologue
+// (begin) on exactly this path — a cold run is just a warm run on a fresh
+// Engine — so cold and warm, data-plane and discovery cannot drift apart.
+// The network is rebuilt from scratch only when the node count or radio
+// parameters change; everything else resets in place.
 //
 // An Engine is not safe for concurrent use; give each worker its own.
 type Engine struct {
@@ -165,6 +168,82 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 	e.medium.SetImpairment(sc.Faults.Link, sc.Seed)
 	node.ResetNetwork(e.nodes, positions, sc.Mac, master.Derive(1000), spec)
 	return tp, nil
+}
+
+// runSetup is what the run prologue hands back to RunJourney and
+// RunDiscovery.
+type runSetup struct {
+	// master is the run's root stream, by value: a returned *rng.Source
+	// would cost a heap allocation per run.
+	master rng.Source
+	tp     *topo.Topology
+	// crashEvents and recoverEvents count the churn schedule's events
+	// inside the measurement window (see attachFaults).
+	crashEvents, recoverEvents uint64
+	aud                        *auditor // nil unless sc.Audit
+}
+
+// auditErr is the auditor's verdict on the finished run (nil when the
+// audit is off or found nothing).
+func (s runSetup) auditErr() error {
+	if s.aud == nil {
+		return nil
+	}
+	return s.aud.Err()
+}
+
+// begin is the run prologue every run kind shares, after its own
+// validation: the test hooks, the master stream, the network (built or
+// warm-reset), the pool ledgers, the optional trace sink and journey
+// recorder, node start, mobility, churn over [0, horizon) and the auditor
+// — in that order, which fixes the event sequence of every run.
+func (e *Engine) begin(sc Scenario, horizon des.Time, sink trace.Sink, rec *journey.Recorder) (runSetup, error) {
+	if TestHookRun != nil {
+		TestHookRun(sc)
+	}
+	var s runSetup
+	s.master.Reseed(sc.Seed)
+	master := &s.master
+	tp, err := e.prepare(sc, master)
+	if err != nil {
+		return runSetup{}, err
+	}
+	s.tp = tp
+	// Arm (or disarm) the per-node pool borrow ledgers. The disarm leg
+	// only runs when a previous audited run left ledgers armed on this
+	// warm engine, so the common audit-off path stays zero-cost.
+	if sc.Audit || e.auditArmed {
+		for _, n := range e.nodes {
+			n.Agent.Env.Pool.SetAudit(sc.Audit)
+		}
+		e.auditArmed = sc.Audit
+	}
+	if TestHookPrepared != nil {
+		TestHookPrepared(e.simk, e.nodes, sc)
+	}
+	if sink != nil {
+		for _, n := range e.nodes {
+			n.Agent.Env.Trace = sink
+		}
+	}
+	if rec != nil {
+		// prepare (ResetNetwork/Mac.Reset) cleared any previous run's
+		// recorder from the per-node state, so install-per-run keeps warm
+		// engines equivalent to cold ones.
+		rec.Begin(sc.Warmup, master.Derive(8000))
+		for _, n := range e.nodes {
+			n.Agent.Env.Journey = rec
+			n.Mac.SetJourney(rec)
+		}
+	}
+	node.StartAll(e.nodes)
+	attachMobility(sc, e.simk, e.nodes, master)
+	var everCrashed []bool
+	s.crashEvents, s.recoverEvents, everCrashed = attachFaults(sc, e.simk, e.nodes, master, horizon)
+	if sc.Audit {
+		s.aud = e.startAudit(horizon, everCrashed)
+	}
+	return s, nil
 }
 
 // Run executes one simulation of the scenario on this engine, reusing the

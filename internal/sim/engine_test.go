@@ -52,8 +52,8 @@ func TestGoldenWarmMatchesCold(t *testing.T) {
 }
 
 // TestWarmReplicationSeedSchedule pins the seed schedule of warm reuse:
-// running seeds s, s+1, … through one engine (the RunReplications worker
-// pattern) must match fresh cold runs of each seed.
+// running seeds s, s+1, … through one engine (the experiments planner's
+// worker pattern) must match fresh cold runs of each seed.
 func TestWarmReplicationSeedSchedule(t *testing.T) {
 	sc := quickScenario()
 	sc.Measure = 5 * des.Second

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"clnlr/internal/des"
@@ -107,24 +106,6 @@ func TestLinkImpairmentCostsDelivery(t *testing.T) {
 	}
 }
 
-func TestFaultReplicationsParallelMatchesSerial(t *testing.T) {
-	sc := churnScenario()
-	sc.Measure = 8 * des.Second
-	serial, err := RunReplications(sc, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunReplications(sc, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("fault replication %d differs between serial and parallel execution", i)
-		}
-	}
-}
-
 func TestParallelForWorkersContainsPanic(t *testing.T) {
 	const n = 8
 	ran := make([]bool, n)
@@ -157,49 +138,6 @@ func TestParallelForWorkersContainsPanic(t *testing.T) {
 	}
 	if got := ParallelForWorkers(4, 2, func(_, _ int) {}); got != nil {
 		t.Fatalf("clean run returned errors %v", got)
-	}
-}
-
-func TestRunReplicationsContainsPanic(t *testing.T) {
-	sc := quickScenario()
-	sc.Measure = 5 * des.Second
-	badSeed := sc.Seed + 1
-	testHookReplication = func(seed uint64) {
-		if seed == badSeed {
-			panic("injected replication failure")
-		}
-	}
-	defer func() { testHookReplication = nil }()
-
-	const reps = 3
-	rs, err := RunReplications(sc, reps, 1)
-	if err == nil {
-		t.Fatal("panicking replication reported no error")
-	}
-	if !strings.Contains(err.Error(), "seed 2") ||
-		!strings.Contains(err.Error(), "injected replication failure") {
-		t.Fatalf("error does not name the failed seed and cause:\n%v", err)
-	}
-	if len(rs) != reps {
-		t.Fatalf("partial results truncated: %d, want %d", len(rs), reps)
-	}
-	// The surviving replications must be intact — identical to a clean run
-	// of the same seeds — and the failed slot zero.
-	testHookReplication = nil
-	clean, cerr := RunReplications(sc, reps, 1)
-	if cerr != nil {
-		t.Fatal(cerr)
-	}
-	for i, r := range rs {
-		if sc.Seed+uint64(i) == badSeed {
-			if r != (Result{}) {
-				t.Fatalf("failed slot not zero: %+v", r)
-			}
-			continue
-		}
-		if r != clean[i] {
-			t.Fatalf("surviving replication %d corrupted by neighbour's panic:\n%+v\n%+v", i, r, clean[i])
-		}
 	}
 }
 

@@ -10,9 +10,7 @@ import (
 	"clnlr/internal/journey"
 	"clnlr/internal/mac"
 	"clnlr/internal/metrics"
-	"clnlr/internal/node"
 	"clnlr/internal/radio"
-	"clnlr/internal/rng"
 	"clnlr/internal/routing"
 	"clnlr/internal/trace"
 	"clnlr/internal/traffic"
@@ -50,63 +48,25 @@ func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
-	if TestHookRun != nil {
-		TestHookRun(sc)
-	}
 	var wallStart time.Time
 	if col != nil {
 		wallStart = time.Now()
 	}
-	master := rng.New(sc.Seed)
-	tp, err := e.prepare(sc, master)
+	end := sc.Warmup + sc.Measure
+	run, err := e.begin(sc, end, sink, rec)
 	if err != nil {
 		return Result{}, err
-	}
-	// Arm (or disarm) the per-node pool borrow ledgers. The disarm leg
-	// only runs when a previous audited run left ledgers armed on this
-	// warm engine, so the common audit-off path stays zero-cost.
-	if sc.Audit || e.auditArmed {
-		for _, n := range e.nodes {
-			n.Agent.Env.Pool.SetAudit(sc.Audit)
-		}
-		e.auditArmed = sc.Audit
-	}
-	if TestHookPrepared != nil {
-		TestHookPrepared(e.simk, e.nodes, sc)
-	}
-	if sink != nil {
-		for _, n := range e.nodes {
-			n.Agent.Env.Trace = sink
-		}
-	}
-	if rec != nil {
-		// prepare (ResetNetwork/Mac.Reset) cleared any previous run's
-		// recorder from the per-node state, so install-per-run keeps warm
-		// engines equivalent to cold ones.
-		rec.Begin(sc.Warmup, master.Derive(8000))
-		for _, n := range e.nodes {
-			n.Agent.Env.Journey = rec
-			n.Mac.SetJourney(rec)
-		}
-	}
-	node.StartAll(e.nodes)
-	attachMobility(sc, e.simk, e.nodes, master)
-	end := sc.Warmup + sc.Measure
-	crashEvents, recoverEvents, everCrashed := attachFaults(sc, e.simk, e.nodes, master, end)
-	var aud *auditor
-	if sc.Audit {
-		aud = e.startAudit(end, everCrashed)
 	}
 	if col != nil {
 		e.startSampler(col, end)
 	}
 
 	mgr := traffic.NewManager(e.simk, e.nodes, sc.Routing.TTL, sc.Warmup)
-	flows, err := pickFlows(sc, tp, master.Derive(2000))
+	flows, err := pickFlows(sc, run.tp, run.master.Derive(2000))
 	if err != nil {
 		return Result{}, err
 	}
-	flowRng := master.Derive(3000)
+	flowRng := run.master.Derive(3000)
 	for _, f := range flows {
 		mgr.AddFlow(f, flowRng.Derive(uint64(f.ID)))
 	}
@@ -127,15 +87,10 @@ func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector
 	}
 	r := extract(sc, e.nodes, mgr, warm)
 	if col != nil {
-		e.foldCounters(col, warm, warmRadio, crashEvents, recoverEvents)
+		e.foldCounters(col, warm, warmRadio, run.crashEvents, run.recoverEvents)
 		col.FinishRun(end, e.simk.Executed(), time.Since(wallStart))
 	}
-	if aud != nil {
-		if aerr := aud.Err(); aerr != nil {
-			return r, aerr
-		}
-	}
-	return r, nil
+	return r, run.auditErr()
 }
 
 // RunJourney is Run with the optional trace, metrics and journey hooks on

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -22,79 +21,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic: %v\n%s", e.Value, e.Stack)
 }
 
-// testHookReplication, when non-nil, runs at the start of every
-// RunReplications job with that job's seed (crash-containment test
-// instrumentation only).
-var testHookReplication func(seed uint64)
-
-// RunReplications executes reps independent replications of sc (seeds
-// sc.Seed, sc.Seed+1, …) across a bounded worker pool and returns the
-// results in seed order. workers ≤ 0 selects GOMAXPROCS. Each replication
-// owns its entire simulation state, so the fan-out is embarrassingly
-// parallel; only the slot in the pre-sized result slice is shared.
-//
-// A replication that fails — by error or by panic (recovered with its
-// stack) — does not abort the others: every remaining job still runs,
-// the returned slice holds the successful results in place (failed slots
-// are zero), and the error aggregates every failure with its seed.
-func RunReplications(sc Scenario, reps, workers int) ([]Result, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("sim: non-positive replication count %d", reps)
-	}
-	results := make([]Result, reps)
-	errs := make([]error, reps)
-	engines := make([]*Engine, ResolveWorkers(reps, workers))
-	panics := ParallelForWorkers(reps, workers, func(worker, i int) {
-		eng := engines[worker]
-		if eng == nil {
-			eng = NewEngine()
-		}
-		// Leave the slot empty until the run returns: an engine that
-		// panicked mid-run holds arbitrary partial state and must not be
-		// reused warm by this worker's next job.
-		engines[worker] = nil
-		s := sc
-		s.Seed = sc.Seed + uint64(i)
-		if testHookReplication != nil {
-			testHookReplication(s.Seed)
-		}
-		results[i], errs[i] = eng.Run(s)
-		engines[worker] = eng
-	})
-	for i, err := range panics {
-		if err != nil {
-			errs[i] = err
-		}
-	}
-	var failed []string
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, fmt.Sprintf("seed %d: %v", sc.Seed+uint64(i), err))
-		}
-	}
-	if len(failed) > 0 {
-		return results, fmt.Errorf("sim: %d of %d replications failed:\n%s",
-			len(failed), reps, strings.Join(failed, "\n"))
-	}
-	return results, nil
-}
-
-// ParallelFor runs fn(0..n-1) across a bounded worker pool. workers ≤ 0
-// selects GOMAXPROCS. Only min(workers, n) goroutines are spawned; they
-// drain a shared atomic counter, so a job set of thousands of cells costs
-// a handful of goroutines rather than one per index. Each index owns its
-// slot in any result slice, so no further synchronisation is needed by
-// callers. Exported for cross-package job sets (the experiments scheduler
-// flattens every figure's cells into a single call).
-//
-// A panicking fn is recovered and surfaced as that index's entry in the
-// returned slice (nil when every index completed); the remaining indices
-// still run.
-func ParallelFor(n, workers int, fn func(i int)) []error {
-	return ParallelForWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// ResolveWorkers returns the pool size ParallelFor(Workers) actually uses
+// ResolveWorkers returns the pool size ParallelForWorkers actually uses
 // for n jobs: min(workers, n), with workers ≤ 0 meaning GOMAXPROCS.
 // Callers binding per-worker state (warm engines) size their slices with
 // this.
@@ -111,10 +38,15 @@ func ResolveWorkers(n, workers int) int {
 	return workers
 }
 
-// ParallelForWorkers is ParallelFor with the worker index (0..pool-1)
-// exposed to fn. Each worker index is owned by exactly one goroutine for
+// ParallelForWorkers runs fn(worker, 0..n-1) across a bounded worker
+// pool: only ResolveWorkers(n, workers) goroutines are spawned, and they
+// drain a shared atomic counter, so a job set of thousands of cells costs
+// a handful of goroutines rather than one per index. Each index owns its
+// slot in any result slice, so callers need no further synchronisation.
+// Each worker index (0..pool-1) is owned by exactly one goroutine for
 // the whole call, so fn can keep per-worker reusable state — warm
-// simulation engines — in a slice indexed by it without locking.
+// simulation engines — in a slice indexed by it without locking. The
+// experiments planner flattens every cell's replications into one call.
 //
 // Panic containment: a panic inside fn is recovered into a *PanicError
 // (value + stack) at that index of the returned slice and the worker
@@ -206,52 +138,3 @@ var (
 	MetricDelayP50Ms Metric = func(r Result) float64 { return r.DelayP50Sec * 1000 }
 	MetricDelayP99Ms Metric = func(r Result) float64 { return r.DelayP99Sec * 1000 }
 )
-
-// RunToPrecision runs replications in batches until the 95% confidence
-// half-width of metric m falls below relTarget·|mean| (relative precision),
-// bounded by [minReps, maxReps]. It returns all results plus the final
-// summary. This is the sequential-stopping methodology for choosing the
-// replication count empirically instead of fixing it in advance.
-func RunToPrecision(sc Scenario, m Metric, relTarget float64, minReps, maxReps, workers int) ([]Result, stats.Summary, error) {
-	if relTarget <= 0 {
-		return nil, stats.Summary{}, fmt.Errorf("sim: non-positive precision target")
-	}
-	if minReps < 2 || maxReps < minReps {
-		return nil, stats.Summary{}, fmt.Errorf("sim: need 2 ≤ minReps ≤ maxReps")
-	}
-	batch := workers
-	if batch <= 0 {
-		batch = runtime.GOMAXPROCS(0)
-	}
-	var results []Result
-	runBatch := func(n int) error {
-		s := sc
-		s.Seed = sc.Seed + uint64(len(results))
-		rs, err := RunReplications(s, n, workers)
-		if err != nil {
-			return err
-		}
-		results = append(results, rs...)
-		return nil
-	}
-	if err := runBatch(minReps); err != nil {
-		return nil, stats.Summary{}, err
-	}
-	for {
-		sum := Summarize(results, m)
-		mean := sum.Mean
-		if mean < 0 {
-			mean = -mean
-		}
-		if (mean > 0 && sum.CI95 <= relTarget*mean) || len(results) >= maxReps {
-			return results, sum, nil
-		}
-		n := batch
-		if len(results)+n > maxReps {
-			n = maxReps - len(results)
-		}
-		if err := runBatch(n); err != nil {
-			return nil, stats.Summary{}, err
-		}
-	}
-}

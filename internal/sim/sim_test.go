@@ -5,6 +5,7 @@ import (
 
 	"clnlr/internal/des"
 	"clnlr/internal/fault"
+	"clnlr/internal/node"
 	"clnlr/internal/rng"
 	"clnlr/internal/trace"
 )
@@ -180,47 +181,6 @@ func TestRandomTopologyImpossibleDensityFails(t *testing.T) {
 	}
 }
 
-func TestRunReplications(t *testing.T) {
-	sc := quickScenario()
-	rs, err := RunReplications(sc, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 {
-		t.Fatalf("got %d results", len(rs))
-	}
-	for i, r := range rs {
-		if r.Seed != sc.Seed+uint64(i) {
-			t.Fatalf("result %d has seed %d", i, r.Seed)
-		}
-	}
-	// Replication means must summarise.
-	s := Summarize(rs, MetricPDR)
-	if s.N != 3 || s.Mean <= 0 || s.Mean > 1 {
-		t.Fatalf("summary %+v", s)
-	}
-	if _, err := RunReplications(sc, 0, 1); err == nil {
-		t.Fatal("zero replications accepted")
-	}
-}
-
-func TestRunReplicationsParallelMatchesSerial(t *testing.T) {
-	sc := quickScenario().WithScheme(SchemeGossip)
-	serial, err := RunReplications(sc, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunReplications(sc, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("replication %d differs between serial and parallel execution", i)
-		}
-	}
-}
-
 func TestRunDiscoveryBasics(t *testing.T) {
 	sc := quickScenario()
 	sc.Flows = 0
@@ -268,19 +228,83 @@ func TestRunDiscoveryValidation(t *testing.T) {
 	}
 }
 
-func TestRunDiscoveryReplications(t *testing.T) {
-	sc := quickScenario()
-	sc.Flows = 0
-	rs, err := RunDiscoveryReplications(sc, 4, 4*des.Second, 2, 2)
+// mobileDiscovery returns the unloaded discovery scenario, static and with
+// nodes on random waypoints at up to 20 m/s.
+func mobileDiscovery() (static, mobile Scenario) {
+	static = quickScenario()
+	static.Flows = 0
+	mobile = static
+	mobile.MobilitySpeed = 20
+	return static, mobile
+}
+
+// TestRunDiscoveryHonoursMobility: a discovery run moves its nodes like a
+// data-plane run does, so a mobile run cannot equal the static run of the
+// same seed.
+func TestRunDiscoveryHonoursMobility(t *testing.T) {
+	static, mobile := mobileDiscovery()
+	s, err := RunDiscovery(static, 6, 4*des.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 2 {
-		t.Fatalf("got %d results", len(rs))
+	m, err := RunDiscovery(mobile, 6, 4*des.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := SummarizeDiscovery(rs, DMetricSuccess)
-	if s.Mean < 0.9 {
-		t.Fatalf("summary success %.2f", s.Mean)
+	if m == s {
+		t.Fatalf("discovery at MobilitySpeed %g equals the static run: %+v", mobile.MobilitySpeed, m)
+	}
+}
+
+// TestGoldenWarmMobileDiscoveryMatchesCold extends the warm == cold
+// contract to mobile discovery runs, on an engine that ran a static
+// discovery first.
+func TestGoldenWarmMobileDiscoveryMatchesCold(t *testing.T) {
+	static, mobile := mobileDiscovery()
+	coldStatic, err := RunDiscovery(static, 5, 4*des.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := RunDiscovery(mobile, 5, 4*des.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold == coldStatic {
+		t.Fatal("mobile discovery equals the static run: nothing moved, so warm == cold would prove nothing")
+	}
+	eng := NewEngine()
+	for i, sc := range []Scenario{static, mobile, static, mobile} {
+		want := coldStatic
+		if sc.MobilitySpeed > 0 {
+			want = cold
+		}
+		got, err := eng.RunDiscovery(sc, 5, 4*des.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("warm run %d (speed %g) diverges from cold:\n  warm %+v\n  cold %+v", i, sc.MobilitySpeed, got, want)
+		}
+	}
+}
+
+// TestRunDiscoveryFiresRunHooks: both test hooks fire once per discovery
+// run, as they do per data-plane run.
+func TestRunDiscoveryFiresRunHooks(t *testing.T) {
+	var runs, prepared int
+	TestHookRun = func(Scenario) { runs++ }
+	TestHookPrepared = func(*des.Sim, []*node.Node, Scenario) { prepared++ }
+	defer func() { TestHookRun, TestHookPrepared = nil, nil }()
+	sc := quickScenario()
+	sc.Flows = 0
+	eng := NewEngine()
+	for i := 1; i <= 2; i++ {
+		if _, err := eng.RunDiscovery(sc, 2, 4*des.Second); err != nil {
+			t.Fatal(err)
+		}
+		if runs != i || prepared != i {
+			t.Fatalf("after %d discovery runs: TestHookRun fired %d times, TestHookPrepared %d", i, runs, prepared)
+		}
 	}
 }
 
@@ -484,39 +508,6 @@ func TestNakagamiFadingCostsReliability(t *testing.T) {
 	}
 	if fr.MACRetryDrops+fr.MACQueueDrops == 0 && fr.PDR >= clean.PDR {
 		t.Log("note: mild fading fully absorbed by retries (acceptable)")
-	}
-}
-
-func TestRunToPrecision(t *testing.T) {
-	sc := quickScenario()
-	// A very loose target stops at minReps.
-	rs, sum, err := RunToPrecision(sc, MetricPDR, 10.0, 2, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("loose target ran %d reps, want the minimum 2", len(rs))
-	}
-	if sum.N != 2 {
-		t.Fatalf("summary over %d", sum.N)
-	}
-	// An unreachable target stops at maxReps.
-	rs, _, err = RunToPrecision(sc, MetricDelayMs, 1e-9, 2, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 5 {
-		t.Fatalf("tight target ran %d reps, want maxReps 5", len(rs))
-	}
-	// Argument validation.
-	if _, _, err := RunToPrecision(sc, MetricPDR, 0, 2, 5, 1); err == nil {
-		t.Fatal("zero precision accepted")
-	}
-	if _, _, err := RunToPrecision(sc, MetricPDR, 0.1, 1, 5, 1); err == nil {
-		t.Fatal("minReps 1 accepted")
-	}
-	if _, _, err := RunToPrecision(sc, MetricPDR, 0.1, 4, 2, 1); err == nil {
-		t.Fatal("maxReps < minReps accepted")
 	}
 }
 

@@ -15,6 +15,10 @@
 # "events_executed" and "des/pending-hw", which move when bookkeeping
 # events are merged or cancelled timers stop being queued; each is printed
 # as `name: same` or `name: parent → change`.
+# A second list runs the replication path — -reps and -discover, which
+# fan out through the experiments planner and print mean ± CI summaries
+# instead of writing a report — and cmp(1)s each side's printed summary
+# whole; all of those lines are static scenarios.
 # Exits non-zero, printing the first differing lines, on any mismatch.
 # The repo keeps no recorded goldens (every golden test is tier-vs-tier or
 # warm-vs-cold), so this is the check a PR that claims "no Result moved"
@@ -99,5 +103,31 @@ for i in "${!scenarios[@]}"; do
 		fi
 	done
 	echo "$verdict  fingerprint: $fingerprint  events_executed: $events  pending-hw: $pending  meshsim $args"
+done
+
+# The replication path: plain replications, replications under churn and
+# burst loss, audited replications, and discovery rounds with and without
+# background flows.
+summaries=(
+	"-reps 4"
+	"-reps 3 -mttf 30s -mttr 3s -link-good 2s -link-bad 200ms -loss-bad 0.8"
+	"-audit -reps 2 -measure 20s"
+	"-discover 12 -reps 3"
+	"-discover 12 -reps 3 -flows 0 -scheme flood"
+)
+for i in "${!summaries[@]}"; do
+	args=${summaries[$i]}
+	for side in parent change; do
+		# shellcheck disable=SC2086 # args is a flag list, split on purpose
+		"$tmp/$side" $args >"$tmp/$side.summary.$i.txt"
+	done
+	verdict=identical
+	if ! cmp -s "$tmp/parent.summary.$i.txt" "$tmp/change.summary.$i.txt"; then
+		verdict=DIFFERENT
+		status=1
+		echo "  summary differs:"
+		diff "$tmp/parent.summary.$i.txt" "$tmp/change.summary.$i.txt" | head -n 4 || true
+	fi
+	echo "$verdict  summary  meshsim $args"
 done
 exit $status
