@@ -70,17 +70,15 @@ loc:
 instrument-cost:
 	bash scripts/instrument_cost.sh
 
-# Coverage-guided fuzzing: the wire codec, the DES differential queue
-# oracle, the radio-path differential oracle, the duplicate cache's kept
-# count against its exhaustive scan, the routing table against its dense
-# oracle and meshsimd's request decoders with the digest memo against the
-# decode path (go test allows one -fuzz pattern per invocation, hence one
-# run per target). FUZZTIME=5m for a deep run.
+# Coverage-guided fuzzing: the DES differential queue oracle, the
+# radio-path differential oracle, the duplicate cache's kept count against
+# its exhaustive scan, the routing table against its dense oracle and
+# meshsimd's request decoders with the digest memo against the decode path
+# (go test allows one -fuzz pattern per invocation, hence one run per
+# target). FUZZTIME=5m for a deep run.
 FUZZTIME ?= 10s
 
 fuzz:
-	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/pkt
-	$(GO) test -run NONE -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/pkt
 	$(GO) test -run NONE -fuzz FuzzQueueDifferential -fuzztime $(FUZZTIME) ./internal/des
 	$(GO) test -run NONE -fuzz FuzzMediumDifferential -fuzztime $(FUZZTIME) ./internal/radio
 	$(GO) test -run NONE -fuzz FuzzDupCacheLen -fuzztime $(FUZZTIME) ./internal/routing

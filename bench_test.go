@@ -1,8 +1,9 @@
 package clnlr
 
 // One benchmark per reconstructed figure/table (DESIGN.md §4). Each
-// iteration regenerates the figure at reduced fidelity (QuickConfig) so
-// `go test -bench=. -benchtime=1x` exercises the whole evaluation suite in
+// iteration regenerates the figure's sweep through experiments.Run (one
+// shared helper, benchFigure) at reduced fidelity (QuickConfig) so `go
+// test -bench=. -benchtime=1x` exercises the whole evaluation suite in
 // minutes; pass -benchtime higher or use cmd/experiments for full-fidelity
 // numbers. Headline means are exported through b.ReportMetric so bench
 // output doubles as a results sketch.
@@ -31,169 +32,45 @@ func benchConfig(i int) experiments.Config {
 	return cfg
 }
 
-// report exports one metric series (per scheme at the largest X) from a
-// figure into the benchmark output.
-func report(b *testing.B, f experiments.Figure, metric string) {
-	b.Helper()
-	maxX := 0.0
-	for _, p := range f.Points {
-		if p.X > maxX {
-			maxX = p.X
+// benchFigure regenerates figure id through experiments.Run once per
+// iteration and exports one metric series of the last iteration's figure
+// (per scheme at the largest X) into the benchmark output.
+func benchFigure(b *testing.B, id, metric string) {
+	var fig experiments.Figure
+	for i := 0; i < b.N; i++ {
+		figs, err := experiments.Run(benchConfig(i), id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range figs {
+			if f.ID == id {
+				fig = f
+			}
 		}
 	}
-	for _, p := range f.Points {
-		if p.X != maxX {
-			continue
-		}
-		if v, ok := p.Values[metric]; ok {
+	maxX := 0.0
+	for _, p := range fig.Points {
+		maxX = max(maxX, p.X)
+	}
+	for _, p := range fig.Points {
+		if v, ok := p.Values[metric]; ok && p.X == maxX {
 			b.ReportMetric(v.Mean, p.Scheme+"_"+metric)
 		}
 	}
 }
 
-func BenchmarkFigR1OverheadVsSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r1, _, err := experiments.FigR1R2(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, r1, "rreq/discovery")
-		}
-	}
-}
-
-func BenchmarkFigR2Reachability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, r2, err := experiments.FigR1R2(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, r2, "success")
-		}
-	}
-}
-
-func BenchmarkFigR3PDRVsLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r3, _, _, err := experiments.FigR3R4R7(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, r3, "pdr")
-		}
-	}
-}
-
-func BenchmarkFigR4DelayVsLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, r4, _, err := experiments.FigR3R4R7(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, r4, "delay-ms")
-		}
-	}
-}
-
-func BenchmarkFigR7NormalizedOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _, r7, err := experiments.FigR3R4R7(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, r7, "ctl/delivered")
-		}
-	}
-}
-
-func BenchmarkFigR5ThroughputVsFlows(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.FigR5(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, f, "kbps")
-		}
-	}
-}
-
-func BenchmarkFigR6LoadBalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.FigR6(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, f, "fwd-max/mean")
-		}
-	}
-}
-
-func BenchmarkTabR2Summary(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.TabR2(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, f, "pdr")
-		}
-	}
-}
-
-func BenchmarkFigR8Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.FigR8(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, f, "pdr")
-		}
-	}
-}
-
-func BenchmarkFigR9Density(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.FigR9(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, f, "pdr")
-		}
-	}
-}
-
-func BenchmarkFigR10Mobility(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.FigR10(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, f, "pdr")
-		}
-	}
-}
-
-func BenchmarkFigR11Resilience(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.FigR11(benchConfig(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			report(b, f, "pdr")
-		}
-	}
-}
+func BenchmarkFigR1OverheadVsSize(b *testing.B)     { benchFigure(b, "F-R1", "rreq/discovery") }
+func BenchmarkFigR2Reachability(b *testing.B)       { benchFigure(b, "F-R2", "success") }
+func BenchmarkFigR3PDRVsLoad(b *testing.B)          { benchFigure(b, "F-R3", "pdr") }
+func BenchmarkFigR4DelayVsLoad(b *testing.B)        { benchFigure(b, "F-R4", "delay-ms") }
+func BenchmarkFigR7NormalizedOverhead(b *testing.B) { benchFigure(b, "F-R7", "ctl/delivered") }
+func BenchmarkFigR5ThroughputVsFlows(b *testing.B)  { benchFigure(b, "F-R5", "kbps") }
+func BenchmarkFigR6LoadBalance(b *testing.B)        { benchFigure(b, "F-R6", "fwd-max/mean") }
+func BenchmarkTabR2Summary(b *testing.B)            { benchFigure(b, "T-R2", "pdr") }
+func BenchmarkFigR8Ablation(b *testing.B)           { benchFigure(b, "F-R8", "pdr") }
+func BenchmarkFigR9Density(b *testing.B)            { benchFigure(b, "F-R9", "pdr") }
+func BenchmarkFigR10Mobility(b *testing.B)          { benchFigure(b, "F-R10", "pdr") }
+func BenchmarkFigR11Resilience(b *testing.B)        { benchFigure(b, "F-R11", "pdr") }
 
 // benchRun runs one scenario per iteration through a single warm engine —
 // the replication-worker pattern, where iteration i+1 reuses the

@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -27,12 +28,6 @@ import (
 	"clnlr/internal/metrics"
 	"clnlr/internal/prof"
 )
-
-// knownFigures is the allowlist for -fig selections.
-var knownFigures = []string{
-	"F-R1", "F-R2", "F-R3", "F-R4", "F-R5", "F-R6", "F-R7",
-	"F-R8", "F-R9", "F-R10", "F-R11", "T-R2",
-}
 
 func main() {
 	log.SetFlags(0)
@@ -148,95 +143,33 @@ func main() {
 		cfg.ReportDir = *reports
 	}
 
-	known := map[string]bool{}
-	for _, id := range knownFigures {
-		known[id] = true
-	}
-	want := map[string]bool{}
+	var ids []string
 	for _, id := range strings.Split(*figSel, ",") {
 		if id = strings.TrimSpace(id); id != "" {
-			id = strings.ToUpper(id)
-			if !known[id] {
-				log.Fatalf("unknown figure %q (known: %s)", id, strings.Join(knownFigures, ", "))
-			}
-			want[id] = true
+			ids = append(ids, strings.ToUpper(id))
 		}
-	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
-
-	fmt.Print(experiments.TabR1())
-
-	var figs []experiments.Figure
-	failedCells := 0
-	stopped := false
-	add := func(f experiments.Figure, err error) {
-		figs = append(figs, f)
-		if err == nil {
-			return
-		}
-		// A crashed or failed replication poisons only its own cells;
-		// render whatever survived and report the holes at the end. An
-		// interrupt stops the suite after the current planner run drains.
-		handled := false
-		var pe *experiments.PartialError
-		if errors.As(err, &pe) {
-			failedCells += len(pe.Failures)
-			log.Print(pe)
-			handled = true
-		}
-		if errors.Is(err, experiments.ErrInterrupted) {
-			stopped = true
-			handled = true
-		}
-		if !handled {
-			log.Fatal(err)
-		}
-	}
-	run := func(id ...string) bool {
-		if stopped {
-			return false
-		}
-		for _, i := range id {
-			if selected(i) {
-				return true
-			}
-		}
-		return false
 	}
 
 	start := time.Now()
-	if run("F-R1", "F-R2") {
-		r1, r2, err := experiments.FigR1R2(cfg)
-		add(r1, err)
-		figs = append(figs, r2)
+	figs, err := experiments.Run(cfg, ids...)
+	// A crashed or failed replication poisons only its own cells; render
+	// whatever survived and report the holes at the end.
+	failedCells := 0
+	var pe *experiments.PartialError
+	if errors.As(err, &pe) {
+		failedCells = len(pe.Failures)
+		log.Print(pe)
 	}
-	if run("F-R3", "F-R4", "F-R7") {
-		r3, r4, r7, err := experiments.FigR3R4R7(cfg)
-		add(r3, err)
-		figs = append(figs, r4, r7)
+	stopped := errors.Is(err, experiments.ErrInterrupted)
+	if err != nil && pe == nil && !stopped {
+		log.Fatal(err)
 	}
-	if run("F-R5") {
-		add(experiments.FigR5(cfg))
-	}
-	if run("F-R6") {
-		add(experiments.FigR6(cfg))
-	}
-	if run("T-R2") {
-		add(experiments.TabR2(cfg))
-	}
-	if run("F-R8") {
-		add(experiments.FigR8(cfg))
-	}
-	if run("F-R9") {
-		add(experiments.FigR9(cfg))
-	}
-	if run("F-R10") {
-		add(experiments.FigR10(cfg))
-	}
-	if run("F-R11") {
-		add(experiments.FigR11(cfg))
+	if stopped {
+		// An interrupted sweep renders only the figures it got to.
+		figs = slices.DeleteFunc(figs, func(f experiments.Figure) bool { return len(f.Points) == 0 })
 	}
 
+	fmt.Print(experiments.TabR1())
 	for _, f := range figs {
 		fmt.Println()
 		fmt.Print(f.Table())

@@ -73,8 +73,8 @@ func (w *Watch) aborted() bool { return w.abort.Load() }
 func (s *Sim) SetWatch(w *Watch) { s.watch = w }
 
 // StallError is the panic value raised when a Watch aborts a stalled
-// run. Crash containment (internal/sim.ParallelForWorkers) recovers it
-// into a *sim.PanicError, so callers inspect the message rather than the
+// run. The experiments planner's crash containment recovers it into an
+// *experiments.PanicError, so callers inspect the message rather than the
 // type.
 type StallError struct {
 	Now      Time   // simulated time the run was stuck at

@@ -47,14 +47,12 @@ func RunCells(cfg Config, specs []CellSpec) ([]CellReport, error) {
 	for i, spec := range specs {
 		i := i
 		finalize := func(c *cell) {
-			if c.loaded {
-				// The checkpoint file carries the counters/journey sections
-				// loadCellReport does not install on the cell; re-reading it
-				// keeps a resumed cell's report identical to a fresh one.
-				if rep, ok := readCellReport(cfg.ReportDir, c.label); ok {
-					out[i] = rep
-					return
-				}
+			// A loaded cell's checkpoint carries the counters and journey
+			// sections the run would have produced, so a resumed cell's
+			// report is identical to a fresh one.
+			if c.checkpoint != nil {
+				out[i] = *c.checkpoint
+				return
 			}
 			out[i] = buildCellReport(c)
 		}

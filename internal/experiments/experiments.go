@@ -1,8 +1,8 @@
 // Package experiments defines the reconstructed evaluation suite of the
-// CLNLR paper (DESIGN.md §4): one function per figure/table, each
-// returning a Figure whose points are replication means with 95%
-// confidence intervals. cmd/experiments renders them as aligned text and
-// CSV; bench_test.go wraps each in a testing.B benchmark.
+// CLNLR paper (DESIGN.md §4): Run plans the requested figures/tables by ID
+// onto one planner and returns Figures whose points are replication means
+// with 95% confidence intervals. cmd/experiments renders them as aligned
+// text and CSV; bench_test.go wraps each in a testing.B benchmark.
 package experiments
 
 import (
@@ -67,9 +67,9 @@ type Config struct {
 
 	// Retries bounds how many times a crashed (panicked or
 	// watchdog-killed) replication is re-attempted on a fresh engine with
-	// the same seed, sequentially after the main pool drains. A flaky
+	// the same seed, in place on the worker it crashed on. A flaky
 	// failure heals; a deterministic one fails Retries times and stays a
-	// poisoned cell. RetryBackoff is the wait between attempts.
+	// poisoned cell. RetryBackoff is the wait before each re-attempt.
 	Retries      int
 	RetryBackoff time.Duration
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -14,11 +15,36 @@ func tinyConfig() Config {
 	return Config{Reps: 2, Workers: 0, Seed: 7, Quick: true}
 }
 
+// runFig runs the sweep holding figure id through Run and returns that
+// figure, with Run's error.
+func runFig(cfg Config, id string) (Figure, error) {
+	figs, err := Run(cfg, id)
+	for _, f := range figs {
+		if f.ID == id {
+			return f, err
+		}
+	}
+	return Figure{}, err
+}
+
+// figureIDs lists the IDs of figs in order.
+func figureIDs(figs []Figure) []string {
+	ids := make([]string, len(figs))
+	for i, f := range figs {
+		ids[i] = f.ID
+	}
+	return ids
+}
+
 func TestFigR1R2Shapes(t *testing.T) {
-	r1, r2, err := FigR1R2(tinyConfig())
+	figs, err := Run(tinyConfig(), "F-R2")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := strings.Join(figureIDs(figs), " "); got != "F-R1 F-R2" {
+		t.Fatalf("Run(F-R2) returned %s, want the discovery sweep F-R1 F-R2", got)
+	}
+	r1, r2 := figs[0], figs[1]
 	if len(r1.Points) == 0 || len(r2.Points) == 0 {
 		t.Fatal("empty figures")
 	}
@@ -57,7 +83,7 @@ func TestFigR1R2Shapes(t *testing.T) {
 }
 
 func TestTabR2AndRendering(t *testing.T) {
-	f, err := TabR2(tinyConfig())
+	f, err := runFig(tinyConfig(), "T-R2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +113,7 @@ func TestTabR1Static(t *testing.T) {
 }
 
 func TestFigR6GatewayConcentration(t *testing.T) {
-	f, err := FigR6(tinyConfig())
+	f, err := runFig(tinyConfig(), "F-R6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +143,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestFigureCharts(t *testing.T) {
-	f, err := TabR2(tinyConfig())
+	f, err := runFig(tinyConfig(), "T-R2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +184,16 @@ func checkFigure(t *testing.T, f Figure, wantPoints int) {
 
 func TestFigR3R4R7Structure(t *testing.T) {
 	cfg := tinyConfig()
-	r3, r4, r7, err := FigR3R4R7(cfg)
+	figs, err := Run(cfg, "F-R4")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// F-R4 shares its cells with F-R3 and F-R7: asking for it returns the
+	// whole offered-load sweep, in suite order.
+	if got := strings.Join(figureIDs(figs), " "); got != "F-R3 F-R4 F-R7" {
+		t.Fatalf("Run(F-R4) returned %s, want F-R3 F-R4 F-R7", got)
+	}
+	r3, r4, r7 := figs[0], figs[1], figs[2]
 	points := len(loadRates(cfg)) * len(schemeSet(cfg))
 	checkFigure(t, r3, points)
 	checkFigure(t, r4, points)
@@ -178,7 +210,7 @@ func TestFigR3R4R7Structure(t *testing.T) {
 
 func TestFigR5Structure(t *testing.T) {
 	cfg := tinyConfig()
-	f, err := FigR5(cfg)
+	f, err := runFig(cfg, "F-R5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +226,7 @@ func TestFigR5Structure(t *testing.T) {
 
 func TestFigR8Structure(t *testing.T) {
 	cfg := tinyConfig()
-	f, err := FigR8(cfg)
+	f, err := runFig(cfg, "F-R8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +244,7 @@ func TestFigR8Structure(t *testing.T) {
 
 func TestFigR9Structure(t *testing.T) {
 	cfg := tinyConfig()
-	f, err := FigR9(cfg)
+	f, err := runFig(cfg, "F-R9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +253,7 @@ func TestFigR9Structure(t *testing.T) {
 
 func TestFigR10Structure(t *testing.T) {
 	cfg := tinyConfig()
-	f, err := FigR10(cfg)
+	f, err := runFig(cfg, "F-R10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +266,7 @@ func TestFigR10Structure(t *testing.T) {
 
 func TestFigR11Structure(t *testing.T) {
 	cfg := tinyConfig()
-	f, err := FigR11(cfg)
+	f, err := runFig(cfg, "F-R11")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +328,9 @@ func TestPlannerContainsPanics(t *testing.T) {
 			t.Errorf("failure label %q, want poisoned", f.Label)
 		}
 		seeds[f.Seed] = true
-		var panicErr *sim.PanicError
+		var panicErr *PanicError
 		if !errors.As(f.Err, &panicErr) {
-			t.Errorf("failure err %T, want *sim.PanicError", f.Err)
+			t.Errorf("failure err %T, want *PanicError", f.Err)
 		} else if len(panicErr.Stack) == 0 {
 			t.Error("recovered panic has no stack")
 		}
@@ -321,21 +353,34 @@ func TestRunAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick suite takes ~1 min")
 	}
-	figs, err := RunAll(Config{Reps: 2, Workers: 0, Seed: 3, Quick: true})
+	figs, err := Run(Config{Reps: 2, Workers: 0, Seed: 3, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(figs) != 12 {
-		t.Fatalf("RunAll produced %d figures, want 12 (F-R1..R11 + T-R2)", len(figs))
+	const want = "F-R1 F-R2 F-R3 F-R4 F-R7 F-R5 F-R6 T-R2 F-R8 F-R9 F-R10 F-R11"
+	if got := strings.Join(figureIDs(figs), " "); got != want {
+		t.Fatalf("Run() returned %s, want the whole suite %s", got, want)
 	}
-	ids := map[string]bool{}
 	for _, f := range figs {
-		ids[f.ID] = true
-	}
-	for _, want := range []string{"F-R1", "F-R2", "F-R3", "F-R4", "F-R5",
-		"F-R6", "F-R7", "F-R8", "F-R9", "F-R10", "F-R11", "T-R2"} {
-		if !ids[want] {
-			t.Fatalf("RunAll missing %s (got %v)", want, ids)
+		if len(f.Points) == 0 {
+			t.Errorf("%s has no points", f.ID)
 		}
+	}
+}
+
+// TestRunRejectsUnknownFigure: an unknown ID is an error naming the known
+// IDs, and nothing runs — not even the manifest is written.
+func TestRunRejectsUnknownFigure(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.ReportDir = t.TempDir()
+	figs, err := Run(cfg, "F-R5", "F-R99")
+	if err == nil || !strings.Contains(err.Error(), `"F-R99"`) || !strings.Contains(err.Error(), "F-R11") {
+		t.Fatalf("Run(F-R99) = %v, want an error naming F-R99 and the known IDs", err)
+	}
+	if figs != nil {
+		t.Errorf("Run(F-R99) returned %d figures", len(figs))
+	}
+	if files, _ := os.ReadDir(cfg.ReportDir); len(files) != 0 {
+		t.Errorf("Run(F-R99) wrote %d files into the report directory", len(files))
 	}
 }

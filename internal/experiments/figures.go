@@ -2,11 +2,61 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"clnlr/internal/des"
 	"clnlr/internal/sim"
 	"clnlr/internal/stats"
 )
+
+// suite is the evaluation suite in print order: one entry per sweep, with
+// the IDs of the figures it feeds and the plan that registers its cells
+// and returns those figures in the same order.
+var suite = []struct {
+	ids  []string
+	plan func(*planner) []*Figure
+}{
+	{[]string{"F-R1", "F-R2"}, planR1R2},
+	{[]string{"F-R3", "F-R4", "F-R7"}, planR3R4R7},
+	{[]string{"F-R5"}, planR5},
+	{[]string{"F-R6"}, planR6},
+	{[]string{"T-R2"}, planTabR2},
+	{[]string{"F-R8"}, planR8},
+	{[]string{"F-R9"}, planR9},
+	{[]string{"F-R10"}, planR10},
+	{[]string{"F-R11"}, planR11},
+}
+
+// Run plans the figures with the given IDs — the whole suite when none are
+// given — onto one planner and runs them as a single job set, so the
+// worker pool stays saturated across figure boundaries. An ID selects its
+// whole sweep: F-R4 returns F-R3, F-R4 and F-R7, which share cells.
+// Figures come back in suite order. An unknown ID is an error before
+// anything runs. With a *PartialError or ErrInterrupted every planned
+// figure still comes back, holding the points whose cells completed.
+func Run(cfg Config, ids ...string) ([]Figure, error) {
+	p := newPlanner(cfg)
+	var known []string
+	var planned []*Figure
+	for _, s := range suite {
+		known = append(known, s.ids...)
+		if len(ids) == 0 || slices.ContainsFunc(s.ids, func(id string) bool { return slices.Contains(ids, id) }) {
+			planned = append(planned, s.plan(p)...)
+		}
+	}
+	for _, id := range ids {
+		if !slices.Contains(known, id) {
+			return nil, fmt.Errorf("experiments: unknown figure %q (known: %s)", id, strings.Join(known, ", "))
+		}
+	}
+	err := p.run()
+	figs := make([]Figure, len(planned))
+	for i, f := range planned {
+		figs[i] = *f
+	}
+	return figs, err
+}
 
 // point registers a data-plane cell whose replications reduce to a single
 // figure Point carrying the named metrics — the shared shape of every
@@ -44,12 +94,12 @@ func discoveryRounds(cfg Config) int {
 // planR1R2 registers the discovery-round size sweep: each cell feeds both
 // F-R1 (RREQ transmissions per discovery vs network size) and F-R2
 // (discovery success rate vs network size).
-func planR1R2(p *planner) (r1, r2 *Figure) {
-	r1 = &Figure{
+func planR1R2(p *planner) []*Figure {
+	r1 := &Figure{
 		ID: "F-R1", Title: "RREQ transmissions per route discovery vs network size",
 		XLabel: "nodes", Metrics: []string{"rreq/discovery"},
 	}
-	r2 = &Figure{
+	r2 := &Figure{
 		ID: "F-R2", Title: "Route discovery success rate vs network size",
 		XLabel: "nodes", Metrics: []string{"success", "latency-ms"},
 	}
@@ -72,16 +122,7 @@ func planR1R2(p *planner) (r1, r2 *Figure) {
 			})
 		}
 	}
-	return r1, r2
-}
-
-// FigR1R2 runs the discovery-round size sweep once and returns F-R1 and
-// F-R2.
-func FigR1R2(cfg Config) (Figure, Figure, error) {
-	p := newPlanner(cfg)
-	r1, r2 := planR1R2(p)
-	err := p.run()
-	return *r1, *r2, err
+	return []*Figure{r1, r2}
 }
 
 // loadRates returns the offered-load sweep (packets/s per flow).
@@ -95,12 +136,12 @@ func loadRates(cfg Config) []float64 {
 // planR3R4R7 registers the offered-load sweep: each cell feeds F-R3
 // (packet delivery ratio vs load), F-R4 (end-to-end delay vs load) and
 // F-R7 (normalized routing overhead vs load).
-func planR3R4R7(p *planner) (r3, r4, r7 *Figure) {
-	r3 = &Figure{ID: "F-R3", Title: "Packet delivery ratio vs offered load",
+func planR3R4R7(p *planner) []*Figure {
+	r3 := &Figure{ID: "F-R3", Title: "Packet delivery ratio vs offered load",
 		XLabel: "pkt/s per flow", Metrics: []string{"pdr"}}
-	r4 = &Figure{ID: "F-R4", Title: "End-to-end delay vs offered load (mean and p95)",
+	r4 := &Figure{ID: "F-R4", Title: "End-to-end delay vs offered load (mean and p95)",
 		XLabel: "pkt/s per flow", Metrics: []string{"delay-ms", "delay-p95-ms"}}
-	r7 = &Figure{ID: "F-R7", Title: "Normalized routing overhead vs offered load",
+	r7 := &Figure{ID: "F-R7", Title: "Normalized routing overhead vs offered load",
 		XLabel: "pkt/s per flow", Metrics: []string{"ctl/delivered", "rreq-tx"}}
 	for _, rate := range loadRates(p.cfg) {
 		for _, scheme := range schemeSet(p.cfg) {
@@ -122,16 +163,7 @@ func planR3R4R7(p *planner) (r3, r4, r7 *Figure) {
 			})
 		}
 	}
-	return r3, r4, r7
-}
-
-// FigR3R4R7 runs the offered-load sweep once and returns F-R3, F-R4 and
-// F-R7.
-func FigR3R4R7(cfg Config) (Figure, Figure, Figure, error) {
-	p := newPlanner(cfg)
-	r3, r4, r7 := planR3R4R7(p)
-	err := p.run()
-	return *r3, *r4, *r7, err
+	return []*Figure{r3, r4, r7}
 }
 
 // flowCounts returns the flow-count sweep of F-R5.
@@ -143,7 +175,7 @@ func flowCounts(cfg Config) []int {
 }
 
 // planR5 registers throughput versus the number of concurrent flows.
-func planR5(p *planner) *Figure {
+func planR5(p *planner) []*Figure {
 	f := &Figure{ID: "F-R5", Title: "Aggregate delivered throughput vs number of flows",
 		XLabel: "flows", Metrics: []string{"kbps", "pdr"}}
 	for _, flows := range flowCounts(p.cfg) {
@@ -158,21 +190,13 @@ func planR5(p *planner) *Figure {
 				})
 		}
 	}
-	return f
-}
-
-// FigR5 returns throughput versus the number of concurrent flows.
-func FigR5(cfg Config) (Figure, error) {
-	p := newPlanner(cfg)
-	f := planR5(p)
-	err := p.run()
-	return *f, err
+	return []*Figure{f}
 }
 
 // planR6 registers the load-balance comparison: the distribution of
 // per-node forwarding burden under the uniform and gateway (hotspot)
 // workloads. X encodes the workload: 0 = uniform, 1 = gateway.
-func planR6(p *planner) *Figure {
+func planR6(p *planner) []*Figure {
 	f := &Figure{ID: "F-R6", Title: "Forwarding load balance (0 = uniform workload, 1 = gateway hotspot)",
 		XLabel: "workload", Metrics: []string{"fwd-std", "fwd-max/mean", "pdr"}}
 	for _, gateway := range []bool{false, true} {
@@ -192,20 +216,12 @@ func planR6(p *planner) *Figure {
 				})
 		}
 	}
-	return f
-}
-
-// FigR6 returns the load-balance comparison figure.
-func FigR6(cfg Config) (Figure, error) {
-	p := newPlanner(cfg)
-	f := planR6(p)
-	err := p.run()
-	return *f, err
+	return []*Figure{f}
 }
 
 // planTabR2 registers the summary table at the default operating point:
 // every headline metric for every scheme (X = 0 for all points).
-func planTabR2(p *planner) *Figure {
+func planTabR2(p *planner) []*Figure {
 	f := &Figure{ID: "T-R2", Title: "Summary at the default operating point (10 flows × 8 pkt/s)",
 		XLabel: "-", Metrics: []string{"pdr", "delay-ms", "rreq-tx", "ctl/delivered", "fwd-max/mean", "discovery"}}
 	for _, scheme := range schemeSet(p.cfg) {
@@ -221,21 +237,13 @@ func planTabR2(p *planner) *Figure {
 				"discovery":     sim.MetricDiscovery,
 			})
 	}
-	return f
-}
-
-// TabR2 returns the summary table at the default operating point.
-func TabR2(cfg Config) (Figure, error) {
-	p := newPlanner(cfg)
-	f := planTabR2(p)
-	err := p.run()
-	return *f, err
+	return []*Figure{f}
 }
 
 // planR8 registers the CLNLR ablation: neighbourhood depth, Beta
 // (load-aware cost on/off) and Gamma (suppression aggressiveness) at a
 // loaded operating point. X indexes the variant.
-func planR8(p *planner) *Figure {
+func planR8(p *planner) []*Figure {
 	f := &Figure{ID: "F-R8", Title: "CLNLR ablation at 10 flows × 12 pkt/s (variants indexed)",
 		XLabel: "variant", Metrics: []string{"pdr", "delay-ms", "rreq-tx", "fwd-max/mean"}}
 	type variant struct {
@@ -271,15 +279,7 @@ func planR8(p *planner) *Figure {
 				"fwd-max/mean": sim.MetricForwardMax,
 			})
 	}
-	return f
-}
-
-// FigR8 returns the CLNLR ablation figure.
-func FigR8(cfg Config) (Figure, error) {
-	p := newPlanner(cfg)
-	f := planR8(p)
-	err := p.run()
-	return *f, err
+	return []*Figure{f}
 }
 
 // densityCounts returns the node-count sweep of F-R9 (fixed 1000×1000 m
@@ -293,7 +293,7 @@ func densityCounts(cfg Config) []int {
 
 // planR9 registers the density sweep: random topologies with increasing
 // node count in a fixed area.
-func planR9(p *planner) *Figure {
+func planR9(p *planner) []*Figure {
 	f := &Figure{ID: "F-R9", Title: "Random-topology density sweep (fixed 1000 m² area)",
 		XLabel: "nodes", Metrics: []string{"pdr", "rreq-tx", "delay-ms"}}
 	for _, n := range densityCounts(p.cfg) {
@@ -310,15 +310,7 @@ func planR9(p *planner) *Figure {
 				})
 		}
 	}
-	return f
-}
-
-// FigR9 returns the density sweep figure.
-func FigR9(cfg Config) (Figure, error) {
-	p := newPlanner(cfg)
-	f := planR9(p)
-	err := p.run()
-	return *f, err
+	return []*Figure{f}
 }
 
 // mobilitySpeeds returns the max-speed sweep of F-R10 (m/s).
@@ -333,7 +325,7 @@ func mobilitySpeeds(cfg Config) []float64 {
 // stresses link breakage, RERR propagation and re-discovery. (The paper's
 // mesh backbone is static; this reproduces the MANET-style robustness
 // sweep the authors' companion papers report.)
-func planR10(p *planner) *Figure {
+func planR10(p *planner) []*Figure {
 	f := &Figure{ID: "F-R10", Title: "Mobility extension: random waypoint, PDR/overhead vs max speed",
 		XLabel: "max speed (m/s)", Metrics: []string{"pdr", "rreq-tx", "delay-ms"}}
 	for _, speed := range mobilitySpeeds(p.cfg) {
@@ -349,15 +341,7 @@ func planR10(p *planner) *Figure {
 				})
 		}
 	}
-	return f
-}
-
-// FigR10 returns the mobility extension figure.
-func FigR10(cfg Config) (Figure, error) {
-	p := newPlanner(cfg)
-	f := planR10(p)
-	err := p.run()
-	return *f, err
+	return []*Figure{f}
 }
 
 // failureRates returns the node-churn sweep of F-R11 (expected crashes
@@ -375,7 +359,7 @@ func failureRates(cfg Config) []float64 {
 // sweep stresses RERR propagation, re-discovery and route repair around
 // dead relays. Sequence numbers persist across the restart (RFC 3561
 // §6.1), keeping recovered nodes loop-free.
-func planR11(p *planner) *Figure {
+func planR11(p *planner) []*Figure {
 	f := &Figure{ID: "F-R11", Title: "Resilience: node churn, PDR/overhead/delay vs failure rate",
 		XLabel: "failures per node-minute", Metrics: []string{"pdr", "ctl/delivered", "delay-ms"}}
 	for _, rate := range failureRates(p.cfg) {
@@ -394,15 +378,7 @@ func planR11(p *planner) *Figure {
 				})
 		}
 	}
-	return f
-}
-
-// FigR11 returns the resilience (node churn) figure.
-func FigR11(cfg Config) (Figure, error) {
-	p := newPlanner(cfg)
-	f := planR11(p)
-	err := p.run()
-	return *f, err
+	return []*Figure{f}
 }
 
 // TabR1 renders the simulation-parameter table (static configuration).
@@ -429,24 +405,4 @@ func TabR1() string {
 		sc.Gossip.P, sc.Gossip.K, sc.Counter.C,
 		sc.CLNLR.PBase, sc.CLNLR.PMin, sc.CLNLR.Gamma, sc.CLNLR.Beta,
 		sc.CLNLR.ReplyWindow, sc.CLNLR.HelloInterval)
-}
-
-// RunAll executes the whole suite on one planner: every figure's cells are
-// flattened into a single job set, so the worker pool stays saturated
-// across figure boundaries instead of draining at the tail of each sweep.
-func RunAll(cfg Config) ([]Figure, error) {
-	p := newPlanner(cfg)
-	r1, r2 := planR1R2(p)
-	r3, r4, r7 := planR3R4R7(p)
-	f5 := planR5(p)
-	f6 := planR6(p)
-	t2 := planTabR2(p)
-	f8 := planR8(p)
-	f9 := planR9(p)
-	f10 := planR10(p)
-	f11 := planR11(p)
-	// A *PartialError still carries every figure whose cells all succeeded;
-	// callers render what survived and report the rest.
-	err := p.run()
-	return []Figure{*r1, *r2, *r3, *r4, *r7, *f5, *f6, *t2, *f8, *f9, *f10, *f11}, err
 }

@@ -114,9 +114,11 @@ func buildCellReport(c *cell) CellReport {
 		Scheme:      string(c.sc.Scheme),
 		Seed:        c.sc.Seed,
 		Reps:        len(c.errs),
-		Retries:     c.retries,
 		Results:     c.results,
 		Discovery:   c.dres,
+	}
+	for _, n := range c.retries {
+		rep.Retries += n
 	}
 	if c.counters != nil {
 		sum := make(map[string]uint64)
@@ -145,24 +147,12 @@ func buildCellReport(c *cell) CellReport {
 	return rep
 }
 
-// readCellReport loads the full checkpointed CellReport for a label (the
-// counters and journey sections loadCellReport leaves on disk included).
-func readCellReport(dir, label string) (CellReport, bool) {
-	data, err := os.ReadFile(filepath.Join(dir, cellFileName(label)))
-	if err != nil {
-		return CellReport{}, false
-	}
-	var rep CellReport
-	if json.Unmarshal(data, &rep) != nil {
-		return CellReport{}, false
-	}
-	return rep, true
-}
-
 // loadCellReport loads c's checkpoint from dir if it exists, is complete
 // (all reps present) and matches the cell's identity — fingerprint, base
 // seed and replication count. On a match the stored replications are
-// installed into the cell and true is returned; any mismatch or read
+// installed into the cell, the parsed report (counters and journey
+// sections included) is kept as c.checkpoint, and true is returned; any
+// mismatch or read
 // error means "run it again" (false), never a hard failure, because a
 // stale checkpoint is indistinguishable from an absent one.
 func loadCellReport(dir string, c *cell, reps int) bool {
@@ -189,7 +179,7 @@ func loadCellReport(dir string, c *cell, reps int) bool {
 		}
 		c.results = rep.Results
 	}
-	c.loaded = true
+	c.checkpoint = &rep
 	return true
 }
 

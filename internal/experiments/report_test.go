@@ -14,7 +14,7 @@ func TestSweepProgressAndCellReports(t *testing.T) {
 	cfg.Progress = metrics.NewProgress()
 	cfg.ReportDir = t.TempDir()
 
-	f, err := FigR5(cfg)
+	f, err := runFig(cfg, "F-R5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestReportsDoNotPerturbFigures(t *testing.T) {
 	observed.Progress = metrics.NewProgress()
 	observed.ReportDir = t.TempDir()
 
-	fp, err := FigR5(plain)
+	fp, err := runFig(plain, "F-R5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo, err := FigR5(observed)
+	fo, err := runFig(observed, "F-R5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestReportsDoNotPerturbFigures(t *testing.T) {
 // and the manifest pins the sampling divisor.
 func TestJourneySweepReports(t *testing.T) {
 	plain := tinyConfig()
-	fp, err := FigR5(plain)
+	fp, err := runFig(plain, "F-R5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestJourneySweepReports(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.ReportDir = t.TempDir()
 	cfg.JourneyEveryN = 1
-	fj, err := FigR5(cfg)
+	fj, err := runFig(cfg, "F-R5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestJourneySweepReports(t *testing.T) {
 	// Resume from the checkpoints: bit-identical figure, nothing re-run.
 	resume := cfg
 	resume.Resume = true
-	fr, err := FigR5(resume)
+	fr, err := runFig(resume, "F-R5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestJourneySweepReports(t *testing.T) {
 	mismatch := cfg
 	mismatch.Resume = true
 	mismatch.JourneyEveryN = 2
-	if _, err := FigR5(mismatch); err == nil {
+	if _, err := runFig(mismatch, "F-R5"); err == nil {
 		t.Error("resume with mismatched journey divisor did not fail")
 	}
 }

@@ -3,9 +3,11 @@ package experiments
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -50,7 +52,7 @@ func countCellFiles(t *testing.T, dir string) int {
 // uninterrupted sweep produces, bit for bit, with the checkpointed cells
 // loaded rather than re-run.
 func TestInterruptedResumeBitIdentical(t *testing.T) {
-	baseline, err := FigR5(tinyConfig())
+	baseline, err := runFig(tinyConfig(), "F-R5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestInterruptedResumeBitIdentical(t *testing.T) {
 	var polls atomic.Int32
 	cfg.Interrupted = func() bool { return polls.Add(1) > 7 }
 
-	_, err = FigR5(cfg)
+	_, err = runFig(cfg, "F-R5")
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted sweep returned %v, want ErrInterrupted", err)
 	}
@@ -90,7 +92,7 @@ func TestInterruptedResumeBitIdentical(t *testing.T) {
 	resumed := tinyConfig()
 	resumed.ReportDir = dir
 	resumed.Resume = true
-	f, err := FigR5(resumed)
+	f, err := runFig(resumed, "F-R5")
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
@@ -112,7 +114,7 @@ func TestResumeRejectsMismatchedManifest(t *testing.T) {
 	dir := t.TempDir()
 	cfg := tinyConfig()
 	cfg.ReportDir = dir
-	if _, err := FigR5(cfg); err != nil {
+	if _, err := runFig(cfg, "F-R5"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,7 +122,7 @@ func TestResumeRejectsMismatchedManifest(t *testing.T) {
 	bad.Reps = cfg.Reps + 1
 	bad.ReportDir = dir
 	bad.Resume = true
-	_, err := FigR5(bad)
+	_, err := runFig(bad, "F-R5")
 	if err == nil {
 		t.Fatal("resume with a different replication count was accepted")
 	}
@@ -153,7 +155,7 @@ func TestWatchdogPoisonsStalledCell(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.StallBudget = 100 * time.Millisecond
 
-	f, err := FigR5(cfg)
+	f, err := runFig(cfg, "F-R5")
 	if err == nil {
 		t.Fatal("stalled replication reported no error")
 	}
@@ -168,9 +170,9 @@ func TestWatchdogPoisonsStalledCell(t *testing.T) {
 	if fail.Label != stalled || fail.Seed != 7 {
 		t.Errorf("poisoned cell is %q seed=%d, want %q seed=7", fail.Label, fail.Seed, stalled)
 	}
-	var crash *sim.PanicError
+	var crash *PanicError
 	if !errors.As(fail.Err, &crash) {
-		t.Fatalf("failure cause %T (%v), want *sim.PanicError", fail.Err, fail.Err)
+		t.Fatalf("failure cause %T (%v), want *PanicError", fail.Err, fail.Err)
 	}
 	if _, ok := crash.Value.(*des.StallError); !ok {
 		t.Errorf("panic value %T (%v), want *des.StallError", crash.Value, crash.Value)
@@ -186,12 +188,12 @@ func TestWatchdogPoisonsStalledCell(t *testing.T) {
 	}
 }
 
-// TestRetryHealsTransientCrash pins the bounded-retry pass: a replication
-// that panics once and then behaves is re-run on a fresh engine, the cell
-// completes with its retry counted in the checkpoint, and the figure is
-// bit-identical to a never-crashed sweep.
+// TestRetryHealsTransientCrash pins the bounded retry: a replication that
+// panics once and then behaves is re-run in place on a fresh engine, the
+// cell completes with its retry counted in the checkpoint, and the figure
+// is bit-identical to a never-crashed sweep.
 func TestRetryHealsTransientCrash(t *testing.T) {
-	baseline, err := FigR5(tinyConfig())
+	baseline, err := runFig(tinyConfig(), "F-R5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestRetryHealsTransientCrash(t *testing.T) {
 	cfg.ReportDir = dir
 	cfg.Retries = 2
 
-	f, err := FigR5(cfg)
+	f, err := runFig(cfg, "F-R5")
 	if err != nil {
 		t.Fatalf("retry did not heal the transient crash: %v", err)
 	}
@@ -223,5 +225,122 @@ func TestRetryHealsTransientCrash(t *testing.T) {
 	rep := readCellFile(t, dir, "F-R5 flows=15 clnlr")
 	if rep.Retries != 1 {
 		t.Errorf("healed cell recorded %d retries, want 1", rep.Retries)
+	}
+}
+
+// smallSpecs returns one short data-plane cell per scheme, base seed seed.
+func smallSpecs(seed uint64, schemes ...sim.Scheme) []CellSpec {
+	specs := make([]CellSpec, len(schemes))
+	for i, s := range schemes {
+		sc := baseScenario(tinyConfig()).WithScheme(s)
+		sc.Seed = seed
+		sc.Warmup = des.Second
+		sc.Measure = 3 * des.Second
+		sc.Flows = 4
+		specs[i] = CellSpec{Label: "small " + string(s), Scenario: sc}
+	}
+	return specs
+}
+
+// TestPoolRunsEveryJobOnce: the planner's pool runs every (cell, rep) job
+// exactly once, with one worker, with fewer workers than jobs and with
+// more workers than jobs.
+func TestPoolRunsEveryJobOnce(t *testing.T) {
+	var mu sync.Mutex
+	runs := map[string]int{}
+	sim.TestHookRun = func(sc sim.Scenario) {
+		mu.Lock()
+		runs[fmt.Sprintf("%s seed=%d", sc.Scheme, sc.Seed)]++
+		mu.Unlock()
+	}
+	defer func() { sim.TestHookRun = nil }()
+
+	const reps = 3
+	specs := smallSpecs(40, sim.SchemeFlood, sim.SchemeGossip, sim.SchemeCounter, sim.SchemeCLNLR)
+	for _, workers := range []int{1, 3, 64} {
+		clear(runs)
+		if _, err := RunCells(Config{Reps: reps, Workers: workers}, specs); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(runs) != len(specs)*reps {
+			t.Errorf("workers=%d: %d distinct jobs ran, want %d", workers, len(runs), len(specs)*reps)
+		}
+		for job, n := range runs {
+			if n != 1 {
+				t.Errorf("workers=%d: %s ran %d times", workers, job, n)
+			}
+		}
+	}
+}
+
+// TestRetryHealsConcurrentCrashesInPlace: two reps of one cell each crash
+// once, on two workers at the same time, and each is retried in place on
+// its own worker. The cell heals with both retries counted and the report
+// of a clean run. Under -race this also pins that the retry counts are per
+// replication: the two workers write them with nothing ordering the writes.
+func TestRetryHealsConcurrentCrashesInPlace(t *testing.T) {
+	specs := smallSpecs(20, sim.SchemeCLNLR)
+	base := specs[0].Scenario.Seed
+	cfg := Config{Reps: 2, Workers: 3, Retries: 1, ReportDir: t.TempDir()}
+	clean, err := RunCells(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// meet returns a two-party barrier: each caller blocks until both have
+	// arrived, or a deadline passes so a broken pool fails below instead of
+	// hanging. It orders only what comes after it, never the retry-count
+	// writes, which each worker makes between the two barriers.
+	meet := func() (wait func(), arrived func() int32) {
+		var n atomic.Int32
+		all := make(chan struct{})
+		return func() {
+			if n.Add(1) == 2 {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(5 * time.Second):
+			}
+		}, n.Load
+	}
+	// Both first attempts crash together, then both retries start together:
+	// the two workers count their retries at the same time, and the first to
+	// count is parked, its write still fresh, when the second counts. The
+	// race detector catches a shared count in most single rounds; three
+	// rounds make a miss unlikely.
+	defer func() { sim.TestHookRun = nil }()
+	for round := 0; round < 3; round++ {
+		crash, crashArrived := meet()
+		retry, retryArrived := meet()
+		var crashed [2]atomic.Bool
+		sim.TestHookRun = func(sc sim.Scenario) {
+			rep := sc.Seed - base
+			if rep >= 2 {
+				return
+			}
+			if crashed[rep].CompareAndSwap(false, true) {
+				crash()
+				panic("injected transient crash")
+			}
+			retry()
+		}
+		cfg.ReportDir = t.TempDir()
+		healed, err := RunCells(cfg, specs)
+		if err != nil {
+			t.Fatalf("in-place retries did not heal the crashes: %v", err)
+		}
+		if crashArrived() != 2 || retryArrived() != 2 {
+			t.Fatalf("%d crashes and %d retries met, want 2 and 2 on two workers", crashArrived(), retryArrived())
+		}
+		if healed[0].Retries != 2 {
+			t.Errorf("healed cell recorded %d retries, want 2", healed[0].Retries)
+		}
+		healed[0].Retries = 0
+		want, _ := json.Marshal(clean[0])
+		got, _ := json.Marshal(healed[0])
+		if string(got) != string(want) {
+			t.Errorf("healed cell differs from a clean run:\n--- healed\n%s\n--- clean\n%s", got, want)
+		}
 	}
 }

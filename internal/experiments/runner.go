@@ -3,9 +3,12 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clnlr/internal/des"
@@ -20,9 +23,13 @@ import (
 // with Config.Resume picks up exactly where this run stopped.
 var ErrInterrupted = errors.New("experiments: sweep interrupted; completed cells were checkpointed")
 
+// errNotRun marks a replication the pool skipped because the sweep was
+// interrupted before it started: unfinished work, not a failure.
+var errNotRun = errors.New("experiments: replication not run (sweep interrupted)")
+
 // CellFailure records one failed replication of one cell: which sweep
 // point, which seed, and why (an ordinary error or a recovered
-// *sim.PanicError carrying the goroutine stack).
+// *PanicError carrying the goroutine stack).
 type CellFailure struct {
 	Label string // cell label, e.g. "F-R11 rate=2 clnlr"
 	Seed  uint64 // the failing replication's seed
@@ -44,6 +51,28 @@ func (e *PartialError) Error() string {
 		fmt.Fprintf(&b, "\n  %s seed=%d: %v", f.Label, f.Seed, f.Err)
 	}
 	return b.String()
+}
+
+// PanicError wraps a panic recovered from one replication, preserving the
+// panic value and the goroutine stack at the point of failure.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("panic: %v\n%s", e.Value, e.Stack)
+}
+
+// runContained invokes fn, recovering a panic into a *PanicError: one
+// poisoned replication out of thousands must not take down a whole sweep.
+func runContained(fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
 }
 
 // planner is the cross-point experiment scheduler. Figure builders register
@@ -85,14 +114,14 @@ type cell struct {
 	// Config.JourneyEveryN additionally arms packet-journey tracing.
 	journeys []*journey.Agg
 	errs     []error
+	// retries counts, per replication, the re-attempts consumed healing
+	// crashes. It is per replication because two workers may retry reps
+	// of one cell at once; CellReport.Retries is the sum.
+	retries []int
 
-	// loaded marks a cell whose replications came from a resume
-	// checkpoint instead of running; skipped marks a cell with at least
-	// one replication that never ran because the sweep was interrupted.
-	// retries counts re-attempts consumed by the bounded retry pass.
-	loaded  bool
-	skipped bool
-	retries int
+	// checkpoint is the parsed resume checkpoint the cell's replications
+	// were loaded from instead of running; nil for a cell that ran.
+	checkpoint *CellReport
 
 	finalize func(*cell)
 }
@@ -127,50 +156,111 @@ func (p *planner) interrupted() bool {
 	return p.cfg.Interrupted != nil && p.cfg.Interrupted()
 }
 
-// runJob executes replication rep of c on eng, storing the result (and,
-// when col/rec are non-nil, the run's counter snapshot and journey
-// aggregate) into the cell's seed-ordered slices, and returns the run
-// error.
-func (p *planner) runJob(c *cell, rep int, eng *sim.Engine, col *metrics.Collector, rec *journey.Recorder) error {
-	sc := c.sc
-	sc.Seed += uint64(rep)
-	if c.discovery {
-		var err error
-		c.dres[rep], err = eng.RunDiscovery(sc, c.rounds, discoveryGap)
-		return err
-	}
-	if col != nil || rec != nil {
-		r, err := eng.RunJourney(sc, nil, col, rec)
-		c.results[rep] = r
-		if err == nil {
-			if col != nil {
-				c.counters[rep] = col.Counters().Map()
-			}
-			if rec != nil {
-				agg := journey.NewAgg(rec.EveryN())
-				rec.Aggregate(agg)
-				c.journeys[rep] = agg
-			}
+// worker is one pool goroutine's reusable state for its whole share of the
+// job set: a warm engine, which consecutive jobs reset in place instead of
+// rebuilding the network (results are bit-identical to cold runs — see the
+// sim.Engine determinism contract); with per-cell reports on, a warm
+// counters-only collector and journey recorder, whose contents each job
+// copies out after its run; and, with the watchdog armed, its progress
+// channel.
+type worker struct {
+	eng   *sim.Engine
+	col   *metrics.Collector
+	rec   *journey.Recorder
+	watch *des.Watch
+}
+
+func (p *planner) newWorker() *worker {
+	w := &worker{}
+	if p.cfg.ReportDir != "" {
+		w.col = metrics.NewCollector(0)
+		if p.cfg.JourneyEveryN > 0 {
+			w.rec = journey.NewRecorder(p.cfg.JourneyEveryN, true)
 		}
-		return err
 	}
-	var err error
-	c.results[rep], err = eng.Run(sc)
+	if p.cfg.StallBudget > 0 {
+		w.watch = new(des.Watch)
+	}
+	return w
+}
+
+// runJob runs replication rep of c on w. A crash — a panic, watchdog kills
+// included — is retried in place on a fresh engine with the same derived
+// seed, up to Config.Retries times with Config.RetryBackoff before each
+// attempt, until an interrupt stops it. A flaky failure heals, computing
+// exactly the result an uncrashed run would have; a deterministic one
+// fails every attempt and stays a poisoned cell.
+func (p *planner) runJob(w *worker, c *cell, rep int) error {
+	err := p.attempt(w, c, rep)
+	for range p.cfg.Retries {
+		var pe *PanicError
+		if !errors.As(err, &pe) || p.interrupted() {
+			break
+		}
+		if p.cfg.RetryBackoff > 0 {
+			time.Sleep(p.cfg.RetryBackoff)
+		}
+		c.retries[rep]++
+		err = p.attempt(w, c, rep)
+	}
 	return err
 }
 
-// watchStalls starts the watchdog monitor over the per-worker progress
+// attempt runs replication rep of c once on w, storing the result (and,
+// when w carries a collector, the run's counter snapshot and journey
+// aggregate) into the cell's seed-ordered slices, and returns the run
+// error or the recovered panic.
+func (p *planner) attempt(w *worker, c *cell, rep int) error {
+	return runContained(func() error {
+		eng := w.eng
+		if eng == nil {
+			eng = sim.NewEngine()
+			eng.SetWatch(w.watch)
+		}
+		// Leave the slot empty until the run returns: an engine that
+		// panicked mid-run holds arbitrary partial state and must not be
+		// reused warm.
+		w.eng = nil
+		if w.watch != nil {
+			w.watch.BeginJob()
+			defer w.watch.EndJob()
+		}
+		sc := c.sc
+		sc.Seed += uint64(rep)
+		var err error
+		switch {
+		case c.discovery:
+			c.dres[rep], err = eng.RunDiscovery(sc, c.rounds, discoveryGap)
+		case w.col != nil:
+			c.results[rep], err = eng.RunJourney(sc, nil, w.col, w.rec)
+			if err == nil {
+				c.counters[rep] = w.col.Counters().Map()
+				if w.rec != nil {
+					agg := journey.NewAgg(w.rec.EveryN())
+					w.rec.Aggregate(agg)
+					c.journeys[rep] = agg
+				}
+			}
+		default:
+			c.results[rep], err = eng.Run(sc)
+		}
+		w.eng = eng
+		return err
+	})
+}
+
+// watchStalls starts the watchdog monitor over the workers' progress
 // channels: a watch that is inside a job whose published simulated clock
 // has not moved for more than budget wall-clock time is aborted, which
 // makes the DES kernel panic with *des.StallError at its next progress
-// check — recovered by the pool's crash containment into a poisoned-cell
-// PanicError. The returned stop function terminates the monitor.
+// check — recovered by runContained into a poisoned-cell PanicError. The
+// returned stop function terminates the monitor.
 //
 // A handler that never returns control to the kernel cannot be killed
 // this way (see des.Watch); the watchdog targets the realistic failure
 // shape, zero-delay event livelock, where events keep executing but
 // simulated time stops advancing.
-func watchStalls(watches []*des.Watch, budget time.Duration) (stop func()) {
+func watchStalls(workers []*worker, budget time.Duration) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -188,7 +278,7 @@ func watchStalls(watches []*des.Watch, budget time.Duration) (stop func()) {
 			now   des.Time
 			since time.Time
 		}
-		last := make([]mark, len(watches))
+		last := make([]mark, len(workers))
 		t := time.NewTicker(tick)
 		defer t.Stop()
 		for {
@@ -198,14 +288,14 @@ func watchStalls(watches []*des.Watch, budget time.Duration) (stop func()) {
 			case <-t.C:
 			}
 			wall := time.Now()
-			for i, w := range watches {
-				gen, running, now, _ := w.Snapshot()
+			for i, w := range workers {
+				gen, running, now, _ := w.watch.Snapshot()
 				if !running || gen != last[i].gen || now != last[i].now {
 					last[i] = mark{gen: gen, now: now, since: wall}
 					continue
 				}
 				if wall.Sub(last[i].since) > budget {
-					w.Abort()
+					w.watch.Abort()
 				}
 			}
 		}
@@ -213,77 +303,17 @@ func watchStalls(watches []*des.Watch, budget time.Duration) (stop func()) {
 	return func() { close(done); wg.Wait() }
 }
 
-// runContained invokes fn with the same panic containment the worker pool
-// applies, so the sequential retry pass survives a retried replication
-// crashing again.
-func runContained(fn func() error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &sim.PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return fn()
-}
-
-// retryFailed is the bounded-retry pass: every replication that died by
-// panic (including watchdog kills) is re-attempted sequentially on a
-// fresh engine with the same derived seed, up to Config.Retries times
-// with Config.RetryBackoff between attempts. Determinism is preserved
-// because a successful retry computes exactly the result the original
-// run would have produced. watch, when non-nil, keeps the watchdog armed
-// over the retries.
-func (p *planner) retryFailed(watch *des.Watch) {
-	var col *metrics.Collector
-	var rec *journey.Recorder
-	if p.cfg.ReportDir != "" {
-		col = metrics.NewCollector(0)
-		if p.cfg.JourneyEveryN > 0 {
-			rec = journey.NewRecorder(p.cfg.JourneyEveryN, true)
-		}
-	}
-	for _, c := range p.cells {
-		cellCol, cellRec := col, rec
-		if c.discovery {
-			cellCol, cellRec = nil, nil
-		}
-		for r := range c.errs {
-			var pe *sim.PanicError
-			if !errors.As(c.errs[r], &pe) {
-				continue
-			}
-			for attempt := 0; attempt < p.cfg.Retries && c.errs[r] != nil; attempt++ {
-				if p.interrupted() {
-					return
-				}
-				if p.cfg.RetryBackoff > 0 {
-					time.Sleep(p.cfg.RetryBackoff)
-				}
-				c.retries++
-				eng := sim.NewEngine()
-				eng.SetWatch(watch)
-				c.errs[r] = runContained(func() error {
-					if watch != nil {
-						watch.BeginJob()
-						defer watch.EndJob()
-					}
-					return p.runJob(c, r, eng, cellCol, cellRec)
-				})
-			}
-		}
-	}
-}
-
 // run executes every registered cell's replications across one worker pool,
 // then finalizes cells in registration order. A failing replication — by
 // error or by recovered panic — does not abort the sweep: every remaining
-// job still runs (minus bounded retries of crashed ones), every cell whose
-// replications all succeeded is finalized normally, and the failures come
-// back aggregated in a *PartialError (in registration/seed order, not
-// completion order). With ReportDir set, clean cells are checkpointed
-// atomically as they complete the pass; with Resume, fingerprint-matched
-// checkpoints are loaded instead of re-run; with Interrupted, the pool
-// drains gracefully and ErrInterrupted is returned (joined with any
-// PartialError).
+// job still runs (crashed ones retried in place up to Config.Retries),
+// every cell whose replications all succeeded is finalized normally, and
+// the failures come back aggregated in a *PartialError (in
+// registration/seed order, not completion order). With ReportDir set,
+// clean cells are checkpointed atomically as they complete the pass; with
+// Resume, fingerprint-matched checkpoints are loaded instead of re-run;
+// with Interrupted, the pool drains gracefully and ErrInterrupted is
+// returned (joined with any PartialError).
 func (p *planner) run() error {
 	if p.cfg.Reps <= 0 {
 		return fmt.Errorf("experiments: non-positive replication count %d", p.cfg.Reps)
@@ -314,6 +344,7 @@ func (p *planner) run() error {
 			}
 		}
 		c.errs = make([]error, p.cfg.Reps)
+		c.retries = make([]int, p.cfg.Reps)
 		for r := 0; r < p.cfg.Reps; r++ {
 			jobs = append(jobs, job{c, r})
 		}
@@ -321,103 +352,44 @@ func (p *planner) run() error {
 			p.cfg.Progress.AddJobs(c.label, p.cfg.Reps)
 		}
 	}
-	// Each worker owns one warm engine for its whole share of the job
-	// set: consecutive jobs reuse the allocated network (resetting it in
-	// place) instead of rebuilding it per replication. Results are
-	// bit-identical to cold runs — see the sim.Engine determinism
-	// contract.
-	numWorkers := sim.ResolveWorkers(len(jobs), p.cfg.Workers)
-	engines := make([]*sim.Engine, numWorkers)
-	// One warm counters-only collector per worker when per-cell reports
-	// are on; each job copies its counter map out after the run.
-	var collectors []*metrics.Collector
-	if p.cfg.ReportDir != "" {
-		collectors = make([]*metrics.Collector, numWorkers)
+	// A bounded pool drains a shared atomic counter, so thousands of jobs
+	// cost a handful of goroutines. Each goroutine owns one worker, and
+	// each job writes only its own (cell, rep) slots, so nothing is locked.
+	n := p.cfg.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	// Likewise one warm journey recorder per worker: each job aggregates
-	// the recorder's contents into its own per-rep Agg before the worker
-	// moves on, and RunJourney's Begin recycles the recorder per run.
-	var recorders []*journey.Recorder
-	if p.cfg.ReportDir != "" && p.cfg.JourneyEveryN > 0 {
-		recorders = make([]*journey.Recorder, numWorkers)
+	workers := make([]*worker, min(n, len(jobs)))
+	for i := range workers {
+		workers[i] = p.newWorker()
 	}
-	// The watchdog gets one progress channel per worker plus one for the
-	// sequential retry pass. Each index of skipped is written by at most
-	// one worker and read only after the pool joins.
-	var watches []*des.Watch
-	if p.cfg.StallBudget > 0 && len(jobs) > 0 {
-		watches = make([]*des.Watch, numWorkers+1)
-		for i := range watches {
-			watches[i] = new(des.Watch)
-		}
-		stop := watchStalls(watches, p.cfg.StallBudget)
-		defer stop()
+	if p.cfg.StallBudget > 0 && len(workers) > 0 {
+		defer watchStalls(workers, p.cfg.StallBudget)()
 	}
-	skipped := make([]bool, len(jobs))
-	panics := sim.ParallelForWorkers(len(jobs), p.cfg.Workers, func(worker, i int) {
-		if p.interrupted() {
-			skipped[i] = true
-			return
-		}
-		eng := engines[worker]
-		if eng == nil {
-			eng = sim.NewEngine()
-			if watches != nil {
-				eng.SetWatch(watches[worker])
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(len(workers))
+	for _, w := range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+				j := jobs[i]
+				if p.interrupted() {
+					j.c.errs[j.rep] = errNotRun
+					continue
+				}
+				j.c.errs[j.rep] = p.runJob(w, j.c, j.rep)
+				if p.cfg.Progress != nil {
+					p.cfg.Progress.JobDone(j.c.label)
+				}
 			}
-		}
-		// Leave the slot empty until the run returns: an engine that
-		// panicked mid-run holds arbitrary partial state and must not be
-		// reused warm by this worker's next job.
-		engines[worker] = nil
-		j := jobs[i]
-		var col *metrics.Collector
-		if collectors != nil && !j.c.discovery {
-			col = collectors[worker]
-			if col == nil {
-				col = metrics.NewCollector(0)
-				collectors[worker] = col
-			}
-		}
-		var rec *journey.Recorder
-		if recorders != nil && !j.c.discovery {
-			rec = recorders[worker]
-			if rec == nil {
-				rec = journey.NewRecorder(p.cfg.JourneyEveryN, true)
-				recorders[worker] = rec
-			}
-		}
-		if watches != nil {
-			watches[worker].BeginJob()
-			defer watches[worker].EndJob()
-		}
-		j.c.errs[j.rep] = p.runJob(j.c, j.rep, eng, col, rec)
-		engines[worker] = eng
-		if p.cfg.Progress != nil {
-			p.cfg.Progress.JobDone(j.c.label)
-		}
-	})
-	for i, err := range panics {
-		if err != nil {
-			jobs[i].c.errs[jobs[i].rep] = err
-		}
+		}()
 	}
-	for i := range jobs {
-		if skipped[i] {
-			jobs[i].c.skipped = true
-		}
-	}
-	if p.cfg.Retries > 0 && !p.interrupted() {
-		var retryWatch *des.Watch
-		if watches != nil {
-			retryWatch = watches[numWorkers]
-		}
-		p.retryFailed(retryWatch)
-	}
+	wg.Wait()
 	var failures []CellFailure
 	interrupted := false
 	for _, c := range p.cells {
-		if c.skipped {
+		if slices.Contains(c.errs, errNotRun) {
 			// Some replications never ran: not a failure, just unfinished
 			// work a resumed sweep will pick up.
 			interrupted = true
@@ -434,7 +406,7 @@ func (p *planner) run() error {
 		}
 		if clean {
 			c.finalize(c)
-			if p.cfg.ReportDir != "" && !c.loaded {
+			if p.cfg.ReportDir != "" && c.checkpoint == nil {
 				if err := writeCellReport(p.cfg.ReportDir, c); err != nil {
 					failures = append(failures, CellFailure{Label: c.label, Seed: c.sc.Seed, Err: err})
 				}

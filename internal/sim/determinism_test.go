@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"clnlr/internal/des"
@@ -178,31 +177,4 @@ func TestGoldenDiscoveryMatchesReference(t *testing.T) {
 	if fast != slow {
 		t.Errorf("discovery indexed path diverges from reference:\n  fast %+v\n  ref  %+v", fast, slow)
 	}
-}
-
-// TestParallelForDrainsAllIndices exercises the counter-draining worker
-// pool shape directly (run under -race by the verify target): every index
-// runs once, on a worker index inside the resolved pool.
-func TestParallelForDrainsAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 64} {
-		const n = 257
-		var hits [n]atomic.Int32
-		var outside atomic.Int32
-		pool := ResolveWorkers(n, workers)
-		ParallelForWorkers(n, workers, func(w, i int) {
-			if w < 0 || w >= pool {
-				outside.Add(1)
-			}
-			hits[i].Add(1)
-		})
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d index %d ran %d times", workers, i, got)
-			}
-		}
-		if outside.Load() != 0 {
-			t.Fatalf("workers=%d: %d jobs ran on a worker index outside [0, %d)", workers, outside.Load(), pool)
-		}
-	}
-	ParallelForWorkers(0, 4, func(int, int) { t.Fatal("fn called for n=0") })
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 
 	"clnlr/internal/des"
@@ -103,41 +102,6 @@ func TestLinkImpairmentCostsDelivery(t *testing.T) {
 	if impaired.MACRetryDrops+impaired.MACQueueDrops <= clean.MACRetryDrops+clean.MACQueueDrops &&
 		impaired.PDR >= clean.PDR {
 		t.Fatalf("impairment left no observable footprint: %+v vs %+v", impaired, clean)
-	}
-}
-
-func TestParallelForWorkersContainsPanic(t *testing.T) {
-	const n = 8
-	ran := make([]bool, n)
-	errs := ParallelForWorkers(n, 1, func(_, i int) {
-		ran[i] = true
-		if i == 3 {
-			panic("injected")
-		}
-	})
-	if errs == nil {
-		t.Fatal("panic was not reported")
-	}
-	for i := 0; i < n; i++ {
-		if !ran[i] {
-			t.Errorf("index %d did not run after the panic at 3", i)
-		}
-		if i == 3 {
-			var pe *PanicError
-			if !errors.As(errs[i], &pe) {
-				t.Fatalf("index 3 error %T, want *PanicError", errs[i])
-			}
-			if pe.Value != "injected" || len(pe.Stack) == 0 {
-				t.Fatalf("panic error lost value or stack: %+v", pe)
-			}
-			continue
-		}
-		if errs[i] != nil {
-			t.Errorf("index %d has spurious error %v", i, errs[i])
-		}
-	}
-	if got := ParallelForWorkers(4, 2, func(_, _ int) {}); got != nil {
-		t.Fatalf("clean run returned errors %v", got)
 	}
 }
 

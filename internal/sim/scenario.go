@@ -1,9 +1,9 @@
 // Package sim is the experiment harness: it turns a declarative Scenario
 // into a built network, runs it with warm-up discipline, and extracts the
 // Result metrics the paper's figures plot. Independent replications and
-// sweep points fan out over a bounded worker pool (parallel.go) — the
-// "share nothing, merge results" pattern — while each individual run stays
-// strictly sequential and deterministic.
+// sweep points fan out over the experiments planner's bounded worker pool
+// — the "share nothing, merge results" pattern — while each individual run
+// stays strictly sequential and deterministic.
 package sim
 
 import (
@@ -13,7 +13,6 @@ import (
 	"clnlr/internal/des"
 	"clnlr/internal/fault"
 	"clnlr/internal/mac"
-	"clnlr/internal/node"
 	"clnlr/internal/radio"
 	"clnlr/internal/routing"
 	"clnlr/internal/routing/aodv"
@@ -308,13 +307,5 @@ func (s Scenario) agentSpec() routing.Spec {
 		return core.Spec(s.Routing, p)
 	default:
 		return aodv.Spec(s.Routing)
-	}
-}
-
-// agentFactory maps the scenario's scheme to a node.AgentFactory.
-func (s Scenario) agentFactory() node.AgentFactory {
-	spec := s.agentSpec()
-	return func(env routing.Env) *routing.Core {
-		return routing.New(env, spec.Cfg, spec.Policy())
 	}
 }

@@ -10,8 +10,8 @@ import "math"
 // (including zero and negatives) land in the underflow counter, samples at
 // or above hi in the overflow counter.
 //
-// Unlike the linear Histogram it also tracks the exact sum of in-range
-// samples, so Mean is available without a second accumulator, and it
+// It also tracks the exact sum of in-range samples, so Mean is available
+// without a second accumulator, and it
 // supports Merge (for folding per-replication histograms into a sweep
 // cell) and Reset (for warm reuse across runs).
 type LogHistogram struct {

@@ -119,73 +119,3 @@ func (tw *TimeWeighted) Avg(t int64) float64 {
 	}
 	return integral / float64(t-tw.startT)
 }
-
-// Histogram counts samples into fixed-width bins over [lo, hi); samples
-// outside the range land in the under/overflow counters.
-type Histogram struct {
-	lo, hi float64
-	width  float64
-	bins   []int64
-	under  int64
-	over   int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with n equal bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), bins: make([]int64, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.bins) { // guard FP edge at hi
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Count returns the number of samples recorded (including out-of-range).
-func (h *Histogram) Count() int64 { return h.total }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// NumBins returns the number of in-range bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
-
-// Quantile returns an approximation of the q-quantile (0≤q≤1) assuming
-// samples are uniform within bins. Out-of-range mass is attributed to the
-// range boundaries.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := q * float64(h.total)
-	cum := float64(h.under)
-	if target <= cum {
-		return h.lo
-	}
-	for i, c := range h.bins {
-		if cum+float64(c) >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		cum += float64(c)
-	}
-	return h.hi
-}

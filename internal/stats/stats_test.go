@@ -150,59 +150,6 @@ func TestTimeWeightedAutoStart(t *testing.T) {
 	}
 }
 
-func TestHistogramBasic(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Fatalf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-	}
-	h.Add(-1)
-	h.Add(10)
-	h.Add(100)
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("out of range (%d,%d), want (1,2)", under, over)
-	}
-	if h.Count() != 13 {
-		t.Fatalf("count %d", h.Count())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i%100) + 0.5)
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median %v of uniform[0,100) data", med)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Fatalf("q0 = %v", q)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, c := range []struct {
-		lo, hi float64
-		n      int
-	}{{0, 10, 0}, {5, 5, 3}, {10, 0, 3}} {
-		c := c
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%v,%v,%d) did not panic", c.lo, c.hi, c.n)
-				}
-			}()
-			NewHistogram(c.lo, c.hi, c.n)
-		}()
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{2, 4, 6, 8})
 	if s.N != 4 || s.Mean != 5 {

@@ -119,14 +119,3 @@ type Writer struct {
 func (w Writer) Record(r Record) {
 	fmt.Fprintln(w.W, r.String())
 }
-
-// Multi fans records out to several sinks.
-func Multi(sinks ...Sink) Sink { return multi(sinks) }
-
-type multi []Sink
-
-func (m multi) Record(r Record) {
-	for _, s := range m {
-		s.Record(r)
-	}
-}

@@ -76,16 +76,6 @@ func TestWriterSink(t *testing.T) {
 	}
 }
 
-func TestMultiSink(t *testing.T) {
-	a := NewBuffer(2)
-	b := NewBuffer(2)
-	m := Multi(a, b)
-	m.Record(rec(1, 1, "e"))
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatal("multi sink did not fan out")
-	}
-}
-
 func TestNewBufferPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -18,7 +18,9 @@
 # A second list runs the replication path — -reps and -discover, which
 # fan out through the experiments planner and print mean ± CI summaries
 # instead of writing a report — and cmp(1)s each side's printed summary
-# whole; all of those lines are static scenarios.
+# whole; all of those lines are static scenarios. A last block builds
+# cmd/experiments on both sides, runs three figures of the evaluation suite
+# with -out and -reports, and compares every file it writes and its stdout.
 # Exits non-zero, printing the first differing lines, on any mismatch.
 # The repo keeps no recorded goldens (every golden test is tier-vs-tier or
 # warm-vs-cold), so this is the check a PR that claims "no Result moved"
@@ -32,8 +34,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir "$tmp/src"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/parent" ./cmd/meshsim)
-(cd "$root" && go build -o "$tmp/change" ./cmd/meshsim)
+(cd "$tmp/src" && go build -o "$tmp/parent" ./cmd/meshsim && go build -o "$tmp/parent-experiments" ./cmd/experiments)
+(cd "$root" && go build -o "$tmp/change" ./cmd/meshsim && go build -o "$tmp/change-experiments" ./cmd/experiments)
 
 # One scenario per line; the five schemes at the default 7×7 grid come
 # first. The -config overlays (read from the working tree on both sides,
@@ -130,4 +132,22 @@ for i in "${!summaries[@]}"; do
 	fi
 	echo "$verdict  summary  meshsim $args"
 done
+
+# The evaluation suite: cmd/experiments over a discovery sweep, a
+# data-plane sweep and the summary table, with per-figure CSVs (-out) and
+# per-cell reports (-reports). Each side runs in its own directory under
+# the same relative paths, so every CSV, manifest.json, every cell report
+# and stdout (minus its timing line) must match byte for byte.
+suite="-quick -reps 2 -fig F-R1,F-R5,T-R2"
+for side in parent change; do
+	mkdir "$tmp/suite.$side"
+	# shellcheck disable=SC2086 # suite is a flag list, split on purpose
+	(cd "$tmp/suite.$side" && "$tmp/$side-experiments" $suite -out D -reports R | grep -v '^suite completed in' >stdout.txt)
+done
+verdict=identical
+if ! diff -rq "$tmp/suite.parent" "$tmp/suite.change"; then
+	verdict=DIFFERENT
+	status=1
+fi
+echo "$verdict  suite  experiments $suite -out D -reports R ($(find "$tmp/suite.change" -type f | wc -l) files)"
 exit $status
