@@ -31,9 +31,7 @@ func main() {
 	master := rng.New(42)
 	nodes := node.BuildNetwork(simk, medium, positions,
 		radio.DefaultParams(), mac.DefaultConfig(), master,
-		func(env routing.Env) *routing.Core {
-			return core.New(env, core.DefaultParams())
-		})
+		core.Spec(routing.DefaultConfig(), core.DefaultParams()))
 	node.StartAll(nodes)
 
 	// 3. One CBR flow corner to corner (a 4+ hop path), measured after a

@@ -84,18 +84,20 @@ func DefaultParams() Params {
 	}
 }
 
+// DensityOnly returns the load-blind point of the forwarding rule, the
+// gossip-adaptive scheme: Gamma 0 and Beta 0 switch the load term off in
+// p and in the path cost, RetryBoost 0 and ReplyWindow 0 leave plain
+// first-RREQ-wins discovery, and what remains is density-adaptive gossip,
+// p = clamp(0.4, 1, 0.7·dens(n)). HELLOs still run, every helloInterval,
+// so dens(n) has neighbour counts to read.
+func DensityOnly(helloInterval des.Time) Params {
+	return Params{PMin: 0.4, PMax: 1, PBase: 0.7, DegRef: 6, DensCap: 1.6, HelloInterval: helloInterval}
+}
+
 // Policy implements routing.RREQPolicy with the CLNLR forwarding rule.
 // One instance per node.
 type Policy struct {
 	params Params
-}
-
-// Name implements routing.RREQPolicy.
-func (p *Policy) Name() string {
-	if p.params.TwoHop {
-		return "clnlr-2hop"
-	}
-	return "clnlr"
 }
 
 // Params returns the policy's parameters.
@@ -172,20 +174,11 @@ func (p *Policy) CostIncrement(c *routing.Core) float64 {
 	return 1 + p.params.Beta*c.NeighborhoodLoad(p.params.TwoHop)
 }
 
-// New builds a CLNLR agent with the shared default routing configuration.
-func New(env routing.Env, params Params) *routing.Core {
-	return NewWithConfig(env, routing.DefaultConfig(), params)
-}
-
-// NewWithConfig builds a CLNLR agent, overriding the shared configuration
-// with CLNLR's cross-layer requirements (HELLO beacons on, reply window).
-func NewWithConfig(env routing.Env, cfg routing.Config, params Params) *routing.Core {
-	s := Spec(cfg, params)
-	return routing.New(env, s.Cfg, s.Policy())
-}
-
-// Spec returns CLNLR's effective configuration and per-run policy
-// constructor (used by warm replication reuse to reset cores in place).
+// Spec returns the routing.Spec of CLNLR at params: the shared
+// configuration with CLNLR's cross-layer requirements applied (HELLO
+// beacons on at params.HelloInterval, two-hop tables if params.TwoHop,
+// the reply window) and one Policy per node. It panics on params that
+// Validate rejects.
 func Spec(cfg routing.Config, params Params) routing.Spec {
 	if err := Validate(params); err != nil {
 		panic(err)

@@ -9,11 +9,6 @@ import (
 	"clnlr/internal/routing"
 )
 
-// envZero and cfgZero supply inert arguments for constructor-panic tests;
-// Validate must fire before either is touched.
-func envZero() routing.Env    { return routing.Env{} }
-func cfgZero() routing.Config { return routing.Config{} }
-
 func TestDefaultParamsValid(t *testing.T) {
 	if err := Validate(DefaultParams()); err != nil {
 		t.Fatalf("default params invalid: %v", err)
@@ -117,19 +112,31 @@ func TestCostIncrementRange(t *testing.T) {
 	}
 }
 
-func TestPolicyNames(t *testing.T) {
-	one := &Policy{params: DefaultParams()}
-	if one.Name() != "clnlr" {
-		t.Fatalf("name %q", one.Name())
+// TestAdaptiveProbabilityShape pins the gossip-adaptive scheme, CLNLR at
+// DensityOnly, to the density-adaptive gossip rule it replaced,
+// p = clamp(0.4, 1, 0.7·min(1.6, √(6/n))) with the cap at n = 0: the same
+// p, bit for bit, at every neighbour count and whatever the load.
+func TestAdaptiveProbabilityShape(t *testing.T) {
+	params := DensityOnly(des.Second)
+	if err := Validate(params); err != nil {
+		t.Fatalf("DensityOnly invalid: %v", err)
 	}
-	p2 := DefaultParams()
-	p2.TwoHop = true
-	two := &Policy{params: p2}
-	if two.Name() != "clnlr-2hop" {
-		t.Fatalf("name %q", two.Name())
+	pol := &Policy{params: params}
+	for n := 0; n <= 20; n++ {
+		dens := 1.6
+		if n > 0 {
+			dens = math.Min(1.6, math.Sqrt(6/float64(n)))
+		}
+		want := math.Max(0.4, math.Min(1, 0.7*dens))
+		for _, nl := range []float64{0, 0.25, 0.5, 1} {
+			if got := pol.ForwardProbability(nl, n); got != want {
+				t.Fatalf("p(nl=%v, n=%d) = %v, want %v", nl, n, got, want)
+			}
+		}
 	}
-	if one.Params().TwoHop {
-		t.Fatal("params accessor mismatch")
+	if !(pol.ForwardProbability(0, 2) > pol.ForwardProbability(0, 6) &&
+		pol.ForwardProbability(0, 6) > pol.ForwardProbability(0, 16)) {
+		t.Fatal("density adaptation broken: p does not fall with neighbour count")
 	}
 }
 
@@ -153,14 +160,16 @@ func TestQuickForwardProbabilityMonotone(t *testing.T) {
 	}
 }
 
+// TestNewPanicsOnInvalidParams: Spec, the one way to build CLNLR agents,
+// panics on params Validate rejects (sim.Scenario.Validate checks them
+// first, so a scenario never reaches the panic).
 func TestNewPanicsOnInvalidParams(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New with invalid params did not panic")
+			t.Fatal("Spec with invalid params did not panic")
 		}
 	}()
 	p := DefaultParams()
 	p.PMin = 2
-	// env is zero-valued; the panic must happen before it is used.
-	NewWithConfig(envZero(), cfgZero(), p)
+	Spec(routing.Config{}, p)
 }

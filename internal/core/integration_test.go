@@ -20,7 +20,7 @@ func buildCLNLR(seed uint64, params core.Params, positions []geom.Point) (*des.S
 	medium := radio.NewMedium(sim, radio.NewTwoRay(914e6, 1.5, 1.5))
 	nodes := node.BuildNetwork(sim, medium, positions,
 		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed),
-		func(env routing.Env) *routing.Core { return core.New(env, params) })
+		core.Spec(routing.DefaultConfig(), params))
 	node.StartAll(nodes)
 	return sim, nodes
 }
@@ -111,6 +111,44 @@ func TestCostIncrementReflectsLoad(t *testing.T) {
 	maxCost := 1 + pol.Params().Beta
 	if loadedCost > maxCost {
 		t.Fatalf("cost increment %.3f exceeds 1+Beta=%.1f", loadedCost, maxCost)
+	}
+}
+
+// TestAdaptiveDeliversOnChain: the gossip-adaptive point beacons (so its
+// density term has neighbour counts) and discovers across a chain.
+func TestAdaptiveDeliversOnChain(t *testing.T) {
+	sim, nodes := buildCLNLR(5, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 4, 200))
+	sim.Schedule(3*des.Second, func() { // after HELLOs establish degrees
+		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, 0, sim.Now(), 30))
+	})
+	sim.RunUntil(15 * des.Second)
+	if nodes[3].Agent.Ctr.DataDelivered != 1 {
+		t.Fatal("adaptive gossip failed on a chain")
+	}
+	if nodes[1].Agent.Ctr.HelloSent == 0 {
+		t.Fatal("adaptive gossip did not beacon")
+	}
+}
+
+// TestDensityOnlyCostIgnoresLoad: at the gossip-adaptive point the path
+// cost is hop count, exactly 1 per node, even where the neighbourhood is
+// loaded (Beta 0).
+func TestDensityOnlyCostIgnoresLoad(t *testing.T) {
+	sim, nodes := buildCLNLR(7, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 3, 200))
+	tick := des.NewTicker(sim, 3*des.Millisecond, func() {
+		nodes[0].Agent.Send(pkt.NewData(0, 1, 1000, 0, 0, sim.Now(), 30))
+	})
+	tick.Start(5 * des.Second)
+	agent := nodes[1].Agent
+	pol := agent.Policy().(*core.Policy)
+	for _, at := range []des.Time{4 * des.Second, 15 * des.Second} {
+		sim.RunUntil(at)
+		if c := pol.CostIncrement(agent); c != 1 {
+			t.Fatalf("at %v: cost increment %v at NL %v, want exactly 1", at, c, agent.NeighborhoodLoad(false))
+		}
+	}
+	if nl := agent.NeighborhoodLoad(false); nl <= 0.05 {
+		t.Fatalf("saturating traffic left NL at %v: the load-blind check proved nothing", nl)
 	}
 }
 

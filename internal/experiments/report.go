@@ -86,17 +86,22 @@ func cellFileName(label string) string {
 
 // atomicWriteJSON writes v as indented JSON to path via a same-directory
 // temp file and rename, so readers (and resumed sweeps) never observe a
-// torn file — a checkpoint either exists complete or not at all.
+// torn file — a checkpoint either exists complete or not at all. A failed
+// write or rename removes the temp file.
 func atomicWriteJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
+	err = os.WriteFile(tmp, append(data, '\n'), 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	return os.Rename(tmp, path)
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // writeCellReport checkpoints one clean, complete cell into dir.

@@ -183,6 +183,23 @@ func TestJourneySweepReports(t *testing.T) {
 	}
 }
 
+// TestAtomicWriteJSONLeavesNoTempFile: when the rename cannot land (a
+// directory sits at the target path) the error surfaces and the temp
+// file is gone.
+func TestAtomicWriteJSONLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cell.json")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := atomicWriteJSON(path, CellReport{Label: "x"}); err == nil {
+		t.Fatal("atomicWriteJSON onto a directory succeeded")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+		t.Fatalf("failed write left %v behind", left)
+	}
+}
+
 func TestCellFileName(t *testing.T) {
 	got := cellFileName("F-R3/4/7 rate=8 clnlr-2hop")
 	if got != "F-R3_4_7_rate_8_clnlr-2hop.json" {

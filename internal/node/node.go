@@ -47,11 +47,8 @@ func (n *Node) Recover() {
 	n.Radio.SetDown(false)
 }
 
-// AgentFactory builds a routing agent for one node (schemes provide
-// closures over their parameters).
-type AgentFactory func(env routing.Env) *routing.Core
-
-// BuildNetwork attaches one full stack per position to the medium. The
+// BuildNetwork attaches one full stack per position to the medium, each
+// node running the scheme spec describes (one spec.Policy() per node). The
 // master RNG seeds independent per-node streams for the MAC (backoff) and
 // the routing agent (jitter, probabilistic forwarding), so runs are
 // reproducible.
@@ -62,7 +59,7 @@ func BuildNetwork(
 	radioParams radio.Params,
 	macCfg mac.Config,
 	master *rng.Source,
-	factory AgentFactory,
+	spec routing.Spec,
 ) []*Node {
 	nodes := make([]*Node, len(positions))
 	for i, pos := range positions {
@@ -86,7 +83,7 @@ func BuildNetwork(
 			Pos:   pos,
 			Radio: r,
 			Mac:   m,
-			Agent: factory(env),
+			Agent: routing.New(env, spec.Cfg, spec.Policy()),
 		}
 	}
 	// Node IDs are dense 0..N-1 and N is known here: size every dense

@@ -20,7 +20,7 @@ func build(seed uint64, n int) (*des.Sim, []*Node) {
 	nodes := BuildNetwork(simk, medium,
 		geom.ChainPlacement(geom.Point{}, n, 200),
 		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed),
-		func(env routing.Env) *routing.Core { return aodv.New(env) })
+		aodv.Spec(routing.DefaultConfig()))
 	return simk, nodes
 }
 
@@ -119,7 +119,7 @@ func TestLoadClockPrecedesAgents(t *testing.T) {
 		cfg.LoadSampleInterval = interval
 		nodes := BuildNetwork(simk, medium, geom.ChainPlacement(geom.Point{}, 2, 200),
 			radio.DefaultParams(), cfg, rng.New(seed),
-			func(env routing.Env) *routing.Core { return core.New(env, core.DefaultParams()) })
+			core.Spec(routing.DefaultConfig(), core.DefaultParams()))
 		StartAll(nodes)
 		return simk, nodes
 	}

@@ -12,9 +12,6 @@ import (
 // Policy implements blind flooding.
 type Policy struct{}
 
-// Name implements routing.RREQPolicy.
-func (Policy) Name() string { return "flood" }
-
 // OnRREQ implements routing.RREQPolicy: rebroadcast first copies, drop
 // duplicates.
 func (Policy) OnRREQ(c *routing.Core, p *pkt.Packet, from pkt.NodeID, first bool) {
@@ -26,20 +23,8 @@ func (Policy) OnRREQ(c *routing.Core, p *pkt.Packet, from pkt.NodeID, first bool
 // CostIncrement implements routing.RREQPolicy: hop count.
 func (Policy) CostIncrement(*routing.Core) float64 { return 1 }
 
-// New builds an AODV agent with the shared default configuration.
-func New(env routing.Env) *routing.Core {
-	return NewWithConfig(env, routing.DefaultConfig())
-}
-
-// NewWithConfig builds an AODV agent with explicit shared configuration
-// (the policy itself has no knobs).
-func NewWithConfig(env routing.Env, cfg routing.Config) *routing.Core {
-	s := Spec(cfg)
-	return routing.New(env, s.Cfg, s.Policy())
-}
-
 // Spec returns the scheme's effective configuration and per-run policy
-// constructor (used by warm replication reuse to reset cores in place).
+// constructor, from which networks are built and warm ones reset.
 func Spec(cfg routing.Config) routing.Spec {
 	cfg.ReplyWindow = 0
 	return routing.Spec{Cfg: cfg, Policy: func() routing.RREQPolicy { return Policy{} }}

@@ -20,15 +20,9 @@ func buildChain(n int) (*des.Sim, []*node.Node) {
 	nodes := node.BuildNetwork(simk, medium,
 		geom.ChainPlacement(geom.Point{}, n, 200),
 		radio.DefaultParams(), mac.DefaultConfig(), rng.New(5),
-		func(env routing.Env) *routing.Core { return aodv.New(env) })
+		aodv.Spec(routing.DefaultConfig()))
 	node.StartAll(nodes)
 	return simk, nodes
-}
-
-func TestPolicyName(t *testing.T) {
-	if (aodv.Policy{}).Name() != "flood" {
-		t.Fatalf("name %q", aodv.Policy{}.Name())
-	}
 }
 
 func TestCostIncrementIsHopCount(t *testing.T) {

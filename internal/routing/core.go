@@ -93,10 +93,11 @@ type replyWait struct {
 	best replyCandidate
 }
 
-// Spec bundles a scheme's routing configuration with a constructor for
-// its per-run policy. Policies may carry mutable per-run state (the
-// counter scheme's assessment map, for example), so warm replication
-// reuse rebuilds the policy for every run while resetting everything
+// Spec is a scheme: its routing configuration plus a constructor for its
+// per-node, per-run policy. node.BuildNetwork builds agents from it and
+// node.ResetNetwork resets warm ones against it. Policies may carry
+// mutable per-run state (the counter scheme's assessment map, for
+// example), so a reset rebuilds the policy while resetting everything
 // else in place.
 type Spec struct {
 	Cfg    Config

@@ -7,6 +7,9 @@
 package counter
 
 import (
+	"fmt"
+	"math"
+
 	"clnlr/internal/des"
 	"clnlr/internal/pkt"
 	"clnlr/internal/routing"
@@ -26,6 +29,14 @@ func DefaultParams() Params {
 	return Params{C: 3, RADMax: 10 * des.Millisecond}
 }
 
+// Validate checks that a RAD can be drawn from [0, RADMax].
+func Validate(p Params) error {
+	if p.RADMax < 0 || p.RADMax == math.MaxInt64 {
+		return fmt.Errorf("counter: RADMax %v outside [0, MaxInt64)", p.RADMax)
+	}
+	return nil
+}
+
 type floodKey struct {
 	origin pkt.NodeID
 	id     uint32
@@ -42,9 +53,6 @@ type Policy struct {
 	params  Params
 	pending map[floodKey]*assessment
 }
-
-// Name implements routing.RREQPolicy.
-func (p *Policy) Name() string { return "counter" }
 
 // OnRREQ implements routing.RREQPolicy.
 func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first bool) {
@@ -79,22 +87,11 @@ func (p *Policy) CostIncrement(*routing.Core) float64 { return 1 }
 // in-progress assessment.
 func (p *Policy) HeldPackets() int { return len(p.pending) }
 
-// New builds a counter-based agent with shared default configuration.
-func New(env routing.Env, params Params) *routing.Core {
-	return NewWithConfig(env, routing.DefaultConfig(), params)
-}
-
-// NewWithConfig builds a counter-based agent with explicit shared
-// configuration.
-func NewWithConfig(env routing.Env, cfg routing.Config, params Params) *routing.Core {
-	s := Spec(cfg, params)
-	return routing.New(env, s.Cfg, s.Policy())
-}
-
 // Spec returns the scheme's effective configuration and per-run policy
-// constructor. The policy carries mutable per-flood assessment state, so
-// warm replication reuse must build a fresh one every run — exactly what
-// the Policy closure provides.
+// constructor, from which networks are built and warm ones reset. The
+// policy carries mutable per-flood assessment state, so a warm reset
+// must build a fresh one every run — exactly what the Policy closure
+// provides.
 func Spec(cfg routing.Config, params Params) routing.Spec {
 	cfg.ReplyWindow = 0
 	return routing.Spec{Cfg: cfg, Policy: func() routing.RREQPolicy {

@@ -19,7 +19,7 @@ func build(positions []geom.Point, params counter.Params, seed uint64) (*des.Sim
 	medium := radio.NewMedium(simk, radio.NewTwoRay(914e6, 1.5, 1.5))
 	nodes := node.BuildNetwork(simk, medium, positions,
 		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed),
-		func(env routing.Env) *routing.Core { return counter.New(env, params) })
+		counter.Spec(routing.DefaultConfig(), params))
 	node.StartAll(nodes)
 	return simk, nodes
 }
@@ -99,8 +99,8 @@ func TestPolicyMeta(t *testing.T) {
 	simk, nodes := build(geom.ChainPlacement(geom.Point{}, 2, 200),
 		counter.DefaultParams(), 1)
 	_ = simk
-	if nodes[0].Agent.Policy().Name() != "counter" {
-		t.Fatalf("name %q", nodes[0].Agent.Policy().Name())
+	if _, ok := nodes[0].Agent.Policy().(*counter.Policy); !ok {
+		t.Fatalf("policy %T", nodes[0].Agent.Policy())
 	}
 	if nodes[0].Agent.Policy().CostIncrement(nodes[0].Agent) != 1 {
 		t.Fatal("counter cost increment must be 1")

@@ -6,15 +6,18 @@
 // information.
 //
 // The schemes under comparison (flood/AODV, gossip, counter-based, and the
-// paper's CLNLR in internal/core) differ only in two pluggable points:
+// paper's CLNLR in internal/core, of which gossip-adaptive is one
+// parameter point) differ only in two pluggable points:
 //
 //   - RREQPolicy: whether/when to rebroadcast a received RREQ, and each
 //     node's additive contribution to the accumulated path cost;
 //   - Config.ReplyWindow: 0 for classic first-RREQ-wins replies, >0 for
 //     CLNLR's collect-and-reply-to-minimum-cost behaviour.
 //
-// Everything else is deliberately identical so experiment differences are
-// attributable to the scheme, not the plumbing.
+// A scheme is a Spec, its effective Config plus a Policy constructor;
+// each scheme package's Spec function is the only way to build its
+// agents. Everything else is deliberately identical so experiment
+// differences are attributable to the scheme, not the plumbing.
 package routing
 
 import (
@@ -49,10 +52,9 @@ type Env struct {
 	Journey *journey.Recorder
 }
 
-// RREQPolicy is the per-scheme RREQ handling hook.
+// RREQPolicy is the per-scheme RREQ handling hook. It carries no name:
+// a scheme is named by the harness (sim.Scheme) that picks its Spec.
 type RREQPolicy interface {
-	// Name identifies the scheme in reports.
-	Name() string
 	// OnRREQ is invoked for every intact RREQ copy arriving at a node
 	// that is neither its origin nor its target, after reverse-route
 	// bookkeeping. first is true for the first copy of this flood seen

@@ -141,7 +141,6 @@ func TestNeighborTableRemoveClearsSlot(t *testing.T) {
 // originate or forward floods.
 type nopPolicy struct{}
 
-func (nopPolicy) Name() string                                { return "nop" }
 func (nopPolicy) OnRREQ(*Core, *pkt.Packet, pkt.NodeID, bool) {}
 func (nopPolicy) CostIncrement(*Core) float64                 { return 1 }
 

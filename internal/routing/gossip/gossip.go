@@ -2,7 +2,8 @@
 // (GOSSIP1(p,k) of Haas, Halpern & Li): each node rebroadcasts the first
 // copy of a flood with probability P, except within the first K hops where
 // forwarding is certain so the flood reliably leaves the origin's
-// vicinity.
+// vicinity. The density-adaptive variant, the gossip-adaptive scheme, is
+// CLNLR's own rule with its load terms off: core.DensityOnly.
 package gossip
 
 import (
@@ -27,9 +28,6 @@ type Policy struct {
 	params Params
 }
 
-// Name implements routing.RREQPolicy.
-func (p *Policy) Name() string { return "gossip" }
-
 // OnRREQ implements routing.RREQPolicy.
 func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first bool) {
 	if !first {
@@ -45,19 +43,8 @@ func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first 
 // CostIncrement implements routing.RREQPolicy: hop count.
 func (p *Policy) CostIncrement(*routing.Core) float64 { return 1 }
 
-// New builds a gossip agent with shared default routing configuration.
-func New(env routing.Env, params Params) *routing.Core {
-	return NewWithConfig(env, routing.DefaultConfig(), params)
-}
-
-// NewWithConfig builds a gossip agent with explicit shared configuration.
-func NewWithConfig(env routing.Env, cfg routing.Config, params Params) *routing.Core {
-	s := Spec(cfg, params)
-	return routing.New(env, s.Cfg, s.Policy())
-}
-
 // Spec returns the scheme's effective configuration and per-run policy
-// constructor (used by warm replication reuse to reset cores in place).
+// constructor, from which networks are built and warm ones reset.
 func Spec(cfg routing.Config, params Params) routing.Spec {
 	cfg.ReplyWindow = 0
 	return routing.Spec{Cfg: cfg, Policy: func() routing.RREQPolicy { return &Policy{params: params} }}

@@ -20,7 +20,7 @@ func buildChain(n int, params gossip.Params, seed uint64) (*des.Sim, []*node.Nod
 	nodes := node.BuildNetwork(simk, medium,
 		geom.ChainPlacement(geom.Point{}, n, 200),
 		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed),
-		func(env routing.Env) *routing.Core { return gossip.New(env, params) })
+		gossip.Spec(routing.DefaultConfig(), params))
 	node.StartAll(nodes)
 	return simk, nodes
 }
@@ -95,50 +95,7 @@ func TestCostIncrement(t *testing.T) {
 	if nodes[0].Agent.Policy().CostIncrement(nodes[0].Agent) != 1 {
 		t.Fatal("gossip cost increment must be 1")
 	}
-	if nodes[0].Agent.Policy().Name() != "gossip" {
-		t.Fatalf("name %q", nodes[0].Agent.Policy().Name())
-	}
-}
-
-func TestAdaptiveProbabilityShape(t *testing.T) {
-	pol := gossip.NewAdaptivePolicy(gossip.DefaultAdaptiveParams())
-	sparse := pol.Probability(2)
-	ref := pol.Probability(6)
-	dense := pol.Probability(16)
-	if !(sparse >= ref && ref >= dense) {
-		t.Fatalf("density adaptation broken: %v %v %v", sparse, ref, dense)
-	}
-	params := gossip.DefaultAdaptiveParams()
-	for _, n := range []int{0, 1, 6, 50} {
-		v := pol.Probability(n)
-		if v < params.PMin || v > params.PMax {
-			t.Fatalf("Probability(%d) = %v outside clamps", n, v)
-		}
-	}
-}
-
-func TestAdaptiveDeliversOnChain(t *testing.T) {
-	simk := des.NewSim()
-	medium := radio.NewMedium(simk, radio.NewTwoRay(914e6, 1.5, 1.5))
-	nodes := node.BuildNetwork(simk, medium,
-		geom.ChainPlacement(geom.Point{}, 4, 200),
-		radio.DefaultParams(), mac.DefaultConfig(), rng.New(5),
-		func(env routing.Env) *routing.Core {
-			return gossip.NewAdaptive(env, gossip.DefaultAdaptiveParams())
-		})
-	node.StartAll(nodes)
-	simk.Schedule(3*des.Second, func() { // after HELLOs establish degrees
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, 0, simk.Now(), 30))
-	})
-	simk.RunUntil(15 * des.Second)
-	if nodes[3].Agent.Ctr.DataDelivered != 1 {
-		t.Fatal("adaptive gossip failed on a chain")
-	}
-	if nodes[0].Agent.Policy().Name() != "gossip-adaptive" {
-		t.Fatalf("name %q", nodes[0].Agent.Policy().Name())
-	}
-	// Chain ends have degree 1 → boosted probability; nodes beacon.
-	if nodes[1].Agent.Ctr.HelloSent == 0 {
-		t.Fatal("adaptive gossip did not beacon")
+	if _, ok := nodes[0].Agent.Policy().(*gossip.Policy); !ok {
+		t.Fatalf("policy %T", nodes[0].Agent.Policy())
 	}
 }

@@ -20,43 +20,41 @@ import (
 	"clnlr/internal/traffic"
 )
 
-// schemes returns a factory per scheme under test.
-func schemes() map[string]node.AgentFactory {
-	return map[string]node.AgentFactory{
-		"flood": aodv.New,
-		"gossip": func(env routing.Env) *routing.Core {
-			return gossip.New(env, gossip.DefaultParams())
-		},
-		"counter": func(env routing.Env) *routing.Core {
-			return counter.New(env, counter.DefaultParams())
-		},
-		"clnlr": func(env routing.Env) *routing.Core {
-			return core.New(env, core.DefaultParams())
-		},
-		"clnlr-2hop": func(env routing.Env) *routing.Core {
-			p := core.DefaultParams()
-			p.TwoHop = true
-			return core.New(env, p)
-		},
+// flood and clnlr are the two specs most tests build from.
+var (
+	flood = aodv.Spec(routing.DefaultConfig())
+	clnlr = core.Spec(routing.DefaultConfig(), core.DefaultParams())
+)
+
+// schemes returns a spec per scheme under test.
+func schemes() map[string]routing.Spec {
+	twoHop := core.DefaultParams()
+	twoHop.TwoHop = true
+	return map[string]routing.Spec{
+		"flood":      flood,
+		"gossip":     gossip.Spec(routing.DefaultConfig(), gossip.DefaultParams()),
+		"counter":    counter.Spec(routing.DefaultConfig(), counter.DefaultParams()),
+		"clnlr":      clnlr,
+		"clnlr-2hop": core.Spec(routing.DefaultConfig(), twoHop),
 	}
 }
 
 // buildNet assembles a network over the given positions.
-func buildNet(seed uint64, positions []geom.Point, factory node.AgentFactory) (*des.Sim, []*node.Node) {
+func buildNet(seed uint64, positions []geom.Point, spec routing.Spec) (*des.Sim, []*node.Node) {
 	sim := des.NewSim()
 	medium := radio.NewMedium(sim, radio.NewTwoRay(914e6, 1.5, 1.5))
 	master := rng.New(seed)
 	nodes := node.BuildNetwork(sim, medium, positions,
-		radio.DefaultParams(), mac.DefaultConfig(), master, factory)
+		radio.DefaultParams(), mac.DefaultConfig(), master, spec)
 	node.StartAll(nodes)
 	return sim, nodes
 }
 
 func TestChainDeliveryAllSchemes(t *testing.T) {
 	positions := geom.ChainPlacement(geom.Point{X: 100, Y: 100}, 5, 200)
-	for name, factory := range schemes() {
+	for name, spec := range schemes() {
 		t.Run(name, func(t *testing.T) {
-			sim, nodes := buildNet(11, positions, factory)
+			sim, nodes := buildNet(11, positions, spec)
 			mgr := traffic.NewManager(sim, nodes, 30, 2*des.Second)
 			mgr.AddFlow(traffic.Flow{
 				ID: 0, Src: 0, Dst: 4, Payload: 512,
@@ -88,9 +86,9 @@ func TestChainDeliveryAllSchemes(t *testing.T) {
 
 func TestGridDeliveryAllSchemes(t *testing.T) {
 	positions := geom.GridPlacement(geom.Square(1000), 5, 5)
-	for name, factory := range schemes() {
+	for name, spec := range schemes() {
 		t.Run(name, func(t *testing.T) {
-			sim, nodes := buildNet(23, positions, factory)
+			sim, nodes := buildNet(23, positions, spec)
 			mgr := traffic.NewManager(sim, nodes, 30, 2*des.Second)
 			src := rng.New(99)
 			// Corner-to-corner plus two cross flows.
@@ -121,8 +119,8 @@ func TestRREQOverheadOrdering(t *testing.T) {
 	// transmissions as the probabilistic schemes.
 	positions := geom.GridPlacement(geom.Square(1000), 6, 6)
 	overhead := map[string]uint64{}
-	for name, factory := range schemes() {
-		sim, nodes := buildNet(31, positions, factory)
+	for name, spec := range schemes() {
+		sim, nodes := buildNet(31, positions, spec)
 		mgr := traffic.NewManager(sim, nodes, 30, des.Second)
 		src := rng.New(7)
 		for i := 0; i < 4; i++ {
@@ -153,7 +151,7 @@ func TestDiscoveryFailsAcrossPartition(t *testing.T) {
 	// Two islands: discovery must fail after the configured retries, and
 	// buffered packets must be dropped with DropNoRoute accounting.
 	positions := []geom.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 3000, Y: 0}, {X: 3200, Y: 0}}
-	sim, nodes := buildNet(5, positions, aodv.New)
+	sim, nodes := buildNet(5, positions, flood)
 	p := pkt.NewData(0, 3, 256, 0, 0, 0, 30)
 	sim.Schedule(des.Second, func() { nodes[0].Agent.Send(p) })
 	sim.RunUntil(30 * des.Second)
@@ -174,7 +172,7 @@ func TestDiscoveryFailsAcrossPartition(t *testing.T) {
 
 func TestRouteReusedWithoutRediscovery(t *testing.T) {
 	positions := geom.ChainPlacement(geom.Point{}, 3, 200)
-	sim, nodes := buildNet(17, positions, aodv.New)
+	sim, nodes := buildNet(17, positions, flood)
 	send := func(seq int) {
 		nodes[0].Agent.Send(pkt.NewData(0, 2, 256, 0, seq, sim.Now(), 30))
 	}
@@ -194,9 +192,7 @@ func TestRouteReusedWithoutRediscovery(t *testing.T) {
 func TestFullStackDeterminism(t *testing.T) {
 	positions := geom.GridPlacement(geom.Square(1000), 5, 5)
 	run := func() (uint64, uint64, float64) {
-		sim, nodes := buildNet(123, positions, func(env routing.Env) *routing.Core {
-			return core.New(env, core.DefaultParams())
-		})
+		sim, nodes := buildNet(123, positions, clnlr)
 		mgr := traffic.NewManager(sim, nodes, 30, des.Second)
 		src := rng.New(55)
 		for i := 0; i < 5; i++ {
@@ -225,9 +221,7 @@ func TestFullStackDeterminism(t *testing.T) {
 
 func TestHelloBeaconsPopulateNeighborTables(t *testing.T) {
 	positions := geom.GridPlacement(geom.Square(600), 3, 3)
-	sim, nodes := buildNet(9, positions, func(env routing.Env) *routing.Core {
-		return core.New(env, core.DefaultParams())
-	})
+	sim, nodes := buildNet(9, positions, clnlr)
 	sim.RunUntil(5 * des.Second)
 	// Centre node (index 4) must know all 8 neighbours (grid spacing
 	// 200 m, diagonal 283 m > 250 m → only 4 lattice neighbours).
@@ -244,7 +238,7 @@ func TestHelloBeaconsPopulateNeighborTables(t *testing.T) {
 
 func TestTTLPreventsInfiniteForwarding(t *testing.T) {
 	positions := geom.ChainPlacement(geom.Point{}, 4, 200)
-	sim, nodes := buildNet(13, positions, aodv.New)
+	sim, nodes := buildNet(13, positions, flood)
 	// TTL 2 cannot cross 3 hops.
 	p := pkt.NewData(0, 3, 128, 0, 0, 0, 2)
 	sim.Schedule(des.Second, func() { nodes[0].Agent.Send(p) })
@@ -260,7 +254,7 @@ func TestTTLPreventsInfiniteForwarding(t *testing.T) {
 
 func TestTracingCapturesRoutingEvents(t *testing.T) {
 	positions := geom.ChainPlacement(geom.Point{}, 3, 200)
-	sim, nodes := buildNet(41, positions, aodv.New)
+	sim, nodes := buildNet(41, positions, flood)
 	buf := trace.NewBuffer(1024)
 	for _, n := range nodes {
 		n.Agent.Env.Trace = buf
@@ -292,11 +286,9 @@ func TestExpandingRingSearch(t *testing.T) {
 	// by the TTL-1 flood (no rebroadcasts at all); a 3-hop destination
 	// needs escalation through the ladder to the full-TTL flood.
 	positions := geom.ChainPlacement(geom.Point{}, 4, 200)
-	ers := func(env routing.Env) *routing.Core {
-		cfg := routing.DefaultConfig()
-		cfg.ExpandingRing = []int{1, 2}
-		return aodv.NewWithConfig(env, cfg)
-	}
+	cfg := routing.DefaultConfig()
+	cfg.ExpandingRing = []int{1, 2}
+	ers := aodv.Spec(cfg)
 
 	t.Run("near destination found with TTL-1 flood", func(t *testing.T) {
 		sim, nodes := buildNet(3, positions, ers)
@@ -360,7 +352,7 @@ func TestLinkFailureTriggersRERRPropagation(t *testing.T) {
 	// the route and broadcasts a RERR, node 1 propagates it, and node 0
 	// invalidates its route and re-attempts discovery (which now fails).
 	positions := geom.ChainPlacement(geom.Point{}, 4, 200)
-	sim, nodes := buildNet(29, positions, aodv.New)
+	sim, nodes := buildNet(29, positions, flood)
 	seq := 0
 	feeder := des.NewTicker(sim, 200*des.Millisecond, func() {
 		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, seq, sim.Now(), 30))
@@ -406,7 +398,7 @@ func TestCrashedRelayTriggersRERRAndReroute(t *testing.T) {
 		{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}, {X: 600, Y: 0},
 		{X: 400, Y: 140},
 	}
-	sim, nodes := buildNet(43, positions, aodv.New)
+	sim, nodes := buildNet(43, positions, flood)
 	seq := 0
 	feeder := des.NewTicker(sim, 200*des.Millisecond, func() {
 		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, seq, sim.Now(), 30))
@@ -454,7 +446,7 @@ func TestCrashedNodeRecoversAndServesAgain(t *testing.T) {
 	// numbers persist across the restart (RFC 3561 §6.1) so the recovered
 	// node's RREPs stay fresh.
 	positions := geom.ChainPlacement(geom.Point{}, 3, 200)
-	sim, nodes := buildNet(47, positions, aodv.New)
+	sim, nodes := buildNet(47, positions, flood)
 	seq := 0
 	feeder := des.NewTicker(sim, 250*des.Millisecond, func() {
 		nodes[0].Agent.Send(pkt.NewData(0, 2, 256, 0, seq, sim.Now(), 30))
@@ -534,7 +526,7 @@ func TestIntermediateDropAndRERRWithoutRoute(t *testing.T) {
 	// pausing the flow for longer than the route lifetime, then injecting
 	// one packet directly at the relay with the destination unreachable.
 	positions := geom.ChainPlacement(geom.Point{}, 3, 200)
-	sim, nodes := buildNet(31, positions, aodv.New)
+	sim, nodes := buildNet(31, positions, flood)
 	sim.Schedule(des.Second, func() {
 		nodes[0].Agent.Send(pkt.NewData(0, 2, 256, 0, 0, sim.Now(), 30))
 	})
@@ -553,11 +545,11 @@ func TestIntermediateDropAndRERRWithoutRoute(t *testing.T) {
 }
 
 func TestCoreAccessors(t *testing.T) {
-	sim, nodes := buildNet(37, geom.ChainPlacement(geom.Point{}, 2, 200), aodv.New)
+	sim, nodes := buildNet(37, geom.ChainPlacement(geom.Point{}, 2, 200), flood)
 	_ = sim
 	a := nodes[0].Agent
-	if a.Policy().Name() != "flood" {
-		t.Fatalf("policy accessor %q", a.Policy().Name())
+	if _, ok := a.Policy().(aodv.Policy); !ok {
+		t.Fatalf("policy accessor %T", a.Policy())
 	}
 	if a.Table() == nil || a.Table().Len() != 0 {
 		t.Fatal("fresh table should be empty")
@@ -576,9 +568,9 @@ func TestCoreAccessors(t *testing.T) {
 // per step — and calling between (nodes) after each. It returns everything
 // the run left behind: traffic totals, per-node counters and tables, and
 // the event count.
-func slabRun(factory node.AgentFactory, between func([]*node.Node)) (traffic.FlowStats, []routing.Counters, [][]routing.Route, uint64, []*node.Node) {
+func slabRun(spec routing.Spec, between func([]*node.Node)) (traffic.FlowStats, []routing.Counters, [][]routing.Route, uint64, []*node.Node) {
 	positions := geom.GridPlacement(geom.Square(1000), 5, 5)
-	sim, nodes := buildNet(31, positions, factory)
+	sim, nodes := buildNet(31, positions, spec)
 	mgr := traffic.NewManager(sim, nodes, 30, des.Second)
 	src := rng.New(77)
 	for i := 0; i < 5; i++ {

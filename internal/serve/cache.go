@@ -224,6 +224,7 @@ func (c *Cache) diskPut(key string, data []byte) {
 	// benign torn-file window impossible.
 	tmp := c.diskPath(key) + ".tmp"
 	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+		os.Remove(tmp)
 		return
 	}
 	c.diskMu.Lock()

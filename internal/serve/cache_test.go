@@ -312,6 +312,28 @@ func TestCacheDiskBoundsInheritedDirectory(t *testing.T) {
 	}
 }
 
+// TestCacheDiskPutLeavesNoTempFile: a disk write that cannot land (a
+// directory sits at the entry's path) leaves no temp file behind, and
+// the entry is still served from memory.
+func TestCacheDiskPutLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(dir, 1<<20, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(1)
+	if err := os.Mkdir(c.diskPath(key), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	c.Put(key, []byte("payload"))
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
+		t.Fatalf("failed disk put left %v behind", left)
+	}
+	if got, ok := c.Get(key); !ok || string(got) != "payload" {
+		t.Fatalf("memory tier lost the entry: %q ok=%v", got, ok)
+	}
+}
+
 func TestCacheRejectsUnsafeKeys(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCache(dir, 1<<20, 10)

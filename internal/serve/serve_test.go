@@ -391,6 +391,32 @@ func TestScenarioIgnoresRetiredFields(t *testing.T) {
 	}
 }
 
+// TestHostileSchemeParamsAreBadRequests: scheme knobs that would panic
+// the engine while it builds the agents — and with it the whole daemon —
+// are rejected with 400 at intake, and the server goes on serving.
+func TestHostileSchemeParamsAreBadRequests(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, raw := range []string{
+		`{"CLNLR":{"PMin":2}}`,
+		`{"Scheme":"clnlr-2hop","CLNLR":{"DegRef":0}}`,
+		`{"Scheme":"gossip-adaptive","Routing":{"HelloInterval":0}}`,
+		`{"Scheme":"counter","Counter":{"RADMax":-1}}`,
+		`{"Scheme":"counter","Counter":{"RADMax":9223372036854775807}}`,
+	} {
+		resp, body := post(t, ts, "/v1/run", RunRequest{Scenario: json.RawMessage(raw)})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("scenario %s: status %d %s, want 400", raw, resp.StatusCode, body)
+		}
+		resp, body = post(t, ts, "/v1/sweep", SweepRequest{Scenario: json.RawMessage(raw), Reps: 1})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sweep of scenario %s: status %d %s, want 400", raw, resp.StatusCode, body)
+		}
+	}
+	if resp, body := post(t, ts, "/v1/run", RunRequest{Scenario: scenarioJSON(t, testScenario(13))}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid request after the hostile ones: %d %s", resp.StatusCode, body)
+	}
+}
+
 // TestConcurrentIdenticalSubmissionsRunOnce pins singleflight: N clients
 // racing the same content cost one simulation and all read the same bytes.
 func TestConcurrentIdenticalSubmissionsRunOnce(t *testing.T) {

@@ -2,9 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"clnlr/internal/des"
+	"clnlr/internal/geom"
+	"clnlr/internal/journey"
+	"clnlr/internal/node"
 )
 
 // goldenConfigs enumerates scenario shapes chosen to exercise the radio
@@ -176,5 +180,89 @@ func TestGoldenDiscoveryMatchesReference(t *testing.T) {
 	}
 	if fast != slow {
 		t.Errorf("discovery indexed path diverges from reference:\n  fast %+v\n  ref  %+v", fast, slow)
+	}
+}
+
+// crnWorld is what a run's scheme must not influence: where the nodes
+// stand, which endpoints each flow slot draws in every session, and when
+// each node is down.
+type crnWorld struct {
+	positions []geom.Point
+	// flows holds (flow, seq, src, dst, created) of every packet
+	// originated in the measurement window, in creation order.
+	flows [][5]int64
+	// downs holds (time, node, down) for every change of a node's
+	// up/down state seen by a 1 ms probe.
+	downs [][3]int64
+}
+
+// TestSchemesShareRandomWorld pins common random numbers across schemes:
+// at one seed, all six schemes get the same random placement, the same
+// flow endpoints (every session's redraw included) and the same
+// crash/recover schedule, because each of those draws from its own
+// labelled stream of the run seed, never from a stream the scheme's
+// forwarding decisions consume.
+func TestSchemesShareRandomWorld(t *testing.T) {
+	sc := journeyScenario(SchemeFlood)
+	withChurn(&sc)
+	sc.Topology, sc.Nodes, sc.Seed = TopoRandom, 25, 7
+
+	var w crnWorld
+	TestHookPrepared = func(simk *des.Sim, nodes []*node.Node, _ Scenario) {
+		down := make([]bool, len(nodes))
+		for _, n := range nodes {
+			w.positions = append(w.positions, n.Pos)
+		}
+		des.NewTicker(simk, des.Millisecond, func() {
+			for i, n := range nodes {
+				if d := n.Radio.Down(); d != down[i] {
+					down[i] = d
+					change := [3]int64{int64(simk.Now()), int64(i), 0}
+					if d {
+						change[2] = 1
+					}
+					w.downs = append(w.downs, change)
+				}
+			}
+		}).Start(0)
+	}
+	defer func() { TestHookPrepared = nil }()
+
+	schemes := append(AllSchemes(), SchemeGossipAdaptive)
+	worlds := make([]crnWorld, len(schemes))
+	for i, scheme := range schemes {
+		w = crnWorld{}
+		rec := journey.NewRecorder(1, false)
+		if _, err := RunJourney(sc.WithScheme(scheme), nil, nil, rec); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range rec.Journeys() {
+			w.flows = append(w.flows, [5]int64{int64(j.Flow), int64(j.Seq), int64(j.Src), int64(j.Dst), j.CreatedNs})
+		}
+		slices.SortFunc(w.flows, func(a, b [5]int64) int { return slices.Compare(a[:], b[:]) })
+		worlds[i] = w
+	}
+
+	base := worlds[0]
+	endpoints := map[[3]int64]bool{}
+	for _, f := range base.flows {
+		endpoints[[3]int64{f[0], f[2], f[3]}] = true
+	}
+	if len(endpoints) <= sc.Flows || len(base.downs) < 2 {
+		t.Fatalf("world too static to prove anything: %d (flow, src, dst) pairs for %d slots, %d down/up changes",
+			len(endpoints), sc.Flows, len(base.downs))
+	}
+	t.Logf("%d packets over %d (flow, src, dst) pairs, %d down/up changes", len(base.flows), len(endpoints), len(base.downs))
+	for i, w := range worlds[1:] {
+		scheme := schemes[i+1]
+		if !slices.Equal(w.positions, base.positions) {
+			t.Errorf("%s placed its nodes elsewhere than %s", scheme, schemes[0])
+		}
+		if !slices.Equal(w.flows, base.flows) {
+			t.Errorf("%s originated %d packets with other endpoints or times than %s's %d", scheme, len(w.flows), schemes[0], len(base.flows))
+		}
+		if !slices.Equal(w.downs, base.downs) {
+			t.Errorf("%s saw another crash/recover schedule (%d changes) than %s (%d)", scheme, len(w.downs), schemes[0], len(base.downs))
+		}
 	}
 }

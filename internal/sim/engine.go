@@ -7,7 +7,6 @@ import (
 	"clnlr/internal/node"
 	"clnlr/internal/radio"
 	"clnlr/internal/rng"
-	"clnlr/internal/routing"
 	"clnlr/internal/topo"
 	"clnlr/internal/trace"
 )
@@ -154,9 +153,7 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 		e.medium = radio.NewMedium(e.simk, sc.propagation())
 		e.medium.SetReference(sc.ReferenceRadio)
 		e.nodes = node.BuildNetwork(e.simk, e.medium, positions, sc.Radio, sc.Mac,
-			master.Derive(1000), func(env routing.Env) *routing.Core {
-				return routing.New(env, spec.Cfg, spec.Policy())
-			})
+			master.Derive(1000), spec)
 		e.radioParams = sc.Radio
 		e.built = true
 		e.medium.SetImpairment(sc.Faults.Link, sc.Seed)

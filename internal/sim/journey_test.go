@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"clnlr/internal/core"
@@ -197,6 +198,41 @@ func TestJourneySpansTelescope(t *testing.T) {
 				t.Fatalf("tracer delivered %d exceeds run delivered %d", delivered, r.Delivered)
 			}
 		})
+	}
+}
+
+// TestGossipAdaptiveDecisions: gossip-adaptive runs CLNLR's policy, so it
+// records its RREQ decisions, and each recorded p is the density-only
+// curve p = clamp(0.4, 1, 0.7·min(1.6, √(6/n))) at the recorded neighbour
+// count, whatever the recorded load. Recording them changes nothing.
+func TestGossipAdaptiveDecisions(t *testing.T) {
+	sc := journeyScenario(SchemeGossipAdaptive)
+	withChurn(&sc)
+	plain, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := journey.NewRecorder(4, true)
+	traced, err := RunJourney(sc, nil, nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced != plain {
+		t.Errorf("recording decisions changed the run:\n  plain  %+v\n  traced %+v", plain, traced)
+	}
+	decs := rec.RREQDecisions()
+	if len(decs) == 0 {
+		t.Fatal("no RREQ decisions recorded")
+	}
+	for i, d := range decs {
+		dens := 1.6
+		if d.Neighbors > 0 {
+			dens = math.Min(1.6, math.Sqrt(6/float64(d.Neighbors)))
+		}
+		if want := math.Max(0.4, math.Min(1, 0.7*dens)); d.P != want {
+			t.Fatalf("decision %d: p=%g at n=%d (NL %g, attempt %d), want %g",
+				i, d.P, d.Neighbors, d.NL, d.Attempt, want)
+		}
 	}
 }
 

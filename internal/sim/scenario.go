@@ -24,8 +24,9 @@ import (
 type Scheme string
 
 // The evaluated schemes. SchemeGossipAdaptive (density-adaptive gossip,
-// load-blind) is available for ad-hoc comparisons but is not part of the
-// paper's headline comparison set (AllSchemes).
+// load-blind) is CLNLR at core.DensityOnly; it is available for ad-hoc
+// comparisons but is not part of the paper's headline comparison set
+// (AllSchemes).
 const (
 	SchemeFlood          Scheme = "flood"
 	SchemeGossip         Scheme = "gossip"
@@ -213,6 +214,18 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("sim: unknown scheme %q", s.Scheme)
 	}
+	// Only the selected scheme's knobs are checked: a flood scenario
+	// carrying junk CLNLR fields never reads them.
+	if p, ok := s.clnlrParams(); ok {
+		if err := core.Validate(p); err != nil {
+			return fmt.Errorf("sim: scheme %s: %w", s.Scheme, err)
+		}
+	}
+	if s.Scheme == SchemeCounter {
+		if err := counter.Validate(s.Counter); err != nil {
+			return fmt.Errorf("sim: scheme counter: %w", err)
+		}
+	}
 	switch s.PropModel {
 	case "", PropTwoRay, PropLogDistance, PropNakagami:
 	default:
@@ -285,26 +298,35 @@ func (s Scenario) propagation() radio.Propagation {
 	}
 }
 
+// clnlrParams returns the CLNLR parameters the scenario's scheme runs
+// with, or false for a scheme that is not a point of CLNLR's rule.
+// gossip-adaptive is the density-only point, beaconing at the shared
+// HELLO interval.
+func (s Scenario) clnlrParams() (core.Params, bool) {
+	switch s.Scheme {
+	case SchemeCLNLR, SchemeCLNLR2:
+		p := s.CLNLR
+		p.TwoHop = s.Scheme == SchemeCLNLR2
+		return p, true
+	case SchemeGossipAdaptive:
+		return core.DensityOnly(s.Routing.HelloInterval), true
+	}
+	return core.Params{}, false
+}
+
 // agentSpec maps the scenario's scheme to its routing.Spec: the scheme's
 // effective configuration plus a constructor for its per-run policy. The
-// warm-reuse engine resets existing cores against this spec instead of
-// rebuilding them.
+// engine builds a network from this spec and resets a warm one against
+// it.
 func (s Scenario) agentSpec() routing.Spec {
+	if p, ok := s.clnlrParams(); ok {
+		return core.Spec(s.Routing, p)
+	}
 	switch s.Scheme {
 	case SchemeGossip:
 		return gossip.Spec(s.Routing, s.Gossip)
-	case SchemeGossipAdaptive:
-		return gossip.AdaptiveSpec(s.Routing, gossip.DefaultAdaptiveParams())
 	case SchemeCounter:
 		return counter.Spec(s.Routing, s.Counter)
-	case SchemeCLNLR:
-		p := s.CLNLR
-		p.TwoHop = false
-		return core.Spec(s.Routing, p)
-	case SchemeCLNLR2:
-		p := s.CLNLR
-		p.TwoHop = true
-		return core.Spec(s.Routing, p)
 	default:
 		return aodv.Spec(s.Routing)
 	}

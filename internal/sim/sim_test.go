@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"clnlr/internal/des"
@@ -68,6 +69,50 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 	if err := DefaultScenario().Validate(); err != nil {
 		t.Fatalf("default scenario invalid: %v", err)
+	}
+}
+
+// TestValidateChecksSelectedSchemeParams: parameters that would panic
+// while the engine builds the selected scheme's agents are a Validate
+// error instead, and Run returns it; the knobs of a scheme not selected
+// are never read, so junk there still runs exactly as without it.
+func TestValidateChecksSelectedSchemeParams(t *testing.T) {
+	hostile := map[string]func(*Scenario){
+		"clnlr PMin 2":                  func(s *Scenario) { s.Scheme = SchemeCLNLR; s.CLNLR.PMin = 2 },
+		"clnlr-2hop DegRef 0":           func(s *Scenario) { s.Scheme = SchemeCLNLR2; s.CLNLR.DegRef = 0 },
+		"clnlr HelloInterval 0":         func(s *Scenario) { s.Scheme = SchemeCLNLR; s.CLNLR.HelloInterval = 0 },
+		"gossip-adaptive HelloInterval": func(s *Scenario) { s.Scheme = SchemeGossipAdaptive; s.Routing.HelloInterval = 0 },
+		"counter RADMax -1":             func(s *Scenario) { s.Scheme = SchemeCounter; s.Counter.RADMax = -1 },
+		"counter RADMax MaxInt64":       func(s *Scenario) { s.Scheme = SchemeCounter; s.Counter.RADMax = math.MaxInt64 },
+	}
+	for name, mut := range hostile {
+		t.Run(name, func(t *testing.T) {
+			sc := quickScenario()
+			mut(&sc)
+			if err := sc.Validate(); err == nil {
+				t.Fatal("Validate accepted the scenario")
+			}
+			if _, err := Run(sc); err == nil {
+				t.Fatal("Run accepted the scenario")
+			}
+		})
+	}
+
+	junk := func(s *Scenario) {
+		s.CLNLR.PMin = 2
+		s.CLNLR.HelloInterval = 0
+		s.Counter.RADMax = -1
+	}
+	for _, scheme := range []Scheme{SchemeFlood, SchemeGossipAdaptive} {
+		sc := quickScenario().WithScheme(scheme)
+		want, err := Run(sc)
+		if err != nil || want.Delivered == 0 {
+			t.Fatalf("%s: %+v (%v)", scheme, want, err)
+		}
+		junk(&sc)
+		if got, err := Run(sc); err != nil || got != want {
+			t.Errorf("%s with junk in unused knobs: %+v (%v), want %+v", scheme, got, err, want)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ func pair(t *testing.T) (*des.Sim, []*node.Node) {
 	nodes := node.BuildNetwork(simk, medium,
 		[]geom.Point{{X: 0}, {X: 200}},
 		radio.DefaultParams(), mac.DefaultConfig(), rng.New(3),
-		func(env routing.Env) *routing.Core { return aodv.New(env) })
+		aodv.Spec(routing.DefaultConfig()))
 	node.StartAll(nodes)
 	return simk, nodes
 }

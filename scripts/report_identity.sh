@@ -38,7 +38,9 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
 (cd "$root" && go build -o "$tmp/change" ./cmd/meshsim && go build -o "$tmp/change-experiments" ./cmd/experiments)
 
 # One scenario per line; the five schemes at the default 7×7 grid come
-# first. The -config overlays (read from the working tree on both sides,
+# first, then gossip-adaptive (CLNLR at its density-only point) at the
+# F-R6 gateway point, under churn with burst loss, and on a 60-node
+# random placement. The -config overlays (read from the working tree on both sides,
 # hence the cd) cover what flags cannot reach: waypoint mobility, where
 # every step invalidates the audible sets — alone, and with churn and burst
 # loss on top, the shape of the benchmark's mobile100 workload; Nakagami
@@ -52,6 +54,9 @@ scenarios=(
 	"-scheme gossip"
 	"-scheme counter"
 	"-scheme gossip-adaptive"
+	"-scheme gossip-adaptive -gateway -flows 20 -rate 10"
+	"-scheme gossip-adaptive -mttf 30s -mttr 3s -link-good 2s -link-bad 200ms -loss-bad 0.8"
+	"-scheme gossip-adaptive -topo random -nodes 60"
 	"-gateway -flows 20 -rate 8"
 	"-rows 15 -cols 15 -area 2142.857 -flows 20"
 	"-mttf 30s -mttr 3s -link-good 2s -link-bad 200ms -loss-bad 0.8"
