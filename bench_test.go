@@ -95,13 +95,13 @@ func benchRun(b *testing.B, sc sim.Scenario, col *metrics.Collector, rec *journe
 // BenchmarkInstrumentCost is the same-process off/on pair for each
 // instrument — the flight recorder (internal/metrics) at its default
 // 100 ms sampling interval, the runtime invariant auditor (Scenario.Audit)
-// sweeping every layer each 100 ms, and the packet journey recorder
-// (internal/journey) tracing every flow with decision provenance — on the
-// default 49-node scenario and on the radio-bound 15×15 grid (225 nodes at
-// Table R-1 spacing). The off tier is the plain run; each on tier reuses
-// its instrument warm across iterations. on/off is the instrument's
-// overhead, immune to machine-speed drift between separate runs; `make
-// instrument-cost` prints the six ratios.
+// auditing every layer each 100 ms, and the packet journey recorder
+// (internal/journey) tracing every flow with decision provenance — and for
+// all three at once ("all"), on the default 49-node scenario and on the
+// radio-bound 15×15 grid (225 nodes at Table R-1 spacing). The off tier
+// is the plain run; each on tier reuses its instruments warm across
+// iterations. on/off is the overhead, immune to machine-speed drift
+// between separate runs; `make instrument-cost` prints the eight ratios.
 func BenchmarkInstrumentCost(b *testing.B) {
 	n49 := sim.DefaultScenario()
 	n49.Measure = 30 * des.Second
@@ -124,6 +124,10 @@ func BenchmarkInstrumentCost(b *testing.B) {
 		}},
 		{"journey", func(b *testing.B, sc sim.Scenario) {
 			benchRun(b, sc, nil, journey.NewRecorder(1, true))
+		}},
+		{"all", func(b *testing.B, sc sim.Scenario) {
+			sc.Audit = true
+			benchRun(b, sc, metrics.NewCollector(100*des.Millisecond), journey.NewRecorder(1, true))
 		}},
 	}
 	sizes := []struct {

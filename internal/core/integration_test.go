@@ -203,8 +203,8 @@ func TestMinCostReplySelectsUnloadedPath(t *testing.T) {
 	})
 	sim.RunUntil(30 * des.Second)
 
-	r := nodes[0].Agent.Table().Get(3)
-	if r == nil {
+	r, ok := nodes[0].Agent.Table().Get(3)
+	if !ok {
 		t.Fatal("no route installed")
 	}
 	if r.NextHop != 2 {

@@ -185,6 +185,9 @@ type Recorder struct {
 	rreq       []RREQDecision
 	selections []ReplySelection
 	waits      map[waitKey]*waitProv
+	// cands backs every selection's Candidates, so a warm recorder's
+	// OnReplyClose allocates nothing; Begin empties it with selections.
+	cands []ReplyCandidate
 
 	trackFree   []*track
 	journeyFree []*Journey
@@ -235,6 +238,7 @@ func (r *Recorder) Begin(measureFrom des.Time, sampler *rng.Source) {
 	r.closed = r.closed[:0]
 	r.rreq = r.rreq[:0]
 	r.selections = r.selections[:0]
+	r.cands = r.cands[:0]
 	for k, w := range r.waits {
 		r.recycleWait(w)
 		delete(r.waits, k)
@@ -497,7 +501,9 @@ func (r *Recorder) Journeys() []*Journey { return r.closed }
 // RREQDecisions returns the recorded forwarding decisions in event order.
 func (r *Recorder) RREQDecisions() []RREQDecision { return r.rreq }
 
-// ReplySelections returns the recorded RREP-WAIT selections in event order.
+// ReplySelections returns the recorded RREP-WAIT selections in event
+// order. They and their Candidates are the recorder's storage, valid until
+// the next Begin.
 func (r *Recorder) ReplySelections() []ReplySelection { return r.selections }
 
 // --- decision-provenance hooks ---
@@ -544,7 +550,11 @@ func (r *Recorder) OnReplyClose(t des.Time, node, origin pkt.NodeID, id uint32,
 		WinnerFrom: winnerFrom, WinnerCost: winnerCost, WinnerHops: winnerHops,
 	}
 	if w != nil {
-		sel.Candidates = append(sel.Candidates, w.cands...)
+		if len(w.cands) > 0 { // none stays nil, as the canonical JSON has it
+			from := len(r.cands)
+			r.cands = append(r.cands, w.cands...)
+			sel.Candidates = r.cands[from:len(r.cands):len(r.cands)]
+		}
 		r.recycleWait(w)
 		delete(r.waits, k)
 	}

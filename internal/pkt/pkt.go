@@ -83,6 +83,10 @@ const (
 // non-nil for control kinds; all are nil for Data.
 type Packet struct {
 	Kind Kind
+	// lease is the stamp of the audited Pool arming that lent the packet
+	// and has not had it back (0 otherwise); see Pool.SetAudit. It fills
+	// Kind's padding, so it costs no space.
+	lease uint32
 	// UID is unique per simulation run (assigned by the allocator in the
 	// node stack); it identifies a packet across hops for tracing.
 	UID uint64
@@ -254,6 +258,7 @@ func (p *Packet) Clone() *Packet {
 			b RREQBody
 		}{*p, *p.RREQ}
 		c.p.RREQ = &c.b
+		c.p.lease = 0
 		return &c.p
 	}
 	if p.RREP != nil {
@@ -262,9 +267,11 @@ func (p *Packet) Clone() *Packet {
 			b RREPBody
 		}{*p, *p.RREP}
 		c.p.RREP = &c.b
+		c.p.lease = 0
 		return &c.p
 	}
 	q := *p
+	q.lease = 0
 	if p.RERR != nil {
 		b := RERRBody{Unreachable: append([]UnreachableDest(nil), p.RERR.Unreachable...)}
 		q.RERR = &b

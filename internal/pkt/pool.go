@@ -1,6 +1,10 @@
 package pkt
 
-import "clnlr/internal/des"
+import (
+	"sync/atomic"
+
+	"clnlr/internal/des"
+)
 
 // Pool recycles packets for one node stack. Packet churn is the
 // simulator's dominant steady-state allocation once events and frames are
@@ -30,13 +34,22 @@ type Pool struct {
 	data, rreq, rrep, rerr, hello []*Packet
 	drops                         uint64
 
-	// live is the audit-mode borrow ledger: every packet handed out by
-	// this pool and not yet released. nil (the default) disables the
-	// ledger entirely; Release then costs one nil check, preserving the
-	// zero-overhead contract of audit-off runs.
-	live        map[*Packet]struct{}
+	// The audit-mode borrow ledger. lease is this arming's stamp (see
+	// SetAudit), 0 (the default) while disarmed: Release then costs one
+	// comparison, preserving the zero-overhead contract of audit-off runs.
+	// A packet lent while armed carries the stamp in Packet.lease until it
+	// comes back; lent counts such packets. (Two 4-byte fields keep a
+	// Pool at 144 bytes, its allocation size class.)
+	lease       uint32
+	lent        int32
 	doubleFrees uint64
 }
+
+// armings hands out ledger stamps: one per SetAudit(true) of any pool in
+// the process, so a stamp names the pool and the arming that lent a
+// packet. 0 is never a stamp; a stamp repeats only after 2^32 − 1
+// armings.
+var armings atomic.Uint32
 
 // PoolCap bounds each free list; beyond it, released packets fall to the
 // garbage collector so a burst can never pin its high-water memory.
@@ -63,18 +76,24 @@ func (pl *Pool) ResetDrops() {
 }
 
 // SetAudit enables or disables the live-borrow ledger. Enabling starts a
-// fresh ledger (and zeroes the double-free counter), so it must be called
-// before the run hands out any packets; disabling drops the ledger.
+// fresh ledger under a new stamp (and zeroes the double-free counter), so
+// it must be called before the run hands out any packets: a packet lent
+// under an earlier arming no longer counts as live. Disabling drops the
+// ledger.
 func (pl *Pool) SetAudit(on bool) {
 	if pl == nil {
 		return
 	}
-	if on {
-		pl.live = make(map[*Packet]struct{})
-		pl.doubleFrees = 0
+	pl.lent = 0
+	if !on {
+		pl.lease = 0
 		return
 	}
-	pl.live = nil
+	pl.lease = armings.Add(1)
+	if pl.lease == 0 {
+		pl.lease = armings.Add(1)
+	}
+	pl.doubleFrees = 0
 }
 
 // LiveBorrowed reports how many packets are currently borrowed from the
@@ -83,7 +102,7 @@ func (pl *Pool) LiveBorrowed() int {
 	if pl == nil {
 		return 0
 	}
-	return len(pl.live)
+	return int(pl.lent)
 }
 
 // DoubleFrees reports how many Release calls named a packet that was not
@@ -96,11 +115,14 @@ func (pl *Pool) DoubleFrees() uint64 {
 	return pl.doubleFrees
 }
 
-// tracked records p in the live-borrow ledger when auditing and returns
-// it; every pool exit point (constructors and Clone) funnels through it.
+// tracked stamps p with the ledger's lease (none while disarmed, which
+// also clears a lease Clone copied from its source) and counts it lent
+// when auditing; every pool exit point (constructors and Clone) funnels
+// through it.
 func (pl *Pool) tracked(p *Packet) *Packet {
-	if pl.live != nil {
-		pl.live[p] = struct{}{}
+	p.lease = pl.lease
+	if pl.lease != 0 {
+		pl.lent++
 	}
 	return p
 }
@@ -138,14 +160,16 @@ func (pl *Pool) Release(p *Packet) {
 	if pl == nil || p == nil {
 		return
 	}
-	if pl.live != nil {
-		if _, ok := pl.live[p]; !ok {
-			// Double free (or a foreign packet): pooling it again would
-			// hand the same pointer out twice, so count and refuse.
+	if pl.lease != 0 {
+		if p.lease != pl.lease {
+			// Double free (or a foreign packet, or one lent under an
+			// earlier arming): pooling it again could hand the same
+			// pointer out twice, so count and refuse.
 			pl.doubleFrees++
 			return
 		}
-		delete(pl.live, p)
+		p.lease = 0
+		pl.lent--
 	}
 	switch {
 	case p.RREQ != nil:

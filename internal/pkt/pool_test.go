@@ -1,8 +1,10 @@
 package pkt
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"clnlr/internal/des"
 )
@@ -235,5 +237,161 @@ func TestPoolLedgerDisarm(t *testing.T) {
 	q := pl.Data(3, 4, 64, 0, 0, des.Second, 16)
 	if q != p {
 		t.Fatal("disarmed pool did not reuse the released packet")
+	}
+}
+
+// TestPoolLedgerEarlierArming: a packet lent under one arming and
+// released after the pool is armed again is not live in the new ledger,
+// so its release counts as a double free and is refused.
+func TestPoolLedgerEarlierArming(t *testing.T) {
+	pl := NewPool()
+	pl.SetAudit(true)
+	p := pl.Data(1, 2, 64, 0, 0, des.Second, 16)
+	pl.SetAudit(true)
+	if got := pl.LiveBorrowed(); got != 0 {
+		t.Fatalf("re-armed pool reports %d live borrows, want 0", got)
+	}
+	pl.Release(p)
+	if got := pl.DoubleFrees(); got != 1 {
+		t.Fatalf("release of a packet lent under the earlier arming: DoubleFrees = %d, want 1", got)
+	}
+	if pl.Len() != 0 {
+		t.Fatal("packet from the earlier arming was re-pooled")
+	}
+}
+
+// TestPoolCloneCarriesNoLease: a copy of a lent packet — by Packet.Clone
+// or by a disarmed pool's Clone — is not on loan from the lender, so the
+// lender refuses it as a double free and still counts only the original.
+func TestPoolCloneCarriesNoLease(t *testing.T) {
+	lender, other := NewPool(), NewPool()
+	lender.SetAudit(true)
+	p := lender.Data(1, 2, 64, 0, 0, des.Second, 16)
+	other.Release(other.Data(1, 2, 64, 0, 0, des.Second, 16)) // so other's Clone recycles
+	for _, c := range []*Packet{p.Clone(), other.Clone(p)} {
+		lender.Release(c)
+	}
+	if df, live := lender.DoubleFrees(), lender.LiveBorrowed(); df != 2 || live != 1 {
+		t.Fatalf("releasing two copies: DoubleFrees = %d, LiveBorrowed = %d, want 2 and 1", df, live)
+	}
+}
+
+// mapLedger is the borrow ledger as a set of live packets per pool, the
+// reference the stamped ledger is checked against.
+type mapLedger struct {
+	live        map[*Packet]struct{}
+	doubleFrees uint64
+}
+
+func (l *mapLedger) arm(on bool) {
+	if on {
+		l.live, l.doubleFrees = map[*Packet]struct{}{}, 0
+	} else {
+		l.live = nil
+	}
+}
+
+func (l *mapLedger) lend(p *Packet) *Packet {
+	if l.live != nil {
+		l.live[p] = struct{}{}
+	}
+	return p
+}
+
+// release reports whether the pool takes p back.
+func (l *mapLedger) release(p *Packet) bool {
+	if l.live == nil {
+		return true
+	}
+	if _, ok := l.live[p]; !ok {
+		l.doubleFrees++
+		return false
+	}
+	delete(l.live, p)
+	return true
+}
+
+// TestPoolLedgerMatchesMapLedger drives three pools through random
+// borrows, clones (through a pool, across pools and through the plain
+// Packet.Clone), releases to the lending pool or a foreign one, repeated
+// releases and re-armings of all pools at once, as an engine arms them,
+// and requires the stamped ledgers to count live borrows and double frees,
+// and to take packets back, exactly as a per-pool set of live packets
+// does. A disarmed pool takes back whatever it is given, so there the
+// script only releases packets no pool has taken back yet: otherwise one
+// pointer could sit in two free lists and be lent twice at once, a state
+// neither ledger is defined for (an armed pool never takes back a packet
+// that is not out on loan from it).
+func TestPoolLedgerMatchesMapLedger(t *testing.T) {
+	refused := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		pools := []*Pool{NewPool(), NewPool(), NewPool()}
+		refs := make([]mapLedger, len(pools))
+		var held []*Packet        // every packet handed out, taken back or not
+		out := map[*Packet]bool{} // handed out and not taken back by any pool
+		lend := func(ref *mapLedger, p *Packet) {
+			held = append(held, ref.lend(p))
+			out[p] = true
+		}
+		for step := 0; step < 3000; step++ {
+			k := rnd.Intn(len(pools))
+			pl, ref := pools[k], &refs[k]
+			switch op := rnd.Intn(20); {
+			case op == 0: // an engine arms or disarms every node's pool at once
+				on := rnd.Intn(4) != 0
+				for j := range pools {
+					pools[j].SetAudit(on)
+					refs[j].arm(on)
+				}
+			case op < 7 || len(held) == 0:
+				lend(ref, pl.Data(1, 2, 64, 0, step, des.Second, 16))
+			case op < 9:
+				lend(ref, pl.Hello(1, HelloBody{Load: 0.5}, des.Second))
+			case op < 12:
+				lend(ref, pl.Clone(held[rnd.Intn(len(held))]))
+			case op < 13:
+				p := held[rnd.Intn(len(held))].Clone()
+				held = append(held, p)
+				out[p] = true
+			default:
+				p := held[rnd.Intn(len(held))]
+				if ref.live == nil && !out[p] {
+					continue
+				}
+				before := pl.Len() + int(pl.Drops())
+				took := ref.release(p)
+				pl.Release(p)
+				if pooled := pl.Len()+int(pl.Drops()) != before; pooled != took {
+					t.Fatalf("seed %d step %d: pool %d took the packet back %v, map ledger says %v", seed, step, k, pooled, took)
+				}
+				if took {
+					delete(out, p)
+				} else {
+					refused++
+				}
+			}
+			for j := range pools {
+				if got, want := pools[j].LiveBorrowed(), len(refs[j].live); got != want {
+					t.Fatalf("seed %d step %d: pool %d LiveBorrowed = %d, map ledger %d", seed, step, j, got, want)
+				}
+				if got, want := pools[j].DoubleFrees(), refs[j].doubleFrees; got != want {
+					t.Fatalf("seed %d step %d: pool %d DoubleFrees = %d, map ledger %d", seed, step, j, got, want)
+				}
+			}
+		}
+	}
+	if refused < 1000 {
+		t.Fatalf("only %d releases refused: the script hardly exercises double frees", refused)
+	}
+}
+
+// TestPacketLeaseFillsPadding: the ledger's lease shares Kind's word, so
+// an audited Packet is no larger than the fields it carries for the
+// protocol.
+func TestPacketLeaseFillsPadding(t *testing.T) {
+	var p Packet
+	if off := unsafe.Offsetof(p.UID); off != 8 {
+		t.Errorf("UID at offset %d: Kind and lease no longer share one word", off)
 	}
 }

@@ -177,7 +177,7 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 	// the ones CarrierBusy() went through.
 	checkClocks := func(when string) {
 		t.Helper()
-		if err := m.AuditCoherence(); err != nil {
+		if _, err := m.AuditCoherence(true); err != nil {
 			t.Fatalf("tier %d %s: %v", tier, when, err)
 		}
 		for id, re := range reactors {

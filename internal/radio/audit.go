@@ -30,10 +30,17 @@ import (
 //   - every audible set at the current epoch is strictly ID-sorted,
 //     self-free and in range.
 //
+// A set only changes in buildAudible, which stamps it with a build number,
+// so unless full is set each build is checked once: a set whose stamp was
+// checked by an earlier call is skipped, and sets reports how many were
+// checked. full checks every current set (a backstop for any write that
+// bypassed buildAudible). Every in-flight frame's touched and skipped
+// lists are checked on every call.
+//
 // Holds at event boundaries (not inside a listener callback). Read-only
-// apart from the auditLive/auditSum scratch, so a tick allocates nothing;
-// returns the first violation found, or nil.
-func (m *Medium) AuditCoherence() error {
+// apart from the audit scratch and build stamps, so a call allocates
+// nothing once they are sized; returns the first violation found, or nil.
+func (m *Medium) AuditCoherence(full bool) (sets int, err error) {
 	n := len(m.pos)
 	for _, l := range []struct {
 		name string
@@ -43,12 +50,13 @@ func (m *Medium) AuditCoherence() error {
 		{"listeners", len(m.listeners)}, {"aud", len(m.aud)},
 	} {
 		if l.len != n {
-			return fmt.Errorf("radio: audit: %d radios but len(%s)=%d", n, l.name, l.len)
+			return 0, fmt.Errorf("radio: audit: %d radios but len(%s)=%d", n, l.name, l.len)
 		}
 	}
 
 	if cap(m.auditLive) < n {
 		m.auditLive, m.auditSum = make([]int32, n), make([]float64, n)
+		m.auditBuild = append(m.auditBuild, make([]uint64, n-len(m.auditBuild))...)
 	}
 	live, sum := m.auditLive[:n], m.auditSum[:n]
 	clear(live)
@@ -58,20 +66,20 @@ func (m *Medium) AuditCoherence() error {
 	for id := 0; id < n; id++ {
 		t := m.txOf[id]
 		if m.rx[id].txing != (t != nil) {
-			return fmt.Errorf("radio: audit: radio %d txing=%v but txOf nil=%v", id, m.rx[id].txing, t == nil)
+			return 0, fmt.Errorf("radio: audit: radio %d txing=%v but txOf nil=%v", id, m.rx[id].txing, t == nil)
 		}
 		if t == nil {
 			continue
 		}
 		inFlight++
 		if int(t.src) != id {
-			return fmt.Errorf("radio: audit: radio %d in-flight transmission claims src %d", id, t.src)
+			return 0, fmt.Errorf("radio: audit: radio %d in-flight transmission claims src %d", id, t.src)
 		}
 		if hs := m.aud[id].heard; len(t.touched) != len(hs) || (len(hs) > 0 && &t.touched[0] != &hs[0]) {
-			return fmt.Errorf("radio: audit: radio %d touched list is not its audible set's storage", id)
+			return 0, fmt.Errorf("radio: audit: radio %d touched list is not its audible set's storage", id)
 		}
 		if err := auditHeard(id, "touched list", t.touched, n); err != nil {
-			return err
+			return 0, err
 		}
 		skipped := t.skipped
 		for _, h := range t.touched {
@@ -83,37 +91,37 @@ func (m *Medium) AuditCoherence() error {
 			sum[h.rx] += h.power
 		}
 		if len(skipped) > 0 { // the merge consumes any sorted subset of touched
-			return fmt.Errorf("radio: audit: radio %d skipped list entry %d unsorted or not in touched", id, skipped[0])
+			return 0, fmt.Errorf("radio: audit: radio %d skipped list entry %d unsorted or not in touched", id, skipped[0])
 		}
 	}
 	if inFlight != m.txInFlight {
-		return fmt.Errorf("radio: audit: txInFlight=%d but %d transmissions in flight", m.txInFlight, inFlight)
+		return 0, fmt.Errorf("radio: audit: txInFlight=%d but %d transmissions in flight", m.txInFlight, inFlight)
 	}
 
 	for rx := 0; rx < n; rx++ {
 		s := &m.rx[rx]
 		if s.nlive != live[rx] {
-			return fmt.Errorf("radio: audit: receiver %d nlive=%d but %d in-flight transmissions touch it", rx, s.nlive, live[rx])
+			return 0, fmt.Errorf("radio: audit: receiver %d nlive=%d but %d in-flight transmissions touch it", rx, s.nlive, live[rx])
 		}
 		if diff := math.Abs(s.energy - sum[rx]); diff > 1e-6*sum[rx]+0.1*m.minTrackW {
-			return fmt.Errorf("radio: audit: receiver %d energy %g but live arrivals sum to %g", rx, s.energy, sum[rx])
+			return 0, fmt.Errorf("radio: audit: receiver %d energy %g but live arrivals sum to %g", rx, s.energy, sum[rx])
 		}
 		if s.csThresh != m.rfp[rx].CsThreshW {
-			return fmt.Errorf("radio: audit: receiver %d csThresh %g but rfp says %g", rx, s.csThresh, m.rfp[rx].CsThreshW)
+			return 0, fmt.Errorf("radio: audit: receiver %d csThresh %g but rfp says %g", rx, s.csThresh, m.rfp[rx].CsThreshW)
 		}
 		if s.busy != (s.energy >= s.csThresh) {
-			return fmt.Errorf("radio: audit: receiver %d busy=%v but energy %g vs threshold %g", rx, s.busy, s.energy, s.csThresh)
+			return 0, fmt.Errorf("radio: audit: receiver %d busy=%v but energy %g vs threshold %g", rx, s.busy, s.energy, s.csThresh)
 		}
 		if open := s.txing || (s.busy && !s.down); open && s.since > now {
-			return fmt.Errorf("radio: audit: receiver %d open clock interval begins at %v, after now %v", rx, s.since, now)
+			return 0, fmt.Errorf("radio: audit: receiver %d open clock interval begins at %v, after now %v", rx, s.since, now)
 		}
 		if idle, busy, tx := m.stateTimes(rx); idle < 0 || busy < 0 || tx < 0 {
-			return fmt.Errorf("radio: audit: receiver %d clock reads idle %v, busy %v, transmit %v", rx, idle, busy, tx)
+			return 0, fmt.Errorf("radio: audit: receiver %d clock reads idle %v, busy %v, transmit %v", rx, idle, busy, tx)
 		}
 		if cur := s.cur.t; cur != nil {
 			src := int(cur.src)
 			if src < 0 || src >= n || m.txOf[src] != cur {
-				return fmt.Errorf("radio: audit: receiver %d locked onto a transmission not in flight", rx)
+				return 0, fmt.Errorf("radio: audit: receiver %d locked onto a transmission not in flight", rx)
 			}
 		}
 	}
@@ -123,11 +131,16 @@ func (m *Medium) AuditCoherence() error {
 		if a.epoch != m.audEpoch {
 			continue // stale or never built: rebuilt lazily, contents unused
 		}
-		if err := auditHeard(id, "audible set", a.heard, n); err != nil {
-			return err
+		if !full && a.build == m.auditBuild[id] {
+			continue // this build was checked at an earlier call
 		}
+		if err := auditHeard(id, "audible set", a.heard, n); err != nil {
+			return sets, err
+		}
+		m.auditBuild[id] = a.build
+		sets++
 	}
-	return nil
+	return sets, nil
 }
 
 // auditHeard checks that one of radio id's receiver lists (what names it)

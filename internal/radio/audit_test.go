@@ -47,21 +47,21 @@ func TestAuditCatchesReceiverMutations(t *testing.T) {
 		sim.At(0, func() { radios[0].Transmit("a", 100, des.Millisecond) })
 		sim.At(0, func() { radios[11].Transmit("b", 100, des.Millisecond) })
 		sim.RunUntil(500 * des.Microsecond)
-		if err := m.AuditCoherence(); err != nil {
+		if _, err := m.AuditCoherence(true); err != nil {
 			t.Fatalf("%s: clean mid-flight medium fails the audit: %v", tc.name, err)
 		}
 		if s := &m.rx[5]; s.nlive != 2 || s.energy == 0 {
 			t.Fatalf("%s: receiver 5 should hear both frames, has %+v", tc.name, *s)
 		}
 		tc.mutate(m)
-		err := m.AuditCoherence()
+		_, err := m.AuditCoherence(true)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: audit returned %v, want a %q violation", tc.name, err, tc.want)
 		}
 		if tc.undo != nil {
 			tc.undo(m)
 			sim.Run()
-			if err := m.AuditCoherence(); err != nil || m.rx[5].nlive != 0 {
+			if _, err := m.AuditCoherence(true); err != nil || m.rx[5].nlive != 0 {
 				t.Errorf("%s: after undoing it the medium does not drain clean: %v", tc.name, err)
 			}
 		}
@@ -113,8 +113,10 @@ func TestTransmitSteadyStateZeroAllocs(t *testing.T) {
 
 		centre.Transmit(nil, 512, 2*des.Millisecond)
 		audit := func() {
-			if err := m.AuditCoherence(); err != nil {
-				t.Fatal(err)
+			for _, full := range [2]bool{true, false} {
+				if _, err := m.AuditCoherence(full); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		audit() // sizes the scratch
@@ -243,5 +245,90 @@ func BenchmarkAudibleRebuild(b *testing.B) {
 				sim.Run()
 			}
 		})
+	}
+}
+
+// referenceAuditSets is the audible-set leg of AuditCoherence as a full
+// walk: every set at the current epoch, at every call.
+func referenceAuditSets(m *Medium) error {
+	n := len(m.pos)
+	for id := 0; id < n; id++ {
+		a := &m.aud[id]
+		if a.epoch != m.audEpoch {
+			continue // stale or never built: rebuilt lazily, contents unused
+		}
+		if err := auditHeard(id, "audible set", a.heard, n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestAuditChecksEachAudibleBuildOnce: an audit that is not full checks an
+// audible set once per build, so a rebuilt set — even one built wrong —
+// is checked at the next call and a set nobody rebuilt is not checked
+// again. A set damaged in place, bypassing buildAudible, is left to the
+// full audit, which finds what the full walk finds.
+func TestAuditChecksEachAudibleBuildOnce(t *testing.T) {
+	sim, m, radios := idleGrid(NewTwoRay(914e6, 1.5, 1.5), 1428.57, 10)
+	broadcast := func(r *Radio) {
+		r.Transmit(nil, 512, 2*des.Millisecond)
+		sim.Run()
+	}
+	audit := func(full bool, wantSets int) error {
+		t.Helper()
+		sets, err := m.AuditCoherence(full)
+		if sets != wantSets {
+			t.Errorf("AuditCoherence(%v) checked %d audible sets, want %d", full, sets, wantSets)
+		}
+		return err
+	}
+	for _, r := range radios {
+		broadcast(r)
+	}
+	if err := audit(true, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := audit(false, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// A move invalidates every set; only the mover's is rebuilt, by its
+	// next transmission, and checked once.
+	centre := radios[55]
+	centre.SetPos(geom.Point{X: centre.Pos().X + 1, Y: centre.Pos().Y})
+	broadcast(centre)
+	if err := audit(false, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := audit(false, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	// A bad build is caught by the next call.
+	broadcast(radios[3])
+	hs := m.aud[3].heard
+	hs[0], hs[1] = hs[1], hs[0]
+	if err := audit(false, 0); err == nil || !strings.Contains(err.Error(), "radio 3 audible set not strictly ID-sorted") {
+		t.Errorf("rebuilt, unsorted set: audit returned %v", err)
+	}
+	hs[0], hs[1] = hs[1], hs[0]
+	if err := audit(false, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Damage in place, without a rebuild, is the full audit's to find.
+	hs = m.aud[55].heard
+	hs[0], hs[1] = hs[1], hs[0]
+	if err := audit(false, 0); err != nil {
+		t.Errorf("a set checked before and not rebuilt since was checked again: %v", err)
+	}
+	want := referenceAuditSets(m)
+	if err := audit(true, 1); err == nil || want == nil || err.Error() != want.Error() { // radio 3's set, then 55's fails
+		t.Errorf("full audit returned %v, the full walk %v", err, want)
+	}
+	hs[0], hs[1] = hs[1], hs[0]
+	if err := audit(true, 2); err != nil || referenceAuditSets(m) != nil {
+		t.Fatal(err)
 	}
 }

@@ -138,6 +138,7 @@ type heard struct {
 // live via rxState.down, so churn never forces an O(N²) rebuild storm.
 type audibleSet struct {
 	epoch uint64 // Medium.audEpoch the set was built at; 0 = never built
+	build uint64 // Medium.audBuilds after the build that wrote heard
 	heard []heard
 }
 
@@ -236,6 +237,9 @@ type Medium struct {
 	// and Reset. Crash/recover does not bump it — down filtering is done
 	// live against rxState.down.
 	audEpoch uint64
+	// audBuilds numbers every buildAudible call, of either tier, so the
+	// auditor can tell a set it already checked from a rebuilt one.
+	audBuilds uint64
 	// audRebuilds counts the memo tier's audible-set (re)builds — a
 	// diagnostic for tests and profiling, never folded into
 	// golden-compared outputs (per-transmission rebuilds count none).
@@ -247,9 +251,11 @@ type Medium struct {
 	row []float64
 
 	// AuditCoherence scratch (per-receiver expected arrival count and
-	// energy), kept so an audit tick allocates nothing.
-	auditLive []int32
-	auditSum  []float64
+	// energy), kept so an audit tick allocates nothing, and per radio the
+	// build stamp of its audible set the audit last checked.
+	auditLive  []int32
+	auditSum   []float64
+	auditBuild []uint64
 
 	txPool      []*transmission
 	txPoolCap   int
@@ -399,6 +405,8 @@ func (m *Medium) buildAudible(id int, a *audibleSet) {
 	}
 	a.heard = hs
 	a.epoch = m.audEpoch
+	m.audBuilds++
+	a.build = m.audBuilds
 }
 
 // newTransmission takes a pooled transmission or allocates the pool's

@@ -468,7 +468,7 @@ func (c *Core) originateRREQ(d *discovery) {
 		Cost:      0,
 		Attempt:   uint8(attempt),
 	}
-	if old := c.table.Get(d.dst); old != nil && old.SeqValid {
+	if old, ok := c.table.Get(d.dst); ok && old.SeqValid {
 		body.TargetSeq = old.Seq
 		body.TargetSeqKnown = true
 	}
@@ -750,13 +750,8 @@ func (c *Core) handleRERR(p *pkt.Packet, from pkt.NodeID) {
 	c.Ctr.RERRReceived++
 	var lost []pkt.UnreachableDest
 	for _, u := range p.RERR.Unreachable {
-		r := c.table.Get(u.Node)
-		if r != nil && r.Valid && r.NextHop == from {
-			r.Valid = false
-			if pkt.SeqNewer(u.Seq, r.Seq) {
-				r.Seq = u.Seq
-			}
-			lost = append(lost, pkt.UnreachableDest{Node: u.Node, Seq: r.Seq})
+		if seq, ok := c.table.InvalidateFrom(u.Node, from, u.Seq); ok {
+			lost = append(lost, pkt.UnreachableDest{Node: u.Node, Seq: seq})
 		}
 	}
 	if len(lost) > 0 {
@@ -836,7 +831,7 @@ func (c *Core) handleData(p *pkt.Packet, from pkt.NodeID) {
 // staleSeq returns the best-known (bumped) sequence number for an
 // unreachable destination.
 func (c *Core) staleSeq(dst pkt.NodeID) uint32 {
-	if r := c.table.Get(dst); r != nil && r.SeqValid {
+	if r, ok := c.table.Get(dst); ok && r.SeqValid {
 		return r.Seq + 1
 	}
 	return 0

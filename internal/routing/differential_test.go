@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -57,6 +58,12 @@ func routesOf(each func(func(*Route))) []Route {
 	return out
 }
 
+func tableRoutes(t *Table) []Route {
+	var out []Route
+	t.Each(func(r Route) { out = append(out, r) })
+	return out
+}
+
 func sameRoute(a, b *Route) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -64,8 +71,22 @@ func sameRoute(a, b *Route) bool {
 	return *a == *b
 }
 
+// get and invalidate give Table's (Route, ok) answers the oracle's
+// pointer shape (nil for none).
+func get(t *Table, dst pkt.NodeID) *Route { return ptr(t.Get(dst)) }
+
+func invalidate(t *Table, dst pkt.NodeID) *Route { return ptr(t.Invalidate(dst)) }
+
+func ptr(r Route, ok bool) *Route {
+	if !ok {
+		return nil
+	}
+	return &r
+}
+
 // tableScript drives Update, Lookup, Get, Refresh, Invalidate,
-// InvalidateVia, Each, Len, Reset and the clock.
+// InvalidateFrom, InvalidateVia, Each, Len, Reset and the clock, and holds
+// Writes to moving on every change but a live route's lifetime extension.
 func tableScript(t *testing.T, data []byte, move bool) {
 	sim := des.NewSim()
 	got, want := NewTable(sim), newDenseTable(sim)
@@ -76,6 +97,7 @@ func tableScript(t *testing.T, data []byte, move bool) {
 		}
 		dst := scriptID(a)
 		step := i / 4
+		before, writes, then := tableRoutes(got), got.Writes(), sim.Now()
 		switch {
 		case op < 110:
 			cand := Route{
@@ -96,7 +118,7 @@ func tableScript(t *testing.T, data []byte, move bool) {
 				t.Fatalf("step %d: Lookup(%d) = %+v, dense table says %+v", step, dst, g, w)
 			}
 		case op < 160:
-			if g, w := got.Get(dst), want.Get(dst); !sameRoute(g, w) {
+			if g, w := get(got, dst), want.Get(dst); !sameRoute(g, w) {
 				t.Fatalf("step %d: Get(%d) = %+v, dense table says %+v", step, dst, g, w)
 			}
 		case op < 180:
@@ -104,8 +126,14 @@ func tableScript(t *testing.T, data []byte, move bool) {
 			got.Refresh(dst, life)
 			want.Refresh(dst, life)
 		case op < 195:
-			if g, w := got.Invalidate(dst), want.Invalidate(dst); !sameRoute(g, w) {
+			if g, w := invalidate(got, dst), want.Invalidate(dst); !sameRoute(g, w) {
 				t.Fatalf("step %d: Invalidate(%d) = %+v, dense table says %+v", step, dst, g, w)
+			}
+		case op < 203:
+			from, seq := pkt.NodeID(b%5), uint32(c%8)
+			gs, gok := got.InvalidateFrom(dst, from, seq)
+			if ws, wok := want.InvalidateFrom(dst, from, seq); gs != ws || gok != wok {
+				t.Fatalf("step %d: InvalidateFrom(%d, %d, %d) = %d, %v, dense table says %d, %v", step, dst, from, seq, gs, gok, ws, wok)
 			}
 		case op < 215:
 			via := pkt.NodeID(b % 5)
@@ -119,10 +147,36 @@ func tableScript(t *testing.T, data []byte, move bool) {
 			want.Reset()
 		}
 		// Each in destination order, with Len, is the whole visible state.
-		if g, w := routesOf(got.Each), routesOf(want.Each); !slices.Equal(g, w) || got.Len() != want.Len() {
+		if g, w := tableRoutes(got), routesOf(want.Each); !slices.Equal(g, w) || got.Len() != want.Len() {
 			t.Fatalf("step %d (op %d): tables differ\n got %d %+v\nwant %d %+v", step, op, got.Len(), g, want.Len(), w)
 		}
+		if got.Writes() == writes {
+			if err := onlyExtended(before, tableRoutes(got), then); err != "" {
+				t.Fatalf("step %d (op %d): Writes did not move, but %s", step, op, err)
+			}
+		}
 	}
+}
+
+// onlyExtended reports how after differs from before by more than the
+// lifetime extension of routes live at then — the one table write that
+// may leave Writes where it was — or "" if it does not.
+func onlyExtended(before, after []Route, then des.Time) string {
+	if len(before) != len(after) {
+		return fmt.Sprintf("the table went from %d to %d entries", len(before), len(after))
+	}
+	for k, r := range after {
+		was := before[k]
+		if r == was {
+			continue
+		}
+		ext := was
+		ext.Expires = r.Expires
+		if r != ext || !was.Valid || was.Expires <= then || r.Expires < was.Expires {
+			return fmt.Sprintf("route %+v became %+v", was, r)
+		}
+	}
+	return ""
 }
 
 func TestTableMatchesDenseOracle(t *testing.T) {

@@ -54,7 +54,7 @@ func TestTableLookupExpiresBoundary(t *testing.T) {
 		if tb.Lookup(5) != nil {
 			t.Error("route alive at exactly Expires")
 		}
-		if r := tb.Get(5); r == nil || r.Valid {
+		if r := get(tb, 5); r == nil || r.Valid {
 			t.Errorf("expired Lookup did not invalidate the entry: %+v", r)
 		}
 	})
@@ -173,7 +173,7 @@ func TestRREPForOwnTargetDropped(t *testing.T) {
 		Lifetime: des.Second,
 	}}
 	c.handleRREP(p, 5)
-	if r := c.table.Get(7); r != nil {
+	if r := get(c.table, 7); r != nil {
 		t.Fatalf("RREP for own target installed a route to self: %+v", r)
 	}
 	if c.Ctr.RREPForwarded != 0 {

@@ -589,7 +589,7 @@ func slabRun(spec routing.Spec, between func([]*node.Node)) (traffic.FlowStats, 
 	tables := make([][]routing.Route, len(nodes))
 	for i, n := range nodes {
 		ctrs[i] = n.Agent.Ctr
-		n.Agent.Table().Each(func(r *routing.Route) { tables[i] = append(tables[i], *r) })
+		n.Agent.Table().Each(func(r routing.Route) { tables[i] = append(tables[i], r) })
 	}
 	return mgr.Totals(), ctrs, tables, sim.Executed(), nodes
 }

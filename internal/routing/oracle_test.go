@@ -212,6 +212,20 @@ func (t *denseTable) Invalidate(dst pkt.NodeID) *Route {
 	return &e.r
 }
 
+// InvalidateFrom applies one RERR entry heard from neighbour from: a
+// valid route to dst via from dies, keeping the newer sequence number.
+func (t *denseTable) InvalidateFrom(dst, from pkt.NodeID, seq uint32) (uint32, bool) {
+	r := t.Get(dst)
+	if r != nil && r.Valid && r.NextHop == from {
+		r.Valid = false
+		if pkt.SeqNewer(seq, r.Seq) {
+			r.Seq = seq
+		}
+		return r.Seq, true
+	}
+	return 0, false
+}
+
 // InvalidateVia invalidates every valid route whose next hop is via and
 // returns the affected destinations with their (bumped) sequence numbers.
 func (t *denseTable) InvalidateVia(via pkt.NodeID) []pkt.UnreachableDest {

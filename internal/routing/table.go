@@ -25,13 +25,20 @@ type Route struct {
 // IDs are dense (0..N-1), so lookup is one load from idx, a 4-byte index
 // by destination ID; what it indexes is a slab holding only the
 // destinations this node has installed, in order of first installation.
-// Iteration in destination order comes from walking idx. Pointers
-// returned by Lookup/Get alias the slab and are only valid until the
-// next Update (an insert may move the backing array).
+// Iteration in destination order comes from walking idx.
+//
+// Get, Invalidate and Each hand out copies and Lookup's pointer is for
+// reading, so every write goes through a method here. Each write that
+// changes a route structurally — install, replace, lazy expiry,
+// Invalidate, InvalidateVia, InvalidateFrom, Reset — bumps Writes.
+// Extending the lifetime of a live route (Refresh, Update's refresh
+// branch) does not: it cannot make a route appear, move its next hop or
+// revive it, which is all the runtime auditor's route checks can see.
 type Table struct {
 	sim     *des.Sim
 	idx     []int32 // idx[dst] = position in entries + 1; 0 = never installed
 	entries []Route
+	writes  uint64
 }
 
 // NewTable returns an empty table bound to the simulation clock.
@@ -47,7 +54,12 @@ func (t *Table) Reset() {
 		t.idx[t.entries[i].Dst] = 0
 	}
 	t.entries = t.entries[:0]
+	t.writes++
 }
+
+// Writes counts the table's structural writes (see Table). The auditor
+// re-checks a table only when this has moved since its last audit point.
+func (t *Table) Writes() uint64 { return t.writes }
 
 // growIndex returns a dense ID index extended with zeros ("absent") to
 // cover ID i. Table, DupCache and NeighborTable share the idiom: the index
@@ -75,14 +87,23 @@ func (t *Table) slot(dst pkt.NodeID) *Route {
 // the expired route (same seq) can no longer re-install it.
 func (t *Table) expire(r *Route) {
 	if r.Valid && r.Expires <= t.sim.Now() {
-		r.Valid = false
-		if r.SeqValid {
-			r.Seq++
-		}
+		t.kill(r)
 	}
 }
 
-// Lookup returns the valid, unexpired route to dst, or nil.
+// kill marks r unusable and bumps its sequence number, as expiry and
+// Invalidate do.
+func (t *Table) kill(r *Route) {
+	r.Valid = false
+	if r.SeqValid {
+		r.Seq++
+	}
+	t.writes++
+}
+
+// Lookup returns the valid, unexpired route to dst, or nil. The pointer
+// aliases the slab until the next Update and is for reading only: a write
+// through it would bypass Writes.
 func (t *Table) Lookup(dst pkt.NodeID) *Route {
 	r := t.slot(dst)
 	if r == nil {
@@ -96,8 +117,13 @@ func (t *Table) Lookup(dst pkt.NodeID) *Route {
 }
 
 // Get returns the entry for dst even if invalid or expired (for sequence
-// number bookkeeping), or nil if none was ever installed.
-func (t *Table) Get(dst pkt.NodeID) *Route { return t.slot(dst) }
+// number bookkeeping); ok is false if none was ever installed.
+func (t *Table) Get(dst pkt.NodeID) (r Route, ok bool) {
+	if p := t.slot(dst); p != nil {
+		return *p, true
+	}
+	return Route{}, false
+}
 
 // Update installs cand if it is fresher or better than the current entry,
 // per AODV rules: a newer destination sequence number always wins; an
@@ -113,6 +139,7 @@ func (t *Table) Update(cand Route) bool {
 		t.idx = growIndex(t.idx, int(cand.Dst))
 		t.entries = append(t.entries, cand)
 		t.idx[cand.Dst] = int32(len(t.entries))
+		t.writes++
 		return true
 	}
 	t.expire(cur)
@@ -122,6 +149,7 @@ func (t *Table) Update(cand Route) bool {
 			cand.Seq, cand.SeqValid = cur.Seq, true
 		}
 		*cur = cand
+		t.writes++
 		return true
 	}
 	// Refresh lifetime of an identical route.
@@ -191,19 +219,33 @@ func (t *Table) Refresh(dst pkt.NodeID, lifetime des.Time) {
 	}
 }
 
-// Invalidate marks the route to dst broken and returns it (nil if there
-// was no valid route). The sequence number is bumped so stale copies of
-// the dead route cannot be re-installed.
-func (t *Table) Invalidate(dst pkt.NodeID) *Route {
+// Invalidate marks the route to dst broken and returns it; ok is false if
+// there was no valid route. The sequence number is bumped so stale copies
+// of the dead route cannot be re-installed.
+func (t *Table) Invalidate(dst pkt.NodeID) (r Route, ok bool) {
+	p := t.slot(dst)
+	if p == nil || !p.Valid {
+		return Route{}, false
+	}
+	t.kill(p)
+	return *p, true
+}
+
+// InvalidateFrom applies one RERR entry heard from neighbour from: a
+// valid route to dst through from becomes invalid and keeps the newer of
+// its own and the advertised sequence number, which it returns; ok is
+// false (and nothing changes) for any other route.
+func (t *Table) InvalidateFrom(dst, from pkt.NodeID, seq uint32) (newSeq uint32, ok bool) {
 	r := t.slot(dst)
-	if r == nil || !r.Valid {
-		return nil
+	if r == nil || !r.Valid || r.NextHop != from {
+		return 0, false
 	}
 	r.Valid = false
-	if r.SeqValid {
-		r.Seq++
+	if pkt.SeqNewer(seq, r.Seq) {
+		r.Seq = seq
 	}
-	return r
+	t.writes++
+	return r.Seq, true
 }
 
 // InvalidateVia invalidates every valid route whose next hop is via and
@@ -215,10 +257,7 @@ func (t *Table) InvalidateVia(via pkt.NodeID) []pkt.UnreachableDest {
 			continue
 		}
 		if r := &t.entries[s-1]; r.Valid && r.NextHop == via {
-			r.Valid = false
-			if r.SeqValid {
-				r.Seq++
-			}
+			t.kill(r)
 			lost = append(lost, pkt.UnreachableDest{Node: r.Dst, Seq: r.Seq})
 		}
 	}
@@ -228,13 +267,13 @@ func (t *Table) InvalidateVia(via pkt.NodeID) []pkt.UnreachableDest {
 // Len returns the number of entries (valid or not).
 func (t *Table) Len() int { return len(t.entries) }
 
-// Each calls fn for every installed entry (valid or not) in destination
-// order. The pointers alias table storage exactly like Lookup/Get — the
-// auditor uses this for read-only iteration; fn must not call Update.
-func (t *Table) Each(fn func(*Route)) {
+// Each calls fn with a copy of every installed entry (valid or not) in
+// destination order. It is read-only — unlike Lookup, whose expiry check
+// writes — which is why the auditor walks tables with it.
+func (t *Table) Each(fn func(Route)) {
 	for _, s := range t.idx {
 		if s != 0 {
-			fn(&t.entries[s-1])
+			fn(t.entries[s-1])
 		}
 	}
 }

@@ -111,14 +111,14 @@ func TestTableInvalidate(t *testing.T) {
 	sim := des.NewSim()
 	tb := NewTable(sim)
 	tb.Update(route(5, 2, 10, 4, 4, des.Second))
-	r := tb.Invalidate(5)
+	r := invalidate(tb, 5)
 	if r == nil || r.Seq != 11 {
 		t.Fatalf("invalidate returned %+v (seq should bump)", r)
 	}
 	if tb.Lookup(5) != nil {
 		t.Fatal("invalidated route still returned")
 	}
-	if tb.Invalidate(5) != nil {
+	if invalidate(tb, 5) != nil {
 		t.Fatal("double invalidate returned a route")
 	}
 	// A fresher advertisement can resurrect the destination.
@@ -159,7 +159,7 @@ func TestTableExpiredEntryKeepsFreshness(t *testing.T) {
 		if tb.Update(route(5, 3, 100, 2, 2, sim.Now()+des.Second)) {
 			t.Error("stale-seq candidate accepted against expired entry")
 		}
-		if r := tb.Get(5); r.Valid || r.Seq != 101 {
+		if r := get(tb, 5); r.Valid || r.Seq != 101 {
 			t.Errorf("expired entry not finalised with bumped seq: %+v", r)
 		}
 		// Information at the bumped seq (a fresh discovery) installs.

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+
 	"clnlr/internal/audit"
 	"clnlr/internal/des"
 	"clnlr/internal/pkt"
@@ -41,6 +45,17 @@ const auditInterval = 100 * des.Millisecond
 //     destination (both valid and unexpired) — the two-node projection
 //     of AODV loop freedom.
 //
+// The routing and audible-set checks are incremental: an audit point
+// re-checks only the routing tables whose Table.Writes moved since the
+// previous point, plus the nodes that took part in a violation there (so
+// a persisting violation is re-reported at every point, as a full walk
+// would), and only the audible sets rebuilt since the previous point.
+// Lifetime extension of a live route is the one table write that does
+// not count, and it cannot create a violation. The first and the last
+// point of a run check every table and every set, a backstop for any
+// write that bypassed the counters. Everything else is checked in full
+// at every point.
+//
 // The "next hop is a current neighbour" clause of the paper's liveness
 // invariant is deliberately not checked: neighbour tables are built from
 // HELLO beacons whose loss allowance lags link breakage by design (and
@@ -59,30 +74,75 @@ type auditor struct {
 	lastSeq  []uint32 // per-node own sequence number at the last audit point
 	lastDF   []uint64 // per-node double-free count already reported
 	lastPast uint64   // past-schedule count already reported
+
+	points     int            // audit points run so far
+	lastWrites []uint64       // per-node Table.Writes at the last audit point
+	scan       []bool         // per node: its table is checked at this point
+	hot        []bool         // per node: in a violation at the last point
+	found      []routeFinding // this point's route violations
+
+	// What the last audit point checked: routing tables and audible sets.
+	tablesChecked, setsChecked int
 }
 
-// startAudit arms the pools' borrow ledgers, snapshots baselines and
-// schedules the first audit point at t=0.
-func (e *Engine) startAudit(end des.Time, everCrashed []bool) *auditor {
+// routeFinding is one routing violation of an audit point: an invalid
+// next hop (kind != findLoop) or a two-node loop, attributed to its
+// lower-indexed end, whose other end is nh.
+type routeFinding struct {
+	node int
+	dst  pkt.NodeID
+	kind uint8
+	nh   int
+}
+
+const (
+	findNextHopRange uint8 = iota
+	findNextHopSelf
+	findRouteToSelf
+	findLoop
+)
+
+// newAuditor snapshots the baselines of an auditor for a run on e's
+// network that ends at end.
+func newAuditor(e *Engine, end des.Time, everCrashed []bool) *auditor {
+	nn := len(e.nodes)
 	a := &auditor{
 		e:           e,
 		end:         end,
 		everCrashed: everCrashed,
-		lastSeq:     make([]uint32, len(e.nodes)),
-		lastDF:      make([]uint64, len(e.nodes)),
+		lastSeq:     make([]uint32, nn),
+		lastDF:      make([]uint64, nn),
+		lastWrites:  make([]uint64, nn),
+		scan:        make([]bool, nn),
+		hot:         make([]bool, nn),
 	}
 	for i, n := range e.nodes {
 		a.lastSeq[i] = n.Agent.SeqNo()
 	}
+	return a
+}
+
+// startAudit builds the run's auditor and schedules the first audit
+// point at t=0.
+func (e *Engine) startAudit(end des.Time, everCrashed []bool) *auditor {
+	a := newAuditor(e, end, everCrashed)
 	e.simk.AtCall(0, a, 0, 0)
 	return a
 }
 
-// HandleEvent implements des.Handler: run one audit point and schedule
-// the next.
+// testHookAuditPoint, when set, runs after every scheduled audit point;
+// the differential tests compare the point against a full walk there.
+var testHookAuditPoint func(a *auditor)
+
+// HandleEvent implements des.Handler: run one audit point — in full at
+// the first and the last — and schedule the next.
 func (a *auditor) HandleEvent(int32, uint32) {
-	a.check()
-	if next := a.e.simk.Now() + auditInterval; next <= a.end {
+	next := a.e.simk.Now() + auditInterval
+	a.check(a.points == 0 || next > a.end)
+	if testHookAuditPoint != nil {
+		testHookAuditPoint(a)
+	}
+	if next <= a.end {
 		a.e.simk.AtCall(next, a, 0, 0)
 	}
 }
@@ -90,9 +150,12 @@ func (a *auditor) HandleEvent(int32, uint32) {
 // Err returns the aggregated violations, or nil for a clean run.
 func (a *auditor) Err() error { return a.rec.Err() }
 
-func (a *auditor) check() {
+// check runs one audit point; full checks every routing table and
+// audible set instead of the changed ones.
+func (a *auditor) check(full bool) {
 	e := a.e
 	now := e.simk.Now()
+	a.points++
 
 	if ps := e.simk.PastSchedules(); ps != a.lastPast {
 		a.rec.Recordf("des/past-schedule", -1, now,
@@ -102,9 +165,11 @@ func (a *auditor) check() {
 	if err := e.simk.AuditQueue(); err != nil {
 		a.rec.Recordf("des/queue", -1, now, "%v", err)
 	}
-	if err := e.medium.AuditCoherence(); err != nil {
+	sets, err := e.medium.AuditCoherence(full)
+	if err != nil {
 		a.rec.Recordf("radio/coherence", -1, now, "%v", err)
 	}
+	a.setsChecked = sets
 
 	for i, n := range e.nodes {
 		pool := n.Agent.Env.Pool
@@ -127,46 +192,95 @@ func (a *auditor) check() {
 			}
 		}
 	}
-	a.checkRoutes(now)
+	a.checkRoutes(now, full)
 }
 
-// checkRoutes walks every routing table once, checking structural
-// next-hop validity and the two-node loop-freedom projection. Expiry is
-// evaluated read-only (r.Expires > now) instead of via Lookup, whose
-// lazy invalidation writes the table.
-func (a *auditor) checkRoutes(now des.Time) {
-	e := a.e
-	nn := len(e.nodes)
-	for i, n := range e.nodes {
-		n.Agent.Table().Each(func(r *routing.Route) {
-			if !r.Valid || r.Expires <= now {
-				return
-			}
-			nh := int(r.NextHop)
-			switch {
-			case nh < 0 || nh >= nn:
-				a.rec.Recordf("routing/next-hop", i, now,
-					"route to %d has out-of-range next hop %d", r.Dst, nh)
-				return
-			case nh == i:
-				a.rec.Recordf("routing/next-hop", i, now,
-					"route to %d has the node itself as next hop", r.Dst)
-				return
-			case int(r.Dst) == i:
-				a.rec.Recordf("routing/next-hop", i, now,
-					"node has a route to itself via %d", nh)
-				return
-			}
-			// Two-node loop: i routes dst via nh while nh routes the same
-			// dst back via i (both live). Only check each pair once.
-			if int(r.Dst) == nh || nh < i {
-				return
-			}
-			back := e.nodes[nh].Agent.Table().Get(r.Dst)
-			if back != nil && back.Valid && back.Expires > now && int(back.NextHop) == i {
-				a.rec.Recordf("routing/loop", i, now,
-					"two-node loop to %d: %d->%d and %d->%d", r.Dst, i, nh, nh, i)
-			}
-		})
+// checkRoutes checks structural next-hop validity and the two-node
+// loop-freedom projection on the tables due at this point: all of them
+// when full, else those written since the last point and those of nodes
+// in a violation there. Expiry is evaluated read-only (r.Expires > now)
+// instead of via Lookup, whose lazy invalidation writes the table. The
+// findings are recorded in (node, destination) order, exactly as a walk
+// of every table in node order would record them.
+func (a *auditor) checkRoutes(now des.Time, full bool) {
+	nodes := a.e.nodes
+	for i, n := range nodes {
+		w := n.Agent.Table().Writes()
+		a.scan[i] = full || a.hot[i] || w != a.lastWrites[i]
+		a.lastWrites[i] = w
+		a.hot[i] = false
 	}
+	a.found = a.found[:0]
+	a.tablesChecked = 0
+	for i, n := range nodes {
+		if a.scan[i] {
+			a.tablesChecked++
+			n.Agent.Table().Each(func(r routing.Route) { a.checkRoute(i, r, now) })
+		}
+	}
+	if len(a.found) == 0 {
+		return
+	}
+	slices.SortFunc(a.found, func(x, y routeFinding) int {
+		return cmp.Or(cmp.Compare(x.node, y.node), cmp.Compare(x.dst, y.dst))
+	})
+	for _, f := range a.found {
+		a.hot[f.node] = true
+		if f.kind == findLoop {
+			a.hot[f.nh] = true
+		}
+		a.rec.Record(f.violation(now))
+	}
+}
+
+// checkRoute checks node i's route r. A two-node loop is reported by its
+// lower-indexed end; when only the higher end's table is due, the check
+// runs from there, so a loop closed by a write at either end is found.
+func (a *auditor) checkRoute(i int, r routing.Route, now des.Time) {
+	if !r.Valid || r.Expires <= now {
+		return
+	}
+	nh := int(r.NextHop)
+	switch {
+	case nh < 0 || nh >= len(a.e.nodes):
+		a.found = append(a.found, routeFinding{node: i, dst: r.Dst, kind: findNextHopRange, nh: nh})
+		return
+	case nh == i:
+		a.found = append(a.found, routeFinding{node: i, dst: r.Dst, kind: findNextHopSelf, nh: nh})
+		return
+	case int(r.Dst) == i:
+		a.found = append(a.found, routeFinding{node: i, dst: r.Dst, kind: findRouteToSelf, nh: nh})
+		return
+	}
+	if int(r.Dst) == nh {
+		return
+	}
+	lo, hi := i, nh
+	if nh < i {
+		if a.scan[nh] {
+			return // nh's own check reports it
+		}
+		lo, hi = nh, i
+	}
+	back, ok := a.e.nodes[nh].Agent.Table().Get(r.Dst)
+	if ok && back.Valid && back.Expires > now && int(back.NextHop) == i {
+		a.found = append(a.found, routeFinding{node: lo, dst: r.Dst, kind: findLoop, nh: hi})
+	}
+}
+
+// violation renders f as the auditor records it at now.
+func (f routeFinding) violation(now des.Time) audit.Violation {
+	v := audit.Violation{Invariant: "routing/next-hop", Node: f.node, Time: now}
+	switch f.kind {
+	case findNextHopRange:
+		v.Detail = fmt.Sprintf("route to %d has out-of-range next hop %d", f.dst, f.nh)
+	case findNextHopSelf:
+		v.Detail = fmt.Sprintf("route to %d has the node itself as next hop", f.dst)
+	case findRouteToSelf:
+		v.Detail = fmt.Sprintf("node has a route to itself via %d", f.nh)
+	case findLoop:
+		v.Invariant = "routing/loop"
+		v.Detail = fmt.Sprintf("two-node loop to %d: %d->%d and %d->%d", f.dst, f.node, f.nh, f.nh, f.node)
+	}
+	return v
 }

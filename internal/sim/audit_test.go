@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -25,13 +26,46 @@ func auditScenario() Scenario {
 	return sc
 }
 
+// quietAuditScenario is auditScenario with traffic starting at the end
+// of the run: routes are only ever installed by traffic, so here only a
+// mutation writes a table and a mutation test controls exactly which
+// tables change between two audit points.
+func quietAuditScenario() Scenario {
+	sc := auditScenario()
+	sc.TrafficStart = sc.Warmup + sc.Measure
+	return sc
+}
+
+// poisoned is a route fresh enough (huge sequence number) that AODV's
+// newer-sequence-wins rule accepts it over anything organic.
+func poisoned(dst, via pkt.NodeID, expires des.Time) routing.Route {
+	return routing.Route{
+		Dst: dst, NextHop: via, HopCount: 2, Cost: 2,
+		Seq: 1 << 30, SeqValid: true,
+		Expires: expires, Valid: true,
+	}
+}
+
+// loopPoints returns the times of the audit points that reported a
+// routing/loop violation, requiring each to name node at destination dst.
+func loopPoints(t *testing.T, ae *audit.Error, node int, dst pkt.NodeID) []des.Time {
+	t.Helper()
+	var at []des.Time
+	for _, v := range ae.Violations {
+		if v.Node != node || !strings.Contains(v.Detail, fmt.Sprintf("two-node loop to %d:", dst)) {
+			t.Errorf("loop reported as %v, want node %d, destination %d", v, node, dst)
+		}
+		at = append(at, v.Time)
+	}
+	return at
+}
+
 // runMutated runs the audit scenario with hook installed at the prepared
-// point and returns the run error.
+// point, beside the full-walk reference auditor (runAudited), and returns
+// the run error.
 func runMutated(t *testing.T, hook func(simk *des.Sim, nodes []*node.Node)) error {
 	t.Helper()
-	TestHookPrepared = func(simk *des.Sim, nodes []*node.Node, _ Scenario) { hook(simk, nodes) }
-	defer func() { TestHookPrepared = nil }()
-	_, err := Run(auditScenario())
+	_, _, err := runAudited(t, NewEngine(), auditScenario(), hook)
 	return err
 }
 
@@ -60,8 +94,8 @@ func wantOnly(t *testing.T, err error, invariant string) *audit.Error {
 
 // TestAuditCleanRun pins the auditor's soundness: an unmutated run across
 // every scheme — including churn, link impairment and mobility — must be
-// violation-free, and the audited Result bit-identical to the unaudited
-// one.
+// violation-free, agree with the full-walk reference at every audit point,
+// and give a Result bit-identical to the unaudited one.
 func TestAuditCleanRun(t *testing.T) {
 	for _, scheme := range AllSchemes() {
 		sc := auditScenario().WithScheme(scheme)
@@ -69,7 +103,7 @@ func TestAuditCleanRun(t *testing.T) {
 		sc.Faults.MeanDownTime = 500 * des.Millisecond
 		sc.Faults.Link = fault.LinkParams{MeanGood: des.Second, MeanBad: 100 * des.Millisecond, LossBad: 0.5}
 		sc.MobilitySpeed = 5
-		r, err := Run(sc)
+		r, _, err := runAudited(t, NewEngine(), sc, nil)
 		if err != nil {
 			t.Fatalf("%s: audited clean run failed: %v", scheme, err)
 		}
@@ -145,24 +179,118 @@ func TestAuditCatchesPastSchedule(t *testing.T) {
 func TestAuditCatchesTwoNodeLoop(t *testing.T) {
 	err := runMutated(t, func(simk *des.Sim, nodes []*node.Node) {
 		simk.At(450*des.Millisecond, func() {
-			// Fresh huge sequence numbers so AODV's newer-seq-wins rule
-			// accepts both poisoned entries over anything organic.
-			loop := routing.Route{
-				Dst: 5, HopCount: 2, Cost: 2,
-				Seq: 1 << 30, SeqValid: true,
-				Expires: 10 * des.Second, Valid: true,
-			}
-			a := loop
-			a.NextHop = 1
-			nodes[0].Agent.Table().Update(a)
-			b := loop
-			b.NextHop = 0
-			nodes[1].Agent.Table().Update(b)
+			nodes[0].Agent.Table().Update(poisoned(5, 1, 10*des.Second))
+			nodes[1].Agent.Table().Update(poisoned(5, 0, 10*des.Second))
 		})
 	})
 	ae := wantOnly(t, err, "routing/loop")
 	if !strings.Contains(ae.Violations[0].Detail, "two-node loop") {
 		t.Errorf("unexpected detail: %s", ae.Violations[0].Detail)
+	}
+}
+
+// TestAuditCatchesLoopClosedAtHigherNode: node 0 routes destination 5
+// via node 1 from 250 ms; at 450 ms node 1 — the higher-indexed end, and
+// the only table written since the previous point — closes the loop. The
+// point at 500 ms checks that one table and must still report the loop,
+// attributed to node 0 as a walk of every table would.
+func TestAuditCatchesLoopClosedAtHigherNode(t *testing.T) {
+	_, points, err := runAudited(t, NewEngine(), quietAuditScenario(), func(simk *des.Sim, nodes []*node.Node) {
+		simk.At(250*des.Millisecond, func() { nodes[0].Agent.Table().Update(poisoned(5, 1, 10*des.Second)) })
+		simk.At(450*des.Millisecond, func() { nodes[1].Agent.Table().Update(poisoned(5, 0, 10*des.Second)) })
+	})
+	ae := wantOnly(t, err, "routing/loop")
+	if at := loopPoints(t, ae, 0, 5); at[0] != 500*des.Millisecond {
+		t.Errorf("loop first reported at %v, want 500ms", at[0])
+	}
+	for _, p := range points {
+		if p.t == 500*des.Millisecond && p.tables != 1 {
+			t.Errorf("the point at 500ms checked %d tables, want only node 1's", p.tables)
+		}
+	}
+}
+
+// TestAuditReportsPersistingLoopEveryPoint: a loop installed once and
+// never written again is reported at every audit point while both routes
+// live, exactly as often as a full walk reports it, though the points in
+// between check only the two tables in the loop.
+func TestAuditReportsPersistingLoopEveryPoint(t *testing.T) {
+	sc := quietAuditScenario()
+	_, points, err := runAudited(t, NewEngine(), sc, func(simk *des.Sim, nodes []*node.Node) {
+		simk.At(450*des.Millisecond, func() {
+			nodes[0].Agent.Table().Update(poisoned(5, 1, 10*des.Second))
+			nodes[1].Agent.Table().Update(poisoned(5, 0, 10*des.Second))
+		})
+	})
+	ae := wantOnly(t, err, "routing/loop")
+	loopAt := loopPoints(t, ae, 0, 5)
+	want := 0
+	for _, p := range points {
+		if p.t < 500*des.Millisecond {
+			continue
+		}
+		want++
+		if p.routeViolations != 1 {
+			t.Errorf("point at %v found %d route violations, want the loop", p.t, p.routeViolations)
+		}
+		if p.incremental && p.t > 500*des.Millisecond && p.tables != 2 {
+			t.Errorf("point at %v checked %d tables, want the loop's two", p.t, p.tables)
+		}
+	}
+	if got := ae.Truncated + len(loopAt); got != want || want < 20 {
+		t.Errorf("loop reported %d times over %d audit points from 500ms", got, want)
+	}
+}
+
+// TestAuditCatchesLoopReinstalledAfterExpiry: a loop whose route at node 0
+// expires by time (never looked up, so still marked valid) stops being
+// reported; re-installing that route at the same next hop — which the
+// table must count as a write, not as a lifetime refresh — brings the
+// report back at the next point.
+func TestAuditCatchesLoopReinstalledAfterExpiry(t *testing.T) {
+	_, _, err := runAudited(t, NewEngine(), quietAuditScenario(), func(simk *des.Sim, nodes []*node.Node) {
+		simk.At(450*des.Millisecond, func() {
+			nodes[1].Agent.Table().Update(poisoned(5, 0, 10*des.Second))
+			nodes[0].Agent.Table().Update(poisoned(5, 1, 650*des.Millisecond))
+		})
+		simk.At(850*des.Millisecond, func() {
+			r := poisoned(5, 1, 10*des.Second)
+			r.Seq++ // what the lazy expiry bumped it to
+			if !nodes[0].Agent.Table().Update(r) {
+				t.Error("the re-install was refused")
+			}
+		})
+	})
+	ae := wantOnly(t, err, "routing/loop")
+	at := loopPoints(t, ae, 0, 5)
+	if len(at) < 3 || at[0] != 500*des.Millisecond || at[1] != 600*des.Millisecond || at[2] != 900*des.Millisecond {
+		t.Errorf("loop reported at %v, want 500ms, 600ms, then from 900ms on", at)
+	}
+}
+
+// TestAuditCatchesReleaseFromEarlierArming: a packet node 1 lent in one
+// audited run and never got back is released to it in the next audited
+// run on the same warm engine. The pool was armed afresh for that run, so
+// the release must count as a double free, and be refused without
+// breaking the new run's conservation ledger.
+func TestAuditCatchesReleaseFromEarlierArming(t *testing.T) {
+	e := NewEngine()
+	var stale *pkt.Packet
+	var lender *pkt.Pool
+	_, _, err := runAudited(t, e, auditScenario(), func(simk *des.Sim, nodes []*node.Node) {
+		lender = nodes[1].Agent.Env.Pool
+		simk.At(450*des.Millisecond, func() { stale = lender.Data(1, 2, 64, 0, 0, simk.Now(), 16) })
+	})
+	wantOnly(t, err, "pkt/conservation")
+	_, _, err = runAudited(t, e, auditScenario(), func(simk *des.Sim, nodes []*node.Node) {
+		if nodes[1].Agent.Env.Pool != lender {
+			t.Fatal("the warm engine gave node 1 a new pool")
+		}
+		simk.At(450*des.Millisecond, func() { lender.Release(stale) })
+	})
+	ae := wantOnly(t, err, "pkt/double-free")
+	if ae.Violations[0].Node != 1 {
+		t.Errorf("double free attributed to node %d, want 1", ae.Violations[0].Node)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clnlr/internal/des"
+	"clnlr/internal/journey"
 	"clnlr/internal/metrics"
 	"clnlr/internal/node"
 )
@@ -16,46 +17,61 @@ func instrumentedScenario() Scenario {
 	return sc
 }
 
-// TestInstrumentTicksAllocateNothing: on a warm engine and collector, in
-// the middle of a run with traffic flowing, one whole audit point and one
-// whole sampler tick must not allocate — a per-tick allocation times 49
+// TestInstrumentTicksAllocateNothing: on a warm engine, collector and
+// journey recorder, in the middle of a run with traffic flowing, one whole
+// audit point (full, and checking only what changed) of an auditor built
+// as the engine builds it, one whole sampler tick and the closing of an
+// RREP-WAIT window must not allocate — a per-tick allocation times 49
 // nodes times 300 ticks is what made "everything on" cost 3× a plain run.
 func TestInstrumentTicksAllocateNothing(t *testing.T) {
 	sc := instrumentedScenario()
 	e := NewEngine()
 	col := metrics.NewCollector(100 * des.Millisecond)
-	if _, err := e.RunJourney(sc, nil, col, nil); err != nil { // warm engine and collector
+	rec := journey.NewRecorder(1, true)
+	if _, err := e.RunJourney(sc, nil, col, rec); err != nil { // warm engine, collector and recorder
 		t.Fatal(err)
 	}
+	if len(rec.ReplySelections()) == 0 {
+		t.Fatal("the warm-up run closed no RREP-WAIT window")
+	}
 
-	var auditAllocs, sampleAllocs float64
+	var fullAllocs, incAllocs, sampleAllocs, replyAllocs float64
 	var auditErr error
 	TestHookPrepared = func(simk *des.Sim, nodes []*node.Node, _ Scenario) {
 		simk.At(sc.Warmup+sc.Measure/2+des.Microsecond, func() {
-			a := &auditor{e: e, lastSeq: make([]uint32, len(nodes)), lastDF: make([]uint64, len(nodes))}
-			for i, n := range nodes {
-				a.lastSeq[i] = n.Agent.SeqNo()
-			}
-			auditAllocs = testing.AllocsPerRun(10, a.check)
+			a := newAuditor(e, sc.Warmup+sc.Measure, nil)
+			fullAllocs = testing.AllocsPerRun(10, func() { a.check(true) })
+			incAllocs = testing.AllocsPerRun(10, func() { a.check(false) })
 			auditErr = a.Err()
 			// The run is half over, so the warm collector has room for
 			// these extra ticks.
 			s := &sampler{e: e, col: col}
 			sampleAllocs = testing.AllocsPerRun(10, func() { s.HandleEvent(0, 0) })
+			// The warm-up run sized the candidate slab for every window
+			// this run closes; these windows add a few more each.
+			replyAllocs = testing.AllocsPerRun(10, func() {
+				now := simk.Now()
+				rec.OnReplyCandidate(now, 1, 2, 99, 3, 2.5, 2)
+				rec.OnReplyCandidate(now, 1, 2, 99, 4, 3.5, 3)
+				rec.OnReplyClose(now, 1, 2, 99, 3, 2.5, 2)
+			})
 		})
 	}
 	defer func() { TestHookPrepared = nil }()
-	if _, err := e.RunJourney(sc, nil, col, nil); err != nil {
+	if _, err := e.RunJourney(sc, nil, col, rec); err != nil {
 		t.Fatal(err)
 	}
 	if auditErr != nil {
 		t.Fatalf("mid-run audit point: %v", auditErr)
 	}
-	if auditAllocs != 0 {
-		t.Errorf("one audit point allocates %v times, want 0", auditAllocs)
+	if fullAllocs != 0 || incAllocs != 0 {
+		t.Errorf("one audit point allocates %v times in full, %v times checking what changed, want 0", fullAllocs, incAllocs)
 	}
 	if sampleAllocs != 0 {
 		t.Errorf("one sampler tick allocates %v times, want 0", sampleAllocs)
+	}
+	if replyAllocs != 0 {
+		t.Errorf("closing an RREP-WAIT window on a warm recorder allocates %v times, want 0", replyAllocs)
 	}
 }
 

@@ -159,7 +159,7 @@ func TestWarmResetClearsOnlyWhatWasUsed(t *testing.T) {
 
 func tableOf(c *routing.Core) []routing.Route {
 	var out []routing.Route
-	c.Table().Each(func(r *routing.Route) { out = append(out, *r) })
+	c.Table().Each(func(r routing.Route) { out = append(out, r) })
 	return out
 }
 

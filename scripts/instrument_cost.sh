@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # instrument_cost.sh — what each instrument costs at 49 and at 225 nodes:
-# the six same-process off/on pairs of BenchmarkInstrumentCost (flight
-# recorder at 100 ms, invariant auditor, journey recorder, each on the
-# default 49-node run and on the 15×15 grid), COUNT times each, then per
-# pair the median off and on times and the on/off ratio with the min–max
-# of the COUNT round-by-round ratios. ROADMAP budgets each at ≤ 1.15×.
-# `make instrument-cost` runs it; nothing gates on the output.
+# the eight same-process off/on pairs of BenchmarkInstrumentCost (flight
+# recorder at 100 ms, invariant auditor, journey recorder, and "all" three
+# at once, each on the default 49-node run and on the 15×15 grid), COUNT
+# times each, then per pair the median off and on times and the on/off
+# ratio with the min–max of the COUNT round-by-round ratios. ROADMAP
+# budgets each single instrument at ≤ 1.15×; the "all" rows are the
+# combined cost it quotes. `make instrument-cost` runs it; nothing gates
+# on the output.
 set -euo pipefail
 
 count=${COUNT:-5}
