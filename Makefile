@@ -114,15 +114,23 @@ profile-largen:
 # half the transmissions rebuild an audible set and every delivery advances
 # a link's Gilbert–Elliott chain: radio.buildAudible (cumulative, the
 # propagation row kernel under it) and fault.LinkModel.Deliver are the
-# lines to read.
+# lines to read. The allocation profile of the same ten runs follows
+# (GODEBUG=memprofilerate=1 records every allocation). Route maintenance
+# — RERRs and re-discovery after every link break — allocates nothing on
+# a warm engine, so what it shows is the first run's build, per-run setup
+# (placement, flows, churn, mobility) and pool refills after crashes
+# strand packets.
 profile-mobile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) run ./cmd/meshsim -config scripts/identity_mobile.json \
+	$(GO) build -o $(PROFILE_DIR)/meshsim ./cmd/meshsim
+	GODEBUG=memprofilerate=1 $(PROFILE_DIR)/meshsim -config scripts/identity_mobile.json \
 		-mttf 60s -mttr 5s -link-good 2s -link-bad 200ms -loss-bad 0.8 \
 		-reps 10 -workers 1 \
-		-cpuprofile $(PROFILE_DIR)/mobile-cpu.pprof
+		-cpuprofile $(PROFILE_DIR)/mobile-cpu.pprof \
+		-memprofile $(PROFILE_DIR)/mobile-mem.pprof
 	@ls -l $(PROFILE_DIR)
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/mobile-cpu.pprof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(PROFILE_DIR)/meshsim $(PROFILE_DIR)/mobile-mem.pprof
 
 # The daemon's miss path: BenchmarkServeThroughput/cold pushes never-seen
 # /v1/run requests through one in-process server (decode, admission, the

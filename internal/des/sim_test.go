@@ -301,25 +301,6 @@ func TestTickerStop(t *testing.T) {
 	}
 }
 
-func TestTickerJitter(t *testing.T) {
-	s := NewSim()
-	src := rng.New(3)
-	var ticks []Time
-	tk := NewTicker(s, Second, func() { ticks = append(ticks, s.Now()) }).
-		WithJitter(func() Time { return Time(src.Intn(int(100 * Millisecond))) })
-	tk.Start(0)
-	s.RunUntil(10 * Second)
-	if len(ticks) < 8 {
-		t.Fatalf("too few jittered ticks: %d", len(ticks))
-	}
-	for i := 1; i < len(ticks); i++ {
-		gap := ticks[i] - ticks[i-1]
-		if gap < Second || gap > Second+100*Millisecond {
-			t.Fatalf("tick gap %v outside [1s, 1.1s]", gap)
-		}
-	}
-}
-
 // TestTickerRestartReplacesPendingTick: Start on a running ticker moves
 // its one train; it does not add a second.
 func TestTickerRestartReplacesPendingTick(t *testing.T) {

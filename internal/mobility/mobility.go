@@ -51,7 +51,7 @@ type legState struct {
 	speed      float64 // m/s
 	pausedTill des.Time
 	set        SetPos
-	src        *rng.Source
+	src        rng.Source
 }
 
 // Waypoint is a random-waypoint mobility model driving any number of
@@ -60,7 +60,7 @@ type Waypoint struct {
 	sim    *des.Sim
 	region geom.Rect
 	cfg    Config
-	nodes  []*legState
+	nodes  []legState
 	ticker *des.Ticker
 }
 
@@ -77,11 +77,11 @@ func NewWaypoint(sim *des.Sim, region geom.Rect, cfg Config) *Waypoint {
 }
 
 // Track registers one node starting at initial; the model will call set
-// with each new position. src must be a node-private random stream.
+// with each new position. The node's legs are drawn from its own copy of
+// src's stream, so the caller may reuse src.
 func (w *Waypoint) Track(initial geom.Point, set SetPos, src *rng.Source) {
-	ls := &legState{pos: initial, set: set, src: src}
-	w.newLeg(ls)
-	w.nodes = append(w.nodes, ls)
+	w.nodes = append(w.nodes, legState{pos: initial, set: set, src: *src})
+	w.newLeg(&w.nodes[len(w.nodes)-1])
 }
 
 // newLeg draws the next waypoint and speed for a node.
@@ -110,7 +110,8 @@ func (w *Waypoint) Stop() {
 func (w *Waypoint) step() {
 	now := w.sim.Now()
 	dt := w.cfg.Interval.Seconds()
-	for _, ls := range w.nodes {
+	for i := range w.nodes {
+		ls := &w.nodes[i]
 		if now < ls.pausedTill {
 			continue
 		}

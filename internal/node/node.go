@@ -4,6 +4,8 @@
 package node
 
 import (
+	"fmt"
+
 	"clnlr/internal/des"
 	"clnlr/internal/geom"
 	"clnlr/internal/mac"
@@ -20,6 +22,10 @@ type Node struct {
 	Radio *radio.Radio
 	Mac   *mac.Mac
 	Agent *routing.Core
+
+	// macRng and agentRng are the MAC's and the agent's private streams,
+	// held here so a warm reset re-derives them in place.
+	macRng, agentRng rng.Source
 }
 
 // SetDeliver installs the application sink for data packets addressed to
@@ -47,6 +53,26 @@ func (n *Node) Recover() {
 	n.Radio.SetDown(false)
 }
 
+// Typed DES event ops of a Node (see HandleEvent): a churn schedule
+// queues each crash and recovery as one, with no closure per event.
+const (
+	OpCrash int32 = iota
+	OpRecover
+)
+
+// HandleEvent implements des.Handler: OpCrash crashes the stack,
+// OpRecover recovers it.
+func (n *Node) HandleEvent(op int32, _ uint32) {
+	switch op {
+	case OpCrash:
+		n.Crash()
+	case OpRecover:
+		n.Recover()
+	default:
+		panic(fmt.Sprintf("node: unknown event op %d", op))
+	}
+}
+
 // BuildNetwork attaches one full stack per position to the medium, each
 // node running the scheme spec describes (one spec.Policy() per node). The
 // master RNG seeds independent per-node streams for the MAC (backoff) and
@@ -64,8 +90,11 @@ func BuildNetwork(
 	nodes := make([]*Node, len(positions))
 	for i, pos := range positions {
 		id := pkt.NodeID(i)
+		n := &Node{ID: id, Pos: pos}
+		master.DeriveInto(&n.macRng, uint64(i), 1)
+		master.DeriveInto(&n.agentRng, uint64(i), 2)
 		r := medium.Attach(pos, radioParams)
-		m := mac.New(macCfg, sim, r, id, master.Derive(uint64(i), 1))
+		m := mac.New(macCfg, sim, r, id, &n.macRng)
 		// One packet pool per node, shared by the MAC (unicast delivery
 		// clones) and the routing agent (everything else). Packets never
 		// cross pools: receivers clone what they keep.
@@ -75,16 +104,12 @@ func BuildNetwork(
 			Sim:  sim,
 			Mac:  m,
 			ID:   id,
-			Rng:  master.Derive(uint64(i), 2),
+			Rng:  &n.agentRng,
 			Pool: pool,
 		}
-		nodes[i] = &Node{
-			ID:    id,
-			Pos:   pos,
-			Radio: r,
-			Mac:   m,
-			Agent: routing.New(env, spec.Cfg, spec.Policy()),
-		}
+		n.Radio, n.Mac = r, m
+		n.Agent = routing.New(env, spec.Cfg, spec.Policy())
+		nodes[i] = n
 	}
 	// Node IDs are dense 0..N-1 and N is known here: size every dense
 	// per-peer structure up front so no run ever grows one on the hot
@@ -98,9 +123,10 @@ func BuildNetwork(
 
 // ResetNetwork rebinds an existing network for a fresh run on the same
 // (reset) simulation kernel and medium. Positions, MAC state and routing
-// agents are reset in place, deriving per-node RNG streams on exactly the
-// schedule BuildNetwork uses — (i,1) for the MAC, (i,2) for the agent —
-// so a warm rerun is bit-identical to a cold build from the same master.
+// agents are reset in place, re-deriving per-node RNG streams into the
+// Sources the nodes hold on exactly the schedule BuildNetwork uses —
+// (i,1) for the MAC, (i,2) for the agent — so a warm rerun is
+// bit-identical to a cold build from the same master.
 // Each packet pool keeps its free lists but restarts its drop count, so
 // the pool-drop diagnostic of a warm run counts that run alone.
 // The caller must have reset the des.Sim and the radio.Medium first.
@@ -113,13 +139,15 @@ func ResetNetwork(
 ) {
 	for i, n := range nodes {
 		n.Pos = positions[i]
-		n.Mac.Reset(macCfg, master.Derive(uint64(i), 1))
+		master.DeriveInto(&n.macRng, uint64(i), 1)
+		master.DeriveInto(&n.agentRng, uint64(i), 2)
+		n.Mac.Reset(macCfg, &n.macRng)
 		n.Agent.Env.Pool.ResetDrops()
 		env := routing.Env{
 			Sim:  n.Agent.Env.Sim,
 			Mac:  n.Mac,
 			ID:   n.ID,
-			Rng:  master.Derive(uint64(i), 2),
+			Rng:  &n.agentRng,
 			Pool: n.Agent.Env.Pool,
 		}
 		n.Agent.Reset(env, spec.Cfg, spec.Policy())

@@ -10,6 +10,7 @@ package pkt
 
 import (
 	"fmt"
+	"slices"
 
 	"clnlr/internal/des"
 )
@@ -219,7 +220,9 @@ func NewRREP(src NodeID, body RREPBody, now des.Time, ttl int) *Packet {
 	}
 }
 
-// NewRERR builds a route-error packet (link-local broadcast).
+// NewRERR builds a route-error packet (link-local broadcast). Like every
+// body constructor here it copies the caller's slice: a caller may build
+// the list in scratch storage it reuses.
 func NewRERR(src NodeID, unreachable []UnreachableDest, now des.Time) *Packet {
 	return &Packet{
 		Kind:      RERR,
@@ -228,13 +231,14 @@ func NewRERR(src NodeID, unreachable []UnreachableDest, now des.Time) *Packet {
 		TTL:       1,
 		Bytes:     RERRBaseBytes + RERRPerDestBytes*len(unreachable),
 		CreatedAt: now,
-		RERR:      &RERRBody{Unreachable: unreachable},
+		RERR:      &RERRBody{Unreachable: slices.Clone(unreachable)},
 	}
 }
 
-// NewHello builds a HELLO beacon (never forwarded).
+// NewHello builds a HELLO beacon (never forwarded). The piggybacked
+// loads are copied, nil staying nil (a one-hop beacon).
 func NewHello(src NodeID, body HelloBody, now des.Time) *Packet {
-	b := body
+	b := HelloBody{Load: body.Load, NbrLoads: slices.Clone(body.NbrLoads)}
 	return &Packet{
 		Kind:      Hello,
 		Src:       src,
@@ -273,11 +277,11 @@ func (p *Packet) Clone() *Packet {
 	q := *p
 	q.lease = 0
 	if p.RERR != nil {
-		b := RERRBody{Unreachable: append([]UnreachableDest(nil), p.RERR.Unreachable...)}
+		b := RERRBody{Unreachable: slices.Clone(p.RERR.Unreachable)}
 		q.RERR = &b
 	}
 	if p.Hello != nil {
-		b := HelloBody{Load: p.Hello.Load, NbrLoads: append([]NeighborLoad(nil), p.Hello.NbrLoads...)}
+		b := HelloBody{Load: p.Hello.Load, NbrLoads: slices.Clone(p.Hello.NbrLoads)}
 		q.Hello = &b
 	}
 	return &q

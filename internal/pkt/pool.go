@@ -254,7 +254,8 @@ func (pl *Pool) RREP(src NodeID, body RREPBody, now des.Time, ttl int) *Packet {
 }
 
 // RERR is the pooled NewRERR; the unreachable list is copied into the
-// body's retained storage, so the caller keeps its slice.
+// body's retained storage (or, on a miss, by NewRERR), so the caller
+// keeps its slice.
 func (pl *Pool) RERR(src NodeID, unreachable []UnreachableDest, now des.Time) *Packet {
 	if pl == nil {
 		return NewRERR(src, unreachable, now)
@@ -278,7 +279,8 @@ func (pl *Pool) RERR(src NodeID, unreachable []UnreachableDest, now des.Time) *P
 }
 
 // Hello is the pooled NewHello; the piggybacked neighbour loads are
-// copied into the body's retained storage, so the caller keeps its slice.
+// copied into the body's retained storage (or, on a miss, by NewHello),
+// so the caller keeps its slice.
 func (pl *Pool) Hello(src NodeID, body HelloBody, now des.Time) *Packet {
 	if pl == nil {
 		return NewHello(src, body, now)
@@ -289,7 +291,7 @@ func (pl *Pool) Hello(src NodeID, body HelloBody, now des.Time) *Packet {
 	}
 	b := p.Hello
 	b.Load = body.Load
-	b.NbrLoads = append(b.NbrLoads[:0], body.NbrLoads...)
+	b.NbrLoads = copyLoads(b.NbrLoads, body.NbrLoads)
 	*p = Packet{
 		Kind:      Hello,
 		Src:       src,
@@ -300,6 +302,21 @@ func (pl *Pool) Hello(src NodeID, body HelloBody, now des.Time) *Packet {
 		Hello:     b,
 	}
 	return pl.tracked(p)
+}
+
+// copyLoads copies a HELLO's piggybacked loads over a recycled body's
+// storage. It keeps src's nil-ness, which receivers read: nil is a
+// one-hop beacon, an empty table a two-hop beacon with no fresh
+// neighbours (see routing.NeighborTable.Update), whatever body the pool
+// happened to recycle.
+func copyLoads(dst, src []NeighborLoad) []NeighborLoad {
+	if src == nil {
+		return nil
+	}
+	if dst == nil {
+		dst = []NeighborLoad{}
+	}
+	return append(dst[:0], src...)
 }
 
 // Clone is the pooled Packet.Clone: same deep-copy semantics, recycled
@@ -346,7 +363,7 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 		}
 		b := q.Hello
 		b.Load = p.Hello.Load
-		b.NbrLoads = append(b.NbrLoads[:0], p.Hello.NbrLoads...)
+		b.NbrLoads = copyLoads(b.NbrLoads, p.Hello.NbrLoads)
 		*q = *p
 		q.Hello = b
 		return pl.tracked(q)

@@ -395,3 +395,69 @@ func TestPacketLeaseFillsPadding(t *testing.T) {
 		t.Errorf("UID at offset %d: Kind and lease no longer share one word", off)
 	}
 }
+
+// poolPaths names the three ways a pooled constructor can build a packet:
+// from a recycled packet, on a miss (empty free list) and with no pool.
+func poolPaths(seed func(*Pool)) []struct {
+	name string
+	pl   *Pool
+} {
+	hit := NewPool()
+	seed(hit)
+	return []struct {
+		name string
+		pl   *Pool
+	}{{"hit", hit}, {"miss", NewPool()}, {"nil-pool", nil}}
+}
+
+// TestPoolRERRCopiesOnMiss: whichever path builds a RERR, the packet
+// owns its unreachable list — a caller that reuses its slice (the
+// routing core builds every RERR in one scratch buffer) cannot rewrite a
+// packet already handed to the MAC.
+func TestPoolRERRCopiesOnMiss(t *testing.T) {
+	for _, tc := range poolPaths(func(pl *Pool) {
+		pl.Release(pl.RERR(9, []UnreachableDest{{Node: 1, Seq: 1}}, 0))
+	}) {
+		lost := []UnreachableDest{{Node: 5, Seq: 2}, {Node: 6, Seq: 9}}
+		p := tc.pl.RERR(3, lost, des.Second)
+		lost[0] = UnreachableDest{Node: 40, Seq: 40}
+		_ = append(lost[:1], UnreachableDest{Node: 41, Seq: 41})
+		want := []UnreachableDest{{Node: 5, Seq: 2}, {Node: 6, Seq: 9}}
+		if !reflect.DeepEqual(p.RERR.Unreachable, want) {
+			t.Errorf("%s: RERR list %v after the caller reused its slice, want %v", tc.name, p.RERR.Unreachable, want)
+		}
+	}
+}
+
+// TestPoolHelloCopiesOnMiss is the same for a HELLO's piggybacked loads,
+// which the routing core builds in one per-node buffer per beacon. An
+// empty two-hop table stays non-nil and a one-hop beacon's stays nil.
+func TestPoolHelloCopiesOnMiss(t *testing.T) {
+	for _, tc := range poolPaths(func(pl *Pool) {
+		pl.Release(pl.Hello(9, HelloBody{Load: 0.1, NbrLoads: []NeighborLoad{{ID: 9, Load: 1}}}, 0))
+	}) {
+		loads := []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}
+		p := tc.pl.Hello(2, HelloBody{Load: 0.7, NbrLoads: loads}, des.Second)
+		loads[1] = NeighborLoad{ID: 40, Load: 0.4}
+		want := []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}
+		if !reflect.DeepEqual(p.Hello.NbrLoads, want) {
+			t.Errorf("%s: HELLO loads %v after the caller reused its slice, want %v", tc.name, p.Hello.NbrLoads, want)
+		}
+	}
+	// The hit recycles the other kind of beacon each time: a warm engine
+	// may run a one-hop scheme after a two-hop one and the other way round.
+	for _, tc := range poolPaths(func(pl *Pool) {
+		pl.Release(pl.Hello(9, HelloBody{}, 0))
+	}) {
+		if p := tc.pl.Hello(2, HelloBody{NbrLoads: []NeighborLoad{}}, 0); p.Hello.NbrLoads == nil {
+			t.Errorf("%s: an empty two-hop table became nil", tc.name)
+		}
+	}
+	for _, tc := range poolPaths(func(pl *Pool) {
+		pl.Release(pl.Hello(9, HelloBody{NbrLoads: []NeighborLoad{{ID: 9, Load: 1}}}, 0))
+	}) {
+		if p := tc.pl.Hello(2, HelloBody{}, 0); p.Hello.NbrLoads != nil {
+			t.Errorf("%s: a one-hop beacon gained a two-hop table", tc.name)
+		}
+	}
+}

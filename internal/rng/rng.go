@@ -56,6 +56,15 @@ func (s *Source) Reseed(seed uint64) {
 // per-flow streams: Derive(nodeID, purpose) is stable no matter how many
 // values the parent has produced.
 func (s *Source) Derive(labels ...uint64) *Source {
+	d := new(Source)
+	s.DeriveInto(d, labels...)
+	return d
+}
+
+// DeriveInto reseeds dst to the stream Derive(labels...) returns, in
+// dst's own storage: a warm engine re-derives the per-node streams its
+// nodes already hold instead of allocating new ones. dst may be s.
+func (s *Source) DeriveInto(dst *Source, labels ...uint64) {
 	// Mix the creation seed (not the mutable state) with the labels
 	// through splitmix64 so sibling derivations are decorrelated and the
 	// result does not depend on how much the parent has been consumed.
@@ -65,7 +74,7 @@ func (s *Source) Derive(labels ...uint64) *Source {
 		x ^= l + 0x9e3779b97f4a7c15
 		_ = splitmix64(&x)
 	}
-	return New(x)
+	dst.Reseed(x)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

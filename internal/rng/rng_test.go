@@ -54,6 +54,29 @@ func TestDeriveIndependentOfConsumption(t *testing.T) {
 	}
 }
 
+// TestDeriveIntoMatchesDerive: reseeding a used Source in place — even
+// the parent itself — yields exactly the stream Derive would allocate,
+// and the parent's own lineage (what later derivations mix) is read
+// before dst is overwritten.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	parent := New(7)
+	want := parent.Derive(3, 5)
+	dst := New(99)
+	dst.Uint64()
+	parent.DeriveInto(dst, 3, 5)
+	self := New(7)
+	self.DeriveInto(self, 3, 5)
+	for i := 0; i < 100; i++ {
+		w := want.Uint64()
+		if g, s := dst.Uint64(), self.Uint64(); g != w || s != w {
+			t.Fatalf("step %d: DeriveInto gives %d, into itself %d, Derive %d", i, g, s, w)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { parent.DeriveInto(dst, 3, 5) }); n != 0 {
+		t.Errorf("DeriveInto allocates %v times, want 0", n)
+	}
+}
+
 func TestDeriveSiblingsDiffer(t *testing.T) {
 	parent := New(7)
 	a := parent.Derive(1)

@@ -1,9 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"clnlr/internal/des"
 	"clnlr/internal/journey"
@@ -72,7 +72,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// discovery is an in-progress route search at a source node.
+// discovery is an in-progress route search at a source node. Records
+// are recycled through Core.discFree once retired (see retire).
 type discovery struct {
 	dst      pkt.NodeID
 	attempts int
@@ -96,7 +97,7 @@ type replyWait struct {
 // Spec is a scheme: its routing configuration plus a constructor for its
 // per-node, per-run policy. node.BuildNetwork builds agents from it and
 // node.ResetNetwork resets warm ones against it. Policies may carry
-// mutable per-run state (the counter scheme's assessment map, for
+// mutable per-run state (the counter scheme's assessments, for
 // example), so a reset rebuilds the policy while resetting everything
 // else in place.
 type Spec struct {
@@ -104,13 +105,14 @@ type Spec struct {
 	Policy func() RREQPolicy
 }
 
-// Typed DES event ops. The Core is its own des.Handler, so the hot
-// scheduling sites — discovery timeouts, jittered RREQ rebroadcasts,
-// reply-window closes — carry a small arg instead of a captured closure.
+// Typed DES event ops. The Core is its own des.Handler, so its scheduling
+// sites — discovery timeouts, jittered RREQ rebroadcasts, reply-window
+// closes, HELLO beacons — carry a small arg instead of a captured closure.
 const (
 	copDiscoveryTimeout int32 = iota // arg: destination NodeID
 	copDeferredSend                  // arg: deferred slot index
 	copReplyWindow                   // arg: waitKeys slot index
+	copHello                         // arg unused
 )
 
 // Core is the shared routing engine. One Core per node; it implements
@@ -128,8 +130,21 @@ type Core struct {
 	// pending holds the in-progress discoveries in ascending destination
 	// order (the order Crash drops their buffers in).
 	pending    []*discovery
-	replyWaits map[rreqKey]*replyWait
-	hello      *des.Ticker
+	replyWaits map[rreqKey]replyWait
+	// beacon is set once Start has armed the HELLO beacon for this run;
+	// helloEv is its next tick (stopped by a crash).
+	beacon  bool
+	helloEv des.Event
+
+	// Per-node scratch and free lists that keep route maintenance off the
+	// heap on a warm engine. discFree holds retired discovery records
+	// (buffers emptied, no packet pointers kept). unreach is the RERR list
+	// handleRERR or MacTxDone builds (neither re-enters the other) and
+	// nbrLoads the two-hop table sendHello piggybacks; pkt.Pool copies
+	// both into the packet.
+	discFree []*discovery
+	unreach  []pkt.UnreachableDest
+	nbrLoads []pkt.NeighborLoad
 
 	// deferred parks packets awaiting a jittered broadcast (RREQ
 	// de-synchronisation); the typed event carries the slot index, so the
@@ -153,7 +168,7 @@ func New(env Env, cfg Config, policy RREQPolicy) *Core {
 		table:      NewTable(env.Sim),
 		dup:        NewDupCache(env.Sim, cfg.DupHorizon),
 		nbrs:       NewNeighborTable(env.Sim, 0),
-		replyWaits: make(map[rreqKey]*replyWait),
+		replyWaits: make(map[rreqKey]replyWait),
 	}
 	c.Reset(env, cfg, policy)
 	return c
@@ -178,10 +193,10 @@ func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	c.nbrs.Reset(cfg.HelloInterval * des.Time(cfg.HelloLossAllowance+1))
 	c.seq = 0
 	c.rreqID = 0
-	clear(c.pending)
-	c.pending = c.pending[:0]
+	c.retireAll()
 	clear(c.replyWaits)
-	c.hello = nil
+	c.beacon = false
+	c.helloEv = des.Event{}
 	// Slots referenced by now-discarded events (the shared Sim was just
 	// Reset) would otherwise leak across runs.
 	for i := range c.deferred {
@@ -212,6 +227,9 @@ func (c *Core) HandleEvent(op int32, arg uint32) {
 		k := c.waitKeys[arg]
 		c.waitFree = append(c.waitFree, int32(arg))
 		c.closeReplyWindow(k)
+	case copHello:
+		c.sendHello()
+		c.scheduleHello(c.Cfg.HelloInterval)
 	default:
 		panic(fmt.Sprintf("routing: unknown event op %d", op))
 	}
@@ -238,12 +256,10 @@ func (c *Core) Crash() {
 			}
 		}
 	}
-	clear(c.pending)
-	c.pending = c.pending[:0]
+	c.retireAll()
 	clear(c.replyWaits)
-	if c.hello != nil {
-		c.hello.Stop()
-	}
+	c.helloEv.Cancel()
+	c.helloEv = des.Event{}
 }
 
 // Recover brings a crashed node back up with empty tables and its
@@ -254,8 +270,8 @@ func (c *Core) Recover() {
 		return
 	}
 	c.down = false
-	if c.hello != nil {
-		c.hello.Start(des.Time(c.Env.Rng.Intn(int(c.Cfg.HelloInterval))))
+	if c.beacon {
+		c.scheduleHello(des.Time(c.Env.Rng.Intn(int(c.Cfg.HelloInterval))))
 	}
 }
 
@@ -309,17 +325,52 @@ func (c *Core) clearPending(dst pkt.NodeID) {
 	}
 }
 
+// newDiscovery returns an empty record for dst, recycled when one is free.
+func (c *Core) newDiscovery(dst pkt.NodeID) *discovery {
+	k := len(c.discFree)
+	if k == 0 {
+		return &discovery{dst: dst}
+	}
+	d := c.discFree[k-1]
+	c.discFree[k-1] = nil
+	c.discFree = c.discFree[:k-1]
+	d.dst = dst
+	return d
+}
+
+// retire returns a discovery that left c.pending to the free list. Its
+// buffered packets have been flushed or dropped by then; the record keeps
+// neither them nor its stale timer handle.
+func (c *Core) retire(d *discovery) {
+	clear(d.buffer)
+	*d = discovery{buffer: d.buffer[:0]}
+	c.discFree = append(c.discFree, d)
+}
+
+// retireAll empties c.pending into the free list (Crash, Reset).
+func (c *Core) retireAll() {
+	for i, d := range c.pending {
+		c.retire(d)
+		c.pending[i] = nil
+	}
+	c.pending = c.pending[:0]
+}
+
 // Start launches periodic activity (HELLO beacons when enabled).
 func (c *Core) Start() {
 	if c.Cfg.HelloEnabled {
-		c.hello = des.NewTicker(c.Env.Sim, c.Cfg.HelloInterval, c.sendHello).
-			WithJitter(func() des.Time {
-				return des.Time(c.Env.Rng.Intn(int(100 * des.Millisecond)))
-			})
+		c.beacon = true
 		// Randomise the first beacon across the whole interval so nodes
 		// never synchronise.
-		c.hello.Start(des.Time(c.Env.Rng.Intn(int(c.Cfg.HelloInterval))))
+		c.scheduleHello(des.Time(c.Env.Rng.Intn(int(c.Cfg.HelloInterval))))
 	}
+}
+
+// scheduleHello queues the next HELLO delay from now, plus up to 100 ms
+// of jitter so neighbours' beacons drift apart.
+func (c *Core) scheduleHello(delay des.Time) {
+	delay += des.Time(c.Env.Rng.Intn(int(100 * des.Millisecond)))
+	c.helloEv = c.Env.Sim.ScheduleCall(delay, c, copHello, 0)
 }
 
 // Policy returns the scheme policy (exposed for tests and reports).
@@ -411,7 +462,7 @@ func (c *Core) forwardData(p *pkt.Packet, r *Route) {
 func (c *Core) bufferAndDiscover(p *pkt.Packet) {
 	d := c.pendingFor(p.Dst)
 	if d == nil {
-		d = &discovery{dst: p.Dst}
+		d = c.newDiscovery(p.Dst)
 		c.setPending(d)
 		c.Ctr.DiscoveriesStarted++
 		c.originateRREQ(d)
@@ -505,6 +556,7 @@ func (c *Core) discoveryTimeout(dst pkt.NodeID) {
 		if c.Env.Trace != nil {
 			c.tracef("discovery-fail", "target=%v buffered=%d", d.dst, len(d.buffer))
 		}
+		c.retire(d)
 		return
 	}
 	c.originateRREQ(d)
@@ -529,6 +581,7 @@ func (c *Core) routeReady(dst pkt.NodeID) {
 	for _, p := range d.buffer {
 		c.forwardData(p, r)
 	}
+	c.retire(d)
 }
 
 // ForwardRREQ rebroadcasts a received RREQ copy on the policy's behalf:
@@ -642,7 +695,7 @@ func (c *Core) handleTargetRREQ(p *pkt.Packet, from pkt.NodeID, first bool) {
 		if j := c.Env.Journey; j != nil {
 			j.OnReplyCandidate(c.Env.Sim.Now(), c.Env.ID, b.Origin, b.ID, from, b.Cost, b.HopCount)
 		}
-		c.replyWaits[k] = &replyWait{best: cand}
+		c.replyWaits[k] = replyWait{best: cand}
 		var slot int32
 		if n := len(c.waitFree); n > 0 {
 			slot = c.waitFree[n-1]
@@ -661,14 +714,14 @@ func (c *Core) handleTargetRREQ(p *pkt.Packet, from pkt.NodeID, first bool) {
 	const eps = 1e-9
 	if cand.cost < w.best.cost-eps ||
 		(cand.cost <= w.best.cost+eps && cand.hops < w.best.hops) {
-		w.best = cand
+		c.replyWaits[k] = replyWait{best: cand}
 	}
 }
 
 // closeReplyWindow answers the best RREQ copy collected for flood k.
 func (c *Core) closeReplyWindow(k rreqKey) {
-	ww := c.replyWaits[k]
-	if ww == nil {
+	ww, ok := c.replyWaits[k]
+	if !ok {
 		return // window discarded by a crash before it closed
 	}
 	delete(c.replyWaits, k)
@@ -748,19 +801,23 @@ func (c *Core) handleRREP(p *pkt.Packet, from pkt.NodeID) {
 
 func (c *Core) handleRERR(p *pkt.Packet, from pkt.NodeID) {
 	c.Ctr.RERRReceived++
-	var lost []pkt.UnreachableDest
+	lost := c.unreach[:0]
 	for _, u := range p.RERR.Unreachable {
 		if seq, ok := c.table.InvalidateFrom(u.Node, from, u.Seq); ok {
 			lost = append(lost, pkt.UnreachableDest{Node: u.Node, Seq: seq})
 		}
 	}
+	c.unreach = lost
 	if len(lost) > 0 {
 		c.sendRERR(lost)
 	}
 }
 
+// sendRERR broadcasts lost in destination order. The entries name
+// distinct destinations, so the order is unique; the pool copies the
+// list, which leaves lost free for reuse.
 func (c *Core) sendRERR(lost []pkt.UnreachableDest) {
-	sort.Slice(lost, func(i, j int) bool { return lost[i].Node < lost[j].Node })
+	slices.SortFunc(lost, func(a, b pkt.UnreachableDest) int { return cmp.Compare(a.Node, b.Node) })
 	p := c.Env.Pool.RERR(c.Env.ID, lost, c.Env.Sim.Now())
 	c.Ctr.RERRSent++
 	c.Env.Mac.Send(p, pkt.Broadcast)
@@ -769,7 +826,8 @@ func (c *Core) sendRERR(lost []pkt.UnreachableDest) {
 func (c *Core) sendHello() {
 	body := pkt.HelloBody{Load: c.OwnLoad()}
 	if c.Cfg.TwoHopHello {
-		body.NbrLoads = c.nbrs.Loads()
+		c.nbrLoads = c.nbrs.Loads(c.nbrLoads)
+		body.NbrLoads = c.nbrLoads
 	}
 	p := c.Env.Pool.Hello(c.Env.ID, body, c.Env.Sim.Now())
 	c.Ctr.HelloSent++
@@ -851,7 +909,8 @@ func (c *Core) MacTxDone(p *pkt.Packet, dst pkt.NodeID, ok bool) {
 		return
 	}
 	// The link to dst is dead: purge routes through it and tell upstream.
-	lost := c.table.InvalidateVia(dst)
+	lost := c.table.InvalidateVia(dst, c.unreach[:0])
+	c.unreach = lost
 	c.nbrs.Remove(dst)
 	if c.Env.Trace != nil {
 		c.tracef("link-fail", "neighbour=%v routesLost=%d kind=%v", dst, len(lost), p.Kind)

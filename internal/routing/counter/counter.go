@@ -42,42 +42,70 @@ type floodKey struct {
 	id     uint32
 }
 
-// assessment is one in-progress RAD.
+// assessment is one in-progress RAD, a slot of Policy.slots.
 type assessment struct {
+	key   floodKey
 	count int
-	p     *pkt.Packet
+	p     *pkt.Packet // the retained clone; nil in a free slot
 }
 
-// Policy implements the counter rule. One instance per node.
+// Policy implements the counter rule. One instance per node, bound to
+// that node's core by its first OnRREQ. Assessments live in a slab whose
+// free slots are recycled; pending finds a flood's slot, and each RAD is
+// a typed event carrying its slot index, so assessing a flood allocates
+// nothing once the slab has grown.
 type Policy struct {
 	params  Params
-	pending map[floodKey]*assessment
+	core    *routing.Core
+	pending map[floodKey]int32
+	slots   []assessment
+	free    []int32
 }
 
 // OnRREQ implements routing.RREQPolicy.
 func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first bool) {
 	k := floodKey{pk.RREQ.Origin, pk.RREQ.ID}
 	if !first {
-		if a, ok := p.pending[k]; ok {
-			a.count++
+		if i, ok := p.pending[k]; ok {
+			p.slots[i].count++
 		}
 		return
 	}
+	p.core = c
 	// pk is only borrowed for the duration of this call (the sender's
 	// pool reclaims it after transmission), so the assessment keeps its
 	// own clone across the RAD and releases it once resolved.
-	a := &assessment{count: 1, p: c.Env.Pool.Clone(pk)}
-	p.pending[k] = a
+	a := assessment{key: k, count: 1, p: c.Env.Pool.Clone(pk)}
+	var i int32
+	if n := len(p.free); n > 0 {
+		i = p.free[n-1]
+		p.free = p.free[:n-1]
+		p.slots[i] = a
+	} else {
+		i = int32(len(p.slots))
+		p.slots = append(p.slots, a)
+	}
+	p.pending[k] = i
 	rad := des.Time(c.Env.Rng.Intn(int(p.params.RADMax) + 1))
-	c.Env.Sim.Schedule(rad, func() {
-		delete(p.pending, k)
-		if a.count < p.params.C {
-			c.ForwardRREQ(a.p, 0)
-		} else {
-			c.SuppressRREQ()
-		}
-		c.Env.Pool.Release(a.p)
-	})
+	c.Env.Sim.ScheduleCall(rad, p, 0, uint32(i))
+}
+
+// HandleEvent implements des.Handler: the RAD of the assessment in slot
+// i expires. Its flood's key is deleted even when a later first copy of
+// the same flood (possible after a crash wiped the duplicate cache) has
+// taken it over; from then on neither assessment counts duplicates.
+func (p *Policy) HandleEvent(_ int32, i uint32) {
+	a := p.slots[i]
+	p.slots[i] = assessment{}
+	p.free = append(p.free, int32(i))
+	delete(p.pending, a.key)
+	c := p.core
+	if a.count < p.params.C {
+		c.ForwardRREQ(a.p, 0)
+	} else {
+		c.SuppressRREQ()
+	}
+	c.Env.Pool.Release(a.p)
 }
 
 // CostIncrement implements routing.RREQPolicy: hop count.
@@ -85,7 +113,7 @@ func (p *Policy) CostIncrement(*routing.Core) float64 { return 1 }
 
 // HeldPackets implements routing.PacketHolder: one retained clone per
 // in-progress assessment.
-func (p *Policy) HeldPackets() int { return len(p.pending) }
+func (p *Policy) HeldPackets() int { return len(p.slots) - len(p.free) }
 
 // Spec returns the scheme's effective configuration and per-run policy
 // constructor, from which networks are built and warm ones reset. The
@@ -97,7 +125,7 @@ func Spec(cfg routing.Config, params Params) routing.Spec {
 	return routing.Spec{Cfg: cfg, Policy: func() routing.RREQPolicy {
 		return &Policy{
 			params:  params,
-			pending: make(map[floodKey]*assessment),
+			pending: make(map[floodKey]int32),
 		}
 	}}
 }

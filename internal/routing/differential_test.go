@@ -137,7 +137,7 @@ func tableScript(t *testing.T, data []byte, move bool) {
 			}
 		case op < 215:
 			via := pkt.NodeID(b % 5)
-			if g, w := got.InvalidateVia(via), want.InvalidateVia(via); !slices.Equal(g, w) {
+			if g, w := got.InvalidateVia(via, nil), want.InvalidateVia(via); !slices.Equal(g, w) {
 				t.Fatalf("step %d: InvalidateVia(%d) = %v, dense table says %v", step, via, g, w)
 			}
 		case op < 250:
@@ -293,7 +293,7 @@ func neighborScript(t *testing.T, data []byte, move bool) {
 			got.Remove(id)
 			want.Remove(id)
 		case op < 180:
-			if g, w := got.Loads(), want.Loads(); !slices.Equal(g, w) {
+			if g, w := got.Loads(nil), want.Loads(); !slices.Equal(g, w) {
 				t.Fatalf("step %d: Loads() = %v, dense table says %v", step, g, w)
 			}
 		case op < 235:

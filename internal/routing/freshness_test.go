@@ -152,7 +152,7 @@ func bareCore(sim *des.Sim, id pkt.NodeID) *Core {
 		table:      NewTable(sim),
 		dup:        NewDupCache(sim, cfg.DupHorizon),
 		nbrs:       NewNeighborTable(sim, 0),
-		replyWaits: make(map[rreqKey]*replyWait),
+		replyWaits: make(map[rreqKey]replyWait),
 	}
 	c.Env = Env{Sim: sim, ID: id}
 	c.Cfg = cfg

@@ -73,7 +73,9 @@ func (nt *NeighborTable) insert(id pkt.NodeID) *neighborInfo {
 	return &nt.info[j]
 }
 
-// Update records a received HELLO.
+// Update records a received HELLO. twoHop is its piggybacked table; nil
+// (a one-hop beacon) leaves the last table heard from this neighbour in
+// place.
 func (nt *NeighborTable) Update(from pkt.NodeID, load float64, twoHop []pkt.NeighborLoad) {
 	if from < 0 {
 		return
@@ -130,9 +132,14 @@ func (nt *NeighborTable) Count() int {
 }
 
 // Loads returns the fresh neighbours and their loads in ascending ID order
-// (for piggybacking into outgoing two-hop HELLOs).
-func (nt *NeighborTable) Loads() []pkt.NeighborLoad {
-	out := make([]pkt.NeighborLoad, 0, nt.Count())
+// (for piggybacking into outgoing two-hop HELLOs), written over dst's
+// storage. The result is never nil: an empty table still marks a two-hop
+// beacon (see Update).
+func (nt *NeighborTable) Loads(dst []pkt.NeighborLoad) []pkt.NeighborLoad {
+	out := dst[:0]
+	if out == nil {
+		out = []pkt.NeighborLoad{}
+	}
 	for k := range nt.info {
 		if e := &nt.info[k]; nt.fresh(e) {
 			out = append(out, pkt.NeighborLoad{ID: nt.ids[k], Load: e.load})

@@ -249,9 +249,9 @@ func (t *Table) InvalidateFrom(dst, from pkt.NodeID, seq uint32) (newSeq uint32,
 }
 
 // InvalidateVia invalidates every valid route whose next hop is via and
-// returns the affected destinations with their (bumped) sequence numbers.
-func (t *Table) InvalidateVia(via pkt.NodeID) []pkt.UnreachableDest {
-	var lost []pkt.UnreachableDest
+// appends the affected destinations, with their (bumped) sequence numbers
+// and in destination order, to lost.
+func (t *Table) InvalidateVia(via pkt.NodeID, lost []pkt.UnreachableDest) []pkt.UnreachableDest {
 	for _, s := range t.idx {
 		if s == 0 {
 			continue

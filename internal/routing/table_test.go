@@ -133,7 +133,7 @@ func TestTableInvalidateVia(t *testing.T) {
 	tb.Update(route(5, 2, 10, 4, 4, des.Second))
 	tb.Update(route(6, 2, 3, 1, 1, des.Second))
 	tb.Update(route(7, 9, 8, 2, 2, des.Second))
-	lost := tb.InvalidateVia(2)
+	lost := tb.InvalidateVia(2, nil)
 	if len(lost) != 2 {
 		t.Fatalf("lost %d routes, want 2", len(lost))
 	}
@@ -278,7 +278,7 @@ func TestNeighborTableFreshness(t *testing.T) {
 		if nt.Count() != 1 {
 			t.Errorf("count %d after staleness, want 1", nt.Count())
 		}
-		loads := nt.Loads()
+		loads := nt.Loads(nil)
 		if len(loads) != 1 || loads[0].ID != 2 {
 			t.Errorf("loads %v", loads)
 		}

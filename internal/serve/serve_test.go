@@ -351,9 +351,9 @@ func TestJourneyDivisorChangesKey(t *testing.T) {
 // TestScenarioIgnoresRetiredFields pins that a config written by an older
 // build keeps loading through both overlay decoders, sim.LoadScenario and
 // /v1/run: testdata/retired_fields.json is testScenario(13) as an overlay
-// that also sets the switches since removed — the radio tier's
-// LegacyRadio and the event list's ReferenceQueue (`meshsim -dump-config`
-// used to emit both). It must mean the scenario without the fields: same
+// that also sets the switches since removed — the radio tiers'
+// LegacyRadio and ReferenceRadio and the event list's ReferenceQueue
+// (`meshsim -dump-config` used to emit all three). It must mean the scenario without the fields: same
 // Result, same Fingerprint, same cache slot.
 func TestScenarioIgnoresRetiredFields(t *testing.T) {
 	const path = "testdata/retired_fields.json"

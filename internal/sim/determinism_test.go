@@ -94,9 +94,7 @@ func TestGoldenIndexedMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := sc
-				ref.ReferenceRadio = true
-				slow, err := Run(ref)
+				slow, err := referenceEngine().Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,14 +108,15 @@ func TestGoldenIndexedMatchesReference(t *testing.T) {
 				// Warm engine flip-flop: memo → reference → memo on one
 				// reused engine must keep reproducing the cold result.
 				eng := NewEngine()
-				for i, s := range []Scenario{sc, ref, sc} {
-					r, err := eng.Run(s)
+				for i, ref := range []bool{false, true, false} {
+					eng.referenceRadio = ref
+					r, err := eng.Run(sc)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if r != fast1 {
 						t.Errorf("warm run %d (ref=%v) diverged:\n  got  %+v\n  want %+v",
-							i, s.ReferenceRadio, r, fast1)
+							i, ref, r, fast1)
 					}
 				}
 			})
@@ -168,15 +167,19 @@ func TestGoldenCalendarMatchesReferenceQueue(t *testing.T) {
 func TestGoldenDiscoveryMatchesReference(t *testing.T) {
 	sc := quickScenario()
 	sc.Flows = 0
-	fast, err := RunDiscovery(sc, 5, 4*des.Second)
+	memo, ref := NewEngine(), referenceEngine()
+	fast, err := memo.RunDiscovery(sc, 5, 4*des.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := sc
-	ref.ReferenceRadio = true
-	slow, err := RunDiscovery(ref, 5, 4*des.Second)
+	slow, err := ref.RunDiscovery(sc, 5, 4*des.Second)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The engine switch reaches the medium: the reference tier never
+	// builds a memoised audible set, the default builds one per sender.
+	if m, r := memo.medium.AudibleRebuilds(), ref.medium.AudibleRebuilds(); m == 0 || r != 0 {
+		t.Errorf("memoised audible-set builds: %d on the default engine, %d on the reference one; want > 0 and 0", m, r)
 	}
 	if fast != slow {
 		t.Errorf("discovery indexed path diverges from reference:\n  fast %+v\n  ref  %+v", fast, slow)

@@ -76,9 +76,8 @@ func (e *Engine) RunDiscovery(sc Scenario, rounds int, gap des.Time) (DiscoveryR
 		if err != nil {
 			return DiscoveryResult{}, err
 		}
-		flowRng := run.master.Derive(3000)
+		addFlows(mgr, flows, &run.master)
 		for _, f := range flows {
-			mgr.AddFlow(f, flowRng.Derive(uint64(f.ID)))
 			if f.ID >= nBackground {
 				nBackground = f.ID + 1
 			}

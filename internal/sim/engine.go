@@ -53,6 +53,13 @@ type Engine struct {
 	// audited one disarms them exactly once.
 	watch      *des.Watch
 	auditArmed bool
+
+	// referenceRadio forces the medium's exhaustive O(N) receiver scan
+	// on every transmission instead of the memoised audible sets: the
+	// slow reference path the determinism tests compare the default
+	// against (see referenceEngine in export_test.go). Results are
+	// bit-identical either way.
+	referenceRadio bool
 }
 
 // NewEngine returns an empty engine; the first Run builds the network.
@@ -151,7 +158,7 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 		e.simk = des.NewSim()
 		e.simk.SetWatch(e.watch)
 		e.medium = radio.NewMedium(e.simk, sc.propagation())
-		e.medium.SetReference(sc.ReferenceRadio)
+		e.medium.SetReference(e.referenceRadio)
 		e.nodes = node.BuildNetwork(e.simk, e.medium, positions, sc.Radio, sc.Mac,
 			master.Derive(1000), spec)
 		e.radioParams = sc.Radio
@@ -161,7 +168,7 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 	}
 	e.simk.Reset()
 	e.medium.Reset(sc.propagation(), positions)
-	e.medium.SetReference(sc.ReferenceRadio)
+	e.medium.SetReference(e.referenceRadio)
 	e.medium.SetImpairment(sc.Faults.Link, sc.Seed)
 	node.ResetNetwork(e.nodes, positions, sc.Mac, master.Derive(1000), spec)
 	return tp, nil

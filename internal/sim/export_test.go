@@ -24,3 +24,9 @@ func AuditWork(t *testing.T, sc Scenario) (at []des.Time, tables, sets []int, er
 	}
 	return at, tables, sets, err
 }
+
+// referenceEngine returns an engine whose medium scans every receiver on
+// every transmission (radio.Medium.SetReference) instead of using the
+// memoised audible sets — the reference path the golden tests hold the
+// default to.
+func referenceEngine() *Engine { return &Engine{referenceRadio: true} }

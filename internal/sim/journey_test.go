@@ -109,9 +109,7 @@ func TestGoldenJourneyNDJSONDeterminism(t *testing.T) {
 	cold := runJourneyArtifacts(t, eng, sc, rec)
 	warm := runJourneyArtifacts(t, eng, sc, rec)
 
-	ref := sc
-	ref.ReferenceRadio = true
-	slow := runJourneyArtifacts(t, NewEngine(), ref, journey.NewRecorder(2, true))
+	slow := runJourneyArtifacts(t, referenceEngine(), sc, journey.NewRecorder(2, true))
 
 	if cold.journeys == "" {
 		t.Fatal("no journeys recorded")

@@ -66,10 +66,7 @@ func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector
 	if err != nil {
 		return Result{}, err
 	}
-	flowRng := run.master.Derive(3000)
-	for _, f := range flows {
-		mgr.AddFlow(f, flowRng.Derive(uint64(f.ID)))
-	}
+	addFlows(mgr, flows, &run.master)
 
 	// Isolate the measurement window for cumulative counters.
 	var warm snapshot

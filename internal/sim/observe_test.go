@@ -102,9 +102,7 @@ func TestGoldenMetricsDeterminism(t *testing.T) {
 				cold := runObservedArtifacts(t, eng, sc, 100*des.Millisecond)
 				warm := runObservedArtifacts(t, eng, sc, 100*des.Millisecond)
 
-				ref := sc
-				ref.ReferenceRadio = true
-				slow := runObservedArtifacts(t, NewEngine(), ref, 100*des.Millisecond)
+				slow := runObservedArtifacts(t, referenceEngine(), sc, 100*des.Millisecond)
 
 				check := func(label string, other observedArtifacts) {
 					t.Helper()

@@ -101,10 +101,11 @@ func attachMobility(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.
 		cfg.Pause = sc.MobilityPause
 	}
 	w := mobility.NewWaypoint(simk, geom.Square(sc.AreaM), cfg)
-	moveRng := master.Derive(5000)
+	var moveRng, src rng.Source
+	master.DeriveInto(&moveRng, 5000)
 	for i, n := range nodes {
-		r := n.Radio
-		w.Track(n.Pos, r.SetPos, moveRng.Derive(uint64(i)))
+		moveRng.DeriveInto(&src, uint64(i))
+		w.Track(n.Pos, n.Radio.SetPos, &src)
 	}
 	w.Start()
 }
@@ -133,9 +134,9 @@ func attachFaults(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.So
 	for _, ev := range events {
 		n := nodes[ev.Node]
 		if ev.Up {
-			simk.At(ev.At, n.Recover)
+			simk.AtCall(ev.At, n, node.OpRecover, 0)
 		} else {
-			simk.At(ev.At, n.Crash)
+			simk.AtCall(ev.At, n, node.OpCrash, 0)
 			everCrashed[ev.Node] = true
 		}
 		if ev.At >= sc.Warmup {
@@ -207,6 +208,18 @@ func pickEndpoints(sc Scenario, tp *topo.Topology, src *rng.Source, gateway pkt.
 		return s, d, nil
 	}
 	return 0, 0, fmt.Errorf("sim: cannot find endpoints %d hops apart", sc.MinHopDist)
+}
+
+// addFlows installs the run's flows on mgr, flow f drawing from
+// master.Derive(3000).Derive(f.ID). The streams are derived into one
+// reused Source, which AddFlow copies.
+func addFlows(mgr *traffic.Manager, flows []traffic.Flow, master *rng.Source) {
+	var flowRng, src rng.Source
+	master.DeriveInto(&flowRng, 3000)
+	for _, f := range flows {
+		flowRng.DeriveInto(&src, uint64(f.ID))
+		mgr.AddFlow(f, &src)
+	}
 }
 
 // pickFlows builds the workload. Without SessionTime each flow slot is one

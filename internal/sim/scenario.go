@@ -129,13 +129,6 @@ type Scenario struct {
 	Warmup       des.Time
 	Measure      des.Time
 
-	// ReferenceRadio forces the Medium's exhaustive O(N) receiver scan on
-	// every transmission instead of the memoised audible sets — the
-	// retained slow reference path the determinism tests compare the
-	// default against. Results are bit-identical either way; this only
-	// trades speed for simplicity.
-	ReferenceRadio bool
-
 	// Audit enables the runtime invariant auditor: at every audit point a
 	// read-only checker cross-checks the packet-conservation ledger, DES
 	// event-list sanity, radio dense-state coherence and the AODV

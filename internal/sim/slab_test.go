@@ -149,7 +149,7 @@ func TestWarmResetClearsOnlyWhatWasUsed(t *testing.T) {
 				if g, w := warm.nodes[i].Agent.DupCacheLen(), cold.nodes[i].Agent.DupCacheLen(); g != w {
 					t.Errorf("%s seed %d node %d: %d live floods warm, %d cold", scheme, next.Seed, i, g, w)
 				}
-				if g, w := warm.nodes[i].Agent.Neighbors().Loads(), cold.nodes[i].Agent.Neighbors().Loads(); !slices.Equal(g, w) {
+				if g, w := warm.nodes[i].Agent.Neighbors().Loads(nil), cold.nodes[i].Agent.Neighbors().Loads(nil); !slices.Equal(g, w) {
 					t.Errorf("%s seed %d node %d: neighbours warm %v, cold %v", scheme, next.Seed, i, g, w)
 				}
 			}

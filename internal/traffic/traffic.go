@@ -57,6 +57,11 @@ func (fs *FlowStats) PDR() float64 {
 // Manager drives a set of flows over a built network and collects their
 // statistics. Packets created before measureFrom are excluded from Sent,
 // Delivered and Delay (standard warm-up discipline).
+//
+// The Manager is the des.Handler of every packet it emits: a flow or a
+// probe is an emitter in one slice, and its events carry the emitter's
+// index, so a flow costs its FlowStats and a slot, not a closure per
+// packet source.
 type Manager struct {
 	sim         *des.Sim
 	nodes       []*node.Node
@@ -64,16 +69,37 @@ type Manager struct {
 	measureFrom des.Time
 	flows       []Flow
 	stats       []*FlowStats
+	emitters    []emitter
 	uid         uint64
+	// sink is the delivery hook installed on every destination node (one
+	// method value per manager, not one closure per sink).
+	sink func(p *pkt.Packet, from pkt.NodeID)
 	// delayHist collects all end-to-end delays (seconds) across flows for
 	// quantile reporting; mean/variance live in the per-flow Welfords.
 	delayHist *stats.LogHistogram
 }
 
+// emitter is one packet source: a flow (its description, its own copy
+// of the flow's random stream, its next sequence number) or a one-packet
+// probe.
+type emitter struct {
+	flow  Flow
+	src   *node.Node
+	rng   rng.Source
+	seq   int
+	stats *FlowStats
+}
+
+// Typed event ops: arg is the emitter's index.
+const (
+	opFlow  int32 = iota // emit, then schedule the flow's next packet
+	opProbe              // emit once
+)
+
 // NewManager creates a traffic manager over the given nodes. ttl is the
 // initial hop limit for data packets; measureFrom the warm-up boundary.
 func NewManager(sim *des.Sim, nodes []*node.Node, ttl int, measureFrom des.Time) *Manager {
-	return &Manager{
+	m := &Manager{
 		sim: sim, nodes: nodes, ttl: ttl, measureFrom: measureFrom,
 		// Log-bucketed 0.1 ms .. 1000 s at 32 buckets/decade: ~7.5%
 		// relative resolution whether the network delivers in a
@@ -82,10 +108,26 @@ func NewManager(sim *des.Sim, nodes []*node.Node, ttl int, measureFrom des.Time)
 		// pinned saturated runs at the 10 s overflow edge).
 		delayHist: stats.NewLogHistogram(1e-4, 1e3, 32),
 	}
+	m.sink = m.deliver
+	return m
+}
+
+// addStats registers a new flow ID's statistics.
+func (m *Manager) addStats(id int) *FlowStats {
+	fs := &FlowStats{}
+	for len(m.stats) <= id {
+		m.stats = append(m.stats, nil)
+	}
+	if m.stats[id] != nil {
+		panic(fmt.Sprintf("traffic: duplicate flow ID %d", id))
+	}
+	m.stats[id] = fs
+	return fs
 }
 
 // AddFlow installs a flow and its sink. src must differ from dst. The
-// flow's random stream (Poisson gaps, start phase) derives from rngSrc.
+// flow's random stream (Poisson gaps, start phase) starts from rngSrc's
+// state, which the flow copies: the caller may reuse rngSrc afterwards.
 func (m *Manager) AddFlow(f Flow, rngSrc *rng.Source) {
 	if f.Src == f.Dst {
 		panic("traffic: flow with identical endpoints")
@@ -93,71 +135,69 @@ func (m *Manager) AddFlow(f Flow, rngSrc *rng.Source) {
 	if f.Interval <= 0 {
 		panic("traffic: flow with non-positive interval")
 	}
-	fs := &FlowStats{}
-	for len(m.stats) <= f.ID {
-		m.stats = append(m.stats, nil)
-	}
-	if m.stats[f.ID] != nil {
-		panic(fmt.Sprintf("traffic: duplicate flow ID %d", f.ID))
-	}
-	m.stats[f.ID] = fs
+	fs := m.addStats(f.ID)
 	m.flows = append(m.flows, f)
-
-	src := m.nodes[f.Src]
 	m.ensureSink(m.nodes[f.Dst])
 
-	seq := 0
-	var emit func()
-	schedule := func() {
-		gap := f.Interval
-		if f.Poisson {
-			gap = des.Time(rngSrc.Exp(float64(f.Interval)))
-			if gap <= 0 {
-				gap = 1
-			}
-		}
-		m.sim.Schedule(gap, emit)
-	}
-	emit = func() {
-		now := m.sim.Now()
-		if f.Stop > 0 && now >= f.Stop {
-			return
-		}
-		m.uid++
-		p := src.Agent.Env.Pool.Data(f.Src, f.Dst, f.Payload, f.ID, seq, now, m.ttl)
-		p.UID = m.uid
-		seq++
-		if now >= m.measureFrom {
-			fs.Sent++
-		}
-		src.Agent.Send(p)
-		schedule()
-	}
+	i := len(m.emitters)
+	m.emitters = append(m.emitters, emitter{flow: f, src: m.nodes[f.Src], rng: *rngSrc, stats: fs})
 	// Desynchronise flow start within one interval.
-	start := f.Start + des.Time(rngSrc.Intn(int(f.Interval)))
-	m.sim.At(start, emit)
+	start := f.Start + des.Time(m.emitters[i].rng.Intn(int(f.Interval)))
+	m.sim.AtCall(start, m, opFlow, uint32(i))
 }
 
-// ensureSink installs (once per node) a delivery hook that records
+// HandleEvent implements des.Handler: emitter i sends its next packet.
+func (m *Manager) HandleEvent(op int32, i uint32) {
+	e := &m.emitters[i]
+	f := &e.flow
+	now := m.sim.Now()
+	if f.Stop > 0 && now >= f.Stop {
+		return
+	}
+	m.uid++
+	p := e.src.Agent.Env.Pool.Data(f.Src, f.Dst, f.Payload, f.ID, e.seq, now, m.ttl)
+	p.UID = m.uid
+	e.seq++
+	if now >= m.measureFrom {
+		e.stats.Sent++
+	}
+	e.src.Agent.Send(p)
+	if op != opFlow {
+		return
+	}
+	gap := f.Interval
+	if f.Poisson {
+		gap = des.Time(e.rng.Exp(float64(f.Interval)))
+		if gap <= 0 {
+			gap = 1
+		}
+	}
+	m.sim.ScheduleCall(gap, m, opFlow, i)
+}
+
+// ensureSink installs (once per node) the delivery hook that records
 // arriving packets into their flow's stats.
 func (m *Manager) ensureSink(n *node.Node) {
 	if n.Agent.Env.Deliver != nil {
 		return
 	}
-	n.SetDeliver(func(p *pkt.Packet, from pkt.NodeID) {
-		if p.Kind != pkt.Data || p.CreatedAt < m.measureFrom {
-			return
-		}
-		if p.FlowID >= len(m.stats) || m.stats[p.FlowID] == nil {
-			return
-		}
-		fs := m.stats[p.FlowID]
-		fs.Delivered++
-		fs.Bytes += uint64(p.Bytes)
-		d := (m.sim.Now() - p.CreatedAt).Seconds()
-		fs.Delay.Add(d)
-		m.delayHist.Add(d)
-	})
+	n.SetDeliver(m.sink)
+}
+
+// deliver records a packet arriving at its destination.
+func (m *Manager) deliver(p *pkt.Packet, from pkt.NodeID) {
+	if p.Kind != pkt.Data || p.CreatedAt < m.measureFrom {
+		return
+	}
+	if p.FlowID >= len(m.stats) || m.stats[p.FlowID] == nil {
+		return
+	}
+	fs := m.stats[p.FlowID]
+	fs.Delivered++
+	fs.Bytes += uint64(p.Bytes)
+	d := (m.sim.Now() - p.CreatedAt).Seconds()
+	fs.Delay.Add(d)
+	m.delayHist.Add(d)
 }
 
 // AddProbe schedules a single data packet from src to dst at time `at` and
@@ -168,25 +208,15 @@ func (m *Manager) AddProbe(id int, src, dst pkt.NodeID, payload int, at des.Time
 	if src == dst {
 		panic("traffic: probe with identical endpoints")
 	}
-	fs := &FlowStats{}
-	for len(m.stats) <= id {
-		m.stats = append(m.stats, nil)
-	}
-	if m.stats[id] != nil {
-		panic(fmt.Sprintf("traffic: duplicate flow ID %d", id))
-	}
-	m.stats[id] = fs
+	fs := m.addStats(id)
 	m.ensureSink(m.nodes[dst])
-	srcNode := m.nodes[src]
-	m.sim.At(at, func() {
-		m.uid++
-		p := srcNode.Agent.Env.Pool.Data(src, dst, payload, id, 0, m.sim.Now(), m.ttl)
-		p.UID = m.uid
-		if m.sim.Now() >= m.measureFrom {
-			fs.Sent++
-		}
-		srcNode.Agent.Send(p)
+	i := len(m.emitters)
+	m.emitters = append(m.emitters, emitter{
+		flow:  Flow{ID: id, Src: src, Dst: dst, Payload: payload},
+		src:   m.nodes[src],
+		stats: fs,
 	})
+	m.sim.AtCall(at, m, opProbe, uint32(i))
 }
 
 // Flows returns the installed flow descriptions.
