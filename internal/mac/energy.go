@@ -26,11 +26,10 @@ type EnergyStats struct {
 
 // Energy returns the node's cumulative energy consumption: the radio's
 // own state clock (radio.Radio.StateTimes — transmitting dominates
-// receiving dominates idle) priced with DefaultEnergyParams unless
-// SetEnergyParams was called.
+// receiving dominates idle) priced with DefaultEnergyParams.
 func (m *Mac) Energy() EnergyStats {
 	idle, rx, tx := m.radio.StateTimes()
-	p := m.energyParams
+	p := DefaultEnergyParams()
 	return EnergyStats{
 		Joules:   p.IdleW*idle.Seconds() + p.RxW*rx.Seconds() + p.TxW*tx.Seconds(),
 		IdleTime: idle,
@@ -38,7 +37,3 @@ func (m *Mac) Energy() EnergyStats {
 		TxTime:   tx,
 	}
 }
-
-// SetEnergyParams replaces the power profile (call before traffic starts;
-// already-integrated time is re-priced retroactively by Energy()).
-func (m *Mac) SetEnergyParams(p EnergyParams) { m.energyParams = p }

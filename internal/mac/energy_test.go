@@ -57,16 +57,6 @@ func TestEnergyAccountsTransmission(t *testing.T) {
 	}
 }
 
-func TestEnergyCustomProfile(t *testing.T) {
-	sim, macs, _ := macTestbed(t, DefaultConfig(), geom.Point{X: 0}, geom.Point{X: 200})
-	macs[0].SetEnergyParams(EnergyParams{TxW: 10, RxW: 5, IdleW: 1})
-	sim.RunUntil(des.Second)
-	e := macs[0].Energy()
-	if math.Abs(e.Joules-1) > 1e-9 {
-		t.Fatalf("custom idle profile: %.4f J, want 1", e.Joules)
-	}
-}
-
 func TestEnergyOverhearingCosts(t *testing.T) {
 	// A bystander in carrier range pays Rx power while others talk.
 	sim, macs, _ := macTestbed(t, DefaultConfig(),

@@ -152,3 +152,22 @@ type Counters struct {
 	// DroppedDown counts packets submitted while the node was crashed.
 	DroppedDown uint64
 }
+
+// Fold reports every counter once, under its report name, to add — the
+// one list of them the measurement harness reads (adding a counter is a
+// field and a line here).
+func (c *Counters) Fold(add func(name string, v uint64)) {
+	add("mac/enqueued", c.Enqueued)
+	add("mac/dropped-queue-full", c.DroppedQueueFull)
+	add("mac/tx-data", c.TxData)
+	add("mac/tx-broadcast", c.TxBroadcast)
+	add("mac/tx-ack", c.TxAck)
+	add("mac/tx-rts", c.TxRTS)
+	add("mac/tx-cts", c.TxCTS)
+	add("mac/retries", c.Retries)
+	add("mac/dropped-retry-limit", c.DroppedRetryLimit)
+	add("mac/rx-delivered", c.RxDelivered)
+	add("mac/rx-duplicates", c.RxDuplicates)
+	add("mac/rx-corrupted", c.RxCorrupted)
+	add("mac/dropped-down", c.DroppedDown)
+}

@@ -187,14 +187,16 @@ type Mac struct {
 	lastSeq []int32
 	arf     []arfState
 
-	le           loadEstimator
-	energyParams EnergyParams
+	le loadEstimator
 
 	// down marks a crashed node: Send drops, radio callbacks and
 	// SIFS-deferred responses are ignored (see Crash/Recover).
 	down bool
 
-	// Ctr exposes event counts to the measurement layer.
+	// Ctr exposes event counts to the measurement layer. Under sim's
+	// data-plane runs (Engine.Run, Engine.RunJourney) the harness zeroes it
+	// at Warmup, so after the run it holds the measurement window, not the
+	// whole run; sim.RunDiscovery counts from t = 0.
 	Ctr Counters
 }
 
@@ -247,7 +249,6 @@ func (m *Mac) Reset(cfg Config, src *rng.Source) {
 	m.down = false
 	m.journey = nil
 	m.le.init(&m.cfg, m.sim, m.radio)
-	m.energyParams = DefaultEnergyParams()
 	m.Ctr = Counters{}
 }
 

@@ -37,18 +37,13 @@ func (c *Collector) WriteHeatmapCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SeriesRecord is one (tick, node) line of the NDJSON series dump. T is
-// simulated nanoseconds, matching trace.Record.
+// SeriesRecord is one (tick, node) line of the NDJSON series dump: the
+// Sample's fields under its JSON names, after T (simulated nanoseconds,
+// matching trace.Record) and the node.
 type SeriesRecord struct {
-	T        des.Time   `json:"t"`
-	Node     pkt.NodeID `json:"node"`
-	Queue    int        `json:"queue"`
-	QueueOcc float64    `json:"queue_occ"`
-	BusyFrac float64    `json:"busy_frac"`
-	Load     float64    `json:"load"`
-	Routes   int        `json:"routes"`
-	DupCache int        `json:"dup_cache"`
-	Up       bool       `json:"up"`
+	T    des.Time   `json:"t"`
+	Node pkt.NodeID `json:"node"`
+	Sample
 }
 
 // WriteNDJSON streams every sample as newline-delimited JSON, tick-major
@@ -58,18 +53,7 @@ func (c *Collector) WriteNDJSON(w io.Writer) error {
 	enc := json.NewEncoder(bw)
 	for k := range c.times {
 		for n := 0; n < c.nodes; n++ {
-			s := c.At(k, n)
-			rec := SeriesRecord{
-				T:        c.times[k],
-				Node:     pkt.NodeID(n),
-				Queue:    s.Queue,
-				QueueOcc: s.QueueOcc,
-				BusyFrac: s.BusyFrac,
-				Load:     s.Load,
-				Routes:   s.Routes,
-				DupCache: s.DupCache,
-				Up:       s.Up,
-			}
+			rec := SeriesRecord{T: c.times[k], Node: pkt.NodeID(n), Sample: c.At(k, n)}
 			if err := enc.Encode(rec); err != nil {
 				return err
 			}

@@ -34,20 +34,20 @@ import (
 type Sample struct {
 	// Queue is the instantaneous interface-queue length (frames,
 	// including the one in service).
-	Queue int
+	Queue int `json:"queue"`
 	// QueueOcc, BusyFrac and Load are the MAC's smoothed cross-layer
 	// load measurements (mac.LoadStats), all in [0,1]. Load is the
 	// composite index: QueueLoadWeight·QueueOcc + (1−w)·BusyFrac.
-	QueueOcc float64
-	BusyFrac float64
-	Load     float64
+	QueueOcc float64 `json:"queue_occ"`
+	BusyFrac float64 `json:"busy_frac"`
+	Load     float64 `json:"load"`
 	// Routes is the routing-table occupancy; DupCache the number of live
 	// entries in the RREQ duplicate cache (floods a lookup would still
 	// report as seen).
-	Routes   int
-	DupCache int
+	Routes   int `json:"routes"`
+	DupCache int `json:"dup_cache"`
 	// Up is false while the node is crashed.
-	Up bool
+	Up bool `json:"up"`
 }
 
 // Registry is a typed set of named monotonic counters. Names register on

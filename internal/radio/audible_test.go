@@ -18,11 +18,11 @@ const (
 )
 
 // mediumOp is one step of a differential schedule. Illegal combinations
-// (transmit while transmitting or down, retune while transmitting) are
+// (transmit while transmitting or down) are
 // skipped at execution time based on live radio state; because the tiers
 // are bit-identical, the guards resolve identically on each medium.
 type mediumOp struct {
-	kind  int // 0 transmit, 1 SetPos, 2 SetChannel, 3 SetDown, 4 Attach, 5 arm a reaction, 6 WantCarrier
+	kind  int // 0 transmit, 1 SetPos, 2 SetDown, 3 Attach, 4 arm a reaction, 5 WantCarrier
 	radio int
 	arg   int
 }
@@ -61,11 +61,11 @@ func (o *pushOracle) times() (idle, rx, tx des.Time) {
 	return t[0], t[1], t[2]
 }
 
-// reactor is a recorder that can be armed (op kind 5) with a one-shot
+// reactor is a recorder that can be armed (op kind 4) with a one-shot
 // reaction run from inside its next RadioCarrier or RadioReceive callback
 // — that is, from the middle of some other radio's arrival loop. It also
 // runs the push-model oracle for its radio, and can opt out of carrier
-// edges and back in (op kind 6) the way a MAC does.
+// edges and back in (op kind 5) the way a MAC does.
 type reactor struct {
 	*recorder
 	onCarrier, onReceive func()
@@ -204,7 +204,7 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 		sim.At(des.Time(i+1)*opStride, func() {
 			checkClocks(fmt.Sprintf("before op %d", i))
 			n := m.NumRadios()
-			if op.kind == 4 {
+			if op.kind == 3 {
 				// Attach a newcomer mid-run at a spot derived from arg.
 				p := geom.Point{X: float64(op.arg%5) * 170, Y: 430 + float64(op.arg%3)*90}
 				r := m.Attach(p, DefaultParams())
@@ -229,15 +229,10 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 					Y: float64((op.arg * 131) % 700),
 				})
 			case 2:
-				if r.Transmitting() {
-					return
-				}
-				r.SetChannel(op.arg % 2)
-			case 3:
 				re.setDown(op.arg%2 == 0)
-			case 6:
-				re.wantCarrier(op.arg%2 == 0)
 			case 5:
+				re.wantCarrier(op.arg%2 == 0)
+			case 4:
 				// From inside r's next carrier (even arg) or receive (odd
 				// arg) callback, r itself transmits — or, every third
 				// arg, crashes radio arg/6, which may be the sender whose
@@ -298,7 +293,7 @@ func compareTiers(t *testing.T, ops []mediumOp) (memo *Medium) {
 }
 
 // TestMobilityInvalidationTorture interleaves every invalidation source —
-// motion, retunes, crash/recover, mid-run attach — with overlapping
+// motion, crash/recover, mid-run attach — with overlapping
 // rated transmissions from all over the deployment and requires the
 // memoised and reference paths to observe bit-identical event logs and
 // counters, a clean coherence audit at every op, and every receiver back
@@ -310,17 +305,15 @@ func TestMobilityInvalidationTorture(t *testing.T) {
 		for r := 0; r < 12; r += 3 {
 			ops = append(ops, mediumOp{kind: 0, radio: r + round%3, arg: round + r})
 		}
-		switch round % 5 {
+		switch round % 4 {
 		case 0:
 			ops = append(ops, mediumOp{kind: 1, radio: round, arg: round * 37})
 		case 1:
 			ops = append(ops, mediumOp{kind: 2, radio: round, arg: round})
+			ops = append(ops, mediumOp{kind: 2, radio: round + 1, arg: round + 1})
 		case 2:
-			ops = append(ops, mediumOp{kind: 3, radio: round, arg: round})
-			ops = append(ops, mediumOp{kind: 3, radio: round + 1, arg: round + 1})
+			ops = append(ops, mediumOp{kind: 3, radio: 0, arg: round})
 		case 3:
-			ops = append(ops, mediumOp{kind: 4, radio: 0, arg: round})
-		case 4:
 			// Quiet round: memoised sets must be reused, not rebuilt.
 		}
 	}
@@ -343,8 +336,8 @@ func TestMobilityInvalidationTorture(t *testing.T) {
 // copy); the tiers must still agree bit for bit.
 func TestReentrantTransmitFromCallbacks(t *testing.T) {
 	memo := compareTiers(t, []mediumOp{
-		{kind: 5, radio: 5, arg: 0},
-		{kind: 5, radio: 1, arg: 1},
+		{kind: 4, radio: 5, arg: 0},
+		{kind: 4, radio: 1, arg: 1},
 		{kind: 0, radio: 0, arg: 0},
 	})
 	if memo.Transmissions != 3 {
@@ -359,7 +352,7 @@ func TestReentrantTransmitFromCallbacks(t *testing.T) {
 // before 5) to corrupt it there — and no others, though the list (the
 // whole audible set) already names the receivers the loop has yet to visit.
 func TestSenderCrashedFromCallback(t *testing.T) {
-	ops := []mediumOp{{kind: 5, radio: 5, arg: 2}, {kind: 0, radio: 0, arg: 0}}
+	ops := []mediumOp{{kind: 4, radio: 5, arg: 2}, {kind: 0, radio: 0, arg: 0}}
 	compareTiers(t, ops)
 	for tier := tierMemo; tier <= tierReference; tier++ {
 		m, recs := runOps(t, tier, ops)
@@ -378,7 +371,7 @@ func TestSenderCrashedFromCallback(t *testing.T) {
 // TestAudibleSetsMemoise pins the memoisation effectiveness contract:
 // a steady-state schedule builds each transmitter's set exactly once,
 // crash/recover does not invalidate, and any epoch bump (SetPos,
-// SetChannel, Attach, Reset) rebuilds lazily on next transmit.
+// Attach, Reset) rebuilds lazily on next transmit.
 func TestAudibleSetsMemoise(t *testing.T) {
 	sim, m, radios, _ := diffBed(tierMemo)
 	tx := func(at des.Time, r *Radio) {
@@ -427,16 +420,14 @@ func TestAudibleSetsMemoise(t *testing.T) {
 	}
 }
 
-// TestAudibleSetExcludesWrongChannelAndWeak checks set membership directly:
-// channel partitioning, the tracking floor, and ID-sorted order.
-func TestAudibleSetExcludesWrongChannelAndWeak(t *testing.T) {
+// TestAudibleSetExcludesWeak checks set membership directly: the
+// tracking floor and ID-sorted order.
+func TestAudibleSetExcludesWeak(t *testing.T) {
 	sim, m, radios, _ := testbed(DefaultParams(),
 		geom.Point{X: 0},     // transmitter
-		geom.Point{X: 200},   // audible, same channel
-		geom.Point{X: 400},   // audible (CS range), same channel
-		geom.Point{X: 150},   // other channel → excluded
+		geom.Point{X: 200},   // audible
+		geom.Point{X: 400},   // audible (CS range)
 		geom.Point{X: 20000}) // below tracking floor → excluded
-	radios[3].SetChannel(4)
 	sim.At(0, func() { radios[0].Transmit("x", 100, des.Millisecond) })
 	sim.Run()
 	a := &m.aud[0]

@@ -46,7 +46,7 @@ func (m *Medium) AuditCoherence(full bool) (sets int, err error) {
 		name string
 		len  int
 	}{
-		{"rfp", len(m.rfp)}, {"chans", len(m.chans)}, {"rx", len(m.rx)}, {"txAcc", len(m.txAcc)}, {"txOf", len(m.txOf)},
+		{"rfp", len(m.rfp)}, {"rx", len(m.rx)}, {"txAcc", len(m.txAcc)}, {"txOf", len(m.txOf)},
 		{"listeners", len(m.listeners)}, {"aud", len(m.aud)},
 	} {
 		if l.len != n {

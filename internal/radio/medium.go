@@ -129,11 +129,11 @@ type heard struct {
 }
 
 // audibleSet is one transmitter's receiver list: every radio that can hear
-// it above the tracking floor on its channel, sorted by receiver ID (the
-// order deterministic replay requires). The memo tier builds it lazily on
-// first transmit and reuses it until Medium.audEpoch moves on (SetPos,
-// SetChannel, Attach, Reset); fading models and the reference tier rebuild
-// it into the same storage on every transmission. Crash state is
+// it above the tracking floor, sorted by receiver ID (the order
+// deterministic replay requires). The memo tier builds it lazily on first
+// transmit and reuses it until Medium.audEpoch moves on (SetPos, Attach,
+// Reset); fading models and the reference tier rebuild it into the same
+// storage on every transmission. Crash state is
 // deliberately NOT baked in — down radios stay members and are skipped
 // live via rxState.down, so churn never forces an O(N²) rebuild storm.
 type audibleSet struct {
@@ -143,7 +143,7 @@ type audibleSet struct {
 }
 
 // Radio is a node's attachment to the Medium. It is a thin handle: all
-// dynamic state (position, channel and the rxState record) lives in the
+// dynamic state (position and the rxState record) lives in the
 // Medium's dense per-ID slices so the receiver scan and the arrival loop
 // walk contiguous arrays instead of pointer-chasing per-radio objects.
 type Radio struct {
@@ -172,36 +172,14 @@ func (r *Radio) SetPos(p geom.Point) {
 	m.audEpoch++
 }
 
-// Channel returns the radio's frequency channel (0 by default). Radios on
-// different channels neither decode nor interfere with each other —
-// orthogonal channels in the 802.11 sense.
-func (r *Radio) Channel() int { return int(r.m.chans[r.id]) }
-
-// SetChannel retunes the radio. It takes effect for subsequent
-// transmissions and arrivals; frames already in flight complete under the
-// channel they started on. Retuning while transmitting is a programming
-// error. (Audible sets are channel-partitioned, so a retune invalidates
-// them via the epoch.)
-func (r *Radio) SetChannel(ch int) {
-	m := r.m
-	if m.rx[r.id].txing {
-		panic(fmt.Sprintf("radio %d: SetChannel while transmitting", r.id))
-	}
-	if m.chans[r.id] == int32(ch) {
-		return
-	}
-	m.chans[r.id] = int32(ch)
-	m.audEpoch++
-}
-
 // Medium is the shared channel connecting all radios in one simulation.
 //
 // The transmit hot path is memoised: each transmitter lazily precomputes
-// its audible set — the flat, ID-sorted, channel-partitioned list of
-// (receiver, power, reference-rate decode flag) above the tracking floor
+// its audible set — the flat, ID-sorted list of (receiver, power,
+// reference-rate decode flag) above the tracking floor
 // — so TransmitRated is one tight loop over contiguous 16-byte records
 // with no per-receiver propagation calls. Audible sets are invalidated by
-// an epoch counter bumped on any position change, retune, attach or reset.
+// an epoch counter bumped on any position change, attach or reset.
 // Hot per-radio dynamic state lives in dense per-ID slices on the Medium —
 // everything an arrival touches in the one rxState record — so the arrival
 // loop never dereferences a *Radio.
@@ -225,7 +203,6 @@ type Medium struct {
 	// not keep).
 	pos       []geom.Point    // current position: the row Propagation reads
 	rfp       []Params        // immutable RF parameters, copied at Attach
-	chans     []int32         // current frequency channel
 	rx        []rxState       // receiver record (see rxState)
 	txAcc     []des.Time      // closed transmit time (see rxState.since)
 	txOf      []*transmission // own transmission in flight (nil otherwise)
@@ -233,9 +210,9 @@ type Medium struct {
 	aud       []audibleSet
 
 	// audEpoch invalidates every memoised audible set at once: a set is
-	// valid iff its epoch matches. Bumped by SetPos, SetChannel, Attach
-	// and Reset. Crash/recover does not bump it — down filtering is done
-	// live against rxState.down.
+	// valid iff its epoch matches. Bumped by SetPos, Attach and Reset.
+	// Crash/recover does not bump it — down filtering is done live
+	// against rxState.down.
 	audEpoch uint64
 	// audBuilds numbers every buildAudible call, of either tier, so the
 	// auditor can tell a set it already checked from a rebuilt one.
@@ -304,8 +281,8 @@ func (m *Medium) SetReference(on bool) { m.reference = on }
 
 // AudibleRebuilds returns how many audible sets the memo tier has
 // (re)built — a memoisation-effectiveness diagnostic (steady-state static
-// runs build each transmitter's set once; every SetPos/SetChannel/Attach/
-// Reset invalidates all of them).
+// runs build each transmitter's set once; every SetPos/Attach/Reset
+// invalidates all of them).
 func (m *Medium) AudibleRebuilds() uint64 { return m.audRebuilds }
 
 // SetImpairment arms (or, when p is disabled, disarms) the per-link
@@ -344,7 +321,6 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	m.start = m.sim.Now()
 	copy(m.pos, positions)
 	for i := range m.pos {
-		m.chans[i] = 0
 		m.rx[i] = rxState{csThresh: m.rfp[i].CsThreshW, quiet: m.rx[i].quiet}
 		m.txAcc[i] = 0
 		m.txOf[i] = nil
@@ -358,7 +334,6 @@ func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
 	r := &Radio{m: m, id: len(m.pos)}
 	m.pos = append(m.pos, pos)
 	m.rfp = append(m.rfp, params)
-	m.chans = append(m.chans, 0)
 	m.rx = append(m.rx, rxState{csThresh: params.CsThreshW})
 	m.txAcc = append(m.txAcc, 0)
 	m.txOf = append(m.txOf, nil)
@@ -388,7 +363,7 @@ func (m *Medium) powerRow(tx int) []float64 {
 }
 
 // buildAudible recomputes one transmitter's audible set: every other
-// radio on its channel receiving at or above the tracking floor, in
+// radio receiving at or above the tracking floor, in
 // ascending ID order. It is the only receiver scan of both tiers: the
 // memo tier calls it when an epoch bump has invalidated the set, fading
 // models and the reference tier on every transmission. Down radios are
@@ -396,9 +371,8 @@ func (m *Medium) powerRow(tx int) []float64 {
 // does not invalidate sets.
 func (m *Medium) buildAudible(id int, a *audibleSet) {
 	hs := a.heard[:0]
-	ch := m.chans[id]
 	for rid, p := range m.powerRow(id) {
-		if rid == id || m.chans[rid] != ch || p < m.minTrackW {
+		if rid == id || p < m.minTrackW {
 			continue
 		}
 		hs = append(hs, heard{power: p, rx: int32(rid), refOK: p >= m.rfp[rid].RxThreshW})
@@ -477,11 +451,8 @@ func (m *Medium) RxPowerBetween(from, to int) float64 {
 }
 
 // InRange reports whether a frame from `from` is decodable at `to` in the
-// absence of interference (radios on different channels never are).
+// absence of interference.
 func (m *Medium) InRange(from, to int) bool {
-	if m.chans[from] != m.chans[to] {
-		return false
-	}
 	return m.RxPowerBetween(from, to) >= m.rfp[to].RxThreshW
 }
 
@@ -489,9 +460,8 @@ func (m *Medium) InRange(from, to int) bool {
 // propagation row: what a connectivity graph over all N² pairs asks for.
 // len(out) must be NumRadios().
 func (m *Medium) InRangeRow(from int, out []bool) {
-	ch := m.chans[from]
 	for to, p := range m.powerRow(from) {
-		out[to] = m.chans[to] == ch && p >= m.rfp[to].RxThreshW
+		out[to] = p >= m.rfp[to].RxThreshW
 	}
 }
 

@@ -118,13 +118,13 @@ func TestRowKernelsBitEqualPairOracle(t *testing.T) {
 }
 
 // TestInRangeRowMatchesInRange: the row form answers exactly what the pair
-// form does, channel partition and the transmitter's own entry included.
+// form does, the transmitter's own entry included.
 func TestInRangeRowMatchesInRange(t *testing.T) {
 	m := NewMedium(des.NewSim(), NewLogDistance(914e6, 3, 1, 6, 5))
 	for i, p := range geom.GridPlacement(geom.Square(900), 6, 6) {
 		prm := DefaultParams()
 		prm.RxThreshW *= float64(1 + i%3) // asymmetric links
-		m.Attach(p, prm).SetChannel(i % 2)
+		m.Attach(p, prm)
 	}
 	n := m.NumRadios()
 	row := make([]bool, n)

@@ -456,67 +456,6 @@ func TestNakagamiDefaults(t *testing.T) {
 	}
 }
 
-func TestChannelsAreOrthogonal(t *testing.T) {
-	// Two co-located cells on different channels: no interference, no
-	// carrier coupling, no cross-delivery.
-	sim, m, radios, recs := testbed(DefaultParams(),
-		geom.Point{X: 0}, geom.Point{X: 200}, // cell A (channel 0)
-		geom.Point{X: 50}, geom.Point{X: 150}) // cell B (channel 5)
-	radios[2].SetChannel(5)
-	radios[3].SetChannel(5)
-	if radios[0].Channel() != 0 || radios[2].Channel() != 5 {
-		t.Fatal("channel accessors wrong")
-	}
-	if m.InRange(0, 2) {
-		t.Fatal("cross-channel radios reported in range")
-	}
-	// Simultaneous transmissions on both channels: both deliver cleanly
-	// even though the cells overlap in space.
-	sim.Schedule(0, func() { radios[0].Transmit("a", 100, des.Millisecond) })
-	sim.Schedule(0, func() { radios[2].Transmit("b", 100, des.Millisecond) })
-	sim.Run()
-	if len(recs[1].received) != 1 || !recs[1].received[0].ok || recs[1].received[0].payload != "a" {
-		t.Fatalf("cell A delivery broken: %+v", recs[1].received)
-	}
-	if len(recs[3].received) != 1 || !recs[3].received[0].ok || recs[3].received[0].payload != "b" {
-		t.Fatalf("cell B delivery broken: %+v", recs[3].received)
-	}
-	// No cross-channel carrier sensing either.
-	for _, c := range recs[2].carrier {
-		if c {
-			t.Fatal("channel-5 radio sensed channel-0 energy")
-		}
-	}
-}
-
-func TestChannelSwitching(t *testing.T) {
-	sim, _, radios, recs := testbed(DefaultParams(),
-		geom.Point{X: 0}, geom.Point{X: 200})
-	// Receiver retunes away, misses a frame, retunes back, catches one.
-	sim.Schedule(0, func() { radios[1].SetChannel(3) })
-	sim.Schedule(des.Millisecond, func() { radios[0].Transmit("missed", 100, des.Millisecond) })
-	sim.Schedule(10*des.Millisecond, func() { radios[1].SetChannel(0) })
-	sim.Schedule(11*des.Millisecond, func() { radios[0].Transmit("caught", 100, des.Millisecond) })
-	sim.Run()
-	if len(recs[1].received) != 1 || recs[1].received[0].payload != "caught" {
-		t.Fatalf("channel switching deliveries: %+v", recs[1].received)
-	}
-}
-
-func TestSetChannelWhileTransmittingPanics(t *testing.T) {
-	sim, _, radios, _ := testbed(DefaultParams(), geom.Point{X: 0})
-	sim.Schedule(0, func() {
-		radios[0].Transmit("x", 10, des.Millisecond)
-		defer func() {
-			if recover() == nil {
-				t.Error("SetChannel mid-transmission did not panic")
-			}
-		}()
-		radios[0].SetChannel(1)
-	})
-	sim.Run()
-}
-
 // TestSetPosVisibleToLinkQueries moves the far-end radio of a 9.73 km line
 // next to radio 0 and back: RxPowerBetween and InRange must answer from the
 // positions of the moment, in both directions, whatever audible sets

@@ -116,6 +116,34 @@ type Counters struct {
 	DiscoveriesFailed    uint64
 }
 
+// Fold reports every counter once, under its report name, to add — the
+// one list of them the measurement harness reads (adding a counter is a
+// field and a line here).
+func (c *Counters) Fold(add func(name string, v uint64)) {
+	add("routing/rreq-originated", c.RREQOriginated)
+	add("routing/rreq-forwarded", c.RREQForwarded)
+	add("routing/rreq-received", c.RREQReceived)
+	add("routing/rreq-suppressed", c.RREQSuppressed)
+	add("routing/rrep-sent", c.RREPSent)
+	add("routing/rrep-forwarded", c.RREPForwarded)
+	add("routing/rrep-received", c.RREPReceived)
+	add("routing/rerr-sent", c.RERRSent)
+	add("routing/rerr-received", c.RERRReceived)
+	add("routing/hello-sent", c.HelloSent)
+	add("routing/hello-heard", c.HelloHeard)
+	add("routing/data-originated", c.DataOriginated)
+	add("routing/data-forwarded", c.DataForwarded)
+	add("routing/data-delivered", c.DataDelivered)
+	add("routing/drop-no-route", c.DropNoRoute)
+	add("routing/drop-ttl", c.DropTTL)
+	add("routing/drop-buffer-full", c.DropBufferFull)
+	add("routing/drop-link-fail", c.DropLinkFail)
+	add("routing/drop-crashed", c.DropCrashed)
+	add("routing/discoveries-started", c.DiscoveriesStarted)
+	add("routing/discoveries-succeeded", c.DiscoveriesSucceeded)
+	add("routing/discoveries-failed", c.DiscoveriesFailed)
+}
+
 // ControlPacketsSent returns the total routing-control transmissions this
 // node submitted (the numerator of normalized routing overhead).
 func (c *Counters) ControlPacketsSent() uint64 {

@@ -60,6 +60,9 @@ type Engine struct {
 	// against (see referenceEngine in export_test.go). Results are
 	// bit-identical either way.
 	referenceRadio bool
+
+	// warmJoules is each node's energy reading at Warmup (see openWindow).
+	warmJoules []float64
 }
 
 // NewEngine returns an empty engine; the first Run builds the network.

@@ -10,7 +10,6 @@ import (
 	"clnlr/internal/journey"
 	"clnlr/internal/mac"
 	"clnlr/internal/metrics"
-	"clnlr/internal/radio"
 	"clnlr/internal/routing"
 	"clnlr/internal/trace"
 	"clnlr/internal/traffic"
@@ -30,6 +29,13 @@ import (
 //   - per-layer monotonic counters over the measurement window (radio,
 //     MAC, routing) plus fault schedule counts, folded in at run end;
 //   - the run envelope (simulated time, DES events executed, wall clock).
+//
+// The measurement window opens with a reset: at Warmup every node's
+// Agent.Ctr and Mac.Ctr and the medium's four counters are zeroed, so
+// after a run they hold the window, not the whole run (RunDiscovery,
+// which has no window, counts from t = 0). Energy is the one reading
+// taken there instead: Joules is a float, and only end − warm keeps its
+// bits.
 //
 // Determinism: sampler handlers only read protocol state (the dup-cache
 // count settles its own expiry log, which no lookup consults) and never
@@ -68,23 +74,15 @@ func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector
 	}
 	addFlows(mgr, flows, &run.master)
 
-	// Isolate the measurement window for cumulative counters.
-	var warm snapshot
-	var warmRadio radioCounters
-	e.simk.At(sc.Warmup, func() {
-		warm = takeSnapshot(e.nodes)
-		if col != nil {
-			warmRadio = mediumCounters(e.medium)
-		}
-	})
+	e.simk.At(sc.Warmup, e.openWindow)
 	e.simk.RunUntil(end)
 
 	if rec != nil {
 		rec.EndRun(end)
 	}
-	r := extract(sc, e.nodes, mgr, warm)
+	r := extract(sc, e.nodes, mgr, e.warmJoules)
 	if col != nil {
-		e.foldCounters(col, warm, warmRadio, run.crashEvents, run.recoverEvents)
+		e.foldCounters(col, run.crashEvents, run.recoverEvents)
 		col.FinishRun(end, e.simk.Executed(), time.Since(wallStart))
 	}
 	return r, run.auditErr()
@@ -149,75 +147,34 @@ func trainTicks(simk *des.Sim, s *sampler, interval des.Time, n int) {
 	simk.AtTrain(0, interval, n, s, 0, 0)
 }
 
-// radioCounters snapshots the medium's validation counters (used to
-// isolate the measurement window, like the per-node warm snapshot).
-type radioCounters struct {
-	transmissions uint64
-	deliveries    uint64
-	corruptions   uint64
-	impairDrops   uint64
+// openWindow opens the measurement window at Warmup: the routing, MAC
+// and medium counters restart from zero, and each node's energy meter is
+// read (see RunJourney).
+func (e *Engine) openWindow() {
+	e.warmJoules = e.warmJoules[:0]
+	for _, n := range e.nodes {
+		n.Agent.Ctr = routing.Counters{}
+		n.Mac.Ctr = mac.Counters{}
+		e.warmJoules = append(e.warmJoules, n.Mac.Energy().Joules)
+	}
+	m := e.medium
+	m.Transmissions, m.Deliveries, m.Corruptions, m.ImpairDrops = 0, 0, 0, 0
 }
 
-func mediumCounters(m *radio.Medium) radioCounters {
-	return radioCounters{m.Transmissions, m.Deliveries, m.Corruptions, m.ImpairDrops}
-}
-
-// foldCounters aggregates the per-layer counter deltas over the
-// measurement window across all nodes into the collector's registry.
+// foldCounters sums the per-layer counters of the measurement window
+// across all nodes into the collector's registry.
 // Names are namespaced by layer ("mac/retries", "routing/rreq-originated",
 // "radio/transmissions", "fault/crash-events").
-func (e *Engine) foldCounters(col *metrics.Collector, warm snapshot, warmRadio radioCounters, crashEvents, recoverEvents uint64) {
-	var rc, rw routing.Counters
-	var mc, mw mac.Counters
-	for i, n := range e.nodes {
-		addRoutingCounters(&rc, n.Agent.Ctr)
-		addRoutingCounters(&rw, warm.routing[i])
-		addMacCounters(&mc, n.Mac.Ctr)
-		addMacCounters(&mw, warm.mac[i])
+func (e *Engine) foldCounters(col *metrics.Collector, crashEvents, recoverEvents uint64) {
+	for _, n := range e.nodes {
+		n.Agent.Ctr.Fold(col.Add)
+		n.Mac.Ctr.Fold(col.Add)
 	}
-
-	col.Add("routing/rreq-originated", rc.RREQOriginated-rw.RREQOriginated)
-	col.Add("routing/rreq-forwarded", rc.RREQForwarded-rw.RREQForwarded)
-	col.Add("routing/rreq-received", rc.RREQReceived-rw.RREQReceived)
-	col.Add("routing/rreq-suppressed", rc.RREQSuppressed-rw.RREQSuppressed)
-	col.Add("routing/rrep-sent", rc.RREPSent-rw.RREPSent)
-	col.Add("routing/rrep-forwarded", rc.RREPForwarded-rw.RREPForwarded)
-	col.Add("routing/rrep-received", rc.RREPReceived-rw.RREPReceived)
-	col.Add("routing/rerr-sent", rc.RERRSent-rw.RERRSent)
-	col.Add("routing/rerr-received", rc.RERRReceived-rw.RERRReceived)
-	col.Add("routing/hello-sent", rc.HelloSent-rw.HelloSent)
-	col.Add("routing/hello-heard", rc.HelloHeard-rw.HelloHeard)
-	col.Add("routing/data-originated", rc.DataOriginated-rw.DataOriginated)
-	col.Add("routing/data-forwarded", rc.DataForwarded-rw.DataForwarded)
-	col.Add("routing/data-delivered", rc.DataDelivered-rw.DataDelivered)
-	col.Add("routing/drop-no-route", rc.DropNoRoute-rw.DropNoRoute)
-	col.Add("routing/drop-ttl", rc.DropTTL-rw.DropTTL)
-	col.Add("routing/drop-buffer-full", rc.DropBufferFull-rw.DropBufferFull)
-	col.Add("routing/drop-link-fail", rc.DropLinkFail-rw.DropLinkFail)
-	col.Add("routing/drop-crashed", rc.DropCrashed-rw.DropCrashed)
-	col.Add("routing/discoveries-started", rc.DiscoveriesStarted-rw.DiscoveriesStarted)
-	col.Add("routing/discoveries-succeeded", rc.DiscoveriesSucceeded-rw.DiscoveriesSucceeded)
-	col.Add("routing/discoveries-failed", rc.DiscoveriesFailed-rw.DiscoveriesFailed)
-
-	col.Add("mac/enqueued", mc.Enqueued-mw.Enqueued)
-	col.Add("mac/dropped-queue-full", mc.DroppedQueueFull-mw.DroppedQueueFull)
-	col.Add("mac/tx-data", mc.TxData-mw.TxData)
-	col.Add("mac/tx-broadcast", mc.TxBroadcast-mw.TxBroadcast)
-	col.Add("mac/tx-ack", mc.TxAck-mw.TxAck)
-	col.Add("mac/tx-rts", mc.TxRTS-mw.TxRTS)
-	col.Add("mac/tx-cts", mc.TxCTS-mw.TxCTS)
-	col.Add("mac/retries", mc.Retries-mw.Retries)
-	col.Add("mac/dropped-retry-limit", mc.DroppedRetryLimit-mw.DroppedRetryLimit)
-	col.Add("mac/rx-delivered", mc.RxDelivered-mw.RxDelivered)
-	col.Add("mac/rx-duplicates", mc.RxDuplicates-mw.RxDuplicates)
-	col.Add("mac/rx-corrupted", mc.RxCorrupted-mw.RxCorrupted)
-	col.Add("mac/dropped-down", mc.DroppedDown-mw.DroppedDown)
-
-	now := mediumCounters(e.medium)
-	col.Add("radio/transmissions", now.transmissions-warmRadio.transmissions)
-	col.Add("radio/deliveries", now.deliveries-warmRadio.deliveries)
-	col.Add("radio/corruptions", now.corruptions-warmRadio.corruptions)
-	col.Add("radio/impair-drops", now.impairDrops-warmRadio.impairDrops)
+	m := e.medium
+	col.Add("radio/transmissions", m.Transmissions)
+	col.Add("radio/deliveries", m.Deliveries)
+	col.Add("radio/corruptions", m.Corruptions)
+	col.Add("radio/impair-drops", m.ImpairDrops)
 
 	col.Add("fault/crash-events", crashEvents)
 	col.Add("fault/recover-events", recoverEvents)
@@ -243,47 +200,6 @@ func (e *Engine) foldCounters(col *metrics.Collector, warm snapshot, warmRadio r
 	col.AddDiag("des/free-list-drops", e.simk.FreeListDrops())
 	col.AddDiag("radio/tx-pool-drops", e.medium.TxPoolDrops())
 	col.AddDiag("radio/audible-rebuilds", e.medium.AudibleRebuilds())
-}
-
-func addRoutingCounters(dst *routing.Counters, src routing.Counters) {
-	dst.RREQOriginated += src.RREQOriginated
-	dst.RREQForwarded += src.RREQForwarded
-	dst.RREQReceived += src.RREQReceived
-	dst.RREQSuppressed += src.RREQSuppressed
-	dst.RREPSent += src.RREPSent
-	dst.RREPForwarded += src.RREPForwarded
-	dst.RREPReceived += src.RREPReceived
-	dst.RERRSent += src.RERRSent
-	dst.RERRReceived += src.RERRReceived
-	dst.HelloSent += src.HelloSent
-	dst.HelloHeard += src.HelloHeard
-	dst.DataOriginated += src.DataOriginated
-	dst.DataForwarded += src.DataForwarded
-	dst.DataDelivered += src.DataDelivered
-	dst.DropNoRoute += src.DropNoRoute
-	dst.DropTTL += src.DropTTL
-	dst.DropBufferFull += src.DropBufferFull
-	dst.DropLinkFail += src.DropLinkFail
-	dst.DropCrashed += src.DropCrashed
-	dst.DiscoveriesStarted += src.DiscoveriesStarted
-	dst.DiscoveriesSucceeded += src.DiscoveriesSucceeded
-	dst.DiscoveriesFailed += src.DiscoveriesFailed
-}
-
-func addMacCounters(dst *mac.Counters, src mac.Counters) {
-	dst.Enqueued += src.Enqueued
-	dst.DroppedQueueFull += src.DroppedQueueFull
-	dst.TxData += src.TxData
-	dst.TxBroadcast += src.TxBroadcast
-	dst.TxAck += src.TxAck
-	dst.TxRTS += src.TxRTS
-	dst.TxCTS += src.TxCTS
-	dst.Retries += src.Retries
-	dst.DroppedRetryLimit += src.DroppedRetryLimit
-	dst.RxDelivered += src.RxDelivered
-	dst.RxDuplicates += src.RxDuplicates
-	dst.RxCorrupted += src.RxCorrupted
-	dst.DroppedDown += src.DroppedDown
 }
 
 // Fingerprint returns a stable 64-bit hash of the scenario's JSON form —

@@ -6,13 +6,11 @@ import (
 
 	"clnlr/internal/des"
 	"clnlr/internal/geom"
-	"clnlr/internal/mac"
 	"clnlr/internal/mobility"
 	"clnlr/internal/node"
 	"clnlr/internal/pkt"
 	"clnlr/internal/radio"
 	"clnlr/internal/rng"
-	"clnlr/internal/routing"
 	"clnlr/internal/stats"
 	"clnlr/internal/topo"
 	"clnlr/internal/traffic"
@@ -59,28 +57,6 @@ type Result struct {
 	DelayP95Sec float64
 	DelayP50Sec float64
 	DelayP99Sec float64
-}
-
-// snapshot captures cumulative counters at the warm-up boundary so the
-// measurement window can be isolated.
-type snapshot struct {
-	routing []routing.Counters
-	mac     []mac.Counters
-	joules  []float64
-}
-
-func takeSnapshot(nodes []*node.Node) snapshot {
-	s := snapshot{
-		routing: make([]routing.Counters, len(nodes)),
-		mac:     make([]mac.Counters, len(nodes)),
-		joules:  make([]float64, len(nodes)),
-	}
-	for i, n := range nodes {
-		s.routing[i] = n.Agent.Ctr
-		s.mac[i] = n.Mac.Ctr
-		s.joules[i] = n.Mac.Energy().Joules
-	}
-	return s
 }
 
 // Run executes one simulation of the scenario and returns its metrics. A
@@ -292,9 +268,9 @@ func centreNode(tp *topo.Topology) pkt.NodeID {
 	return pkt.NodeID(best)
 }
 
-// extract computes the Result from post-run state minus the warm-up
-// snapshot.
-func extract(sc Scenario, nodes []*node.Node, mgr *traffic.Manager, warm snapshot) Result {
+// extract computes the Result from the counters of the measurement
+// window and each node's energy since its warm-up reading warmJoules.
+func extract(sc Scenario, nodes []*node.Node, mgr *traffic.Manager, warmJoules []float64) Result {
 	tot := mgr.Totals()
 	r := Result{
 		Scheme:    sc.Scheme,
@@ -317,25 +293,22 @@ func extract(sc Scenario, nodes []*node.Node, mgr *traffic.Manager, warm snapsho
 	var fw, en stats.Welford
 	maxFw, maxJ := 0.0, 0.0
 	for i, n := range nodes {
-		c := n.Agent.Ctr
-		w := warm.routing[i]
-		r.RREQTx += (c.RREQOriginated - w.RREQOriginated) + (c.RREQForwarded - w.RREQForwarded)
-		r.ControlTx += c.ControlPacketsSent() - w.ControlPacketsSent()
-		started += c.DiscoveriesStarted - w.DiscoveriesStarted
-		succeeded += c.DiscoveriesSucceeded - w.DiscoveriesSucceeded
+		c := &n.Agent.Ctr
+		r.RREQTx += c.RREQOriginated + c.RREQForwarded
+		r.ControlTx += c.ControlPacketsSent()
+		started += c.DiscoveriesStarted
+		succeeded += c.DiscoveriesSucceeded
 
-		f := float64(c.DataForwarded - w.DataForwarded)
+		f := float64(c.DataForwarded)
 		fw.Add(f)
 		if f > maxFw {
 			maxFw = f
 		}
 
-		mc := n.Mac.Ctr
-		mw := warm.mac[i]
-		r.MACQueueDrops += mc.DroppedQueueFull - mw.DroppedQueueFull
-		r.MACRetryDrops += mc.DroppedRetryLimit - mw.DroppedRetryLimit
+		r.MACQueueDrops += n.Mac.Ctr.DroppedQueueFull
+		r.MACRetryDrops += n.Mac.Ctr.DroppedRetryLimit
 
-		j := n.Mac.Energy().Joules - warm.joules[i]
+		j := n.Mac.Energy().Joules - warmJoules[i]
 		en.Add(j)
 		if j > maxJ {
 			maxJ = j

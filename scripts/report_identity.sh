@@ -6,6 +6,9 @@
 # A line with -metrics also writes the flight recorder's heatmap CSV and
 # series NDJSON, which are compared too: the canonical report does not
 # carry the sampled per-node columns (queue, load, routes, dup_cache).
+# A line with -journey also writes the sampled journeys and the decision
+# provenance as NDJSON (-journey-out, -decisions); both are compared too,
+# beside the report's "journey" section.
 # Reports are compared without their "fingerprint" line, which is printed
 # as `fingerprint: same|moved` for information: it hashes the Scenario
 # struct's JSON, so it is a function of that struct's shape (guarded by
@@ -46,8 +49,9 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
 # loss on top, the shape of the benchmark's mobile100 workload; Nakagami
 # fading, where every transmission rebuilds its set; and log-distance path
 # loss with per-link shadowing, kept moving so that model rebuilds too.
-# Last comes ROADMAP item 1's 900-node field, one cold run: there every
-# node's per-peer slabs (routes, duplicate rings, neighbours) grow mid-run.
+# Then ROADMAP item 1's 900-node field, one cold run: there every node's
+# per-peer slabs (routes, duplicate rings, neighbours) grow mid-run. Last,
+# packet journeys traced on every flow of the saturated gateway point.
 scenarios=(
 	"-scheme clnlr"
 	"-scheme flood"
@@ -69,6 +73,7 @@ scenarios=(
 	"-config scripts/identity_mobile.json -mttf 60s -mttr 5s -link-good 2s -link-bad 200ms -loss-bad 0.8"
 	"-config scripts/identity_logdistance.json -metrics"
 	"-rows 30 -cols 30 -area 4437 -flows 40 -rate 2 -warmup 10s -measure 20s -session 10s"
+	"-journey 1 -gateway -flows 20 -rate 8"
 )
 cd "$root"
 
@@ -88,10 +93,17 @@ for i in "${!scenarios[@]}"; do
 	if [[ $args == *-metrics* ]]; then
 		outputs+=(-heatmap.csv -series.ndjson)
 	fi
+	if [[ $args == *-journey* ]]; then
+		outputs+=(-journeys.ndjson -decisions.ndjson)
+	fi
 	for side in parent change; do
+		journey=()
+		if [[ $args == *-journey* ]]; then
+			journey=(-journey-out "$tmp/$side.$i-journeys.ndjson" -decisions "$tmp/$side.$i-decisions.ndjson")
+		fi
 		# -metrics-out only names the files a -metrics line writes.
 		# shellcheck disable=SC2086 # args is a flag list, split on purpose
-		"$tmp/$side" $args -metrics-out "$tmp/$side.$i" -report "$tmp/$side.$i.full" -canonical-report >/dev/null
+		"$tmp/$side" $args "${journey[@]}" -metrics-out "$tmp/$side.$i" -report "$tmp/$side.$i.full" -canonical-report >/dev/null
 		grep -Ev '^ *"(fingerprint|events_executed|des/pending-hw)":' "$tmp/$side.$i.full" >"$tmp/$side.$i.json"
 	done
 	fingerprint=same
