@@ -44,7 +44,7 @@ func main() {
 
 	profFlags := prof.RegisterFlags(nil)
 	var (
-		scheme     = flag.String("scheme", "clnlr", "routing scheme: flood|gossip|counter|clnlr|clnlr-2hop")
+		scheme     = flag.String("scheme", "clnlr", "routing scheme: flood|gossip|counter|clnlr|clnlr-2hop|gossip-adaptive")
 		topology   = flag.String("topo", "grid", "topology: grid|perturbed-grid|random")
 		rows       = flag.Int("rows", 7, "grid rows")
 		cols       = flag.Int("cols", 7, "grid cols")
@@ -61,7 +61,7 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "base random seed")
 		reps       = flag.Int("reps", 1, "replications (mean ± 95% CI when > 1)")
 		workers    = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		discover   = flag.Int("discover", 0, "run N discovery rounds instead of a traffic experiment")
+		discover   = flag.Int("discover", 0, "run N discovery rounds (one probe every 4s; the measurement period becomes N × 4s) instead of a traffic experiment")
 		mttf       = flag.Duration("mttf", 0, "node churn: mean time to failure (0 = no churn)")
 		mttr       = flag.Duration("mttr", 0, "node churn: mean downtime per crash (default 10s when -mttf is set)")
 		linkGood   = flag.Duration("link-good", 0, "link impairment: mean good-state dwell (0 = no impairment)")
@@ -135,6 +135,10 @@ func main() {
 		}
 	})
 	sc.Audit = *auditOn
+	if *discover > 0 {
+		sc.Probes = true
+		sc.Measure = des.Time(*discover) * sim.ProbeGap
+	}
 
 	// Fail fast with a one-line error on configuration mistakes (unknown
 	// scheme or topology, negative durations, …) instead of surfacing
@@ -151,11 +155,7 @@ func main() {
 	if *metricsOn && *metricsInt <= 0 {
 		log.Fatalf("-metrics needs a positive -metrics-interval, got %v", *metricsInt)
 	}
-	vsc := sc
-	if *discover > 0 && vsc.Flows == 0 {
-		vsc.Flows = 1 // discovery probes are valid without background load
-	}
-	if err := vsc.Validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -164,11 +164,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote effective scenario to %s\n", *dumpConfig)
-		return
-	}
-
-	if *discover > 0 {
-		runDiscovery(sc, *discover, *reps, *workers)
 		return
 	}
 
@@ -259,14 +254,22 @@ func main() {
 		rs = []sim.Result{r}
 		*reps = 1
 	} else {
-		rs = runCell(sc, 0, *reps, *workers).Results
+		rs = runCell(sc, *reps, *workers).Results
 	}
-	fmt.Printf("scheme=%s nodes=%d flows=%d rate=%g pkt/s payload=%dB reps=%d\n",
-		sc.Scheme, rs[0].Nodes, sc.Flows, sc.PacketRate, sc.PayloadBytes, *reps)
 	printSummary := func(name string, m sim.Metric) {
 		s := sim.Summarize(rs, m)
 		fmt.Printf("  %-22s %12.3f ± %.3f\n", name, s.Mean, s.CI95)
 	}
+	if *discover > 0 {
+		fmt.Printf("discovery experiment: scheme=%s nodes=%d rounds=%d reps=%d\n",
+			sc.Scheme, rs[0].Nodes, *discover, *reps)
+		printSummary("RREQ per discovery", sim.MetricRREQPerProbe)
+		printSummary("success rate", sim.MetricProbeSuccess)
+		printSummary("latency (ms)", sim.MetricProbeLatencyMs)
+		return
+	}
+	fmt.Printf("scheme=%s nodes=%d flows=%d rate=%g pkt/s payload=%dB reps=%d\n",
+		sc.Scheme, rs[0].Nodes, sc.Flows, sc.PacketRate, sc.PayloadBytes, *reps)
 	printSummary("PDR", sim.MetricPDR)
 	printSummary("mean delay (ms)", sim.MetricDelayMs)
 	printSummary("p95 delay (ms)", sim.MetricDelayP95Ms)
@@ -283,27 +286,14 @@ func main() {
 	}
 }
 
-// runCell runs reps replications of sc — discovery rounds when rounds > 0 —
-// through the experiments planner. The planner sets every replication's
-// Audit from Config, so the -audit flag rides in Config.Audit.
-func runCell(sc sim.Scenario, rounds, reps, workers int) experiments.CellReport {
+// runCell runs reps replications of sc through the experiments planner.
+// The planner sets every replication's Audit from Config, so the -audit
+// flag rides in Config.Audit.
+func runCell(sc sim.Scenario, reps, workers int) experiments.CellReport {
 	cfg := experiments.Config{Reps: reps, Workers: workers, Seed: sc.Seed, Audit: sc.Audit}
-	cells, err := experiments.RunCells(cfg, []experiments.CellSpec{{Label: "meshsim", Scenario: sc, Rounds: rounds}})
+	cells, err := experiments.RunCells(cfg, []experiments.CellSpec{{Label: "meshsim", Scenario: sc}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	return cells[0]
-}
-
-func runDiscovery(sc sim.Scenario, rounds, reps, workers int) {
-	rs := runCell(sc, rounds, reps, workers).Discovery
-	fmt.Printf("discovery experiment: scheme=%s nodes=%d rounds=%d reps=%d\n",
-		sc.Scheme, rs[0].Nodes, rounds, reps)
-	p := func(name string, m sim.DiscoveryMetric) {
-		s := sim.SummarizeDiscovery(rs, m)
-		fmt.Printf("  %-22s %12.3f ± %.3f\n", name, s.Mean, s.CI95)
-	}
-	p("RREQ per discovery", sim.DMetricRREQ)
-	p("success rate", sim.DMetricSuccess)
-	p("latency (ms)", sim.DMetricLatency)
 }

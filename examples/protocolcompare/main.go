@@ -25,14 +25,16 @@ func main() {
 		"scheme", "PDR", "delay (ms)", "RREQ tx", "ctl/delivered")
 
 	// One planner run covers both tables: a data-plane cell and a
-	// 15-round discovery cell (no background flows) per scheme.
+	// 15-probe discovery cell (no background flows) per scheme.
 	schemes := sim.AllSchemes()
 	dsc := sc
 	dsc.Flows = 0
+	dsc.Probes = true
+	dsc.Measure = 15 * sim.ProbeGap
 	specs := make([]experiments.CellSpec, 2*len(schemes))
 	for i, scheme := range schemes {
 		specs[i] = experiments.CellSpec{Label: string(scheme), Scenario: sc.WithScheme(scheme)}
-		specs[len(schemes)+i] = experiments.CellSpec{Label: string(scheme) + " discovery", Scenario: dsc.WithScheme(scheme), Rounds: 15}
+		specs[len(schemes)+i] = experiments.CellSpec{Label: string(scheme) + " discovery", Scenario: dsc.WithScheme(scheme)}
 	}
 	cells, err := experiments.RunCells(experiments.Config{Reps: 5}, specs)
 	if err != nil {
@@ -54,10 +56,10 @@ func main() {
 	fmt.Println("Also compare pure discovery behaviour (no data traffic):")
 	fmt.Printf("%-12s %18s %12s %14s\n", "scheme", "RREQ/discovery", "success", "latency (ms)")
 	for i, scheme := range schemes {
-		rs := cells[len(schemes)+i].Discovery
-		rq := sim.SummarizeDiscovery(rs, sim.DMetricRREQ)
-		su := sim.SummarizeDiscovery(rs, sim.DMetricSuccess)
-		la := sim.SummarizeDiscovery(rs, sim.DMetricLatency)
+		rs := cells[len(schemes)+i].Results
+		rq := sim.Summarize(rs, sim.MetricRREQPerProbe)
+		su := sim.Summarize(rs, sim.MetricProbeSuccess)
+		la := sim.Summarize(rs, sim.MetricProbeLatencyMs)
 		fmt.Printf("%-12s %10.1f ±%5.1f %7.2f ±%4.2f %9.1f ±%5.1f\n",
 			scheme, rq.Mean, rq.CI95, su.Mean, su.CI95, la.Mean, la.CI95)
 	}

@@ -9,13 +9,10 @@ import (
 // CellSpec names one ad-hoc sweep cell for RunCells: a label (the cell's
 // checkpoint identity inside Config.ReportDir) and the scenario it runs.
 // Replication r uses Scenario.Seed+r, exactly the figure builders' seed
-// schedule. Rounds > 0 makes it a discovery cell: each replication is
-// sim.RunDiscovery with that many probe rounds (4 s apart, as in F-R1/F-R2)
-// and the report carries Discovery instead of Results.
+// schedule.
 type CellSpec struct {
 	Label    string
 	Scenario sim.Scenario
-	Rounds   int
 }
 
 // RunCells is the service-facing job execution entry point: it runs an
@@ -56,11 +53,7 @@ func RunCells(cfg Config, specs []CellSpec) ([]CellReport, error) {
 			}
 			out[i] = buildCellReport(c)
 		}
-		if spec.Rounds > 0 {
-			p.addDiscovery(spec.Label, spec.Scenario, spec.Rounds, finalize)
-		} else {
-			p.add(spec.Label, spec.Scenario, finalize)
-		}
+		p.add(spec.Label, spec.Scenario, finalize)
 	}
 	err := p.run()
 	return out, err

@@ -3,41 +3,46 @@ package experiments
 import (
 	"testing"
 
+	"clnlr/internal/des"
 	"clnlr/internal/sim"
 )
 
-// discoveryCellScenario is a small unloaded grid for discovery cells.
-func discoveryCellScenario() sim.Scenario {
+// discoveryCellScenario is a small unloaded grid probed rounds times.
+func discoveryCellScenario(rounds int) sim.Scenario {
 	sc := baseScenario(tinyConfig())
 	sc.Rows, sc.Cols = 4, 4
 	sc.AreaM = gridSpacingM * 4
 	sc.Flows = 0
+	sc.Probes = true
+	sc.Measure = des.Time(rounds) * sim.ProbeGap
 	sc.Seed = 5
 	return sc
 }
 
-// TestRunCellsDiscoveryMatchesRunDiscovery: a CellSpec with Rounds > 0 is
-// replication r = sim.RunDiscovery at seed Seed+r with the planner's probe
-// gap, whatever the worker count.
+// TestRunCellsDiscoveryMatchesRunDiscovery: a probe cell's replication r
+// is sim.Run at seed Seed+r, probe fields included, whatever the worker
+// count.
 func TestRunCellsDiscoveryMatchesRunDiscovery(t *testing.T) {
-	sc := discoveryCellScenario()
 	const rounds, reps = 4, 3
+	sc := discoveryCellScenario(rounds)
 	for _, workers := range []int{1, 3} {
-		cells, err := RunCells(Config{Reps: reps, Workers: workers}, []CellSpec{{Label: "disc", Scenario: sc, Rounds: rounds}})
+		cells, err := RunCells(Config{Reps: reps, Workers: workers}, []CellSpec{{Label: "disc", Scenario: sc}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := cells[0].Discovery
-		if len(got) != reps || cells[0].Results != nil {
-			t.Fatalf("workers=%d: %d discovery and %d data-plane results, want %d and 0",
-				workers, len(got), len(cells[0].Results), reps)
+		got := cells[0].Results
+		if len(got) != reps {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), reps)
 		}
 		for r := range got {
 			s := sc
 			s.Seed = sc.Seed + uint64(r)
-			want, err := sim.RunDiscovery(s, rounds, discoveryGap)
+			want, err := sim.Run(s)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if want.ProbesSent != rounds {
+				t.Fatalf("rep %d sent %d probes, want %d", r, want.ProbesSent, rounds)
 			}
 			if got[r] != want {
 				t.Errorf("workers=%d rep %d:\n  cell %+v\n  sim  %+v", workers, r, got[r], want)
@@ -46,21 +51,21 @@ func TestRunCellsDiscoveryMatchesRunDiscovery(t *testing.T) {
 	}
 }
 
-// TestResumeReRunsDiscoveryCellWithNewRounds: the scenario fingerprint
-// does not cover the probe count, so a checkpoint written with other
-// Rounds must not be loaded into the cell.
+// TestResumeReRunsDiscoveryCellWithNewRounds: the probe count is the
+// window over sim.ProbeGap, which the scenario fingerprint covers, so a
+// checkpoint written with other rounds must not be loaded into the cell.
 func TestResumeReRunsDiscoveryCellWithNewRounds(t *testing.T) {
 	dir := t.TempDir()
-	sc := discoveryCellScenario()
 	for _, rounds := range []int{2, 3} {
+		sc := discoveryCellScenario(rounds)
 		cfg := Config{Reps: 2, Workers: 1, Seed: sc.Seed, ReportDir: dir, Resume: true}
-		cells, err := RunCells(cfg, []CellSpec{{Label: "disc", Scenario: sc, Rounds: rounds}})
+		cells, err := RunCells(cfg, []CellSpec{{Label: "disc", Scenario: sc}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r, d := range cells[0].Discovery {
-			if d.Rounds != rounds {
-				t.Fatalf("rounds=%d: rep %d ran %d rounds (stale checkpoint loaded)", rounds, r, d.Rounds)
+		for r, res := range cells[0].Results {
+			if res.ProbesSent != uint64(rounds) {
+				t.Fatalf("rounds=%d: rep %d sent %d probes (stale checkpoint loaded)", rounds, r, res.ProbesSent)
 			}
 		}
 	}

@@ -109,15 +109,17 @@ func planR1R2(p *planner) []*Figure {
 			sc.Rows, sc.Cols = dim[0], dim[1]
 			sc.AreaM = gridSpacingM * float64(dim[1])
 			sc.Flows = 0 // unloaded discovery
+			sc.Probes = true
+			sc.Measure = des.Time(discoveryRounds(p.cfg)) * sim.ProbeGap
 			x := float64(dim[0] * dim[1])
 			label := fmt.Sprintf("F-R1/2 %dx%d %s", dim[0], dim[1], scheme)
-			p.addDiscovery(label, sc, discoveryRounds(p.cfg), func(c *cell) {
+			p.add(label, sc, func(c *cell) {
 				r1.Points = append(r1.Points, Point{X: x, Scheme: string(scheme), Values: map[string]stats.Summary{
-					"rreq/discovery": sim.SummarizeDiscovery(c.dres, sim.DMetricRREQ),
+					"rreq/discovery": sim.Summarize(c.results, sim.MetricRREQPerProbe),
 				}})
 				r2.Points = append(r2.Points, Point{X: x, Scheme: string(scheme), Values: map[string]stats.Summary{
-					"success":    sim.SummarizeDiscovery(c.dres, sim.DMetricSuccess),
-					"latency-ms": sim.SummarizeDiscovery(c.dres, sim.DMetricLatency),
+					"success":    sim.Summarize(c.results, sim.MetricProbeSuccess),
+					"latency-ms": sim.Summarize(c.results, sim.MetricProbeLatencyMs),
 				}})
 			})
 		}

@@ -14,9 +14,8 @@ import (
 // CellReport is the machine-readable record of one sweep cell, written to
 // Config.ReportDir as <sanitized label>.json. It bundles the cell's
 // identity (label, scenario fingerprint, scheme, base seed), every
-// replication's Result, and — for data-plane cells — the per-layer
-// counters summed over all replications. Discovery cells carry their
-// probe results instead; those runs have no counter hook.
+// replication's Result, and the per-layer counters summed over all
+// replications.
 //
 // A cell report doubles as the cell's sweep checkpoint: it is written
 // atomically (temp file + rename) only once every replication of the
@@ -35,9 +34,8 @@ type CellReport struct {
 	// that was clean on the first pass.
 	Retries int `json:"retries,omitempty"`
 
-	Counters  map[string]uint64     `json:"counters,omitempty"`
-	Results   []sim.Result          `json:"results,omitempty"`
-	Discovery []sim.DiscoveryResult `json:"discovery,omitempty"`
+	Counters map[string]uint64 `json:"counters,omitempty"`
+	Results  []sim.Result      `json:"results,omitempty"`
 
 	// Journey, when Config.JourneyEveryN armed packet-journey tracing, is
 	// the per-layer delay decomposition and decision-provenance summary
@@ -120,7 +118,6 @@ func buildCellReport(c *cell) CellReport {
 		Seed:        c.sc.Seed,
 		Reps:        len(c.errs),
 		Results:     c.results,
-		Discovery:   c.dres,
 	}
 	for _, n := range c.retries {
 		rep.Retries += n
@@ -173,17 +170,10 @@ func loadCellReport(dir string, c *cell, reps int) bool {
 		rep.Seed != c.sc.Seed || rep.Reps != reps {
 		return false
 	}
-	if c.discovery {
-		if len(rep.Discovery) != reps || rep.Discovery[0].Rounds != c.rounds {
-			return false
-		}
-		c.dres = rep.Discovery
-	} else {
-		if len(rep.Results) != reps {
-			return false
-		}
-		c.results = rep.Results
+	if len(rep.Results) != reps {
+		return false
 	}
+	c.results = rep.Results
 	c.checkpoint = &rep
 	return true
 }

@@ -99,16 +99,9 @@ type cell struct {
 	label string // error context, e.g. "F-R5 flows=10 clnlr"
 	sc    sim.Scenario
 
-	// Discovery cells probe route discovery via sim.RunDiscovery
-	// (rounds probes, discoveryGap apart) instead of the data-plane
-	// sim.Run.
-	discovery bool
-	rounds    int
-
 	results []sim.Result
-	dres    []sim.DiscoveryResult
 	// counters holds each replication's per-layer counter snapshot when
-	// Config.ReportDir enables per-cell reports (data-plane cells only).
+	// Config.ReportDir enables per-cell reports.
 	counters []map[string]uint64
 	// journeys holds each replication's journey aggregate when
 	// Config.JourneyEveryN additionally arms packet-journey tracing.
@@ -128,27 +121,12 @@ type cell struct {
 
 func newPlanner(cfg Config) *planner { return &planner{cfg: cfg} }
 
-// add registers a data-plane cell. finalize runs after every job in the
+// add registers a cell. finalize runs after every job in the
 // planner has completed, with c.results holding the replications in seed
 // order.
 func (p *planner) add(label string, sc sim.Scenario, finalize func(c *cell)) {
 	sc.Audit = p.cfg.Audit
 	p.cells = append(p.cells, &cell{label: label, sc: sc, finalize: finalize})
-}
-
-// discoveryGap separates consecutive discovery probes. sim.RunDiscovery
-// rejects a gap that does not exceed the worst-case discovery time (RREQ
-// attempts × DiscoveryTimeout), so rounds never overlap.
-const discoveryGap = 4 * des.Second
-
-// addDiscovery registers a discovery-probe cell (c.dres holds the
-// replications in seed order).
-func (p *planner) addDiscovery(label string, sc sim.Scenario, rounds int, finalize func(c *cell)) {
-	sc.Audit = p.cfg.Audit
-	p.cells = append(p.cells, &cell{
-		label: label, sc: sc, discovery: true, rounds: rounds,
-		finalize: finalize,
-	})
 }
 
 // interrupted polls Config.Interrupted.
@@ -228,10 +206,7 @@ func (p *planner) attempt(w *worker, c *cell, rep int) error {
 		sc := c.sc
 		sc.Seed += uint64(rep)
 		var err error
-		switch {
-		case c.discovery:
-			c.dres[rep], err = eng.RunDiscovery(sc, c.rounds, discoveryGap)
-		case w.col != nil:
+		if w.col != nil {
 			c.results[rep], err = eng.RunJourney(sc, nil, w.col, w.rec)
 			if err == nil {
 				c.counters[rep] = w.col.Counters().Map()
@@ -241,7 +216,7 @@ func (p *planner) attempt(w *worker, c *cell, rep int) error {
 					c.journeys[rep] = agg
 				}
 			}
-		default:
+		} else {
 			c.results[rep], err = eng.Run(sc)
 		}
 		w.eng = eng
@@ -332,15 +307,11 @@ func (p *planner) run() error {
 		if p.cfg.Resume && p.cfg.ReportDir != "" && loadCellReport(p.cfg.ReportDir, c, p.cfg.Reps) {
 			continue
 		}
-		if c.discovery {
-			c.dres = make([]sim.DiscoveryResult, p.cfg.Reps)
-		} else {
-			c.results = make([]sim.Result, p.cfg.Reps)
-			if p.cfg.ReportDir != "" {
-				c.counters = make([]map[string]uint64, p.cfg.Reps)
-				if p.cfg.JourneyEveryN > 0 {
-					c.journeys = make([]*journey.Agg, p.cfg.Reps)
-				}
+		c.results = make([]sim.Result, p.cfg.Reps)
+		if p.cfg.ReportDir != "" {
+			c.counters = make([]map[string]uint64, p.cfg.Reps)
+			if p.cfg.JourneyEveryN > 0 {
+				c.journeys = make([]*journey.Agg, p.cfg.Reps)
 			}
 		}
 		c.errs = make([]error, p.cfg.Reps)

@@ -193,10 +193,9 @@ type Mac struct {
 	// SIFS-deferred responses are ignored (see Crash/Recover).
 	down bool
 
-	// Ctr exposes event counts to the measurement layer. Under sim's
-	// data-plane runs (Engine.Run, Engine.RunJourney) the harness zeroes it
-	// at Warmup, so after the run it holds the measurement window, not the
-	// whole run; sim.RunDiscovery counts from t = 0.
+	// Ctr exposes event counts to the measurement layer. sim's runs
+	// (Engine.Run, Engine.RunJourney) zero it at Warmup, so after a run it
+	// always holds the measurement window, not the whole run.
 	Ctr Counters
 }
 

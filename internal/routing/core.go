@@ -158,10 +158,9 @@ type Core struct {
 	// down marks a crashed node (see Crash/Recover).
 	down bool
 
-	// Ctr tallies this node's routing events. Under sim's data-plane runs
-	// (Engine.Run, Engine.RunJourney) the harness zeroes it at Warmup, so
-	// after the run it holds the measurement window, not the whole run;
-	// sim.RunDiscovery counts from t = 0.
+	// Ctr tallies this node's routing events. sim's runs (Engine.Run,
+	// Engine.RunJourney) zero it at Warmup, so after a run it always holds
+	// the measurement window, not the whole run.
 	Ctr Counters
 }
 

@@ -655,6 +655,37 @@ func TestSweepInterruptResumesBitIdentically(t *testing.T) {
 	}
 }
 
+// TestServedProbeSweep: a sweep of the discovery-probe workload is an
+// ordinary sweep, and its cells' results carry the probe fields.
+func TestServedProbeSweep(t *testing.T) {
+	sc := testScenario(73)
+	sc.Flows = 0
+	sc.Probes = true
+	sc.Measure = 2 * sim.ProbeGap
+	_, ts := newTestServer(t, Config{JobWorkers: 1})
+	resp, body := post(t, ts, "/v1/sweep", SweepRequest{Name: "probes", Scenario: scenarioJSON(t, sc), Schemes: []string{"flood", "clnlr"}, Reps: 2})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("probe sweep: %d %s", resp.StatusCode, body)
+	}
+	var rep SweepReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != 2 {
+		t.Fatalf("probe sweep served %d cells, want 2", len(rep.Cells))
+	}
+	for _, c := range rep.Cells {
+		if len(c.Results) != 2 {
+			t.Fatalf("cell %s carries %d results, want 2", c.Label, len(c.Results))
+		}
+		for _, r := range c.Results {
+			if r.ProbesSent != 2 || r.ProbesDelivered == 0 || r.ProbeDelaySec <= 0 {
+				t.Errorf("cell %s seed %d: probe fields %d sent, %d delivered, %v s", c.Label, r.Seed, r.ProbesSent, r.ProbesDelivered, r.ProbeDelaySec)
+			}
+		}
+	}
+}
+
 // TestSweepNameChangesKeyAndBytes pins the cache key against the one
 // request field outside scenario/params that is baked into the served
 // bytes: two sweeps identical except for Name must occupy distinct cache
@@ -898,6 +929,14 @@ func badRequestCases() []requestCase {
 	both("negative journey_every_n", http.StatusBadRequest, `{"journey_every_n": -1}`, `{"reps": 2, "journey_every_n": -1}`)
 	both("invalid scenario", http.StatusBadRequest, `{"scenario": {"Rows": -3}}`, `{"reps": 2, "scenario": {"Rows": -3}}`)
 	both("mistyped scenario field", http.StatusBadRequest, `{"scenario": {"Rows": "three"}}`, `{"reps": 2, "scenario": {"Rows": "three"}}`)
+	// 4 s apart, probes tile the window, and each discovery must end
+	// before the next probe leaves.
+	both("probe window off the 4s grid", http.StatusBadRequest,
+		`{"scenario": {"Probes": true, "Flows": 0, "Measure": 6000000000}}`,
+		`{"reps": 2, "scenario": {"Probes": true, "Flows": 0, "Measure": 6000000000}}`)
+	both("probe discovery outlasting 4s", http.StatusBadRequest,
+		`{"scenario": {"Probes": true, "Measure": 8000000000, "Routing": {"RREQRetries": 3}}}`,
+		`{"reps": 2, "scenario": {"Probes": true, "Measure": 8000000000, "Routing": {"RREQRetries": 3}}}`)
 	return append(cases,
 		requestCase{"negative sample_interval", "/v1/run", []byte(`{"sample_interval": -1}`), http.StatusBadRequest},
 		requestCase{"reps zero", "/v1/sweep", []byte(`{"reps": 0}`), http.StatusBadRequest},

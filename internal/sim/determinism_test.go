@@ -163,16 +163,15 @@ func TestGoldenCalendarMatchesReferenceQueue(t *testing.T) {
 }
 
 // TestGoldenDiscoveryMatchesReference extends the contract to the
-// discovery probe runner used by F-R1/F-R2.
+// discovery probe workload of F-R1/F-R2.
 func TestGoldenDiscoveryMatchesReference(t *testing.T) {
-	sc := quickScenario()
-	sc.Flows = 0
+	sc := probeScenario(5)
 	memo, ref := NewEngine(), referenceEngine()
-	fast, err := memo.RunDiscovery(sc, 5, 4*des.Second)
+	fast, err := memo.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := ref.RunDiscovery(sc, 5, 4*des.Second)
+	slow, err := ref.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +186,12 @@ func TestGoldenDiscoveryMatchesReference(t *testing.T) {
 }
 
 // crnWorld is what a run's scheme must not influence: where the nodes
-// stand, which endpoints each flow slot draws in every session, and when
-// each node is down.
+// stand, which endpoints each flow slot draws in every session and each
+// discovery probe draws, and when each node is down.
 type crnWorld struct {
 	positions []geom.Point
 	// flows holds (flow, seq, src, dst, created) of every packet
-	// originated in the measurement window, in creation order.
+	// originated in the measurement window, probes included, sorted.
 	flows [][5]int64
 	// downs holds (time, node, down) for every change of a node's
 	// up/down state seen by a 1 ms probe.
@@ -201,14 +200,16 @@ type crnWorld struct {
 
 // TestSchemesShareRandomWorld pins common random numbers across schemes:
 // at one seed, all six schemes get the same random placement, the same
-// flow endpoints (every session's redraw included) and the same
-// crash/recover schedule, because each of those draws from its own
-// labelled stream of the run seed, never from a stream the scheme's
-// forwarding decisions consume.
+// flow endpoints (every session's redraw included), the same probe
+// endpoints and the same crash/recover schedule, because each of those
+// draws from its own labelled stream of the run seed, never from a stream
+// the scheme's forwarding decisions consume.
 func TestSchemesShareRandomWorld(t *testing.T) {
 	sc := journeyScenario(SchemeFlood)
 	withChurn(&sc)
 	sc.Topology, sc.Nodes, sc.Seed = TopoRandom, 25, 7
+	sc.Probes = true
+	rounds := int(sc.Measure / ProbeGap)
 
 	var w crnWorld
 	TestHookPrepared = func(simk *des.Sim, nodes []*node.Node, _ Scenario) {
@@ -254,6 +255,13 @@ func TestSchemesShareRandomWorld(t *testing.T) {
 	if len(endpoints) <= sc.Flows || len(base.downs) < 2 {
 		t.Fatalf("world too static to prove anything: %d (flow, src, dst) pairs for %d slots, %d down/up changes",
 			len(endpoints), sc.Flows, len(base.downs))
+	}
+	// The probes carry the last flow IDs, one packet each, leaving every
+	// ProbeGap from Warmup.
+	for i, p := range base.flows[len(base.flows)-rounds:] {
+		if p[1] != 0 || p[4] != int64(sc.Warmup+des.Time(i)*ProbeGap) {
+			t.Fatalf("probe %d not in the world: last flows %v", i, base.flows[len(base.flows)-rounds:])
+		}
 	}
 	t.Logf("%d packets over %d (flow, src, dst) pairs, %d down/up changes", len(base.flows), len(endpoints), len(base.downs))
 	for i, w := range worlds[1:] {

@@ -23,9 +23,10 @@ import (
 // (rng.Derive mixes the creation seed, never mutable stream state), the
 // des.Sim restarts at (time 0, sequence 0), and every stateful component
 // has a Reset that restores its construction state while keeping grown
-// storage. Run, RunJourney and RunDiscovery all start from one prologue
-// (begin) on exactly this path — a cold run is just a warm run on a fresh
-// Engine — so cold and warm, data-plane and discovery cannot drift apart.
+// storage. Every run is RunJourney (Run is RunJourney without instruments,
+// and discovery probes are a workload, Scenario.Probes), which starts from
+// one prologue (begin) on exactly this path — a cold run is just a warm
+// run on a fresh Engine — so cold and warm cannot drift apart.
 // The network is rebuilt from scratch only when the node count or radio
 // parameters change; everything else resets in place.
 //
@@ -177,8 +178,7 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 	return tp, nil
 }
 
-// runSetup is what the run prologue hands back to RunJourney and
-// RunDiscovery.
+// runSetup is what the run prologue hands back to RunJourney.
 type runSetup struct {
 	// master is the run's root stream, by value: a returned *rng.Source
 	// would cost a heap allocation per run.
@@ -199,10 +199,9 @@ func (s runSetup) auditErr() error {
 	return s.aud.Err()
 }
 
-// begin is the run prologue every run kind shares, after its own
-// validation: the test hooks, the master stream, the network (built or
-// warm-reset), the pool ledgers, the optional trace sink and journey
-// recorder, node start, mobility, churn over [0, horizon) and the auditor
+// begin is RunJourney's prologue, after validation: the test hooks, the
+// master stream, the network (built or warm-reset), the pool ledgers, the
+// optional trace sink and journey recorder, node start, mobility, churn over [0, horizon) and the auditor
 // — in that order, which fixes the event sequence of every run.
 func (e *Engine) begin(sc Scenario, horizon des.Time, sink trace.Sink, rec *journey.Recorder) (runSetup, error) {
 	if TestHookRun != nil {

@@ -76,12 +76,11 @@ func TestWarmReplicationSeedSchedule(t *testing.T) {
 }
 
 // TestGoldenWarmDiscoveryMatchesCold extends the warm==cold contract to
-// the discovery probe runner, interleaved with data-plane runs on the
-// same engine so the two run modes must not contaminate each other.
+// the discovery probe workload, interleaved with data-plane runs on the
+// same engine so the two workloads must not contaminate each other.
 func TestGoldenWarmDiscoveryMatchesCold(t *testing.T) {
-	sc := quickScenario()
-	sc.Flows = 0
-	cold, err := RunDiscovery(sc, 5, 4*des.Second)
+	sc := probeScenario(5)
+	cold, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestGoldenWarmDiscoveryMatchesCold(t *testing.T) {
 	if _, err := eng.Run(data); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := eng.RunDiscovery(sc, 5, 4*des.Second)
+	warm, err := eng.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

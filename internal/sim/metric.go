@@ -18,6 +18,13 @@ var (
 	MetricForwardMax   Metric = func(r Result) float64 { return r.ForwardMaxRatio }
 )
 
+// Discovery-probe metrics (Scenario.Probes; undefined without probes).
+var (
+	MetricRREQPerProbe   Metric = func(r Result) float64 { return float64(r.RREQTx) / float64(r.ProbesSent) }
+	MetricProbeSuccess   Metric = func(r Result) float64 { return float64(r.ProbesDelivered) / float64(r.ProbesSent) }
+	MetricProbeLatencyMs Metric = func(r Result) float64 { return r.ProbeDelaySec * 1000 }
+)
+
 // Summarize reduces a replication set to mean ± 95% CI for one metric.
 func Summarize(results []Result, m Metric) stats.Summary {
 	xs := make([]float64, len(results))

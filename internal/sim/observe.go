@@ -32,10 +32,9 @@ import (
 //
 // The measurement window opens with a reset: at Warmup every node's
 // Agent.Ctr and Mac.Ctr and the medium's four counters are zeroed, so
-// after a run they hold the window, not the whole run (RunDiscovery,
-// which has no window, counts from t = 0). Energy is the one reading
-// taken there instead: Joules is a float, and only end − warm keeps its
-// bits.
+// after a run they always hold the window, not the whole run. Energy is
+// the one reading taken there instead: Joules is a float, and only
+// end − warm keeps its bits.
 //
 // Determinism: sampler handlers only read protocol state (the dup-cache
 // count settles its own expiry log, which no lookup consults) and never
@@ -75,12 +74,23 @@ func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector
 	addFlows(mgr, flows, &run.master)
 
 	e.simk.At(sc.Warmup, e.openWindow)
+	// Probes are scheduled after the window's opening: the first leaves
+	// at Warmup too, equal-time events run in scheduling order, and the
+	// window's reset must not erase that probe's RREQ.
+	if sc.Probes {
+		if err := addProbes(mgr, sc, run.tp, &run.master, len(flows)); err != nil {
+			return Result{}, err
+		}
+	}
 	e.simk.RunUntil(end)
 
 	if rec != nil {
 		rec.EndRun(end)
 	}
 	r := extract(sc, e.nodes, mgr, e.warmJoules)
+	if sc.Probes {
+		foldProbes(&r, mgr, sc, len(flows))
+	}
 	if col != nil {
 		e.foldCounters(col, run.crashEvents, run.recoverEvents)
 		col.FinishRun(end, e.simk.Executed(), time.Since(wallStart))

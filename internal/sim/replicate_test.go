@@ -9,13 +9,12 @@ import (
 	"clnlr/internal/sim"
 )
 
-// replicate runs reps replications of sc — discovery rounds when
-// rounds > 0 — as one experiments.RunCells cell over workers workers, the
-// one replication driver the repository has.
-func replicate(t *testing.T, sc sim.Scenario, rounds, reps, workers int) experiments.CellReport {
+// replicate runs reps replications of sc as one experiments.RunCells cell
+// over workers workers, the one replication driver the repository has.
+func replicate(t *testing.T, sc sim.Scenario, reps, workers int) experiments.CellReport {
 	t.Helper()
 	cfg := experiments.Config{Reps: reps, Workers: workers}
-	cells, err := experiments.RunCells(cfg, []experiments.CellSpec{{Label: t.Name(), Scenario: sc, Rounds: rounds}})
+	cells, err := experiments.RunCells(cfg, []experiments.CellSpec{{Label: t.Name(), Scenario: sc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func requireSameResults(t *testing.T, what string, a, b []sim.Result) {
 
 func TestRunReplications(t *testing.T) {
 	sc := sim.QuickScenario()
-	rs := replicate(t, sc, 0, 3, 2).Results
+	rs := replicate(t, sc, 3, 2).Results
 	if len(rs) != 3 {
 		t.Fatalf("got %d results", len(rs))
 	}
@@ -59,7 +58,7 @@ func TestRunReplications(t *testing.T) {
 
 func TestRunReplicationsParallelMatchesSerial(t *testing.T) {
 	sc := sim.QuickScenario().WithScheme(sim.SchemeGossip)
-	requireSameResults(t, "serial vs parallel", replicate(t, sc, 0, 3, 1).Results, replicate(t, sc, 0, 3, 3).Results)
+	requireSameResults(t, "serial vs parallel", replicate(t, sc, 3, 1).Results, replicate(t, sc, 3, 3).Results)
 }
 
 // TestFaultReplicationsParallelMatchesSerial extends the serial ==
@@ -68,7 +67,7 @@ func TestFaultReplicationsParallelMatchesSerial(t *testing.T) {
 	sc := sim.ChurnScenario()
 	sc.Measure = 8 * des.Second
 	sc.Faults.Link = fault.LinkParams{MeanGood: 2 * des.Second, MeanBad: 200 * des.Millisecond, LossBad: 0.8}
-	requireSameResults(t, "fault serial vs parallel", replicate(t, sc, 0, 3, 1).Results, replicate(t, sc, 0, 3, 3).Results)
+	requireSameResults(t, "fault serial vs parallel", replicate(t, sc, 3, 1).Results, replicate(t, sc, 3, 3).Results)
 }
 
 // TestReplicationRace runs a replication fan-out with more workers than
@@ -76,7 +75,7 @@ func TestFaultReplicationsParallelMatchesSerial(t *testing.T) {
 func TestReplicationRace(t *testing.T) {
 	sc := sim.QuickScenario()
 	sc.Measure = 5 * des.Second
-	rs := replicate(t, sc, 0, 6, 6).Results
+	rs := replicate(t, sc, 6, 6).Results
 	if len(rs) != 6 {
 		t.Fatalf("got %d results, want 6", len(rs))
 	}
@@ -90,11 +89,13 @@ func TestReplicationRace(t *testing.T) {
 func TestRunDiscoveryReplications(t *testing.T) {
 	sc := sim.QuickScenario()
 	sc.Flows = 0
-	rep := replicate(t, sc, 4, 2, 2)
-	if len(rep.Discovery) != 2 || rep.Results != nil {
-		t.Fatalf("got %d discovery and %d data-plane results, want 2 and 0", len(rep.Discovery), len(rep.Results))
+	sc.Probes = true
+	sc.Measure = 4 * sim.ProbeGap
+	rs := replicate(t, sc, 2, 2).Results
+	if len(rs) != 2 || rs[0].ProbesSent != 4 {
+		t.Fatalf("got %d replications (first sent %d probes), want 2 of 4 probes", len(rs), rs[0].ProbesSent)
 	}
-	s := sim.SummarizeDiscovery(rep.Discovery, sim.DMetricSuccess)
+	s := sim.Summarize(rs, sim.MetricProbeSuccess)
 	if s.Mean < 0.9 {
 		t.Fatalf("summary success %.2f", s.Mean)
 	}

@@ -57,6 +57,13 @@ type Result struct {
 	DelayP95Sec float64
 	DelayP50Sec float64
 	DelayP99Sec float64
+
+	// Discovery probes (Scenario.Probes): probes sent and delivered, and
+	// the mean delay of the delivered ones (route discovery plus one data
+	// traversal). The data-plane fields above count the probes too.
+	ProbesSent      uint64  `json:",omitempty"`
+	ProbesDelivered uint64  `json:",omitempty"`
+	ProbeDelaySec   float64 `json:",omitempty"`
 }
 
 // Run executes one simulation of the scenario and returns its metrics. A
@@ -247,6 +254,40 @@ func pickFlows(sc Scenario, tp *topo.Topology, src *rng.Source) ([]traffic.Flow,
 		}
 	}
 	return flows, nil
+}
+
+// addProbes schedules the probe workload of sc.Probes on mgr: probe i
+// leaves at Warmup + i·ProbeGap under flow ID first+i, its endpoints
+// drawn from master.Derive(4000).
+func addProbes(mgr *traffic.Manager, sc Scenario, tp *topo.Topology, master *rng.Source, first int) error {
+	src := master.Derive(4000)
+	var gateway pkt.NodeID
+	if sc.Gateway {
+		gateway = centreNode(tp)
+	}
+	for i := 0; i < int(sc.Measure/ProbeGap); i++ {
+		s, d, err := pickEndpoints(sc, tp, src, gateway)
+		if err != nil {
+			return err
+		}
+		mgr.AddProbe(first+i, s, d, sc.PayloadBytes, sc.Warmup+des.Time(i)*ProbeGap)
+	}
+	return nil
+}
+
+// foldProbes fills r's probe fields from mgr's flows first, first+1, …:
+// the probes, in round order.
+func foldProbes(r *Result, mgr *traffic.Manager, sc Scenario, first int) {
+	var delay stats.Welford
+	for id := first; id < first+int(sc.Measure/ProbeGap); id++ {
+		fs := mgr.FlowStats(id)
+		r.ProbesSent += fs.Sent
+		if fs.Delivered > 0 {
+			r.ProbesDelivered++
+			delay.Add(fs.Delay.Mean())
+		}
+	}
+	r.ProbeDelaySec = delay.Mean()
 }
 
 // centreNode returns the node closest to the deployment centre.

@@ -98,6 +98,11 @@ type Scenario struct {
 	// mesh with immortal flows discovers everything during warm-up,
 	// which would make overhead figures vacuous).
 	SessionTime des.Time
+	// Probes adds the route-discovery workload of F-R1/F-R2: from Warmup
+	// to the end of the window, one single-packet probe every ProbeGap
+	// between freshly drawn endpoints, each forcing one discovery. The
+	// probes' outcome is Result.Probes*; Flows may then be zero.
+	Probes bool `json:",omitempty"`
 
 	// Channel model: PropModel selects the propagation ("two-ray" or ""
 	// = default, "log-distance" with PathLossExp/ShadowSigmaDB, or
@@ -137,6 +142,11 @@ type Scenario struct {
 	// auditing on or off; off (the default) costs nothing.
 	Audit bool
 }
+
+// ProbeGap separates consecutive probes of Scenario.Probes. Validate
+// rejects a probe scenario whose worst-case discovery time (RREQ attempts
+// × DiscoveryTimeout) does not fit in it, so discoveries never overlap.
+const ProbeGap = 4 * des.Second
 
 // DefaultScenario returns Table R-1's operating point: a 7×7 grid over
 // 1000×1000 m (≈143 m spacing), 802.11b at 2 Mb/s, 10 CBR flows of
@@ -227,7 +237,7 @@ func (s Scenario) Validate() error {
 	if s.AreaM <= 0 {
 		return fmt.Errorf("sim: non-positive area")
 	}
-	if s.Flows <= 0 && !s.Gateway {
+	if s.Flows <= 0 && !s.Gateway && !s.Probes {
 		return fmt.Errorf("sim: no flows configured")
 	}
 	if s.PacketRate <= 0 {
@@ -238,6 +248,15 @@ func (s Scenario) Validate() error {
 	}
 	if s.Measure <= 0 {
 		return fmt.Errorf("sim: non-positive measurement window")
+	}
+	if s.Probes {
+		if s.Measure%ProbeGap != 0 {
+			return fmt.Errorf("sim: probe window %v is not a multiple of the %v probe gap", s.Measure, ProbeGap)
+		}
+		// (RREQRetries+1) × DiscoveryTimeout < ProbeGap, without overflow.
+		if r, t := s.Routing.RREQRetries, s.Routing.DiscoveryTimeout; r < 0 || t <= 0 || des.Time(r) >= (ProbeGap-1)/t {
+			return fmt.Errorf("sim: probes need (RREQRetries+1) × DiscoveryTimeout under the %v probe gap", ProbeGap)
+		}
 	}
 	if s.Warmup < 0 {
 		return fmt.Errorf("sim: negative warm-up")

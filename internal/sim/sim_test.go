@@ -226,30 +226,41 @@ func TestRandomTopologyImpossibleDensityFails(t *testing.T) {
 	}
 }
 
-func TestRunDiscoveryBasics(t *testing.T) {
+// probeScenario is the unloaded discovery workload on quickScenario's
+// grid: rounds probes, no background flows.
+func probeScenario(rounds int) Scenario {
 	sc := quickScenario()
 	sc.Flows = 0
+	sc.Probes = true
+	sc.Measure = des.Time(rounds) * ProbeGap
+	return sc
+}
+
+func TestRunDiscoveryBasics(t *testing.T) {
+	sc := probeScenario(6)
 	for _, sch := range []Scheme{SchemeFlood, SchemeCLNLR} {
-		r, err := RunDiscovery(sc.WithScheme(sch), 6, 4*des.Second)
+		r, err := Run(sc.WithScheme(sch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.SuccessRate < 0.99 {
-			t.Fatalf("%s: unloaded discovery success %.2f", sch, r.SuccessRate)
+		if r.ProbesSent != 6 {
+			t.Fatalf("%s: %d probes sent, want 6", sch, r.ProbesSent)
 		}
-		if r.RREQPerRound <= 1 {
-			t.Fatalf("%s: rreq/round %.1f", sch, r.RREQPerRound)
+		if s := MetricProbeSuccess(r); s < 0.99 {
+			t.Fatalf("%s: unloaded discovery success %.2f", sch, s)
 		}
-		if r.MeanLatencySec <= 0 || r.MeanLatencySec > 0.5 {
-			t.Fatalf("%s: latency %v", sch, r.MeanLatencySec)
+		if q := MetricRREQPerProbe(r); q <= 1 {
+			t.Fatalf("%s: rreq/round %.1f", sch, q)
+		}
+		if r.ProbeDelaySec <= 0 || r.ProbeDelaySec > 0.5 {
+			t.Fatalf("%s: latency %v", sch, r.ProbeDelaySec)
 		}
 	}
 }
 
 func TestRunDiscoveryFloodCoversNetwork(t *testing.T) {
-	sc := quickScenario()
-	sc.Flows = 0
-	r, err := RunDiscovery(sc.WithScheme(SchemeFlood), 6, 4*des.Second)
+	sc := probeScenario(6)
+	r, err := Run(sc.WithScheme(SchemeFlood))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,27 +268,58 @@ func TestRunDiscoveryFloodCoversNetwork(t *testing.T) {
 	// transmissions per round approach the node count (some floods stop
 	// early at the target's neighbours; collisions lose a few).
 	n := float64(sc.Rows * sc.Cols)
-	if r.RREQPerRound < 0.5*n || r.RREQPerRound > 1.2*n {
-		t.Fatalf("flood rreq/round %.1f implausible for %v nodes", r.RREQPerRound, n)
+	if q := MetricRREQPerProbe(r); q < 0.5*n || q > 1.2*n {
+		t.Fatalf("flood rreq/round %.1f implausible for %v nodes", q, n)
+	}
+}
+
+// TestProbeFloodCostsNMinusOne: on the unloaded default 7×7 grid a flood
+// discovery costs exactly N−1 = 48 RREQ transmissions — the source's and
+// every node's but the target's — and every probe arrives. The count
+// holds only if the window opens before the first probe leaves: the
+// reset at Warmup must not erase round 0's RREQ origination.
+func TestProbeFloodCostsNMinusOne(t *testing.T) {
+	const rounds = 12
+	sc := DefaultScenario().WithScheme(SchemeFlood)
+	sc.Flows = 0
+	sc.Probes = true
+	sc.Measure = rounds * ProbeGap
+	r, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.RREQTx != 48*rounds {
+		t.Errorf("flood sent %d RREQs over %d probes, want 48 × %d = %d", r.RREQTx, rounds, rounds, 48*rounds)
+	}
+	if r.ProbesSent != rounds || MetricProbeSuccess(r) != 1 {
+		t.Errorf("%d of %d probes delivered, want all %d", r.ProbesDelivered, r.ProbesSent, rounds)
 	}
 }
 
 func TestRunDiscoveryValidation(t *testing.T) {
-	sc := quickScenario()
-	sc.Flows = 0
-	if _, err := RunDiscovery(sc, 0, 4*des.Second); err == nil {
-		t.Fatal("zero rounds accepted")
+	for name, mut := range map[string]func(*Scenario){
+		"no rounds":              func(s *Scenario) { s.Measure = 0 },
+		"window off the grid":    func(s *Scenario) { s.Measure += des.Second },
+		"discovery outlasts gap": func(s *Scenario) { s.Routing.RREQRetries = 3 },
+		"timeout outlasts gap":   func(s *Scenario) { s.Routing.DiscoveryTimeout = 2 * des.Second },
+		"retries overflow":       func(s *Scenario) { s.Routing.RREQRetries = math.MaxInt },
+		"no workload":            func(s *Scenario) { s.Probes = false },
+	} {
+		sc := probeScenario(5)
+		mut(&sc)
+		if _, err := Run(sc); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	if _, err := RunDiscovery(sc, 5, des.Second); err == nil {
-		t.Fatal("gap below worst-case discovery time accepted")
+	if _, err := Run(probeScenario(1)); err != nil {
+		t.Fatalf("one probe with no flows rejected: %v", err)
 	}
 }
 
 // mobileDiscovery returns the unloaded discovery scenario, static and with
 // nodes on random waypoints at up to 20 m/s.
-func mobileDiscovery() (static, mobile Scenario) {
-	static = quickScenario()
-	static.Flows = 0
+func mobileDiscovery(rounds int) (static, mobile Scenario) {
+	static = probeScenario(rounds)
 	mobile = static
 	mobile.MobilitySpeed = 20
 	return static, mobile
@@ -287,12 +329,12 @@ func mobileDiscovery() (static, mobile Scenario) {
 // data-plane run does, so a mobile run cannot equal the static run of the
 // same seed.
 func TestRunDiscoveryHonoursMobility(t *testing.T) {
-	static, mobile := mobileDiscovery()
-	s, err := RunDiscovery(static, 6, 4*des.Second)
+	static, mobile := mobileDiscovery(6)
+	s, err := Run(static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunDiscovery(mobile, 6, 4*des.Second)
+	m, err := Run(mobile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,12 +347,12 @@ func TestRunDiscoveryHonoursMobility(t *testing.T) {
 // contract to mobile discovery runs, on an engine that ran a static
 // discovery first.
 func TestGoldenWarmMobileDiscoveryMatchesCold(t *testing.T) {
-	static, mobile := mobileDiscovery()
-	coldStatic, err := RunDiscovery(static, 5, 4*des.Second)
+	static, mobile := mobileDiscovery(5)
+	coldStatic, err := Run(static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunDiscovery(mobile, 5, 4*des.Second)
+	cold, err := Run(mobile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +365,7 @@ func TestGoldenWarmMobileDiscoveryMatchesCold(t *testing.T) {
 		if sc.MobilitySpeed > 0 {
 			want = cold
 		}
-		got, err := eng.RunDiscovery(sc, 5, 4*des.Second)
+		got, err := eng.Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,11 +382,10 @@ func TestRunDiscoveryFiresRunHooks(t *testing.T) {
 	TestHookRun = func(Scenario) { runs++ }
 	TestHookPrepared = func(*des.Sim, []*node.Node, Scenario) { prepared++ }
 	defer func() { TestHookRun, TestHookPrepared = nil, nil }()
-	sc := quickScenario()
-	sc.Flows = 0
+	sc := probeScenario(2)
 	eng := NewEngine()
 	for i := 1; i <= 2; i++ {
-		if _, err := eng.RunDiscovery(sc, 2, 4*des.Second); err != nil {
+		if _, err := eng.Run(sc); err != nil {
 			t.Fatal(err)
 		}
 		if runs != i || prepared != i {

@@ -125,14 +125,16 @@ for i in "${!scenarios[@]}"; do
 done
 
 # The replication path: plain replications, replications under churn and
-# burst loss, audited replications, and discovery rounds with and without
-# background flows.
+# burst loss, audited replications, and discovery probes with and without
+# background flows and, gateway-pinned, under a churn schedule that spans
+# the probe horizon.
 summaries=(
 	"-reps 4"
 	"-reps 3 -mttf 30s -mttr 3s -link-good 2s -link-bad 200ms -loss-bad 0.8"
 	"-audit -reps 2 -measure 20s"
 	"-discover 12 -reps 3"
 	"-discover 12 -reps 3 -flows 0 -scheme flood"
+	"-discover 12 -reps 3 -gateway -mttf 30s -mttr 3s"
 )
 for i in "${!summaries[@]}"; do
 	args=${summaries[$i]}
