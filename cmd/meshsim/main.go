@@ -22,7 +22,6 @@ import (
 	"clnlr/internal/metrics"
 	"clnlr/internal/prof"
 	"clnlr/internal/sim"
-	"clnlr/internal/trace"
 )
 
 // writeTo creates path and streams write into it.
@@ -68,7 +67,7 @@ func main() {
 		linkBad    = flag.Duration("link-bad", 0, "link impairment: mean bad-state dwell")
 		lossGood   = flag.Float64("loss-good", 0, "link impairment: loss probability in the good state")
 		lossBad    = flag.Float64("loss-bad", 0, "link impairment: loss probability in the bad state")
-		traceFile  = flag.String("trace", "", "write routing-event trace (NDJSON) to this file; forces reps=1")
+		traceFile  = flag.String("trace", "", "write route events (NDJSON: floods, discovery outcomes, replies, link failures) to this file; requires -journey")
 		metricsOn  = flag.Bool("metrics", false, "record per-node load time-series; writes <metrics-out>-heatmap.csv and <metrics-out>-series.ndjson; forces reps=1")
 		metricsInt = flag.Duration("metrics-interval", 100*time.Millisecond, "sampling interval of simulated time for -metrics")
 		metricsOut = flag.String("metrics-out", "metrics", "output path prefix for -metrics files")
@@ -149,8 +148,8 @@ func main() {
 	if *journeyN < 0 {
 		log.Fatalf("negative journey sampling divisor %d", *journeyN)
 	}
-	if (*journeyOut != "" || *decisions != "") && *journeyN <= 0 {
-		log.Fatal("-journey-out and -decisions require -journey N (the flow sampling divisor)")
+	if (*journeyOut != "" || *decisions != "" || *traceFile != "") && *journeyN <= 0 {
+		log.Fatal("-journey-out, -decisions and -trace require -journey N (the flow sampling divisor)")
 	}
 	if *metricsOn && *metricsInt <= 0 {
 		log.Fatalf("-metrics needs a positive -metrics-interval, got %v", *metricsInt)
@@ -170,17 +169,11 @@ func main() {
 	collecting := *metricsOn || *reportFile != ""
 	journeying := *journeyN > 0
 	var rs []sim.Result
-	if *traceFile != "" || collecting || journeying {
-		// Tracing, metrics and journeys all observe a single run (none
+	if collecting || journeying {
+		// Metrics and journeys both observe a single run (neither
 		// changes its outcome); they compose freely.
 		if *reps > 1 {
 			log.Printf("observability flags force reps=1 (ignoring -reps %d)", *reps)
-		}
-		var buf *trace.Buffer
-		var sink trace.Sink
-		if *traceFile != "" {
-			buf = trace.NewBuffer(1 << 20)
-			sink = buf
 		}
 		var col *metrics.Collector
 		if collecting {
@@ -190,16 +183,9 @@ func main() {
 		if journeying {
 			rec = journey.NewRecorder(*journeyN, true)
 		}
-		r, err := sim.RunJourney(sc, sink, col, rec)
+		r, err := sim.RunJourney(sc, nil, col, rec)
 		if err != nil {
 			log.Fatal(err)
-		}
-		if buf != nil {
-			if err := writeTo(*traceFile, buf.WriteNDJSON); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %d trace records to %s (%d total, oldest evicted)\n",
-				buf.Len(), *traceFile, buf.Total())
 		}
 		if *metricsOn {
 			heatmap := *metricsOut + "-heatmap.csv"
@@ -229,6 +215,12 @@ func main() {
 				}
 				fmt.Printf("wrote %d decision records to %s\n",
 					agg.RREQDecisions+agg.Selections, *decisions)
+			}
+			if *traceFile != "" {
+				if err := writeTo(*traceFile, rec.WriteRouteEventsNDJSON); err != nil {
+					log.Fatal(err)
+				}
+				fmt.Printf("wrote %d route events to %s\n", len(rec.RouteEvents()), *traceFile)
 			}
 			jr := agg.Report()
 			fmt.Printf("journey: sampled %d packets (1-in-%d flows), %d delivered; "+

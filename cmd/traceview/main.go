@@ -1,13 +1,13 @@
-// traceview summarises and filters routing-event traces produced by
-// `meshsim -trace <file>`, and renders per-hop delay timelines from
-// packet journeys produced by `meshsim -journey-out <file>`.
+// traceview summarises and filters the route events produced by
+// `meshsim -journey N -trace <file>`, and renders per-hop delay timelines
+// from packet journeys produced by `meshsim -journey N -journey-out <file>`.
 //
 // Examples:
 //
-//	traceview trace.ndjson                     # aggregate summary
-//	traceview -node 12 trace.ndjson            # one node's records
-//	traceview -event rreq -n 20 trace.ndjson   # first 20 RREQ events
-//	traceview -journey -n 5 journeys.ndjson    # 5 per-hop delay timelines
+//	traceview events.ndjson                       # summary by kind and node
+//	traceview -node 12 events.ndjson              # one node's events
+//	traceview -event discovery -n 20 events.ndjson # first 20 discovery outcomes
+//	traceview -journey -n 5 journeys.ndjson       # 5 per-hop delay timelines
 package main
 
 import (
@@ -15,19 +15,21 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
+	"strings"
 
 	"clnlr/internal/buildinfo"
+	"clnlr/internal/des"
 	"clnlr/internal/journey"
 	"clnlr/internal/pkt"
-	"clnlr/internal/trace"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("traceview: ")
 	var (
-		node     = flag.Int("node", -1, "only records from (or journeys visiting) this node")
-		event    = flag.String("event", "", "only events (or journey outcomes) containing this substring")
+		node     = flag.Int("node", -1, "only events at (or journeys visiting) this node")
+		event    = flag.String("event", "", "only event kinds (or journey outcomes) containing this substring")
 		limit    = flag.Int("n", 0, "print at most this many matching records (0 = summary only)")
 		journeys = flag.Bool("journey", false, "input is packet journeys NDJSON (meshsim -journey-out): render per-hop delay timelines")
 		version  = flag.Bool("version", false, "print build information and exit")
@@ -38,7 +40,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		log.Fatal("usage: traceview [flags] <trace.ndjson>")
+		log.Fatal("usage: traceview [flags] <events.ndjson>")
 	}
 	if *limit < 0 {
 		log.Fatalf("negative record limit %d", *limit)
@@ -55,40 +57,120 @@ func main() {
 		return
 	}
 
-	records, err := trace.ReadNDJSON(f)
+	events, err := journey.ReadNDJSON[journey.RouteEvent](f)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Apply filters.
-	var matched []trace.Record
-	for _, r := range records {
-		if *node >= 0 && r.Node != pkt.NodeID(*node) {
+	var matched []journey.RouteEvent
+	for _, ev := range events {
+		if *node >= 0 && ev.Node != pkt.NodeID(*node) {
 			continue
 		}
-		if *event != "" && !containsFold(r.Event, *event) {
+		if *event != "" && !containsFold(ev.Kind, *event) {
 			continue
 		}
-		matched = append(matched, r)
+		matched = append(matched, ev)
 	}
 
-	fmt.Print(trace.Summarize(matched).Format())
+	fmt.Print(summarize(matched).format())
 	if *limit > 0 {
 		fmt.Println()
-		for i, r := range matched {
+		for i, ev := range matched {
 			if i >= *limit {
 				fmt.Printf("... %d more\n", len(matched)-i)
 				break
 			}
-			fmt.Println(r.String())
+			fmt.Println(formatEvent(ev))
 		}
 	}
+}
+
+// summary aggregates a route-event set by kind and by node.
+type summary struct {
+	events     int
+	start, end des.Time
+	byKind     map[string]int
+	byNode     map[pkt.NodeID]int
+	busiest    pkt.NodeID
+}
+
+// summarize computes the summary of events.
+func summarize(events []journey.RouteEvent) summary {
+	s := summary{
+		events: len(events),
+		byKind: make(map[string]int),
+		byNode: make(map[pkt.NodeID]int),
+	}
+	if len(events) == 0 {
+		return s
+	}
+	s.start, s.end = des.Time(events[0].TNs), des.Time(events[0].TNs)
+	for _, ev := range events {
+		s.start = min(s.start, des.Time(ev.TNs))
+		s.end = max(s.end, des.Time(ev.TNs))
+		s.byKind[ev.Kind]++
+		s.byNode[ev.Node]++
+	}
+	best, bestN := pkt.NodeID(0), -1
+	for id, n := range s.byNode {
+		if n > bestN || (n == bestN && id < best) {
+			best, bestN = id, n
+		}
+	}
+	s.busiest = best
+	return s
+}
+
+// format renders the summary as aligned text: the span, the node count
+// and busiest node, then one line per kind, most frequent first.
+func (s summary) format() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d route events spanning %v – %v (%.3f s)\n",
+		s.events, s.start, s.end, (s.end - s.start).Seconds())
+	if s.events == 0 {
+		return b.String()
+	}
+	fmt.Fprintf(&b, "%d nodes, busiest %v (%d events)\n\n", len(s.byNode), s.busiest, s.byNode[s.busiest])
+	kinds := make([]string, 0, len(s.byKind))
+	for k := range s.byKind {
+		kinds = append(kinds, k)
+	}
+	sort.Slice(kinds, func(i, j int) bool {
+		if s.byKind[kinds[i]] != s.byKind[kinds[j]] {
+			return s.byKind[kinds[i]] > s.byKind[kinds[j]]
+		}
+		return kinds[i] < kinds[j]
+	})
+	fmt.Fprintf(&b, "%-24s %8s\n", "kind", "count")
+	for _, k := range kinds {
+		fmt.Fprintf(&b, "%-24s %8d\n", k, s.byKind[k])
+	}
+	return b.String()
+}
+
+// formatEvent renders one route event as a log line: time, node, kind and
+// the fields that kind carries.
+func formatEvent(ev journey.RouteEvent) string {
+	head := fmt.Sprintf("%v %v %s", des.Time(ev.TNs), ev.Node, ev.Kind)
+	switch ev.Kind {
+	case journey.EventRREQOriginate:
+		return fmt.Sprintf("%s target=%v id=%d attempt=%d", head, ev.Peer, ev.ID, ev.Attempt)
+	case journey.EventDiscoveryOK:
+		return fmt.Sprintf("%s target=%v via=%v cost=%.2f flushed=%d", head, ev.Peer, ev.Via, ev.Cost, ev.Buffered)
+	case journey.EventDiscoveryFail:
+		return fmt.Sprintf("%s target=%v dropped=%d", head, ev.Peer, ev.Buffered)
+	case journey.EventRREPSend:
+		return fmt.Sprintf("%s origin=%v via=%v cost=%.2f", head, ev.Peer, ev.Via, ev.Cost)
+	case journey.EventLinkFail:
+		return fmt.Sprintf("%s neighbour=%v routes-lost=%d frame=%s", head, ev.Peer, ev.Routes, ev.Frame)
+	}
+	return head
 }
 
 // viewJourneys is the -journey mode: summarise the journey set and render
 // up to limit per-hop delay-decomposition timelines.
 func viewJourneys(f *os.File, node int, outcome string, limit int) {
-	js, err := journey.ReadJourneys(f)
+	js, err := journey.ReadNDJSON[journey.Journey](f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +196,7 @@ func viewJourneys(f *os.File, node int, outcome string, limit int) {
 			hops += int64(len(j.Hops))
 		}
 	}
-	fmt.Printf("%d journeys (%d matched of %d read)\n", len(matched), len(matched), len(js))
+	fmt.Printf("%d of %d journeys matched\n", len(matched), len(js))
 	for _, o := range sortedKeys(byOutcome) {
 		fmt.Printf("  %-18s %d\n", o, byOutcome[o])
 	}
@@ -174,11 +256,7 @@ func sortedKeys(m map[string]int) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	return keys
 }
 

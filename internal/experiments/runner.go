@@ -193,7 +193,6 @@ func (p *planner) attempt(w *worker, c *cell, rep int) error {
 		eng := w.eng
 		if eng == nil {
 			eng = sim.NewEngine()
-			eng.SetWatch(w.watch)
 		}
 		// Leave the slot empty until the run returns: an engine that
 		// panicked mid-run holds arbitrary partial state and must not be
@@ -206,18 +205,14 @@ func (p *planner) attempt(w *worker, c *cell, rep int) error {
 		sc := c.sc
 		sc.Seed += uint64(rep)
 		var err error
-		if w.col != nil {
-			c.results[rep], err = eng.RunJourney(sc, nil, w.col, w.rec)
-			if err == nil {
-				c.counters[rep] = w.col.Counters().Map()
-				if w.rec != nil {
-					agg := journey.NewAgg(w.rec.EveryN())
-					w.rec.Aggregate(agg)
-					c.journeys[rep] = agg
-				}
+		c.results[rep], err = eng.RunJourney(sc, w.watch, w.col, w.rec)
+		if err == nil && w.col != nil {
+			c.counters[rep] = w.col.Counters().Map()
+			if w.rec != nil {
+				agg := journey.NewAgg(w.rec.EveryN())
+				w.rec.Aggregate(agg)
+				c.journeys[rep] = agg
 			}
-		} else {
-			c.results[rep], err = eng.Run(sc)
 		}
 		w.eng = eng
 		return err

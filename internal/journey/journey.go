@@ -9,7 +9,9 @@
 // neighbourhood load NL, the computed probability p, the uniform draw
 // that resolved it, and the outcome) and every RREP-WAIT selection (the
 // full candidate set with path costs, hop counts and arrival times, plus
-// the winner) — answering "why was this route chosen".
+// the winner) — answering "why was this route chosen". Route events
+// (floods originated, discoveries won or lost, replies sent, links
+// broken) record the discovery and maintenance moments around them.
 //
 // Design constraints, in order:
 //
@@ -20,7 +22,7 @@
 //     bit-identical sim.Results to a disabled one (pinned by the golden
 //     suite).
 //   - Zero disabled cost. All instrumentation sits behind nil checks on
-//     the recorder pointer, the same pattern as trace.Sink.
+//     the recorder pointer: a disabled hook is one branch, no call.
 //   - Exact decomposition. Spans are kept in integer nanoseconds and
 //     every phase transition closes one interval and opens the next, so
 //     for a delivered packet the per-layer components telescope:
@@ -146,6 +148,42 @@ type ReplySelection struct {
 	WinnerHops int              `json:"winner_hops"`
 }
 
+// Route-event kinds: the discovery and maintenance moments of the shared
+// routing core, named as traceview filters them.
+const (
+	EventRREQOriginate = "rreq-originate" // a flood (or re-flood) leaves its origin
+	EventDiscoveryOK   = "discovery-ok"   // the origin's discovery installed a route
+	EventDiscoveryFail = "discovery-fail" // the origin ran out of floods
+	EventRREPSend      = "rrep-send"      // a destination replies to an RREQ
+	EventLinkFail      = "link-fail"      // a unicast to a neighbour failed at the MAC
+)
+
+// RouteEvent is the provenance of one route-discovery or maintenance
+// event at Node. Beyond TNs, Node and Kind, the fields a kind sets are:
+//
+//   - rreq-originate: Peer (the target), ID (the flood), Attempt (1 for
+//     the first flood);
+//   - discovery-ok: Peer (the target), Via (the next hop), Cost, Buffered
+//     (packets flushed onto the route);
+//   - discovery-fail: Peer (the target), Buffered (packets dropped);
+//   - rrep-send: Peer (the RREQ's origin), Via (the previous hop the reply
+//     goes to), Cost (of the copy replied to);
+//   - link-fail: Peer (the lost neighbour), Routes (routes invalidated),
+//     Frame (the kind of the frame that failed).
+type RouteEvent struct {
+	TNs      int64      `json:"t_ns"`
+	Node     pkt.NodeID `json:"node"`
+	Kind     string     `json:"kind"`
+	Peer     pkt.NodeID `json:"peer"`
+	Via      pkt.NodeID `json:"via,omitempty"`
+	ID       uint32     `json:"id,omitempty"`
+	Attempt  int        `json:"attempt,omitempty"`
+	Cost     float64    `json:"cost,omitempty"`
+	Buffered int        `json:"buffered,omitempty"`
+	Routes   int        `json:"routes,omitempty"`
+	Frame    string     `json:"frame,omitempty"`
+}
+
 // track is the live tracking state of one in-flight journey.
 type track struct {
 	j       *Journey
@@ -184,6 +222,7 @@ type Recorder struct {
 
 	rreq       []RREQDecision
 	selections []ReplySelection
+	routes     []RouteEvent
 	waits      map[waitKey]*waitProv
 	// cands backs every selection's Candidates, so a warm recorder's
 	// OnReplyClose allocates nothing; Begin empties it with selections.
@@ -195,8 +234,8 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder sampling one in everyN flows (everyN <= 1
-// samples every flow). decisions enables RREQ/RREP-WAIT provenance
-// recording alongside packet journeys.
+// samples every flow). decisions enables RREQ/RREP-WAIT provenance and
+// route-event recording alongside packet journeys.
 func NewRecorder(everyN int, decisions bool) *Recorder {
 	if everyN < 1 {
 		everyN = 1
@@ -213,7 +252,8 @@ func NewRecorder(everyN int, decisions bool) *Recorder {
 // EveryN returns the sampling divisor.
 func (r *Recorder) EveryN() int { return r.everyN }
 
-// Decisions reports whether decision provenance is being recorded.
+// Decisions reports whether decision provenance and route events are
+// being recorded.
 func (r *Recorder) Decisions() bool { return r.decisions }
 
 // Begin (re)arms the recorder for a fresh run: measureFrom is the warm-up
@@ -238,6 +278,7 @@ func (r *Recorder) Begin(measureFrom des.Time, sampler *rng.Source) {
 	r.closed = r.closed[:0]
 	r.rreq = r.rreq[:0]
 	r.selections = r.selections[:0]
+	r.routes = r.routes[:0]
 	r.cands = r.cands[:0]
 	for k, w := range r.waits {
 		r.recycleWait(w)
@@ -506,6 +547,10 @@ func (r *Recorder) RREQDecisions() []RREQDecision { return r.rreq }
 // the next Begin.
 func (r *Recorder) ReplySelections() []ReplySelection { return r.selections }
 
+// RouteEvents returns the recorded route events in event order, the
+// recorder's storage, valid until the next Begin.
+func (r *Recorder) RouteEvents() []RouteEvent { return r.routes }
+
 // --- decision-provenance hooks ---
 
 // OnRREQDecision records one load-adaptive forwarding decision.
@@ -559,4 +604,13 @@ func (r *Recorder) OnReplyClose(t des.Time, node, origin pkt.NodeID, id uint32,
 		delete(r.waits, k)
 	}
 	r.selections = append(r.selections, sel)
+}
+
+// OnRouteEvent records one route-discovery or maintenance event. A warm
+// recorder appends into the previous run's storage, allocating nothing.
+func (r *Recorder) OnRouteEvent(ev RouteEvent) {
+	if !r.decisions {
+		return
+	}
+	r.routes = append(r.routes, ev)
 }

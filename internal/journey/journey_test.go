@@ -1,8 +1,10 @@
 package journey
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,13 +184,15 @@ func TestBeginRecyclesState(t *testing.T) {
 	r.OnRREQDecision(10, 1, 0, 1, 0, 0.5, 4, 0.9, 0.3, true)
 	r.OnReplyCandidate(20, 2, 0, 1, 1, 1.5, 2)
 	r.OnReplyClose(30, 2, 0, 1, 1, 1.5, 2)
+	r.OnRouteEvent(RouteEvent{TNs: 40, Node: 0, Kind: EventDiscoveryOK, Peer: 2, Via: 1})
 	// Leave one journey live and one wait window open across Begin.
 	p := dataPkt(99, 0, 5, 0, 2)
 	r.OnOriginate(50, 0, p)
 	r.OnReplyCandidate(60, 3, 1, 7, 2, 2.0, 3)
 
 	r.Begin(0, rng.New(2))
-	if len(r.Journeys()) != 0 || len(r.RREQDecisions()) != 0 || len(r.ReplySelections()) != 0 {
+	if len(r.Journeys()) != 0 || len(r.RREQDecisions()) != 0 || len(r.ReplySelections()) != 0 ||
+		len(r.RouteEvents()) != 0 {
 		t.Fatal("Begin did not clear recorded state")
 	}
 	if len(r.live) != 0 || len(r.waits) != 0 {
@@ -245,7 +249,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	if err := r.WriteJourneysNDJSON(&jbuf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJourneys(bytes.NewReader(jbuf.Bytes()))
+	back, err := ReadNDJSON[Journey](bytes.NewReader(jbuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +288,120 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	}
 }
 
+func TestRouteEventNDJSONRoundTrip(t *testing.T) {
+	r := NewRecorder(1, true)
+	r.Begin(0, rng.New(1))
+	r.OnRREQDecision(10, 1, 0, 1, 0, 0.5, 4, 0.9, 0.3, true)
+	events := []RouteEvent{
+		{TNs: 5, Node: 0, Kind: EventRREQOriginate, Peer: 2, ID: 1, Attempt: 1},
+		{TNs: 30, Node: 2, Kind: EventRREPSend, Peer: 0, Via: 1, Cost: 1.5},
+		{TNs: 40, Node: 0, Kind: EventDiscoveryOK, Peer: 2, Via: 0, Cost: 1.5, Buffered: 3},
+		{TNs: 50, Node: 1, Kind: EventLinkFail, Peer: 2, Routes: 2, Frame: "DATA"},
+	}
+	for _, ev := range events {
+		r.OnRouteEvent(ev)
+	}
+
+	// Route events go to their own stream, not the decisions one.
+	var dbuf bytes.Buffer
+	if err := r.WriteDecisionsNDJSON(&dbuf); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Split(strings.TrimSpace(dbuf.String()), "\n"); len(lines) != 1 {
+		t.Fatalf("decision lines = %d, want 1: %s", len(lines), dbuf.String())
+	}
+
+	// They read back field for field (a node-0 Via included).
+	var ebuf bytes.Buffer
+	if err := r.WriteRouteEventsNDJSON(&ebuf); err != nil {
+		t.Fatal(err)
+	}
+	evBack, err := ReadNDJSON[RouteEvent](&ebuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(evBack, events) {
+		t.Fatalf("route events round trip: %+v != %+v", evBack, events)
+	}
+	// Route events ride the decisions switch.
+	off := NewRecorder(1, false)
+	off.Begin(0, rng.New(1))
+	off.OnRouteEvent(events[0])
+	if len(off.RouteEvents()) != 0 {
+		t.Fatal("a recorder without decisions kept a route event")
+	}
+}
+
 func TestReadJourneysErrors(t *testing.T) {
-	if _, err := ReadJourneys(strings.NewReader("{not json}\n")); err == nil ||
+	if _, err := ReadNDJSON[Journey](strings.NewReader("{not json}\n")); err == nil ||
 		!strings.Contains(err.Error(), "line 1") {
 		t.Fatalf("malformed line error = %v", err)
+	}
+}
+
+func TestReadNDJSONRoundTrip(t *testing.T) {
+	r := NewRecorder(1, true)
+	r.Begin(0, rng.New(1))
+	r.OnRouteEvent(RouteEvent{TNs: 1, Node: 2, Kind: EventRREQOriginate, Peer: 4, ID: 9, Attempt: 1})
+	r.OnRouteEvent(RouteEvent{TNs: 5, Node: 3, Kind: EventDiscoveryFail, Peer: 4, Buffered: 2})
+	var buf bytes.Buffer
+	if err := r.WriteRouteEventsNDJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadNDJSON[RouteEvent](&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Kind != EventRREQOriginate || got[1].Node != 3 || got[1].Buffered != 2 {
+		t.Fatalf("round trip %+v", got)
+	}
+}
+
+func TestReadNDJSONErrors(t *testing.T) {
+	_, err := ReadNDJSON[RouteEvent](strings.NewReader("{\"kind\":\"link-fail\"}\n{broken\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("malformed line error = %v", err)
+	}
+	// Blank and whitespace-only lines carry no record, wherever they sit.
+	got, err := ReadNDJSON[RouteEvent](strings.NewReader("\n \t\n{\"kind\":\"rrep-send\",\"node\":4}\n  \n\n"))
+	if err != nil || len(got) != 1 || got[0].Node != 4 {
+		t.Fatalf("blank lines mishandled: %v %v", got, err)
+	}
+}
+
+func TestReadNDJSONLongLines(t *testing.T) {
+	// A legitimately long record (a journey of 20 000 hops, over 2 MiB
+	// on one line) must parse.
+	long := Journey{UID: 1, Outcome: OutcomeUnresolved, Hops: make([]Hop, 20000)}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(long); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 2<<20 {
+		t.Fatalf("test record is only %d bytes", buf.Len())
+	}
+	got, err := ReadNDJSON[Journey](&buf)
+	if err != nil {
+		t.Fatalf("2 MiB record rejected: %v", err)
+	}
+	if len(got) != 1 || len(got[0].Hops) != len(long.Hops) {
+		t.Fatalf("2 MiB record mangled: %d records", len(got))
+	}
+
+	// Past the cap, the error must say which line and what to do about
+	// it, not just bufio.Scanner's bare "token too long".
+	in := "{}\n" + strings.Repeat("y", maxLine+1) + "\n"
+	_, err = ReadNDJSON[RouteEvent](strings.NewReader(in))
+	if err == nil {
+		t.Fatal("oversized line accepted")
+	}
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("error does not wrap bufio.ErrTooLong: %v", err)
+	}
+	for _, want := range []string{"line 2", "4 MiB", "NDJSON"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package journey
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -328,33 +330,51 @@ func (r *Recorder) WriteDecisionsNDJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// maxJourneyLine caps one NDJSON line (matches trace.ReadNDJSON).
-const maxJourneyLine = 4 << 20
+// WriteRouteEventsNDJSON writes the route events, one JSON object per
+// line, in event order (meshsim -trace, read by traceview).
+func (r *Recorder) WriteRouteEventsNDJSON(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i := range r.routes {
+		if err := enc.Encode(&r.routes[i]); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
 
-// ReadJourneys parses a journeys NDJSON stream (traceview's -journey
-// input). Malformed lines fail with their line number.
-func ReadJourneys(rd io.Reader) ([]Journey, error) {
+// maxLine caps one NDJSON record: a healthy record is a few hundred bytes
+// (a long journey a few KiB), so 4 MiB only trips on corrupt or
+// non-NDJSON input.
+const maxLine = 4 << 20
+
+// ReadNDJSON parses a stream of newline-delimited records of type T —
+// journeys (meshsim -journey-out) or route events (meshsim -trace).
+// Whitespace-only lines are skipped; a malformed or oversized line aborts
+// with its line number.
+func ReadNDJSON[T any](rd io.Reader) ([]T, error) {
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 64<<10), maxJourneyLine)
-	var out []Journey
+	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+	var out []T
 	line := 0
 	for sc.Scan() {
 		line++
-		b := sc.Bytes()
+		b := bytes.TrimSpace(sc.Bytes())
 		if len(b) == 0 {
 			continue
 		}
-		var j Journey
-		if err := json.Unmarshal(b, &j); err != nil {
+		var v T
+		if err := json.Unmarshal(b, &v); err != nil {
 			return nil, fmt.Errorf("journey: line %d: %w", line, err)
 		}
-		out = append(out, j)
+		out = append(out, v)
 	}
 	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, fmt.Errorf("journey: line %d exceeds %d bytes", line+1, maxJourneyLine)
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("journey: line %d exceeds the %d MiB record limit — is this really NDJSON (one record per line)?: %w",
+				line+1, maxLine>>20, err)
 		}
-		return nil, err
+		return nil, fmt.Errorf("journey: %w", err)
 	}
 	return out, nil
 }

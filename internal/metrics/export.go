@@ -38,8 +38,8 @@ func (c *Collector) WriteHeatmapCSV(w io.Writer) error {
 }
 
 // SeriesRecord is one (tick, node) line of the NDJSON series dump: the
-// Sample's fields under its JSON names, after T (simulated nanoseconds,
-// matching trace.Record) and the node.
+// Sample's fields under its JSON names, after T (simulated nanoseconds)
+// and the node.
 type SeriesRecord struct {
 	T    des.Time   `json:"t"`
 	Node pkt.NodeID `json:"node"`

@@ -6,8 +6,8 @@
 //
 // The layer is zero-overhead when disabled. The simulation harness takes
 // a *Collector pointer and does nothing when it is nil — one branch, no
-// allocation, no extra DES events — mirroring the nil-checked trace.Sink
-// hook. When enabled, sampling is driven by pre-scheduled DES events
+// allocation, no extra DES events — the nil-checked hook pattern the
+// journey recorder and the stall watchdog share. When enabled, sampling is driven by pre-scheduled DES events
 // whose handlers only read protocol state, so an instrumented run is
 // bit-identical (same Result, same RNG consumption) to an uninstrumented
 // one; see the determinism contract in DESIGN.md §10.

@@ -8,7 +8,6 @@ import (
 	"clnlr/internal/des"
 	"clnlr/internal/journey"
 	"clnlr/internal/pkt"
-	"clnlr/internal/trace"
 )
 
 // Config tunes the shared routing machinery. The defaults follow the
@@ -181,8 +180,9 @@ func New(env Env, cfg Config, policy RREQPolicy) *Core {
 // lists).
 // The environment must reference the same simulation the core was built
 // on — warm replication reuse resets the des.Sim in place, so every
-// component keeps its kernel pointer. Deliver/Trace sinks come in with
-// the new Env (the traffic layer reinstalls sinks per run).
+// component keeps its kernel pointer. The Deliver sink and Journey
+// recorder come in with the new Env (the traffic layer reinstalls sinks
+// and the engine the recorder per run).
 func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	if env.Sim != c.table.sim {
 		panic("routing: Reset with a different simulation kernel")
@@ -406,18 +406,14 @@ func (c *Core) HeldPackets() int {
 	return n
 }
 
-// tracef emits a structured routing event. Callers check c.Env.Trace !=
-// nil first: a variadic call boxes its arguments before the callee runs,
-// so a check in here would leave the untraced hot path (rreq-forward,
-// data-deliver) allocating per packet.
-func (c *Core) tracef(event, format string, args ...any) {
-	c.Env.Trace.Record(trace.Record{
-		T:      c.Env.Sim.Now(),
-		Node:   c.Env.ID,
-		Layer:  "routing",
-		Event:  event,
-		Detail: fmt.Sprintf(format, args...),
-	})
+// routeEvent records a route-discovery or maintenance event, stamped
+// with this node and the current time, on the journey recorder if one is
+// installed.
+func (c *Core) routeEvent(ev journey.RouteEvent) {
+	if j := c.Env.Journey; j != nil {
+		ev.TNs, ev.Node = int64(c.Env.Sim.Now()), c.Env.ID
+		j.OnRouteEvent(ev)
+	}
 }
 
 // Table returns the node's routing table (exposed for tests).
@@ -529,9 +525,7 @@ func (c *Core) originateRREQ(d *discovery) {
 	// Remember our own flood so echoed copies are ignored cheaply.
 	c.dup.Seen(c.Env.ID, c.rreqID)
 	c.Ctr.RREQOriginated++
-	if c.Env.Trace != nil {
-		c.tracef("rreq-originate", "target=%v id=%d attempt=%d", d.dst, c.rreqID, d.attempts)
-	}
+	c.routeEvent(journey.RouteEvent{Kind: journey.EventRREQOriginate, Peer: d.dst, ID: c.rreqID, Attempt: d.attempts})
 	c.Env.Mac.Send(p, pkt.Broadcast)
 	d.timer = c.Env.Sim.ScheduleCall(c.Cfg.DiscoveryTimeout, c, copDiscoveryTimeout, uint32(d.dst))
 }
@@ -555,9 +549,7 @@ func (c *Core) discoveryTimeout(dst pkt.NodeID) {
 			c.Env.Pool.Release(p)
 		}
 		c.clearPending(d.dst)
-		if c.Env.Trace != nil {
-			c.tracef("discovery-fail", "target=%v buffered=%d", d.dst, len(d.buffer))
-		}
+		c.routeEvent(journey.RouteEvent{Kind: journey.EventDiscoveryFail, Peer: d.dst, Buffered: len(d.buffer)})
 		c.retire(d)
 		return
 	}
@@ -577,9 +569,7 @@ func (c *Core) routeReady(dst pkt.NodeID) {
 	d.timer.Cancel()
 	c.clearPending(dst)
 	c.Ctr.DiscoveriesSucceeded++
-	if c.Env.Trace != nil {
-		c.tracef("discovery-ok", "target=%v via=%v cost=%.2f flushed=%d", dst, r.NextHop, r.Cost, len(d.buffer))
-	}
+	c.routeEvent(journey.RouteEvent{Kind: journey.EventDiscoveryOK, Peer: dst, Via: r.NextHop, Cost: r.Cost, Buffered: len(d.buffer)})
 	for _, p := range d.buffer {
 		c.forwardData(p, r)
 	}
@@ -604,9 +594,6 @@ func (c *Core) ForwardRREQ(p *pkt.Packet, extraDelay des.Time) {
 		delay += des.Time(c.Env.Rng.Intn(int(c.Cfg.MaxJitter)))
 	}
 	c.Ctr.RREQForwarded++
-	if c.Env.Trace != nil {
-		c.tracef("rreq-forward", "origin=%v id=%d hops=%d cost=%.2f", q.RREQ.Origin, q.RREQ.ID, q.RREQ.HopCount, q.RREQ.Cost)
-	}
 	var slot int32
 	if k := len(c.deferredFree); k > 0 {
 		slot = c.deferredFree[k-1]
@@ -622,9 +609,6 @@ func (c *Core) ForwardRREQ(p *pkt.Packet, extraDelay des.Time) {
 // SuppressRREQ records that the policy declined to forward a copy.
 func (c *Core) SuppressRREQ() {
 	c.Ctr.RREQSuppressed++
-	if c.Env.Trace != nil {
-		c.tracef("rreq-suppress", "")
-	}
 }
 
 // --- inbound dispatch (mac.Upper) ---
@@ -747,9 +731,7 @@ func (c *Core) sendRREPAsTarget(origin, via pkt.NodeID, hops int, cost float64) 
 	}
 	p := c.Env.Pool.RREP(c.Env.ID, body, c.Env.Sim.Now(), c.Cfg.TTL)
 	c.Ctr.RREPSent++
-	if c.Env.Trace != nil {
-		c.tracef("rrep-send", "origin=%v via=%v cost=%.2f", origin, via, cost)
-	}
+	c.routeEvent(journey.RouteEvent{Kind: journey.EventRREPSend, Peer: origin, Via: via, Cost: cost})
 	c.Env.Mac.Send(p, via)
 	_ = hops
 }
@@ -847,9 +829,6 @@ func (c *Core) handleData(p *pkt.Packet, from pkt.NodeID) {
 	// to the MAC queue (reclaimed at MacTxDone).
 	if p.Dst == c.Env.ID {
 		c.Ctr.DataDelivered++
-		if c.Env.Trace != nil {
-			c.tracef("data-deliver", "src=%v flow=%d seq=%d delay=%v", p.Src, p.FlowID, p.Seq, c.Env.Sim.Now()-p.CreatedAt)
-		}
 		if j := c.Env.Journey; j != nil {
 			j.OnDeliver(c.Env.Sim.Now(), c.Env.ID, p)
 		}
@@ -870,9 +849,6 @@ func (c *Core) handleData(p *pkt.Packet, from pkt.NodeID) {
 	r := c.table.Lookup(p.Dst)
 	if r == nil {
 		c.Ctr.DropNoRoute++
-		if c.Env.Trace != nil {
-			c.tracef("data-drop", "no route to %v (flow=%d seq=%d)", p.Dst, p.FlowID, p.Seq)
-		}
 		if j := c.Env.Journey; j != nil {
 			j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropNoRoute)
 		}
@@ -914,9 +890,7 @@ func (c *Core) MacTxDone(p *pkt.Packet, dst pkt.NodeID, ok bool) {
 	lost := c.table.InvalidateVia(dst, c.unreach[:0])
 	c.unreach = lost
 	c.nbrs.Remove(dst)
-	if c.Env.Trace != nil {
-		c.tracef("link-fail", "neighbour=%v routesLost=%d kind=%v", dst, len(lost), p.Kind)
-	}
+	c.routeEvent(journey.RouteEvent{Kind: journey.EventLinkFail, Peer: dst, Routes: len(lost), Frame: p.Kind.String()})
 
 	if p.Kind == pkt.Data && p.Src == c.Env.ID {
 		// We originated it: try to re-discover rather than lose it.

@@ -26,7 +26,6 @@ import (
 	"clnlr/internal/mac"
 	"clnlr/internal/pkt"
 	"clnlr/internal/rng"
-	"clnlr/internal/trace"
 )
 
 // Env is the node-local environment handed to a routing agent.
@@ -38,15 +37,12 @@ type Env struct {
 	// Deliver receives data packets addressed to this node (the
 	// application sink). May be nil.
 	Deliver func(p *pkt.Packet, from pkt.NodeID)
-	// Trace, when non-nil, receives structured routing events (zero cost
-	// when nil).
-	Trace trace.Sink
 	// Pool, when non-nil, recycles this node's packets (see pkt.Pool for
 	// the ownership discipline). All pkt.Pool methods are nil-safe, so a
 	// pool-less Env behaves identically, just with GC churn.
 	Pool *pkt.Pool
-	// Journey, when non-nil, receives packet-lifecycle and
-	// decision-provenance events (zero cost when nil, like Trace). The
+	// Journey, when non-nil, receives packet-lifecycle, decision-provenance
+	// and route events (zero cost when nil: one branch per hook). The
 	// hooks observe only — they never schedule events or draw randomness —
 	// so an instrumented run stays bit-identical to a plain one.
 	Journey *journey.Recorder

@@ -193,12 +193,12 @@ func TestRREPForOwnTargetDropped(t *testing.T) {
 	}
 }
 
-// TestUntracedHotPathAllocatesNothing: with no trace sink, delivering a
-// data packet and forwarding an RREQ — the two per-packet paths that carry
-// a trace point — allocate nothing once pools are warm. The packets carry
-// values too large for the runtime's small-integer boxing cache, so a
-// trace call that formats (or merely boxes) its arguments before checking
-// for a sink shows up.
+// TestUntracedHotPathAllocatesNothing: with no journey recorder,
+// delivering a data packet and forwarding an RREQ — the two per-packet
+// routing paths — allocate nothing once pools are warm. The packets carry
+// values too large for the runtime's small-integer boxing cache, so an
+// observation hook that formats (or merely boxes) its arguments before
+// checking for its recorder shows up.
 func TestUntracedHotPathAllocatesNothing(t *testing.T) {
 	sim := des.NewSim()
 	medium := radio.NewMedium(sim, radio.NewTwoRay(914e6, 1.5, 1.5))
@@ -211,7 +211,7 @@ func TestUntracedHotPathAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		c.handleData(pool.Data(700, 0, 512, 1000, 100000, 0, 30), 700)
 	}); n != 0 {
-		t.Errorf("handleData (deliver) with a nil trace sink: %v allocs/op, want 0", n)
+		t.Errorf("handleData (deliver) with no journey recorder: %v allocs/op, want 0", n)
 	}
 
 	rreq := pool.RREQ(pkt.RREQBody{ID: 70000, Origin: 700, OriginSeq: 9, Target: 800, HopCount: 300, Cost: 2.5}, sim.Now(), 30)
@@ -219,7 +219,7 @@ func TestUntracedHotPathAllocatesNothing(t *testing.T) {
 		c.ForwardRREQ(rreq, 0)
 		sim.Run() // jittered send, broadcast, MacTxDone: the clone is back in the pool
 	}); n != 0 {
-		t.Errorf("ForwardRREQ with a nil trace sink: %v allocs/op, want 0", n)
+		t.Errorf("ForwardRREQ with no journey recorder: %v allocs/op, want 0", n)
 	}
 	if c.Ctr.DataDelivered == 0 || c.Ctr.RREQForwarded == 0 || m.Ctr.TxBroadcast == 0 {
 		t.Fatalf("paths not exercised: delivered %d, forwarded %d, broadcast %d",

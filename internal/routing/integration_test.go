@@ -7,6 +7,7 @@ import (
 	"clnlr/internal/core"
 	"clnlr/internal/des"
 	"clnlr/internal/geom"
+	"clnlr/internal/journey"
 	"clnlr/internal/mac"
 	"clnlr/internal/node"
 	"clnlr/internal/pkt"
@@ -16,7 +17,6 @@ import (
 	"clnlr/internal/routing/aodv"
 	"clnlr/internal/routing/counter"
 	"clnlr/internal/routing/gossip"
-	"clnlr/internal/trace"
 	"clnlr/internal/traffic"
 )
 
@@ -252,33 +252,96 @@ func TestTTLPreventsInfiniteForwarding(t *testing.T) {
 	}
 }
 
+// TestTracingCapturesRoutingEvents: a journey recorder with decisions on
+// receives the routing core's route events — a discovery that succeeds,
+// one whose target is out of range, and a link that breaks when the next
+// hop crashes — each with the fields its kind carries.
 func TestTracingCapturesRoutingEvents(t *testing.T) {
-	positions := geom.ChainPlacement(geom.Point{}, 3, 200)
-	sim, nodes := buildNet(41, positions, flood)
-	buf := trace.NewBuffer(1024)
-	for _, n := range nodes {
-		n.Agent.Env.Trace = buf
+	// record builds a network over positions with every node reporting to
+	// one recorder, runs script and returns the recorder.
+	record := func(positions []geom.Point, script func(sim *des.Sim, nodes []*node.Node)) *journey.Recorder {
+		sim, nodes := buildNet(41, positions, flood)
+		rec := journey.NewRecorder(1, true)
+		rec.Begin(0, rng.New(1))
+		for _, n := range nodes {
+			n.Agent.Env.Journey = rec
+			n.Mac.SetJourney(rec)
+		}
+		script(sim, nodes)
+		rec.EndRun(sim.Now())
+		return rec
 	}
-	sim.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 2, 128, 0, 0, sim.Now(), 30))
-	})
-	sim.RunUntil(5 * des.Second)
+	// find returns the route events of kind at node.
+	find := func(rec *journey.Recorder, node pkt.NodeID, kind string) []journey.RouteEvent {
+		var out []journey.RouteEvent
+		for _, ev := range rec.RouteEvents() {
+			if ev.Node == node && ev.Kind == kind {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	// send originates one data packet at node 0; a UID makes it journey.
+	send := func(sim *des.Sim, nodes []*node.Node, at des.Time, dst pkt.NodeID) {
+		sim.Schedule(at, func() {
+			p := pkt.NewData(0, dst, 128, 0, 0, sim.Now(), 30)
+			p.UID = uint64(at)
+			nodes[0].Agent.Send(p)
+		})
+	}
 
-	if buf.Len() == 0 {
-		t.Fatal("no trace records captured")
-	}
-	if got := buf.Filter(-1, "routing", "rreq-originate"); len(got) != 1 {
-		t.Fatalf("rreq-originate records: %d", len(got))
-	}
-	if got := buf.Filter(2, "routing", "rrep-send"); len(got) != 1 {
-		t.Fatalf("rrep-send records at target: %d", len(got))
-	}
-	if got := buf.Filter(2, "routing", "data-deliver"); len(got) != 1 {
-		t.Fatalf("data-deliver records: %d", len(got))
-	}
-	if got := buf.Filter(0, "routing", "discovery-ok"); len(got) != 1 {
-		t.Fatalf("discovery-ok records: %d", len(got))
-	}
+	t.Run("discovery-ok", func(t *testing.T) {
+		rec := record(geom.ChainPlacement(geom.Point{}, 3, 200), func(sim *des.Sim, nodes []*node.Node) {
+			send(sim, nodes, des.Second, 2)
+			sim.RunUntil(5 * des.Second)
+		})
+		if got := find(rec, 0, journey.EventRREQOriginate); len(got) != 1 ||
+			got[0].Peer != 2 || got[0].Attempt != 1 || got[0].ID == 0 || got[0].TNs != int64(des.Second) {
+			t.Fatalf("rreq-originate at the source: %+v", got)
+		}
+		if got := find(rec, 2, journey.EventRREPSend); len(got) != 1 || got[0].Peer != 0 || got[0].Via != 1 {
+			t.Fatalf("rrep-send at the target: %+v", got)
+		}
+		if got := find(rec, 0, journey.EventDiscoveryOK); len(got) != 1 ||
+			got[0].Peer != 2 || got[0].Via != 1 || got[0].Buffered != 1 {
+			t.Fatalf("discovery-ok at the source: %+v", got)
+		}
+		if js := rec.Journeys(); len(js) != 1 || js[0].Outcome != journey.OutcomeDelivered {
+			t.Fatalf("the data packet's journey: %+v", js)
+		}
+	})
+
+	t.Run("discovery-fail", func(t *testing.T) {
+		// Node 2 is far out of everyone's range: every flood goes unanswered.
+		positions := append(geom.ChainPlacement(geom.Point{}, 2, 200), geom.Point{X: 5000})
+		rec := record(positions, func(sim *des.Sim, nodes []*node.Node) {
+			send(sim, nodes, des.Second, 2)
+			sim.RunUntil(10 * des.Second)
+		})
+		floods := find(rec, 0, journey.EventRREQOriginate)
+		if len(floods) != 1+routing.DefaultConfig().RREQRetries {
+			t.Fatalf("%d floods for an unreachable target, want %d", len(floods), 1+routing.DefaultConfig().RREQRetries)
+		}
+		if got := find(rec, 0, journey.EventDiscoveryFail); len(got) != 1 || got[0].Peer != 2 || got[0].Buffered != 1 {
+			t.Fatalf("discovery-fail at the source: %+v", got)
+		}
+		if got := find(rec, 0, journey.EventDiscoveryOK); len(got) != 0 {
+			t.Fatalf("discovery-ok for an unreachable target: %+v", got)
+		}
+	})
+
+	t.Run("link-fail", func(t *testing.T) {
+		rec := record(geom.ChainPlacement(geom.Point{}, 3, 200), func(sim *des.Sim, nodes []*node.Node) {
+			send(sim, nodes, des.Second, 2)
+			sim.Schedule(2*des.Second, func() { nodes[1].Crash() })
+			send(sim, nodes, 3*des.Second, 2)
+			sim.RunUntil(5 * des.Second)
+		})
+		got := find(rec, 0, journey.EventLinkFail)
+		if len(got) != 1 || got[0].Peer != 1 || got[0].Routes < 1 || got[0].Frame != "DATA" {
+			t.Fatalf("link-fail at the source after its next hop crashed: %+v", got)
+		}
+	})
 }
 
 func TestExpandingRingSearch(t *testing.T) {

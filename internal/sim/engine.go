@@ -8,7 +8,6 @@ import (
 	"clnlr/internal/radio"
 	"clnlr/internal/rng"
 	"clnlr/internal/topo"
-	"clnlr/internal/trace"
 )
 
 // Engine is a reusable simulation instance: one fully allocated network
@@ -28,7 +27,9 @@ import (
 // one prologue (begin) on exactly this path — a cold run is just a warm
 // run on a fresh Engine — so cold and warm cannot drift apart.
 // The network is rebuilt from scratch only when the node count or radio
-// parameters change; everything else resets in place.
+// parameters change; everything else resets in place. No instrument lives
+// on the Engine: the stall watchdog, collector and journey recorder are
+// RunJourney's arguments, installed (or detached) by every run.
 //
 // An Engine is not safe for concurrent use; give each worker its own.
 type Engine struct {
@@ -48,11 +49,8 @@ type Engine struct {
 	positions []geom.Point
 	tp        *topo.Topology
 
-	// watch, when set, is the watchdog progress channel handed to the DES
-	// kernel (surviving network rebuilds); auditArmed remembers whether
-	// the per-node pool ledgers are on, so an audit-off run after an
-	// audited one disarms them exactly once.
-	watch      *des.Watch
+	// auditArmed remembers whether the per-node pool ledgers are on, so
+	// an audit-off run after an audited one disarms them exactly once.
 	auditArmed bool
 
 	// referenceRadio forces the medium's exhaustive O(N) receiver scan
@@ -81,15 +79,6 @@ var TestHookRun func(sc Scenario)
 // seed invariant violations or stalls into an otherwise-normal run;
 // production code never sets it.
 var TestHookPrepared func(simk *des.Sim, nodes []*node.Node, sc Scenario)
-
-// SetWatch attaches (or with nil detaches) a watchdog progress channel
-// to this engine's DES kernel, surviving warm resets and rebuilds.
-func (e *Engine) SetWatch(w *des.Watch) {
-	e.watch = w
-	if e.simk != nil {
-		e.simk.SetWatch(w)
-	}
-}
 
 // placementKey captures every scenario field the placement and its
 // connectivity check depend on.
@@ -160,7 +149,6 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 	spec := sc.agentSpec()
 	if !e.built || len(e.nodes) != len(positions) || e.radioParams != sc.Radio {
 		e.simk = des.NewSim()
-		e.simk.SetWatch(e.watch)
 		e.medium = radio.NewMedium(e.simk, sc.propagation())
 		e.medium.SetReference(e.referenceRadio)
 		e.nodes = node.BuildNetwork(e.simk, e.medium, positions, sc.Radio, sc.Mac,
@@ -200,10 +188,11 @@ func (s runSetup) auditErr() error {
 }
 
 // begin is RunJourney's prologue, after validation: the test hooks, the
-// master stream, the network (built or warm-reset), the pool ledgers, the
-// optional trace sink and journey recorder, node start, mobility, churn over [0, horizon) and the auditor
-// — in that order, which fixes the event sequence of every run.
-func (e *Engine) begin(sc Scenario, horizon des.Time, sink trace.Sink, rec *journey.Recorder) (runSetup, error) {
+// master stream, the network (built or warm-reset), the run's watchdog
+// (nil detaches the previous run's), the pool ledgers, the optional
+// journey recorder, node start, mobility, churn over [0, horizon) and the
+// auditor — in that order, which fixes the event sequence of every run.
+func (e *Engine) begin(sc Scenario, horizon des.Time, watch *des.Watch, rec *journey.Recorder) (runSetup, error) {
 	if TestHookRun != nil {
 		TestHookRun(sc)
 	}
@@ -215,6 +204,7 @@ func (e *Engine) begin(sc Scenario, horizon des.Time, sink trace.Sink, rec *jour
 		return runSetup{}, err
 	}
 	s.tp = tp
+	e.simk.SetWatch(watch)
 	// Arm (or disarm) the per-node pool borrow ledgers. The disarm leg
 	// only runs when a previous audited run left ledgers armed on this
 	// warm engine, so the common audit-off path stays zero-cost.
@@ -226,11 +216,6 @@ func (e *Engine) begin(sc Scenario, horizon des.Time, sink trace.Sink, rec *jour
 	}
 	if TestHookPrepared != nil {
 		TestHookPrepared(e.simk, e.nodes, sc)
-	}
-	if sink != nil {
-		for _, n := range e.nodes {
-			n.Agent.Env.Trace = sink
-		}
 	}
 	if rec != nil {
 		// prepare (ResetNetwork/Mac.Reset) cleared any previous run's

@@ -23,6 +23,8 @@ func instrumentedScenario() Scenario {
 // as the engine builds it, one whole sampler tick and the closing of an
 // RREP-WAIT window must not allocate — a per-tick allocation times 49
 // nodes times 300 ticks is what made "everything on" cost 3× a plain run.
+// Nor may the route events of the whole second run: they are the first
+// run's again, recorded into the storage it grew.
 func TestInstrumentTicksAllocateNothing(t *testing.T) {
 	sc := instrumentedScenario()
 	e := NewEngine()
@@ -34,6 +36,11 @@ func TestInstrumentTicksAllocateNothing(t *testing.T) {
 	if len(rec.ReplySelections()) == 0 {
 		t.Fatal("the warm-up run closed no RREP-WAIT window")
 	}
+	firstRoutes := len(rec.RouteEvents())
+	if firstRoutes == 0 {
+		t.Fatal("the warm-up run recorded no route events")
+	}
+	routeStore := &rec.RouteEvents()[0]
 
 	var fullAllocs, incAllocs, sampleAllocs, replyAllocs float64
 	var auditErr error
@@ -72,6 +79,12 @@ func TestInstrumentTicksAllocateNothing(t *testing.T) {
 	}
 	if replyAllocs != 0 {
 		t.Errorf("closing an RREP-WAIT window on a warm recorder allocates %v times, want 0", replyAllocs)
+	}
+	// Had the route events' storage grown, its first element would have
+	// moved.
+	if n := len(rec.RouteEvents()); n != firstRoutes || &rec.RouteEvents()[0] != routeStore {
+		t.Errorf("second run: %d route events (first run %d), storage reused %v",
+			n, firstRoutes, &rec.RouteEvents()[0] == routeStore)
 	}
 }
 

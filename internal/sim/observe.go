@@ -11,16 +11,15 @@ import (
 	"clnlr/internal/mac"
 	"clnlr/internal/metrics"
 	"clnlr/internal/routing"
-	"clnlr/internal/trace"
 	"clnlr/internal/traffic"
 )
 
 // RunJourney is the fully instrumented run entry point: Run plus an
-// optional trace sink, metrics collector and journey recorder. Every hook
-// is nil-checked — a run with (nil, nil, nil) is exactly Run. The sink,
-// when non-nil, is attached to every node's routing agent (tracing a full
-// run is heavy; prefer it for debugging single scenarios, not sweeps).
-// The collector, when non-nil, receives
+// optional stall watchdog, metrics collector and journey recorder. Every
+// hook is nil-checked — a run with (nil, nil, nil) is exactly Run. The
+// watch, when non-nil, is this run's progress channel to a watchdog
+// monitor (des.Watch); a nil watch detaches the one a previous run on
+// this engine had. The collector, when non-nil, receives
 //
 //   - a per-node time-series: every SampleInterval of simulated time one
 //     tick of a DES train snapshots each node's cross-layer state (MAC
@@ -46,10 +45,11 @@ import (
 // The recorder, when non-nil, is armed with the warm-up boundary and the
 // dedicated journey-sampling stream (rng label 8000 — a pure function of
 // the scenario seed, so warm/cold engines and resumed sweeps sample the
-// same flows) and installed on every node's routing core and MAC. Journey
+// same flows) and installed on every node's routing core and MAC. With
+// decisions on it also keeps the routing core's route events. Journey
 // hooks only observe — the run's Result stays bit-identical to a rec=nil
 // run (pinned by the golden suite in journey_test.go).
-func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector, rec *journey.Recorder) (Result, error) {
+func (e *Engine) RunJourney(sc Scenario, watch *des.Watch, col *metrics.Collector, rec *journey.Recorder) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -58,7 +58,7 @@ func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector
 		wallStart = time.Now()
 	}
 	end := sc.Warmup + sc.Measure
-	run, err := e.begin(sc, end, sink, rec)
+	run, err := e.begin(sc, end, watch, rec)
 	if err != nil {
 		return Result{}, err
 	}
@@ -98,10 +98,10 @@ func (e *Engine) RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector
 	return r, run.auditErr()
 }
 
-// RunJourney is Run with the optional trace, metrics and journey hooks on
-// a fresh engine (all nil behaves exactly like Run).
-func RunJourney(sc Scenario, sink trace.Sink, col *metrics.Collector, rec *journey.Recorder) (Result, error) {
-	return NewEngine().RunJourney(sc, sink, col, rec)
+// RunJourney is Run with the optional watchdog, metrics and journey hooks
+// on a fresh engine (all nil behaves exactly like Run).
+func RunJourney(sc Scenario, watch *des.Watch, col *metrics.Collector, rec *journey.Recorder) (Result, error) {
+	return NewEngine().RunJourney(sc, watch, col, rec)
 }
 
 // sampler is the flight recorder's typed-event handler: one read-only

@@ -6,9 +6,9 @@ import (
 
 	"clnlr/internal/des"
 	"clnlr/internal/fault"
+	"clnlr/internal/journey"
 	"clnlr/internal/node"
 	"clnlr/internal/rng"
-	"clnlr/internal/trace"
 )
 
 // quickScenario is a down-scaled default for fast tests.
@@ -499,25 +499,29 @@ func TestMobilityDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunJourneyTraceSink is the trace-sink case of RunJourney: a sink
-// alone captures routing records, and no hooks at all is exactly Run.
+// TestRunJourneyTraceSink is the route-event case of RunJourney: a
+// recorder with decisions on captures the routing core's route events,
+// and no hooks at all is exactly Run.
 func TestRunJourneyTraceSink(t *testing.T) {
 	sc := quickScenario()
-	buf := trace.NewBuffer(8192)
-	r, err := RunJourney(sc, buf, nil, nil)
+	rec := journey.NewRecorder(1, true)
+	r, err := RunJourney(sc, nil, nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Delivered == 0 {
 		t.Fatal("traced run delivered nothing")
 	}
-	if buf.Len() == 0 {
-		t.Fatal("traced run captured no records")
+	kinds := map[string]int{}
+	for _, ev := range rec.RouteEvents() {
+		kinds[ev.Kind]++
 	}
-	if len(buf.Filter(-1, "routing", "data-deliver")) == 0 {
-		t.Fatal("no delivery records traced")
+	for _, k := range []string{journey.EventRREQOriginate, journey.EventDiscoveryOK, journey.EventRREPSend} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s route events recorded (got %v)", k, kinds)
+		}
 	}
-	// A nil sink must behave exactly like Run.
+	// No hooks must behave exactly like Run.
 	a, err := RunJourney(sc, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
