@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race bench-smoke bench-selftest bench-pair fuzz lint profile-largen profile-mobile profile-serve report-identity instrument-cost loc
+.PHONY: verify build test race bench-smoke bench-selftest bench-pair fuzz lint profile-largen profile-mobile profile-hotspot profile-serve report-identity instrument-cost loc
 
 verify: build test race bench-smoke
 
@@ -131,6 +131,18 @@ profile-mobile:
 	@ls -l $(PROFILE_DIR)
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DIR)/mobile-cpu.pprof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 $(PROFILE_DIR)/meshsim $(PROFILE_DIR)/mobile-mem.pprof
+
+# The saturated gateway regime: the benchmark's hotspot49 shape (7x7 grid,
+# 20 flows x 8 pkt/s into a gateway). Its cost is 802.11 contention timers
+# more than radio physics: read des (the heap, and the fixed-delay lanes
+# that carry DIFS/EIFS/SIFS, ACK/CTS timeouts and airtime ends) against
+# mac.freezeContention and radio.(*Medium).finish.
+profile-hotspot:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/meshsim ./cmd/meshsim
+	$(PROFILE_DIR)/meshsim -gateway -flows 20 -rate 8 -session 10s -measure 40s \
+		-reps 40 -workers 1 -cpuprofile $(PROFILE_DIR)/hotspot-cpu.pprof
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/meshsim $(PROFILE_DIR)/hotspot-cpu.pprof
 
 # The daemon's miss path: BenchmarkServeThroughput/cold pushes never-seen
 # /v1/run requests through one in-process server (decode, admission, the

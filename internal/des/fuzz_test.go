@@ -12,14 +12,17 @@ import (
 // under (time, sequence) with lazy cancellation — Cancel only marks the
 // node, and the run loop discards it when it surfaces. A train is eager
 // here: n separate events scheduled back to back, as the sampler's train
-// was before the kernel had one. live counts every live event; pending()
-// is what the indexed heap's Pending() must equal, one per live train.
-// deadPops counts the discarded surfacings the indexed heap no longer has.
+// was before the kernel had one. It has no lanes: a lane event is an
+// ordinary event. live counts every live event; pending() is what the
+// kernel's Pending() must equal, one per live train, and hw its peak after
+// each schedule call (PendingHighWater). deadPops counts the discarded
+// surfacings the indexed heap no longer has.
 type oracleSim struct {
 	now      Time
 	seq      uint64
 	heap     []*oracleNode
 	live     int
+	hw       int
 	executed uint64
 	deadPops int
 	trains   [][]*oracleNode
@@ -73,8 +76,12 @@ func (o *oracleSim) train(delay, period Time, n int, fn func()) []*oracleNode {
 		ticks[k] = o.schedule(delay+Time(k)*period, fn)
 	}
 	o.trains = append(o.trains, ticks)
+	o.noteHW()
 	return ticks
 }
+
+// noteHW raises hw to pending() once a schedule call is complete.
+func (o *oracleSim) noteHW() { o.hw = max(o.hw, o.pending()) }
 
 // pending is live with each train's unfired ticks counted once.
 func (o *oracleSim) pending() int {
@@ -152,11 +159,12 @@ func (o *oracleSim) reset() {
 // scriptTarget is what queueScript drives: the kernel or the oracle.
 type scriptTarget struct {
 	schedule func(delay Time, typed bool, fn func()) (cancel func())
+	lane     func(delay Time, fn func()) (cancel func())
 	train    func(delay, period Time, n int, fn func()) (cancel func())
 	runUntil func(horizon Time)
 	run      func()
 	reset    func()
-	state    func() (now Time, pending int, executed uint64)
+	state    func() (now Time, pending, hw int, executed uint64)
 }
 
 func simTarget(t *testing.T, s *Sim) scriptTarget {
@@ -164,6 +172,12 @@ func simTarget(t *testing.T, s *Sim) scriptTarget {
 		if err := s.AuditQueue(); err != nil {
 			t.Fatalf("after %s: %v", op, err)
 		}
+	}
+	// Lane handles are taken once per delay and kept across Reset, as the
+	// MAC keeps its own. Delays no script uses take all but freeLanes lanes.
+	lanes := map[Time]Lane{}
+	for i := 0; i < maxLanes-freeLanes; i++ {
+		s.Lane(Time(1)<<40 + Time(i))
 	}
 	return scriptTarget{
 		schedule: func(delay Time, typed bool, fn func()) func() {
@@ -176,6 +190,16 @@ func simTarget(t *testing.T, s *Sim) scriptTarget {
 			audit("schedule")
 			return func() { ev.Cancel(); audit("cancel") }
 		},
+		lane: func(delay Time, fn func()) func() {
+			l, ok := lanes[delay]
+			if !ok {
+				l = s.Lane(delay)
+				lanes[delay] = l
+			}
+			ev := l.Call(&funcHandler{fn: fn}, 0, 0)
+			audit("lane")
+			return func() { ev.Cancel(); audit("cancel") }
+		},
 		train: func(delay, period Time, n int, fn func()) func() {
 			ev := s.AtTrain(s.Now()+delay, period, n, &funcHandler{fn: fn}, 0, 0)
 			audit("train")
@@ -184,7 +208,7 @@ func simTarget(t *testing.T, s *Sim) scriptTarget {
 		runUntil: func(h Time) { s.RunUntil(h); audit("RunUntil") },
 		run:      func() { s.Run(); audit("Run") },
 		reset:    func() { s.Reset(); audit("Reset") },
-		state:    func() (Time, int, uint64) { return s.Now(), s.Pending(), s.Executed() },
+		state:    func() (Time, int, int, uint64) { return s.Now(), s.Pending(), s.PendingHighWater(), s.Executed() },
 	}
 }
 
@@ -192,6 +216,12 @@ func oracleTarget(o *oracleSim) scriptTarget {
 	return scriptTarget{
 		schedule: func(delay Time, _ bool, fn func()) func() {
 			n := o.schedule(delay, fn)
+			o.noteHW()
+			return func() { o.cancel(n) }
+		},
+		lane: func(delay Time, fn func()) func() {
+			n := o.schedule(delay, fn)
+			o.noteHW()
 			return func() { o.cancel(n) }
 		},
 		train: func(delay, period Time, n int, fn func()) func() {
@@ -205,16 +235,27 @@ func oracleTarget(o *oracleSim) scriptTarget {
 		runUntil: func(h Time) { o.runUntil(h, true) },
 		run:      func() { o.runUntil(maxTime, false) },
 		reset:    o.reset,
-		state:    func() (Time, int, uint64) { return o.now, o.pending(), o.executed },
+		state:    func() (Time, int, int, uint64) { return o.now, o.pending(), o.hw, o.executed },
 	}
 }
 
-// queueScript interprets a byte string as a schedule/train/cancel/run/reset
-// program and executes it against one target, returning the exact log:
-// "<event-serial>@<time>" per firing and the (clock, pending, executed)
-// triple after every cancel, run and reset. The same script against the
-// kernel and the oracle must produce identical logs — the executable form
-// of the determinism contract, and of "Pending counts live events only".
+// laneDelay maps a script byte to one of 12 lane delays, multiples of
+// 250 µs from zero (few, so lanes hold queues); byte 4 is 1 ms, the delay
+// of the typed op's byte 0, so the heap and a lane tie on time.
+func laneDelay(v int) Time { return Time(max(v, 0)%12) * 250 * Microsecond }
+
+// freeLanes is how many lanes the kernel target leaves a script: the
+// first four delays it uses get one, the rest ride the heap through their
+// handles.
+const freeLanes = 4
+
+// queueScript interprets a byte string as a
+// schedule/lane/train/cancel/run/reset program and executes it against one
+// target, returning the exact log: "<event-serial>@<time>" per firing and
+// the (clock, pending, high water, executed) state after every cancel, run
+// and reset. The same script against the kernel and the oracle must
+// produce identical logs — the executable form of the determinism
+// contract, and of "Pending counts live events only".
 func queueScript(data []byte, tg scriptTarget) []string {
 	var (
 		log     []string
@@ -222,12 +263,12 @@ func queueScript(data []byte, tg scriptTarget) []string {
 		serial  int
 	)
 	state := func(tag string) {
-		now, pending, executed := tg.state()
-		log = append(log, fmt.Sprintf("%s t=%d pending=%d exec=%d", tag, int64(now), pending, executed))
+		now, pending, hw, executed := tg.state()
+		log = append(log, fmt.Sprintf("%s t=%d pending=%d hw=%d exec=%d", tag, int64(now), pending, hw, executed))
 	}
 	fire := func(id int) func() {
 		return func() {
-			now, _, _ := tg.state()
+			now, _, _, _ := tg.state()
 			log = append(log, fmt.Sprintf("%d@%d", id, int64(now)))
 		}
 	}
@@ -245,7 +286,7 @@ func queueScript(data []byte, tg scriptTarget) []string {
 		if op < 0 {
 			break
 		}
-		switch op % 8 {
+		switch op % 10 {
 		case 0, 1: // closure event; delays from 2 µs to minutes
 			d := Time(next()+1) * Time(1<<(uint(next()+1)%20)) * Microsecond
 			cancels = append(cancels, tg.schedule(d, false, fire(serial)))
@@ -260,7 +301,7 @@ func queueScript(data []byte, tg scriptTarget) []string {
 				state("cancel")
 			}
 		case 4: // run forward a bounded slice of time
-			now, _, _ := tg.state()
+			now, _, _, _ := tg.state()
 			tg.runUntil(now + Time(next()+1)*Millisecond)
 			state("run")
 		case 5: // occasionally reset the world; old handles stay in play
@@ -292,6 +333,20 @@ func queueScript(data []byte, tg scriptTarget) []string {
 					cancels[v%len(cancels)]()
 				}
 			}))
+		case 8: // a fixed-delay lane event
+			cancels = append(cancels, tg.lane(laneDelay(next()), fire(serial)))
+			serial++
+		case 9: // a lane event whose handler cancels another (or itself) as it fires
+			d := laneDelay(next())
+			v, id := next(), serial
+			serial++
+			fired := fire(id)
+			cancels = append(cancels, tg.lane(d, func() {
+				fired()
+				if v >= 0 {
+					cancels[v%len(cancels)]()
+				}
+			}))
 		}
 	}
 	tg.run()
@@ -317,9 +372,10 @@ func diffLogs(t *testing.T, data []byte) *oracleSim {
 	return o
 }
 
-// FuzzQueueDifferential feeds random op scripts to the indexed heap and
-// the lazy-cancel oracle and requires identical logs, with the kernel's
-// own AuditQueue clean after every operation.
+// FuzzQueueDifferential feeds random op scripts to the indexed heap with
+// its fixed-delay lanes and to the lazy-cancel oracle, which has no lanes,
+// and requires identical logs, with the kernel's own AuditQueue clean
+// after every operation.
 func FuzzQueueDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 3, 1, 200, 15, 4, 50})
@@ -340,6 +396,23 @@ func FuzzQueueDifferential(f *testing.F) {
 	// slices; one cancelled from outside, then a train whose tick cancels
 	// its own train, and a reset with a train queued.
 	f.Add([]byte{7, 4, 2, 5, 0, 2, 0, 7, 4, 2, 7, 0, 2, 2, 4, 1, 3, 1, 4, 3, 7, 0, 1, 6, 3, 4, 9, 7, 0, 1, 6, 0, 5, 0, 4, 50})
+	// Lanes of 1 ms, 250 µs and 0 beside a typed heap event and a closure
+	// at 1 ms scheduled at the same instant — (time, seq) ties across the
+	// heap and the lanes — then the same again once the clock has moved,
+	// and a fifth delay, which falls back to the heap.
+	f.Add([]byte{2, 0, 8, 4, 8, 1, 8, 0, 0, 124, 2, 8, 4, 4, 0, 8, 4, 2, 0, 8, 8, 8, 3, 4, 5})
+	// Four events on the 2 ms lane; cancel its head and a middle one from
+	// outside and the tail from a 250 µs lane handler, so the second fires
+	// behind two stale slots. Then two more, the head cancelled from a
+	// handler.
+	f.Add([]byte{8, 8, 4, 0, 8, 8, 8, 8, 8, 8, 3, 0, 3, 2, 9, 1, 3, 4, 9, 8, 8, 8, 8, 9, 1, 5, 4, 9})
+	// A cancelled lane head, left stale in front of a live event, whose
+	// node the next event (on the 2 ms lane) reuses at once; the stale
+	// handle is cancelled again, and a heap event ties the 1 ms lane.
+	f.Add([]byte{8, 4, 8, 4, 3, 0, 8, 8, 8, 4, 3, 0, 2, 0, 4, 3})
+	// Lane handles kept across a Reset that discards queued lane events
+	// (one of them set to cancel another); pre-Reset handles go stale.
+	f.Add([]byte{8, 4, 8, 8, 9, 4, 0, 5, 0, 8, 4, 8, 8, 3, 0, 3, 4, 4, 3, 8, 4, 4, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]

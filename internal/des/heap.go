@@ -28,8 +28,8 @@ func (a *entry) before(b *entry) bool {
 func (s *Sim) push(n *eventNode) {
 	s.heap = append(s.heap, entry{})
 	s.siftUp(len(s.heap)-1, entry{n.at, n.seq, n})
-	if len(s.heap) > s.pendingHW {
-		s.pendingHW = len(s.heap)
+	if p := len(s.heap) + s.laneLive; p > s.pendingHW {
+		s.pendingHW = p
 	}
 }
 

@@ -246,6 +246,27 @@ func TestTypedScheduleDoesNotAllocate(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state typed scheduling allocates %.1f per run", allocs)
 	}
+	// Lane scheduling and cancelling on the warm Sim: the rings keep their
+	// storage, a cancelled slot is skipped, not freed.
+	difs, ack := s.Lane(50*Microsecond), s.Lane(300*Microsecond)
+	for i := 0; i < 100; i++ {
+		difs.Call(h, 0, 0)
+		ack.Call(h, 0, 0)
+	}
+	s.Run()
+	allocs = testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			stale := difs.Call(h, 0, 0)
+			ev := ack.Call(h, 0, 0)
+			difs.Call(h, 0, 0)
+			stale.Cancel() // a stale slot in front of a live one
+			ev.Cancel()    // its lane's only event: the lane empties
+		}
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state lane scheduling allocates %.1f per run", allocs)
+	}
 }
 
 // --- pool caps and high-water marks ---

@@ -6,10 +6,20 @@
 // makes simultaneous events execute in FIFO order of scheduling, which —
 // together with the deterministic RNG streams in internal/rng — makes whole
 // runs bit-reproducible. Every queued node records its heap position, so
-// Cancel takes the event out of the list at once: the list holds live
-// events only and the run loop never pops a dead one. The fuzz harness
-// (fuzz_test.go) checks the heap against a pointer binary heap with lazy
-// cancellation over arbitrary operation interleavings.
+// Cancel takes the event out of the heap at once and the run loop never
+// pops a dead one from it.
+//
+// Beside the heap sit fixed-delay lanes (lane.go): a caller that keeps
+// scheduling with one constant delay — the MAC's DIFS, EIFS and SIFS, its
+// ACK and CTS timeouts, the medium's airtime ends — takes a Lane handle
+// once and schedules through it. Events pushed with one delay arrive in
+// (time, sequence) order by construction, so a lane is a FIFO ring: push
+// and cancel are O(1) (a cancelled slot is skipped when it reaches the
+// head), and the run loop takes whichever of the heap top and the lane
+// heads is least under the one comparator. Execution order, Executed,
+// Pending and PendingHighWater are those of the heap alone. The fuzz
+// harness (fuzz_test.go) checks heap and lanes against a pointer binary
+// heap with lazy cancellation over arbitrary operation interleavings.
 //
 // Events come in two flavours. The closure form (Schedule/At) takes a
 // func() and is right for cold call sites; a closure that captures state
@@ -56,10 +66,11 @@ type Handler interface {
 
 // eventNode is the pooled storage behind an Event handle. gen increments
 // each time the node is recycled, invalidating outstanding handles; a node
-// whose gen still matches a handle is queued at heap position idx. A node
-// carries either a closure (fn != nil) or a typed event (h != nil), never
-// both, and belongs to one Sim for life. left counts a train's ticks after
-// the queued one, each period later; it is 0 for every other event.
+// whose gen still matches a handle is queued at heap position idx, or on
+// lane −idx−1 when idx is negative. A node carries either a closure
+// (fn != nil) or a typed event (h != nil), never both, and belongs to one
+// Sim for life. left counts a train's ticks after the queued one, each
+// period later; it is 0 for every other event.
 type eventNode struct {
 	at     Time
 	seq    uint64
@@ -93,15 +104,20 @@ func (e Event) Valid() bool { return e.n != nil }
 // Time returns the instant the event is (or was) scheduled for.
 func (e Event) Time() Time { return e.at }
 
-// Cancel prevents the event from firing: it leaves the event list and its
-// node is recycled at once. Cancelling an event that has already fired or
-// been cancelled — or the zero Event — is a no-op (a node is recycled
-// before its handler runs, so an event cancelling itself is one too). A
-// train's handle cancels every tick not yet fired.
+// Cancel prevents the event from firing: it leaves the heap (or its lane
+// slot goes stale) and its node is recycled at once. Cancelling an event
+// that has already fired or been cancelled — or the zero Event — is a
+// no-op (a node is recycled before its handler runs, so an event
+// cancelling itself is one too). A train's handle cancels every tick not
+// yet fired.
 // Cancel must only be called from the simulation goroutine.
 func (e Event) Cancel() {
 	if n := e.n; n != nil && n.gen == e.gen {
-		n.sim.remove(int(n.idx))
+		if n.idx >= 0 {
+			n.sim.remove(int(n.idx))
+		} else {
+			n.sim.cancelLane(int(-1 - n.idx))
+		}
 		n.sim.recycle(n)
 	}
 }
@@ -132,6 +148,17 @@ type Sim struct {
 
 	heap []entry // the event list: 4-ary min-heap on (at, seq), heap.go
 
+	// Fixed-delay lanes beside the heap (lane.go): lanes and laneDelay are
+	// the registry, laneLive the live events on all lanes, and the rest
+	// the run loop's cached view of their heads.
+	lanes     []lane
+	laneDelay [maxLanes]Time
+	laneLive  int
+	laneMask  uint64
+	laneMin   int
+	laneScan  bool
+	laneHead  [maxLanes]laneKey
+
 	free      []*eventNode // recycled nodes, capped at freeCap
 	freeCap   int
 	freeDrops uint64 // nodes dropped to GC since construction/Reset
@@ -155,10 +182,10 @@ func NewSim() *Sim {
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// Pending returns the number of events still queued. All of them are
-// live: a cancelled event left the list when it was cancelled. A train
-// counts once, however many ticks it has left.
-func (s *Sim) Pending() int { return len(s.heap) }
+// Pending returns the number of events still queued, on the heap and the
+// lanes. All of them are live: a cancelled event stops counting when it is
+// cancelled. A train counts once, however many ticks it has left.
+func (s *Sim) Pending() int { return len(s.heap) + s.laneLive }
 
 // Executed returns the total number of events that have fired.
 func (s *Sim) Executed() uint64 { return s.executed }
@@ -332,6 +359,7 @@ func (s *Sim) Reset() {
 		s.heap[i].n = nil
 	}
 	s.heap = s.heap[:0]
+	s.resetLanes()
 	s.now = 0
 	s.seq = 0
 	s.stopped = false
@@ -354,22 +382,45 @@ func (s *Sim) Run() { s.run(maxTime, false) }
 // the clock stays at the stopping handler's time and no clamping occurs.
 func (s *Sim) RunUntil(horizon Time) { s.run(horizon, true) }
 
+// peek locates the earliest pending event — the head of lane i, or the
+// heap top when i < 0 — and its time; ok is false when none is pending.
+func (s *Sim) peek() (i int, at Time, ok bool) {
+	i = s.nextLane()
+	if i >= 0 && (len(s.heap) == 0 || s.laneHead[i].before(s.heap[0].at, s.heap[0].seq)) {
+		return i, s.laneHead[i].at, true
+	}
+	if len(s.heap) > 0 {
+		return -1, s.heap[0].at, true
+	}
+	return -1, 0, false
+}
+
 func (s *Sim) run(horizon Time, clamp bool) {
 	s.stopped = false
-	for !s.stopped && len(s.heap) > 0 {
-		at := s.heap[0].at
+	for !s.stopped {
+		i, at, ok := s.peek()
+		if !ok {
+			break
+		}
 		if at > horizon {
 			s.now = horizon
 			return
 		}
-		next := s.heap[0].n
 		s.now = at
-		fn, h, op, arg := next.fn, next.h, next.op, next.arg
-		if next.left == 0 {
-			s.remove(0)
-			s.recycle(next)
+		var next *eventNode
+		if i >= 0 {
+			next = s.popLane(i)
 		} else {
+			next = s.heap[0].n
+		}
+		fn, h, op, arg := next.fn, next.h, next.op, next.arg
+		if next.left != 0 {
 			s.advance(next)
+		} else {
+			if i < 0 {
+				s.remove(0)
+			}
+			s.recycle(next)
 		}
 		if fn != nil {
 			fn()

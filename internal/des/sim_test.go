@@ -376,3 +376,65 @@ func BenchmarkEventChurn(b *testing.B) {
 	s.Schedule(Microsecond, step)
 	s.Run()
 }
+
+// BenchmarkContentionChurn is the DCF's contention pattern without the
+// stack: k contenders arm a DIFS timer, one busy edge cancels them all,
+// and they re-arm, over a heap holding the far-off timers of a 49-node
+// run. One op is one round (k schedules, k cancels, one edge). "heap"
+// schedules the DIFS timers with ScheduleCall, "lane" through a Lane.
+func BenchmarkContentionChurn(b *testing.B) {
+	const k, difs = 16, 50 * Microsecond
+	for _, mode := range []string{"heap", "lane"} {
+		b.Run(mode, func(b *testing.B) {
+			s := NewSim()
+			c := &contention{s: s, timers: make([]Event, k), difs: s.Lane(difs)}
+			c.lane = mode == "lane"
+			idle := &funcHandler{fn: func() {}}
+			for i := 0; i < 200; i++ {
+				s.ScheduleCall(Time(i+1)*Second, idle, 0, 0)
+			}
+			c.rounds = b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.ScheduleCall(20*Microsecond, c, opEdge, 0)
+			s.RunUntil(Time(b.N+2) * 20 * Microsecond)
+			if c.rounds != 0 {
+				b.Fatalf("%d rounds left", c.rounds)
+			}
+		})
+	}
+}
+
+const (
+	opEdge int32 = iota
+	opDifs
+)
+
+type contention struct {
+	s      *Sim
+	lane   bool
+	difs   Lane
+	timers []Event
+	rounds int
+}
+
+func (c *contention) HandleEvent(op int32, _ uint32) {
+	if op != opEdge {
+		return // a DIFS expiry: never reached, the edge comes first
+	}
+	for i := range c.timers {
+		c.timers[i].Cancel()
+	}
+	if c.rounds == 0 {
+		return
+	}
+	c.rounds--
+	for i := range c.timers {
+		if c.lane {
+			c.timers[i] = c.difs.Call(c, opDifs, uint32(i))
+		} else {
+			c.timers[i] = c.s.ScheduleCall(c.difs.d, c, opDifs, uint32(i))
+		}
+	}
+	c.s.ScheduleCall(20*Microsecond, c, opEdge, 0)
+}

@@ -145,6 +145,10 @@ type Mac struct {
 	ackEv        des.Event
 	ctsEv        des.Event
 
+	// The DCF's fixed-delay timers, taken from cfg by Reset: defers,
+	// the SIFS before every response, and the ACK and CTS timeouts.
+	difs, eifs, sifs, ackWait, ctsWait des.Lane
+
 	useEIFS      bool
 	pendingAckTx bool
 
@@ -221,6 +225,11 @@ func New(cfg Config, sim *des.Sim, r *radio.Radio, id pkt.NodeID, src *rng.Sourc
 func (m *Mac) Reset(cfg Config, src *rng.Source) {
 	m.cfg = cfg
 	m.src = src
+	m.difs = m.sim.Lane(cfg.DIFS())
+	m.eifs = m.sim.Lane(cfg.EIFS())
+	m.sifs = m.sim.Lane(cfg.SIFS)
+	m.ackWait = m.sim.Lane(cfg.AckTimeout())
+	m.ctsWait = m.sim.Lane(cfg.CTSTimeout())
 	for i := range m.queue {
 		m.queue[i] = nil
 	}
@@ -493,11 +502,11 @@ func (m *Mac) startAccess() {
 
 func (m *Mac) beginDefer() {
 	m.setState(accDefer)
-	d := m.cfg.DIFS()
+	d := m.difs
 	if m.useEIFS {
-		d = m.cfg.EIFS()
+		d = m.eifs
 	}
-	m.deferEv = m.sim.ScheduleCall(d, m, opDeferDone, 0)
+	m.deferEv = d.Call(m, opDeferDone, 0)
 }
 
 func (m *Mac) onDeferDone() {
@@ -615,7 +624,7 @@ func (m *Mac) scheduleAck(dst pkt.NodeID) {
 	m.pendingAckTx = true
 	// If we were mid-contention, the countdown events may fire during the
 	// ACK transmission; transmitCur's guard postpones them safely.
-	m.sim.ScheduleCall(m.cfg.SIFS, m, opSendAck, uint32(dst))
+	m.sifs.Call(m, opSendAck, uint32(dst))
 }
 
 func (m *Mac) sendAck(dst pkt.NodeID) {
@@ -706,7 +715,7 @@ func (m *Mac) RadioTxDone(payload any) {
 			return // completion of a frame orphaned by a crash/recover cycle
 		}
 		m.setState(accWaitCts)
-		m.ctsEv = m.sim.ScheduleCall(m.cfg.CTSTimeout(), m, opCtsTimeout, 0)
+		m.ctsEv = m.ctsWait.Call(m, opCtsTimeout, 0)
 		return
 	}
 	if m.cur == nil {
@@ -720,7 +729,7 @@ func (m *Mac) RadioTxDone(payload any) {
 		return
 	}
 	m.setState(accWaitAck)
-	m.ackEv = m.sim.ScheduleCall(m.cfg.AckTimeout(), m, opAckTimeout, 0)
+	m.ackEv = m.ackWait.Call(m, opAckTimeout, 0)
 }
 
 // onCtsTimeout mirrors onAckTimeout for a failed RTS handshake.
@@ -791,7 +800,7 @@ func (m *Mac) RadioReceive(payload any, bytes int, ok bool) {
 		}
 		m.pendingAckTx = true
 		m.ctsNav = f.Dur - m.cfg.SIFS - m.cfg.CTSDuration()
-		m.sim.ScheduleCall(m.cfg.SIFS, m, opSendCts, uint32(f.Src))
+		m.sifs.Call(m, opSendCts, uint32(f.Src))
 	case CTSFrame:
 		if f.Dst != m.id {
 			m.setNAV(f.Dur)
@@ -800,7 +809,7 @@ func (m *Mac) RadioReceive(payload any, bytes int, ok bool) {
 		if m.state == accWaitCts && m.cur != nil && f.Src == m.cur.frame.Dst {
 			m.ctsEv.Cancel()
 			m.setState(accTxData)
-			m.sim.ScheduleCall(m.cfg.SIFS, m, opSendData, 0)
+			m.sifs.Call(m, opSendData, 0)
 		}
 	case DataFrame:
 		switch f.Dst {

@@ -647,7 +647,7 @@ func (r *Radio) TransmitRated(payload any, bytes int, duration des.Time, snrScal
 	if m.txInFlight > m.txInFlightHW {
 		m.txInFlightHW = m.txInFlight
 	}
-	m.sim.ScheduleCall(duration, m, opTxFinish, uint32(id))
+	m.sim.Lane(duration).Call(m, opTxFinish, uint32(id))
 }
 
 // contend is the outlined decision half of an arrival of power p from t at
