@@ -58,10 +58,10 @@ bench-pair:
 	bash scripts/bench_pair.sh $(PARENT)
 
 # Non-test Go lines per internal/* package, cmd/ and in total (bench/ is
-# its own module and is left out) — the number ROADMAP's "non-test LOC
-# strictly down" acceptance compares between two commits.
+# its own module and is left out), then PARENT's total and the delta — the
+# numbers ROADMAP's "non-test LOC strictly down" acceptance compares.
 loc:
-	@bash scripts/loc.sh
+	@bash scripts/loc.sh $(PARENT)
 
 # What turning each instrument on costs: BenchmarkInstrumentCost's off/on
 # pairs (collector, auditor, journey recorder at 49 and 225 nodes), COUNT

@@ -271,37 +271,19 @@ func TestTypedScheduleDoesNotAllocate(t *testing.T) {
 
 // --- pool caps and high-water marks ---
 
+// TestFreeListCap: more nodes than freeListCap come back at once, so the
+// free list stops at the bound and the rest fall to the garbage collector.
 func TestFreeListCap(t *testing.T) {
 	s := NewSim()
-	s.SetFreeListCap(4)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < freeListCap+100; i++ {
 		s.Schedule(Time(i)*Microsecond, func() {})
 	}
 	s.Run()
-	if got := s.FreeListLen(); got > 4 {
-		t.Fatalf("free list %d exceeds cap 4", got)
+	if got := s.free.Len(); got != freeListCap {
+		t.Fatalf("free list %d, want the bound %d", got, freeListCap)
 	}
-	if s.FreeListDrops() == 0 {
-		t.Fatal("no drops recorded despite cap pressure")
-	}
-}
-
-func TestSetFreeListCapTrimsExisting(t *testing.T) {
-	s := NewSim()
-	for i := 0; i < 50; i++ {
-		s.Schedule(Time(i)*Microsecond, func() {})
-	}
-	s.Run()
-	if s.FreeListLen() == 0 {
-		t.Fatal("expected a populated free list")
-	}
-	s.SetFreeListCap(2)
-	if got := s.FreeListLen(); got != 2 {
-		t.Fatalf("free list %d after trim to 2", got)
-	}
-	s.SetFreeListCap(-1) // restore default
-	if s.freeCap != DefaultFreeListCap {
-		t.Fatalf("freeCap %d, want default", s.freeCap)
+	if got := s.FreeListDrops(); got != 100 {
+		t.Fatalf("%d drops, want the 100 nodes beyond the bound", got)
 	}
 }
 

@@ -138,13 +138,13 @@ func TestCancelRemovesAtOnce(t *testing.T) {
 
 	// The three freed nodes back the next three events; the stale handles
 	// must not reach them.
-	free := s.FreeListLen()
+	free := s.free.Len()
 	for i := 10; i < 13; i++ {
 		i := i
 		s.Schedule(Time(i+1)*Second, func() { fired[i] = true })
 	}
-	if s.FreeListLen() != free-3 {
-		t.Fatalf("free list went %d → %d over three schedules, want the cancelled nodes reused", free, s.FreeListLen())
+	if s.free.Len() != free-3 {
+		t.Fatalf("free list went %d → %d over three schedules, want the cancelled nodes reused", free, s.free.Len())
 	}
 	evs[0].Cancel()
 	evs[9].Cancel()

@@ -50,8 +50,7 @@ func TestResetDiscardsPendingAndRestartsClock(t *testing.T) {
 // kernel restarts at Reset, so a warm engine's figures are that run's own.
 func TestResetZeroesPerRunDiagnostics(t *testing.T) {
 	s := NewSim()
-	s.SetFreeListCap(2)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < freeListCap+10; i++ {
 		s.Schedule(Time(i)*Millisecond, func() {})
 	}
 	s.Schedule(Second, func() { s.At(0, func() {}) })

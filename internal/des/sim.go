@@ -37,14 +37,14 @@
 // ticks.
 //
 // Event storage is pooled: the node backing a fired or cancelled event
-// returns to a per-Sim free list and is reused by later
+// returns to a per-Sim free list (a recycle.List) and is reused by later
 // schedule calls, so the steady-state event churn of a long run does not
-// allocate. The free list is capped (SetFreeListCap) so a bursty discovery
-// storm cannot pin its peak pool for the rest of a warm sweep; nodes
-// recycled beyond the cap are dropped to the garbage collector. Handles
-// returned to callers are small values carrying a generation stamp, which
-// makes operations on a handle whose event has already completed safe
-// no-ops even after the node has been reused.
+// allocate. The free list is bounded by the constant freeListCap so a
+// bursty discovery storm cannot pin its peak pool for the rest of a warm
+// sweep; nodes recycled beyond the bound are dropped to the garbage
+// collector. Handles returned to callers are small values carrying a
+// generation stamp, which makes operations on a handle whose event has
+// already completed safe no-ops even after the node has been reused.
 //
 // A single Sim is strictly single-goroutine: handlers run inline from Run
 // and may freely schedule or cancel further events. Parallelism in this
@@ -52,6 +52,8 @@
 // worker pool in internal/sim), which keeps the hot event loop free of
 // locks and atomic operations.
 package des
+
+import "clnlr/internal/recycle"
 
 // Handler is the typed-event callback interface. A component implements it
 // once and receives every typed event scheduled against it through
@@ -133,11 +135,10 @@ const maxTime = Time(int64(^uint64(0) >> 1))
 // effectively unbounded horizon.
 const MaxTime = maxTime
 
-// DefaultFreeListCap bounds the event-node free list unless overridden by
-// SetFreeListCap. At ~64 bytes per node this pins at most ~1 MiB of
-// recycled nodes per Sim, while still absorbing the steady-state churn of
-// the largest benchmark scenarios without allocation.
-const DefaultFreeListCap = 16384
+// freeListCap bounds the event-node free list. At ~64 bytes per node this
+// pins at most ~1 MiB of recycled nodes per Sim, while still absorbing the
+// steady-state churn of the largest benchmark scenarios without allocation.
+const freeListCap = 16384
 
 // Sim is a discrete-event simulation instance.
 type Sim struct {
@@ -159,10 +160,9 @@ type Sim struct {
 	laneScan  bool
 	laneHead  [maxLanes]laneKey
 
-	free      []*eventNode // recycled nodes, capped at freeCap
-	freeCap   int
-	freeDrops uint64 // nodes dropped to GC since construction/Reset
-	pendingHW int    // peak Pending() since construction/Reset
+	free      recycle.List[*eventNode] // recycled nodes, at most freeListCap
+	freeDrops uint64                   // nodes dropped to GC since construction/Reset
+	pendingHW int                      // peak Pending() since construction/Reset
 
 	// pastSchedules counts At/AtCall targets that preceded the clock and
 	// were clamped to "now" — a simulation-logic error the auditor reports.
@@ -176,7 +176,7 @@ type Sim struct {
 
 // NewSim returns an empty simulation positioned at time zero.
 func NewSim() *Sim {
-	return &Sim{freeCap: DefaultFreeListCap}
+	return &Sim{}
 }
 
 // Now returns the current simulated time.
@@ -201,29 +201,10 @@ func (s *Sim) PendingHighWater() int { return s.pendingHW }
 // value is a simulation-logic bug the auditor flags.
 func (s *Sim) PastSchedules() uint64 { return s.pastSchedules }
 
-// FreeListLen returns the current length of the event-node free list.
-func (s *Sim) FreeListLen() int { return len(s.free) }
-
 // FreeListDrops returns how many recycled nodes were dropped to the
 // garbage collector because the free list was at capacity, since
 // construction or the last Reset.
 func (s *Sim) FreeListDrops() uint64 { return s.freeDrops }
-
-// SetFreeListCap bounds the event-node free list to n recycled nodes
-// (excess is dropped to the garbage collector), immediately trimming a
-// longer list. n < 0 restores DefaultFreeListCap; n == 0 disables pooling.
-func (s *Sim) SetFreeListCap(n int) {
-	if n < 0 {
-		n = DefaultFreeListCap
-	}
-	s.freeCap = n
-	if len(s.free) > n {
-		for i := n; i < len(s.free); i++ {
-			s.free[i] = nil
-		}
-		s.free = s.free[:n]
-	}
-}
 
 // Schedule queues fn to run delay after the current time and returns a
 // handle that can cancel it. A negative delay is treated as zero (the
@@ -316,12 +297,8 @@ func (s *Sim) alloc(t Time) (*eventNode, Time) {
 		t = s.now
 		s.pastSchedules++
 	}
-	var n *eventNode
-	if k := len(s.free); k > 0 {
-		n = s.free[k-1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-	} else {
+	n, ok := s.free.Get()
+	if !ok {
 		n = &eventNode{sim: s}
 	}
 	n.at, n.seq = t, s.seq
@@ -336,9 +313,7 @@ func (s *Sim) recycle(n *eventNode) {
 	n.fn = nil
 	n.h = nil
 	n.left = 0
-	if len(s.free) < s.freeCap {
-		s.free = append(s.free, n)
-	} else {
+	if !s.free.Put(n, freeListCap) {
 		s.freeDrops++
 	}
 }

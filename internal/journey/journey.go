@@ -38,6 +38,7 @@ import (
 
 	"clnlr/internal/des"
 	"clnlr/internal/pkt"
+	"clnlr/internal/recycle"
 	"clnlr/internal/rng"
 )
 
@@ -228,9 +229,9 @@ type Recorder struct {
 	// OnReplyClose allocates nothing; Begin empties it with selections.
 	cands []ReplyCandidate
 
-	trackFree   []*track
-	journeyFree []*Journey
-	waitFree    []*waitProv
+	trackFree   recycle.List[*track]
+	journeyFree recycle.List[*Journey]
+	waitFree    recycle.List[*waitProv]
 }
 
 // NewRecorder creates a recorder sampling one in everyN flows (everyN <= 1
@@ -288,13 +289,11 @@ func (r *Recorder) Begin(measureFrom des.Time, sampler *rng.Source) {
 
 func (r *Recorder) recycleTrack(tr *track) {
 	*tr = track{}
-	r.trackFree = append(r.trackFree, tr)
+	r.trackFree.Put(tr, recycle.Unbounded)
 }
 
 func (r *Recorder) newTrack() *track {
-	if n := len(r.trackFree); n > 0 {
-		tr := r.trackFree[n-1]
-		r.trackFree = r.trackFree[:n-1]
+	if tr, ok := r.trackFree.Get(); ok {
 		return tr
 	}
 	return &track{}
@@ -303,13 +302,11 @@ func (r *Recorder) newTrack() *track {
 func (r *Recorder) recycleJourney(j *Journey) {
 	hops := j.Hops[:0]
 	*j = Journey{Hops: hops}
-	r.journeyFree = append(r.journeyFree, j)
+	r.journeyFree.Put(j, recycle.Unbounded)
 }
 
 func (r *Recorder) newJourney() *Journey {
-	if n := len(r.journeyFree); n > 0 {
-		j := r.journeyFree[n-1]
-		r.journeyFree = r.journeyFree[:n-1]
+	if j, ok := r.journeyFree.Get(); ok {
 		return j
 	}
 	return &Journey{}
@@ -317,13 +314,11 @@ func (r *Recorder) newJourney() *Journey {
 
 func (r *Recorder) recycleWait(w *waitProv) {
 	w.cands = w.cands[:0]
-	r.waitFree = append(r.waitFree, w)
+	r.waitFree.Put(w, recycle.Unbounded)
 }
 
 func (r *Recorder) newWait() *waitProv {
-	if n := len(r.waitFree); n > 0 {
-		w := r.waitFree[n-1]
-		r.waitFree = r.waitFree[:n-1]
+	if w, ok := r.waitFree.Get(); ok {
 		return w
 	}
 	return &waitProv{}

@@ -198,7 +198,7 @@ func TestBeginRecyclesState(t *testing.T) {
 	if len(r.live) != 0 || len(r.waits) != 0 {
 		t.Fatal("Begin did not clear live state")
 	}
-	if len(r.journeyFree) == 0 || len(r.trackFree) == 0 || len(r.waitFree) == 0 {
+	if r.journeyFree.Len() == 0 || r.trackFree.Len() == 0 || r.waitFree.Len() == 0 {
 		t.Fatal("Begin did not recycle into the free lists")
 	}
 

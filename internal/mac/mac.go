@@ -15,6 +15,7 @@ import (
 	"clnlr/internal/journey"
 	"clnlr/internal/pkt"
 	"clnlr/internal/radio"
+	"clnlr/internal/recycle"
 	"clnlr/internal/rng"
 )
 
@@ -102,10 +103,7 @@ func (m *Mac) HandleEvent(op int32, arg uint32) {
 
 // newFrame takes a pooled Frame (zeroed on release) or allocates one.
 func (m *Mac) newFrame() *Frame {
-	if k := len(m.frameFree); k > 0 {
-		f := m.frameFree[k-1]
-		m.frameFree[k-1] = nil
-		m.frameFree = m.frameFree[:k-1]
+	if f, ok := m.frameFree.Get(); ok {
 		return f
 	}
 	return &Frame{}
@@ -116,9 +114,7 @@ func (m *Mac) newFrame() *Frame {
 // RadioReceive complete.
 func (m *Mac) releaseFrame(f *Frame) {
 	*f = Frame{}
-	if len(m.frameFree) < frameFreeCap {
-		m.frameFree = append(m.frameFree, f)
-	}
+	m.frameFree.Put(f, frameFreeCap)
 }
 
 // Mac is one node's medium-access entity.
@@ -170,7 +166,7 @@ type Mac struct {
 	// RadioReceive, which completes before the sender's TxDone fires).
 	// Frames stranded by a Crash while possibly on the air are leaked to
 	// the garbage collector instead — correctness over thrift.
-	frameFree []*Frame
+	frameFree recycle.List[*Frame]
 
 	// pool, when non-nil, is this node's packet pool: the clone handed up
 	// for a delivered unicast payload comes from it, and the routing layer

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"clnlr/internal/des"
+	"clnlr/internal/recycle"
 )
 
 // Pool recycles packets for one node stack. Packet churn is the
@@ -31,15 +32,16 @@ import (
 // for concurrent use; each node owns one (engines never share nodes
 // across goroutines).
 type Pool struct {
-	data, rreq, rrep, rerr, hello []*Packet
+	data, rreq, rrep, rerr, hello recycle.List[*Packet]
 	drops                         uint64
 
 	// The audit-mode borrow ledger. lease is this arming's stamp (see
 	// SetAudit), 0 (the default) while disarmed: Release then costs one
 	// comparison, preserving the zero-overhead contract of audit-off runs.
 	// A packet lent while armed carries the stamp in Packet.lease until it
-	// comes back; lent counts such packets. (Two 4-byte fields keep a
-	// Pool at 144 bytes, its allocation size class.)
+	// comes back; lent counts such packets. (Each free list is a single
+	// slice header, and two 4-byte fields keep a Pool at 144 bytes, its
+	// allocation size class.)
 	lease       uint32
 	lent        int32
 	doubleFrees uint64
@@ -132,26 +134,7 @@ func (pl *Pool) Len() int {
 	if pl == nil {
 		return 0
 	}
-	return len(pl.data) + len(pl.rreq) + len(pl.rrep) + len(pl.rerr) + len(pl.hello)
-}
-
-func take(list *[]*Packet) *Packet {
-	k := len(*list)
-	if k == 0 {
-		return nil
-	}
-	p := (*list)[k-1]
-	(*list)[k-1] = nil
-	*list = (*list)[:k-1]
-	return p
-}
-
-func (pl *Pool) put(list *[]*Packet, p *Packet) {
-	if len(*list) >= PoolCap {
-		pl.drops++
-		return
-	}
-	*list = append(*list, p)
+	return pl.data.Len() + pl.rreq.Len() + pl.rrep.Len() + pl.rerr.Len() + pl.hello.Len()
 }
 
 // Release returns a packet to its shape's free list. The caller must
@@ -171,17 +154,19 @@ func (pl *Pool) Release(p *Packet) {
 		p.lease = 0
 		pl.lent--
 	}
+	list := &pl.data
 	switch {
 	case p.RREQ != nil:
-		pl.put(&pl.rreq, p)
+		list = &pl.rreq
 	case p.RREP != nil:
-		pl.put(&pl.rrep, p)
+		list = &pl.rrep
 	case p.RERR != nil:
-		pl.put(&pl.rerr, p)
+		list = &pl.rerr
 	case p.Hello != nil:
-		pl.put(&pl.hello, p)
-	default:
-		pl.put(&pl.data, p)
+		list = &pl.hello
+	}
+	if !list.Put(p, PoolCap) {
+		pl.drops++
 	}
 }
 
@@ -190,8 +175,8 @@ func (pl *Pool) Data(src, dst NodeID, payload, flow, seq int, now des.Time, ttl 
 	if pl == nil {
 		return NewData(src, dst, payload, flow, seq, now, ttl)
 	}
-	p := take(&pl.data)
-	if p == nil {
+	p, ok := pl.data.Get()
+	if !ok {
 		return pl.tracked(NewData(src, dst, payload, flow, seq, now, ttl))
 	}
 	*p = Packet{
@@ -212,8 +197,8 @@ func (pl *Pool) RREQ(body RREQBody, now des.Time, ttl int) *Packet {
 	if pl == nil {
 		return NewRREQ(body, now, ttl)
 	}
-	p := take(&pl.rreq)
-	if p == nil {
+	p, ok := pl.rreq.Get()
+	if !ok {
 		return pl.tracked(NewRREQ(body, now, ttl))
 	}
 	b := p.RREQ
@@ -235,8 +220,8 @@ func (pl *Pool) RREP(src NodeID, body RREPBody, now des.Time, ttl int) *Packet {
 	if pl == nil {
 		return NewRREP(src, body, now, ttl)
 	}
-	p := take(&pl.rrep)
-	if p == nil {
+	p, ok := pl.rrep.Get()
+	if !ok {
 		return pl.tracked(NewRREP(src, body, now, ttl))
 	}
 	b := p.RREP
@@ -260,8 +245,8 @@ func (pl *Pool) RERR(src NodeID, unreachable []UnreachableDest, now des.Time) *P
 	if pl == nil {
 		return NewRERR(src, unreachable, now)
 	}
-	p := take(&pl.rerr)
-	if p == nil {
+	p, ok := pl.rerr.Get()
+	if !ok {
 		return pl.tracked(NewRERR(src, unreachable, now))
 	}
 	b := p.RERR
@@ -285,8 +270,8 @@ func (pl *Pool) Hello(src NodeID, body HelloBody, now des.Time) *Packet {
 	if pl == nil {
 		return NewHello(src, body, now)
 	}
-	p := take(&pl.hello)
-	if p == nil {
+	p, ok := pl.hello.Get()
+	if !ok {
 		return pl.tracked(NewHello(src, body, now))
 	}
 	b := p.Hello
@@ -327,8 +312,8 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 	}
 	switch {
 	case p.RREQ != nil:
-		q := take(&pl.rreq)
-		if q == nil {
+		q, ok := pl.rreq.Get()
+		if !ok {
 			return pl.tracked(p.Clone())
 		}
 		b := q.RREQ
@@ -337,8 +322,8 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 		q.RREQ = b
 		return pl.tracked(q)
 	case p.RREP != nil:
-		q := take(&pl.rrep)
-		if q == nil {
+		q, ok := pl.rrep.Get()
+		if !ok {
 			return pl.tracked(p.Clone())
 		}
 		b := q.RREP
@@ -347,8 +332,8 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 		q.RREP = b
 		return pl.tracked(q)
 	case p.RERR != nil:
-		q := take(&pl.rerr)
-		if q == nil {
+		q, ok := pl.rerr.Get()
+		if !ok {
 			return pl.tracked(p.Clone())
 		}
 		b := q.RERR
@@ -357,8 +342,8 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 		q.RERR = b
 		return pl.tracked(q)
 	case p.Hello != nil:
-		q := take(&pl.hello)
-		if q == nil {
+		q, ok := pl.hello.Get()
+		if !ok {
 			return pl.tracked(p.Clone())
 		}
 		b := q.Hello
@@ -368,8 +353,8 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 		q.Hello = b
 		return pl.tracked(q)
 	default:
-		q := take(&pl.data)
-		if q == nil {
+		q, ok := pl.data.Get()
+		if !ok {
 			return pl.tracked(p.Clone())
 		}
 		*q = *p

@@ -6,6 +6,7 @@ import (
 	"clnlr/internal/des"
 	"clnlr/internal/fault"
 	"clnlr/internal/geom"
+	"clnlr/internal/recycle"
 )
 
 // Params are the per-radio RF parameters. The defaults (see DefaultParams)
@@ -56,7 +57,7 @@ type Listener interface {
 }
 
 // transmission is one frame in flight. Instances are pooled by the Medium:
-// finish returns them to a free list (capped at txPoolCap), so
+// finish returns them to a free list (bounded by txPoolCap), so
 // steady-state transmissions do not allocate. End-of-airtime is a typed
 // DES event addressed to the Medium carrying the source radio's ID — a
 // radio has at most one transmission in flight, so the ID identifies it.
@@ -81,11 +82,11 @@ type transmission struct {
 // transmission of the radio identified by the event's arg.
 const opTxFinish int32 = 0
 
-// defaultTxPoolCap bounds the transmission free list. Concurrent
-// transmissions are bounded by the radio count, so this only bites on
-// very large deployments — it keeps a dense-sweep burst from pinning its
-// peak pool for the rest of a warm engine's life.
-const defaultTxPoolCap = 1024
+// txPoolCap bounds the transmission free list. Concurrent transmissions
+// are bounded by the radio count, so this only bites on very large
+// deployments — it keeps a dense-sweep burst from pinning its peak pool
+// for the rest of a warm engine's life.
+const txPoolCap = 1024
 
 // arrival is the receiver-side state for the frame a radio is locked onto.
 type arrival struct {
@@ -234,8 +235,7 @@ type Medium struct {
 	auditSum   []float64
 	auditBuild []uint64
 
-	txPool      []*transmission
-	txPoolCap   int
+	txPool      recycle.List[*transmission]
 	txPoolDrops uint64
 	txInFlight  int
 	// txInFlightHW is the peak concurrent-transmission count of the run —
@@ -267,7 +267,6 @@ func NewMedium(sim *des.Sim, prop Propagation) *Medium {
 		minTrackW: 1e-14,
 		static:    ok && ti.TimeInvariant(),
 		audEpoch:  1, // so a zero-valued audibleSet is never valid
-		txPoolCap: defaultTxPoolCap,
 	}
 }
 
@@ -386,10 +385,7 @@ func (m *Medium) buildAudible(id int, a *audibleSet) {
 // newTransmission takes a pooled transmission or allocates the pool's
 // next one.
 func (m *Medium) newTransmission() *transmission {
-	if k := len(m.txPool); k > 0 {
-		t := m.txPool[k-1]
-		m.txPool[k-1] = nil
-		m.txPool = m.txPool[:k-1]
+	if t, ok := m.txPool.Get(); ok {
 		return t
 	}
 	return &transmission{}
@@ -402,9 +398,7 @@ func (m *Medium) releaseTransmission(t *transmission) {
 	t.payload = nil
 	t.touched = nil
 	t.skipped = t.skipped[:0]
-	if len(m.txPool) < m.txPoolCap {
-		m.txPool = append(m.txPool, t)
-	} else {
+	if !m.txPool.Put(t, txPoolCap) {
 		m.txPoolDrops++
 	}
 }
@@ -414,27 +408,9 @@ func (m *Medium) releaseTransmission(t *transmission) {
 // fast/reference paths and warm/cold engines.
 func (m *Medium) TxInFlightHW() int { return m.txInFlightHW }
 
-// TxPoolLen returns the current transmission free-list length.
-func (m *Medium) TxPoolLen() int { return len(m.txPool) }
-
 // TxPoolDrops returns how many transmissions were dropped to the garbage
 // collector because the pool was at capacity.
 func (m *Medium) TxPoolDrops() uint64 { return m.txPoolDrops }
-
-// SetTxPoolCap bounds the transmission free list (n < 0 restores the
-// default; 0 disables pooling), immediately trimming a longer list.
-func (m *Medium) SetTxPoolCap(n int) {
-	if n < 0 {
-		n = defaultTxPoolCap
-	}
-	m.txPoolCap = n
-	if len(m.txPool) > n {
-		for i := n; i < len(m.txPool); i++ {
-			m.txPool[i] = nil
-		}
-		m.txPool = m.txPool[:n]
-	}
-}
 
 // HandleEvent dispatches the Medium's typed DES events.
 func (m *Medium) HandleEvent(op int32, arg uint32) {

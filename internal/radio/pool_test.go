@@ -30,7 +30,7 @@ func TestTxInFlightHighWater(t *testing.T) {
 	if hw := m.TxInFlightHW(); hw != 2 {
 		t.Fatalf("tx in-flight high-water %d, want 2", hw)
 	}
-	if m.TxPoolLen() == 0 {
+	if m.txPool.Len() == 0 {
 		t.Fatal("transmission pool empty after completed transmissions")
 	}
 	m.Reset(NewTwoRay(914e6, 1.5, 1.5), []geom.Point{{X: 0}, {X: 200}})
@@ -39,17 +39,30 @@ func TestTxInFlightHighWater(t *testing.T) {
 	}
 }
 
-func TestTxPoolCap(t *testing.T) {
-	sim, m, radios, _ := testbed(DefaultParams(),
-		geom.Point{X: 0}, geom.Point{X: 200})
-	m.SetTxPoolCap(1)
-	stagger(sim, radios, 5)
-	sim.Run()
-	if got := m.TxPoolLen(); got > 1 {
-		t.Fatalf("pool length %d exceeds cap 1", got)
+// overCap is a medium with more radios than txPoolCap, each 10 km from the
+// next (out of one another's hearing), that have all transmitted at once:
+// more transmissions came back together than the pool keeps.
+func overCap(t *testing.T) (*Medium, []geom.Point) {
+	pos := make([]geom.Point, txPoolCap+10)
+	for i := range pos {
+		pos[i] = geom.Point{X: float64(i) * 10e3}
 	}
-	if m.TxPoolDrops() == 0 {
-		t.Fatal("no pool drops recorded despite cap pressure")
+	sim, m, radios, _ := testbed(DefaultParams(), pos...)
+	stagger(sim, radios, 1)
+	sim.Run()
+	if hw := m.TxInFlightHW(); hw != len(pos) {
+		t.Fatalf("tx in-flight high-water %d, want all %d radios at once", hw, len(pos))
+	}
+	return m, pos
+}
+
+func TestTxPoolCap(t *testing.T) {
+	m, _ := overCap(t)
+	if got := m.txPool.Len(); got != txPoolCap {
+		t.Fatalf("pool length %d, want the bound %d", got, txPoolCap)
+	}
+	if got := m.TxPoolDrops(); got != 10 {
+		t.Fatalf("%d pool drops, want the 10 transmissions beyond the bound", got)
 	}
 }
 
@@ -58,35 +71,13 @@ func TestTxPoolCap(t *testing.T) {
 // exactly like a freshly built medium (Reset used to zero every other
 // counter but leak this one across runs).
 func TestResetClearsTxPoolDrops(t *testing.T) {
-	sim, m, radios, _ := testbed(DefaultParams(),
-		geom.Point{X: 0}, geom.Point{X: 200})
-	m.SetTxPoolCap(1)
-	stagger(sim, radios, 5)
-	sim.Run()
+	m, pos := overCap(t)
 	if m.TxPoolDrops() == 0 {
 		t.Fatal("no pool drops before Reset; test needs cap pressure")
 	}
-	m.Reset(NewTwoRay(914e6, 1.5, 1.5), []geom.Point{{X: 0}, {X: 200}})
+	m.Reset(NewTwoRay(914e6, 1.5, 1.5), pos)
 	if got := m.TxPoolDrops(); got != 0 {
 		t.Fatalf("txPoolDrops %d survived Reset, want 0", got)
-	}
-}
-
-func TestSetTxPoolCapTrimsExisting(t *testing.T) {
-	sim, m, radios, _ := testbed(DefaultParams(),
-		geom.Point{X: 0}, geom.Point{X: 200})
-	stagger(sim, radios, 4)
-	sim.Run()
-	if m.TxPoolLen() < 2 {
-		t.Fatalf("pool length %d, want at least 2 before trim", m.TxPoolLen())
-	}
-	m.SetTxPoolCap(1)
-	if got := m.TxPoolLen(); got != 1 {
-		t.Fatalf("pool length %d after trim to 1", got)
-	}
-	m.SetTxPoolCap(-1) // restore default
-	if m.txPoolCap != defaultTxPoolCap {
-		t.Fatalf("txPoolCap %d, want default %d", m.txPoolCap, defaultTxPoolCap)
 	}
 }
 

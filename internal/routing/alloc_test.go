@@ -8,6 +8,7 @@ import (
 	"clnlr/internal/mac"
 	"clnlr/internal/pkt"
 	"clnlr/internal/radio"
+	"clnlr/internal/recycle"
 	"clnlr/internal/rng"
 )
 
@@ -182,15 +183,21 @@ func TestRouteMaintenanceAllocatesNothing(t *testing.T) {
 }
 
 // packetsInFreeDiscoveries counts the packet pointers left anywhere in
-// the storage of c's recycled discovery records.
+// the storage of c's recycled discovery records. It pops every record and
+// puts them back in the same order, so the free list is left as found.
 func packetsInFreeDiscoveries(c *Core) int {
+	var recs []*discovery
+	for d, ok := c.discFree.Get(); ok; d, ok = c.discFree.Get() {
+		recs = append(recs, d)
+	}
 	n := 0
-	for _, d := range c.discFree {
-		for _, p := range d.buffer[:cap(d.buffer)] {
+	for i := len(recs) - 1; i >= 0; i-- {
+		for _, p := range recs[i].buffer[:cap(recs[i].buffer)] {
 			if p != nil {
 				n++
 			}
 		}
+		c.discFree.Put(recs[i], recycle.Unbounded)
 	}
 	return n
 }
@@ -210,7 +217,7 @@ func TestRecycledDiscoveryHoldsNoPackets(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		if len(a.discFree) == 0 {
+		if a.discFree.Len() == 0 {
 			t.Fatalf("%s: no discovery record was recycled", when)
 		}
 		if n := packetsInFreeDiscoveries(a); n != 0 {
@@ -234,13 +241,13 @@ func TestRecycledDiscoveryHoldsNoPackets(t *testing.T) {
 
 	buffer(9)
 	buffer(8)
-	if len(a.pending) != 2 || len(a.discFree) != 0 {
-		t.Fatalf("%d discoveries pending, %d records free: want 2 and 0 (both records reused)", len(a.pending), len(a.discFree))
+	if len(a.pending) != 2 || a.discFree.Len() != 0 {
+		t.Fatalf("%d discoveries pending, %d records free: want 2 and 0 (both records reused)", len(a.pending), a.discFree.Len())
 	}
 	a.Crash()
 	check("after Crash")
-	if len(a.discFree) != 2 {
-		t.Errorf("Crash recycled %d discovery records, want 2", len(a.discFree))
+	if a.discFree.Len() != 2 {
+		t.Errorf("Crash recycled %d discovery records, want 2", a.discFree.Len())
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"clnlr/internal/des"
 	"clnlr/internal/journey"
 	"clnlr/internal/pkt"
+	"clnlr/internal/recycle"
 )
 
 // Config tunes the shared routing machinery. The defaults follow the
@@ -141,18 +142,16 @@ type Core struct {
 	// handleRERR or MacTxDone builds (neither re-enters the other) and
 	// nbrLoads the two-hop table sendHello piggybacks; pkt.Pool copies
 	// both into the packet.
-	discFree []*discovery
+	discFree recycle.List[*discovery]
 	unreach  []pkt.UnreachableDest
 	nbrLoads []pkt.NeighborLoad
 
 	// deferred parks packets awaiting a jittered broadcast (RREQ
 	// de-synchronisation); the typed event carries the slot index, so the
-	// per-forward closure disappears. deferredFree recycles slots.
-	deferred     []*pkt.Packet
-	deferredFree []int32
+	// per-forward closure disappears.
+	deferred recycle.Slab[*pkt.Packet]
 	// waitKeys parks the rreqKey of each open reply window the same way.
-	waitKeys []rreqKey
-	waitFree []int32
+	waitKeys recycle.Slab[rreqKey]
 
 	// down marks a crashed node (see Crash/Recover).
 	down bool
@@ -201,13 +200,8 @@ func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	c.helloEv = des.Event{}
 	// Slots referenced by now-discarded events (the shared Sim was just
 	// Reset) would otherwise leak across runs.
-	for i := range c.deferred {
-		c.deferred[i] = nil
-	}
-	c.deferred = c.deferred[:0]
-	c.deferredFree = c.deferredFree[:0]
-	c.waitKeys = c.waitKeys[:0]
-	c.waitFree = c.waitFree[:0]
+	c.deferred.Reset()
+	c.waitKeys.Reset()
 	c.down = false
 	c.Ctr = Counters{}
 	env.Mac.SetUpper(c)
@@ -219,16 +213,11 @@ func (c *Core) HandleEvent(op int32, arg uint32) {
 	case copDiscoveryTimeout:
 		c.discoveryTimeout(pkt.NodeID(int32(arg)))
 	case copDeferredSend:
-		p := c.deferred[arg]
-		c.deferred[arg] = nil
-		c.deferredFree = append(c.deferredFree, int32(arg))
 		// No down check: the MAC makes the drop decision, exactly as the
 		// pre-typed deferred closure did.
-		c.Env.Mac.Send(p, pkt.Broadcast)
+		c.Env.Mac.Send(c.deferred.Take(arg), pkt.Broadcast)
 	case copReplyWindow:
-		k := c.waitKeys[arg]
-		c.waitFree = append(c.waitFree, int32(arg))
-		c.closeReplyWindow(k)
+		c.closeReplyWindow(c.waitKeys.Take(arg))
 	case copHello:
 		c.sendHello()
 		c.scheduleHello(c.Cfg.HelloInterval)
@@ -329,13 +318,10 @@ func (c *Core) clearPending(dst pkt.NodeID) {
 
 // newDiscovery returns an empty record for dst, recycled when one is free.
 func (c *Core) newDiscovery(dst pkt.NodeID) *discovery {
-	k := len(c.discFree)
-	if k == 0 {
+	d, ok := c.discFree.Get()
+	if !ok {
 		return &discovery{dst: dst}
 	}
-	d := c.discFree[k-1]
-	c.discFree[k-1] = nil
-	c.discFree = c.discFree[:k-1]
 	d.dst = dst
 	return d
 }
@@ -346,7 +332,7 @@ func (c *Core) newDiscovery(dst pkt.NodeID) *discovery {
 func (c *Core) retire(d *discovery) {
 	clear(d.buffer)
 	*d = discovery{buffer: d.buffer[:0]}
-	c.discFree = append(c.discFree, d)
+	c.discFree.Put(d, recycle.Unbounded)
 }
 
 // retireAll empties c.pending into the free list (Crash, Reset).
@@ -395,11 +381,7 @@ func (c *Core) HeldPackets() int {
 	for _, d := range c.pending {
 		n += len(d.buffer)
 	}
-	for _, p := range c.deferred {
-		if p != nil {
-			n++
-		}
-	}
+	n += c.deferred.Live()
 	if h, ok := c.policy.(PacketHolder); ok {
 		n += h.HeldPackets()
 	}
@@ -594,16 +576,7 @@ func (c *Core) ForwardRREQ(p *pkt.Packet, extraDelay des.Time) {
 		delay += des.Time(c.Env.Rng.Intn(int(c.Cfg.MaxJitter)))
 	}
 	c.Ctr.RREQForwarded++
-	var slot int32
-	if k := len(c.deferredFree); k > 0 {
-		slot = c.deferredFree[k-1]
-		c.deferredFree = c.deferredFree[:k-1]
-		c.deferred[slot] = q
-	} else {
-		slot = int32(len(c.deferred))
-		c.deferred = append(c.deferred, q)
-	}
-	c.Env.Sim.ScheduleCall(delay, c, copDeferredSend, uint32(slot))
+	c.Env.Sim.ScheduleCall(delay, c, copDeferredSend, c.deferred.Add(q))
 }
 
 // SuppressRREQ records that the policy declined to forward a copy.
@@ -682,16 +655,7 @@ func (c *Core) handleTargetRREQ(p *pkt.Packet, from pkt.NodeID, first bool) {
 			j.OnReplyCandidate(c.Env.Sim.Now(), c.Env.ID, b.Origin, b.ID, from, b.Cost, b.HopCount)
 		}
 		c.replyWaits[k] = replyWait{best: cand}
-		var slot int32
-		if n := len(c.waitFree); n > 0 {
-			slot = c.waitFree[n-1]
-			c.waitFree = c.waitFree[:n-1]
-			c.waitKeys[slot] = k
-		} else {
-			slot = int32(len(c.waitKeys))
-			c.waitKeys = append(c.waitKeys, k)
-		}
-		c.Env.Sim.ScheduleCall(c.Cfg.ReplyWindow, c, copReplyWindow, uint32(slot))
+		c.Env.Sim.ScheduleCall(c.Cfg.ReplyWindow, c, copReplyWindow, c.waitKeys.Add(k))
 		return
 	}
 	if j := c.Env.Journey; j != nil {

@@ -12,6 +12,7 @@ import (
 
 	"clnlr/internal/des"
 	"clnlr/internal/pkt"
+	"clnlr/internal/recycle"
 	"clnlr/internal/routing"
 )
 
@@ -50,16 +51,15 @@ type assessment struct {
 }
 
 // Policy implements the counter rule. One instance per node, bound to
-// that node's core by its first OnRREQ. Assessments live in a slab whose
-// free slots are recycled; pending finds a flood's slot, and each RAD is
-// a typed event carrying its slot index, so assessing a flood allocates
-// nothing once the slab has grown.
+// that node's core by its first OnRREQ. Assessments live in a slab;
+// pending finds a flood's slot, and each RAD is a typed event carrying its
+// slot index, so assessing a flood allocates nothing once the slab has
+// grown.
 type Policy struct {
 	params  Params
 	core    *routing.Core
-	pending map[floodKey]int32
-	slots   []assessment
-	free    []int32
+	pending map[floodKey]uint32
+	slots   recycle.Slab[assessment]
 }
 
 // OnRREQ implements routing.RREQPolicy.
@@ -67,7 +67,7 @@ func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first 
 	k := floodKey{pk.RREQ.Origin, pk.RREQ.ID}
 	if !first {
 		if i, ok := p.pending[k]; ok {
-			p.slots[i].count++
+			p.slots.At(i).count++
 		}
 		return
 	}
@@ -75,19 +75,10 @@ func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first 
 	// pk is only borrowed for the duration of this call (the sender's
 	// pool reclaims it after transmission), so the assessment keeps its
 	// own clone across the RAD and releases it once resolved.
-	a := assessment{key: k, count: 1, p: c.Env.Pool.Clone(pk)}
-	var i int32
-	if n := len(p.free); n > 0 {
-		i = p.free[n-1]
-		p.free = p.free[:n-1]
-		p.slots[i] = a
-	} else {
-		i = int32(len(p.slots))
-		p.slots = append(p.slots, a)
-	}
+	i := p.slots.Add(assessment{key: k, count: 1, p: c.Env.Pool.Clone(pk)})
 	p.pending[k] = i
 	rad := des.Time(c.Env.Rng.Intn(int(p.params.RADMax) + 1))
-	c.Env.Sim.ScheduleCall(rad, p, 0, uint32(i))
+	c.Env.Sim.ScheduleCall(rad, p, 0, i)
 }
 
 // HandleEvent implements des.Handler: the RAD of the assessment in slot
@@ -95,9 +86,7 @@ func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first 
 // the same flood (possible after a crash wiped the duplicate cache) has
 // taken it over; from then on neither assessment counts duplicates.
 func (p *Policy) HandleEvent(_ int32, i uint32) {
-	a := p.slots[i]
-	p.slots[i] = assessment{}
-	p.free = append(p.free, int32(i))
+	a := p.slots.Take(i)
 	delete(p.pending, a.key)
 	c := p.core
 	if a.count < p.params.C {
@@ -113,7 +102,7 @@ func (p *Policy) CostIncrement(*routing.Core) float64 { return 1 }
 
 // HeldPackets implements routing.PacketHolder: one retained clone per
 // in-progress assessment.
-func (p *Policy) HeldPackets() int { return len(p.slots) - len(p.free) }
+func (p *Policy) HeldPackets() int { return p.slots.Live() }
 
 // Spec returns the scheme's effective configuration and per-run policy
 // constructor, from which networks are built and warm ones reset. The
@@ -125,7 +114,7 @@ func Spec(cfg routing.Config, params Params) routing.Spec {
 	return routing.Spec{Cfg: cfg, Policy: func() routing.RREQPolicy {
 		return &Policy{
 			params:  params,
-			pending: make(map[floodKey]int32),
+			pending: make(map[floodKey]uint32),
 		}
 	}}
 }

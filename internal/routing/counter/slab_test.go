@@ -24,15 +24,16 @@ func chain() (*des.Sim, []*node.Node, *Policy) {
 	return simk, nodes, nodes[1].Agent.Policy().(*Policy)
 }
 
-// packetsInSlots counts the clones p's slab still points at.
-func packetsInSlots(p *Policy) int {
-	n := 0
-	for _, a := range p.slots[:cap(p.slots)] {
-		if a.p != nil {
-			n++
+// packetsInSlots counts the clones p's slab still points at in its
+// first n slots.
+func packetsInSlots(p *Policy, n uint32) int {
+	held := 0
+	for i := uint32(0); i < n; i++ {
+		if p.slots.At(i).p != nil {
+			held++
 		}
 	}
-	return n
+	return held
 }
 
 // TestRADAllocatesNothing: once the slab has grown, assessing a flood —
@@ -70,18 +71,22 @@ func TestRecycledSlotHoldsNoPackets(t *testing.T) {
 	for id := uint32(1); id <= 3; id++ {
 		mid.MacReceive(pkt.NewRREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), 0)
 	}
-	if p.HeldPackets() != 3 || packetsInSlots(p) != 3 {
-		t.Fatalf("three RADs in progress hold %d clones (%d in slots), want 3", p.HeldPackets(), packetsInSlots(p))
+	if p.HeldPackets() != 3 || packetsInSlots(p, 3) != 3 {
+		t.Fatalf("three RADs in progress hold %d clones (%d in slots), want 3", p.HeldPackets(), packetsInSlots(p, 3))
 	}
 	nodes[1].Crash()
 	simk.RunUntil(simk.Now() + des.Second)
 	if p.HeldPackets() != 0 || len(p.pending) != 0 {
 		t.Fatalf("after every RAD resolved: %d clones held, %d floods pending", p.HeldPackets(), len(p.pending))
 	}
-	if n := packetsInSlots(p); n != 0 {
+	if n := packetsInSlots(p, 3); n != 0 {
 		t.Errorf("resolved slots still point at %d clones", n)
 	}
-	if len(p.free) != 3 {
-		t.Errorf("%d slots free after three RADs resolved, want 3", len(p.free))
+	// All three slots are free: a new flood takes the last one freed
+	// instead of growing the slab.
+	nodes[1].Recover()
+	mid.MacReceive(pkt.NewRREQ(pkt.RREQBody{ID: 4, Origin: 9, Target: 8, OriginSeq: 4}, 0, 30), 0)
+	if i, ok := p.pending[floodKey{9, 4}]; !ok || i >= 3 {
+		t.Errorf("a new flood after three RADs resolved took slot %d (pending %v), want a recycled one", i, ok)
 	}
 }
