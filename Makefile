@@ -58,8 +58,9 @@ bench-pair:
 	bash scripts/bench_pair.sh $(PARENT)
 
 # Non-test Go lines per internal/* package, cmd/ and in total (bench/ is
-# its own module and is left out), then PARENT's total and the delta — the
-# numbers ROADMAP's "non-test LOC strictly down" acceptance compares.
+# its own module and is left out); with PARENT, each row as PARENT's count,
+# the working tree's and the delta — the numbers ROADMAP's "non-test LOC
+# strictly down" acceptance and per-package claims compare.
 loc:
 	@bash scripts/loc.sh $(PARENT)
 

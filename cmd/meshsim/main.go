@@ -279,10 +279,10 @@ func main() {
 }
 
 // runCell runs reps replications of sc through the experiments planner.
-// The planner sets every replication's Audit from Config, so the -audit
-// flag rides in Config.Audit.
+// The planner keeps each cell's Scenario.Audit, so the -audit flag rides
+// in sc.
 func runCell(sc sim.Scenario, reps, workers int) experiments.CellReport {
-	cfg := experiments.Config{Reps: reps, Workers: workers, Seed: sc.Seed, Audit: sc.Audit}
+	cfg := experiments.Config{Reps: reps, Workers: workers, Seed: sc.Seed}
 	cells, err := experiments.RunCells(cfg, []experiments.CellSpec{{Label: "meshsim", Scenario: sc}})
 	if err != nil {
 		log.Fatal(err)

@@ -14,6 +14,9 @@ import (
 	"clnlr/internal/routing"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 // buildCLNLR assembles a CLNLR mesh over the given positions.
 func buildCLNLR(seed uint64, params core.Params, positions []geom.Point) (*des.Sim, []*node.Node) {
 	sim := des.NewSim()
@@ -29,7 +32,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	sim, nodes := buildCLNLR(3, core.DefaultParams(),
 		geom.ChainPlacement(geom.Point{}, 4, 200))
 	sim.Schedule(2*des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, 0, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
 	})
 	sim.RunUntil(10 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
@@ -52,7 +55,7 @@ func TestOnRREQSuppressionObservable(t *testing.T) {
 	p.RetryBoost = 0 // keep retries suppressed too
 	sim, nodes := buildCLNLR(5, p, geom.ChainPlacement(geom.Point{}, 4, 200))
 	sim.Schedule(2*des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, 0, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
 	})
 	sim.RunUntil(15 * des.Second)
 	var suppressed uint64
@@ -75,7 +78,7 @@ func TestRetryBoostRescuesSuppressedDiscovery(t *testing.T) {
 	p.RetryBoost = 1 // first retry escalates to certainty
 	sim, nodes := buildCLNLR(5, p, geom.ChainPlacement(geom.Point{}, 4, 200))
 	sim.Schedule(2*des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, 0, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
 	})
 	sim.RunUntil(15 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
@@ -100,7 +103,7 @@ func TestCostIncrementReflectsLoad(t *testing.T) {
 	// Saturate the middle node's channel, then re-check: the increment
 	// must rise with neighbourhood load.
 	tick := des.NewTicker(sim, 3*des.Millisecond, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 1, 1000, 0, 0, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 1, 1000, 0, 0, sim.Now(), 30))
 	})
 	tick.Start(0)
 	sim.RunUntil(15 * des.Second)
@@ -119,7 +122,7 @@ func TestCostIncrementReflectsLoad(t *testing.T) {
 func TestAdaptiveDeliversOnChain(t *testing.T) {
 	sim, nodes := buildCLNLR(5, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 4, 200))
 	sim.Schedule(3*des.Second, func() { // after HELLOs establish degrees
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, 0, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
 	})
 	sim.RunUntil(15 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
@@ -136,7 +139,7 @@ func TestAdaptiveDeliversOnChain(t *testing.T) {
 func TestDensityOnlyCostIgnoresLoad(t *testing.T) {
 	sim, nodes := buildCLNLR(7, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 3, 200))
 	tick := des.NewTicker(sim, 3*des.Millisecond, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 1, 1000, 0, 0, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 1, 1000, 0, 0, sim.Now(), 30))
 	})
 	tick.Start(5 * des.Second)
 	agent := nodes[1].Agent
@@ -157,7 +160,7 @@ func TestTwoHopVariantRuns(t *testing.T) {
 	p.TwoHop = true
 	sim, nodes := buildCLNLR(11, p, geom.ChainPlacement(geom.Point{}, 3, 200))
 	sim.Schedule(2*des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 2, 256, 0, 0, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, 0, sim.Now(), 30))
 	})
 	sim.RunUntil(10 * des.Second)
 	if nodes[2].Agent.Ctr.DataDelivered != 1 {
@@ -193,13 +196,13 @@ func TestMinCostReplySelectsUnloadedPath(t *testing.T) {
 
 	// Saturate the jammer pair to load node 1's neighbourhood.
 	jam := des.NewTicker(sim, 4*des.Millisecond, func() {
-		nodes[4].Agent.Send(pkt.NewData(4, 5, 1000, 9, 0, sim.Now(), 30))
+		nodes[4].Agent.Send(nilPool.Data(4, 5, 1000, 9, 0, sim.Now(), 30))
 	})
 	jam.Start(des.Second)
 
 	// After the load estimators settle, discover 0→3 and inspect the route.
 	sim.Schedule(20*des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, 0, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
 	})
 	sim.RunUntil(30 * des.Second)
 

@@ -341,9 +341,6 @@ func TestTimeConversions(t *testing.T) {
 	if got := (2500 * Millisecond).Seconds(); got != 2.5 {
 		t.Fatalf("Seconds() = %v", got)
 	}
-	if got := (3 * Millisecond).Millis(); got != 3 {
-		t.Fatalf("Millis() = %v", got)
-	}
 	if FromSeconds(-1.5) != -1500*Millisecond {
 		t.Fatalf("FromSeconds(-1.5) = %v", FromSeconds(-1.5))
 	}

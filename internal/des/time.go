@@ -23,9 +23,6 @@ const Never Time = -1
 // the kernel never computes with floats).
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Millis returns t expressed in milliseconds as a float64.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 // FromSeconds converts a float64 second count to Time, rounding to the
 // nearest nanosecond.
 func FromSeconds(s float64) Time {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clnlr/internal/des"
+	"clnlr/internal/node"
 	"clnlr/internal/sim"
 )
 
@@ -68,5 +69,27 @@ func TestResumeReRunsDiscoveryCellWithNewRounds(t *testing.T) {
 				t.Fatalf("rounds=%d: rep %d sent %d probes (stale checkpoint loaded)", rounds, r, res.ProbesSent)
 			}
 		}
+	}
+}
+
+// TestRunCellsKeepsScenarioAudit: a cell whose scenario sets Audit runs
+// audited with Config.Audit off, and its report carries the submitted
+// scenario's fingerprint.
+func TestRunCellsKeepsScenarioAudit(t *testing.T) {
+	sc := sim.DefaultScenario()
+	sc.Warmup, sc.Measure = des.Second, 2*des.Second
+	sc.Audit = true
+	var audited []bool
+	sim.TestHookPrepared = func(_ *des.Sim, _ []*node.Node, s sim.Scenario) { audited = append(audited, s.Audit) }
+	defer func() { sim.TestHookPrepared = nil }()
+	cells, err := RunCells(Config{Reps: 1, Workers: 1}, []CellSpec{{Label: "audit", Scenario: sc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(audited) != 1 || !audited[0] {
+		t.Fatalf("runs saw Audit = %v, want [true]", audited)
+	}
+	if got, want := cells[0].Fingerprint, sc.Fingerprint(); got != want {
+		t.Fatalf("cell fingerprint %s, want the submitted scenario's %s", got, want)
 	}
 }

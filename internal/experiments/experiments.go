@@ -74,8 +74,9 @@ type Config struct {
 	RetryBackoff time.Duration
 
 	// Audit enables the runtime invariant auditor (sim.Scenario.Audit) on
-	// every data-plane replication. Results are bit-identical either way;
-	// a violation fails the replication with a structured audit error.
+	// every data-plane replication; a cell whose scenario sets Audit is
+	// audited either way. Results are bit-identical either way; a
+	// violation fails the replication with a structured audit error.
 	Audit bool
 }
 

@@ -123,9 +123,10 @@ func newPlanner(cfg Config) *planner { return &planner{cfg: cfg} }
 
 // add registers a cell. finalize runs after every job in the
 // planner has completed, with c.results holding the replications in seed
-// order.
+// order. Config.Audit arms the auditor on top of the scenario's own
+// Audit, never in place of it.
 func (p *planner) add(label string, sc sim.Scenario, finalize func(c *cell)) {
-	sc.Audit = p.cfg.Audit
+	sc.Audit = sc.Audit || p.cfg.Audit
 	p.cells = append(p.cells, &cell{label: label, sc: sc, finalize: finalize})
 }
 

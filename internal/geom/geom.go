@@ -63,11 +63,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
-// Center returns the midpoint of the region.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
-
 // Clamp returns p moved to the nearest point inside the region.
 func (r Rect) Clamp(p Point) Point {
 	return Point{

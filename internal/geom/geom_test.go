@@ -65,9 +65,6 @@ func TestRectBasics(t *testing.T) {
 	if r.Area() != 1e6 {
 		t.Fatalf("Area = %v", r.Area())
 	}
-	if got := r.Center(); got != (Point{500, 500}) {
-		t.Fatalf("Center = %v", got)
-	}
 	if !r.Contains(Point{0, 0}) || !r.Contains(Point{1000, 1000}) {
 		t.Fatal("edges should be contained")
 	}

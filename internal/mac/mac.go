@@ -315,7 +315,8 @@ func (m *Mac) Recover() { m.down = false }
 // the MAC reference too).
 func (m *Mac) SetUpper(u Upper) { m.upper = u }
 
-// SetPool installs the node's packet pool (nil keeps plain allocation).
+// SetPool installs the node's packet pool (nil allocates every clone
+// fresh and keeps nothing).
 // Survives Reset, like the upper layer.
 func (m *Mac) SetPool(p *pkt.Pool) { m.pool = p }
 

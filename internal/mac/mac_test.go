@@ -10,6 +10,9 @@ import (
 	"clnlr/internal/rng"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 // upperRec records network-layer callbacks.
 type upperRec struct {
 	received []struct {
@@ -64,7 +67,7 @@ func macTestbed(t *testing.T, cfg Config, positions ...geom.Point) (*des.Sim, []
 }
 
 func dataPkt(src, dst pkt.NodeID, bytes int) *pkt.Packet {
-	return pkt.NewData(src, dst, bytes, 0, 0, 0, 30)
+	return nilPool.Data(src, dst, bytes, 0, 0, 0, 30)
 }
 
 func TestUnicastDeliveryAndAck(t *testing.T) {
@@ -141,7 +144,7 @@ func TestBroadcastDeliversSharedPayload(t *testing.T) {
 	// immutable); the MAC must not burn a clone per receiver.
 	sim, macs, uppers := macTestbed(t, DefaultConfig(),
 		geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: -200})
-	p := pkt.NewRREQ(pkt.RREQBody{Origin: 0, Target: 9, ID: 1}, 0, 30)
+	p := nilPool.RREQ(pkt.RREQBody{Origin: 0, Target: 9, ID: 1}, 0, 30)
 	sim.Schedule(0, func() { macs[0].Send(p, pkt.Broadcast) })
 	sim.RunUntil(des.Second)
 
@@ -361,7 +364,7 @@ func TestControlPriorityQueueing(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			macs[0].Send(dataPkt(0, 1, 1000), 1)
 		}
-		macs[0].Send(pkt.NewRREQ(pkt.RREQBody{Origin: 0, Target: 9, ID: 1}, sim.Now(), 10),
+		macs[0].Send(nilPool.RREQ(pkt.RREQBody{Origin: 0, Target: 9, ID: 1}, sim.Now(), 10),
 			pkt.Broadcast)
 	})
 	sim.RunUntil(des.Second)
@@ -385,7 +388,7 @@ func TestControlPriorityOffKeepsFIFO(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			macs[0].Send(dataPkt(0, 1, 1000), 1)
 		}
-		macs[0].Send(pkt.NewRREQ(pkt.RREQBody{Origin: 0, Target: 9, ID: 1}, sim.Now(), 10),
+		macs[0].Send(nilPool.RREQ(pkt.RREQBody{Origin: 0, Target: 9, ID: 1}, sim.Now(), 10),
 			pkt.Broadcast)
 	})
 	sim.RunUntil(des.Second)

@@ -13,6 +13,9 @@ import (
 	"clnlr/internal/rng"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 func defaultDCF(n int) DCF {
 	return FromMACConfig(mac.DefaultConfig(), n, 540)
 }
@@ -159,7 +162,7 @@ func simSaturation(t *testing.T, n int) float64 {
 		src := pkt.NodeID(i)
 		des.NewTicker(sim, des.Millisecond, func() {
 			for m.QueueLen() < 5 {
-				m.Send(pkt.NewData(src, 0, 512, 0, 0, sim.Now(), 30), 0)
+				m.Send(nilPool.Data(src, 0, 512, 0, 0, sim.Now(), 30), 0)
 			}
 		}).Start(0)
 	}

@@ -14,6 +14,9 @@ import (
 	"clnlr/internal/routing/aodv"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 func build(seed uint64, n int) (*des.Sim, []*Node) {
 	simk := des.NewSim()
 	medium := radio.NewMedium(simk, radio.NewTwoRay(914e6, 1.5, 1.5))
@@ -60,7 +63,7 @@ func TestSetDeliver(t *testing.T) {
 	var got *pkt.Packet
 	nodes[1].SetDeliver(func(p *pkt.Packet, from pkt.NodeID) { got = p })
 	simk.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 1, 100, 0, 0, simk.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 1, 100, 0, 0, simk.Now(), 30))
 	})
 	simk.RunUntil(5 * des.Second)
 	if got == nil {
@@ -159,7 +162,7 @@ func TestBuildDeterministic(t *testing.T) {
 		simk, nodes := build(7, 3)
 		StartAll(nodes)
 		simk.Schedule(des.Second, func() {
-			nodes[0].Agent.Send(pkt.NewData(0, 2, 256, 0, 0, simk.Now(), 30))
+			nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, 0, simk.Now(), 30))
 		})
 		simk.RunUntil(10 * des.Second)
 		return nodes[2].Agent.Ctr.DataDelivered + nodes[1].Agent.Ctr.RREQForwarded*100

@@ -5,12 +5,12 @@
 // (RREQ/RREP/RERR/HELLO) carry a typed body; data packets carry only
 // bookkeeping (flow, sequence, creation time) plus a byte size — payload
 // contents are never materialised, as is standard for packet-level
-// simulation.
+// simulation. Packets are built and copied only through a Pool's
+// constructors and Clone; a nil *Pool allocates and keeps nothing.
 package pkt
 
 import (
 	"fmt"
-	"slices"
 
 	"clnlr/internal/des"
 )
@@ -175,116 +175,6 @@ type NeighborLoad struct {
 type HelloBody struct {
 	Load     float64
 	NbrLoads []NeighborLoad
-}
-
-// NewData builds a data packet of payload bytes (IP+UDP headers added).
-func NewData(src, dst NodeID, payload int, flow, seq int, now des.Time, ttl int) *Packet {
-	return &Packet{
-		Kind:      Data,
-		Src:       src,
-		Dst:       dst,
-		TTL:       ttl,
-		Bytes:     payload + IPHeaderBytes + UDPHeaderBytes,
-		CreatedAt: now,
-		FlowID:    flow,
-		Seq:       seq,
-	}
-}
-
-// NewRREQ builds a route-request packet.
-func NewRREQ(body RREQBody, now des.Time, ttl int) *Packet {
-	b := body
-	return &Packet{
-		Kind:      RREQ,
-		Src:       body.Origin,
-		Dst:       Broadcast,
-		TTL:       ttl,
-		Bytes:     RREQBytes,
-		CreatedAt: now,
-		RREQ:      &b,
-	}
-}
-
-// NewRREP builds a route-reply packet travelling from src toward the RREQ
-// origin.
-func NewRREP(src NodeID, body RREPBody, now des.Time, ttl int) *Packet {
-	b := body
-	return &Packet{
-		Kind:      RREP,
-		Src:       src,
-		Dst:       body.Origin,
-		TTL:       ttl,
-		Bytes:     RREPBytes,
-		CreatedAt: now,
-		RREP:      &b,
-	}
-}
-
-// NewRERR builds a route-error packet (link-local broadcast). Like every
-// body constructor here it copies the caller's slice: a caller may build
-// the list in scratch storage it reuses.
-func NewRERR(src NodeID, unreachable []UnreachableDest, now des.Time) *Packet {
-	return &Packet{
-		Kind:      RERR,
-		Src:       src,
-		Dst:       Broadcast,
-		TTL:       1,
-		Bytes:     RERRBaseBytes + RERRPerDestBytes*len(unreachable),
-		CreatedAt: now,
-		RERR:      &RERRBody{Unreachable: slices.Clone(unreachable)},
-	}
-}
-
-// NewHello builds a HELLO beacon (never forwarded). The piggybacked
-// loads are copied, nil staying nil (a one-hop beacon).
-func NewHello(src NodeID, body HelloBody, now des.Time) *Packet {
-	b := HelloBody{Load: body.Load, NbrLoads: slices.Clone(body.NbrLoads)}
-	return &Packet{
-		Kind:      Hello,
-		Src:       src,
-		Dst:       Broadcast,
-		TTL:       1,
-		Bytes:     HelloBaseBytes + HelloPerNbrBytes*len(body.NbrLoads),
-		CreatedAt: now,
-		Hello:     &b,
-	}
-}
-
-// Clone returns a deep copy. Forwarding nodes clone before mutating
-// per-hop fields (TTL, hop count, cost) so receivers of the same broadcast
-// frame observe identical contents. Cloning is the per-hop hot allocation,
-// so the body (a packet carries at most one) is co-allocated with the
-// packet header in a single object.
-func (p *Packet) Clone() *Packet {
-	if p.RREQ != nil {
-		c := &struct {
-			p Packet
-			b RREQBody
-		}{*p, *p.RREQ}
-		c.p.RREQ = &c.b
-		c.p.lease = 0
-		return &c.p
-	}
-	if p.RREP != nil {
-		c := &struct {
-			p Packet
-			b RREPBody
-		}{*p, *p.RREP}
-		c.p.RREP = &c.b
-		c.p.lease = 0
-		return &c.p
-	}
-	q := *p
-	q.lease = 0
-	if p.RERR != nil {
-		b := RERRBody{Unreachable: slices.Clone(p.RERR.Unreachable)}
-		q.RERR = &b
-	}
-	if p.Hello != nil {
-		b := HelloBody{Load: p.Hello.Load, NbrLoads: slices.Clone(p.Hello.NbrLoads)}
-		q.Hello = &b
-	}
-	return &q
 }
 
 // String renders a compact trace representation.

@@ -7,6 +7,10 @@ import (
 	"clnlr/internal/des"
 )
 
+// nilPool builds packets the way a pool-less caller does: fresh storage,
+// nothing kept.
+var nilPool *Pool
+
 func TestKindStrings(t *testing.T) {
 	cases := map[Kind]string{
 		Data: "DATA", RREQ: "RREQ", RREP: "RREP", RERR: "RERR", Hello: "HELLO",
@@ -33,7 +37,7 @@ func TestIsControl(t *testing.T) {
 }
 
 func TestNewDataSizes(t *testing.T) {
-	p := NewData(1, 2, 512, 3, 7, 5*des.Second, 30)
+	p := nilPool.Data(1, 2, 512, 3, 7, 5*des.Second, 30)
 	if p.Bytes != 512+IPHeaderBytes+UDPHeaderBytes {
 		t.Fatalf("data bytes %d", p.Bytes)
 	}
@@ -47,10 +51,10 @@ func TestNewDataSizes(t *testing.T) {
 
 func TestNewRREQCopiesBody(t *testing.T) {
 	body := RREQBody{ID: 9, Origin: 1, Target: 5, HopCount: 0, Cost: 1}
-	p := NewRREQ(body, 0, 20)
+	p := nilPool.RREQ(body, 0, 20)
 	body.HopCount = 99 // mutating the local must not affect the packet
 	if p.RREQ.HopCount != 0 {
-		t.Fatal("NewRREQ aliased the caller's body")
+		t.Fatal("RREQ aliased the caller's body")
 	}
 	if p.Dst != Broadcast || p.Src != 1 || p.Bytes != RREQBytes {
 		t.Fatalf("rreq meta %+v", p)
@@ -59,7 +63,7 @@ func TestNewRREQCopiesBody(t *testing.T) {
 
 func TestNewRERRSize(t *testing.T) {
 	u := []UnreachableDest{{Node: 3, Seq: 1}, {Node: 4, Seq: 2}}
-	p := NewRERR(1, u, 0)
+	p := nilPool.RERR(1, u, 0)
 	if p.Bytes != RERRBaseBytes+2*RERRPerDestBytes {
 		t.Fatalf("rerr bytes %d", p.Bytes)
 	}
@@ -70,15 +74,15 @@ func TestNewRERRSize(t *testing.T) {
 
 func TestNewHelloSize(t *testing.T) {
 	body := HelloBody{Load: 0.5, NbrLoads: []NeighborLoad{{1, 0.2}, {2, 0.3}, {3, 0.4}}}
-	p := NewHello(7, body, 0)
+	p := nilPool.Hello(7, body, 0)
 	if p.Bytes != HelloBaseBytes+3*HelloPerNbrBytes {
 		t.Fatalf("hello bytes %d", p.Bytes)
 	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	p := NewRREQ(RREQBody{ID: 1, Origin: 2, Target: 3, Cost: 1.5}, 0, 10)
-	q := p.Clone()
+	p := nilPool.RREQ(RREQBody{ID: 1, Origin: 2, Target: 3, Cost: 1.5}, 0, 10)
+	q := nilPool.Clone(p)
 	q.RREQ.HopCount = 5
 	q.RREQ.Cost = 9.9
 	q.TTL = 1
@@ -86,22 +90,22 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("Clone shares RREQ body with original")
 	}
 
-	h := NewHello(1, HelloBody{Load: 0.1, NbrLoads: []NeighborLoad{{2, 0.5}}}, 0)
-	h2 := h.Clone()
+	h := nilPool.Hello(1, HelloBody{Load: 0.1, NbrLoads: []NeighborLoad{{2, 0.5}}}, 0)
+	h2 := nilPool.Clone(h)
 	h2.Hello.NbrLoads[0].Load = 0.9
 	if h.Hello.NbrLoads[0].Load != 0.5 {
 		t.Fatal("Clone shares Hello neighbour slice")
 	}
 
-	r := NewRERR(1, []UnreachableDest{{2, 3}}, 0)
-	r2 := r.Clone()
+	r := nilPool.RERR(1, []UnreachableDest{{2, 3}}, 0)
+	r2 := nilPool.Clone(r)
 	r2.RERR.Unreachable[0].Node = 99
 	if r.RERR.Unreachable[0].Node != 2 {
 		t.Fatal("Clone shares RERR slice")
 	}
 
-	rp := NewRREP(4, RREPBody{Origin: 1, Target: 2, HopCount: 3}, 0, 10)
-	rp2 := rp.Clone()
+	rp := nilPool.RREP(4, RREPBody{Origin: 1, Target: 2, HopCount: 3}, 0, 10)
+	rp2 := nilPool.Clone(rp)
 	rp2.RREP.HopCount = 7
 	if rp.RREP.HopCount != 3 {
 		t.Fatal("Clone shares RREP body")
@@ -110,11 +114,11 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestStringForms(t *testing.T) {
 	ps := []*Packet{
-		NewData(1, 2, 100, 0, 0, 0, 10),
-		NewRREQ(RREQBody{Origin: 1, Target: 2}, 0, 10),
-		NewRREP(1, RREPBody{Origin: 1, Target: 2}, 0, 10),
-		NewRERR(1, nil, 0),
-		NewHello(1, HelloBody{}, 0),
+		nilPool.Data(1, 2, 100, 0, 0, 0, 10),
+		nilPool.RREQ(RREQBody{Origin: 1, Target: 2}, 0, 10),
+		nilPool.RREP(1, RREPBody{Origin: 1, Target: 2}, 0, 10),
+		nilPool.RERR(1, nil, 0),
+		nilPool.Hello(1, HelloBody{}, 0),
 	}
 	for _, p := range ps {
 		if p.String() == "" {
@@ -175,11 +179,11 @@ func TestQuickSeqNewerTrichotomy(t *testing.T) {
 // Property: Clone always yields an equal-value packet with disjoint bodies.
 func TestQuickCloneEquality(t *testing.T) {
 	f := func(id uint32, origin, target int8, hops uint8, cost float64) bool {
-		p := NewRREQ(RREQBody{
+		p := nilPool.RREQ(RREQBody{
 			ID: id, Origin: NodeID(origin), Target: NodeID(target),
 			HopCount: int(hops), Cost: cost,
 		}, 0, 30)
-		q := p.Clone()
+		q := nilPool.Clone(p)
 		if q.RREQ == p.RREQ {
 			return false // must not alias
 		}

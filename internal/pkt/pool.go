@@ -25,15 +25,16 @@ import (
 // on the air — the same correctness-over-thrift trade the MAC makes with
 // its frames.
 //
-// Free lists are segregated by body shape so a recycled control packet
-// keeps its co-allocated body (and a HELLO/RERR its piggyback slice
-// capacity). All methods are nil-receiver safe and fall back to plain
-// allocation, so tests and cold paths need no pool. A Pool is not safe
-// for concurrent use; each node owns one (engines never share nodes
-// across goroutines).
+// The constructors (Data, RREQ, RREP, RERR, Hello) and Clone are the only
+// way to build a packet. Free lists are segregated by body shape (indexed
+// by Kind) so a recycled control packet keeps its co-allocated body (and
+// a HELLO/RERR its piggyback slice capacity). A nil *Pool is a valid pool
+// that allocates every packet fresh and keeps nothing, so tests and cold
+// paths need no pool. A Pool is not safe for concurrent use; each node
+// owns one (engines never share nodes across goroutines).
 type Pool struct {
-	data, rreq, rrep, rerr, hello recycle.List[*Packet]
-	drops                         uint64
+	free  [Hello + 1]recycle.List[*Packet]
+	drops uint64
 
 	// The audit-mode borrow ledger. lease is this arming's stamp (see
 	// SetAudit), 0 (the default) while disarmed: Release then costs one
@@ -117,11 +118,15 @@ func (pl *Pool) DoubleFrees() uint64 {
 	return pl.doubleFrees
 }
 
-// tracked stamps p with the ledger's lease (none while disarmed, which
-// also clears a lease Clone copied from its source) and counts it lent
-// when auditing; every pool exit point (constructors and Clone) funnels
-// through it.
+// tracked stamps p with the ledger's lease (none while disarmed or with
+// no pool, which also clears a lease Clone copied from its source) and
+// counts it lent when auditing; every pool exit point (constructors and
+// Clone) funnels through it.
 func (pl *Pool) tracked(p *Packet) *Packet {
+	if pl == nil {
+		p.lease = 0
+		return p
+	}
 	p.lease = pl.lease
 	if pl.lease != 0 {
 		pl.lent++
@@ -134,7 +139,11 @@ func (pl *Pool) Len() int {
 	if pl == nil {
 		return 0
 	}
-	return pl.data.Len() + pl.rreq.Len() + pl.rrep.Len() + pl.rerr.Len() + pl.hello.Len()
+	n := 0
+	for i := range pl.free {
+		n += pl.free[i].Len()
+	}
+	return n
 }
 
 // Release returns a packet to its shape's free list. The caller must
@@ -154,31 +163,68 @@ func (pl *Pool) Release(p *Packet) {
 		p.lease = 0
 		pl.lent--
 	}
-	list := &pl.data
+	k := Data
 	switch {
 	case p.RREQ != nil:
-		list = &pl.rreq
+		k = RREQ
 	case p.RREP != nil:
-		list = &pl.rrep
+		k = RREP
 	case p.RERR != nil:
-		list = &pl.rerr
+		k = RERR
 	case p.Hello != nil:
-		list = &pl.hello
+		k = Hello
 	}
-	if !list.Put(p, PoolCap) {
+	if !pl.free[k].Put(p, PoolCap) {
 		pl.drops++
 	}
 }
 
-// Data is the pooled NewData.
+// get supplies the storage every constructor and Clone fills in: a
+// recycled packet of shape k (its body, and a RERR's or HELLO's slice
+// capacity, kept), or — on a miss or with no pool — a fresh packet whose
+// body is allocated in the same object.
+func (pl *Pool) get(k Kind) *Packet {
+	if pl != nil {
+		if p, ok := pl.free[k].Get(); ok {
+			return p
+		}
+	}
+	switch k {
+	case RREQ:
+		c := new(struct {
+			p Packet
+			b RREQBody
+		})
+		c.p.RREQ = &c.b
+		return &c.p
+	case RREP:
+		c := new(struct {
+			p Packet
+			b RREPBody
+		})
+		c.p.RREP = &c.b
+		return &c.p
+	case RERR:
+		c := new(struct {
+			p Packet
+			b RERRBody
+		})
+		c.p.RERR = &c.b
+		return &c.p
+	case Hello:
+		c := new(struct {
+			p Packet
+			b HelloBody
+		})
+		c.p.Hello = &c.b
+		return &c.p
+	}
+	return new(Packet)
+}
+
+// Data builds a data packet of payload bytes (IP+UDP headers added).
 func (pl *Pool) Data(src, dst NodeID, payload, flow, seq int, now des.Time, ttl int) *Packet {
-	if pl == nil {
-		return NewData(src, dst, payload, flow, seq, now, ttl)
-	}
-	p, ok := pl.data.Get()
-	if !ok {
-		return pl.tracked(NewData(src, dst, payload, flow, seq, now, ttl))
-	}
+	p := pl.get(Data)
 	*p = Packet{
 		Kind:      Data,
 		Src:       src,
@@ -192,15 +238,9 @@ func (pl *Pool) Data(src, dst NodeID, payload, flow, seq int, now des.Time, ttl 
 	return pl.tracked(p)
 }
 
-// RREQ is the pooled NewRREQ.
+// RREQ builds a route-request packet.
 func (pl *Pool) RREQ(body RREQBody, now des.Time, ttl int) *Packet {
-	if pl == nil {
-		return NewRREQ(body, now, ttl)
-	}
-	p, ok := pl.rreq.Get()
-	if !ok {
-		return pl.tracked(NewRREQ(body, now, ttl))
-	}
+	p := pl.get(RREQ)
 	b := p.RREQ
 	*b = body
 	*p = Packet{
@@ -215,15 +255,10 @@ func (pl *Pool) RREQ(body RREQBody, now des.Time, ttl int) *Packet {
 	return pl.tracked(p)
 }
 
-// RREP is the pooled NewRREP.
+// RREP builds a route-reply packet travelling from src toward the RREQ
+// origin.
 func (pl *Pool) RREP(src NodeID, body RREPBody, now des.Time, ttl int) *Packet {
-	if pl == nil {
-		return NewRREP(src, body, now, ttl)
-	}
-	p, ok := pl.rrep.Get()
-	if !ok {
-		return pl.tracked(NewRREP(src, body, now, ttl))
-	}
+	p := pl.get(RREP)
 	b := p.RREP
 	*b = body
 	*p = Packet{
@@ -238,17 +273,11 @@ func (pl *Pool) RREP(src NodeID, body RREPBody, now des.Time, ttl int) *Packet {
 	return pl.tracked(p)
 }
 
-// RERR is the pooled NewRERR; the unreachable list is copied into the
-// body's retained storage (or, on a miss, by NewRERR), so the caller
-// keeps its slice.
+// RERR builds a route-error packet (link-local broadcast). Like Hello it
+// copies the caller's slice into the body's own storage: a caller may
+// build the list in scratch storage it reuses.
 func (pl *Pool) RERR(src NodeID, unreachable []UnreachableDest, now des.Time) *Packet {
-	if pl == nil {
-		return NewRERR(src, unreachable, now)
-	}
-	p, ok := pl.rerr.Get()
-	if !ok {
-		return pl.tracked(NewRERR(src, unreachable, now))
-	}
+	p := pl.get(RERR)
 	b := p.RERR
 	b.Unreachable = append(b.Unreachable[:0], unreachable...)
 	*p = Packet{
@@ -263,17 +292,11 @@ func (pl *Pool) RERR(src NodeID, unreachable []UnreachableDest, now des.Time) *P
 	return pl.tracked(p)
 }
 
-// Hello is the pooled NewHello; the piggybacked neighbour loads are
-// copied into the body's retained storage (or, on a miss, by NewHello),
-// so the caller keeps its slice.
+// Hello builds a HELLO beacon (never forwarded). The piggybacked loads
+// are copied into the body's own storage, nil staying nil (a one-hop
+// beacon), so the caller keeps its slice.
 func (pl *Pool) Hello(src NodeID, body HelloBody, now des.Time) *Packet {
-	if pl == nil {
-		return NewHello(src, body, now)
-	}
-	p, ok := pl.hello.Get()
-	if !ok {
-		return pl.tracked(NewHello(src, body, now))
-	}
+	p := pl.get(Hello)
 	b := p.Hello
 	b.Load = body.Load
 	b.NbrLoads = copyLoads(b.NbrLoads, body.NbrLoads)
@@ -289,11 +312,11 @@ func (pl *Pool) Hello(src NodeID, body HelloBody, now des.Time) *Packet {
 	return pl.tracked(p)
 }
 
-// copyLoads copies a HELLO's piggybacked loads over a recycled body's
-// storage. It keeps src's nil-ness, which receivers read: nil is a
-// one-hop beacon, an empty table a two-hop beacon with no fresh
-// neighbours (see routing.NeighborTable.Update), whatever body the pool
-// happened to recycle.
+// copyLoads copies a HELLO's piggybacked loads over a body's storage. It
+// keeps src's nil-ness, which receivers read: nil is a one-hop beacon, an
+// empty table a two-hop beacon with no fresh neighbours (see
+// routing.NeighborTable.Update), whatever body the pool happened to
+// recycle.
 func copyLoads(dst, src []NeighborLoad) []NeighborLoad {
 	if src == nil {
 		return nil
@@ -304,60 +327,41 @@ func copyLoads(dst, src []NeighborLoad) []NeighborLoad {
 	return append(dst[:0], src...)
 }
 
-// Clone is the pooled Packet.Clone: same deep-copy semantics, recycled
-// storage when a matching shape is free.
+// Clone returns a deep copy of p. Forwarding nodes clone before mutating
+// per-hop fields (TTL, hop count, cost) so receivers of the same
+// broadcast frame observe identical contents. The copy carries no lease
+// of p's: it is on loan from pl, if from anyone.
 func (pl *Pool) Clone(p *Packet) *Packet {
-	if pl == nil {
-		return p.Clone()
-	}
+	var q *Packet
 	switch {
 	case p.RREQ != nil:
-		q, ok := pl.rreq.Get()
-		if !ok {
-			return pl.tracked(p.Clone())
-		}
+		q = pl.get(RREQ)
 		b := q.RREQ
 		*b = *p.RREQ
 		*q = *p
 		q.RREQ = b
-		return pl.tracked(q)
 	case p.RREP != nil:
-		q, ok := pl.rrep.Get()
-		if !ok {
-			return pl.tracked(p.Clone())
-		}
+		q = pl.get(RREP)
 		b := q.RREP
 		*b = *p.RREP
 		*q = *p
 		q.RREP = b
-		return pl.tracked(q)
 	case p.RERR != nil:
-		q, ok := pl.rerr.Get()
-		if !ok {
-			return pl.tracked(p.Clone())
-		}
+		q = pl.get(RERR)
 		b := q.RERR
 		b.Unreachable = append(b.Unreachable[:0], p.RERR.Unreachable...)
 		*q = *p
 		q.RERR = b
-		return pl.tracked(q)
 	case p.Hello != nil:
-		q, ok := pl.hello.Get()
-		if !ok {
-			return pl.tracked(p.Clone())
-		}
+		q = pl.get(Hello)
 		b := q.Hello
 		b.Load = p.Hello.Load
 		b.NbrLoads = copyLoads(b.NbrLoads, p.Hello.NbrLoads)
 		*q = *p
 		q.Hello = b
-		return pl.tracked(q)
 	default:
-		q, ok := pl.data.Get()
-		if !ok {
-			return pl.tracked(p.Clone())
-		}
+		q = pl.get(Data)
 		*q = *p
-		return pl.tracked(q)
 	}
+	return pl.tracked(q)
 }

@@ -9,59 +9,68 @@ import (
 	"clnlr/internal/des"
 )
 
-// samples builds one packet of every shape via the plain constructors.
+// samples returns one packet of every shape, written out field by field:
+// what shape(pl, i) must build on every path.
 func samples() []*Packet {
 	return []*Packet{
-		NewData(1, 2, 512, 3, 7, 5*des.Second, 16),
-		NewRREQ(RREQBody{ID: 9, Origin: 1, OriginSeq: 4, Target: 5, TargetSeq: 2,
-			TargetSeqKnown: true, HopCount: 3, Cost: 4.5, Attempt: 1}, des.Second, 20),
-		NewRREP(4, RREPBody{Origin: 1, Target: 5, TargetSeq: 2, HopCount: 3,
-			Cost: 4.5, Lifetime: des.Second}, 2*des.Second, 20),
-		NewRERR(3, []UnreachableDest{{Node: 5, Seq: 2}, {Node: 6, Seq: 9}}, des.Second),
-		NewHello(2, HelloBody{Load: 0.7, NbrLoads: []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}}, des.Second),
+		{Kind: Data, Src: 1, Dst: 2, TTL: 16, Bytes: 512 + IPHeaderBytes + UDPHeaderBytes,
+			CreatedAt: 5 * des.Second, FlowID: 3, Seq: 7},
+		{Kind: RREQ, Src: 1, Dst: Broadcast, TTL: 20, Bytes: RREQBytes, CreatedAt: des.Second,
+			RREQ: &RREQBody{ID: 9, Origin: 1, OriginSeq: 4, Target: 5, TargetSeq: 2,
+				TargetSeqKnown: true, HopCount: 3, Cost: 4.5, Attempt: 1}},
+		{Kind: RREP, Src: 4, Dst: 1, TTL: 20, Bytes: RREPBytes, CreatedAt: 2 * des.Second,
+			RREP: &RREPBody{Origin: 1, Target: 5, TargetSeq: 2, HopCount: 3, Cost: 4.5, Lifetime: des.Second}},
+		{Kind: RERR, Src: 3, Dst: Broadcast, TTL: 1, Bytes: RERRBaseBytes + 2*RERRPerDestBytes, CreatedAt: des.Second,
+			RERR: &RERRBody{Unreachable: []UnreachableDest{{Node: 5, Seq: 2}, {Node: 6, Seq: 9}}}},
+		{Kind: Hello, Src: 2, Dst: Broadcast, TTL: 1, Bytes: HelloBaseBytes + 2*HelloPerNbrBytes, CreatedAt: des.Second,
+			Hello: &HelloBody{Load: 0.7, NbrLoads: []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}}},
 	}
 }
 
-// TestPooledConstructorsMatchPlain checks that packets built through a
-// pool — both the cold path (empty free list) and the recycled path —
-// are field-for-field identical to the plain constructors' output.
-func TestPooledConstructorsMatchPlain(t *testing.T) {
-	build := func(pl *Pool) []*Packet {
-		return []*Packet{
-			pl.Data(1, 2, 512, 3, 7, 5*des.Second, 16),
-			pl.RREQ(RREQBody{ID: 9, Origin: 1, OriginSeq: 4, Target: 5, TargetSeq: 2,
-				TargetSeqKnown: true, HopCount: 3, Cost: 4.5, Attempt: 1}, des.Second, 20),
-			pl.RREP(4, RREPBody{Origin: 1, Target: 5, TargetSeq: 2, HopCount: 3,
-				Cost: 4.5, Lifetime: des.Second}, 2*des.Second, 20),
-			pl.RERR(3, []UnreachableDest{{Node: 5, Seq: 2}, {Node: 6, Seq: 9}}, des.Second),
-			pl.Hello(2, HelloBody{Load: 0.7, NbrLoads: []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}}, des.Second),
-		}
+// shape builds samples()[i] through pl's constructors.
+func shape(pl *Pool, i int) *Packet {
+	switch i {
+	case 0:
+		return pl.Data(1, 2, 512, 3, 7, 5*des.Second, 16)
+	case 1:
+		return pl.RREQ(RREQBody{ID: 9, Origin: 1, OriginSeq: 4, Target: 5, TargetSeq: 2,
+			TargetSeqKnown: true, HopCount: 3, Cost: 4.5, Attempt: 1}, des.Second, 20)
+	case 2:
+		return pl.RREP(4, RREPBody{Origin: 1, Target: 5, TargetSeq: 2, HopCount: 3,
+			Cost: 4.5, Lifetime: des.Second}, 2*des.Second, 20)
+	case 3:
+		return pl.RERR(3, []UnreachableDest{{Node: 5, Seq: 2}, {Node: 6, Seq: 9}}, des.Second)
+	default:
+		return pl.Hello(2, HelloBody{Load: 0.7, NbrLoads: []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}}, des.Second)
 	}
-	want := samples()
-	pl := NewPool()
-	cold := build(pl)
-	for i, p := range cold {
-		if !reflect.DeepEqual(p, want[i]) {
-			t.Errorf("cold pooled %v differs from plain: %+v vs %+v", p.Kind, p, want[i])
-		}
-	}
-	// Seed every free list with stale packets carrying different contents,
-	// then rebuild: recycled storage must yield the same results.
+}
+
+// seedStale fills every free list with a packet carrying other contents
+// (and a longer RERR list), so a hit recycles storage that must be
+// overwritten in full.
+func seedStale(pl *Pool) {
 	pl.Release(pl.Data(8, 9, 1, 1, 1, des.Millisecond, 1))
 	pl.Release(pl.RREQ(RREQBody{ID: 1, Origin: 7, Target: 8, HopCount: 9}, 0, 1))
 	pl.Release(pl.RREP(9, RREPBody{Origin: 7, Target: 8}, 0, 1))
 	pl.Release(pl.RERR(9, []UnreachableDest{{Node: 1, Seq: 1}, {Node: 2, Seq: 2}, {Node: 3, Seq: 3}}, 0))
 	pl.Release(pl.Hello(9, HelloBody{Load: 0.1, NbrLoads: []NeighborLoad{{ID: 9, Load: 1}}}, 0))
-	if pl.Len() != 5 {
-		t.Fatalf("Len() = %d after seeding five shapes, want 5", pl.Len())
-	}
-	warm := build(pl)
-	if pl.Len() != 0 {
-		t.Fatalf("Len() = %d after draining, want 0", pl.Len())
-	}
-	for i, p := range warm {
-		if !reflect.DeepEqual(p, want[i]) {
-			t.Errorf("recycled pooled %v differs from plain: %+v vs %+v", p.Kind, p, want[i])
+}
+
+// TestPooledConstructorsMatchPlain checks that every constructor builds
+// the packet written out in samples, field for field, on every path: a
+// recycled packet, a miss and no pool.
+func TestPooledConstructorsMatchPlain(t *testing.T) {
+	for _, tc := range poolPaths(seedStale) {
+		if tc.name == "hit" && tc.pl.Len() != 5 {
+			t.Fatalf("Len() = %d after seeding five shapes, want 5", tc.pl.Len())
+		}
+		for i, want := range samples() {
+			if p := shape(tc.pl, i); !reflect.DeepEqual(p, want) {
+				t.Errorf("%s: %v built as %+v, want %+v", tc.name, want.Kind, p, want)
+			}
+		}
+		if tc.pl.Len() != 0 {
+			t.Fatalf("%s: Len() = %d after building every shape, want 0", tc.name, tc.pl.Len())
 		}
 	}
 }
@@ -88,47 +97,73 @@ func TestPoolRecyclesStorage(t *testing.T) {
 	}
 }
 
-// TestPooledCloneMatchesClone checks pooled Clone against Packet.Clone for
-// every shape, on both the fallback and the recycled path, and that the
-// clone is a genuinely independent deep copy.
+// TestPooledCloneMatchesClone checks Clone for every shape on every path
+// (a recycled packet, a miss and no pool): the clone equals the original
+// field for field and is a genuinely independent deep copy.
 func TestPooledCloneMatchesClone(t *testing.T) {
-	for _, orig := range samples() {
-		pl := NewPool()
-		for pass, c := range []*Packet{pl.Clone(orig), func() *Packet {
-			// Seed the matching free list so the second clone recycles.
-			pl.Release(pl.Clone(orig))
-			return pl.Clone(orig)
-		}()} {
+	for _, tc := range poolPaths(seedStale) {
+		for _, orig := range samples() {
+			c := tc.pl.Clone(orig)
 			if !reflect.DeepEqual(c, orig) {
-				t.Errorf("%v clone pass %d differs: %+v vs %+v", orig.Kind, pass, c, orig)
+				t.Errorf("%s: %v clone differs: %+v vs %+v", tc.name, orig.Kind, c, orig)
 				continue
 			}
 			if c == orig {
-				t.Errorf("%v clone pass %d aliases the original", orig.Kind, pass)
+				t.Errorf("%s: %v clone aliases the original", tc.name, orig.Kind)
 			}
 			// Mutating the clone's body must not leak into the original.
 			switch {
 			case c.RREQ != nil:
 				c.RREQ.Cost++
 				if orig.RREQ.Cost == c.RREQ.Cost {
-					t.Errorf("RREQ clone pass %d shares its body", pass)
+					t.Errorf("%s: RREQ clone shares its body", tc.name)
 				}
 			case c.RREP != nil:
 				c.RREP.Cost++
 				if orig.RREP.Cost == c.RREP.Cost {
-					t.Errorf("RREP clone pass %d shares its body", pass)
+					t.Errorf("%s: RREP clone shares its body", tc.name)
 				}
 			case c.RERR != nil:
 				c.RERR.Unreachable[0].Seq++
 				if orig.RERR.Unreachable[0].Seq == c.RERR.Unreachable[0].Seq {
-					t.Errorf("RERR clone pass %d shares its unreachable list", pass)
+					t.Errorf("%s: RERR clone shares its unreachable list", tc.name)
 				}
 			case c.Hello != nil:
 				c.Hello.NbrLoads[0].Load++
 				if orig.Hello.NbrLoads[0].Load == c.Hello.NbrLoads[0].Load {
-					t.Errorf("Hello clone pass %d shares its neighbour loads", pass)
+					t.Errorf("%s: Hello clone shares its neighbour loads", tc.name)
 				}
 			}
+		}
+		if tc.pl.Len() != 0 {
+			t.Fatalf("%s: Len() = %d after cloning every shape, want 0", tc.name, tc.pl.Len())
+		}
+	}
+}
+
+// TestPoolMissCoAllocatesBody: a miss allocates a control packet's body
+// in the same object as the packet, so building or cloning a packet costs
+// one allocation, plus one for a RERR's or HELLO's non-empty list; a nil
+// pool costs the same, and a hit nothing.
+func TestPoolMissCoAllocatesBody(t *testing.T) {
+	want := []float64{1, 1, 1, 2, 2} // Data, RREQ, RREP, RERR, HELLO
+	for _, tc := range []struct {
+		name string
+		pl   *Pool
+	}{{"miss", NewPool()}, {"nil-pool", nil}} {
+		for i, orig := range samples() {
+			if got := testing.AllocsPerRun(100, func() { shape(tc.pl, i) }); got != want[i] {
+				t.Errorf("%s: building a %v costs %v allocations, want %v", tc.name, orig.Kind, got, want[i])
+			}
+			if got := testing.AllocsPerRun(100, func() { tc.pl.Clone(orig) }); got != want[i] {
+				t.Errorf("%s: cloning a %v costs %v allocations, want %v", tc.name, orig.Kind, got, want[i])
+			}
+		}
+	}
+	pl := NewPool()
+	for i, orig := range samples() {
+		if got := testing.AllocsPerRun(100, func() { pl.Release(shape(pl, i)); pl.Release(pl.Clone(orig)) }); got != 0 {
+			t.Errorf("hit: building and cloning a %v costs %v allocations, want 0", orig.Kind, got)
 		}
 	}
 }
@@ -137,7 +172,7 @@ func TestPooledCloneMatchesClone(t *testing.T) {
 func TestPoolCap(t *testing.T) {
 	pl := NewPool()
 	for i := 0; i < PoolCap+5; i++ {
-		pl.Release(NewData(1, 2, 10, 0, i, 0, 5))
+		pl.Release(nilPool.Data(1, 2, 10, 0, i, 0, 5))
 	}
 	if pl.Len() != PoolCap {
 		t.Errorf("Len() = %d, want cap %d", pl.Len(), PoolCap)
@@ -147,32 +182,17 @@ func TestPoolCap(t *testing.T) {
 	}
 }
 
-// TestNilPoolFallsBack checks every method is nil-receiver safe and
-// behaves like the plain constructors.
+// TestNilPoolFallsBack checks a nil pool is safe to use and keeps
+// nothing: what it is given back falls to the GC, and it reports no
+// pooled packets, drops or ledger state.
 func TestNilPoolFallsBack(t *testing.T) {
 	var pl *Pool
 	pl.Release(nil)
-	pl.Release(NewData(1, 2, 10, 0, 0, 0, 5))
-	if pl.Len() != 0 || pl.Drops() != 0 {
-		t.Error("nil pool reported pooled packets or drops")
-	}
-	want := samples()
-	got := []*Packet{
-		pl.Data(1, 2, 512, 3, 7, 5*des.Second, 16),
-		pl.RREQ(RREQBody{ID: 9, Origin: 1, OriginSeq: 4, Target: 5, TargetSeq: 2,
-			TargetSeqKnown: true, HopCount: 3, Cost: 4.5, Attempt: 1}, des.Second, 20),
-		pl.RREP(4, RREPBody{Origin: 1, Target: 5, TargetSeq: 2, HopCount: 3,
-			Cost: 4.5, Lifetime: des.Second}, 2*des.Second, 20),
-		pl.RERR(3, []UnreachableDest{{Node: 5, Seq: 2}, {Node: 6, Seq: 9}}, des.Second),
-		pl.Hello(2, HelloBody{Load: 0.7, NbrLoads: []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}}, des.Second),
-	}
-	for i, p := range got {
-		if !reflect.DeepEqual(p, want[i]) {
-			t.Errorf("nil-pool %v differs from plain constructor", p.Kind)
-		}
-	}
-	if c := pl.Clone(want[1]); !reflect.DeepEqual(c, want[1]) || c == want[1] {
-		t.Error("nil-pool Clone is not an independent deep copy")
+	pl.Release(pl.Data(1, 2, 10, 0, 0, 0, 5))
+	pl.ResetDrops()
+	pl.SetAudit(true)
+	if pl.Len() != 0 || pl.Drops() != 0 || pl.LiveBorrowed() != 0 || pl.DoubleFrees() != 0 {
+		t.Error("nil pool reported pooled packets, drops or ledger state")
 	}
 }
 
@@ -260,15 +280,15 @@ func TestPoolLedgerEarlierArming(t *testing.T) {
 	}
 }
 
-// TestPoolCloneCarriesNoLease: a copy of a lent packet — by Packet.Clone
-// or by a disarmed pool's Clone — is not on loan from the lender, so the
+// TestPoolCloneCarriesNoLease: a copy of a lent packet — by a nil pool's
+// Clone or by a disarmed pool's Clone — is not on loan from the lender, so the
 // lender refuses it as a double free and still counts only the original.
 func TestPoolCloneCarriesNoLease(t *testing.T) {
 	lender, other := NewPool(), NewPool()
 	lender.SetAudit(true)
 	p := lender.Data(1, 2, 64, 0, 0, des.Second, 16)
 	other.Release(other.Data(1, 2, 64, 0, 0, des.Second, 16)) // so other's Clone recycles
-	for _, c := range []*Packet{p.Clone(), other.Clone(p)} {
+	for _, c := range []*Packet{nilPool.Clone(p), other.Clone(p)} {
 		lender.Release(c)
 	}
 	if df, live := lender.DoubleFrees(), lender.LiveBorrowed(); df != 2 || live != 1 {
@@ -312,8 +332,8 @@ func (l *mapLedger) release(p *Packet) bool {
 }
 
 // TestPoolLedgerMatchesMapLedger drives three pools through random
-// borrows, clones (through a pool, across pools and through the plain
-// Packet.Clone), releases to the lending pool or a foreign one, repeated
+// borrows of every shape, clones (through a pool, across pools and
+// through a nil pool), releases to the lending pool or a foreign one, repeated
 // releases and re-armings of all pools at once, as an engine arms them,
 // and requires the stamped ledgers to count live borrows and double frees,
 // and to take packets back, exactly as a per-pool set of live packets
@@ -344,14 +364,12 @@ func TestPoolLedgerMatchesMapLedger(t *testing.T) {
 					pools[j].SetAudit(on)
 					refs[j].arm(on)
 				}
-			case op < 7 || len(held) == 0:
-				lend(ref, pl.Data(1, 2, 64, 0, step, des.Second, 16))
-			case op < 9:
-				lend(ref, pl.Hello(1, HelloBody{Load: 0.5}, des.Second))
+			case op < 9 || len(held) == 0:
+				lend(ref, shape(pl, op%5))
 			case op < 12:
 				lend(ref, pl.Clone(held[rnd.Intn(len(held))]))
 			case op < 13:
-				p := held[rnd.Intn(len(held))].Clone()
+				p := nilPool.Clone(held[rnd.Intn(len(held))])
 				held = append(held, p)
 				out[p] = true
 			default:

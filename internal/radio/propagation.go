@@ -206,12 +206,6 @@ func (l LogDistance) pairGaussian(a, b geom.Point) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// DBmToWatts converts a power level in dBm to watts.
-func DBmToWatts(dbm float64) float64 { return math.Pow(10, dbm/10) / 1000 }
-
-// WattsToDBm converts a power level in watts to dBm.
-func WattsToDBm(w float64) float64 { return 10 * math.Log10(w*1000) }
-
 // Nakagami overlays deterministic Nakagami-m fast fading on a base model:
 // the received power is multiplied by a unit-mean Gamma(m, 1/m) draw that
 // is a pure hash of (unordered link, time slot), so runs stay reproducible

@@ -127,20 +127,6 @@ func TestLogDistanceNoShadowingExponent(t *testing.T) {
 	}
 }
 
-func TestDBmConversions(t *testing.T) {
-	if math.Abs(DBmToWatts(0)-0.001) > 1e-12 {
-		t.Fatalf("0 dBm = %v W", DBmToWatts(0))
-	}
-	if math.Abs(DBmToWatts(30)-1.0) > 1e-9 {
-		t.Fatalf("30 dBm = %v W", DBmToWatts(30))
-	}
-	for _, dbm := range []float64{-90, -20, 0, 24.5} {
-		if got := WattsToDBm(DBmToWatts(dbm)); math.Abs(got-dbm) > 1e-9 {
-			t.Fatalf("round trip %v -> %v", dbm, got)
-		}
-	}
-}
-
 func TestCleanDelivery(t *testing.T) {
 	sim, m, radios, recs := testbed(DefaultParams(),
 		geom.Point{X: 0}, geom.Point{X: 200})

@@ -182,23 +182,3 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
 }
-
-// Perm returns a random permutation of [0,n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomises the order of n elements using the provided swap
-// function (Fisher–Yates).
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -229,40 +229,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(31)
-	for _, n := range []int{0, 1, 2, 5, 50} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(37)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed multiset: sum %d -> %d", sum, got)
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	s := New(41)
 	for i := 0; i < 10000; i++ {

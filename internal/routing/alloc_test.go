@@ -12,6 +12,9 @@ import (
 	"clnlr/internal/rng"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 // warmPair builds cores a (ID 0) and b (ID 1) 200 m apart on one medium,
 // each with its own MAC, packet pool and streams, running cfg with a
 // policy that never forwards. Nothing is started: beacons and floods
@@ -63,7 +66,7 @@ func TestRouteMaintenanceAllocatesNothing(t *testing.T) {
 	t.Run("rerr-rebroadcast", func(t *testing.T) {
 		sim, a, _ := warmPair(DefaultConfig())
 		// Listed out of destination order: the re-broadcast sorts it.
-		rerr := pkt.NewRERR(1, []pkt.UnreachableDest{{Node: 7}, {Node: 5}, {Node: 6}}, 0)
+		rerr := nilPool.RERR(1, []pkt.UnreachableDest{{Node: 7}, {Node: 5}, {Node: 6}}, 0)
 		seq := uint32(0)
 		n := allocsPerStep(sim, func() {
 			seq += 2
@@ -163,8 +166,8 @@ func TestRouteMaintenanceAllocatesNothing(t *testing.T) {
 		sim, a, b := warmPair(cfg)
 		// Two copies of each flood from origin 9: the costlier one opens
 		// the window, the cheaper one (through b) replaces its best.
-		far := pkt.NewRREQ(pkt.RREQBody{Origin: 9, Target: 0, HopCount: 3, Cost: 3}, 0, 30)
-		near := pkt.NewRREQ(pkt.RREQBody{Origin: 9, Target: 0, HopCount: 1, Cost: 1}, 0, 30)
+		far := nilPool.RREQ(pkt.RREQBody{Origin: 9, Target: 0, HopCount: 3, Cost: 3}, 0, 30)
+		near := nilPool.RREQ(pkt.RREQBody{Origin: 9, Target: 0, HopCount: 1, Cost: 1}, 0, 30)
 		id := uint32(0)
 		n := allocsPerStep(sim, func() {
 			id++

@@ -14,6 +14,9 @@ import (
 	"clnlr/internal/routing/aodv"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 func buildChain(n int) (*des.Sim, []*node.Node) {
 	simk := des.NewSim()
 	medium := radio.NewMedium(simk, radio.NewTwoRay(914e6, 1.5, 1.5))
@@ -36,7 +39,7 @@ func TestFloodForwardsFirstCopyOnly(t *testing.T) {
 	// node 2's rebroadcast (a duplicate). It must forward exactly once.
 	simk, nodes := buildChain(4)
 	simk.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 128, 0, 0, simk.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, simk.Now(), 30))
 	})
 	simk.RunUntil(10 * des.Second)
 
@@ -66,7 +69,7 @@ func TestFloodFirstRREQWinsReply(t *testing.T) {
 	// Destination-side: first-wins means exactly one RREP per discovery.
 	simk, nodes := buildChain(3)
 	simk.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 2, 128, 0, 0, simk.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 2, 128, 0, 0, simk.Now(), 30))
 	})
 	simk.RunUntil(10 * des.Second)
 	if got := nodes[2].Agent.Ctr.RREPSent; got != 1 {

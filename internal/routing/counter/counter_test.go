@@ -14,6 +14,9 @@ import (
 	"clnlr/internal/routing/counter"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 func build(positions []geom.Point, params counter.Params, seed uint64) (*des.Sim, []*node.Node) {
 	simk := des.NewSim()
 	medium := radio.NewMedium(simk, radio.NewTwoRay(914e6, 1.5, 1.5))
@@ -38,7 +41,7 @@ func TestThresholdOneSuppressesEverything(t *testing.T) {
 	simk, nodes := build(geom.ChainPlacement(geom.Point{}, 3, 200),
 		counter.Params{C: 1, RADMax: 10 * des.Millisecond}, 3)
 	simk.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 2, 64, 0, 0, simk.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 2, 64, 0, 0, simk.Now(), 30))
 	})
 	simk.RunUntil(15 * des.Second)
 	if nodes[2].Agent.Ctr.DataDelivered != 0 {
@@ -58,7 +61,7 @@ func TestDefaultThresholdDeliversOnChain(t *testing.T) {
 	simk, nodes := build(geom.ChainPlacement(geom.Point{}, 4, 200),
 		counter.DefaultParams(), 5)
 	simk.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 64, 0, 0, simk.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 64, 0, 0, simk.Now(), 30))
 	})
 	simk.RunUntil(10 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
@@ -78,7 +81,7 @@ func TestDenseClusterSuppresses(t *testing.T) {
 	positions = append(positions, geom.Point{X: 330}) // target, reachable via cluster
 	simk, nodes := build(positions, counter.Params{C: 2, RADMax: 10 * des.Millisecond}, 7)
 	simk.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, pkt.NodeID(len(nodes)-1), 64, 0, 0, simk.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, pkt.NodeID(len(nodes)-1), 64, 0, 0, simk.Now(), 30))
 	})
 	simk.RunUntil(10 * des.Second)
 

@@ -13,6 +13,9 @@ import (
 	"clnlr/internal/routing"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 // chain builds three counter nodes 200 m apart, not started (no
 // beacons), and returns the middle one's policy.
 func chain() (*des.Sim, []*node.Node, *Policy) {
@@ -45,7 +48,7 @@ func TestRADAllocatesNothing(t *testing.T) {
 	mid := nodes[1].Agent
 	// Flood copies from a node out of the chain's reach, as relayed by
 	// each end of the chain.
-	rreq := pkt.NewRREQ(pkt.RREQBody{Origin: 9, Target: 8, HopCount: 1, Cost: 1}, 0, 30)
+	rreq := nilPool.RREQ(pkt.RREQBody{Origin: 9, Target: 8, HopCount: 1, Cost: 1}, 0, 30)
 	id := uint32(0)
 	n := testing.AllocsPerRun(50, func() {
 		id++
@@ -69,7 +72,7 @@ func TestRecycledSlotHoldsNoPackets(t *testing.T) {
 	simk, nodes, p := chain()
 	mid := nodes[1].Agent
 	for id := uint32(1); id <= 3; id++ {
-		mid.MacReceive(pkt.NewRREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), 0)
+		mid.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), 0)
 	}
 	if p.HeldPackets() != 3 || packetsInSlots(p, 3) != 3 {
 		t.Fatalf("three RADs in progress hold %d clones (%d in slots), want 3", p.HeldPackets(), packetsInSlots(p, 3))
@@ -85,7 +88,7 @@ func TestRecycledSlotHoldsNoPackets(t *testing.T) {
 	// All three slots are free: a new flood takes the last one freed
 	// instead of growing the slab.
 	nodes[1].Recover()
-	mid.MacReceive(pkt.NewRREQ(pkt.RREQBody{ID: 4, Origin: 9, Target: 8, OriginSeq: 4}, 0, 30), 0)
+	mid.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: 4, Origin: 9, Target: 8, OriginSeq: 4}, 0, 30), 0)
 	if i, ok := p.pending[floodKey{9, 4}]; !ok || i >= 3 {
 		t.Errorf("a new flood after three RADs resolved took slot %d (pending %v), want a recycled one", i, ok)
 	}

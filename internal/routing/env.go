@@ -37,9 +37,10 @@ type Env struct {
 	// Deliver receives data packets addressed to this node (the
 	// application sink). May be nil.
 	Deliver func(p *pkt.Packet, from pkt.NodeID)
-	// Pool, when non-nil, recycles this node's packets (see pkt.Pool for
-	// the ownership discipline). All pkt.Pool methods are nil-safe, so a
-	// pool-less Env behaves identically, just with GC churn.
+	// Pool builds and recycles this node's packets (see pkt.Pool for the
+	// ownership discipline). A nil Pool is a valid one that allocates
+	// every packet fresh and keeps nothing, so a pool-less Env behaves
+	// identically, just with GC churn.
 	Pool *pkt.Pool
 	// Journey, when non-nil, receives packet-lifecycle, decision-provenance
 	// and route events (zero cost when nil: one branch per hook). The

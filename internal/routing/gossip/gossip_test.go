@@ -14,6 +14,9 @@ import (
 	"clnlr/internal/routing/gossip"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 func buildChain(n int, params gossip.Params, seed uint64) (*des.Sim, []*node.Node) {
 	simk := des.NewSim()
 	medium := radio.NewMedium(simk, radio.NewTwoRay(914e6, 1.5, 1.5))
@@ -35,7 +38,7 @@ func TestDefaultParams(t *testing.T) {
 func TestProbabilityOneBehavesLikeFlood(t *testing.T) {
 	simk, nodes := buildChain(4, gossip.Params{P: 1, K: 0}, 3)
 	simk.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 128, 0, 0, simk.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, simk.Now(), 30))
 	})
 	simk.RunUntil(10 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
@@ -51,7 +54,7 @@ func TestProbabilityZeroSuppressesBeyondK(t *testing.T) {
 	// 2nd-ring nodes suppress everything, so a 3-hop discovery fails.
 	simk, nodes := buildChain(4, gossip.Params{P: 0, K: 1}, 3)
 	simk.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 128, 0, 0, simk.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, simk.Now(), 30))
 	})
 	simk.RunUntil(15 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 0 {
@@ -78,7 +81,7 @@ func TestIntermediateProbability(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		simk, nodes := buildChain(3, gossip.Params{P: 0.5, K: 0}, seed)
 		simk.Schedule(des.Second, func() {
-			nodes[0].Agent.Send(pkt.NewData(0, 2, 64, 0, 0, simk.Now(), 30))
+			nodes[0].Agent.Send(nilPool.Data(0, 2, 64, 0, 0, simk.Now(), 30))
 		})
 		simk.RunUntil(6 * des.Second)
 		forwarded += int(nodes[1].Agent.Ctr.RREQForwarded)

@@ -20,6 +20,9 @@ import (
 	"clnlr/internal/traffic"
 )
 
+// nilPool builds test packets: a nil pool allocates and keeps nothing.
+var nilPool *pkt.Pool
+
 // flood and clnlr are the two specs most tests build from.
 var (
 	flood = aodv.Spec(routing.DefaultConfig())
@@ -152,7 +155,7 @@ func TestDiscoveryFailsAcrossPartition(t *testing.T) {
 	// buffered packets must be dropped with DropNoRoute accounting.
 	positions := []geom.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 3000, Y: 0}, {X: 3200, Y: 0}}
 	sim, nodes := buildNet(5, positions, flood)
-	p := pkt.NewData(0, 3, 256, 0, 0, 0, 30)
+	p := nilPool.Data(0, 3, 256, 0, 0, 0, 30)
 	sim.Schedule(des.Second, func() { nodes[0].Agent.Send(p) })
 	sim.RunUntil(30 * des.Second)
 
@@ -174,7 +177,7 @@ func TestRouteReusedWithoutRediscovery(t *testing.T) {
 	positions := geom.ChainPlacement(geom.Point{}, 3, 200)
 	sim, nodes := buildNet(17, positions, flood)
 	send := func(seq int) {
-		nodes[0].Agent.Send(pkt.NewData(0, 2, 256, 0, seq, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, seq, sim.Now(), 30))
 	}
 	sim.Schedule(des.Second, func() { send(0) })
 	// Second packet while the route is warm: no new flood.
@@ -240,7 +243,7 @@ func TestTTLPreventsInfiniteForwarding(t *testing.T) {
 	positions := geom.ChainPlacement(geom.Point{}, 4, 200)
 	sim, nodes := buildNet(13, positions, flood)
 	// TTL 2 cannot cross 3 hops.
-	p := pkt.NewData(0, 3, 128, 0, 0, 0, 2)
+	p := nilPool.Data(0, 3, 128, 0, 0, 0, 2)
 	sim.Schedule(des.Second, func() { nodes[0].Agent.Send(p) })
 	sim.RunUntil(10 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 0 {
@@ -284,7 +287,7 @@ func TestTracingCapturesRoutingEvents(t *testing.T) {
 	// send originates one data packet at node 0; a UID makes it journey.
 	send := func(sim *des.Sim, nodes []*node.Node, at des.Time, dst pkt.NodeID) {
 		sim.Schedule(at, func() {
-			p := pkt.NewData(0, dst, 128, 0, 0, sim.Now(), 30)
+			p := nilPool.Data(0, dst, 128, 0, 0, sim.Now(), 30)
 			p.UID = uint64(at)
 			nodes[0].Agent.Send(p)
 		})
@@ -356,7 +359,7 @@ func TestExpandingRingSearch(t *testing.T) {
 	t.Run("near destination found with TTL-1 flood", func(t *testing.T) {
 		sim, nodes := buildNet(3, positions, ers)
 		sim.Schedule(des.Second, func() {
-			nodes[0].Agent.Send(pkt.NewData(0, 1, 128, 0, 0, sim.Now(), 30))
+			nodes[0].Agent.Send(nilPool.Data(0, 1, 128, 0, 0, sim.Now(), 30))
 		})
 		sim.RunUntil(10 * des.Second)
 		if nodes[1].Agent.Ctr.DataDelivered != 1 {
@@ -377,7 +380,7 @@ func TestExpandingRingSearch(t *testing.T) {
 	t.Run("far destination escalates the ladder", func(t *testing.T) {
 		sim, nodes := buildNet(3, positions, ers)
 		sim.Schedule(des.Second, func() {
-			nodes[0].Agent.Send(pkt.NewData(0, 3, 128, 0, 0, sim.Now(), 30))
+			nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, sim.Now(), 30))
 		})
 		sim.RunUntil(15 * des.Second)
 		if nodes[3].Agent.Ctr.DataDelivered != 1 {
@@ -395,7 +398,7 @@ func TestExpandingRingSearch(t *testing.T) {
 	t.Run("unreachable destination exhausts ladder plus retries", func(t *testing.T) {
 		sim, nodes := buildNet(3, positions, ers)
 		sim.Schedule(des.Second, func() {
-			nodes[0].Agent.Send(pkt.NewData(0, 99, 128, 0, 0, sim.Now(), 30))
+			nodes[0].Agent.Send(nilPool.Data(0, 99, 128, 0, 0, sim.Now(), 30))
 		})
 		_ = nodes
 		sim.RunUntil(30 * des.Second)
@@ -418,7 +421,7 @@ func TestLinkFailureTriggersRERRPropagation(t *testing.T) {
 	sim, nodes := buildNet(29, positions, flood)
 	seq := 0
 	feeder := des.NewTicker(sim, 200*des.Millisecond, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, seq, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, seq, sim.Now(), 30))
 		seq++
 	})
 	feeder.Start(des.Second)
@@ -464,7 +467,7 @@ func TestCrashedRelayTriggersRERRAndReroute(t *testing.T) {
 	sim, nodes := buildNet(43, positions, flood)
 	seq := 0
 	feeder := des.NewTicker(sim, 200*des.Millisecond, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 3, 256, 0, seq, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, seq, sim.Now(), 30))
 		seq++
 	})
 	feeder.Start(des.Second)
@@ -512,7 +515,7 @@ func TestCrashedNodeRecoversAndServesAgain(t *testing.T) {
 	sim, nodes := buildNet(47, positions, flood)
 	seq := 0
 	feeder := des.NewTicker(sim, 250*des.Millisecond, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 2, 256, 0, seq, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, seq, sim.Now(), 30))
 		seq++
 	})
 	feeder.Start(des.Second)
@@ -591,12 +594,12 @@ func TestIntermediateDropAndRERRWithoutRoute(t *testing.T) {
 	positions := geom.ChainPlacement(geom.Point{}, 3, 200)
 	sim, nodes := buildNet(31, positions, flood)
 	sim.Schedule(des.Second, func() {
-		nodes[0].Agent.Send(pkt.NewData(0, 2, 256, 0, 0, sim.Now(), 30))
+		nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, 0, sim.Now(), 30))
 	})
 	// Well after the route lifetime (5 s), hand node 1 a data packet for
 	// node 2 as if forwarded from node 0: its route has expired.
 	sim.Schedule(15*des.Second, func() {
-		nodes[1].Agent.MacReceive(pkt.NewData(0, 2, 256, 0, 1, sim.Now(), 30), 0)
+		nodes[1].Agent.MacReceive(nilPool.Data(0, 2, 256, 0, 1, sim.Now(), 30), 0)
 	})
 	sim.RunUntil(20 * des.Second)
 	if nodes[1].Agent.Ctr.DropNoRoute == 0 {

@@ -980,3 +980,30 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("bad requests reached admission: %+v", st)
 	}
 }
+
+// TestServedSweepKeepsScenarioAudit: a sweep whose scenario sets Audit
+// runs each cell as submitted, so every cell carries the fingerprint of
+// its scheme's scenario, Audit included.
+func TestServedSweepKeepsScenarioAudit(t *testing.T) {
+	base := testScenario(79)
+	base.Measure = 2 * des.Second
+	base.Audit = true
+	_, ts := newTestServer(t, Config{JobWorkers: 1})
+	schemes := []string{"flood", "clnlr"}
+	resp, body := post(t, ts, "/v1/sweep", SweepRequest{Scenario: scenarioJSON(t, base), Schemes: schemes, Reps: 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("audited sweep: %d %s", resp.StatusCode, body)
+	}
+	var rep SweepReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) != len(schemes) {
+		t.Fatalf("audited sweep served %d cells, want %d", len(rep.Cells), len(schemes))
+	}
+	for i, c := range rep.Cells {
+		if want := base.WithScheme(sim.Scheme(schemes[i])).Fingerprint(); c.Fingerprint != want {
+			t.Errorf("cell %s fingerprint %s, want %s", c.Label, c.Fingerprint, want)
+		}
+	}
+}

@@ -68,18 +68,6 @@ func (t *Topology) N() int { return len(t.Neighbors) }
 // Degree returns node i's neighbour count.
 func (t *Topology) Degree(i pkt.NodeID) int { return len(t.Neighbors[i]) }
 
-// AvgDegree returns the mean neighbour count.
-func (t *Topology) AvgDegree() float64 {
-	if t.N() == 0 {
-		return 0
-	}
-	total := 0
-	for _, nbrs := range t.Neighbors {
-		total += len(nbrs)
-	}
-	return float64(total) / float64(t.N())
-}
-
 // HopDist returns BFS hop distances from the given node; unreachable nodes
 // get -1.
 func (t *Topology) HopDist(from pkt.NodeID) []int {
@@ -135,21 +123,4 @@ func (t *Topology) Connected() bool {
 		}
 	}
 	return true
-}
-
-// Diameter returns the longest shortest-path hop count in the graph, or
-// -1 if the graph is disconnected.
-func (t *Topology) Diameter() int {
-	max := 0
-	for i := 0; i < t.N(); i++ {
-		for _, d := range t.HopDist(pkt.NodeID(i)) {
-			if d == -1 {
-				return -1
-			}
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }

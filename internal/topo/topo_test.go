@@ -25,9 +25,6 @@ func TestFromRangeChain(t *testing.T) {
 	if !tp.Connected() {
 		t.Fatal("chain should be connected")
 	}
-	if d := tp.Diameter(); d != 4 {
-		t.Fatalf("diameter %d, want 4", d)
-	}
 	dist := tp.HopDist(0)
 	for i, d := range dist {
 		if d != i {
@@ -41,9 +38,6 @@ func TestFromRangeDisconnected(t *testing.T) {
 	tp := FromRange(pts, 250)
 	if tp.Connected() {
 		t.Fatal("gap topology reported connected")
-	}
-	if tp.Diameter() != -1 {
-		t.Fatal("diameter of disconnected graph should be -1")
 	}
 	d := tp.HopDist(0)
 	if d[1] != 1 || d[2] != -1 || d[3] != -1 {
@@ -97,9 +91,6 @@ func TestGrid7x7Connectivity(t *testing.T) {
 	if !tp.Connected() {
 		t.Fatal("7x7 grid disconnected")
 	}
-	if tp.AvgDegree() < 4 {
-		t.Fatalf("avg degree %.2f unexpectedly low", tp.AvgDegree())
-	}
 	// Corner node: 2 lattice + 1 diagonal = 3 neighbours.
 	if tp.Degree(0) != 3 {
 		t.Fatalf("corner degree %d, want 3", tp.Degree(0))
@@ -110,8 +101,5 @@ func TestEmptyTopology(t *testing.T) {
 	tp := FromRange(nil, 100)
 	if !tp.Connected() {
 		t.Fatal("empty graph should be vacuously connected")
-	}
-	if tp.AvgDegree() != 0 {
-		t.Fatal("empty graph degree")
 	}
 }

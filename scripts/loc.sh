@@ -4,9 +4,11 @@
 # over the whole root module (examples/ and doc.go included). bench/ is its
 # own module and is left out. Given a git revision PARENT, it also counts
 # that revision (from a `git archive` snapshot in a temporary directory,
-# as report_identity.sh does) and prints the parent's total, the working
-# tree's total and the delta — the figures ROADMAP's "non-test LOC
-# strictly down" acceptance compares. `make loc PARENT=<rev>` runs it.
+# as report_identity.sh does) and prints each row as the parent's count,
+# the working tree's count and the delta; a package present on one side
+# only counts 0 on the other. The total row gives the figures ROADMAP's
+# "non-test LOC strictly down" acceptance compares, the package rows a
+# per-package claim. `make loc PARENT=<rev>` runs it.
 set -euo pipefail
 
 parent=${1:-}
@@ -17,18 +19,35 @@ count() { # lines in the non-test Go files under one directory
 		-name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 }
 
-for pkg in internal/*/; do
-	printf '%7d  %s\n' "$(count "$pkg")" "${pkg%/}"
-done
-printf '%7d  cmd\n' "$(count cmd)"
-total=$(count .)
-printf '%7d  total (root module; bench/ excluded)\n' "$total"
+rows() { # "<name> <count>" per internal package, cmd and the total
+	for pkg in internal/*/; do
+		echo "${pkg%/} $(count "$pkg")"
+	done
+	echo "cmd $(count cmd)"
+	echo "total $(count .)"
+}
 
-if [[ -n $parent ]]; then
-	tmp=$(mktemp -d)
-	trap 'rm -rf "$tmp"' EXIT
-	git archive "$parent" | tar -x -C "$tmp"
-	before=$(cd "$tmp" && count .)
-	printf '\n%7d  total at %s\n%7d  total in the working tree\n%+7d  delta\n' \
-		"$before" "$parent" "$total" $((total - before))
+if [[ -z $parent ]]; then
+	rows | while read -r name n; do
+		[[ $name == total ]] && name='total (root module; bench/ excluded)'
+		printf '%7d  %s\n' "$n" "$name"
+	done
+	exit 0
 fi
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+git archive "$parent" | tar -x -C "$tmp"
+declare -A before after
+names=()
+while read -r name n; do before[$name]=$n; names+=("$name"); done < <(cd "$tmp" && rows)
+while read -r name n; do
+	after[$name]=$n
+	[[ -v before[$name] ]] || names+=("$name")
+done < <(rows)
+
+printf '%7s %7s %7s  %s\n' parent now delta "(parent: $parent; bench/ excluded)"
+for name in $(printf '%s\n' "${names[@]}" | grep -vx total | sort) total; do
+	b=${before[$name]:-0} a=${after[$name]:-0}
+	printf '%7d %7d %+7d  %s\n' "$b" "$a" $((a - b)) "$name"
+done
