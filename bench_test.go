@@ -151,10 +151,10 @@ func BenchmarkInstrumentCost(b *testing.B) {
 // delta against BenchmarkInstrumentCost/metrics/n49/on (also a warm engine)
 // is what serving costs. `make profile-serve` profiles it. "hit" submits
 // the same scenario every iteration, so after the first request everything
-// is a cache hit answered from the request digest: the price of a memoised
+// is a cache hit answered from the body memo: the price of a memoised
 // result. "hit-distinct-bytes" pads that scenario's body with a different
 // amount of insignificant whitespace each iteration (4096 paddings, four
-// times what the digest memo holds), so every request is unknown to the
+// times what the body memo holds), so every request is unknown to the
 // memo, is decoded and normalised, and hits the result cache: the price of
 // the path behind the memo, which must not drift up.
 func BenchmarkServeThroughput(b *testing.B) {
@@ -232,7 +232,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		}
 		b.StopTimer()
 		if n := srv.Stats().DigestHits; n != 0 {
-			b.Fatalf("%d of %d padded requests were answered from the digest memo", n, b.N)
+			b.Fatalf("%d of %d padded requests were answered from the body memo", n, b.N)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"clnlr/internal/atomicfile"
 	"clnlr/internal/journey"
 	"clnlr/internal/sim"
 )
@@ -82,24 +83,15 @@ func cellFileName(label string) string {
 	return safe + ".json"
 }
 
-// atomicWriteJSON writes v as indented JSON to path via a same-directory
-// temp file and rename, so readers (and resumed sweeps) never observe a
-// torn file — a checkpoint either exists complete or not at all. A failed
-// write or rename removes the temp file.
+// atomicWriteJSON writes v as indented JSON to path through
+// atomicfile.Write, so readers (and resumed sweeps) never observe a torn
+// file — a checkpoint either exists complete or not at all.
 func atomicWriteJSON(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	err = os.WriteFile(tmp, append(data, '\n'), 0o644)
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
+	return atomicfile.Write(path, append(data, '\n'))
 }
 
 // writeCellReport checkpoints one clean, complete cell into dir.

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"clnlr/internal/atomicfile"
 )
 
 // Cache is the content-addressed result store: an in-memory LRU tier with
@@ -222,17 +224,15 @@ func (c *Cache) diskPut(key string, data []byte) {
 	// Atomic publish: a reader (or a crash) never observes a half-written
 	// entry without the checksum catching it, but rename makes even the
 	// benign torn-file window impossible.
-	tmp := c.diskPath(key) + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		os.Remove(tmp)
+	staged, err := atomicfile.Stage(c.diskPath(key), buf.Bytes())
+	if err != nil {
 		return
 	}
 	c.diskMu.Lock()
 	defer c.diskMu.Unlock()
-	_, err := os.Lstat(c.diskPath(key))
+	_, err = os.Lstat(c.diskPath(key))
 	replaces := err == nil
-	if os.Rename(tmp, c.diskPath(key)) != nil {
-		os.Remove(tmp)
+	if staged.Commit() != nil {
 		return
 	}
 	if !replaces {

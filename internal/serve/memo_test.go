@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -117,8 +119,8 @@ func TestRepeatAnswersLikeFirst(t *testing.T) {
 
 // TestEqualBodiesShareOneSlot pins that the memo sits in front of
 // normalisation, not in place of it: byte-different bodies meaning the
-// same job cost one engine run and one cache slot, each remembered under
-// its own digest.
+// same job cost one engine run and one cache slot, each remembered as its
+// own entry.
 func TestEqualBodiesShareOneSlot(t *testing.T) {
 	for _, ep := range []struct {
 		path   string
@@ -146,7 +148,7 @@ func TestEqualBodiesShareOneSlot(t *testing.T) {
 			t.Fatalf("%s: %d engine runs, %d cache entries for %d equal bodies, want 1 and 1", ep.path, st.EngineRuns, st.CacheEntries, len(ep.bodies))
 		}
 		if n := srv.memo.len(); n != len(ep.bodies) {
-			t.Fatalf("%s: memo holds %d digests, want one per distinct body (%d)", ep.path, n, len(ep.bodies))
+			t.Fatalf("%s: memo holds %d entries, want one per distinct body (%d)", ep.path, n, len(ep.bodies))
 		}
 		if want := uint64(len(ep.bodies)); st.DigestHits != want || st.CacheHits != 2*want-1 {
 			t.Fatalf("%s: %d digest hits of %d hits, want %d of %d", ep.path, st.DigestHits, st.CacheHits, want, 2*want-1)
@@ -155,7 +157,7 @@ func TestEqualBodiesShareOneSlot(t *testing.T) {
 }
 
 // TestMemoBoundedByEntryCap sends more distinct valid bodies than the
-// entry cap allows digests: the memo never exceeds the cap, forgets oldest
+// entry cap allows entries: the memo never exceeds the cap, forgets oldest
 // first, and a forgotten body still answers correctly.
 func TestMemoBoundedByEntryCap(t *testing.T) {
 	const entryCap, extra = 4, 3
@@ -169,11 +171,11 @@ func TestMemoBoundedByEntryCap(t *testing.T) {
 			t.Fatalf("body %d: %d %s", i, rw.Code, rw.Body)
 		}
 		if n := srv.memo.len(); n > entryCap {
-			t.Fatalf("memo holds %d digests after %d bodies, cap is %d", n, i+1, entryCap)
+			t.Fatalf("memo holds %d entries after %d bodies, cap is %d", n, i+1, entryCap)
 		}
 	}
 	for i, b := range bodies {
-		_, remembered := srv.memo.get(digestOf("run", b))
+		remembered := srv.memo.get("run", b) != nil
 		if want := i >= extra; remembered != want {
 			t.Errorf("body %d remembered = %v, want %v (oldest forgotten first)", i, remembered, want)
 		}
@@ -183,14 +185,14 @@ func TestMemoBoundedByEntryCap(t *testing.T) {
 		t.Fatalf("forgotten body answered %d %q", rw.Code, rw.Body)
 	}
 	if n := srv.memo.len(); n != entryCap {
-		t.Fatalf("memo holds %d digests, want exactly the cap %d", n, entryCap)
+		t.Fatalf("memo holds %d entries, want exactly the cap %d", n, entryCap)
 	}
 }
 
-// TestEvictedResultReruns pins what a remembered digest is worth once its
+// TestEvictedResultReruns pins what a remembered body is worth once its
 // result is gone: nothing. The body misses, runs again and serves the
-// right bytes — under the entry cap (which also forgets the digest) and
-// under the byte cap (which leaves the digest pointing at an evicted key).
+// right bytes — under the entry cap (which also forgets the body) and
+// under the byte cap (which leaves the entry pointing at an evicted key).
 func TestEvictedResultReruns(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"entry cap": {CacheMaxEntries: 1},
@@ -212,8 +214,8 @@ func TestEvictedResultReruns(t *testing.T) {
 				t.Fatalf("cache holds %d entries, want 1", srv.Stats().CacheEntries)
 			}
 			if name == "byte cap" {
-				if _, ok := srv.memo.get(digestOf("run", first)); !ok {
-					t.Fatal("byte-cap eviction forgot the digest; the stale-digest path is not exercised")
+				if srv.memo.get("run", first) == nil {
+					t.Fatal("byte-cap eviction forgot the body; the stale-entry path is not exercised")
 				}
 			}
 
@@ -241,9 +243,6 @@ func TestDigestsAreEndpointScoped(t *testing.T) {
 	sc := mustMarshal(t, testScenario(93))
 	runBody := mustMarshal(t, RunRequest{Scenario: sc})
 	sweepBody := mustMarshal(t, SweepRequest{Scenario: sc, Reps: 1})
-	if digestOf("run", runBody) == digestOf("sweep", runBody) {
-		t.Fatal("one digest for the same bytes on two endpoints")
-	}
 	for _, c := range []struct{ own, other string }{{"/v1/run", "/v1/sweep"}, {"/v1/sweep", "/v1/run"}} {
 		body := runBody
 		if c.own == "/v1/sweep" {
@@ -304,7 +303,7 @@ func TestStatsCountHitsByTier(t *testing.T) {
 }
 
 // TestDigestHitDecodesNothing bounds the allocations of a repeat through
-// the whole handler (mux, body read, digest, two lookups, response
+// the whole handler (mux, body read, memo and cache lookups, response
 // headers). Decoding the same body costs several times the ceiling — a
 // sim.Scenario decode alone is dozens of allocations — so a fast path that
 // started parsing again cannot pass.
@@ -327,7 +326,7 @@ func TestDigestHitDecodesNothing(t *testing.T) {
 		h.ServeHTTP(rw, req)
 	}
 	before := srv.Stats().DigestHits
-	const ceiling = 8 // measured 5: the body buffer, MaxBytesReader and three header values
+	const ceiling = 8 // measured 1: the MaxBytesReader (the body buffer is pooled, the header values prebuilt)
 	got := testing.AllocsPerRun(200, serve)
 	if rw.Code != http.StatusOK || rw.Header().Get("X-Cache") != "hit" {
 		t.Fatalf("measured request answered %d X-Cache %q", rw.Code, rw.Header().Get("X-Cache"))
@@ -348,24 +347,196 @@ func TestDigestHitDecodesNothing(t *testing.T) {
 	}
 }
 
-// TestDigestMemoFIFO checks the memo on its own: bounded, oldest out
-// first, a repeated put is a no-op.
+// TestDigestMemoFIFO checks the memo on its own: bounded across both
+// endpoints, oldest out first, a repeated put is a no-op, the same bytes
+// on the other endpoint are another entry, and a body over memoMaxBody is
+// never kept.
 func TestDigestMemoFIFO(t *testing.T) {
-	m := newDigestMemo(3)
-	d := func(i int) digest { return digestOf("run", []byte{byte(i)}) }
+	m := newBodyMemo(3)
+	b := func(i int) []byte { return []byte{byte(i)} }
 	for i := 0; i < 3; i++ {
-		m.put(d(i), fmt.Sprint(i))
+		m.put("run", b(i), fmt.Sprint(i))
 	}
-	m.put(d(0), "again") // already known: neither replaced nor moved
-	m.put(d(3), "3")     // evicts 0
-	m.put(d(4), "4")     // evicts 1
-	for i, want := range []string{"", "", "2", "3", "4"} {
-		got, ok := m.get(d(i))
-		if ok != (want != "") || got != want {
-			t.Errorf("digest %d → %q, %v; want %q", i, got, ok, want)
+	m.put("run", b(0), "again") // already known: neither replaced nor moved
+	m.put("run", b(3), "3")     // evicts 0
+	m.put("sweep", b(4), "4")   // evicts 1
+	for i, want := range []string{"", "", "2", "3", ""} {
+		got := m.get("run", b(i))
+		if (got != nil) != (want != "") || got != nil && got[0] != want {
+			t.Errorf("run body %d → %q; want %q", i, got, want)
 		}
+	}
+	if got := m.get("sweep", b(4)); len(got) != 1 || got[0] != "4" {
+		t.Errorf("sweep body 4 → %q, want [4]", got)
+	}
+	if m.get("sweep", b(3)) != nil {
+		t.Error("a body remembered on run is known on sweep")
 	}
 	if m.len() != 3 || len(m.order) != 3 {
 		t.Fatalf("memo holds %d keys, %d ring slots, want 3 and 3", m.len(), len(m.order))
+	}
+	big := bytes.Repeat([]byte{'x'}, memoMaxBody+1)
+	m.put("run", big, "big")
+	if m.get("run", big) != nil || m.len() != 3 {
+		t.Fatalf("a %d-byte body was memoised", len(big))
+	}
+}
+
+// TestLongBodyNeverMemoised sends a valid /v1/run body one byte over
+// memoMaxBody (trailing spaces after the value, which decoding ignores)
+// three times: each answer is right and comes from the decode path, the
+// memo does not grow, and a body at exactly memoMaxBody is remembered.
+func TestLongBodyNeverMemoised(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	srv.runHook = keyEcho
+	plain := mustMarshal(t, RunRequest{Scenario: mustMarshal(t, testScenario(96))})
+	pad := func(n int) []byte {
+		return append(append([]byte(nil), plain...), bytes.Repeat([]byte(" "), n-len(plain))...)
+	}
+	long := pad(memoMaxBody + 1)
+	var key string
+	for i := 0; i < 3; i++ {
+		before := srv.Stats()
+		rw := serveRaw(srv.Handler(), "/v1/run", long)
+		if i == 0 {
+			key = rw.Header().Get("X-Job-Key")
+		}
+		if rw.Code != http.StatusOK || rw.Header().Get("X-Job-Key") != key || rw.Body.String() != key+"\n" {
+			t.Fatalf("request %d: %d key %q body %q, want 200 under %q", i, rw.Code, rw.Header().Get("X-Job-Key"), rw.Body, key)
+		}
+		after := srv.Stats()
+		if after.DigestHits != before.DigestHits {
+			t.Fatalf("request %d of a %d-byte body counted a digest hit", i, len(long))
+		}
+		if i > 0 && after.CacheHits != before.CacheHits+1 {
+			t.Fatalf("request %d: cache hits %d → %d, want a decoded hit", i, before.CacheHits, after.CacheHits)
+		}
+		if n := srv.memo.len(); n != 0 {
+			t.Fatalf("request %d: memo holds %d entries, want 0", i, n)
+		}
+	}
+	edge := pad(memoMaxBody)
+	for i := 0; i < 2; i++ {
+		serveRaw(srv.Handler(), "/v1/run", edge)
+	}
+	if st := srv.Stats(); st.DigestHits != 1 || srv.memo.len() != 1 {
+		t.Fatalf("a %d-byte body: %d digest hits, memo length %d, want 1 and 1", len(edge), st.DigestHits, srv.memo.len())
+	}
+}
+
+// TestHitHeadersMatchMiss pins the prebuilt hit headers: a memoised hit
+// carries the miss's Content-Type, X-Job-Key and (but for its value)
+// X-Cache, and a caller that changes one response's header map through
+// http.Header — Set, Add, Del — does not change the next hit's.
+func TestHitHeadersMatchMiss(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	srv.runHook = keyEcho
+	body := runVariants(t, 97)[0]
+	miss := serveRaw(srv.Handler(), "/v1/run", body)
+	if miss.Code != http.StatusOK || miss.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("first request: %d X-Cache %q", miss.Code, miss.Header().Get("X-Cache"))
+	}
+	want := miss.Header().Clone()
+	want["X-Cache"] = []string{"hit"}
+	for i := 0; i < 3; i++ {
+		before := srv.Stats().DigestHits
+		hit := serveRaw(srv.Handler(), "/v1/run", body)
+		if srv.Stats().DigestHits != before+1 {
+			t.Fatalf("request %d was not a digest hit", i)
+		}
+		if got := hit.Header(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("hit %d headers %v, want %v", i, got, want)
+		}
+		h := hit.Header()
+		h.Add("X-Job-Key", "tampered")
+		h.Set("X-Cache", "tampered")
+		h.Add("Content-Type", "text/plain")
+		h.Del("Content-Type")
+	}
+}
+
+// discardWriter is the least a ResponseWriter can be: one header map,
+// cleared per request, and writes that go nowhere.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestMemoHitAllocs pins the allocations of a memoised /v1/run hit through
+// the whole handler with nothing of the writer's own in the count. The one
+// left is the http.MaxBytesReader around the body; the body buffer comes
+// from bodyBufs and the three header values are prebuilt.
+func TestMemoHitAllocs(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	srv.runHook = keyEcho
+	h := srv.Handler()
+	body := runVariants(t, 98)[0]
+	if rw := serveRaw(h, "/v1/run", body); rw.Code != http.StatusOK {
+		t.Fatalf("priming request: %d %s", rw.Code, rw.Body)
+	}
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/run", rd)
+	req.Body = io.NopCloser(rd)
+	w := &discardWriter{h: make(http.Header)}
+	before := srv.Stats().DigestHits
+	const pinned = 1
+	got := testing.AllocsPerRun(200, func() {
+		rd.Reset(body)
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	})
+	if hits := srv.Stats().DigestHits - before; hits != 201 {
+		t.Fatalf("%d of 201 measured requests were digest hits", hits)
+	}
+	if w.h.Get("X-Cache") != "hit" {
+		t.Fatalf("measured request answered X-Cache %q", w.h.Get("X-Cache"))
+	}
+	if got > pinned {
+		t.Fatalf("a memoised hit costs %.0f allocations, pinned at %d", got, pinned)
+	}
+}
+
+// TestConcurrentMemoHits sends remembered bodies of both endpoints from
+// several goroutines at once: every answer is the result of its own body,
+// so no pooled body buffer is reused while a request still reads it. Run
+// it under -race.
+func TestConcurrentMemoHits(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	srv.runHook = keyEcho
+	type sent struct{ path, key string }
+	bodies := map[string]sent{}
+	for i, b := range append(runVariants(t, 99), sweepVariants(t, 99)...) {
+		path := "/v1/run"
+		if i >= 4 {
+			path = "/v1/sweep"
+		}
+		rw := serveRaw(srv.Handler(), path, b)
+		if rw.Code != http.StatusOK {
+			t.Fatalf("%s priming request %d: %d %s", path, i, rw.Code, rw.Body)
+		}
+		bodies[string(b)] = sent{path, rw.Header().Get("X-Job-Key")}
+	}
+	before := srv.Stats().DigestHits
+	const workers, rounds = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for b, want := range bodies {
+					rw := serveRaw(srv.Handler(), want.path, []byte(b))
+					if rw.Code != http.StatusOK || rw.Header().Get("X-Job-Key") != want.key || rw.Body.String() != want.key+"\n" {
+						t.Errorf("%s answered %d key %q %q, want %q", want.path, rw.Code, rw.Header().Get("X-Job-Key"), rw.Body, want.key)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := srv.Stats().DigestHits-before, uint64(workers*rounds*len(bodies)); got != want {
+		t.Fatalf("%d digest hits, want %d", got, want)
 	}
 }

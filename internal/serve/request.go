@@ -195,9 +195,12 @@ func (j sweepJob) cells() []experiments.CellSpec {
 // living outside the Scenario struct — replication count, journey-sampling
 // divisor, metrics sampling interval, scheme set — are folded in here.
 // Forgetting one would be a silent cache-collision bug: two different
-// computations sharing one cache slot.
+// computations sharing one cache slot. ModelVersion is sim.ModelVersion, so
+// results of another model — a cache directory an older build wrote — are
+// never served as this one's.
 type keyMaterial struct {
 	Kind           string   `json:"kind"`
+	ModelVersion   int      `json:"model_version"`
 	Fingerprint    string   `json:"fingerprint"`
 	SampleInterval des.Time `json:"sample_interval,omitempty"`
 	JourneyEveryN  int      `json:"journey_every_n,omitempty"`
@@ -224,6 +227,7 @@ func (m keyMaterial) hash() string {
 func (j runJob) key() string {
 	return keyMaterial{
 		Kind:           "run",
+		ModelVersion:   sim.ModelVersion,
 		Fingerprint:    j.sc.Fingerprint(),
 		SampleInterval: j.interval,
 		JourneyEveryN:  j.journeyN,
@@ -237,6 +241,7 @@ func (j sweepJob) key() string {
 	}
 	return keyMaterial{
 		Kind:          "sweep",
+		ModelVersion:  sim.ModelVersion,
 		Fingerprint:   j.base.Fingerprint(),
 		JourneyEveryN: j.journeyN,
 		Reps:          j.reps,

@@ -15,8 +15,8 @@
 //   - a sweep interrupted by shutdown resumes bit-identically from its
 //     per-cell checkpoints when resubmitted (the PR 8 machinery);
 //   - request bytes → key is pure too, so a byte-identical repeat is
-//     recognised by the digest of its body and answered before anything
-//     is parsed (digestMemo).
+//     recognised by its body's bytes and answered before anything is
+//     parsed (bodyMemo).
 //
 // Admission control is load shedding, not queueing-forever: when the
 // bounded queue is full a new submission is refused with 429 and a
@@ -145,7 +145,7 @@ type job struct {
 type Server struct {
 	cfg   Config
 	cache *Cache
-	memo  *digestMemo
+	memo  *bodyMemo
 	mux   *http.ServeMux
 
 	mu     sync.Mutex
@@ -186,7 +186,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		cache: cache,
-		memo:  newDigestMemo(cfg.CacheMaxEntries),
+		memo:  newBodyMemo(cfg.CacheMaxEntries),
 		jobs:  make(map[string]*job),
 		queue: make(chan *job, cfg.QueueDepth),
 	}
@@ -367,17 +367,26 @@ func (s *Server) admit(kind, key string, prog *metrics.Progress, exec func(*job)
 // maxBodyBytes caps a submission body.
 const maxBodyBytes = 4 << 20
 
+// maxPooledBody is the largest body buffer intake returns to bodyBufs.
+const maxPooledBody = 64 << 10
+
+// bodyBufs recycles the buffers of bodies answered from the memo. A body
+// that goes on to be decoded keeps its buffer, so nothing the decode path
+// or a job holds can be overwritten by a later request.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // intake is the front of both submission endpoints: it reads the whole
 // body (answering 413 over the cap, 400 when it cannot be read) and, when
-// the memo knows the body's digest and the cache still holds that key's
-// result, answers from those two lookups alone. ok reports that the
-// request is still unanswered — a new body, a forgotten digest or an
-// evicted result — and the caller takes the decode path, recording d once
-// the body has normalised.
-func (s *Server) intake(w http.ResponseWriter, r *http.Request, kind string) (body []byte, d digest, ok bool) {
-	var buf bytes.Buffer
+// the memo knows the body and the cache still holds that key's result,
+// answers from those two lookups alone. ok reports that the request is
+// still unanswered — a new body, a forgotten one or an evicted result —
+// and the caller takes the decode path, recording the body once it has
+// normalised.
+func (s *Server) intake(w http.ResponseWriter, r *http.Request, kind string) (body []byte, ok bool) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
 	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
-		buf.Grow(int(n) + bytes.MinRead) // a declared length costs one allocation
+		buf.Grow(int(n) + bytes.MinRead) // a declared length costs at most one allocation
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		var tooLarge *http.MaxBytesError
@@ -386,25 +395,39 @@ func (s *Server) intake(w http.ResponseWriter, r *http.Request, kind string) (bo
 		} else {
 			http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		}
-		return nil, digest{}, false
+		return nil, false
 	}
 	body = buf.Bytes()
-	d = digestOf(kind, body)
-	if key, known := s.memo.get(d); known {
-		if data, cached := s.cache.Get(key); cached {
+	if keyHdr := s.memo.get(kind, body); keyHdr != nil {
+		if data, cached := s.cache.Get(keyHdr[0]); cached {
 			s.cacheHits.Add(1)
 			s.digestHits.Add(1)
-			writeResult(w, key, data, "hit")
-			return nil, d, false
+			writeResult(w, keyHdr, data, hdrHit)
+			if buf.Cap() <= maxPooledBody {
+				bodyBufs.Put(buf)
+			}
+			return nil, false
 		}
 	}
-	return body, d, true
+	return body, true
 }
 
-func writeResult(w http.ResponseWriter, key string, data []byte, cache string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", cache)
-	w.Header().Set("X-Job-Key", key)
+// Header values shared by every response that carries them. A header map
+// holds them by assignment; http.Header's Set, Add and Del replace or
+// extend a value with a new slice, so no response can change another's.
+var (
+	hdrJSON = []string{"application/json"}
+	hdrHit  = []string{"hit"}
+	hdrMiss = []string{"miss"}
+)
+
+// writeResult writes a result's headers and bytes. keyHdr is the
+// X-Job-Key value, a one-element slice holding the job key.
+func writeResult(w http.ResponseWriter, keyHdr []string, data []byte, cache []string) {
+	h := w.Header()
+	h["Content-Type"] = hdrJSON
+	h["X-Cache"] = cache
+	h["X-Job-Key"] = keyHdr
 	w.Write(data)
 }
 
@@ -421,7 +444,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string, prog *metrics.Progress, exec func(*job) ([]byte, error)) {
 	if data, ok := s.cache.Get(key); ok {
 		s.cacheHits.Add(1)
-		writeResult(w, key, data, "hit")
+		writeResult(w, []string{key}, data, hdrHit)
 		return
 	}
 	s.cacheMiss.Add(1)
@@ -457,11 +480,11 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, key string
 		http.Error(w, j.err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeResult(w, key, j.result, "miss")
+	writeResult(w, []string{key}, j.result, hdrMiss)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, d, ok := s.intake(w, r, "run")
+	body, ok := s.intake(w, r, "run")
 	if !ok {
 		return
 	}
@@ -471,14 +494,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := rj.key()
-	s.memo.put(d, key)
+	s.memo.put("run", body, key)
 	s.submit(w, r, "run", key, nil, func(*job) ([]byte, error) {
 		return s.executeRun(rj)
 	})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, d, ok := s.intake(w, r, "sweep")
+	body, ok := s.intake(w, r, "sweep")
 	if !ok {
 		return
 	}
@@ -488,7 +511,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := sj.key()
-	s.memo.put(d, key)
+	s.memo.put("sweep", body, key)
 	s.submit(w, r, "sweep", key, metrics.NewProgress(), func(j *job) ([]byte, error) {
 		return s.executeSweep(sj, key, j.prog)
 	})
@@ -508,9 +531,10 @@ type Stats struct {
 	JobsDone       uint64 `json:"jobs_done"`
 	JobsFailed     uint64 `json:"jobs_failed"`
 
-	// DigestHits is the part of CacheHits answered from the request digest
-	// without decoding the body; CacheDiskHits counts results read back
-	// from the disk tier and promoted to memory.
+	// DigestHits is the part of CacheHits answered from the request memo
+	// (a byte-identical repeat of a remembered body) without decoding it;
+	// CacheDiskHits counts results read back from the disk tier and
+	// promoted to memory.
 	DigestHits    uint64 `json:"digest_hits"`
 	CacheDiskHits uint64 `json:"cache_disk_hits"`
 

@@ -348,6 +348,49 @@ func TestJourneyDivisorChangesKey(t *testing.T) {
 	}
 }
 
+// TestModelVersionChangesKey pins sim.ModelVersion into the content
+// address: both endpoints' keys are their key material at the current
+// version, the material at any other version hashes to another key, and a
+// disk-tier entry stored under that other key is not served.
+func TestModelVersionChangesKey(t *testing.T) {
+	sc := scenarioJSON(t, testScenario(14))
+	body := mustMarshal(t, RunRequest{Scenario: sc})
+	rj, err := decodeRun(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := decodeSweep(mustMarshal(t, SweepRequest{Scenario: sc, Schemes: []string{"flood"}, Reps: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := keyMaterial{Kind: "run", ModelVersion: sim.ModelVersion, Fingerprint: rj.sc.Fingerprint(), SampleInterval: rj.interval}
+	sweep := keyMaterial{Kind: "sweep", ModelVersion: sim.ModelVersion, Fingerprint: sj.base.Fingerprint(), Reps: 2, Schemes: []string{"flood"}, Name: sj.name}
+	if run.hash() != rj.key() || sweep.hash() != sj.key() {
+		t.Fatal("a job key is not its key material at sim.ModelVersion")
+	}
+	other := run
+	other.ModelVersion++
+	if other.hash() == rj.key() {
+		t.Fatal("the run key did not move with the model version")
+	}
+
+	dir := t.TempDir()
+	stale, err := NewCache(dir, 1<<20, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale.Put(other.hash(), []byte("another model's result\n"))
+	srv, _ := newTestServer(t, Config{CacheDir: dir})
+	srv.runHook = keyEcho
+	rw := serveRaw(srv.Handler(), "/v1/run", body)
+	if rw.Code != http.StatusOK || rw.Header().Get("X-Cache") != "miss" || rw.Body.String() != rj.key()+"\n" {
+		t.Fatalf("answered %d X-Cache %q %q, want a miss serving %s", rw.Code, rw.Header().Get("X-Cache"), rw.Body, rj.key())
+	}
+	if st := srv.Stats(); st.EngineRuns != 1 || st.CacheDiskHits != 0 {
+		t.Fatalf("%d engine runs, %d disk hits, want 1 and 0", st.EngineRuns, st.CacheDiskHits)
+	}
+}
+
 // TestScenarioIgnoresRetiredFields pins that a config written by an older
 // build keeps loading through both overlay decoders, sim.LoadScenario and
 // /v1/run: testdata/retired_fields.json is testScenario(13) as an overlay
@@ -959,8 +1002,8 @@ func serveRaw(h http.Handler, path string, body []byte) *httptest.ResponseRecord
 // TestBadRequests covers request validation: a body over the cap is 413,
 // malformed JSON, unknown fields, out-of-range run parameters and invalid
 // scenarios are 400s — never executions, and never remembered: the second
-// answer to the same bytes is the first one again and the digest memo
-// stays empty.
+// answer to the same bytes is the first one again and the memo stays
+// empty.
 func TestBadRequests(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	for _, c := range badRequestCases() {
@@ -973,7 +1016,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("POST %s %s answered %d %q, then %d %q", c.path, c.name, first.Code, first.Body, second.Code, second.Body)
 		}
 		if n := srv.memo.len(); n != 0 {
-			t.Fatalf("POST %s %s left %d digests in the memo, want none for a refused body", c.path, c.name, n)
+			t.Fatalf("POST %s %s left %d entries in the memo, want none for a refused body", c.path, c.name, n)
 		}
 	}
 	if st := srv.Stats(); st.EngineRuns != 0 || st.CacheMisses != 0 {

@@ -212,6 +212,14 @@ func (e *Engine) foldCounters(col *metrics.Collector, crashEvents, recoverEvents
 	col.AddDiag("radio/audible-rebuilds", e.medium.AudibleRebuilds())
 }
 
+// ModelVersion names the simulation model: what a scenario's report bytes
+// are, given the scenario. Bump it in any change that moves an identity
+// line (scripts/report_identity.sh), so that results computed before the
+// change are told apart from results computed after it. meshsimd folds it
+// into its content address: a cache directory written under another
+// version is a miss, not a stale answer.
+const ModelVersion = 1
+
 // Fingerprint returns a stable 64-bit hash of the scenario's JSON form —
 // the identity stamp RunReports carry so results can be traced back to
 // the exact configuration that produced them.
