@@ -221,3 +221,71 @@ func TestCrashMidFrameClocks(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashReleasesQueueAndOrphan: a Crash with a full queue and a data
+// frame on the air returns the queued frames and payloads to the pools at
+// once, and the frame on the air with its payload once RadioTxDone ends
+// its airtime — whether the node is still down then or already back up.
+// Until then the orphan's payload stays borrowed and HeldPackets counts it.
+func TestCrashReleasesQueueAndOrphan(t *testing.T) {
+	for _, recoverAfter := range []des.Time{0, 100 * des.Microsecond} {
+		sim, macs, uppers := macTestbed(t, DefaultConfig(), geom.Point{X: 0}, geom.Point{X: 200})
+		m := macs[0]
+		pool := pkt.NewPool()
+		pool.SetAudit(true)
+		m.SetPool(pool)
+		const sent = 10
+		sim.Schedule(0, func() {
+			for seq := 0; seq < sent; seq++ {
+				m.Send(pool.Data(0, 1, 512, 0, seq, sim.Now(), 30), 1)
+			}
+		})
+		var freePkts, freeFrames int
+		whenTransmitting(sim, m, func() {
+			if got := m.HeldPackets(); got != sent {
+				t.Fatalf("recover after %v: MAC holds %d packets before the crash, want %d", recoverAfter, got, sent)
+			}
+			freePkts, freeFrames = pool.Len(), m.frameFree.Len()
+			m.radio.SetDown(true)
+			m.Crash()
+			if m.orphan == nil {
+				t.Fatalf("recover after %v: the frame on the air was not kept as the orphan", recoverAfter)
+			}
+			if got := pool.Len() - freePkts; got != sent-1 {
+				t.Errorf("recover after %v: Crash pooled %d payloads, want the %d queued", recoverAfter, got, sent-1)
+			}
+			if got := m.frameFree.Len() - freeFrames; got != sent-1 {
+				t.Errorf("recover after %v: Crash pooled %d frames, want the %d queued", recoverAfter, got, sent-1)
+			}
+			if live, held := pool.LiveBorrowed(), m.HeldPackets(); live != 1 || held != 1 {
+				t.Errorf("recover after %v: %d borrowed and %d held while the orphan airs, want 1 and 1", recoverAfter, live, held)
+			}
+			if recoverAfter > 0 {
+				sim.Schedule(recoverAfter, func() {
+					m.Recover()
+					m.radio.SetDown(false)
+				})
+			}
+		})
+		sim.RunUntil(150 * des.Millisecond)
+
+		if m.orphan != nil {
+			t.Fatalf("recover after %v: the orphan outlived its airtime", recoverAfter)
+		}
+		if live, held := pool.LiveBorrowed(), m.HeldPackets(); live != 0 || held != 0 {
+			t.Errorf("recover after %v: %d borrowed and %d held after the airtime, want 0 and 0", recoverAfter, live, held)
+		}
+		if got := pool.Len() - freePkts; got != sent {
+			t.Errorf("recover after %v: %d payloads pooled in all, want %d", recoverAfter, got, sent)
+		}
+		if got := m.frameFree.Len() - freeFrames; got != sent {
+			t.Errorf("recover after %v: %d frames pooled in all, want %d", recoverAfter, got, sent)
+		}
+		if df := pool.DoubleFrees(); df != 0 {
+			t.Errorf("recover after %v: %d double frees", recoverAfter, df)
+		}
+		if n := len(uppers[0].txDone); n != 0 {
+			t.Errorf("recover after %v: %d MacTxDone reports for discarded frames, want none", recoverAfter, n)
+		}
+	}
+}

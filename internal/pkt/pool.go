@@ -21,9 +21,9 @@ import (
 // node, and the release points are exact: the routing layer gives a
 // packet back when its MAC reports the transmission done (and the packet
 // was not re-buffered), when it is dropped, or after delivering it to the
-// application sink. Crash paths deliberately leak — a packet may still be
-// on the air — the same correctness-over-thrift trade the MAC makes with
-// its frames.
+// application sink; a Crash or a warm Reset gives back what MAC and
+// routing discard, except a payload still on the air, which the MAC
+// releases when its airtime ends.
 //
 // The constructors (Data, RREQ, RREP, RERR, Hello) and Clone are the only
 // way to build a packet. Free lists are segregated by body shape (indexed

@@ -444,6 +444,16 @@ func (m *Medium) InRangeRow(from int, out []bool) {
 // Transmitting reports whether the radio is currently sending.
 func (r *Radio) Transmitting() bool { return r.m.rx[r.id].txing }
 
+// Airing returns the payload of the radio's own transmission on the air,
+// nil when it is not transmitting. A frame truncated by SetDown(true)
+// stays on the air until its airtime ends.
+func (r *Radio) Airing() any {
+	if t := r.m.txOf[r.id]; t != nil {
+		return t.payload
+	}
+	return nil
+}
+
 // Down reports whether the radio is crashed (see SetDown).
 func (r *Radio) Down() bool { return r.m.rx[r.id].down }
 

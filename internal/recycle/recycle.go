@@ -69,6 +69,14 @@ func (s *Slab[T]) Take(i uint32) T {
 // Live returns how many indices hold a value that was not taken.
 func (s *Slab[T]) Live() int { return len(s.items) - s.free.Len() }
 
+// Each calls f with every slot's value in index order: the value at a
+// live index, the zero value at a taken one.
+func (s *Slab[T]) Each(f func(T)) {
+	for _, v := range s.items {
+		f(v)
+	}
+}
+
 // Reset frees every index and zeroes every slot, keeping the storage.
 func (s *Slab[T]) Reset() {
 	clear(s.items)

@@ -209,7 +209,7 @@ func packetsInFreeDiscoveries(c *Core) int {
 // the free list after routeReady flushed its buffer, after its final
 // timeout dropped it and after a crash discarded it, and in each case
 // keeps no pointer to a packet of its previous life — those packets are
-// in the MAC, back in the pool or deliberately stranded, and a stale
+// in the MAC or back in the pool, and a stale
 // reference would pin them or, pooled, alias a later packet.
 func TestRecycledDiscoveryHoldsNoPackets(t *testing.T) {
 	sim, a, _ := warmPair(DefaultConfig())
@@ -287,5 +287,63 @@ func TestHelloBeaconSchedule(t *testing.T) {
 	sim.RunUntil(sim.Now() + cfg.HelloInterval + jitter)
 	if a.Ctr.HelloSent != 11 {
 		t.Fatalf("%d beacons after Recover plus one interval, want 11", a.Ctr.HelloSent)
+	}
+}
+
+// TestCrashAndResetReleaseHeldPackets: the packets a core holds when it
+// crashes or is reset — discovery buffers, and at Reset also the
+// jitter-deferred rebroadcasts whose events the Sim reset discarded — go
+// back to the node's pool, so its ledger balances against what the MAC
+// still holds and the free lists grow by what was released.
+func TestCrashAndResetReleaseHeldPackets(t *testing.T) {
+	sim, a, _ := warmPair(DefaultConfig())
+	pool := a.Env.Pool
+	pool.SetAudit(true)
+	// balanced checks the ledger: every live borrow is held by a's MAC,
+	// none by a itself, and nothing was released twice.
+	balanced := func(when string) {
+		t.Helper()
+		if n := a.HeldPackets(); n != 0 {
+			t.Errorf("%s: the core still holds %d packets", when, n)
+		}
+		if live, mac := pool.LiveBorrowed(), a.Env.Mac.HeldPackets(); live != mac {
+			t.Errorf("%s: %d packets borrowed, %d held by the MAC", when, live, mac)
+		}
+		if df := pool.DoubleFrees(); df != 0 {
+			t.Errorf("%s: %d double frees", when, df)
+		}
+	}
+	buffer := func(dst pkt.NodeID) {
+		for seq := 0; seq < 3; seq++ {
+			a.Send(pool.Data(0, dst, 512, 0, seq, sim.Now(), 30))
+		}
+	}
+
+	buffer(9)
+	buffer(8)
+	if n := a.HeldPackets(); n != 6 {
+		t.Fatalf("%d packets buffered for discovery, want 6", n)
+	}
+	free := pool.Len()
+	a.Crash()
+	balanced("after Crash")
+	if got := pool.Len() - free; got != 6 {
+		t.Errorf("Crash returned %d packets to the free lists, want 6", got)
+	}
+
+	a.Recover()
+	buffer(9)
+	rreq := pool.RREQ(pkt.RREQBody{Origin: 1, Target: 7, ID: 1}, sim.Now(), 10)
+	a.ForwardRREQ(rreq, des.Second)
+	pool.Release(rreq)
+	if n := a.HeldPackets(); n != 4 {
+		t.Fatalf("%d packets held before Reset, want 3 buffered and 1 deferred", n)
+	}
+	free = pool.Len()
+	sim.Reset()
+	a.Reset(a.Env, a.Cfg, nopPolicy{})
+	balanced("after Reset")
+	if got := pool.Len() - free; got != 4 {
+		t.Errorf("Reset returned %d packets to the free lists, want 4", got)
 	}
 }

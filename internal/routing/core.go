@@ -176,7 +176,8 @@ func New(env Env, cfg Config, policy RREQPolicy) *Core {
 
 // Reset rebinds the core for a fresh run without reallocating its grown
 // state (ID indices, routing table slab, duplicate-cache rings, neighbour
-// lists).
+// lists). The packets the last run left buffered for discovery or
+// deferred for rebroadcast go back to the node's pool.
 // The environment must reference the same simulation the core was built
 // on — warm replication reuse resets the des.Sim in place, so every
 // component keeps its kernel pointer. The Deliver sink and Journey
@@ -198,8 +199,11 @@ func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	clear(c.replyWaits)
 	c.beacon = false
 	c.helloEv = des.Event{}
-	// Slots referenced by now-discarded events (the shared Sim was just
-	// Reset) would otherwise leak across runs.
+	// The shared Sim was just Reset, discarding the events that would have
+	// sent the deferred rebroadcasts: their packets go back to the pool
+	// (a taken slot holds nil, which Release ignores) and their slots
+	// would otherwise leak across runs.
+	c.deferred.Each(c.Env.Pool.Release)
 	c.deferred.Reset()
 	c.waitKeys.Reset()
 	c.down = false
@@ -228,11 +232,13 @@ func (c *Core) HandleEvent(op int32, arg uint32) {
 
 // Crash models a node failure at the routing layer: all volatile state —
 // routing table, duplicate cache, neighbour table, in-progress
-// discoveries (their buffered packets are dropped) and open reply
-// windows — is lost, and the HELLO beacon stops. The AODV sequence
-// number and RREQ ID deliberately survive: RFC 3561 §6.1 requires a
-// node's sequence number to persist (or only ever advance) across
-// reboots so stale pre-crash routes toward it can never beat fresh ones.
+// discoveries (their buffered packets go back to the pool) and open reply
+// windows — is lost, and the HELLO beacon stops. Deferred rebroadcasts
+// stay scheduled: the down MAC drops and releases them. The AODV
+// sequence number and RREQ ID deliberately survive: RFC 3561 §6.1
+// requires a node's sequence number to persist (or only ever advance)
+// across reboots so stale pre-crash routes toward it can never beat
+// fresh ones.
 func (c *Core) Crash() {
 	c.down = true
 	c.table.Reset()
@@ -335,9 +341,13 @@ func (c *Core) retire(d *discovery) {
 	c.discFree.Put(d, recycle.Unbounded)
 }
 
-// retireAll empties c.pending into the free list (Crash, Reset).
+// retireAll empties c.pending into the free list (Crash, Reset),
+// releasing every buffered packet to the pool.
 func (c *Core) retireAll() {
 	for i, d := range c.pending {
+		for _, p := range d.buffer {
+			c.Env.Pool.Release(p)
+		}
 		c.retire(d)
 		c.pending[i] = nil
 	}

@@ -34,9 +34,9 @@ const auditInterval = 100 * des.Millisecond
 //     counts, energy sums, carrier state and clocks (AuditCoherence);
 //   - pkt/double-free: no pool Release of a packet that is not live;
 //   - pkt/conservation: per node, packets borrowed from the pool equal
-//     packets held by the MAC queue and routing layer (leak detection) —
-//     skipped for nodes the fault schedule ever crashes, whose crash
-//     paths deliberately leak (a packet may still be on the air);
+//     packets held by the MAC (queue, frame in service, a crash's orphan
+//     still on the air) and the routing layer (leak detection), on every
+//     node — crashed ones too, whose Crash hands its discards back;
 //   - routing/seq-monotone: a node's own AODV sequence number never
 //     decreases (RFC 3561 §6.1; Fehnker et al.'s monotonicity invariant);
 //   - routing/next-hop: every valid route's next hop is a real, distinct
@@ -66,10 +66,6 @@ type auditor struct {
 	e   *Engine
 	rec audit.Recorder
 	end des.Time
-
-	// everCrashed[i] marks nodes the materialised fault schedule crashes
-	// at least once; their conservation check is skipped.
-	everCrashed []bool
 
 	lastSeq  []uint32 // per-node own sequence number at the last audit point
 	lastDF   []uint64 // per-node double-free count already reported
@@ -104,17 +100,16 @@ const (
 
 // newAuditor snapshots the baselines of an auditor for a run on e's
 // network that ends at end.
-func newAuditor(e *Engine, end des.Time, everCrashed []bool) *auditor {
+func newAuditor(e *Engine, end des.Time) *auditor {
 	nn := len(e.nodes)
 	a := &auditor{
-		e:           e,
-		end:         end,
-		everCrashed: everCrashed,
-		lastSeq:     make([]uint32, nn),
-		lastDF:      make([]uint64, nn),
-		lastWrites:  make([]uint64, nn),
-		scan:        make([]bool, nn),
-		hot:         make([]bool, nn),
+		e:          e,
+		end:        end,
+		lastSeq:    make([]uint32, nn),
+		lastDF:     make([]uint64, nn),
+		lastWrites: make([]uint64, nn),
+		scan:       make([]bool, nn),
+		hot:        make([]bool, nn),
 	}
 	for i, n := range e.nodes {
 		a.lastSeq[i] = n.Agent.SeqNo()
@@ -124,8 +119,8 @@ func newAuditor(e *Engine, end des.Time, everCrashed []bool) *auditor {
 
 // startAudit builds the run's auditor and schedules the first audit
 // point at t=0.
-func (e *Engine) startAudit(end des.Time, everCrashed []bool) *auditor {
-	a := newAuditor(e, end, everCrashed)
+func (e *Engine) startAudit(end des.Time) *auditor {
+	a := newAuditor(e, end)
 	e.simk.AtCall(0, a, 0, 0)
 	return a
 }
@@ -184,12 +179,10 @@ func (a *auditor) check(full bool) {
 				"own sequence number went backwards: %d -> %d", a.lastSeq[i], cur)
 		}
 		a.lastSeq[i] = cur
-		if a.everCrashed == nil || !a.everCrashed[i] {
-			held := n.Mac.HeldPackets() + n.Agent.HeldPackets()
-			if live := pool.LiveBorrowed(); live != held {
-				a.rec.Recordf("pkt/conservation", i, now,
-					"%d packet(s) borrowed from the pool but %d held by MAC+routing", live, held)
-			}
+		held := n.Mac.HeldPackets() + n.Agent.HeldPackets()
+		if live := pool.LiveBorrowed(); live != held {
+			a.rec.Recordf("pkt/conservation", i, now,
+				"%d packet(s) borrowed from the pool but %d held by MAC+routing", live, held)
 		}
 	}
 	a.checkRoutes(now, full)

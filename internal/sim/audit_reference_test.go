@@ -17,13 +17,12 @@ import (
 // tests run it beside the engine's auditor, which checks only what
 // changed, at every point of a run and require the same violations.
 type referenceAuditor struct {
-	e           *Engine
-	rec         audit.Recorder
-	everCrashed []bool
-	lastSeq     []uint32
-	lastDF      []uint64
-	lastPast    uint64
-	routes      []audit.Violation // the last point's route violations
+	e        *Engine
+	rec      audit.Recorder
+	lastSeq  []uint32
+	lastDF   []uint64
+	lastPast uint64
+	routes   []audit.Violation // the last point's route violations
 }
 
 // newReferenceAuditor snapshots the same baselines startAudit does; call
@@ -65,12 +64,10 @@ func (a *referenceAuditor) check() {
 				"own sequence number went backwards: %d -> %d", a.lastSeq[i], cur)
 		}
 		a.lastSeq[i] = cur
-		if a.everCrashed == nil || !a.everCrashed[i] {
-			held := n.Mac.HeldPackets() + n.Agent.HeldPackets()
-			if live := pool.LiveBorrowed(); live != held {
-				a.rec.Recordf("pkt/conservation", i, now,
-					"%d packet(s) borrowed from the pool but %d held by MAC+routing", live, held)
-			}
+		held := n.Mac.HeldPackets() + n.Agent.HeldPackets()
+		if live := pool.LiveBorrowed(); live != held {
+			a.rec.Recordf("pkt/conservation", i, now,
+				"%d packet(s) borrowed from the pool but %d held by MAC+routing", live, held)
 		}
 	}
 	a.routes = a.routes[:0]
@@ -148,9 +145,6 @@ func runAudited(t *testing.T, e *Engine, sc Scenario, mutate func(simk *des.Sim,
 	}
 	testHookAuditPoint = func(a *auditor) {
 		now := a.e.simk.Now()
-		if ref.everCrashed == nil {
-			ref.everCrashed = a.everCrashed
-		}
 		ref.check()
 		got := make([]audit.Violation, len(a.found))
 		for k, f := range a.found {

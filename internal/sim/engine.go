@@ -8,6 +8,7 @@ import (
 	"clnlr/internal/radio"
 	"clnlr/internal/rng"
 	"clnlr/internal/topo"
+	"clnlr/internal/traffic"
 )
 
 // Engine is a reusable simulation instance: one fully allocated network
@@ -62,6 +63,11 @@ type Engine struct {
 
 	// warmJoules is each node's energy reading at Warmup (see openWindow).
 	warmJoules []float64
+
+	// mgr is the traffic manager, reset in place by every run after the
+	// first, which builds it; flows holds the last run's workload.
+	mgr   *traffic.Manager
+	flows []traffic.Flow
 }
 
 // NewEngine returns an empty engine; the first Run builds the network.
@@ -229,10 +235,9 @@ func (e *Engine) begin(sc Scenario, horizon des.Time, watch *des.Watch, rec *jou
 	}
 	node.StartAll(e.nodes)
 	attachMobility(sc, e.simk, e.nodes, master)
-	var everCrashed []bool
-	s.crashEvents, s.recoverEvents, everCrashed = attachFaults(sc, e.simk, e.nodes, master, horizon)
+	s.crashEvents, s.recoverEvents = attachFaults(sc, e.simk, e.nodes, master, horizon)
 	if sc.Audit {
-		s.aud = e.startAudit(horizon, everCrashed)
+		s.aud = e.startAudit(horizon)
 	}
 	return s, nil
 }

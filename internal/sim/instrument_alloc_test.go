@@ -46,7 +46,7 @@ func TestInstrumentTicksAllocateNothing(t *testing.T) {
 	var auditErr error
 	TestHookPrepared = func(simk *des.Sim, nodes []*node.Node, _ Scenario) {
 		simk.At(sc.Warmup+sc.Measure/2+des.Microsecond, func() {
-			a := newAuditor(e, sc.Warmup+sc.Measure, nil)
+			a := newAuditor(e, sc.Warmup+sc.Measure)
 			fullAllocs = testing.AllocsPerRun(10, func() { a.check(true) })
 			incAllocs = testing.AllocsPerRun(10, func() { a.check(false) })
 			auditErr = a.Err()

@@ -66,11 +66,17 @@ func (e *Engine) RunJourney(sc Scenario, watch *des.Watch, col *metrics.Collecto
 		e.startSampler(col, end)
 	}
 
-	mgr := traffic.NewManager(e.simk, e.nodes, sc.Routing.TTL, sc.Warmup)
-	flows, err := pickFlows(sc, run.tp, run.master.Derive(2000))
+	if e.mgr == nil {
+		e.mgr = traffic.NewManager(e.simk, e.nodes, sc.Routing.TTL, sc.Warmup)
+	} else {
+		e.mgr.Reset(e.simk, e.nodes, sc.Routing.TTL, sc.Warmup)
+	}
+	mgr := e.mgr
+	flows, err := pickFlows(sc, run.tp, run.master.Derive(2000), e.flows[:0])
 	if err != nil {
 		return Result{}, err
 	}
+	e.flows = flows
 	addFlows(mgr, flows, &run.master)
 
 	e.simk.At(sc.Warmup, e.openWindow)

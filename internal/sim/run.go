@@ -102,25 +102,19 @@ func attachMobility(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.
 //
 // It returns the number of crash and recover events falling inside the
 // measurement window [sc.Warmup, horizon] — the fault-layer counters the
-// metrics collector registers — plus everCrashed, marking the nodes the
-// materialised schedule crashes at least once (nil when churn is off);
-// the auditor skips those nodes' packet-conservation check because crash
-// paths deliberately strand in-flight packets. Counting the materialised
-// schedule keeps the numbers a pure function of the seed at zero runtime
-// cost.
-func attachFaults(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.Source, horizon des.Time) (crashEvents, recoverEvents uint64, everCrashed []bool) {
+// metrics collector registers. Counting the materialised schedule keeps
+// the numbers a pure function of the seed at zero runtime cost.
+func attachFaults(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.Source, horizon des.Time) (crashEvents, recoverEvents uint64) {
 	if !sc.Faults.ChurnEnabled() {
-		return 0, 0, nil
+		return 0, 0
 	}
 	events := sc.Faults.DrawSchedule(len(nodes), horizon, master.Derive(7000))
-	everCrashed = make([]bool, len(nodes))
 	for _, ev := range events {
 		n := nodes[ev.Node]
 		if ev.Up {
 			simk.AtCall(ev.At, n, node.OpRecover, 0)
 		} else {
 			simk.AtCall(ev.At, n, node.OpCrash, 0)
-			everCrashed[ev.Node] = true
 		}
 		if ev.At >= sc.Warmup {
 			if ev.Up {
@@ -130,7 +124,7 @@ func attachFaults(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.So
 			}
 		}
 	}
-	return crashEvents, recoverEvents, everCrashed
+	return crashEvents, recoverEvents
 }
 
 // place generates node positions per the scenario topology. Random
@@ -205,18 +199,18 @@ func addFlows(mgr *traffic.Manager, flows []traffic.Flow, master *rng.Source) {
 	}
 }
 
-// pickFlows builds the workload. Without SessionTime each flow slot is one
-// immortal flow; with it, each slot is a train of back-to-back sessions
-// with freshly drawn endpoints, staggered across slots so discoveries are
-// spread over the run.
-func pickFlows(sc Scenario, tp *topo.Topology, src *rng.Source) ([]traffic.Flow, error) {
+// pickFlows builds the workload, appending it to flows (a warm engine
+// passes last run's slice, emptied, so its storage is reused). Without
+// SessionTime each flow slot is one immortal flow; with it, each slot is
+// a train of back-to-back sessions with freshly drawn endpoints,
+// staggered across slots so discoveries are spread over the run.
+func pickFlows(sc Scenario, tp *topo.Topology, src *rng.Source, flows []traffic.Flow) ([]traffic.Flow, error) {
 	interval := des.FromSeconds(1 / sc.PacketRate)
 	var gateway pkt.NodeID
 	if sc.Gateway {
 		gateway = centreNode(tp)
 	}
 	end := sc.Warmup + sc.Measure
-	var flows []traffic.Flow
 	id := 0
 	for slot := 0; slot < sc.Flows; slot++ {
 		if sc.SessionTime <= 0 {

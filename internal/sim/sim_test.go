@@ -402,7 +402,7 @@ func TestPickFlowsSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows, err := pickFlows(sc, tp, rng.New(2))
+	flows, err := pickFlows(sc, tp, rng.New(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestMinHopDistRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows, err := pickFlows(sc, tp, rng.New(9))
+	flows, err := pickFlows(sc, tp, rng.New(9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,7 +212,7 @@ func TestPickFlowsUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flows, err := pickFlows(sc, tp, master.Derive(2000))
+			flows, err := pickFlows(sc, tp, master.Derive(2000), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,12 +24,26 @@ func mobileChurnScenario(t *testing.T) Scenario {
 	return sc
 }
 
+// gatewaySaturatedScenario is the benchmark's hotspot49 shape: the paper
+// grid with 10 s sessions and 20 flows of 8 pkt/s all sinking at the
+// gateway, so every run ends with full MAC queues and discovery buffers.
+func gatewaySaturatedScenario() Scenario {
+	sc := DefaultScenario()
+	sc.SessionTime = 10 * des.Second
+	sc.Measure = 40 * des.Second
+	sc.Gateway, sc.Flows, sc.PacketRate = true, 20, 8
+	return sc
+}
+
 // TestWarmRunAllocBudget: a whole run on an engine warmed by two runs of
 // the same scenario allocates no more than a fixed budget. What remains
-// is per-run setup (flow picks, the traffic manager, the placement of a
-// seed-dependent topology, fault schedules, mobility walkers); the event
-// loop itself — route discovery, RERRs, counter assessments, two-hop
-// HELLOs, reply windows — reuses per-node storage. Each budget is about
+// is per-run setup (flow picks, the placement of a seed-dependent
+// topology, fault schedules, mobility walkers, the slices each run's
+// auditor or sampler sizes); the event loop itself — route discovery,
+// RERRs, counter assessments, two-hop HELLOs, reply windows — reuses
+// per-node storage, and what a run leaves queued or buffered goes back
+// to the pools at the next Reset (gateway-saturated: a run that ends
+// with full queues re-allocates none of them). Each budget is about
 // 1.25× the count it guards, well under what the routing layer allocated
 // when its control plane built fresh slices, records and closures per
 // event, so a regression there fails here without the benchmark.
@@ -41,9 +55,10 @@ func TestWarmRunAllocBudget(t *testing.T) {
 		sc     Scenario
 		budget float64
 	}{
-		{"counter-7x7", counter, 400},
-		{"clnlr-2hop", twoHop, 150},
-		{"mobile-churn-burst", mobileChurnScenario(t), 520},
+		{"counter-7x7", counter, 350},
+		{"clnlr-2hop", twoHop, 95},
+		{"mobile-churn-burst", mobileChurnScenario(t), 310},
+		{"gateway-saturated", gatewaySaturatedScenario(), 75},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

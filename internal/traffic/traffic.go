@@ -60,17 +60,20 @@ func (fs *FlowStats) PDR() float64 {
 //
 // The Manager is the des.Handler of every packet it emits: a flow or a
 // probe is an emitter in one slice, and its events carry the emitter's
-// index, so a flow costs its FlowStats and a slot, not a closure per
-// packet source.
+// index, so a flow costs a stats entry and a slot, not a closure per
+// packet source. Reset empties it for the next run, keeping that storage.
 type Manager struct {
 	sim         *des.Sim
 	nodes       []*node.Node
 	ttl         int
 	measureFrom des.Time
 	flows       []Flow
-	stats       []*FlowStats
-	emitters    []emitter
-	uid         uint64
+	// stats holds the statistics of each flow ID, dense by ID; added marks
+	// the IDs a flow or probe registered.
+	stats    []FlowStats
+	added    []bool
+	emitters []emitter
+	uid      uint64
 	// sink is the delivery hook installed on every destination node (one
 	// method value per manager, not one closure per sink).
 	sink func(p *pkt.Packet, from pkt.NodeID)
@@ -81,13 +84,12 @@ type Manager struct {
 
 // emitter is one packet source: a flow (its description, its own copy
 // of the flow's random stream, its next sequence number) or a one-packet
-// probe.
+// probe. Its statistics are stats[flow.ID].
 type emitter struct {
-	flow  Flow
-	src   *node.Node
-	rng   rng.Source
-	seq   int
-	stats *FlowStats
+	flow Flow
+	src  *node.Node
+	rng  rng.Source
+	seq  int
 }
 
 // Typed event ops: arg is the emitter's index.
@@ -100,7 +102,6 @@ const (
 // initial hop limit for data packets; measureFrom the warm-up boundary.
 func NewManager(sim *des.Sim, nodes []*node.Node, ttl int, measureFrom des.Time) *Manager {
 	m := &Manager{
-		sim: sim, nodes: nodes, ttl: ttl, measureFrom: measureFrom,
 		// Log-bucketed 0.1 ms .. 1000 s at 32 buckets/decade: ~7.5%
 		// relative resolution whether the network delivers in a
 		// millisecond or crawls through multi-second discovery stalls
@@ -109,20 +110,36 @@ func NewManager(sim *des.Sim, nodes []*node.Node, ttl int, measureFrom des.Time)
 		delayHist: stats.NewLogHistogram(1e-4, 1e3, 32),
 	}
 	m.sink = m.deliver
+	m.Reset(sim, nodes, ttl, measureFrom)
 	return m
 }
 
+// Reset empties the manager for a fresh run over nodes, as NewManager
+// with the same arguments would build it, keeping the storage of its
+// flows, emitters, statistics and delay histogram (warm replication
+// reuse). The nodes' delivery hooks must be clear (node.ResetNetwork
+// clears them), so the run's flows install the sinks again.
+func (m *Manager) Reset(sim *des.Sim, nodes []*node.Node, ttl int, measureFrom des.Time) {
+	m.sim, m.nodes, m.ttl, m.measureFrom = sim, nodes, ttl, measureFrom
+	m.flows = m.flows[:0]
+	m.stats = m.stats[:0]
+	m.added = m.added[:0]
+	clear(m.emitters)
+	m.emitters = m.emitters[:0]
+	m.uid = 0
+	m.delayHist.Reset()
+}
+
 // addStats registers a new flow ID's statistics.
-func (m *Manager) addStats(id int) *FlowStats {
-	fs := &FlowStats{}
+func (m *Manager) addStats(id int) {
 	for len(m.stats) <= id {
-		m.stats = append(m.stats, nil)
+		m.stats = append(m.stats, FlowStats{})
+		m.added = append(m.added, false)
 	}
-	if m.stats[id] != nil {
+	if m.added[id] {
 		panic(fmt.Sprintf("traffic: duplicate flow ID %d", id))
 	}
-	m.stats[id] = fs
-	return fs
+	m.added[id] = true
 }
 
 // AddFlow installs a flow and its sink. src must differ from dst. The
@@ -135,12 +152,12 @@ func (m *Manager) AddFlow(f Flow, rngSrc *rng.Source) {
 	if f.Interval <= 0 {
 		panic("traffic: flow with non-positive interval")
 	}
-	fs := m.addStats(f.ID)
+	m.addStats(f.ID)
 	m.flows = append(m.flows, f)
 	m.ensureSink(m.nodes[f.Dst])
 
 	i := len(m.emitters)
-	m.emitters = append(m.emitters, emitter{flow: f, src: m.nodes[f.Src], rng: *rngSrc, stats: fs})
+	m.emitters = append(m.emitters, emitter{flow: f, src: m.nodes[f.Src], rng: *rngSrc})
 	// Desynchronise flow start within one interval.
 	start := f.Start + des.Time(m.emitters[i].rng.Intn(int(f.Interval)))
 	m.sim.AtCall(start, m, opFlow, uint32(i))
@@ -159,7 +176,7 @@ func (m *Manager) HandleEvent(op int32, i uint32) {
 	p.UID = m.uid
 	e.seq++
 	if now >= m.measureFrom {
-		e.stats.Sent++
+		m.stats[f.ID].Sent++
 	}
 	e.src.Agent.Send(p)
 	if op != opFlow {
@@ -189,10 +206,10 @@ func (m *Manager) deliver(p *pkt.Packet, from pkt.NodeID) {
 	if p.Kind != pkt.Data || p.CreatedAt < m.measureFrom {
 		return
 	}
-	if p.FlowID >= len(m.stats) || m.stats[p.FlowID] == nil {
+	if p.FlowID >= len(m.stats) || !m.added[p.FlowID] {
 		return
 	}
-	fs := m.stats[p.FlowID]
+	fs := &m.stats[p.FlowID]
 	fs.Delivered++
 	fs.Bytes += uint64(p.Bytes)
 	d := (m.sim.Now() - p.CreatedAt).Seconds()
@@ -208,13 +225,12 @@ func (m *Manager) AddProbe(id int, src, dst pkt.NodeID, payload int, at des.Time
 	if src == dst {
 		panic("traffic: probe with identical endpoints")
 	}
-	fs := m.addStats(id)
+	m.addStats(id)
 	m.ensureSink(m.nodes[dst])
 	i := len(m.emitters)
 	m.emitters = append(m.emitters, emitter{
-		flow:  Flow{ID: id, Src: src, Dst: dst, Payload: payload},
-		src:   m.nodes[src],
-		stats: fs,
+		flow: Flow{ID: id, Src: src, Dst: dst, Payload: payload},
+		src:  m.nodes[src],
 	})
 	m.sim.AtCall(at, m, opProbe, uint32(i))
 }
@@ -222,8 +238,9 @@ func (m *Manager) AddProbe(id int, src, dst pkt.NodeID, payload int, at des.Time
 // Flows returns the installed flow descriptions.
 func (m *Manager) Flows() []Flow { return m.flows }
 
-// FlowStats returns flow f's statistics.
-func (m *Manager) FlowStats(f int) *FlowStats { return m.stats[f] }
+// FlowStats returns flow f's statistics, valid until the next AddFlow,
+// AddProbe or Reset.
+func (m *Manager) FlowStats(f int) *FlowStats { return &m.stats[f] }
 
 // DelayQuantile returns the q-quantile of all measured end-to-end delays
 // in seconds (e.g. 0.95 for the p95 delay papers report alongside means).
@@ -237,8 +254,9 @@ func (m *Manager) DelayQuantile(q float64) float64 {
 func (m *Manager) JainFairness() float64 {
 	var sum, sumSq float64
 	n := 0
-	for _, fs := range m.stats {
-		if fs == nil || fs.Sent == 0 {
+	for id := range m.stats {
+		fs := &m.stats[id]
+		if !m.added[id] || fs.Sent == 0 {
 			continue
 		}
 		x := fs.PDR()
@@ -255,8 +273,9 @@ func (m *Manager) JainFairness() float64 {
 // Totals aggregates all flows.
 func (m *Manager) Totals() FlowStats {
 	var t FlowStats
-	for _, fs := range m.stats {
-		if fs == nil {
+	for id := range m.stats {
+		fs := &m.stats[id]
+		if !m.added[id] {
 			continue
 		}
 		t.Sent += fs.Sent

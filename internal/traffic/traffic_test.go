@@ -179,24 +179,82 @@ func TestPDRZeroSent(t *testing.T) {
 func TestJainFairness(t *testing.T) {
 	var m Manager
 	// Hand-build stats: equal flows → 1; skewed flows → below 1.
-	m.stats = []*FlowStats{
+	m.stats = []FlowStats{
 		{Sent: 10, Delivered: 10},
 		{Sent: 10, Delivered: 10},
 	}
+	m.added = []bool{true, true}
 	if f := m.JainFairness(); f != 1 {
 		t.Fatalf("equal flows fairness %v", f)
 	}
-	m.stats = []*FlowStats{
+	m.stats = []FlowStats{
 		{Sent: 10, Delivered: 10},
 		{Sent: 10, Delivered: 0},
-		nil, // gap: unused flow ID
+		{Sent: 10, Delivered: 10}, // gap: an unused flow ID, whatever it holds
 	}
+	m.added = []bool{true, true, false}
 	f := m.JainFairness()
 	if f <= 0.49 || f >= 0.51 {
 		t.Fatalf("one-dead-flow fairness %v, want 0.5", f)
 	}
-	m.stats = nil
+	m.stats, m.added = nil, nil
 	if f := m.JainFairness(); f != 1 {
 		t.Fatalf("no flows fairness %v", f)
+	}
+}
+
+// TestResetReusesManager: a manager Reset over a fresh network measures
+// exactly what a new manager does, and once it has grown, a Reset and the
+// same flows and probes allocate nothing.
+func TestResetReusesManager(t *testing.T) {
+	workload := func(mgr *Manager, simk *des.Sim) {
+		mgr.AddFlow(Flow{ID: 0, Src: 0, Dst: 1, Payload: 256, Interval: 100 * des.Millisecond}, rng.New(7))
+		mgr.AddFlow(Flow{ID: 1, Src: 1, Dst: 0, Payload: 64, Interval: 50 * des.Millisecond, Poisson: true}, rng.New(8))
+		mgr.AddProbe(3, 0, 1, 128, 2*des.Second)
+		simk.RunUntil(5 * des.Second)
+	}
+	type summary struct {
+		tot      FlowStats
+		flows    [4]FlowStats
+		p50, p99 float64
+		jain     float64
+	}
+	summarise := func(mgr *Manager) summary {
+		s := summary{tot: mgr.Totals(), p50: mgr.DelayQuantile(0.5), p99: mgr.DelayQuantile(0.99), jain: mgr.JainFairness()}
+		for id := range s.flows {
+			s.flows[id] = *mgr.FlowStats(id)
+		}
+		return s
+	}
+
+	simk, nodes := pair(t)
+	fresh := NewManager(simk, nodes, 30, des.Second)
+	workload(fresh, simk)
+	want := summarise(fresh)
+	if want.tot.Delivered == 0 || want.flows[3].Sent != 1 {
+		t.Fatalf("workload measured nothing: %+v", want)
+	}
+
+	simk, nodes = pair(t)
+	reused := NewManager(simk, nodes, 7, 0)
+	workload(reused, simk)
+	simk, nodes = pair(t)
+	reused.Reset(simk, nodes, 30, des.Second)
+	workload(reused, simk)
+	if got := summarise(reused); got != want {
+		t.Errorf("reset manager measured\n%+v\nwant\n%+v", got, want)
+	}
+	if len(reused.Flows()) != 2 {
+		t.Errorf("reset manager has %d flows, want 2", len(reused.Flows()))
+	}
+
+	allocs := testing.AllocsPerRun(10, func() {
+		simk.Reset()
+		reused.Reset(simk, nodes, 30, des.Second)
+		reused.AddFlow(Flow{ID: 0, Src: 0, Dst: 1, Payload: 256, Interval: 100 * des.Millisecond}, rng.New(7))
+		reused.AddProbe(3, 0, 1, 128, 2*des.Second)
+	})
+	if allocs != 0 {
+		t.Errorf("Reset and re-registering allocate %v times, want 0", allocs)
 	}
 }

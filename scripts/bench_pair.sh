@@ -3,16 +3,23 @@
 # PARENT on the repository benchmark (bench/, BENCHMARK.json). PARENT is
 # snapshotted with `git archive` into a temporary directory, so each side
 # builds and runs in its own tree. Then:
-#   1. three alternating pairs of `bash bench/run.sh --seed 1` (parent
-#      first in odd pairs, change first in even ones), both sides' result
-#      files judged by `bash bench/run.sh --compare`, which prints a
-#      verdict per workload × end-to-end metric;
+#   1. per workload, three alternating pairs of
+#      `bash bench/run.sh --seed 1 --workload W` (parent first in odd
+#      pairs, change first in even ones), so the two runs of a pair are
+#      seconds apart and a slow stretch of the box lands on one pair of
+#      one workload, not on every workload of one side; all result files
+#      judged by `bash bench/run.sh --compare`, which merges them per
+#      workload and prints a verdict per workload × end-to-end metric,
+#      followed here by the min–max of the three per-pair change/parent
+#      ratios (a range that straddles 1 is a difference the pairs do not
+#      agree on; with three pairs, noise alone puts a range on one side
+#      of 1 about a quarter of the time, so read it as spread);
 #   2. one `--trace 1` pass per side, and every count-unit per-layer
 #      metric compared exactly: counts repeat to the last digit for a
 #      seed, so each moved (workload, metric) prints as `parent → change`,
 #      followed by an `N/M same` line.
 # Exits non-zero on any `regressed` verdict, any moved count or any failed
-# benchmark operation on the change side. About 11 minutes on a 2-core
+# benchmark operation on the change side. About 15 minutes on a 2-core
 # box; run nothing else meanwhile. `make bench-pair PARENT=<rev>` runs it.
 set -euo pipefail
 
@@ -45,20 +52,47 @@ bench() {
 }
 
 status=0
-for i in $(seq 1 "$pairs"); do
-	order=(parent change)
-	((i % 2)) || order=(change parent)
-	for side in "${order[@]}"; do
-		bench "$side" "$i" --seed "$seed"
+mapfile -t workloads < <(jq -r '.workloads[].name' "$root/BENCHMARK.json")
+for w in "${workloads[@]}"; do
+	for i in $(seq 1 "$pairs"); do
+		order=(parent change)
+		((i % 2)) || order=(change parent)
+		for side in "${order[@]}"; do
+			bench "$side" "$w.$i" --seed "$seed" --workload "$w"
+		done
 	done
 done
 # list SIDE — SIDE's result files of the pairs, comma-separated.
 list() {
-	local files=("$tmp/$1".[0-9].json) IFS=,
+	local files=("$tmp/$1".*.[0-9].json) IFS=,
 	echo "${files[*]}"
 }
+# pair_ratios — one `workload metric change/parent` line per pair and
+# end-to-end metric the parent read non-zero.
+pair_ratios() {
+	local w i
+	for w in "${workloads[@]}"; do
+		for i in $(seq 1 "$pairs"); do
+			jq -r --arg w "$w" --slurpfile c "$tmp/change.$w.$i.json" '
+				.workloads[$w].metrics | to_entries[] | select(.value.value != 0)
+				| "\($w) \(.key) \($c[0].workloads[$w].metrics[.key].value / .value.value)"' \
+				"$tmp/parent.$w.$i.json"
+		done
+	done
+}
 echo
-(cd "$root" && bash bench/run.sh --compare "$(list parent)" "$(list change)") || status=1
+verdicts=$(cd "$root" && bash bench/run.sh --compare "$(list parent)" "$(list change)") || status=1
+awk 'NR == FNR {
+	k = $1 " " $2
+	if (!(k in lo) || $3 + 0 < lo[k]) lo[k] = $3 + 0
+	if (!(k in hi) || $3 + 0 > hi[k]) hi[k] = $3 + 0
+	next
+}
+{
+	k = $1 " " $2
+	if (k in lo) printf "%s  pairs %.3f–%.3fx\n", $0, lo[k], hi[k]
+	else print
+}' <(pair_ratios) <(echo "$verdicts")
 
 echo
 for side in parent change; do

@@ -21,9 +21,13 @@
 # A second list runs the replication path — -reps and -discover, which
 # fan out through the experiments planner and print mean ± CI summaries
 # instead of writing a report — and cmp(1)s each side's printed summary
-# whole; all of those lines are static scenarios. A last block builds
-# cmd/experiments on both sides, runs three figures of the evaluation suite
-# with -out and -reports, and compares every file it writes and its stdout.
+# whole, with its stderr and a non-zero exit status (an audited run that
+# reports violations fails, and must fail alike on both sides). Every
+# replication after a worker's first runs on a warm engine, so these are
+# the lines that exercise a Reset, two of them with full queues. A last
+# block builds cmd/experiments on both sides, runs three figures of the
+# evaluation suite with -out and -reports, and compares every file it
+# writes and its stdout.
 # Exits non-zero, printing the first differing lines, on any mismatch.
 # The repo keeps no recorded goldens (every golden test is tier-vs-tier or
 # warm-vs-cold), so this is the check a PR that claims "no Result moved"
@@ -125,9 +129,12 @@ for i in "${!scenarios[@]}"; do
 done
 
 # The replication path: plain replications, replications under churn and
-# burst loss, audited replications, and discovery probes with and without
+# burst loss, audited replications, discovery probes with and without
 # background flows and, gateway-pinned, under a churn schedule that spans
-# the probe horizon.
+# the probe horizon, and the saturated gateway point (the benchmark's
+# hotspot49 shape), whose warm resets find full MAC queues and discovery
+# buffers — plain, and audited under churn, where crashes discard full
+# queues and conservation is checked on every node across re-armings.
 summaries=(
 	"-reps 4"
 	"-reps 3 -mttf 30s -mttr 3s -link-good 2s -link-bad 200ms -loss-bad 0.8"
@@ -135,12 +142,15 @@ summaries=(
 	"-discover 12 -reps 3"
 	"-discover 12 -reps 3 -flows 0 -scheme flood"
 	"-discover 12 -reps 3 -gateway -mttf 30s -mttr 3s"
+	"-reps 4 -gateway -flows 20 -rate 8 -session 10s"
+	"-reps 3 -audit -gateway -flows 20 -rate 8 -mttf 20s -mttr 2s -measure 20s"
 )
 for i in "${!summaries[@]}"; do
 	args=${summaries[$i]}
 	for side in parent change; do
+		out=$tmp/$side.summary.$i.txt
 		# shellcheck disable=SC2086 # args is a flag list, split on purpose
-		"$tmp/$side" $args >"$tmp/$side.summary.$i.txt"
+		"$tmp/$side" $args >"$out" 2>&1 || echo "exit status $?" >>"$out"
 	done
 	verdict=identical
 	if ! cmp -s "$tmp/parent.summary.$i.txt" "$tmp/change.summary.$i.txt"; then
