@@ -118,9 +118,10 @@ profile-largen:
 # lines to read. The allocation profile of the same ten runs follows
 # (GODEBUG=memprofilerate=1 records every allocation). Route maintenance
 # — RERRs and re-discovery after every link break — allocates nothing on
-# a warm engine, and crashes hand what they discard back to the pools, so
-# what it shows is the first run's build and per-run setup (placement,
-# flows, churn, mobility).
+# a warm engine, crashes hand what they discard back to the pools, and
+# placement, mobility, churn and the load clock reuse engine-held
+# storage, so what it shows is the first run's build and the pools and
+# per-node tables growing as each new seed loads them harder.
 profile-mobile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) build -o $(PROFILE_DIR)/meshsim ./cmd/meshsim

@@ -95,7 +95,10 @@ func DensityOnly(helloInterval des.Time) Params {
 }
 
 // Policy implements routing.RREQPolicy with the CLNLR forwarding rule.
-// One instance per node.
+// The rule is a pure function of the forwarding node's neighbourhood
+// load and degree, read through the Core it is called with, so the
+// policy holds only its parameters and one instance serves every node of
+// a network.
 type Policy struct {
 	params Params
 }
@@ -177,8 +180,8 @@ func (p *Policy) CostIncrement(c *routing.Core) float64 {
 // Spec returns the routing.Spec of CLNLR at params: the shared
 // configuration with CLNLR's cross-layer requirements applied (HELLO
 // beacons on at params.HelloInterval, two-hop tables if params.TwoHop,
-// the reply window) and one Policy per node. It panics on params that
-// Validate rejects.
+// the reply window) and one Policy per network. It panics on params
+// that Validate rejects.
 func Spec(cfg routing.Config, params Params) routing.Spec {
 	if err := Validate(params); err != nil {
 		panic(err)

@@ -1,9 +1,11 @@
 package des
 
-// Ticker repeatedly invokes a handler at a fixed period: the nodes'
-// shared load-sampling clock and the mobility model's position steps.
-// Rescheduling rides the typed-event path (the Ticker is its own
-// Handler), so a running ticker never allocates.
+// Ticker repeatedly invokes a function at a fixed period: the feeders
+// and clocks of tests and tools. Rescheduling rides the typed-event path
+// (the Ticker is its own Handler), so a running ticker never allocates;
+// building one allocates it and fn's closure, which is why the
+// simulation's own periodic events — the load clock, mobility steps,
+// HELLO beacons — are typed events of the objects that own them.
 type Ticker struct {
 	sim     *Sim
 	period  Time

@@ -7,8 +7,9 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"clnlr/internal/des"
 	"clnlr/internal/rng"
@@ -104,20 +105,22 @@ func (c Config) Validate() error {
 }
 
 // DrawSchedule materialises the full crash/recover event list for n nodes
-// over [0, horizon): the drawn churn (one independent stream per node,
-// Derive(i) from src) merged with the explicit Schedule entries (events
-// outside [0, horizon) or naming nodes outside [0, n) are dropped). The
-// result is sorted by (At, Node, recover-before-crash) so scheduling
-// order — and therefore the DES sequence numbering — is deterministic.
-func (c Config) DrawSchedule(n int, horizon des.Time, src *rng.Source) []NodeEvent {
-	var events []NodeEvent
+// over [0, horizon) in dst's storage (dst[:0], grown as needed): the
+// drawn churn (one independent stream per node, Derive(i) from src)
+// merged with the explicit Schedule entries (events outside [0, horizon)
+// or naming nodes outside [0, n) are dropped). The result is sorted by
+// (At, Node, recover-before-crash) so scheduling order — and therefore
+// the DES sequence numbering — is deterministic.
+func (c Config) DrawSchedule(dst []NodeEvent, n int, horizon des.Time, src *rng.Source) []NodeEvent {
+	events := dst[:0]
 	if c.MeanUpTime > 0 {
 		down := c.MeanDownTime
 		if down <= 0 {
 			down = 10 * des.Second
 		}
+		var s rng.Source
 		for i := 0; i < n; i++ {
-			s := src.Derive(uint64(i))
+			src.DeriveInto(&s, uint64(i))
 			t := des.Time(s.Uniform(0.5, 1.5) * float64(c.MeanUpTime))
 			for t < horizon {
 				events = append(events, NodeEvent{Node: i, At: t, Up: false})
@@ -135,15 +138,22 @@ func (c Config) DrawSchedule(n int, horizon des.Time, src *rng.Source) []NodeEve
 		}
 		events = append(events, ev)
 	}
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
+	// Events equal in all three keys are equal values, so any correct
+	// sort gives one order.
+	slices.SortFunc(events, func(a, b NodeEvent) int {
 		if a.At != b.At {
-			return a.At < b.At
+			return cmp.Compare(a.At, b.At)
 		}
 		if a.Node != b.Node {
-			return a.Node < b.Node
+			return cmp.Compare(a.Node, b.Node)
 		}
-		return a.Up && !b.Up
+		switch {
+		case a.Up == b.Up:
+			return 0
+		case a.Up:
+			return -1
+		}
+		return 1
 	})
 	return events
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
 	"clnlr/internal/des"
@@ -10,8 +11,8 @@ import (
 func TestDrawScheduleDeterministic(t *testing.T) {
 	cfg := Config{MeanUpTime: 20 * des.Second, MeanDownTime: 5 * des.Second}
 	horizon := 120 * des.Second
-	a := cfg.DrawSchedule(25, horizon, rng.New(42).Derive(7000))
-	b := cfg.DrawSchedule(25, horizon, rng.New(42).Derive(7000))
+	a := cfg.DrawSchedule(nil, 25, horizon, rng.New(42).Derive(7000))
+	b := cfg.DrawSchedule(nil, 25, horizon, rng.New(42).Derive(7000))
 	if len(a) == 0 {
 		t.Fatal("expected churn events over a 120 s horizon")
 	}
@@ -23,7 +24,7 @@ func TestDrawScheduleDeterministic(t *testing.T) {
 			t.Fatalf("event %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	c := cfg.DrawSchedule(25, horizon, rng.New(43).Derive(7000))
+	c := cfg.DrawSchedule(nil, 25, horizon, rng.New(43).Derive(7000))
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
@@ -38,10 +39,30 @@ func TestDrawScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestDrawScheduleReusesStorage: drawing into the slice of an earlier
+// schedule gives the schedule a fresh slice would hold, explicit events
+// merged in, and allocates nothing once the slice has grown.
+func TestDrawScheduleReusesStorage(t *testing.T) {
+	cfg := Config{MeanUpTime: 20 * des.Second, MeanDownTime: 5 * des.Second,
+		Schedule: []NodeEvent{{Node: 3, At: 7 * des.Second}, {Node: 3, At: 9 * des.Second, Up: true}}}
+	horizon := 120 * des.Second
+	buf := cfg.DrawSchedule(nil, 25, horizon, rng.New(43))
+	got := cfg.DrawSchedule(buf, 25, horizon, rng.New(42))
+	want := cfg.DrawSchedule(nil, 25, horizon, rng.New(42))
+	if !slices.Equal(got, want) {
+		t.Fatalf("schedule drawn into a used slice differs from a fresh one:\n%v\n%v", got, want)
+	}
+	buf = slices.Grow(got[:0], 2*len(got))
+	src := rng.New(42)
+	if n := testing.AllocsPerRun(10, func() { buf = cfg.DrawSchedule(buf, 25, horizon, src) }); n != 0 {
+		t.Errorf("drawing into a grown slice allocates %v times, want 0", n)
+	}
+}
+
 func TestDrawScheduleWellFormed(t *testing.T) {
 	cfg := Config{MeanUpTime: 10 * des.Second, MeanDownTime: 3 * des.Second}
 	horizon := 200 * des.Second
-	events := cfg.DrawSchedule(9, horizon, rng.New(7))
+	events := cfg.DrawSchedule(nil, 9, horizon, rng.New(7))
 	// Sorted by time, all within [0, horizon), and per node strictly
 	// alternating crash → recover → crash starting with a crash.
 	up := make(map[int]bool)
@@ -70,7 +91,7 @@ func TestDrawScheduleExplicitEvents(t *testing.T) {
 		{Node: 99, At: des.Second, Up: false},      // out of range: dropped
 		{Node: 1, At: 500 * des.Second, Up: false}, // past horizon: dropped
 	}}
-	events := cfg.DrawSchedule(10, 60*des.Second, rng.New(1))
+	events := cfg.DrawSchedule(nil, 10, 60*des.Second, rng.New(1))
 	if len(events) != 2 {
 		t.Fatalf("got %d events, want 2: %+v", len(events), events)
 	}
@@ -192,7 +213,7 @@ func TestLinkModelIndependentLinks(t *testing.T) {
 func TestDrawScheduleMTTRDefault(t *testing.T) {
 	cfg := Config{MeanUpTime: 20 * des.Second} // MeanDownTime left zero
 	horizon := 300 * des.Second
-	events := cfg.DrawSchedule(8, horizon, rng.New(11))
+	events := cfg.DrawSchedule(nil, 8, horizon, rng.New(11))
 	lastCrash := map[int]des.Time{}
 	gaps := 0
 	for _, ev := range events {
@@ -227,7 +248,7 @@ func TestDrawScheduleCrashOnCrashedNode(t *testing.T) {
 		{Node: 2, At: 8 * des.Second, Up: true},
 		{Node: 2, At: 8 * des.Second, Up: false}, // same-instant collision
 	}}
-	events := cfg.DrawSchedule(4, 60*des.Second, rng.New(3))
+	events := cfg.DrawSchedule(nil, 4, 60*des.Second, rng.New(3))
 	if len(events) != 4 {
 		t.Fatalf("got %d events, want all 4 kept: %+v", len(events), events)
 	}

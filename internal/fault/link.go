@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+
 	"clnlr/internal/des"
 )
 
@@ -26,8 +28,10 @@ type LinkModel struct {
 	n      int
 	slot   des.Time
 	// Per-slot transition probabilities good→bad and bad→good, chosen so
-	// the mean sojourn times match MeanGood/MeanBad.
-	pGB, pBG float64
+	// the mean sojourn times match MeanGood/MeanBad, the stationary
+	// probability of the bad state and the two loss probabilities, each
+	// as the threshold a draw's 53 bits are compared with (see below).
+	tGB, tBG, tPiBad, tLossGood, tLossBad uint64
 	// links[src*n+dst] memoises the chain for one directed link.
 	links []linkMemo
 }
@@ -55,17 +59,20 @@ func (lm *LinkModel) Reset(p LinkParams, seed uint64, n int) {
 	if lm.slot <= 0 {
 		lm.slot = 10 * des.Millisecond
 	}
-	lm.pGB = float64(lm.slot) / float64(p.MeanGood)
-	if lm.pGB > 1 {
-		lm.pGB = 1
+	pGB := float64(lm.slot) / float64(p.MeanGood)
+	if pGB > 1 {
+		pGB = 1
 	}
-	lm.pBG = 1.0
+	pBG := 1.0
 	if p.MeanBad > 0 {
-		lm.pBG = float64(lm.slot) / float64(p.MeanBad)
-		if lm.pBG > 1 {
-			lm.pBG = 1
+		pBG = float64(lm.slot) / float64(p.MeanBad)
+		if pBG > 1 {
+			pBG = 1
 		}
 	}
+	lm.tGB, lm.tBG = threshold(pGB), threshold(pBG)
+	lm.tPiBad = threshold(pGB / (pGB + pBG))
+	lm.tLossGood, lm.tLossBad = threshold(p.LossGood), threshold(p.LossBad)
 	if cap(lm.links) < n*n {
 		lm.links = make([]linkMemo, n*n)
 	}
@@ -91,8 +98,24 @@ func absorb(x, w uint64) (next, h uint64) {
 	return x ^ h, h
 }
 
-// unit maps 64 hash bits to a float64 in [0, 1).
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+// A draw is the top 53 bits of a hash, k = h>>11, read as the uniform
+// variate k·2⁻⁵³ in [0, 1). Scaling by 2⁵³ is exact, so the draw is below
+// p exactly when k is below p·2⁵³, which for an integer k is k < ⌈p·2⁵³⌉:
+// each probability is compared as that integer threshold, and no draw is
+// converted to a float.
+const drawScale = 1 << 53
+
+// threshold returns ⌈p·2⁵³⌉ clamped to [0, 2⁵³]: draw(h) < p exactly
+// when h>>11 < threshold(p), for any p (NaN counts as 0).
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return drawScale
+	}
+	return uint64(math.Ceil(p * drawScale))
+}
 
 // Deliver reports whether a frame crossing the directed link src→dst at
 // time now survives the impairment process. now must be non-decreasing
@@ -103,30 +126,28 @@ func (lm *LinkModel) Deliver(src, dst int, now des.Time) bool {
 	memo := &lm.links[src*lm.n+dst]
 	if memo.lastSlot < 0 {
 		// Start the chain in its stationary distribution at slot 0.
-		piBad := lm.pGB / (lm.pGB + lm.pBG)
 		_, h := absorb(link, ^uint64(0))
-		memo.bad = unit(h) < piBad
+		memo.bad = h>>11 < lm.tPiBad
 		memo.lastSlot = 0
 	}
 	bad := memo.bad
 	for s := memo.lastSlot + 1; s <= cur; s++ {
 		_, h := absorb(link, uint64(s))
-		draw := unit(h)
 		if bad {
-			bad = draw >= lm.pBG
+			bad = h>>11 >= lm.tBG
 		} else {
-			bad = draw < lm.pGB
+			bad = h>>11 < lm.tGB
 		}
 	}
 	memo.bad = bad
 	if cur > memo.lastSlot {
 		memo.lastSlot = cur
 	}
-	loss := lm.p.LossGood
+	loss := lm.tLossGood
 	if bad {
-		loss = lm.p.LossBad
+		loss = lm.tLossBad
 	}
-	if loss <= 0 {
+	if loss == 0 {
 		return true
 	}
 	// Salt the loss draw so it is independent of the state draw for the
@@ -135,5 +156,5 @@ func (lm *LinkModel) Deliver(src, dst int, now des.Time) bool {
 	// approximation and keeps the draw a pure function.
 	slotted, _ := absorb(link, uint64(cur))
 	_, h := absorb(slotted, 0x10ad)
-	return unit(h) >= loss
+	return h>>11 >= loss
 }

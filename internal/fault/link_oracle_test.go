@@ -184,3 +184,37 @@ func TestDeliverMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// unit is the float draw the thresholds replace: 64 hash bits as a
+// float64 in [0, 1), what LinkModel compared with each probability.
+func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+
+// TestThresholdMatchesFloatDraw: for probabilities from 0 through the
+// smallest draw step, a default link's transition probabilities, one
+// half, one and beyond, comparing a draw's 53 bits with threshold(p)
+// decides exactly as unit(h) < p does — on random hashes and on the
+// hashes whose draws sit just below, at and just above each threshold.
+func TestThresholdMatchesFloatDraw(t *testing.T) {
+	lm := NewLinkModel(LinkParams{MeanGood: 2 * des.Second, MeanBad: 200 * des.Millisecond, LossBad: 0.8}, 1, 2)
+	pGB := float64(lm.slot) / float64(lm.p.MeanGood)
+	pBG := float64(lm.slot) / float64(lm.p.MeanBad)
+	ps := []float64{0, 1.0 / (1 << 53), 1.5 / (1 << 53), pGB, pBG, pGB / (pGB + pBG), 0.8, 0.5, 1 - 1.0/(1<<53), 1, 1.5, -0.25}
+	src := rng.New(5)
+	for _, p := range ps {
+		th := threshold(p)
+		check := func(h uint64) {
+			if got, want := h>>11 < th, unit(h) < p; got != want {
+				t.Fatalf("p=%v h=%#x: threshold %d says %v, unit(h) < p says %v", p, h, th, got, want)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			check(src.Uint64())
+		}
+		for _, k := range []uint64{th - 2, th - 1, th, th + 1, 0, drawScale - 1} {
+			if k >= drawScale {
+				continue
+			}
+			check(k<<11 | src.Uint64()>>53)
+		}
+	}
+}

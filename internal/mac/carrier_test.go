@@ -289,3 +289,58 @@ func TestCrashReleasesQueueAndOrphan(t *testing.T) {
 		}
 	}
 }
+
+// crashSendAfterRecovery is TestCrashMidFrameClocks's set-up with the
+// sender power-cycled back up 100 µs into its broadcast and handed next
+// at once, while the truncated broadcast — now the orphan — is still on
+// the air. It runs 150 ms and returns the testbed.
+func crashSendAfterRecovery(t *testing.T, next *pkt.Packet) ([]*Mac, []*upperRec) {
+	t.Helper()
+	sim, macs, uppers := macTestbed(t, DefaultConfig(), geom.Point{X: 0}, geom.Point{X: 200})
+	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) })
+	whenTransmitting(sim, macs[0], func() {
+		macs[0].radio.SetDown(true)
+		macs[0].Crash()
+		sim.Schedule(100*des.Microsecond, func() {
+			macs[0].Recover()
+			macs[0].radio.SetDown(false)
+			macs[0].Send(next, next.Dst)
+		})
+	})
+	sim.RunUntil(150 * des.Millisecond)
+	return macs, uppers
+}
+
+// TestOrphanCompletionAfterRecoveryBroadcast: the end of the orphan's
+// airtime is not the end of the broadcast a recovery has put in service
+// since. That broadcast waits for the radio, goes on the air after the
+// orphan, reaches the neighbour and only then is reported done.
+func TestOrphanCompletionAfterRecoveryBroadcast(t *testing.T) {
+	macs, uppers := crashSendAfterRecovery(t, dataPkt(0, pkt.Broadcast, 64))
+	if got := macs[0].Ctr.TxBroadcast; got != 2 {
+		t.Errorf("%d broadcasts on the air, want 2 (the orphan and the one sent after recovery)", got)
+	}
+	if len(uppers[0].txDone) != 1 || !uppers[0].txDone[0].ok {
+		t.Fatalf("sender reported %+v, want the second broadcast done once", uppers[0].txDone)
+	}
+	if len(uppers[1].received) != 1 || uppers[1].received[0].p.Bytes != dataPkt(0, pkt.Broadcast, 64).Bytes {
+		t.Errorf("neighbour received %d frames, want the broadcast sent after recovery", len(uppers[1].received))
+	}
+}
+
+// TestOrphanCompletionAfterRecoveryUnicast: a unicast put in service
+// after a recovery does not take the orphan's completion for its own
+// transmission and wait for an ACK to a frame never sent: it is sent
+// once, acknowledged, and reported done with no retry.
+func TestOrphanCompletionAfterRecoveryUnicast(t *testing.T) {
+	macs, uppers := crashSendAfterRecovery(t, dataPkt(0, 1, 64))
+	if macs[0].Ctr.TxData != 1 || macs[0].Ctr.Retries != 0 {
+		t.Errorf("unicast sent %d times with %d retries, want once with none", macs[0].Ctr.TxData, macs[0].Ctr.Retries)
+	}
+	if len(uppers[0].txDone) != 1 || !uppers[0].txDone[0].ok {
+		t.Fatalf("sender reported %+v, want the unicast acknowledged", uppers[0].txDone)
+	}
+	if len(uppers[1].received) != 1 {
+		t.Errorf("neighbour received %d frames, want the unicast", len(uppers[1].received))
+	}
+}

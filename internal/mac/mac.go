@@ -723,21 +723,29 @@ func (m *Mac) RadioCarrier(busy bool) {
 	}
 }
 
-// RadioTxDone implements radio.Listener.
+// RadioTxDone implements radio.Listener. The MAC acts only on the
+// completion of a frame it put on the air for the frame in service (its
+// data frame, or its RTS while it waits for that to end) or of its own
+// control response. The completion of a frame a crash took out of
+// service — the orphaned data frame, or an RTS sent before the crash —
+// is released and nothing more, whatever a recovery has put in service
+// since; a frame that was postponed while the radio sent it resumes
+// contention.
 func (m *Mac) RadioTxDone(payload any) {
 	f, ok := payload.(*Frame)
 	if !ok {
 		panic(fmt.Sprintf("mac %v: foreign payload %T on radio", m.id, payload))
 	}
 	m.le.settle() // in case a crash truncated this frame
-	typ, dst := f.Type, f.Dst
-	switch {
-	case f == m.orphan:
-		// The airtime of the frame a Crash took out of service is over:
-		// no retransmission can reference it again.
+	if f == m.orphan {
+		// No retransmission can reference it again.
 		m.orphan = nil
 		m.discard(f)
-	case typ != DataFrame:
+		m.resume()
+		return
+	}
+	typ, dst := f.Type, f.Dst
+	if typ != DataFrame {
 		// A control frame is off the air either way.
 		m.releaseFrame(f)
 	}
@@ -748,30 +756,32 @@ func (m *Mac) RadioTxDone(payload any) {
 	case AckFrame, CTSFrame:
 		// Our control response is done; resume any postponed contention.
 		m.pendingAckTx = false
-		if m.cur != nil && m.state == accPostponed {
-			m.startAccess()
-		}
+		m.resume()
 		return
 	case RTSFrame:
-		if m.cur == nil {
-			return // completion of a frame orphaned by a crash/recover cycle
+		if m.state != accTxRts {
+			m.resume() // an RTS sent before a crash, released above
+			return
 		}
 		m.setState(accWaitCts)
 		m.ctsEv = m.ctsWait.Call(m, opCtsTimeout, 0)
 		return
 	}
-	if m.cur == nil {
-		return // the orphan's completion, released above
-	}
-	// An orphan that completes after a recovery has put a new frame in
-	// service gets here too and is taken for that frame's transmission:
-	// a known model defect, kept until a change that may move reports.
 	if dst == pkt.Broadcast {
 		m.finishCur(true)
 		return
 	}
 	m.setState(accWaitAck)
 	m.ackEv = m.ackWait.Call(m, opAckTimeout, 0)
+}
+
+// resume restarts the contention of the frame in service if it was
+// postponed while the radio was sending (a control response, or a frame
+// sent before a crash): nothing else resumes it once the radio is free.
+func (m *Mac) resume() {
+	if !m.down && m.cur != nil && m.state == accPostponed {
+		m.startAccess()
+	}
 }
 
 // onCtsTimeout mirrors onAckTimeout for a failed RTS handshake.

@@ -178,3 +178,32 @@ func TestRTSTimingConstants(t *testing.T) {
 		t.Fatal("threshold comparison wrong")
 	}
 }
+
+// TestStaleRTSCompletionAfterRecovery: an RTS on the air when its sender
+// crashes ends after a recovery has put a new unicast in service; the
+// MAC does not take it for that frame's RTS and wait for a CTS nobody
+// was asked for. The new frame sends its own RTS once the radio is free
+// and gets through with no retry.
+func TestStaleRTSCompletionAfterRecovery(t *testing.T) {
+	sim, macs, uppers := rtsTestbed(t, 100, geom.Point{X: 0}, geom.Point{X: 200})
+	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 512), 1) })
+	whenTransmitting(sim, macs[0], func() {
+		if macs[0].state != accTxRts {
+			t.Fatalf("on the air in state %v, want the RTS", macs[0].state)
+		}
+		macs[0].radio.SetDown(true)
+		macs[0].Crash()
+		sim.Schedule(10*des.Microsecond, func() {
+			macs[0].Recover()
+			macs[0].radio.SetDown(false)
+			macs[0].Send(dataPkt(0, 1, 256), 1)
+		})
+	})
+	sim.RunUntil(des.Second)
+	if macs[0].Ctr.TxRTS != 2 || macs[0].Ctr.Retries != 0 {
+		t.Errorf("%d RTS sent with %d retries, want 2 (one before the crash) and none", macs[0].Ctr.TxRTS, macs[0].Ctr.Retries)
+	}
+	if len(uppers[0].txDone) != 1 || !uppers[0].txDone[0].ok || len(uppers[1].received) != 1 {
+		t.Errorf("sender reported %+v, receiver got %d frames: want the new unicast delivered", uppers[0].txDone, len(uppers[1].received))
+	}
+}

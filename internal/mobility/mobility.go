@@ -15,9 +15,11 @@ import (
 	"clnlr/internal/rng"
 )
 
-// SetPos is the callback through which the model moves one node (wired to
-// radio.Radio.SetPos by the harness).
-type SetPos func(geom.Point)
+// Mover is what the model moves: one node's position (a *radio.Radio in
+// the simulation harness, whose SetPos the model calls with each step).
+type Mover interface {
+	SetPos(geom.Point)
+}
 
 // Config parameterises a random-waypoint model.
 type Config struct {
@@ -50,37 +52,52 @@ type legState struct {
 	target     geom.Point
 	speed      float64 // m/s
 	pausedTill des.Time
-	set        SetPos
+	mover      Mover
 	src        rng.Source
 }
 
 // Waypoint is a random-waypoint mobility model driving any number of
-// nodes inside one region.
+// nodes inside one region. Its position steps are one self-rescheduling
+// typed event (the Waypoint is its own des.Handler), and Reset readies it
+// for another run keeping its per-node storage, so a warm engine that
+// holds one moves its nodes run after run without allocating. The zero
+// Waypoint is ready for Reset.
 type Waypoint struct {
-	sim    *des.Sim
-	region geom.Rect
-	cfg    Config
-	nodes  []legState
-	ticker *des.Ticker
+	sim     *des.Sim
+	region  geom.Rect
+	cfg     Config
+	nodes   []legState
+	ev      des.Event
+	stopped bool
 }
 
 // NewWaypoint creates a model for the given region. Nodes are added with
 // Track before Start.
 func NewWaypoint(sim *des.Sim, region geom.Rect, cfg Config) *Waypoint {
+	w := &Waypoint{}
+	w.Reset(sim, region, cfg)
+	return w
+}
+
+// Reset readies the model for a fresh run on sim, which must be new or
+// just reset (a step still queued from an earlier run would fire again):
+// no node is tracked and none moves until Start.
+func (w *Waypoint) Reset(sim *des.Sim, region geom.Rect, cfg Config) {
 	if cfg.MaxSpeedMps <= 0 || cfg.MinSpeedMps <= 0 || cfg.MinSpeedMps > cfg.MaxSpeedMps {
 		panic("mobility: invalid speed range")
 	}
 	if cfg.Interval <= 0 {
 		panic("mobility: non-positive update interval")
 	}
-	return &Waypoint{sim: sim, region: region, cfg: cfg}
+	clear(w.nodes)
+	*w = Waypoint{sim: sim, region: region, cfg: cfg, nodes: w.nodes[:0]}
 }
 
-// Track registers one node starting at initial; the model will call set
-// with each new position. The node's legs are drawn from its own copy of
-// src's stream, so the caller may reuse src.
-func (w *Waypoint) Track(initial geom.Point, set SetPos, src *rng.Source) {
-	w.nodes = append(w.nodes, legState{pos: initial, set: set, src: *src})
+// Track registers one node starting at initial; the model will call
+// m.SetPos with each new position. The node's legs are drawn from its own
+// copy of src's stream, so the caller may reuse src.
+func (w *Waypoint) Track(initial geom.Point, m Mover, src *rng.Source) {
+	w.nodes = append(w.nodes, legState{pos: initial, mover: m, src: *src})
 	w.newLeg(&w.nodes[len(w.nodes)-1])
 }
 
@@ -93,17 +110,29 @@ func (w *Waypoint) newLeg(ls *legState) {
 	ls.speed = ls.src.Uniform(w.cfg.MinSpeedMps, w.cfg.MaxSpeedMps)
 }
 
-// Start begins periodic position updates.
+// Start begins periodic position updates, the first one interval from
+// now.
 func (w *Waypoint) Start() {
-	w.ticker = des.NewTicker(w.sim, w.cfg.Interval, w.step)
-	w.ticker.Start(w.cfg.Interval)
+	w.stopped = false
+	w.ev.Cancel()
+	w.ev = w.sim.ScheduleCall(w.cfg.Interval, w, 0, 0)
 }
 
 // Stop halts position updates.
 func (w *Waypoint) Stop() {
-	if w.ticker != nil {
-		w.ticker.Stop()
+	w.stopped = true
+	w.ev.Cancel()
+	w.ev = des.Event{}
+}
+
+// HandleEvent implements des.Handler: one position step, then the next
+// one interval later.
+func (w *Waypoint) HandleEvent(int32, uint32) {
+	if w.stopped {
+		return
 	}
+	w.step()
+	w.ev = w.sim.ScheduleCall(w.cfg.Interval, w, 0, 0)
 }
 
 // step advances every tracked node by one interval.
@@ -129,6 +158,6 @@ func (w *Waypoint) step() {
 				Y: ls.pos.Y + (ls.target.Y-ls.pos.Y)*f,
 			}
 		}
-		ls.set(ls.pos)
+		ls.mover.SetPos(ls.pos)
 	}
 }

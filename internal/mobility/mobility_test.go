@@ -9,6 +9,12 @@ import (
 	"clnlr/internal/rng"
 )
 
+// MoverFunc adapts a function to a Mover.
+type MoverFunc func(geom.Point)
+
+// SetPos implements Mover.
+func (f MoverFunc) SetPos(p geom.Point) { f(p) }
+
 func model(t *testing.T, maxSpeed float64) (*des.Sim, *Waypoint) {
 	t.Helper()
 	sim := des.NewSim()
@@ -23,12 +29,12 @@ func TestNodesStayInRegion(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		i := i
 		positions = append(positions, geom.Point{X: 500, Y: 500})
-		w.Track(positions[i], func(p geom.Point) {
+		w.Track(positions[i], MoverFunc(func(p geom.Point) {
 			if !region.Contains(p) {
 				t.Errorf("node %d escaped region: %v", i, p)
 			}
 			positions[i] = p
-		}, src.Derive(uint64(i)))
+		}), src.Derive(uint64(i)))
 	}
 	w.Start()
 	sim.RunUntil(120 * des.Second)
@@ -39,7 +45,7 @@ func TestSpeedBounded(t *testing.T) {
 	cfg := DefaultConfig(10)
 	last := geom.Point{X: 0, Y: 0}
 	lastT := des.Time(0)
-	w.Track(last, func(p geom.Point) {
+	w.Track(last, MoverFunc(func(p geom.Point) {
 		now := sim.Now()
 		dt := (now - lastT).Seconds()
 		if dt > 0 {
@@ -49,7 +55,7 @@ func TestSpeedBounded(t *testing.T) {
 			}
 		}
 		last, lastT = p, now
-	}, rng.New(7))
+	}), rng.New(7))
 	w.Start()
 	sim.RunUntil(60 * des.Second)
 }
@@ -58,7 +64,7 @@ func TestNodeActuallyMoves(t *testing.T) {
 	sim, w := model(t, 5)
 	start := geom.Point{X: 100, Y: 100}
 	cur := start
-	w.Track(start, func(p geom.Point) { cur = p }, rng.New(3))
+	w.Track(start, MoverFunc(func(p geom.Point) { cur = p }), rng.New(3))
 	w.Start()
 	sim.RunUntil(60 * des.Second)
 	if cur.Dist(start) < 10 {
@@ -73,7 +79,7 @@ func TestPauseAtWaypoint(t *testing.T) {
 	cfg := Config{MinSpeedMps: 50, MaxSpeedMps: 50, Pause: 30 * des.Second, Interval: 100 * des.Millisecond}
 	w := NewWaypoint(sim, geom.Square(100), cfg) // tiny region: waypoints reached fast
 	var lastUpdate des.Time
-	w.Track(geom.Point{X: 50, Y: 50}, func(p geom.Point) { lastUpdate = sim.Now() }, rng.New(5))
+	w.Track(geom.Point{X: 50, Y: 50}, MoverFunc(func(p geom.Point) { lastUpdate = sim.Now() }), rng.New(5))
 	w.Start()
 	sim.RunUntil(10 * des.Second)
 	// At 50 m/s in a 100 m region the first waypoint is reached within a
@@ -91,7 +97,7 @@ func TestDeterministicTrajectories(t *testing.T) {
 	run := func() geom.Point {
 		sim, w := model(t, 15)
 		cur := geom.Point{X: 10, Y: 10}
-		w.Track(cur, func(p geom.Point) { cur = p }, rng.New(42))
+		w.Track(cur, MoverFunc(func(p geom.Point) { cur = p }), rng.New(42))
 		w.Start()
 		sim.RunUntil(30 * des.Second)
 		return cur
@@ -107,8 +113,8 @@ func TestIndependentStreams(t *testing.T) {
 	src := rng.New(9)
 	p1 := geom.Point{X: 500, Y: 500}
 	p2 := geom.Point{X: 500, Y: 500}
-	w.Track(p1, func(p geom.Point) { p1 = p }, src.Derive(1))
-	w.Track(p2, func(p geom.Point) { p2 = p }, src.Derive(2))
+	w.Track(p1, MoverFunc(func(p geom.Point) { p1 = p }), src.Derive(1))
+	w.Track(p2, MoverFunc(func(p geom.Point) { p2 = p }), src.Derive(2))
 	w.Start()
 	sim.RunUntil(30 * des.Second)
 	if p1 == p2 {
@@ -119,7 +125,7 @@ func TestIndependentStreams(t *testing.T) {
 func TestStopHaltsUpdates(t *testing.T) {
 	sim, w := model(t, 10)
 	count := 0
-	w.Track(geom.Point{}, func(geom.Point) { count++ }, rng.New(1))
+	w.Track(geom.Point{}, MoverFunc(func(geom.Point) { count++ }), rng.New(1))
 	w.Start()
 	sim.RunUntil(5 * des.Second)
 	w.Stop()
@@ -157,7 +163,7 @@ func TestMeanDisplacementScalesWithSpeed(t *testing.T) {
 		w := NewWaypoint(sim, geom.Square(10000), cfg) // huge region: rarely arrive
 		start := geom.Point{X: 5000, Y: 5000}
 		cur := start
-		w.Track(start, func(p geom.Point) { cur = p }, rng.New(11))
+		w.Track(start, MoverFunc(func(p geom.Point) { cur = p }), rng.New(11))
 		w.Start()
 		sim.RunUntil(60 * des.Second)
 		return cur.Dist(start)
@@ -169,5 +175,50 @@ func TestMeanDisplacementScalesWithSpeed(t *testing.T) {
 	}
 	if math.Abs(fast) < 100 {
 		t.Fatalf("20 m/s node displaced only %v m in 60 s", fast)
+	}
+}
+
+// recorder is a Mover that keeps the last position it was moved to.
+type recorder struct{ at geom.Point }
+
+func (r *recorder) SetPos(p geom.Point) { r.at = p }
+
+// TestResetReusesWalkers: a model reset for another run on the reset
+// kernel moves its nodes exactly as a new model would, and a warm run —
+// reset, track, start, steps — allocates nothing.
+func TestResetReusesWalkers(t *testing.T) {
+	sim := des.NewSim()
+	cfg := DefaultConfig(10)
+	movers := make([]recorder, 5)
+	run := func(w *Waypoint, seed uint64) {
+		src := rng.New(seed)
+		var s rng.Source
+		for i := range movers {
+			src.DeriveInto(&s, uint64(i))
+			w.Track(geom.Point{X: 100, Y: 100}, &movers[i], &s)
+		}
+		w.Start()
+		sim.RunUntil(30 * des.Second)
+	}
+	w := NewWaypoint(sim, geom.Square(500), cfg)
+	run(w, 1)
+	sim.Reset()
+	w.Reset(sim, geom.Square(500), cfg)
+	run(w, 2)
+	warm := append([]recorder(nil), movers...)
+	fresh := des.NewSim()
+	sim, w = fresh, NewWaypoint(fresh, geom.Square(500), cfg)
+	run(w, 2)
+	for i := range movers {
+		if movers[i] != warm[i] {
+			t.Errorf("node %d: reset model ends at %v, a new one at %v", i, warm[i].at, movers[i].at)
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		sim.Reset()
+		w.Reset(sim, geom.Square(500), cfg)
+		run(w, 3)
+	}); n != 0 {
+		t.Errorf("a warm run of the model allocates %v times, want 0", n)
 	}
 }

@@ -26,6 +26,10 @@ type Node struct {
 	// macRng and agentRng are the MAC's and the agent's private streams,
 	// held here so a warm reset re-derives them in place.
 	macRng, agentRng rng.Source
+
+	// clock is the network whose load windows this node's OpSampleLoad
+	// event closes: set by StartAll on the node that carries the clock.
+	clock []*Node
 }
 
 // SetDeliver installs the application sink for data packets addressed to
@@ -54,30 +58,35 @@ func (n *Node) Recover() {
 }
 
 // Typed DES event ops of a Node (see HandleEvent): a churn schedule
-// queues each crash and recovery as one, with no closure per event.
+// queues each crash and recovery as one, with no closure per event, and
+// the network's load clock is one OpSampleLoad train (see StartAll).
 const (
 	OpCrash int32 = iota
 	OpRecover
+	OpSampleLoad
 )
 
 // HandleEvent implements des.Handler: OpCrash crashes the stack,
-// OpRecover recovers it.
+// OpRecover recovers it, and OpSampleLoad is one tick of the load clock
+// StartAll put on this node.
 func (n *Node) HandleEvent(op int32, _ uint32) {
 	switch op {
 	case OpCrash:
 		n.Crash()
 	case OpRecover:
 		n.Recover()
+	case OpSampleLoad:
+		n.sampleLoad()
 	default:
 		panic(fmt.Sprintf("node: unknown event op %d", op))
 	}
 }
 
 // BuildNetwork attaches one full stack per position to the medium, each
-// node running the scheme spec describes (one spec.Policy() per node). The
-// master RNG seeds independent per-node streams for the MAC (backoff) and
-// the routing agent (jitter, probabilistic forwarding), so runs are
-// reproducible.
+// node running the scheme spec describes: one spec.Policy() for the whole
+// network, shared by every node's agent. The master RNG seeds independent
+// per-node streams for the MAC (backoff) and the routing agent (jitter,
+// probabilistic forwarding), so runs are reproducible.
 func BuildNetwork(
 	sim *des.Sim,
 	medium *radio.Medium,
@@ -88,6 +97,7 @@ func BuildNetwork(
 	spec routing.Spec,
 ) []*Node {
 	nodes := make([]*Node, len(positions))
+	policy := spec.Policy()
 	for i, pos := range positions {
 		id := pkt.NodeID(i)
 		n := &Node{ID: id, Pos: pos}
@@ -108,7 +118,7 @@ func BuildNetwork(
 			Pool: pool,
 		}
 		n.Radio, n.Mac = r, m
-		n.Agent = routing.New(env, spec.Cfg, spec.Policy())
+		n.Agent = routing.New(env, spec.Cfg, policy)
 		nodes[i] = n
 	}
 	// Node IDs are dense 0..N-1 and N is known here: size every dense
@@ -128,7 +138,8 @@ func BuildNetwork(
 // (i,1) for the MAC, (i,2) for the agent — so a warm rerun is
 // bit-identical to a cold build from the same master.
 // Each packet pool keeps its free lists but restarts its drop count, so
-// the pool-drop diagnostic of a warm run counts that run alone.
+// the pool-drop diagnostic of a warm run counts that run alone. The
+// network gets one new policy from spec, as BuildNetwork does.
 // The caller must have reset the des.Sim and the radio.Medium first.
 func ResetNetwork(
 	nodes []*Node,
@@ -137,6 +148,7 @@ func ResetNetwork(
 	master *rng.Source,
 	spec routing.Spec,
 ) {
+	policy := spec.Policy()
 	for i, n := range nodes {
 		n.Pos = positions[i]
 		master.DeriveInto(&n.macRng, uint64(i), 1)
@@ -150,7 +162,7 @@ func ResetNetwork(
 			Rng:  &n.agentRng,
 			Pool: n.Agent.Env.Pool,
 		}
-		n.Agent.Reset(env, spec.Cfg, spec.Policy())
+		n.Agent.Reset(env, spec.Cfg, policy)
 	}
 }
 
@@ -163,18 +175,26 @@ func ResetNetwork(
 // before any agent starts — a node's window closes before its own beacon
 // reads the estimate should the two ever share an instant — and StartAll
 // runs before anything else a run schedules, so the clock keeps its place
-// against every other periodic event at equal timestamps.
+// against every other periodic event at equal timestamps. It is a typed
+// event of the first node, which keeps the network's slice, so starting
+// it allocates nothing.
 func StartAll(nodes []*Node) {
 	if len(nodes) == 0 {
 		return
 	}
-	interval := nodes[0].Mac.LoadSampleInterval()
-	des.NewTicker(nodes[0].Agent.Env.Sim, interval, func() {
-		for _, n := range nodes {
-			n.Mac.SampleLoad()
-		}
-	}).Start(interval)
+	first := nodes[0]
+	first.clock = nodes
+	first.Agent.Env.Sim.ScheduleCall(first.Mac.LoadSampleInterval(), first, OpSampleLoad, 0)
 	for _, n := range nodes {
 		n.Agent.Start()
 	}
+}
+
+// sampleLoad is one tick of the load clock: every MAC of the network
+// closes its load window, in ID order, and the next tick is queued.
+func (n *Node) sampleLoad() {
+	for _, m := range n.clock {
+		m.Mac.SampleLoad()
+	}
+	n.Agent.Env.Sim.ScheduleCall(n.Mac.LoadSampleInterval(), n, OpSampleLoad, 0)
 }

@@ -171,10 +171,15 @@ type NeighborLoad struct {
 
 // HelloBody is the periodic beacon. Load is the sender's own local load
 // (cross-layer MAC measurement); NbrLoads optionally relays the sender's
-// 1-hop table so receivers can build a 2-hop view.
+// 1-hop table so receivers can build a 2-hop view. A nil NbrLoads is a
+// one-hop beacon, an empty one a two-hop beacon with no fresh neighbours.
 type HelloBody struct {
 	Load     float64
 	NbrLoads []NeighborLoad
+	// spare is the table storage a pooled body keeps while it carries a
+	// one-hop beacon, for the next two-hop beacon built on it. No
+	// receiver reads it.
+	spare []NeighborLoad
 }
 
 // String renders a compact trace representation.

@@ -299,7 +299,7 @@ func (pl *Pool) Hello(src NodeID, body HelloBody, now des.Time) *Packet {
 	p := pl.get(Hello)
 	b := p.Hello
 	b.Load = body.Load
-	b.NbrLoads = copyLoads(b.NbrLoads, body.NbrLoads)
+	b.setLoads(body.NbrLoads)
 	*p = Packet{
 		Kind:      Hello,
 		Src:       src,
@@ -312,19 +312,26 @@ func (pl *Pool) Hello(src NodeID, body HelloBody, now des.Time) *Packet {
 	return pl.tracked(p)
 }
 
-// copyLoads copies a HELLO's piggybacked loads over a body's storage. It
-// keeps src's nil-ness, which receivers read: nil is a one-hop beacon, an
-// empty table a two-hop beacon with no fresh neighbours (see
+// setLoads copies a HELLO's piggybacked loads over the body's storage.
+// It keeps src's nil-ness, which receivers read: nil is a one-hop beacon,
+// an empty table a two-hop beacon with no fresh neighbours (see
 // routing.NeighborTable.Update), whatever body the pool happened to
-// recycle.
-func copyLoads(dst, src []NeighborLoad) []NeighborLoad {
+// recycle. A one-hop beacon parks the storage in spare instead of
+// dropping it, so a warm engine that alternates one-hop and two-hop
+// schemes reuses every table.
+func (b *HelloBody) setLoads(src []NeighborLoad) {
+	buf := b.NbrLoads
+	if buf == nil {
+		buf = b.spare
+	}
 	if src == nil {
-		return nil
+		b.NbrLoads, b.spare = nil, buf[:0]
+		return
 	}
-	if dst == nil {
-		dst = []NeighborLoad{}
+	if buf == nil {
+		buf = []NeighborLoad{}
 	}
-	return append(dst[:0], src...)
+	b.NbrLoads, b.spare = append(buf[:0], src...), nil
 }
 
 // Clone returns a deep copy of p. Forwarding nodes clone before mutating
@@ -356,7 +363,7 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 		q = pl.get(Hello)
 		b := q.Hello
 		b.Load = p.Hello.Load
-		b.NbrLoads = copyLoads(b.NbrLoads, p.Hello.NbrLoads)
+		b.setLoads(p.Hello.NbrLoads)
 		*q = *p
 		q.Hello = b
 	default:

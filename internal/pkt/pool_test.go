@@ -24,7 +24,22 @@ func samples() []*Packet {
 			RERR: &RERRBody{Unreachable: []UnreachableDest{{Node: 5, Seq: 2}, {Node: 6, Seq: 9}}}},
 		{Kind: Hello, Src: 2, Dst: Broadcast, TTL: 1, Bytes: HelloBaseBytes + 2*HelloPerNbrBytes, CreatedAt: des.Second,
 			Hello: &HelloBody{Load: 0.7, NbrLoads: []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}}},
+		{Kind: Hello, Src: 4, Dst: Broadcast, TTL: 1, Bytes: HelloBaseBytes, CreatedAt: 3 * des.Second,
+			Hello: &HelloBody{Load: 0.4}},
 	}
+}
+
+// receiverView returns a copy of p with what no receiver reads cleared:
+// the table storage a HELLO body keeps while it carries a one-hop beacon.
+// Everything else, a table's nil-ness included, is compared as built.
+func receiverView(p *Packet) *Packet {
+	q := *p
+	if p.Hello != nil {
+		h := *p.Hello
+		h.spare = nil
+		q.Hello = &h
+	}
+	return &q
 }
 
 // shape builds samples()[i] through pl's constructors.
@@ -40,20 +55,24 @@ func shape(pl *Pool, i int) *Packet {
 			Cost: 4.5, Lifetime: des.Second}, 2*des.Second, 20)
 	case 3:
 		return pl.RERR(3, []UnreachableDest{{Node: 5, Seq: 2}, {Node: 6, Seq: 9}}, des.Second)
-	default:
+	case 4:
 		return pl.Hello(2, HelloBody{Load: 0.7, NbrLoads: []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}}, des.Second)
+	default:
+		return pl.Hello(4, HelloBody{Load: 0.4}, 3*des.Second)
 	}
 }
 
 // seedStale fills every free list with a packet carrying other contents
-// (and a longer RERR list), so a hit recycles storage that must be
-// overwritten in full.
+// (and a longer RERR list, and two-hop tables under both HELLO samples),
+// so a hit recycles storage that must be overwritten in full.
 func seedStale(pl *Pool) {
 	pl.Release(pl.Data(8, 9, 1, 1, 1, des.Millisecond, 1))
 	pl.Release(pl.RREQ(RREQBody{ID: 1, Origin: 7, Target: 8, HopCount: 9}, 0, 1))
 	pl.Release(pl.RREP(9, RREPBody{Origin: 7, Target: 8}, 0, 1))
 	pl.Release(pl.RERR(9, []UnreachableDest{{Node: 1, Seq: 1}, {Node: 2, Seq: 2}, {Node: 3, Seq: 3}}, 0))
+	h := pl.Hello(8, HelloBody{Load: 0.3, NbrLoads: []NeighborLoad{{ID: 8, Load: 1}, {ID: 7, Load: 0.5}}}, 0)
 	pl.Release(pl.Hello(9, HelloBody{Load: 0.1, NbrLoads: []NeighborLoad{{ID: 9, Load: 1}}}, 0))
+	pl.Release(h)
 }
 
 // TestPooledConstructorsMatchPlain checks that every constructor builds
@@ -61,11 +80,11 @@ func seedStale(pl *Pool) {
 // recycled packet, a miss and no pool.
 func TestPooledConstructorsMatchPlain(t *testing.T) {
 	for _, tc := range poolPaths(seedStale) {
-		if tc.name == "hit" && tc.pl.Len() != 5 {
-			t.Fatalf("Len() = %d after seeding five shapes, want 5", tc.pl.Len())
+		if tc.name == "hit" && tc.pl.Len() != 6 {
+			t.Fatalf("Len() = %d after seeding six packets, want 6", tc.pl.Len())
 		}
 		for i, want := range samples() {
-			if p := shape(tc.pl, i); !reflect.DeepEqual(p, want) {
+			if p := shape(tc.pl, i); !reflect.DeepEqual(receiverView(p), want) {
 				t.Errorf("%s: %v built as %+v, want %+v", tc.name, want.Kind, p, want)
 			}
 		}
@@ -104,7 +123,7 @@ func TestPooledCloneMatchesClone(t *testing.T) {
 	for _, tc := range poolPaths(seedStale) {
 		for _, orig := range samples() {
 			c := tc.pl.Clone(orig)
-			if !reflect.DeepEqual(c, orig) {
+			if !reflect.DeepEqual(receiverView(c), orig) {
 				t.Errorf("%s: %v clone differs: %+v vs %+v", tc.name, orig.Kind, c, orig)
 				continue
 			}
@@ -128,7 +147,7 @@ func TestPooledCloneMatchesClone(t *testing.T) {
 				if orig.RERR.Unreachable[0].Seq == c.RERR.Unreachable[0].Seq {
 					t.Errorf("%s: RERR clone shares its unreachable list", tc.name)
 				}
-			case c.Hello != nil:
+			case c.Hello != nil && c.Hello.NbrLoads != nil:
 				c.Hello.NbrLoads[0].Load++
 				if orig.Hello.NbrLoads[0].Load == c.Hello.NbrLoads[0].Load {
 					t.Errorf("%s: Hello clone shares its neighbour loads", tc.name)
@@ -146,7 +165,7 @@ func TestPooledCloneMatchesClone(t *testing.T) {
 // one allocation, plus one for a RERR's or HELLO's non-empty list; a nil
 // pool costs the same, and a hit nothing.
 func TestPoolMissCoAllocatesBody(t *testing.T) {
-	want := []float64{1, 1, 1, 2, 2} // Data, RREQ, RREP, RERR, HELLO
+	want := []float64{1, 1, 1, 2, 2, 1} // Data, RREQ, RREP, RERR, two-hop and one-hop HELLO
 	for _, tc := range []struct {
 		name string
 		pl   *Pool
@@ -165,6 +184,29 @@ func TestPoolMissCoAllocatesBody(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { pl.Release(shape(pl, i)); pl.Release(pl.Clone(orig)) }); got != 0 {
 			t.Errorf("hit: building and cloning a %v costs %v allocations, want 0", orig.Kind, got)
 		}
+	}
+}
+
+// TestHelloKeepsTableStorage: a pooled HELLO body that carries a one-hop
+// beacon keeps its table's storage, and the next two-hop beacon built on
+// it reuses that storage without allocating — on a warm engine that
+// alternates one-hop and two-hop schemes, each table is allocated once.
+func TestHelloKeepsTableStorage(t *testing.T) {
+	pl := NewPool()
+	loads := []NeighborLoad{{ID: 1, Load: 0.2}, {ID: 3, Load: 0.9}}
+	p := pl.Hello(2, HelloBody{NbrLoads: loads}, 0)
+	table := &p.Hello.NbrLoads[0]
+	pl.Release(p)
+	got := testing.AllocsPerRun(20, func() {
+		pl.Release(pl.Hello(2, HelloBody{Load: 0.1}, 0))
+		q := pl.Hello(2, HelloBody{NbrLoads: loads}, 0)
+		if &q.Hello.NbrLoads[0] != table {
+			t.Fatal("a two-hop beacon after a one-hop one did not reuse the table storage")
+		}
+		pl.Release(q)
+	})
+	if got != 0 {
+		t.Errorf("one-hop then two-hop beacon on a pooled body: %v allocations, want 0", got)
 	}
 }
 

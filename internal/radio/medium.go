@@ -302,11 +302,17 @@ func (m *Medium) SetImpairment(p fault.LinkParams, seed uint64) {
 // carrier opt-outs), parameters and dense IDs survive. After Reset the
 // medium behaves bit-identically to a freshly built one: every audible set
 // is invalidated and the state clocks and validation counters (pool drops
-// too) restart.
+// too) restart. The transmissions the last run left on the air, whose
+// airtime ends the reset kernel discarded, go back to the pool.
 func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	if len(positions) != len(m.pos) {
 		panic(fmt.Sprintf("radio: Reset with %d positions for %d radios",
 			len(positions), len(m.pos)))
+	}
+	for _, t := range m.txOf {
+		if t != nil {
+			m.releaseTransmission(t)
+		}
 	}
 	m.prop = prop
 	ti, ok := prop.(TimeInvariant)

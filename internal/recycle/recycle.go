@@ -66,6 +66,10 @@ func (s *Slab[T]) Take(i uint32) T {
 	return v
 }
 
+// Len returns how many indices the slab has handed out, live or freed:
+// every index below it is valid for At.
+func (s *Slab[T]) Len() int { return len(s.items) }
+
 // Live returns how many indices hold a value that was not taken.
 func (s *Slab[T]) Live() int { return len(s.items) - s.free.Len() }
 

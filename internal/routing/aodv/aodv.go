@@ -23,7 +23,7 @@ func (Policy) OnRREQ(c *routing.Core, p *pkt.Packet, from pkt.NodeID, first bool
 // CostIncrement implements routing.RREQPolicy: hop count.
 func (Policy) CostIncrement(*routing.Core) float64 { return 1 }
 
-// Spec returns the scheme's effective configuration and per-run policy
+// Spec returns the scheme's effective configuration and policy
 // constructor, from which networks are built and warm ones reset.
 func Spec(cfg routing.Config) routing.Spec {
 	cfg.ReplyWindow = 0

@@ -95,11 +95,13 @@ type replyWait struct {
 }
 
 // Spec is a scheme: its routing configuration plus a constructor for its
-// per-node, per-run policy. node.BuildNetwork builds agents from it and
-// node.ResetNetwork resets warm ones against it. Policies may carry
-// mutable per-run state (the counter scheme's assessments, for
-// example), so a reset rebuilds the policy while resetting everything
-// else in place.
+// policy. node.BuildNetwork builds agents from it and node.ResetNetwork
+// resets warm ones against it; each calls Policy once and hands the one
+// value to every node's Core, so a policy keeps any per-node state keyed
+// by the Core it is called with. Most policies hold only their
+// parameters. One that carries per-run state (the counter scheme's
+// assessments) starts each run empty because the reset builds the
+// network a new one, while everything else resets in place.
 type Spec struct {
 	Cfg    Config
 	Policy func() RREQPolicy
@@ -176,8 +178,9 @@ func New(env Env, cfg Config, policy RREQPolicy) *Core {
 
 // Reset rebinds the core for a fresh run without reallocating its grown
 // state (ID indices, routing table slab, duplicate-cache rings, neighbour
-// lists). The packets the last run left buffered for discovery or
-// deferred for rebroadcast go back to the node's pool.
+// lists). The packets the last run left buffered for discovery, deferred
+// for rebroadcast or held by the outgoing policy go back to the node's
+// pool.
 // The environment must reference the same simulation the core was built
 // on — warm replication reuse resets the des.Sim in place, so every
 // component keeps its kernel pointer. The Deliver sink and Journey
@@ -186,6 +189,12 @@ func New(env Env, cfg Config, policy RREQPolicy) *Core {
 func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	if env.Sim != c.table.sim {
 		panic("routing: Reset with a different simulation kernel")
+	}
+	// The Sim's reset discarded the events that would have resolved what
+	// the outgoing policy holds for this node: those packets go back to
+	// the pool.
+	if h, ok := c.policy.(PacketHolder); ok {
+		h.ReleaseHeld(c)
 	}
 	c.Env = env
 	c.Cfg = cfg
@@ -371,7 +380,8 @@ func (c *Core) scheduleHello(delay des.Time) {
 	c.helloEv = c.Env.Sim.ScheduleCall(delay, c, copHello, 0)
 }
 
-// Policy returns the scheme policy (exposed for tests and reports).
+// Policy returns the scheme policy, shared by every node of the network
+// (exposed for tests and reports).
 func (c *Core) Policy() RREQPolicy { return c.policy }
 
 // SeqNo returns the node's own AODV sequence number. RFC 3561 §6.1 (and
@@ -393,7 +403,7 @@ func (c *Core) HeldPackets() int {
 	}
 	n += c.deferred.Live()
 	if h, ok := c.policy.(PacketHolder); ok {
-		n += h.HeldPackets()
+		n += h.HeldPackets(c)
 	}
 	return n
 }

@@ -38,7 +38,9 @@ func Validate(p Params) error {
 	return nil
 }
 
+// floodKey names one flood as one node assesses it.
 type floodKey struct {
+	node   pkt.NodeID
 	origin pkt.NodeID
 	id     uint32
 }
@@ -47,35 +49,35 @@ type floodKey struct {
 type assessment struct {
 	key   floodKey
 	count int
-	p     *pkt.Packet // the retained clone; nil in a free slot
+	core  *routing.Core // the assessing node's
+	p     *pkt.Packet   // the retained clone; nil in a free slot
 }
 
-// Policy implements the counter rule. One instance per node, bound to
-// that node's core by its first OnRREQ. Assessments live in a slab;
-// pending finds a flood's slot, and each RAD is a typed event carrying its
-// slot index, so assessing a flood allocates nothing once the slab has
-// grown.
+// Policy implements the counter rule. One instance serves every node of
+// a network for one run: an assessment is keyed by the assessing node as
+// well as the flood and carries that node's core. Assessments live in a
+// slab; pending finds a node's assessment of a flood, and each RAD is a
+// typed event carrying its slot index, so assessing a flood allocates
+// nothing once the slab has grown.
 type Policy struct {
 	params  Params
-	core    *routing.Core
 	pending map[floodKey]uint32
 	slots   recycle.Slab[assessment]
 }
 
 // OnRREQ implements routing.RREQPolicy.
 func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first bool) {
-	k := floodKey{pk.RREQ.Origin, pk.RREQ.ID}
+	k := floodKey{c.Env.ID, pk.RREQ.Origin, pk.RREQ.ID}
 	if !first {
 		if i, ok := p.pending[k]; ok {
 			p.slots.At(i).count++
 		}
 		return
 	}
-	p.core = c
 	// pk is only borrowed for the duration of this call (the sender's
 	// pool reclaims it after transmission), so the assessment keeps its
 	// own clone across the RAD and releases it once resolved.
-	i := p.slots.Add(assessment{key: k, count: 1, p: c.Env.Pool.Clone(pk)})
+	i := p.slots.Add(assessment{key: k, count: 1, core: c, p: c.Env.Pool.Clone(pk)})
 	p.pending[k] = i
 	rad := des.Time(c.Env.Rng.Intn(int(p.params.RADMax) + 1))
 	c.Env.Sim.ScheduleCall(rad, p, 0, i)
@@ -83,12 +85,13 @@ func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first 
 
 // HandleEvent implements des.Handler: the RAD of the assessment in slot
 // i expires. Its flood's key is deleted even when a later first copy of
-// the same flood (possible after a crash wiped the duplicate cache) has
-// taken it over; from then on neither assessment counts duplicates.
+// the same flood at the same node (possible after a crash wiped the
+// duplicate cache) has taken it over; from then on neither assessment
+// counts duplicates.
 func (p *Policy) HandleEvent(_ int32, i uint32) {
 	a := p.slots.Take(i)
 	delete(p.pending, a.key)
-	c := p.core
+	c := a.core
 	if a.count < p.params.C {
 		c.ForwardRREQ(a.p, 0)
 	} else {
@@ -101,14 +104,35 @@ func (p *Policy) HandleEvent(_ int32, i uint32) {
 func (p *Policy) CostIncrement(*routing.Core) float64 { return 1 }
 
 // HeldPackets implements routing.PacketHolder: one retained clone per
-// in-progress assessment.
-func (p *Policy) HeldPackets() int { return p.slots.Live() }
+// assessment c has in progress.
+func (p *Policy) HeldPackets(c *routing.Core) int {
+	n := 0
+	for i := 0; i < p.slots.Len(); i++ {
+		if a := p.slots.At(uint32(i)); a.p != nil && a.core == c {
+			n++
+		}
+	}
+	return n
+}
 
-// Spec returns the scheme's effective configuration and per-run policy
+// ReleaseHeld implements routing.PacketHolder: c's assessments are
+// dropped unresolved and their clones go back to c's pool.
+func (p *Policy) ReleaseHeld(c *routing.Core) {
+	for i := 0; i < p.slots.Len(); i++ {
+		if a := p.slots.At(uint32(i)); a.p != nil && a.core == c {
+			a := p.slots.Take(uint32(i))
+			if j, ok := p.pending[a.key]; ok && j == uint32(i) {
+				delete(p.pending, a.key)
+			}
+			c.Env.Pool.Release(a.p)
+		}
+	}
+}
+
+// Spec returns the scheme's effective configuration and policy
 // constructor, from which networks are built and warm ones reset. The
-// policy carries mutable per-flood assessment state, so a warm reset
-// must build a fresh one every run — exactly what the Policy closure
-// provides.
+// policy carries the run's assessments, so each build or reset of a
+// network calls it for an empty one.
 func Spec(cfg routing.Config, params Params) routing.Spec {
 	cfg.ReplyWindow = 0
 	return routing.Spec{Cfg: cfg, Policy: func() routing.RREQPolicy {

@@ -74,13 +74,13 @@ func TestRecycledSlotHoldsNoPackets(t *testing.T) {
 	for id := uint32(1); id <= 3; id++ {
 		mid.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), 0)
 	}
-	if p.HeldPackets() != 3 || packetsInSlots(p, 3) != 3 {
-		t.Fatalf("three RADs in progress hold %d clones (%d in slots), want 3", p.HeldPackets(), packetsInSlots(p, 3))
+	if p.HeldPackets(mid) != 3 || packetsInSlots(p, 3) != 3 {
+		t.Fatalf("three RADs in progress hold %d clones (%d in slots), want 3", p.HeldPackets(mid), packetsInSlots(p, 3))
 	}
 	nodes[1].Crash()
 	simk.RunUntil(simk.Now() + des.Second)
-	if p.HeldPackets() != 0 || len(p.pending) != 0 {
-		t.Fatalf("after every RAD resolved: %d clones held, %d floods pending", p.HeldPackets(), len(p.pending))
+	if p.HeldPackets(mid) != 0 || len(p.pending) != 0 {
+		t.Fatalf("after every RAD resolved: %d clones held, %d floods pending", p.HeldPackets(mid), len(p.pending))
 	}
 	if n := packetsInSlots(p, 3); n != 0 {
 		t.Errorf("resolved slots still point at %d clones", n)
@@ -89,7 +89,51 @@ func TestRecycledSlotHoldsNoPackets(t *testing.T) {
 	// instead of growing the slab.
 	nodes[1].Recover()
 	mid.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: 4, Origin: 9, Target: 8, OriginSeq: 4}, 0, 30), 0)
-	if i, ok := p.pending[floodKey{9, 4}]; !ok || i >= 3 {
+	if i, ok := p.pending[floodKey{1, 9, 4}]; !ok || i >= 3 {
 		t.Errorf("a new flood after three RADs resolved took slot %d (pending %v), want a recycled one", i, ok)
+	}
+}
+
+// TestOnePolicyServesTheNetwork: the chain's nodes share one policy,
+// which counts each node's assessments apart, and a warm reset hands the
+// clones of RADs still in flight back to their node's pool — the kernel
+// reset discarded the events that would have resolved them — while the
+// network gets a new, empty policy.
+func TestOnePolicyServesTheNetwork(t *testing.T) {
+	simk, nodes, p := chain()
+	for _, n := range nodes {
+		if n.Agent.Policy() != routing.RREQPolicy(p) {
+			t.Fatalf("node %d runs policy %p, node 1 %p: want one per network", n.ID, n.Agent.Policy(), p)
+		}
+		n.Agent.Env.Pool.SetAudit(true)
+	}
+	for id := uint32(1); id <= 2; id++ {
+		nodes[1].Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), 0)
+	}
+	nodes[2].Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: 1, Origin: 9, Target: 8, OriginSeq: 1}, 0, 30), 1)
+	for i, want := range []int{0, 2, 1} {
+		if got := p.HeldPackets(nodes[i].Agent); got != want {
+			t.Errorf("node %d: policy holds %d clones, want %d", i, got, want)
+		}
+		if live := nodes[i].Agent.Env.Pool.LiveBorrowed(); live != want {
+			t.Errorf("node %d: %d packets borrowed from its pool, want %d", i, live, want)
+		}
+	}
+	simk.Reset()
+	node.ResetNetwork(nodes, geom.ChainPlacement(geom.Point{}, 3, 200), mac.DefaultConfig(), rng.New(1),
+		Spec(routing.DefaultConfig(), DefaultParams()))
+	for i, n := range nodes {
+		if live := n.Agent.Env.Pool.LiveBorrowed(); live != 0 {
+			t.Errorf("node %d: %d packets still borrowed after the reset", i, live)
+		}
+		if n.Agent.HeldPackets() != 0 {
+			t.Errorf("node %d: the core reports %d held packets after the reset", i, n.Agent.HeldPackets())
+		}
+	}
+	if p.slots.Live() != 0 || len(p.pending) != 0 {
+		t.Errorf("the old policy keeps %d assessments, %d pending floods", p.slots.Live(), len(p.pending))
+	}
+	if q := nodes[0].Agent.Policy(); q == routing.RREQPolicy(p) || q != nodes[2].Agent.Policy() {
+		t.Errorf("after the reset the nodes run %p, %p (old %p): want one new policy", q, nodes[2].Agent.Policy(), p)
 	}
 }

@@ -14,10 +14,11 @@
 //   - Config.ReplyWindow: 0 for classic first-RREQ-wins replies, >0 for
 //     CLNLR's collect-and-reply-to-minimum-cost behaviour.
 //
-// A scheme is a Spec, its effective Config plus a Policy constructor;
-// each scheme package's Spec function is the only way to build its
-// agents. Everything else is deliberately identical so experiment
-// differences are attributable to the scheme, not the plumbing.
+// A scheme is a Spec, its effective Config plus a Policy constructor
+// called once per network; each scheme package's Spec function is the
+// only way to build its agents. Everything else is deliberately
+// identical so experiment differences are attributable to the scheme,
+// not the plumbing.
 package routing
 
 import (
@@ -67,13 +68,20 @@ type RREQPolicy interface {
 	CostIncrement(c *Core) float64
 }
 
-// PacketHolder is implemented by components that retain pooled packets
-// across events — the routing core, the MAC queue, and any deferring
-// RREQPolicy (the counter scheme's assessments). The invariant auditor
-// sums holdings against the pool's live-borrow ledger to detect leaks.
+// PacketHolder is implemented by an RREQPolicy that retains pooled
+// packets across events (the counter scheme's assessments). One policy
+// value serves every node of a network, so it answers per node: the
+// invariant auditor sums what it holds for a core with the core's and the
+// MAC's own holdings against that node's pool ledger, and a warm Reset,
+// which has discarded the events that would have resolved them, hands
+// them back to the node's pool.
 type PacketHolder interface {
-	// HeldPackets reports how many pooled packets are currently retained.
-	HeldPackets() int
+	// HeldPackets reports how many of c's pooled packets the policy
+	// currently retains.
+	HeldPackets(c *Core) int
+	// ReleaseHeld returns every packet the policy retains for c to c's
+	// pool and forgets the state that held it.
+	ReleaseHeld(c *Core)
 }
 
 // Counters tallies routing-layer events for the measurement harness.

@@ -22,8 +22,9 @@ type Params struct {
 // DefaultParams returns the literature-standard GOSSIP1(0.7, 1).
 func DefaultParams() Params { return Params{P: 0.7, K: 1} }
 
-// Policy implements the gossip forwarding rule. One Policy instance per
-// node (it draws from the node's private random stream via the Core).
+// Policy implements the gossip forwarding rule. It holds only its
+// parameters, so one instance serves every node of a network (each draw
+// comes from the node's private random stream via the Core).
 type Policy struct {
 	params Params
 }
@@ -43,7 +44,7 @@ func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first 
 // CostIncrement implements routing.RREQPolicy: hop count.
 func (p *Policy) CostIncrement(*routing.Core) float64 { return 1 }
 
-// Spec returns the scheme's effective configuration and per-run policy
+// Spec returns the scheme's effective configuration and policy
 // constructor, from which networks are built and warm ones reset.
 func Spec(cfg routing.Config, params Params) routing.Spec {
 	cfg.ReplyWindow = 0

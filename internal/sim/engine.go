@@ -2,8 +2,10 @@ package sim
 
 import (
 	"clnlr/internal/des"
+	"clnlr/internal/fault"
 	"clnlr/internal/geom"
 	"clnlr/internal/journey"
+	"clnlr/internal/mobility"
 	"clnlr/internal/node"
 	"clnlr/internal/radio"
 	"clnlr/internal/rng"
@@ -44,11 +46,11 @@ type Engine struct {
 	// Placement cache: re-deriving identical positions (and re-running
 	// the connectivity check) per replication is pure waste when the
 	// placement does not depend on the run seed, and cheap to key when
-	// it does.
+	// it does. tp is rebuilt in place when the key changes.
 	placeOK   bool
 	placeKey  placementKey
 	positions []geom.Point
-	tp        *topo.Topology
+	tp        topo.Topology
 
 	// auditArmed remembers whether the per-node pool ledgers are on, so
 	// an audit-off run after an audited one disarms them exactly once.
@@ -68,6 +70,11 @@ type Engine struct {
 	// first, which builds it; flows holds the last run's workload.
 	mgr   *traffic.Manager
 	flows []traffic.Flow
+
+	// walker is the mobility model and churn the crash/recover schedule
+	// of the last run that had them, reset in place by the next.
+	walker mobility.Waypoint
+	churn  []fault.NodeEvent
 }
 
 // NewEngine returns an empty engine; the first Run builds the network.
@@ -135,15 +142,18 @@ func placementKeyOf(sc Scenario) placementKey {
 func (e *Engine) place(sc Scenario, master *rng.Source) ([]geom.Point, *topo.Topology, error) {
 	key := placementKeyOf(sc)
 	if e.placeOK && key == e.placeKey {
-		return e.positions, e.tp, nil
+		return e.positions, &e.tp, nil
 	}
-	positions, tp, err := place(sc, master)
+	// A failed placement leaves e.tp half rebuilt: nothing is cached
+	// until one succeeds.
+	e.placeOK = false
+	positions, err := place(sc, master, &e.tp)
 	if err != nil {
 		return nil, nil, err
 	}
 	e.placeKey, e.placeOK = key, true
-	e.positions, e.tp = positions, tp
-	return positions, tp, nil
+	e.positions = positions
+	return positions, &e.tp, nil
 }
 
 // prepare places the network and builds or resets the stack for one run.
@@ -234,8 +244,8 @@ func (e *Engine) begin(sc Scenario, horizon des.Time, watch *des.Watch, rec *jou
 		}
 	}
 	node.StartAll(e.nodes)
-	attachMobility(sc, e.simk, e.nodes, master)
-	s.crashEvents, s.recoverEvents = attachFaults(sc, e.simk, e.nodes, master, horizon)
+	e.attachMobility(sc, master)
+	s.crashEvents, s.recoverEvents = e.attachFaults(sc, master, horizon)
 	if sc.Audit {
 		s.aud = e.startAudit(horizon)
 	}

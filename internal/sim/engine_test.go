@@ -152,3 +152,39 @@ func TestPlacementCacheKeying(t *testing.T) {
 		t.Error("perturbed-grid placement key ignores seed")
 	}
 }
+
+// TestWarmSchemeSequenceMatchesCold: one engine runs clnlr, clnlr-2hop,
+// counter at C=3 and at C=2, then clnlr again, each run matching a cold
+// one. The network shares one policy per run, and HELLO bodies keep
+// their load tables' storage whether a run's beacons are one-hop or
+// two-hop, so this is the check that neither carries anything from one
+// run into the next: a two-hop table left in a recycled beacon, a
+// counter assessment or a policy parameter of the scheme before.
+func TestWarmSchemeSequenceMatchesCold(t *testing.T) {
+	base := quickScenario()
+	base.SessionTime = 5 * des.Second
+	c2 := base.WithScheme(SchemeCounter)
+	c2.Counter.C = 2
+	seq := []Scenario{
+		base.WithScheme(SchemeCLNLR),
+		base.WithScheme(SchemeCLNLR2),
+		base.WithScheme(SchemeCounter),
+		c2,
+		base.WithScheme(SchemeCLNLR),
+	}
+	eng := NewEngine()
+	for i, sc := range seq {
+		sc.Seed = uint64(i + 1)
+		cold, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := eng.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm != cold {
+			t.Errorf("run %d (%s): warm %+v != cold %+v", i, sc.Scheme, warm, cold)
+		}
+	}
+}

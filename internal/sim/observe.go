@@ -79,7 +79,7 @@ func (e *Engine) RunJourney(sc Scenario, watch *des.Watch, col *metrics.Collecto
 	e.flows = flows
 	addFlows(mgr, flows, &run.master)
 
-	e.simk.At(sc.Warmup, e.openWindow)
+	e.simk.AtCall(sc.Warmup, (*windowOpener)(e), 0, 0)
 	// Probes are scheduled after the window's opening: the first leaves
 	// at Warmup too, equal-time events run in scheduling order, and the
 	// window's reset must not erase that probe's RREQ.
@@ -163,6 +163,13 @@ func trainTicks(simk *des.Sim, s *sampler, interval des.Time, n int) {
 	simk.AtTrain(0, interval, n, s, 0, 0)
 }
 
+// windowOpener is the Engine as the des.Handler of its one typed event,
+// the opening of the measurement window (openWindow).
+type windowOpener Engine
+
+// HandleEvent implements des.Handler.
+func (w *windowOpener) HandleEvent(int32, uint32) { (*Engine)(w).openWindow() }
+
 // openWindow opens the measurement window at Warmup: the routing, MAC
 // and medium counters restart from zero, and each node's energy meter is
 // read (see RunJourney).
@@ -220,11 +227,17 @@ func (e *Engine) foldCounters(col *metrics.Collector, crashEvents, recoverEvents
 
 // ModelVersion names the simulation model: what a scenario's report bytes
 // are, given the scenario. Bump it in any change that moves an identity
-// line (scripts/report_identity.sh), so that results computed before the
-// change are told apart from results computed after it. meshsimd folds it
-// into its content address: a cache directory written under another
-// version is a miss, not a stale answer.
-const ModelVersion = 1
+// line (scripts/report_identity.sh), or any scenario's report, so that
+// results computed before the change are told apart from results computed
+// after it. meshsimd folds it into its content address: a cache directory
+// written under another version is a miss, not a stale answer.
+//
+// Version 2: a MAC acts only on the completion of a frame it put on the
+// air for the frame in service, so the end of a frame a crash left on the
+// air no longer ends a frame put in service after a fast recovery. No
+// identity line moves; churn whose recoveries come within a frame's
+// airtime does (meshsim -mttf 300ms -mttr 1ms -rate 50 -flows 20).
+const ModelVersion = 2
 
 // Fingerprint returns a stable 64-bit hash of the scenario's JSON form —
 // the identity stamp RunReports carry so results can be traced back to

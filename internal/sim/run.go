@@ -9,7 +9,6 @@ import (
 	"clnlr/internal/mobility"
 	"clnlr/internal/node"
 	"clnlr/internal/pkt"
-	"clnlr/internal/radio"
 	"clnlr/internal/rng"
 	"clnlr/internal/stats"
 	"clnlr/internal/topo"
@@ -73,9 +72,10 @@ func Run(sc Scenario) (Result, error) {
 	return NewEngine().Run(sc)
 }
 
-// attachMobility starts a random-waypoint model over the nodes when the
-// scenario requests one.
-func attachMobility(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.Source) {
+// attachMobility starts the engine's random-waypoint model over the
+// nodes when the scenario requests one. The model, its per-node legs and
+// its step event are the engine's, reset for every run.
+func (e *Engine) attachMobility(sc Scenario, master *rng.Source) {
 	if sc.MobilitySpeed <= 0 {
 		return
 	}
@@ -83,12 +83,13 @@ func attachMobility(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.
 	if sc.MobilityPause > 0 {
 		cfg.Pause = sc.MobilityPause
 	}
-	w := mobility.NewWaypoint(simk, geom.Square(sc.AreaM), cfg)
+	w := &e.walker
+	w.Reset(e.simk, geom.Square(sc.AreaM), cfg)
 	var moveRng, src rng.Source
 	master.DeriveInto(&moveRng, 5000)
-	for i, n := range nodes {
+	for i, n := range e.nodes {
 		moveRng.DeriveInto(&src, uint64(i))
-		w.Track(n.Pos, n.Radio.SetPos, &src)
+		w.Track(n.Pos, n.Radio, &src)
 	}
 	w.Start()
 }
@@ -98,23 +99,26 @@ func attachMobility(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.
 // dedicated stream (Derive(7000), then per-node Derive(i) inside
 // DrawSchedule), so the randomness consumed never depends on event
 // interleaving — the determinism contract fault injection lives under.
+// The schedule is drawn into the engine's slice, reused run after run.
 // With churn disabled this consumes nothing and schedules nothing.
 //
 // It returns the number of crash and recover events falling inside the
 // measurement window [sc.Warmup, horizon] — the fault-layer counters the
 // metrics collector registers. Counting the materialised schedule keeps
 // the numbers a pure function of the seed at zero runtime cost.
-func attachFaults(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.Source, horizon des.Time) (crashEvents, recoverEvents uint64) {
+func (e *Engine) attachFaults(sc Scenario, master *rng.Source, horizon des.Time) (crashEvents, recoverEvents uint64) {
 	if !sc.Faults.ChurnEnabled() {
 		return 0, 0
 	}
-	events := sc.Faults.DrawSchedule(len(nodes), horizon, master.Derive(7000))
-	for _, ev := range events {
-		n := nodes[ev.Node]
+	var src rng.Source
+	master.DeriveInto(&src, 7000)
+	e.churn = sc.Faults.DrawSchedule(e.churn, len(e.nodes), horizon, &src)
+	for _, ev := range e.churn {
+		n := e.nodes[ev.Node]
 		if ev.Up {
-			simk.AtCall(ev.At, n, node.OpRecover, 0)
+			e.simk.AtCall(ev.At, n, node.OpRecover, 0)
 		} else {
-			simk.AtCall(ev.At, n, node.OpCrash, 0)
+			e.simk.AtCall(ev.At, n, node.OpCrash, 0)
 		}
 		if ev.At >= sc.Warmup {
 			if ev.Up {
@@ -127,43 +131,37 @@ func attachFaults(sc Scenario, simk *des.Sim, nodes []*node.Node, master *rng.So
 	return crashEvents, recoverEvents
 }
 
-// place generates node positions per the scenario topology. Random
+// place generates node positions per the scenario topology and checks
+// their connectivity into tp, whose storage every try reuses. Random
 // placements are re-drawn (with derived seeds) until connected.
-func place(sc Scenario, master *rng.Source) ([]geom.Point, *topo.Topology, error) {
+func place(sc Scenario, master *rng.Source, tp *topo.Topology) ([]geom.Point, error) {
 	region := geom.Square(sc.AreaM)
+	var src rng.Source
 	build := func(try uint64) []geom.Point {
-		src := master.Derive(100, try)
+		master.DeriveInto(&src, 100, try)
 		switch sc.Topology {
 		case TopoPerturbedGrid:
-			return geom.PerturbedGridPlacement(region, sc.Rows, sc.Cols, sc.PerturbFrac, src)
+			return geom.PerturbedGridPlacement(region, sc.Rows, sc.Cols, sc.PerturbFrac, &src)
 		case TopoRandom:
-			return geom.UniformPlacement(region, sc.Nodes, src)
+			return geom.UniformPlacement(region, sc.Nodes, &src)
 		default:
 			return geom.GridPlacement(region, sc.Rows, sc.Cols)
 		}
 	}
-	// The connectivity check must use the same propagation as the medium
-	// (at t=0; fading models are evaluated in their first coherence slot).
-	check := func(pts []geom.Point) *topo.Topology {
-		s := des.NewSim()
-		m := radio.NewMedium(s, sc.propagation())
-		for _, p := range pts {
-			m.Attach(p, sc.Radio)
-		}
-		return topo.FromMedium(m, pts)
-	}
 	const maxTries = 50
 	for try := uint64(0); try < maxTries; try++ {
 		pts := build(try)
-		tp := check(pts)
+		// The connectivity check uses the medium's propagation (at t=0;
+		// fading models are evaluated in their first coherence slot).
+		tp.Reset(pts, sc.propagation(), sc.Radio)
 		if tp.Connected() {
-			return pts, tp, nil
+			return pts, nil
 		}
 		if sc.Topology != TopoRandom && sc.Topology != TopoPerturbedGrid {
-			return nil, nil, fmt.Errorf("sim: %s placement is disconnected", sc.Topology)
+			return nil, fmt.Errorf("sim: %s placement is disconnected", sc.Topology)
 		}
 	}
-	return nil, nil, fmt.Errorf("sim: no connected %s placement found in %d tries", sc.Topology, maxTries)
+	return nil, fmt.Errorf("sim: no connected %s placement found in %d tries", sc.Topology, maxTries)
 }
 
 // pickEndpoints draws a (src, dst) pair at least MinHopDist hops apart.

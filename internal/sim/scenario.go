@@ -291,7 +291,6 @@ func (s Scenario) Validate() error {
 // propagation instantiates the scenario's channel model. The seed feeds
 // shadowing/fading hashes so replications see different channels.
 func (s Scenario) propagation() radio.Propagation {
-	base := radio.NewTwoRay(914e6, 1.5, 1.5)
 	switch s.PropModel {
 	case PropLogDistance:
 		exp := s.PathLossExp
@@ -304,11 +303,16 @@ func (s Scenario) propagation() radio.Propagation {
 		if m < 1 {
 			m = 1
 		}
-		return radio.NewNakagami(base, m, 10*des.Millisecond, s.Seed)
+		return radio.NewNakagami(twoRay, m, 10*des.Millisecond, s.Seed)
 	default:
-		return base
+		return twoRay
 	}
 }
+
+// twoRay is the default channel, boxed once: it draws nothing from the
+// seed, so every run shares it and a run's placement check and medium
+// reset take it without allocating.
+var twoRay radio.Propagation = radio.NewTwoRay(914e6, 1.5, 1.5)
 
 // clnlrParams returns the CLNLR parameters the scenario's scheme runs
 // with, or false for a scheme that is not a point of CLNLR's rule.

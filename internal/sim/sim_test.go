@@ -9,6 +9,7 @@ import (
 	"clnlr/internal/journey"
 	"clnlr/internal/node"
 	"clnlr/internal/rng"
+	"clnlr/internal/topo"
 )
 
 // quickScenario is a down-scaled default for fast tests.
@@ -398,7 +399,8 @@ func TestPickFlowsSessions(t *testing.T) {
 	sc := quickScenario()
 	sc.SessionTime = 5 * des.Second
 	sc.Flows = 4
-	_, tp, err := place(sc, rng.New(1))
+	tp := new(topo.Topology)
+	_, err := place(sc, rng.New(1), tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +432,8 @@ func TestPickFlowsSessions(t *testing.T) {
 
 func TestCentreNode(t *testing.T) {
 	sc := quickScenario()
-	_, tp, err := place(sc, rng.New(1))
+	tp := new(topo.Topology)
+	_, err := place(sc, rng.New(1), tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +447,8 @@ func TestCentreNode(t *testing.T) {
 func TestMinHopDistRespected(t *testing.T) {
 	sc := quickScenario()
 	sc.MinHopDist = 3
-	_, tp, err := place(sc, rng.New(1))
+	tp := new(topo.Topology)
+	_, err := place(sc, rng.New(1), tp)
 	if err != nil {
 		t.Fatal(err)
 	}

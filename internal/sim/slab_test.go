@@ -208,7 +208,8 @@ func TestPickFlowsUnchanged(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			sc.Seed = seed
 			master := rng.New(seed)
-			_, tp, err := place(sc, master)
+			tp := new(topo.Topology)
+			_, err := place(sc, master, tp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +240,8 @@ func TestPickFlowsUnchanged(t *testing.T) {
 		t.Errorf("Hops on a split graph: 0→2 = %d, want -1; 0→1 = %d, want 1", h, tp.Hops(0, 1))
 	}
 	big := shapes["field900"]
-	_, tp, err := place(big, rng.New(1))
+	tp = new(topo.Topology)
+	_, err := place(big, rng.New(1), tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,41 +5,50 @@
 package topo
 
 import (
+	"slices"
+
 	"clnlr/internal/geom"
 	"clnlr/internal/pkt"
 	"clnlr/internal/radio"
 )
 
-// Topology is the connectivity graph over a set of placed nodes.
+// Topology is the connectivity graph over a set of placed nodes. The zero
+// Topology is an empty graph, ready for Reset.
 type Topology struct {
 	Positions []geom.Point
 	// Neighbors[i] lists the nodes whose transmissions node i can decode
 	// (interference-free). Symmetric for symmetric propagation models.
 	Neighbors [][]pkt.NodeID
 
-	// Scratch of Hops, which therefore is not safe for concurrent use.
+	// Scratch of Reset (one propagation row) and of Hops and Connected,
+	// which therefore are not safe for concurrent use.
+	row   []float64
 	dist  []int
 	queue []pkt.NodeID
 }
 
-// FromMedium builds the graph using the medium's own propagation model and
-// thresholds, so the routing layer's notion of "link" matches the channel.
-func FromMedium(m *radio.Medium, positions []geom.Point) *Topology {
-	n := m.NumRadios()
-	t := &Topology{
-		Positions: positions,
-		Neighbors: make([][]pkt.NodeID, n),
+// Reset rebuilds t in place as the graph of positions under prop, every
+// radio having params: the links a radio.Medium with one such radio
+// attached per position reports through InRange at time 0 (a fading
+// model's first coherence slot), from the same propagation rows. The
+// neighbour lists and the scratch keep their storage, so a placement
+// checked seed after seed allocates nothing once they have grown.
+func (t *Topology) Reset(positions []geom.Point, prop radio.Propagation, params radio.Params) {
+	n := len(positions)
+	t.Positions = positions
+	t.Neighbors = slices.Grow(t.Neighbors[:0], n)[:n]
+	for i := range t.Neighbors {
+		t.Neighbors[i] = t.Neighbors[i][:0]
 	}
-	hears := make([]bool, n) // who decodes i: one propagation row per node
+	t.row = slices.Grow(t.row[:0], n)[:n]
 	for i := 0; i < n; i++ {
-		m.InRangeRow(i, hears)
-		for j, ok := range hears {
-			if ok && i != j {
+		prop.RxPowers(params.TxPowerW, positions[i], positions, 0, t.row)
+		for j, p := range t.row {
+			if p >= params.RxThreshW && i != j {
 				t.Neighbors[j] = append(t.Neighbors[j], pkt.NodeID(i))
 			}
 		}
 	}
-	return t
 }
 
 // FromRange builds the graph with a fixed communication radius (unit-disk
@@ -80,11 +89,14 @@ func (t *Topology) HopDist(from pkt.NodeID) []int {
 // no path: HopDist(from)[to] without the allocations, stopping as soon as
 // the answer is known.
 func (t *Topology) Hops(from, to pkt.NodeID) int {
-	if len(t.dist) != t.N() {
-		t.dist = make([]int, t.N())
-	}
-	t.queue = t.bfs(from, to, t.dist, t.queue)
+	t.queue = t.bfs(from, to, t.scratch(), t.queue)
 	return t.dist[to]
+}
+
+// scratch returns the BFS distance scratch, sized to the graph.
+func (t *Topology) scratch() []int {
+	t.dist = slices.Grow(t.dist[:0], t.N())[:t.N()]
+	return t.dist
 }
 
 // bfs labels dist with hop distances from the given node (-1 for nodes it
@@ -117,7 +129,9 @@ func (t *Topology) Connected() bool {
 	if t.N() == 0 {
 		return true
 	}
-	for _, d := range t.HopDist(0) {
+	dist := t.scratch()
+	t.queue = t.bfs(0, -1, dist, t.queue)
+	for _, d := range dist {
 		if d == -1 {
 			return false
 		}

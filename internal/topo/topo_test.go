@@ -1,12 +1,14 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 
 	"clnlr/internal/des"
 	"clnlr/internal/geom"
 	"clnlr/internal/pkt"
 	"clnlr/internal/radio"
+	"clnlr/internal/rng"
 )
 
 func TestFromRangeChain(t *testing.T) {
@@ -64,21 +66,43 @@ func TestFromRangeSymmetric(t *testing.T) {
 	}
 }
 
-func TestFromMediumMatchesRadioRange(t *testing.T) {
-	sim := des.NewSim()
-	m := radio.NewMedium(sim, radio.NewTwoRay(914e6, 1.5, 1.5))
+// TestResetMatchesMediumRange: Reset links exactly the pairs a medium
+// with the same radios reports in range, also under a seeded shadowing
+// model, keeps that graph when run again over other positions, and
+// rebuilding a graph it has already sized allocates nothing.
+func TestResetMatchesMediumRange(t *testing.T) {
 	pts := []geom.Point{{X: 0}, {X: 200}, {X: 480}}
-	for _, p := range pts {
-		m.Attach(p, radio.DefaultParams())
+	var tp Topology
+	tp.Reset(pts, radio.NewTwoRay(914e6, 1.5, 1.5), radio.DefaultParams())
+	// 0-1 in range (200 m), 1-2 out of range (280 m > 250 m).
+	if tp.Degree(0) != 1 || tp.Degree(2) != 0 {
+		t.Fatalf("degrees %d, %d, want 1 (only node 1 within 250 m) and 0", tp.Degree(0), tp.Degree(2))
 	}
-	tp := FromMedium(m, pts)
-	// 0-1 in range (200 m), 1-2 in range (280 m? no: 280 > 250).
-	if tp.Degree(0) != 1 {
-		t.Fatalf("degree(0) = %d, want 1 (only node 1 within 250 m)", tp.Degree(0))
+	for _, prop := range []radio.Propagation{
+		radio.NewTwoRay(914e6, 1.5, 1.5),
+		radio.NewLogDistance(914e6, 3, 1, 6, 42),
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			pts := geom.PerturbedGridPlacement(geom.Square(1000), 6, 6, 0.4, rng.New(seed))
+			tp.Reset(pts, prop, radio.DefaultParams())
+			m := radio.NewMedium(des.NewSim(), prop)
+			for _, p := range pts {
+				m.Attach(p, radio.DefaultParams())
+			}
+			for i := range pts {
+				for j := range pts {
+					want := i != j && m.InRange(j, i)
+					if got := slices.Contains(tp.Neighbors[i], pkt.NodeID(j)); got != want {
+						t.Fatalf("%T seed %d: %d hears %d = %v, the medium says %v", prop, seed, i, j, got, want)
+					}
+				}
+			}
+		}
 	}
-	// Node 2 sits 280 m from node 1 — out of decode range.
-	if tp.Degree(2) != 0 {
-		t.Fatalf("degree(2) = %d, want 0", tp.Degree(2))
+	pts = geom.PerturbedGridPlacement(geom.Square(1000), 6, 6, 0.4, rng.New(4))
+	var prop radio.Propagation = radio.NewTwoRay(914e6, 1.5, 1.5)
+	if n := testing.AllocsPerRun(10, func() { tp.Reset(pts, prop, radio.DefaultParams()); tp.Connected() }); n != 0 {
+		t.Errorf("rebuilding and checking a sized graph: %v allocations, want 0", n)
 	}
 }
 

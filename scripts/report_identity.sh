@@ -45,7 +45,8 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
 (cd "$root" && go build -o "$tmp/change" ./cmd/meshsim && go build -o "$tmp/change-experiments" ./cmd/experiments)
 
 # One scenario per line; the five schemes at the default 7×7 grid come
-# first, then gossip-adaptive (CLNLR at its density-only point) at the
+# first, with clnlr-2hop (two-hop HELLO load tables) after them, then
+# gossip-adaptive (CLNLR at its density-only point) at the
 # F-R6 gateway point, under churn with burst loss, and on a 60-node
 # random placement. The -config overlays (read from the working tree on both sides,
 # hence the cd) cover what flags cannot reach: waypoint mobility, where
@@ -62,6 +63,7 @@ scenarios=(
 	"-scheme gossip"
 	"-scheme counter"
 	"-scheme gossip-adaptive"
+	"-scheme clnlr-2hop"
 	"-scheme gossip-adaptive -gateway -flows 20 -rate 10"
 	"-scheme gossip-adaptive -mttf 30s -mttr 3s -link-good 2s -link-bad 200ms -loss-bad 0.8"
 	"-scheme gossip-adaptive -topo random -nodes 60"
@@ -128,7 +130,9 @@ for i in "${!scenarios[@]}"; do
 	echo "$verdict  fingerprint: $fingerprint  events_executed: $events  pending-hw: $pending  meshsim $args"
 done
 
-# The replication path: plain replications, replications under churn and
+# The replication path: plain replications, warm counter-scheme
+# replications with 10 s sessions (each reset finds the network a new
+# policy while floods may still be assessed), replications under churn and
 # burst loss, audited replications, discovery probes with and without
 # background flows and, gateway-pinned, under a churn schedule that spans
 # the probe horizon, and the saturated gateway point (the benchmark's
@@ -137,6 +141,7 @@ done
 # queues and conservation is checked on every node across re-armings.
 summaries=(
 	"-reps 4"
+	"-scheme counter -reps 4 -session 10s -rate 8"
 	"-reps 3 -mttf 30s -mttr 3s -link-good 2s -link-bad 200ms -loss-bad 0.8"
 	"-audit -reps 2 -measure 20s"
 	"-discover 12 -reps 3"
