@@ -46,12 +46,16 @@ type CellReport struct {
 
 // Manifest pins the sweep configuration a ReportDir's checkpoints were
 // produced under, so a resume against a directory from a differently
-// configured sweep fails loudly instead of silently mixing results.
-// Successive planner runs of one suite invocation merge their cells in.
+// configured sweep, or from another model version, fails loudly instead of
+// silently mixing results. Successive planner runs of one suite invocation
+// merge their cells in.
 type Manifest struct {
-	Reps  int    `json:"reps"`
-	Seed  uint64 `json:"seed"`
-	Quick bool   `json:"quick"`
+	// ModelVersion is sim.ModelVersion of the build that wrote the
+	// checkpoints.
+	ModelVersion int    `json:"model_version"`
+	Reps         int    `json:"reps"`
+	Seed         uint64 `json:"seed"`
+	Quick        bool   `json:"quick"`
 	// JourneyEveryN pins the journey-tracing divisor: checkpoints written
 	// with a different divisor carry different (or no) journey sections,
 	// so mixing them in one directory would be silently inconsistent.
@@ -171,28 +175,30 @@ func loadCellReport(dir string, c *cell, reps int) bool {
 }
 
 // syncManifest merges this planner run's cells into dir's manifest. An
-// existing manifest with a different (reps, seed, quick) configuration is
-// a resume error — checkpoints under it would not reproduce this sweep —
-// unless resume is off, in which case the stale manifest is replaced (the
-// directory is being overwritten by a fresh sweep).
+// existing manifest with a different model version or (reps, seed, quick,
+// journey) configuration is a resume error — checkpoints under it would
+// not reproduce this sweep — unless resume is off, in which case the stale
+// manifest is replaced (the directory is being overwritten by a fresh
+// sweep).
 func (p *planner) syncManifest() error {
 	dir := p.cfg.ReportDir
 	path := filepath.Join(dir, manifestFile)
-	m := Manifest{Reps: p.cfg.Reps, Seed: p.cfg.Seed, Quick: p.cfg.Quick, JourneyEveryN: p.cfg.JourneyEveryN}
+	m := Manifest{ModelVersion: sim.ModelVersion, Reps: p.cfg.Reps, Seed: p.cfg.Seed, Quick: p.cfg.Quick,
+		JourneyEveryN: p.cfg.JourneyEveryN}
 	if data, err := os.ReadFile(path); err == nil {
 		var prev Manifest
 		if err := json.Unmarshal(data, &prev); err != nil {
 			if p.cfg.Resume {
 				return fmt.Errorf("experiments: corrupt sweep manifest %s: %v", path, err)
 			}
-		} else if prev.Reps != p.cfg.Reps || prev.Seed != p.cfg.Seed || prev.Quick != p.cfg.Quick ||
-			prev.JourneyEveryN != p.cfg.JourneyEveryN {
+		} else if prev.ModelVersion != m.ModelVersion || prev.Reps != m.Reps || prev.Seed != m.Seed ||
+			prev.Quick != m.Quick || prev.JourneyEveryN != m.JourneyEveryN {
 			if p.cfg.Resume {
 				return fmt.Errorf(
-					"experiments: %s was written by a sweep with reps=%d seed=%d quick=%v journey=%d; "+
-						"this run has reps=%d seed=%d quick=%v journey=%d — cannot resume",
-					path, prev.Reps, prev.Seed, prev.Quick, prev.JourneyEveryN,
-					p.cfg.Reps, p.cfg.Seed, p.cfg.Quick, p.cfg.JourneyEveryN)
+					"experiments: %s was written by a sweep with model=%d reps=%d seed=%d quick=%v journey=%d; "+
+						"this run has model=%d reps=%d seed=%d quick=%v journey=%d — cannot resume",
+					path, prev.ModelVersion, prev.Reps, prev.Seed, prev.Quick, prev.JourneyEveryN,
+					m.ModelVersion, m.Reps, m.Seed, m.Quick, m.JourneyEveryN)
 			}
 		} else {
 			m.Cells = prev.Cells

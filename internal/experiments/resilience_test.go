@@ -131,6 +131,46 @@ func TestResumeRejectsMismatchedManifest(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsOtherModelVersion: checkpoints written by a build of
+// another model (here version 2, whose duplicate cache forgot live floods)
+// are not results of this one, so resuming into their directory fails.
+func TestResumeRejectsOtherModelVersion(t *testing.T) {
+	dir := t.TempDir()
+	cfg := tinyConfig()
+	cfg.ReportDir = dir
+	if _, err := runFig(cfg, "F-R5"); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.ModelVersion != sim.ModelVersion {
+		t.Fatalf("manifest names model version %d, want %d", m.ModelVersion, sim.ModelVersion)
+	}
+	m.ModelVersion = 2
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Resume = true
+	_, err = runFig(cfg, "F-R5")
+	if err == nil {
+		t.Fatal("resume into a version-2 directory was accepted")
+	}
+	if !strings.Contains(err.Error(), "model=2") || !strings.Contains(err.Error(), "cannot resume") {
+		t.Errorf("mismatch error does not say why: %v", err)
+	}
+}
+
 // TestWatchdogPoisonsStalledCell pins the stall path end to end: a
 // replication whose simulated clock stops advancing (zero-delay event
 // livelock) is killed by the watchdog, surfaces as a poisoned cell in the

@@ -155,7 +155,7 @@ func TestRouteMaintenanceAllocatesNothing(t *testing.T) {
 		if n != 0 {
 			t.Errorf("two-hop HELLO send: %v allocs, want 0", n)
 		}
-		if b.Ctr.HelloHeard == 0 || len(b.nbrs.info) != 1 || len(b.nbrs.info[0].twoHop) != 5 {
+		if b.Ctr.HelloHeard == 0 || len(b.nbrs.info) != 1 || len(b.nbrs.hops[0]) != 5 {
 			t.Fatalf("path not exercised: %d HELLOs heard", b.Ctr.HelloHeard)
 		}
 	})
@@ -345,5 +345,39 @@ func TestCrashAndResetReleaseHeldPackets(t *testing.T) {
 	balanced("after Reset")
 	if got := pool.Len() - free; got != 4 {
 		t.Errorf("Reset returned %d packets to the free lists, want 4", got)
+	}
+}
+
+// TestNeighborTableChurnAllocatesNothing: a warm table that goes through
+// the same joins, two-hop beacons of different sizes and departures again
+// after a Reset finds every two-hop buffer where the first cycle left it,
+// so the second cycle allocates nothing.
+func TestNeighborTableChurnAllocatesNothing(t *testing.T) {
+	sim := des.NewSim()
+	nt := NewNeighborTable(sim, des.Second)
+	tables := make([][]pkt.NeighborLoad, 5)
+	for n := range tables {
+		for i := 0; i < 1+3*n; i++ {
+			tables[n] = append(tables[n], pkt.NeighborLoad{ID: pkt.NodeID(20 + i), Load: 0.1})
+		}
+	}
+	cycle := func() {
+		nt.Reset(des.Second)
+		nt.Update(1, 0.1, tables[4])
+		nt.Update(2, 0.2, tables[0])
+		nt.Update(3, 0.3, tables[2])
+		nt.Remove(1)
+		nt.Update(4, 0.4, tables[3])
+		nt.Update(0, 0.5, tables[1])
+		nt.Remove(3)
+		nt.Update(1, 0.1, tables[4])
+		nt.Update(2, 0.2, tables[3])
+	}
+	// AllocsPerRun's warm-up call is the first cycle; it measures the second.
+	if n := testing.AllocsPerRun(1, cycle); n != 0 {
+		t.Errorf("second churn cycle: %v allocs, want 0", n)
+	}
+	if nt.Count() != 4 || len(nt.hops[1]) != len(tables[4]) || len(nt.hops[2]) != len(tables[3]) {
+		t.Fatalf("cycle not exercised: %d neighbours, tables of %d and %d", nt.Count(), len(nt.hops[1]), len(nt.hops[2]))
 	}
 }

@@ -198,24 +198,30 @@ func FuzzTableDifferential(f *testing.F) {
 }
 
 func moveDupSlab(d *DupCache) {
-	old := d.rings
+	old, oldSpill := d.rings, d.spill
 	d.rings = append(make([]dupRing, 0, len(old)), old...)
+	d.spill = make([][]dupEntry, len(oldSpill))
 	for i := range old {
 		for j := range old[i].ent {
-			old[i].ent[j] = dupEntry{id: 0xdead, seq: 0xdead, exp: math.MaxInt64}
+			old[i].ent[j] = dupEntry{id: 0xdead, exp: math.MaxInt64}
 		}
 		old[i].origin = -7
 	}
+	for i, s := range oldSpill {
+		d.spill[i] = append(make([]dupEntry, 0, cap(s)), s...)
+		for j := range s {
+			s[j] = dupEntry{id: 0xdead, exp: math.MaxInt64}
+		}
+	}
 }
 
-// dupDifferentialScript drives Seen, Len, Reset and the clock over few
-// enough IDs per origin that rings overflow; a clock step of 0 keeps the
-// clock frozen, where every insertion past the eighth overwrites a live
-// slot.
+// dupDifferentialScript drives Seen, Len, Reset and the clock, against
+// the map oracle, with floods close enough together that rings spill; a
+// clock step of 0 keeps the clock frozen, where nothing expires.
 func dupDifferentialScript(t *testing.T, data []byte, move bool) {
 	sim := des.NewSim()
 	horizon := des.Second
-	got, want := NewDupCache(sim, horizon), newDenseDupCache(sim, horizon)
+	got, want := NewDupCache(sim, horizon), newMapDupCache(sim, horizon)
 	for i := 0; i+3 < len(data); i += 4 {
 		op, a, b := data[i], data[i+1], data[i+2]
 		if move {
@@ -226,13 +232,13 @@ func dupDifferentialScript(t *testing.T, data []byte, move bool) {
 		case op < 170:
 			origin, id := scriptID(a), uint32(b%40)
 			if g, w := got.Seen(origin, id), want.Seen(origin, id); g != w {
-				t.Fatalf("step %d: Seen(%d,%d) = %v, dense cache says %v", step, origin, id, g, w)
+				t.Fatalf("step %d: Seen(%d,%d) = %v, the map says %v", step, origin, id, g, w)
 			}
 			if op&1 != 0 {
 				continue // no Len: the next Seen settles the log itself
 			}
-		case op < 235:
-			sim.RunUntil(sim.Now() + horizon*des.Time(b%7)/10)
+		case op < 235: // steps of up to 0.06 horizon, so origins spill
+			sim.RunUntil(sim.Now() + horizon*des.Time(b%7)/100)
 		case op < 250:
 			// the Len below is the step
 		default:
@@ -240,12 +246,15 @@ func dupDifferentialScript(t *testing.T, data []byte, move bool) {
 			got.Reset(horizon)
 			want.Reset(horizon)
 		}
-		if g, w := got.Len(), want.Len(); g != w || g != scanLen(got) {
-			t.Fatalf("step %d: Len() = %d, dense cache says %d, a scan of the rings %d", step, g, w, scanLen(got))
+		if g, w := got.Len(), want.Len(); g != w {
+			t.Fatalf("step %d: Len() = %d, the map says %d", step, g, w)
 		}
 	}
 }
 
+// TestDupCacheMatchesDenseOracle checks DupCache against the map oracle
+// (newMapDupCache), with and without its slabs moved between steps; the
+// name is from when the oracle was a dense copy of the overwriting ring.
 func TestDupCacheMatchesDenseOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		data := randomProgram(seed, 8000)
@@ -261,6 +270,14 @@ func moveNeighborSlab(nt *NeighborTable) {
 	for i := range oldInfo {
 		oldIDs[i] = -7
 		oldInfo[i] = neighborInfo{load: 1e9, lastHeard: math.MaxInt64 / 2}
+	}
+	oldHops := nt.hops
+	nt.hops = make([][]pkt.NeighborLoad, len(oldHops))
+	for i, h := range oldHops {
+		nt.hops[i] = append(make([]pkt.NeighborLoad, 0, cap(h)), h...)
+		for j := range h {
+			h[j] = pkt.NeighborLoad{ID: -7, Load: 1e9}
+		}
 	}
 }
 

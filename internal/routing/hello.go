@@ -11,9 +11,6 @@ import (
 type neighborInfo struct {
 	load      float64
 	lastHeard des.Time
-	// twoHop holds the neighbour's piggybacked 1-hop load table (only
-	// populated when two-hop HELLOs are enabled).
-	twoHop []pkt.NeighborLoad
 }
 
 // NeighborTable tracks HELLO-derived neighbourhood state: who is nearby
@@ -27,12 +24,19 @@ type neighborInfo struct {
 // floating-point accumulation (and therefore whole runs) deterministic
 // despite lazily discovered neighbours. A *neighborInfo is only valid
 // until the next Update or Remove (both shift the lists).
+//
+// hops[k] is ids[k]'s piggybacked one-hop load table (only filled when
+// two-hop HELLOs are enabled). The buffers stay with their positions:
+// insert and Remove move the tables' contents, not the buffers, and hops
+// never shrinks, so a warm table that goes through the same joins and
+// departures again reuses the same buffers.
 type NeighborTable struct {
 	sim    *des.Sim
 	maxAge des.Time
-	pos    []int32        // pos[id] = index+1 into ids and info; 0 = absent
-	ids    []pkt.NodeID   // present neighbour IDs, ascending
-	info   []neighborInfo // parallel to ids
+	pos    []int32              // pos[id] = index+1 into ids and info; 0 = absent
+	ids    []pkt.NodeID         // present neighbour IDs, ascending
+	info   []neighborInfo       // parallel to ids
+	hops   [][]pkt.NeighborLoad // hops[k] for k < len(ids) parallel to ids; spare buffers past it
 }
 
 // NewNeighborTable creates a table whose entries expire after maxAge.
@@ -47,25 +51,26 @@ func (nt *NeighborTable) Reset(maxAge des.Time) {
 	nt.maxAge = maxAge
 	for k, id := range nt.ids {
 		nt.pos[id] = 0
-		nt.info[k].twoHop = nt.info[k].twoHop[:0]
+		nt.hops[k] = nt.hops[k][:0]
 	}
 	nt.ids = nt.ids[:0]
 	nt.info = nt.info[:0]
 }
 
 // insert adds id to the sorted present list, indexes it and returns its
-// cleared info slot. The slot's two-hop buffer is the one parked past the
-// end of info by the last Remove or Reset, if any.
+// cleared info slot; its two-hop table starts empty.
 func (nt *NeighborTable) insert(id pkt.NodeID) *neighborInfo {
 	j, _ := slices.BinarySearch(nt.ids, id)
-	nt.ids = append(nt.ids, 0)
-	copy(nt.ids[j+1:], nt.ids[j:])
-	nt.ids[j] = id
-	n := len(nt.info)
-	nt.info = slices.Grow(nt.info, 1)[:n+1] // not append: info[n] may hold a parked buffer
-	spare := nt.info[n].twoHop[:0]
-	copy(nt.info[j+1:], nt.info[j:n])
-	nt.info[j] = neighborInfo{twoHop: spare}
+	nt.ids = slices.Insert(nt.ids, j, id)
+	nt.info = slices.Insert(nt.info, j, neighborInfo{})
+	n := len(nt.ids) - 1
+	if n == len(nt.hops) {
+		nt.hops = append(nt.hops, nil)
+	}
+	for k := n; k > j; k-- {
+		nt.hops[k] = append(nt.hops[k][:0], nt.hops[k-1]...)
+	}
+	nt.hops[j] = nt.hops[j][:0]
 	nt.pos = growIndex(nt.pos, int(id))
 	for k := j; k < len(nt.ids); k++ {
 		nt.pos[nt.ids[k]] = int32(k + 1)
@@ -89,29 +94,28 @@ func (nt *NeighborTable) Update(from pkt.NodeID, load float64, twoHop []pkt.Neig
 	e.load = load
 	e.lastHeard = nt.sim.Now()
 	if twoHop != nil {
-		e.twoHop = append(e.twoHop[:0], twoHop...)
+		k := nt.pos[from] - 1
+		nt.hops[k] = append(nt.hops[k][:0], twoHop...)
 	}
 }
 
-// Remove forgets a neighbour (e.g. after a link-layer failure toward it).
+// Remove forgets a neighbour (e.g. after a link-layer failure toward it),
+// its two-hop table with it: a later re-insert must not observe this
+// incarnation's table, which an Update carrying no two-hop payload would
+// otherwise leave visible (map-delete semantics).
 func (nt *NeighborTable) Remove(id pkt.NodeID) {
 	if id < 0 || int(id) >= len(nt.pos) || nt.pos[id] == 0 {
 		return
 	}
 	j := int(nt.pos[id]) - 1
-	n := len(nt.ids) - 1
-	// The vacated slot leaves with the neighbour (map-delete semantics: a
-	// later re-insert must not observe this incarnation's piggybacked
-	// table, which an Update carrying no two-hop payload would otherwise
-	// leave visible); only its buffer is parked past the end for insert.
-	spare := nt.info[j].twoHop[:0]
-	copy(nt.ids[j:], nt.ids[j+1:])
-	copy(nt.info[j:], nt.info[j+1:])
-	nt.info[n] = neighborInfo{twoHop: spare}
-	nt.ids, nt.info = nt.ids[:n], nt.info[:n]
+	nt.ids = slices.Delete(nt.ids, j, j+1)
+	nt.info = slices.Delete(nt.info, j, j+1)
+	n := len(nt.ids)
 	for k := j; k < n; k++ {
+		nt.hops[k] = append(nt.hops[k][:0], nt.hops[k+1]...)
 		nt.pos[nt.ids[k]] = int32(k + 1)
 	}
+	nt.hops[n] = nt.hops[n][:0]
 	nt.pos[id] = 0
 }
 
@@ -165,7 +169,7 @@ func (nt *NeighborTable) NeighborhoodLoad(self pkt.NodeID, ownLoad float64, twoH
 		if !twoHop {
 			continue
 		}
-		for _, nl := range e.twoHop {
+		for _, nl := range nt.hops[k] {
 			if nl.ID == self || nl.ID == nt.ids[k] {
 				continue
 			}

@@ -1,11 +1,11 @@
 package routing
 
-// The dense per-node structures as they stood before the payloads moved
-// behind an index (commit 0125d6d): Table, DupCache and NeighborTable kept
-// verbatim but for the type names, as the oracles of the differential
-// tests in differential_test.go. Route, neighborInfo, dupEntry, dupRecord
-// and the ring constants are shared with the code under test — they did
-// not change.
+// The oracles of the differential tests in differential_test.go. Table
+// and NeighborTable are the dense per-node structures as they stood before
+// the payloads moved behind an index (commit 0125d6d), kept verbatim but
+// for the type names; Route is shared with the code under test — it did
+// not change. The duplicate cache's oracle is a map with RFC 3561's
+// semantics.
 
 import (
 	"slices"
@@ -257,147 +257,56 @@ func (t *denseTable) Each(fn func(*Route)) {
 	}
 }
 
-// denseDupRing is the fixed-size ring of recent floods from one origin.
-type denseDupRing struct {
-	ent  [dupRingSize]dupEntry
-	next uint8 // round-robin victim when no expired slot is free
-}
-
-// DupCache remembers recently seen RREQ floods so each node processes a
-// flood once. Origins are dense node IDs, so the cache is a slice of
-// small fixed-size rings indexed by origin — no map traffic on the
-// flood-processing hot path. An entry inserted at time t is a duplicate
-// for lookups while exp = t+horizon is strictly in the future (exp > now);
-// at exactly t+horizon it has expired. Expired slots are never swept:
-// every reader treats them as free, and insertion reuses the first one.
-//
-// The live count is kept, not scanned for. The horizon is fixed between
-// Resets and the clock is monotone, so insertion order is expiry order:
-// log records every insertion in that order, and expire pops the records
-// whose entry has expired, taking one off live for each, and those whose
-// slot was overwritten in the meantime. The bookkeeping never touches
-// ring contents, so lookups behave the same whether or not anyone calls
-// Len.
-type denseDupCache struct {
+// mapDupCache is the duplicate cache as RFC 3561 states it: a flood's
+// (origin, ID) is remembered for the horizon after it was first recorded,
+// with no bound on how many are live at once.
+type mapDupCache struct {
 	sim     *des.Sim
 	horizon des.Time
-	rings   []denseDupRing
-
-	live int         // entries with exp > the clock at the last expire
-	seq  uint32      // stamp of the latest insertion
-	log  []dupRecord // insertions in expiry order; log[:head] already popped
-	head int
+	seen    map[rreqKey]des.Time // flood → expiry time
 }
 
-// NewDupCache creates a cache whose entries live for horizon.
-func newDenseDupCache(sim *des.Sim, horizon des.Time) *denseDupCache {
-	d := &denseDupCache{sim: sim}
-	d.Reset(horizon)
-	return d
+func newMapDupCache(sim *des.Sim, horizon des.Time) *mapDupCache {
+	return &mapDupCache{sim: sim, horizon: horizon, seen: map[rreqKey]des.Time{}}
 }
 
-// Reset empties the cache in place and rebinds the horizon, keeping the
-// grown ring storage for warm replication reuse.
-func (d *denseDupCache) Reset(horizon des.Time) {
+func (d *mapDupCache) Reset(horizon des.Time) {
 	d.horizon = horizon
-	for i := range d.rings {
-		d.rings[i] = denseDupRing{}
-	}
-	d.live, d.seq, d.log, d.head = 0, 0, d.log[:0], 0
+	clear(d.seen)
 }
 
-// Seen records the flood and reports whether it had already been seen
-// (and not yet expired).
-func (d *denseDupCache) Seen(origin pkt.NodeID, id uint32) bool {
+// Seen reports whether the flood is remembered and not yet expired
+// (exp > now), and records it if not.
+func (d *mapDupCache) Seen(origin pkt.NodeID, id uint32) bool {
 	if origin < 0 {
 		return false
 	}
-	now := d.sim.Now()
-	o := int(origin)
-	if o >= len(d.rings) {
-		d.grow(o)
+	k, now := rreqKey{origin, id}, d.sim.Now()
+	if exp, ok := d.seen[k]; ok && exp > now {
+		return true
 	}
-	r := &d.rings[o]
-	slot := -1
-	for i := range r.ent {
-		e := &r.ent[i]
-		if e.exp > now {
-			if e.id == id {
-				return true
-			}
-		} else if slot < 0 {
-			slot = i
-		}
-	}
-	// Expire before claiming a free slot: its previous entry must have
-	// left the count before the new one joins it.
-	d.expire(now)
-	if slot >= 0 {
-		d.live++
-	} else {
-		// All eight are live: the victim's count passes to the newcomer,
-		// and the victim's record goes stale by seq mismatch.
-		slot = int(r.next)
-		r.next = (r.next + 1) % dupRingSize
-	}
-	d.seq++
-	r.ent[slot] = dupEntry{id: id, seq: d.seq, exp: now + d.horizon}
-	d.log = append(d.log, dupRecord{slot: uint32(o*dupRingSize + slot), seq: d.seq})
+	d.seen[k] = now + d.horizon
 	return false
 }
 
-// expire pops records off the front of the log until it meets a current
-// one whose entry is still live (exp > now): stale records go uncounted,
-// current ones take their expired entry off the live count. Dead records
-// — popped, or stale behind a live one — are compacted away once they
-// outnumber the live ones by dupLogSlack, which keeps the log O(live
-// entries) even on a frozen clock where every insertion overwrites a
-// live slot.
-func (d *denseDupCache) expire(now des.Time) {
-	h := d.head
-	for ; h < len(d.log); h++ {
-		if e := d.entry(d.log[h]); e != nil {
-			if e.exp > now {
-				break
-			}
-			d.live--
+// Len counts the floods Seen would still report as seen.
+func (d *mapDupCache) Len() int {
+	n := 0
+	for _, exp := range d.seen {
+		if exp > d.sim.Now() {
+			n++
 		}
 	}
-	d.head = h
-	if len(d.log) > 2*d.live+dupLogSlack {
-		keep := d.log[:0]
-		for _, rec := range d.log[h:] {
-			if d.entry(rec) != nil {
-				keep = append(keep, rec)
-			}
-		}
-		d.log, d.head = keep, 0
-	}
+	return n
 }
 
-// entry returns the ring entry rec logged, or nil if its slot has been
-// overwritten since.
-func (d *denseDupCache) entry(rec dupRecord) *dupEntry {
-	e := &d.rings[rec.slot/dupRingSize].ent[rec.slot%dupRingSize]
-	if e.seq != rec.seq {
-		return nil
-	}
-	return e
-}
-
-// grow extends the ring array to cover origin index o.
-func (d *denseDupCache) grow(o int) {
-	for len(d.rings) <= o {
-		d.rings = append(d.rings, denseDupRing{})
-	}
-}
-
-// Len returns the number of live entries — the floods a lookup would
-// still report as seen (exp > now). Amortised O(1): it settles the
-// expiry log up to now and returns the kept count.
-func (d *denseDupCache) Len() int {
-	d.expire(d.sim.Now())
-	return d.live
+// denseNeighborInfo is what a HELLO beacon taught us about one neighbour.
+type denseNeighborInfo struct {
+	load      float64
+	lastHeard des.Time
+	// twoHop holds the neighbour's piggybacked 1-hop load table (only
+	// populated when two-hop HELLOs are enabled).
+	twoHop []pkt.NeighborLoad
 }
 
 // NeighborTable tracks HELLO-derived neighbourhood state: who is nearby
@@ -412,10 +321,10 @@ func (d *denseDupCache) Len() int {
 type denseNeighborTable struct {
 	sim     *des.Sim
 	maxAge  des.Time
-	info    []neighborInfo // dense by neighbour NodeID
-	pos     []int32        // pos[id] = index+1 into ids; 0 = absent
-	ids     []pkt.NodeID   // present neighbour IDs, ascending
-	scratch []pkt.NodeID   // reused by freshIDs; valid until the next call
+	info    []denseNeighborInfo // dense by neighbour NodeID
+	pos     []int32             // pos[id] = index+1 into ids; 0 = absent
+	ids     []pkt.NodeID        // present neighbour IDs, ascending
+	scratch []pkt.NodeID        // reused by freshIDs; valid until the next call
 }
 
 // NewNeighborTable creates a table whose entries expire after maxAge.
@@ -441,7 +350,7 @@ func (nt *denseNeighborTable) Reset(maxAge des.Time) {
 func (nt *denseNeighborTable) grow(i int) {
 	for len(nt.pos) <= i {
 		nt.pos = append(nt.pos, 0)
-		nt.info = append(nt.info, neighborInfo{})
+		nt.info = append(nt.info, denseNeighborInfo{})
 	}
 }
 
@@ -497,7 +406,7 @@ func (nt *denseNeighborTable) Remove(id pkt.NodeID) {
 	e.twoHop = e.twoHop[:0]
 }
 
-func (nt *denseNeighborTable) fresh(e *neighborInfo) bool {
+func (nt *denseNeighborTable) fresh(e *denseNeighborInfo) bool {
 	return nt.sim.Now()-e.lastHeard <= nt.maxAge
 }
 

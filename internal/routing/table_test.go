@@ -231,33 +231,41 @@ func TestDupCacheExpiry(t *testing.T) {
 	sim.Run()
 }
 
-// TestDupCacheReusesExpiredSlot: an origin's ring is overwritten round-robin
-// only when all eight slots are live. Once they have expired, new floods go
-// into the expired slots in order and the round-robin victim pointer does
-// not move — nothing sweeps them first, and nothing needs to.
+// TestDupCacheReusesExpiredSlot: an origin's live floods are never
+// forgotten, however many there are — 100 from one origin are all still
+// seen a tick before the horizon and none at it — and once they have
+// expired their slots take new floods without growing the ring's spill.
 func TestDupCacheReusesExpiredSlot(t *testing.T) {
 	sim := des.NewSim()
 	d := NewDupCache(sim, des.Second)
 	for i := uint32(0); i < 100; i++ {
-		d.Seen(1, i)
+		if d.Seen(1, i) {
+			t.Fatalf("fresh flood %d reported seen", i)
+		}
 	}
-	if d.Len() != dupRingSize {
-		t.Fatalf("one origin holds %d live floods, want its %d slots", d.Len(), dupRingSize)
+	if d.Len() != 100 {
+		t.Fatalf("one origin holds %d live floods, want all 100", d.Len())
 	}
-	next := ringOf(d, 1).next
-	sim.Schedule(3*des.Second, func() {
+	spill := len(d.spill[0])
+	sim.Schedule(des.Second-1, func() {
+		for i := uint32(0); i < 100; i++ {
+			if !d.Seen(1, i) {
+				t.Errorf("live flood %d forgotten a tick before the horizon", i)
+			}
+		}
+	})
+	sim.Schedule(des.Second, func() {
 		if d.Len() != 0 {
-			t.Errorf("%d entries still live two horizons on", d.Len())
+			t.Errorf("%d entries still live at the horizon", d.Len())
 		}
-		d.Seen(1, 200)
-		d.Seen(1, 201)
-		r := ringOf(d, 1)
-		if r.ent[0].id != 200 || r.ent[1].id != 201 || r.next != next {
-			t.Errorf("slots 0,1 hold %d,%d and next moved %d→%d; want 200,201 and no move",
-				r.ent[0].id, r.ent[1].id, next, r.next)
+		for i := uint32(0); i < 100; i++ {
+			if d.Seen(1, i) {
+				t.Errorf("flood %d still seen at the horizon", i)
+			}
 		}
-		if d.Len() != 2 || !d.Seen(1, 200) || !d.Seen(1, 201) {
-			t.Errorf("len=%d, want the two fresh floods live and remembered", d.Len())
+		if d.Len() != 100 || len(d.spill[0]) != spill {
+			t.Errorf("len=%d, spill %d → %d; want the 100 re-recorded floods live in the old slots",
+				d.Len(), spill, len(d.spill[0]))
 		}
 	})
 	sim.Run()

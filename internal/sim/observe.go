@@ -237,7 +237,13 @@ func (e *Engine) foldCounters(col *metrics.Collector, crashEvents, recoverEvents
 // air no longer ends a frame put in service after a fast recovery. No
 // identity line moves; churn whose recoveries come within a frame's
 // airtime does (meshsim -mttf 300ms -mttr 1ms -rate 50 -flows 20).
-const ModelVersion = 2
+//
+// Version 3: the RREQ duplicate cache never forgets a live flood. It kept
+// eight per origin and overwrote a live one past that, so a late copy of
+// the forgotten flood was rebroadcast as new. Scenarios where a node held
+// more than eight live floods from one origin can move: the loaded figure
+// points (meshsim -session 10s -rate 20) and mobility under churn do.
+const ModelVersion = 3
 
 // Fingerprint returns a stable 64-bit hash of the scenario's JSON form —
 // the identity stamp RunReports carry so results can be traced back to

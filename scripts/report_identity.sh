@@ -55,8 +55,10 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
 # fading, where every transmission rebuilds its set; and log-distance path
 # loss with per-link shadowing, kept moving so that model rebuilds too.
 # Then ROADMAP item 1's 900-node field, one cold run: there every node's
-# per-peer slabs (routes, duplicate rings, neighbours) grow mid-run. Last,
-# packet journeys traced on every flow of the saturated gateway point.
+# per-peer slabs (routes, duplicate rings, neighbours) grow mid-run. Then
+# packet journeys traced on every flow of the saturated gateway point. Last,
+# the loaded, session-churning regime the figures run (F-R3/F-R7 at
+# 20 pkt/s), where an origin has many floods live at a node at once.
 scenarios=(
 	"-scheme clnlr"
 	"-scheme flood"
@@ -80,6 +82,8 @@ scenarios=(
 	"-config scripts/identity_logdistance.json -metrics"
 	"-rows 30 -cols 30 -area 4437 -flows 40 -rate 2 -warmup 10s -measure 20s -session 10s"
 	"-journey 1 -gateway -flows 20 -rate 8"
+	"-session 10s -rate 20"
+	"-scheme flood -session 10s -rate 20"
 )
 cd "$root"
 
