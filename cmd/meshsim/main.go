@@ -18,8 +18,6 @@ import (
 	"clnlr/internal/buildinfo"
 	"clnlr/internal/des"
 	"clnlr/internal/experiments"
-	"clnlr/internal/journey"
-	"clnlr/internal/metrics"
 	"clnlr/internal/prof"
 	"clnlr/internal/sim"
 )
@@ -69,7 +67,7 @@ func main() {
 		lossBad    = flag.Float64("loss-bad", 0, "link impairment: loss probability in the bad state")
 		traceFile  = flag.String("trace", "", "write route events (NDJSON: floods, discovery outcomes, replies, link failures) to this file; requires -journey")
 		metricsOn  = flag.Bool("metrics", false, "record per-node load time-series; writes <metrics-out>-heatmap.csv and <metrics-out>-series.ndjson; forces reps=1")
-		metricsInt = flag.Duration("metrics-interval", 100*time.Millisecond, "sampling interval of simulated time for -metrics")
+		metricsInt = flag.Duration("metrics-interval", time.Duration(sim.DefaultSampleInterval), "sampling interval of simulated time for -metrics")
 		metricsOut = flag.String("metrics-out", "metrics", "output path prefix for -metrics files")
 		reportFile = flag.String("report", "", "write a machine-readable run report (JSON) to this file; forces reps=1")
 		journeyN   = flag.Int("journey", 0, "trace packet journeys on 1-in-N flows (per-hop delay decomposition); forces reps=1 (0 = off)")
@@ -167,27 +165,24 @@ func main() {
 	}
 
 	collecting := *metricsOn || *reportFile != ""
-	journeying := *journeyN > 0
 	var rs []sim.Result
-	if collecting || journeying {
+	if collecting || *journeyN > 0 {
 		// Metrics and journeys both observe a single run (neither
 		// changes its outcome); they compose freely.
 		if *reps > 1 {
 			log.Printf("observability flags force reps=1 (ignoring -reps %d)", *reps)
 		}
-		var col *metrics.Collector
-		if collecting {
-			col = metrics.NewCollector(des.Time(*metricsInt))
-		}
-		var rec *journey.Recorder
-		if journeying {
-			rec = journey.NewRecorder(*journeyN, true)
-		}
-		r, err := sim.RunJourney(sc, nil, col, rec)
+		var obs sim.Observer
+		r, err := obs.Run(sc, sim.ObserveOptions{
+			Collect:      collecting,
+			Interval:     des.Time(*metricsInt),
+			JourneyEvery: *journeyN,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		if *metricsOn {
+			col := obs.Collector()
 			heatmap := *metricsOut + "-heatmap.csv"
 			series := *metricsOut + "-series.ndjson"
 			if err := writeTo(heatmap, col.WriteHeatmapCSV); err != nil {
@@ -199,10 +194,8 @@ func main() {
 			fmt.Printf("wrote %d samples × %d nodes to %s and %s\n",
 				col.Ticks(), col.NumNodes(), heatmap, series)
 		}
-		var agg *journey.Agg
-		if rec != nil {
-			agg = journey.NewAgg(rec.EveryN())
-			rec.Aggregate(agg)
+		if rec := obs.Recorder(); rec != nil {
+			agg := obs.Journey()
 			if *journeyOut != "" {
 				if err := writeTo(*journeyOut, rec.WriteJourneysNDJSON); err != nil {
 					log.Fatal(err)
@@ -231,10 +224,7 @@ func main() {
 				jr.Layers["routing"].MeanMs)
 		}
 		if *reportFile != "" {
-			rep := sim.BuildReport(sc, r, col)
-			if agg != nil {
-				rep.Journey = agg.Report()
-			}
+			rep := obs.Report(sc, r)
 			if *canonical {
 				rep = rep.Canonical()
 			}

@@ -16,9 +16,6 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// Never is a sentinel meaning "no scheduled time".
-const Never Time = -1
-
 // Seconds returns t expressed in seconds as a float64 (for reporting only;
 // the kernel never computes with floats).
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }

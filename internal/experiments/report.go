@@ -127,20 +127,12 @@ func buildCellReport(c *cell) CellReport {
 		}
 		rep.Counters = sum
 	}
-	if c.journeys != nil {
-		var merged *journey.Agg
+	if c.journeys != nil && c.journeys[0] != nil {
+		merged := journey.NewAgg(c.journeys[0].EveryN)
 		for _, a := range c.journeys {
-			if a == nil {
-				continue
-			}
-			if merged == nil {
-				merged = journey.NewAgg(a.EveryN)
-			}
 			merged.Merge(a)
 		}
-		if merged != nil {
-			rep.Journey = merged.Report()
-		}
+		rep.Journey = merged.Report()
 	}
 	return rep
 }

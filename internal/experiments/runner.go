@@ -13,7 +13,6 @@ import (
 
 	"clnlr/internal/des"
 	"clnlr/internal/journey"
-	"clnlr/internal/metrics"
 	"clnlr/internal/sim"
 )
 
@@ -103,8 +102,9 @@ type cell struct {
 	// counters holds each replication's per-layer counter snapshot when
 	// Config.ReportDir enables per-cell reports.
 	counters []map[string]uint64
-	// journeys holds each replication's journey aggregate when
-	// Config.JourneyEveryN additionally arms packet-journey tracing.
+	// journeys holds each replication's journey aggregate beside its
+	// counters; the entries stay nil unless Config.JourneyEveryN also arms
+	// packet-journey tracing.
 	journeys []*journey.Agg
 	errs     []error
 	// retries counts, per replication, the re-attempts consumed healing
@@ -136,31 +136,14 @@ func (p *planner) interrupted() bool {
 }
 
 // worker is one pool goroutine's reusable state for its whole share of the
-// job set: a warm engine, which consecutive jobs reset in place instead of
-// rebuilding the network (results are bit-identical to cold runs — see the
-// sim.Engine determinism contract); with per-cell reports on, a warm
-// counters-only collector and journey recorder, whose contents each job
-// copies out after its run; and, with the watchdog armed, its progress
-// channel.
+// job set: an Observer, whose warm engine consecutive jobs reset in place
+// (results are bit-identical to cold runs — see the sim.Engine determinism
+// contract), and opts, the instruments every job runs with: with per-cell
+// reports on, a counters-only collector and the journey recorder, and
+// with the watchdog armed, the worker's progress channel.
 type worker struct {
-	eng   *sim.Engine
-	col   *metrics.Collector
-	rec   *journey.Recorder
-	watch *des.Watch
-}
-
-func (p *planner) newWorker() *worker {
-	w := &worker{}
-	if p.cfg.ReportDir != "" {
-		w.col = metrics.NewCollector(0)
-		if p.cfg.JourneyEveryN > 0 {
-			w.rec = journey.NewRecorder(p.cfg.JourneyEveryN, true)
-		}
-	}
-	if p.cfg.StallBudget > 0 {
-		w.watch = new(des.Watch)
-	}
-	return w
+	obs  sim.Observer
+	opts sim.ObserveOptions
 }
 
 // runJob runs replication rep of c on w. A crash — a panic, watchdog kills
@@ -186,36 +169,24 @@ func (p *planner) runJob(w *worker, c *cell, rep int) error {
 }
 
 // attempt runs replication rep of c once on w, storing the result (and,
-// when w carries a collector, the run's counter snapshot and journey
+// with per-cell reports on, the run's counter snapshot and journey
 // aggregate) into the cell's seed-ordered slices, and returns the run
-// error or the recovered panic.
+// error or the recovered panic. After a panic the Observer runs the next
+// attempt on a fresh engine.
 func (p *planner) attempt(w *worker, c *cell, rep int) error {
 	return runContained(func() error {
-		eng := w.eng
-		if eng == nil {
-			eng = sim.NewEngine()
-		}
-		// Leave the slot empty until the run returns: an engine that
-		// panicked mid-run holds arbitrary partial state and must not be
-		// reused warm.
-		w.eng = nil
-		if w.watch != nil {
-			w.watch.BeginJob()
-			defer w.watch.EndJob()
+		if watch := w.opts.Watch; watch != nil {
+			watch.BeginJob()
+			defer watch.EndJob()
 		}
 		sc := c.sc
 		sc.Seed += uint64(rep)
 		var err error
-		c.results[rep], err = eng.RunJourney(sc, w.watch, w.col, w.rec)
-		if err == nil && w.col != nil {
-			c.counters[rep] = w.col.Counters().Map()
-			if w.rec != nil {
-				agg := journey.NewAgg(w.rec.EveryN())
-				w.rec.Aggregate(agg)
-				c.journeys[rep] = agg
-			}
+		c.results[rep], err = w.obs.Run(sc, w.opts)
+		if err == nil && w.opts.Collect {
+			c.counters[rep] = w.obs.Collector().Counters().Map()
+			c.journeys[rep] = w.obs.Journey()
 		}
-		w.eng = eng
 		return err
 	})
 }
@@ -260,13 +231,13 @@ func watchStalls(workers []*worker, budget time.Duration) (stop func()) {
 			}
 			wall := time.Now()
 			for i, w := range workers {
-				gen, running, now, _ := w.watch.Snapshot()
+				gen, running, now, _ := w.opts.Watch.Snapshot()
 				if !running || gen != last[i].gen || now != last[i].now {
 					last[i] = mark{gen: gen, now: now, since: wall}
 					continue
 				}
 				if wall.Sub(last[i].since) > budget {
-					w.watch.Abort()
+					w.opts.Watch.Abort()
 				}
 			}
 		}
@@ -306,9 +277,7 @@ func (p *planner) run() error {
 		c.results = make([]sim.Result, p.cfg.Reps)
 		if p.cfg.ReportDir != "" {
 			c.counters = make([]map[string]uint64, p.cfg.Reps)
-			if p.cfg.JourneyEveryN > 0 {
-				c.journeys = make([]*journey.Agg, p.cfg.Reps)
-			}
+			c.journeys = make([]*journey.Agg, p.cfg.Reps)
 		}
 		c.errs = make([]error, p.cfg.Reps)
 		c.retries = make([]int, p.cfg.Reps)
@@ -326,9 +295,16 @@ func (p *planner) run() error {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	var opts sim.ObserveOptions
+	if p.cfg.ReportDir != "" {
+		opts = sim.ObserveOptions{Collect: true, JourneyEvery: p.cfg.JourneyEveryN}
+	}
 	workers := make([]*worker, min(n, len(jobs)))
 	for i := range workers {
-		workers[i] = p.newWorker()
+		workers[i] = &worker{opts: opts}
+		if p.cfg.StallBudget > 0 {
+			workers[i].opts.Watch = new(des.Watch)
+		}
 	}
 	if p.cfg.StallBudget > 0 && len(workers) > 0 {
 		defer watchStalls(workers, p.cfg.StallBudget)()

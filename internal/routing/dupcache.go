@@ -1,8 +1,11 @@
 package routing
 
 import (
+	"slices"
+
 	"clnlr/internal/des"
 	"clnlr/internal/pkt"
+	"clnlr/internal/recycle"
 )
 
 // rreqKey identifies one flood: the pair (origin, RREQ ID).
@@ -40,7 +43,9 @@ type dupRing struct {
 // Expired slots are never swept: every reader treats them as free, and
 // insertion reuses the first one. A live entry is never overwritten: when
 // all of a ring's slots are live, the flood goes to spill[o], ring o's
-// overflow, which keeps its storage across Resets.
+// overflow. Reset returns every spill buffer to spare, where the next
+// first spill takes one, so spill storage survives warm runs whichever
+// ring positions spill in them.
 //
 // The live count is kept, not scanned for. The horizon is fixed between
 // Resets, the clock is monotone and nothing live is overwritten, so
@@ -53,6 +58,7 @@ type DupCache struct {
 	idx     []int32 // idx[origin] = position in rings + 1; 0 = no flood heard yet
 	rings   []dupRing
 	spill   [][]dupEntry // spill[o]: ring o's floods past dupRingSize live
+	spare   recycle.List[[]dupEntry]
 
 	exps []des.Time // expiry times in insertion order; exps[:head] already popped
 	head int
@@ -66,14 +72,20 @@ func NewDupCache(sim *des.Sim, horizon des.Time) *DupCache {
 }
 
 // Reset empties the cache in place and rebinds the horizon, keeping the
-// index and the ring and spill storage for warm replication reuse. It
-// touches only the origins that were heard.
+// index, the ring storage and, in spare, the spill buffers for warm
+// replication reuse. It touches only the origins that were heard.
 func (d *DupCache) Reset(horizon des.Time) {
 	d.horizon = horizon
 	for i := range d.rings {
 		d.idx[d.rings[i].origin] = 0
 	}
 	d.rings = d.rings[:0]
+	for _, s := range d.spill {
+		if s != nil {
+			d.spare.Put(s[:0], recycle.Unbounded)
+		}
+	}
+	d.spill = d.spill[:0]
 	d.exps, d.head = d.exps[:0], 0
 }
 
@@ -89,15 +101,11 @@ func (d *DupCache) Seen(origin pkt.NodeID, id uint32) bool {
 		o = int(d.idx[origin]) - 1
 	}
 	if o < 0 {
-		// First flood from this origin: it gets a ring, and the ring
-		// slot's spill from an earlier run is emptied.
+		// First flood from this origin: it gets a ring.
 		o = len(d.rings)
 		d.rings = append(d.rings, dupRing{origin: origin})
 		d.idx = growIndex(d.idx, int(origin))
 		d.idx[origin] = int32(o + 1)
-		if o < len(d.spill) {
-			d.spill[o] = d.spill[o][:0]
-		}
 	}
 	r := &d.rings[o]
 	var free *dupEntry
@@ -126,13 +134,14 @@ func (d *DupCache) Seen(origin pkt.NodeID, id uint32) bool {
 	}
 	if free == nil {
 		// Every slot is live: the ring spills rather than forget one. A
-		// first spill makes room for eight, so a warm engine seldom
-		// grows one again.
+		// first spill takes a spare buffer, or makes room for eight, so a
+		// warm engine seldom allocates one.
 		for len(d.spill) <= o {
 			d.spill = append(d.spill, nil)
 		}
 		if d.spill[o] == nil {
-			d.spill[o] = make([]dupEntry, 0, dupRingSize)
+			s, _ := d.spare.Get()
+			d.spill[o] = slices.Grow(s, dupRingSize)
 		}
 		d.spill[o] = append(d.spill[o], dupEntry{})
 		free = &d.spill[o][len(d.spill[o])-1]

@@ -104,3 +104,38 @@ func TestDupEntrySize(t *testing.T) {
 		t.Fatalf("dupEntry is %d bytes, want 16", s)
 	}
 }
+
+// TestDupCacheSpillBuffersSurviveReset: ring positions follow each run's
+// first-contact order, so a warm cache spills at positions that never
+// spilled before. The buffers a Reset freed must serve those first
+// spills: after one pass that spills at positions 8–11, passes that spill
+// the same count at positions 0–3 and then 4–7 allocate nothing.
+func TestDupCacheSpillBuffersSurviveReset(t *testing.T) {
+	const origins, spilled = 12, 4
+	d := NewDupCache(des.NewSim(), des.Second)
+	// pass contacts every origin once, in order, so origin p takes ring
+	// position p, then gives origins first..first+spilled-1 nine live
+	// floods each (the clock is frozen), which spills their rings.
+	pass := func(first int) {
+		for o := 0; o < origins; o++ {
+			d.Seen(pkt.NodeID(o), 0)
+		}
+		for o := first; o < first+spilled; o++ {
+			for id := uint32(1); id <= dupRingSize; id++ {
+				d.Seen(pkt.NodeID(o), id)
+			}
+		}
+		if d.Len() != origins+spilled*dupRingSize {
+			t.Fatalf("Len() = %d, want %d", d.Len(), origins+spilled*dupRingSize)
+		}
+		d.Reset(des.Second)
+	}
+	first := origins - spilled
+	pass(first)
+	if a := testing.AllocsPerRun(1, func() {
+		first = (first + spilled) % origins
+		pass(first)
+	}); a != 0 {
+		t.Fatalf("spilling at new ring positions after a Reset allocated %.0f times, want 0", a)
+	}
+}

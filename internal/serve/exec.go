@@ -8,59 +8,33 @@ import (
 	"path/filepath"
 
 	"clnlr/internal/experiments"
-	"clnlr/internal/journey"
 	"clnlr/internal/metrics"
 	"clnlr/internal/sim"
 )
 
-// runner is what a /v1/run miss executes on: an engine and the flight
-// recorder whose series storage it keeps. Server.runners pools the ones
-// that have run.
-type runner struct {
-	eng *sim.Engine
-	col *metrics.Collector
-}
-
-// executeRun mirrors the meshsim -report -canonical-report path exactly —
-// same collector, same journey fold, same Canonical() scrub, same
-// WriteJSON serialisation — so a served single-run result is byte-identical
-// to the CLI's output for the same scenario. The golden equivalence test
-// pins this. It runs on a runner taken from the server's pool, warm when
-// an earlier miss left one there (a warm engine's result is bit-identical
-// to a cold one's), and gives the runner back once the report bytes are
-// encoded; the garbage collector empties the pool while the daemon idles.
+// executeRun runs j through sim.Observer, the one observed-run path
+// meshsim -report also takes, and returns the canonical report bytes
+// (Canonical() scrub, WriteJSON serialisation): a served single-run
+// result is byte-identical to meshsim -report -canonical-report's file
+// for the same scenario and options. It runs on an Observer taken from
+// the server's pool, warm when an earlier miss left one there (a warm
+// engine's result is bit-identical to a cold one's), and gives it back
+// once the bytes are encoded; the garbage collector empties the pool
+// while the daemon idles.
 func (s *Server) executeRun(j runJob) ([]byte, error) {
-	rn, warm := s.runners.Get().(*runner)
+	obs, warm := s.runners.Get().(*sim.Observer)
 	if warm {
 		s.engineWarmRuns.Add(1)
 	} else {
-		rn = &runner{eng: sim.NewEngine(), col: metrics.NewCollector(0)}
+		obs = new(sim.Observer)
 	}
-	rn.col.SetSampleInterval(j.interval)
-	data, err := encodeRun(j, rn)
-	s.runners.Put(rn)
-	return data, err
-}
-
-// encodeRun runs j on rn and returns the canonical report bytes.
-func encodeRun(j runJob, rn *runner) ([]byte, error) {
-	var rec *journey.Recorder
-	if j.journeyN > 0 {
-		rec = journey.NewRecorder(j.journeyN, true)
-	}
-	r, err := rn.eng.RunJourney(j.sc, nil, rn.col, rec)
-	if err != nil {
-		return nil, err
-	}
-	rep := sim.BuildReport(j.sc, r, rn.col)
-	if rec != nil {
-		agg := journey.NewAgg(rec.EveryN())
-		rec.Aggregate(agg)
-		rep.Journey = agg.Report()
-	}
-	rep = rep.Canonical()
+	r, err := obs.Run(j.sc, j.opts)
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err == nil {
+		err = obs.Report(j.sc, r).Canonical().WriteJSON(&buf)
+	}
+	s.runners.Put(obs)
+	if err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"clnlr/internal/des"
 	"clnlr/internal/experiments"
@@ -21,7 +20,7 @@ type RunRequest struct {
 	Scenario json.RawMessage `json:"scenario"`
 
 	// SampleInterval is the flight recorder's sampling period in
-	// nanoseconds of simulated time (0 = the meshsim default, 100 ms).
+	// nanoseconds of simulated time (0 = sim.DefaultSampleInterval, meshsim's default).
 	SampleInterval des.Time `json:"sample_interval,omitempty"`
 
 	// JourneyEveryN, when positive, traces packet journeys on 1-in-N flows
@@ -53,9 +52,8 @@ type SweepRequest struct {
 
 // runJob is a fully normalized single-run submission.
 type runJob struct {
-	sc       sim.Scenario
-	interval des.Time
-	journeyN int
+	sc   sim.Scenario
+	opts sim.ObserveOptions
 }
 
 // sweepJob is a fully normalized sweep submission.
@@ -123,11 +121,11 @@ func normalizeRun(req RunRequest) (runJob, error) {
 	if req.SampleInterval < 0 {
 		return runJob{}, fmt.Errorf("serve: negative sample interval %d", req.SampleInterval)
 	}
-	interval := req.SampleInterval
-	if interval == 0 {
-		interval = des.Time(100 * time.Millisecond)
+	opts := sim.ObserveOptions{Collect: true, Interval: req.SampleInterval, JourneyEvery: req.JourneyEveryN}
+	if opts.Interval == 0 {
+		opts.Interval = sim.DefaultSampleInterval
 	}
-	return runJob{sc: sc, interval: interval, journeyN: req.JourneyEveryN}, nil
+	return runJob{sc: sc, opts: opts}, nil
 }
 
 // normalizeSweep validates a SweepRequest into a sweepJob.
@@ -229,8 +227,8 @@ func (j runJob) key() string {
 		Kind:           "run",
 		ModelVersion:   sim.ModelVersion,
 		Fingerprint:    j.sc.Fingerprint(),
-		SampleInterval: j.interval,
-		JourneyEveryN:  j.journeyN,
+		SampleInterval: j.opts.Interval,
+		JourneyEveryN:  j.opts.JourneyEvery,
 	}.hash()
 }
 

@@ -153,9 +153,9 @@ type Server struct {
 	queue  chan *job
 	closed bool
 
-	// runners pools the engines /v1/run misses execute on (exec.go). The
-	// garbage collector empties a sync.Pool within two cycles, so no engine
-	// outlives a burst by long.
+	// runners pools the *sim.Observer /v1/run misses execute on
+	// (exec.go). The garbage collector empties a sync.Pool within two
+	// cycles, so no engine outlives a burst by long.
 	runners sync.Pool
 
 	draining atomic.Bool

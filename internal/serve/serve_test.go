@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"clnlr/internal/des"
-	"clnlr/internal/journey"
-	"clnlr/internal/metrics"
 	"clnlr/internal/sim"
 )
 
@@ -84,7 +82,7 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Respo
 type runCase struct {
 	name     string
 	sc       sim.Scenario
-	interval des.Time // 0: the 100 ms default
+	interval des.Time // 0: sim.DefaultSampleInterval
 	journeyN int
 }
 
@@ -93,30 +91,21 @@ func (c runCase) request(t *testing.T) RunRequest {
 }
 
 // want reproduces the meshsim -report -canonical-report output for the job
-// on a fresh engine — the reference the daemon must match byte for byte.
+// on a fresh Observer — the reference the daemon's pooled, warm one must
+// match byte for byte.
 func (c runCase) want(t *testing.T) []byte {
 	t.Helper()
 	interval := c.interval
 	if interval == 0 {
-		interval = des.Time(100 * time.Millisecond)
+		interval = sim.DefaultSampleInterval
 	}
-	col := metrics.NewCollector(interval)
-	var rec *journey.Recorder
-	if c.journeyN > 0 {
-		rec = journey.NewRecorder(c.journeyN, true)
-	}
-	r, err := sim.RunJourney(c.sc, nil, col, rec)
+	var obs sim.Observer
+	r, err := obs.Run(c.sc, sim.ObserveOptions{Collect: true, Interval: interval, JourneyEvery: c.journeyN})
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}
-	rep := sim.BuildReport(c.sc, r, col)
-	if rec != nil {
-		agg := journey.NewAgg(rec.EveryN())
-		rec.Aggregate(agg)
-		rep.Journey = agg.Report()
-	}
 	var buf bytes.Buffer
-	if err := rep.Canonical().WriteJSON(&buf); err != nil {
+	if err := obs.Report(c.sc, r).Canonical().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -363,7 +352,7 @@ func TestModelVersionChangesKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := keyMaterial{Kind: "run", ModelVersion: sim.ModelVersion, Fingerprint: rj.sc.Fingerprint(), SampleInterval: rj.interval}
+	run := keyMaterial{Kind: "run", ModelVersion: sim.ModelVersion, Fingerprint: rj.sc.Fingerprint(), SampleInterval: rj.opts.Interval}
 	sweep := keyMaterial{Kind: "sweep", ModelVersion: sim.ModelVersion, Fingerprint: sj.base.Fingerprint(), Reps: 2, Schemes: []string{"flood"}, Name: sj.name}
 	if run.hash() != rj.key() || sweep.hash() != sj.key() {
 		t.Fatal("a job key is not its key material at sim.ModelVersion")

@@ -237,7 +237,7 @@ func TestSchemesShareRandomWorld(t *testing.T) {
 	for i, scheme := range schemes {
 		w = crnWorld{}
 		rec := journey.NewRecorder(1, false)
-		if _, err := RunJourney(sc.WithScheme(scheme), nil, nil, rec); err != nil {
+		if _, err := NewEngine().RunJourney(sc.WithScheme(scheme), nil, nil, rec); err != nil {
 			t.Fatal(err)
 		}
 		for _, j := range rec.Journeys() {

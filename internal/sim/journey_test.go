@@ -150,7 +150,7 @@ func TestJourneySpansTelescope(t *testing.T) {
 				withChurn(&sc)
 			}
 			rec := journey.NewRecorder(1, false)
-			r, err := RunJourney(sc, nil, nil, rec)
+			r, err := NewEngine().RunJourney(sc, nil, nil, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func TestGossipAdaptiveDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := journey.NewRecorder(4, true)
-	traced, err := RunJourney(sc, nil, nil, rec)
+	traced, err := NewEngine().RunJourney(sc, nil, nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestDecisionProvenanceRecompute(t *testing.T) {
 	withChurn(&sc)
 
 	rec := journey.NewRecorder(4, true)
-	if _, err := RunJourney(sc, nil, nil, rec); err != nil {
+	if _, err := NewEngine().RunJourney(sc, nil, nil, rec); err != nil {
 		t.Fatal(err)
 	}
 	decs := rec.RREQDecisions()

@@ -11,7 +11,6 @@ var (
 	MetricDelayMs      Metric = func(r Result) float64 { return r.MeanDelaySec * 1000 }
 	MetricThroughput   Metric = func(r Result) float64 { return r.ThroughputKbps }
 	MetricRREQTx       Metric = func(r Result) float64 { return float64(r.RREQTx) }
-	MetricRREQPerDisc  Metric = func(r Result) float64 { return r.RREQPerDiscovery }
 	MetricNormOverhead Metric = func(r Result) float64 { return r.NormOverhead }
 	MetricDiscovery    Metric = func(r Result) float64 { return r.DiscoveryRate }
 	MetricForwardStd   Metric = func(r Result) float64 { return r.ForwardStd }
@@ -37,9 +36,6 @@ func Summarize(results []Result, m Metric) stats.Summary {
 // Energy and fairness metrics.
 var (
 	MetricEnergyMean Metric = func(r Result) float64 { return r.EnergyMeanJ }
-	MetricEnergyMax  Metric = func(r Result) float64 { return r.EnergyMaxJ }
 	MetricFairness   Metric = func(r Result) float64 { return r.FlowFairness }
 	MetricDelayP95Ms Metric = func(r Result) float64 { return r.DelayP95Sec * 1000 }
-	MetricDelayP50Ms Metric = func(r Result) float64 { return r.DelayP50Sec * 1000 }
-	MetricDelayP99Ms Metric = func(r Result) float64 { return r.DelayP99Sec * 1000 }
 )

@@ -104,10 +104,84 @@ func (e *Engine) RunJourney(sc Scenario, watch *des.Watch, col *metrics.Collecto
 	return r, run.auditErr()
 }
 
-// RunJourney is Run with the optional watchdog, metrics and journey hooks
-// on a fresh engine (all nil behaves exactly like Run).
-func RunJourney(sc Scenario, watch *des.Watch, col *metrics.Collector, rec *journey.Recorder) (Result, error) {
-	return NewEngine().RunJourney(sc, watch, col, rec)
+// DefaultSampleInterval is the sampling period a caller that names none
+// gets: meshsim's -metrics-interval default and meshsimd's, which must
+// agree for the CLI's and the daemon's report bytes to match.
+const DefaultSampleInterval = 100 * des.Millisecond
+
+// ObserveOptions selects the instruments of one Observer run.
+type ObserveOptions struct {
+	Collect      bool     // arm the metrics collector,
+	Interval     des.Time // sampling every Interval (≤ 0: counters only)
+	JourneyEvery int      // trace journeys and decisions on 1-in-N flows (0: off)
+	Watch        *des.Watch
+}
+
+// Observer is the one observed-run path: meshsim -report, meshsimd's
+// /v1/run and the sweep planner's per-cell reports all run through one.
+// It keeps a warm engine and the instruments its runs fill: the collector
+// while runs ask for one, the journey recorder while the divisor stays.
+// The zero value is ready to use; it is not safe for concurrent use.
+type Observer struct {
+	eng *Engine
+	col *metrics.Collector // this run's, nil when off
+	rec *journey.Recorder  // this run's, nil when off
+	agg *journey.Agg       // this run's journey fold, made by Journey
+}
+
+// Run executes sc with the instruments opts selects (see
+// Engine.RunJourney). An engine whose run panicked holds arbitrary
+// partial state, so the engine slot stays empty until the run returns:
+// the run after a panic starts on a fresh engine.
+func (o *Observer) Run(sc Scenario, opts ObserveOptions) (Result, error) {
+	switch {
+	case !opts.Collect:
+		o.col = nil
+	case o.col == nil:
+		o.col = metrics.NewCollector(opts.Interval)
+	default:
+		o.col.SetSampleInterval(opts.Interval)
+	}
+	switch {
+	case opts.JourneyEvery <= 0:
+		o.rec = nil
+	case o.rec == nil || o.rec.EveryN() != opts.JourneyEvery:
+		o.rec = journey.NewRecorder(opts.JourneyEvery, true)
+	}
+	eng := o.eng
+	if eng == nil {
+		eng = NewEngine()
+	}
+	o.eng, o.agg = nil, nil
+	r, err := eng.RunJourney(sc, opts.Watch, o.col, o.rec)
+	o.eng = eng
+	return r, err
+}
+
+// Collector returns the last run's metrics collector, nil if it had none.
+func (o *Observer) Collector() *metrics.Collector { return o.col }
+
+// Recorder returns the last run's journey recorder, nil if it had none.
+func (o *Observer) Recorder() *journey.Recorder { return o.rec }
+
+// Journey returns the last run's journeys folded into an aggregate (made
+// once per run), nil if it had no recorder.
+func (o *Observer) Journey() *journey.Agg {
+	if o.rec != nil && o.agg == nil {
+		o.agg = journey.NewAgg(o.rec.EveryN())
+		o.rec.Aggregate(o.agg)
+	}
+	return o.agg
+}
+
+// Report returns the last run's RunReport, r its Result, with the
+// journey section when it had a recorder. The run must have collected.
+func (o *Observer) Report(sc Scenario, r Result) metrics.RunReport {
+	rep := BuildReport(sc, r, o.col)
+	if agg := o.Journey(); agg != nil {
+		rep.Journey = agg.Report()
+	}
+	return rep
 }
 
 // sampler is the flight recorder's typed-event handler: one read-only
@@ -278,7 +352,29 @@ func BuildReport(sc Scenario, r Result, col *metrics.Collector) metrics.RunRepor
 		Samples:           col.Ticks(),
 
 		Counters: col.Counters().Map(),
-		Metrics:  ResultMetrics(r),
+		Metrics: map[string]float64{
+			"sent":              float64(r.Sent),
+			"delivered":         float64(r.Delivered),
+			"pdr":               r.PDR,
+			"mean_delay_ms":     r.MeanDelaySec * 1000,
+			"p50_delay_ms":      r.DelayP50Sec * 1000,
+			"p95_delay_ms":      r.DelayP95Sec * 1000,
+			"p99_delay_ms":      r.DelayP99Sec * 1000,
+			"throughput_kbps":   r.ThroughputKbps,
+			"rreq_tx":           float64(r.RREQTx),
+			"control_tx":        float64(r.ControlTx),
+			"rreq_per_disc":     r.RREQPerDiscovery,
+			"norm_overhead":     r.NormOverhead,
+			"discovery_rate":    r.DiscoveryRate,
+			"forward_mean":      r.ForwardMean,
+			"forward_std":       r.ForwardStd,
+			"forward_max_ratio": r.ForwardMaxRatio,
+			"mac_queue_drops":   float64(r.MACQueueDrops),
+			"mac_retry_drops":   float64(r.MACRetryDrops),
+			"energy_mean_j":     r.EnergyMeanJ,
+			"energy_max_j":      r.EnergyMaxJ,
+			"flow_fairness":     r.FlowFairness,
+		},
 	}
 	if col.Diagnostics().Len() > 0 {
 		rep.Diagnostics = col.Diagnostics().Map()
@@ -287,32 +383,4 @@ func BuildReport(sc Scenario, r Result, col *metrics.Collector) metrics.RunRepor
 		rep.SimPerWall = rep.SimSeconds / rep.WallSeconds
 	}
 	return rep
-}
-
-// ResultMetrics flattens a Result into the name→value map RunReports
-// embed.
-func ResultMetrics(r Result) map[string]float64 {
-	return map[string]float64{
-		"sent":              float64(r.Sent),
-		"delivered":         float64(r.Delivered),
-		"pdr":               r.PDR,
-		"mean_delay_ms":     r.MeanDelaySec * 1000,
-		"p50_delay_ms":      r.DelayP50Sec * 1000,
-		"p95_delay_ms":      r.DelayP95Sec * 1000,
-		"p99_delay_ms":      r.DelayP99Sec * 1000,
-		"throughput_kbps":   r.ThroughputKbps,
-		"rreq_tx":           float64(r.RREQTx),
-		"control_tx":        float64(r.ControlTx),
-		"rreq_per_disc":     r.RREQPerDiscovery,
-		"norm_overhead":     r.NormOverhead,
-		"discovery_rate":    r.DiscoveryRate,
-		"forward_mean":      r.ForwardMean,
-		"forward_std":       r.ForwardStd,
-		"forward_max_ratio": r.ForwardMaxRatio,
-		"mac_queue_drops":   float64(r.MACQueueDrops),
-		"mac_retry_drops":   float64(r.MACRetryDrops),
-		"energy_mean_j":     r.EnergyMeanJ,
-		"energy_max_j":      r.EnergyMaxJ,
-		"flow_fairness":     r.FlowFairness,
-	}
 }

@@ -59,7 +59,7 @@ func TestMetricsDoNotPerturbRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			col := metrics.NewCollector(100 * des.Millisecond)
-			observed, err := RunJourney(sc, nil, col, nil)
+			observed, err := NewEngine().RunJourney(sc, nil, col, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestObservedCountersPlausible(t *testing.T) {
 	sc.Faults.MeanUpTime = 4 * des.Second
 	sc.Faults.MeanDownTime = 2 * des.Second
 	col := metrics.NewCollector(100 * des.Millisecond)
-	r, err := RunJourney(sc, nil, col, nil)
+	r, err := NewEngine().RunJourney(sc, nil, col, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestObservedCountersPlausible(t *testing.T) {
 func TestBuildReport(t *testing.T) {
 	sc := quickScenario()
 	col := metrics.NewCollector(200 * des.Millisecond)
-	r, err := RunJourney(sc, nil, col, nil)
+	r, err := NewEngine().RunJourney(sc, nil, col, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSamplerCoversRun(t *testing.T) {
 	sc.Measure = 8 * des.Second
 	interval := 500 * des.Millisecond
 	col := metrics.NewCollector(interval)
-	if _, err := RunJourney(sc, nil, col, nil); err != nil {
+	if _, err := NewEngine().RunJourney(sc, nil, col, nil); err != nil {
 		t.Fatal(err)
 	}
 	end := sc.Warmup + sc.Measure

@@ -509,7 +509,7 @@ func TestMobilityDeterministic(t *testing.T) {
 func TestRunJourneyTraceSink(t *testing.T) {
 	sc := quickScenario()
 	rec := journey.NewRecorder(1, true)
-	r, err := RunJourney(sc, nil, nil, rec)
+	r, err := NewEngine().RunJourney(sc, nil, nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestRunJourneyTraceSink(t *testing.T) {
 		}
 	}
 	// No hooks must behave exactly like Run.
-	a, err := RunJourney(sc, nil, nil, nil)
+	a, err := NewEngine().RunJourney(sc, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
