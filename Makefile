@@ -72,8 +72,9 @@ instrument-cost:
 	bash scripts/instrument_cost.sh
 
 # Coverage-guided fuzzing: the DES differential queue oracle, the
-# radio-path differential oracle, the duplicate cache's kept count against
-# its exhaustive scan, the routing table against its dense oracle and
+# radio-path differential oracle, the duplicate cache against its map
+# oracle (kept count and every verdict, 64 origins so the index wraps and
+# clusters), the routing table against its dense oracle and
 # meshsimd's request decoders with the digest memo against the decode path
 # (go test allows one -fuzz pattern per invocation, hence one run per
 # target). FUZZTIME=5m for a deep run.

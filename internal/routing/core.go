@@ -287,18 +287,18 @@ func (c *Core) Recover() {
 func (c *Core) TableSize() int { return c.table.Len() }
 
 // DupCacheLen returns the RREQ duplicate cache's live-entry count for the
-// metrics sampler. It settles the cache's expiry bookkeeping but never
-// ring contents, so calling it does not change any later Seen verdict.
+// metrics sampler. It pops only floods that have expired, as the next Seen
+// would, so calling it does not change any later Seen verdict.
 func (c *Core) DupCacheLen() int { return c.dup.Len() }
 
-// Preallocate sizes the per-node ID indices (routing table, duplicate
-// cache, neighbour table: 4 bytes per node each) for a network of n nodes,
-// so the hot path never grows them. What they index grows with the
-// destinations, origins and neighbours this node meets; index growth
-// stays lazy for callers that skip this.
+// Preallocate sizes the per-node ID indices (routing table and neighbour
+// table: 4 bytes per node each) for a network of n nodes, so the hot path
+// never grows them. What they index grows with the destinations and
+// neighbours this node meets; index growth stays lazy for callers that
+// skip this. The duplicate cache has no ID index: it is sized by the
+// floods live at once.
 func (c *Core) Preallocate(n int) {
 	c.table.idx = growIndex(c.table.idx, n-1)
-	c.dup.idx = growIndex(c.dup.idx, n-1)
 	c.nbrs.pos = growIndex(c.nbrs.pos, n-1)
 }
 

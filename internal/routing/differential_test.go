@@ -197,27 +197,34 @@ func FuzzTableDifferential(f *testing.F) {
 	})
 }
 
+// moveDupSlab moves the cache's ring and index to fresh arrays of the
+// same lengths and poisons the old ones: an entry read through the old
+// ring claims a flood live forever, and every old index slot claims ring
+// position 0.
 func moveDupSlab(d *DupCache) {
-	old, oldSpill := d.rings, d.spill
-	d.rings = append(make([]dupRing, 0, len(old)), old...)
-	d.spill = make([][]dupEntry, len(oldSpill))
-	for i := range old {
-		for j := range old[i].ent {
-			old[i].ent[j] = dupEntry{id: 0xdead, exp: math.MaxInt64}
-		}
-		old[i].origin = -7
+	oldRing, oldIndex := d.ring, d.index
+	d.ring, d.index = slices.Clone(oldRing), slices.Clone(oldIndex)
+	for i := range oldRing {
+		oldRing[i] = dupEntry{rreqKey{-7, 0xdead}, math.MaxInt64}
 	}
-	for i, s := range oldSpill {
-		d.spill[i] = append(make([]dupEntry, 0, cap(s)), s...)
-		for j := range s {
-			s[j] = dupEntry{id: 0xdead, exp: math.MaxInt64}
-		}
+	for i := range oldIndex {
+		oldIndex[i] = 1
 	}
 }
 
+// dupOrigin maps a script byte to one of 64 origins, so live floods wrap
+// the index and cluster in it, or for the top few values to the broadcast
+// ID, which Seen never records.
+func dupOrigin(b byte) pkt.NodeID {
+	if b >= 250 {
+		return pkt.Broadcast
+	}
+	return pkt.NodeID(b % 64)
+}
+
 // dupDifferentialScript drives Seen, Len, Reset and the clock, against
-// the map oracle, with floods close enough together that rings spill; a
-// clock step of 0 keeps the clock frozen, where nothing expires.
+// the map oracle, with floods close enough together that tens are live at
+// once; a clock step of 0 keeps the clock frozen, where nothing expires.
 func dupDifferentialScript(t *testing.T, data []byte, move bool) {
 	sim := des.NewSim()
 	horizon := des.Second
@@ -230,14 +237,14 @@ func dupDifferentialScript(t *testing.T, data []byte, move bool) {
 		step := i / 4
 		switch {
 		case op < 170:
-			origin, id := scriptID(a), uint32(b%40)
+			origin, id := dupOrigin(a), uint32(b%40)
 			if g, w := got.Seen(origin, id), want.Seen(origin, id); g != w {
 				t.Fatalf("step %d: Seen(%d,%d) = %v, the map says %v", step, origin, id, g, w)
 			}
 			if op&1 != 0 {
-				continue // no Len: the next Seen settles the log itself
+				continue // no Len: the next Seen pops the expired floods itself
 			}
-		case op < 235: // steps of up to 0.06 horizon, so origins spill
+		case op < 235: // steps of up to 0.06 horizon, so floods pile up
 			sim.RunUntil(sim.Now() + horizon*des.Time(b%7)/100)
 		case op < 250:
 			// the Len below is the step
@@ -249,6 +256,7 @@ func dupDifferentialScript(t *testing.T, data []byte, move bool) {
 		if g, w := got.Len(), want.Len(); g != w {
 			t.Fatalf("step %d: Len() = %d, the map says %d", step, g, w)
 		}
+		checkDupIndex(t, got, step)
 	}
 }
 
@@ -344,6 +352,8 @@ func TestNeighborTableMatchesDenseOracle(t *testing.T) {
 // TestResetTouchesOnlyWhatWasUsed: Reset walks the slab, not the index, so
 // an untouched structure resets without per-ID work however large the
 // network it was sized for — and a used one leaves the index all zero.
+// The duplicate cache has no ID index for Preallocate to size: its index
+// is sized by the live floods.
 func TestResetTouchesOnlyWhatWasUsed(t *testing.T) {
 	sim := des.NewSim()
 	c := bareCore(sim, 0)
@@ -355,9 +365,11 @@ func TestResetTouchesOnlyWhatWasUsed(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Reset of untouched structures allocates %v times", n)
 	}
-	if len(c.table.entries)+len(c.dup.rings)+len(c.nbrs.info) != 0 ||
-		cap(c.table.entries)+cap(c.dup.rings)+cap(c.nbrs.info) != 0 {
+	if len(c.table.entries)+len(c.nbrs.info) != 0 || cap(c.table.entries)+cap(c.nbrs.info) != 0 {
 		t.Error("Preallocate sized a slab; it must size the indices only")
+	}
+	if len(c.dup.ring) != dupMinCap || len(c.dup.index) != 2*dupMinCap {
+		t.Error("Preallocate sized the duplicate cache; it has no ID index")
 	}
 	for _, id := range []pkt.NodeID{5, 900000, 17} {
 		c.table.Update(Route{Dst: id, NextHop: 1, Valid: true, Expires: des.Second})
@@ -367,7 +379,7 @@ func TestResetTouchesOnlyWhatWasUsed(t *testing.T) {
 	c.table.Reset()
 	c.dup.Reset(des.Second)
 	c.nbrs.Reset(des.Second)
-	for name, idx := range map[string][]int32{"table": c.table.idx, "dup": c.dup.idx, "nbrs": c.nbrs.pos} {
+	for name, idx := range map[string][]int32{"table": c.table.idx, "dup": c.dup.index, "nbrs": c.nbrs.pos} {
 		if slices.ContainsFunc(idx, func(s int32) bool { return s != 0 }) {
 			t.Errorf("%s: Reset left an index entry behind", name)
 		}

@@ -9,23 +9,46 @@ import (
 	"clnlr/internal/rng"
 )
 
-// checkDupCache compares the kept count with the map oracle's and bounds
-// the expiry FIFO by the live count.
+// checkDupCache compares the kept count with the map oracle's and checks
+// the structure behind it (checkDupIndex).
 func checkDupCache(t *testing.T, d *DupCache, oracle *mapDupCache, step int) {
 	t.Helper()
 	got, want := d.Len(), oracle.Len()
 	if got != want {
 		t.Fatalf("step %d: Len() = %d, the map counts %d", step, got, want)
 	}
-	if len(d.exps) > 2*want {
-		t.Fatalf("step %d: expiry FIFO holds %d times for %d live entries", step, len(d.exps), want)
+	checkDupIndex(t, d, step)
+}
+
+// checkDupIndex checks that the ring holds exactly the live count — the
+// index has one occupied slot per ring entry, so nothing expired is left
+// indexed — and that every live entry is reachable from its key's home
+// through occupied slots, which a delete that leaves a hole mid-run
+// breaks.
+func checkDupIndex(t *testing.T, d *DupCache, step int) {
+	t.Helper()
+	used := 0
+	for _, p := range d.index {
+		if p != 0 {
+			used++
+		}
+	}
+	if used != d.n {
+		t.Fatalf("step %d: index holds %d slots for %d ring entries", step, used, d.n)
+	}
+	for i := range d.n {
+		pos := (d.head + i) & (len(d.ring) - 1)
+		if s, ok := d.lookup(d.ring[pos].rreqKey); !ok || int(d.index[s]) != pos+1 {
+			t.Fatalf("step %d: live flood %+v at ring position %d is not reachable from its home", step, d.ring[pos], pos)
+		}
 	}
 }
 
 // dupCacheScript interprets data as a program of Seen / clock advance /
-// Len / Reset steps over 3 origins × 40 IDs (so rings spill) and checks
-// the cache against the map oracle after every step (bar half the clock
-// advances). Every Seen verdict is checked against the oracle's too.
+// Len / Reset steps over 64 origins × 40 IDs (so the index wraps and its
+// probe runs cluster) and checks the cache against the map oracle after
+// every step (bar half the clock advances). Every Seen verdict is checked
+// against the oracle's too.
 func dupCacheScript(t *testing.T, data []byte) {
 	sim := des.NewSim()
 	horizon := des.Second
@@ -34,7 +57,8 @@ func dupCacheScript(t *testing.T, data []byte) {
 		op, arg := data[i], int(data[i+1])
 		switch {
 		case op < 160:
-			origin, id := pkt.NodeID(arg%3), uint32(arg/3%40)
+			k := int(op)<<8 | arg
+			origin, id := pkt.NodeID(k%64), uint32(k/64%40)
 			if got, want := d.Seen(origin, id), oracle.Seen(origin, id); got != want {
 				t.Fatalf("step %d: Seen(%d,%d) = %v, the map says %v", i/2, origin, id, got, want)
 			}
@@ -42,7 +66,7 @@ func dupCacheScript(t *testing.T, data []byte) {
 			sim.RunUntil(sim.Now() + horizon*des.Time(arg%7)/10)
 			if arg&8 != 0 {
 				// No Len here: the next Seen must pop the expired
-				// times itself.
+				// entries itself.
 				continue
 			}
 		case op < 250:
@@ -69,17 +93,32 @@ func TestDupCacheLenMatchesScan(t *testing.T) {
 	}
 }
 
+// FuzzDupCacheLen runs the fuzzer's bytes through both dupCacheScript and
+// dupDifferentialScript (as is and with the storage moved every step).
 func FuzzDupCacheLen(f *testing.F) {
-	// Fill one ring past eight, let it half expire, refill, reset.
-	f.Add([]byte{0, 0, 0, 3, 0, 6, 0, 9, 0, 12, 0, 15, 0, 18, 0, 21, 0, 24, 0, 27,
-		200, 6, 0, 30, 200, 6, 230, 0, 0, 33, 0, 0, 255, 1, 0, 0, 200, 3, 230, 0})
-	f.Fuzz(func(t *testing.T, data []byte) { dupCacheScript(t, data) })
+	// Nine floods from origin 0 on a frozen clock (the ring doubles), a
+	// tenth, the first nine expire, refill, reset.
+	f.Add([]byte{0, 0, 0, 64, 0, 128, 0, 192, 1, 0, 1, 64, 1, 128, 1, 192, 2, 0,
+		200, 6, 2, 64, 200, 6, 230, 0, 2, 128, 0, 0, 255, 1, 0, 0, 200, 3, 230, 0})
+	// The differential format: forty origins, one flood each 0.06 horizon
+	// apart, so about seventeen are live at once, the ring doubles and
+	// expiry pops round its end; then Len, reset and one more flood.
+	var seed []byte
+	for o := byte(0); o < 40; o++ {
+		seed = append(seed, 2*o, o, o, 0, 200, 0, 6, 0)
+	}
+	f.Add(append(seed, 240, 0, 0, 0, 255, 0, 2, 0, 0, 7, 7, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dupCacheScript(t, data)
+		dupDifferentialScript(t, data, false)
+		dupDifferentialScript(t, data, true)
+	})
 }
 
 // TestDupCacheFrozenClockOverflow: with the clock never advancing nothing
-// ever expires, so every flood past the eighth per origin spills. Each
-// must stay remembered and counted, and the FIFO must hold exactly the
-// live set. (Kept small: Seen scans an origin's live set.)
+// ever expires, so the ring doubles past every capacity. Each flood must
+// stay remembered and counted, and the ring must hold exactly the live
+// set.
 func TestDupCacheFrozenClockOverflow(t *testing.T) {
 	const origins, floods = 5, 2000
 	d := NewDupCache(des.NewSim(), des.Second)
@@ -93,49 +132,117 @@ func TestDupCacheFrozenClockOverflow(t *testing.T) {
 			t.Fatalf("flood %d forgotten on a frozen clock", i)
 		}
 	}
-	if d.Len() != floods || len(d.exps) != floods {
-		t.Fatalf("Len() = %d with %d expiry times, want every one of %d floods live", d.Len(), len(d.exps), floods)
+	if d.Len() != floods {
+		t.Fatalf("Len() = %d, want every one of %d floods live", d.Len(), floods)
 	}
+	checkDupIndex(t, d, floods)
 }
 
-// TestDupEntrySize: the ring scan in Seen is on the flood hot path.
+// TestDupEntrySize: every probe compares a ring entry's key.
 func TestDupEntrySize(t *testing.T) {
 	if s := unsafe.Sizeof(dupEntry{}); s != 16 {
 		t.Fatalf("dupEntry is %d bytes, want 16", s)
 	}
 }
 
-// TestDupCacheSpillBuffersSurviveReset: ring positions follow each run's
-// first-contact order, so a warm cache spills at positions that never
-// spilled before. The buffers a Reset freed must serve those first
-// spills: after one pass that spills at positions 8–11, passes that spill
-// the same count at positions 0–3 and then 4–7 allocate nothing.
-func TestDupCacheSpillBuffersSurviveReset(t *testing.T) {
-	const origins, spilled = 12, 4
+// TestDupCacheWarmReuseAllocatesNothing: the ring and index keep their
+// storage across Reset. After one pass with 40 floods live at once, a
+// pass that reaches the same peak from other origins, several floods
+// each, allocates nothing.
+func TestDupCacheWarmReuseAllocatesNothing(t *testing.T) {
+	const peak = 40
 	d := NewDupCache(des.NewSim(), des.Second)
-	// pass contacts every origin once, in order, so origin p takes ring
-	// position p, then gives origins first..first+spilled-1 nine live
-	// floods each (the clock is frozen), which spills their rings.
-	pass := func(first int) {
-		for o := 0; o < origins; o++ {
-			d.Seen(pkt.NodeID(o), 0)
+	pass := func(first, perOrigin int) {
+		for i := 0; i < peak; i++ {
+			d.Seen(pkt.NodeID(first+i/perOrigin), uint32(i))
 		}
-		for o := first; o < first+spilled; o++ {
-			for id := uint32(1); id <= dupRingSize; id++ {
-				d.Seen(pkt.NodeID(o), id)
-			}
-		}
-		if d.Len() != origins+spilled*dupRingSize {
-			t.Fatalf("Len() = %d, want %d", d.Len(), origins+spilled*dupRingSize)
+		if d.Len() != peak {
+			t.Fatalf("Len() = %d, want %d", d.Len(), peak)
 		}
 		d.Reset(des.Second)
 	}
-	first := origins - spilled
-	pass(first)
-	if a := testing.AllocsPerRun(1, func() {
-		first = (first + spilled) % origins
-		pass(first)
+	pass(0, 1)
+	capacity, first := len(d.ring), 0
+	if a := testing.AllocsPerRun(5, func() {
+		first += peak
+		pass(first, 5)
 	}); a != 0 {
-		t.Fatalf("spilling at new ring positions after a Reset allocated %.0f times, want 0", a)
+		t.Fatalf("a warm pass to the same peak from other origins allocated %.0f times, want 0", a)
+	}
+	if len(d.ring) != capacity {
+		t.Fatalf("ring capacity %d → %d for the same peak", capacity, len(d.ring))
+	}
+}
+
+// TestDupCacheSizedByLiveFloods: 10 000 origins send one flood each, the
+// clock stepping an eighth of the horizon per flood, so at most eight are
+// live at once. The cache must stay at its minimum capacity — it is sized
+// by the floods live, not by the origins heard — and still remember every
+// live flood.
+func TestDupCacheSizedByLiveFloods(t *testing.T) {
+	const origins, horizon = 10000, des.Second
+	sim := des.NewSim()
+	d := NewDupCache(sim, horizon)
+	for o := 0; o < origins; o++ {
+		sim.RunUntil(des.Time(o) * horizon / 8)
+		if d.Seen(pkt.NodeID(o), 1) {
+			t.Fatalf("origin %d: fresh flood reported seen", o)
+		}
+		if n := d.Len(); n > 8 {
+			t.Fatalf("origin %d: %d floods live, the schedule allows 8", o, n)
+		}
+		if o >= 7 && !d.Seen(pkt.NodeID(o-7), 1) {
+			t.Fatalf("origin %d: flood from origin %d forgotten while live", o, o-7)
+		}
+	}
+	if len(d.ring) > 16 || len(d.index) > 32 {
+		t.Fatalf("%d origins with at most 8 floods live: ring %d, index %d slots, want ≤ 16 and ≤ 32",
+			origins, len(d.ring), len(d.index))
+	}
+}
+
+// TestDupCacheProbeRunsWrap drives the index where deletion is hardest:
+// at minimum capacity, with keys chosen by search so that four share the
+// last slot as home (their probe run wraps the index end) and the rest
+// have homes on both sides of the wrap. Random orders of insertion, with
+// re-insertion after expiry, make expiry order differ from probe order,
+// so backward shift moves entries across the wrap. After every step the
+// cache must agree with the map oracle on every key and keep every live
+// entry reachable.
+func TestDupCacheProbeRunsWrap(t *testing.T) {
+	const horizon = des.Second
+	slots := 2 * dupMinCap
+	probe := NewDupCache(des.NewSim(), horizon)
+	want := map[int]int{slots - 1: 4, slots - 2: 1, 0: 2, 1: 1} // home slot → keys
+	var keys []rreqKey
+	for k := (rreqKey{}); len(keys) < dupMinCap; k.id++ {
+		if k.id == 1000 {
+			k.origin, k.id = k.origin+1, 0
+		}
+		if h := probe.home(k); want[h] > 0 {
+			want[h]--
+			keys = append(keys, k)
+		}
+	}
+	for trial := uint64(1); trial <= 200; trial++ {
+		r := rng.New(trial)
+		sim := des.NewSim()
+		d, oracle := NewDupCache(sim, horizon), newMapDupCache(sim, horizon)
+		for step := 0; step < 60; step++ {
+			sim.RunUntil(sim.Now() + des.Time(r.Intn(int(horizon/4))))
+			k := keys[r.Intn(len(keys))]
+			if g, w := d.Seen(k.origin, k.id), oracle.Seen(k.origin, k.id); g != w {
+				t.Fatalf("trial %d step %d: Seen(%v) = %v, the map says %v", trial, step, k, g, w)
+			}
+			for _, k := range keys {
+				if exp, ok := oracle.seen[k]; ok && exp > sim.Now() && !d.Seen(k.origin, k.id) {
+					t.Fatalf("trial %d step %d: live flood %v forgotten", trial, step, k)
+				}
+			}
+			checkDupCache(t, d, oracle, step)
+			if len(d.ring) != dupMinCap {
+				t.Fatalf("trial %d step %d: ring grew to %d with at most %d keys live", trial, step, len(d.ring), len(keys))
+			}
+		}
 	}
 }

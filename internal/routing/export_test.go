@@ -2,20 +2,21 @@ package routing
 
 // Hooks for the external integration tests (package routing_test).
 
-// MoveSlabs moves c's route, duplicate-ring and neighbour slabs to fresh,
-// exactly full arrays and poisons the old ones (see differential_test.go):
-// whatever still points into them is exposed, and each structure's next
-// insert moves its slab again.
+// MoveSlabs moves c's route and neighbour slabs to fresh, exactly full
+// arrays, and its duplicate cache's ring and index to fresh arrays of the
+// same lengths, and poisons the old ones (see differential_test.go):
+// whatever still points into them is exposed, and the table's and the
+// neighbour table's next insert moves its slab again.
 func (c *Core) MoveSlabs() {
 	moveTableSlab(c.table)
 	moveDupSlab(c.dup)
 	moveNeighborSlab(c.nbrs)
 }
 
-// SlabSizes returns {len, cap} of the route, duplicate-ring and neighbour
-// slabs.
-func (c *Core) SlabSizes() (routes, rings, nbrs [2]int) {
+// SlabSizes returns {len, cap} of the route and neighbour slabs and
+// {live floods, ring capacity} of the duplicate cache.
+func (c *Core) SlabSizes() (routes, floods, nbrs [2]int) {
 	return [2]int{len(c.table.entries), cap(c.table.entries)},
-		[2]int{len(c.dup.rings), cap(c.dup.rings)},
+		[2]int{c.dup.Len(), len(c.dup.ring)},
 		[2]int{len(c.nbrs.info), cap(c.nbrs.info)}
 }

@@ -63,7 +63,7 @@ func TestTableLookupExpiresBoundary(t *testing.T) {
 
 // TestDupCacheHorizonBoundary pins the duplicate-suppression boundary: a
 // flood recorded at t is a duplicate strictly before t+horizon and forgotten
-// at exactly t+horizon (exp <= now), when its slot counts as free.
+// at exactly t+horizon (exp <= now), when it is popped.
 func TestDupCacheHorizonBoundary(t *testing.T) {
 	sim := des.NewSim()
 	d := NewDupCache(sim, 2*des.Second)

@@ -234,7 +234,7 @@ func TestDupCacheExpiry(t *testing.T) {
 // TestDupCacheReusesExpiredSlot: an origin's live floods are never
 // forgotten, however many there are — 100 from one origin are all still
 // seen a tick before the horizon and none at it — and once they have
-// expired their slots take new floods without growing the ring's spill.
+// expired, as many new floods fit in the ring without growing it.
 func TestDupCacheReusesExpiredSlot(t *testing.T) {
 	sim := des.NewSim()
 	d := NewDupCache(sim, des.Second)
@@ -246,7 +246,7 @@ func TestDupCacheReusesExpiredSlot(t *testing.T) {
 	if d.Len() != 100 {
 		t.Fatalf("one origin holds %d live floods, want all 100", d.Len())
 	}
-	spill := len(d.spill[0])
+	capacity := len(d.ring)
 	sim.Schedule(des.Second-1, func() {
 		for i := uint32(0); i < 100; i++ {
 			if !d.Seen(1, i) {
@@ -263,9 +263,9 @@ func TestDupCacheReusesExpiredSlot(t *testing.T) {
 				t.Errorf("flood %d still seen at the horizon", i)
 			}
 		}
-		if d.Len() != 100 || len(d.spill[0]) != spill {
-			t.Errorf("len=%d, spill %d → %d; want the 100 re-recorded floods live in the old slots",
-				d.Len(), spill, len(d.spill[0]))
+		if d.Len() != 100 || len(d.ring) != capacity {
+			t.Errorf("len=%d, ring capacity %d → %d; want the 100 re-recorded floods live in the old ring",
+				d.Len(), capacity, len(d.ring))
 		}
 	})
 	sim.Run()

@@ -54,11 +54,13 @@ git -C "$root" archive "$parent" | tar -x -C "$tmp/src"
 # loss on top, the shape of the benchmark's mobile100 workload; Nakagami
 # fading, where every transmission rebuilds its set; and log-distance path
 # loss with per-link shadowing, kept moving so that model rebuilds too.
-# Then ROADMAP item 1's 900-node field, one cold run: there every node's
-# per-peer slabs (routes, duplicate rings, neighbours) grow mid-run. Then
-# packet journeys traced on every flow of the saturated gateway point. Last,
-# the loaded, session-churning regime the figures run (F-R3/F-R7 at
-# 20 pkt/s), where an origin has many floods live at a node at once.
+# Then ROADMAP item 8(b)'s 900-node field, one cold run: there every node's
+# per-peer slabs (routes, neighbours) and duplicate cache grow mid-run.
+# Then packet journeys traced on every flow of the saturated gateway point.
+# Last, the loaded, session-churning regime the figures run (F-R3/F-R7 at
+# 20 pkt/s), where an origin has many floods live at a node at once — for
+# flood once more with -metrics, whose per-tick dup_cache column then
+# compares the live-flood count where it peaks, at about 80 per node.
 scenarios=(
 	"-scheme clnlr"
 	"-scheme flood"
@@ -84,6 +86,7 @@ scenarios=(
 	"-journey 1 -gateway -flows 20 -rate 8"
 	"-session 10s -rate 20"
 	"-scheme flood -session 10s -rate 20"
+	"-metrics -scheme flood -session 10s -rate 20"
 )
 cd "$root"
 
