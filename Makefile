@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race bench-smoke bench-selftest bench-pair fuzz lint profile-largen profile-mobile profile-hotspot profile-serve report-identity instrument-cost loc
+.PHONY: verify build test race bench-smoke bench-selftest bench-pair fuzz lint profile-largen profile-mobile profile-hotspot profile-serve report-identity instrument-cost loc unlinked
 
 verify: build test race bench-smoke
 
@@ -63,6 +63,13 @@ bench-pair:
 # strictly down" acceptance and per-package claims compare.
 loc:
 	@bash scripts/loc.sh $(PARENT)
+
+# Functions and methods declared in non-test files under internal/ that no
+# binary links: every main package under cmd/, examples/ and bench/ built
+# with inlining off, read with `go tool nm`. The list ROADMAP's "delete
+# what nothing calls" starts from; reported, not gated.
+unlinked:
+	@bash scripts/unlinked.sh
 
 # What turning each instrument on costs: BenchmarkInstrumentCost's off/on
 # pairs (collector, auditor, journey recorder at 49 and 225 nodes), COUNT

@@ -31,9 +31,9 @@ func buildCLNLR(seed uint64, params core.Params, positions []geom.Point) (*des.S
 func TestEndToEndDelivery(t *testing.T) {
 	sim, nodes := buildCLNLR(3, core.DefaultParams(),
 		geom.ChainPlacement(geom.Point{}, 4, 200))
-	sim.Schedule(2*des.Second, func() {
+	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
-	})
+	}), 0, 0)
 	sim.RunUntil(10 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
 		t.Fatal("CLNLR chain delivery failed")
@@ -54,9 +54,9 @@ func TestOnRREQSuppressionObservable(t *testing.T) {
 	p.PMin, p.PMax, p.PBase, p.Gamma = 0.001, 0.001, 0.001, 0
 	p.RetryBoost = 0 // keep retries suppressed too
 	sim, nodes := buildCLNLR(5, p, geom.ChainPlacement(geom.Point{}, 4, 200))
-	sim.Schedule(2*des.Second, func() {
+	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
-	})
+	}), 0, 0)
 	sim.RunUntil(15 * des.Second)
 	var suppressed uint64
 	for _, n := range nodes {
@@ -77,9 +77,9 @@ func TestRetryBoostRescuesSuppressedDiscovery(t *testing.T) {
 	p.PMin, p.PMax, p.PBase, p.Gamma = 0.001, 1, 0.001, 0
 	p.RetryBoost = 1 // first retry escalates to certainty
 	sim, nodes := buildCLNLR(5, p, geom.ChainPlacement(geom.Point{}, 4, 200))
-	sim.Schedule(2*des.Second, func() {
+	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
-	})
+	}), 0, 0)
 	sim.RunUntil(15 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
 		t.Fatal("retry escalation failed to rescue the discovery")
@@ -102,10 +102,9 @@ func TestCostIncrementReflectsLoad(t *testing.T) {
 	}
 	// Saturate the middle node's channel, then re-check: the increment
 	// must rise with neighbourhood load.
-	tick := des.NewTicker(sim, 3*des.Millisecond, func() {
+	sim.AtTrain(sim.Now(), 3*des.Millisecond, 1<<20, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 1, 1000, 0, 0, sim.Now(), 30))
-	})
-	tick.Start(0)
+	}), 0, 0)
 	sim.RunUntil(15 * des.Second)
 	loadedCost := pol.CostIncrement(agent)
 	if loadedCost <= idleCost+0.05 {
@@ -121,9 +120,9 @@ func TestCostIncrementReflectsLoad(t *testing.T) {
 // density term has neighbour counts) and discovers across a chain.
 func TestAdaptiveDeliversOnChain(t *testing.T) {
 	sim, nodes := buildCLNLR(5, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 4, 200))
-	sim.Schedule(3*des.Second, func() { // after HELLOs establish degrees
+	sim.ScheduleCall(3*des.Second, des.Func(func() { // after HELLOs establish degrees
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
-	})
+	}), 0, 0)
 	sim.RunUntil(15 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
 		t.Fatal("adaptive gossip failed on a chain")
@@ -138,10 +137,9 @@ func TestAdaptiveDeliversOnChain(t *testing.T) {
 // loaded (Beta 0).
 func TestDensityOnlyCostIgnoresLoad(t *testing.T) {
 	sim, nodes := buildCLNLR(7, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 3, 200))
-	tick := des.NewTicker(sim, 3*des.Millisecond, func() {
+	sim.AtTrain(5*des.Second, 3*des.Millisecond, 1<<20, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 1, 1000, 0, 0, sim.Now(), 30))
-	})
-	tick.Start(5 * des.Second)
+	}), 0, 0)
 	agent := nodes[1].Agent
 	pol := agent.Policy().(*core.Policy)
 	for _, at := range []des.Time{4 * des.Second, 15 * des.Second} {
@@ -159,9 +157,9 @@ func TestTwoHopVariantRuns(t *testing.T) {
 	p := core.DefaultParams()
 	p.TwoHop = true
 	sim, nodes := buildCLNLR(11, p, geom.ChainPlacement(geom.Point{}, 3, 200))
-	sim.Schedule(2*des.Second, func() {
+	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, 0, sim.Now(), 30))
-	})
+	}), 0, 0)
 	sim.RunUntil(10 * des.Second)
 	if nodes[2].Agent.Ctr.DataDelivered != 1 {
 		t.Fatal("two-hop variant failed to deliver")
@@ -195,15 +193,14 @@ func TestMinCostReplySelectsUnloadedPath(t *testing.T) {
 	sim, nodes := buildCLNLR(13, p, positions)
 
 	// Saturate the jammer pair to load node 1's neighbourhood.
-	jam := des.NewTicker(sim, 4*des.Millisecond, func() {
+	sim.AtTrain(des.Second, 4*des.Millisecond, 1<<20, des.Func(func() {
 		nodes[4].Agent.Send(nilPool.Data(4, 5, 1000, 9, 0, sim.Now(), 30))
-	})
-	jam.Start(des.Second)
+	}), 0, 0)
 
 	// After the load estimators settle, discover 0→3 and inspect the route.
-	sim.Schedule(20*des.Second, func() {
+	sim.ScheduleCall(20*des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
-	})
+	}), 0, 0)
 	sim.RunUntil(30 * des.Second)
 
 	r, ok := nodes[0].Agent.Table().Get(3)

@@ -45,7 +45,7 @@ func runCorruptions(t *testing.T, s *Sim, cs []corruption) {
 func TestAuditQueueCatchesCorruption(t *testing.T) {
 	const now = 10 * Millisecond
 	s := NewSim()
-	fh := &funcHandler{fn: func() {}}
+	fh := Func(func() {})
 	fast, slow := s.Lane(Millisecond), s.Lane(2*Millisecond)
 	var evs []Event
 	for k := Time(1); k <= 4; k++ {
@@ -58,7 +58,7 @@ func TestAuditQueueCatchesCorruption(t *testing.T) {
 	s.RunUntil(now)
 	evs[1].Cancel()
 	for _, us := range []Time{10000, 10800, 10850, 10900, 20000, 1000000, 2000000} {
-		s.At(us*Microsecond, func() {})
+		s.AtCall(us*Microsecond, Func(func() {}), 0, 0)
 	}
 	l, m := &s.lanes[fast.i], &s.lanes[slow.i]
 	live := l.slot // slot 1 is the stale one
@@ -175,11 +175,11 @@ func TestAuditQueueCatchesCorruption(t *testing.T) {
 func TestAuditQueueAllocatesNothing(t *testing.T) {
 	s := NewSim()
 	for i := 0; i < 600; i++ {
-		s.Schedule(Time(i)*150*Microsecond, func() {})
+		s.ScheduleCall(Time(i)*150*Microsecond, Func(func() {}), 0, 0)
 	}
-	s.Schedule(5*Second, func() {})
+	s.ScheduleCall(5*Second, Func(func() {}), 0, 0)
 	// Lanes populated, stale slots included.
-	h := &funcHandler{fn: func() {}}
+	h := Func(func() {})
 	for d := Time(1); d <= 4; d++ {
 		l := s.Lane(d * 100 * Microsecond)
 		for i := 0; i < 50; i++ {

@@ -158,7 +158,7 @@ func (o *oracleSim) reset() {
 
 // scriptTarget is what queueScript drives: the kernel or the oracle.
 type scriptTarget struct {
-	schedule func(delay Time, typed bool, fn func()) (cancel func())
+	schedule func(delay Time, fn func()) (cancel func())
 	lane     func(delay Time, fn func()) (cancel func())
 	train    func(delay, period Time, n int, fn func()) (cancel func())
 	runUntil func(horizon Time)
@@ -180,13 +180,8 @@ func simTarget(t *testing.T, s *Sim) scriptTarget {
 		s.Lane(Time(1)<<40 + Time(i))
 	}
 	return scriptTarget{
-		schedule: func(delay Time, typed bool, fn func()) func() {
-			var ev Event
-			if typed {
-				ev = s.ScheduleCall(delay, &funcHandler{fn: fn}, 0, 0)
-			} else {
-				ev = s.Schedule(delay, fn)
-			}
+		schedule: func(delay Time, fn func()) func() {
+			ev := s.ScheduleCall(delay, Func(fn), 0, 0)
 			audit("schedule")
 			return func() { ev.Cancel(); audit("cancel") }
 		},
@@ -196,12 +191,12 @@ func simTarget(t *testing.T, s *Sim) scriptTarget {
 				l = s.Lane(delay)
 				lanes[delay] = l
 			}
-			ev := l.Call(&funcHandler{fn: fn}, 0, 0)
+			ev := l.Call(Func(fn), 0, 0)
 			audit("lane")
 			return func() { ev.Cancel(); audit("cancel") }
 		},
 		train: func(delay, period Time, n int, fn func()) func() {
-			ev := s.AtTrain(s.Now()+delay, period, n, &funcHandler{fn: fn}, 0, 0)
+			ev := s.AtTrain(s.Now()+delay, period, n, Func(fn), 0, 0)
 			audit("train")
 			return func() { ev.Cancel(); audit("cancel") }
 		},
@@ -214,7 +209,7 @@ func simTarget(t *testing.T, s *Sim) scriptTarget {
 
 func oracleTarget(o *oracleSim) scriptTarget {
 	return scriptTarget{
-		schedule: func(delay Time, _ bool, fn func()) func() {
+		schedule: func(delay Time, fn func()) func() {
 			n := o.schedule(delay, fn)
 			o.noteHW()
 			return func() { o.cancel(n) }
@@ -241,7 +236,7 @@ func oracleTarget(o *oracleSim) scriptTarget {
 
 // laneDelay maps a script byte to one of 12 lane delays, multiples of
 // 250 µs from zero (few, so lanes hold queues); byte 4 is 1 ms, the delay
-// of the typed op's byte 0, so the heap and a lane tie on time.
+// of op 2's byte 0, so the heap and a lane tie on time.
 func laneDelay(v int) Time { return Time(max(v, 0)%12) * 250 * Microsecond }
 
 // freeLanes is how many lanes the kernel target leaves a script: the
@@ -287,13 +282,13 @@ func queueScript(data []byte, tg scriptTarget) []string {
 			break
 		}
 		switch op % 10 {
-		case 0, 1: // closure event; delays from 2 µs to minutes
+		case 0, 1: // heap event; delays from 2 µs to minutes
 			d := Time(next()+1) * Time(1<<(uint(next()+1)%20)) * Microsecond
-			cancels = append(cancels, tg.schedule(d, false, fire(serial)))
+			cancels = append(cancels, tg.schedule(d, fire(serial)))
 			serial++
-		case 2: // typed event
+		case 2: // heap event on the millisecond grid the lanes share
 			d := Time(next()+1) * Millisecond
-			cancels = append(cancels, tg.schedule(d, true, fire(serial)))
+			cancels = append(cancels, tg.schedule(d, fire(serial)))
 			serial++
 		case 3: // cancel an arbitrary handle: pending, fired, cancelled or its own
 			if v, n := next(), len(cancels); v >= 0 && n > 0 {
@@ -314,7 +309,7 @@ func queueScript(data []byte, tg scriptTarget) []string {
 			v, id := next(), serial
 			serial++
 			fired := fire(id)
-			cancels = append(cancels, tg.schedule(d, v%2 == 0, func() {
+			cancels = append(cancels, tg.schedule(d, func() {
 				fired()
 				if v >= 0 {
 					cancels[v%len(cancels)]()
@@ -392,12 +387,12 @@ func FuzzQueueDifferential(f *testing.F) {
 	// An event that cancels itself as it fires, one that cancels a later
 	// one, and a cancel across a reset.
 	f.Add([]byte{6, 0, 0, 6, 1, 3, 2, 9, 2, 9, 4, 0, 5, 0, 2, 3, 3, 2, 3, 4, 4, 20})
-	// Two trains interleaved with typed events at shared instants, run in
+	// Two trains interleaved with heap events at shared instants, run in
 	// slices; one cancelled from outside, then a train whose tick cancels
 	// its own train, and a reset with a train queued.
 	f.Add([]byte{7, 4, 2, 5, 0, 2, 0, 7, 4, 2, 7, 0, 2, 2, 4, 1, 3, 1, 4, 3, 7, 0, 1, 6, 3, 4, 9, 7, 0, 1, 6, 0, 5, 0, 4, 50})
-	// Lanes of 1 ms, 250 µs and 0 beside a typed heap event and a closure
-	// at 1 ms scheduled at the same instant — (time, seq) ties across the
+	// Lanes of 1 ms, 250 µs and 0 beside two heap events at 1 ms, one
+	// from op 2 and one from op 0, scheduled at the same instant — (time, seq) ties across the
 	// heap and the lanes — then the same again once the clock has moved,
 	// and a fifth delay, which falls back to the heap.
 	f.Add([]byte{2, 0, 8, 4, 8, 1, 8, 0, 0, 124, 2, 8, 4, 4, 0, 8, 4, 2, 0, 8, 8, 8, 3, 4, 5})

@@ -24,7 +24,7 @@ func TestRunUntilDrainedQueueClampsToMaxTime(t *testing.T) {
 	// MaxTime is a horizon like any other: the clock does not stay at the
 	// last event.
 	s := NewSim()
-	s.Schedule(Second, func() {})
+	s.ScheduleCall(Second, Func(func() {}), 0, 0)
 	s.RunUntil(MaxTime)
 	if s.Now() != MaxTime {
 		t.Fatalf("RunUntil(MaxTime) left clock at %v, want MaxTime", s.Now())
@@ -33,7 +33,7 @@ func TestRunUntilDrainedQueueClampsToMaxTime(t *testing.T) {
 
 func TestRunDoesNotClamp(t *testing.T) {
 	s := NewSim()
-	s.Schedule(Second, func() {})
+	s.ScheduleCall(Second, Func(func() {}), 0, 0)
 	s.Run()
 	if s.Now() != Second {
 		t.Fatalf("Run() left clock at %v, want 1s (no horizon clamp)", s.Now())
@@ -42,7 +42,7 @@ func TestRunDoesNotClamp(t *testing.T) {
 
 func TestStopSuppressesHorizonClamp(t *testing.T) {
 	s := NewSim()
-	s.Schedule(Second, func() { s.Stop() })
+	s.ScheduleCall(Second, Func(func() { s.Stop() }), 0, 0)
 	s.RunUntil(10 * Second)
 	if s.Now() != Second {
 		t.Fatalf("clock at %v after Stop, want the stopping handler's 1s", s.Now())
@@ -62,9 +62,9 @@ func TestCalendarRebaseOnEarlierInsert(t *testing.T) {
 	s := NewSim()
 	var order []Time
 	rec := func() { order = append(order, s.Now()) }
-	s.At(5*Second, rec)
-	s.At(0, rec) // must still fire first
-	s.At(2*Second, rec)
+	s.AtCall(5*Second, Func(rec), 0, 0)
+	s.AtCall(0, Func(rec), 0, 0) // must still fire first
+	s.AtCall(2*Second, Func(rec), 0, 0)
 	s.Run()
 	want := []Time{0, 2 * Second, 5 * Second}
 	for i, w := range want {
@@ -80,7 +80,7 @@ func TestCalendarOverflowTier(t *testing.T) {
 	s := NewSim()
 	var order []Time
 	for i := 20; i >= 0; i-- {
-		s.At(Time(i)*3600*Second, func() { order = append(order, s.Now()) })
+		s.AtCall(Time(i)*3600*Second, Func(func() { order = append(order, s.Now()) }), 0, 0)
 	}
 	s.Run()
 	if len(order) != 21 {
@@ -102,13 +102,13 @@ func TestCalendarResize(t *testing.T) {
 	fired := 0
 	var last Time = -1
 	for i := 0; i < n; i++ {
-		s.Schedule(Time(src.Intn(int(10*Second))), func() {
+		s.ScheduleCall(Time(src.Intn(int(10*Second))), Func(func() {
 			if s.Now() < last {
 				t.Fatalf("time went backwards: %v after %v", s.Now(), last)
 			}
 			last = s.Now()
 			fired++
-		})
+		}), 0, 0)
 	}
 	s.Run()
 	if fired != n {
@@ -124,12 +124,12 @@ func TestCalendarSameTimeStorm(t *testing.T) {
 	next := 0
 	for i := 0; i < n; i++ {
 		i := i
-		s.At(Second, func() {
+		s.AtCall(Second, Func(func() {
 			if i != next {
 				t.Fatalf("same-time event %d fired at position %d", i, next)
 			}
 			next++
-		})
+		}), 0, 0)
 	}
 	s.Run()
 	if next != n {
@@ -144,9 +144,9 @@ func TestCalendarWindowReadvance(t *testing.T) {
 	var order []Time
 	rec := func() { order = append(order, s.Now()) }
 	for _, at := range []Time{Millisecond, Second, 60 * Second, 30 * 60 * Second, 2 * 3600 * Second} {
-		s.At(at, rec)
+		s.AtCall(at, Func(rec), 0, 0)
 	}
-	s.At(60*Second, func() { s.Schedule(Microsecond, rec) })
+	s.AtCall(60*Second, Func(func() { s.ScheduleCall(Microsecond, Func(rec), 0, 0) }), 0, 0)
 	s.Run()
 	for i := 1; i < len(order); i++ {
 		if order[i] < order[i-1] {
@@ -190,25 +190,35 @@ func TestTypedEventsDeliverOpAndArg(t *testing.T) {
 	}
 }
 
+// TestTypedAndClosureEventsShareOneOrder: a closure scheduled through
+// Func is an event like any other. At one instant, Func events and a
+// component's typed events, on the heap and on a lane, fire in the order
+// they were scheduled.
 func TestTypedAndClosureEventsShareOneOrder(t *testing.T) {
 	s := NewSim()
 	var order []string
-	h := &funcHandler{fn: func() { order = append(order, "typed") }}
-	s.Schedule(Second, func() { order = append(order, "closure1") })
-	s.ScheduleCall(Second, h, 0, 0)
-	s.Schedule(Second, func() { order = append(order, "closure2") })
+	closure := func(name string) Func { return func() { order = append(order, name) } }
+	h := opNamer{&order}
+	lane := s.Lane(Second)
+	s.ScheduleCall(Second, closure("closure1"), 0, 0)
+	s.ScheduleCall(Second, h, 1, 0)
+	lane.Call(h, 2, 0)
+	s.AtCall(Second, closure("closure2"), 0, 0)
+	lane.Call(closure("closure3"), 0, 0)
+	s.ScheduleCall(Second, h, 3, 0)
 	s.Run()
-	want := []string{"closure1", "typed", "closure2"}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("order %v, want %v", order, want)
-		}
+	want := []string{"closure1", "typed1", "typed2", "closure2", "closure3", "typed3"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 }
 
-type funcHandler struct{ fn func() }
+// opNamer is a component's Handler: it logs each event as "typed<op>".
+type opNamer struct{ order *[]string }
 
-func (h *funcHandler) HandleEvent(int32, uint32) { h.fn() }
+func (h opNamer) HandleEvent(op int32, _ uint32) {
+	*h.order = append(*h.order, fmt.Sprintf("typed%d", op))
+}
 
 func TestTypedEventCancel(t *testing.T) {
 	s := NewSim()
@@ -233,7 +243,7 @@ func TestNilTypedHandlerPanics(t *testing.T) {
 
 func TestTypedScheduleDoesNotAllocate(t *testing.T) {
 	s := NewSim()
-	h := &funcHandler{fn: func() {}}
+	h := Func(func() {})
 	// Warm the pools.
 	for i := 0; i < 100; i++ {
 		s.ScheduleCall(Microsecond, h, 0, 0)
@@ -245,6 +255,15 @@ func TestTypedScheduleDoesNotAllocate(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state typed scheduling allocates %.1f per run", allocs)
+	}
+	// A func value is pointer-shaped: wrapping one that captures nothing
+	// in Func and scheduling it allocates nothing either.
+	allocs = testing.AllocsPerRun(100, func() {
+		s.ScheduleCall(Microsecond, Func(func() {}), 0, 0)
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Fatalf("scheduling a non-capturing Func allocates %.1f per run", allocs)
 	}
 	// Lane scheduling and cancelling on the warm Sim: the rings keep their
 	// storage, a cancelled slot is skipped, not freed.
@@ -276,7 +295,7 @@ func TestTypedScheduleDoesNotAllocate(t *testing.T) {
 func TestFreeListCap(t *testing.T) {
 	s := NewSim()
 	for i := 0; i < freeListCap+100; i++ {
-		s.Schedule(Time(i)*Microsecond, func() {})
+		s.ScheduleCall(Time(i)*Microsecond, Func(func() {}), 0, 0)
 	}
 	s.Run()
 	if got := s.free.Len(); got != freeListCap {
@@ -290,7 +309,7 @@ func TestFreeListCap(t *testing.T) {
 func TestPendingHighWater(t *testing.T) {
 	s := NewSim()
 	for i := 0; i < 37; i++ {
-		s.Schedule(Time(i)*Millisecond, func() {})
+		s.ScheduleCall(Time(i)*Millisecond, Func(func() {}), 0, 0)
 	}
 	s.Run()
 	if s.PendingHighWater() != 37 {
@@ -311,10 +330,10 @@ func TestPendingHighWater(t *testing.T) {
 func TestTrainHoldsOneSlot(t *testing.T) {
 	s := NewSim()
 	var got []string
-	h := &funcHandler{fn: func() { got = append(got, fmt.Sprintf("train@%d", s.Now()/Millisecond)) }}
-	s.At(2*Millisecond, func() { got = append(got, "before@2") })
+	h := Func(func() { got = append(got, fmt.Sprintf("train@%d", s.Now()/Millisecond)) })
+	s.AtCall(2*Millisecond, Func(func() { got = append(got, "before@2") }), 0, 0)
 	s.AtTrain(Millisecond, Millisecond, 4, h, 0, 0)
-	s.At(2*Millisecond, func() { got = append(got, "after@2") })
+	s.AtCall(2*Millisecond, Func(func() { got = append(got, "after@2") }), 0, 0)
 	if s.Pending() != 3 {
 		t.Fatalf("Pending = %d with a 4-tick train and two events, want 3", s.Pending())
 	}
@@ -339,5 +358,70 @@ func TestTrainHoldsOneSlot(t *testing.T) {
 	}
 	if ev := s.AtTrain(0, Millisecond, 0, h, 0, 0); ev.Valid() || s.Pending() != 0 {
 		t.Fatal("a zero-tick train was queued")
+	}
+}
+
+// TestTrainTicksAtItsPeriod: a train of n ticks fires at t, t+p, …,
+// t+(n−1)p and then is done — its handle fired, nothing left queued.
+func TestTrainTicksAtItsPeriod(t *testing.T) {
+	s := NewSim()
+	var ticks []Time
+	ev := s.AtTrain(Second, Second, 5, Func(func() { ticks = append(ticks, s.Now()) }), 0, 0)
+	s.RunUntil(4*Second + 500*Millisecond)
+	if len(ticks) != 4 || ev.Fired() || s.Pending() != 1 {
+		t.Fatalf("by 4.5 s: ticks %v, handle fired %v, pending %d; want 4 ticks, false, 1", ticks, ev.Fired(), s.Pending())
+	}
+	s.Run()
+	if len(ticks) != 5 || !ev.Fired() || s.Pending() != 0 {
+		t.Fatalf("after Run: ticks %v, handle fired %v, pending %d; want 5 ticks, true, 0", ticks, ev.Fired(), s.Pending())
+	}
+	for i, at := range ticks {
+		if at != Time(i+1)*Second {
+			t.Fatalf("tick %d at %v", i, at)
+		}
+	}
+}
+
+// TestTrainCancelFromTick: a tick that cancels its own train fires, and
+// no tick after it does.
+func TestTrainCancelFromTick(t *testing.T) {
+	s := NewSim()
+	n := 0
+	var ev Event
+	ev = s.AtTrain(Second, Second, 100, Func(func() {
+		if n++; n == 3 {
+			ev.Cancel()
+		}
+	}), 0, 0)
+	s.RunUntil(100 * Second)
+	if n != 3 || s.Pending() != 0 {
+		t.Fatalf("train fired %d ticks after cancelling itself at 3, %d pending", n, s.Pending())
+	}
+}
+
+// TestTrainRejectsBadArguments: a train with a negative period, or one
+// starting before the clock, panics and queues nothing.
+func TestTrainRejectsBadArguments(t *testing.T) {
+	s := NewSim()
+	s.RunUntil(Second)
+	h := Func(func() {})
+	for _, c := range []struct {
+		name          string
+		start, period Time
+	}{
+		{"negative period", 2 * Second, -Millisecond},
+		{"start before the clock", Second - 1, Millisecond},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AtTrain with %s did not panic", c.name)
+				}
+			}()
+			s.AtTrain(c.start, c.period, 3, h, 0, 0)
+		}()
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events queued by rejected trains", s.Pending())
 	}
 }

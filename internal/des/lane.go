@@ -100,10 +100,10 @@ func (l Lane) Call(h Handler, op int32, arg uint32) Event {
 	if h == nil {
 		panic("des: Lane.Call with nil handler")
 	}
-	n, t := s.alloc(s.now + l.d)
+	n := s.alloc(s.now + l.d)
 	n.h, n.op, n.arg = h, op, arg
 	s.pushLane(int(l.i), n)
-	return Event{n: n, gen: n.gen, at: t}
+	return Event{n: n, gen: n.gen}
 }
 
 // The run loop's view of the lanes: laneMask has bit i set iff lane i

@@ -6,14 +6,14 @@ import "testing"
 // that reuses the same pooled node.
 func TestStaleCancelDoesNotHitRecycledNode(t *testing.T) {
 	s := NewSim()
-	first := s.Schedule(Second, func() {})
+	first := s.ScheduleCall(Second, Func(func() {}), 0, 0)
 	s.Run()
 	if !first.Fired() {
 		t.Fatal("first event did not fire")
 	}
-	// The next Schedule reuses the node first's handle still points at.
+	// The next ScheduleCall reuses the node first's handle still points at.
 	fired := false
-	second := s.Schedule(Second, func() { fired = true })
+	second := s.ScheduleCall(Second, Func(func() { fired = true }), 0, 0)
 	first.Cancel() // stale: must be a no-op
 	if second.Fired() || s.Pending() != 1 {
 		t.Fatal("stale Cancel cancelled the recycled node's new event")
@@ -28,11 +28,11 @@ func TestStaleCancelDoesNotHitRecycledNode(t *testing.T) {
 // too.
 func TestStaleHandleAfterCancelReap(t *testing.T) {
 	s := NewSim()
-	victim := s.Schedule(Second, func() { t.Fatal("cancelled event fired") })
+	victim := s.ScheduleCall(Second, Func(func() { t.Fatal("cancelled event fired") }), 0, 0)
 	victim.Cancel()
 	s.Run()
 	fired := false
-	s.Schedule(Second, func() { fired = true })
+	s.ScheduleCall(Second, Func(func() { fired = true }), 0, 0)
 	victim.Cancel() // stale
 	s.Run()
 	if !fired {
@@ -44,13 +44,13 @@ func TestStaleHandleAfterCancelReap(t *testing.T) {
 func TestZeroEventIsInert(t *testing.T) {
 	var e Event
 	e.Cancel()
-	if e.Valid() || e.Fired() || e.Time() != 0 {
+	if e.Valid() || e.Fired() {
 		t.Fatalf("zero Event not inert: %+v", e)
 	}
 }
 
 // Steady-state event churn must not allocate: the free list feeds every
-// Schedule once the first wave of nodes has fired.
+// ScheduleCall once the first wave of nodes has fired.
 func TestEventChurnDoesNotAllocate(t *testing.T) {
 	s := NewSim()
 	n := 0
@@ -58,13 +58,13 @@ func TestEventChurnDoesNotAllocate(t *testing.T) {
 	step = func() {
 		n++
 		if n < 10_000 {
-			s.Schedule(Microsecond, step)
+			s.ScheduleCall(Microsecond, Func(step), 0, 0)
 		}
 	}
 	// AllocsPerRun runs the chain once to warm up, then once measured.
 	allocs := testing.AllocsPerRun(1, func() {
 		n = 0
-		s.Schedule(Microsecond, step)
+		s.ScheduleCall(Microsecond, Func(step), 0, 0)
 		s.Run()
 	})
 	if allocs > 1 {
@@ -77,20 +77,20 @@ func TestEventChurnDoesNotAllocate(t *testing.T) {
 	// the last one armed, then arms both again and the next busy edge.
 	difs, busy, timeout := s.Lane(50*Microsecond), s.Lane(20*Microsecond), s.Lane(300*Microsecond)
 	var armed, pending Event
-	var edge funcHandler
-	edge.fn = func() {
+	var edge Func
+	edge = func() {
 		n++
 		armed.Cancel()
 		pending.Cancel()
 		if n < 10_000 {
-			armed = difs.Call(&edge, 0, 0)
-			pending = timeout.Call(&edge, 0, 0)
-			busy.Call(&edge, 0, 0)
+			armed = difs.Call(edge, 0, 0)
+			pending = timeout.Call(edge, 0, 0)
+			busy.Call(edge, 0, 0)
 		}
 	}
 	allocs = testing.AllocsPerRun(1, func() {
 		n = 0
-		busy.Call(&edge, 0, 0)
+		busy.Call(edge, 0, 0)
 		s.Run()
 	})
 	if allocs > 1 {
@@ -112,7 +112,7 @@ func TestCancelRemovesAtOnce(t *testing.T) {
 	var evs []Event
 	for i := 0; i < 10; i++ {
 		i := i
-		evs = append(evs, s.Schedule(Time(i+1)*Second, func() { fired[i] = true }))
+		evs = append(evs, s.ScheduleCall(Time(i+1)*Second, Func(func() { fired[i] = true }), 0, 0))
 	}
 	check := func(what string, pending int) {
 		t.Helper()
@@ -141,7 +141,7 @@ func TestCancelRemovesAtOnce(t *testing.T) {
 	free := s.free.Len()
 	for i := 10; i < 13; i++ {
 		i := i
-		s.Schedule(Time(i+1)*Second, func() { fired[i] = true })
+		s.ScheduleCall(Time(i+1)*Second, Func(func() { fired[i] = true }), 0, 0)
 	}
 	if s.free.Len() != free-3 {
 		t.Fatalf("free list went %d → %d over three schedules, want the cancelled nodes reused", free, s.free.Len())
@@ -153,17 +153,17 @@ func TestCancelRemovesAtOnce(t *testing.T) {
 
 	// From inside the event's own handler, and after it fired.
 	var self Event
-	self = s.Schedule(500*Millisecond, func() {
+	self = s.ScheduleCall(500*Millisecond, Func(func() {
 		self.Cancel()
 		check("cancelled from its own handler", 10)
-	})
+	}), 0, 0)
 	s.RunUntil(2 * Second) // fires self and event 1
 	evs[1].Cancel()
 	check("cancelled after it fired", 9)
 
 	// After Reset every handle is stale.
 	s.Reset()
-	keep := s.Schedule(Second, func() { fired[99] = true })
+	keep := s.ScheduleCall(Second, Func(func() { fired[99] = true }), 0, 0)
 	for _, ev := range evs {
 		ev.Cancel()
 	}

@@ -10,8 +10,8 @@ func TestResetDiscardsPendingAndRestartsClock(t *testing.T) {
 	s := NewSim()
 	fired := 0
 	leaked := false
-	s.Schedule(Second, func() { fired++ })
-	s.Schedule(2*Second, func() { leaked = true })
+	s.ScheduleCall(Second, Func(func() { fired++ }), 0, 0)
+	s.ScheduleCall(2*Second, Func(func() { leaked = true }), 0, 0)
 	s.RunUntil(Second)
 	if fired != 1 {
 		t.Fatalf("fired %d events before reset, want 1", fired)
@@ -30,7 +30,7 @@ func TestResetDiscardsPendingAndRestartsClock(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		s.Schedule(Second, func() { order = append(order, i) })
+		s.ScheduleCall(Second, Func(func() { order = append(order, i) }), 0, 0)
 	}
 	s.Run()
 	if leaked {
@@ -51,9 +51,9 @@ func TestResetDiscardsPendingAndRestartsClock(t *testing.T) {
 func TestResetZeroesPerRunDiagnostics(t *testing.T) {
 	s := NewSim()
 	for i := 0; i < freeListCap+10; i++ {
-		s.Schedule(Time(i)*Millisecond, func() {})
+		s.ScheduleCall(Time(i)*Millisecond, Func(func() {}), 0, 0)
 	}
-	s.Schedule(Second, func() { s.At(0, func() {}) })
+	s.ScheduleCall(Second, Func(func() { s.AtCall(0, Func(func() {}), 0, 0) }), 0, 0)
 	s.Run()
 	if s.FreeListDrops() == 0 || s.PendingHighWater() == 0 || s.PastSchedules() == 0 || s.Executed() == 0 {
 		t.Fatalf("run left drops=%d hw=%d past=%d executed=%d; the test needs all four nonzero",
@@ -72,9 +72,9 @@ func TestResetZeroesPerRunDiagnostics(t *testing.T) {
 func TestResetStalesHandles(t *testing.T) {
 	s := NewSim()
 	hit := 0
-	pending := s.Schedule(5*Second, func() { hit++ })
-	fired := s.Schedule(Second, func() {})
-	canceled := s.Schedule(2*Second, func() {})
+	pending := s.ScheduleCall(5*Second, Func(func() { hit++ }), 0, 0)
+	fired := s.ScheduleCall(Second, Func(func() {}), 0, 0)
+	canceled := s.ScheduleCall(2*Second, Func(func() {}), 0, 0)
 	canceled.Cancel()
 	s.RunUntil(3 * Second)
 
@@ -85,7 +85,7 @@ func TestResetStalesHandles(t *testing.T) {
 
 	// The recycled nodes now back fresh events; stale Cancels must not
 	// touch them.
-	replacement := s.Schedule(Second, func() { hit += 10 })
+	replacement := s.ScheduleCall(Second, Func(func() { hit += 10 }), 0, 0)
 	pending.Cancel()
 	fired.Cancel()
 	canceled.Cancel()

@@ -21,12 +21,11 @@
 // harness (fuzz_test.go) checks heap and lanes against a pointer binary
 // heap with lazy cancellation over arbitrary operation interleavings.
 //
-// Events come in two flavours. The closure form (Schedule/At) takes a
-// func() and is right for cold call sites; a closure that captures state
-// allocates at every call. The typed form (ScheduleCall/AtCall) carries a
-// Handler interface plus a small inline payload (op, arg) in the pooled
-// event node, so the per-packet hot paths — radio airtime completions, MAC
-// timers, routing RREQ jitter — schedule without allocating at all.
+// Every event is typed: a Handler interface plus a small inline payload
+// (op, arg) in the pooled event node, so the per-packet hot paths — radio
+// airtime completions, MAC timers, routing RREQ jitter — schedule without
+// allocating, and the run loop makes one dispatch call per event. A cold
+// call site or a test that wants a closure wraps it in Func.
 //
 // A train (AtTrain) is n typed events at a fixed period that occupies one
 // slot of the event list. Its n sequence numbers are taken when it is
@@ -59,25 +58,30 @@ import "clnlr/internal/recycle"
 // once and receives every typed event scheduled against it through
 // ScheduleCall/AtCall; op discriminates the event kind within the handler
 // and arg carries a small payload (a node ID, a pool slot) — both are
-// opaque to the kernel. Typed events exist because a capturing closure
-// allocates at every Schedule call site; the typed form stores its payload
-// inline in the pooled event node instead.
+// opaque to the kernel. The payload lives inline in the pooled event
+// node, so scheduling allocates nothing where a capturing closure would.
 type Handler interface {
 	HandleEvent(op int32, arg uint32)
 }
 
+// Func adapts a plain function to a Handler that ignores op and arg:
+// ScheduleCall(d, Func(f), 0, 0) schedules f. A func value is
+// pointer-shaped, so the conversion itself allocates nothing.
+type Func func()
+
+// HandleEvent calls f.
+func (f Func) HandleEvent(int32, uint32) { f() }
+
 // eventNode is the pooled storage behind an Event handle. gen increments
 // each time the node is recycled, invalidating outstanding handles; a node
 // whose gen still matches a handle is queued at heap position idx, or on
-// lane −idx−1 when idx is negative. A node carries either a closure
-// (fn != nil) or a typed event (h != nil), never both, and belongs to one
-// Sim for life. left counts a train's ticks after the queued one, each
-// period later; it is 0 for every other event.
+// lane −idx−1 when idx is negative. A node belongs to one Sim for life.
+// left counts a train's ticks after the queued one, each period later; it
+// is 0 for every other event.
 type eventNode struct {
 	at     Time
 	seq    uint64
 	gen    uint64
-	fn     func()
 	h      Handler
 	op     int32
 	arg    uint32
@@ -96,15 +100,11 @@ type eventNode struct {
 type Event struct {
 	n   *eventNode
 	gen uint64
-	at  Time
 }
 
 // Valid reports whether the handle refers to an event (pending or
 // completed) as opposed to the zero Event.
 func (e Event) Valid() bool { return e.n != nil }
-
-// Time returns the instant the event is (or was) scheduled for.
-func (e Event) Time() Time { return e.at }
 
 // Cancel prevents the event from firing: it leaves the heap (or its lane
 // slot goes stale) and its node is recycled at once. Cancelling an event
@@ -135,8 +135,8 @@ const maxTime = Time(int64(^uint64(0) >> 1))
 // effectively unbounded horizon.
 const MaxTime = maxTime
 
-// freeListCap bounds the event-node free list. At ~64 bytes per node this
-// pins at most ~1 MiB of recycled nodes per Sim, while still absorbing the
+// freeListCap bounds the event-node free list. At 72 bytes per node this
+// pins at most ~1.2 MiB of recycled nodes per Sim, while still absorbing the
 // steady-state churn of the largest benchmark scenarios without allocation.
 const freeListCap = 16384
 
@@ -164,7 +164,7 @@ type Sim struct {
 	freeDrops uint64                   // nodes dropped to GC since construction/Reset
 	pendingHW int                      // peak Pending() since construction/Reset
 
-	// pastSchedules counts At/AtCall targets that preceded the clock and
+	// pastSchedules counts AtCall targets that preceded the clock and
 	// were clamped to "now" — a simulation-logic error the auditor reports.
 	pastSchedules uint64
 
@@ -196,8 +196,8 @@ func (s *Sim) PendingHighWater() int { return s.pendingHW }
 
 // PastSchedules returns how many events were scheduled at an absolute
 // time before the clock (and clamped to "now") since construction or the
-// last Reset. Schedule/ScheduleCall clamp negative delays before reaching
-// the clock, so only genuinely past At/AtCall targets count — any nonzero
+// last Reset. ScheduleCall clamps negative delays before reaching the
+// clock, so only genuinely past AtCall targets count — any nonzero
 // value is a simulation-logic bug the auditor flags.
 func (s *Sim) PastSchedules() uint64 { return s.pastSchedules }
 
@@ -206,33 +206,10 @@ func (s *Sim) PastSchedules() uint64 { return s.pastSchedules }
 // construction or the last Reset.
 func (s *Sim) FreeListDrops() uint64 { return s.freeDrops }
 
-// Schedule queues fn to run delay after the current time and returns a
-// handle that can cancel it. A negative delay is treated as zero (the
-// event fires "now", after currently queued same-time events).
-func (s *Sim) Schedule(delay Time, fn func()) Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.At(s.now+delay, fn)
-}
-
-// At queues fn to run at absolute time t. Scheduling in the past is an
-// error in simulation logic; the kernel clamps it to "now" to preserve the
-// monotonic clock rather than corrupting the event order.
-func (s *Sim) At(t Time, fn func()) Event {
-	if fn == nil {
-		panic("des: At called with nil handler")
-	}
-	n, t := s.alloc(t)
-	n.fn = fn
-	s.push(n)
-	return Event{n: n, gen: n.gen, at: t}
-}
-
 // ScheduleCall queues a typed event for h to run delay after the current
-// time — the zero-allocation form of Schedule for hot call sites. op and
-// arg are passed through to h.HandleEvent verbatim. A negative delay is
-// treated as zero.
+// time and returns a handle that can cancel it. op and arg are passed
+// through to h.HandleEvent verbatim. A negative delay is treated as zero
+// (the event fires "now", after currently queued same-time events).
 func (s *Sim) ScheduleCall(delay Time, h Handler, op int32, arg uint32) Event {
 	if delay < 0 {
 		delay = 0
@@ -240,17 +217,17 @@ func (s *Sim) ScheduleCall(delay Time, h Handler, op int32, arg uint32) Event {
 	return s.AtCall(s.now+delay, h, op, arg)
 }
 
-// AtCall queues a typed event for h at absolute time t (clamped to "now"
-// like At). Closure and typed events share one total order: a typed event
-// scheduled after a closure for the same instant fires after it.
+// AtCall queues a typed event for h at absolute time t. Scheduling in the
+// past is an error in simulation logic; the kernel clamps it to "now" to
+// preserve the monotonic clock rather than corrupting the event order.
 func (s *Sim) AtCall(t Time, h Handler, op int32, arg uint32) Event {
 	if h == nil {
 		panic("des: AtCall called with nil handler")
 	}
-	n, t := s.alloc(t)
+	n := s.alloc(t)
 	n.h, n.op, n.arg = h, op, arg
 	s.push(n)
-	return Event{n: n, gen: n.gen, at: t}
+	return Event{n: n, gen: n.gen}
 }
 
 // AtTrain queues a train of n typed events for h at t, t+period, …,
@@ -290,9 +267,9 @@ func (s *Sim) advance(n *eventNode) {
 	s.siftDown(0, entry{n.at, n.seq, n})
 }
 
-// alloc takes a pooled node (or allocates one), stamps it with the clamped
-// time and the next sequence number, and returns both.
-func (s *Sim) alloc(t Time) (*eventNode, Time) {
+// alloc takes a pooled node (or allocates one) and stamps it with the
+// clamped time and the next sequence number.
+func (s *Sim) alloc(t Time) *eventNode {
 	if t < s.now {
 		t = s.now
 		s.pastSchedules++
@@ -303,14 +280,13 @@ func (s *Sim) alloc(t Time) (*eventNode, Time) {
 	}
 	n.at, n.seq = t, s.seq
 	s.seq++
-	return n, t
+	return n
 }
 
 // recycle invalidates outstanding handles to n and returns its storage to
 // the free list (or drops it when the list is at capacity).
 func (s *Sim) recycle(n *eventNode) {
 	n.gen++
-	n.fn = nil
 	n.h = nil
 	n.left = 0
 	if !s.free.Put(n, freeListCap) {
@@ -388,7 +364,7 @@ func (s *Sim) run(horizon Time, clamp bool) {
 		} else {
 			next = s.heap[0].n
 		}
-		fn, h, op, arg := next.fn, next.h, next.op, next.arg
+		h, op, arg := next.h, next.op, next.arg
 		if next.left != 0 {
 			s.advance(next)
 		} else {
@@ -397,11 +373,7 @@ func (s *Sim) run(horizon Time, clamp bool) {
 			}
 			s.recycle(next)
 		}
-		if fn != nil {
-			fn()
-		} else {
-			h.HandleEvent(op, arg)
-		}
+		h.HandleEvent(op, arg)
 		s.executed++
 		if s.watch != nil && s.executed&watchStrideMask == 0 {
 			s.watch.publish(s.now, s.executed)

@@ -13,7 +13,7 @@ func TestEventsExecuteInTimeOrder(t *testing.T) {
 	var order []Time
 	for _, d := range []Time{5 * Second, 1 * Second, 3 * Second, 2 * Second, 4 * Second} {
 		d := d
-		s.Schedule(d, func() { order = append(order, s.Now()) })
+		s.ScheduleCall(d, Func(func() { order = append(order, s.Now()) }), 0, 0)
 	}
 	s.Run()
 	if len(order) != 5 {
@@ -29,7 +29,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(Second, func() { order = append(order, i) })
+		s.ScheduleCall(Second, Func(func() { order = append(order, i) }), 0, 0)
 	}
 	s.Run()
 	for i, v := range order {
@@ -41,11 +41,11 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 
 func TestClockAdvances(t *testing.T) {
 	s := NewSim()
-	s.Schedule(10*Millisecond, func() {
+	s.ScheduleCall(10*Millisecond, Func(func() {
 		if s.Now() != 10*Millisecond {
 			t.Errorf("Now = %v inside handler, want 10ms", s.Now())
 		}
-	})
+	}), 0, 0)
 	s.Run()
 	if s.Now() != 10*Millisecond {
 		t.Fatalf("final Now = %v, want 10ms", s.Now())
@@ -55,12 +55,12 @@ func TestClockAdvances(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := NewSim()
 	var hits []Time
-	s.Schedule(Second, func() {
+	s.ScheduleCall(Second, Func(func() {
 		hits = append(hits, s.Now())
-		s.Schedule(Second, func() {
+		s.ScheduleCall(Second, Func(func() {
 			hits = append(hits, s.Now())
-		})
-	})
+		}), 0, 0)
+	}), 0, 0)
 	s.Run()
 	if len(hits) != 2 || hits[0] != Second || hits[1] != 2*Second {
 		t.Fatalf("nested scheduling produced %v", hits)
@@ -70,7 +70,7 @@ func TestNestedScheduling(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := NewSim()
 	fired := false
-	ev := s.Schedule(Second, func() { fired = true })
+	ev := s.ScheduleCall(Second, Func(func() { fired = true }), 0, 0)
 	ev.Cancel()
 	if !ev.Fired() || s.Pending() != 0 {
 		t.Fatalf("after Cancel: Fired()=%v Pending()=%d, want a stale handle and an empty list", ev.Fired(), s.Pending())
@@ -85,8 +85,8 @@ func TestCancelFromHandler(t *testing.T) {
 	s := NewSim()
 	fired := false
 	var victim Event
-	s.Schedule(Second, func() { victim.Cancel() })
-	victim = s.Schedule(2*Second, func() { fired = true })
+	s.ScheduleCall(Second, Func(func() { victim.Cancel() }), 0, 0)
+	victim = s.ScheduleCall(2*Second, Func(func() { fired = true }), 0, 0)
 	s.Run()
 	if fired {
 		t.Fatal("event cancelled from an earlier handler still fired")
@@ -95,14 +95,14 @@ func TestCancelFromHandler(t *testing.T) {
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	s := NewSim()
-	ev := s.Schedule(Second, func() {})
+	ev := s.ScheduleCall(Second, Func(func() {}), 0, 0)
 	s.Run()
 	if !ev.Fired() {
 		t.Fatal("Fired() false after run")
 	}
 	// The fired event's node now backs another; the stale Cancel must not
 	// take that one out of the list.
-	s.Schedule(Second, func() {})
+	s.ScheduleCall(Second, Func(func() {}), 0, 0)
 	ev.Cancel()
 	if s.Pending() != 1 {
 		t.Fatalf("Cancel after firing left %d events pending, want 1", s.Pending())
@@ -112,8 +112,8 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 func TestRunUntilHorizon(t *testing.T) {
 	s := NewSim()
 	var fired []Time
-	s.Schedule(1*Second, func() { fired = append(fired, s.Now()) })
-	s.Schedule(5*Second, func() { fired = append(fired, s.Now()) })
+	s.ScheduleCall(1*Second, Func(func() { fired = append(fired, s.Now()) }), 0, 0)
+	s.ScheduleCall(5*Second, Func(func() { fired = append(fired, s.Now()) }), 0, 0)
 	s.RunUntil(3 * Second)
 	if len(fired) != 1 {
 		t.Fatalf("fired %d events before horizon, want 1", len(fired))
@@ -129,7 +129,7 @@ func TestRunUntilHorizon(t *testing.T) {
 
 func TestRunUntilDrainedQueueAdvancesToHorizon(t *testing.T) {
 	s := NewSim()
-	s.Schedule(Second, func() {})
+	s.ScheduleCall(Second, Func(func() {}), 0, 0)
 	s.RunUntil(10 * Second)
 	if s.Now() != 10*Second {
 		t.Fatalf("clock at %v, want horizon 10s", s.Now())
@@ -140,12 +140,12 @@ func TestStop(t *testing.T) {
 	s := NewSim()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.Schedule(Time(i)*Second, func() {
+		s.ScheduleCall(Time(i)*Second, Func(func() {
 			count++
 			if count == 3 {
 				s.Stop()
 			}
-		})
+		}), 0, 0)
 	}
 	s.Run()
 	if count != 3 {
@@ -159,9 +159,9 @@ func TestStop(t *testing.T) {
 func TestNegativeDelayClampsToNow(t *testing.T) {
 	s := NewSim()
 	var at Time = -1
-	s.Schedule(5*Second, func() {
-		s.Schedule(-3*Second, func() { at = s.Now() })
-	})
+	s.ScheduleCall(5*Second, Func(func() {
+		s.ScheduleCall(-3*Second, Func(func() { at = s.Now() }), 0, 0)
+	}), 0, 0)
 	s.Run()
 	if at != 5*Second {
 		t.Fatalf("negative-delay event ran at %v, want 5s", at)
@@ -171,31 +171,48 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 func TestAtInPastClampsToNow(t *testing.T) {
 	s := NewSim()
 	var at Time = -1
-	s.Schedule(5*Second, func() {
-		s.At(Second, func() { at = s.Now() })
-	})
+	s.ScheduleCall(5*Second, Func(func() {
+		s.AtCall(Second, Func(func() { at = s.Now() }), 0, 0)
+	}), 0, 0)
 	s.Run()
 	if at != 5*Second {
 		t.Fatalf("past-scheduled event ran at %v, want clamped 5s", at)
 	}
 }
 
+// TestNilHandlerPanics: every way to queue an event refuses a nil
+// Handler when it is scheduled, not when it would fire (AtCall's own
+// check is TestNilTypedHandlerPanics).
 func TestNilHandlerPanics(t *testing.T) {
 	s := NewSim()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("At(nil) did not panic")
-		}
-	}()
-	s.At(Second, nil)
+	for _, c := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"ScheduleCall", func() { s.ScheduleCall(Second, nil, 0, 0) }},
+		{"Lane.Call", func() { s.Lane(Second).Call(nil, 0, 0) }},
+		{"AtTrain", func() { s.AtTrain(Second, Second, 2, nil, 0, 0) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(nil) did not panic", c.name)
+				}
+			}()
+			c.schedule()
+		}()
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events queued with a nil handler", s.Pending())
+	}
 }
 
 func TestExecutedCount(t *testing.T) {
 	s := NewSim()
 	for i := 0; i < 25; i++ {
-		s.Schedule(Time(i)*Millisecond, func() {})
+		s.ScheduleCall(Time(i)*Millisecond, Func(func() {}), 0, 0)
 	}
-	ev := s.Schedule(Second, func() {})
+	ev := s.ScheduleCall(Second, Func(func() {}), 0, 0)
 	ev.Cancel()
 	s.Run()
 	if s.Executed() != 25 {
@@ -210,9 +227,9 @@ func TestQuickTotalOrder(t *testing.T) {
 		s := NewSim()
 		var fired []Time
 		for _, r := range raw {
-			s.Schedule(Time(r%1_000_000)*Microsecond, func() {
+			s.ScheduleCall(Time(r%1_000_000)*Microsecond, Func(func() {
 				fired = append(fired, s.Now())
-			})
+			}), 0, 0)
 		}
 		s.Run()
 		if len(fired) != len(raw) {
@@ -241,9 +258,9 @@ func TestQuickCancelConsistency(t *testing.T) {
 		events := make([]Event, count)
 		for i := 0; i < count; i++ {
 			i := i
-			events[i] = s.Schedule(Time(src.Intn(1000))*Millisecond, func() {
+			events[i] = s.ScheduleCall(Time(src.Intn(1000))*Millisecond, Func(func() {
 				firedMask[i] = true
-			})
+			}), 0, 0)
 		}
 		cancelled := make([]bool, count)
 		for i := 0; i < count; i++ {
@@ -268,72 +285,6 @@ func TestQuickCancelConsistency(t *testing.T) {
 	}
 }
 
-func TestTickerBasic(t *testing.T) {
-	s := NewSim()
-	var ticks []Time
-	tk := NewTicker(s, Second, func() { ticks = append(ticks, s.Now()) })
-	tk.Start(Second)
-	s.RunUntil(5*Second + 500*Millisecond)
-	if len(ticks) != 5 {
-		t.Fatalf("got %d ticks, want 5: %v", len(ticks), ticks)
-	}
-	for i, at := range ticks {
-		if at != Time(i+1)*Second {
-			t.Fatalf("tick %d at %v", i, at)
-		}
-	}
-}
-
-func TestTickerStop(t *testing.T) {
-	s := NewSim()
-	n := 0
-	var tk *Ticker
-	tk = NewTicker(s, Second, func() {
-		n++
-		if n == 3 {
-			tk.Stop()
-		}
-	})
-	tk.Start(Second)
-	s.RunUntil(100 * Second)
-	if n != 3 {
-		t.Fatalf("ticker fired %d times after Stop at 3", n)
-	}
-}
-
-// TestTickerRestartReplacesPendingTick: Start on a running ticker moves
-// its one train; it does not add a second.
-func TestTickerRestartReplacesPendingTick(t *testing.T) {
-	s := NewSim()
-	var ticks []Time
-	tk := NewTicker(s, Second, func() { ticks = append(ticks, s.Now()) })
-	tk.Start(Second)
-	tk.Start(300 * Millisecond)
-	if s.Pending() != 1 {
-		t.Fatalf("%d events pending after a second Start, want 1", s.Pending())
-	}
-	s.RunUntil(3 * Second)
-	want := []Time{300 * Millisecond, 1300 * Millisecond, 2300 * Millisecond}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestTickerNonPositivePeriodPanics(t *testing.T) {
-	s := NewSim()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTicker(0) did not panic")
-		}
-	}()
-	NewTicker(s, 0, func() {})
-}
-
 func TestTimeConversions(t *testing.T) {
 	if FromSeconds(1.5) != 1500*Millisecond {
 		t.Fatalf("FromSeconds(1.5) = %v", FromSeconds(1.5))
@@ -351,7 +302,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSim()
 		for j := 0; j < 1000; j++ {
-			s.Schedule(Time(j)*Microsecond, func() {})
+			s.ScheduleCall(Time(j)*Microsecond, Func(func() {}), 0, 0)
 		}
 		s.Run()
 	}
@@ -365,12 +316,12 @@ func BenchmarkEventChurn(b *testing.B) {
 	step = func() {
 		n++
 		if n < b.N {
-			s.Schedule(Microsecond, step)
+			s.ScheduleCall(Microsecond, Func(step), 0, 0)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	s.Schedule(Microsecond, step)
+	s.ScheduleCall(Microsecond, Func(step), 0, 0)
 	s.Run()
 }
 
@@ -386,7 +337,7 @@ func BenchmarkContentionChurn(b *testing.B) {
 			s := NewSim()
 			c := &contention{s: s, timers: make([]Event, k), difs: s.Lane(difs)}
 			c.lane = mode == "lane"
-			idle := &funcHandler{fn: func() {}}
+			idle := Func(func() {})
 			for i := 0; i < 200; i++ {
 				s.ScheduleCall(Time(i+1)*Second, idle, 0, 0)
 			}

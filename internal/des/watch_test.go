@@ -15,8 +15,8 @@ func TestWatchAbortPanicsWithStallError(t *testing.T) {
 	w.BeginJob()
 	// Zero-delay livelock: simulated time never advances.
 	var spin func()
-	spin = func() { s.Schedule(0, spin) }
-	s.Schedule(0, spin)
+	spin = func() { s.ScheduleCall(0, Func(spin), 0, 0) }
+	s.ScheduleCall(0, Func(spin), 0, 0)
 	w.Abort()
 	defer func() {
 		v := recover()
@@ -58,7 +58,7 @@ func TestWatchGenerationsFenceJobs(t *testing.T) {
 	}
 	n := 0
 	for i := 0; i < 3000; i++ {
-		s.Schedule(Time(i), func() { n++ })
+		s.ScheduleCall(Time(i), Func(func() { n++ }), 0, 0)
 	}
 	s.RunUntil(Second) // must not panic: BeginJob cleared the abort
 	if n != 3000 {
@@ -79,11 +79,11 @@ func TestWatchSurvivesReset(t *testing.T) {
 	s.Reset()
 	w.BeginJob()
 	w.Abort()
-	s.Schedule(0, func() {})
+	s.ScheduleCall(0, Func(func() {}), 0, 0)
 	ran := 0
 	var spin func()
-	spin = func() { ran++; s.Schedule(0, spin) }
-	s.Schedule(0, spin)
+	spin = func() { ran++; s.ScheduleCall(0, Func(spin), 0, 0) }
+	s.ScheduleCall(0, Func(spin), 0, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("watch detached by Reset: aborted run completed")
@@ -100,17 +100,17 @@ func TestAuditQueueClean(t *testing.T) {
 	var extra []Event
 	for i := 0; i < 500; i++ {
 		i := i
-		s.Schedule(Time(i)*Millisecond, func() {
+		s.ScheduleCall(Time(i)*Millisecond, Func(func() {
 			if err := s.AuditQueue(); err != nil {
 				t.Fatalf("mid-run: %v", err)
 			}
 			if i%7 == 0 {
-				extra = append(extra, s.Schedule(50*Millisecond, func() {}))
+				extra = append(extra, s.ScheduleCall(50*Millisecond, Func(func() {}), 0, 0))
 			}
 			if i%21 == 0 {
 				extra[len(extra)/2].Cancel()
 			}
-		})
+		}), 0, 0)
 	}
 	s.RunUntil(Second)
 	if err := s.AuditQueue(); err != nil {
@@ -123,9 +123,9 @@ func TestAuditQueueClean(t *testing.T) {
 func TestPastSchedulesCounter(t *testing.T) {
 	s := NewSim()
 	ran := false
-	s.Schedule(Second, func() {
-		s.At(Millisecond, func() { ran = true }) // 1ms < now=1s: clamped
-	})
+	s.ScheduleCall(Second, Func(func() {
+		s.AtCall(Millisecond, Func(func() { ran = true }), 0, 0) // 1ms < now=1s: clamped
+	}), 0, 0)
 	s.RunUntil(2 * Second)
 	if !ran {
 		t.Fatal("clamped event never ran")

@@ -384,3 +384,22 @@ func TestRunRejectsUnknownFigure(t *testing.T) {
 		t.Errorf("Run(F-R99) wrote %d files into the report directory", len(files))
 	}
 }
+
+// TestEveryFigureCellValidates: every cell the full and the quick suite
+// plan passes Scenario.Validate, MAC checks included.
+func TestEveryFigureCellValidates(t *testing.T) {
+	for name, cfg := range map[string]Config{"full": DefaultConfig(), "quick": QuickConfig()} {
+		p := newPlanner(cfg)
+		for _, s := range suite {
+			s.plan(p)
+		}
+		if len(p.cells) == 0 {
+			t.Fatalf("%s suite planned no cells", name)
+		}
+		for _, c := range p.cells {
+			if err := c.sc.Validate(); err != nil {
+				t.Errorf("%s suite, cell %s: %v", name, c.label, err)
+			}
+		}
+	}
+}

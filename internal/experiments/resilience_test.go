@@ -184,11 +184,11 @@ func TestWatchdogPoisonsStalledCell(t *testing.T) {
 		}
 		// Zero-delay livelock one second into the run: events keep firing
 		// but simulated time stops advancing.
-		simk.At(des.Second, func() {
+		simk.AtCall(des.Second, des.Func(func() {
 			var spin func()
-			spin = func() { simk.Schedule(0, spin) }
+			spin = func() { simk.ScheduleCall(0, des.Func(spin), 0, 0) }
 			spin()
-		})
+		}), 0, 0)
 	}
 	defer func() { sim.TestHookPrepared = nil }()
 

@@ -69,9 +69,6 @@ func (c Config) ChurnEnabled() bool {
 	return c.MeanUpTime > 0 || len(c.Schedule) > 0
 }
 
-// Enabled reports whether any fault process is active.
-func (c Config) Enabled() bool { return c.ChurnEnabled() || c.Link.Enabled() }
-
 // Validate checks the configuration for out-of-range parameters.
 func (c Config) Validate() error {
 	if c.MeanUpTime < 0 {

@@ -253,10 +253,6 @@ func NewRecorder(everyN int, decisions bool) *Recorder {
 // EveryN returns the sampling divisor.
 func (r *Recorder) EveryN() int { return r.everyN }
 
-// Decisions reports whether decision provenance and route events are
-// being recorded.
-func (r *Recorder) Decisions() bool { return r.decisions }
-
 // Begin (re)arms the recorder for a fresh run: measureFrom is the warm-up
 // boundary (packets created earlier are not tracked, matching the delay
 // measurement discipline) and sampler the dedicated run-seeded stream the

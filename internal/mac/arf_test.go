@@ -14,13 +14,14 @@ func arfConfig() Config {
 	return cfg
 }
 
-// saturate keeps a sender's queue fed for the whole run.
+// saturate keeps a sender's queue fed for the whole run: one tick a
+// millisecond, more ticks than any test runs.
 func saturate(sim *des.Sim, m *Mac) {
-	des.NewTicker(sim, des.Millisecond, func() {
+	sim.AtTrain(0, des.Millisecond, 1<<30, des.Func(func() {
 		if m.QueueLen() < 5 {
 			m.Send(dataPkt(m.ID(), 1, 512), 1)
 		}
-	}).Start(0)
+	}), 0, 0)
 }
 
 func TestARFClimbsOnShortCleanLink(t *testing.T) {
@@ -151,8 +152,8 @@ func TestRatedFrameShorterRange(t *testing.T) {
 	rx := medium.Attach(geom.Point{X: 240}, radio.DefaultParams())
 	rx.SetListener(rxl)
 
-	sim.Schedule(0, func() { tx.TransmitRated("fast", 100, des.Millisecond, 5.5) })
-	sim.Schedule(10*des.Millisecond, func() { tx.Transmit("base", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { tx.TransmitRated("fast", 100, des.Millisecond, 5.5) }), 0, 0)
+	sim.ScheduleCall(10*des.Millisecond, des.Func(func() { tx.Transmit("base", 100, des.Millisecond) }), 0, 0)
 	sim.RunUntil(des.Second)
 	if rxl.delivered != 1 {
 		t.Fatalf("delivered %d frames, want only the reference-rate one", rxl.delivered)

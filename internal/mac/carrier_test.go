@@ -78,12 +78,12 @@ func whenTransmitting(sim *des.Sim, m *Mac, f func()) {
 	var poll func()
 	poll = func() {
 		if !m.radio.Transmitting() {
-			sim.Schedule(100*des.Microsecond, poll)
+			sim.ScheduleCall(100*des.Microsecond, des.Func(poll), 0, 0)
 			return
 		}
 		f()
 	}
-	sim.Schedule(0, poll)
+	sim.ScheduleCall(0, des.Func(poll), 0, 0)
 }
 
 // TestIdleBystanderGetsNoCarrierCallbacks: a node in carrier range of a
@@ -101,14 +101,10 @@ func TestIdleBystanderGetsNoCarrierCallbacks(t *testing.T) {
 	// a window boundary.
 	const exchanges = 20
 	sent := 0
-	var feeder *des.Ticker
-	feeder = des.NewTicker(sim, 50*des.Millisecond, func() {
+	sim.AtTrain(0, 50*des.Millisecond, exchanges, des.Func(func() {
 		macs[0].Send(dataPkt(0, 1, 512), 1)
-		if sent++; sent == exchanges {
-			feeder.Stop()
-		}
-	})
-	feeder.Start(0)
+		sent++
+	}), 0, 0)
 	const phase1 = 1005 * des.Millisecond
 	sim.RunUntil(phase1)
 
@@ -140,7 +136,7 @@ func TestIdleBystanderGetsNoCarrierCallbacks(t *testing.T) {
 
 	// Phase 2: the bystander gets a frame of its own while 0 is on the air.
 	rxTap.log, byTap.log = nil, nil
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 512), 1) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, 1, 512), 1) }), 0, 0)
 	whenTransmitting(sim, macs[0], func() { macs[2].Send(dataPkt(2, 1, 512), 1) })
 	sim.RunUntil(phase1 + 100*des.Millisecond)
 
@@ -181,16 +177,16 @@ func TestCrashMidFrameClocks(t *testing.T) {
 		sim, macs, _ := macTestbed(t, cfg, geom.Point{X: 0}, geom.Point{X: 200})
 		own := tap(macs[0])
 		var crashAt des.Time
-		sim.Schedule(0, func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) })
+		sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) }), 0, 0)
 		whenTransmitting(sim, macs[0], func() {
 			crashAt = sim.Now()
 			macs[0].radio.SetDown(true)
 			macs[0].Crash()
 			if recoverAfter > 0 {
-				sim.Schedule(recoverAfter, func() {
+				sim.ScheduleCall(recoverAfter, des.Func(func() {
 					macs[0].Recover()
 					macs[0].radio.SetDown(false)
-				})
+				}), 0, 0)
 			}
 		})
 		const runFor = 150 * des.Millisecond
@@ -235,11 +231,11 @@ func TestCrashReleasesQueueAndOrphan(t *testing.T) {
 		pool.SetAudit(true)
 		m.SetPool(pool)
 		const sent = 10
-		sim.Schedule(0, func() {
+		sim.ScheduleCall(0, des.Func(func() {
 			for seq := 0; seq < sent; seq++ {
 				m.Send(pool.Data(0, 1, 512, 0, seq, sim.Now(), 30), 1)
 			}
-		})
+		}), 0, 0)
 		var freePkts, freeFrames int
 		whenTransmitting(sim, m, func() {
 			if got := m.HeldPackets(); got != sent {
@@ -261,10 +257,10 @@ func TestCrashReleasesQueueAndOrphan(t *testing.T) {
 				t.Errorf("recover after %v: %d borrowed and %d held while the orphan airs, want 1 and 1", recoverAfter, live, held)
 			}
 			if recoverAfter > 0 {
-				sim.Schedule(recoverAfter, func() {
+				sim.ScheduleCall(recoverAfter, des.Func(func() {
 					m.Recover()
 					m.radio.SetDown(false)
-				})
+				}), 0, 0)
 			}
 		})
 		sim.RunUntil(150 * des.Millisecond)
@@ -297,15 +293,15 @@ func TestCrashReleasesQueueAndOrphan(t *testing.T) {
 func crashSendAfterRecovery(t *testing.T, next *pkt.Packet) ([]*Mac, []*upperRec) {
 	t.Helper()
 	sim, macs, uppers := macTestbed(t, DefaultConfig(), geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) }), 0, 0)
 	whenTransmitting(sim, macs[0], func() {
 		macs[0].radio.SetDown(true)
 		macs[0].Crash()
-		sim.Schedule(100*des.Microsecond, func() {
+		sim.ScheduleCall(100*des.Microsecond, des.Func(func() {
 			macs[0].Recover()
 			macs[0].radio.SetDown(false)
 			macs[0].Send(next, next.Dst)
-		})
+		}), 0, 0)
 	})
 	sim.RunUntil(150 * des.Millisecond)
 	return macs, uppers

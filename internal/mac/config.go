@@ -1,6 +1,11 @@
 package mac
 
-import "clnlr/internal/des"
+import (
+	"fmt"
+	"math"
+
+	"clnlr/internal/des"
+)
 
 // Config holds the DCF and PHY-timing parameters. DefaultConfig matches
 // 802.11b DSSS (long preamble) at 2 Mb/s, the configuration the WMN
@@ -95,6 +100,70 @@ func DefaultConfig() Config {
 		QueueLoadWeight:    0.6,
 	}
 }
+
+// Validate rejects a configuration the MAC cannot run: a zero rate or
+// slot divides by zero, a negative window draws from an empty range, a
+// window too wide overflows the clock, a zero sampling window stops the
+// clock advancing, and a frame must take some airtime. The load
+// estimator's parameters must keep every load a fraction (a zero queue
+// capacity divides by zero), and RetryLimit, a count of attempts, is at
+// least one. Under AutoRate the ladder must be positive rates in
+// increasing order, stepped by positive thresholds.
+func (c Config) Validate() error {
+	switch {
+	case c.QueueCap < 1:
+		return fmt.Errorf("mac: QueueCap %d must be at least 1", c.QueueCap)
+	case c.SlotTime <= 0:
+		return fmt.Errorf("mac: SlotTime %v must be positive", c.SlotTime)
+	case c.SIFS < 0:
+		return fmt.Errorf("mac: SIFS %v must be non-negative", c.SIFS)
+	case c.CWMin < 0 || c.CWMax < c.CWMin || c.CWMax > math.MaxInt32:
+		return fmt.Errorf("mac: contention window [%d, %d] outside 0 ≤ CWMin ≤ CWMax ≤ 2^31−1", c.CWMin, c.CWMax)
+	case des.Time(c.CWMax) > des.MaxTime/c.SlotTime:
+		return fmt.Errorf("mac: a backoff of CWMax %d slots of %v overflows the clock", c.CWMax, c.SlotTime)
+	case c.RetryLimit < 1:
+		return fmt.Errorf("mac: RetryLimit %d must be at least 1", c.RetryLimit)
+	case c.DataRateBps <= 0 || c.BasicRateBps <= 0:
+		return fmt.Errorf("mac: DataRateBps %d and BasicRateBps %d must be positive", c.DataRateBps, c.BasicRateBps)
+	case c.PreambleTime < 0:
+		return fmt.Errorf("mac: PreambleTime %v must be non-negative", c.PreambleTime)
+	case !frameSize(c.DataHeaderBytes) || !frameSize(c.AckBytes) || !frameSize(c.RTSBytes) || !frameSize(c.CTSBytes):
+		return fmt.Errorf("mac: DataHeaderBytes, AckBytes, RTSBytes and CTSBytes must lie in [0, %d]", maxFrameBytes)
+	case c.RTSThreshold < 0:
+		return fmt.Errorf("mac: RTSThreshold %d must be non-negative", c.RTSThreshold)
+	case c.LoadSampleInterval <= 0:
+		return fmt.Errorf("mac: LoadSampleInterval %v must be positive", c.LoadSampleInterval)
+	case !(c.LoadEWMAAlpha > 0 && c.LoadEWMAAlpha <= 1):
+		return fmt.Errorf("mac: LoadEWMAAlpha %v outside (0,1]", c.LoadEWMAAlpha)
+	case !(c.QueueLoadWeight >= 0 && c.QueueLoadWeight <= 1):
+		return fmt.Errorf("mac: QueueLoadWeight %v outside [0,1]", c.QueueLoadWeight)
+	}
+	fastest := max(c.DataRateBps, c.BasicRateBps)
+	if c.AutoRate {
+		if c.ArfSuccessUp < 1 || c.ArfFailDown < 1 {
+			return fmt.Errorf("mac: ArfSuccessUp %d and ArfFailDown %d must be at least 1", c.ArfSuccessUp, c.ArfFailDown)
+		}
+		for i, r := range c.RateLadder {
+			if r <= 0 || i > 0 && r <= c.RateLadder[i-1] {
+				return fmt.Errorf("mac: RateLadder %v must be positive rates in increasing order", c.RateLadder)
+			}
+			fastest = max(fastest, r)
+		}
+	}
+	// The shortest frames: an ACK, RTS and CTS at the basic rate, and a
+	// data frame of one byte at the fastest rate.
+	if c.AckDuration() <= 0 || c.RTSThreshold > 0 && (c.RTSDuration() <= 0 || c.CTSDuration() <= 0) ||
+		c.TxDuration(c.DataHeaderBytes+1, fastest) <= 0 {
+		return fmt.Errorf("mac: a frame would take no airtime (PreambleTime %v)", c.PreambleTime)
+	}
+	return nil
+}
+
+// maxFrameBytes bounds a configured header or control-frame size, so
+// that no airtime computation overflows.
+const maxFrameBytes = 1 << 16
+
+func frameSize(b int) bool { return b >= 0 && b <= maxFrameBytes }
 
 // DIFS returns the distributed interframe space.
 func (c Config) DIFS() des.Time { return c.SIFS + 2*c.SlotTime }

@@ -25,7 +25,7 @@ func TestEnergyIdleBaseline(t *testing.T) {
 func TestEnergyAccountsTransmission(t *testing.T) {
 	cfg := DefaultConfig()
 	sim, macs, _ := macTestbed(t, cfg, geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 512), 1) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, 1, 512), 1) }), 0, 0)
 	sim.RunUntil(des.Second)
 
 	sender := macs[0].Energy()
@@ -61,11 +61,11 @@ func TestEnergyOverhearingCosts(t *testing.T) {
 	// A bystander in carrier range pays Rx power while others talk.
 	sim, macs, _ := macTestbed(t, DefaultConfig(),
 		geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: 400})
-	sim.Schedule(0, func() {
+	sim.ScheduleCall(0, des.Func(func() {
 		for i := 0; i < 20; i++ {
 			macs[0].Send(dataPkt(0, 1, 1000), 1)
 		}
-	})
+	}), 0, 0)
 	sim.RunUntil(des.Second)
 	bystander := macs[2].Energy()
 	if bystander.RxTime == 0 {
@@ -87,7 +87,7 @@ func TestEnergyOverhearingCosts(t *testing.T) {
 func TestCrashMidTxStopsTxEnergy(t *testing.T) {
 	cfg := DefaultConfig()
 	sim, macs, _ := macTestbed(t, cfg, geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) }), 0, 0)
 	crashed := false
 	whenTransmitting(sim, macs[0], func() {
 		crashed = true

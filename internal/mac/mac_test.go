@@ -41,11 +41,12 @@ func (u *upperRec) MacTxDone(p *pkt.Packet, dst pkt.NodeID, ok bool) {
 	}{p, dst, ok})
 }
 
-// startSampling gives one MAC a load-sampling ticker of its own — the
-// arrangement the network-wide clock in node.StartAll replaced, and all a
-// bare-MAC testbed needs.
+// startSampling gives one MAC a load-sampling train of its own, with more
+// ticks than any test runs — a per-MAC clock like the ones the
+// network-wide clock in node.StartAll replaced, and all a bare-MAC
+// testbed needs.
 func startSampling(sim *des.Sim, m *Mac) {
-	des.NewTicker(sim, m.LoadSampleInterval(), m.SampleLoad).Start(m.LoadSampleInterval())
+	sim.AtTrain(m.LoadSampleInterval(), m.LoadSampleInterval(), 1<<30, des.Func(m.SampleLoad), 0, 0)
 }
 
 // macTestbed builds a line of nodes with full MAC stacks.
@@ -74,7 +75,7 @@ func TestUnicastDeliveryAndAck(t *testing.T) {
 	sim, macs, uppers := macTestbed(t, DefaultConfig(),
 		geom.Point{X: 0}, geom.Point{X: 200})
 	p := dataPkt(0, 1, 512)
-	sim.Schedule(0, func() { macs[0].Send(p, 1) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(p, 1) }), 0, 0)
 	sim.RunUntil(des.Second)
 
 	if len(uppers[1].received) != 1 {
@@ -99,7 +100,7 @@ func TestUnicastToUnreachableFailsAfterRetries(t *testing.T) {
 	sim, macs, uppers := macTestbed(t, cfg,
 		geom.Point{X: 0}, geom.Point{X: 5000})
 	p := dataPkt(0, 1, 512)
-	sim.Schedule(0, func() { macs[0].Send(p, 1) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(p, 1) }), 0, 0)
 	sim.RunUntil(5 * des.Second)
 
 	if len(uppers[0].txDone) != 1 {
@@ -120,7 +121,7 @@ func TestBroadcastReachesAllNeighbours(t *testing.T) {
 	sim, macs, uppers := macTestbed(t, DefaultConfig(),
 		geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: -200}, geom.Point{X: 1000})
 	p := dataPkt(0, pkt.Broadcast, 64)
-	sim.Schedule(0, func() { macs[0].Send(p, pkt.Broadcast) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(p, pkt.Broadcast) }), 0, 0)
 	sim.RunUntil(des.Second)
 
 	if len(uppers[1].received) != 1 || len(uppers[2].received) != 1 {
@@ -145,7 +146,7 @@ func TestBroadcastDeliversSharedPayload(t *testing.T) {
 	sim, macs, uppers := macTestbed(t, DefaultConfig(),
 		geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: -200})
 	p := nilPool.RREQ(pkt.RREQBody{Origin: 0, Target: 9, ID: 1}, 0, 30)
-	sim.Schedule(0, func() { macs[0].Send(p, pkt.Broadcast) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(p, pkt.Broadcast) }), 0, 0)
 	sim.RunUntil(des.Second)
 
 	r1 := uppers[1].received[0].p
@@ -159,11 +160,11 @@ func TestQueueDropTail(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.QueueCap = 5
 	sim, macs, _ := macTestbed(t, cfg, geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() {
+	sim.ScheduleCall(0, des.Func(func() {
 		for i := 0; i < 20; i++ {
 			macs[0].Send(dataPkt(0, 1, 512), 1)
 		}
-	})
+	}), 0, 0)
 	sim.RunUntil(10 * des.Second)
 	if macs[0].Ctr.DroppedQueueFull == 0 {
 		t.Fatal("overfilled queue dropped nothing")
@@ -178,11 +179,11 @@ func TestManyPacketsAllDelivered(t *testing.T) {
 	sim, macs, uppers := macTestbed(t, DefaultConfig(),
 		geom.Point{X: 0}, geom.Point{X: 200})
 	const n = 30
-	sim.Schedule(0, func() {
+	sim.ScheduleCall(0, des.Func(func() {
 		for i := 0; i < n; i++ {
 			macs[0].Send(dataPkt(0, 1, 512), 1)
 		}
-	})
+	}), 0, 0)
 	sim.RunUntil(10 * des.Second)
 	if len(uppers[1].received) != n {
 		t.Fatalf("delivered %d of %d queued packets", len(uppers[1].received), n)
@@ -195,12 +196,12 @@ func TestContentionBothSendersSucceed(t *testing.T) {
 	sim, macs, uppers := macTestbed(t, DefaultConfig(),
 		geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: 100, Y: 100})
 	const n = 15
-	sim.Schedule(0, func() {
+	sim.ScheduleCall(0, des.Func(func() {
 		for i := 0; i < n; i++ {
 			macs[0].Send(dataPkt(0, 1, 512), 1)
 			macs[2].Send(dataPkt(2, 1, 512), 1)
 		}
-	})
+	}), 0, 0)
 	sim.RunUntil(30 * des.Second)
 	if len(uppers[1].received) != 2*n {
 		t.Fatalf("receiver got %d packets, want %d", len(uppers[1].received), 2*n)
@@ -228,12 +229,12 @@ func TestHiddenTerminalRecoveredByRetries(t *testing.T) {
 		startSampling(sim, macs[i])
 	}
 	const n = 10
-	sim.Schedule(0, func() {
+	sim.ScheduleCall(0, des.Func(func() {
 		for i := 0; i < n; i++ {
 			macs[0].Send(dataPkt(0, 1, 512), 1)
 			macs[2].Send(dataPkt(2, 1, 512), 1)
 		}
-	})
+	}), 0, 0)
 	sim.RunUntil(60 * des.Second)
 	delivered := len(uppers[1].received)
 	if delivered < 2*n-2 { // allow a couple of retry-limit losses
@@ -251,12 +252,11 @@ func TestLoadEstimatorTracksTraffic(t *testing.T) {
 	sim, macs, _ := macTestbed(t, DefaultConfig(),
 		geom.Point{X: 0}, geom.Point{X: 200})
 	// Saturate node 0 for two seconds.
-	tick := des.NewTicker(sim, 5*des.Millisecond, func() {
+	tick := sim.AtTrain(0, 5*des.Millisecond, 401, des.Func(func() {
 		macs[0].Send(dataPkt(0, 1, 1000), 1)
-	})
-	tick.Start(0)
+	}), 0, 0)
 	sim.RunUntil(2 * des.Second)
-	tick.Stop()
+	tick.Cancel()
 
 	busyLoaded := macs[0].LoadStats()
 	if busyLoaded.BusyFrac <= 0.2 {
@@ -300,12 +300,12 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() (uint64, uint64, int) {
 		sim, macs, uppers := macTestbed(t, DefaultConfig(),
 			geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: 100, Y: 150})
-		sim.Schedule(0, func() {
+		sim.ScheduleCall(0, des.Func(func() {
 			for i := 0; i < 10; i++ {
 				macs[0].Send(dataPkt(0, 1, 512), 1)
 				macs[2].Send(dataPkt(2, 1, 512), 1)
 			}
-		})
+		}), 0, 0)
 		sim.RunUntil(20 * des.Second)
 		return macs[0].Ctr.TxData, macs[2].Ctr.Retries, len(uppers[1].received)
 	}
@@ -349,7 +349,7 @@ func BenchmarkSaturatedLink(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 512), 1) })
+		sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, 1, 512), 1) }), 0, 0)
 		sim.RunUntil(sim.Now() + 10*des.Millisecond)
 	}
 }
@@ -358,7 +358,7 @@ func TestControlPriorityQueueing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ControlPriority = true
 	sim, macs, uppers := macTestbed(t, cfg, geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() {
+	sim.ScheduleCall(0, des.Func(func() {
 		// Three data packets first, then one control packet: the control
 		// packet must overtake the queued (not yet transmitted) data.
 		for i := 0; i < 3; i++ {
@@ -366,7 +366,7 @@ func TestControlPriorityQueueing(t *testing.T) {
 		}
 		macs[0].Send(nilPool.RREQ(pkt.RREQBody{Origin: 0, Target: 9, ID: 1}, sim.Now(), 10),
 			pkt.Broadcast)
-	})
+	}), 0, 0)
 	sim.RunUntil(des.Second)
 	if len(uppers[1].received) != 4 {
 		t.Fatalf("received %d frames", len(uppers[1].received))
@@ -384,13 +384,13 @@ func TestControlPriorityQueueing(t *testing.T) {
 
 func TestControlPriorityOffKeepsFIFO(t *testing.T) {
 	sim, macs, uppers := macTestbed(t, DefaultConfig(), geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() {
+	sim.ScheduleCall(0, des.Func(func() {
 		for i := 0; i < 3; i++ {
 			macs[0].Send(dataPkt(0, 1, 1000), 1)
 		}
 		macs[0].Send(nilPool.RREQ(pkt.RREQBody{Origin: 0, Target: 9, ID: 1}, sim.Now(), 10),
 			pkt.Broadcast)
-	})
+	}), 0, 0)
 	sim.RunUntil(des.Second)
 	if len(uppers[1].received) != 4 {
 		t.Fatalf("received %d frames", len(uppers[1].received))

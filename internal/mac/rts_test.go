@@ -36,7 +36,7 @@ func rtsTestbed(t *testing.T, threshold int, positions ...geom.Point) (*des.Sim,
 
 func TestRTSHandshakeDelivers(t *testing.T) {
 	sim, macs, uppers := rtsTestbed(t, 100, geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 512), 1) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, 1, 512), 1) }), 0, 0)
 	sim.RunUntil(des.Second)
 	if len(uppers[1].received) != 1 {
 		t.Fatalf("RTS path delivered %d packets", len(uppers[1].received))
@@ -58,7 +58,7 @@ func TestRTSHandshakeDelivers(t *testing.T) {
 func TestRTSThresholdRespected(t *testing.T) {
 	// Frames below the threshold must skip the handshake.
 	sim, macs, uppers := rtsTestbed(t, 1000, geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 128), 1) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, 1, 128), 1) }), 0, 0)
 	sim.RunUntil(des.Second)
 	if macs[0].Ctr.TxRTS != 0 {
 		t.Fatal("small frame used RTS")
@@ -70,7 +70,7 @@ func TestRTSThresholdRespected(t *testing.T) {
 
 func TestBroadcastNeverUsesRTS(t *testing.T) {
 	sim, macs, uppers := rtsTestbed(t, 1, geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, pkt.Broadcast, 512), pkt.Broadcast) }), 0, 0)
 	sim.RunUntil(des.Second)
 	if macs[0].Ctr.TxRTS != 0 {
 		t.Fatal("broadcast used RTS")
@@ -83,7 +83,7 @@ func TestBroadcastNeverUsesRTS(t *testing.T) {
 func TestRTSToUnreachableRetriesAndFails(t *testing.T) {
 	cfg := DefaultConfig()
 	sim, macs, uppers := rtsTestbed(t, 100, geom.Point{X: 0}, geom.Point{X: 5000})
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 512), 1) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, 1, 512), 1) }), 0, 0)
 	sim.RunUntil(5 * des.Second)
 	if len(uppers[0].txDone) != 1 || uppers[0].txDone[0].ok {
 		t.Fatalf("unreachable RTS txDone %+v", uppers[0].txDone)
@@ -108,10 +108,10 @@ func TestNAVDefersThirdParty(t *testing.T) {
 		geom.Point{X: 200}, // B: receiver
 		geom.Point{X: 350}) // C: bystander in range of B only
 	var cStarted des.Time
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 1000), 1) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, 1, 1000), 1) }), 0, 0)
 	// C queues a frame toward B shortly after A's handshake starts; NAV
 	// from B's CTS must hold it back.
-	sim.Schedule(500*des.Microsecond, func() { macs[2].Send(dataPkt(2, 1, 1000), 1) })
+	sim.ScheduleCall(500*des.Microsecond, des.Func(func() { macs[2].Send(dataPkt(2, 1, 1000), 1) }), 0, 0)
 	_ = cStarted
 	sim.RunUntil(2 * des.Second)
 	if len(uppers[1].received) != 2 {
@@ -132,12 +132,12 @@ func TestHiddenTerminalRTSReducesDataCollisions(t *testing.T) {
 		sim, macs, uppers := rtsTestbed(t, threshold,
 			geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: 400})
 		const n = 20
-		sim.Schedule(0, func() {
+		sim.ScheduleCall(0, des.Func(func() {
 			for i := 0; i < n; i++ {
 				macs[0].Send(dataPkt(0, 1, 1000), 1)
 				macs[2].Send(dataPkt(2, 1, 1000), 1)
 			}
-		})
+		}), 0, 0)
 		sim.RunUntil(60 * des.Second)
 		return len(uppers[1].received), macs[0].Ctr.Retries + macs[2].Ctr.Retries
 	}
@@ -186,18 +186,18 @@ func TestRTSTimingConstants(t *testing.T) {
 // and gets through with no retry.
 func TestStaleRTSCompletionAfterRecovery(t *testing.T) {
 	sim, macs, uppers := rtsTestbed(t, 100, geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { macs[0].Send(dataPkt(0, 1, 512), 1) })
+	sim.ScheduleCall(0, des.Func(func() { macs[0].Send(dataPkt(0, 1, 512), 1) }), 0, 0)
 	whenTransmitting(sim, macs[0], func() {
 		if macs[0].state != accTxRts {
 			t.Fatalf("on the air in state %v, want the RTS", macs[0].state)
 		}
 		macs[0].radio.SetDown(true)
 		macs[0].Crash()
-		sim.Schedule(10*des.Microsecond, func() {
+		sim.ScheduleCall(10*des.Microsecond, des.Func(func() {
 			macs[0].Recover()
 			macs[0].radio.SetDown(false)
 			macs[0].Send(dataPkt(0, 1, 256), 1)
-		})
+		}), 0, 0)
 	})
 	sim.RunUntil(des.Second)
 	if macs[0].Ctr.TxRTS != 2 || macs[0].Ctr.Retries != 0 {

@@ -30,13 +30,12 @@ func TestSaturationThroughputMatchesAirtimeModel(t *testing.T) {
 	frameBytes := netBytes + cfg.DataHeaderBytes
 
 	// Keep the sender's queue non-empty for the whole run.
-	feeder := des.NewTicker(sim, des.Millisecond, func() {
+	const runFor = 20 * des.Second
+	sim.AtTrain(0, des.Millisecond, int(runFor/des.Millisecond)+1, des.Func(func() {
 		if macs[0].QueueLen() < 10 {
 			macs[0].Send(dataPkt(0, 1, payload), 1)
 		}
-	})
-	feeder.Start(0)
-	const runFor = 20 * des.Second
+	}), 0, 0)
 	sim.RunUntil(runFor)
 
 	delivered := len(uppers[1].received)
@@ -67,13 +66,12 @@ func TestBroadcastSaturationRate(t *testing.T) {
 	netBytes := payload + pkt.IPHeaderBytes + pkt.UDPHeaderBytes
 	frameBytes := netBytes + cfg.DataHeaderBytes
 
-	feeder := des.NewTicker(sim, des.Millisecond, func() {
+	const runFor = 20 * des.Second
+	sim.AtTrain(0, des.Millisecond, int(runFor/des.Millisecond)+1, des.Func(func() {
 		if macs[0].QueueLen() < 10 {
 			macs[0].Send(dataPkt(0, pkt.Broadcast, payload), pkt.Broadcast)
 		}
-	})
-	feeder.Start(0)
-	const runFor = 20 * des.Second
+	}), 0, 0)
 	sim.RunUntil(runFor)
 
 	gotRate := float64(len(uppers[1].received)) / runFor.Seconds()
@@ -92,16 +90,17 @@ func TestTwoContendersShareFairly(t *testing.T) {
 	cfg := DefaultConfig()
 	sim, macs, uppers := macTestbed(t, cfg,
 		geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: 100, Y: 170})
+	const runFor = 30 * des.Second
 	feed := func(m *Mac, src pkt.NodeID) {
-		des.NewTicker(sim, des.Millisecond, func() {
+		sim.AtTrain(0, des.Millisecond, int(runFor/des.Millisecond)+1, des.Func(func() {
 			if m.QueueLen() < 10 {
 				m.Send(dataPkt(src, 1, 512), 1)
 			}
-		}).Start(0)
+		}), 0, 0)
 	}
 	feed(macs[0], 0)
 	feed(macs[2], 2)
-	sim.RunUntil(30 * des.Second)
+	sim.RunUntil(runFor)
 
 	var from0, from2 int
 	for _, r := range uppers[1].received {
@@ -132,11 +131,10 @@ func TestAirtimeConservation(t *testing.T) {
 	// A steady 20 pkt/s across the whole run keeps the busy-fraction EWMA
 	// in equilibrium (it decays within ~1 s once traffic stops).
 	sent := 0
-	tick := des.NewTicker(sim, 50*des.Millisecond, func() {
+	sim.AtTrain(0, 50*des.Millisecond, 201, des.Func(func() {
 		macs[0].Send(dataPkt(0, 1, 512), 1)
 		sent++
-	})
-	tick.Start(0)
+	}), 0, 0)
 	sim.RunUntil(10 * des.Second)
 
 	// Airtime per exchange as seen by the bystander: DATA + ACK (+ SIFS).

@@ -153,6 +153,7 @@ func simSaturation(t *testing.T, n int) float64 {
 	sinkMac := mac.New(cfg, sim, sinkRadio, 0, master.Derive(0))
 	rec := &sinkRec{}
 	sinkMac.SetUpper(rec)
+	const dur = 30 * des.Second
 	for i := 1; i <= n; i++ {
 		ang := 2 * math.Pi * float64(i) / float64(n)
 		r := medium.Attach(geom.Point{X: 50 * math.Cos(ang), Y: 50 * math.Sin(ang)},
@@ -160,13 +161,12 @@ func simSaturation(t *testing.T, n int) float64 {
 		m := mac.New(cfg, sim, r, pkt.NodeID(i), master.Derive(uint64(i)))
 		m.SetUpper(nopUpper{})
 		src := pkt.NodeID(i)
-		des.NewTicker(sim, des.Millisecond, func() {
+		sim.AtTrain(0, des.Millisecond, int(dur/des.Millisecond)+1, des.Func(func() {
 			for m.QueueLen() < 5 {
 				m.Send(nilPool.Data(src, 0, 512, 0, 0, sim.Now(), 30), 0)
 			}
-		}).Start(0)
+		}), 0, 0)
 	}
-	const dur = 30 * des.Second
 	sim.RunUntil(dur)
 	// rec.bytes counts network-layer bytes (payload + IP/UDP); scale to
 	// pure payload to match the model's PayloadBits.

@@ -62,9 +62,9 @@ func TestSetDeliver(t *testing.T) {
 	StartAll(nodes)
 	var got *pkt.Packet
 	nodes[1].SetDeliver(func(p *pkt.Packet, from pkt.NodeID) { got = p })
-	simk.Schedule(des.Second, func() {
+	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 1, 100, 0, 0, simk.Now(), 30))
-	})
+	}), 0, 0)
 	simk.RunUntil(5 * des.Second)
 	if got == nil {
 		t.Fatal("deliver hook never fired")
@@ -161,9 +161,9 @@ func TestBuildDeterministic(t *testing.T) {
 	run := func() uint64 {
 		simk, nodes := build(7, 3)
 		StartAll(nodes)
-		simk.Schedule(des.Second, func() {
+		simk.ScheduleCall(des.Second, des.Func(func() {
 			nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, 0, simk.Now(), 30))
-		})
+		}), 0, 0)
 		simk.RunUntil(10 * des.Second)
 		return nodes[2].Agent.Ctr.DataDelivered + nodes[1].Agent.Ctr.RREQForwarded*100
 	}

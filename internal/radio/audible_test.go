@@ -201,7 +201,7 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 	}
 	for i, op := range ops {
 		op := op
-		sim.At(des.Time(i+1)*opStride, func() {
+		sim.AtCall(des.Time(i+1)*opStride, des.Func(func() {
 			checkClocks(fmt.Sprintf("before op %d", i))
 			n := m.NumRadios()
 			if op.kind == 3 {
@@ -248,7 +248,7 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 					re.onReceive = react
 				}
 			}
-		})
+		}), 0, 0)
 	}
 	sim.Run()
 	checkClocks("after drain")
@@ -375,7 +375,7 @@ func TestSenderCrashedFromCallback(t *testing.T) {
 func TestAudibleSetsMemoise(t *testing.T) {
 	sim, m, radios, _ := diffBed(tierMemo)
 	tx := func(at des.Time, r *Radio) {
-		sim.At(at, func() { r.Transmit("x", 100, des.Millisecond) })
+		sim.AtCall(at, des.Func(func() { r.Transmit("x", 100, des.Millisecond) }), 0, 0)
 	}
 	for i := 0; i < 10; i++ {
 		tx(des.Time(i)*2*des.Millisecond, radios[0])
@@ -387,8 +387,8 @@ func TestAudibleSetsMemoise(t *testing.T) {
 	}
 
 	// Crash/recover: no epoch bump, no rebuild.
-	sim.At(sim.Now()+des.Millisecond, func() { radios[3].SetDown(true) })
-	sim.At(sim.Now()+2*des.Millisecond, func() { radios[3].SetDown(false) })
+	sim.AtCall(sim.Now()+des.Millisecond, des.Func(func() { radios[3].SetDown(true) }), 0, 0)
+	sim.AtCall(sim.Now()+2*des.Millisecond, des.Func(func() { radios[3].SetDown(false) }), 0, 0)
 	tx(sim.Now()+3*des.Millisecond, radios[0])
 	sim.Run()
 	if got := m.AudibleRebuilds(); got != 2 {
@@ -396,7 +396,7 @@ func TestAudibleSetsMemoise(t *testing.T) {
 	}
 
 	// Motion bumps the epoch: the next transmit from each radio rebuilds.
-	sim.At(sim.Now()+des.Millisecond, func() { radios[7].SetPos(geom.Point{X: 55, Y: 55}) })
+	sim.AtCall(sim.Now()+des.Millisecond, des.Func(func() { radios[7].SetPos(geom.Point{X: 55, Y: 55}) }), 0, 0)
 	tx(sim.Now()+2*des.Millisecond, radios[0])
 	tx(sim.Now()+5*des.Millisecond, radios[0]) // second transmit reuses
 	sim.Run()
@@ -428,7 +428,7 @@ func TestAudibleSetExcludesWeak(t *testing.T) {
 		geom.Point{X: 200},   // audible
 		geom.Point{X: 400},   // audible (CS range)
 		geom.Point{X: 20000}) // below tracking floor → excluded
-	sim.At(0, func() { radios[0].Transmit("x", 100, des.Millisecond) })
+	sim.AtCall(0, des.Func(func() { radios[0].Transmit("x", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	a := &m.aud[0]
 	if a.epoch != m.audEpoch {
@@ -477,20 +477,20 @@ func wideDelivery(reference, mobile bool) (*Medium, []*recorder) {
 			// Overlapping senders are three radios apart: the receiver
 			// between them loses the frame, the one outside keeps it.
 			r := radios[i*3%len(radios)]
-			sim.At(des.Time(round*len(radios)+i)*des.Millisecond/2, func() {
+			sim.AtCall(des.Time(round*len(radios)+i)*des.Millisecond/2, des.Func(func() {
 				r.Transmit(r.ID(), 512, des.Millisecond)
-			})
+			}), 0, 0)
 		}
 	}
 	if mobile {
 		for k := 0; k < 10; k++ {
 			r := radios[k*13]
 			dx := float64(k+1) * 300
-			sim.At(des.Time(3*k+1)*des.Millisecond, func() {
+			sim.AtCall(des.Time(3*k+1)*des.Millisecond, des.Func(func() {
 				r.SetPos(geom.Point{X: r.Pos().X + dx, Y: 5})
-			})
+			}), 0, 0)
 		}
-		sim.At(40*des.Millisecond, func() { radios[139].SetPos(geom.Point{X: 0, Y: 10}) })
+		sim.AtCall(40*des.Millisecond, des.Func(func() { radios[139].SetPos(geom.Point{X: 0, Y: 10}) }), 0, 0)
 	}
 	sim.Run()
 	return m, recs

@@ -44,8 +44,8 @@ func TestAuditCatchesReceiverMutations(t *testing.T) {
 		}, "receiver 5 nlive=", nil},
 	} {
 		sim, m, radios, _ := diffBed(tierMemo)
-		sim.At(0, func() { radios[0].Transmit("a", 100, des.Millisecond) })
-		sim.At(0, func() { radios[11].Transmit("b", 100, des.Millisecond) })
+		sim.AtCall(0, des.Func(func() { radios[0].Transmit("a", 100, des.Millisecond) }), 0, 0)
+		sim.AtCall(0, des.Func(func() { radios[11].Transmit("b", 100, des.Millisecond) }), 0, 0)
 		sim.RunUntil(500 * des.Microsecond)
 		if _, err := m.AuditCoherence(true); err != nil {
 			t.Fatalf("%s: clean mid-flight medium fails the audit: %v", tc.name, err)

@@ -13,10 +13,10 @@ import (
 func stagger(sim *des.Sim, radios []*Radio, n int) {
 	for i := 0; i < n; i++ {
 		at := des.Time(i) * 2 * des.Millisecond
-		sim.At(at, func() { radios[0].Transmit("f", 100, des.Millisecond) })
+		sim.AtCall(at, des.Func(func() { radios[0].Transmit("f", 100, des.Millisecond) }), 0, 0)
 		for j := 1; j < len(radios); j++ {
 			j := j
-			sim.At(at, func() { radios[j].Transmit("g", 100, des.Millisecond) })
+			sim.AtCall(at, des.Func(func() { radios[j].Transmit("g", 100, des.Millisecond) }), 0, 0)
 		}
 	}
 }

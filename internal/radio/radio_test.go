@@ -130,7 +130,7 @@ func TestLogDistanceNoShadowingExponent(t *testing.T) {
 func TestCleanDelivery(t *testing.T) {
 	sim, m, radios, recs := testbed(DefaultParams(),
 		geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { radios[0].Transmit("hello", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[0].Transmit("hello", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	if len(recs[1].received) != 1 {
 		t.Fatalf("receiver got %d frames, want 1", len(recs[1].received))
@@ -150,7 +150,7 @@ func TestCleanDelivery(t *testing.T) {
 func TestOutOfRangeNoDelivery(t *testing.T) {
 	sim, _, radios, recs := testbed(DefaultParams(),
 		geom.Point{X: 0}, geom.Point{X: 300})
-	sim.Schedule(0, func() { radios[0].Transmit("x", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[0].Transmit("x", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	if len(recs[1].received) != 0 {
 		t.Fatalf("out-of-range receiver got %d frames", len(recs[1].received))
@@ -160,7 +160,7 @@ func TestOutOfRangeNoDelivery(t *testing.T) {
 func TestCarrierSenseBeyondRxRange(t *testing.T) {
 	sim, _, radios, recs := testbed(DefaultParams(),
 		geom.Point{X: 0}, geom.Point{X: 400})
-	sim.Schedule(0, func() { radios[0].Transmit("x", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[0].Transmit("x", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	if len(recs[1].received) != 0 {
 		t.Fatal("node at 400 m decoded a frame")
@@ -175,8 +175,8 @@ func TestCollisionCorruptsBoth(t *testing.T) {
 	// comparable powers → no capture → the locked frame is corrupted.
 	sim, m, radios, recs := testbed(DefaultParams(),
 		geom.Point{X: 0}, geom.Point{X: 400}, geom.Point{X: 200})
-	sim.Schedule(0, func() { radios[0].Transmit("a", 100, des.Millisecond) })
-	sim.Schedule(0, func() { radios[1].Transmit("b", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[0].Transmit("a", 100, des.Millisecond) }), 0, 0)
+	sim.ScheduleCall(0, des.Func(func() { radios[1].Transmit("b", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	okCount := 0
 	for _, e := range recs[2].received {
@@ -200,8 +200,8 @@ func TestCaptureStrongFrameSurvives(t *testing.T) {
 		geom.Point{X: 0},    // receiver
 		geom.Point{X: 50},   // strong sender
 		geom.Point{X: -240}) // weak interferer
-	sim.Schedule(0, func() { radios[1].Transmit("strong", 100, des.Millisecond) })
-	sim.Schedule(0, func() { radios[2].Transmit("weak", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[1].Transmit("strong", 100, des.Millisecond) }), 0, 0)
+	sim.ScheduleCall(0, des.Func(func() { radios[2].Transmit("weak", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	var okPayloads []any
 	for _, e := range recs[0].received {
@@ -219,8 +219,8 @@ func TestLateInterferenceCorruptsLockedFrame(t *testing.T) {
 	// (corruption latches even though the preamble was clean).
 	sim, _, radios, recs := testbed(DefaultParams(),
 		geom.Point{X: 0}, geom.Point{X: 200}, geom.Point{X: -200})
-	sim.Schedule(0, func() { radios[1].Transmit("victim", 100, des.Millisecond) })
-	sim.Schedule(des.Millisecond/2, func() { radios[2].Transmit("late", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[1].Transmit("victim", 100, des.Millisecond) }), 0, 0)
+	sim.ScheduleCall(des.Millisecond/2, des.Func(func() { radios[2].Transmit("late", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	for _, e := range recs[0].received {
 		if e.ok {
@@ -232,8 +232,8 @@ func TestLateInterferenceCorruptsLockedFrame(t *testing.T) {
 func TestHalfDuplexNoReceiveWhileTransmitting(t *testing.T) {
 	sim, _, radios, recs := testbed(DefaultParams(),
 		geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { radios[0].Transmit("mine", 100, 2*des.Millisecond) })
-	sim.Schedule(des.Microsecond, func() { radios[1].Transmit("theirs", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[0].Transmit("mine", 100, 2*des.Millisecond) }), 0, 0)
+	sim.ScheduleCall(des.Microsecond, des.Func(func() { radios[1].Transmit("theirs", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	for _, e := range recs[0].received {
 		if e.ok {
@@ -244,7 +244,7 @@ func TestHalfDuplexNoReceiveWhileTransmitting(t *testing.T) {
 
 func TestTransmitWhileTransmittingPanics(t *testing.T) {
 	sim, _, radios, _ := testbed(DefaultParams(), geom.Point{X: 0})
-	sim.Schedule(0, func() {
+	sim.ScheduleCall(0, des.Func(func() {
 		radios[0].Transmit("a", 10, des.Millisecond)
 		defer func() {
 			if recover() == nil {
@@ -252,7 +252,7 @@ func TestTransmitWhileTransmittingPanics(t *testing.T) {
 			}
 		}()
 		radios[0].Transmit("b", 10, des.Millisecond)
-	})
+	}), 0, 0)
 	sim.Run()
 }
 
@@ -266,8 +266,8 @@ func TestHiddenTerminal(t *testing.T) {
 	if radios[0].m.InRange(0, 2) {
 		t.Fatal("outer nodes unexpectedly in range")
 	}
-	sim.Schedule(0, func() { radios[0].Transmit("left", 100, des.Millisecond) })
-	sim.Schedule(des.Microsecond*10, func() { radios[2].Transmit("right", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[0].Transmit("left", 100, des.Millisecond) }), 0, 0)
+	sim.ScheduleCall(des.Microsecond*10, des.Func(func() { radios[2].Transmit("right", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	for _, e := range recs[1].received {
 		if e.ok {
@@ -279,8 +279,8 @@ func TestHiddenTerminal(t *testing.T) {
 func TestSequentialTransmissionsBothDelivered(t *testing.T) {
 	sim, _, radios, recs := testbed(DefaultParams(),
 		geom.Point{X: 0}, geom.Point{X: 200})
-	sim.Schedule(0, func() { radios[0].Transmit("first", 100, des.Millisecond) })
-	sim.Schedule(2*des.Millisecond, func() { radios[0].Transmit("second", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[0].Transmit("first", 100, des.Millisecond) }), 0, 0)
+	sim.ScheduleCall(2*des.Millisecond, des.Func(func() { radios[0].Transmit("second", 100, des.Millisecond) }), 0, 0)
 	sim.Run()
 	if len(recs[1].received) != 2 {
 		t.Fatalf("got %d deliveries, want 2", len(recs[1].received))
@@ -297,15 +297,15 @@ func TestCarrierClearsAfterOverlap(t *testing.T) {
 	// once and clear only after the last one ends.
 	sim, _, radios, recs := testbed(DefaultParams(),
 		geom.Point{X: 0}, geom.Point{X: 300}, geom.Point{X: 150})
-	sim.Schedule(0, func() { radios[0].Transmit("a", 100, des.Millisecond) })
-	sim.Schedule(des.Millisecond/2, func() { radios[1].Transmit("b", 100, des.Millisecond) })
+	sim.ScheduleCall(0, des.Func(func() { radios[0].Transmit("a", 100, des.Millisecond) }), 0, 0)
+	sim.ScheduleCall(des.Millisecond/2, des.Func(func() { radios[1].Transmit("b", 100, des.Millisecond) }), 0, 0)
 	var clearedAt des.Time
-	sim.Schedule(10*des.Millisecond, func() {
+	sim.ScheduleCall(10*des.Millisecond, des.Func(func() {
 		for i, c := range recs[2].carrier {
 			_ = i
 			_ = c
 		}
-	})
+	}), 0, 0)
 	sim.Run()
 	// Final carrier state must be idle.
 	if len(recs[2].carrier) == 0 || recs[2].carrier[len(recs[2].carrier)-1] {
@@ -364,7 +364,7 @@ func BenchmarkTransmit49Nodes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := radios[i%len(radios)]
-		sim.Schedule(0, func() { r.Transmit("x", 512, 2*des.Millisecond) })
+		sim.ScheduleCall(0, des.Func(func() { r.Transmit("x", 512, 2*des.Millisecond) }), 0, 0)
 		sim.Run()
 	}
 }

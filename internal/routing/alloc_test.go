@@ -262,14 +262,26 @@ func TestHelloBeaconSchedule(t *testing.T) {
 	cfg.HelloEnabled = true
 	sim, a, _ := warmPair(cfg)
 	const jitter = 100 * des.Millisecond
+	// shadow draws what a's generator will: the first beacon's offset and
+	// then each beacon's jitter. Nothing else draws from it in a quiet
+	// pair, so it predicts every beacon's instant, and HelloSent moving at
+	// exactly that instant confirms the prediction.
+	shadow := *a.Env.Rng
 	a.Start()
-	at := a.helloEv.Time()
+	at := des.Time(shadow.Intn(int(cfg.HelloInterval))) + des.Time(shadow.Intn(int(jitter)))
 	if at >= cfg.HelloInterval+jitter {
 		t.Fatalf("first beacon at %v, past one interval plus jitter", at)
 	}
 	for i := 0; i < 10; i++ {
+		sim.RunUntil(at - 1)
+		if a.Ctr.HelloSent != uint64(i) {
+			t.Fatalf("beacon %d sent before %v", i, at)
+		}
 		sim.RunUntil(at)
-		next := a.helloEv.Time()
+		if a.Ctr.HelloSent != uint64(i+1) {
+			t.Fatalf("beacon %d not sent at %v", i, at)
+		}
+		next := at + cfg.HelloInterval + des.Time(shadow.Intn(int(jitter)))
 		if gap := next - at; gap < cfg.HelloInterval || gap >= cfg.HelloInterval+jitter {
 			t.Fatalf("beacon %d: gap %v outside [%v, %v)", i, gap, cfg.HelloInterval, cfg.HelloInterval+jitter)
 		}

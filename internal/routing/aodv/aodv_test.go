@@ -38,9 +38,9 @@ func TestFloodForwardsFirstCopyOnly(t *testing.T) {
 	// Chain 0-1-2-3: node 1 receives the origin's RREQ once, then hears
 	// node 2's rebroadcast (a duplicate). It must forward exactly once.
 	simk, nodes := buildChain(4)
-	simk.Schedule(des.Second, func() {
+	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, simk.Now(), 30))
-	})
+	}), 0, 0)
 	simk.RunUntil(10 * des.Second)
 
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
@@ -68,9 +68,9 @@ func TestFloodForwardsFirstCopyOnly(t *testing.T) {
 func TestFloodFirstRREQWinsReply(t *testing.T) {
 	// Destination-side: first-wins means exactly one RREP per discovery.
 	simk, nodes := buildChain(3)
-	simk.Schedule(des.Second, func() {
+	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 2, 128, 0, 0, simk.Now(), 30))
-	})
+	}), 0, 0)
 	simk.RunUntil(10 * des.Second)
 	if got := nodes[2].Agent.Ctr.RREPSent; got != 1 {
 		t.Fatalf("destination sent %d RREPs, want 1", got)

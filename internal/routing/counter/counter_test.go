@@ -40,9 +40,9 @@ func TestThresholdOneSuppressesEverything(t *testing.T) {
 	// discovery fails.
 	simk, nodes := build(geom.ChainPlacement(geom.Point{}, 3, 200),
 		counter.Params{C: 1, RADMax: 10 * des.Millisecond}, 3)
-	simk.Schedule(des.Second, func() {
+	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 2, 64, 0, 0, simk.Now(), 30))
-	})
+	}), 0, 0)
 	simk.RunUntil(15 * des.Second)
 	if nodes[2].Agent.Ctr.DataDelivered != 0 {
 		t.Fatal("C=1 should strangle every flood")
@@ -60,9 +60,9 @@ func TestDefaultThresholdDeliversOnChain(t *testing.T) {
 	// below the default C=3, so the flood propagates.
 	simk, nodes := build(geom.ChainPlacement(geom.Point{}, 4, 200),
 		counter.DefaultParams(), 5)
-	simk.Schedule(des.Second, func() {
+	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 64, 0, 0, simk.Now(), 30))
-	})
+	}), 0, 0)
 	simk.RunUntil(10 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
 		t.Fatal("default counter scheme failed on a chain")
@@ -80,9 +80,9 @@ func TestDenseClusterSuppresses(t *testing.T) {
 	}
 	positions = append(positions, geom.Point{X: 330}) // target, reachable via cluster
 	simk, nodes := build(positions, counter.Params{C: 2, RADMax: 10 * des.Millisecond}, 7)
-	simk.Schedule(des.Second, func() {
+	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, pkt.NodeID(len(nodes)-1), 64, 0, 0, simk.Now(), 30))
-	})
+	}), 0, 0)
 	simk.RunUntil(10 * des.Second)
 
 	var fwd, sup uint64

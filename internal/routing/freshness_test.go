@@ -45,19 +45,19 @@ func TestTableLookupExpiresBoundary(t *testing.T) {
 	sim := des.NewSim()
 	tb := NewTable(sim)
 	tb.Update(route(5, 2, 1, 3, 3, des.Second))
-	sim.Schedule(des.Second-1, func() {
+	sim.ScheduleCall(des.Second-1, des.Func(func() {
 		if tb.Lookup(5) == nil {
 			t.Error("route dead one tick before Expires")
 		}
-	})
-	sim.Schedule(des.Second, func() {
+	}), 0, 0)
+	sim.ScheduleCall(des.Second, des.Func(func() {
 		if tb.Lookup(5) != nil {
 			t.Error("route alive at exactly Expires")
 		}
 		if r := get(tb, 5); r == nil || r.Valid {
 			t.Errorf("expired Lookup did not invalidate the entry: %+v", r)
 		}
-	})
+	}), 0, 0)
 	sim.Run()
 }
 
@@ -70,17 +70,17 @@ func TestDupCacheHorizonBoundary(t *testing.T) {
 	if d.Seen(1, 7) {
 		t.Fatal("first sighting reported as duplicate")
 	}
-	sim.Schedule(2*des.Second-1, func() {
+	sim.ScheduleCall(2*des.Second-1, des.Func(func() {
 		if !d.Seen(1, 7) {
 			t.Error("flood forgotten one tick before the horizon")
 		}
-	})
+	}), 0, 0)
 	// The tick-before lookup above re-arms nothing: Seen only reports.
-	sim.Schedule(2*des.Second, func() {
+	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		if d.Seen(1, 7) {
 			t.Error("flood still remembered at exactly the horizon")
 		}
-	})
+	}), 0, 0)
 	sim.Run()
 }
 
@@ -92,11 +92,11 @@ func TestDupCacheLenCountsLiveEntries(t *testing.T) {
 	sim := des.NewSim()
 	const horizon = 2 * des.Second
 	var d *DupCache
-	sim.Schedule(10*des.Second, func() {
+	sim.ScheduleCall(10*des.Second, des.Func(func() {
 		d = NewDupCache(sim, horizon)
 		d.Seen(1, 42) // exp = 12 s
-	})
-	sim.Schedule(12*des.Second-1, func() {
+	}), 0, 0)
+	sim.ScheduleCall(12*des.Second-1, des.Func(func() {
 		if d.Len() != 1 {
 			t.Errorf("len=%d one tick before expiry (exp == now+1), want 1", d.Len())
 		}
@@ -104,8 +104,8 @@ func TestDupCacheLenCountsLiveEntries(t *testing.T) {
 		if d.Len() != 2 {
 			t.Errorf("len=%d after a second origin's flood, want 2", d.Len())
 		}
-	})
-	sim.Schedule(12*des.Second, func() {
+	}), 0, 0)
+	sim.ScheduleCall(12*des.Second, des.Func(func() {
 		if d.Len() != 1 {
 			t.Errorf("len=%d at exactly the horizon (exp == now), want origin 2's entry only", d.Len())
 		}
@@ -115,7 +115,7 @@ func TestDupCacheLenCountsLiveEntries(t *testing.T) {
 		if d.Len() != 2 {
 			t.Errorf("len=%d after re-recording the expired flood, want 2", d.Len())
 		}
-	})
+	}), 0, 0)
 	sim.Run()
 }
 

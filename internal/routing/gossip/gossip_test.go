@@ -37,9 +37,9 @@ func TestDefaultParams(t *testing.T) {
 
 func TestProbabilityOneBehavesLikeFlood(t *testing.T) {
 	simk, nodes := buildChain(4, gossip.Params{P: 1, K: 0}, 3)
-	simk.Schedule(des.Second, func() {
+	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, simk.Now(), 30))
-	})
+	}), 0, 0)
 	simk.RunUntil(10 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 1 {
 		t.Fatal("P=1 gossip failed to deliver")
@@ -53,9 +53,9 @@ func TestProbabilityZeroSuppressesBeyondK(t *testing.T) {
 	// P=0, K=1: the origin's 1-hop neighbours forward (hop 0 < K), but
 	// 2nd-ring nodes suppress everything, so a 3-hop discovery fails.
 	simk, nodes := buildChain(4, gossip.Params{P: 0, K: 1}, 3)
-	simk.Schedule(des.Second, func() {
+	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, simk.Now(), 30))
-	})
+	}), 0, 0)
 	simk.RunUntil(15 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 0 {
 		t.Fatal("P=0 gossip should not reach 3 hops")
@@ -80,9 +80,9 @@ func TestIntermediateProbability(t *testing.T) {
 	forwarded, suppressed := 0, 0
 	for seed := uint64(0); seed < 30; seed++ {
 		simk, nodes := buildChain(3, gossip.Params{P: 0.5, K: 0}, seed)
-		simk.Schedule(des.Second, func() {
+		simk.ScheduleCall(des.Second, des.Func(func() {
 			nodes[0].Agent.Send(nilPool.Data(0, 2, 64, 0, 0, simk.Now(), 30))
-		})
+		}), 0, 0)
 		simk.RunUntil(6 * des.Second)
 		forwarded += int(nodes[1].Agent.Ctr.RREQForwarded)
 		suppressed += int(nodes[1].Agent.Ctr.RREQSuppressed)

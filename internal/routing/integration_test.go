@@ -156,7 +156,7 @@ func TestDiscoveryFailsAcrossPartition(t *testing.T) {
 	positions := []geom.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 3000, Y: 0}, {X: 3200, Y: 0}}
 	sim, nodes := buildNet(5, positions, flood)
 	p := nilPool.Data(0, 3, 256, 0, 0, 0, 30)
-	sim.Schedule(des.Second, func() { nodes[0].Agent.Send(p) })
+	sim.ScheduleCall(des.Second, des.Func(func() { nodes[0].Agent.Send(p) }), 0, 0)
 	sim.RunUntil(30 * des.Second)
 
 	ctr := &nodes[0].Agent.Ctr
@@ -179,9 +179,9 @@ func TestRouteReusedWithoutRediscovery(t *testing.T) {
 	send := func(seq int) {
 		nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, seq, sim.Now(), 30))
 	}
-	sim.Schedule(des.Second, func() { send(0) })
+	sim.ScheduleCall(des.Second, des.Func(func() { send(0) }), 0, 0)
 	// Second packet while the route is warm: no new flood.
-	sim.Schedule(2*des.Second, func() { send(1) })
+	sim.ScheduleCall(2*des.Second, des.Func(func() { send(1) }), 0, 0)
 	sim.RunUntil(5 * des.Second)
 	if nodes[0].Agent.Ctr.DiscoveriesStarted != 1 {
 		t.Fatalf("discoveries %d, want 1 (route should be cached)",
@@ -244,7 +244,7 @@ func TestTTLPreventsInfiniteForwarding(t *testing.T) {
 	sim, nodes := buildNet(13, positions, flood)
 	// TTL 2 cannot cross 3 hops.
 	p := nilPool.Data(0, 3, 128, 0, 0, 0, 2)
-	sim.Schedule(des.Second, func() { nodes[0].Agent.Send(p) })
+	sim.ScheduleCall(des.Second, des.Func(func() { nodes[0].Agent.Send(p) }), 0, 0)
 	sim.RunUntil(10 * des.Second)
 	if nodes[3].Agent.Ctr.DataDelivered != 0 {
 		t.Fatal("packet crossed more hops than its TTL allows")
@@ -286,11 +286,11 @@ func TestTracingCapturesRoutingEvents(t *testing.T) {
 	}
 	// send originates one data packet at node 0; a UID makes it journey.
 	send := func(sim *des.Sim, nodes []*node.Node, at des.Time, dst pkt.NodeID) {
-		sim.Schedule(at, func() {
+		sim.ScheduleCall(at, des.Func(func() {
 			p := nilPool.Data(0, dst, 128, 0, 0, sim.Now(), 30)
 			p.UID = uint64(at)
 			nodes[0].Agent.Send(p)
-		})
+		}), 0, 0)
 	}
 
 	t.Run("discovery-ok", func(t *testing.T) {
@@ -336,7 +336,7 @@ func TestTracingCapturesRoutingEvents(t *testing.T) {
 	t.Run("link-fail", func(t *testing.T) {
 		rec := record(geom.ChainPlacement(geom.Point{}, 3, 200), func(sim *des.Sim, nodes []*node.Node) {
 			send(sim, nodes, des.Second, 2)
-			sim.Schedule(2*des.Second, func() { nodes[1].Crash() })
+			sim.ScheduleCall(2*des.Second, des.Func(func() { nodes[1].Crash() }), 0, 0)
 			send(sim, nodes, 3*des.Second, 2)
 			sim.RunUntil(5 * des.Second)
 		})
@@ -358,9 +358,9 @@ func TestExpandingRingSearch(t *testing.T) {
 
 	t.Run("near destination found with TTL-1 flood", func(t *testing.T) {
 		sim, nodes := buildNet(3, positions, ers)
-		sim.Schedule(des.Second, func() {
+		sim.ScheduleCall(des.Second, des.Func(func() {
 			nodes[0].Agent.Send(nilPool.Data(0, 1, 128, 0, 0, sim.Now(), 30))
-		})
+		}), 0, 0)
 		sim.RunUntil(10 * des.Second)
 		if nodes[1].Agent.Ctr.DataDelivered != 1 {
 			t.Fatal("1-hop destination not reached")
@@ -379,9 +379,9 @@ func TestExpandingRingSearch(t *testing.T) {
 
 	t.Run("far destination escalates the ladder", func(t *testing.T) {
 		sim, nodes := buildNet(3, positions, ers)
-		sim.Schedule(des.Second, func() {
+		sim.ScheduleCall(des.Second, des.Func(func() {
 			nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, sim.Now(), 30))
-		})
+		}), 0, 0)
 		sim.RunUntil(15 * des.Second)
 		if nodes[3].Agent.Ctr.DataDelivered != 1 {
 			t.Fatal("3-hop destination not reached")
@@ -397,9 +397,9 @@ func TestExpandingRingSearch(t *testing.T) {
 
 	t.Run("unreachable destination exhausts ladder plus retries", func(t *testing.T) {
 		sim, nodes := buildNet(3, positions, ers)
-		sim.Schedule(des.Second, func() {
+		sim.ScheduleCall(des.Second, des.Func(func() {
 			nodes[0].Agent.Send(nilPool.Data(0, 99, 128, 0, 0, sim.Now(), 30))
-		})
+		}), 0, 0)
 		_ = nodes
 		sim.RunUntil(30 * des.Second)
 		want := uint64(2 + 1 + routing.DefaultConfig().RREQRetries)
@@ -420,15 +420,15 @@ func TestLinkFailureTriggersRERRPropagation(t *testing.T) {
 	positions := geom.ChainPlacement(geom.Point{}, 4, 200)
 	sim, nodes := buildNet(29, positions, flood)
 	seq := 0
-	feeder := des.NewTicker(sim, 200*des.Millisecond, func() {
+	// A 5 pkt/s flow from t=1s, with more ticks than the run has.
+	sim.AtTrain(des.Second, 200*des.Millisecond, 1<<20, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, seq, sim.Now(), 30))
 		seq++
-	})
-	feeder.Start(des.Second)
+	}), 0, 0)
 	// Yank node 3 out of range at t=5s.
-	sim.Schedule(5*des.Second, func() {
+	sim.ScheduleCall(5*des.Second, des.Func(func() {
 		nodes[3].Radio.SetPos(geom.Point{X: 10_000})
-	})
+	}), 0, 0)
 	sim.RunUntil(20 * des.Second)
 
 	if nodes[3].Agent.Ctr.DataDelivered == 0 {
@@ -466,24 +466,24 @@ func TestCrashedRelayTriggersRERRAndReroute(t *testing.T) {
 	}
 	sim, nodes := buildNet(43, positions, flood)
 	seq := 0
-	feeder := des.NewTicker(sim, 200*des.Millisecond, func() {
+	// A 5 pkt/s flow from t=1s, with more ticks than the run has.
+	sim.AtTrain(des.Second, 200*des.Millisecond, 1<<20, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, seq, sim.Now(), 30))
 		seq++
-	})
-	feeder.Start(des.Second)
+	}), 0, 0)
 
 	// Crash whichever relay the flow actually uses; the other must take
 	// over. Route lifetime is 5 s, so the pre-crash route is still fresh.
 	var crashed, alternate int
 	var deliveredBefore uint64
-	sim.Schedule(4*des.Second, func() {
+	sim.ScheduleCall(4*des.Second, des.Func(func() {
 		crashed, alternate = 2, 4
 		if nodes[4].Agent.Ctr.DataForwarded > nodes[2].Agent.Ctr.DataForwarded {
 			crashed, alternate = 4, 2
 		}
 		deliveredBefore = nodes[3].Agent.Ctr.DataDelivered
 		nodes[crashed].Crash()
-	})
+	}), 0, 0)
 	sim.RunUntil(20 * des.Second)
 
 	if deliveredBefore == 0 {
@@ -514,21 +514,21 @@ func TestCrashedNodeRecoversAndServesAgain(t *testing.T) {
 	positions := geom.ChainPlacement(geom.Point{}, 3, 200)
 	sim, nodes := buildNet(47, positions, flood)
 	seq := 0
-	feeder := des.NewTicker(sim, 250*des.Millisecond, func() {
+	// A 4 pkt/s flow from t=1s, with more ticks than the run has.
+	sim.AtTrain(des.Second, 250*des.Millisecond, 1<<20, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, seq, sim.Now(), 30))
 		seq++
-	})
-	feeder.Start(des.Second)
+	}), 0, 0)
 
 	var atCrash, atRecover uint64
-	sim.Schedule(5*des.Second, func() {
+	sim.ScheduleCall(5*des.Second, des.Func(func() {
 		atCrash = nodes[2].Agent.Ctr.DataDelivered
 		nodes[1].Crash()
-	})
-	sim.Schedule(12*des.Second, func() {
+	}), 0, 0)
+	sim.ScheduleCall(12*des.Second, des.Func(func() {
 		atRecover = nodes[2].Agent.Ctr.DataDelivered
 		nodes[1].Recover()
-	})
+	}), 0, 0)
 	sim.RunUntil(25 * des.Second)
 
 	if atCrash == 0 {
@@ -556,14 +556,14 @@ func TestCrashedNodeRecoversAndServesAgain(t *testing.T) {
 func TestRecoverIsIdempotent(t *testing.T) {
 	run := func(extra bool) (hellos []uint64, rngNext []uint64) {
 		sim, nodes := buildNet(53, geom.ChainPlacement(geom.Point{}, 3, 200), schemes()["clnlr"])
-		sim.Schedule(2*des.Second, func() { nodes[1].Crash() })
-		sim.Schedule(4*des.Second, func() {
+		sim.ScheduleCall(2*des.Second, des.Func(func() { nodes[1].Crash() }), 0, 0)
+		sim.ScheduleCall(4*des.Second, des.Func(func() {
 			nodes[1].Recover()
 			if extra {
 				nodes[1].Recover()
 				nodes[0].Recover()
 			}
-		})
+		}), 0, 0)
 		sim.RunUntil(20 * des.Second)
 		for _, n := range nodes {
 			hellos = append(hellos, n.Agent.Ctr.HelloSent)
@@ -593,14 +593,14 @@ func TestIntermediateDropAndRERRWithoutRoute(t *testing.T) {
 	// one packet directly at the relay with the destination unreachable.
 	positions := geom.ChainPlacement(geom.Point{}, 3, 200)
 	sim, nodes := buildNet(31, positions, flood)
-	sim.Schedule(des.Second, func() {
+	sim.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, 0, sim.Now(), 30))
-	})
+	}), 0, 0)
 	// Well after the route lifetime (5 s), hand node 1 a data packet for
 	// node 2 as if forwarded from node 0: its route has expired.
-	sim.Schedule(15*des.Second, func() {
+	sim.ScheduleCall(15*des.Second, des.Func(func() {
 		nodes[1].Agent.MacReceive(nilPool.Data(0, 2, 256, 0, 1, sim.Now(), 30), 0)
-	})
+	}), 0, 0)
 	sim.RunUntil(20 * des.Second)
 	if nodes[1].Agent.Ctr.DropNoRoute == 0 {
 		t.Fatal("relay with expired route recorded no DropNoRoute")
@@ -645,8 +645,8 @@ func slabRun(spec routing.Spec, between func([]*node.Node)) (traffic.FlowStats, 
 			Payload: 512, Interval: 100 * des.Millisecond, Start: des.Second,
 		}, src.Derive(uint64(i)))
 	}
-	sim.At(3*des.Second, nodes[12].Crash)
-	sim.At(5*des.Second, nodes[12].Recover)
+	sim.AtCall(3*des.Second, des.Func(nodes[12].Crash), 0, 0)
+	sim.AtCall(5*des.Second, des.Func(nodes[12].Recover), 0, 0)
 	for t := des.Time(0); t <= 8*des.Second; t += 200 * des.Microsecond {
 		sim.RunUntil(t)
 		between(nodes)

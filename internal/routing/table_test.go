@@ -35,11 +35,11 @@ func TestTableExpiry(t *testing.T) {
 	sim := des.NewSim()
 	tb := NewTable(sim)
 	tb.Update(route(5, 2, 1, 3, 3, des.Second))
-	sim.Schedule(2*des.Second, func() {
+	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		if tb.Lookup(5) != nil {
 			t.Error("expired route returned")
 		}
-	})
+	}), 0, 0)
 	sim.Run()
 }
 
@@ -154,7 +154,7 @@ func TestTableExpiredEntryKeepsFreshness(t *testing.T) {
 	sim := des.NewSim()
 	tb := NewTable(sim)
 	tb.Update(route(5, 2, 100, 1, 1, des.Millisecond))
-	sim.Schedule(des.Second, func() {
+	sim.ScheduleCall(des.Second, des.Func(func() {
 		// A copy of the expired route, still in flight: rejected.
 		if tb.Update(route(5, 3, 100, 2, 2, sim.Now()+des.Second)) {
 			t.Error("stale-seq candidate accepted against expired entry")
@@ -166,7 +166,7 @@ func TestTableExpiredEntryKeepsFreshness(t *testing.T) {
 		if !tb.Update(route(5, 4, 101, 2, 2, sim.Now()+des.Second)) {
 			t.Error("fresh candidate rejected against expired entry")
 		}
-	})
+	}), 0, 0)
 	sim.Run()
 	if r := tb.Lookup(5); r == nil || r.NextHop != 4 {
 		t.Fatalf("expired entry not resurrected by fresh route: %+v", r)
@@ -223,11 +223,11 @@ func TestDupCacheExpiry(t *testing.T) {
 	sim := des.NewSim()
 	d := NewDupCache(sim, des.Second)
 	d.Seen(1, 1)
-	sim.Schedule(2*des.Second, func() {
+	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		if d.Seen(1, 1) {
 			t.Error("expired entry still considered seen")
 		}
-	})
+	}), 0, 0)
 	sim.Run()
 }
 
@@ -247,14 +247,14 @@ func TestDupCacheReusesExpiredSlot(t *testing.T) {
 		t.Fatalf("one origin holds %d live floods, want all 100", d.Len())
 	}
 	capacity := len(d.ring)
-	sim.Schedule(des.Second-1, func() {
+	sim.ScheduleCall(des.Second-1, des.Func(func() {
 		for i := uint32(0); i < 100; i++ {
 			if !d.Seen(1, i) {
 				t.Errorf("live flood %d forgotten a tick before the horizon", i)
 			}
 		}
-	})
-	sim.Schedule(des.Second, func() {
+	}), 0, 0)
+	sim.ScheduleCall(des.Second, des.Func(func() {
 		if d.Len() != 0 {
 			t.Errorf("%d entries still live at the horizon", d.Len())
 		}
@@ -267,7 +267,7 @@ func TestDupCacheReusesExpiredSlot(t *testing.T) {
 			t.Errorf("len=%d, ring capacity %d → %d; want the 100 re-recorded floods live in the old ring",
 				d.Len(), capacity, len(d.ring))
 		}
-	})
+	}), 0, 0)
 	sim.Run()
 }
 
@@ -279,10 +279,10 @@ func TestNeighborTableFreshness(t *testing.T) {
 	if nt.Count() != 2 {
 		t.Fatalf("count %d", nt.Count())
 	}
-	sim.Schedule(des.Second, func() {
+	sim.ScheduleCall(des.Second, des.Func(func() {
 		nt.Update(2, 0.4, nil) // refresh node 2 only
-	})
-	sim.Schedule(2*des.Second+des.Millisecond, func() {
+	}), 0, 0)
+	sim.ScheduleCall(2*des.Second+des.Millisecond, des.Func(func() {
 		if nt.Count() != 1 {
 			t.Errorf("count %d after staleness, want 1", nt.Count())
 		}
@@ -290,7 +290,7 @@ func TestNeighborTableFreshness(t *testing.T) {
 		if len(loads) != 1 || loads[0].ID != 2 {
 			t.Errorf("loads %v", loads)
 		}
-	})
+	}), 0, 0)
 	sim.Run()
 }
 

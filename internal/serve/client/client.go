@@ -157,13 +157,6 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 	return json.Unmarshal(body, v)
 }
 
-// JobStatus fetches a job's point-in-time status.
-func (c *Client) JobStatus(ctx context.Context, key string) (serve.JobStatus, error) {
-	var st serve.JobStatus
-	err := c.getJSON(ctx, "/v1/jobs/"+key, &st)
-	return st, err
-}
-
 // Stream follows a job's NDJSON progress stream, invoking fn for every
 // status until the job finishes, fn returns an error, or ctx is done.
 func (c *Client) Stream(ctx context.Context, key string, fn func(serve.JobStatus) error) error {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 
 	"clnlr/internal/experiments"
 	"clnlr/internal/metrics"
@@ -20,20 +21,28 @@ import (
 // the server's pool, warm when an earlier miss left one there (a warm
 // engine's result is bit-identical to a cold one's), and gives it back
 // once the bytes are encoded; the garbage collector empties the pool
-// while the daemon idles.
-func (s *Server) executeRun(j runJob) ([]byte, error) {
+// while the daemon idles. A panicking run is a failed job carrying an
+// *experiments.PanicError, as a sweep's replication is, not a dead
+// daemon; the Observer has dropped the panicked engine, so it goes back
+// to the pool like any other.
+func (s *Server) executeRun(j runJob) (body []byte, err error) {
 	obs, warm := s.runners.Get().(*sim.Observer)
 	if warm {
 		s.engineWarmRuns.Add(1)
 	} else {
 		obs = new(sim.Observer)
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			body, err = nil, &experiments.PanicError{Value: v, Stack: debug.Stack()}
+		}
+		s.runners.Put(obs)
+	}()
 	r, err := obs.Run(j.sc, j.opts)
 	var buf bytes.Buffer
 	if err == nil {
 		err = obs.Report(j.sc, r).Canonical().WriteJSON(&buf)
 	}
-	s.runners.Put(obs)
 	if err != nil {
 		return nil, err
 	}

@@ -209,9 +209,6 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the result cache (tests and stats).
-func (s *Server) Cache() *Cache { return s.cache }
-
 // Draining reports whether shutdown has begun. Sweep jobs poll this
 // through the experiments Interrupted hook: once true, in-flight
 // replications drain, completed cells checkpoint, and the sweep returns

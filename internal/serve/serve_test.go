@@ -1039,3 +1039,45 @@ func TestServedSweepKeepsScenarioAudit(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileRunIsRejectedAndContained: MAC settings the engine cannot
+// run are a 400 before any job starts; a run that panics anyway is a
+// failed job (500), not a dead daemon; and the next valid run is served
+// with the bytes a fresh Observer gives.
+func TestHostileRunIsRejectedAndContained(t *testing.T) {
+	srv, ts := newTestServer(t, Config{JobWorkers: 1})
+	for _, mac := range []string{
+		`{"DataRateBps":0}`,
+		`{"BasicRateBps":0}`,
+		`{"CWMin":-1}`,
+		`{"SlotTime":0,"SIFS":0}`,
+		`{"LoadSampleInterval":0}`,
+	} {
+		resp, body := post(t, ts, "/v1/run", json.RawMessage(`{"scenario":{"Mac":`+mac+`}}`))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("Mac %s answered %d (%s), want 400", mac, resp.StatusCode, body)
+		}
+	}
+	if n := srv.Stats().EngineRuns; n != 0 {
+		t.Fatalf("rejected requests ran %d jobs", n)
+	}
+
+	sim.TestHookRun = func(sim.Scenario) { panic("injected: poisoned run") }
+	resp, body := post(t, ts, "/v1/run", runCase{sc: testScenario(5)}.request(t))
+	sim.TestHookRun = nil
+	if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(body, []byte("injected: poisoned run")) {
+		t.Fatalf("panicking run answered %d (%s), want 500 naming the panic", resp.StatusCode, body)
+	}
+	if n := srv.Stats().JobsFailed; n != 1 {
+		t.Fatalf("%d failed jobs after the panicking run, want 1", n)
+	}
+
+	after := runCase{name: "after the panic", sc: testScenario(6)}
+	resp, got := post(t, ts, "/v1/run", after.request(t))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid run after the panic: %d %s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, after.want(t)) {
+		t.Fatal("the run after a panic differs from a fresh Observer's")
+	}
+}

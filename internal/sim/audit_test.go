@@ -122,12 +122,12 @@ func TestAuditCleanRun(t *testing.T) {
 // expects exactly routing/seq-monotone.
 func TestAuditCatchesSeqDecrement(t *testing.T) {
 	err := runMutated(t, func(simk *des.Sim, nodes []*node.Node) {
-		simk.At(450*des.Millisecond, func() {
+		simk.AtCall(450*des.Millisecond, des.Func(func() {
 			a := nodes[3].Agent
 			// A large decrement so organic increments between audit points
 			// cannot mask the rollback.
 			a.TestSetSeq(a.SeqNo() - 1000)
-		})
+		}), 0, 0)
 	})
 	wantOnly(t, err, "routing/seq-monotone")
 }
@@ -136,9 +136,9 @@ func TestAuditCatchesSeqDecrement(t *testing.T) {
 // floor; the conservation ledger must flag the node.
 func TestAuditCatchesPacketLeak(t *testing.T) {
 	err := runMutated(t, func(simk *des.Sim, nodes []*node.Node) {
-		simk.At(450*des.Millisecond, func() {
+		simk.AtCall(450*des.Millisecond, des.Func(func() {
 			nodes[0].Agent.Env.Pool.Data(0, 1, 64, 0, 0, simk.Now(), 16)
-		})
+		}), 0, 0)
 	})
 	ae := wantOnly(t, err, "pkt/conservation")
 	if ae.Violations[0].Node != 0 {
@@ -150,12 +150,12 @@ func TestAuditCatchesPacketLeak(t *testing.T) {
 // must count a double free without breaking conservation.
 func TestAuditCatchesDoubleFree(t *testing.T) {
 	err := runMutated(t, func(simk *des.Sim, nodes []*node.Node) {
-		simk.At(450*des.Millisecond, func() {
+		simk.AtCall(450*des.Millisecond, des.Func(func() {
 			pool := nodes[1].Agent.Env.Pool
 			p := pool.Data(1, 2, 64, 0, 0, simk.Now(), 16)
 			pool.Release(p)
 			pool.Release(p)
-		})
+		}), 0, 0)
 	})
 	ae := wantOnly(t, err, "pkt/double-free")
 	if ae.Violations[0].Node != 1 {
@@ -167,9 +167,9 @@ func TestAuditCatchesDoubleFree(t *testing.T) {
 // kernel clamps it but the auditor must report the attempt.
 func TestAuditCatchesPastSchedule(t *testing.T) {
 	err := runMutated(t, func(simk *des.Sim, nodes []*node.Node) {
-		simk.At(450*des.Millisecond, func() {
-			simk.At(simk.Now()-des.Millisecond, func() {})
-		})
+		simk.AtCall(450*des.Millisecond, des.Func(func() {
+			simk.AtCall(simk.Now()-des.Millisecond, des.Func(func() {}), 0, 0)
+		}), 0, 0)
 	})
 	wantOnly(t, err, "des/past-schedule")
 }
@@ -178,10 +178,10 @@ func TestAuditCatchesPastSchedule(t *testing.T) {
 // destination; the loop-freedom projection must flag it.
 func TestAuditCatchesTwoNodeLoop(t *testing.T) {
 	err := runMutated(t, func(simk *des.Sim, nodes []*node.Node) {
-		simk.At(450*des.Millisecond, func() {
+		simk.AtCall(450*des.Millisecond, des.Func(func() {
 			nodes[0].Agent.Table().Update(poisoned(5, 1, 10*des.Second))
 			nodes[1].Agent.Table().Update(poisoned(5, 0, 10*des.Second))
-		})
+		}), 0, 0)
 	})
 	ae := wantOnly(t, err, "routing/loop")
 	if !strings.Contains(ae.Violations[0].Detail, "two-node loop") {
@@ -196,8 +196,8 @@ func TestAuditCatchesTwoNodeLoop(t *testing.T) {
 // attributed to node 0 as a walk of every table would.
 func TestAuditCatchesLoopClosedAtHigherNode(t *testing.T) {
 	_, points, err := runAudited(t, NewEngine(), quietAuditScenario(), func(simk *des.Sim, nodes []*node.Node) {
-		simk.At(250*des.Millisecond, func() { nodes[0].Agent.Table().Update(poisoned(5, 1, 10*des.Second)) })
-		simk.At(450*des.Millisecond, func() { nodes[1].Agent.Table().Update(poisoned(5, 0, 10*des.Second)) })
+		simk.AtCall(250*des.Millisecond, des.Func(func() { nodes[0].Agent.Table().Update(poisoned(5, 1, 10*des.Second)) }), 0, 0)
+		simk.AtCall(450*des.Millisecond, des.Func(func() { nodes[1].Agent.Table().Update(poisoned(5, 0, 10*des.Second)) }), 0, 0)
 	})
 	ae := wantOnly(t, err, "routing/loop")
 	if at := loopPoints(t, ae, 0, 5); at[0] != 500*des.Millisecond {
@@ -217,10 +217,10 @@ func TestAuditCatchesLoopClosedAtHigherNode(t *testing.T) {
 func TestAuditReportsPersistingLoopEveryPoint(t *testing.T) {
 	sc := quietAuditScenario()
 	_, points, err := runAudited(t, NewEngine(), sc, func(simk *des.Sim, nodes []*node.Node) {
-		simk.At(450*des.Millisecond, func() {
+		simk.AtCall(450*des.Millisecond, des.Func(func() {
 			nodes[0].Agent.Table().Update(poisoned(5, 1, 10*des.Second))
 			nodes[1].Agent.Table().Update(poisoned(5, 0, 10*des.Second))
-		})
+		}), 0, 0)
 	})
 	ae := wantOnly(t, err, "routing/loop")
 	loopAt := loopPoints(t, ae, 0, 5)
@@ -249,17 +249,17 @@ func TestAuditReportsPersistingLoopEveryPoint(t *testing.T) {
 // report back at the next point.
 func TestAuditCatchesLoopReinstalledAfterExpiry(t *testing.T) {
 	_, _, err := runAudited(t, NewEngine(), quietAuditScenario(), func(simk *des.Sim, nodes []*node.Node) {
-		simk.At(450*des.Millisecond, func() {
+		simk.AtCall(450*des.Millisecond, des.Func(func() {
 			nodes[1].Agent.Table().Update(poisoned(5, 0, 10*des.Second))
 			nodes[0].Agent.Table().Update(poisoned(5, 1, 650*des.Millisecond))
-		})
-		simk.At(850*des.Millisecond, func() {
+		}), 0, 0)
+		simk.AtCall(850*des.Millisecond, des.Func(func() {
 			r := poisoned(5, 1, 10*des.Second)
 			r.Seq++ // what the lazy expiry bumped it to
 			if !nodes[0].Agent.Table().Update(r) {
 				t.Error("the re-install was refused")
 			}
-		})
+		}), 0, 0)
 	})
 	ae := wantOnly(t, err, "routing/loop")
 	at := loopPoints(t, ae, 0, 5)
@@ -279,14 +279,14 @@ func TestAuditCatchesReleaseFromEarlierArming(t *testing.T) {
 	var lender *pkt.Pool
 	_, _, err := runAudited(t, e, auditScenario(), func(simk *des.Sim, nodes []*node.Node) {
 		lender = nodes[1].Agent.Env.Pool
-		simk.At(450*des.Millisecond, func() { stale = lender.Data(1, 2, 64, 0, 0, simk.Now(), 16) })
+		simk.AtCall(450*des.Millisecond, des.Func(func() { stale = lender.Data(1, 2, 64, 0, 0, simk.Now(), 16) }), 0, 0)
 	})
 	wantOnly(t, err, "pkt/conservation")
 	_, _, err = runAudited(t, e, auditScenario(), func(simk *des.Sim, nodes []*node.Node) {
 		if nodes[1].Agent.Env.Pool != lender {
 			t.Fatal("the warm engine gave node 1 a new pool")
 		}
-		simk.At(450*des.Millisecond, func() { lender.Release(stale) })
+		simk.AtCall(450*des.Millisecond, des.Func(func() { lender.Release(stale) }), 0, 0)
 	})
 	ae := wantOnly(t, err, "pkt/double-free")
 	if ae.Violations[0].Node != 1 {

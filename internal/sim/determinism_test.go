@@ -217,7 +217,7 @@ func TestSchemesShareRandomWorld(t *testing.T) {
 		for _, n := range nodes {
 			w.positions = append(w.positions, n.Pos)
 		}
-		des.NewTicker(simk, des.Millisecond, func() {
+		simk.AtTrain(0, des.Millisecond, 1<<30, des.Func(func() {
 			for i, n := range nodes {
 				if d := n.Radio.Down(); d != down[i] {
 					down[i] = d
@@ -228,7 +228,7 @@ func TestSchemesShareRandomWorld(t *testing.T) {
 					w.downs = append(w.downs, change)
 				}
 			}
-		}).Start(0)
+		}), 0, 0)
 	}
 	defer func() { TestHookPrepared = nil }()
 

@@ -45,7 +45,7 @@ func TestInstrumentTicksAllocateNothing(t *testing.T) {
 	var fullAllocs, incAllocs, sampleAllocs, replyAllocs float64
 	var auditErr error
 	TestHookPrepared = func(simk *des.Sim, nodes []*node.Node, _ Scenario) {
-		simk.At(sc.Warmup+sc.Measure/2+des.Microsecond, func() {
+		simk.AtCall(sc.Warmup+sc.Measure/2+des.Microsecond, des.Func(func() {
 			a := newAuditor(e, sc.Warmup+sc.Measure)
 			fullAllocs = testing.AllocsPerRun(10, func() { a.check(true) })
 			incAllocs = testing.AllocsPerRun(10, func() { a.check(false) })
@@ -62,7 +62,7 @@ func TestInstrumentTicksAllocateNothing(t *testing.T) {
 				rec.OnReplyCandidate(now, 1, 2, 99, 4, 3.5, 3)
 				rec.OnReplyClose(now, 1, 2, 99, 3, 2.5, 2)
 			})
-		})
+		}), 0, 0)
 	}
 	defer func() { TestHookPrepared = nil }()
 	if _, err := e.RunJourney(sc, nil, col, rec); err != nil {

@@ -5,23 +5,38 @@ import (
 	"testing"
 
 	"clnlr/internal/des"
+	"clnlr/internal/mac"
 	"clnlr/internal/metrics"
 	"clnlr/internal/node"
 )
 
 // perMacSampling is the load-sampling arrangement the network clock in
 // node.StartAll replaced, kept as the oracle: one self-rescheduling
-// ticker per MAC, started in ID order before anything else in the run, so
-// every window is closed by N separate events. The clock still runs
+// sampler per MAC, started in ID order before anything else in the run,
+// so every window is closed by N separate events. The clock still runs
 // beside them; at each instant it comes second, finds every window
 // already closed (zero length) and changes nothing. A run under this hook
 // therefore executes N events per window more than a plain one, and the
 // arrangement it replaced N−1 more.
 func perMacSampling(simk *des.Sim, nodes []*node.Node, _ Scenario) {
 	for _, n := range nodes {
-		interval := n.Mac.LoadSampleInterval()
-		des.NewTicker(simk, interval, n.Mac.SampleLoad).Start(interval)
+		s := &macSampler{simk, n.Mac}
+		simk.ScheduleCall(n.Mac.LoadSampleInterval(), s, 0, 0)
 	}
+}
+
+// macSampler closes one MAC's load window per tick and schedules the
+// next one then, so each tick takes its sequence number when the one
+// before fires, as the per-MAC clocks did. A train would take them all
+// up front and reorder ticks against equal-time events.
+type macSampler struct {
+	simk *des.Sim
+	m    *mac.Mac
+}
+
+func (s *macSampler) HandleEvent(int32, uint32) {
+	s.m.SampleLoad()
+	s.simk.ScheduleCall(s.m.LoadSampleInterval(), s, 0, 0)
 }
 
 // sampling installs perMacSampling when oracle is set; the returned func

@@ -186,8 +186,8 @@ func (o *Observer) Report(sc Scenario, r Result) metrics.RunReport {
 
 // sampler is the flight recorder's typed-event handler: one read-only
 // snapshot of every node's cross-layer state per tick. A struct (rather
-// than a closure) so the sampling train rides the kernel's zero-allocation
-// typed path.
+// than a capturing closure in a des.Func) so arming the sampling train
+// allocates nothing.
 type sampler struct {
 	e   *Engine
 	col *metrics.Collector

@@ -243,8 +243,10 @@ func (s Scenario) Validate() error {
 	if s.PacketRate <= 0 {
 		return fmt.Errorf("sim: non-positive packet rate")
 	}
-	if s.PayloadBytes <= 0 {
-		return fmt.Errorf("sim: non-positive payload")
+	// A UDP datagram over IPv4 carries at most 65 507 bytes; far larger
+	// payloads overflow the MAC's airtime arithmetic.
+	if s.PayloadBytes <= 0 || s.PayloadBytes > 65507 {
+		return fmt.Errorf("sim: payload %d bytes outside [1, 65507]", s.PayloadBytes)
 	}
 	if s.Measure <= 0 {
 		return fmt.Errorf("sim: non-positive measurement window")
@@ -281,6 +283,9 @@ func (s Scenario) Validate() error {
 	}
 	if err := s.Faults.Validate(); err != nil {
 		return err
+	}
+	if err := s.Mac.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if s.NodeCount() < 2 {
 		return fmt.Errorf("sim: need at least 2 nodes")

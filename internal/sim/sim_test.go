@@ -7,6 +7,7 @@ import (
 	"clnlr/internal/des"
 	"clnlr/internal/fault"
 	"clnlr/internal/journey"
+	"clnlr/internal/mac"
 	"clnlr/internal/node"
 	"clnlr/internal/rng"
 	"clnlr/internal/topo"
@@ -36,6 +37,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		func(s *Scenario) { s.Flows = 0 },
 		func(s *Scenario) { s.PacketRate = 0 },
 		func(s *Scenario) { s.PayloadBytes = 0 },
+		func(s *Scenario) { s.PayloadBytes = 2_000_000_000 },
 		func(s *Scenario) { s.Measure = 0 },
 		func(s *Scenario) { s.Rows, s.Cols = 1, 1 },
 		func(s *Scenario) { s.Warmup = -des.Second },
@@ -113,6 +115,63 @@ func TestValidateChecksSelectedSchemeParams(t *testing.T) {
 		junk(&sc)
 		if got, err := Run(sc); err != nil || got != want {
 			t.Errorf("%s with junk in unused knobs: %+v (%v), want %+v", scheme, got, err, want)
+		}
+	}
+}
+
+// TestValidateRejectsUnrunnableMac: MAC settings the engine cannot run —
+// a divide by zero, an empty backoff range, a frame of no airtime, a load
+// clock that never advances — are a Validate error, and Run returns it
+// before building anything.
+func TestValidateRejectsUnrunnableMac(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mut  func(*mac.Config)
+	}{
+		{"DataRateBps 0", func(m *mac.Config) { m.DataRateBps = 0 }},
+		{"BasicRateBps 0", func(m *mac.Config) { m.BasicRateBps = 0 }},
+		{"CWMin -1", func(m *mac.Config) { m.CWMin = -1 }},
+		{"CWMax below CWMin", func(m *mac.Config) { m.CWMax = m.CWMin - 1 }},
+		{"CWMax overflows", func(m *mac.Config) { m.CWMax = math.MaxInt64 }},
+		{"SlotTime 0", func(m *mac.Config) { m.SlotTime = 0 }},
+		{"SlotTime 0 SIFS 0", func(m *mac.Config) { m.SlotTime, m.SIFS = 0, 0 }},
+		{"SIFS negative", func(m *mac.Config) { m.SIFS = -des.Microsecond }},
+		{"LoadSampleInterval 0", func(m *mac.Config) { m.LoadSampleInterval = 0 }},
+		{"QueueCap 0", func(m *mac.Config) { m.QueueCap = 0 }},
+		{"RetryLimit 0", func(m *mac.Config) { m.RetryLimit = 0 }},
+		{"LoadEWMAAlpha 0", func(m *mac.Config) { m.LoadEWMAAlpha = 0 }},
+		{"LoadEWMAAlpha NaN", func(m *mac.Config) { m.LoadEWMAAlpha = math.NaN() }},
+		{"QueueLoadWeight 1.5", func(m *mac.Config) { m.QueueLoadWeight = 1.5 }},
+		{"PreambleTime negative", func(m *mac.Config) { m.PreambleTime = -des.Microsecond }},
+		{"AckBytes negative", func(m *mac.Config) { m.AckBytes = -100 }},
+		{"AckBytes huge", func(m *mac.Config) { m.AckBytes = 1 << 40 }},
+		{"ACK of no airtime", func(m *mac.Config) { m.AckBytes, m.PreambleTime = 0, 0 }},
+		{"RTSThreshold negative", func(m *mac.Config) { m.RTSThreshold = -1 }},
+		{"AutoRate ladder rate 0", func(m *mac.Config) { m.AutoRate, m.RateLadder = true, []int64{0, 1_000_000} }},
+		{"AutoRate ladder out of order", func(m *mac.Config) { m.AutoRate, m.RateLadder = true, []int64{2_000_000, 1_000_000} }},
+		{"AutoRate ArfFailDown 0", func(m *mac.Config) { m.AutoRate, m.ArfFailDown = true, 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc := quickScenario()
+			c.mut(&sc.Mac)
+			if err := sc.Validate(); err == nil {
+				t.Fatal("Validate accepted the scenario")
+			}
+			if _, err := Run(sc); err == nil {
+				t.Fatal("Run accepted the scenario")
+			}
+		})
+	}
+	// Settings that run stay accepted: a zero SIFS, and a zero preamble
+	// while every frame still has bits.
+	for _, mut := range []func(*mac.Config){
+		func(m *mac.Config) { m.SIFS = 0 },
+		func(m *mac.Config) { m.PreambleTime = 0 },
+	} {
+		sc := quickScenario()
+		mut(&sc.Mac)
+		if err := sc.Validate(); err != nil {
+			t.Errorf("runnable MAC rejected: %v", err)
 		}
 	}
 }

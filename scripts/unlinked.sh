@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# unlinked.sh — what nothing links: every function and method declared in
+# a non-test file under internal/ that no binary's symbol table lists. It
+# builds each main package under cmd/, examples/ and bench/ (its own
+# module) with inlining off (-gcflags=all=-l, so a function whose only
+# calls would be inlined still shows) into a temporary directory, reads
+# every binary with `go tool nm`, and prints each declaration missing
+# from all of them as `file:line symbol`, then a count. A test-only
+# helper in a non-test file shows up as well as dead code. Reported, not
+# gated: `make unlinked` runs it.
+set -euo pipefail
+cd "$(git rev-parse --show-toplevel)"
+
+module=$(go list -m)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+n=0
+build() { # build <module dir> <package dirs…>
+	local mod=$1
+	shift
+	for dir in "$@"; do
+		n=$((n + 1))
+		(cd "$mod" && go build -gcflags=all=-l -o "$tmp/bin$n" "$dir")
+	done
+}
+build . $(go list -f '{{if eq .Name "main"}}{{.Dir}}{{end}}' ./cmd/... ./examples/...)
+build bench $(cd bench && go list -f '{{if eq .Name "main"}}{{.Dir}}{{end}}' ./...)
+
+# Linked text symbols with type arguments dropped, so an instantiation
+# `pkg.(*List[go.shape.int]).Get` matches its declaration `pkg.(*List).Get`.
+for b in "$tmp"/bin*; do go tool nm "$b"; done |
+	sed -nE 's/^ *[0-9a-f]* [Tt] //p' |
+	sed -E ':a; s/\[[^][]*\]//g; ta' | sort -u >"$tmp/linked"
+
+# Declared functions as "<file:line> <pkg>.<name>", "<pkg>.T.M" or
+# "<pkg>.(*T).M"; init functions are never listed by name.
+find internal -name '*.go' ! -name '*_test.go' | sort | while read -r f; do
+	pkg="$module/$(dirname "$f")"
+	awk -v pkg="$pkg" '
+		/^func / {
+			s = substr($0, 6); recv = ""
+			if (s ~ /^\(/) {
+				r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2)
+				k = split(r, part, " "); t = part[k]; sub(/\[.*/, "", t)
+				recv = (t ~ /^\*/) ? "(" t ")." : t "."
+			}
+			if (!match(s, /^[A-Za-z0-9_]+/)) next
+			name = substr(s, RSTART, RLENGTH)
+			if (name != "init" || recv != "") print FILENAME ":" FNR, pkg "." recv name
+		}' "$f"
+done >"$tmp/declared"
+
+# A value-receiver method also counts as linked through its pointer wrapper.
+awk 'NR == FNR { linked[$0] = 1; next }
+	{
+		sym = $2; ptr = sym
+		if (match(sym, /\.[A-Za-z0-9_]+\.[A-Za-z0-9_]+$/) && sym !~ /\)\./) {
+			split(substr(sym, RSTART + 1), p, ".")
+			ptr = substr(sym, 1, RSTART) "(*" p[1] ")." p[2]
+		}
+		if (!(sym in linked) && !(ptr in linked)) { print; count++ }
+	}
+	END { printf "%d of %d functions declared under internal/ are in no binary\n", count, FNR }' \
+	"$tmp/linked" "$tmp/declared"
