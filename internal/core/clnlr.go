@@ -100,6 +100,7 @@ func DensityOnly(helloInterval des.Time) Params {
 // policy holds only its parameters and one instance serves every node of
 // a network.
 type Policy struct {
+	routing.HoldsNothing
 	params Params
 }
 

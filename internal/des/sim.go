@@ -276,6 +276,7 @@ func (s *Sim) alloc(t Time) *eventNode {
 	}
 	n, ok := s.free.Get()
 	if !ok {
+		s.free.Made(freeListCap)
 		n = &eventNode{sim: s}
 	}
 	n.at, n.seq = t, s.seq

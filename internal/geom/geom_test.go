@@ -130,7 +130,7 @@ func TestPerturbedGridStaysInRegionAndNearLattice(t *testing.T) {
 	r := Square(700)
 	src := rng.New(9)
 	base := GridPlacement(r, 7, 7)
-	pts := PerturbedGridPlacement(r, 7, 7, 0.3, src)
+	pts := PerturbedGridPlacement(nil, r, 7, 7, 0.3, src)
 	if len(pts) != len(base) {
 		t.Fatalf("length mismatch")
 	}
@@ -147,8 +147,8 @@ func TestPerturbedGridStaysInRegionAndNearLattice(t *testing.T) {
 
 func TestPerturbedGridDeterministic(t *testing.T) {
 	r := Square(700)
-	a := PerturbedGridPlacement(r, 5, 5, 0.2, rng.New(42))
-	b := PerturbedGridPlacement(r, 5, 5, 0.2, rng.New(42))
+	a := PerturbedGridPlacement(nil, r, 5, 5, 0.2, rng.New(42))
+	b := PerturbedGridPlacement(nil, r, 5, 5, 0.2, rng.New(42))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed produced different placements at %d", i)
@@ -159,7 +159,7 @@ func TestPerturbedGridDeterministic(t *testing.T) {
 func TestUniformPlacement(t *testing.T) {
 	r := Square(1000)
 	src := rng.New(3)
-	pts := UniformPlacement(r, 500, src)
+	pts := UniformPlacement(nil, r, 500, src)
 	if len(pts) != 500 {
 		t.Fatalf("got %d points", len(pts))
 	}

@@ -34,7 +34,7 @@
 package journey
 
 import (
-	"sort"
+	"slices"
 
 	"clnlr/internal/des"
 	"clnlr/internal/pkt"
@@ -94,7 +94,9 @@ func (h *Hop) TotalNs() int64 {
 	return h.RoutingNs + h.QueueNs + h.AccessNs + h.RetryNs + h.AirNs
 }
 
-// Journey is the recorded lifecycle of one sampled data packet.
+// Journey is the recorded lifecycle of one sampled data packet. A closed
+// journey's Hops are a capped window of its recorder's hop arena, valid
+// until the recorder's next Begin.
 type Journey struct {
 	UID       uint64     `json:"uid"`
 	Flow      int        `json:"flow"`
@@ -185,9 +187,12 @@ type RouteEvent struct {
 	Frame    string     `json:"frame,omitempty"`
 }
 
-// track is the live tracking state of one in-flight journey.
+// track is the live tracking state of one in-flight journey. Its hops
+// are built in the track's own storage, which stays with the track when
+// it is recycled, and copied into the recorder's arena when it closes.
 type track struct {
 	j       *Journey
+	hops    []Hop
 	phase   uint8
 	since   des.Time // start of the current phase interval
 	txStart des.Time // start of the current transmission attempt (phAir)
@@ -199,6 +204,17 @@ type waitKey struct {
 	origin pkt.NodeID
 	id     uint32
 }
+
+// Hash implements recycle.Key.
+func (k waitKey) Hash() uint64 {
+	return uint64(uint16(k.node))<<48 ^ uint64(uint32(k.origin))<<32 ^ uint64(k.id)
+}
+
+// uid is a packet UID as a recycle.Key.
+type uid uint64
+
+// Hash implements recycle.Key.
+func (u uid) Hash() uint64 { return uint64(u) }
 
 // waitProv accumulates a window's candidate set until it closes.
 type waitProv struct {
@@ -215,16 +231,25 @@ type Recorder struct {
 	decisions bool
 
 	measureFrom des.Time
-	sampler     *rng.Source
+	sampler     rng.Source
 	flowSampled map[int]bool
 
-	live   map[uint64]*track
+	live   recycle.Index[uid, *track]
 	closed []*Journey
+	// hops is the arena every closed journey's Hops are a window of: a
+	// closing track copies its hops to the end, and Begin empties it,
+	// keeping its storage. hopsCap is the largest hop storage a recycled
+	// track has had (see recycleTrack), and uids EndRun's scratch.
+	hops    []Hop
+	hopsCap int
+	uids    []uid
+	// drops maps each drop reason met to its outcome (see dropOutcome).
+	drops map[string]string
 
 	rreq       []RREQDecision
 	selections []ReplySelection
 	routes     []RouteEvent
-	waits      map[waitKey]*waitProv
+	waits      recycle.Index[waitKey, *waitProv]
 	// cands backs every selection's Candidates, so a warm recorder's
 	// OnReplyClose allocates nothing; Begin empties it with selections.
 	cands []ReplyCandidate
@@ -245,8 +270,7 @@ func NewRecorder(everyN int, decisions bool) *Recorder {
 		everyN:      everyN,
 		decisions:   decisions,
 		flowSampled: make(map[int]bool),
-		live:        make(map[uint64]*track),
-		waits:       make(map[waitKey]*waitProv),
+		drops:       make(map[string]string),
 	}
 }
 
@@ -256,48 +280,67 @@ func (r *Recorder) EveryN() int { return r.everyN }
 // Begin (re)arms the recorder for a fresh run: measureFrom is the warm-up
 // boundary (packets created earlier are not tracked, matching the delay
 // measurement discipline) and sampler the dedicated run-seeded stream the
-// per-flow sampling decision derives from. All recorded state from a
-// previous run is recycled, so a warm Recorder behaves identically to a
-// fresh one.
+// per-flow sampling decision derives from, which Begin copies. All
+// recorded state from a previous run is recycled, so a warm Recorder
+// behaves identically to a fresh one.
 func (r *Recorder) Begin(measureFrom des.Time, sampler *rng.Source) {
 	r.measureFrom = measureFrom
-	r.sampler = sampler
+	r.sampler = *sampler
 	clear(r.flowSampled)
-	for uid, tr := range r.live {
+	r.live.Each(func(_ uid, tr *track) {
 		r.recycleJourney(tr.j)
 		r.recycleTrack(tr)
-		delete(r.live, uid)
-	}
+	})
+	r.live.Clear()
 	for i, j := range r.closed {
 		r.recycleJourney(j)
 		r.closed[i] = nil
 	}
 	r.closed = r.closed[:0]
+	r.hops = r.hops[:0]
 	r.rreq = r.rreq[:0]
 	r.selections = r.selections[:0]
 	r.routes = r.routes[:0]
 	r.cands = r.cands[:0]
-	for k, w := range r.waits {
-		r.recycleWait(w)
-		delete(r.waits, k)
-	}
+	r.waits.Each(func(_ waitKey, w *waitProv) { r.recycleWait(w) })
+	r.waits.Clear()
 }
 
+// recycleTrack returns tr to the free list. Hop storage smaller than the
+// largest a track was recycled with before is regrown to it; a larger
+// one raises that size and regrows every free track's. So each track
+// grows at most once per new longest journey, however LIFO reuse deals
+// long and short journeys among the tracks, and a warm recorder's second
+// pass over the same runs grows none.
 func (r *Recorder) recycleTrack(tr *track) {
-	*tr = track{}
+	if n := cap(tr.hops); n > r.hopsCap {
+		r.hopsCap = n
+		r.trackFree.Each(r.fitTrack)
+	}
+	*tr = track{hops: tr.hops[:0]}
+	r.fitTrack(tr)
 	r.trackFree.Put(tr, recycle.Unbounded)
 }
 
+// fitTrack gives tr hop storage of the largest size recycled when it has
+// less.
+func (r *Recorder) fitTrack(tr *track) {
+	if cap(tr.hops) < r.hopsCap {
+		tr.hops = make([]Hop, 0, r.hopsCap)
+	}
+}
+
+// newTrack returns an empty track, recycled when one is free.
 func (r *Recorder) newTrack() *track {
 	if tr, ok := r.trackFree.Get(); ok {
 		return tr
 	}
-	return &track{}
+	r.trackFree.Made(recycle.Unbounded)
+	return &track{hops: make([]Hop, 0, r.hopsCap)}
 }
 
 func (r *Recorder) recycleJourney(j *Journey) {
-	hops := j.Hops[:0]
-	*j = Journey{Hops: hops}
+	*j = Journey{}
 	r.journeyFree.Put(j, recycle.Unbounded)
 }
 
@@ -305,6 +348,7 @@ func (r *Recorder) newJourney() *Journey {
 	if j, ok := r.journeyFree.Get(); ok {
 		return j
 	}
+	r.journeyFree.Made(recycle.Unbounded)
 	return &Journey{}
 }
 
@@ -317,6 +361,7 @@ func (r *Recorder) newWait() *waitProv {
 	if w, ok := r.waitFree.Get(); ok {
 		return w
 	}
+	r.waitFree.Made(recycle.Unbounded)
 	return &waitProv{}
 }
 
@@ -336,7 +381,7 @@ func (r *Recorder) sampled(flow int) bool {
 }
 
 // cur returns the journey's open (last) hop.
-func (tr *track) cur() *Hop { return &tr.j.Hops[len(tr.j.Hops)-1] }
+func (tr *track) cur() *Hop { return &tr.hops[len(tr.hops)-1] }
 
 // --- packet lifecycle hooks (routing layer) ---
 
@@ -347,22 +392,22 @@ func (r *Recorder) OnOriginate(t des.Time, node pkt.NodeID, p *pkt.Packet) {
 	if p.Kind != pkt.Data || p.UID == 0 || t < r.measureFrom || !r.sampled(p.FlowID) {
 		return
 	}
-	if _, dup := r.live[p.UID]; dup {
+	if _, dup := r.live.Get(uid(p.UID)); dup {
 		return
 	}
 	j := r.newJourney()
 	j.UID, j.Flow, j.Seq, j.Src, j.Dst = p.UID, p.FlowID, p.Seq, p.Src, p.Dst
 	j.CreatedNs = int64(t)
-	j.Hops = append(j.Hops, Hop{Node: node, Next: -1, EnterNs: int64(t)})
 	tr := r.newTrack()
+	tr.hops = append(tr.hops, Hop{Node: node, Next: -1, EnterNs: int64(t)})
 	tr.j, tr.phase, tr.since = j, phRouting, t
-	r.live[p.UID] = tr
+	r.live.Put(uid(p.UID), tr)
 }
 
 // OnMacEnqueue records the routing→MAC handoff: the packet joined node's
 // interface queue bound for next.
 func (r *Recorder) OnMacEnqueue(t des.Time, node pkt.NodeID, p *pkt.Packet, next pkt.NodeID) {
-	tr := r.live[p.UID]
+	tr, _ := r.live.Get(uid(p.UID))
 	if tr == nil || tr.phase != phRouting || tr.cur().Node != node {
 		return
 	}
@@ -374,7 +419,7 @@ func (r *Recorder) OnMacEnqueue(t des.Time, node pkt.NodeID, p *pkt.Packet, next
 
 // OnMacService records the packet's promotion to the MAC contention slot.
 func (r *Recorder) OnMacService(t des.Time, node pkt.NodeID, p *pkt.Packet) {
-	tr := r.live[p.UID]
+	tr, _ := r.live.Get(uid(p.UID))
 	if tr == nil || tr.phase != phQueued || tr.cur().Node != node {
 		return
 	}
@@ -386,7 +431,7 @@ func (r *Recorder) OnMacService(t des.Time, node pkt.NodeID, p *pkt.Packet) {
 // first attempt closes the access span; later ones fold the gap since the
 // previous attempt into the retry span.
 func (r *Recorder) OnMacTxStart(t des.Time, node pkt.NodeID, p *pkt.Packet) {
-	tr := r.live[p.UID]
+	tr, _ := r.live.Get(uid(p.UID))
 	if tr == nil || tr.cur().Node != node {
 		return
 	}
@@ -409,29 +454,29 @@ func (r *Recorder) OnMacTxStart(t des.Time, node pkt.NodeID, p *pkt.Packet) {
 // while an attempt is in flight advances the journey, so retransmissions
 // of already-arrived frames and source-rebuffered copies are ignored.
 func (r *Recorder) OnArrive(t des.Time, node pkt.NodeID, p *pkt.Packet) {
-	tr := r.live[p.UID]
+	tr, _ := r.live.Get(uid(p.UID))
 	if tr == nil || tr.phase != phAir || tr.cur().Next != node {
 		return
 	}
 	tr.cur().AirNs += int64(t - tr.txStart)
-	tr.j.Hops = append(tr.j.Hops, Hop{Node: node, Next: -1, EnterNs: int64(t)})
+	tr.hops = append(tr.hops, Hop{Node: node, Next: -1, EnterNs: int64(t)})
 	tr.phase, tr.since = phRouting, t
 }
 
 // OnDeliver closes a journey at its destination.
 func (r *Recorder) OnDeliver(t des.Time, node pkt.NodeID, p *pkt.Packet) {
-	tr := r.live[p.UID]
+	tr, _ := r.live.Get(uid(p.UID))
 	if tr == nil || tr.phase != phAir || tr.cur().Next != node {
 		return
 	}
 	tr.cur().AirNs += int64(t - tr.txStart)
-	r.close(p.UID, tr, t, OutcomeDelivered)
+	r.close(uid(p.UID), tr, t, OutcomeDelivered)
 }
 
 // OnRequeue records a source-side re-buffer after link failure: the MAC
 // gave up, the packet went back into routing for rediscovery.
 func (r *Recorder) OnRequeue(t des.Time, node pkt.NodeID, p *pkt.Packet) {
-	tr := r.live[p.UID]
+	tr, _ := r.live.Get(uid(p.UID))
 	if tr == nil || tr.cur().Node != node {
 		return
 	}
@@ -455,7 +500,7 @@ func (r *Recorder) OnRequeue(t des.Time, node pkt.NodeID, p *pkt.Packet) {
 // flight (the packet arrived and was dropped by routing there — TTL
 // expiry, no route — so the hop completes with its airtime first).
 func (r *Recorder) OnDrop(t des.Time, node pkt.NodeID, p *pkt.Packet, reason string) {
-	tr := r.live[p.UID]
+	tr, _ := r.live.Get(uid(p.UID))
 	if tr == nil {
 		return
 	}
@@ -464,7 +509,7 @@ func (r *Recorder) OnDrop(t des.Time, node pkt.NodeID, p *pkt.Packet, reason str
 	case tr.phase == phAir && h.Next == node:
 		// Arrived at next and dropped there.
 		h.AirNs += int64(t - tr.txStart)
-		tr.j.Hops = append(tr.j.Hops, Hop{Node: node, Next: -1, EnterNs: int64(t)})
+		tr.hops = append(tr.hops, Hop{Node: node, Next: -1, EnterNs: int64(t)})
 	case h.Node == node:
 		switch tr.phase {
 		case phRouting:
@@ -479,32 +524,44 @@ func (r *Recorder) OnDrop(t des.Time, node pkt.NodeID, p *pkt.Packet, reason str
 	default:
 		return
 	}
-	r.close(p.UID, tr, t, "drop-"+reason)
+	r.close(uid(p.UID), tr, t, r.dropOutcome(reason))
 }
 
-// close finalises a journey and recycles its tracking slot.
-func (r *Recorder) close(uid uint64, tr *track, t des.Time, outcome string) {
+// dropOutcome returns "drop-" + reason, built once per reason.
+func (r *Recorder) dropOutcome(reason string) string {
+	o, ok := r.drops[reason]
+	if !ok {
+		o = "drop-" + reason
+		r.drops[reason] = o
+	}
+	return o
+}
+
+// close finalises a journey, its hops copied into the arena, and
+// recycles its tracking slot.
+func (r *Recorder) close(id uid, tr *track, t des.Time, outcome string) {
 	tr.j.DoneNs = int64(t)
 	tr.j.Outcome = outcome
+	from := len(r.hops)
+	r.hops = append(r.hops, tr.hops...)
+	tr.j.Hops = r.hops[from:len(r.hops):len(r.hops)]
 	r.closed = append(r.closed, tr.j)
 	tr.j = nil
 	r.recycleTrack(tr)
-	delete(r.live, uid)
+	r.live.Delete(id)
 }
 
 // EndRun closes every still-live journey as unresolved (the run ended
 // with the packet in flight), folding the open phase's remainder so spans
 // still telescope to t − created. Closure order is by UID — creation
-// order — so the output never depends on map iteration.
+// order — so the output never depends on the index's slot order.
 func (r *Recorder) EndRun(t des.Time) {
-	if len(r.live) > 0 {
-		uids := make([]uint64, 0, len(r.live))
-		for uid := range r.live {
-			uids = append(uids, uid)
-		}
-		sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
-		for _, uid := range uids {
-			tr := r.live[uid]
+	if r.live.Len() > 0 {
+		r.uids = r.uids[:0]
+		r.live.Each(func(id uid, _ *track) { r.uids = append(r.uids, id) })
+		slices.Sort(r.uids)
+		for _, id := range r.uids {
+			tr, _ := r.live.Get(id)
 			h := tr.cur()
 			switch tr.phase {
 			case phRouting:
@@ -516,18 +573,17 @@ func (r *Recorder) EndRun(t des.Time) {
 			case phAir:
 				h.RetryNs += int64(t - tr.txStart)
 			}
-			r.close(uid, tr, t, OutcomeUnresolved)
+			r.close(id, tr, t, OutcomeUnresolved)
 		}
 	}
 	// RREP-WAIT windows still open at run end never selected anything;
 	// their provenance is discarded (matches the protocol: no RREP sent).
-	for k, w := range r.waits {
-		r.recycleWait(w)
-		delete(r.waits, k)
-	}
+	r.waits.Each(func(_ waitKey, w *waitProv) { r.recycleWait(w) })
+	r.waits.Clear()
 }
 
-// Journeys returns the closed journeys in completion order.
+// Journeys returns the closed journeys in completion order, the
+// recorder's storage, valid until the next Begin.
 func (r *Recorder) Journeys() []*Journey { return r.closed }
 
 // RREQDecisions returns the recorded forwarding decisions in event order.
@@ -564,10 +620,10 @@ func (r *Recorder) OnReplyCandidate(t des.Time, node, origin pkt.NodeID, id uint
 		return
 	}
 	k := waitKey{node, origin, id}
-	w := r.waits[k]
+	w, _ := r.waits.Get(k)
 	if w == nil {
 		w = r.newWait()
-		r.waits[k] = w
+		r.waits.Put(k, w)
 	}
 	w.cands = append(w.cands, ReplyCandidate{From: from, Cost: cost, Hops: hops, TNs: int64(t)})
 }
@@ -580,7 +636,7 @@ func (r *Recorder) OnReplyClose(t des.Time, node, origin pkt.NodeID, id uint32,
 		return
 	}
 	k := waitKey{node, origin, id}
-	w := r.waits[k]
+	w, _ := r.waits.Get(k)
 	sel := ReplySelection{
 		TNs: int64(t), Node: node, Origin: origin, ID: id,
 		WinnerFrom: winnerFrom, WinnerCost: winnerCost, WinnerHops: winnerHops,
@@ -592,7 +648,7 @@ func (r *Recorder) OnReplyClose(t des.Time, node, origin pkt.NodeID, id uint32,
 			sel.Candidates = r.cands[from:len(r.cands):len(r.cands)]
 		}
 		r.recycleWait(w)
-		delete(r.waits, k)
+		r.waits.Delete(k)
 	}
 	r.selections = append(r.selections, sel)
 }

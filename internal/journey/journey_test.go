@@ -133,17 +133,17 @@ func TestRecorderWarmup(t *testing.T) {
 	r.Begin(1000, rng.New(1))
 	p := dataPkt(1, 0, 0, 0, 2)
 	r.OnOriginate(500, 0, p) // before measureFrom: not tracked
-	if r.OnMacEnqueue(600, 0, p, 1); len(r.live) != 0 {
+	if r.OnMacEnqueue(600, 0, p, 1); r.live.Len() != 0 {
 		t.Fatal("warm-up packet was tracked")
 	}
 	p2 := dataPkt(2, 0, 1, 0, 2)
 	r.OnOriginate(1500, 0, p2)
-	if len(r.live) != 1 {
+	if r.live.Len() != 1 {
 		t.Fatal("post-warm-up packet not tracked")
 	}
 	// Control packets carry UID 0 and are never tracked.
 	r.OnOriginate(1600, 0, &pkt.Packet{Kind: pkt.Data, UID: 0})
-	if len(r.live) != 1 {
+	if r.live.Len() != 1 {
 		t.Fatal("UID-0 packet was tracked")
 	}
 }
@@ -195,7 +195,7 @@ func TestBeginRecyclesState(t *testing.T) {
 		len(r.RouteEvents()) != 0 {
 		t.Fatal("Begin did not clear recorded state")
 	}
-	if len(r.live) != 0 || len(r.waits) != 0 {
+	if r.live.Len() != 0 || r.waits.Len() != 0 {
 		t.Fatal("Begin did not clear live state")
 	}
 	if r.journeyFree.Len() == 0 || r.trackFree.Len() == 0 || r.waitFree.Len() == 0 {

@@ -106,6 +106,7 @@ func (m *Mac) newFrame() *Frame {
 	if f, ok := m.frameFree.Get(); ok {
 		return f
 	}
+	m.frameFree.Made(frameFreeCap)
 	return &Frame{}
 }
 
@@ -201,6 +202,11 @@ type Mac struct {
 	// down or not. At most one frame of a node is on the air at a time.
 	orphan *Frame
 
+	// ctrlAir is the control frame (RTS, CTS or ACK) the MAC has on the
+	// air, nil otherwise: a warm Reset, whose medium reset ends the
+	// airtime with no RadioTxDone, takes it back into frameFree.
+	ctrlAir *Frame
+
 	// pool, when non-nil, is this node's packet pool: the clone handed up
 	// for a delivered unicast payload comes from it, and the routing layer
 	// releases it back (pkt.Pool documents the ownership discipline).
@@ -266,6 +272,10 @@ func (m *Mac) Reset(cfg Config, src *rng.Source) {
 	if f := m.orphan; f != nil {
 		m.orphan = nil
 		m.discard(f)
+	}
+	if f := m.ctrlAir; f != nil {
+		m.ctrlAir = nil
+		m.releaseFrame(f)
 	}
 	m.setState(accIdle)
 	m.cw = cfg.CWMin
@@ -595,7 +605,7 @@ func (m *Mac) transmitRTS() {
 	rts.Type, rts.Src, rts.Dst, rts.Bytes, rts.Dur = RTSFrame, m.id, f.Dst, m.cfg.RTSBytes, nav
 	m.setState(accTxRts)
 	m.Ctr.TxRTS++
-	m.radio.Transmit(rts, rts.Bytes, m.cfg.RTSDuration())
+	m.transmitControl(rts, m.cfg.RTSDuration())
 }
 
 // sendCurData fires SIFS after the CTS: the protected data transmission.
@@ -678,7 +688,13 @@ func (m *Mac) sendAck(dst pkt.NodeID) {
 	ack := m.newFrame()
 	ack.Type, ack.Src, ack.Dst, ack.Bytes = AckFrame, m.id, dst, m.cfg.AckBytes
 	m.Ctr.TxAck++
-	m.radio.Transmit(ack, ack.Bytes, m.cfg.AckDuration())
+	m.transmitControl(ack, m.cfg.AckDuration())
+}
+
+// transmitControl puts control frame f on the air for dur (see ctrlAir).
+func (m *Mac) transmitControl(f *Frame, dur des.Time) {
+	m.ctrlAir = f
+	m.radio.Transmit(f, f.Bytes, dur)
 }
 
 // Preallocate sizes the duplicate filter for a network of n nodes, so the
@@ -747,6 +763,7 @@ func (m *Mac) RadioTxDone(payload any) {
 	typ, dst := f.Type, f.Dst
 	if typ != DataFrame {
 		// A control frame is off the air either way.
+		m.ctrlAir = nil
 		m.releaseFrame(f)
 	}
 	if m.down {
@@ -817,7 +834,7 @@ func (m *Mac) sendCts(dst pkt.NodeID, nav des.Time) {
 	cts := m.newFrame()
 	cts.Type, cts.Src, cts.Dst, cts.Bytes, cts.Dur = CTSFrame, m.id, dst, m.cfg.CTSBytes, nav
 	m.Ctr.TxCTS++
-	m.radio.Transmit(cts, cts.Bytes, m.cfg.CTSDuration())
+	m.transmitControl(cts, m.cfg.CTSDuration())
 }
 
 // RadioReceive implements radio.Listener.

@@ -138,17 +138,20 @@ func BuildNetwork(
 // (i,1) for the MAC, (i,2) for the agent — so a warm rerun is
 // bit-identical to a cold build from the same master.
 // Each packet pool keeps its free lists but restarts its drop count, so
-// the pool-drop diagnostic of a warm run counts that run alone. The
-// network gets one new policy from spec, as BuildNetwork does.
+// the pool-drop diagnostic of a warm run counts that run alone. Every
+// agent runs cfg and policy, one value for the whole network: a new one
+// from the scheme's routing.Spec, or the network's current policy, which
+// the agents' resets empty (see routing.Core.Reset) so a warm engine
+// that keeps its scheme builds none.
 // The caller must have reset the des.Sim and the radio.Medium first.
 func ResetNetwork(
 	nodes []*Node,
 	positions []geom.Point,
 	macCfg mac.Config,
 	master *rng.Source,
-	spec routing.Spec,
+	cfg routing.Config,
+	policy routing.RREQPolicy,
 ) {
-	policy := spec.Policy()
 	for i, n := range nodes {
 		n.Pos = positions[i]
 		master.DeriveInto(&n.macRng, uint64(i), 1)
@@ -162,7 +165,7 @@ func ResetNetwork(
 			Rng:  &n.agentRng,
 			Pool: n.Agent.Env.Pool,
 		}
-		n.Agent.Reset(env, spec.Cfg, policy)
+		n.Agent.Reset(env, cfg, policy)
 	}
 }
 

@@ -191,7 +191,8 @@ func TestResetNetworkRestartsPoolDrops(t *testing.T) {
 	}
 	simk.Reset()
 	positions := []geom.Point{nodes[0].Pos, nodes[1].Pos}
-	ResetNetwork(nodes, positions, mac.DefaultConfig(), rng.New(4), aodv.Spec(routing.DefaultConfig()))
+	spec := aodv.Spec(routing.DefaultConfig())
+	ResetNetwork(nodes, positions, mac.DefaultConfig(), rng.New(4), spec.Cfg, spec.Policy())
 	if d := pool.Drops(); d != 0 {
 		t.Fatalf("pool drops after a warm reset = %d, want 0", d)
 	}

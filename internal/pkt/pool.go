@@ -28,21 +28,27 @@ import (
 // The constructors (Data, RREQ, RREP, RERR, Hello) and Clone are the only
 // way to build a packet. Free lists are segregated by body shape (indexed
 // by Kind) so a recycled control packet keeps its co-allocated body (and
-// a HELLO/RERR its piggyback slice capacity). A nil *Pool is a valid pool
-// that allocates every packet fresh and keeps nothing, so tests and cold
-// paths need no pool. A Pool is not safe for concurrent use; each node
-// owns one (engines never share nodes across goroutines).
+// a HELLO/RERR its piggyback slice capacity). A RERR's or HELLO's list
+// storage is kept at least as large as any of its kind the pool has
+// released (see Release), and each free list keeps room for every packet
+// the pool made (up to PoolCap), so once a warm pool has met its longest
+// lists and its busiest moment nothing in it grows again, however LIFO
+// reuse deals long and short lists among the bodies. A nil *Pool is a
+// valid pool that allocates every packet fresh and keeps nothing, so
+// tests and cold paths need no pool. A Pool is not safe for concurrent
+// use; each node owns one (engines never share nodes across goroutines).
 type Pool struct {
 	free  [Hello + 1]recycle.List[*Packet]
 	drops uint64
+	// rerrCap and helloCap are the largest RERR and HELLO list storage
+	// released to the pool.
+	rerrCap, helloCap int
 
 	// The audit-mode borrow ledger. lease is this arming's stamp (see
 	// SetAudit), 0 (the default) while disarmed: Release then costs one
 	// comparison, preserving the zero-overhead contract of audit-off runs.
 	// A packet lent while armed carries the stamp in Packet.lease until it
-	// comes back; lent counts such packets. (Each free list is a single
-	// slice header, and two 4-byte fields keep a Pool at 144 bytes, its
-	// allocation size class.)
+	// comes back; lent counts such packets.
 	lease       uint32
 	lent        int32
 	doubleFrees uint64
@@ -147,7 +153,11 @@ func (pl *Pool) Len() int {
 }
 
 // Release returns a packet to its shape's free list. The caller must
-// hold the only live reference.
+// hold the only live reference. A RERR's or HELLO's list storage smaller
+// than the largest of its kind released before is regrown to it here;
+// a larger one raises that size and regrows every body on the kind's
+// free list. So each body grows at most once per new largest list, and
+// a warm engine's second pass over the same runs grows none.
 func (pl *Pool) Release(p *Packet) {
 	if pl == nil || p == nil {
 		return
@@ -174,20 +184,59 @@ func (pl *Pool) Release(p *Packet) {
 	case p.Hello != nil:
 		k = Hello
 	}
+	if k == RERR || k == Hello {
+		if c := listCap(p); c > *pl.largest(k) {
+			*pl.largest(k) = c
+			pl.free[k].Each(pl.fit)
+		}
+	}
 	if !pl.free[k].Put(p, PoolCap) {
 		pl.drops++
+		return
+	}
+	pl.fit(p)
+}
+
+// largest returns the largest list storage of kind k (RERR or Hello)
+// released to the pool.
+func (pl *Pool) largest(k Kind) *int {
+	if k == RERR {
+		return &pl.rerrCap
+	}
+	return &pl.helloCap
+}
+
+// listCap returns the capacity of a RERR's or HELLO's list storage (a
+// HELLO keeps it in NbrLoads or, after a one-hop beacon, in spare).
+func listCap(p *Packet) int {
+	if p.RERR != nil {
+		return cap(p.RERR.Unreachable)
+	}
+	return max(cap(p.Hello.NbrLoads), cap(p.Hello.spare))
+}
+
+// fit gives a RERR's or HELLO's body new list storage of the largest size
+// released to the pool when it has less.
+func (pl *Pool) fit(p *Packet) {
+	switch {
+	case p.RERR != nil && cap(p.RERR.Unreachable) < pl.rerrCap:
+		p.RERR.Unreachable = make([]UnreachableDest, 0, pl.rerrCap)
+	case p.Hello != nil && listCap(p) < pl.helloCap:
+		p.Hello.NbrLoads, p.Hello.spare = nil, make([]NeighborLoad, 0, pl.helloCap)
 	}
 }
 
 // get supplies the storage every constructor and Clone fills in: a
 // recycled packet of shape k (its body, and a RERR's or HELLO's slice
 // capacity, kept), or — on a miss or with no pool — a fresh packet whose
-// body is allocated in the same object.
+// body is allocated in the same object, its list storage (with a pool) of
+// the largest size released so far.
 func (pl *Pool) get(k Kind) *Packet {
 	if pl != nil {
 		if p, ok := pl.free[k].Get(); ok {
 			return p
 		}
+		pl.free[k].Made(PoolCap)
 	}
 	switch k {
 	case RREQ:
@@ -210,6 +259,9 @@ func (pl *Pool) get(k Kind) *Packet {
 			b RERRBody
 		})
 		c.p.RERR = &c.b
+		if pl != nil {
+			pl.fit(&c.p)
+		}
 		return &c.p
 	case Hello:
 		c := new(struct {
@@ -217,6 +269,9 @@ func (pl *Pool) get(k Kind) *Packet {
 			b HelloBody
 		})
 		c.p.Hello = &c.b
+		if pl != nil {
+			pl.fit(&c.p)
+		}
 		return &c.p
 	}
 	return new(Packet)

@@ -521,3 +521,81 @@ func TestPoolHelloCopiesOnMiss(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledListsGrowOnce: a recycled RERR or HELLO body handed a longer
+// list than any before — by its constructor or by Clone — keeps exact
+// contents, and once that list has come back, every body the pool holds
+// can take a list up to its length: building lists of that length or
+// shorter then allocates nothing, however deep in the free list the body
+// that gets the longest one lies. (LIFO reuse deals long and short lists
+// among the bodies, so a body that only grew when handed a long list
+// would make a warm engine allocate run after run.)
+func TestPooledListsGrowOnce(t *testing.T) {
+	const longest = 9
+	unreachable := make([]UnreachableDest, longest)
+	loads := make([]NeighborLoad, longest)
+	for i := range longest {
+		unreachable[i] = UnreachableDest{Node: NodeID(i + 1), Seq: uint32(10 * i)}
+		loads[i] = NeighborLoad{ID: NodeID(i + 1), Load: float64(i) / 10}
+	}
+	var nilPool *Pool
+	kinds := []struct {
+		name  string
+		build func(pl *Pool, n int) *Packet
+		list  func(p *Packet) any
+	}{
+		{"rerr", func(pl *Pool, n int) *Packet { return pl.RERR(3, unreachable[:n], 0) },
+			func(p *Packet) any { return p.RERR.Unreachable }},
+		{"hello", func(pl *Pool, n int) *Packet { return pl.Hello(3, HelloBody{Load: 0.5, NbrLoads: loads[:n]}, 0) },
+			func(p *Packet) any { return p.Hello.NbrLoads }},
+	}
+	for _, k := range kinds {
+		// Sources for Clone, built outside every pool.
+		src := map[int]*Packet{}
+		for _, n := range []int{1, 2, 3, longest} {
+			src[n] = k.build(nilPool, n)
+		}
+		for _, path := range []struct {
+			name  string
+			build func(pl *Pool, n int) *Packet
+		}{
+			{"constructor", k.build},
+			{"clone", func(pl *Pool, n int) *Packet { return pl.Clone(src[n]) }},
+		} {
+			name := k.name + "/" + path.name
+			pl := NewPool()
+			const bodies = 24
+			var out [bodies]*Packet
+			for i := range out {
+				out[i] = path.build(pl, 1+i%2)
+			}
+			for _, p := range out {
+				pl.Release(p)
+			}
+			long := path.build(pl, longest)
+			if got, want := k.list(long), k.list(src[longest]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: a recycled body given a longer list holds %v, want %v", name, got, want)
+			}
+			pl.Release(long)
+			// Call d takes d+1 bodies off the free list and gives the
+			// longest list to the deepest, which no call before reached.
+			depth := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				depth++
+				for i := 0; i <= depth; i++ {
+					n := 3
+					if i == depth {
+						n = longest
+					}
+					out[i] = path.build(pl, n)
+				}
+				for i := depth; i >= 0; i-- {
+					pl.Release(out[i])
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: lists no longer than the longest built: %v allocations, want 0", name, allocs)
+			}
+		}
+	}
+}

@@ -150,7 +150,7 @@ func TestRebuildSteadyStateZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, moveAndBroadcast); allocs != 0 {
 			t.Errorf("%s: steady-state move+transmit+drain allocates %v times per run, want 0", name, allocs)
 		}
-		if _, static := prop.(TimeInvariant); static && m.AudibleRebuilds()-before != 51 {
+		if prop.TimeInvariant() && m.AudibleRebuilds()-before != 51 {
 			t.Errorf("%s: %d memo rebuilds over 51 moves, want one each", name, m.AudibleRebuilds()-before)
 		}
 	}

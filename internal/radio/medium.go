@@ -259,13 +259,12 @@ type Medium struct {
 
 // NewMedium creates an empty channel using the given propagation model.
 func NewMedium(sim *des.Sim, prop Propagation) *Medium {
-	ti, ok := prop.(TimeInvariant)
 	return &Medium{
 		sim:       sim,
 		prop:      prop,
 		start:     sim.Now(),
 		minTrackW: 1e-14,
-		static:    ok && ti.TimeInvariant(),
+		static:    prop.TimeInvariant(),
 		audEpoch:  1, // so a zero-valued audibleSet is never valid
 	}
 }
@@ -315,8 +314,7 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 		}
 	}
 	m.prop = prop
-	ti, ok := prop.(TimeInvariant)
-	m.static = ok && ti.TimeInvariant()
+	m.static = prop.TimeInvariant()
 	m.audEpoch++
 	m.impaired = false // re-armed per run via SetImpairment
 	m.Transmissions, m.Deliveries, m.Corruptions, m.ImpairDrops = 0, 0, 0, 0
@@ -394,6 +392,7 @@ func (m *Medium) newTransmission() *transmission {
 	if t, ok := m.txPool.Get(); ok {
 		return t
 	}
+	m.txPool.Made(txPoolCap)
 	return &transmission{}
 }
 

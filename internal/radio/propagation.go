@@ -37,6 +37,10 @@ type Propagation interface {
 	// (static models ignore `at`; fading models hash it into their
 	// deterministic channel draw). len(out) must be at least len(to).
 	RxPowers(txPowerW float64, from geom.Point, to []geom.Point, at des.Time, out []float64)
+	// TimeInvariant reports whether RxPowers ignores the time argument,
+	// which lets the Medium memoise each transmitter's audible set
+	// between transmissions.
+	TimeInvariant() bool
 }
 
 // RxPower is the one-element row: the power p delivers at `to`.
@@ -44,14 +48,6 @@ func RxPower(p Propagation, txPowerW float64, from, to geom.Point, at des.Time) 
 	pts, out := [1]geom.Point{to}, [1]float64{}
 	p.RxPowers(txPowerW, from, pts[:], at, out[:])
 	return out[0]
-}
-
-// TimeInvariant is an optional Propagation capability: models whose
-// RxPowers ignores the time argument report true, which lets the Medium
-// memoise each transmitter's audible set between transmissions. Models
-// that omit the method (or return false) are treated as time-varying.
-type TimeInvariant interface {
-	TimeInvariant() bool
 }
 
 // FreeSpace is the Friis free-space model:
@@ -95,7 +91,9 @@ func (f FreeSpace) friis(txPowerW, num, d float64) float64 {
 	return num / (den * den * f.L)
 }
 
-// TimeInvariant implements the cacheability capability.
+// TimeInvariant implements Propagation: the free-space model and those
+// that embed it (two-ray, log-distance with its per-link shadowing)
+// are static.
 func (FreeSpace) TimeInvariant() bool { return true }
 
 // TwoRay is the two-ray ground-reflection model used by the classic ns-2
@@ -231,6 +229,10 @@ func NewNakagami(base Propagation, m int, coherence des.Time, seed uint64) Nakag
 	}
 	return Nakagami{Base: base, M: m, CoherenceTime: coherence, Seed: seed}
 }
+
+// TimeInvariant implements Propagation: fades change every coherence
+// slot.
+func (Nakagami) TimeInvariant() bool { return false }
 
 // RxPowers implements Propagation: the base model's row, then each
 // link's fade.

@@ -1,16 +1,22 @@
-// Package recycle holds the two free-list shapes every warm-engine pool is
+// Package recycle holds the storage shapes every warm-engine pool is
 // built from. A List is a LIFO stack of released values, optionally
 // bounded so a burst cannot pin its peak for the rest of a warm sweep; a
 // Slab keeps values at stable uint32 indices, so a typed DES event can
-// carry one as its arg instead of capturing the value in a closure.
-// Neither is safe for concurrent use.
+// carry one as its arg instead of capturing the value in a closure; an
+// Index maps keys to values where a Go map's storage would follow its
+// hash seed. None is safe for concurrent use.
 package recycle
+
+import "slices"
 
 // Unbounded is the bound to pass to List.Put for a list that never drops.
 const Unbounded = int(^uint(0) >> 1)
 
 // List is a LIFO free list. The zero value is an empty list.
-type List[T any] struct{ items []T }
+type List[T any] struct {
+	items []T
+	made  int // values made on a miss (see Made)
+}
 
 // Get pops the most recently put value and zeroes the slot it vacates, so
 // the list keeps no reference to it; ok is false when the list is empty.
@@ -38,6 +44,24 @@ func (l *List[T]) Put(v T, max int) bool {
 // Len returns how many values the list holds.
 func (l *List[T]) Len() int { return len(l.items) }
 
+// Made records that the caller made a new value because Get missed.
+// The list keeps room for every value made, up to max (the bound the
+// caller's Puts pass), so taking them all back — as a warm reset does
+// after the first run that had them all out at once — grows nothing.
+func (l *List[T]) Made(max int) {
+	l.made++
+	if n := min(l.made, max); n > cap(l.items) {
+		l.items = slices.Grow(l.items, n-len(l.items))
+	}
+}
+
+// Each calls f with every value the list holds, oldest first.
+func (l *List[T]) Each(f func(T)) {
+	for _, v := range l.items {
+		f(v)
+	}
+}
+
 // Slab stores values at stable uint32 indices. Freed indices are reused
 // most recent first. The zero value is an empty slab.
 type Slab[T any] struct {
@@ -52,6 +76,7 @@ func (s *Slab[T]) Add(v T) uint32 {
 		return i
 	}
 	s.items = append(s.items, v)
+	s.free.Made(len(s.items)) // room to free every index, across Resets too
 	return uint32(len(s.items) - 1)
 }
 

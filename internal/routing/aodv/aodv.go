@@ -10,7 +10,7 @@ import (
 )
 
 // Policy implements blind flooding.
-type Policy struct{}
+type Policy struct{ routing.HoldsNothing }
 
 // OnRREQ implements routing.RREQPolicy: rebroadcast first copies, drop
 // duplicates.

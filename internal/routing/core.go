@@ -95,13 +95,14 @@ type replyWait struct {
 }
 
 // Spec is a scheme: its routing configuration plus a constructor for its
-// policy. node.BuildNetwork builds agents from it and node.ResetNetwork
-// resets warm ones against it; each calls Policy once and hands the one
-// value to every node's Core, so a policy keeps any per-node state keyed
-// by the Core it is called with. Most policies hold only their
-// parameters. One that carries per-run state (the counter scheme's
-// assessments) starts each run empty because the reset builds the
-// network a new one, while everything else resets in place.
+// policy. node.BuildNetwork builds agents from it, calling Policy once
+// and handing the one value to every node's Core, so a policy keeps any
+// per-node state keyed by the Core it is called with. Most policies hold
+// only their parameters. One that carries per-run state (the counter
+// scheme's assessments) reports it through HeldPackets and ReleaseHeld:
+// each Core's Reset hands back what it holds for that node, so a policy
+// is empty between runs and a warm engine reuses it for every run of
+// its scheme (node.ResetNetwork).
 type Spec struct {
 	Cfg    Config
 	Policy func() RREQPolicy
@@ -132,7 +133,7 @@ type Core struct {
 	// pending holds the in-progress discoveries in ascending destination
 	// order (the order Crash drops their buffers in).
 	pending    []*discovery
-	replyWaits map[rreqKey]replyWait
+	replyWaits recycle.Index[rreqKey, replyWait]
 	// beacon is set once Start has armed the HELLO beacon for this run;
 	// helloEv is its next tick (stopped by a crash).
 	beacon  bool
@@ -144,9 +145,10 @@ type Core struct {
 	// handleRERR or MacTxDone builds (neither re-enters the other) and
 	// nbrLoads the two-hop table sendHello piggybacks; pkt.Pool copies
 	// both into the packet.
-	discFree recycle.List[*discovery]
-	unreach  []pkt.UnreachableDest
-	nbrLoads []pkt.NeighborLoad
+	discFree  recycle.List[*discovery]
+	bufferCap int // the largest discovery buffer retired (see retire)
+	unreach   []pkt.UnreachableDest
+	nbrLoads  []pkt.NeighborLoad
 
 	// deferred parks packets awaiting a jittered broadcast (RREQ
 	// de-synchronisation); the typed event carries the slot index, so the
@@ -167,10 +169,9 @@ type Core struct {
 // New builds a routing core around the node environment and scheme policy.
 func New(env Env, cfg Config, policy RREQPolicy) *Core {
 	c := &Core{
-		table:      NewTable(env.Sim),
-		dup:        NewDupCache(env.Sim, cfg.DupHorizon),
-		nbrs:       NewNeighborTable(env.Sim, 0),
-		replyWaits: make(map[rreqKey]replyWait),
+		table: NewTable(env.Sim),
+		dup:   NewDupCache(env.Sim, cfg.DupHorizon),
+		nbrs:  NewNeighborTable(env.Sim, 0),
 	}
 	c.Reset(env, cfg, policy)
 	return c
@@ -180,7 +181,7 @@ func New(env Env, cfg Config, policy RREQPolicy) *Core {
 // state (ID indices, routing table slab, duplicate-cache rings, neighbour
 // lists). The packets the last run left buffered for discovery, deferred
 // for rebroadcast or held by the outgoing policy go back to the node's
-// pool.
+// pool; policy may be the outgoing policy itself, kept for the next run.
 // The environment must reference the same simulation the core was built
 // on — warm replication reuse resets the des.Sim in place, so every
 // component keeps its kernel pointer. The Deliver sink and Journey
@@ -193,8 +194,8 @@ func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	// The Sim's reset discarded the events that would have resolved what
 	// the outgoing policy holds for this node: those packets go back to
 	// the pool.
-	if h, ok := c.policy.(PacketHolder); ok {
-		h.ReleaseHeld(c)
+	if c.policy != nil {
+		c.policy.ReleaseHeld(c)
 	}
 	c.Env = env
 	c.Cfg = cfg
@@ -205,7 +206,7 @@ func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	c.seq = 0
 	c.rreqID = 0
 	c.retireAll()
-	clear(c.replyWaits)
+	c.replyWaits.Clear()
 	c.beacon = false
 	c.helloEv = des.Event{}
 	// The shared Sim was just Reset, discarding the events that would have
@@ -263,7 +264,7 @@ func (c *Core) Crash() {
 		}
 	}
 	c.retireAll()
-	clear(c.replyWaits)
+	c.replyWaits.Clear()
 	c.helloEv.Cancel()
 	c.helloEv = des.Event{}
 }
@@ -335,7 +336,8 @@ func (c *Core) clearPending(dst pkt.NodeID) {
 func (c *Core) newDiscovery(dst pkt.NodeID) *discovery {
 	d, ok := c.discFree.Get()
 	if !ok {
-		return &discovery{dst: dst}
+		c.discFree.Made(recycle.Unbounded)
+		return &discovery{dst: dst, buffer: make([]*pkt.Packet, 0, c.bufferCap)}
 	}
 	d.dst = dst
 	return d
@@ -343,11 +345,28 @@ func (c *Core) newDiscovery(dst pkt.NodeID) *discovery {
 
 // retire returns a discovery that left c.pending to the free list. Its
 // buffered packets have been flushed or dropped by then; the record keeps
-// neither them nor its stale timer handle.
+// neither them nor its stale timer handle. A buffer smaller than the
+// largest retired before is regrown to it; a larger one raises that size
+// and regrows every free record's. So each record's buffer grows at most
+// once per new largest, however LIFO reuse deals long and short
+// discoveries among the records, and a warm core's second pass over the
+// same runs grows none.
 func (c *Core) retire(d *discovery) {
+	if n := cap(d.buffer); n > c.bufferCap {
+		c.bufferCap = n
+		c.discFree.Each(c.fitBuffer)
+	}
 	clear(d.buffer)
 	*d = discovery{buffer: d.buffer[:0]}
+	c.fitBuffer(d)
 	c.discFree.Put(d, recycle.Unbounded)
+}
+
+// fitBuffer gives d a buffer of the largest size retired when it has less.
+func (c *Core) fitBuffer(d *discovery) {
+	if cap(d.buffer) < c.bufferCap {
+		d.buffer = make([]*pkt.Packet, 0, c.bufferCap)
+	}
 }
 
 // retireAll empties c.pending into the free list (Crash, Reset),
@@ -395,16 +414,14 @@ func (c *Core) TestSetSeq(v uint32) { c.seq = v }
 
 // HeldPackets reports how many pooled packets the routing layer
 // currently owns: discovery buffers, jitter-deferred rebroadcasts, and
-// whatever the scheme policy retains across events (PacketHolder).
+// whatever the scheme policy retains across events.
 func (c *Core) HeldPackets() int {
 	n := 0
 	for _, d := range c.pending {
 		n += len(d.buffer)
 	}
 	n += c.deferred.Live()
-	if h, ok := c.policy.(PacketHolder); ok {
-		n += h.HeldPackets(c)
-	}
+	n += c.policy.HeldPackets(c)
 	return n
 }
 
@@ -663,7 +680,7 @@ func (c *Core) handleTargetRREQ(p *pkt.Packet, from pkt.NodeID, first bool) {
 	}
 	k := rreqKey{b.Origin, b.ID}
 	cand := replyCandidate{from: from, cost: b.Cost, hops: b.HopCount, originSeq: b.OriginSeq}
-	w, ok := c.replyWaits[k]
+	w, ok := c.replyWaits.Get(k)
 	if !ok {
 		if !first {
 			// The window for this flood already closed and was answered;
@@ -674,7 +691,7 @@ func (c *Core) handleTargetRREQ(p *pkt.Packet, from pkt.NodeID, first bool) {
 		if j := c.Env.Journey; j != nil {
 			j.OnReplyCandidate(c.Env.Sim.Now(), c.Env.ID, b.Origin, b.ID, from, b.Cost, b.HopCount)
 		}
-		c.replyWaits[k] = replyWait{best: cand}
+		c.replyWaits.Put(k, replyWait{best: cand})
 		c.Env.Sim.ScheduleCall(c.Cfg.ReplyWindow, c, copReplyWindow, c.waitKeys.Add(k))
 		return
 	}
@@ -684,17 +701,17 @@ func (c *Core) handleTargetRREQ(p *pkt.Packet, from pkt.NodeID, first bool) {
 	const eps = 1e-9
 	if cand.cost < w.best.cost-eps ||
 		(cand.cost <= w.best.cost+eps && cand.hops < w.best.hops) {
-		c.replyWaits[k] = replyWait{best: cand}
+		c.replyWaits.Put(k, replyWait{best: cand})
 	}
 }
 
 // closeReplyWindow answers the best RREQ copy collected for flood k.
 func (c *Core) closeReplyWindow(k rreqKey) {
-	ww, ok := c.replyWaits[k]
+	ww, ok := c.replyWaits.Get(k)
 	if !ok {
 		return // window discarded by a crash before it closed
 	}
-	delete(c.replyWaits, k)
+	c.replyWaits.Delete(k)
 	if j := c.Env.Journey; j != nil {
 		j.OnReplyClose(c.Env.Sim.Now(), c.Env.ID, k.origin, k.id, ww.best.from, ww.best.cost, ww.best.hops)
 	}

@@ -45,6 +45,11 @@ type floodKey struct {
 	id     uint32
 }
 
+// Hash implements recycle.Key.
+func (k floodKey) Hash() uint64 {
+	return uint64(uint16(k.node))<<48 ^ uint64(uint32(k.origin))<<32 ^ uint64(k.id)
+}
+
 // assessment is one in-progress RAD, a slot of Policy.slots.
 type assessment struct {
 	key   floodKey
@@ -61,7 +66,7 @@ type assessment struct {
 // nothing once the slab has grown.
 type Policy struct {
 	params  Params
-	pending map[floodKey]uint32
+	pending recycle.Index[floodKey, uint32]
 	slots   recycle.Slab[assessment]
 }
 
@@ -69,7 +74,7 @@ type Policy struct {
 func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first bool) {
 	k := floodKey{c.Env.ID, pk.RREQ.Origin, pk.RREQ.ID}
 	if !first {
-		if i, ok := p.pending[k]; ok {
+		if i, ok := p.pending.Get(k); ok {
 			p.slots.At(i).count++
 		}
 		return
@@ -78,7 +83,7 @@ func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first 
 	// pool reclaims it after transmission), so the assessment keeps its
 	// own clone across the RAD and releases it once resolved.
 	i := p.slots.Add(assessment{key: k, count: 1, core: c, p: c.Env.Pool.Clone(pk)})
-	p.pending[k] = i
+	p.pending.Put(k, i)
 	rad := des.Time(c.Env.Rng.Intn(int(p.params.RADMax) + 1))
 	c.Env.Sim.ScheduleCall(rad, p, 0, i)
 }
@@ -90,7 +95,7 @@ func (p *Policy) OnRREQ(c *routing.Core, pk *pkt.Packet, from pkt.NodeID, first 
 // counts duplicates.
 func (p *Policy) HandleEvent(_ int32, i uint32) {
 	a := p.slots.Take(i)
-	delete(p.pending, a.key)
+	p.pending.Delete(a.key)
 	c := a.core
 	if a.count < p.params.C {
 		c.ForwardRREQ(a.p, 0)
@@ -103,7 +108,7 @@ func (p *Policy) HandleEvent(_ int32, i uint32) {
 // CostIncrement implements routing.RREQPolicy: hop count.
 func (p *Policy) CostIncrement(*routing.Core) float64 { return 1 }
 
-// HeldPackets implements routing.PacketHolder: one retained clone per
+// HeldPackets implements routing.RREQPolicy: one retained clone per
 // assessment c has in progress.
 func (p *Policy) HeldPackets(c *routing.Core) int {
 	n := 0
@@ -115,31 +120,34 @@ func (p *Policy) HeldPackets(c *routing.Core) int {
 	return n
 }
 
-// ReleaseHeld implements routing.PacketHolder: c's assessments are
-// dropped unresolved and their clones go back to c's pool.
+// ReleaseHeld implements routing.RREQPolicy: c's assessments are
+// dropped unresolved and their clones go back to c's pool. Once no node
+// has one left — every node of a network kept across a warm reset has
+// been released — the slab hands out indices from 0 again, as a new
+// policy's would, keeping its storage.
 func (p *Policy) ReleaseHeld(c *routing.Core) {
 	for i := 0; i < p.slots.Len(); i++ {
 		if a := p.slots.At(uint32(i)); a.p != nil && a.core == c {
 			a := p.slots.Take(uint32(i))
-			if j, ok := p.pending[a.key]; ok && j == uint32(i) {
-				delete(p.pending, a.key)
+			if j, ok := p.pending.Get(a.key); ok && j == uint32(i) {
+				p.pending.Delete(a.key)
 			}
 			c.Env.Pool.Release(a.p)
 		}
+	}
+	if p.slots.Live() == 0 {
+		p.slots.Reset()
 	}
 }
 
 // Spec returns the scheme's effective configuration and policy
 // constructor, from which networks are built and warm ones reset. The
-// policy carries the run's assessments, so each build or reset of a
-// network calls it for an empty one.
+// policy carries the run's assessments; a warm reset that keeps it
+// empties it (ReleaseHeld), so its index and slab keep their storage.
 func Spec(cfg routing.Config, params Params) routing.Spec {
 	cfg.ReplyWindow = 0
 	return routing.Spec{Cfg: cfg, Policy: func() routing.RREQPolicy {
-		return &Policy{
-			params:  params,
-			pending: make(map[floodKey]uint32),
-		}
+		return &Policy{params: params}
 	}}
 }
 

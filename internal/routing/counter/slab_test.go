@@ -79,8 +79,8 @@ func TestRecycledSlotHoldsNoPackets(t *testing.T) {
 	}
 	nodes[1].Crash()
 	simk.RunUntil(simk.Now() + des.Second)
-	if p.HeldPackets(mid) != 0 || len(p.pending) != 0 {
-		t.Fatalf("after every RAD resolved: %d clones held, %d floods pending", p.HeldPackets(mid), len(p.pending))
+	if p.HeldPackets(mid) != 0 || p.pending.Len() != 0 {
+		t.Fatalf("after every RAD resolved: %d clones held, %d floods pending", p.HeldPackets(mid), p.pending.Len())
 	}
 	if n := packetsInSlots(p, 3); n != 0 {
 		t.Errorf("resolved slots still point at %d clones", n)
@@ -89,7 +89,7 @@ func TestRecycledSlotHoldsNoPackets(t *testing.T) {
 	// instead of growing the slab.
 	nodes[1].Recover()
 	mid.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: 4, Origin: 9, Target: 8, OriginSeq: 4}, 0, 30), 0)
-	if i, ok := p.pending[floodKey{1, 9, 4}]; !ok || i >= 3 {
+	if i, ok := p.pending.Get(floodKey{1, 9, 4}); !ok || i >= 3 {
 		t.Errorf("a new flood after three RADs resolved took slot %d (pending %v), want a recycled one", i, ok)
 	}
 }
@@ -120,8 +120,9 @@ func TestOnePolicyServesTheNetwork(t *testing.T) {
 		}
 	}
 	simk.Reset()
+	spec := Spec(routing.DefaultConfig(), DefaultParams())
 	node.ResetNetwork(nodes, geom.ChainPlacement(geom.Point{}, 3, 200), mac.DefaultConfig(), rng.New(1),
-		Spec(routing.DefaultConfig(), DefaultParams()))
+		spec.Cfg, spec.Policy())
 	for i, n := range nodes {
 		if live := n.Agent.Env.Pool.LiveBorrowed(); live != 0 {
 			t.Errorf("node %d: %d packets still borrowed after the reset", i, live)
@@ -130,10 +131,40 @@ func TestOnePolicyServesTheNetwork(t *testing.T) {
 			t.Errorf("node %d: the core reports %d held packets after the reset", i, n.Agent.HeldPackets())
 		}
 	}
-	if p.slots.Live() != 0 || len(p.pending) != 0 {
-		t.Errorf("the old policy keeps %d assessments, %d pending floods", p.slots.Live(), len(p.pending))
+	if p.slots.Live() != 0 || p.pending.Len() != 0 {
+		t.Errorf("the old policy keeps %d assessments, %d pending floods", p.slots.Live(), p.pending.Len())
 	}
 	if q := nodes[0].Agent.Policy(); q == routing.RREQPolicy(p) || q != nodes[2].Agent.Policy() {
 		t.Errorf("after the reset the nodes run %p, %p (old %p): want one new policy", q, nodes[2].Agent.Policy(), p)
+	}
+}
+
+// TestResetKeepsThePolicy: a warm reset that keeps the network's policy
+// — what an engine does while its scheme stays — hands every retained
+// clone back and leaves the policy as a new one starts: nothing pending
+// and the slab's indices free from 0, its storage kept, so the next run
+// assesses floods without allocating.
+func TestResetKeepsThePolicy(t *testing.T) {
+	simk, nodes, p := chain()
+	for id := uint32(1); id <= 3; id++ {
+		nodes[1].Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), 0)
+	}
+	simk.Reset()
+	node.ResetNetwork(nodes, geom.ChainPlacement(geom.Point{}, 3, 200), mac.DefaultConfig(), rng.New(1),
+		nodes[1].Agent.Cfg, p)
+	for i, n := range nodes {
+		if n.Agent.Policy() != routing.RREQPolicy(p) {
+			t.Fatalf("node %d runs %p after the reset, want the kept %p", i, n.Agent.Policy(), p)
+		}
+		if live := n.Agent.Env.Pool.LiveBorrowed(); live != 0 || n.Agent.HeldPackets() != 0 {
+			t.Errorf("node %d: %d packets borrowed, %d held after the reset", i, live, n.Agent.HeldPackets())
+		}
+	}
+	if p.slots.Len() != 0 || p.pending.Len() != 0 {
+		t.Errorf("the kept policy has %d slab indices, %d pending floods: want a fresh policy's 0, 0", p.slots.Len(), p.pending.Len())
+	}
+	nodes[1].Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: 4, Origin: 9, Target: 8, OriginSeq: 4}, 0, 30), 0)
+	if i, ok := p.pending.Get(floodKey{1, 9, 4}); !ok || i != 0 {
+		t.Errorf("the first flood after the reset took slot %d (pending %v), want 0", i, ok)
 	}
 }

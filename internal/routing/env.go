@@ -66,23 +66,32 @@ type RREQPolicy interface {
 	// CostIncrement is this node's additive contribution to the RREQ's
 	// accumulated path cost when it forwards (1 for load-blind schemes).
 	CostIncrement(c *Core) float64
-}
-
-// PacketHolder is implemented by an RREQPolicy that retains pooled
-// packets across events (the counter scheme's assessments). One policy
-// value serves every node of a network, so it answers per node: the
-// invariant auditor sums what it holds for a core with the core's and the
-// MAC's own holdings against that node's pool ledger, and a warm Reset,
-// which has discarded the events that would have resolved them, hands
-// them back to the node's pool.
-type PacketHolder interface {
-	// HeldPackets reports how many of c's pooled packets the policy
-	// currently retains.
+	// HeldPackets and ReleaseHeld account for pooled packets the policy
+	// retains across events (the counter scheme's assessments; a policy
+	// that decides synchronously embeds HoldsNothing). One policy value
+	// serves every node of a network, so they answer per node: the
+	// invariant auditor sums what a policy holds for a core with the
+	// core's and the MAC's own holdings against that node's pool ledger,
+	// and a warm Reset, which has discarded the events that would have
+	// resolved them, hands them back to the node's pool. They are methods
+	// of every policy rather than an optional interface so that asking
+	// costs no dynamic type assertion, whose runtime cache would allocate
+	// at random on a warm engine.
 	HeldPackets(c *Core) int
 	// ReleaseHeld returns every packet the policy retains for c to c's
 	// pool and forgets the state that held it.
 	ReleaseHeld(c *Core)
 }
+
+// HoldsNothing is embedded by a policy that retains no packets: its
+// HeldPackets is 0 and its ReleaseHeld does nothing.
+type HoldsNothing struct{}
+
+// HeldPackets implements RREQPolicy: nothing is held.
+func (HoldsNothing) HeldPackets(*Core) int { return 0 }
+
+// ReleaseHeld implements RREQPolicy: there is nothing to release.
+func (HoldsNothing) ReleaseHeld(*Core) {}
 
 // Counters tallies routing-layer events for the measurement harness.
 type Counters struct {

@@ -1,6 +1,21 @@
 package routing
 
-// Hooks for the external integration tests (package routing_test).
+import "clnlr/internal/pkt"
+
+// Hooks for the external integration tests (package routing_test) and
+// helpers only the tests use.
+
+// Invalidate marks the route to dst broken and returns it; ok is false if
+// there was no valid route. The sequence number is bumped so stale copies
+// of the dead route cannot be re-installed.
+func (t *Table) Invalidate(dst pkt.NodeID) (r Route, ok bool) {
+	p := t.slot(dst)
+	if p == nil || !p.Valid {
+		return Route{}, false
+	}
+	t.kill(p)
+	return *p, true
+}
 
 // MoveSlabs moves c's route and neighbour slabs to fresh, exactly full
 // arrays, and its duplicate cache's ring and index to fresh arrays of the

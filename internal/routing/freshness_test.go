@@ -139,7 +139,7 @@ func TestNeighborTableRemoveClearsSlot(t *testing.T) {
 
 // nopPolicy satisfies RREQPolicy for white-box Core tests that never
 // originate or forward floods.
-type nopPolicy struct{}
+type nopPolicy struct{ HoldsNothing }
 
 func (nopPolicy) OnRREQ(*Core, *pkt.Packet, pkt.NodeID, bool) {}
 func (nopPolicy) CostIncrement(*Core) float64                 { return 1 }
@@ -149,10 +149,9 @@ func (nopPolicy) CostIncrement(*Core) float64                 { return 1 }
 func bareCore(sim *des.Sim, id pkt.NodeID) *Core {
 	cfg := DefaultConfig()
 	c := &Core{
-		table:      NewTable(sim),
-		dup:        NewDupCache(sim, cfg.DupHorizon),
-		nbrs:       NewNeighborTable(sim, 0),
-		replyWaits: make(map[rreqKey]replyWait),
+		table: NewTable(sim),
+		dup:   NewDupCache(sim, cfg.DupHorizon),
+		nbrs:  NewNeighborTable(sim, 0),
 	}
 	c.Env = Env{Sim: sim, ID: id}
 	c.Cfg = cfg

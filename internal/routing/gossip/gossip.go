@@ -26,6 +26,7 @@ func DefaultParams() Params { return Params{P: 0.7, K: 1} }
 // parameters, so one instance serves every node of a network (each draw
 // comes from the node's private random stream via the Core).
 type Policy struct {
+	routing.HoldsNothing
 	params Params
 }
 

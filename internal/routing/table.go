@@ -219,18 +219,6 @@ func (t *Table) Refresh(dst pkt.NodeID, lifetime des.Time) {
 	}
 }
 
-// Invalidate marks the route to dst broken and returns it; ok is false if
-// there was no valid route. The sequence number is bumped so stale copies
-// of the dead route cannot be re-installed.
-func (t *Table) Invalidate(dst pkt.NodeID) (r Route, ok bool) {
-	p := t.slot(dst)
-	if p == nil || !p.Valid {
-		return Route{}, false
-	}
-	t.kill(p)
-	return *p, true
-}
-
 // InvalidateFrom applies one RERR entry heard from neighbour from: a
 // valid route to dst through from becomes invalid and keeps the newer of
 // its own and the advertised sequence number, which it returns; ok is

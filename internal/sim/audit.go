@@ -98,29 +98,41 @@ const (
 	findLoop
 )
 
-// newAuditor snapshots the baselines of an auditor for a run on e's
-// network that ends at end.
-func newAuditor(e *Engine, end des.Time) *auditor {
+// reset arms a for a run on e's network that ends at end: the baselines
+// are snapshot anew into the per-node storage a kept from its last run,
+// and no violation is carried over (the last run's Err keeps its own).
+func (a *auditor) reset(e *Engine, end des.Time) {
 	nn := len(e.nodes)
-	a := &auditor{
+	*a = auditor{
 		e:          e,
 		end:        end,
-		lastSeq:    make([]uint32, nn),
-		lastDF:     make([]uint64, nn),
-		lastWrites: make([]uint64, nn),
-		scan:       make([]bool, nn),
-		hot:        make([]bool, nn),
+		lastSeq:    zeroed(a.lastSeq, nn),
+		lastDF:     zeroed(a.lastDF, nn),
+		lastWrites: zeroed(a.lastWrites, nn),
+		scan:       zeroed(a.scan, nn),
+		hot:        zeroed(a.hot, nn),
+		found:      a.found[:0],
 	}
 	for i, n := range e.nodes {
 		a.lastSeq[i] = n.Agent.SeqNo()
 	}
-	return a
 }
 
-// startAudit builds the run's auditor and schedules the first audit
-// point at t=0.
+// zeroed returns n zero values in s's storage when it has room.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// startAudit arms the engine's auditor for the run and schedules the
+// first audit point at t=0.
 func (e *Engine) startAudit(end des.Time) *auditor {
-	a := newAuditor(e, end)
+	a := &e.aud
+	a.reset(e, end)
 	e.simk.AtCall(0, a, 0, 0)
 	return a
 }

@@ -46,7 +46,8 @@ func TestInstrumentTicksAllocateNothing(t *testing.T) {
 	var auditErr error
 	TestHookPrepared = func(simk *des.Sim, nodes []*node.Node, _ Scenario) {
 		simk.AtCall(sc.Warmup+sc.Measure/2+des.Microsecond, des.Func(func() {
-			a := newAuditor(e, sc.Warmup+sc.Measure)
+			a := new(auditor)
+			a.reset(e, sc.Warmup+sc.Measure)
 			fullAllocs = testing.AllocsPerRun(10, func() { a.check(true) })
 			incAllocs = testing.AllocsPerRun(10, func() { a.check(false) })
 			auditErr = a.Err()

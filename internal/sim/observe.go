@@ -120,13 +120,18 @@ type ObserveOptions struct {
 // Observer is the one observed-run path: meshsim -report, meshsimd's
 // /v1/run and the sweep planner's per-cell reports all run through one.
 // It keeps a warm engine and the instruments its runs fill: the collector
-// while runs ask for one, the journey recorder while the divisor stays.
-// The zero value is ready to use; it is not safe for concurrent use.
+// once a run has asked for one, the journey recorder while the divisor
+// stays. A run that asks for neither keeps them aside, so runs with and
+// without instruments can alternate on one Observer without rebuilding
+// them. The zero value is ready to use; it is not safe for concurrent
+// use.
 type Observer struct {
 	eng *Engine
-	col *metrics.Collector // this run's, nil when off
-	rec *journey.Recorder  // this run's, nil when off
-	agg *journey.Agg       // this run's journey fold, made by Journey
+	col *metrics.Collector
+	rec *journey.Recorder
+	// colOn and recOn say whether the last run had col and rec.
+	colOn, recOn bool
+	agg          *journey.Agg // this run's journey fold, made by Journey
 }
 
 // Run executes sc with the instruments opts selects (see
@@ -134,18 +139,13 @@ type Observer struct {
 // partial state, so the engine slot stays empty until the run returns:
 // the run after a panic starts on a fresh engine.
 func (o *Observer) Run(sc Scenario, opts ObserveOptions) (Result, error) {
-	switch {
-	case !opts.Collect:
-		o.col = nil
-	case o.col == nil:
+	o.colOn, o.recOn = opts.Collect, opts.JourneyEvery > 0
+	if o.colOn && o.col == nil {
 		o.col = metrics.NewCollector(opts.Interval)
-	default:
+	} else if o.colOn {
 		o.col.SetSampleInterval(opts.Interval)
 	}
-	switch {
-	case opts.JourneyEvery <= 0:
-		o.rec = nil
-	case o.rec == nil || o.rec.EveryN() != opts.JourneyEvery:
+	if o.recOn && (o.rec == nil || o.rec.EveryN() != opts.JourneyEvery) {
 		o.rec = journey.NewRecorder(opts.JourneyEvery, true)
 	}
 	eng := o.eng
@@ -153,21 +153,31 @@ func (o *Observer) Run(sc Scenario, opts ObserveOptions) (Result, error) {
 		eng = NewEngine()
 	}
 	o.eng, o.agg = nil, nil
-	r, err := eng.RunJourney(sc, opts.Watch, o.col, o.rec)
+	r, err := eng.RunJourney(sc, opts.Watch, o.Collector(), o.Recorder())
 	o.eng = eng
 	return r, err
 }
 
 // Collector returns the last run's metrics collector, nil if it had none.
-func (o *Observer) Collector() *metrics.Collector { return o.col }
+func (o *Observer) Collector() *metrics.Collector {
+	if !o.colOn {
+		return nil
+	}
+	return o.col
+}
 
 // Recorder returns the last run's journey recorder, nil if it had none.
-func (o *Observer) Recorder() *journey.Recorder { return o.rec }
+func (o *Observer) Recorder() *journey.Recorder {
+	if !o.recOn {
+		return nil
+	}
+	return o.rec
+}
 
 // Journey returns the last run's journeys folded into an aggregate (made
 // once per run), nil if it had no recorder.
 func (o *Observer) Journey() *journey.Agg {
-	if o.rec != nil && o.agg == nil {
+	if o.recOn && o.agg == nil {
 		o.agg = journey.NewAgg(o.rec.EveryN())
 		o.rec.Aggregate(o.agg)
 	}
@@ -177,7 +187,7 @@ func (o *Observer) Journey() *journey.Agg {
 // Report returns the last run's RunReport, r its Result, with the
 // journey section when it had a recorder. The run must have collected.
 func (o *Observer) Report(sc Scenario, r Result) metrics.RunReport {
-	rep := BuildReport(sc, r, o.col)
+	rep := BuildReport(sc, r, o.Collector())
 	if agg := o.Journey(); agg != nil {
 		rep.Journey = agg.Report()
 	}
@@ -185,9 +195,9 @@ func (o *Observer) Report(sc Scenario, r Result) metrics.RunReport {
 }
 
 // sampler is the flight recorder's typed-event handler: one read-only
-// snapshot of every node's cross-layer state per tick. A struct (rather
-// than a capturing closure in a des.Func) so arming the sampling train
-// allocates nothing.
+// snapshot of every node's cross-layer state per tick. A struct on the
+// engine (rather than a capturing closure in a des.Func) so arming the
+// sampling train allocates nothing.
 type sampler struct {
 	e   *Engine
 	col *metrics.Collector
@@ -225,7 +235,8 @@ func (e *Engine) startSampler(col *metrics.Collector, end des.Time) {
 		ticks = int(end/interval) + 1
 	}
 	col.Begin(len(e.nodes), ticks)
-	scheduleTicks(e.simk, &sampler{e: e, col: col}, interval, ticks)
+	e.smp = sampler{e: e, col: col}
+	scheduleTicks(e.simk, &e.smp, interval, ticks)
 }
 
 // scheduleTicks queues the sampler's n ticks, one per interval from t = 0.

@@ -131,26 +131,24 @@ func (e *Engine) attachFaults(sc Scenario, master *rng.Source, horizon des.Time)
 	return crashEvents, recoverEvents
 }
 
-// place generates node positions per the scenario topology and checks
-// their connectivity into tp, whose storage every try reuses. Random
-// placements are re-drawn (with derived seeds) until connected.
-func place(sc Scenario, master *rng.Source, tp *topo.Topology) ([]geom.Point, error) {
+// place generates node positions per the scenario topology into pts's
+// storage and checks their connectivity into tp, whose storage every try
+// reuses too. Random placements are re-drawn (with derived seeds) until
+// connected.
+func place(sc Scenario, master *rng.Source, tp *topo.Topology, pts []geom.Point) ([]geom.Point, error) {
 	region := geom.Square(sc.AreaM)
 	var src rng.Source
-	build := func(try uint64) []geom.Point {
+	const maxTries = 50
+	for try := uint64(0); try < maxTries; try++ {
 		master.DeriveInto(&src, 100, try)
 		switch sc.Topology {
 		case TopoPerturbedGrid:
-			return geom.PerturbedGridPlacement(region, sc.Rows, sc.Cols, sc.PerturbFrac, &src)
+			pts = geom.PerturbedGridPlacement(pts, region, sc.Rows, sc.Cols, sc.PerturbFrac, &src)
 		case TopoRandom:
-			return geom.UniformPlacement(region, sc.Nodes, &src)
+			pts = geom.UniformPlacement(pts, region, sc.Nodes, &src)
 		default:
-			return geom.GridPlacement(region, sc.Rows, sc.Cols)
+			pts = geom.AppendGrid(pts, region, sc.Rows, sc.Cols)
 		}
-	}
-	const maxTries = 50
-	for try := uint64(0); try < maxTries; try++ {
-		pts := build(try)
 		// The connectivity check uses the medium's propagation (at t=0;
 		// fading models are evaluated in their first coherence slot).
 		tp.Reset(pts, sc.propagation(), sc.Radio)

@@ -459,7 +459,7 @@ func TestPickFlowsSessions(t *testing.T) {
 	sc.SessionTime = 5 * des.Second
 	sc.Flows = 4
 	tp := new(topo.Topology)
-	_, err := place(sc, rng.New(1), tp)
+	_, err := place(sc, rng.New(1), tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestPickFlowsSessions(t *testing.T) {
 func TestCentreNode(t *testing.T) {
 	sc := quickScenario()
 	tp := new(topo.Topology)
-	_, err := place(sc, rng.New(1), tp)
+	_, err := place(sc, rng.New(1), tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestMinHopDistRespected(t *testing.T) {
 	sc := quickScenario()
 	sc.MinHopDist = 3
 	tp := new(topo.Topology)
-	_, err := place(sc, rng.New(1), tp)
+	_, err := place(sc, rng.New(1), tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

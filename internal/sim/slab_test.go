@@ -211,7 +211,7 @@ func TestPickFlowsUnchanged(t *testing.T) {
 			sc.Seed = seed
 			master := rng.New(seed)
 			tp := new(topo.Topology)
-			_, err := place(sc, master, tp)
+			_, err := place(sc, master, tp, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +243,7 @@ func TestPickFlowsUnchanged(t *testing.T) {
 	}
 	big := shapes["field900"]
 	tp = new(topo.Topology)
-	_, err := place(big, rng.New(1), tp)
+	_, err := place(big, rng.New(1), tp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,9 +76,6 @@ func (h *LogHistogram) Add(x float64) {
 // Count returns the number of samples recorded (including out-of-range).
 func (h *LogHistogram) Count() int64 { return h.total }
 
-// Sum returns the exact sum of all recorded samples.
-func (h *LogHistogram) Sum() float64 { return h.sum }
-
 // Mean returns the sample mean, or 0 with no samples.
 func (h *LogHistogram) Mean() float64 {
 	if h.total == 0 {
@@ -86,12 +83,6 @@ func (h *LogHistogram) Mean() float64 {
 	}
 	return h.sum / float64(h.total)
 }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *LogHistogram) OutOfRange() (under, over int64) { return h.under, h.over }
-
-// NumBins returns the number of in-range buckets.
-func (h *LogHistogram) NumBins() int { return len(h.bins) }
 
 // boundary returns the lower edge of bucket i.
 func (h *LogHistogram) boundary(i float64) float64 {

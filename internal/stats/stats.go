@@ -104,9 +104,6 @@ func (tw *TimeWeighted) Set(t int64, v float64) {
 // Value returns the current value of the signal.
 func (tw *TimeWeighted) Value() float64 { return tw.lastV }
 
-// Max returns the maximum value observed since the last Reset.
-func (tw *TimeWeighted) Max() float64 { return tw.maxV }
-
 // Avg returns the time average over [start, t]. If no time has elapsed it
 // returns the current value.
 func (tw *TimeWeighted) Avg(t int64) float64 {

@@ -83,7 +83,7 @@ func TestResetMatchesMediumRange(t *testing.T) {
 		radio.NewLogDistance(914e6, 3, 1, 6, 42),
 	} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			pts := geom.PerturbedGridPlacement(geom.Square(1000), 6, 6, 0.4, rng.New(seed))
+			pts := geom.PerturbedGridPlacement(nil, geom.Square(1000), 6, 6, 0.4, rng.New(seed))
 			tp.Reset(pts, prop, radio.DefaultParams())
 			m := radio.NewMedium(des.NewSim(), prop)
 			for _, p := range pts {
@@ -99,7 +99,7 @@ func TestResetMatchesMediumRange(t *testing.T) {
 			}
 		}
 	}
-	pts = geom.PerturbedGridPlacement(geom.Square(1000), 6, 6, 0.4, rng.New(4))
+	pts = geom.PerturbedGridPlacement(nil, geom.Square(1000), 6, 6, 0.4, rng.New(4))
 	var prop radio.Propagation = radio.NewTwoRay(914e6, 1.5, 1.5)
 	if n := testing.AllocsPerRun(10, func() { tp.Reset(pts, prop, radio.DefaultParams()); tp.Connected() }); n != 0 {
 		t.Errorf("rebuilding and checking a sized graph: %v allocations, want 0", n)

@@ -42,7 +42,8 @@ find internal -name '*.go' ! -name '*_test.go' | sort | while read -r f; do
 			s = substr($0, 6); recv = ""
 			if (s ~ /^\(/) {
 				r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2)
-				k = split(r, part, " "); t = part[k]; sub(/\[.*/, "", t)
+				sub(/\[.*/, "", r) # type parameters, which may hold spaces
+				k = split(r, part, " "); t = part[k]
 				recv = (t ~ /^\*/) ? "(" t ")." : t "."
 			}
 			if (!match(s, /^[A-Za-z0-9_]+/)) next
