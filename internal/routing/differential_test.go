@@ -8,6 +8,7 @@ import (
 
 	"clnlr/internal/des"
 	"clnlr/internal/pkt"
+	"clnlr/internal/recycle"
 	"clnlr/internal/rng"
 )
 
@@ -197,19 +198,17 @@ func FuzzTableDifferential(f *testing.F) {
 	})
 }
 
-// moveDupSlab moves the cache's ring and index to fresh arrays of the
-// same lengths and poisons the old ones: an entry read through the old
-// ring claims a flood live forever, and every old index slot claims ring
-// position 0.
+// moveDupSlab moves the cache's ring and index to fresh storage and
+// poisons the old: an entry read through the old ring claims a flood
+// live forever, and the old index holds no key.
 func moveDupSlab(d *DupCache) {
 	oldRing, oldIndex := d.ring, d.index
-	d.ring, d.index = slices.Clone(oldRing), slices.Clone(oldIndex)
+	d.ring, d.index = slices.Clone(oldRing), recycle.Index[rreqKey, struct{}]{}
+	oldIndex.Each(func(k rreqKey, _ struct{}) { d.index.Put(k, struct{}{}) })
 	for i := range oldRing {
 		oldRing[i] = dupEntry{rreqKey{-7, 0xdead}, math.MaxInt64}
 	}
-	for i := range oldIndex {
-		oldIndex[i] = 1
-	}
+	oldIndex.Clear()
 }
 
 // dupOrigin maps a script byte to one of 64 origins, so live floods wrap
@@ -368,7 +367,7 @@ func TestResetTouchesOnlyWhatWasUsed(t *testing.T) {
 	if len(c.table.entries)+len(c.nbrs.info) != 0 || cap(c.table.entries)+cap(c.nbrs.info) != 0 {
 		t.Error("Preallocate sized a slab; it must size the indices only")
 	}
-	if len(c.dup.ring) != dupMinCap || len(c.dup.index) != 2*dupMinCap {
+	if len(c.dup.ring) != dupMinCap {
 		t.Error("Preallocate sized the duplicate cache; it has no ID index")
 	}
 	for _, id := range []pkt.NodeID{5, 900000, 17} {
@@ -379,12 +378,15 @@ func TestResetTouchesOnlyWhatWasUsed(t *testing.T) {
 	c.table.Reset()
 	c.dup.Reset(des.Second)
 	c.nbrs.Reset(des.Second)
-	for name, idx := range map[string][]int32{"table": c.table.idx, "dup": c.dup.index, "nbrs": c.nbrs.pos} {
+	for name, idx := range map[string][]int32{"table": c.table.idx, "nbrs": c.nbrs.pos} {
 		if slices.ContainsFunc(idx, func(s int32) bool { return s != 0 }) {
 			t.Errorf("%s: Reset left an index entry behind", name)
 		}
 	}
 	if c.table.Len() != 0 || c.dup.Len() != 0 || c.nbrs.Count() != 0 {
 		t.Error("Reset left entries behind")
+	}
+	if c.dup.Seen(900000, 1) {
+		t.Error("dup: Reset left a flood indexed")
 	}
 }

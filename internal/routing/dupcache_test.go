@@ -21,25 +21,17 @@ func checkDupCache(t *testing.T, d *DupCache, oracle *mapDupCache, step int) {
 }
 
 // checkDupIndex checks that the ring holds exactly the live count — the
-// index has one occupied slot per ring entry, so nothing expired is left
-// indexed — and that every live entry is reachable from its key's home
-// through occupied slots, which a delete that leaves a hole mid-run
-// breaks.
+// index holds one key per ring entry, so nothing expired is left indexed
+// — and that the index finds every live entry.
 func checkDupIndex(t *testing.T, d *DupCache, step int) {
 	t.Helper()
-	used := 0
-	for _, p := range d.index {
-		if p != 0 {
-			used++
-		}
-	}
-	if used != d.n {
-		t.Fatalf("step %d: index holds %d slots for %d ring entries", step, used, d.n)
+	if d.index.Len() != d.n {
+		t.Fatalf("step %d: index holds %d keys for %d ring entries", step, d.index.Len(), d.n)
 	}
 	for i := range d.n {
 		pos := (d.head + i) & (len(d.ring) - 1)
-		if s, ok := d.lookup(d.ring[pos].rreqKey); !ok || int(d.index[s]) != pos+1 {
-			t.Fatalf("step %d: live flood %+v at ring position %d is not reachable from its home", step, d.ring[pos], pos)
+		if _, ok := d.index.Get(d.ring[pos].rreqKey); !ok {
+			t.Fatalf("step %d: live flood %+v at ring position %d is not indexed", step, d.ring[pos], pos)
 		}
 	}
 }
@@ -178,33 +170,41 @@ func TestDupCacheWarmReuseAllocatesNothing(t *testing.T) {
 // clock stepping an eighth of the horizon per flood, so at most eight are
 // live at once. The cache must stay at its minimum capacity — it is sized
 // by the floods live, not by the origins heard — and still remember every
-// live flood.
+// live flood: after the first thousand origins, the other nine thousand
+// allocate nothing.
 func TestDupCacheSizedByLiveFloods(t *testing.T) {
 	const origins, horizon = 10000, des.Second
 	sim := des.NewSim()
 	d := NewDupCache(sim, horizon)
-	for o := 0; o < origins; o++ {
-		sim.RunUntil(des.Time(o) * horizon / 8)
-		if d.Seen(pkt.NodeID(o), 1) {
-			t.Fatalf("origin %d: fresh flood reported seen", o)
-		}
-		if n := d.Len(); n > 8 {
-			t.Fatalf("origin %d: %d floods live, the schedule allows 8", o, n)
-		}
-		if o >= 7 && !d.Seen(pkt.NodeID(o-7), 1) {
-			t.Fatalf("origin %d: flood from origin %d forgotten while live", o, o-7)
+	o := 0
+	thousand := func() {
+		for end := o + 1000; o < end; o++ {
+			sim.RunUntil(des.Time(o) * horizon / 8)
+			if d.Seen(pkt.NodeID(o), 1) {
+				t.Fatalf("origin %d: fresh flood reported seen", o)
+			}
+			if n := d.Len(); n > 8 {
+				t.Fatalf("origin %d: %d floods live, the schedule allows 8", o, n)
+			}
+			if o >= 7 && !d.Seen(pkt.NodeID(o-7), 1) {
+				t.Fatalf("origin %d: flood from origin %d forgotten while live", o, o-7)
+			}
 		}
 	}
-	if len(d.ring) > 16 || len(d.index) > 32 {
-		t.Fatalf("%d origins with at most 8 floods live: ring %d, index %d slots, want ≤ 16 and ≤ 32",
-			origins, len(d.ring), len(d.index))
+	thousand()
+	if a := testing.AllocsPerRun(origins/1000-2, thousand); a != 0 || o != origins {
+		t.Fatalf("%d origins: %v allocations per thousand after the first, want 0", o, a)
+	}
+	if len(d.ring) > 16 {
+		t.Fatalf("%d origins with at most 8 floods live: ring %d, want ≤ 16", origins, len(d.ring))
 	}
 }
 
 // TestDupCacheProbeRunsWrap drives the index where deletion is hardest:
 // at minimum capacity, with keys chosen by search so that four share the
-// last slot as home (their probe run wraps the index end) and the rest
-// have homes on both sides of the wrap. Random orders of insertion, with
+// last slot of a 16-slot index as home (their probe run wraps the index
+// end; they share the last slot of an 8-slot one too) and the rest have
+// homes on both sides of the wrap. Random orders of insertion, with
 // re-insertion after expiry, make expiry order differ from probe order,
 // so backward shift moves entries across the wrap. After every step the
 // cache must agree with the map oracle on every key and keep every live
@@ -212,14 +212,16 @@ func TestDupCacheSizedByLiveFloods(t *testing.T) {
 func TestDupCacheProbeRunsWrap(t *testing.T) {
 	const horizon = des.Second
 	slots := 2 * dupMinCap
-	probe := NewDupCache(des.NewSim(), horizon)
+	// home is recycle.Index's first probe slot for k in a 16-slot table:
+	// the top four bits of k's Fibonacci hash.
+	home := func(k rreqKey) int { return int(k.Hash() * 0x9e3779b97f4a7c15 >> 60) }
 	want := map[int]int{slots - 1: 4, slots - 2: 1, 0: 2, 1: 1} // home slot → keys
 	var keys []rreqKey
 	for k := (rreqKey{}); len(keys) < dupMinCap; k.id++ {
 		if k.id == 1000 {
 			k.origin, k.id = k.origin+1, 0
 		}
-		if h := probe.home(k); want[h] > 0 {
+		if h := home(k); want[h] > 0 {
 			want[h]--
 			keys = append(keys, k)
 		}
