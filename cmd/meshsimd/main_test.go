@@ -61,10 +61,19 @@ func TestDaemonServesAndDrainsOnSIGTERM(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	c := client.New(url)
-	if err := c.Health(ctx); err != nil {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	health, err := http.DefaultClient.Do(req)
+	if err != nil {
 		t.Fatalf("health: %v", err)
 	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("health: %s", health.Status)
+	}
+	c := client.New(url)
 	res, err := c.Run(ctx, serve.RunRequest{
 		Scenario: []byte(`{"Name":"daemon-test","Rows":4,"Cols":4,"Flows":3,"Warmup":1000000000,"Measure":3000000000}`),
 	})

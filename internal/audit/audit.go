@@ -91,9 +91,6 @@ func (r *Recorder) Recordf(invariant string, node int, t des.Time, format string
 	r.Record(Violation{Invariant: invariant, Node: node, Time: t, Detail: fmt.Sprintf(format, args...)})
 }
 
-// Count returns the total number of violations seen, including dropped.
-func (r *Recorder) Count() int { return len(r.violations) + r.truncated }
-
 // Err returns the aggregated error, or nil when the run was clean.
 func (r *Recorder) Err() error {
 	if len(r.violations) == 0 {

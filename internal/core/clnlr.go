@@ -104,9 +104,6 @@ type Policy struct {
 	params Params
 }
 
-// Params returns the policy's parameters.
-func (p *Policy) Params() Params { return p.params }
-
 // ForwardProbability computes the adaptive rebroadcast probability from a
 // neighbourhood load and a fresh-neighbour count. Exposed (rather than
 // inlined in OnRREQ) so tests and ablation benchmarks can probe the

@@ -110,7 +110,7 @@ func TestCostIncrementReflectsLoad(t *testing.T) {
 	if loadedCost <= idleCost+0.05 {
 		t.Fatalf("cost increment did not rise under load: %.3f -> %.3f", idleCost, loadedCost)
 	}
-	maxCost := 1 + pol.Params().Beta
+	maxCost := 1 + core.DefaultParams().Beta
 	if loadedCost > maxCost {
 		t.Fatalf("cost increment %.3f exceeds 1+Beta=%.1f", loadedCost, maxCost)
 	}

@@ -95,16 +95,11 @@ type eventNode struct {
 // freely, store it in structs, compare it to the zero Event. The zero
 // Event refers to no event; all its methods are safe no-ops. Handles may
 // be retained after the event completes; once the event has fired or been
-// cancelled the handle is stale — Cancel is a no-op and Fired reports
-// true.
+// cancelled the handle is stale and Cancel is a no-op.
 type Event struct {
 	n   *eventNode
 	gen uint64
 }
-
-// Valid reports whether the handle refers to an event (pending or
-// completed) as opposed to the zero Event.
-func (e Event) Valid() bool { return e.n != nil }
 
 // Cancel prevents the event from firing: it leaves the heap (or its lane
 // slot goes stale) and its node is recycled at once. Cancelling an event
@@ -123,10 +118,6 @@ func (e Event) Cancel() {
 		n.sim.recycle(n)
 	}
 }
-
-// Fired reports whether the event is no longer pending: its handler has
-// run or it was cancelled (a stale handle cannot tell the two apart).
-func (e Event) Fired() bool { return e.n != nil && e.n.gen != e.gen }
 
 const maxTime = Time(int64(^uint64(0) >> 1))
 
@@ -162,7 +153,7 @@ type Sim struct {
 
 	free      recycle.List[*eventNode] // recycled nodes, at most freeListCap
 	freeDrops uint64                   // nodes dropped to GC since construction/Reset
-	pendingHW int                      // peak Pending() since construction/Reset
+	pendingHW int                      // see PendingHighWater
 
 	// pastSchedules counts AtCall targets that preceded the clock and
 	// were clamped to "now" — a simulation-logic error the auditor reports.
@@ -182,16 +173,14 @@ func NewSim() *Sim {
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// Pending returns the number of events still queued, on the heap and the
-// lanes. All of them are live: a cancelled event stops counting when it is
-// cancelled. A train counts once, however many ticks it has left.
-func (s *Sim) Pending() int { return len(s.heap) + s.laneLive }
-
 // Executed returns the total number of events that have fired.
 func (s *Sim) Executed() uint64 { return s.executed }
 
-// PendingHighWater returns the peak Pending() observed since construction
-// or the last Reset — the sizing signal for the event-node pool.
+// PendingHighWater returns the peak number of events queued at once, on
+// the heap and the lanes, since construction or the last Reset — the
+// sizing signal for the event-node pool. A cancelled event stops counting
+// when it is cancelled; a train counts once, however many ticks it has
+// left.
 func (s *Sim) PendingHighWater() int { return s.pendingHW }
 
 // PastSchedules returns how many events were scheduled at an absolute

@@ -38,7 +38,7 @@ func TestRunCellsDiscoveryMatchesRunDiscovery(t *testing.T) {
 		for r := range got {
 			s := sc
 			s.Seed = sc.Seed + uint64(r)
-			want, err := sim.Run(s)
+			want, err := sim.NewEngine().Run(s)
 			if err != nil {
 				t.Fatal(err)
 			}

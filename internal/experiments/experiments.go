@@ -252,12 +252,6 @@ func (idx pointIndex) lookup(x float64, scheme, metric string) (stats.Summary, b
 	return v, ok
 }
 
-// lookup is a one-off convenience for tests and ad-hoc inspection; render
-// loops build the index once instead.
-func (f Figure) lookup(x float64, scheme, metric string) (stats.Summary, bool) {
-	return f.index().lookup(x, scheme, metric)
-}
-
 // baseScenario is the shared Table R-1 operating point for the data-plane
 // experiments: session churn keeps route discovery active during the
 // measurement window.

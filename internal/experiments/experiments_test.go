@@ -54,12 +54,12 @@ func TestFigR1R2Shapes(t *testing.T) {
 		t.Fatalf("schemes %v", schemes)
 	}
 	for _, x := range xs {
-		flood, ok := r1.lookup(x, "flood", "rreq/discovery")
+		flood, ok := r1.index().lookup(x, "flood", "rreq/discovery")
 		if !ok {
 			t.Fatalf("missing flood point at %v", x)
 		}
 		for _, s := range schemes {
-			v, ok := r1.lookup(x, s, "rreq/discovery")
+			v, ok := r1.index().lookup(x, s, "rreq/discovery")
 			if !ok {
 				t.Fatalf("missing %s point at %v", s, x)
 			}
@@ -75,8 +75,8 @@ func TestFigR1R2Shapes(t *testing.T) {
 		}
 	}
 	// RREQ per discovery grows with network size for flood.
-	first, _ := r1.lookup(xs[0], "flood", "rreq/discovery")
-	last, _ := r1.lookup(xs[len(xs)-1], "flood", "rreq/discovery")
+	first, _ := r1.index().lookup(xs[0], "flood", "rreq/discovery")
+	last, _ := r1.index().lookup(xs[len(xs)-1], "flood", "rreq/discovery")
 	if last.Mean <= first.Mean {
 		t.Errorf("flood overhead did not grow with size: %.1f -> %.1f", first.Mean, last.Mean)
 	}
@@ -120,8 +120,8 @@ func TestFigR6GatewayConcentration(t *testing.T) {
 	// The gateway workload must concentrate forwarding more than the
 	// uniform workload for every scheme.
 	for _, scheme := range []string{"flood", "clnlr"} {
-		uni, ok1 := f.lookup(0, scheme, "fwd-max/mean")
-		gw, ok2 := f.lookup(1, scheme, "fwd-max/mean")
+		uni, ok1 := f.index().lookup(0, scheme, "fwd-max/mean")
+		gw, ok2 := f.index().lookup(1, scheme, "fwd-max/mean")
 		if !ok1 || !ok2 {
 			t.Fatalf("missing %s points", scheme)
 		}
@@ -201,7 +201,7 @@ func TestFigR3R4R7Structure(t *testing.T) {
 	// At the lowest load every scheme must deliver essentially everything.
 	xs, schemes := r3.axes()
 	for _, s := range schemes {
-		v, ok := r3.lookup(xs[0], s, "pdr")
+		v, ok := r3.index().lookup(xs[0], s, "pdr")
 		if !ok || v.Mean < 0.95 {
 			t.Errorf("%s PDR %.3f at lowest load", s, v.Mean)
 		}
@@ -217,8 +217,8 @@ func TestFigR5Structure(t *testing.T) {
 	checkFigure(t, f, len(flowCounts(cfg))*len(schemeSet(cfg)))
 	// Throughput grows with flow count below saturation.
 	xs, _ := f.axes()
-	lo, _ := f.lookup(xs[0], "flood", "kbps")
-	hi, _ := f.lookup(xs[len(xs)-1], "flood", "kbps")
+	lo, _ := f.index().lookup(xs[0], "flood", "kbps")
+	hi, _ := f.index().lookup(xs[len(xs)-1], "flood", "kbps")
 	if hi.Mean <= lo.Mean {
 		t.Errorf("throughput did not grow with flows: %.1f -> %.1f", lo.Mean, hi.Mean)
 	}
@@ -259,7 +259,7 @@ func TestFigR10Structure(t *testing.T) {
 	}
 	checkFigure(t, f, len(mobilitySpeeds(cfg))*len(schemeSet(cfg)))
 	// The static point must be present (speed 0).
-	if _, ok := f.lookup(0, "flood", "pdr"); !ok {
+	if _, ok := f.index().lookup(0, "flood", "pdr"); !ok {
 		t.Fatal("static baseline point missing")
 	}
 }
@@ -278,8 +278,8 @@ func TestFigR11Structure(t *testing.T) {
 		t.Fatalf("fault-free baseline missing: xs=%v", xs)
 	}
 	for _, s := range schemes {
-		base, ok1 := f.lookup(0, s, "pdr")
-		churn, ok2 := f.lookup(xs[len(xs)-1], s, "pdr")
+		base, ok1 := f.index().lookup(0, s, "pdr")
+		churn, ok2 := f.index().lookup(xs[len(xs)-1], s, "pdr")
 		if !ok1 || !ok2 {
 			t.Fatalf("missing %s points", s)
 		}

@@ -55,14 +55,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent of the region.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the region's area in square metres.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Contains reports whether p lies inside the region (inclusive of edges).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Clamp returns p moved to the nearest point inside the region.
 func (r Rect) Clamp(p Point) Point {
 	return Point{

@@ -62,14 +62,16 @@ func TestRectBasics(t *testing.T) {
 	if r.Width() != 1000 || r.Height() != 1000 {
 		t.Fatalf("Square(1000) dims %v x %v", r.Width(), r.Height())
 	}
-	if r.Area() != 1e6 {
-		t.Fatalf("Area = %v", r.Area())
+	// Clamp fixes exactly the points inside the region, edges included.
+	for _, p := range []Point{{0, 0}, {1000, 1000}} {
+		if r.Clamp(p) != p {
+			t.Fatalf("edge point %v clamped to %v", p, r.Clamp(p))
+		}
 	}
-	if !r.Contains(Point{0, 0}) || !r.Contains(Point{1000, 1000}) {
-		t.Fatal("edges should be contained")
-	}
-	if r.Contains(Point{-0.1, 500}) || r.Contains(Point{500, 1000.1}) {
-		t.Fatal("outside points reported contained")
+	for _, p := range []Point{{-0.1, 500}, {500, 1000.1}} {
+		if r.Clamp(p) == p {
+			t.Fatalf("outside point %v left in place", p)
+		}
 	}
 }
 
@@ -95,7 +97,7 @@ func TestGridPlacement(t *testing.T) {
 		t.Fatalf("grid has %d points, want 49", len(pts))
 	}
 	for _, p := range pts {
-		if !r.Contains(p) {
+		if r.Clamp(p) != p {
 			t.Fatalf("grid point %v outside region", p)
 		}
 	}
@@ -136,7 +138,7 @@ func TestPerturbedGridStaysInRegionAndNearLattice(t *testing.T) {
 	}
 	cell := 100.0
 	for i, p := range pts {
-		if !r.Contains(p) {
+		if r.Clamp(p) != p {
 			t.Fatalf("perturbed point %v escaped region", p)
 		}
 		if d := p.Dist(base[i]); d > 0.3*cell*math.Sqrt2+1e-9 {
@@ -165,7 +167,7 @@ func TestUniformPlacement(t *testing.T) {
 	}
 	var cx, cy float64
 	for _, p := range pts {
-		if !r.Contains(p) {
+		if r.Clamp(p) != p {
 			t.Fatalf("point %v outside region", p)
 		}
 		cx += p.X

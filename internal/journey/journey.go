@@ -89,11 +89,6 @@ type Hop struct {
 	Attempts int `json:"attempts"`
 }
 
-// TotalNs returns the hop's span sum.
-func (h *Hop) TotalNs() int64 {
-	return h.RoutingNs + h.QueueNs + h.AccessNs + h.RetryNs + h.AirNs
-}
-
 // Journey is the recorded lifecycle of one sampled data packet. A closed
 // journey's Hops are a capped window of its recorder's hop arena, valid
 // until the recorder's next Begin.

@@ -48,9 +48,6 @@ func (m *Mac) unicastRate(dst pkt.NodeID) int64 {
 	return m.cfg.RateLadder[m.arfFor(dst).idx]
 }
 
-// CurrentRate exposes the rate ARF currently uses toward dst.
-func (m *Mac) CurrentRate(dst pkt.NodeID) int64 { return m.unicastRate(dst) }
-
 // snrScale converts a rate into the SINR requirement relative to the
 // reference rate; rates at or below the reference keep the calibrated
 // behaviour (scale 1).

@@ -19,7 +19,7 @@ func arfConfig() Config {
 func saturate(sim *des.Sim, m *Mac) {
 	sim.AtTrain(0, des.Millisecond, 1<<30, des.Func(func() {
 		if m.QueueLen() < 5 {
-			m.Send(dataPkt(m.ID(), 1, 512), 1)
+			m.Send(dataPkt(m.id, 1, 512), 1)
 		}
 	}), 0, 0)
 }
@@ -30,7 +30,7 @@ func TestARFClimbsOnShortCleanLink(t *testing.T) {
 	sim, macs, uppers := macTestbed(t, arfConfig(), geom.Point{X: 0}, geom.Point{X: 50})
 	saturate(sim, macs[0])
 	sim.RunUntil(5 * des.Second)
-	if got := macs[0].CurrentRate(1); got != 11_000_000 {
+	if got := macs[0].unicastRate(1); got != 11_000_000 {
 		t.Fatalf("short link settled at %d bps, want 11 Mb/s", got)
 	}
 	if len(uppers[1].received) == 0 {
@@ -45,7 +45,7 @@ func TestARFHoldsBaseRateOnLongLink(t *testing.T) {
 	sim, macs, uppers := macTestbed(t, arfConfig(), geom.Point{X: 0}, geom.Point{X: 240})
 	saturate(sim, macs[0])
 	sim.RunUntil(10 * des.Second)
-	if got := macs[0].CurrentRate(1); got > 2_000_000 {
+	if got := macs[0].unicastRate(1); got > 2_000_000 {
 		t.Fatalf("long link settled at %d bps; higher rates cannot decode at 240 m", got)
 	}
 	// Probes fail but traffic keeps flowing at the sustainable rate.
@@ -82,7 +82,7 @@ func TestARFDisabledKeepsConfiguredRate(t *testing.T) {
 	sim, macs, _ := macTestbed(t, DefaultConfig(), geom.Point{X: 0}, geom.Point{X: 50})
 	saturate(sim, macs[0])
 	sim.RunUntil(3 * des.Second)
-	if got := macs[0].CurrentRate(1); got != 2_000_000 {
+	if got := macs[0].unicastRate(1); got != 2_000_000 {
 		t.Fatalf("AutoRate off but rate %d", got)
 	}
 }

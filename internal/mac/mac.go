@@ -373,9 +373,6 @@ func (m *Mac) SampleLoad() { m.le.sample() }
 // LoadSampleInterval returns the configured load-window length.
 func (m *Mac) LoadSampleInterval() des.Time { return m.cfg.LoadSampleInterval }
 
-// ID returns the MAC's node identity.
-func (m *Mac) ID() pkt.NodeID { return m.id }
-
 // LoadStats returns the cross-layer load measurements.
 func (m *Mac) LoadStats() LoadStats { return m.le.stats() }
 

@@ -21,7 +21,6 @@ package metrics
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"clnlr/internal/des"
@@ -85,16 +84,6 @@ func (r *Registry) Get(name string) uint64 {
 
 // Len returns the number of registered counters.
 func (r *Registry) Len() int { return len(r.names) }
-
-// Each calls fn for every counter in lexicographic name order.
-func (r *Registry) Each(fn func(name string, v uint64)) {
-	sorted := make([]string, len(r.names))
-	copy(sorted, r.names)
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		fn(name, r.vals[r.idx[name]])
-	}
-}
 
 // Map returns a fresh name→value map of every registered counter.
 func (r *Registry) Map() map[string]uint64 {
@@ -201,9 +190,6 @@ func (c *Collector) Ticks() int { return len(c.times) }
 
 // NumNodes returns the node count of the observed run.
 func (c *Collector) NumNodes() int { return c.nodes }
-
-// TimeAt returns the simulated time of tick k.
-func (c *Collector) TimeAt(k int) des.Time { return c.times[k] }
 
 // At returns node's sample at tick k.
 func (c *Collector) At(k, node int) Sample { return c.samples[k*c.nodes+node] }

@@ -24,12 +24,6 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("Len = %d, want 2", r.Len())
 	}
 
-	var order []string
-	r.Each(func(name string, v uint64) { order = append(order, name) })
-	if len(order) != 2 || order[0] != "mac/retries" || order[1] != "radio/transmissions" {
-		t.Errorf("Each order %v, want lexicographic", order)
-	}
-
 	m := r.Map()
 	if m["radio/transmissions"] != 10 {
 		t.Errorf("Map: %v", m)
@@ -72,8 +66,8 @@ func TestCollectorSeries(t *testing.T) {
 	if c.Ticks() != 2 || c.NumNodes() != 3 {
 		t.Fatalf("ticks=%d nodes=%d", c.Ticks(), c.NumNodes())
 	}
-	if c.TimeAt(1) != des.Second {
-		t.Errorf("TimeAt(1) = %v", c.TimeAt(1))
+	if c.times[1] != des.Second {
+		t.Errorf("tick 1 at %v", c.times[1])
 	}
 	s := c.At(1, 2)
 	if s.Queue != 12 || !s.Up || s.DupCache != 2 {

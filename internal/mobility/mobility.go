@@ -63,20 +63,10 @@ type legState struct {
 // holds one moves its nodes run after run without allocating. The zero
 // Waypoint is ready for Reset.
 type Waypoint struct {
-	sim     *des.Sim
-	region  geom.Rect
-	cfg     Config
-	nodes   []legState
-	ev      des.Event
-	stopped bool
-}
-
-// NewWaypoint creates a model for the given region. Nodes are added with
-// Track before Start.
-func NewWaypoint(sim *des.Sim, region geom.Rect, cfg Config) *Waypoint {
-	w := &Waypoint{}
-	w.Reset(sim, region, cfg)
-	return w
+	sim    *des.Sim
+	region geom.Rect
+	cfg    Config
+	nodes  []legState
 }
 
 // Reset readies the model for a fresh run on sim, which must be new or
@@ -111,28 +101,14 @@ func (w *Waypoint) newLeg(ls *legState) {
 }
 
 // Start begins periodic position updates, the first one interval from
-// now.
-func (w *Waypoint) Start() {
-	w.stopped = false
-	w.ev.Cancel()
-	w.ev = w.sim.ScheduleCall(w.cfg.Interval, w, 0, 0)
-}
-
-// Stop halts position updates.
-func (w *Waypoint) Stop() {
-	w.stopped = true
-	w.ev.Cancel()
-	w.ev = des.Event{}
-}
+// now; call it once per Reset. The updates run until the kernel is reset.
+func (w *Waypoint) Start() { w.sim.ScheduleCall(w.cfg.Interval, w, 0, 0) }
 
 // HandleEvent implements des.Handler: one position step, then the next
 // one interval later.
 func (w *Waypoint) HandleEvent(int32, uint32) {
-	if w.stopped {
-		return
-	}
 	w.step()
-	w.ev = w.sim.ScheduleCall(w.cfg.Interval, w, 0, 0)
+	w.sim.ScheduleCall(w.cfg.Interval, w, 0, 0)
 }
 
 // step advances every tracked node by one interval.

@@ -15,10 +15,18 @@ type MoverFunc func(geom.Point)
 // SetPos implements Mover.
 func (f MoverFunc) SetPos(p geom.Point) { f(p) }
 
+// newWaypoint returns a model reset for region: what a warm engine's
+// zero Waypoint becomes on its first Reset.
+func newWaypoint(sim *des.Sim, region geom.Rect, cfg Config) *Waypoint {
+	w := new(Waypoint)
+	w.Reset(sim, region, cfg)
+	return w
+}
+
 func model(t *testing.T, maxSpeed float64) (*des.Sim, *Waypoint) {
 	t.Helper()
 	sim := des.NewSim()
-	return sim, NewWaypoint(sim, geom.Square(1000), DefaultConfig(maxSpeed))
+	return sim, newWaypoint(sim, geom.Square(1000), DefaultConfig(maxSpeed))
 }
 
 func TestNodesStayInRegion(t *testing.T) {
@@ -30,7 +38,7 @@ func TestNodesStayInRegion(t *testing.T) {
 		i := i
 		positions = append(positions, geom.Point{X: 500, Y: 500})
 		w.Track(positions[i], MoverFunc(func(p geom.Point) {
-			if !region.Contains(p) {
+			if region.Clamp(p) != p {
 				t.Errorf("node %d escaped region: %v", i, p)
 			}
 			positions[i] = p
@@ -77,7 +85,7 @@ func TestPauseAtWaypoint(t *testing.T) {
 	// should hold still for the pause duration.
 	sim := des.NewSim()
 	cfg := Config{MinSpeedMps: 50, MaxSpeedMps: 50, Pause: 30 * des.Second, Interval: 100 * des.Millisecond}
-	w := NewWaypoint(sim, geom.Square(100), cfg) // tiny region: waypoints reached fast
+	w := newWaypoint(sim, geom.Square(100), cfg) // tiny region: waypoints reached fast
 	var lastUpdate des.Time
 	w.Track(geom.Point{X: 50, Y: 50}, MoverFunc(func(p geom.Point) { lastUpdate = sim.Now() }), rng.New(5))
 	w.Start()
@@ -122,17 +130,23 @@ func TestIndependentStreams(t *testing.T) {
 	}
 }
 
-func TestStopHaltsUpdates(t *testing.T) {
+// TestKernelResetHaltsUpdates: a run's position updates end with the
+// kernel's Reset, which a warm engine calls before the next run, however
+// many steps the model had left.
+func TestKernelResetHaltsUpdates(t *testing.T) {
 	sim, w := model(t, 10)
 	count := 0
 	w.Track(geom.Point{}, MoverFunc(func(geom.Point) { count++ }), rng.New(1))
 	w.Start()
 	sim.RunUntil(5 * des.Second)
-	w.Stop()
+	sim.Reset()
 	at := count
+	if at == 0 {
+		t.Fatal("no update before the reset")
+	}
 	sim.RunUntil(20 * des.Second)
 	if count != at {
-		t.Fatalf("updates continued after Stop: %d -> %d", at, count)
+		t.Fatalf("updates continued after the kernel reset: %d -> %d", at, count)
 	}
 }
 
@@ -150,7 +164,7 @@ func TestConfigValidation(t *testing.T) {
 					t.Errorf("config %d accepted", i)
 				}
 			}()
-			NewWaypoint(sim, geom.Square(10), cfg)
+			newWaypoint(sim, geom.Square(10), cfg)
 		}()
 	}
 }
@@ -160,7 +174,7 @@ func TestMeanDisplacementScalesWithSpeed(t *testing.T) {
 		sim := des.NewSim()
 		cfg := DefaultConfig(maxSpeed)
 		cfg.Pause = 0
-		w := NewWaypoint(sim, geom.Square(10000), cfg) // huge region: rarely arrive
+		w := newWaypoint(sim, geom.Square(10000), cfg) // huge region: rarely arrive
 		start := geom.Point{X: 5000, Y: 5000}
 		cur := start
 		w.Track(start, MoverFunc(func(p geom.Point) { cur = p }), rng.New(11))
@@ -200,14 +214,14 @@ func TestResetReusesWalkers(t *testing.T) {
 		w.Start()
 		sim.RunUntil(30 * des.Second)
 	}
-	w := NewWaypoint(sim, geom.Square(500), cfg)
+	w := newWaypoint(sim, geom.Square(500), cfg)
 	run(w, 1)
 	sim.Reset()
 	w.Reset(sim, geom.Square(500), cfg)
 	run(w, 2)
 	warm := append([]recorder(nil), movers...)
 	fresh := des.NewSim()
-	sim, w = fresh, NewWaypoint(fresh, geom.Square(500), cfg)
+	sim, w = fresh, newWaypoint(fresh, geom.Square(500), cfg)
 	run(w, 2)
 	for i := range movers {
 		if movers[i] != warm[i] {

@@ -8,7 +8,7 @@
 // stations in one collision domain, a fixed point over the per-slot
 // transmission probability τ and the conditional collision probability p
 // yields the aggregate payload throughput. The simulator's MAC is checked
-// against it in internal/mac's validation tests and in model_test.go.
+// against it by TestSimulatorMatchesBianchi.
 package model
 
 import (
@@ -118,12 +118,4 @@ func (d DCF) Throughput() (float64, error) {
 
 	denom := (1-pTr)*sigma + pTr*pS*tS + pTr*(1-pS)*tC
 	return pS * pTr * d.PayloadBits / denom / 1, nil
-}
-
-// CollisionProbability returns the conditional collision probability p of
-// the fixed point — handy for tests that compare against simulator retry
-// rates.
-func (d DCF) CollisionProbability() (float64, error) {
-	_, p, err := d.Solve()
-	return p, err
 }

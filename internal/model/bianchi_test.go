@@ -62,7 +62,7 @@ func TestSolveFixedPointConsistency(t *testing.T) {
 func TestCollisionProbabilityIncreasesWithN(t *testing.T) {
 	prev := -1.0
 	for _, n := range []int{2, 5, 10, 20, 50, 100} {
-		p, err := defaultDCF(n).CollisionProbability()
+		_, p, err := defaultDCF(n).Solve()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,12 +36,6 @@ func TestBuildNetworkWiring(t *testing.T) {
 		if n.ID != pkt.NodeID(i) {
 			t.Fatalf("node %d has ID %v", i, n.ID)
 		}
-		if n.Mac.ID() != n.ID {
-			t.Fatalf("MAC identity mismatch at %d", i)
-		}
-		if n.Radio.ID() != i {
-			t.Fatalf("radio index mismatch at %d", i)
-		}
 		if n.Agent == nil || n.Agent.Env.ID != n.ID {
 			t.Fatalf("agent wiring broken at %d", i)
 		}
@@ -61,7 +55,8 @@ func TestSetDeliver(t *testing.T) {
 	simk, nodes := build(2, 2)
 	StartAll(nodes)
 	var got *pkt.Packet
-	nodes[1].SetDeliver(func(p *pkt.Packet, from pkt.NodeID) { got = p })
+	gotFrom := pkt.NodeID(-1)
+	nodes[1].SetDeliver(func(p *pkt.Packet, from pkt.NodeID) { got, gotFrom = p, from })
 	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 1, 100, 0, 0, simk.Now(), 30))
 	}), 0, 0)
@@ -71,6 +66,10 @@ func TestSetDeliver(t *testing.T) {
 	}
 	if got.Src != 0 || got.Dst != 1 {
 		t.Fatalf("delivered packet %+v", got)
+	}
+	// The hop it came from is node 0's MAC, wired with node 0's identity.
+	if gotFrom != 0 {
+		t.Fatalf("delivered from %d, want node 0", gotFrom)
 	}
 }
 

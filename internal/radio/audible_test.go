@@ -203,7 +203,7 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 		op := op
 		sim.AtCall(des.Time(i+1)*opStride, des.Func(func() {
 			checkClocks(fmt.Sprintf("before op %d", i))
-			n := m.NumRadios()
+			n := len(m.pos)
 			if op.kind == 3 {
 				// Attach a newcomer mid-run at a spot derived from arg.
 				p := geom.Point{X: float64(op.arg%5) * 170, Y: 430 + float64(op.arg%3)*90}
@@ -215,10 +215,10 @@ func runOps(t *testing.T, tier mediumTier, ops []mediumOp) (*Medium, []*recorder
 				return
 			}
 			r := radios[op.radio%n]
-			re := reactors[r.ID()]
+			re := reactors[r.id]
 			transmit := func() {
 				dur := des.Millisecond + des.Time(op.arg%7)*100*des.Microsecond
-				re.transmit(r.ID()*1000+i, dur, 1+float64(op.arg%3))
+				re.transmit(r.id*1000+i, dur, 1+float64(op.arg%3))
 			}
 			switch op.kind {
 			case 0:
@@ -405,9 +405,9 @@ func TestAudibleSetsMemoise(t *testing.T) {
 	}
 
 	// Reset restarts the diagnostic and invalidates everything.
-	positions := make([]geom.Point, m.NumRadios())
+	positions := make([]geom.Point, len(m.pos))
 	for i, r := range radios {
-		positions[i] = r.Pos()
+		positions[i] = r.m.pos[r.id]
 	}
 	m.Reset(NewTwoRay(914e6, 1.5, 1.5), positions)
 	if got := m.AudibleRebuilds(); got != 0 {
@@ -478,7 +478,7 @@ func wideDelivery(reference, mobile bool) (*Medium, []*recorder) {
 			// between them loses the frame, the one outside keeps it.
 			r := radios[i*3%len(radios)]
 			sim.AtCall(des.Time(round*len(radios)+i)*des.Millisecond/2, des.Func(func() {
-				r.Transmit(r.ID(), 512, des.Millisecond)
+				r.Transmit(r.id, 512, des.Millisecond)
 			}), 0, 0)
 		}
 	}
@@ -487,7 +487,7 @@ func wideDelivery(reference, mobile bool) (*Medium, []*recorder) {
 			r := radios[k*13]
 			dx := float64(k+1) * 300
 			sim.AtCall(des.Time(3*k+1)*des.Millisecond, des.Func(func() {
-				r.SetPos(geom.Point{X: r.Pos().X + dx, Y: 5})
+				r.SetPos(geom.Point{X: r.m.pos[r.id].X + dx, Y: 5})
 			}), 0, 0)
 		}
 		sim.AtCall(40*des.Millisecond, des.Func(func() { radios[139].SetPos(geom.Point{X: 0, Y: 10}) }), 0, 0)
@@ -509,7 +509,7 @@ func TestReferenceMatchesMemoOnWideDeployment(t *testing.T) {
 		// through, and the cross-field mover must end up in radio 0's set.
 		if n := len(memo.aud[70].heard); n < 70 || n > 90 {
 			t.Fatalf("mobile=%v: radio 70 hears %d of %d radios; want the 76 or so within 2680 m",
-				mobile, n, memo.NumRadios()-1)
+				mobile, n, len(memo.pos)-1)
 		}
 		if memo.Deliveries == 0 || memo.Corruptions == 0 {
 			t.Fatalf("mobile=%v: %d deliveries, %d corruptions — schedule too tame",

@@ -137,7 +137,7 @@ func TestRebuildSteadyStateZeroAllocs(t *testing.T) {
 		name, prop := tc.name, tc.prop
 		sim, m, radios := idleGrid(prop, 1428.57, 10)
 		centre := radios[55]
-		home := centre.Pos()
+		home := centre.m.pos[centre.id]
 		step := 0
 		moveAndBroadcast := func() {
 			step++
@@ -236,7 +236,7 @@ func BenchmarkAudibleRebuild(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			sim, _, radios := idleGrid(tc.prop, 1428.57, 10)
 			centre := radios[55]
-			home := centre.Pos()
+			home := centre.m.pos[centre.id]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -296,7 +296,8 @@ func TestAuditChecksEachAudibleBuildOnce(t *testing.T) {
 	// A move invalidates every set; only the mover's is rebuilt, by its
 	// next transmission, and checked once.
 	centre := radios[55]
-	centre.SetPos(geom.Point{X: centre.Pos().X + 1, Y: centre.Pos().Y})
+	home := centre.m.pos[centre.id]
+	centre.SetPos(geom.Point{X: home.X + 1, Y: home.Y})
 	broadcast(centre)
 	if err := audit(false, 1); err != nil {
 		t.Fatal(err)

@@ -152,12 +152,6 @@ type Radio struct {
 	id int
 }
 
-// ID returns the radio's dense index within its medium.
-func (r *Radio) ID() int { return r.id }
-
-// Pos returns the radio's position.
-func (r *Radio) Pos() geom.Point { return r.m.pos[r.id] }
-
 // SetPos moves the radio (mobility support). The new position applies to
 // subsequent transmissions; frames already in flight keep the powers
 // computed at their start — the standard packet-level approximation, exact
@@ -349,9 +343,6 @@ func (m *Medium) Attach(pos geom.Point, params Params) *Radio {
 // SetListener installs the upward callback interface.
 func (r *Radio) SetListener(l Listener) { r.m.listeners[r.id] = l }
 
-// NumRadios returns the number of attached radios.
-func (m *Medium) NumRadios() int { return len(m.pos) }
-
 // powerRow returns the power every radio (tx itself included) receives
 // from a transmission by radio tx starting now, indexed by radio ID: one
 // Propagation call over the dense positions into the Medium's scratch row,
@@ -435,15 +426,6 @@ func (m *Medium) RxPowerBetween(from, to int) float64 {
 // absence of interference.
 func (m *Medium) InRange(from, to int) bool {
 	return m.RxPowerBetween(from, to) >= m.rfp[to].RxThreshW
-}
-
-// InRangeRow sets out[to] to InRange(from, to) for every radio, from one
-// propagation row: what a connectivity graph over all N² pairs asks for.
-// len(out) must be NumRadios().
-func (m *Medium) InRangeRow(from int, out []bool) {
-	for to, p := range m.powerRow(from) {
-		out[to] = p >= m.rfp[to].RxThreshW
-	}
 }
 
 // Transmitting reports whether the radio is currently sending.

@@ -116,31 +116,3 @@ func TestRowKernelsBitEqualPairOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestInRangeRowMatchesInRange: the row form answers exactly what the pair
-// form does, the transmitter's own entry included.
-func TestInRangeRowMatchesInRange(t *testing.T) {
-	m := NewMedium(des.NewSim(), NewLogDistance(914e6, 3, 1, 6, 5))
-	for i, p := range geom.GridPlacement(geom.Square(900), 6, 6) {
-		prm := DefaultParams()
-		prm.RxThreshW *= float64(1 + i%3) // asymmetric links
-		m.Attach(p, prm)
-	}
-	n := m.NumRadios()
-	row := make([]bool, n)
-	links := 0
-	for from := 0; from < n; from++ {
-		m.InRangeRow(from, row)
-		for to, got := range row {
-			if got != m.InRange(from, to) {
-				t.Fatalf("InRangeRow(%d)[%d] = %v, InRange says %v", from, to, got, !got)
-			}
-			if got && to != from {
-				links++
-			}
-		}
-	}
-	if links == 0 || links == n*(n-1) {
-		t.Fatalf("%d of %d directed links in range: the deployment tests nothing", links, n*(n-1))
-	}
-}

@@ -451,7 +451,7 @@ func TestSetPosVisibleToLinkQueries(t *testing.T) {
 	prop, txW := m.prop, DefaultParams().TxPowerW
 	check := func(when string, inRange bool) {
 		t.Helper()
-		a, b := radios[0].Pos(), radios[139].Pos()
+		a, b := m.pos[0], m.pos[139]
 		if got, want := m.RxPowerBetween(0, 139), RxPower(prop, txW, a, b, 0); got != want {
 			t.Fatalf("%s: power 0→139 is %g, the model says %g", when, got, want)
 		}
@@ -463,7 +463,7 @@ func TestSetPosVisibleToLinkQueries(t *testing.T) {
 				when, m.InRange(0, 139), m.InRange(139, 0), inRange)
 		}
 	}
-	home := radios[139].Pos()
+	home := m.pos[139]
 	radios[0].Transmit("x", 100, des.Millisecond)
 	radios[139].Transmit("y", 100, des.Millisecond)
 	sim.Run()

@@ -168,16 +168,6 @@ func (s *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Normal returns a normally distributed float64 with the given mean and
-// standard deviation (Box–Muller, one value per call to keep the stream
-// simple and stateless).
-func (s *Source) Normal(mean, stddev float64) float64 {
-	u1 := 1 - s.Float64() // (0,1]
-	u2 := s.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // Uniform returns a uniform float64 in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()

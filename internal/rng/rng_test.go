@@ -175,26 +175,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	s := New(19)
-	const mu, sigma = 2.0, 0.5
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := s.Normal(mu, sigma)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-mu) > 0.02 {
-		t.Fatalf("Normal mean %v deviates from %v", mean, mu)
-	}
-	if math.Abs(math.Sqrt(variance)-sigma) > 0.02 {
-		t.Fatalf("Normal stddev %v deviates from %v", math.Sqrt(variance), sigma)
-	}
-}
-
 func TestBoolEdgeCases(t *testing.T) {
 	s := New(23)
 	for i := 0; i < 100; i++ {

@@ -204,21 +204,3 @@ func (c *Client) Version(ctx context.Context) (buildinfo.Info, error) {
 	err := c.getJSON(ctx, "/version", &info)
 	return info, err
 }
-
-// Health probes /healthz; nil means the daemon is up and not draining.
-func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return refusalError(resp, body)
-	}
-	return nil
-}

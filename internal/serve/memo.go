@@ -80,9 +80,3 @@ func (m *bodyMemo) put(kind string, body []byte, key string) {
 	}
 	t[slot.body] = []string{key}
 }
-
-func (m *bodyMemo) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.run) + len(m.sweep)
-}

@@ -16,6 +16,13 @@ import (
 // keyEcho stands in for the engine where a test is about the request path:
 // the "result" of a job is its key, so served bytes identify the slot they
 // came from and no simulation runs.
+// len is the number of bodies the memo holds.
+func (m *bodyMemo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.run) + len(m.sweep)
+}
+
 func keyEcho(j *job) ([]byte, error) { return []byte(j.key + "\n"), nil }
 
 func mustMarshal(t testing.TB, v any) []byte {

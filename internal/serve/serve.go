@@ -158,6 +158,10 @@ type Server struct {
 	// cycles, so no engine outlives a burst by long.
 	runners sync.Pool
 
+	// draining is set once shutdown has begun. Sweep jobs poll it through
+	// the experiments Interrupted hook: in-flight replications drain,
+	// completed cells checkpoint, and the sweep returns ErrInterrupted so
+	// a resubmission after restart resumes bit-identically.
 	draining atomic.Bool
 	wg       sync.WaitGroup
 
@@ -208,12 +212,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Draining reports whether shutdown has begun. Sweep jobs poll this
-// through the experiments Interrupted hook: once true, in-flight
-// replications drain, completed cells checkpoint, and the sweep returns
-// ErrInterrupted so a resubmission after restart resumes bit-identically.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown begins the graceful drain: new submissions are refused with
 // 503, in-flight sweep jobs stop at the next replication boundary and

@@ -398,11 +398,11 @@ func TestScenarioIgnoresRetiredFields(t *testing.T) {
 	if got, want := loaded.Fingerprint(), sc.Fingerprint(); got != want {
 		t.Fatalf("retired field moved the fingerprint: %s, want %s", got, want)
 	}
-	want, err := sim.Run(sc)
+	want, err := sim.NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := sim.Run(loaded); err != nil || got != want {
+	if got, err := sim.NewEngine().Run(loaded); err != nil || got != want {
 		t.Fatalf("loaded scenario ran to %+v (%v), want %+v", got, err, want)
 	}
 
@@ -559,7 +559,7 @@ func TestShutdownDrains(t *testing.T) {
 		defer cancel()
 		shutdownErr <- srv.Shutdown(ctx)
 	}()
-	for i := 0; !srv.Draining(); i++ {
+	for i := 0; !srv.Stats().Draining; i++ {
 		if i > 500 {
 			t.Fatal("draining flag never set")
 		}

@@ -108,7 +108,7 @@ func TestAuditCleanRun(t *testing.T) {
 			t.Fatalf("%s: audited clean run failed: %v", scheme, err)
 		}
 		sc.Audit = false
-		r2, err := Run(sc)
+		r2, err := NewEngine().Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}

@@ -81,7 +81,7 @@ func TestLoadedScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(sc)
+	r, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,11 +86,11 @@ func TestGoldenIndexedMatchesReference(t *testing.T) {
 				sc.Measure = 8 * des.Second
 				mut(&sc)
 
-				fast1, err := Run(sc)
+				fast1, err := NewEngine().Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fast2, err := Run(sc)
+				fast2, err := NewEngine().Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -31,14 +31,16 @@ import (
 // (rng.Derive mixes the creation seed, never mutable stream state), the
 // des.Sim restarts at (time 0, sequence 0), and every stateful component
 // has a Reset that restores its construction state while keeping grown
-// storage. Every run is RunJourney (Run is RunJourney without instruments,
-// and discovery probes are a workload, Scenario.Probes), which starts from
-// one prologue (begin) on exactly this path — a cold run is just a warm
-// run on a fresh Engine — so cold and warm cannot drift apart.
-// The network is rebuilt from scratch only when the node count or radio
-// parameters change; everything else resets in place. No instrument lives
-// on the Engine: the stall watchdog, collector and journey recorder are
-// RunJourney's arguments, installed (or detached) by every run.
+// storage. Every run is RunJourney (Engine.Run is RunJourney without
+// instruments, and discovery probes are a workload, Scenario.Probes),
+// which starts from one prologue (begin) on exactly this path — a cold
+// run is just a warm run on a fresh Engine — so cold and warm cannot
+// drift apart. Every run places its nodes afresh (a pure derivation of
+// its seed, into storage the engine keeps); the network is rebuilt from
+// scratch only when the node count or radio parameters change, and
+// everything else resets in place. No instrument lives on the Engine:
+// the stall watchdog, collector and journey recorder are RunJourney's
+// arguments, installed (or detached) by every run.
 //
 // An Engine is not safe for concurrent use; give each worker its own.
 type Engine struct {
@@ -49,12 +51,9 @@ type Engine struct {
 	built       bool
 	radioParams radio.Params
 
-	// Placement cache: re-deriving identical positions (and re-running
-	// the connectivity check) per replication is pure waste when the
-	// placement does not depend on the run seed, and cheap to key when
-	// it does. tp is rebuilt in place when the key changes.
-	placeOK   bool
-	placeKey  placementKey
+	// positions and tp are the storage every run's placement and its
+	// connectivity check draw into (see place), so placing allocates
+	// nothing once they have grown.
 	positions []geom.Point
 	tp        topo.Topology
 
@@ -141,77 +140,15 @@ var TestHookRun func(sc Scenario)
 // production code never sets it.
 var TestHookPrepared func(simk *des.Sim, nodes []*node.Node, sc Scenario)
 
-// placementKey captures every scenario field the placement and its
-// connectivity check depend on.
-type placementKey struct {
-	topology      Topology
-	areaM         float64
-	rows, cols    int
-	nodes         int
-	perturbFrac   float64
-	radio         radio.Params
-	prop          Prop
-	pathLossExp   float64
-	shadowSigmaDB float64
-	nakagamiM     int
-	// seedInvariant marks placements that ignore the run seed (exact
-	// grid over a seed-free channel); seed is zeroed then so every
-	// replication hits the same cache entry.
-	seedInvariant bool
-	seed          uint64
-}
-
-func placementKeyOf(sc Scenario) placementKey {
-	k := placementKey{
-		topology:      sc.Topology,
-		areaM:         sc.AreaM,
-		rows:          sc.Rows,
-		cols:          sc.Cols,
-		nodes:         sc.Nodes,
-		perturbFrac:   sc.PerturbFrac,
-		radio:         sc.Radio,
-		prop:          sc.PropModel,
-		pathLossExp:   sc.PathLossExp,
-		shadowSigmaDB: sc.ShadowSigmaDB,
-		nakagamiM:     sc.NakagamiM,
-		seed:          sc.Seed,
-	}
-	// GridPlacement is deterministic and the two-ray channel draws
-	// nothing from the seed; log-distance shadowing and Nakagami fading
-	// hash the seed into their gains, which the connectivity check sees.
-	if sc.Topology == TopoGrid && (sc.PropModel == "" || sc.PropModel == PropTwoRay) {
-		k.seedInvariant = true
-		k.seed = 0
-	}
-	return k
-}
-
-// place returns (possibly cached) node positions and topology for sc.
-func (e *Engine) place(sc Scenario, master *rng.Source) ([]geom.Point, *topo.Topology, error) {
-	key := placementKeyOf(sc)
-	if e.placeOK && key == e.placeKey {
-		return e.positions, &e.tp, nil
-	}
-	// Placement redraws into e.positions and e.tp, so a failed one leaves
-	// them half rebuilt: nothing is cached until one succeeds.
-	e.placeOK = false
-	positions, err := place(sc, master, &e.tp, e.positions)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.placeKey, e.placeOK = key, true
-	e.positions = positions
-	return positions, &e.tp, nil
-}
-
 // prepare places the network and builds or resets the stack for one run.
 // A scheme the engine ran before keeps its spec and its policy, which the
 // last reset away from it emptied; see scheme.
 func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error) {
-	positions, tp, err := e.place(sc, master)
+	positions, err := place(sc, master, &e.tp, e.positions)
 	if err != nil {
 		return nil, err
 	}
+	e.positions = positions
 	st := e.scheme(sc)
 	master.DeriveInto(&e.netRng, 1000)
 	if !e.built || len(e.nodes) != len(positions) || e.radioParams != sc.Radio {
@@ -229,7 +166,7 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 		e.radioParams = sc.Radio
 		e.built = true
 		e.medium.SetImpairment(sc.Faults.Link, sc.Seed)
-		return tp, nil
+		return &e.tp, nil
 	}
 	e.simk.Reset()
 	e.medium.Reset(sc.propagation(), positions)
@@ -239,7 +176,7 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 		st.policy = st.spec.Policy()
 	}
 	node.ResetNetwork(e.nodes, positions, sc.Mac, &e.netRng, st.spec.Cfg, st.policy)
-	return tp, nil
+	return &e.tp, nil
 }
 
 // scheme returns the engine's state for sc's scheme: the entry of an

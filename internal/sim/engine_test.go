@@ -25,7 +25,7 @@ func TestGoldenWarmMatchesCold(t *testing.T) {
 				sc.Measure = 8 * des.Second
 				mut(&sc)
 
-				cold, err := Run(sc)
+				cold, err := NewEngine().Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,7 +61,7 @@ func TestWarmReplicationSeedSchedule(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s := sc
 		s.Seed = sc.Seed + uint64(i)
-		cold, err := Run(s)
+		cold, err := NewEngine().Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestWarmReplicationSeedSchedule(t *testing.T) {
 // same engine so the two workloads must not contaminate each other.
 func TestGoldenWarmDiscoveryMatchesCold(t *testing.T) {
 	sc := probeScenario(5)
-	cold, err := Run(sc)
+	cold, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestGoldenWarmDiscoveryMatchesCold(t *testing.T) {
 		t.Errorf("warm discovery diverges from cold:\n  warm %+v\n  cold %+v", warm, cold)
 	}
 
-	coldData, err := Run(data)
+	coldData, err := NewEngine().Run(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,44 +112,37 @@ func TestGoldenWarmDiscoveryMatchesCold(t *testing.T) {
 	}
 }
 
-// TestPlacementCacheKeying verifies the placement cache never serves a
-// stale placement: changing the seed of a seed-dependent topology must
-// re-place, while the seed-invariant grid may share one entry.
+// TestPlacementCacheKeying: a warm engine never serves a stale
+// placement. The engine keeps no placement between runs, only the
+// storage every run places its nodes into afresh, so one engine that
+// alternates placements — the grid, a perturbed grid at two seeds, a
+// random placement, a smaller grid (a rebuild) and the first grid again
+// — matches a cold run each time.
 func TestPlacementCacheKeying(t *testing.T) {
-	sc := quickScenario()
-	sc.Topology = TopoPerturbedGrid
+	base := quickScenario()
+	base.Warmup, base.Measure = 2*des.Second, 6*des.Second
+	perturbed := base
+	perturbed.Topology = TopoPerturbedGrid
+	perturbed2 := perturbed
+	perturbed2.Seed += 7
+	random := base
+	random.Topology, random.Nodes = TopoRandom, base.Rows*base.Cols
+	small := base
+	small.Rows, small.Cols, small.AreaM = 4, 4, 4*gridSpacing()
+	seq := []Scenario{base, perturbed, perturbed2, random, small, base}
 	eng := NewEngine()
-	for i := 0; i < 2; i++ {
-		s := sc
-		s.Seed = sc.Seed + uint64(i)
-		cold, err := Run(s)
+	for i, sc := range seq {
+		cold, err := NewEngine().Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := eng.Run(s)
+		warm, err := eng.Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if warm != cold {
-			t.Errorf("perturbed-grid seed %d: warm %+v != cold %+v", s.Seed, warm, cold)
+			t.Errorf("run %d (%s, seed %d): warm %+v != cold %+v", i, sc.Topology, sc.Seed, warm, cold)
 		}
-	}
-
-	grid := quickScenario()
-	if k0, k1 := placementKeyOf(grid), placementKeyOf(grid.WithScheme(SchemeFlood)); k0 != k1 {
-		t.Errorf("grid placement key varies with scheme: %+v vs %+v", k0, k1)
-	}
-	g2 := grid
-	g2.Seed += 7
-	if placementKeyOf(grid) != placementKeyOf(g2) {
-		t.Error("grid+two-ray placement key varies with seed (should be seed-invariant)")
-	}
-	p2 := grid
-	p2.Topology = TopoPerturbedGrid
-	p3 := p2
-	p3.Seed += 7
-	if placementKeyOf(p2) == placementKeyOf(p3) {
-		t.Error("perturbed-grid placement key ignores seed")
 	}
 }
 
@@ -175,7 +168,7 @@ func TestWarmSchemeSequenceMatchesCold(t *testing.T) {
 	eng := NewEngine()
 	for i, sc := range seq {
 		sc.Seed = uint64(i + 1)
-		cold, err := Run(sc)
+		cold, err := NewEngine().Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,11 +18,11 @@ func churnScenario() Scenario {
 }
 
 func TestNodeChurnDegradesDelivery(t *testing.T) {
-	clean, err := Run(quickScenario())
+	clean, err := NewEngine().Run(quickScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
-	churned, err := Run(churnScenario())
+	churned, err := NewEngine().Run(churnScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestNodeChurnDegradesDelivery(t *testing.T) {
 
 func TestNodeChurnDeterministic(t *testing.T) {
 	sc := churnScenario()
-	a, err := Run(sc)
+	a, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(sc)
+	b, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestExplicitCrashSchedule(t *testing.T) {
 	sc.Faults.Schedule = []fault.NodeEvent{
 		{Node: 12, At: sc.Warmup, Up: false},
 	}
-	r, err := Run(sc)
+	r, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Run(quickScenario())
+	clean, err := NewEngine().Run(quickScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestExplicitCrashSchedule(t *testing.T) {
 }
 
 func TestLinkImpairmentCostsDelivery(t *testing.T) {
-	clean, err := Run(quickScenario())
+	clean, err := NewEngine().Run(quickScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestLinkImpairmentCostsDelivery(t *testing.T) {
 		LossBad:  0.8,
 		LossGood: 0.02,
 	}
-	impaired, err := Run(sc)
+	impaired, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestCrashAlreadyCrashedNode(t *testing.T) {
 		{Node: 7, At: 5 * des.Second, Up: true},
 		{Node: 7, At: 6 * des.Second, Up: true}, // double recover
 	}
-	a, err := Run(sc)
+	a, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatalf("double crash/recover broke the run: %v", err)
 	}
-	b, err := Run(sc)
+	b, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestLinkImpairmentAcrossCrashRecover(t *testing.T) {
 		{Node: 12, At: sc.Warmup + des.Second, Up: false},
 		{Node: 12, At: sc.Warmup + 4*des.Second, Up: true},
 	}
-	a, err := Run(sc)
+	a, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatalf("impairment across crash/recover broke the run: %v", err)
 	}
-	b, err := Run(sc)
+	b, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestJourneyDoesNotPerturbRun(t *testing.T) {
 				sc := journeyScenario(scheme)
 				mut(&sc)
 
-				plain, err := Run(sc)
+				plain, err := NewEngine().Run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -164,7 +164,8 @@ func TestJourneySpansTelescope(t *testing.T) {
 				var sum int64
 				attempts := 0
 				for i := range j.Hops {
-					sum += j.Hops[i].TotalNs()
+					h := &j.Hops[i]
+					sum += h.RoutingNs + h.QueueNs + h.AccessNs + h.RetryNs + h.AirNs
 					attempts += j.Hops[i].Attempts
 				}
 				if sum != j.DoneNs-j.CreatedNs {
@@ -206,7 +207,7 @@ func TestJourneySpansTelescope(t *testing.T) {
 func TestGossipAdaptiveDecisions(t *testing.T) {
 	sc := journeyScenario(SchemeGossipAdaptive)
 	withChurn(&sc)
-	plain, err := Run(sc)
+	plain, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

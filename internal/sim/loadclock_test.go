@@ -126,7 +126,7 @@ func TestLoadClockBitEqualPerMacTickers(t *testing.T) {
 		for i := 0; i < clock.col.NumNodes(); i++ {
 			a, b := clock.col.At(k, i), perMac.col.At(k, i)
 			if loadBits(a.QueueOcc, a.BusyFrac, a.Load) != loadBits(b.QueueOcc, b.BusyFrac, b.Load) || a.Up != b.Up {
-				t.Fatalf("t=%v node %d: clock %+v, per-MAC tickers %+v", clock.col.TimeAt(k), i, a, b)
+				t.Fatalf("tick %d node %d: clock %+v, per-MAC tickers %+v", k, i, a, b)
 			}
 			if a.Load > 0 {
 				loaded++

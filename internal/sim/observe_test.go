@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"clnlr/internal/des"
@@ -54,7 +56,7 @@ func TestMetricsDoNotPerturbRun(t *testing.T) {
 				sc.Faults.MeanUpTime = 4 * des.Second
 				sc.Faults.MeanDownTime = 2 * des.Second
 			}
-			plain, err := Run(sc)
+			plain, err := NewEngine().Run(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,8 +222,15 @@ func TestSamplerCoversRun(t *testing.T) {
 	if col.Ticks() != want {
 		t.Fatalf("got %d ticks, want %d", col.Ticks(), want)
 	}
-	if col.TimeAt(0) != 0 || col.TimeAt(col.Ticks()-1) != end {
-		t.Errorf("tick range [%v, %v], want [0, %v]", col.TimeAt(0), col.TimeAt(col.Ticks()-1), end)
+	// The heatmap's header row lists every sampling instant in seconds.
+	var heatmap bytes.Buffer
+	if err := col.WriteHeatmapCSV(&heatmap); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(heatmap.String(), "\n")
+	times := strings.Split(header, ",")[1:]
+	if last := strconv.FormatFloat(end.Seconds(), 'g', -1, 64); times[0] != "0" || times[len(times)-1] != last {
+		t.Errorf("tick range [%s, %s], want [0, %s]", times[0], times[len(times)-1], last)
 	}
 }
 

@@ -65,13 +65,6 @@ type Result struct {
 	ProbeDelaySec   float64 `json:",omitempty"`
 }
 
-// Run executes one simulation of the scenario and returns its metrics. A
-// cold run is a warm run on a fresh Engine, so cold and warm executions
-// share one code path and cannot diverge.
-func Run(sc Scenario) (Result, error) {
-	return NewEngine().Run(sc)
-}
-
 // attachMobility starts the engine's random-waypoint model over the
 // nodes when the scenario requests one. The model, its per-node legs and
 // its step event are the engine's, reset for every run.

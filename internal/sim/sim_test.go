@@ -95,7 +95,7 @@ func TestValidateChecksSelectedSchemeParams(t *testing.T) {
 			if err := sc.Validate(); err == nil {
 				t.Fatal("Validate accepted the scenario")
 			}
-			if _, err := Run(sc); err == nil {
+			if _, err := NewEngine().Run(sc); err == nil {
 				t.Fatal("Run accepted the scenario")
 			}
 		})
@@ -108,12 +108,12 @@ func TestValidateChecksSelectedSchemeParams(t *testing.T) {
 	}
 	for _, scheme := range []Scheme{SchemeFlood, SchemeGossipAdaptive} {
 		sc := quickScenario().WithScheme(scheme)
-		want, err := Run(sc)
+		want, err := NewEngine().Run(sc)
 		if err != nil || want.Delivered == 0 {
 			t.Fatalf("%s: %+v (%v)", scheme, want, err)
 		}
 		junk(&sc)
-		if got, err := Run(sc); err != nil || got != want {
+		if got, err := NewEngine().Run(sc); err != nil || got != want {
 			t.Errorf("%s with junk in unused knobs: %+v (%v), want %+v", scheme, got, err, want)
 		}
 	}
@@ -157,7 +157,7 @@ func TestValidateRejectsUnrunnableMac(t *testing.T) {
 			if err := sc.Validate(); err == nil {
 				t.Fatal("Validate accepted the scenario")
 			}
-			if _, err := Run(sc); err == nil {
+			if _, err := NewEngine().Run(sc); err == nil {
 				t.Fatal("Run accepted the scenario")
 			}
 		})
@@ -180,7 +180,7 @@ func TestRunAllSchemesLowLoad(t *testing.T) {
 	for _, sch := range AllSchemes() {
 		sch := sch
 		t.Run(string(sch), func(t *testing.T) {
-			r, err := Run(quickScenario().WithScheme(sch))
+			r, err := NewEngine().Run(quickScenario().WithScheme(sch))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,11 +202,11 @@ func TestRunAllSchemesLowLoad(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	sc := quickScenario().WithScheme(SchemeCLNLR)
-	a, err := Run(sc)
+	a, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(sc)
+	b, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +217,9 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunSeedsDiffer(t *testing.T) {
 	sc := quickScenario()
-	a, _ := Run(sc)
+	a, _ := NewEngine().Run(sc)
 	sc.Seed++
-	b, _ := Run(sc)
+	b, _ := NewEngine().Run(sc)
 	if a.Delivered == b.Delivered && a.MeanDelaySec == b.MeanDelaySec && a.ControlTx == b.ControlTx {
 		t.Fatal("different seeds produced identical results (suspicious)")
 	}
@@ -228,7 +228,7 @@ func TestRunSeedsDiffer(t *testing.T) {
 func TestSessionChurnKeepsDiscoveryAlive(t *testing.T) {
 	sc := quickScenario()
 	sc.SessionTime = 5 * des.Second
-	r, err := Run(sc)
+	r, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestSessionChurnKeepsDiscoveryAlive(t *testing.T) {
 	}
 	// Without churn, a static mesh discovers everything during warm-up.
 	sc.SessionTime = 0
-	r2, err := Run(sc)
+	r2, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestSessionChurnKeepsDiscoveryAlive(t *testing.T) {
 func TestGatewayWorkload(t *testing.T) {
 	sc := quickScenario()
 	sc.Gateway = true
-	r, err := Run(sc)
+	r, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRandomTopologyConnectivityRetry(t *testing.T) {
 	sc := quickScenario()
 	sc.Topology = TopoRandom
 	sc.Nodes = 50
-	r, err := Run(sc)
+	r, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRandomTopologyImpossibleDensityFails(t *testing.T) {
 	sc.Topology = TopoRandom
 	sc.Nodes = 4
 	sc.AreaM = 20000 // 4 nodes in 400 km² cannot connect
-	if _, err := Run(sc); err == nil {
+	if _, err := NewEngine().Run(sc); err == nil {
 		t.Fatal("impossibly sparse random topology did not error")
 	}
 }
@@ -299,7 +299,7 @@ func probeScenario(rounds int) Scenario {
 func TestRunDiscoveryBasics(t *testing.T) {
 	sc := probeScenario(6)
 	for _, sch := range []Scheme{SchemeFlood, SchemeCLNLR} {
-		r, err := Run(sc.WithScheme(sch))
+		r, err := NewEngine().Run(sc.WithScheme(sch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestRunDiscoveryBasics(t *testing.T) {
 
 func TestRunDiscoveryFloodCoversNetwork(t *testing.T) {
 	sc := probeScenario(6)
-	r, err := Run(sc.WithScheme(SchemeFlood))
+	r, err := NewEngine().Run(sc.WithScheme(SchemeFlood))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestProbeFloodCostsNMinusOne(t *testing.T) {
 	sc.Flows = 0
 	sc.Probes = true
 	sc.Measure = rounds * ProbeGap
-	r, err := Run(sc)
+	r, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +367,11 @@ func TestRunDiscoveryValidation(t *testing.T) {
 	} {
 		sc := probeScenario(5)
 		mut(&sc)
-		if _, err := Run(sc); err == nil {
+		if _, err := NewEngine().Run(sc); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := Run(probeScenario(1)); err != nil {
+	if _, err := NewEngine().Run(probeScenario(1)); err != nil {
 		t.Fatalf("one probe with no flows rejected: %v", err)
 	}
 }
@@ -390,11 +390,11 @@ func mobileDiscovery(rounds int) (static, mobile Scenario) {
 // same seed.
 func TestRunDiscoveryHonoursMobility(t *testing.T) {
 	static, mobile := mobileDiscovery(6)
-	s, err := Run(static)
+	s, err := NewEngine().Run(static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(mobile)
+	m, err := NewEngine().Run(mobile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +408,11 @@ func TestRunDiscoveryHonoursMobility(t *testing.T) {
 // discovery first.
 func TestGoldenWarmMobileDiscoveryMatchesCold(t *testing.T) {
 	static, mobile := mobileDiscovery(5)
-	coldStatic, err := Run(static)
+	coldStatic, err := NewEngine().Run(static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(mobile)
+	cold, err := NewEngine().Run(mobile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +516,7 @@ func TestMinHopDistRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range flows {
-		if hop := tp.HopDist(f.Src)[f.Dst]; hop < 3 {
+		if hop := tp.Hops(f.Src, f.Dst); hop < 3 {
 			t.Fatalf("flow %v->%v only %d hops apart", f.Src, f.Dst, hop)
 		}
 	}
@@ -526,7 +526,7 @@ func TestMobilityScenario(t *testing.T) {
 	sc := quickScenario()
 	sc.MobilitySpeed = 10
 	sc.SessionTime = 5 * des.Second
-	r, err := Run(sc)
+	r, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +536,7 @@ func TestMobilityScenario(t *testing.T) {
 	// Motion must cost something relative to the static baseline: more
 	// control traffic (re-discoveries / RERRs) for the same workload.
 	sc.MobilitySpeed = 0
-	static, err := Run(sc)
+	static, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,11 +549,11 @@ func TestMobilityScenario(t *testing.T) {
 func TestMobilityDeterministic(t *testing.T) {
 	sc := quickScenario()
 	sc.MobilitySpeed = 15
-	a, err := Run(sc)
+	a, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(sc)
+	b, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +589,7 @@ func TestRunJourneyTraceSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(sc)
+	b, err := NewEngine().Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +599,7 @@ func TestRunJourneyTraceSink(t *testing.T) {
 }
 
 func TestEnergyMetrics(t *testing.T) {
-	r, err := Run(quickScenario())
+	r, err := NewEngine().Run(quickScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func TestPropagationModels(t *testing.T) {
 			// budget; 2.4 restores ~240 m so the test grid connects.
 			sc.PathLossExp = 2.4
 		}
-		r, err := Run(sc)
+		r, err := NewEngine().Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", prop, err)
 		}
@@ -645,14 +645,14 @@ func TestNakagamiFadingCostsReliability(t *testing.T) {
 	// Rayleigh fading (m=1) must hurt compared to the clean channel:
 	// more MAC retries for the same workload.
 	base := quickScenario()
-	clean, err := Run(base)
+	clean, err := NewEngine().Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	faded := base
 	faded.PropModel = PropNakagami
 	faded.NakagamiM = 1
-	fr, err := Run(faded)
+	fr, err := NewEngine().Run(faded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +665,7 @@ func TestNakagamiFadingCostsReliability(t *testing.T) {
 }
 
 func TestDelayPercentile(t *testing.T) {
-	r, err := Run(quickScenario())
+	r, err := NewEngine().Run(quickScenario())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of samples added.
-func (w *Welford) N() int64 { return w.n }
-
 // Mean returns the sample mean, or 0 if no samples were added.
 func (w *Welford) Mean() float64 { return w.mean }
 

@@ -1,6 +1,6 @@
 // Package topo derives connectivity structure from node placements and
-// the radio model: neighbour lists, connectivity checks and hop-distance
-// maps. The experiment harness uses it to reject disconnected random
+// the radio model: neighbour lists, connectivity checks and hop
+// distances. The experiment harness uses it to reject disconnected random
 // placements and to pick multi-hop flow endpoints.
 package topo
 
@@ -51,43 +51,12 @@ func (t *Topology) Reset(positions []geom.Point, prop radio.Propagation, params 
 	}
 }
 
-// FromRange builds the graph with a fixed communication radius (unit-disk
-// model), useful for tests and analytic sanity checks.
-func FromRange(positions []geom.Point, rangeM float64) *Topology {
-	n := len(positions)
-	t := &Topology{
-		Positions: positions,
-		Neighbors: make([][]pkt.NodeID, n),
-	}
-	r2 := rangeM * rangeM
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if positions[i].Dist2(positions[j]) <= r2 {
-				t.Neighbors[i] = append(t.Neighbors[i], pkt.NodeID(j))
-				t.Neighbors[j] = append(t.Neighbors[j], pkt.NodeID(i))
-			}
-		}
-	}
-	return t
-}
-
 // N returns the number of nodes.
 func (t *Topology) N() int { return len(t.Neighbors) }
 
-// Degree returns node i's neighbour count.
-func (t *Topology) Degree(i pkt.NodeID) int { return len(t.Neighbors[i]) }
-
-// HopDist returns BFS hop distances from the given node; unreachable nodes
-// get -1.
-func (t *Topology) HopDist(from pkt.NodeID) []int {
-	dist := make([]int, t.N())
-	t.bfs(from, -1, dist, nil)
-	return dist
-}
-
 // Hops returns the hop distance from one node to another, -1 if there is
-// no path: HopDist(from)[to] without the allocations, stopping as soon as
-// the answer is known.
+// no path. Its breadth-first search reuses the graph's scratch and stops
+// as soon as the answer is known.
 func (t *Topology) Hops(from, to pkt.NodeID) int {
 	t.queue = t.bfs(from, to, t.scratch(), t.queue)
 	return t.dist[to]

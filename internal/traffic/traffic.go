@@ -67,7 +67,6 @@ type Manager struct {
 	nodes       []*node.Node
 	ttl         int
 	measureFrom des.Time
-	flows       []Flow
 	// stats holds the statistics of each flow ID, dense by ID; added marks
 	// the IDs a flow or probe registered.
 	stats    []FlowStats
@@ -121,7 +120,6 @@ func NewManager(sim *des.Sim, nodes []*node.Node, ttl int, measureFrom des.Time)
 // clears them), so the run's flows install the sinks again.
 func (m *Manager) Reset(sim *des.Sim, nodes []*node.Node, ttl int, measureFrom des.Time) {
 	m.sim, m.nodes, m.ttl, m.measureFrom = sim, nodes, ttl, measureFrom
-	m.flows = m.flows[:0]
 	m.stats = m.stats[:0]
 	m.added = m.added[:0]
 	clear(m.emitters)
@@ -153,7 +151,6 @@ func (m *Manager) AddFlow(f Flow, rngSrc *rng.Source) {
 		panic("traffic: flow with non-positive interval")
 	}
 	m.addStats(f.ID)
-	m.flows = append(m.flows, f)
 	m.ensureSink(m.nodes[f.Dst])
 
 	i := len(m.emitters)
@@ -234,9 +231,6 @@ func (m *Manager) AddProbe(id int, src, dst pkt.NodeID, payload int, at des.Time
 	})
 	m.sim.AtCall(at, m, opProbe, uint32(i))
 }
-
-// Flows returns the installed flow descriptions.
-func (m *Manager) Flows() []Flow { return m.flows }
 
 // FlowStats returns flow f's statistics, valid until the next AddFlow,
 // AddProbe or Reset.

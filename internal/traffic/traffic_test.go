@@ -150,11 +150,15 @@ func TestTotalsAggregation(t *testing.T) {
 	if tot.Delivered != mgr.FlowStats(0).Delivered+mgr.FlowStats(1).Delivered {
 		t.Fatal("Totals.Delivered mismatch")
 	}
-	if tot.Delay.N() != mgr.FlowStats(0).Delay.N()+mgr.FlowStats(1).Delay.N() {
-		t.Fatal("Totals.Delay sample count mismatch")
+	// One delay sample per delivery: the merged mean weighs each flow's
+	// mean by its deliveries.
+	f0, f1 := mgr.FlowStats(0), mgr.FlowStats(1)
+	want := (f0.Delay.Mean()*float64(f0.Delivered) + f1.Delay.Mean()*float64(f1.Delivered)) / float64(tot.Delivered)
+	if math.Abs(tot.Delay.Mean()-want) > 1e-9*want {
+		t.Fatalf("Totals.Delay mean %v, want the delivery-weighted %v", tot.Delay.Mean(), want)
 	}
-	if len(mgr.Flows()) != 2 {
-		t.Fatalf("Flows() returned %d", len(mgr.Flows()))
+	if len(mgr.emitters) != 2 {
+		t.Fatalf("%d flows installed, want 2", len(mgr.emitters))
 	}
 }
 
@@ -244,8 +248,8 @@ func TestResetReusesManager(t *testing.T) {
 	if got := summarise(reused); got != want {
 		t.Errorf("reset manager measured\n%+v\nwant\n%+v", got, want)
 	}
-	if len(reused.Flows()) != 2 {
-		t.Errorf("reset manager has %d flows, want 2", len(reused.Flows()))
+	if len(reused.emitters) != 3 {
+		t.Errorf("reset manager has %d emitters, want 3 (two flows and a probe)", len(reused.emitters))
 	}
 
 	allocs := testing.AllocsPerRun(10, func() {

@@ -6,8 +6,12 @@
 # calls would be inlined still shows) into a temporary directory, reads
 # every binary with `go tool nm`, and prints each declaration missing
 # from all of them as `file:line symbol`, then a count. A test-only
-# helper in a non-test file shows up as well as dead code. Reported, not
-# gated: `make unlinked` runs it.
+# helper in a non-test file shows up as well as dead code.
+# It then holds the list to scripts/unlinked.allow, the functions that
+# stay with their reasons, and exits non-zero on an unlinked function the
+# allow list lacks, on an allow line it no longer reports and on an allow
+# line without a kind (oracle, seam or fixture) and a reason. `make
+# unlinked` runs it; CI gates on it.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -60,7 +64,32 @@ awk 'NR == FNR { linked[$0] = 1; next }
 			split(substr(sym, RSTART + 1), p, ".")
 			ptr = substr(sym, 1, RSTART) "(*" p[1] ")." p[2]
 		}
-		if (!(sym in linked) && !(ptr in linked)) { print; count++ }
-	}
-	END { printf "%d of %d functions declared under internal/ are in no binary\n", count, FNR }' \
-	"$tmp/linked" "$tmp/declared"
+		if (!(sym in linked) && !(ptr in linked)) print
+	}' "$tmp/linked" "$tmp/declared" >"$tmp/unlinked"
+cat "$tmp/unlinked"
+echo "$(wc -l <"$tmp/unlinked") of $(wc -l <"$tmp/declared") functions declared under internal/ are in no binary"
+
+allow=scripts/unlinked.allow
+grep -vE '^(#|[[:space:]]*$)' "$allow" >"$tmp/allow-lines" || true
+status=0
+if bad=$(grep -vE '^[^[:space:]]+ (oracle|seam|fixture): [^[:space:]]' "$tmp/allow-lines"); then
+	echo "$allow: lines without a kind (oracle, seam or fixture) and a reason:"
+	echo "$bad"
+	status=1
+fi
+awk '{ print $2 }' "$tmp/unlinked" | sort -u >"$tmp/unlinked-syms"
+awk '{ print $1 }' "$tmp/allow-lines" | sort -u >"$tmp/allowed-syms"
+if new=$(comm -23 "$tmp/unlinked-syms" "$tmp/allowed-syms" | grep .); then
+	echo "unlinked and not in $allow (delete them, move them into a _test.go file, or list them with a reason):"
+	echo "$new"
+	status=1
+fi
+if stale=$(comm -13 "$tmp/unlinked-syms" "$tmp/allowed-syms" | grep .); then
+	echo "in $allow but no longer unlinked (drop the lines):"
+	echo "$stale"
+	status=1
+fi
+if [[ $status == 0 ]]; then
+	echo "every unlinked function is in $allow ($(wc -l <"$tmp/allowed-syms") kept)"
+fi
+exit $status
