@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test race bench-smoke bench-selftest bench-pair fuzz lint profile-largen profile-mobile profile-hotspot profile-serve report-identity instrument-cost loc unlinked alloc-rounds
+.PHONY: verify build test race bench-smoke bench-selftest bench-pair fuzz lint profile-largen profile-mobile profile-hotspot profile-serve report-identity instrument-cost loc unlinked
 
 verify: build test race bench-smoke
 
@@ -73,13 +73,6 @@ loc:
 # with its reason.
 unlinked:
 	@bash scripts/unlinked.sh
-
-# Whether a warm engine converges (~25 s): the benchmark's five engine
-# workload shapes, four passes each on one warm engine, heap allocations
-# per run of each pass. Fails when a pass after the first allocates more
-# than the pass before it; on a converged engine they all read the same.
-alloc-rounds:
-	bash scripts/alloc_rounds.sh
 
 # What turning each instrument on costs: BenchmarkInstrumentCost's off/on
 # pairs (collector, auditor, journey recorder at 49 and 225 nodes), COUNT

@@ -288,21 +288,28 @@ func TestTypedScheduleDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// --- pool caps and high-water marks ---
+// --- the node pool and high-water marks ---
 
-// TestFreeListCap: more nodes than freeListCap come back at once, so the
-// free list stops at the bound and the rest fall to the garbage collector.
+// TestFreeListCap (a historical name: the free list has no cap) keeps
+// every node: 16 484 events, all pending at once, come back to the free
+// list, and a second run of as many makes none.
 func TestFreeListCap(t *testing.T) {
+	const n = 16484
 	s := NewSim()
-	for i := 0; i < freeListCap+100; i++ {
-		s.ScheduleCall(Time(i)*Microsecond, Func(func() {}), 0, 0)
+	schedule := func() {
+		for i := 0; i < n; i++ {
+			s.ScheduleCall(Time(i)*Microsecond, Func(func() {}), 0, 0)
+		}
 	}
+	schedule()
 	s.Run()
-	if got := s.free.Len(); got != freeListCap {
-		t.Fatalf("free list %d, want the bound %d", got, freeListCap)
+	if got := s.free.Len(); got != n {
+		t.Fatalf("free list %d after %d events, want all %d nodes", got, n, n)
 	}
-	if got := s.FreeListDrops(); got != 100 {
-		t.Fatalf("%d drops, want the 100 nodes beyond the bound", got)
+	s.Reset()
+	schedule()
+	if got := s.free.Len(); got != 0 {
+		t.Fatalf("free list %d with %d events pending, want every node reused", got, n)
 	}
 }
 

@@ -50,19 +50,19 @@ func TestResetDiscardsPendingAndRestartsClock(t *testing.T) {
 // kernel restarts at Reset, so a warm engine's figures are that run's own.
 func TestResetZeroesPerRunDiagnostics(t *testing.T) {
 	s := NewSim()
-	for i := 0; i < freeListCap+10; i++ {
+	for i := 0; i < 10; i++ {
 		s.ScheduleCall(Time(i)*Millisecond, Func(func() {}), 0, 0)
 	}
 	s.ScheduleCall(Second, Func(func() { s.AtCall(0, Func(func() {}), 0, 0) }), 0, 0)
 	s.Run()
-	if s.FreeListDrops() == 0 || s.PendingHighWater() == 0 || s.PastSchedules() == 0 || s.Executed() == 0 {
-		t.Fatalf("run left drops=%d hw=%d past=%d executed=%d; the test needs all four nonzero",
-			s.FreeListDrops(), s.PendingHighWater(), s.PastSchedules(), s.Executed())
+	if s.PendingHighWater() == 0 || s.PastSchedules() == 0 || s.Executed() == 0 {
+		t.Fatalf("run left hw=%d past=%d executed=%d; the test needs all three nonzero",
+			s.PendingHighWater(), s.PastSchedules(), s.Executed())
 	}
 	s.Reset()
-	if s.FreeListDrops() != 0 || s.PendingHighWater() != 0 || s.PastSchedules() != 0 || s.Executed() != 0 {
-		t.Fatalf("after Reset: drops=%d hw=%d past=%d executed=%d, want all zero",
-			s.FreeListDrops(), s.PendingHighWater(), s.PastSchedules(), s.Executed())
+	if s.PendingHighWater() != 0 || s.PastSchedules() != 0 || s.Executed() != 0 {
+		t.Fatalf("after Reset: hw=%d past=%d executed=%d, want all zero",
+			s.PendingHighWater(), s.PastSchedules(), s.Executed())
 	}
 }
 

@@ -38,12 +38,10 @@
 // Event storage is pooled: the node backing a fired or cancelled event
 // returns to a per-Sim free list (a recycle.List) and is reused by later
 // schedule calls, so the steady-state event churn of a long run does not
-// allocate. The free list is bounded by the constant freeListCap so a
-// bursty discovery storm cannot pin its peak pool for the rest of a warm
-// sweep; nodes recycled beyond the bound are dropped to the garbage
-// collector. Handles returned to callers are small values carrying a
-// generation stamp, which makes operations on a handle whose event has
-// already completed safe no-ops even after the node has been reused.
+// allocate. The free list keeps every node it gets back. Handles returned
+// to callers are small values carrying a generation stamp, which makes
+// operations on a handle whose event has already completed safe no-ops
+// even after the node has been reused.
 //
 // A single Sim is strictly single-goroutine: handlers run inline from Run
 // and may freely schedule or cancel further events. Parallelism in this
@@ -126,11 +124,6 @@ const maxTime = Time(int64(^uint64(0) >> 1))
 // effectively unbounded horizon.
 const MaxTime = maxTime
 
-// freeListCap bounds the event-node free list. At 72 bytes per node this
-// pins at most ~1.2 MiB of recycled nodes per Sim, while still absorbing the
-// steady-state churn of the largest benchmark scenarios without allocation.
-const freeListCap = 16384
-
 // Sim is a discrete-event simulation instance.
 type Sim struct {
 	now      Time
@@ -151,8 +144,7 @@ type Sim struct {
 	laneScan  bool
 	laneHead  [maxLanes]laneKey
 
-	free      recycle.List[*eventNode] // recycled nodes, at most freeListCap
-	freeDrops uint64                   // nodes dropped to GC since construction/Reset
+	free      recycle.List[*eventNode] // recycled nodes
 	pendingHW int                      // see PendingHighWater
 
 	// pastSchedules counts AtCall targets that preceded the clock and
@@ -189,11 +181,6 @@ func (s *Sim) PendingHighWater() int { return s.pendingHW }
 // clock, so only genuinely past AtCall targets count — any nonzero
 // value is a simulation-logic bug the auditor flags.
 func (s *Sim) PastSchedules() uint64 { return s.pastSchedules }
-
-// FreeListDrops returns how many recycled nodes were dropped to the
-// garbage collector because the free list was at capacity, since
-// construction or the last Reset.
-func (s *Sim) FreeListDrops() uint64 { return s.freeDrops }
 
 // ScheduleCall queues a typed event for h to run delay after the current
 // time and returns a handle that can cancel it. op and arg are passed
@@ -265,7 +252,7 @@ func (s *Sim) alloc(t Time) *eventNode {
 	}
 	n, ok := s.free.Get()
 	if !ok {
-		s.free.Made(freeListCap)
+		s.free.Made()
 		n = &eventNode{sim: s}
 	}
 	n.at, n.seq = t, s.seq
@@ -274,14 +261,12 @@ func (s *Sim) alloc(t Time) *eventNode {
 }
 
 // recycle invalidates outstanding handles to n and returns its storage to
-// the free list (or drops it when the list is at capacity).
+// the free list.
 func (s *Sim) recycle(n *eventNode) {
 	n.gen++
 	n.h = nil
 	n.left = 0
-	if !s.free.Put(n, freeListCap) {
-		s.freeDrops++
-	}
+	s.free.Put(n)
 }
 
 // Stop makes Run return after the currently executing handler finishes.
@@ -307,7 +292,6 @@ func (s *Sim) Reset() {
 	s.executed = 0
 	s.pendingHW = 0
 	s.pastSchedules = 0
-	s.freeDrops = 0
 }
 
 // Run executes events in order until the queue is empty or Stop is called.

@@ -314,7 +314,7 @@ func (r *Recorder) recycleTrack(tr *track) {
 	}
 	*tr = track{hops: tr.hops[:0]}
 	r.fitTrack(tr)
-	r.trackFree.Put(tr, recycle.Unbounded)
+	r.trackFree.Put(tr)
 }
 
 // fitTrack gives tr hop storage of the largest size recycled when it has
@@ -330,33 +330,33 @@ func (r *Recorder) newTrack() *track {
 	if tr, ok := r.trackFree.Get(); ok {
 		return tr
 	}
-	r.trackFree.Made(recycle.Unbounded)
+	r.trackFree.Made()
 	return &track{hops: make([]Hop, 0, r.hopsCap)}
 }
 
 func (r *Recorder) recycleJourney(j *Journey) {
 	*j = Journey{}
-	r.journeyFree.Put(j, recycle.Unbounded)
+	r.journeyFree.Put(j)
 }
 
 func (r *Recorder) newJourney() *Journey {
 	if j, ok := r.journeyFree.Get(); ok {
 		return j
 	}
-	r.journeyFree.Made(recycle.Unbounded)
+	r.journeyFree.Made()
 	return &Journey{}
 }
 
 func (r *Recorder) recycleWait(w *waitProv) {
 	w.cands = w.cands[:0]
-	r.waitFree.Put(w, recycle.Unbounded)
+	r.waitFree.Put(w)
 }
 
 func (r *Recorder) newWait() *waitProv {
 	if w, ok := r.waitFree.Get(); ok {
 		return w
 	}
-	r.waitFree.Made(recycle.Unbounded)
+	r.waitFree.Made()
 	return &waitProv{}
 }
 
@@ -472,21 +472,27 @@ func (r *Recorder) OnDeliver(t des.Time, node pkt.NodeID, p *pkt.Packet) {
 // gave up, the packet went back into routing for rediscovery.
 func (r *Recorder) OnRequeue(t des.Time, node pkt.NodeID, p *pkt.Packet) {
 	tr, _ := r.live.Get(uid(p.UID))
-	if tr == nil || tr.cur().Node != node {
+	if tr == nil || tr.cur().Node != node || tr.phase == phRouting {
 		return
 	}
+	fold(tr, t)
+	tr.phase, tr.since = phRouting, t
+}
+
+// fold adds the open phase's time up to t to the current hop's span of
+// that phase; an attempt on the air ends as retry time.
+func fold(tr *track, t des.Time) {
 	h := tr.cur()
 	switch tr.phase {
+	case phRouting:
+		h.RoutingNs += int64(t - tr.since)
 	case phQueued:
 		h.QueueNs += int64(t - tr.since)
 	case phService:
 		h.AccessNs += int64(t - tr.since)
 	case phAir:
 		h.RetryNs += int64(t - tr.txStart)
-	default:
-		return
 	}
-	tr.phase, tr.since = phRouting, t
 }
 
 // OnDrop closes a journey with a drop outcome. Two legitimate sites: the
@@ -506,16 +512,7 @@ func (r *Recorder) OnDrop(t des.Time, node pkt.NodeID, p *pkt.Packet, reason str
 		h.AirNs += int64(t - tr.txStart)
 		tr.hops = append(tr.hops, Hop{Node: node, Next: -1, EnterNs: int64(t)})
 	case h.Node == node:
-		switch tr.phase {
-		case phRouting:
-			h.RoutingNs += int64(t - tr.since)
-		case phQueued:
-			h.QueueNs += int64(t - tr.since)
-		case phService:
-			h.AccessNs += int64(t - tr.since)
-		case phAir:
-			h.RetryNs += int64(t - tr.txStart)
-		}
+		fold(tr, t)
 	default:
 		return
 	}
@@ -557,17 +554,7 @@ func (r *Recorder) EndRun(t des.Time) {
 		slices.Sort(r.uids)
 		for _, id := range r.uids {
 			tr, _ := r.live.Get(id)
-			h := tr.cur()
-			switch tr.phase {
-			case phRouting:
-				h.RoutingNs += int64(t - tr.since)
-			case phQueued:
-				h.QueueNs += int64(t - tr.since)
-			case phService:
-				h.AccessNs += int64(t - tr.since)
-			case phAir:
-				h.RetryNs += int64(t - tr.txStart)
-			}
+			fold(tr, t)
 			r.close(id, tr, t, OutcomeUnresolved)
 		}
 	}

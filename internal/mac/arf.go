@@ -42,7 +42,7 @@ func (m *Mac) referenceRateIdx() int {
 
 // unicastRate returns the bit rate to use toward dst.
 func (m *Mac) unicastRate(dst pkt.NodeID) int64 {
-	if !m.cfg.AutoRate || len(m.cfg.RateLadder) == 0 {
+	if !m.cfg.AutoRate {
 		return m.cfg.DataRateBps
 	}
 	return m.cfg.RateLadder[m.arfFor(dst).idx]
@@ -61,7 +61,7 @@ func (m *Mac) snrScale(rate int64) float64 {
 
 // arfSuccess records an acknowledged unicast transmission.
 func (m *Mac) arfSuccess(dst pkt.NodeID) {
-	if !m.cfg.AutoRate || len(m.cfg.RateLadder) == 0 {
+	if !m.cfg.AutoRate {
 		return
 	}
 	st := m.arfFor(dst)
@@ -75,7 +75,7 @@ func (m *Mac) arfSuccess(dst pkt.NodeID) {
 
 // arfFailure records a failed transmission attempt (ACK/CTS timeout).
 func (m *Mac) arfFailure(dst pkt.NodeID) {
-	if !m.cfg.AutoRate || len(m.cfg.RateLadder) == 0 {
+	if !m.cfg.AutoRate {
 		return
 	}
 	st := m.arfFor(dst)

@@ -59,9 +59,10 @@ type Config struct {
 	// failures to a neighbour the rate steps down the RateLadder; after
 	// ArfSuccessUp consecutive successes it probes one step up. Higher
 	// rates need proportionally better SINR (shorter range), so ARF
-	// settles on the fastest rate each link sustains.
+	// settles on the fastest rate each link sustains. The ladder is
+	// 802.11b DSSS's four rates, slowest first.
 	AutoRate     bool
-	RateLadder   []int64
+	RateLadder   [4]int64
 	ArfSuccessUp int
 	ArfFailDown  int
 
@@ -92,7 +93,7 @@ func DefaultConfig() Config {
 		RTSBytes:           20,
 		CTSBytes:           14,
 		AutoRate:           false,
-		RateLadder:         []int64{1_000_000, 2_000_000, 5_500_000, 11_000_000},
+		RateLadder:         [4]int64{1_000_000, 2_000_000, 5_500_000, 11_000_000},
 		ArfSuccessUp:       10,
 		ArfFailDown:        2,
 		LoadSampleInterval: 100 * des.Millisecond,

@@ -65,17 +65,11 @@ const (
 	opNavExpire int32 = iota
 	opDeferDone
 	opBackoffDone
-	opAckTimeout
-	opCtsTimeout
+	opTimeout // no ACK after the data frame, or no CTS after the RTS
 	opSendData
 	opSendAck
 	opSendCts
 )
-
-// frameFreeCap bounds the per-MAC frame pool: the steady working set is
-// the interface queue plus a frame in service plus one control response,
-// so a burst beyond this is returned to the garbage collector.
-const frameFreeCap = 64
 
 // HandleEvent dispatches the MAC's typed DES events.
 func (m *Mac) HandleEvent(op int32, arg uint32) {
@@ -86,10 +80,8 @@ func (m *Mac) HandleEvent(op int32, arg uint32) {
 		m.onDeferDone()
 	case opBackoffDone:
 		m.onBackoffDone()
-	case opAckTimeout:
-		m.onAckTimeout()
-	case opCtsTimeout:
-		m.onCtsTimeout()
+	case opTimeout:
+		m.onTimeout()
 	case opSendData:
 		m.sendCurData()
 	case opSendAck:
@@ -106,7 +98,7 @@ func (m *Mac) newFrame() *Frame {
 	if f, ok := m.frameFree.Get(); ok {
 		return f
 	}
-	m.frameFree.Made(frameFreeCap)
+	m.frameFree.Made()
 	return &Frame{}
 }
 
@@ -115,7 +107,7 @@ func (m *Mac) newFrame() *Frame {
 // RadioReceive complete.
 func (m *Mac) releaseFrame(f *Frame) {
 	*f = Frame{}
-	m.frameFree.Put(f, frameFreeCap)
+	m.frameFree.Put(f)
 }
 
 // discard returns a frame the MAC gives up, and its payload, to their
@@ -573,21 +565,24 @@ func (m *Mac) transmitCur() {
 		m.transmitRTS()
 		return
 	}
+	m.setState(accTx)
+	m.transmitData(f)
+}
+
+// transmitData puts data frame f on the air: a broadcast at the basic
+// rate, a unicast at the rate ARF holds for its next hop.
+func (m *Mac) transmitData(f *Frame) {
 	if m.journey != nil && f.Payload.Kind == pkt.Data {
 		m.journey.OnMacTxStart(m.sim.Now(), m.id, f.Payload)
 	}
-	m.setState(accTx)
-	var dur des.Time
 	if f.Dst == pkt.Broadcast {
 		m.Ctr.TxBroadcast++
-		dur = m.cfg.TxDuration(f.Bytes, m.cfg.BasicRateBps)
-		m.radio.Transmit(f, f.Bytes, dur)
+		m.radio.Transmit(f, f.Bytes, m.cfg.TxDuration(f.Bytes, m.cfg.BasicRateBps))
 		return
 	}
 	m.Ctr.TxData++
 	rate := m.unicastRate(f.Dst)
-	dur = m.cfg.TxDuration(f.Bytes, rate)
-	m.radio.TransmitRated(f, f.Bytes, dur, m.snrScale(rate))
+	m.radio.TransmitRated(f, f.Bytes, m.cfg.TxDuration(f.Bytes, rate), m.snrScale(rate))
 }
 
 // transmitRTS opens the virtual-carrier handshake for the frame in
@@ -613,16 +608,10 @@ func (m *Mac) sendCurData() {
 	if m.radio.Transmitting() {
 		// Should be impossible inside the reservation; recover via the
 		// normal retry machinery rather than crashing.
-		m.onAckTimeout()
+		m.onTimeout()
 		return
 	}
-	f := m.cur.frame
-	if m.journey != nil && f.Payload.Kind == pkt.Data {
-		m.journey.OnMacTxStart(m.sim.Now(), m.id, f.Payload)
-	}
-	m.Ctr.TxData++
-	rate := m.unicastRate(f.Dst)
-	m.radio.TransmitRated(f, f.Bytes, m.cfg.TxDuration(f.Bytes, rate), m.snrScale(rate))
+	m.transmitData(m.cur.frame)
 }
 
 // finishCur concludes the frame in service and reports its fate upward.
@@ -642,7 +631,10 @@ func (m *Mac) finishCur(ok bool) {
 	m.next()
 }
 
-func (m *Mac) onAckTimeout() {
+// onTimeout ends a failed exchange — no ACK for the data frame, or no
+// CTS for the RTS: the frame is retried after a wider backoff, or dropped
+// at the retry limit.
+func (m *Mac) onTimeout() {
 	m.arfFailure(m.cur.frame.Dst)
 	m.cur.retries++
 	m.Ctr.Retries++
@@ -677,9 +669,7 @@ func (m *Mac) sendAck(dst pkt.NodeID) {
 		// Cannot happen under half-duplex rules, but never crash the run —
 		// drop the ACK (the sender will retry) and resume contention.
 		m.pendingAckTx = false
-		if m.cur != nil && m.state == accPostponed {
-			m.startAccess()
-		}
+		m.resume()
 		return
 	}
 	ack := m.newFrame()
@@ -778,7 +768,7 @@ func (m *Mac) RadioTxDone(payload any) {
 			return
 		}
 		m.setState(accWaitCts)
-		m.ctsEv = m.ctsWait.Call(m, opCtsTimeout, 0)
+		m.ctsEv = m.ctsWait.Call(m, opTimeout, 0)
 		return
 	}
 	if dst == pkt.Broadcast {
@@ -786,7 +776,7 @@ func (m *Mac) RadioTxDone(payload any) {
 		return
 	}
 	m.setState(accWaitAck)
-	m.ackEv = m.ackWait.Call(m, opAckTimeout, 0)
+	m.ackEv = m.ackWait.Call(m, opTimeout, 0)
 }
 
 // resume restarts the contention of the frame in service if it was
@@ -798,24 +788,6 @@ func (m *Mac) resume() {
 	}
 }
 
-// onCtsTimeout mirrors onAckTimeout for a failed RTS handshake.
-func (m *Mac) onCtsTimeout() {
-	m.arfFailure(m.cur.frame.Dst)
-	m.cur.retries++
-	m.Ctr.Retries++
-	if m.cur.retries >= m.cfg.RetryLimit {
-		m.Ctr.DroppedRetryLimit++
-		m.finishCur(false)
-		return
-	}
-	m.cw = 2*m.cw + 1
-	if m.cw > m.cfg.CWMax {
-		m.cw = m.cfg.CWMax
-	}
-	m.drawBackoff()
-	m.startAccess()
-}
-
 // sendCts answers an RTS after SIFS.
 func (m *Mac) sendCts(dst pkt.NodeID, nav des.Time) {
 	if m.down {
@@ -823,9 +795,7 @@ func (m *Mac) sendCts(dst pkt.NodeID, nav des.Time) {
 	}
 	if m.radio.Transmitting() {
 		m.pendingAckTx = false
-		if m.cur != nil && m.state == accPostponed {
-			m.startAccess()
-		}
+		m.resume()
 		return
 	}
 	cts := m.newFrame()

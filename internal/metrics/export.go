@@ -85,10 +85,10 @@ type RunReport struct {
 	Counters map[string]uint64  `json:"counters"`
 	Metrics  map[string]float64 `json:"metrics"`
 
-	// Diagnostics are resource-behaviour counters (pool drops, free-list
-	// overflow, audible-set rebuilds) kept outside the deterministic
-	// Counters contract — on a warm engine their values depend on what the
-	// previous run left pooled.
+	// Diagnostics are resource-behaviour counters (today the audible-set
+	// rebuilds) kept outside Counters: they count the engine's own work,
+	// which the reference radio path does differently. Each restarts with
+	// its run, so a warm engine reports what a cold one does.
 	Diagnostics map[string]uint64 `json:"diagnostics,omitempty"`
 
 	// Journey, when the run traced packet journeys, is the per-layer delay

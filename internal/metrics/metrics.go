@@ -114,12 +114,10 @@ type Collector struct {
 
 	reg Registry
 
-	// diag is a second registry for diagnostics: counters that are useful
-	// for debugging resource behaviour (pool drops, free-list overflow,
-	// audible-set rebuilds) but are NOT part of the deterministic golden
-	// counter contract — their values may depend on what a warm engine
-	// carried over, so they are reported separately and never compared
-	// across runs.
+	// diag is a second registry for diagnostics: counters of the
+	// engine's own work (audible-set rebuilds) that the reference radio
+	// path does differently, so they are NOT part of the golden counter
+	// contract and are reported separately.
 	diag Registry
 
 	// Run envelope, filled by FinishRun.
@@ -174,7 +172,7 @@ func (c *Collector) Set(node int, s Sample) {
 // Add increments a named monotonic counter (e.g. "mac/retries").
 func (c *Collector) Add(name string, v uint64) { c.reg.Add(name, v) }
 
-// AddDiag increments a named diagnostic counter (e.g. "pkt/pool-drops").
+// AddDiag increments a named diagnostic counter (e.g. "radio/audible-rebuilds").
 // Diagnostics are excluded from Counters and from the golden counter
 // contract; see the diag field.
 func (c *Collector) AddDiag(name string, v uint64) { c.diag.Add(name, v) }

@@ -137,12 +137,11 @@ func BuildNetwork(
 // Sources the nodes hold on exactly the schedule BuildNetwork uses —
 // (i,1) for the MAC, (i,2) for the agent — so a warm rerun is
 // bit-identical to a cold build from the same master.
-// Each packet pool keeps its free lists but restarts its drop count, so
-// the pool-drop diagnostic of a warm run counts that run alone. Every
-// agent runs cfg and policy, one value for the whole network: a new one
-// from the scheme's routing.Spec, or the network's current policy, which
-// the agents' resets empty (see routing.Core.Reset) so a warm engine
-// that keeps its scheme builds none.
+// Each packet pool keeps its free lists. Every agent runs cfg and policy,
+// one value for the whole network: a new one from the scheme's
+// routing.Spec, or the network's current policy, which the agents'
+// resets empty (see routing.Core.Reset) so a warm engine that keeps its
+// scheme builds none.
 // The caller must have reset the des.Sim and the radio.Medium first.
 func ResetNetwork(
 	nodes []*Node,
@@ -157,7 +156,6 @@ func ResetNetwork(
 		master.DeriveInto(&n.macRng, uint64(i), 1)
 		master.DeriveInto(&n.agentRng, uint64(i), 2)
 		n.Mac.Reset(macCfg, &n.macRng)
-		n.Agent.Env.Pool.ResetDrops()
 		env := routing.Env{
 			Sim:  n.Agent.Env.Sim,
 			Mac:  n.Mac,

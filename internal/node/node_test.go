@@ -170,32 +170,3 @@ func TestBuildDeterministic(t *testing.T) {
 		t.Fatal("identical builds diverged")
 	}
 }
-
-// TestResetNetworkRestartsPoolDrops: a warm reset after a run whose packet
-// pool dropped packets to the collector reads zero drops, as a cold build
-// does — the pkt/pool-drops diagnostic counts one run, like the event
-// list's and the medium's drop counters.
-func TestResetNetworkRestartsPoolDrops(t *testing.T) {
-	simk, nodes := build(4, 2)
-	pool := nodes[0].Agent.Env.Pool
-	held := make([]*pkt.Packet, pkt.PoolCap+3)
-	for i := range held {
-		held[i] = pool.Data(0, 1, 100, 0, i, 0, 30)
-	}
-	for _, p := range held {
-		pool.Release(p)
-	}
-	if pool.Drops() != 3 {
-		t.Fatalf("releasing %d packets dropped %d, want 3", len(held), pool.Drops())
-	}
-	simk.Reset()
-	positions := []geom.Point{nodes[0].Pos, nodes[1].Pos}
-	spec := aodv.Spec(routing.DefaultConfig())
-	ResetNetwork(nodes, positions, mac.DefaultConfig(), rng.New(4), spec.Cfg, spec.Policy())
-	if d := pool.Drops(); d != 0 {
-		t.Fatalf("pool drops after a warm reset = %d, want 0", d)
-	}
-	if pool.Len() == 0 {
-		t.Fatal("the warm reset emptied the pool's free lists")
-	}
-}

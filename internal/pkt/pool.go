@@ -30,16 +30,16 @@ import (
 // by Kind) so a recycled control packet keeps its co-allocated body (and
 // a HELLO/RERR its piggyback slice capacity). A RERR's or HELLO's list
 // storage is kept at least as large as any of its kind the pool has
-// released (see Release), and each free list keeps room for every packet
-// the pool made (up to PoolCap), so once a warm pool has met its longest
-// lists and its busiest moment nothing in it grows again, however LIFO
-// reuse deals long and short lists among the bodies. A nil *Pool is a
-// valid pool that allocates every packet fresh and keeps nothing, so
-// tests and cold paths need no pool. A Pool is not safe for concurrent
-// use; each node owns one (engines never share nodes across goroutines).
+// released (see Release), and each free list keeps every packet given
+// back and room for every packet the pool made, so once a warm pool has
+// met its longest lists and its busiest moment nothing in it grows again,
+// however LIFO reuse deals long and short lists among the bodies. A nil
+// *Pool is a valid pool that allocates every packet fresh and keeps
+// nothing, so tests and cold paths need no pool. A Pool is not safe for
+// concurrent use; each node owns one (engines never share nodes across
+// goroutines).
 type Pool struct {
-	free  [Hello + 1]recycle.List[*Packet]
-	drops uint64
+	free [Hello + 1]recycle.List[*Packet]
 	// rerrCap and helloCap are the largest RERR and HELLO list storage
 	// released to the pool.
 	rerrCap, helloCap int
@@ -60,29 +60,8 @@ type Pool struct {
 // armings.
 var armings atomic.Uint32
 
-// PoolCap bounds each free list; beyond it, released packets fall to the
-// garbage collector so a burst can never pin its high-water memory.
-const PoolCap = 512
-
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
-
-// Drops reports how many released packets were dropped to the GC because
-// their free list was full.
-func (pl *Pool) Drops() uint64 {
-	if pl == nil {
-		return 0
-	}
-	return pl.drops
-}
-
-// ResetDrops zeroes the drop counter, so that Drops reports one run's
-// drops on a pool kept warm across runs.
-func (pl *Pool) ResetDrops() {
-	if pl != nil {
-		pl.drops = 0
-	}
-}
 
 // SetAudit enables or disables the live-borrow ledger. Enabling starts a
 // fresh ledger under a new stamp (and zeroes the double-free counter), so
@@ -190,10 +169,7 @@ func (pl *Pool) Release(p *Packet) {
 			pl.free[k].Each(pl.fit)
 		}
 	}
-	if !pl.free[k].Put(p, PoolCap) {
-		pl.drops++
-		return
-	}
+	pl.free[k].Put(p)
 	pl.fit(p)
 }
 
@@ -236,7 +212,7 @@ func (pl *Pool) get(k Kind) *Packet {
 		if p, ok := pl.free[k].Get(); ok {
 			return p
 		}
-		pl.free[k].Made(PoolCap)
+		pl.free[k].Made()
 	}
 	switch k {
 	case RREQ:

@@ -210,31 +210,28 @@ func TestHelloKeepsTableStorage(t *testing.T) {
 	}
 }
 
-// TestPoolCap checks the free-list bound and the drop counter.
+// TestPoolCap (a historical name: the pool has no cap) checks that the
+// pool keeps every packet released to it.
 func TestPoolCap(t *testing.T) {
 	pl := NewPool()
-	for i := 0; i < PoolCap+5; i++ {
+	for i := 0; i < 517; i++ {
 		pl.Release(nilPool.Data(1, 2, 10, 0, i, 0, 5))
 	}
-	if pl.Len() != PoolCap {
-		t.Errorf("Len() = %d, want cap %d", pl.Len(), PoolCap)
-	}
-	if pl.Drops() != 5 {
-		t.Errorf("Drops() = %d, want 5", pl.Drops())
+	if pl.Len() != 517 {
+		t.Errorf("Len() = %d, want all 517 released", pl.Len())
 	}
 }
 
 // TestNilPoolFallsBack checks a nil pool is safe to use and keeps
 // nothing: what it is given back falls to the GC, and it reports no
-// pooled packets, drops or ledger state.
+// pooled packets or ledger state.
 func TestNilPoolFallsBack(t *testing.T) {
 	var pl *Pool
 	pl.Release(nil)
 	pl.Release(pl.Data(1, 2, 10, 0, 0, 0, 5))
-	pl.ResetDrops()
 	pl.SetAudit(true)
-	if pl.Len() != 0 || pl.Drops() != 0 || pl.LiveBorrowed() != 0 || pl.DoubleFrees() != 0 {
-		t.Error("nil pool reported pooled packets, drops or ledger state")
+	if pl.Len() != 0 || pl.LiveBorrowed() != 0 || pl.DoubleFrees() != 0 {
+		t.Error("nil pool reported pooled packets or ledger state")
 	}
 }
 
@@ -419,10 +416,10 @@ func TestPoolLedgerMatchesMapLedger(t *testing.T) {
 				if ref.live == nil && !out[p] {
 					continue
 				}
-				before := pl.Len() + int(pl.Drops())
+				before := pl.Len()
 				took := ref.release(p)
 				pl.Release(p)
-				if pooled := pl.Len()+int(pl.Drops()) != before; pooled != took {
+				if pooled := pl.Len() != before; pooled != took {
 					t.Fatalf("seed %d step %d: pool %d took the packet back %v, map ledger says %v", seed, step, k, pooled, took)
 				}
 				if took {

@@ -57,10 +57,10 @@ type Listener interface {
 }
 
 // transmission is one frame in flight. Instances are pooled by the Medium:
-// finish returns them to a free list (bounded by txPoolCap), so
-// steady-state transmissions do not allocate. End-of-airtime is a typed
-// DES event addressed to the Medium carrying the source radio's ID — a
-// radio has at most one transmission in flight, so the ID identifies it.
+// finish returns them to a free list, so steady-state transmissions do
+// not allocate. End-of-airtime is a typed DES event addressed to the
+// Medium carrying the source radio's ID — a radio has at most one
+// transmission in flight, so the ID identifies it.
 type transmission struct {
 	src     int32 // source radio ID
 	payload any
@@ -81,12 +81,6 @@ type transmission struct {
 // opTxFinish is the Medium's only typed-event op: end of airtime for the
 // transmission of the radio identified by the event's arg.
 const opTxFinish int32 = 0
-
-// txPoolCap bounds the transmission free list. Concurrent transmissions
-// are bounded by the radio count, so this only bites on very large
-// deployments — it keeps a dense-sweep burst from pinning its peak pool
-// for the rest of a warm engine's life.
-const txPoolCap = 1024
 
 // arrival is the receiver-side state for the frame a radio is locked onto.
 type arrival struct {
@@ -229,9 +223,8 @@ type Medium struct {
 	auditSum   []float64
 	auditBuild []uint64
 
-	txPool      recycle.List[*transmission]
-	txPoolDrops uint64
-	txInFlight  int
+	txPool     recycle.List[*transmission]
+	txInFlight int
 	// txInFlightHW is the peak concurrent-transmission count of the run —
 	// deterministic (a pure function of the event sequence), so it is safe
 	// to fold into golden metrics.
@@ -294,8 +287,7 @@ func (m *Medium) SetImpairment(p fault.LinkParams, seed uint64) {
 // radios and must cover exactly the attached set; listeners (and their
 // carrier opt-outs), parameters and dense IDs survive. After Reset the
 // medium behaves bit-identically to a freshly built one: every audible set
-// is invalidated and the state clocks and validation counters (pool drops
-// too) restart. The transmissions the last run left on the air, whose
+// is invalidated and the state clocks and validation counters restart. The transmissions the last run left on the air, whose
 // airtime ends the reset kernel discarded, go back to the pool.
 func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	if len(positions) != len(m.pos) {
@@ -313,7 +305,6 @@ func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	m.impaired = false // re-armed per run via SetImpairment
 	m.Transmissions, m.Deliveries, m.Corruptions, m.ImpairDrops = 0, 0, 0, 0
 	m.txInFlight, m.txInFlightHW = 0, 0
-	m.txPoolDrops = 0
 	m.audRebuilds = 0
 	m.start = m.sim.Now()
 	copy(m.pos, positions)
@@ -383,30 +374,23 @@ func (m *Medium) newTransmission() *transmission {
 	if t, ok := m.txPool.Get(); ok {
 		return t
 	}
-	m.txPool.Made(txPoolCap)
+	m.txPool.Made()
 	return &transmission{}
 }
 
-// releaseTransmission returns t to the pool — or drops it to the garbage
-// collector when the pool is at capacity. Callers must guarantee no radio
-// still references it (finish clears every arrival first).
+// releaseTransmission returns t to the pool. Callers must guarantee no
+// radio still references it (finish clears every arrival first).
 func (m *Medium) releaseTransmission(t *transmission) {
 	t.payload = nil
 	t.touched = nil
 	t.skipped = t.skipped[:0]
-	if !m.txPool.Put(t, txPoolCap) {
-		m.txPoolDrops++
-	}
+	m.txPool.Put(t)
 }
 
 // TxInFlightHW returns the run's peak number of concurrent transmissions
 // — the sizing signal for the transmission pool, and deterministic across
 // fast/reference paths and warm/cold engines.
 func (m *Medium) TxInFlightHW() int { return m.txInFlightHW }
-
-// TxPoolDrops returns how many transmissions were dropped to the garbage
-// collector because the pool was at capacity.
-func (m *Medium) TxPoolDrops() uint64 { return m.txPoolDrops }
 
 // HandleEvent dispatches the Medium's typed DES events.
 func (m *Medium) HandleEvent(op int32, arg uint32) {

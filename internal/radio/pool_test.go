@@ -39,11 +39,12 @@ func TestTxInFlightHighWater(t *testing.T) {
 	}
 }
 
-// overCap is a medium with more radios than txPoolCap, each 10 km from the
-// next (out of one another's hearing), that have all transmitted at once:
-// more transmissions came back together than the pool keeps.
-func overCap(t *testing.T) (*Medium, []geom.Point) {
-	pos := make([]geom.Point, txPoolCap+10)
+// TestTxPoolCap (a historical name: the pool has no cap) keeps every
+// transmission: 1 034 radios, each 10 km from the next (out of one
+// another's hearing), all transmit at once, every transmission comes
+// back to the pool, and a warm run of the same allocates none.
+func TestTxPoolCap(t *testing.T) {
+	pos := make([]geom.Point, 1034)
 	for i := range pos {
 		pos[i] = geom.Point{X: float64(i) * 10e3}
 	}
@@ -53,31 +54,15 @@ func overCap(t *testing.T) (*Medium, []geom.Point) {
 	if hw := m.TxInFlightHW(); hw != len(pos) {
 		t.Fatalf("tx in-flight high-water %d, want all %d radios at once", hw, len(pos))
 	}
-	return m, pos
-}
-
-func TestTxPoolCap(t *testing.T) {
-	m, _ := overCap(t)
-	if got := m.txPool.Len(); got != txPoolCap {
-		t.Fatalf("pool length %d, want the bound %d", got, txPoolCap)
+	if got := m.txPool.Len(); got != len(pos) {
+		t.Fatalf("pool length %d, want all %d transmissions", got, len(pos))
 	}
-	if got := m.TxPoolDrops(); got != 10 {
-		t.Fatalf("%d pool drops, want the 10 transmissions beyond the bound", got)
-	}
-}
-
-// TestResetClearsTxPoolDrops pins the warm==cold contract for the pool
-// drop counter: a warm engine's second run must start from zero drops
-// exactly like a freshly built medium (Reset used to zero every other
-// counter but leak this one across runs).
-func TestResetClearsTxPoolDrops(t *testing.T) {
-	m, pos := overCap(t)
-	if m.TxPoolDrops() == 0 {
-		t.Fatal("no pool drops before Reset; test needs cap pressure")
-	}
+	sim.Reset()
 	m.Reset(NewTwoRay(914e6, 1.5, 1.5), pos)
-	if got := m.TxPoolDrops(); got != 0 {
-		t.Fatalf("txPoolDrops %d survived Reset, want 0", got)
+	stagger(sim, radios, 1)
+	sim.RunUntil(0)
+	if got := m.txPool.Len(); got != 0 {
+		t.Fatalf("pool length %d with every radio on the air, want every transmission reused", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package recycle holds the storage shapes every warm-engine pool is
-// built from. A List is a LIFO stack of released values, optionally
-// bounded so a burst cannot pin its peak for the rest of a warm sweep; a
+// built from. A List is a LIFO stack of released values that keeps every
+// value put back, with room reserved for every value it saw made; a
 // Slab keeps values at stable uint32 indices, so a typed DES event can
 // carry one as its arg instead of capturing the value in a closure; an
 // Index maps keys to values where a Go map's storage would follow its
@@ -8,9 +8,6 @@
 package recycle
 
 import "slices"
-
-// Unbounded is the bound to pass to List.Put for a list that never drops.
-const Unbounded = int(^uint(0) >> 1)
 
 // List is a LIFO free list. The zero value is an empty list.
 type List[T any] struct {
@@ -31,27 +28,20 @@ func (l *List[T]) Get() (v T, ok bool) {
 	return v, true
 }
 
-// Put pushes v unless the list already holds max values, and reports
-// whether it kept v.
-func (l *List[T]) Put(v T, max int) bool {
-	if len(l.items) >= max {
-		return false
-	}
-	l.items = append(l.items, v)
-	return true
-}
+// Put pushes v. It never drops a value.
+func (l *List[T]) Put(v T) { l.items = append(l.items, v) }
 
 // Len returns how many values the list holds.
 func (l *List[T]) Len() int { return len(l.items) }
 
 // Made records that the caller made a new value because Get missed.
-// The list keeps room for every value made, up to max (the bound the
-// caller's Puts pass), so taking them all back — as a warm reset does
-// after the first run that had them all out at once — grows nothing.
-func (l *List[T]) Made(max int) {
+// The list keeps room for every value made, so taking them all back — as
+// a warm reset does after the first run that had them all out at once —
+// grows nothing.
+func (l *List[T]) Made() {
 	l.made++
-	if n := min(l.made, max); n > cap(l.items) {
-		l.items = slices.Grow(l.items, n-len(l.items))
+	if l.made > cap(l.items) {
+		l.items = slices.Grow(l.items, l.made-len(l.items))
 	}
 }
 
@@ -76,7 +66,7 @@ func (s *Slab[T]) Add(v T) uint32 {
 		return i
 	}
 	s.items = append(s.items, v)
-	s.free.Made(len(s.items)) // room to free every index, across Resets too
+	s.free.Made() // room to free every index
 	return uint32(len(s.items) - 1)
 }
 
@@ -87,7 +77,7 @@ func (s *Slab[T]) At(i uint32) *T { return &s.items[i] }
 func (s *Slab[T]) Take(i uint32) T {
 	v := s.items[i]
 	s.items[i] = *new(T)
-	s.free.Put(i, Unbounded)
+	s.free.Put(i)
 	return v
 }
 
@@ -107,8 +97,11 @@ func (s *Slab[T]) Each(f func(T)) {
 }
 
 // Reset frees every index and zeroes every slot, keeping the storage.
+// The free list's count of indices made restarts at zero, so the room
+// it keeps stays the most indices the slab held at once.
 func (s *Slab[T]) Reset() {
 	clear(s.items)
 	s.items = s.items[:0]
 	s.free.items = s.free.items[:0]
+	s.free.made = 0
 }

@@ -5,7 +5,7 @@ import "testing"
 func TestListIsLIFO(t *testing.T) {
 	var l List[int]
 	for v := 1; v <= 3; v++ {
-		l.Put(v, Unbounded)
+		l.Put(v)
 	}
 	for want := 3; want >= 1; want-- {
 		if v, ok := l.Get(); !ok || v != want {
@@ -19,42 +19,21 @@ func TestListIsLIFO(t *testing.T) {
 
 func TestListGetZeroesVacatedSlot(t *testing.T) {
 	var l List[*int]
-	l.Put(new(int), Unbounded)
-	l.Put(new(int), Unbounded)
+	l.Put(new(int))
+	l.Put(new(int))
 	l.Get()
 	if p := l.items[:2][1]; p != nil {
 		t.Fatal("the slot Get vacated still points at the value")
 	}
 }
 
-func TestListPutAtBound(t *testing.T) {
-	var l List[int]
-	for v := 0; v < 4; v++ {
-		if !l.Put(v, 4) {
-			t.Fatalf("Put %d below the bound refused", v)
-		}
-	}
-	if l.Put(9, 4) {
-		t.Fatal("Put at the bound kept the value")
-	}
-	if l.Len() != 4 {
-		t.Fatalf("Len %d after a refused Put, want 4", l.Len())
-	}
-	if v, _ := l.Get(); v != 3 {
-		t.Fatalf("Get = %d after a refused Put, want 3", v)
-	}
-	if l.Put(1, 0) {
-		t.Fatal("Put with bound 0 kept the value")
-	}
-}
-
 func TestListWarmCycleAllocatesNothing(t *testing.T) {
 	var l List[*int]
 	v := new(int)
-	l.Put(v, 8)
+	l.Put(v)
 	n := testing.AllocsPerRun(100, func() {
 		p, _ := l.Get()
-		l.Put(p, 8)
+		l.Put(p)
 	})
 	if n != 0 {
 		t.Fatalf("warm Get/Put: %v allocs, want 0", n)
@@ -133,6 +112,20 @@ func TestSlabWarmCycleAllocatesNothing(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("warm Add/Take: %v allocs, want 0", n)
+	}
+	// Reset, then fill and empty the slab again: a warm run's cycle. The
+	// free list's room stays the most indices held at once.
+	for range 100 {
+		s.Reset()
+		for range 4 {
+			s.Add(v)
+		}
+		for i := range uint32(4) {
+			s.Take(i)
+		}
+	}
+	if c := cap(s.free.items); c > 8 {
+		t.Fatalf("free list room %d after warm cycles of 4 indices, want at most 8", c)
 	}
 }
 
@@ -223,30 +216,52 @@ func TestIndexWarmChurnAllocatesNothing(t *testing.T) {
 }
 
 // TestListMadeKeepsRoom: a list keeps room for every value made on a
-// miss, up to the bound, so taking them all back at once allocates
-// nothing; past the bound it reserves no more.
+// miss, so after n Made calls the n values go back, all at once and
+// again and again, without growing the list's storage.
 func TestListMadeKeepsRoom(t *testing.T) {
+	const n = 1000
 	var l List[*int]
-	vals := make([]*int, 10)
+	vals := make([]*int, n)
 	for i := range vals {
 		if _, ok := l.Get(); ok {
 			t.Fatal("Get on an empty list returned a value")
 		}
-		l.Made(8)
+		l.Made()
 		vals[i] = new(int)
 	}
-	if c := cap(l.items); c < 8 || c > 16 {
-		t.Fatalf("room for %d values after 10 made under a bound of 8, want 8 to 16", c)
+	room := cap(l.items)
+	if room < n {
+		t.Fatalf("room for %d values after %d made", room, n)
 	}
-	n := testing.AllocsPerRun(10, func() {
-		for _, v := range vals[:8] {
-			l.Put(v, 8)
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, v := range vals {
+			l.Put(v)
 		}
-		for range 8 {
+		for range vals {
 			l.Get()
 		}
 	})
-	if n != 0 {
-		t.Fatalf("taking back every value made: %v allocs, want 0", n)
+	if allocs != 0 || cap(l.items) != room {
+		t.Fatalf("taking back every value made: %v allocs, room %d -> %d; want 0 and no growth",
+			allocs, room, cap(l.items))
+	}
+}
+
+// TestListPutNeverDrops: Put keeps every value, beyond the values the
+// list saw made too, and Get hands each back once, most recent first.
+func TestListPutNeverDrops(t *testing.T) {
+	const n = 20000
+	var l List[int]
+	l.Made()
+	for v := 0; v < n; v++ {
+		l.Put(v)
+	}
+	if l.Len() != n {
+		t.Fatalf("Len %d after %d Puts, want %d", l.Len(), n, n)
+	}
+	for want := n - 1; want >= 0; want-- {
+		if v, ok := l.Get(); !ok || v != want {
+			t.Fatalf("Get = %d, %v; want %d, true", v, ok, want)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"clnlr/internal/mac"
 	"clnlr/internal/pkt"
 	"clnlr/internal/radio"
-	"clnlr/internal/recycle"
 	"clnlr/internal/rng"
 )
 
@@ -200,7 +199,7 @@ func packetsInFreeDiscoveries(c *Core) int {
 				n++
 			}
 		}
-		c.discFree.Put(recs[i], recycle.Unbounded)
+		c.discFree.Put(recs[i])
 	}
 	return n
 }

@@ -336,7 +336,7 @@ func (c *Core) clearPending(dst pkt.NodeID) {
 func (c *Core) newDiscovery(dst pkt.NodeID) *discovery {
 	d, ok := c.discFree.Get()
 	if !ok {
-		c.discFree.Made(recycle.Unbounded)
+		c.discFree.Made()
 		return &discovery{dst: dst, buffer: make([]*pkt.Packet, 0, c.bufferCap)}
 	}
 	d.dst = dst
@@ -359,7 +359,7 @@ func (c *Core) retire(d *discovery) {
 	clear(d.buffer)
 	*d = discovery{buffer: d.buffer[:0]}
 	c.fitBuffer(d)
-	c.discFree.Put(d, recycle.Unbounded)
+	c.discFree.Put(d)
 }
 
 // fitBuffer gives d a buffer of the largest size retired when it has less.

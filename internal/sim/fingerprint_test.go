@@ -92,6 +92,11 @@ func perturb(t *testing.T, name string, v reflect.Value) {
 		el := reflect.New(v.Type().Elem()).Elem()
 		perturb(t, name+"[new]", el)
 		v.Set(reflect.Append(v, el))
+	case reflect.Array:
+		if v.Len() == 0 {
+			t.Fatalf("%s: a zero-length array has no JSON-visible value to change", name)
+		}
+		perturb(t, name+"[0]", v.Index(0))
 	case reflect.Map:
 		if v.IsNil() {
 			v.Set(reflect.MakeMap(v.Type()))

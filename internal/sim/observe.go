@@ -296,17 +296,8 @@ func (e *Engine) foldCounters(col *metrics.Collector, crashEvents, recoverEvents
 	col.Add("des/pending-hw", uint64(e.simk.PendingHighWater()))
 	col.Add("radio/tx-inflight-hw", uint64(e.medium.TxInFlightHW()))
 
-	// Hidden-drop diagnostics: silent resource recycling that never shows
-	// up in protocol counters. These go into the diagnostics registry
-	// (not Counters) because warm-engine carry-over makes them run-order
-	// dependent.
-	var poolDrops uint64
-	for _, n := range e.nodes {
-		poolDrops += n.Agent.Env.Pool.Drops()
-	}
-	col.AddDiag("pkt/pool-drops", poolDrops)
-	col.AddDiag("des/free-list-drops", e.simk.FreeListDrops())
-	col.AddDiag("radio/tx-pool-drops", e.medium.TxPoolDrops())
+	// The audible-set memo's work goes into the diagnostics registry, not
+	// Counters: the reference radio path rebuilds no audible set.
 	col.AddDiag("radio/audible-rebuilds", e.medium.AudibleRebuilds())
 }
 
@@ -328,7 +319,12 @@ func (e *Engine) foldCounters(col *metrics.Collector, crashEvents, recoverEvents
 // the forgotten flood was rebroadcast as new. Scenarios where a node held
 // more than eight live floods from one origin can move: the loaded figure
 // points (meshsim -session 10s -rate 20) and mobility under churn do.
-const ModelVersion = 3
+//
+// Version 4: every pool keeps every value given back, so none counts
+// drops. No Result, counter, series or journey byte moves; the report
+// loses three diagnostics keys: des/free-list-drops, pkt/pool-drops and
+// radio/tx-pool-drops.
+const ModelVersion = 4
 
 // Fingerprint returns a stable 64-bit hash of the scenario's JSON form —
 // the identity stamp RunReports carry so results can be traced back to

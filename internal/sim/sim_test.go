@@ -147,8 +147,12 @@ func TestValidateRejectsUnrunnableMac(t *testing.T) {
 		{"AckBytes huge", func(m *mac.Config) { m.AckBytes = 1 << 40 }},
 		{"ACK of no airtime", func(m *mac.Config) { m.AckBytes, m.PreambleTime = 0, 0 }},
 		{"RTSThreshold negative", func(m *mac.Config) { m.RTSThreshold = -1 }},
-		{"AutoRate ladder rate 0", func(m *mac.Config) { m.AutoRate, m.RateLadder = true, []int64{0, 1_000_000} }},
-		{"AutoRate ladder out of order", func(m *mac.Config) { m.AutoRate, m.RateLadder = true, []int64{2_000_000, 1_000_000} }},
+		{"AutoRate ladder rate 0", func(m *mac.Config) {
+			m.AutoRate, m.RateLadder = true, [4]int64{0, 1_000_000, 2_000_000, 5_500_000}
+		}},
+		{"AutoRate ladder out of order", func(m *mac.Config) {
+			m.AutoRate, m.RateLadder = true, [4]int64{2_000_000, 1_000_000, 5_500_000, 11_000_000}
+		}},
 		{"AutoRate ArfFailDown 0", func(m *mac.Config) { m.AutoRate, m.ArfFailDown = true, 0 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -173,6 +177,19 @@ func TestValidateRejectsUnrunnableMac(t *testing.T) {
 		if err := sc.Validate(); err != nil {
 			t.Errorf("runnable MAC rejected: %v", err)
 		}
+	}
+}
+
+// TestDefaultScenarioAllocatesNothing: the default scenario is a plain
+// value — the MAC's rate ladder is an array — so a caller that builds one
+// per run allocates nothing for it.
+func TestDefaultScenarioAllocatesNothing(t *testing.T) {
+	var sc Scenario
+	if n := testing.AllocsPerRun(10, func() { sc = DefaultScenario() }); n != 0 {
+		t.Fatalf("DefaultScenario: %v allocs, want 0", n)
+	}
+	if sc.Mac.RateLadder != mac.DefaultConfig().RateLadder {
+		t.Fatal("DefaultScenario's rate ladder is not the MAC's default")
 	}
 }
 

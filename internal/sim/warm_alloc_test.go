@@ -115,50 +115,71 @@ func TestWarmRunAllocBudget(t *testing.T) {
 
 // TestWarmEngineConverges: a warm engine's second pass over a set of
 // scenarios allocates nothing of its own. One Observer — one engine and
-// its instruments — takes each of three shapes in turn and cycles three
-// times through three seeds of it: the mobile shape with churn and burst
-// loss (RERRs and re-discovery after every break), the saturated gateway
-// point (full queues and discovery buffers at every reset) and the
-// default point observed with the collector, journeys on every flow and
-// the auditor. Each run of the third cycle must allocate exactly what the
-// same run did in the second, and at most maxLeft. What the first cycle
-// grows — pools and their free lists, recycled RERR lists, discovery
-// buffers and journey tracks, per-node tables, the journey hop arena,
-// the instruments, the scheme's policy — the engine keeps, and nothing
-// is left: a run on this path allocates nothing once its seeds have run.
+// its instruments — takes each of five shapes in turn and cycles three
+// times through its list of runs: three seeds of the mobile shape with
+// churn and burst loss (RERRs and re-discovery after every break), of
+// the saturated gateway point (full queues and discovery buffers at every
+// reset) and of the default point observed with the collector, journeys
+// on every flow and the auditor; every scheme of AllSchemes at the
+// default point, each with a seed of its own (a policy kept per scheme);
+// and the 15×15 grid with 20 flows, clnlr and flood alternating over
+// four seeds (the largest network's slabs, tables and audible sets).
+// Each run of the third cycle must allocate exactly what the same run did
+// in the second, and at most maxLeft. What the first cycle grows — pools
+// and their free lists, recycled RERR lists, discovery buffers and
+// journey tracks, per-node tables, the journey hop arena, the
+// instruments, the scheme's policy — the engine keeps, and nothing is
+// left: a run on this path allocates nothing once its list has run.
 func TestWarmEngineConverges(t *testing.T) {
 	const maxLeft = 0
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
-	mobile := mobileChurnScenario(t)
-	mobile.Measure = 10 * des.Second
-	gateway := gatewaySaturatedScenario()
-	gateway.Measure = 10 * des.Second
-	observed := DefaultScenario()
-	observed.Measure = 10 * des.Second
+	window := func(sc Scenario) Scenario {
+		sc.Measure = 10 * des.Second
+		return sc
+	}
+	seeds := func(sc Scenario) []Scenario {
+		list := make([]Scenario, 3)
+		for i := range list {
+			list[i] = sc
+			list[i].Seed = uint64(i + 1)
+		}
+		return list
+	}
+	alternate := func(sc Scenario, schemes []Scheme, n int) []Scenario {
+		list := make([]Scenario, n)
+		for k := range list {
+			list[k] = sc.WithScheme(schemes[k%len(schemes)])
+			list[k].Seed = uint64(k + 1)
+		}
+		return list
+	}
+	observed := window(DefaultScenario())
 	observed.Audit = true
+	grid := window(DefaultScenario())
+	grid.Rows, grid.Cols, grid.AreaM, grid.Flows = 15, 15, 2142.857, 20
 	instruments := ObserveOptions{Collect: true, Interval: DefaultSampleInterval, JourneyEvery: 1}
 	var o Observer
 	for _, shape := range []struct {
 		name string
-		sc   Scenario
+		runs []Scenario
 		opts ObserveOptions
 	}{
-		{"mobile", mobile, ObserveOptions{}},
-		{"gateway", gateway, ObserveOptions{}},
-		{"observed", observed, instruments},
+		{"mobile", seeds(window(mobileChurnScenario(t))), ObserveOptions{}},
+		{"gateway", seeds(window(gatewaySaturatedScenario())), ObserveOptions{}},
+		{"observed", seeds(observed), instruments},
+		{"all-schemes", alternate(window(DefaultScenario()), AllSchemes(), len(AllSchemes())), ObserveOptions{}},
+		{"grid225", alternate(grid, []Scheme{SchemeCLNLR, SchemeFlood}, 4), ObserveOptions{}},
 	} {
-		cycle := func() [3]uint64 {
+		cycle := func() []uint64 {
 			settleCollector()
 			var m0, m1 runtime.MemStats
-			var mallocs [3]uint64
-			for i := range mallocs {
-				sc := shape.sc
-				sc.Seed = uint64(i + 1)
+			mallocs := make([]uint64, len(shape.runs))
+			for i, sc := range shape.runs {
 				runtime.ReadMemStats(&m0)
 				_, err := o.Run(sc, shape.opts)
 				runtime.ReadMemStats(&m1)
 				if err != nil {
-					t.Fatalf("%s seed %d: %v", shape.name, sc.Seed, err)
+					t.Fatalf("%s run %d (%s, seed %d): %v", shape.name, i, sc.Scheme, sc.Seed, err)
 				}
 				mallocs[i] = m1.Mallocs - m0.Mallocs
 			}
@@ -166,10 +187,10 @@ func TestWarmEngineConverges(t *testing.T) {
 		}
 		cycle()
 		second, third := cycle(), cycle()
-		for i := range third {
+		for i, sc := range shape.runs {
 			if third[i] != second[i] || third[i] > maxLeft {
-				t.Errorf("%s seed %d: %d allocations in the second cycle, %d in the third; want the same, at most %d",
-					shape.name, i+1, second[i], third[i], maxLeft)
+				t.Errorf("%s run %d (%s, seed %d): %d allocations in the second cycle, %d in the third; want the same, at most %d",
+					shape.name, i, sc.Scheme, sc.Seed, second[i], third[i], maxLeft)
 			}
 		}
 	}
