@@ -17,19 +17,23 @@ import (
 // nilPool builds test packets: a nil pool allocates and keeps nothing.
 var nilPool *pkt.Pool
 
-// buildCLNLR assembles a CLNLR mesh over the given positions.
-func buildCLNLR(seed uint64, params core.Params, positions []geom.Point) (*des.Sim, []*node.Node) {
+// buildCLNLR assembles a CLNLR mesh over the given positions and returns
+// the policy its spec handed the network.
+func buildCLNLR(seed uint64, params core.Params, positions []geom.Point) (*des.Sim, []*node.Node, routing.RREQPolicy) {
 	sim := des.NewSim()
 	medium := radio.NewMedium(sim, radio.NewTwoRay(914e6, 1.5, 1.5))
+	spec := core.Spec(routing.DefaultConfig(), params)
+	var pol routing.RREQPolicy
+	newPolicy := spec.Policy
+	spec.Policy = func() routing.RREQPolicy { pol = newPolicy(); return pol }
 	nodes := node.BuildNetwork(sim, medium, positions,
-		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed),
-		core.Spec(routing.DefaultConfig(), params))
+		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed), spec)
 	node.StartAll(nodes)
-	return sim, nodes
+	return sim, nodes, pol
 }
 
 func TestEndToEndDelivery(t *testing.T) {
-	sim, nodes := buildCLNLR(3, core.DefaultParams(),
+	sim, nodes, _ := buildCLNLR(3, core.DefaultParams(),
 		geom.ChainPlacement(geom.Point{}, 4, 200))
 	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
@@ -53,7 +57,7 @@ func TestOnRREQSuppressionObservable(t *testing.T) {
 	p := core.DefaultParams()
 	p.PMin, p.PMax, p.PBase, p.Gamma = 0.001, 0.001, 0.001, 0
 	p.RetryBoost = 0 // keep retries suppressed too
-	sim, nodes := buildCLNLR(5, p, geom.ChainPlacement(geom.Point{}, 4, 200))
+	sim, nodes, _ := buildCLNLR(5, p, geom.ChainPlacement(geom.Point{}, 4, 200))
 	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
 	}), 0, 0)
@@ -76,7 +80,7 @@ func TestRetryBoostRescuesSuppressedDiscovery(t *testing.T) {
 	p := core.DefaultParams()
 	p.PMin, p.PMax, p.PBase, p.Gamma = 0.001, 1, 0.001, 0
 	p.RetryBoost = 1 // first retry escalates to certainty
-	sim, nodes := buildCLNLR(5, p, geom.ChainPlacement(geom.Point{}, 4, 200))
+	sim, nodes, _ := buildCLNLR(5, p, geom.ChainPlacement(geom.Point{}, 4, 200))
 	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
 	}), 0, 0)
@@ -90,12 +94,12 @@ func TestRetryBoostRescuesSuppressedDiscovery(t *testing.T) {
 }
 
 func TestCostIncrementReflectsLoad(t *testing.T) {
-	sim, nodes := buildCLNLR(7, core.DefaultParams(),
+	sim, nodes, p := buildCLNLR(7, core.DefaultParams(),
 		geom.ChainPlacement(geom.Point{}, 3, 200))
 	// Let HELLOs establish the (idle) neighbourhood, then check the cost.
 	sim.RunUntil(5 * des.Second)
 	agent := nodes[1].Agent
-	pol := agent.Policy().(*core.Policy)
+	pol := p.(*core.Policy)
 	idleCost := pol.CostIncrement(agent)
 	if idleCost < 1 || idleCost > 1.2 {
 		t.Fatalf("idle cost increment %.3f, want ≈1", idleCost)
@@ -119,7 +123,7 @@ func TestCostIncrementReflectsLoad(t *testing.T) {
 // TestAdaptiveDeliversOnChain: the gossip-adaptive point beacons (so its
 // density term has neighbour counts) and discovers across a chain.
 func TestAdaptiveDeliversOnChain(t *testing.T) {
-	sim, nodes := buildCLNLR(5, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 4, 200))
+	sim, nodes, _ := buildCLNLR(5, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 4, 200))
 	sim.ScheduleCall(3*des.Second, des.Func(func() { // after HELLOs establish degrees
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 256, 0, 0, sim.Now(), 30))
 	}), 0, 0)
@@ -136,12 +140,12 @@ func TestAdaptiveDeliversOnChain(t *testing.T) {
 // cost is hop count, exactly 1 per node, even where the neighbourhood is
 // loaded (Beta 0).
 func TestDensityOnlyCostIgnoresLoad(t *testing.T) {
-	sim, nodes := buildCLNLR(7, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 3, 200))
+	sim, nodes, p := buildCLNLR(7, core.DensityOnly(des.Second), geom.ChainPlacement(geom.Point{}, 3, 200))
 	sim.AtTrain(5*des.Second, 3*des.Millisecond, 1<<20, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 1, 1000, 0, 0, sim.Now(), 30))
 	}), 0, 0)
 	agent := nodes[1].Agent
-	pol := agent.Policy().(*core.Policy)
+	pol := p.(*core.Policy)
 	for _, at := range []des.Time{4 * des.Second, 15 * des.Second} {
 		sim.RunUntil(at)
 		if c := pol.CostIncrement(agent); c != 1 {
@@ -156,7 +160,7 @@ func TestDensityOnlyCostIgnoresLoad(t *testing.T) {
 func TestTwoHopVariantRuns(t *testing.T) {
 	p := core.DefaultParams()
 	p.TwoHop = true
-	sim, nodes := buildCLNLR(11, p, geom.ChainPlacement(geom.Point{}, 3, 200))
+	sim, nodes, _ := buildCLNLR(11, p, geom.ChainPlacement(geom.Point{}, 3, 200))
 	sim.ScheduleCall(2*des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 2, 256, 0, 0, sim.Now(), 30))
 	}), 0, 0)
@@ -190,7 +194,7 @@ func TestMinCostReplySelectsUnloadedPath(t *testing.T) {
 	}
 	p := core.DefaultParams()
 	p.PMin, p.PMax, p.PBase = 1, 1, 1 // isolate route selection from suppression
-	sim, nodes := buildCLNLR(13, p, positions)
+	sim, nodes, _ := buildCLNLR(13, p, positions)
 
 	// Saturate the jammer pair to load node 1's neighbourhood.
 	sim.AtTrain(des.Second, 4*des.Millisecond, 1<<20, des.Func(func() {

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -62,7 +63,7 @@ type Config struct {
 	// settles on the fastest rate each link sustains. The ladder is
 	// 802.11b DSSS's four rates, slowest first.
 	AutoRate     bool
-	RateLadder   [4]int64
+	RateLadder   RateLadder
 	ArfSuccessUp int
 	ArfFailDown  int
 
@@ -73,6 +74,27 @@ type Config struct {
 	LoadSampleInterval des.Time
 	LoadEWMAAlpha      float64
 	QueueLoadWeight    float64
+}
+
+// RateLadder is ARF's four data rates in bits per second, slowest first.
+type RateLadder [4]int64
+
+// UnmarshalJSON reads the ladder from a JSON array of exactly four rates
+// (a plain Go array would pad a shorter one with zeros and drop rates past
+// the fourth); null leaves the ladder as it was.
+func (l *RateLadder) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	var rates []int64
+	if err := json.Unmarshal(b, &rates); err != nil {
+		return err
+	}
+	if len(rates) != len(l) {
+		return fmt.Errorf("mac: RateLadder has %d rates, want %d", len(rates), len(l))
+	}
+	copy(l[:], rates)
+	return nil
 }
 
 // DefaultConfig returns the 802.11b/DSSS parameter set.
@@ -93,7 +115,7 @@ func DefaultConfig() Config {
 		RTSBytes:           20,
 		CTSBytes:           14,
 		AutoRate:           false,
-		RateLadder:         [4]int64{1_000_000, 2_000_000, 5_500_000, 11_000_000},
+		RateLadder:         RateLadder{1_000_000, 2_000_000, 5_500_000, 11_000_000},
 		ArfSuccessUp:       10,
 		ArfFailDown:        2,
 		LoadSampleInterval: 100 * des.Millisecond,

@@ -85,9 +85,9 @@ func (m *Mac) HandleEvent(op int32, arg uint32) {
 	case opSendData:
 		m.sendCurData()
 	case opSendAck:
-		m.sendAck(pkt.NodeID(int32(arg)))
+		m.sendResponse(AckFrame, pkt.NodeID(int32(arg)), 0)
 	case opSendCts:
-		m.sendCts(pkt.NodeID(int32(arg)), m.ctsNav)
+		m.sendResponse(CTSFrame, pkt.NodeID(int32(arg)), m.ctsNav)
 	default:
 		panic(fmt.Sprintf("mac %v: unknown event op %d", m.id, op))
 	}
@@ -117,18 +117,22 @@ func (m *Mac) discard(f *Frame) {
 	m.releaseFrame(f)
 }
 
-// flush empties the interface queue and the service slot into the pools.
-// A frame in service that is airing (the radio's payload on the air) is
-// kept out of them: the medium still carries it, so it becomes the orphan
-// that RadioTxDone releases.
+// flush empties the interface queue and the service slot into the pools,
+// closing each data payload's journey as crashed first when a recorder is
+// installed. A frame in service that is airing (the radio's payload on the
+// air) is kept out of them: the medium still carries it, so it becomes the
+// orphan that RadioTxDone releases.
 func (m *Mac) flush(airing any) {
 	for i, f := range m.queue {
+		m.dropJourney(f)
 		m.discard(f)
 		m.queue[i] = nil
 	}
 	m.queue = m.queue[:0]
 	if m.cur != nil {
-		if f := m.cur.frame; airing == any(f) {
+		f := m.cur.frame
+		m.dropJourney(f)
+		if airing == any(f) {
 			m.orphan = f
 		} else {
 			m.discard(f)
@@ -136,6 +140,15 @@ func (m *Mac) flush(airing any) {
 	}
 	m.cur = nil
 	m.curBuf = outgoing{}
+}
+
+// dropJourney closes the journey of data frame f's payload as crashed. The
+// recorder's ownership guards make this safe for packets whose journey
+// already moved past this node.
+func (m *Mac) dropJourney(f *Frame) {
+	if m.journey != nil && f.Type == DataFrame && f.Payload != nil && f.Payload.Kind == pkt.Data {
+		m.journey.OnDrop(m.sim.Now(), m.id, f.Payload, journey.DropCrashed)
+	}
 }
 
 // Mac is one node's medium-access entity.
@@ -230,26 +243,36 @@ type Mac struct {
 	Ctr Counters
 }
 
-// New creates a MAC bound to the given radio. id must be the node's
-// network identity; src a private random stream for backoff draws.
+// New creates a MAC bound to the given radio and ready to run: Attach,
+// then Reset. id must be the node's network identity; src a private random
+// stream for backoff draws.
 func New(cfg Config, sim *des.Sim, r *radio.Radio, id pkt.NodeID, src *rng.Source) *Mac {
+	m := Attach(sim, r, id)
+	m.Reset(cfg, src)
+	return m
+}
+
+// Attach allocates a MAC bound to the given radio, with no configuration:
+// it runs nothing until Reset gives it one and a random stream.
+func Attach(sim *des.Sim, r *radio.Radio, id pkt.NodeID) *Mac {
 	m := &Mac{
 		sim:   sim,
 		radio: r,
 		id:    id,
 	}
-	m.Reset(cfg, src)
 	r.SetListener(m)
 	return m
 }
 
-// Reset re-initialises the MAC for a fresh run with a new configuration
-// and random stream, reusing the dense per-peer state and queue backing
-// storage (warm replication reuse). The bound simulation, radio and upper
-// layer survive; every mutable protocol state returns to its post-New
-// value, so a reset MAC behaves bit-identically to a freshly built one.
-// The frames the last run left queued, in service or orphaned go back to
-// the frame pool and their payloads to the packet pool.
+// Reset starts the MAC's run with a configuration and random stream,
+// reusing the dense per-peer state and queue backing storage (warm
+// replication reuse). The bound simulation, radio and upper layer survive.
+// It drops the volatile state as Crash does (see halt), then the run's
+// own: the orphan and the control frame the medium's reset took off the
+// air, the sequence number, the journey recorder, the load estimator and
+// the counters. So a reset MAC behaves bit-identically to a freshly built
+// one, and the frames the last run left queued, in service or orphaned go
+// back to the frame pool and their payloads to the packet pool.
 // Call only between runs, with the shared des.Sim and radio.Medium
 // already Reset (no frame is on the air any more).
 func (m *Mac) Reset(cfg Config, src *rng.Source) {
@@ -260,7 +283,8 @@ func (m *Mac) Reset(cfg Config, src *rng.Source) {
 	m.sifs = m.sim.Lane(cfg.SIFS)
 	m.ackWait = m.sim.Lane(cfg.AckTimeout())
 	m.ctsWait = m.sim.Lane(cfg.CTSTimeout())
-	m.flush(nil)
+	m.journey = nil
+	m.halt()
 	if f := m.orphan; f != nil {
 		m.orphan = nil
 		m.discard(f)
@@ -269,57 +293,20 @@ func (m *Mac) Reset(cfg Config, src *rng.Source) {
 		m.ctrlAir = nil
 		m.releaseFrame(f)
 	}
-	m.setState(accIdle)
-	m.cw = cfg.CWMin
-	m.backoffSlots = 0
-	m.backoffStart = 0
-	m.backoffEv = des.Event{}
-	m.deferEv = des.Event{}
-	m.ackEv = des.Event{}
-	m.ctsEv = des.Event{}
-	m.useEIFS = false
-	m.pendingAckTx = false
-	m.navUntil = 0
-	m.navEv = des.Event{}
-	m.ctsNav = 0
 	m.seq = 0
-	for i := range m.lastSeq {
-		m.lastSeq[i] = -1
-	}
-	clear(m.arf)
 	m.down = false
-	m.journey = nil
 	m.le.init(&m.cfg, m.sim, m.radio)
 	m.Ctr = Counters{}
 }
 
-// Crash models a node failure: the interface queue and the frame in
-// service are discarded into the pools (a frame still on the air becomes
-// the orphan RadioTxDone releases), every pending DCF timer is cancelled,
-// and all volatile link state (duplicate filters, rate adaptation) is
-// cleared — a power-cycled interface renegotiates those from scratch.
-// Counters and the load estimator survive (the sampling clock keeps
-// calling, so the estimate decays to zero while the node is silent). The
-// caller crashes the radio separately; a truncated frame stays on the air
-// until its airtime ends.
-func (m *Mac) Crash() {
-	m.down = true
-	if m.journey != nil {
-		// Close the journeys of discarded data payloads before their
-		// release. The recorder's ownership guards make this safe for
-		// packets whose journey already moved past this node.
-		now := m.sim.Now()
-		for _, f := range m.queue {
-			if f.Type == DataFrame && f.Payload != nil && f.Payload.Kind == pkt.Data {
-				m.journey.OnDrop(now, m.id, f.Payload, journey.DropCrashed)
-			}
-		}
-		if m.cur != nil {
-			if f := m.cur.frame; f.Type == DataFrame && f.Payload != nil && f.Payload.Kind == pkt.Data {
-				m.journey.OnDrop(now, m.id, f.Payload, journey.DropCrashed)
-			}
-		}
-	}
+// halt drops the MAC's volatile state, what a power cycle loses and a run
+// starts without: the interface queue and the frame in service go to the
+// pools (see flush), contention returns to idle with the minimum window,
+// every pending DCF timer is cancelled, the NAV, EIFS and pending-response
+// flags clear, and the duplicate filter and rate adaptation forget every
+// peer. Crash and Reset both call it; a handle the Sim's reset made stale
+// cancels nothing.
+func (m *Mac) halt() {
 	m.flush(m.radio.Airing())
 	m.setState(accIdle)
 	m.cw = m.cfg.CWMin
@@ -336,6 +323,18 @@ func (m *Mac) Crash() {
 		m.lastSeq[i] = -1
 	}
 	clear(m.arf)
+}
+
+// Crash models a node failure: the MAC halts (see halt) — a power-cycled
+// interface renegotiates its link state from scratch, and a frame still
+// on the air becomes the orphan RadioTxDone releases. Counters and the
+// load estimator survive (the sampling clock keeps calling, so the
+// estimate decays to zero while the node is silent). The caller crashes
+// the radio separately; a truncated frame stays on the air until its
+// airtime ends.
+func (m *Mac) Crash() {
+	m.down = true
+	m.halt()
 	m.le.setQueueLen(0)
 	m.le.truncate()
 }
@@ -661,21 +660,30 @@ func (m *Mac) scheduleAck(dst pkt.NodeID) {
 	m.sifs.Call(m, opSendAck, uint32(dst))
 }
 
-func (m *Mac) sendAck(dst pkt.NodeID) {
+// sendResponse puts the SIFS-deferred response to dst on the air: an ACK,
+// or a CTS announcing nav. One scheduled before a crash is dropped, and so
+// is one that finds the radio sending — impossible under half-duplex
+// rules, but the run goes on: the sender retries, and contention resumes.
+func (m *Mac) sendResponse(typ FrameType, dst pkt.NodeID, nav des.Time) {
 	if m.down {
-		return // scheduled before a crash
+		return
 	}
 	if m.radio.Transmitting() {
-		// Cannot happen under half-duplex rules, but never crash the run —
-		// drop the ACK (the sender will retry) and resume contention.
 		m.pendingAckTx = false
 		m.resume()
 		return
 	}
-	ack := m.newFrame()
-	ack.Type, ack.Src, ack.Dst, ack.Bytes = AckFrame, m.id, dst, m.cfg.AckBytes
-	m.Ctr.TxAck++
-	m.transmitControl(ack, m.cfg.AckDuration())
+	f := m.newFrame()
+	f.Type, f.Src, f.Dst, f.Dur = typ, m.id, dst, nav
+	dur := m.cfg.AckDuration()
+	if typ == CTSFrame {
+		f.Bytes, dur = m.cfg.CTSBytes, m.cfg.CTSDuration()
+		m.Ctr.TxCTS++
+	} else {
+		f.Bytes = m.cfg.AckBytes
+		m.Ctr.TxAck++
+	}
+	m.transmitControl(f, dur)
 }
 
 // transmitControl puts control frame f on the air for dur (see ctrlAir).
@@ -786,22 +794,6 @@ func (m *Mac) resume() {
 	if !m.down && m.cur != nil && m.state == accPostponed {
 		m.startAccess()
 	}
-}
-
-// sendCts answers an RTS after SIFS.
-func (m *Mac) sendCts(dst pkt.NodeID, nav des.Time) {
-	if m.down {
-		return // scheduled before a crash
-	}
-	if m.radio.Transmitting() {
-		m.pendingAckTx = false
-		m.resume()
-		return
-	}
-	cts := m.newFrame()
-	cts.Type, cts.Src, cts.Dst, cts.Bytes, cts.Dur = CTSFrame, m.id, dst, m.cfg.CTSBytes, nav
-	m.Ctr.TxCTS++
-	m.transmitControl(cts, m.cfg.CTSDuration())
 }
 
 // RadioReceive implements radio.Listener.

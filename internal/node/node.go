@@ -24,7 +24,7 @@ type Node struct {
 	Agent *routing.Core
 
 	// macRng and agentRng are the MAC's and the agent's private streams,
-	// held here so a warm reset re-derives them in place.
+	// held here so every run derives them in place.
 	macRng, agentRng rng.Source
 
 	// clock is the network whose load windows this node's OpSampleLoad
@@ -82,11 +82,12 @@ func (n *Node) HandleEvent(op int32, _ uint32) {
 	}
 }
 
-// BuildNetwork attaches one full stack per position to the medium, each
-// node running the scheme spec describes: one spec.Policy() for the whole
-// network, shared by every node's agent. The master RNG seeds independent
-// per-node streams for the MAC (backoff) and the routing agent (jitter,
-// probabilistic forwarding), so runs are reproducible.
+// BuildNetwork attaches one full stack per position to the medium and
+// starts its first run (Attach, then ResetNetwork), each node running the
+// scheme spec describes: one spec.Policy() for the whole network, shared
+// by every node's agent. The master RNG seeds independent per-node streams
+// for the MAC (backoff) and the routing agent (jitter, probabilistic
+// forwarding), so runs are reproducible.
 func BuildNetwork(
 	sim *des.Sim,
 	medium *radio.Medium,
@@ -96,30 +97,27 @@ func BuildNetwork(
 	master *rng.Source,
 	spec routing.Spec,
 ) []*Node {
+	nodes := Attach(sim, medium, positions, radioParams)
+	ResetNetwork(nodes, positions, macCfg, master, spec.Cfg, spec.Policy())
+	return nodes
+}
+
+// Attach allocates one stack per position on the medium — radio, MAC,
+// packet pool and routing core — and binds nothing a run sets: the nodes
+// run once ResetNetwork has given them their streams, configuration and
+// scheme.
+func Attach(sim *des.Sim, medium *radio.Medium, positions []geom.Point, radioParams radio.Params) []*Node {
 	nodes := make([]*Node, len(positions))
-	policy := spec.Policy()
 	for i, pos := range positions {
 		id := pkt.NodeID(i)
-		n := &Node{ID: id, Pos: pos}
-		master.DeriveInto(&n.macRng, uint64(i), 1)
-		master.DeriveInto(&n.agentRng, uint64(i), 2)
 		r := medium.Attach(pos, radioParams)
-		m := mac.New(macCfg, sim, r, id, &n.macRng)
+		m := mac.Attach(sim, r, id)
 		// One packet pool per node, shared by the MAC (unicast delivery
 		// clones) and the routing agent (everything else). Packets never
 		// cross pools: receivers clone what they keep.
 		pool := pkt.NewPool()
 		m.SetPool(pool)
-		env := routing.Env{
-			Sim:  sim,
-			Mac:  m,
-			ID:   id,
-			Rng:  &n.agentRng,
-			Pool: pool,
-		}
-		n.Radio, n.Mac = r, m
-		n.Agent = routing.New(env, spec.Cfg, policy)
-		nodes[i] = n
+		nodes[i] = &Node{ID: id, Radio: r, Mac: m, Agent: routing.Attach(sim, pool)}
 	}
 	// Node IDs are dense 0..N-1 and N is known here: size every dense
 	// per-peer structure up front so no run ever grows one on the hot
@@ -131,17 +129,15 @@ func BuildNetwork(
 	return nodes
 }
 
-// ResetNetwork rebinds an existing network for a fresh run on the same
-// (reset) simulation kernel and medium. Positions, MAC state and routing
-// agents are reset in place, re-deriving per-node RNG streams into the
-// Sources the nodes hold on exactly the schedule BuildNetwork uses —
-// (i,1) for the MAC, (i,2) for the agent — so a warm rerun is
-// bit-identical to a cold build from the same master.
-// Each packet pool keeps its free lists. Every agent runs cfg and policy,
-// one value for the whole network: a new one from the scheme's
-// routing.Spec, or the network's current policy, which the agents'
-// resets empty (see routing.Core.Reset) so a warm engine that keeps its
-// scheme builds none.
+// ResetNetwork starts a run of the network, freshly attached or warm:
+// positions, MAC state and routing agents are reset in place, each node's
+// MAC and agent taking the streams (i,1) and (i,2) derived from master
+// into the Sources the node holds, so a run depends on master alone, not
+// on what ran before. Each packet pool keeps its free lists. Every agent
+// runs cfg and policy, one value for the whole network: a new one from the
+// scheme's routing.Spec, or the network's current policy, which the
+// agents' resets empty (see routing.Core.Reset) so a warm engine that
+// keeps its scheme builds none.
 // The caller must have reset the des.Sim and the radio.Medium first.
 func ResetNetwork(
 	nodes []*Node,

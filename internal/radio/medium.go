@@ -244,16 +244,13 @@ type Medium struct {
 	ImpairDrops   uint64
 }
 
-// NewMedium creates an empty channel using the given propagation model.
+// NewMedium creates an empty channel using the given propagation model:
+// fresh storage taken through Reset, whose epoch bump also keeps a
+// zero-valued audibleSet from ever being valid.
 func NewMedium(sim *des.Sim, prop Propagation) *Medium {
-	return &Medium{
-		sim:       sim,
-		prop:      prop,
-		start:     sim.Now(),
-		minTrackW: 1e-14,
-		static:    prop.TimeInvariant(),
-		audEpoch:  1, // so a zero-valued audibleSet is never valid
-	}
+	m := &Medium{sim: sim, minTrackW: 1e-14}
+	m.Reset(prop, nil)
+	return m
 }
 
 // SetReference toggles the exhaustive reference transmit path (full O(N)
@@ -285,10 +282,11 @@ func (m *Medium) SetImpairment(p fault.LinkParams, seed uint64) {
 // propagation model while keeping the attached radios, the transmission
 // pool and the audible-set storage allocated. positions re-places the
 // radios and must cover exactly the attached set; listeners (and their
-// carrier opt-outs), parameters and dense IDs survive. After Reset the
-// medium behaves bit-identically to a freshly built one: every audible set
-// is invalidated and the state clocks and validation counters restart. The transmissions the last run left on the air, whose
-// airtime ends the reset kernel discarded, go back to the pool.
+// carrier opt-outs), parameters and dense IDs survive. NewMedium is a
+// Reset too, so a reset medium behaves bit-identically to a freshly built
+// one: every audible set is invalidated and the state clocks and
+// validation counters restart. The transmissions the last run left on the
+// air, whose airtime ends the reset kernel discarded, go back to the pool.
 func (m *Medium) Reset(prop Propagation, positions []geom.Point) {
 	if len(positions) != len(m.pos) {
 		panic(fmt.Sprintf("radio: Reset with %d positions for %d radios",

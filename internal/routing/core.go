@@ -166,27 +166,33 @@ type Core struct {
 	Ctr Counters
 }
 
-// New builds a routing core around the node environment and scheme policy.
-func New(env Env, cfg Config, policy RREQPolicy) *Core {
-	c := &Core{
-		table: NewTable(env.Sim),
-		dup:   NewDupCache(env.Sim, cfg.DupHorizon),
-		nbrs:  NewNeighborTable(env.Sim, 0),
+// Attach allocates a core's storage on sim — routing table, duplicate
+// cache and neighbour table, all empty — and records sim and the node's
+// packet pool in its Env, with no node bound: it routes nothing until
+// Reset gives it an environment, configuration and policy (node.Attach
+// and node.ResetNetwork do the two for a network, the latter naming the
+// kernel and pool recorded here).
+func Attach(sim *des.Sim, pool *pkt.Pool) *Core {
+	return &Core{
+		Env:   Env{Sim: sim, Pool: pool},
+		table: NewTable(sim),
+		dup:   NewDupCache(sim, 0),
+		nbrs:  NewNeighborTable(sim, 0),
 	}
-	c.Reset(env, cfg, policy)
-	return c
 }
 
-// Reset rebinds the core for a fresh run without reallocating its grown
-// state (ID indices, routing table slab, duplicate-cache rings, neighbour
-// lists). The packets the last run left buffered for discovery, deferred
-// for rebroadcast or held by the outgoing policy go back to the node's
-// pool; policy may be the outgoing policy itself, kept for the next run.
-// The environment must reference the same simulation the core was built
-// on — warm replication reuse resets the des.Sim in place, so every
-// component keeps its kernel pointer. The Deliver sink and Journey
-// recorder come in with the new Env (the traffic layer reinstalls sinks
-// and the engine the recorder per run).
+// Reset starts the core's run without reallocating its grown state (ID
+// indices, routing table slab, duplicate-cache rings, neighbour lists).
+// It drops the volatile state as Crash does (see forget), then the run's
+// own: the packets held by the outgoing policy and deferred for
+// rebroadcast go back to the node's pool, and the sequence numbers,
+// beacon and counters start over. policy may be the outgoing policy
+// itself, kept for the next run. The environment must reference the same
+// simulation the core was built on — warm replication reuse resets the
+// des.Sim in place, so every component keeps its kernel pointer. The
+// Deliver sink and Journey recorder come in with the new Env (the traffic
+// layer reinstalls sinks and the engine the recorder per run); the last
+// run's recorder closes no journey a reset drops.
 func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	if env.Sim != c.table.sim {
 		panic("routing: Reset with a different simulation kernel")
@@ -197,18 +203,14 @@ func (c *Core) Reset(env Env, cfg Config, policy RREQPolicy) {
 	if c.policy != nil {
 		c.policy.ReleaseHeld(c)
 	}
-	c.Env = env
 	c.Cfg = cfg
+	c.Env.Journey = nil
+	c.forget()
+	c.Env = env
 	c.policy = policy
-	c.table.Reset()
-	c.dup.Reset(cfg.DupHorizon)
-	c.nbrs.Reset(cfg.HelloInterval * des.Time(cfg.HelloLossAllowance+1))
 	c.seq = 0
 	c.rreqID = 0
-	c.retireAll()
-	c.replyWaits.Clear()
 	c.beacon = false
-	c.helloEv = des.Event{}
 	// The shared Sim was just Reset, discarding the events that would have
 	// sent the deferred rebroadcasts: their packets go back to the pool
 	// (a taken slot holds nil, which Release ignores) and their slots
@@ -240,33 +242,49 @@ func (c *Core) HandleEvent(op int32, arg uint32) {
 	}
 }
 
-// Crash models a node failure at the routing layer: all volatile state —
-// routing table, duplicate cache, neighbour table, in-progress
-// discoveries (their buffered packets go back to the pool) and open reply
-// windows — is lost, and the HELLO beacon stops. Deferred rebroadcasts
-// stay scheduled: the down MAC drops and releases them. The AODV
-// sequence number and RREQ ID deliberately survive: RFC 3561 §6.1
+// Crash models a node failure at the routing layer: the core forgets
+// its volatile state (see forget) and the HELLO beacon stops. Deferred
+// rebroadcasts stay scheduled: the down MAC drops and releases them. The
+// AODV sequence number and RREQ ID deliberately survive: RFC 3561 §6.1
 // requires a node's sequence number to persist (or only ever advance)
 // across reboots so stale pre-crash routes toward it can never beat
 // fresh ones.
 func (c *Core) Crash() {
 	c.down = true
+	c.forget()
+}
+
+// forget drops the core's volatile state, what a reboot loses and a run
+// starts without: the routing table, duplicate cache and neighbour table
+// empty, every in-progress discovery ends with its buffered packets
+// dropped as crashed, open reply windows close unanswered and the HELLO
+// beacon's next tick is cancelled. Crash and Reset both call it; a handle
+// the Sim's reset made stale cancels nothing.
+func (c *Core) forget() {
 	c.table.Reset()
 	c.dup.Reset(c.Cfg.DupHorizon)
 	c.nbrs.Reset(c.Cfg.HelloInterval * des.Time(c.Cfg.HelloLossAllowance+1))
-	for _, d := range c.pending {
+	for i, d := range c.pending {
 		d.timer.Cancel()
-		c.Ctr.DropCrashed += uint64(len(d.buffer))
-		if j := c.Env.Journey; j != nil {
-			for _, p := range d.buffer {
-				j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropCrashed)
-			}
+		for _, p := range d.buffer {
+			c.drop(p, &c.Ctr.DropCrashed, journey.DropCrashed)
 		}
+		c.retire(d)
+		c.pending[i] = nil
 	}
-	c.retireAll()
+	c.pending = c.pending[:0]
 	c.replyWaits.Clear()
 	c.helloEv.Cancel()
-	c.helloEv = des.Event{}
+}
+
+// drop ends data packet p at this node: n counts it, the journey recorder
+// (if any) closes it with reason, and p goes back to the pool.
+func (c *Core) drop(p *pkt.Packet, n *uint64, reason string) {
+	*n++
+	if j := c.Env.Journey; j != nil {
+		j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, reason)
+	}
+	c.Env.Pool.Release(p)
 }
 
 // Recover brings a crashed node back up with empty tables and its
@@ -369,19 +387,6 @@ func (c *Core) fitBuffer(d *discovery) {
 	}
 }
 
-// retireAll empties c.pending into the free list (Crash, Reset),
-// releasing every buffered packet to the pool.
-func (c *Core) retireAll() {
-	for i, d := range c.pending {
-		for _, p := range d.buffer {
-			c.Env.Pool.Release(p)
-		}
-		c.retire(d)
-		c.pending[i] = nil
-	}
-	c.pending = c.pending[:0]
-}
-
 // Start launches periodic activity (HELLO beacons when enabled).
 func (c *Core) Start() {
 	if c.Cfg.HelloEnabled {
@@ -398,10 +403,6 @@ func (c *Core) scheduleHello(delay des.Time) {
 	delay += des.Time(c.Env.Rng.Intn(int(100 * des.Millisecond)))
 	c.helloEv = c.Env.Sim.ScheduleCall(delay, c, copHello, 0)
 }
-
-// Policy returns the scheme policy, shared by every node of the network
-// (exposed for tests and reports).
-func (c *Core) Policy() RREQPolicy { return c.policy }
 
 // SeqNo returns the node's own AODV sequence number. RFC 3561 §6.1 (and
 // the process-algebra invariants of Fehnker et al.) require it to be
@@ -457,11 +458,7 @@ func (c *Core) Send(p *pkt.Packet) {
 		j.OnOriginate(c.Env.Sim.Now(), c.Env.ID, p)
 	}
 	if c.down {
-		c.Ctr.DropCrashed++
-		if j := c.Env.Journey; j != nil {
-			j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropCrashed)
-		}
-		c.Env.Pool.Release(p)
+		c.drop(p, &c.Ctr.DropCrashed, journey.DropCrashed)
 		return
 	}
 	if r := c.table.Lookup(p.Dst); r != nil {
@@ -485,11 +482,7 @@ func (c *Core) bufferAndDiscover(p *pkt.Packet) {
 		c.originateRREQ(d)
 	}
 	if len(d.buffer) >= c.Cfg.BufferCap {
-		c.Ctr.DropBufferFull++
-		if j := c.Env.Journey; j != nil {
-			j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropBufferFull)
-		}
-		c.Env.Pool.Release(p)
+		c.drop(p, &c.Ctr.DropBufferFull, journey.DropBufferFull)
 		return
 	}
 	d.buffer = append(d.buffer, p)
@@ -560,12 +553,8 @@ func (c *Core) discoveryTimeout(dst pkt.NodeID) {
 	}
 	if d.attempts >= c.maxDiscoveryAttempts() {
 		c.Ctr.DiscoveriesFailed++
-		c.Ctr.DropNoRoute += uint64(len(d.buffer))
 		for _, p := range d.buffer {
-			if j := c.Env.Journey; j != nil {
-				j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropNoRoute)
-			}
-			c.Env.Pool.Release(p)
+			c.drop(p, &c.Ctr.DropNoRoute, journey.DropNoRoute)
 		}
 		c.clearPending(d.dst)
 		c.routeEvent(journey.RouteEvent{Kind: journey.EventDiscoveryFail, Peer: d.dst, Buffered: len(d.buffer)})
@@ -674,7 +663,7 @@ func (c *Core) handleTargetRREQ(p *pkt.Packet, from pkt.NodeID, first bool) {
 	b := p.RREQ
 	if c.Cfg.ReplyWindow <= 0 {
 		if first {
-			c.sendRREPAsTarget(b.Origin, from, b.HopCount, b.Cost)
+			c.sendRREPAsTarget(b.Origin, from, b.Cost)
 		}
 		return
 	}
@@ -715,12 +704,12 @@ func (c *Core) closeReplyWindow(k rreqKey) {
 	if j := c.Env.Journey; j != nil {
 		j.OnReplyClose(c.Env.Sim.Now(), c.Env.ID, k.origin, k.id, ww.best.from, ww.best.cost, ww.best.hops)
 	}
-	c.sendRREPAsTarget(k.origin, ww.best.from, ww.best.hops, ww.best.cost)
+	c.sendRREPAsTarget(k.origin, ww.best.from, ww.best.cost)
 }
 
 // sendRREPAsTarget generates the route reply and unicasts it to the chosen
 // previous hop.
-func (c *Core) sendRREPAsTarget(origin, via pkt.NodeID, hops int, cost float64) {
+func (c *Core) sendRREPAsTarget(origin, via pkt.NodeID, cost float64) {
 	c.seq++
 	body := pkt.RREPBody{
 		Origin:    origin,
@@ -734,7 +723,6 @@ func (c *Core) sendRREPAsTarget(origin, via pkt.NodeID, hops int, cost float64) 
 	c.Ctr.RREPSent++
 	c.routeEvent(journey.RouteEvent{Kind: journey.EventRREPSend, Peer: origin, Via: via, Cost: cost})
 	c.Env.Mac.Send(p, via)
-	_ = hops
 }
 
 func (c *Core) handleRREP(p *pkt.Packet, from pkt.NodeID) {
@@ -840,21 +828,13 @@ func (c *Core) handleData(p *pkt.Packet, from pkt.NodeID) {
 		return
 	}
 	if p.TTL <= 1 {
-		c.Ctr.DropTTL++
-		if j := c.Env.Journey; j != nil {
-			j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropTTL)
-		}
-		c.Env.Pool.Release(p)
+		c.drop(p, &c.Ctr.DropTTL, journey.DropTTL)
 		return
 	}
 	r := c.table.Lookup(p.Dst)
 	if r == nil {
-		c.Ctr.DropNoRoute++
-		if j := c.Env.Journey; j != nil {
-			j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropNoRoute)
-		}
 		c.sendRERR([]pkt.UnreachableDest{{Node: p.Dst, Seq: c.staleSeq(p.Dst)}})
-		c.Env.Pool.Release(p)
+		c.drop(p, &c.Ctr.DropNoRoute, journey.DropNoRoute)
 		return
 	}
 	p.TTL--
@@ -899,13 +879,9 @@ func (c *Core) MacTxDone(p *pkt.Packet, dst pkt.NodeID, ok bool) {
 			j.OnRequeue(c.Env.Sim.Now(), c.Env.ID, p)
 		}
 		c.bufferAndDiscover(p)
+	} else if p.Kind == pkt.Data {
+		c.drop(p, &c.Ctr.DropLinkFail, journey.DropLinkFail)
 	} else {
-		if p.Kind == pkt.Data {
-			c.Ctr.DropLinkFail++
-			if j := c.Env.Journey; j != nil {
-				j.OnDrop(c.Env.Sim.Now(), c.Env.ID, p, journey.DropLinkFail)
-			}
-		}
 		c.Env.Pool.Release(p)
 	}
 	if len(lost) > 0 {

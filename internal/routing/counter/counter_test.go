@@ -17,14 +17,17 @@ import (
 // nilPool builds test packets: a nil pool allocates and keeps nothing.
 var nilPool *pkt.Pool
 
-func build(positions []geom.Point, params counter.Params, seed uint64) (*des.Sim, []*node.Node) {
+func build(positions []geom.Point, params counter.Params, seed uint64) (*des.Sim, []*node.Node, routing.RREQPolicy) {
 	simk := des.NewSim()
 	medium := radio.NewMedium(simk, radio.NewTwoRay(914e6, 1.5, 1.5))
+	spec := counter.Spec(routing.DefaultConfig(), params)
+	var pol routing.RREQPolicy
+	newPolicy := spec.Policy
+	spec.Policy = func() routing.RREQPolicy { pol = newPolicy(); return pol }
 	nodes := node.BuildNetwork(simk, medium, positions,
-		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed),
-		counter.Spec(routing.DefaultConfig(), params))
+		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed), spec)
 	node.StartAll(nodes)
-	return simk, nodes
+	return simk, nodes, pol
 }
 
 func TestDefaultParams(t *testing.T) {
@@ -38,7 +41,7 @@ func TestThresholdOneSuppressesEverything(t *testing.T) {
 	// C=1: after hearing just the copy that triggered the assessment, the
 	// count (1) is not below C, so nobody ever rebroadcasts and a 2-hop
 	// discovery fails.
-	simk, nodes := build(geom.ChainPlacement(geom.Point{}, 3, 200),
+	simk, nodes, _ := build(geom.ChainPlacement(geom.Point{}, 3, 200),
 		counter.Params{C: 1, RADMax: 10 * des.Millisecond}, 3)
 	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 2, 64, 0, 0, simk.Now(), 30))
@@ -58,7 +61,7 @@ func TestThresholdOneSuppressesEverything(t *testing.T) {
 func TestDefaultThresholdDeliversOnChain(t *testing.T) {
 	// On a chain each node hears at most 2 copies (upstream + downstream),
 	// below the default C=3, so the flood propagates.
-	simk, nodes := build(geom.ChainPlacement(geom.Point{}, 4, 200),
+	simk, nodes, _ := build(geom.ChainPlacement(geom.Point{}, 4, 200),
 		counter.DefaultParams(), 5)
 	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 64, 0, 0, simk.Now(), 30))
@@ -79,7 +82,7 @@ func TestDenseClusterSuppresses(t *testing.T) {
 		positions = append(positions, geom.Point{X: 100 + float64(i)*10, Y: float64(i) * 10})
 	}
 	positions = append(positions, geom.Point{X: 330}) // target, reachable via cluster
-	simk, nodes := build(positions, counter.Params{C: 2, RADMax: 10 * des.Millisecond}, 7)
+	simk, nodes, _ := build(positions, counter.Params{C: 2, RADMax: 10 * des.Millisecond}, 7)
 	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, pkt.NodeID(len(nodes)-1), 64, 0, 0, simk.Now(), 30))
 	}), 0, 0)
@@ -99,13 +102,12 @@ func TestDenseClusterSuppresses(t *testing.T) {
 }
 
 func TestPolicyMeta(t *testing.T) {
-	simk, nodes := build(geom.ChainPlacement(geom.Point{}, 2, 200),
+	_, nodes, p := build(geom.ChainPlacement(geom.Point{}, 2, 200),
 		counter.DefaultParams(), 1)
-	_ = simk
-	if _, ok := nodes[0].Agent.Policy().(*counter.Policy); !ok {
-		t.Fatalf("policy %T", nodes[0].Agent.Policy())
+	if _, ok := p.(*counter.Policy); !ok {
+		t.Fatalf("policy %T", p)
 	}
-	if nodes[0].Agent.Policy().CostIncrement(nodes[0].Agent) != 1 {
+	if p.CostIncrement(nodes[0].Agent) != 1 {
 		t.Fatal("counter cost increment must be 1")
 	}
 }

@@ -17,14 +17,39 @@ import (
 var nilPool *pkt.Pool
 
 // chain builds three counter nodes 200 m apart, not started (no
-// beacons), and returns the middle one's policy.
-func chain() (*des.Sim, []*node.Node, *Policy) {
+// beacons), and returns the network's policy: BuildNetwork must ask the
+// spec for exactly one, which every node's agent then runs.
+func chain(t *testing.T) (*des.Sim, []*node.Node, *Policy) {
+	t.Helper()
 	simk := des.NewSim()
 	medium := radio.NewMedium(simk, radio.NewTwoRay(914e6, 1.5, 1.5))
+	spec := Spec(routing.DefaultConfig(), DefaultParams())
+	var made []*Policy
+	newPolicy := spec.Policy
+	spec.Policy = func() routing.RREQPolicy {
+		p := newPolicy().(*Policy)
+		made = append(made, p)
+		return p
+	}
 	nodes := node.BuildNetwork(simk, medium, geom.ChainPlacement(geom.Point{}, 3, 200),
-		radio.DefaultParams(), mac.DefaultConfig(), rng.New(1),
-		Spec(routing.DefaultConfig(), DefaultParams()))
-	return simk, nodes, nodes[1].Agent.Policy().(*Policy)
+		radio.DefaultParams(), mac.DefaultConfig(), rng.New(1), spec)
+	if len(made) != 1 {
+		t.Fatalf("BuildNetwork asked the spec for %d policies, want one for the network", len(made))
+	}
+	return simk, nodes, made[0]
+}
+
+// floodEach hands every node of the chain the first copy of flood id,
+// relayed by a neighbour, so each node's agent assesses it in the policy
+// it runs.
+func floodEach(nodes []*node.Node, id uint32) {
+	for i, n := range nodes {
+		from := pkt.NodeID(1)
+		if i == 1 {
+			from = 0
+		}
+		n.Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), from)
+	}
 }
 
 // packetsInSlots counts the clones p's slab still points at in its
@@ -44,7 +69,7 @@ func packetsInSlots(p *Policy, n uint32) int {
 // into a rebroadcast — allocates nothing: the assessment is a slab slot
 // and the RAD a typed event carrying its index.
 func TestRADAllocatesNothing(t *testing.T) {
-	simk, nodes, _ := chain()
+	simk, nodes, _ := chain(t)
 	mid := nodes[1].Agent
 	// Flood copies from a node out of the chain's reach, as relayed by
 	// each end of the chain.
@@ -69,7 +94,7 @@ func TestRADAllocatesNothing(t *testing.T) {
 // pointer to its clone (released to the pool, which may hand it out
 // again), including when the node crashed while the RAD ran.
 func TestRecycledSlotHoldsNoPackets(t *testing.T) {
-	simk, nodes, p := chain()
+	simk, nodes, p := chain(t)
 	mid := nodes[1].Agent
 	for id := uint32(1); id <= 3; id++ {
 		mid.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), 0)
@@ -100,18 +125,13 @@ func TestRecycledSlotHoldsNoPackets(t *testing.T) {
 // reset discarded the events that would have resolved them — while the
 // network gets a new, empty policy.
 func TestOnePolicyServesTheNetwork(t *testing.T) {
-	simk, nodes, p := chain()
+	simk, nodes, p := chain(t)
 	for _, n := range nodes {
-		if n.Agent.Policy() != routing.RREQPolicy(p) {
-			t.Fatalf("node %d runs policy %p, node 1 %p: want one per network", n.ID, n.Agent.Policy(), p)
-		}
 		n.Agent.Env.Pool.SetAudit(true)
 	}
-	for id := uint32(1); id <= 2; id++ {
-		nodes[1].Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), 0)
-	}
-	nodes[2].Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: 1, Origin: 9, Target: 8, OriginSeq: 1}, 0, 30), 1)
-	for i, want := range []int{0, 2, 1} {
+	floodEach(nodes, 1)
+	nodes[1].Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: 2, Origin: 9, Target: 8, OriginSeq: 2}, 0, 30), 0)
+	for i, want := range []int{1, 2, 1} {
 		if got := p.HeldPackets(nodes[i].Agent); got != want {
 			t.Errorf("node %d: policy holds %d clones, want %d", i, got, want)
 		}
@@ -121,8 +141,9 @@ func TestOnePolicyServesTheNetwork(t *testing.T) {
 	}
 	simk.Reset()
 	spec := Spec(routing.DefaultConfig(), DefaultParams())
+	q := spec.Policy().(*Policy)
 	node.ResetNetwork(nodes, geom.ChainPlacement(geom.Point{}, 3, 200), mac.DefaultConfig(), rng.New(1),
-		spec.Cfg, spec.Policy())
+		spec.Cfg, q)
 	for i, n := range nodes {
 		if live := n.Agent.Env.Pool.LiveBorrowed(); live != 0 {
 			t.Errorf("node %d: %d packets still borrowed after the reset", i, live)
@@ -134,8 +155,14 @@ func TestOnePolicyServesTheNetwork(t *testing.T) {
 	if p.slots.Live() != 0 || p.pending.Len() != 0 {
 		t.Errorf("the old policy keeps %d assessments, %d pending floods", p.slots.Live(), p.pending.Len())
 	}
-	if q := nodes[0].Agent.Policy(); q == routing.RREQPolicy(p) || q != nodes[2].Agent.Policy() {
-		t.Errorf("after the reset the nodes run %p, %p (old %p): want one new policy", q, nodes[2].Agent.Policy(), p)
+	floodEach(nodes, 3)
+	for i, n := range nodes {
+		if got := q.HeldPackets(n.Agent); got != 1 {
+			t.Errorf("node %d: after the reset the new policy holds %d clones of its flood, want 1", i, got)
+		}
+	}
+	if p.slots.Live() != 0 {
+		t.Errorf("the old policy took %d assessments after the reset, want 0", p.slots.Live())
 	}
 }
 
@@ -145,7 +172,7 @@ func TestOnePolicyServesTheNetwork(t *testing.T) {
 // and the slab's indices free from 0, its storage kept, so the next run
 // assesses floods without allocating.
 func TestResetKeepsThePolicy(t *testing.T) {
-	simk, nodes, p := chain()
+	simk, nodes, p := chain(t)
 	for id := uint32(1); id <= 3; id++ {
 		nodes[1].Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: id, Origin: 9, Target: 8, OriginSeq: id}, 0, 30), 0)
 	}
@@ -153,9 +180,6 @@ func TestResetKeepsThePolicy(t *testing.T) {
 	node.ResetNetwork(nodes, geom.ChainPlacement(geom.Point{}, 3, 200), mac.DefaultConfig(), rng.New(1),
 		nodes[1].Agent.Cfg, p)
 	for i, n := range nodes {
-		if n.Agent.Policy() != routing.RREQPolicy(p) {
-			t.Fatalf("node %d runs %p after the reset, want the kept %p", i, n.Agent.Policy(), p)
-		}
 		if live := n.Agent.Env.Pool.LiveBorrowed(); live != 0 || n.Agent.HeldPackets() != 0 {
 			t.Errorf("node %d: %d packets borrowed, %d held after the reset", i, live, n.Agent.HeldPackets())
 		}
@@ -166,5 +190,11 @@ func TestResetKeepsThePolicy(t *testing.T) {
 	nodes[1].Agent.MacReceive(nilPool.RREQ(pkt.RREQBody{ID: 4, Origin: 9, Target: 8, OriginSeq: 4}, 0, 30), 0)
 	if i, ok := p.pending.Get(floodKey{1, 9, 4}); !ok || i != 0 {
 		t.Errorf("the first flood after the reset took slot %d (pending %v), want 0", i, ok)
+	}
+	floodEach(nodes, 5)
+	for i, want := range []int{1, 2, 1} {
+		if got := p.HeldPackets(nodes[i].Agent); got != want {
+			t.Errorf("node %d: the kept policy holds %d clones after the reset, want %d", i, got, want)
+		}
 	}
 }

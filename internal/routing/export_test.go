@@ -5,6 +5,14 @@ import "clnlr/internal/pkt"
 // Hooks for the external integration tests (package routing_test) and
 // helpers only the tests use.
 
+// New builds a routing core ready to run: Attach on env.Sim and env.Pool,
+// then Reset.
+func New(env Env, cfg Config, policy RREQPolicy) *Core {
+	c := Attach(env.Sim, env.Pool)
+	c.Reset(env, cfg, policy)
+	return c
+}
+
 // Invalidate marks the route to dst broken and returns it; ok is false if
 // there was no valid route. The sequence number is bumped so stale copies
 // of the dead route cannot be re-installed.

@@ -17,15 +17,18 @@ import (
 // nilPool builds test packets: a nil pool allocates and keeps nothing.
 var nilPool *pkt.Pool
 
-func buildChain(n int, params gossip.Params, seed uint64) (*des.Sim, []*node.Node) {
+func buildChain(n int, params gossip.Params, seed uint64) (*des.Sim, []*node.Node, routing.RREQPolicy) {
 	simk := des.NewSim()
 	medium := radio.NewMedium(simk, radio.NewTwoRay(914e6, 1.5, 1.5))
+	spec := gossip.Spec(routing.DefaultConfig(), params)
+	var pol routing.RREQPolicy
+	newPolicy := spec.Policy
+	spec.Policy = func() routing.RREQPolicy { pol = newPolicy(); return pol }
 	nodes := node.BuildNetwork(simk, medium,
 		geom.ChainPlacement(geom.Point{}, n, 200),
-		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed),
-		gossip.Spec(routing.DefaultConfig(), params))
+		radio.DefaultParams(), mac.DefaultConfig(), rng.New(seed), spec)
 	node.StartAll(nodes)
-	return simk, nodes
+	return simk, nodes, pol
 }
 
 func TestDefaultParams(t *testing.T) {
@@ -36,7 +39,7 @@ func TestDefaultParams(t *testing.T) {
 }
 
 func TestProbabilityOneBehavesLikeFlood(t *testing.T) {
-	simk, nodes := buildChain(4, gossip.Params{P: 1, K: 0}, 3)
+	simk, nodes, _ := buildChain(4, gossip.Params{P: 1, K: 0}, 3)
 	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, simk.Now(), 30))
 	}), 0, 0)
@@ -52,7 +55,7 @@ func TestProbabilityOneBehavesLikeFlood(t *testing.T) {
 func TestProbabilityZeroSuppressesBeyondK(t *testing.T) {
 	// P=0, K=1: the origin's 1-hop neighbours forward (hop 0 < K), but
 	// 2nd-ring nodes suppress everything, so a 3-hop discovery fails.
-	simk, nodes := buildChain(4, gossip.Params{P: 0, K: 1}, 3)
+	simk, nodes, _ := buildChain(4, gossip.Params{P: 0, K: 1}, 3)
 	simk.ScheduleCall(des.Second, des.Func(func() {
 		nodes[0].Agent.Send(nilPool.Data(0, 3, 128, 0, 0, simk.Now(), 30))
 	}), 0, 0)
@@ -79,7 +82,7 @@ func TestIntermediateProbability(t *testing.T) {
 	// probability applies at hop 0.)
 	forwarded, suppressed := 0, 0
 	for seed := uint64(0); seed < 30; seed++ {
-		simk, nodes := buildChain(3, gossip.Params{P: 0.5, K: 0}, seed)
+		simk, nodes, _ := buildChain(3, gossip.Params{P: 0.5, K: 0}, seed)
 		simk.ScheduleCall(des.Second, des.Func(func() {
 			nodes[0].Agent.Send(nilPool.Data(0, 2, 64, 0, 0, simk.Now(), 30))
 		}), 0, 0)
@@ -93,12 +96,11 @@ func TestIntermediateProbability(t *testing.T) {
 }
 
 func TestCostIncrement(t *testing.T) {
-	simk, nodes := buildChain(2, gossip.DefaultParams(), 1)
-	_ = simk
-	if nodes[0].Agent.Policy().CostIncrement(nodes[0].Agent) != 1 {
+	_, nodes, p := buildChain(2, gossip.DefaultParams(), 1)
+	if p.CostIncrement(nodes[0].Agent) != 1 {
 		t.Fatal("gossip cost increment must be 1")
 	}
-	if _, ok := nodes[0].Agent.Policy().(*gossip.Policy); !ok {
-		t.Fatalf("policy %T", nodes[0].Agent.Policy())
+	if _, ok := p.(*gossip.Policy); !ok {
+		t.Fatalf("policy %T", p)
 	}
 }

@@ -614,9 +614,6 @@ func TestCoreAccessors(t *testing.T) {
 	sim, nodes := buildNet(37, geom.ChainPlacement(geom.Point{}, 2, 200), flood)
 	_ = sim
 	a := nodes[0].Agent
-	if _, ok := a.Policy().(aodv.Policy); !ok {
-		t.Fatalf("policy accessor %T", a.Policy())
-	}
 	if a.Table() == nil || a.Table().Len() != 0 {
 		t.Fatal("fresh table should be empty")
 	}

@@ -961,6 +961,13 @@ func badRequestCases() []requestCase {
 	both("negative journey_every_n", http.StatusBadRequest, `{"journey_every_n": -1}`, `{"reps": 2, "journey_every_n": -1}`)
 	both("invalid scenario", http.StatusBadRequest, `{"scenario": {"Rows": -3}}`, `{"reps": 2, "scenario": {"Rows": -3}}`)
 	both("mistyped scenario field", http.StatusBadRequest, `{"scenario": {"Rows": "three"}}`, `{"reps": 2, "scenario": {"Rows": "three"}}`)
+	// The MAC's rate ladder is four rates, never padded or cut to four.
+	both("rate ladder of three", http.StatusBadRequest,
+		`{"scenario": {"Mac": {"RateLadder": [1000000, 2000000, 5500000]}}}`,
+		`{"reps": 2, "scenario": {"Mac": {"RateLadder": [1000000, 2000000, 5500000]}}}`)
+	both("rate ladder of five", http.StatusBadRequest,
+		`{"scenario": {"Mac": {"RateLadder": [1000000, 2000000, 5500000, 11000000, 54000000]}}}`,
+		`{"reps": 2, "scenario": {"Mac": {"RateLadder": [1000000, 2000000, 5500000, 11000000, 54000000]}}}`)
 	// 4 s apart, probes tile the window, and each discovery must end
 	// before the next probe leaves.
 	both("probe window off the 4s grid", http.StatusBadRequest,

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"clnlr/internal/mac"
 )
 
 func TestScenarioJSONRoundTrip(t *testing.T) {
@@ -87,5 +89,53 @@ func TestLoadedScenarioRuns(t *testing.T) {
 	}
 	if r.Nodes != 16 || r.Delivered == 0 {
 		t.Fatalf("loaded scenario result %+v", r)
+	}
+}
+
+// TestRateLadderTakesExactlyFourRates: a config's MAC rate ladder is
+// 802.11b's four rates or an error — never a shorter ladder padded with
+// zero rates, nor a longer one cut to four — whether or not AutoRate reads
+// it. Four rates load to the scenario built in Go, fingerprint included,
+// and null keeps the default.
+func TestRateLadderTakesExactlyFourRates(t *testing.T) {
+	dir := t.TempDir()
+	load := func(overlay string) (Scenario, error) {
+		t.Helper()
+		path := filepath.Join(dir, "ladder.json")
+		if err := os.WriteFile(path, []byte(overlay), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadScenario(path)
+	}
+	for _, ladder := range []string{
+		`[1000000, 2000000, 5500000]`,
+		`[1000000, 2000000, 5500000, 11000000, 54000000]`,
+	} {
+		for _, auto := range []string{"true", "false"} {
+			overlay := `{"Mac": {"AutoRate": ` + auto + `, "RateLadder": ` + ladder + `}}`
+			if _, err := load(overlay); err == nil {
+				t.Errorf("LoadScenario accepted %s", overlay)
+			}
+		}
+	}
+
+	sc, err := load(`{"Mac": {"AutoRate": true, "RateLadder": [1000000, 2000000, 5500000, 6000000]}}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultScenario()
+	want.Mac.AutoRate = true
+	want.Mac.RateLadder = mac.RateLadder{1_000_000, 2_000_000, 5_500_000, 6_000_000}
+	if sc.Mac.RateLadder != want.Mac.RateLadder || sc.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("four rates loaded as %v (fingerprint %s), want %v (%s)",
+			sc.Mac.RateLadder, sc.Fingerprint(), want.Mac.RateLadder, want.Fingerprint())
+	}
+
+	sc, err = load(`{"Mac": {"RateLadder": null}}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Mac.RateLadder != mac.DefaultConfig().RateLadder || sc.Fingerprint() != DefaultScenario().Fingerprint() {
+		t.Fatalf("a null ladder loaded as %v, want the default", sc.Mac.RateLadder)
 	}
 }

@@ -29,18 +29,19 @@ import (
 // Determinism contract: a warm rerun is bit-identical to a cold run of
 // the same scenario. This holds because every seed derivation is pure
 // (rng.Derive mixes the creation seed, never mutable stream state), the
-// des.Sim restarts at (time 0, sequence 0), and every stateful component
-// has a Reset that restores its construction state while keeping grown
-// storage. Every run is RunJourney (Engine.Run is RunJourney without
-// instruments, and discovery probes are a workload, Scenario.Probes),
-// which starts from one prologue (begin) on exactly this path — a cold
-// run is just a warm run on a fresh Engine — so cold and warm cannot
-// drift apart. Every run places its nodes afresh (a pure derivation of
-// its seed, into storage the engine keeps); the network is rebuilt from
-// scratch only when the node count or radio parameters change, and
-// everything else resets in place. No instrument lives on the Engine:
-// the stall watchdog, collector and journey recorder are RunJourney's
-// arguments, installed (or detached) by every run.
+// des.Sim restarts at (time 0, sequence 0), and a cold run is a warm run
+// on fresh storage: a rebuild, when the node count or radio parameters
+// change, only allocates (kernel, medium, node.Attach), and every run —
+// the first after a rebuild too — then takes one reset sequence (see
+// prepare), in which each stateful component's Reset restores its
+// construction state while keeping grown storage. Every run is
+// RunJourney (Engine.Run is RunJourney without instruments, and discovery
+// probes are a workload, Scenario.Probes), which starts from one prologue
+// (begin), so cold and warm cannot drift apart. Every run places its
+// nodes afresh (a pure derivation of its seed, into storage the engine
+// keeps). No instrument lives on the Engine: the stall watchdog,
+// collector and journey recorder are RunJourney's arguments, installed
+// (or detached) by every run.
 //
 // An Engine is not safe for concurrent use; give each worker its own.
 type Engine struct {
@@ -48,7 +49,6 @@ type Engine struct {
 	medium *radio.Medium
 	nodes  []*node.Node
 
-	built       bool
 	radioParams radio.Params
 
 	// positions and tp are the storage every run's placement and its
@@ -71,8 +71,8 @@ type Engine struct {
 	// warmJoules is each node's energy reading at Warmup (see openWindow).
 	warmJoules []float64
 
-	// mgr is the traffic manager, reset in place by every run after the
-	// first, which builds it; flows holds the last run's workload.
+	// mgr is the traffic manager, reset in place by every run; flows holds
+	// the last run's workload.
 	mgr   *traffic.Manager
 	flows []traffic.Flow
 
@@ -124,8 +124,8 @@ func schemeKeyOf(sc Scenario) schemeKey {
 	return schemeKey{sc.Scheme, sc.Routing, sc.Gossip, sc.Counter, sc.CLNLR}
 }
 
-// NewEngine returns an empty engine; the first Run builds the network.
-func NewEngine() *Engine { return &Engine{} }
+// NewEngine returns an engine with no network; the first Run builds one.
+func NewEngine() *Engine { return &Engine{mgr: traffic.NewManager(nil, nil, 0, 0)} }
 
 // TestHookRun, when non-nil, is invoked at the start of every engine run
 // with the scenario about to execute. It exists solely so the
@@ -133,16 +133,19 @@ func NewEngine() *Engine { return &Engine{} }
 // inject panics into replication jobs; production code never sets it.
 var TestHookRun func(sc Scenario)
 
-// TestHookPrepared, when non-nil, is invoked after the network is built
-// (or warm-reset) and the pools are armed, right before the run starts.
+// TestHookPrepared, when non-nil, is invoked after the network is reset
+// and the pools are armed, right before the run starts.
 // It exists solely so the auditor mutation tests and watchdog tests can
 // seed invariant violations or stalls into an otherwise-normal run;
 // production code never sets it.
 var TestHookPrepared func(simk *des.Sim, nodes []*node.Node, sc Scenario)
 
-// prepare places the network and builds or resets the stack for one run.
-// A scheme the engine ran before keeps its spec and its policy, which the
-// last reset away from it emptied; see scheme.
+// prepare places the network and resets the stack for one run. A network
+// whose node count or radio parameters differ from the scenario's is first
+// rebuilt, which only allocates storage: the first run on it takes the
+// same reset sequence as every later one. A scheme the engine ran before
+// keeps its spec and its policy, which the last reset away from it
+// emptied; see scheme.
 func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error) {
 	positions, err := place(sc, master, &e.tp, e.positions)
 	if err != nil {
@@ -151,7 +154,8 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 	e.positions = positions
 	st := e.scheme(sc)
 	master.DeriveInto(&e.netRng, 1000)
-	if !e.built || len(e.nodes) != len(positions) || e.radioParams != sc.Radio {
+	prop := sc.propagation()
+	if e.simk == nil || len(e.nodes) != len(positions) || e.radioParams != sc.Radio {
 		// A kept policy may still hold assessments of the network being
 		// dropped (only the policy a reset moves away from is emptied):
 		// every scheme builds a fresh one on the new network.
@@ -159,17 +163,12 @@ func (e *Engine) prepare(sc Scenario, master *rng.Source) (*topo.Topology, error
 			e.schemes[i].policy = nil
 		}
 		e.simk = des.NewSim()
-		e.medium = radio.NewMedium(e.simk, sc.propagation())
-		e.medium.SetReference(e.referenceRadio)
-		e.nodes = node.BuildNetwork(e.simk, e.medium, positions, sc.Radio, sc.Mac, &e.netRng, st.spec)
-		st.policy = e.nodes[0].Agent.Policy()
+		e.medium = radio.NewMedium(e.simk, prop)
+		e.nodes = node.Attach(e.simk, e.medium, positions, sc.Radio)
 		e.radioParams = sc.Radio
-		e.built = true
-		e.medium.SetImpairment(sc.Faults.Link, sc.Seed)
-		return &e.tp, nil
 	}
 	e.simk.Reset()
-	e.medium.Reset(sc.propagation(), positions)
+	e.medium.Reset(prop, positions)
 	e.medium.SetReference(e.referenceRadio)
 	e.medium.SetImpairment(sc.Faults.Link, sc.Seed)
 	if st.policy == nil {
@@ -225,10 +224,11 @@ func (s runSetup) auditErr() error {
 }
 
 // begin is RunJourney's prologue, after validation: the test hooks, the
-// master stream, the network (built or warm-reset), the run's watchdog
-// (nil detaches the previous run's), the pool ledgers, the optional
-// journey recorder, node start, mobility, churn over [0, horizon) and the
-// auditor — in that order, which fixes the event sequence of every run.
+// master stream, the network (rebuilt if need be, then reset), the run's
+// watchdog (nil detaches the previous run's), the pool ledgers, the
+// optional journey recorder, node start, mobility, churn over
+// [0, horizon) and the auditor — in that order, which fixes the event
+// sequence of every run.
 func (e *Engine) begin(sc Scenario, horizon des.Time, watch *des.Watch, rec *journey.Recorder) (runSetup, error) {
 	if TestHookRun != nil {
 		TestHookRun(sc)

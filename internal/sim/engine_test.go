@@ -2,9 +2,15 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"clnlr/internal/des"
+	"clnlr/internal/fault"
+	"clnlr/internal/mac"
+	"clnlr/internal/metrics"
+	"clnlr/internal/node"
 )
 
 // TestGoldenWarmMatchesCold is the determinism contract of warm
@@ -180,4 +186,148 @@ func TestWarmSchemeSequenceMatchesCold(t *testing.T) {
 			t.Errorf("run %d (%s): warm %+v != cold %+v", i, sc.Scheme, warm, cold)
 		}
 	}
+}
+
+// TestWarmResetAfterCrashMatchesCold pins the joint where one run's crash
+// meets the next run's reset. A loaded relay crashes in the last 10 ms of
+// the window while it airs a data frame that outlasts the run (an explicit
+// Faults.Schedule entry), so the run ends with that frame orphaned on the
+// air and packets held for discovery. The reset that follows must pool
+// every held packet exactly once — counted with the ledger off, which
+// would refuse a second release rather than pool it — and the next seed's
+// warm run on the same engine must equal a cold run, Result and collector
+// counters, with the auditor of each run, the crashed one included,
+// seeing no packet leak or double free.
+func TestWarmResetAfterCrashMatchesCold(t *testing.T) {
+	sc := quickScenario()
+	// A saturated gateway: sources keep rediscovering their routes.
+	sc.Gateway, sc.Flows, sc.PacketRate = true, 10, 20
+	sc.Warmup, sc.Measure = 2*des.Second, 6*des.Second
+	end := sc.Warmup + sc.Measure
+	relay, at := crashMidFrame(t, sc)
+	sc.Faults.Schedule = []fault.NodeEvent{{Node: relay, At: at}}
+	audited := sc
+	audited.Audit = true
+	if _, err := NewEngine().Run(audited); hasPacketViolation(err) {
+		t.Fatalf("crashed run: %v", err)
+	}
+
+	eng := NewEngine()
+	if _, err := eng.Run(sc); err != nil {
+		t.Fatal(err)
+	}
+	n := eng.nodes[relay]
+	if !n.Radio.Down() || n.Mac.HeldPackets() != 1 || n.Mac.QueueLen() != 0 {
+		t.Fatalf("relay %d crashed at %v: down %v, MAC holds %d with %d queued, want only the orphan on the air",
+			relay, at, n.Radio.Down(), n.Mac.HeldPackets(), n.Mac.QueueLen())
+	}
+	pooled, held, buffered := 0, 0, 0
+	for _, n := range eng.nodes {
+		pooled += n.Agent.Env.Pool.Len()
+		held += n.Mac.HeldPackets() + n.Agent.HeldPackets()
+		buffered += n.Agent.HeldPackets()
+	}
+	if buffered == 0 {
+		t.Fatalf("the run ended at %v with no packet held by a routing core", end)
+	}
+
+	next := audited
+	next.Seed++
+	defer func() { TestHookPrepared = nil }()
+	TestHookPrepared = func(_ *des.Sim, nodes []*node.Node, _ Scenario) {
+		TestHookPrepared = nil
+		after := 0
+		for _, n := range nodes {
+			after += n.Agent.Env.Pool.Len()
+		}
+		if after-pooled != held {
+			t.Errorf("the reset pooled %d packets, want the %d the crashed run held", after-pooled, held)
+		}
+	}
+	warmCol := metrics.NewCollector(100 * des.Millisecond)
+	warm, err := eng.RunJourney(next, nil, warmCol, nil)
+	if hasPacketViolation(err) {
+		t.Errorf("warm run after the crash: %v", err)
+	}
+	if TestHookPrepared != nil {
+		t.Fatal("the warm run did not reset the crashed network")
+	}
+	coldCol := metrics.NewCollector(100 * des.Millisecond)
+	cold, err := NewEngine().RunJourney(next, nil, coldCol, nil)
+	if hasPacketViolation(err) {
+		t.Errorf("cold run: %v", err)
+	}
+	if warm != cold {
+		t.Errorf("warm run after a crash diverges from cold:\n  warm %+v\n  cold %+v", warm, cold)
+	}
+	if w, c := warmCol.Counters().Map(), coldCol.Counters().Map(); !reflect.DeepEqual(w, c) {
+		t.Errorf("warm counters after a crash diverge from cold:\n  warm %v\n  cold %v", w, c)
+	}
+}
+
+// crashMidFrame runs sc and picks the crash for
+// TestWarmResetAfterCrashMatchesCold: among the nodes airing a data frame
+// at the end of the window while another node's routing core holds
+// packets, the one with the longest queue when that frame went on the air,
+// and an instant in the frame's airtime no more than 10 ms before the
+// end. Probe events only read the stack, so the run with the crash
+// scheduled is this one up to the crash.
+func crashMidFrame(t *testing.T, sc Scenario) (int, des.Time) {
+	t.Helper()
+	const step = 10 * des.Microsecond // below DIFS, the least gap between two frames
+	end := sc.Warmup + sc.Measure
+	from := end - 10*des.Millisecond
+	ticks := int((end-from)/step) + 1
+	var nodes []*node.Node
+	// At tick k, airing[k][i] says whether node i airs a data frame and
+	// queue[k][i] is its queue; held[i] is what its core holds at the end.
+	airing := make([][]bool, ticks)
+	queue := make([][]int, ticks)
+	var held []int
+	defer func() { TestHookPrepared = nil }()
+	TestHookPrepared = func(simk *des.Sim, ns []*node.Node, _ Scenario) {
+		nodes = ns
+		for k := range ticks {
+			simk.AtCall(from+des.Time(k)*step, des.Func(func() {
+				airing[k], queue[k], held = make([]bool, len(ns)), make([]int, len(ns)), make([]int, len(ns))
+				for i, n := range ns {
+					f, ok := n.Radio.Airing().(*mac.Frame)
+					airing[k][i] = ok && f.Type == mac.DataFrame
+					queue[k][i] = n.Mac.QueueLen()
+					held[i] = n.Agent.HeldPackets()
+				}
+			}), 0, 0)
+		}
+	}
+	if _, err := NewEngine().Run(sc); hasPacketViolation(err) {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, h := range held {
+		total += h
+	}
+	best, bestAt, bestQueue := -1, des.Time(0), 0
+	for i := range nodes {
+		k := ticks - 1
+		if !airing[k][i] || held[i] == total {
+			continue
+		}
+		for k > 0 && airing[k-1][i] {
+			k--
+		}
+		// Crash one tick into the airtime, when the frame is surely on the air.
+		if k+1 < ticks && queue[k+1][i] > bestQueue {
+			best, bestAt, bestQueue = i, from+des.Time(k+1)*step, queue[k+1][i]
+		}
+	}
+	if best < 0 {
+		t.Fatal("no node airs a data frame over the end of the window while another holds packets")
+	}
+	return best, bestAt
+}
+
+// hasPacketViolation reports whether an audited run's error names a
+// packet leak or double free (other invariants are not this test's).
+func hasPacketViolation(err error) bool {
+	return err != nil && (strings.Contains(err.Error(), "pkt/conservation") || strings.Contains(err.Error(), "pkt/double-free"))
 }

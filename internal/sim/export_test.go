@@ -29,4 +29,8 @@ func AuditWork(t *testing.T, sc Scenario) (at []des.Time, tables, sets []int, er
 // every transmission (radio.Medium.SetReference) instead of using the
 // memoised audible sets — the reference path the golden tests hold the
 // default to.
-func referenceEngine() *Engine { return &Engine{referenceRadio: true} }
+func referenceEngine() *Engine {
+	e := NewEngine()
+	e.referenceRadio = true
+	return e
+}

@@ -11,7 +11,6 @@ import (
 	"clnlr/internal/mac"
 	"clnlr/internal/metrics"
 	"clnlr/internal/routing"
-	"clnlr/internal/traffic"
 )
 
 // RunJourney is the fully instrumented run entry point: Run plus an
@@ -66,12 +65,8 @@ func (e *Engine) RunJourney(sc Scenario, watch *des.Watch, col *metrics.Collecto
 		e.startSampler(col, end)
 	}
 
-	if e.mgr == nil {
-		e.mgr = traffic.NewManager(e.simk, e.nodes, sc.Routing.TTL, sc.Warmup)
-	} else {
-		e.mgr.Reset(e.simk, e.nodes, sc.Routing.TTL, sc.Warmup)
-	}
 	mgr := e.mgr
+	mgr.Reset(e.simk, e.nodes, sc.Routing.TTL, sc.Warmup)
 	flows, err := pickFlows(sc, run.tp, run.master.Derive(2000), e.flows[:0])
 	if err != nil {
 		return Result{}, err

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -225,7 +226,7 @@ func TestRebuildDropsKeptPolicies(t *testing.T) {
 		if _, err := e.Run(small); err != nil {
 			t.Fatal(err)
 		}
-		p := e.nodes[0].Agent.Policy()
+		p := runningPolicy(e)
 		for _, n := range e.nodes {
 			if p.HeldPackets(n.Agent) > 0 {
 				old = p
@@ -239,7 +240,7 @@ func TestRebuildDropsKeptPolicies(t *testing.T) {
 	if _, err := e.Run(large); err != nil {
 		t.Fatal(err)
 	}
-	cur := e.nodes[0].Agent.Policy()
+	cur := runningPolicy(e)
 	for _, st := range e.schemes {
 		if st.policy != nil && st.policy != cur {
 			t.Errorf("after the rebuild %s keeps policy %p, the network runs %p (the dropped network's counter ran %p)",
@@ -251,7 +252,18 @@ func TestRebuildDropsKeptPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := e.nodes[0].Agent.Policy(); p == old || r.Sent == 0 {
+	if p := runningPolicy(e); p == old || r.Sent == 0 {
 		t.Errorf("counter on the rebuilt network runs %p, the dropped network's was %p; %d packets sent", p, old, r.Sent)
 	}
+}
+
+// runningPolicy returns the policy e's network ran its last run with: the
+// one e keeps for that run's scheme.
+func runningPolicy(e *Engine) routing.RREQPolicy {
+	for _, st := range e.schemes {
+		if reflect.DeepEqual(st.key, e.next) {
+			return st.policy
+		}
+	}
+	return nil
 }

@@ -3,28 +3,29 @@
 # PARENT on the repository benchmark (bench/, BENCHMARK.json). PARENT is
 # snapshotted with `git archive` into a temporary directory, so each side
 # builds and runs in its own tree. Then:
-#   1. per workload, three alternating pairs of
+#   1. per workload, PAIRS (default 3) alternating pairs of
 #      `bash bench/run.sh --seed 1 --workload W` (parent first in odd
 #      pairs, change first in even ones), so the two runs of a pair are
 #      seconds apart and a slow stretch of the box lands on one pair of
 #      one workload, not on every workload of one side; all result files
 #      judged by `bash bench/run.sh --compare`, which merges them per
 #      workload and prints a verdict per workload × end-to-end metric,
-#      followed here by the min–max of the three per-pair change/parent
-#      ratios (a range that straddles 1 is a difference the pairs do not
-#      agree on; with three pairs, noise alone puts a range on one side
-#      of 1 about a quarter of the time, so read it as spread);
+#      followed here by the min–max of the per-pair change/parent ratios
+#      (a range that straddles 1 is a difference the pairs do not agree
+#      on; read it as spread);
 #   2. one `--trace 1` pass per side, and every count-unit per-layer
 #      metric compared exactly: counts repeat to the last digit for a
 #      seed, so each moved (workload, metric) prints as `parent → change`,
 #      followed by an `N/M same` line.
 # Exits non-zero on any `regressed` verdict, any moved count or any failed
 # benchmark operation on the change side. About 15 minutes on a 2-core
-# box; run nothing else meanwhile. `make bench-pair PARENT=<rev>` runs it.
+# box with three pairs, about 30 with ten; run nothing else meanwhile.
+# `make bench-pair PARENT=<rev>` runs it (`PAIRS=10 make bench-pair …`
+# for ten pairs, the fewest before a timing verdict is more than noise).
 set -euo pipefail
 
 seed=1
-pairs=3
+pairs=${PAIRS:-3}
 
 parent=${1:?usage: bench_pair.sh PARENT-REV}
 root=$(git rev-parse --show-toplevel)
@@ -64,7 +65,7 @@ for w in "${workloads[@]}"; do
 done
 # list SIDE — SIDE's result files of the pairs, comma-separated.
 list() {
-	local files=("$tmp/$1".*.[0-9].json) IFS=,
+	local files=("$tmp/$1".*.[0-9]*.json) IFS=,
 	echo "${files[*]}"
 }
 # pair_ratios — one `workload metric change/parent` line per pair and
